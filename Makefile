@@ -62,13 +62,13 @@ bench-aggregator:
 # its per-session allocation budget, and the replicated AckFollower upload
 # within 10x of the durable no-follower baseline — see that file's notes).
 bench-server:
-	$(GO) test -run '^$$' -bench 'BenchmarkConclude(Scratch|Incremental)|BenchmarkSession(UploadHTTP|BatchUploadHTTP|UploadDurable|UploadReplicated)$$|BenchmarkSessionUploadFsync' \
+	$(GO) test -run '^$$' -bench 'BenchmarkConclude(Scratch|Incremental)|BenchmarkSession(UploadHTTP|UploadFolded|BatchUploadHTTP|BatchUploadFolded|UploadDurable|UploadReplicated)$$|BenchmarkSessionUploadFsync' \
 		-benchmem -benchtime 10x ./internal/server/
 
 # Just the upload hot-path pair: single endpoint vs the batched streaming
 # decoder (divide the batch allocs/op by 100 for the per-session figure).
 bench-batch:
-	$(GO) test -run '^$$' -bench 'BenchmarkSession(UploadHTTP|BatchUploadHTTP)$$|BenchmarkSessionUploadFsync' \
+	$(GO) test -run '^$$' -bench 'BenchmarkSession(UploadHTTP|UploadFolded|BatchUploadHTTP|BatchUploadFolded)$$|BenchmarkSessionUploadFsync' \
 		-benchmem -benchtime 50x ./internal/server/
 
 # Benchmark regression gate: re-runs the acceptance benchmarks and fails on

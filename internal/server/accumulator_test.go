@@ -20,15 +20,16 @@ import (
 	"kaleidoscope/internal/store"
 )
 
-// randomUpload builds a deliberately varied session for the srv-test
-// fixture: random choices, occasional incompleteness, failed controls,
-// hasty timings, and duplicate answers for one page — everything the
-// battery discriminates on.
+// randomUpload builds a deliberately varied session for a prepared test:
+// random choices, occasional incompleteness, failed controls, hasty
+// timings, and duplicate answers for one page — everything the battery
+// discriminates on.
 func randomUpload(prep *aggregator.Prepared, workerID string, rng *rand.Rand) SessionUpload {
 	choices := []questionnaire.Choice{
 		questionnaire.ChoiceLeft, questionnaire.ChoiceRight, questionnaire.ChoiceSame,
 	}
-	up := SessionUpload{TestID: "srv-test", WorkerID: workerID}
+	testID := prep.Test.TestID
+	up := SessionUpload{TestID: testID, WorkerID: workerID}
 	for _, p := range prep.RealPages() {
 		n := 1
 		if rng.Intn(10) == 0 {
@@ -36,7 +37,7 @@ func randomUpload(prep *aggregator.Prepared, workerID string, rng *rand.Rand) Se
 		}
 		for i := 0; i < n; i++ {
 			up.Responses = append(up.Responses, questionnaire.Response{
-				TestID: "srv-test", WorkerID: workerID, PageID: p.ID,
+				TestID: testID, WorkerID: workerID, PageID: p.ID,
 				QuestionID: "q0", Choice: choices[rng.Intn(3)],
 				DurationMillis: 1000 + rng.Intn(40_000),
 			})
@@ -134,34 +135,36 @@ func TestIncrementalMatchesOracleDifferential(t *testing.T) {
 	check(60)
 }
 
-// TestIncrementalMatchesScratchServer compares the HTTP surfaces of an
-// incremental server and a WithScratchResults server sharing the same
-// storage: byte-for-byte identical results payloads.
-func TestIncrementalMatchesScratchServer(t *testing.T) {
-	srvInc, prep := prepTest(t)
-	srvScratch, err := New(srvInc.db, srvInc.blobs, WithScratchResults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if srvScratch.accum != nil {
-		t.Fatal("WithScratchResults should disable the accumulator")
-	}
+// TestIncrementalMatchesScratchBytes compares the HTTP results surface with
+// the from-scratch oracle rendered the same way: byte-for-byte identical
+// payloads.
+func TestIncrementalMatchesScratchBytes(t *testing.T) {
+	srv, prep := prepTest(t)
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 20; i++ {
 		up := randomUpload(prep, fmt.Sprintf("w%02d", i), rng)
 		payload, _ := json.Marshal(up)
-		if rec := doJSON(t, srvInc, http.MethodPost, "/api/tests/srv-test/sessions", payload, nil); rec.Code != http.StatusCreated {
+		if rec := doJSON(t, srv, http.MethodPost, "/api/tests/srv-test/sessions", payload, nil); rec.Code != http.StatusCreated {
 			t.Fatalf("upload: %d", rec.Code)
 		}
 	}
-	for _, q := range []string{"", "?quality=1"} {
-		a := doJSON(t, srvInc, http.MethodGet, "/api/tests/srv-test/results"+q, nil, nil)
-		b := doJSON(t, srvScratch, http.MethodGet, "/api/tests/srv-test/results"+q, nil, nil)
-		if a.Code != http.StatusOK || b.Code != http.StatusOK {
-			t.Fatalf("status %d / %d", a.Code, b.Code)
+	for _, useQC := range []bool{false, true} {
+		path := "/api/tests/srv-test/results"
+		if useQC {
+			path += "?quality=1"
 		}
-		if a.Body.String() != b.Body.String() {
-			t.Errorf("results%s differ:\nincremental %s\nscratch     %s", q, a.Body.String(), b.Body.String())
+		got := doJSON(t, srv, http.MethodGet, path, nil, nil)
+		if got.Code != http.StatusOK {
+			t.Fatalf("status %d", got.Code)
+		}
+		oracle, err := srv.ConcludeScratch("srv-test", useQC)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := httptest.NewRecorder()
+		writeJSON(want, http.StatusOK, oracle)
+		if got.Body.String() != want.Body.String() {
+			t.Errorf("%s differs:\nserved  %s\nscratch %s", path, got.Body.String(), want.Body.String())
 		}
 	}
 }

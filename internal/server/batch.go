@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"strings"
 
-	"kaleidoscope/internal/aggregator"
 	"kaleidoscope/internal/guard"
 	"kaleidoscope/internal/obs"
 	"kaleidoscope/internal/store"
@@ -65,6 +64,12 @@ type batchState struct {
 	report  BatchReport
 	pending []store.Document // validated docs awaiting the next group commit
 	pendIdx []int            // report index per pending doc
+	// feed says whether the test has live fold state for this chunk to
+	// feed (sampled when the chunk starts, so a long batch picks up state a
+	// results request created under it); notes are the pending docs'
+	// reductions that ride with the insert, *foldNote or nil.
+	feed    bool
+	notes   []any
 	flushes int
 }
 
@@ -113,12 +118,10 @@ func (s *Server) handleSessionBatch(w http.ResponseWriter, r *http.Request) {
 	// 200 + X-Kscope-Concluded and nothing is stored. (A decision that
 	// latches mid-batch does not abort the stream: elements already
 	// validated commit normally, and the *next* request sees the header.)
-	if s.early != nil {
-		if d := s.early.decision(testID); d != nil {
-			report(guard.Success)
-			s.early.concludedUpload(w, testID, d)
-			return
-		}
+	if d := s.folds.decision(testID); d != nil {
+		report(guard.Success)
+		s.concludedUpload(w, testID, d)
+		return
 	}
 
 	if s.reg != nil {
@@ -193,8 +196,16 @@ func (s *Server) handleSessionBatch(w http.ResponseWriter, r *http.Request) {
 		// Placeholder status; the flush fills in 201/409 (or fails the
 		// request on a storage fault).
 		st.report.Results = append(st.report.Results, elem)
+		if len(st.pending) == 0 {
+			st.feed = s.folds.feeding(testID, entry)
+		}
+		var note *foldNote
+		if st.feed {
+			note = &foldNote{entry: entry, feats: entry.reduce(upload)}
+		}
 		st.pending = append(st.pending, doc)
 		st.pendIdx = append(st.pendIdx, elem.Index)
+		st.notes = append(st.notes, note)
 		if len(st.pending) >= batchChunkSize {
 			if !s.flushBatch(w, st, report) {
 				return
@@ -245,7 +256,7 @@ func (s *Server) buildSessionDoc(testID string, entry *testEntry, upload *Sessio
 	} else if upload.TestID != testID {
 		return nil, fmt.Errorf("session test_id %q contradicts the URL test %q", upload.TestID, testID)
 	}
-	if err := upload.Validate(entry.info); err != nil {
+	if err := upload.validate(entry.info.TestID, entry.pages); err != nil {
 		return nil, fmt.Errorf("invalid session: %w", err)
 	}
 	for i := range upload.Controls {
@@ -274,7 +285,7 @@ func (s *Server) flushBatch(w http.ResponseWriter, st *batchState, report func(g
 	if len(st.pending) == 0 {
 		return true
 	}
-	_, errs := s.db.Collection(aggregator.ResponsesCollection).InsertUniqueBatch(st.pending)
+	_, errs := s.responses.InsertUniqueNoted(st.pending, st.notes)
 	st.flushes++
 	conflicts := false
 	for i, err := range errs {
@@ -311,6 +322,7 @@ func (s *Server) flushBatch(w http.ResponseWriter, st *batchState, report func(g
 	}
 	st.pending = st.pending[:0]
 	st.pendIdx = st.pendIdx[:0]
+	st.notes = st.notes[:0]
 	return true
 }
 

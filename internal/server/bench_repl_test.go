@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -58,7 +57,7 @@ func uploadLoop(b *testing.B, srv *Server, prep *aggregator.Prepared) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		payload := benchSessionPayload(b, prep, fmt.Sprintf("bench-%09d", i))
+		payload := benchSessionPayload(b, prep, i)
 		req := httptest.NewRequest(http.MethodPost, "/api/tests/srv-test/sessions", bytes.NewReader(payload))
 		rec := httptest.NewRecorder()
 		b.StartTimer()

@@ -158,26 +158,45 @@ func BenchmarkConcludeIncremental(b *testing.B) {
 	}
 }
 
+// benchChoice alternates answers so a sequential engine, when one is wired,
+// folds every session and never decides.
+func benchChoice(i int) questionnaire.Choice {
+	if i%2 == 1 {
+		return questionnaire.ChoiceRight
+	}
+	return questionnaire.ChoiceLeft
+}
+
 // benchSessionPayload renders one upload with a unique worker id.
-func benchSessionPayload(b *testing.B, prep *aggregator.Prepared, workerID string) []byte {
+func benchSessionPayload(b *testing.B, prep *aggregator.Prepared, i int) []byte {
 	b.Helper()
-	payload, err := json.Marshal(sampleUpload(prep, workerID, questionnaire.ChoiceLeft))
+	payload, err := json.Marshal(sampleUpload(prep, fmt.Sprintf("bench-%09d", i), benchChoice(i)))
 	if err != nil {
 		b.Fatal(err)
 	}
 	return payload
 }
 
+// foldedOpts wires what a serving node runs next to the handlers: the
+// sequential engine, whose fold state every stored session goes through.
+var foldedOpts = []Option{WithEarlyStop(EarlyStopConfig{Alpha: 0.05})}
+
 // BenchmarkSessionUploadHTTP is the single-session hot path end to end:
 // decode, validate, score, marshal, insert — one POST per session. Payload
 // generation runs off the clock; allocs/op is the per-session handler cost.
-func BenchmarkSessionUploadHTTP(b *testing.B) {
-	srv, prep := prepTest(b)
+// No engine and no results request: the test has no fold state, so this is
+// the handler alone. BenchmarkSessionUploadFolded is the same path feeding
+// live fold state.
+func BenchmarkSessionUploadHTTP(b *testing.B)   { benchSessionUpload(b) }
+func BenchmarkSessionUploadFolded(b *testing.B) { benchSessionUpload(b, foldedOpts...) }
+
+func benchSessionUpload(b *testing.B, opts ...Option) {
+	srv, prep := prepTest(b, opts...)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		payload := benchSessionPayload(b, prep, fmt.Sprintf("bench-%09d", i))
+		payload := benchSessionPayload(b, prep, i)
 		req := httptest.NewRequest(http.MethodPost, "/api/tests/srv-test/sessions", bytes.NewReader(payload))
 		rec := httptest.NewRecorder()
 		b.StartTimer()
@@ -185,6 +204,22 @@ func BenchmarkSessionUploadHTTP(b *testing.B) {
 		if rec.Code != http.StatusCreated {
 			b.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
 		}
+	}
+	benchCheckFolded(b, srv, b.N, len(opts) > 0)
+}
+
+// benchCheckFolded asserts the benchmark measured what its name says: with
+// the engine wired every stored session was folded, exactly once, from the
+// write path; without it nothing was.
+func benchCheckFolded(b *testing.B, srv *Server, stored int, folded bool) {
+	b.Helper()
+	want := 0
+	if folded {
+		want = stored
+	}
+	if got := int(srv.folds.applied.Load()); got != want || int(srv.folds.folds.Load()) != want || srv.folds.rebuilds.Load() != 0 {
+		b.Fatalf("folded %d sessions from the write path (%d into the engine, %d replays), want %d, %d, 0",
+			got, srv.folds.folds.Load(), srv.folds.rebuilds.Load(), want, want)
 	}
 }
 
@@ -198,15 +233,20 @@ const batchBenchSessions = 100
 // state, and one WAL group commit. Divide allocs/op by batchBenchSessions
 // for the per-session figure the CI allocation budget gates on; the
 // sessions/s metric is the end-to-end rate including response rendering.
-func BenchmarkSessionBatchUploadHTTP(b *testing.B) {
-	srv, prep := prepTest(b)
+// Like the single pair, the HTTP variant has no fold state to feed and the
+// Folded variant feeds the engine's.
+func BenchmarkSessionBatchUploadHTTP(b *testing.B)   { benchSessionBatchUpload(b) }
+func BenchmarkSessionBatchUploadFolded(b *testing.B) { benchSessionBatchUpload(b, foldedOpts...) }
+
+func benchSessionBatchUpload(b *testing.B, opts ...Option) {
+	srv, prep := prepTest(b, opts...)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		uploads := make([]SessionUpload, batchBenchSessions)
 		for j := range uploads {
-			uploads[j] = sampleUpload(prep, fmt.Sprintf("bench-%06d-%03d", i, j), questionnaire.ChoiceLeft)
+			uploads[j] = sampleUpload(prep, fmt.Sprintf("bench-%06d-%03d", i, j), benchChoice(j))
 		}
 		payload, err := json.Marshal(uploads)
 		if err != nil {
@@ -221,6 +261,7 @@ func BenchmarkSessionBatchUploadHTTP(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.N*batchBenchSessions)/b.Elapsed().Seconds(), "sessions/s")
+	benchCheckFolded(b, srv, b.N*batchBenchSessions, len(opts) > 0)
 }
 
 // BenchmarkSessionUploadFsync contrasts durable throughput: dir-backed

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -10,12 +11,20 @@ import (
 
 // testEntry is the cached serving-side view of one prepared test: the full
 // Prepared (control answers included, for concluding), the redacted
-// extension-facing TestInfo, and the control-answer lookup used to score
-// uploaded sessions. Entries are immutable once cached; handlers only read
-// and serialize them.
+// extension-facing TestInfo, and the lookups every stored session goes
+// through — built once here instead of once per upload. Entries are
+// immutable once cached; handlers only read and serialize them.
 type testEntry struct {
-	prep     *aggregator.Prepared
-	info     *TestInfo
+	prep *aggregator.Prepared
+	info *TestInfo
+	// pages indexes info.Pages by id: the upload validator's known-page
+	// check, the real-vs-control split, and the canonical id strings the
+	// fold state retains instead of each upload's own copies.
+	pages map[string]*PageView
+	// questions holds the ids the extension gives the test's questions
+	// ("q0", "q1", ...), for the same interning.
+	questions map[string]string
+	// expected is the control-answer lookup used to score uploads.
 	expected map[string]questionnaire.Choice
 }
 
@@ -34,6 +43,11 @@ func newTestEntry(prep *aggregator.Prepared) *testEntry {
 			expected[p.ID] = p.Expected
 		}
 	}
+	questions := make(map[string]string, len(prep.Test.Questions))
+	for i := range prep.Test.Questions {
+		id := "q" + strconv.Itoa(i)
+		questions[id] = id
+	}
 	return &testEntry{
 		prep: prep,
 		info: &TestInfo{
@@ -42,8 +56,19 @@ func newTestEntry(prep *aggregator.Prepared) *testEntry {
 			Questions:   prep.Test.Questions,
 			Pages:       views,
 		},
-		expected: expected,
+		pages:     pageIndex(views),
+		questions: questions,
+		expected:  expected,
 	}
+}
+
+// pageIndex indexes page views by id.
+func pageIndex(pages []PageView) map[string]*PageView {
+	idx := make(map[string]*PageView, len(pages))
+	for i := range pages {
+		idx[pages[i].ID] = &pages[i]
+	}
+	return idx
 }
 
 // resultsKey caches concluded results per test and per default-battery mode

@@ -1,14 +1,9 @@
 package server
 
 import (
-	"encoding/json"
 	"net/http"
-	"sync"
-	"sync/atomic"
 
-	"kaleidoscope/internal/aggregator"
 	"kaleidoscope/internal/earlystop"
-	"kaleidoscope/internal/store"
 )
 
 // ConcludedHeader marks responses for tests the sequential engine has
@@ -27,237 +22,23 @@ type EarlyStopConfig struct {
 }
 
 // WithEarlyStop folds every stored session into a per-test sequential
-// engine and flips the test to concluded the moment a winner is decided:
-// later uploads get 200 + X-Kscope-Concluded instead of being stored,
-// and /results carries the decision metadata. Off by default — fixed-n
-// campaigns are unaffected unless the option is given.
+// engine (part of the test's fold state, see fold.go) and flips the test to
+// concluded the moment a winner is decided: later uploads get 200 +
+// X-Kscope-Concluded instead of being stored, and /results carries the
+// decision metadata. Off by default — fixed-n campaigns are unaffected
+// unless the option is given.
 func WithEarlyStop(cfg EarlyStopConfig) Option {
-	return func(s *Server) {
-		s.early = newEarlyTracker(cfg)
-	}
-}
-
-// earlyTest is the tracker's live state for one test. Mirroring the
-// results accumulator: folded state can be dropped (stale) and lazily
-// rebuilt from storage in document-id order, but the latched decision is
-// permanent for the life of the test — only deletion clears it.
-type earlyTest struct {
-	state    *earlystop.State
-	folded   map[string]string // docID -> raw payload, for replay dedup
-	decision *earlystop.Decision
-}
-
-// earlyTracker owns the sequential engines for every test the server has
-// seen votes for. Like the accumulator it is driven by the responses
-// change feed, but unlike the pull-rebuilt accumulator it folds eagerly:
-// a decision must exist by the time the *next* upload asks "is this test
-// concluded?", not when somebody happens to request results.
-type earlyTracker struct {
-	mu    sync.Mutex
-	cfg   EarlyStopConfig
-	tests map[string]*earlyTest
-
-	folds    atomic.Int64 // sessions folded into engines
-	rebuilds atomic.Int64 // full rebuilds from storage
-	decided  atomic.Int64 // decisions latched
-	rejects  atomic.Int64 // uploads answered 200 + X-Kscope-Concluded
-}
-
-func newEarlyTracker(cfg EarlyStopConfig) *earlyTracker {
-	return &earlyTracker{cfg: cfg, tests: make(map[string]*earlyTest)}
-}
-
-// engineConfig sizes the evidence family from the test's metadata: one
-// stream per real page per question.
-func (e *earlyTracker) engineConfig(entry *testEntry) earlystop.Config {
-	streams := len(entry.prep.RealPages()) * len(entry.info.Questions)
-	if streams < 1 {
-		streams = 1
-	}
-	return earlystop.Config{Alpha: e.cfg.Alpha, Streams: streams, MinVotes: e.cfg.MinVotes}
-}
-
-// votesFrom reduces a session to its decisive evidence: one vote per
-// response on a real page. Control-page answers are quality bait, not
-// preference evidence, and never reach the engine.
-func votesFrom(entry *testEntry, upload *SessionUpload) []earlystop.Vote {
-	real := make(map[string]bool)
-	for _, p := range entry.info.Pages {
-		if p.Kind == aggregator.KindReal {
-			real[p.ID] = true
-		}
-	}
-	votes := make([]earlystop.Vote, 0, len(upload.Responses))
-	for _, r := range upload.Responses {
-		if !real[r.PageID] {
-			continue
-		}
-		votes = append(votes, earlystop.Vote{
-			PageID:     r.PageID,
-			QuestionID: r.QuestionID,
-			Choice:     r.Choice,
-		})
-	}
-	return votes
-}
-
-// decision returns the latched decision for a test, or nil.
-func (e *earlyTracker) decision(testID string) *earlystop.Decision {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if et, ok := e.tests[testID]; ok && et.decision != nil {
-		d := *et.decision
-		return &d
-	}
-	return nil
-}
-
-// observe is the change-feed entry point, called after a
-// responses-collection mutation commits (same goroutine and ordering as
-// the accumulator's observe). Inserts are folded eagerly — building the
-// engine from storage on a test's first session; deletes and overwrites
-// drop the engine state but keep the latched decision.
-func (e *earlyTracker) observe(op, docID, testID string, entry *testEntry, coll *store.Collection) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	et, ok := e.tests[testID]
-	if op != store.OpPut {
-		if ok {
-			et.state = nil
-			et.folded = nil
-		}
-		return
-	}
-	if ok && et.decision != nil {
-		// Decided: evidence accounting is over; stored stragglers (uploads
-		// that raced the decision) no longer move anything.
-		return
-	}
-	if !ok || et.state == nil {
-		e.rebuildLocked(testID, entry, coll)
-		return
-	}
-	doc, err := coll.Get(docID)
-	if err != nil {
-		et.state = nil
-		et.folded = nil
-		return
-	}
-	raw, _ := doc["session"].(string)
-	if prev, dup := et.folded[docID]; dup {
-		if prev == raw {
-			return // replayed event for a session already folded
-		}
-		// Overwrite through direct store access: replay from scratch.
-		e.rebuildLocked(testID, entry, coll)
-		return
-	}
-	var upload SessionUpload
-	if err := json.Unmarshal([]byte(raw), &upload); err != nil {
-		et.state = nil
-		et.folded = nil
-		return
-	}
-	et.folded[docID] = raw
-	e.folds.Add(1)
-	if d := et.state.Fold(votesFrom(entry, &upload)); d != nil {
-		et.decision = d
-		e.decided.Add(1)
-	}
-}
-
-// rebuildLocked replays every stored session of a test, in document-id
-// order, into a fresh engine. After a restart this re-derives the
-// decision from the stored evidence path (decisions are not separately
-// persisted); replay order is FindEq's deterministic id order, which
-// matches what the accumulator and oracle see.
-func (e *earlyTracker) rebuildLocked(testID string, entry *testEntry, coll *store.Collection) {
-	et, ok := e.tests[testID]
-	if !ok {
-		et = &earlyTest{}
-		e.tests[testID] = et
-	}
-	state, err := earlystop.New(e.engineConfig(entry))
-	if err != nil {
-		return // misconfigured alpha: engine stays off for this test
-	}
-	et.state = state
-	et.folded = make(map[string]string)
-	e.rebuilds.Add(1)
-	for _, doc := range coll.FindEq("test_id", testID) {
-		raw, _ := doc["session"].(string)
-		var upload SessionUpload
-		if err := json.Unmarshal([]byte(raw), &upload); err != nil {
-			continue // corrupt sessions are surfaced by the results path
-		}
-		et.folded[doc.ID()] = raw
-		e.folds.Add(1)
-		if d := et.state.Fold(votesFrom(entry, &upload)); d != nil {
-			if et.decision == nil {
-				et.decision = d
-				e.decided.Add(1)
-			}
-			break // spending stopped; later sessions carry no evidence
-		}
-	}
-}
-
-// dropState discards a test's engine state (it will rebuild from storage
-// on the next insert event) but keeps any latched decision.
-func (e *earlyTracker) dropState(testID string) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if et, ok := e.tests[testID]; ok {
-		et.state = nil
-		et.folded = nil
-	}
-}
-
-// dropAllState discards every test's engine state (unattributable store
-// change), keeping latched decisions.
-func (e *earlyTracker) dropAllState() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, et := range e.tests {
-		et.state = nil
-		et.folded = nil
-	}
-}
-
-// purge drops everything about a test, latched decision included — the
-// test-deletion path, after which a recreated test starts undecided.
-func (e *earlyTracker) purge(testID string) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	delete(e.tests, testID)
+	return func(s *Server) { s.folds.early = &cfg }
 }
 
 // concludedUpload answers an upload (single or batch) for a decided test:
 // 200 + X-Kscope-Concluded: 1 with the decision payload, nothing stored.
-func (e *earlyTracker) concludedUpload(w http.ResponseWriter, testID string, d *earlystop.Decision) {
-	e.rejects.Add(1)
+func (s *Server) concludedUpload(w http.ResponseWriter, testID string, d *earlystop.Decision) {
+	s.folds.rejects.Add(1)
 	w.Header().Set(ConcludedHeader, "1")
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":   "concluded",
 		"test_id":  testID,
 		"decision": d,
-	})
-}
-
-// registerGauges exports the tracker's counters.
-func (e *earlyTracker) registerGauges(s *Server) {
-	s.reg.RegisterGauge("kscope_earlystop_tests", func() float64 {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		return float64(len(e.tests))
-	})
-	s.reg.RegisterGauge("kscope_earlystop_decided_total", func() float64 {
-		return float64(e.decided.Load())
-	})
-	s.reg.RegisterGauge("kscope_earlystop_folds_total", func() float64 {
-		return float64(e.folds.Load())
-	})
-	s.reg.RegisterGauge("kscope_earlystop_concluded_rejects_total", func() float64 {
-		return float64(e.rejects.Load())
 	})
 }

@@ -83,7 +83,7 @@ func TestEarlyStopConcludesUploads(t *testing.T) {
 	if recD.Code != http.StatusOK {
 		t.Fatalf("delete status = %d", recD.Code)
 	}
-	if srv.early.decision("srv-test") != nil {
+	if srv.folds.decision("srv-test") != nil {
 		t.Fatal("decision survived test deletion")
 	}
 }
@@ -203,11 +203,11 @@ func TestEarlyStopDecisionDurability(t *testing.T) {
 			t.Fatalf("upload %d = %d", i, r.code)
 		}
 	}
-	if srv.early.decision("srv-test") == nil {
+	if srv.folds.decision("srv-test") == nil {
 		t.Fatal("undecided after 8 unanimous sessions")
 	}
 	// Invalidate the engine state; the latch must hold.
-	srv.early.dropState("srv-test")
+	srv.folds.drop("srv-test")
 	if r := uploadOne(t, srv, prep, "late", questionnaire.ChoiceRight); r.code != http.StatusOK || r.concluded != "1" {
 		t.Fatalf("post-invalidation upload = %d, header %q", r.code, r.concluded)
 	}
@@ -223,7 +223,7 @@ func TestEarlyStopDecisionDurability(t *testing.T) {
 	if r := uploadOne(t, srv2, prep, "z-restart", questionnaire.ChoiceRight); r.code != http.StatusCreated {
 		t.Fatalf("first post-restart upload = %d (%s)", r.code, r.body)
 	}
-	d := srv2.early.decision("srv-test")
+	d := srv2.folds.decision("srv-test")
 	if d == nil {
 		t.Fatal("restart rebuild did not re-derive the decision")
 	}

@@ -1,0 +1,403 @@
+package server
+
+import (
+	"encoding/json"
+	"fmt"
+	"sort"
+	"sync"
+	"sync/atomic"
+
+	"kaleidoscope/internal/aggregator"
+	"kaleidoscope/internal/earlystop"
+	"kaleidoscope/internal/quality"
+	"kaleidoscope/internal/questionnaire"
+	"kaleidoscope/internal/store"
+)
+
+// The fold pipeline: every stored session is decoded once and folded once.
+//
+// A test's fold state is everything the serving path derives from its
+// stored sessions: per-worker QC features in document-id order, raw
+// per-page tallies, per-question vote counts and, with early stopping on,
+// the sequential engine and its latched decision. /results, the decision
+// attached to it, the concluded-upload check and the kscope_accum_* /
+// kscope_earlystop_* gauges are views over it.
+//
+// The write path feeds it. An upload handler that finds live state for its
+// test reduces the session it just validated and scored to a foldNote and
+// attaches that to the insert (store.InsertUniqueNoted); the responses
+// change hook folds the note, so a session a handler stored is never read
+// back or decoded again. Storage is replayed — rebuildLocked, the only
+// place stored sessions are decoded into the state — for a cold start,
+// after a delete, and after a put that carried no note.
+//
+// State is live or lazy (nothing retained). With early stopping on, the
+// upload handlers make it live before they insert, because the decision
+// has to exist by the time the next upload asks; otherwise the first
+// /results does, so a node that is never asked for a test's results
+// extracts and retains nothing for it.
+//
+// Ordering the results cache relies on: the hook folds before it bumps the
+// test's cache generation, and both happen before the insert returns to
+// the handler. A reader that snapshots the generation and then reads the
+// state sees every session that generation claims, and an acknowledged
+// session is folded (or the state is lazy) before its 201 is written.
+
+// foldNote is one validated, scored session reduced to what the fold state
+// keeps, plus the entry it was validated against (which says which of its
+// answers are evidence for the sequential engine).
+type foldNote struct {
+	entry *testEntry
+	feats quality.Features
+}
+
+// reduce extracts a session's battery features, with page, question and
+// choice strings swapped for the entry's (or the package's) own copies so
+// the retained features do not pin one small string per answer.
+func (e *testEntry) reduce(u *SessionUpload) quality.Features {
+	feats := quality.ExtractFeatures(u.workerSession())
+	for i := range feats.Responses {
+		r := &feats.Responses[i]
+		if p, ok := e.pages[r.PageID]; ok {
+			r.PageID = p.ID
+		}
+		if q, ok := e.questions[r.QuestionID]; ok {
+			r.QuestionID = q
+		}
+		switch r.Choice {
+		case questionnaire.ChoiceLeft:
+			r.Choice = questionnaire.ChoiceLeft
+		case questionnaire.ChoiceRight:
+			r.Choice = questionnaire.ChoiceRight
+		case questionnaire.ChoiceSame:
+			r.Choice = questionnaire.ChoiceSame
+		}
+	}
+	return feats
+}
+
+// testFold is one test's fold state. Everything but the decision is
+// dropped when the state goes lazy; the decision is latched for the life of
+// the test and only deletion clears it.
+type testFold struct {
+	mu   sync.Mutex
+	gone bool // purged from the table: look the test up again
+	live bool
+
+	// order holds the session document ids ascending — the order FindEq
+	// returns them in, which is the order the oracle sees sessions and
+	// emits KeptWorkers.
+	order   []string
+	workers map[string]quality.Features
+	// tallies are the raw (unfiltered) per-page counts over all sessions.
+	tallies map[string]*questionnaire.Tally
+	// votes feed the majority (crowd-wisdom) check without revisiting
+	// sessions.
+	votes *quality.Votes
+
+	engine   *earlystop.State // nil when early stopping is off or decided
+	decision *earlystop.Decision
+}
+
+// foldTable holds every test's fold state. Each state has its own lock;
+// the table itself is only ever searched.
+type foldTable struct {
+	early     *EarlyStopConfig // nil: no sequential engine
+	responses *store.Collection
+	tests     sync.Map // test id -> *testFold
+
+	applied       atomic.Int64 // sessions folded from the write path
+	rebuilds      atomic.Int64 // replays of a test's stored sessions
+	invalidations atomic.Int64 // tests dropped back to lazy state
+	sessions      atomic.Int64 // sessions currently held across tests
+	liveTests     atomic.Int64
+	tracked       atomic.Int64 // tests with a table entry
+	folds         atomic.Int64 // sessions folded into engines
+	decided       atomic.Int64 // decisions latched
+	rejects       atomic.Int64 // uploads answered 200 + X-Kscope-Concluded
+}
+
+// lock returns the test's state with its mutex held, creating it (lazy)
+// when create is set; nil when there is none.
+func (f *foldTable) lock(testID string, create bool) *testFold {
+	for {
+		v, ok := f.tests.Load(testID)
+		if !ok {
+			if !create {
+				return nil
+			}
+			if v, ok = f.tests.LoadOrStore(testID, &testFold{}); !ok {
+				f.tracked.Add(1)
+			}
+		}
+		st := v.(*testFold)
+		st.mu.Lock()
+		if !st.gone {
+			return st
+		}
+		st.mu.Unlock()
+	}
+}
+
+// feeding reports whether a handler about to store sessions for the test
+// should attach fold notes: the test has live state to feed. With early
+// stopping on it first makes the state live, so the engine sees every
+// session from the first one on and a fresh test never pays a replay.
+func (f *foldTable) feeding(testID string, entry *testEntry) bool {
+	st := f.lock(testID, f.early != nil)
+	if st == nil {
+		return false
+	}
+	defer st.mu.Unlock()
+	if !st.live && f.early != nil {
+		// A replay that fails (a corrupt stored session) leaves the state
+		// lazy; /results reports the fault.
+		_ = f.rebuildLocked(st, testID, entry)
+	}
+	return st.live
+}
+
+// observe is the change-feed entry point, called on the mutating goroutine
+// after a responses-collection mutation commits. A put that carries a note
+// came through an upload handler: InsertUniqueNoted never overwrites, so it
+// is either new and folded, or — when a replay of storage got to the
+// committed document before its event did — already folded and ignored.
+// Anything else (a delete, a put without a note) means storage moved in a
+// way the state cannot follow incrementally, and drops it to lazy.
+func (f *foldTable) observe(op, docID, testID string, note *foldNote) {
+	st := f.lock(testID, false)
+	if st == nil {
+		return
+	}
+	defer st.mu.Unlock()
+	if !st.live {
+		return
+	}
+	if op != store.OpPut || note == nil {
+		f.dropLocked(st)
+		return
+	}
+	if _, replay := st.workers[docID]; !replay {
+		f.foldLocked(st, docID, note.entry, note.feats)
+		f.applied.Add(1)
+	}
+}
+
+// foldLocked folds one session into live state.
+func (f *foldTable) foldLocked(st *testFold, docID string, entry *testEntry, feats quality.Features) {
+	i := sort.SearchStrings(st.order, docID)
+	st.order = append(st.order, "")
+	copy(st.order[i+1:], st.order[i:])
+	st.order[i] = docID
+	st.workers[docID] = feats
+	addTallies(st.tallies, feats.Responses)
+	st.votes.Add(feats.Responses)
+	f.sessions.Add(1)
+
+	if st.engine == nil {
+		return
+	}
+	// The engine's evidence is one vote per answer on a real page;
+	// control-page answers are quality bait, not preference evidence.
+	var buf [8]earlystop.Vote
+	votes := buf[:0]
+	for _, r := range feats.Responses {
+		if p, ok := entry.pages[r.PageID]; ok && p.Kind == aggregator.KindReal {
+			votes = append(votes, earlystop.Vote{PageID: r.PageID, QuestionID: r.QuestionID, Choice: r.Choice})
+		}
+	}
+	f.folds.Add(1)
+	if d := st.engine.Fold(votes); d != nil {
+		// Decided: evidence accounting is over. Stored stragglers (uploads
+		// that raced the decision) still count in results, not here.
+		st.decision, st.engine = d, nil
+		f.decided.Add(1)
+	}
+}
+
+func addTallies(tallies map[string]*questionnaire.Tally, responses []quality.ResponseKey) {
+	for _, r := range responses {
+		t, ok := tallies[r.PageID]
+		if !ok {
+			t = &questionnaire.Tally{}
+			tallies[r.PageID] = t
+		}
+		t.Add(r.Choice)
+	}
+}
+
+// rebuildLocked makes lazy state live by replaying the test's stored
+// sessions in document-id order. A change event that races the replay is
+// harmless: the replay reads committed documents, and the event of one it
+// already folded is recognised by its id in observe. After a restart this
+// is also what re-derives the decision from the stored evidence (decisions
+// are not separately persisted).
+func (f *foldTable) rebuildLocked(st *testFold, testID string, entry *testEntry) error {
+	st.workers = make(map[string]quality.Features)
+	st.tallies = make(map[string]*questionnaire.Tally)
+	st.votes = quality.NewVotes()
+	if f.early != nil && st.decision == nil {
+		// One evidence stream per real page per question. A misconfigured
+		// alpha leaves the engine off.
+		st.engine, _ = earlystop.New(earlystop.Config{
+			Alpha: f.early.Alpha, Streams: max(entry.info.realQuestions(), 1), MinVotes: f.early.MinVotes,
+		})
+	}
+	err := eachStoredSession(f.responses, testID, func(docID string, u *SessionUpload) {
+		f.foldLocked(st, docID, entry, entry.reduce(u))
+	})
+	if err != nil {
+		f.sessions.Add(-int64(len(st.order)))
+		st.clear()
+		return err
+	}
+	st.live = true
+	f.liveTests.Add(1)
+	if len(st.order) > 0 {
+		f.rebuilds.Add(1)
+	}
+	return nil
+}
+
+// eachStoredSession decodes every stored session of a test, in document-id
+// order — the one loop behind the fold state's replay, the session cache
+// and the from-scratch oracle.
+func eachStoredSession(coll *store.Collection, testID string, fn func(docID string, u *SessionUpload)) error {
+	for _, doc := range coll.FindEq("test_id", testID) {
+		raw, _ := doc["session"].(string)
+		var upload SessionUpload
+		if err := json.Unmarshal([]byte(raw), &upload); err != nil {
+			return fmt.Errorf("server: corrupt session %s: %w", doc.ID(), err)
+		}
+		fn(doc.ID(), &upload)
+	}
+	return nil
+}
+
+func storedSessions(coll *store.Collection, testID string) ([]SessionUpload, error) {
+	out := []SessionUpload{}
+	err := eachStoredSession(coll, testID, func(_ string, u *SessionUpload) { out = append(out, *u) })
+	return out, err
+}
+
+// clear releases everything but the latched decision.
+func (st *testFold) clear() {
+	st.live = false
+	st.order, st.workers, st.tallies, st.votes, st.engine = nil, nil, nil, nil, nil
+}
+
+// dropLocked sends live state back to lazy.
+func (f *foldTable) dropLocked(st *testFold) {
+	if !st.live {
+		return
+	}
+	f.sessions.Add(-int64(len(st.order)))
+	f.liveTests.Add(-1)
+	f.invalidations.Add(1)
+	st.clear()
+}
+
+// drop sends one test's state back to lazy, keeping any latched decision.
+func (f *foldTable) drop(testID string) {
+	if st := f.lock(testID, false); st != nil {
+		f.dropLocked(st)
+		st.mu.Unlock()
+	}
+}
+
+// dropAll sends every test back to lazy state (unattributable change).
+func (f *foldTable) dropAll() {
+	f.tests.Range(func(id, _ any) bool {
+		f.drop(id.(string))
+		return true
+	})
+}
+
+// purge forgets a test, latched decision included — the test-deletion
+// path, after which a recreated test starts undecided.
+func (f *foldTable) purge(testID string) {
+	if st := f.lock(testID, false); st != nil {
+		f.dropLocked(st)
+		st.gone = true
+		f.tests.Delete(testID)
+		f.tracked.Add(-1)
+		st.mu.Unlock()
+	}
+}
+
+// decision returns a copy of the test's latched decision, or nil.
+func (f *foldTable) decision(testID string) *earlystop.Decision {
+	st := f.lock(testID, false)
+	if st == nil {
+		return nil
+	}
+	defer st.mu.Unlock()
+	if st.decision == nil {
+		return nil
+	}
+	d := *st.decision
+	return &d
+}
+
+// results serves a conclusion from the fold state, making it live first.
+// It must produce exactly what the oracle (ConcludeScratch) produces: same
+// worker counts, same kept-worker order (session-document-id order), same
+// tallies, same page order, and the same Filtered quirk (false when
+// quality control is requested but no sessions exist).
+func (f *foldTable) results(testID string, entry *testEntry, useQC bool) (*Results, error) {
+	st := f.lock(testID, true)
+	defer st.mu.Unlock()
+	if !st.live {
+		if err := f.rebuildLocked(st, testID, entry); err != nil {
+			return nil, err
+		}
+	}
+
+	res := &Results{TestID: testID, Workers: len(st.order)}
+	tallies := st.tallies
+	if useQC && len(st.order) > 0 {
+		cfg := *defaultQC(entry)
+		majority := st.votes.Majority(cfg.MinPeersForMajority)
+		tallies = make(map[string]*questionnaire.Tally)
+		for _, docID := range st.order {
+			feats := st.workers[docID]
+			if !feats.Evaluate(cfg, majority).Passed {
+				continue
+			}
+			res.KeptWorkers = append(res.KeptWorkers, feats.WorkerID)
+			addTallies(tallies, feats.Responses)
+		}
+		res.Filtered = true
+		res.Workers = len(res.KeptWorkers)
+		res.DroppedWorkers = len(st.order) - res.Workers
+	}
+	for _, p := range entry.info.Pages {
+		pr := PageResult{PageID: p.ID, LeftName: p.LeftName, RightName: p.RightName, Kind: p.Kind}
+		if t, ok := tallies[p.ID]; ok {
+			pr.Tally = *t
+		}
+		res.Pages = append(res.Pages, pr)
+	}
+	return res, nil
+}
+
+// registerGauges exports the fold state's statistics; the early-stopping
+// series exist only on a server running the engine.
+func (f *foldTable) registerGauges(s *Server) {
+	gauges := map[string]*atomic.Int64{
+		"kscope_accum_tests":               &f.liveTests,
+		"kscope_accum_sessions":            &f.sessions,
+		"kscope_accum_applied_total":       &f.applied,
+		"kscope_accum_rebuilds_total":      &f.rebuilds,
+		"kscope_accum_invalidations_total": &f.invalidations,
+	}
+	if f.early != nil {
+		gauges["kscope_earlystop_tests"] = &f.tracked
+		gauges["kscope_earlystop_decided_total"] = &f.decided
+		gauges["kscope_earlystop_folds_total"] = &f.folds
+		gauges["kscope_earlystop_concluded_rejects_total"] = &f.rejects
+	}
+	for name, v := range gauges {
+		s.reg.RegisterGauge(name, func() float64 { return float64(v.Load()) })
+	}
+}

@@ -1,0 +1,418 @@
+package server
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"sync"
+	"testing"
+
+	"kaleidoscope/internal/aggregator"
+	"kaleidoscope/internal/earlystop"
+	"kaleidoscope/internal/quality"
+	"kaleidoscope/internal/questionnaire"
+	"kaleidoscope/internal/store"
+)
+
+// balancedBatch renders n sessions whose answers alternate left/right, so
+// the sequential engine folds every one and never decides.
+func balancedBatch(t *testing.T, prep *aggregator.Prepared, prefix string, n int) []byte {
+	t.Helper()
+	uploads := make([]SessionUpload, n)
+	for i := range uploads {
+		choice := questionnaire.ChoiceLeft
+		if i%2 == 1 {
+			choice = questionnaire.ChoiceRight
+		}
+		uploads[i] = sampleUpload(prep, fmt.Sprintf("%s%03d", prefix, i), choice)
+	}
+	return marshalBatch(t, uploads)
+}
+
+// InsertUniqueNoted commits a whole chunk and only then notifies, so a
+// replay of storage that runs while the chunk's events are still pending
+// has already folded every one of them: the events are replays, not
+// overwrites. Treating "known id" as "overwrite, rebuild" made a batch
+// quadratic. Here the replay is forced at the worst moment — inside the
+// chunk's first change event, before the server's own hook sees it.
+func TestBatchEventsAfterReplayAreIgnored(t *testing.T) {
+	db, blobs := store.OpenMemory(), store.NewBlobStore()
+	var srv *Server
+	first := true
+	db.Collection(aggregator.ResponsesCollection).OnChange(func(_, id string) {
+		if !first {
+			return
+		}
+		first = false
+		srv.folds.drop("srv-test")
+		entry, err := srv.load("srv-test")
+		if err == nil {
+			_, err = srv.folds.results("srv-test", entry, false)
+		}
+		if err != nil {
+			t.Errorf("replay inside the change feed: %v", err)
+		}
+	})
+	srv, prep := prepTestOn(t, db, blobs, "srv-test", WithEarlyStop(EarlyStopConfig{Alpha: 0.05}))
+
+	const n = 100
+	rec, report := postBatch(t, srv, balancedBatch(t, prep, "w", n), false)
+	if rec.Code != http.StatusOK || report.Accepted != n {
+		t.Fatalf("batch: status %d, report %+v", rec.Code, report)
+	}
+	f := srv.folds
+	if got := f.rebuilds.Load(); got != 1 {
+		t.Errorf("kscope_accum_rebuilds_total = %d, want 1 (the forced replay, and none after it)", got)
+	}
+	if got := f.folds.Load(); got != n {
+		t.Errorf("kscope_earlystop_folds_total = %d, want %d (every session exactly once)", got, n)
+	}
+	if got := f.applied.Load(); got != 0 {
+		t.Errorf("kscope_accum_applied_total = %d, want 0 (every event was a replay)", got)
+	}
+	if got := f.sessions.Load(); got != n {
+		t.Errorf("kscope_accum_sessions = %d, want %d", got, n)
+	}
+
+	// A second batch finds live state that owes storage nothing: no replay,
+	// one fold per session, all of them from the write path.
+	rec, report = postBatch(t, srv, balancedBatch(t, prep, "x", n), false)
+	if rec.Code != http.StatusOK || report.Accepted != n {
+		t.Fatalf("second batch: status %d, report %+v", rec.Code, report)
+	}
+	if r, fo, a := f.rebuilds.Load(), f.folds.Load(), f.applied.Load(); r != 1 || fo != 2*n || a != n {
+		t.Errorf("after a second batch: rebuilds %d folds %d applied %d, want 1 %d %d", r, fo, a, 2*n, n)
+	}
+	assertServedEqualsOracle(t, srv, "srv-test")
+}
+
+// A node that was never asked for a test's results and runs no engine has
+// no fold state for it: uploads extract nothing and retain nothing.
+func TestNoStateUntilResultsAreAsked(t *testing.T) {
+	srv, prep := prepTest(t)
+	if rec, report := postBatch(t, srv, balancedBatch(t, prep, "w", 10), false); rec.Code != http.StatusOK || report.Accepted != 10 {
+		t.Fatalf("batch: status %d, report %+v", rec.Code, report)
+	}
+	if _, ok := srv.folds.tests.Load("srv-test"); ok {
+		t.Fatal("uploads alone created fold state on a server without early stopping")
+	}
+	assertServedEqualsOracle(t, srv, "srv-test")
+	if rec, report := postBatch(t, srv, balancedBatch(t, prep, "x", 10), false); rec.Code != http.StatusOK || report.Accepted != 10 {
+		t.Fatalf("second batch: status %d, report %+v", rec.Code, report)
+	}
+	if r, a := srv.folds.rebuilds.Load(), srv.folds.applied.Load(); r != 1 || a != 10 {
+		t.Errorf("rebuilds %d applied %d, want 1 and 10 (the second batch feeds live state)", r, a)
+	}
+	assertServedEqualsOracle(t, srv, "srv-test")
+}
+
+// prepTestOn is prepTest over given storage and under a given test id.
+func prepTestOn(t testing.TB, db *store.DB, blobs *store.BlobStore, testID string, opts ...Option) (*Server, *aggregator.Prepared) {
+	t.Helper()
+	prep := prepareOn(t, db, blobs, testID)
+	srv, err := New(db, blobs, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv, prep
+}
+
+func prepareOn(t testing.TB, db *store.DB, blobs *store.BlobStore, testID string) *aggregator.Prepared {
+	t.Helper()
+	prep, err := prepare(db, blobs, testID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prep
+}
+
+// prepare runs the delete fixture's two-version test through the
+// aggregator under the given id.
+func prepare(db *store.DB, blobs *store.BlobStore, testID string) (*aggregator.Prepared, error) {
+	agg, err := aggregator.New(db, blobs)
+	if err != nil {
+		return nil, err
+	}
+	test := deleteFixtureTest()
+	test.TestID = testID
+	return agg.Prepare(test, deleteFixtureSites(), nil)
+}
+
+// servedResults fetches one results payload over the HTTP surface.
+func servedResults(srv *Server, testID string, useQC bool) (*Results, error) {
+	path := "/api/tests/" + testID + "/results"
+	if useQC {
+		path += "?quality=1"
+	}
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+	if rec.Code != http.StatusOK {
+		return nil, fmt.Errorf("GET %s = %d: %s", path, rec.Code, rec.Body.String())
+	}
+	var res Results
+	if err := json.Unmarshal(rec.Body.Bytes(), &res); err != nil {
+		return nil, err
+	}
+	return &res, nil
+}
+
+// servedEqualsOracle compares raw and quality-controlled served results
+// with ConcludeScratch.
+func servedEqualsOracle(srv *Server, testID string) error {
+	for _, useQC := range []bool{false, true} {
+		got, err := servedResults(srv, testID, useQC)
+		if err != nil {
+			return err
+		}
+		want, err := srv.ConcludeScratch(testID, useQC)
+		if err != nil {
+			return err
+		}
+		if !reflect.DeepEqual(got, want) {
+			return fmt.Errorf("%s (quality=%v): served %+v, oracle %+v", testID, useQC, got, want)
+		}
+	}
+	return nil
+}
+
+func assertServedEqualsOracle(t *testing.T, srv *Server, testID string) {
+	t.Helper()
+	if err := servedEqualsOracle(srv, testID); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// foldSnapshot is a fold state's content in comparable form. The engine is
+// reduced to what must not depend on arrival order — sessions folded and
+// decisive votes per stream; the running e-value maxima and the latch time
+// may legitimately differ between arrival order and a document-id replay.
+type foldSnapshot struct {
+	Order    []string
+	Workers  map[string]quality.Features
+	Tallies  map[string]questionnaire.Tally
+	Votes    *quality.Votes
+	Engine   bool
+	Sessions int
+	Streams  map[earlystop.StreamKey][2]int
+}
+
+// snapshot captures a test's state, or nil while it is lazy.
+func (f *foldTable) snapshot(testID string) *foldSnapshot {
+	st := f.lock(testID, false)
+	if st == nil {
+		return nil
+	}
+	defer st.mu.Unlock()
+	if !st.live {
+		return nil
+	}
+	snap := &foldSnapshot{
+		Order:   append([]string{}, st.order...),
+		Workers: make(map[string]quality.Features, len(st.workers)),
+		Tallies: make(map[string]questionnaire.Tally, len(st.tallies)),
+		Votes:   st.votes,
+		Engine:  st.engine != nil,
+	}
+	for id, feats := range st.workers {
+		snap.Workers[id] = feats
+	}
+	for page, tally := range st.tallies {
+		snap.Tallies[page] = *tally
+	}
+	if st.engine != nil {
+		snap.Sessions = st.engine.Sessions()
+		snap.Streams = make(map[earlystop.StreamKey][2]int)
+		for _, key := range st.engine.Streams() {
+			left, right := st.engine.Tally(key)
+			snap.Streams[key] = [2]int{left, right}
+		}
+	}
+	return snap
+}
+
+// TestWriteFedStateEqualsReplay is the differential for the write-path
+// seam: seeded random interleavings of single uploads, batches split across
+// chunks, duplicate re-sends, a direct-store delete and overwrite, whole
+// test deletion, and a fresh Server over the same store — on two tests at
+// once, one goroutine each, under -race. After every step the state the
+// write path fed equals a state replayed from storage, and served raw and
+// quality-controlled results equal ConcludeScratch. The engine's alpha is
+// far too small to decide on this crowd, so its counts stay comparable.
+func TestWriteFedStateEqualsReplay(t *testing.T) {
+	defer func(old int) { batchChunkSize = old }(batchChunkSize)
+	batchChunkSize = 4
+
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"lazy", nil},
+		{"engine", []Option{WithEarlyStop(EarlyStopConfig{Alpha: 1e-9})}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db, blobs := store.OpenMemory(), store.NewBlobStore()
+			tests := []string{"fold-a", "fold-b"}
+			preps := make([]*aggregator.Prepared, len(tests))
+			for i, id := range tests {
+				preps[i] = prepareOn(t, db, blobs, id)
+			}
+			srv, err := New(db, blobs, tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			for i := range tests {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					w := &foldWalk{
+						db: db, blobs: blobs, opts: tc.opts, srv: srv,
+						testID: tests[i], prep: preps[i], rng: rand.New(rand.NewSource(int64(7 + i))),
+					}
+					for step := 0; step < 120; step++ {
+						if err := w.step(); err != nil {
+							t.Errorf("%s step %d (seed %d): %v", w.testID, step, 7+i, err)
+							return
+						}
+					}
+				}(i)
+			}
+			wg.Wait()
+		})
+	}
+}
+
+// foldWalk is one goroutine's random walk over one test.
+type foldWalk struct {
+	db     *store.DB
+	blobs  *store.BlobStore
+	opts   []Option
+	srv    *Server // the server this walk currently talks to
+	testID string
+	prep   *aggregator.Prepared
+	rng    *rand.Rand
+	stored []string // worker ids known to be stored
+	next   int
+}
+
+func (w *foldWalk) newWorker() string {
+	w.next++
+	// Ids drawn out of order, so write-path arrival order is not
+	// document-id order.
+	return fmt.Sprintf("w%04d-%d", w.rng.Intn(10000), w.next)
+}
+
+func (w *foldWalk) post(path string, body any) (int, []byte) {
+	payload, err := json.Marshal(body)
+	if err != nil {
+		return 0, []byte(err.Error())
+	}
+	rec := httptest.NewRecorder()
+	w.srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/tests/"+w.testID+path, bytes.NewReader(payload)))
+	return rec.Code, rec.Body.Bytes()
+}
+
+func (w *foldWalk) step() error {
+	coll := w.db.Collection(aggregator.ResponsesCollection)
+	switch op := w.rng.Intn(100); {
+	case op < 40: // single upload
+		worker := w.newWorker()
+		if code, body := w.post("/sessions", randomUpload(w.prep, worker, w.rng)); code != http.StatusCreated {
+			return fmt.Errorf("upload = %d: %s", code, body)
+		}
+		w.stored = append(w.stored, worker)
+	case op < 65: // batch, split across chunks, with re-sent workers mixed in
+		var uploads []SessionUpload
+		fresh := 0
+		for i, n := 0, 1+w.rng.Intn(10); i < n; i++ {
+			worker := w.newWorker()
+			if len(w.stored) > 0 && w.rng.Intn(4) == 0 {
+				worker = w.stored[w.rng.Intn(len(w.stored))]
+			} else {
+				w.stored = append(w.stored, worker)
+				fresh++
+			}
+			uploads = append(uploads, randomUpload(w.prep, worker, w.rng))
+		}
+		code, body := w.post("/sessions:batch", uploads)
+		var report BatchReport
+		if err := json.Unmarshal(body, &report); err != nil || code != http.StatusOK || report.Accepted != fresh {
+			return fmt.Errorf("batch = %d, accepted %d of %d fresh: %s", code, report.Accepted, fresh, body)
+		}
+	case op < 75: // duplicate re-send
+		if len(w.stored) == 0 {
+			return nil
+		}
+		worker := w.stored[w.rng.Intn(len(w.stored))]
+		if code, body := w.post("/sessions", randomUpload(w.prep, worker, w.rng)); code != http.StatusConflict {
+			return fmt.Errorf("re-send = %d: %s", code, body)
+		}
+	case op < 82: // direct-store overwrite of a stored session
+		if len(w.stored) == 0 {
+			return nil
+		}
+		worker := w.stored[w.rng.Intn(len(w.stored))]
+		raw, _ := json.Marshal(randomUpload(w.prep, worker, w.rng))
+		if _, err := coll.Insert(store.Document{
+			store.IDField: w.testID + "/" + worker, "test_id": w.testID, "worker_id": worker, "session": string(raw),
+		}); err != nil {
+			return err
+		}
+	case op < 88: // direct-store delete of a stored session
+		if len(w.stored) == 0 {
+			return nil
+		}
+		i := w.rng.Intn(len(w.stored))
+		if err := coll.Delete(w.testID + "/" + w.stored[i]); err != nil {
+			return err
+		}
+		w.stored = append(w.stored[:i], w.stored[i+1:]...)
+	case op < 92: // DELETE the test, then prepare it again
+		rec := httptest.NewRecorder()
+		w.srv.ServeHTTP(rec, httptest.NewRequest(http.MethodDelete, "/api/tests/"+w.testID, nil))
+		if rec.Code != http.StatusOK {
+			return fmt.Errorf("DELETE = %d: %s", rec.Code, rec.Body.String())
+		}
+		w.stored = nil
+		prep, err := prepare(w.db, w.blobs, w.testID)
+		if err != nil {
+			return err
+		}
+		w.prep = prep
+	default: // a fresh Server over the same store takes over this walk
+		srv, err := New(w.db, w.blobs, w.opts...)
+		if err != nil {
+			return err
+		}
+		w.srv = srv
+	}
+	return w.check()
+}
+
+// check compares the walk's server with storage: results against the
+// oracle, and — once the state is live — the state against a replay.
+func (w *foldWalk) check() error {
+	if err := servedEqualsOracle(w.srv, w.testID); err != nil {
+		return err
+	}
+	got := w.srv.folds.snapshot(w.testID)
+	if got == nil {
+		return fmt.Errorf("state is lazy right after serving results")
+	}
+	replay := &foldTable{early: w.srv.folds.early, responses: w.srv.responses}
+	entry, err := w.srv.load(w.testID)
+	if err != nil {
+		return err
+	}
+	if _, err := replay.results(w.testID, entry, false); err != nil {
+		return err
+	}
+	if want := replay.snapshot(w.testID); !reflect.DeepEqual(got, want) {
+		return fmt.Errorf("write-fed state diverges from a replay of storage:\nwrite-fed %+v\nreplay    %+v", got, want)
+	}
+	return nil
+}

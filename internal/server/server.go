@@ -46,12 +46,11 @@ type Server struct {
 	blobs *store.BlobStore
 	mux   *http.ServeMux
 	cache *servingCache
-	accum *resultsAccumulator // nil when WithScratchResults is set
-	early *earlyTracker       // nil unless WithEarlyStop is set
-	reg   *obs.Registry       // nil when observability is off
-	guard *guard.Guard        // nil when overload protection is off
+	folds *foldTable    // per-test fold state, see fold.go
+	reg   *obs.Registry // nil when observability is off
+	guard *guard.Guard  // nil when overload protection is off
 
-	scratchOnly bool
+	responses *store.Collection // the stored sessions
 
 	// repl is the node's replication view (nil on a plain single node);
 	// replMaxLag > 0 makes /readyz report not-ready past that much
@@ -73,14 +72,6 @@ func WithObservability(reg *obs.Registry) Option {
 	return func(s *Server) { s.reg = reg }
 }
 
-// WithScratchResults disables the incremental results engine: every
-// results request re-reads and re-tallies the stored sessions. This is the
-// reference serving mode the incremental engine is differentially tested
-// (and benchmarked) against.
-func WithScratchResults() Option {
-	return func(s *Server) { s.scratchOnly = true }
-}
-
 // New wires a server over prepared storage. It declares the secondary
 // indexes the serving path relies on and subscribes to store changes for
 // cache invalidation.
@@ -88,12 +79,13 @@ func New(db *store.DB, blobs *store.BlobStore, opts ...Option) (*Server, error) 
 	if db == nil || blobs == nil {
 		return nil, errors.New("server: nil storage")
 	}
-	s := &Server{db: db, blobs: blobs, mux: http.NewServeMux(), cache: newServingCache()}
+	responses := db.Collection(aggregator.ResponsesCollection)
+	s := &Server{
+		db: db, blobs: blobs, mux: http.NewServeMux(), cache: newServingCache(),
+		folds: &foldTable{responses: responses}, responses: responses,
+	}
 	for _, opt := range opts {
 		opt(s)
-	}
-	if !s.scratchOnly {
-		s.accum = newResultsAccumulator()
 	}
 	s.mux.HandleFunc("GET /api/tests", s.handleListTests)
 	s.mux.HandleFunc("GET /api/tests/{id}", s.handleTestInfo)
@@ -113,7 +105,6 @@ func New(db *store.DB, blobs *store.BlobStore, opts ...Option) (*Server, error) 
 	s.mux.HandleFunc("GET /readyz", s.handleReady)
 
 	// The serving path's lookups are all by test id.
-	responses := db.Collection(aggregator.ResponsesCollection)
 	responses.EnsureIndex("test_id")
 	db.Collection(aggregator.PagesCollection).EnsureIndex("test_id")
 
@@ -126,38 +117,19 @@ func New(db *store.DB, blobs *store.BlobStore, opts ...Option) (*Server, error) 
 	db.Collection(aggregator.PagesCollection).OnChange(func(_, id string) {
 		s.invalidateByPrefixedID(id, s.cache.invalidateTest)
 	})
-	responses.OnChange(func(op, id string) {
+	responses.OnChangeNoted(func(op, id string, note any) {
 		testID, _, ok := strings.Cut(id, "/")
 		if !ok {
-			if s.accum != nil {
-				s.accum.invalidateAll()
-			}
-			if s.early != nil {
-				s.early.dropAllState()
-			}
+			s.folds.dropAll()
 			s.cache.invalidateAll()
 			return
 		}
-		// Fold the session into the accumulator before bumping the cache
-		// generation: a reader that snapshots the generation and then
-		// reads the accumulator sees state at least as new as the
-		// snapshot, so results cached under that generation are never
-		// older than the generation they claim.
-		if s.accum != nil {
-			s.accum.observe(op, id, testID, responses)
-		}
-		// The sequential engine folds eagerly on the same feed: the
-		// decision must be latched before the next upload asks whether
-		// the test is concluded. A load failure here (e.g. the test doc
-		// already swept mid-delete) just drops the engine state; the
-		// latched decision, if any, survives until the explicit purge.
-		if s.early != nil {
-			if entry, err := s.load(testID); err == nil {
-				s.early.observe(op, id, testID, entry, responses)
-			} else {
-				s.early.dropState(testID)
-			}
-		}
+		// Fold before bumping the cache generation: a reader that snapshots
+		// the generation and then reads the fold state sees state at least
+		// as new as the snapshot, so results cached under that generation
+		// are never older than the generation they claim.
+		n, _ := note.(*foldNote)
+		s.folds.observe(op, id, testID, n)
 		s.cache.invalidateSessions(testID)
 	})
 
@@ -182,12 +154,7 @@ func (s *Server) invalidateByPrefixedID(id string, invalidate func(string)) {
 
 // registerGauges exports cache and store read-path statistics.
 func (s *Server) registerGauges() {
-	if s.accum != nil {
-		s.accum.registerGauges(s)
-	}
-	if s.early != nil {
-		s.early.registerGauges(s)
-	}
+	s.folds.registerGauges(s)
 	reg, cache := s.reg, s.cache
 	for _, g := range []struct {
 		name         string
@@ -488,17 +455,28 @@ type SessionUpload struct {
 	Controls     []quality.ControlOutcome `json:"controls"`
 }
 
+// workerSession is the part of the upload the quality battery judges.
+func (u *SessionUpload) workerSession() quality.WorkerSession {
+	return quality.WorkerSession{
+		WorkerID:  u.WorkerID,
+		Responses: u.Responses,
+		Behaviors: u.Behaviors,
+		Controls:  u.Controls,
+	}
+}
+
 // Validate checks the upload against the stored test.
 func (u *SessionUpload) Validate(info *TestInfo) error {
+	return u.validate(info.TestID, pageIndex(info.Pages))
+}
+
+// validate is Validate against a page index built once (testEntry.pages).
+func (u *SessionUpload) validate(testID string, pages map[string]*PageView) error {
 	if u.WorkerID == "" {
 		return errors.New("missing worker_id")
 	}
-	if u.TestID != info.TestID {
-		return fmt.Errorf("test_id %q does not match %q", u.TestID, info.TestID)
-	}
-	valid := make(map[string]bool, len(info.Pages))
-	for _, p := range info.Pages {
-		valid[p.ID] = true
+	if u.TestID != testID {
+		return fmt.Errorf("test_id %q does not match %q", u.TestID, testID)
 	}
 	for _, r := range u.Responses {
 		if err := r.Validate(); err != nil {
@@ -514,7 +492,7 @@ func (u *SessionUpload) Validate(info *TestInfo) error {
 		if r.WorkerID != u.WorkerID {
 			return fmt.Errorf("response worker_id %q contradicts session worker %q", r.WorkerID, u.WorkerID)
 		}
-		if !valid[r.PageID] {
+		if _, known := pages[r.PageID]; !known {
 			return fmt.Errorf("response references unknown page %q", r.PageID)
 		}
 	}
@@ -562,12 +540,10 @@ func (s *Server) handleSessionUpload(w http.ResponseWriter, r *http.Request) {
 	}
 	// A decided test spends no more crowd: acknowledge without storing so
 	// in-flight workers finish cleanly, and tell them why.
-	if s.early != nil {
-		if d := s.early.decision(testID); d != nil {
-			report(guard.Success)
-			s.early.concludedUpload(w, testID, d)
-			return
-		}
+	if d := s.folds.decision(testID); d != nil {
+		report(guard.Success)
+		s.concludedUpload(w, testID, d)
+		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, maxSessionBytes)
 	var upload SessionUpload
@@ -600,7 +576,14 @@ func (s *Server) handleSessionUpload(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusRequestTimeout, "client canceled request: %v", err)
 		return
 	}
-	if _, err := s.db.Collection(aggregator.ResponsesCollection).InsertUnique(doc); err != nil {
+	// The handler built the document and hands it over: no defensive clone,
+	// and the session's reduction rides along for the fold state.
+	var note *foldNote
+	if s.folds.feeding(testID, entry) {
+		note = &foldNote{entry: entry, feats: entry.reduce(&upload)}
+	}
+	_, errs := s.responses.InsertUniqueNoted([]store.Document{doc}, []any{note})
+	if err := errs[0]; err != nil {
 		if errors.Is(err, store.ErrDuplicateID) {
 			if !s.replAckBarrier(w) {
 				report(guard.Failure)
@@ -636,7 +619,7 @@ func (s *Server) handleSessionUpload(w http.ResponseWriter, r *http.Request) {
 // blob prefix (releasing CAS refcounts, so content shared with other
 // tenants survives while this test's references are dropped), and finally
 // purges the serving cache — including the degraded-mode snapshots that
-// ordinary invalidation keeps — and the incremental accumulator.
+// ordinary invalidation keeps — and the test's fold state.
 //
 // The sweep is idempotent: a retry after a partially failed delete (or
 // after a lost response) cleans up whatever remains, and 404 only means
@@ -718,15 +701,11 @@ func (s *Server) handleTestDelete(w http.ResponseWriter, r *http.Request) {
 
 	// The OnChange hooks already invalidated the live cache per deleted
 	// document; the explicit purge additionally drops the last-known-good
-	// snapshots and the accumulator state, so a deleted test can never be
-	// served — degraded mode included — until it is created again.
+	// snapshots and the fold state (latched decision included), so a
+	// deleted test can never be served — degraded mode included — until it
+	// is created again.
 	s.cache.purgeTest(testID)
-	if s.accum != nil {
-		s.accum.invalidate(testID)
-	}
-	if s.early != nil {
-		s.early.purge(testID)
-	}
+	s.folds.purge(testID)
 	report(guard.Success)
 
 	if !hadDoc && npages == 0 && nsessions == 0 && nblobs == 0 {
@@ -781,15 +760,9 @@ func (s *Server) Sessions(testID string) ([]SessionUpload, error) {
 		return append([]SessionUpload(nil), cached...), nil
 	}
 	gen := s.cache.gen(testID)
-	docs := s.db.Collection(aggregator.ResponsesCollection).FindEq("test_id", testID)
-	out := make([]SessionUpload, 0, len(docs))
-	for _, doc := range docs {
-		raw, _ := doc["session"].(string)
-		var upload SessionUpload
-		if err := json.Unmarshal([]byte(raw), &upload); err != nil {
-			return nil, fmt.Errorf("server: corrupt session %s: %w", doc.ID(), err)
-		}
-		out = append(out, upload)
+	out, err := storedSessions(s.responses, testID)
+	if err != nil {
+		return nil, err
 	}
 	s.cache.putSessions(testID, gen, out)
 	return append([]SessionUpload(nil), out...), nil
@@ -841,14 +814,20 @@ func defaultQC(entry *testEntry) *quality.Config {
 // no Prepared. This is what lets the shard router (which holds only
 // TestInfo) apply the exact battery a single node applies.
 func defaultQCInfo(info *TestInfo) *quality.Config {
+	cfg := quality.DefaultConfig(info.realQuestions())
+	return &cfg
+}
+
+// realQuestions counts the test's (real page, question) pairs: the answers
+// a complete session gives, and the sequential engine's evidence streams.
+func (info *TestInfo) realQuestions() int {
 	real := 0
 	for _, p := range info.Pages {
 		if p.Kind == aggregator.KindReal {
 			real++
 		}
 	}
-	cfg := quality.DefaultConfig(real * len(info.Questions))
-	return &cfg
+	return real * len(info.Questions)
 }
 
 // ConcludeUploads tallies a conclusion for an explicit session set
@@ -884,24 +863,18 @@ func (s *Server) Conclude(testID string, qc *quality.Config) (*Results, error) {
 }
 
 // ConcludeScratch recomputes results directly from storage, bypassing both
-// the serving cache and the incremental accumulator — the differential
-// oracle the load harness and benchmarks compare the incremental serving
-// path against. useQC selects the same default battery the HTTP results
-// surface applies for ?quality=1.
+// the serving cache and the fold state — the differential oracle the tests,
+// the load harness and the benchmarks compare the serving path against.
+// useQC selects the same default battery the HTTP results surface applies
+// for ?quality=1.
 func (s *Server) ConcludeScratch(testID string, useQC bool) (*Results, error) {
 	entry, err := s.load(testID)
 	if err != nil {
 		return nil, err
 	}
-	docs := s.db.Collection(aggregator.ResponsesCollection).FindEq("test_id", testID)
-	uploads := make([]SessionUpload, 0, len(docs))
-	for _, doc := range docs {
-		raw, _ := doc["session"].(string)
-		var upload SessionUpload
-		if err := json.Unmarshal([]byte(raw), &upload); err != nil {
-			return nil, fmt.Errorf("server: corrupt session %s: %w", doc.ID(), err)
-		}
-		uploads = append(uploads, upload)
+	uploads, err := storedSessions(s.responses, testID)
+	if err != nil {
+		return nil, err
 	}
 	var qc *quality.Config
 	if useQC {
@@ -921,13 +894,8 @@ func concludeUploads(info *TestInfo, uploads []SessionUpload, qc *quality.Config
 	res := &Results{TestID: info.TestID, Workers: len(uploads)}
 
 	sessions := make([]quality.WorkerSession, len(uploads))
-	for i, u := range uploads {
-		sessions[i] = quality.WorkerSession{
-			WorkerID:  u.WorkerID,
-			Responses: u.Responses,
-			Behaviors: u.Behaviors,
-			Controls:  u.Controls,
-		}
+	for i := range uploads {
+		sessions[i] = uploads[i].workerSession()
 	}
 	if qc != nil && len(sessions) > 0 {
 		kept, dropped, _, err := quality.Filter(sessions, *qc)
@@ -966,10 +934,9 @@ func concludeUploads(info *TestInfo, uploads []SessionUpload, qc *quality.Config
 
 // concludeCached serves the HTTP results surface: raw and default-battery
 // conclusions are cached per test until a new session arrives, and cache
-// misses are computed from the incremental accumulator (or from scratch
-// under WithScratchResults). Custom quality configs (only reachable
-// through the Conclude API) bypass the cache, which is why the key is just
-// (test, quality-on).
+// misses are computed from the test's fold state. Custom quality configs
+// (only reachable through the Conclude API) bypass the cache, which is why
+// the key is just (test, quality-on).
 //
 // Freshness invariant: the generation is snapshotted before anything is
 // read, so every read observes state at least as new as the snapshot and
@@ -995,11 +962,7 @@ func (s *Server) concludeCached(ctx context.Context, testID string, useQC bool) 
 		if err != nil {
 			return nil, err
 		}
-		if s.accum != nil {
-			res, err = s.accum.results(testID, entry, useQC, s.db.Collection(aggregator.ResponsesCollection))
-		} else {
-			res, err = s.Conclude(testID, concludeConfig(entry, useQC))
-		}
+		res, err = s.folds.results(testID, entry, useQC)
 		if err != nil {
 			return nil, err
 		}
@@ -1008,14 +971,6 @@ func (s *Server) concludeCached(ctx context.Context, testID string, useQC bool) 
 		}
 	}
 	return res, nil
-}
-
-// concludeConfig maps the HTTP surface's quality flag onto the battery.
-func concludeConfig(entry *testEntry, useQC bool) *quality.Config {
-	if !useQC {
-		return nil
-	}
-	return defaultQC(entry)
 }
 
 func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
@@ -1062,10 +1017,7 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 // and undecided tests stay byte-identical to a server without early
 // stopping.
 func (s *Server) withDecision(testID string, res *Results) *Results {
-	if s.early == nil {
-		return res
-	}
-	d := s.early.decision(testID)
+	d := s.folds.decision(testID)
 	if d == nil {
 		return res
 	}

@@ -28,6 +28,16 @@ import (
 // clone-by-JSON-round-trip floor; callers assembling documents from decoded
 // wire payloads own them by construction.
 func (c *Collection) InsertUniqueBatch(docs []Document) (ids []string, errs []error) {
+	return c.InsertUniqueNoted(docs, nil)
+}
+
+// InsertUniqueNoted is InsertUniqueBatch for a writer that also subscribes
+// to the collection: notes[i] (notes may be nil, or shorter than docs) rides
+// along with docs[i]'s change event to OnChangeNoted subscribers, so the
+// writer recognises its own write and can hand itself whatever it already
+// derived from the document instead of reading it back. The store never
+// looks at, persists or replicates a note.
+func (c *Collection) InsertUniqueNoted(docs []Document, notes []any) (ids []string, errs []error) {
 	ids = make([]string, len(docs))
 	errs = make([]error, len(docs))
 	if len(docs) == 0 {
@@ -97,7 +107,11 @@ func (c *Collection) InsertUniqueBatch(docs []Document) (ids []string, errs []er
 	fns := c.onChange
 	c.mu.Unlock()
 	for _, a := range batch {
-		c.notify(fns, OpPut, a.id)
+		var note any
+		if a.pos < len(notes) {
+			note = notes[a.pos]
+		}
+		c.notify(fns, OpPut, a.id, note)
 	}
 	return ids, errs
 }

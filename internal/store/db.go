@@ -19,6 +19,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 )
 
 // Document is one schemaless record. Values must be JSON-encodable.
@@ -34,9 +35,73 @@ func (d Document) ID() string {
 	return id
 }
 
-// Clone returns a deep copy of the document (via JSON round-trip, which is
-// safe because documents are JSON-encodable by contract).
+// Clone returns a deep copy of the document, equal to what a JSON
+// round-trip of it would decode to. JSON-shaped values — nested
+// map[string]any and []any, strings, bools, nil, and numbers (normalized to
+// float64, as decoding would) — are copied structurally; a document holding
+// anything else (a float32, a json.Number, a struct, a string that is not
+// valid UTF-8) takes the round-trip itself.
 func (d Document) Clone() Document {
+	if d == nil {
+		return nil
+	}
+	if cp, ok := cloneMap(d); ok {
+		return cp
+	}
+	return d.cloneJSON()
+}
+
+func cloneMap(m map[string]any) (map[string]any, bool) {
+	cp := make(map[string]any, len(m))
+	for k, v := range m {
+		c, ok := cloneValue(v)
+		if !ok || !utf8.ValidString(k) {
+			return nil, false
+		}
+		cp[k] = c
+	}
+	return cp, true
+}
+
+// cloneValue copies one JSON-shaped value; ok is false for a value whose
+// round-trip form cannot be produced without encoding it.
+func cloneValue(v any) (c any, ok bool) {
+	switch x := v.(type) {
+	case nil, bool, float64:
+		return x, true
+	case string:
+		return x, utf8.ValidString(x)
+	case map[string]any:
+		if x == nil {
+			return nil, true // encodes as null
+		}
+		return cloneMap(x)
+	case Document:
+		return cloneValue(map[string]any(x))
+	case []any:
+		if x == nil {
+			return nil, true // encodes as null
+		}
+		cp := make([]any, len(x))
+		for i, e := range x {
+			if cp[i], ok = cloneValue(e); !ok {
+				return nil, false
+			}
+		}
+		return cp, true
+	case float32, json.Number:
+		// Their decimal text decodes to a float64 the value itself does
+		// not convert to.
+		return nil, false
+	default:
+		n := normalizeValue(v)
+		_, ok = n.(float64)
+		return n, ok
+	}
+}
+
+// cloneJSON is the JSON round-trip Clone falls back to.
+func (d Document) cloneJSON() Document {
 	data, err := json.Marshal(d)
 	if err != nil {
 		// Non-encodable values violate the Document contract; fall back to
@@ -267,7 +332,7 @@ type Collection struct {
 	docs     map[string]Document
 	seq      int64
 	indexes  map[string]*fieldIndex
-	onChange []func(op, id string)
+	onChange []func(op, id string, note any)
 
 	// wal is the persistent append handle (opened lazily); appends counts
 	// records since the last compaction. Both are guarded by mu.
@@ -382,7 +447,7 @@ func (c *Collection) insert(doc Document, unique bool) (string, error) {
 	c.maybeCompactLocked()
 	fns := c.onChange
 	c.mu.Unlock()
-	c.notify(fns, OpPut, id)
+	c.notify(fns, OpPut, id, nil)
 	return id, nil
 }
 
@@ -555,7 +620,7 @@ func (c *Collection) Update(id string, mutate func(Document) Document) error {
 	c.maybeCompactLocked()
 	fns := c.onChange
 	c.mu.Unlock()
-	c.notify(fns, OpPut, id)
+	c.notify(fns, OpPut, id, nil)
 	return nil
 }
 
@@ -579,7 +644,7 @@ func (c *Collection) Delete(id string) error {
 	c.maybeCompactLocked()
 	fns := c.onChange
 	c.mu.Unlock()
-	c.notify(fns, OpDelete, id)
+	c.notify(fns, OpDelete, id, nil)
 	return nil
 }
 

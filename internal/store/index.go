@@ -136,15 +136,22 @@ const (
 // into the collection), on the mutating goroutine. WAL replay during Open
 // predates any subscription and is not reported.
 func (c *Collection) OnChange(fn func(op, id string)) {
+	c.OnChangeNoted(func(op, id string, _ any) { fn(op, id) })
+}
+
+// OnChangeNoted is OnChange that also receives the note the writer attached
+// to the document through InsertUniqueNoted; note is nil for every other
+// mutation.
+func (c *Collection) OnChangeNoted(fn func(op, id string, note any)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.onChange = append(c.onChange, fn)
 }
 
 // notify invokes subscribers; callers must NOT hold the collection lock.
-func (c *Collection) notify(fns []func(op, id string), op, id string) {
+func (c *Collection) notify(fns []func(op, id string, note any), op, id string, note any) {
 	for _, fn := range fns {
-		fn(op, id)
+		fn(op, id, note)
 	}
 }
 

@@ -2,6 +2,7 @@ package store
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"strconv"
 	"sync"
@@ -237,5 +238,40 @@ func TestOnChange(t *testing.T) {
 	want := []string{"put:a", "put:a", "del:a"}
 	if !reflect.DeepEqual(events, want) {
 		t.Errorf("events = %v, want %v", events, want)
+	}
+}
+
+// A note attached through InsertUniqueNoted reaches OnChangeNoted
+// subscribers with its document's event and nobody else: rejected documents
+// notify nothing, other mutations carry nil, and a plain OnChange
+// subscriber sees the same events without it.
+func TestInsertUniqueNotedDeliversNotes(t *testing.T) {
+	db := OpenMemory()
+	c := db.Collection("r")
+	var noted, plain []string
+	c.OnChangeNoted(func(op, id string, note any) {
+		noted = append(noted, fmt.Sprintf("%s:%s:%v", op, id, note))
+	})
+	c.OnChange(func(op, id string) { plain = append(plain, op+":"+id) })
+
+	if _, err := c.Insert(Document{IDField: "dup"}); err != nil {
+		t.Fatal(err)
+	}
+	_, errs := c.InsertUniqueNoted(
+		[]Document{{IDField: "a"}, {IDField: "dup"}, {IDField: "b"}, {IDField: "c"}},
+		[]any{"note-a", "note-dup", "note-b"}, // shorter than docs: c has none
+	)
+	if errs[0] != nil || !errors.Is(errs[1], ErrDuplicateID) || errs[2] != nil || errs[3] != nil {
+		t.Fatalf("errs = %v", errs)
+	}
+	if err := c.Delete("a"); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"put:dup:<nil>", "put:a:note-a", "put:b:note-b", "put:c:<nil>", "del:a:<nil>"}
+	if !reflect.DeepEqual(noted, want) {
+		t.Errorf("noted events = %v, want %v", noted, want)
+	}
+	if want := []string{"put:dup", "put:a", "put:b", "put:c", "del:a"}; !reflect.DeepEqual(plain, want) {
+		t.Errorf("plain events = %v, want %v", plain, want)
 	}
 }
