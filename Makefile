@@ -27,7 +27,7 @@ bench:
 # seeds, and flakes here mean a real durability bug.
 chaos:
 	$(GO) test -count=3 -run 'Chaos|Crash|Fault|Torn|Quarantin|Recover|ENOSPC|Drain|Retr|Compact|SyncPolic' \
-		./internal/store/ ./internal/netsim/ ./internal/extension/ ./cmd/kscope-server/
+		./internal/store/ ./internal/netsim/ ./internal/failover/ ./internal/extension/ ./cmd/kscope-server/
 
 # Short fuzz passes over every fuzz target — the CI smoke stage. Crashing
 # inputs land in testdata/fuzz/ as permanent regression seeds.
@@ -45,9 +45,10 @@ cover:
 	$(GO) tool cover -func=coverage.out | tail -1
 
 # Coverage floors on the preparation pipeline's load-bearing packages, the
-# overload guard, and the sequential early-stopping engine.
+# overload guard, the sequential early-stopping engine, the router and the
+# shared failover policy.
 cover-check: cover
-	./scripts/cover_floor.sh internal/aggregator 85 internal/store 80 internal/guard 80 internal/earlystop 90 internal/shard 80
+	./scripts/cover_floor.sh internal/aggregator 85 internal/store 80 internal/guard 80 internal/earlystop 90 internal/shard 80 internal/failover 90
 
 # The PR-3 acceptance benchmark pair; record results in
 # BENCH_aggregator.json (on >=4 cores the parallel pipeline should show

@@ -12,6 +12,7 @@ import (
 	"kaleidoscope/internal/campaign"
 	"kaleidoscope/internal/crowd"
 	"kaleidoscope/internal/extension"
+	"kaleidoscope/internal/failover"
 	"kaleidoscope/internal/obs"
 	"kaleidoscope/internal/questionnaire"
 	"kaleidoscope/internal/server"
@@ -99,8 +100,7 @@ func earlystopScenario(cfg config, out io.Writer) error {
 		Trusted:        cfg.trusted,
 		Seed:           cfg.seed,
 		Concurrency:    cfg.concurrency,
-		Retries:        cfg.retries,
-		Backoff:        2 * time.Millisecond,
+		Policy:         failover.Policy{Retries: cfg.retries, Backoff: 2 * time.Millisecond},
 		Registry:       reg,
 		Oracle:         srv.ConcludeScratch,
 		StopOnDecision: true,

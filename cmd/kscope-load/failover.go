@@ -42,6 +42,7 @@ import (
 	"kaleidoscope/internal/aggregator"
 	"kaleidoscope/internal/crowd"
 	"kaleidoscope/internal/extension"
+	"kaleidoscope/internal/failover"
 	"kaleidoscope/internal/netsim"
 	"kaleidoscope/internal/obs"
 	"kaleidoscope/internal/replica"
@@ -60,7 +61,7 @@ type failoverRun struct {
 	promoted bool
 }
 
-func failover(cfg config, out io.Writer) error {
+func failoverScenario(cfg config, out io.Writer) error {
 	// Stage 0: prepare the study into the primary's store directory with a
 	// plain directory backend — the exact layout `kscope prepare` writes —
 	// so the replicated reopen exercises the real recovery path. The
@@ -158,8 +159,7 @@ func failover(cfg config, out io.Writer) error {
 		Answer:       extension.AnswerFontSize(),
 		Seed:         cfg.seed,
 		Concurrency:  cfg.concurrency,
-		Retries:      cfg.retries,
-		Backoff:      2 * time.Millisecond,
+		Policy:       failover.Policy{Retries: cfg.retries, Backoff: 2 * time.Millisecond},
 		Registry:     clientReg,
 		Transport: func(i int) http.RoundTripper {
 			t, err := netsim.NewChaosTransport(http.DefaultTransport,

@@ -43,6 +43,7 @@ import (
 	"kaleidoscope/internal/aggregator"
 	"kaleidoscope/internal/crowd"
 	"kaleidoscope/internal/extension"
+	"kaleidoscope/internal/failover"
 	"kaleidoscope/internal/netsim"
 	"kaleidoscope/internal/obs"
 	"kaleidoscope/internal/params"
@@ -112,7 +113,7 @@ func run(args []string, out io.Writer) error {
 	case "throughput":
 		return throughput(cfg, out)
 	case "failover":
-		return failover(cfg, out)
+		return failoverScenario(cfg, out)
 	case "multinode":
 		return multinode(cfg, out)
 	case "campaign":
@@ -154,8 +155,7 @@ func soak(cfg config, out io.Writer) error {
 		Answer:      extension.AnswerFontSize(),
 		Seed:        cfg.seed,
 		Concurrency: cfg.concurrency,
-		Retries:     cfg.retries,
-		Backoff:     2 * time.Millisecond,
+		Policy:      failover.Policy{Retries: cfg.retries, Backoff: 2 * time.Millisecond},
 		Registry:    reg,
 	}
 	if chaosOn {

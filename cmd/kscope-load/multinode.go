@@ -50,6 +50,7 @@ import (
 	"kaleidoscope/internal/aggregator"
 	"kaleidoscope/internal/crowd"
 	"kaleidoscope/internal/extension"
+	"kaleidoscope/internal/failover"
 	"kaleidoscope/internal/netsim"
 	"kaleidoscope/internal/obs"
 	"kaleidoscope/internal/params"
@@ -191,12 +192,9 @@ func multinode(cfg config, out io.Writer) error {
 	rreg := obs.NewRegistry()
 	var linkSeed int64
 	router, err := shard.New(shard.Config{
-		Shards:        specs,
-		Retries:       cfg.retries,
-		Backoff:       2 * time.Millisecond,
-		MaxRetryAfter: 50 * time.Millisecond,
-		Seed:          cfg.seed + 31,
-		Registry:      rreg,
+		Shards:   specs,
+		Policy:   failover.Policy{Retries: cfg.retries, Backoff: 2 * time.Millisecond, MaxRetryAfter: 50 * time.Millisecond},
+		Registry: rreg,
 		Transport: func(string, string) http.RoundTripper {
 			linkSeed++ // New() wires links in deterministic shard/node order
 			t, err := netsim.NewChaosTransport(http.DefaultTransport,
@@ -274,13 +272,11 @@ func multinode(cfg config, out io.Writer) error {
 			return err
 		}
 		fleet := &extension.Fleet{
-			BaseURL:       routerTS.URL,
-			Answer:        extension.AnswerFontSize(),
-			Seed:          cfg.seed + int64(ti)*59_999,
-			Concurrency:   cfg.concurrency,
-			Retries:       cfg.retries,
-			Backoff:       2 * time.Millisecond,
-			MaxRetryAfter: 100 * time.Millisecond,
+			BaseURL:     routerTS.URL,
+			Answer:      extension.AnswerFontSize(),
+			Seed:        cfg.seed + int64(ti)*59_999,
+			Concurrency: cfg.concurrency,
+			Policy:      failover.Policy{Retries: cfg.retries, Backoff: 2 * time.Millisecond, MaxRetryAfter: 100 * time.Millisecond},
 			Transport: func(i int) http.RoundTripper {
 				t, err := netsim.NewChaosTransport(http.DefaultTransport,
 					chaosConfig(cfg), rand.New(rand.NewSource(cfg.seed+int64(ti)*100_003+int64(i)+7919)))

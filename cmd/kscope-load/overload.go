@@ -16,6 +16,7 @@ import (
 	"kaleidoscope/internal/aggregator"
 	"kaleidoscope/internal/crowd"
 	"kaleidoscope/internal/extension"
+	"kaleidoscope/internal/failover"
 	"kaleidoscope/internal/guard"
 	"kaleidoscope/internal/netsim"
 	"kaleidoscope/internal/obs"
@@ -139,11 +140,9 @@ func overload(cfg config, out io.Writer) error {
 		Seed:    cfg.seed,
 		// 4K workers in flight against an upload class admitting K: the
 		// admission limiter, not goroutine supply, is the bottleneck.
-		Concurrency:   4 * k,
-		Retries:       retries,
-		Backoff:       2 * time.Millisecond,
-		MaxRetryAfter: maxWorkerWait,
-		Registry:      reg,
+		Concurrency: 4 * k,
+		Policy:      failover.Policy{Retries: retries, Backoff: 2 * time.Millisecond, MaxRetryAfter: maxWorkerWait},
+		Registry:    reg,
 		Transport: func(i int) http.RoundTripper {
 			t, err := netsim.NewChaosTransport(http.DefaultTransport,
 				netsim.ChaosConfig{DropRate: cfg.drop, FaultRate: cfg.fault},

@@ -9,6 +9,7 @@ import (
 
 	"kaleidoscope/internal/crowd"
 	"kaleidoscope/internal/extension"
+	"kaleidoscope/internal/failover"
 	"kaleidoscope/internal/obs"
 	"kaleidoscope/internal/server"
 )
@@ -47,8 +48,7 @@ func throughput(cfg config, out io.Writer) error {
 		Answer:      extension.AnswerFontSize(),
 		Seed:        cfg.seed,
 		Concurrency: cfg.concurrency,
-		Retries:     cfg.retries,
-		Backoff:     2 * time.Millisecond,
+		Policy:      failover.Policy{Retries: cfg.retries, Backoff: 2 * time.Millisecond},
 		Registry:    reg,
 		BatchSize:   cfg.batch,
 	}

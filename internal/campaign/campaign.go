@@ -30,6 +30,7 @@ import (
 	"kaleidoscope/internal/crowd"
 	"kaleidoscope/internal/earlystop"
 	"kaleidoscope/internal/extension"
+	"kaleidoscope/internal/failover"
 	"kaleidoscope/internal/obs"
 	"kaleidoscope/internal/params"
 	"kaleidoscope/internal/questionnaire"
@@ -157,12 +158,10 @@ type Campaign struct {
 	// Concurrency bounds simultaneously running sessions campaign-wide
 	// (default 4).
 	Concurrency int
-	// Retries/Backoff/MaxRetryAfter/Timeout configure every session's
-	// client, like extension.Fleet.
-	Retries       int
-	Backoff       time.Duration
-	MaxRetryAfter time.Duration
-	Timeout       time.Duration
+	// Policy and Timeout configure every session's client, like
+	// extension.Fleet.
+	Policy  failover.Policy
+	Timeout time.Duration
 	// Transport, when set, supplies a per-session http.RoundTripper
 	// (typically a seeded netsim.ChaosTransport); the sequence number is
 	// unique across the campaign.
@@ -576,20 +575,8 @@ func (c *Campaign) runSession(spec Spec, w *crowd.Worker) (*server.SessionUpload
 	if c.Transport != nil {
 		httpc.Transport = c.Transport(int(seq))
 	}
-	opts := []extension.ClientOption{extension.WithWorkerID(w.ID)}
-	if c.Retries > 0 {
-		opts = append(opts, extension.WithRetries(c.Retries))
-	}
-	if c.Backoff > 0 {
-		opts = append(opts, extension.WithBackoff(c.Backoff))
-	}
-	if c.MaxRetryAfter > 0 {
-		opts = append(opts, extension.WithMaxRetryAfter(c.MaxRetryAfter))
-	}
-	if c.Registry != nil {
-		opts = append(opts, extension.WithMetrics(c.Registry))
-	}
-	client, err := extension.NewClient(c.BaseURL, httpc, opts...)
+	client, err := extension.NewClient(c.BaseURL, httpc,
+		extension.WithWorkerID(w.ID), extension.WithPolicy(c.Policy), extension.WithMetrics(c.Registry))
 	if err != nil {
 		return nil, extension.UploadStored, err
 	}
@@ -682,14 +669,7 @@ func auditDecision(d *earlystop.Decision) error {
 // genuinely forgot it: metadata and results must 404 afterwards.
 func (c *Campaign) deleteTenant(rep *TenantReport) error {
 	httpc := &http.Client{Timeout: 30 * time.Second}
-	var opts []extension.ClientOption
-	if c.Retries > 0 {
-		opts = append(opts, extension.WithRetries(c.Retries))
-	}
-	if c.Backoff > 0 {
-		opts = append(opts, extension.WithBackoff(c.Backoff))
-	}
-	client, err := extension.NewClient(c.BaseURL, httpc, opts...)
+	client, err := extension.NewClient(c.BaseURL, httpc, extension.WithPolicy(c.Policy))
 	if err != nil {
 		return err
 	}

@@ -9,6 +9,7 @@ import (
 	"kaleidoscope/internal/aggregator"
 	"kaleidoscope/internal/crowd"
 	"kaleidoscope/internal/extension"
+	"kaleidoscope/internal/failover"
 	"kaleidoscope/internal/params"
 	"kaleidoscope/internal/server"
 	"kaleidoscope/internal/store"
@@ -75,7 +76,7 @@ func TestCampaignLifecycle(t *testing.T) {
 		Mix:         crowd.CampaignCrowdMix,
 		Seed:        11,
 		Concurrency: 4,
-		Retries:     3,
+		Policy:      failover.Policy{Retries: 3},
 		Oracle:      srv.ConcludeScratch,
 		Logf:        t.Logf,
 	}

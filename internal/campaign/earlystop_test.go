@@ -8,6 +8,7 @@ import (
 	"kaleidoscope/internal/aggregator"
 	"kaleidoscope/internal/crowd"
 	"kaleidoscope/internal/extension"
+	"kaleidoscope/internal/failover"
 	"kaleidoscope/internal/questionnaire"
 	"kaleidoscope/internal/server"
 	"kaleidoscope/internal/store"
@@ -62,7 +63,7 @@ func TestCampaignEarlyStopping(t *testing.T) {
 		Mix:            crowd.CampaignCrowdMix,
 		Seed:           7,
 		Concurrency:    4,
-		Retries:        3,
+		Policy:         failover.Policy{Retries: 3},
 		Oracle:         srv.ConcludeScratch,
 		StopOnDecision: true,
 		Budget:         budget,

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"kaleidoscope/internal/failover"
 	"kaleidoscope/internal/server"
 )
 
@@ -119,7 +120,7 @@ func TestUploadBatchRetriesShed(t *testing.T) {
 	defer wrapped.Close()
 
 	client, err := NewClient(wrapped.URL, nil,
-		WithRetries(2), WithBackoff(time.Millisecond), WithMaxRetryAfter(time.Millisecond))
+		WithPolicy(failover.Policy{Retries: 2, Backoff: time.Millisecond, MaxRetryAfter: time.Millisecond}))
 	if err != nil {
 		t.Fatal(err)
 	}

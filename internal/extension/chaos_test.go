@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"kaleidoscope/internal/failover"
 	"kaleidoscope/internal/netsim"
 	"kaleidoscope/internal/obs"
 	"kaleidoscope/internal/server"
@@ -51,7 +52,7 @@ func TestUploadSessionRetriesTransient(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	client, err := NewClient(flaky.URL, nil,
-		WithRetries(4), WithBackoff(time.Millisecond), WithMetrics(reg))
+		WithPolicy(failover.Policy{Retries: 4, Backoff: time.Millisecond}), WithMetrics(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestUploadSessionRetriesTransient(t *testing.T) {
 
 func TestUploadSessionDuplicateIsSuccess(t *testing.T) {
 	ts, srv, _ := startServer(t)
-	client, err := NewClient(ts.URL, nil, WithBackoff(time.Millisecond))
+	client, err := NewClient(ts.URL, nil, WithPolicy(failover.Policy{Backoff: time.Millisecond}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestUploadSessionDefinitiveRejection(t *testing.T) {
 		w.WriteHeader(http.StatusBadRequest)
 	}))
 	t.Cleanup(ts.Close)
-	client, err := NewClient(ts.URL, nil, WithRetries(5), WithBackoff(time.Millisecond))
+	client, err := NewClient(ts.URL, nil, WithPolicy(failover.Policy{Retries: 5, Backoff: time.Millisecond}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestChaosFullSessionFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	httpc := &http.Client{Transport: chaos, Timeout: 10 * time.Second}
-	client, err := NewClient(ts.URL, httpc, WithRetries(10), WithBackoff(time.Millisecond))
+	client, err := NewClient(ts.URL, httpc, WithPolicy(failover.Policy{Retries: 10, Backoff: time.Millisecond}))
 	if err != nil {
 		t.Fatal(err)
 	}

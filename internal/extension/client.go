@@ -19,13 +19,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
-	"strconv"
-	"strings"
+	"slices"
 	"sync/atomic"
 	"time"
 
+	"kaleidoscope/internal/failover"
 	"kaleidoscope/internal/guard"
 	"kaleidoscope/internal/obs"
 	"kaleidoscope/internal/server"
@@ -35,33 +34,22 @@ import (
 // limiter keys on (re-exported from the guard package for callers).
 const WorkerIDHeader = guard.WorkerIDHeader
 
-// Client is the extension's HTTP side. Idempotent GETs and the session
-// upload (idempotent by worker id) are retried with jittered exponential
-// backoff on transport errors, 5xx responses, and 429 overload sheds, as a
-// real extension facing a flaky participant connection and a busy server
-// must be. When a 429/503 carries a Retry-After header the client honors
-// the server's delay (capped at maxRetryAfter) instead of its own backoff.
+// Client is the extension's HTTP side. Idempotent GETs, the session upload
+// (idempotent by worker id) and test deletion all go through one retry
+// loop, internal/failover's: transport errors, 5xx, 429 sheds and
+// fenced/stale-epoch answers rotate to the next base URL and are retried
+// with jittered backoff or the server's capped Retry-After, as a real
+// extension facing a flaky participant connection and a busy, failing-over
+// deployment must be.
 type Client struct {
-	// bases holds the primary base URL plus any failover targets; baseIdx
-	// (mod len) is the one requests currently go to. A transport error, a
-	// retryable status, or a fenced/stale-epoch response rotates to the
-	// next base before the retry — that rotation IS the client half of
-	// failover.
-	bases   []string
-	baseIdx atomic.Int64
-	httpc   *http.Client
+	// bases collects the primary base URL plus any WithFailover targets;
+	// NewClient builds the loop's ring from it.
+	bases []string
+	loop  failover.Loop
+	httpc *http.Client
 	// ctx, when set, cancels retry waits and in-flight requests: a fleet
 	// shutting down must not sit out a capped Retry-After first.
 	ctx context.Context
-	// retries is the number of extra attempts after a retryable failure.
-	retries int
-	// backoff is the base delay before the first retry; it doubles per
-	// attempt (capped) with ±50% jitter.
-	backoff time.Duration
-	// maxRetryAfter caps how long a server-supplied Retry-After may make
-	// the client wait (a misconfigured or hostile server must not park an
-	// extension for an hour).
-	maxRetryAfter time.Duration
 	// workerID, when set, is sent as the X-Kscope-Worker header so the
 	// server's per-worker rate limiter keys on the worker, not the NAT'd
 	// remote address.
@@ -69,22 +57,11 @@ type Client struct {
 	reg      *obs.Registry
 
 	retryAttempts atomic.Int64
-	failovers     atomic.Int64
-	// maxEpoch is the highest replication epoch any response has carried.
-	// A node answering from a lower epoch is a deposed primary: its
-	// acks would not survive the promoted timeline, so the client rotates
-	// away from it.
-	maxEpoch atomic.Uint64
 }
 
-// Defaults for the retry and transport budget.
-const (
-	defaultRetries       = 2
-	defaultTimeout       = 30 * time.Second
-	defaultBackoff       = 50 * time.Millisecond
-	maxBackoff           = 2 * time.Second
-	defaultMaxRetryAfter = 30 * time.Second
-)
+// defaultTimeout is the overall per-request budget of a client built
+// without its own http.Client.
+const defaultTimeout = 30 * time.Second
 
 // MetricRetries is the obs counter for client retry attempts.
 const MetricRetries = "kscope_extension_retry_attempts_total"
@@ -92,22 +69,11 @@ const MetricRetries = "kscope_extension_retry_attempts_total"
 // ClientOption configures NewClient.
 type ClientOption func(*Client)
 
-// WithRetries sets the extra-attempt budget for retryable requests.
-func WithRetries(n int) ClientOption {
-	return func(c *Client) {
-		if n >= 0 {
-			c.retries = n
-		}
-	}
-}
-
-// WithBackoff sets the base retry delay (tests use ~1ms).
-func WithBackoff(d time.Duration) ClientOption {
-	return func(c *Client) {
-		if d > 0 {
-			c.backoff = d
-		}
-	}
+// WithPolicy sets the retry budget, base backoff and Retry-After cap; zero
+// fields keep failover.ClientPolicy's values (tests use ~1ms delays), so
+// Retries: 0 means the default two, not none.
+func WithPolicy(p failover.Policy) ClientOption {
+	return func(c *Client) { c.loop.Policy = p.Or(c.loop.Policy) }
 }
 
 // WithMetrics exports retry attempts to the registry as MetricRetries.
@@ -121,19 +87,9 @@ func WithWorkerID(id string) ClientOption {
 	return func(c *Client) { c.workerID = id }
 }
 
-// WithMaxRetryAfter caps the wait the client will accept from a server's
-// Retry-After header (tests use a few milliseconds).
-func WithMaxRetryAfter(d time.Duration) ClientOption {
-	return func(c *Client) {
-		if d > 0 {
-			c.maxRetryAfter = d
-		}
-	}
-}
-
 // WithFailover adds alternate base URLs (the warm standby, typically).
 // Retries rotate through them round-robin after transport errors,
-// retryable statuses, and fenced responses.
+// retryable statuses, and fenced or stale-epoch responses.
 func WithFailover(urls ...string) ClientOption {
 	return func(c *Client) {
 		for _, u := range urls {
@@ -166,16 +122,16 @@ func NewClient(baseURL string, httpc *http.Client, opts ...ClientOption) (*Clien
 		httpc = &http.Client{Timeout: defaultTimeout}
 	}
 	c := &Client{
-		bases:         []string{baseURL},
-		httpc:         httpc,
-		ctx:           context.Background(),
-		retries:       defaultRetries,
-		backoff:       defaultBackoff,
-		maxRetryAfter: defaultMaxRetryAfter,
+		bases: []string{baseURL},
+		httpc: httpc,
+		ctx:   context.Background(),
 	}
+	c.loop.Policy = failover.ClientPolicy
+	c.loop.OnRetry = c.noteRetry
 	for _, opt := range opts {
 		opt(c)
 	}
+	c.loop.Ring = failover.NewRing(c.bases...)
 	return c, nil
 }
 
@@ -183,184 +139,93 @@ func NewClient(baseURL string, httpc *http.Client, opts ...ClientOption) (*Clien
 func (c *Client) RetryAttempts() int64 { return c.retryAttempts.Load() }
 
 // Failovers reports how many times the client rotated to another base URL.
-func (c *Client) Failovers() int64 { return c.failovers.Load() }
+func (c *Client) Failovers() int64 { return c.loop.Ring.Failovers() }
 
 // Epoch returns the highest replication epoch seen on any response (0
 // before the first epoch-bearing response).
-func (c *Client) Epoch() uint64 { return c.maxEpoch.Load() }
+func (c *Client) Epoch() uint64 { return c.loop.Ring.Epoch() }
 
 // BaseURL returns the base requests currently target.
 func (c *Client) BaseURL() string {
-	return c.bases[int(c.baseIdx.Load()%int64(len(c.bases)))]
+	node, _ := c.loop.Ring.Current()
+	return c.loop.Ring.Node(node)
 }
 
-// baseFor pins the base for one attempt; rotateFrom advances past it.
-func (c *Client) baseFor() (string, int64) {
-	idx := c.baseIdx.Load()
-	return c.bases[int(idx%int64(len(c.bases)))], idx
-}
-
-// rotateFrom moves to the next base, but only if no other goroutine moved
-// first — concurrent failures must not skip past a healthy base.
-func (c *Client) rotateFrom(idx int64) {
-	if len(c.bases) > 1 && c.baseIdx.CompareAndSwap(idx, idx+1) {
-		c.failovers.Add(1)
-	}
-}
-
-// observeResponse folds a response's replication headers into the client's
-// view. It returns true when the node should be abandoned for this
-// attempt: it declared itself fenced, or it answered from an epoch older
-// than one the client has already seen (a deposed primary that does not
-// know it yet).
-func (c *Client) observeResponse(resp *http.Response) bool {
-	stale := resp.Header.Get(server.FencedHeader) == "1"
-	if v := resp.Header.Get(server.EpochHeader); v != "" {
-		if e, err := strconv.ParseUint(v, 10, 64); err == nil {
-			for {
-				cur := c.maxEpoch.Load()
-				if e <= cur {
-					if e < cur {
-						stale = true
-					}
-					break
-				}
-				if c.maxEpoch.CompareAndSwap(cur, e) {
-					break
-				}
-			}
-		}
-	}
-	return stale
-}
-
-// noteRetry records one retry attempt and waits before the next one. When
-// the failed response carried a usable Retry-After, the server's delay
-// (capped at maxRetryAfter) wins over the client's own jittered exponential
-// backoff — the server knows when its overload will clear; the client does
-// not. The wait is cut short (and an error returned) when the client's
-// context is cancelled: shutdown must not wait out someone else's backoff.
-func (c *Client) noteRetry(attempt int, serverDelay time.Duration) error {
+func (c *Client) noteRetry() {
 	c.retryAttempts.Add(1)
 	if c.reg != nil {
 		c.reg.Counter(MetricRetries).Inc()
 	}
-	var d time.Duration
-	if serverDelay > 0 {
-		d = serverDelay
-		if d > c.maxRetryAfter {
-			d = c.maxRetryAfter
+}
+
+// do performs one logical request through the failover loop: classify
+// names the answers that end it (anything it does not claim is retried or
+// definitive by status). A body is JSON, gzip-encoded when gzipped is set.
+// The response is non-nil when the loop ended on it: the answer, or
+// alongside the error a definitive refusal.
+func (c *Client) do(method, path string, body []byte, gzipped bool, classify func(*failover.Response) failover.Verdict) (*failover.Response, error) {
+	resp, err := c.loop.Do(c.ctx, func(node int) (*failover.Response, error) {
+		var rd io.Reader
+		if body != nil {
+			rd = bytes.NewReader(body)
 		}
-	} else {
-		d = c.backoff << (attempt - 1)
-		if d > maxBackoff {
-			d = maxBackoff
+		req, err := http.NewRequestWithContext(c.ctx, method, c.loop.Ring.Node(node)+path, rd)
+		if err != nil {
+			return nil, err
 		}
-		// ±50% jitter decorrelates a fleet of extensions retrying at once.
-		d = time.Duration(float64(d) * (0.5 + rand.Float64()))
+		if body != nil {
+			req.Header.Set("Content-Type", "application/json")
+		}
+		if gzipped {
+			req.Header.Set("Content-Encoding", "gzip")
+		}
+		if c.workerID != "" {
+			req.Header.Set(WorkerIDHeader, c.workerID)
+		}
+		resp, err := c.httpc.Do(req)
+		if err != nil {
+			return nil, err
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			return nil, err
+		}
+		return &failover.Response{Status: resp.StatusCode, Header: resp.Header, Body: b}, nil
+	}, classify)
+	if err != nil {
+		if _, definitive := err.(*failover.StatusError); !definitive {
+			// Budget spent or wait abandoned: whatever a node said last
+			// is not the deployment's answer.
+			resp = nil
+		}
+		return resp, fmt.Errorf("extension: %s %s: %w", method, path, err)
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-c.ctx.Done():
-		return fmt.Errorf("extension: retry abandoned: %w", c.ctx.Err())
+	return resp, nil
+}
+
+// accept builds the classifier most requests need: the listed statuses are
+// the answer, anything else is retried or definitive by status.
+func accept(statuses ...int) func(*failover.Response) failover.Verdict {
+	return func(r *failover.Response) failover.Verdict {
+		if slices.Contains(statuses, r.Status) {
+			return failover.Done
+		}
+		return failover.ByStatus(r.Status)
 	}
 }
 
-// parseRetryAfter reads a Retry-After header in either RFC 9110 form:
-// delay-seconds ("3") or HTTP-date ("Wed, 05 Aug 2026 09:00:00 GMT",
-// interpreted relative to now).
-func parseRetryAfter(v string, now time.Time) (time.Duration, bool) {
-	v = strings.TrimSpace(v)
-	if v == "" {
-		return 0, false
-	}
-	if secs, err := strconv.Atoi(v); err == nil {
-		if secs < 0 {
-			return 0, false
-		}
-		return time.Duration(secs) * time.Second, true
-	}
-	if t, err := http.ParseTime(v); err == nil {
-		d := t.Sub(now)
-		if d < 0 {
-			d = 0
-		}
-		return d, true
-	}
-	return 0, false
+func concluded(r *failover.Response) bool {
+	return r.Status == http.StatusOK && r.Header.Get(server.ConcludedHeader) == "1"
 }
 
-// retryable reports whether a status is worth another attempt: server-side
-// trouble (5xx) or an overload shed (429). 4xx otherwise is definitive.
-func retryable(status int) bool {
-	return status >= 500 || status == http.StatusTooManyRequests
-}
-
-// get issues a GET with retries (rotating bases on failure) and decodes
-// errors uniformly.
+// get issues a GET and returns the 200 body.
 func (c *Client) get(path string) ([]byte, error) {
-	var lastErr error
-	var serverDelay time.Duration
-	ring := newRingTracker("GET " + path)
-	for attempt := 0; attempt <= c.retries; attempt++ {
-		if attempt > 0 {
-			if err := c.noteRetry(attempt, serverDelay); err != nil {
-				return nil, err
-			}
-		}
-		base, idx := c.baseFor()
-		body, status, retryAfter, stale, err := c.getOnce(base, path)
-		serverDelay = retryAfter
-		switch {
-		case err != nil:
-			lastErr = err // transport error: rotate and retry
-			ring.note(base, 0, err)
-			c.rotateFrom(idx)
-		case status == http.StatusOK && !stale:
-			return body, nil
-		case retryable(status) || stale:
-			lastErr = fmt.Errorf("extension: GET %s%s: status %d (stale=%t): %s",
-				base, path, status, stale, truncate(body, 200))
-			ring.note(base, status, lastErr)
-			c.rotateFrom(idx)
-		default:
-			// Other 4xx is definitive; do not retry.
-			return nil, fmt.Errorf("extension: GET %s: status %d: %s", path, status, truncate(body, 200))
-		}
-	}
-	return nil, ring.exhausted(lastErr)
-}
-
-func (c *Client) getOnce(base, path string) ([]byte, int, time.Duration, bool, error) {
-	req, err := http.NewRequestWithContext(c.ctx, http.MethodGet, base+path, nil)
+	resp, err := c.do(http.MethodGet, path, nil, false, accept(http.StatusOK))
 	if err != nil {
-		return nil, 0, 0, false, fmt.Errorf("extension: GET %s: %w", path, err)
+		return nil, err
 	}
-	if c.workerID != "" {
-		req.Header.Set(WorkerIDHeader, c.workerID)
-	}
-	resp, err := c.httpc.Do(req)
-	if err != nil {
-		return nil, 0, 0, false, fmt.Errorf("extension: GET %s: %w", path, err)
-	}
-	defer resp.Body.Close()
-	stale := c.observeResponse(resp)
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, 0, 0, stale, fmt.Errorf("extension: reading %s: %w", path, err)
-	}
-	retryAfter, _ := parseRetryAfter(resp.Header.Get("Retry-After"), time.Now())
-	return body, resp.StatusCode, retryAfter, stale, nil
-}
-
-func truncate(b []byte, n int) string {
-	if len(b) <= n {
-		return string(b)
-	}
-	return string(b[:n]) + "..."
+	return resp.Body, nil
 }
 
 // TestInfo fetches the test description, questions, and page list.
@@ -386,64 +251,20 @@ func (c *Client) FetchPageFile(testID, pageID, file string) ([]byte, error) {
 // blob content. Deletion is idempotent on the server (a retry sweeps
 // whatever a failed earlier attempt left behind), so a 404 — the test is
 // already fully gone, perhaps deleted by an attempt whose response was lost
-// — is treated as success. Transport errors, 5xx, and 429 sheds retry with
-// the usual backoff/Retry-After/rotation machinery.
+// — is treated as success.
 func (c *Client) DeleteTest(testID string) error {
-	path := "/api/tests/" + testID
-	var lastErr error
-	var serverDelay time.Duration
-	ring := newRingTracker("DELETE " + path)
-	for attempt := 0; attempt <= c.retries; attempt++ {
-		if attempt > 0 {
-			if err := c.noteRetry(attempt, serverDelay); err != nil {
-				return err
-			}
-			serverDelay = 0
-		}
-		base, idx := c.baseFor()
-		req, err := http.NewRequestWithContext(c.ctx, http.MethodDelete, base+path, nil)
-		if err != nil {
-			return fmt.Errorf("extension: DELETE %s: %w", path, err)
-		}
-		if c.workerID != "" {
-			req.Header.Set(WorkerIDHeader, c.workerID)
-		}
-		resp, err := c.httpc.Do(req)
-		if err != nil {
-			lastErr = fmt.Errorf("extension: DELETE %s: %w", path, err)
-			ring.note(base, 0, err)
-			c.rotateFrom(idx)
-			continue
-		}
-		c.observeResponse(resp)
-		body, _ := io.ReadAll(resp.Body)
-		serverDelay, _ = parseRetryAfter(resp.Header.Get("Retry-After"), time.Now())
-		resp.Body.Close()
-		switch {
-		case resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusNotFound:
-			return nil
-		case retryable(resp.StatusCode):
-			lastErr = fmt.Errorf("extension: DELETE %s: status %d: %s",
-				path, resp.StatusCode, truncate(body, 200))
-			ring.note(base, resp.StatusCode, lastErr)
-			c.rotateFrom(idx)
-		default:
-			return fmt.Errorf("extension: DELETE %s: status %d: %s",
-				path, resp.StatusCode, truncate(body, 200))
-		}
-	}
-	return ring.exhausted(lastErr)
+	_, err := c.do(http.MethodDelete, "/api/tests/"+testID, nil, false, accept(http.StatusOK, http.StatusNotFound))
+	return err
 }
 
 // UploadBatch posts many finished sessions through the server's batched
 // endpoint (POST /api/tests/{id}/sessions:batch), gzip-compressing the
-// array on the wire when compress is set. It reuses the single-upload retry
-// machinery — transport errors, 5xx, and 429 sheds are retried with backoff
-// or the server's Retry-After — and the whole operation is idempotent the
-// same way singles are: elements stored by an earlier attempt answer 409 on
-// the retry, which callers treat as success. The returned report carries a
-// per-element status for every element the server reached; it is non-nil
-// whenever the server produced one, including alongside a definitive error.
+// array on the wire when compress is set. The whole operation is idempotent
+// the same way singles are: elements stored by an earlier attempt answer
+// 409 on the retry, which callers treat as success. The returned report
+// carries a per-element status for every element the server reached; it is
+// non-nil whenever the server produced one, including alongside a
+// definitive error.
 func (c *Client) UploadBatch(testID string, sessions []server.SessionUpload, compress bool) (*server.BatchReport, error) {
 	payload, err := json.Marshal(sessions)
 	if err != nil {
@@ -460,68 +281,24 @@ func (c *Client) UploadBatch(testID string, sessions []server.SessionUpload, com
 		}
 		payload = buf.Bytes()
 	}
-	path := "/api/tests/" + testID + "/sessions:batch"
-	var lastErr error
-	var serverDelay time.Duration
-	ring := newRingTracker("POST " + path)
-	for attempt := 0; attempt <= c.retries; attempt++ {
-		if attempt > 0 {
-			if err := c.noteRetry(attempt, serverDelay); err != nil {
-				return nil, err
-			}
-			serverDelay = 0
-		}
-		base, idx := c.baseFor()
-		req, err := http.NewRequestWithContext(c.ctx, http.MethodPost, base+path, bytes.NewReader(payload))
-		if err != nil {
-			return nil, fmt.Errorf("extension: uploading batch: %w", err)
-		}
-		req.Header.Set("Content-Type", "application/json")
-		if compress {
-			req.Header.Set("Content-Encoding", "gzip")
-		}
-		if c.workerID != "" {
-			req.Header.Set(WorkerIDHeader, c.workerID)
-		}
-		resp, err := c.httpc.Do(req)
-		if err != nil {
-			lastErr = fmt.Errorf("extension: uploading batch: %w", err)
-			ring.note(base, 0, err)
-			c.rotateFrom(idx)
-			continue
-		}
-		c.observeResponse(resp)
-		body, _ := io.ReadAll(resp.Body)
-		serverDelay, _ = parseRetryAfter(resp.Header.Get("Retry-After"), time.Now())
-		resp.Body.Close()
-		var report server.BatchReport
-		decoded := json.Unmarshal(body, &report) == nil
-		switch {
-		case resp.StatusCode == http.StatusOK && resp.Header.Get(server.ConcludedHeader) == "1":
-			// Decided test: the whole batch was acknowledged unstored.
-			return &server.BatchReport{TestID: testID, Concluded: true}, nil
-		case resp.StatusCode == http.StatusOK:
-			if !decoded {
-				return nil, fmt.Errorf("extension: corrupt batch report: %s", truncate(body, 200))
-			}
-			return &report, nil
-		case retryable(resp.StatusCode):
-			lastErr = fmt.Errorf("extension: batch upload failed: status %d: %s",
-				resp.StatusCode, truncate(body, 200))
-			ring.note(base, resp.StatusCode, lastErr)
-			c.rotateFrom(idx)
-		default:
-			// Definitive failure (400/408/413): the report — when the server
-			// produced one — says which elements still committed.
-			err := fmt.Errorf("extension: batch upload rejected: status %d: %s",
-				resp.StatusCode, truncate(body, 200))
-			if decoded {
-				return &report, err
-			}
-			return nil, err
-		}
+	resp, err := c.do(http.MethodPost, "/api/tests/"+testID+"/sessions:batch", payload, compress, accept(http.StatusOK))
+	if resp == nil {
+		return nil, err
 	}
-	return nil, ring.exhausted(lastErr)
+	if concluded(resp) {
+		// Decided test: the whole batch was acknowledged unstored.
+		return &server.BatchReport{TestID: testID, Concluded: true}, nil
+	}
+	var report server.BatchReport
+	if json.Unmarshal(resp.Body, &report) != nil {
+		if err == nil {
+			err = fmt.Errorf("extension: corrupt batch report: %s", resp.Body[:min(len(resp.Body), 200)])
+		}
+		return nil, err
+	}
+	// On a definitive failure (400/408/413) the report — when the server
+	// produced one — says which elements still committed.
+	return &report, err
 }
 
 // UploadOutcome classifies how an accepted session upload ended.
@@ -537,12 +314,11 @@ const (
 	UploadConcluded
 )
 
-// UploadSession posts a finished session to the core server, retrying
-// transport errors, 5xx responses, and 429 sheds (honoring Retry-After
-// when given). The upload is idempotent by worker id: a 409 means a
-// previous attempt (perhaps one whose response was lost on the wire)
-// already stored this session, and is treated as success — a participant's
-// finished work is never lost to a flaky connection.
+// UploadSession posts a finished session to the core server. The upload is
+// idempotent by worker id: a 409 means a previous attempt (perhaps one
+// whose response was lost on the wire, or one a since-deposed primary
+// acked) already stored this session, and is treated as success — a
+// participant's finished work is never lost to a flaky connection.
 func (c *Client) UploadSession(testID string, session server.SessionUpload) error {
 	_, err := c.UploadSessionOutcome(testID, session)
 	return err
@@ -557,60 +333,26 @@ func (c *Client) UploadSessionOutcome(testID string, session server.SessionUploa
 	if err != nil {
 		return UploadStored, fmt.Errorf("extension: encoding session: %w", err)
 	}
-	path := "/api/tests/" + testID + "/sessions"
-	var lastErr error
-	var serverDelay time.Duration
-	ring := newRingTracker("POST " + path)
-	for attempt := 0; attempt <= c.retries; attempt++ {
-		if attempt > 0 {
-			if err := c.noteRetry(attempt, serverDelay); err != nil {
-				return UploadStored, err
+	resp, err := c.do(http.MethodPost, "/api/tests/"+testID+"/sessions", payload, false,
+		func(r *failover.Response) failover.Verdict {
+			if r.Status == http.StatusCreated || r.Status == http.StatusConflict || concluded(r) {
+				return failover.Done
 			}
-			serverDelay = 0
-		}
-		base, idx := c.baseFor()
-		req, err := http.NewRequestWithContext(c.ctx, http.MethodPost, base+path, bytes.NewReader(payload))
-		if err != nil {
-			return UploadStored, fmt.Errorf("extension: uploading session: %w", err)
-		}
-		req.Header.Set("Content-Type", "application/json")
-		if c.workerID != "" {
-			req.Header.Set(WorkerIDHeader, c.workerID)
-		}
-		resp, err := c.httpc.Do(req)
-		if err != nil {
-			lastErr = fmt.Errorf("extension: uploading session: %w", err)
-			ring.note(base, 0, err)
-			c.rotateFrom(idx)
-			continue
-		}
-		c.observeResponse(resp)
-		body, _ := io.ReadAll(resp.Body)
-		serverDelay, _ = parseRetryAfter(resp.Header.Get("Retry-After"), time.Now())
-		concluded := resp.Header.Get(server.ConcludedHeader) == "1"
-		resp.Body.Close()
-		switch {
-		case resp.StatusCode == http.StatusCreated:
-			return UploadStored, nil
-		case resp.StatusCode == http.StatusConflict:
-			// Duplicate by worker id: already stored (possibly by the node
-			// a failed-over attempt reached first).
-			return UploadDuplicate, nil
-		case resp.StatusCode == http.StatusOK && concluded:
-			// The sequential engine decided the test while this worker was
-			// mid-flow: acknowledged, not stored, no budget spent.
-			return UploadConcluded, nil
-		case retryable(resp.StatusCode):
-			lastErr = fmt.Errorf("extension: upload failed: status %d: %s",
-				resp.StatusCode, truncate(body, 200))
-			ring.note(base, resp.StatusCode, lastErr)
-			c.rotateFrom(idx)
-		default:
-			return UploadStored, fmt.Errorf("extension: upload rejected: status %d: %s",
-				resp.StatusCode, truncate(body, 200))
-		}
+			return failover.ByStatus(r.Status)
+		})
+	switch {
+	case err != nil:
+		return UploadStored, err
+	case resp.Status == http.StatusConflict:
+		// Duplicate by worker id: already stored (possibly by the node a
+		// failed-over attempt reached first).
+		return UploadDuplicate, nil
+	case resp.Status == http.StatusOK:
+		// The sequential engine decided the test while this worker was
+		// mid-flow: acknowledged, not stored, no budget spent.
+		return UploadConcluded, nil
 	}
-	return UploadStored, ring.exhausted(lastErr)
+	return UploadStored, nil
 }
 
 // Results fetches a test's conclusion from GET /api/tests/{id}/results,

@@ -420,12 +420,3 @@ func TestUploadSessionErrors(t *testing.T) {
 		t.Error("dead server should fail")
 	}
 }
-
-func TestTruncate(t *testing.T) {
-	if got := truncate([]byte("short"), 10); got != "short" {
-		t.Errorf("truncate short = %q", got)
-	}
-	if got := truncate([]byte("0123456789abc"), 10); got != "0123456789..." {
-		t.Errorf("truncate long = %q", got)
-	}
-}

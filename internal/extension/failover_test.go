@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"kaleidoscope/internal/failover"
 	"kaleidoscope/internal/server"
 )
 
@@ -25,7 +26,7 @@ func TestClientRotatesOnTransportError(t *testing.T) {
 	dead.Close() // a primary that is already gone
 
 	c, err := NewClient(dead.URL, &http.Client{Timeout: time.Second},
-		WithRetries(3), WithBackoff(time.Millisecond), WithFailover(standby.URL))
+		WithPolicy(failover.Policy{Retries: 3, Backoff: time.Millisecond}), WithFailover(standby.URL))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestClientRotatesOnFencedResponse(t *testing.T) {
 	defer standby.Close()
 
 	c, err := NewClient(fenced.URL, &http.Client{Timeout: time.Second},
-		WithRetries(3), WithBackoff(time.Millisecond), WithMaxRetryAfter(time.Millisecond),
+		WithPolicy(failover.Policy{Retries: 3, Backoff: time.Millisecond, MaxRetryAfter: time.Millisecond}),
 		WithFailover(standby.URL))
 	if err != nil {
 		t.Fatal(err)
@@ -83,46 +84,139 @@ func TestClientRotatesOnFencedResponse(t *testing.T) {
 }
 
 // TestClientRotatesAwayFromStaleEpoch: once the client has seen epoch 2,
-// a 200 from an epoch-1 node (a zombie primary serving stale reads) must
-// be retried elsewhere rather than trusted.
+// a healthy-looking answer from an epoch-1 node (a zombie primary that
+// does not know it was deposed) must be retried elsewhere rather than
+// trusted — a stale read on GET, and on every write an ack that would not
+// survive the promoted timeline.
 func TestClientRotatesAwayFromStaleEpoch(t *testing.T) {
-	var staleHits atomic.Int64
-	stale := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		staleHits.Add(1)
-		w.Header().Set(server.EpochHeader, "1")
-		fmt.Fprint(w, `{"test_id":"stale"}`)
-	}))
-	defer stale.Close()
-	fresh := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set(server.EpochHeader, "2")
-		fmt.Fprint(w, `{"test_id":"fresh","questions":["q"]}`)
-	}))
-	defer fresh.Close()
+	cases := []struct {
+		name string
+		// status and body are what both nodes answer this request with.
+		status int
+		body   string
+		call   func(c *Client) error
+	}{
+		{"GET", http.StatusOK, `{"test_id":"t","questions":["q"]}`, func(c *Client) error {
+			_, err := c.TestInfo("t")
+			return err
+		}},
+		{"single upload", http.StatusCreated, `{"status":"stored"}`, func(c *Client) error {
+			out, err := c.UploadSessionOutcome("t", server.SessionUpload{TestID: "t", WorkerID: "w"})
+			if err == nil && out != UploadStored {
+				err = fmt.Errorf("outcome = %v, want UploadStored", out)
+			}
+			return err
+		}},
+		{"batch upload", http.StatusOK, `{"test_id":"t","accepted":1,"results":[{"index":0,"status":201}]}`, func(c *Client) error {
+			_, err := c.UploadBatch("t", []server.SessionUpload{{TestID: "t", WorkerID: "w"}}, false)
+			return err
+		}},
+		{"DELETE", http.StatusOK, `{"status":"deleted"}`, func(c *Client) error {
+			return c.DeleteTest("t")
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var staleHits, freshHits atomic.Int64
+			node := func(epoch string, hits *atomic.Int64) *httptest.Server {
+				return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					hits.Add(1)
+					w.Header().Set(server.EpochHeader, epoch)
+					w.WriteHeader(tc.status)
+					fmt.Fprint(w, tc.body)
+				}))
+			}
+			stale := node("1", &staleHits)
+			defer stale.Close()
+			fresh := node("2", &freshHits)
+			defer fresh.Close()
 
-	c, err := NewClient(stale.URL, &http.Client{Timeout: time.Second},
-		WithRetries(3), WithBackoff(time.Millisecond), WithFailover(fresh.URL))
+			c, err := NewClient(stale.URL, &http.Client{Timeout: time.Second},
+				WithPolicy(failover.Policy{Retries: 3, Backoff: time.Millisecond}), WithFailover(fresh.URL))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// First call lands on the epoch-1 node and is accepted — nothing
+			// newer has been seen yet.
+			if err := tc.call(c); err != nil {
+				t.Fatal(err)
+			}
+			// Learn epoch 2 from the fresh node, then come back around.
+			c.loop.Ring.Rotate(0)
+			if err := tc.call(c); err != nil {
+				t.Fatal(err)
+			}
+			c.loop.Ring.Rotate(1)
+			if c.BaseURL() != stale.URL || c.Epoch() != 2 {
+				t.Fatalf("setup: on %s at epoch %d, want the stale node at epoch 2", c.BaseURL(), c.Epoch())
+			}
+			// Back on the stale node: its answer must now be refused and the
+			// request settled on the fresh one.
+			if err := tc.call(c); err != nil {
+				t.Fatal(err)
+			}
+			if staleHits.Load() != 2 || freshHits.Load() != 2 {
+				t.Errorf("hits stale=%d fresh=%d, want 2 and 2: the stale-epoch answer was trusted",
+					staleHits.Load(), freshHits.Load())
+			}
+			if c.BaseURL() != fresh.URL {
+				t.Errorf("client still prefers %s after a stale answer", c.BaseURL())
+			}
+		})
+	}
+}
+
+// TestClientRetries429Uploads: the server sheds the first upload with 429 +
+// Retry-After, accepts the second; the worker header must arrive on every
+// attempt.
+func TestClientRetries429Uploads(t *testing.T) {
+	var hits atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Header.Get(WorkerIDHeader) != "retry-worker" {
+			t.Errorf("attempt %d missing worker header", hits.Load()+1)
+		}
+		if hits.Add(1) == 1 {
+			w.Header().Set("Retry-After", "1")
+			http.Error(w, "overloaded", http.StatusTooManyRequests)
+			return
+		}
+		w.WriteHeader(http.StatusCreated)
+	}))
+	defer ts.Close()
+
+	client, err := NewClient(ts.URL, nil,
+		WithPolicy(failover.Policy{Backoff: time.Millisecond, MaxRetryAfter: 10 * time.Millisecond}),
+		WithWorkerID("retry-worker"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// First fetch lands on the stale node and is accepted — nothing newer
-	// has been seen yet.
-	if _, err := c.TestInfo("t"); err != nil {
-		t.Fatal(err)
+	if err := client.UploadSession("any", server.SessionUpload{}); err != nil {
+		t.Fatalf("upload through shedding server: %v", err)
 	}
-	// Learn epoch 2 from the fresh node.
-	c.rotateFrom(0)
-	if _, err := c.TestInfo("t"); err != nil {
-		t.Fatal(err)
+	if hits.Load() != 2 {
+		t.Errorf("server hits = %d, want 2", hits.Load())
 	}
-	// Back on the stale node: its 200 must now be rejected and retried on
-	// the fresh one.
-	c.rotateFrom(1)
-	info, err := c.TestInfo("t")
+	if client.RetryAttempts() != 1 {
+		t.Errorf("retries = %d, want 1", client.RetryAttempts())
+	}
+}
+
+func TestWorkerIDHeaderSent(t *testing.T) {
+	got := make(chan string, 1)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		got <- r.Header.Get(WorkerIDHeader)
+		fmt.Fprint(w, `{}`)
+	}))
+	defer ts.Close()
+	client, err := NewClient(ts.URL, nil, WithWorkerID("w-42"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.TestID != "fresh" {
-		t.Errorf("client accepted a stale-epoch answer: %+v", info)
+	if _, err := client.get("/x"); err != nil {
+		t.Fatal(err)
+	}
+	if id := <-got; id != "w-42" {
+		t.Errorf("worker header = %q, want w-42", id)
 	}
 }
 
@@ -138,8 +232,7 @@ func TestClientContextCancelsRetryWait(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	c, err := NewClient(shed.URL, &http.Client{Timeout: time.Second},
-		WithRetries(5), WithBackoff(time.Millisecond),
-		WithMaxRetryAfter(time.Minute), WithContext(ctx))
+		WithPolicy(failover.Policy{Retries: 5, Backoff: time.Millisecond, MaxRetryAfter: time.Minute}), WithContext(ctx))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,8 +265,7 @@ func TestClientContextCancelsUploadRetryWait(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	c, err := NewClient(shed.URL, &http.Client{Timeout: time.Second},
-		WithRetries(5), WithBackoff(time.Millisecond),
-		WithMaxRetryAfter(time.Minute), WithContext(ctx))
+		WithPolicy(failover.Policy{Retries: 5, Backoff: time.Millisecond, MaxRetryAfter: time.Minute}), WithContext(ctx))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"kaleidoscope/internal/crowd"
+	"kaleidoscope/internal/failover"
 	"kaleidoscope/internal/obs"
 	"kaleidoscope/internal/server"
 )
@@ -38,14 +39,10 @@ type Fleet struct {
 	Seed int64
 	// Concurrency bounds simultaneously running workers (default 4).
 	Concurrency int
-	// Retries and Backoff configure each worker's client retry budget;
-	// zero values keep the client defaults.
-	Retries int
-	Backoff time.Duration
-	// MaxRetryAfter caps how long a worker honors a server Retry-After
-	// hint; zero keeps the client default. Load tests set this low so a
-	// shedding server does not stretch the run by full wall-clock seconds.
-	MaxRetryAfter time.Duration
+	// Policy is each worker client's retry budget; zero fields keep the
+	// client defaults. Load tests set MaxRetryAfter low so a shedding server
+	// does not stretch the run by full wall-clock seconds.
+	Policy failover.Policy
 	// Transport, when set, supplies a per-worker http.RoundTripper —
 	// typically a seeded netsim.ChaosTransport. Called once per worker.
 	Transport func(workerIndex int) http.RoundTripper
@@ -91,13 +88,13 @@ type FleetReport struct {
 	// unstored because the test was already decided (early stopping).
 	Concluded int
 	// RingExhausted breaks out how many of the Failed workers died with
-	// ErrRingExhausted — every base URL in their failover ring refused or
-	// never answered. Failed still includes them (the session did not
+	// failover.ErrRingExhausted — every base URL in their failover ring
+	// refused or never answered. Failed still includes them (the session did not
 	// land), but a run report can tell deployment-wide unavailability
 	// apart from per-worker trouble.
 	RingExhausted int
 	Retries       int64
-	Elapsed   time.Duration
+	Elapsed       time.Duration
 	// Errs holds the first few failures, for diagnostics.
 	Errs []error
 }
@@ -137,7 +134,7 @@ func (f *Fleet) Run(testID string, pop *crowd.Population) (*FleetReport, error) 
 			report.Abandoned++
 		case res.Err != nil:
 			report.Failed++
-			if errors.Is(res.Err, ErrRingExhausted) {
+			if errors.Is(res.Err, failover.ErrRingExhausted) {
 				report.RingExhausted++
 			}
 			if len(report.Errs) < 5 {
@@ -212,39 +209,26 @@ type sessionBatcher struct {
 	pending []WorkerResult
 }
 
-// newBatcher builds the shared batch-upload client from the fleet's retry
-// knobs.
-func (f *Fleet) newBatcher(testID string, record func(WorkerResult)) (*sessionBatcher, error) {
-	timeout := f.Timeout
-	if timeout == 0 {
-		timeout = defaultTimeout
+// newClient builds one participant's (or the batcher's) client from the
+// fleet's knobs. transportSlot picks the per-worker transport; workerID is
+// empty for the batcher, which is no single worker.
+func (f *Fleet) newClient(transportSlot int, workerID string) (*Client, error) {
+	httpc := &http.Client{Timeout: f.Timeout}
+	if httpc.Timeout == 0 {
+		httpc.Timeout = defaultTimeout
 	}
-	httpc := &http.Client{Timeout: timeout}
 	if f.Transport != nil {
-		// The batcher is not any single worker; give it the first transport
-		// slot past the population so chaos injection stays per-connection.
-		httpc.Transport = f.Transport(-1)
+		httpc.Transport = f.Transport(transportSlot)
 	}
-	var opts []ClientOption
-	if f.Retries > 0 {
-		opts = append(opts, WithRetries(f.Retries))
-	}
-	if f.Backoff > 0 {
-		opts = append(opts, WithBackoff(f.Backoff))
-	}
-	if f.MaxRetryAfter > 0 {
-		opts = append(opts, WithMaxRetryAfter(f.MaxRetryAfter))
-	}
-	if f.Registry != nil {
-		opts = append(opts, WithMetrics(f.Registry))
-	}
-	if len(f.FailoverURLs) > 0 {
-		opts = append(opts, WithFailover(f.FailoverURLs...))
-	}
-	if f.Context != nil {
-		opts = append(opts, WithContext(f.Context))
-	}
-	client, err := NewClient(f.BaseURL, httpc, opts...)
+	return NewClient(f.BaseURL, httpc, WithWorkerID(workerID), WithPolicy(f.Policy),
+		WithMetrics(f.Registry), WithFailover(f.FailoverURLs...), WithContext(f.Context))
+}
+
+// newBatcher builds the shared batch-upload client. The batcher gets the
+// transport slot before the population (-1) so chaos injection stays
+// per-connection.
+func (f *Fleet) newBatcher(testID string, record func(WorkerResult)) (*sessionBatcher, error) {
+	client, err := f.newClient(-1, "")
 	if err != nil {
 		return nil, err
 	}
@@ -307,33 +291,7 @@ func (f *Fleet) runWorker(testID string, index int, worker *crowd.Worker, buildO
 	res := WorkerResult{Index: index, WorkerID: worker.ID}
 	start := time.Now()
 
-	httpc := &http.Client{Timeout: f.Timeout}
-	if httpc.Timeout == 0 {
-		httpc.Timeout = defaultTimeout
-	}
-	if f.Transport != nil {
-		httpc.Transport = f.Transport(index)
-	}
-	opts := []ClientOption{WithWorkerID(worker.ID)}
-	if f.Retries > 0 {
-		opts = append(opts, WithRetries(f.Retries))
-	}
-	if f.Backoff > 0 {
-		opts = append(opts, WithBackoff(f.Backoff))
-	}
-	if f.MaxRetryAfter > 0 {
-		opts = append(opts, WithMaxRetryAfter(f.MaxRetryAfter))
-	}
-	if f.Registry != nil {
-		opts = append(opts, WithMetrics(f.Registry))
-	}
-	if len(f.FailoverURLs) > 0 {
-		opts = append(opts, WithFailover(f.FailoverURLs...))
-	}
-	if f.Context != nil {
-		opts = append(opts, WithContext(f.Context))
-	}
-	client, err := NewClient(f.BaseURL, httpc, opts...)
+	client, err := f.newClient(index, worker.ID)
 	if err != nil {
 		res.Err = err
 		return res

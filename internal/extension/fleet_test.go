@@ -3,12 +3,14 @@ package extension
 import (
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"kaleidoscope/internal/crowd"
+	"kaleidoscope/internal/failover"
 	"kaleidoscope/internal/netsim"
 )
 
@@ -124,8 +126,7 @@ func TestFleetRetriesThroughChaos(t *testing.T) {
 		Answer:      AnswerFontSize(),
 		Seed:        3,
 		Concurrency: 4,
-		Retries:     10,
-		Backoff:     time.Millisecond,
+		Policy:      failover.Policy{Retries: 10, Backoff: time.Millisecond},
 		Transport: func(i int) http.RoundTripper {
 			chaos, err := netsim.NewChaosTransport(http.DefaultTransport, netsim.ChaosConfig{
 				DropRate: 0.1, FaultRate: 0.1,
@@ -170,5 +171,56 @@ func TestFleetValidation(t *testing.T) {
 	}
 	if _, err := (&Fleet{BaseURL: "http://x", Answer: AnswerFontSize()}).Run("t", &crowd.Population{}); err == nil {
 		t.Error("empty population should fail")
+	}
+}
+
+// TestFleetCountsRingExhausted: the fleet report breaks deployment-wide
+// unavailability out of the generic failure count.
+func TestFleetCountsRingExhausted(t *testing.T) {
+	down := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Retry-After", "0")
+		w.WriteHeader(http.StatusServiceUnavailable)
+	}))
+	defer down.Close()
+	fleet := &Fleet{
+		BaseURL:     down.URL,
+		Answer:      AnswerFontSize(),
+		Seed:        1,
+		Concurrency: 2,
+		Policy:      failover.Policy{Retries: 1, Backoff: time.Millisecond, MaxRetryAfter: time.Millisecond},
+	}
+	pop := fleetPopulation(t, 3, 1)
+	report, err := fleet.Run("t", pop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Failed != 3 {
+		t.Fatalf("report = %+v, want all 3 workers failed", report)
+	}
+	if report.RingExhausted != 3 {
+		t.Errorf("RingExhausted = %d, want 3 (every failure was the whole ring refusing)", report.RingExhausted)
+	}
+}
+
+// TestFleetRingExhaustedZeroOnRejection: workers failing on a definitive
+// server answer are Failed but not RingExhausted.
+func TestFleetRingExhaustedZeroOnRejection(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.WriteHeader(http.StatusNotFound)
+	}))
+	defer ts.Close()
+	fleet := &Fleet{
+		BaseURL:     ts.URL,
+		Answer:      AnswerFontSize(),
+		Seed:        1,
+		Concurrency: 2,
+		Policy:      failover.Policy{Retries: 1, Backoff: time.Millisecond},
+	}
+	report, err := fleet.Run("t", fleetPopulation(t, 2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Failed != 2 || report.RingExhausted != 0 {
+		t.Errorf("report = %+v, want 2 failed, 0 ring-exhausted", report)
 	}
 }

@@ -13,12 +13,13 @@ import (
 	"sync"
 	"time"
 
+	"kaleidoscope/internal/failover"
 	"kaleidoscope/internal/server"
 )
 
 // fanResult is one shard's answer to a fleet-wide scatter.
 type fanResult struct {
-	up  *upstream
+	up  *failover.Response
 	err error
 }
 
@@ -27,13 +28,13 @@ type fanResult struct {
 func (rt *Router) fanOut(ctx context.Context, method, path string, hdr http.Header, body []byte) []fanResult {
 	out := make([]fanResult, len(rt.shards))
 	var wg sync.WaitGroup
-	for i, ss := range rt.shards {
+	for i, seg := range rt.shards {
 		wg.Add(1)
-		go func(i int, ss *shardState) {
+		go func(i int, seg *segment) {
 			defer wg.Done()
-			up, err := rt.doShard(ctx, ss, method, path, hdr, body)
+			up, err := rt.doShard(ctx, seg, method, path, hdr, body)
 			out[i] = fanResult{up: up, err: err}
-		}(i, ss)
+		}(i, seg)
 	}
 	wg.Wait()
 	return out
@@ -75,31 +76,31 @@ func (rt *Router) resultsRaw(w http.ResponseWriter, r *http.Request, testID stri
 	var down, notFound, ok int
 	degraded := false
 	var lastErr error
-	var passThrough *upstream
+	var passThrough *failover.Response
 	for _, f := range fans {
 		switch {
 		case f.err != nil:
 			down++
 			lastErr = f.err
-		case f.up.status == http.StatusNotFound:
+		case f.up.Status == http.StatusNotFound:
 			notFound++
 			passThrough = f.up
-		case f.up.status != http.StatusOK:
+		case f.up.Status != http.StatusOK:
 			// A shard that answered but could not conclude (degraded 503
 			// with nothing cached, mid-delete 500) counts as missing, not
 			// fatal: the surviving shards still serve a partial snapshot.
 			down++
-			lastErr = fmt.Errorf("shard answered status %d", f.up.status)
+			lastErr = fmt.Errorf("shard answered status %d", f.up.Status)
 			passThrough = f.up
 		default:
 			var res server.Results
-			if err := json.Unmarshal(f.up.body, &res); err != nil {
+			if err := json.Unmarshal(f.up.Body, &res); err != nil {
 				down++
 				lastErr = fmt.Errorf("corrupt shard results: %w", err)
 				continue
 			}
 			ok++
-			if f.up.header.Get(server.DegradedHeader) == "1" {
+			if f.up.Header.Get(server.DegradedHeader) == "1" {
 				degraded = true
 			}
 			if merged == nil {
@@ -175,23 +176,23 @@ func (rt *Router) finishGather(w http.ResponseWriter, res *server.Results, parti
 // also holds (prepared content is provisioned fleet-wide). A definitive
 // non-200 answer is returned as the upstream to pass through; only every
 // shard being unreachable is an error.
-func (rt *Router) testInfo(ctx context.Context, testID string, hdr http.Header) (*server.TestInfo, *upstream, error) {
+func (rt *Router) testInfo(ctx context.Context, testID string, hdr http.Header) (*server.TestInfo, *failover.Response, error) {
 	path := "/api/tests/" + testID
 	home := rt.ring.Owner(TestKey(testID))
 	var lastErr error
 	for i := 0; i < len(rt.shards); i++ {
-		ss := rt.shards[(home+i)%len(rt.shards)]
-		up, err := rt.doShard(ctx, ss, http.MethodGet, path, hdr, nil)
+		seg := rt.shards[(home+i)%len(rt.shards)]
+		up, err := rt.doShard(ctx, seg, http.MethodGet, path, hdr, nil)
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		if up.status != http.StatusOK {
+		if up.Status != http.StatusOK {
 			return nil, up, nil
 		}
 		var info server.TestInfo
-		if err := json.Unmarshal(up.body, &info); err != nil {
-			lastErr = fmt.Errorf("corrupt test info from shard %s: %w", ss.spec.Name, err)
+		if err := json.Unmarshal(up.Body, &info); err != nil {
+			lastErr = fmt.Errorf("corrupt test info from shard %s: %w", seg.name, err)
 			continue
 		}
 		return &info, up, nil
@@ -213,21 +214,21 @@ func (rt *Router) gatherSessions(ctx context.Context, testID string, hdr http.He
 		case f.err != nil:
 			down++
 			lastErr = f.err
-		case f.up.status == http.StatusNotFound:
+		case f.up.Status == http.StatusNotFound:
 			// Deleted on this shard (or never prepared): zero contribution.
 			ok++
-		case f.up.status != http.StatusOK:
+		case f.up.Status != http.StatusOK:
 			down++
-			lastErr = fmt.Errorf("shard answered status %d", f.up.status)
+			lastErr = fmt.Errorf("shard answered status %d", f.up.Status)
 		default:
 			var part []server.SessionUpload
-			if err := json.Unmarshal(f.up.body, &part); err != nil {
+			if err := json.Unmarshal(f.up.Body, &part); err != nil {
 				down++
 				lastErr = fmt.Errorf("corrupt session list: %w", err)
 				continue
 			}
 			ok++
-			if f.up.header.Get(server.DegradedHeader) == "1" {
+			if f.up.Header.Get(server.DegradedHeader) == "1" {
 				degraded = true
 			}
 			uploads = append(uploads, part...)
@@ -289,12 +290,12 @@ func (rt *Router) handleListTests(w http.ResponseWriter, r *http.Request) {
 		case f.err != nil:
 			down++
 			lastErr = f.err
-		case f.up.status != http.StatusOK:
+		case f.up.Status != http.StatusOK:
 			down++
-			lastErr = fmt.Errorf("shard answered status %d", f.up.status)
+			lastErr = fmt.Errorf("shard answered status %d", f.up.Status)
 		default:
 			var part []server.TestSummary
-			if err := json.Unmarshal(f.up.body, &part); err != nil {
+			if err := json.Unmarshal(f.up.Body, &part); err != nil {
 				down++
 				lastErr = fmt.Errorf("corrupt test listing: %w", err)
 				continue
@@ -336,25 +337,25 @@ func (rt *Router) handleDelete(w http.ResponseWriter, r *http.Request, testID st
 	fans := rt.fanOut(r.Context(), http.MethodDelete, r.URL.RequestURI(), r.Header, nil)
 	var pages, sessions, blobs float64
 	var ok, notFound int
-	var firstNotFound, failed *upstream
+	var firstNotFound, failed *failover.Response
 	var lastErr error
 	for _, f := range fans {
 		switch {
 		case f.err != nil:
 			lastErr = f.err
-		case f.up.status == http.StatusNotFound:
+		case f.up.Status == http.StatusNotFound:
 			notFound++
 			if firstNotFound == nil {
 				firstNotFound = f.up
 			}
-		case f.up.status != http.StatusOK:
+		case f.up.Status != http.StatusOK:
 			if failed == nil {
 				failed = f.up
 			}
 		default:
 			ok++
 			var counts map[string]any
-			if json.Unmarshal(f.up.body, &counts) == nil {
+			if json.Unmarshal(f.up.Body, &counts) == nil {
 				pages += numField(counts, "pages")
 				sessions += numField(counts, "sessions")
 				blobs += numField(counts, "blobs")
@@ -399,34 +400,35 @@ type shardReadiness struct {
 func (rt *Router) handleReady(w http.ResponseWriter, r *http.Request) {
 	rows := make([]shardReadiness, len(rt.shards))
 	var wg sync.WaitGroup
-	for i, ss := range rt.shards {
+	for i, seg := range rt.shards {
 		wg.Add(1)
-		go func(i int, ss *shardState) {
+		go func(i int, seg *segment) {
 			defer wg.Done()
-			row := shardReadiness{Name: ss.spec.Name, Nodes: map[string]int{}}
-			for _, n := range ss.nodes {
+			row := shardReadiness{Name: seg.name, Nodes: map[string]int{}}
+			for n, httpc := range seg.httpc {
+				base := seg.loop.Ring.Node(n)
 				ctx, cancel := context.WithTimeout(r.Context(), 2*time.Second)
-				req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.base+"/readyz", nil)
+				req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/readyz", nil)
 				if err != nil {
 					cancel()
 					continue
 				}
-				resp, err := n.httpc.Do(req)
+				resp, err := httpc.Do(req)
 				if err != nil {
 					cancel()
-					row.Nodes[n.base] = 0
+					row.Nodes[base] = 0
 					continue
 				}
 				io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
 				cancel()
-				row.Nodes[n.base] = resp.StatusCode
+				row.Nodes[base] = resp.StatusCode
 				if resp.StatusCode == http.StatusOK {
 					row.Ready = true
 				}
 			}
 			rows[i] = row
-		}(i, ss)
+		}(i, seg)
 	}
 	wg.Wait()
 	ready := true
@@ -496,7 +498,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request, testID str
 
 	type subResult struct {
 		indices []int
-		up      *upstream
+		up      *failover.Response
 		err     error
 	}
 	results := make([]subResult, 0, len(groups))
@@ -525,13 +527,13 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request, testID str
 		case sub.err != nil:
 			rt.writeUnreachable(w, "batch upload", sub.err)
 			return
-		case sub.up.status == http.StatusOK && sub.up.header.Get(server.ConcludedHeader) == "1":
+		case sub.up.Status == http.StatusOK && sub.up.Header.Get(server.ConcludedHeader) == "1":
 			// The test concluded mid-batch on this shard; relay the
 			// concluded acknowledgement for the whole batch (other shards'
 			// stored elements answer 409 if the client ever retries).
 			rt.writeUpstream(w, sub.up)
 			return
-		case sub.up.status != http.StatusOK:
+		case sub.up.Status != http.StatusOK:
 			// A stream-level sub-batch failure. The router built this
 			// sub-batch from decoded JSON, so 400/413 here means the shard
 			// is refusing work; relay 5xx/429 (with Retry-After) and pass
@@ -540,7 +542,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request, testID str
 			return
 		}
 		var rep server.BatchReport
-		if err := json.Unmarshal(sub.up.body, &rep); err != nil || len(rep.Results) != len(sub.indices) {
+		if err := json.Unmarshal(sub.up.Body, &rep); err != nil || len(rep.Results) != len(sub.indices) {
 			rt.writeUnreachable(w, "batch upload", errors.New("corrupt sub-batch report"))
 			return
 		}
@@ -557,8 +559,8 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request, testID str
 // forwardBatch relays an (already decompressed) batch body to the test's
 // home shard.
 func (rt *Router) forwardBatch(w http.ResponseWriter, r *http.Request, testID string, body []byte) {
-	ss := rt.shards[rt.ring.Owner(TestKey(testID))]
-	up, err := rt.doShard(r.Context(), ss, http.MethodPost, r.URL.RequestURI(), batchHeader(r.Header), body)
+	seg := rt.shards[rt.ring.Owner(TestKey(testID))]
+	up, err := rt.doShard(r.Context(), seg, http.MethodPost, r.URL.RequestURI(), batchHeader(r.Header), body)
 	if err != nil {
 		rt.writeUnreachable(w, "batch upload", err)
 		return

@@ -6,14 +6,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
-	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
+	"kaleidoscope/internal/failover"
 	"kaleidoscope/internal/guard"
 	"kaleidoscope/internal/obs"
 	"kaleidoscope/internal/server"
@@ -48,15 +45,10 @@ type Config struct {
 	// VirtualNodes is the per-shard ring point count (<= 0 selects
 	// DefaultVirtualNodes).
 	VirtualNodes int
-	// Retries is the extra-attempt budget per proxied request; attempts
-	// rotate primary -> standby -> primary... (default 8).
-	Retries int
-	// Backoff is the base delay before the first retry, doubling per
-	// attempt with ±50% jitter (default 25ms).
-	Backoff time.Duration
-	// MaxRetryAfter caps how long a downstream Retry-After may make the
-	// router wait between attempts (default 2s).
-	MaxRetryAfter time.Duration
+	// Policy is the retry budget per proxied request; attempts rotate
+	// primary -> standby -> primary... Zero fields keep
+	// failover.RouterPolicy's values.
+	Policy failover.Policy
 	// Timeout bounds each proxied attempt (default 10s).
 	Timeout time.Duration
 	// Transport, when set, supplies the per-link RoundTripper for a
@@ -65,18 +57,10 @@ type Config struct {
 	Transport func(shardName, nodeURL string) http.RoundTripper
 	// Registry, when set, receives the router's own counters.
 	Registry *obs.Registry
-	// Seed makes retry jitter deterministic in tests (0 seeds from the
-	// global source).
-	Seed int64
 }
 
-// Defaults for the proxy retry budget.
 const (
-	defaultRetries       = 8
-	defaultBackoff       = 25 * time.Millisecond
-	defaultMaxRetryAfter = 2 * time.Second
-	defaultTimeout       = 10 * time.Second
-	maxProxyBackoff      = time.Second
+	defaultTimeout = 10 * time.Second
 	// maxProxyBody bounds any single buffered request or response body.
 	// Bodies are buffered, not streamed, because a retried attempt must
 	// replay the bytes; the server's own budgets (1MiB sessions, 32MiB
@@ -88,50 +72,24 @@ const (
 	routerMaxBatchSessions = 10_000
 )
 
-// node is one reachable process of a shard (primary or standby).
-type node struct {
-	base  string
-	httpc *http.Client
-}
-
-// shardState is the router's per-shard view: the node list (primary
-// first) plus which node requests currently prefer and the highest
-// replication epoch any response from this shard has carried. A response
-// from a lower epoch is a deposed primary — possibly a zombie that does
-// not know it yet — and rotates the preference to the standby, exactly
-// like the extension client's failover ring.
-type shardState struct {
-	spec      Spec
-	nodes     []node
-	preferred atomic.Int64
-	maxEpoch  atomic.Uint64
-}
-
-func (ss *shardState) current() (node, int64) {
-	idx := ss.preferred.Load()
-	return ss.nodes[int(idx%int64(len(ss.nodes)))], idx
-}
-
-// rotateFrom advances past the node observed failing, unless a concurrent
-// request already advanced — racing failures must not skip a healthy node.
-func (ss *shardState) rotateFrom(idx int64) bool {
-	return len(ss.nodes) > 1 && ss.preferred.CompareAndSwap(idx, idx+1)
+// segment is the router's per-shard view: the failover loop over the
+// shard's nodes (primary first — sticky preference, observed epochs, retry
+// policy) plus one HTTP client per node, indexed like the ring.
+type segment struct {
+	name  string
+	loop  failover.Loop
+	httpc []*http.Client
 }
 
 // Router is the deployment's thin HTTP tier: mostly stateless (the only
 // state is per-shard node preference and observed epochs), it owns no
 // data and can be restarted or replicated freely.
 type Router struct {
-	cfg    Config
-	ring   *Ring
-	shards []*shardState
-
-	rngMu sync.Mutex
-	rng   *rand.Rand
+	timeout time.Duration
+	ring    *Ring
+	shards  []*segment
 
 	reg       *obs.Registry
-	retries   *obs.Counter
-	failovers *obs.Counter
 	partials  *obs.Counter
 	exhausted *obs.Counter
 }
@@ -141,20 +99,20 @@ func New(cfg Config) (*Router, error) {
 	if len(cfg.Shards) == 0 {
 		return nil, fmt.Errorf("shard: router needs at least one shard")
 	}
-	if cfg.Retries <= 0 {
-		cfg.Retries = defaultRetries
-	}
-	if cfg.Backoff <= 0 {
-		cfg.Backoff = defaultBackoff
-	}
-	if cfg.MaxRetryAfter <= 0 {
-		cfg.MaxRetryAfter = defaultMaxRetryAfter
-	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = defaultTimeout
 	}
+	rt := &Router{timeout: cfg.Timeout, reg: cfg.Registry}
+	loop := failover.Loop{Policy: cfg.Policy.Or(failover.RouterPolicy)}
+	if rt.reg != nil {
+		loop.OnRetry = rt.reg.Counter("kscope_shard_proxy_retries_total").Inc
+		loop.OnFailover = rt.reg.Counter("kscope_shard_failovers_total").Inc
+		rt.partials = rt.reg.Counter("kscope_shard_partial_results_total")
+		rt.exhausted = rt.reg.Counter("kscope_shard_exhausted_total")
+		shards := len(cfg.Shards)
+		rt.reg.RegisterGauge("kscope_shard_count", func() float64 { return float64(shards) })
+	}
 	names := make([]string, len(cfg.Shards))
-	states := make([]*shardState, len(cfg.Shards))
 	for i, spec := range cfg.Shards {
 		if spec.Primary == "" {
 			return nil, fmt.Errorf("shard: shard %d has no primary URL", i)
@@ -163,42 +121,22 @@ func New(cfg Config) (*Router, error) {
 			spec.Name = spec.Primary
 		}
 		names[i] = spec.Name
-		ss := &shardState{spec: spec}
+		seg := &segment{name: spec.Name, loop: loop}
+		var bases []string
 		for _, base := range spec.nodes() {
-			var rt http.RoundTripper
+			var link http.RoundTripper
 			if cfg.Transport != nil {
-				rt = cfg.Transport(spec.Name, base)
+				link = cfg.Transport(spec.Name, base)
 			}
-			ss.nodes = append(ss.nodes, node{
-				base:  strings.TrimRight(base, "/"),
-				httpc: &http.Client{Transport: rt},
-			})
+			bases = append(bases, strings.TrimRight(base, "/"))
+			seg.httpc = append(seg.httpc, &http.Client{Transport: link})
 		}
-		states[i] = ss
+		seg.loop.Ring = failover.NewRing(bases...)
+		rt.shards = append(rt.shards, seg)
 	}
-	ring, err := NewRing(names, cfg.VirtualNodes)
-	if err != nil {
+	var err error
+	if rt.ring, err = NewRing(names, cfg.VirtualNodes); err != nil {
 		return nil, err
-	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = rand.Int63()
-	}
-	rt := &Router{
-		cfg:    cfg,
-		ring:   ring,
-		shards: states,
-		rng:    rand.New(rand.NewSource(seed)),
-		reg:    cfg.Registry,
-	}
-	if rt.reg != nil {
-		rt.retries = rt.reg.Counter("kscope_shard_proxy_retries_total")
-		rt.failovers = rt.reg.Counter("kscope_shard_failovers_total")
-		rt.partials = rt.reg.Counter("kscope_shard_partial_results_total")
-		rt.exhausted = rt.reg.Counter("kscope_shard_exhausted_total")
-		rt.reg.RegisterGauge("kscope_shard_count", func() float64 {
-			return float64(len(states))
-		})
 	}
 	return rt, nil
 }
@@ -207,119 +145,41 @@ func New(cfg Config) (*Router, error) {
 // this key").
 func (rt *Router) Ring() *Ring { return rt.ring }
 
-// upstream is one buffered downstream response.
-type upstream struct {
-	status int
-	header http.Header
-	body   []byte
+// relay is the router's classifier: any answer the shared policy
+// would not retry is the shard's answer, relayed as is — the router never
+// second-guesses a shard's 4xx.
+func relay(up *failover.Response) failover.Verdict {
+	if failover.Retryable(up.Status) {
+		return failover.Retry
+	}
+	return failover.Done
 }
 
-func (up *upstream) retryAfter() time.Duration {
-	if up == nil {
-		return 0
-	}
-	v := strings.TrimSpace(up.header.Get("Retry-After"))
-	if secs, err := strconv.Atoi(v); err == nil && secs >= 0 {
-		return time.Duration(secs) * time.Second
-	}
-	return 0
-}
-
-// retryable mirrors the extension client's policy: server-side trouble
-// (5xx) and overload sheds (429) are worth another attempt; other 4xx is
-// definitive.
-func retryable(status int) bool {
-	return status >= 500 || status == http.StatusTooManyRequests
-}
-
-// doShard performs one logical request against a shard, walking its nodes
-// with the retry budget: transport errors, retryable statuses, and
-// fenced/stale-epoch responses rotate to the other node and back off
-// (honoring a downstream Retry-After, capped). It returns the last
-// response seen when the budget runs out — a shed to pass through beats a
-// synthetic error — and an error only when no node ever answered.
-func (rt *Router) doShard(ctx context.Context, ss *shardState, method, path string, hdr http.Header, body []byte) (*upstream, error) {
-	var last *upstream
-	var lastErr error
-	var serverDelay time.Duration
-	for attempt := 0; attempt <= rt.cfg.Retries; attempt++ {
-		if attempt > 0 {
-			if rt.retries != nil {
-				rt.retries.Inc()
-			}
-			if err := rt.sleep(ctx, attempt, serverDelay); err != nil {
-				break
-			}
-			serverDelay = 0
-		}
-		n, idx := ss.current()
-		up, err := rt.try(ctx, n, method, path, hdr, body)
-		if err != nil {
-			lastErr = err
-			rt.rotate(ss, idx)
-			continue
-		}
-		serverDelay = up.retryAfter()
-		stale := rt.observe(ss, up)
-		switch {
-		case stale || retryable(up.status):
-			// A fenced or deposed node, or a 5xx/429: remember the answer
-			// (its status and Retry-After may be the best thing to hand the
-			// client) and try the other node.
-			last = up
-			rt.rotate(ss, idx)
-		default:
-			return up, nil
-		}
-	}
-	if last != nil {
-		return last, nil
+// doShard performs one logical request against a shard through its
+// failover loop. It returns the last response seen when the budget runs
+// out — a shed to pass through beats a synthetic error — and an error
+// (matching failover.ErrRingExhausted) only when no node ever answered.
+func (rt *Router) doShard(ctx context.Context, seg *segment, method, path string, hdr http.Header, body []byte) (*failover.Response, error) {
+	up, err := seg.loop.Do(ctx, func(node int) (*failover.Response, error) {
+		return rt.try(ctx, seg.httpc[node], seg.loop.Ring.Node(node), method, path, hdr, body)
+	}, relay)
+	if up != nil {
+		return up, nil
 	}
 	if rt.exhausted != nil {
 		rt.exhausted.Inc()
 	}
-	return nil, fmt.Errorf("shard %s: all nodes unreachable: %w", ss.spec.Name, lastErr)
+	return nil, fmt.Errorf("shard %s: %w", seg.name, err)
 }
 
-func (rt *Router) rotate(ss *shardState, idx int64) {
-	if ss.rotateFrom(idx) && rt.failovers != nil {
-		rt.failovers.Inc()
-	}
-}
-
-// observe folds a response's replication headers into the shard view and
-// reports whether the answering node should be abandoned for this attempt
-// (it is fenced, or it answered from an epoch older than one this router
-// has already seen from the shard).
-func (rt *Router) observe(ss *shardState, up *upstream) bool {
-	stale := up.header.Get(server.FencedHeader) == "1"
-	if v := up.header.Get(server.EpochHeader); v != "" {
-		if e, err := strconv.ParseUint(v, 10, 64); err == nil {
-			for {
-				cur := ss.maxEpoch.Load()
-				if e <= cur {
-					if e < cur {
-						stale = true
-					}
-					break
-				}
-				if ss.maxEpoch.CompareAndSwap(cur, e) {
-					break
-				}
-			}
-		}
-	}
-	return stale
-}
-
-func (rt *Router) try(ctx context.Context, n node, method, path string, hdr http.Header, body []byte) (*upstream, error) {
-	actx, cancel := context.WithTimeout(ctx, rt.cfg.Timeout)
+func (rt *Router) try(ctx context.Context, httpc *http.Client, base, method, path string, hdr http.Header, body []byte) (*failover.Response, error) {
+	actx, cancel := context.WithTimeout(ctx, rt.timeout)
 	defer cancel()
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(actx, method, n.base+path, rd)
+	req, err := http.NewRequestWithContext(actx, method, base+path, rd)
 	if err != nil {
 		return nil, err
 	}
@@ -327,7 +187,7 @@ func (rt *Router) try(ctx context.Context, n node, method, path string, hdr http
 	if body != nil {
 		req.ContentLength = int64(len(body))
 	}
-	resp, err := n.httpc.Do(req)
+	resp, err := httpc.Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -337,39 +197,9 @@ func (rt *Router) try(ctx context.Context, n node, method, path string, hdr http
 		return nil, err
 	}
 	if len(b) > maxProxyBody {
-		return nil, fmt.Errorf("shard: response from %s exceeds %d bytes", n.base, maxProxyBody)
+		return nil, fmt.Errorf("shard: response from %s exceeds %d bytes", base, maxProxyBody)
 	}
-	return &upstream{status: resp.StatusCode, header: resp.Header.Clone(), body: b}, nil
-}
-
-// sleep waits before a retry: the downstream's Retry-After (capped) when
-// one was given, the router's own jittered exponential backoff otherwise.
-func (rt *Router) sleep(ctx context.Context, attempt int, serverDelay time.Duration) error {
-	var d time.Duration
-	if serverDelay > 0 {
-		d = serverDelay
-		if d > rt.cfg.MaxRetryAfter {
-			d = rt.cfg.MaxRetryAfter
-		}
-	} else {
-		d = rt.cfg.Backoff << (attempt - 1)
-		if d > maxProxyBackoff {
-			d = maxProxyBackoff
-		}
-		rt.rngMu.Lock()
-		jitter := rt.rng.Float64()
-		rt.rngMu.Unlock()
-		// ±50% jitter decorrelates concurrent proxied retries.
-		d = time.Duration(float64(d) * (0.5 + jitter))
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	return &failover.Response{Status: resp.StatusCode, Header: resp.Header.Clone(), Body: b}, nil
 }
 
 // hopByHop lists the connection-scoped headers a proxy must not forward
@@ -394,19 +224,24 @@ func copyProxyHeader(dst, src http.Header) {
 	}
 }
 
-// writeUpstream relays a downstream response verbatim, with one
-// normalization: every 429/503 the router answers carries Retry-After —
+// writeUpstream relays a downstream response verbatim, with two
+// normalizations. Every 429/503 the router answers carries Retry-After —
 // downstream chaos can strip it, but the shed contract at the deployment
-// face must hold.
-func (rt *Router) writeUpstream(w http.ResponseWriter, up *upstream) {
+// face must hold. And the shard's replication headers stop here: epochs
+// are per shard and the router has already fenced this segment, so a
+// caller with one ring for the whole deployment would otherwise refuse a
+// healthy shard's ack because some other shard has been promoted further.
+func (rt *Router) writeUpstream(w http.ResponseWriter, up *failover.Response) {
 	h := w.Header()
-	copyProxyHeader(h, up.header)
-	if (up.status == http.StatusTooManyRequests || up.status == http.StatusServiceUnavailable) &&
+	copyProxyHeader(h, up.Header)
+	h.Del(server.EpochHeader)
+	h.Del(server.FencedHeader)
+	if (up.Status == http.StatusTooManyRequests || up.Status == http.StatusServiceUnavailable) &&
 		h.Get("Retry-After") == "" {
 		h.Set("Retry-After", "1")
 	}
-	w.WriteHeader(up.status)
-	w.Write(up.body)
+	w.WriteHeader(up.Status)
+	w.Write(up.Body)
 }
 
 // writeUnreachable is the router-minted 503 for a ring segment whose
@@ -511,8 +346,8 @@ func (rt *Router) proxyKey(w http.ResponseWriter, r *http.Request, key string) {
 	if len(body) == 0 {
 		body = nil
 	}
-	ss := rt.shards[rt.ring.Owner(key)]
-	up, err := rt.doShard(r.Context(), ss, r.Method, r.URL.RequestURI(), r.Header, body)
+	seg := rt.shards[rt.ring.Owner(key)]
+	up, err := rt.doShard(r.Context(), seg, r.Method, r.URL.RequestURI(), r.Header, body)
 	if err != nil {
 		rt.writeUnreachable(w, r.Method+" "+r.URL.Path, err)
 		return
@@ -534,8 +369,8 @@ func (rt *Router) handleUpload(w http.ResponseWriter, r *http.Request, testID st
 	if workerID == "" {
 		workerID = sniffWorkerID(body)
 	}
-	ss := rt.shards[rt.ring.Owner(SessionKey(testID, workerID))]
-	up, err := rt.doShard(r.Context(), ss, http.MethodPost, r.URL.RequestURI(), r.Header, body)
+	seg := rt.shards[rt.ring.Owner(SessionKey(testID, workerID))]
+	up, err := rt.doShard(r.Context(), seg, http.MethodPost, r.URL.RequestURI(), r.Header, body)
 	if err != nil {
 		rt.writeUnreachable(w, "session upload", err)
 		return

@@ -3,16 +3,21 @@ package shard
 import (
 	"bytes"
 	"compress/gzip"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
 	"kaleidoscope/internal/aggregator"
 	"kaleidoscope/internal/crowd"
+	"kaleidoscope/internal/extension"
+	"kaleidoscope/internal/failover"
 	"kaleidoscope/internal/guard"
 	"kaleidoscope/internal/obs"
 	"kaleidoscope/internal/params"
@@ -86,9 +91,9 @@ func newFixture(t testing.TB, n int) *fixture {
 		specs[i] = Spec{Name: fmt.Sprintf("shard-%d", i), Primary: ts.URL}
 	}
 	rt, err := New(Config{
-		Shards:  specs,
-		Retries: 2, Backoff: time.Millisecond, Timeout: 5 * time.Second,
-		Registry: f.reg, Seed: 1,
+		Shards: specs,
+		Policy: failover.Policy{Retries: 2, Backoff: time.Millisecond}, Timeout: 5 * time.Second,
+		Registry: f.reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -475,8 +480,8 @@ func TestRouterFailoverToStandby(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	rt, err := New(Config{
-		Shards:  []Spec{{Name: "s0", Primary: dead.URL, Standby: standby.URL}},
-		Retries: 3, Backoff: time.Millisecond, Registry: reg, Seed: 1,
+		Shards: []Spec{{Name: "s0", Primary: dead.URL, Standby: standby.URL}},
+		Policy: failover.Policy{Retries: 3, Backoff: time.Millisecond}, Registry: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -503,6 +508,36 @@ func TestRouterFailoverToStandby(t *testing.T) {
 	}
 }
 
+// TestRouterExhaustionIsTyped: a segment whose every node is gone yields
+// the same typed exhaustion error the worker tier reports — the 503 the
+// router mints is built from it, and the exhausted counter moves.
+func TestRouterExhaustionIsTyped(t *testing.T) {
+	dead := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
+	dead.Close()
+	reg := obs.NewRegistry()
+	rt, err := New(Config{
+		Shards: []Spec{{Name: "s0", Primary: dead.URL, Standby: dead.URL + "0"}},
+		Policy: failover.Policy{Retries: 2, Backoff: time.Millisecond}, Registry: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	up, err := rt.doShard(context.Background(), rt.shards[0], http.MethodGet, "/api/tests/x", nil, nil)
+	var ring *failover.RingExhaustedError
+	if up != nil || !errors.Is(err, failover.ErrRingExhausted) || !errors.As(err, &ring) || len(ring.Nodes) != 2 {
+		t.Fatalf("doShard = (%+v, %v), want a RingExhaustedError naming both nodes", up, err)
+	}
+	rec := httptest.NewRecorder()
+	rt.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/tests/x", nil))
+	if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" ||
+		!strings.Contains(rec.Body.String(), "failover ring exhausted") {
+		t.Errorf("router answered %d %q", rec.Code, rec.Body.String())
+	}
+	if got := reg.Counter("kscope_shard_exhausted_total").Value(); got != 2 {
+		t.Errorf("exhausted counter = %d, want 2", got)
+	}
+}
+
 // TestRouterRetryAfterNormalization: chaos can strip Retry-After from a
 // downstream 503; the deployment face must restore the shed contract.
 func TestRouterRetryAfterNormalization(t *testing.T) {
@@ -511,8 +546,8 @@ func TestRouterRetryAfterNormalization(t *testing.T) {
 	}))
 	defer bare503.Close()
 	rt, err := New(Config{
-		Shards:  []Spec{{Name: "s0", Primary: bare503.URL}},
-		Retries: 1, Backoff: time.Millisecond, Seed: 1,
+		Shards: []Spec{{Name: "s0", Primary: bare503.URL}},
+		Policy: failover.Policy{Retries: 1, Backoff: time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -546,8 +581,8 @@ func TestRouterFencedRotation(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	rt, err := New(Config{
-		Shards:  []Spec{{Name: "s0", Primary: fenced.URL, Standby: fresh.URL}},
-		Retries: 2, Backoff: time.Millisecond, Registry: reg, Seed: 1,
+		Shards: []Spec{{Name: "s0", Primary: fenced.URL, Standby: fresh.URL}},
+		Policy: failover.Policy{Retries: 2, Backoff: time.Millisecond}, Registry: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -584,8 +619,8 @@ func TestRouterStaleEpochRotation(t *testing.T) {
 	defer standby.Close()
 
 	rt, err := New(Config{
-		Shards:  []Spec{{Name: "s0", Primary: standby.URL, Standby: zombie.URL}},
-		Retries: 4, Backoff: time.Millisecond, Seed: 1,
+		Shards: []Spec{{Name: "s0", Primary: standby.URL, Standby: zombie.URL}},
+		Policy: failover.Policy{Retries: 4, Backoff: time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -603,6 +638,74 @@ func TestRouterStaleEpochRotation(t *testing.T) {
 	resp, body = fetch(t, ts.URL+"/api/tests/x/task")
 	if resp.StatusCode != http.StatusOK || string(body) != "promoted" {
 		t.Fatalf("second = %d %q — the zombie's stale answer leaked through", resp.StatusCode, body)
+	}
+}
+
+// TestRouterHidesShardEpochs: replication epochs are per shard, and a worker
+// whose only base is the router has one ring for the whole deployment. If
+// the router leaked them, a client that read from a promoted shard (epoch
+// 2) would refuse every ack from a shard still at epoch 1 as a deposed
+// primary's. The router fences per segment and answers epoch-free.
+func TestRouterHidesShardEpochs(t *testing.T) {
+	names := []string{"shard-0", "shard-1"}
+	ring, err := NewRing(names, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The test's home shard has been promoted; the other has not.
+	home := ring.Owner(TestKey(ringTestID))
+	var prep *aggregator.Prepared
+	specs := make([]Spec, len(names))
+	for i, name := range names {
+		srv, _, p := prepNode(t)
+		prep = p
+		epoch := "1"
+		if i == home {
+			epoch = "2"
+		}
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set(server.EpochHeader, epoch)
+			srv.ServeHTTP(w, r)
+		}))
+		t.Cleanup(ts.Close)
+		specs[i] = Spec{Name: name, Primary: ts.URL}
+	}
+	rt, err := New(Config{Shards: specs, Policy: failover.Policy{Retries: 1, Backoff: time.Millisecond}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	routerTS := httptest.NewServer(rt)
+	t.Cleanup(routerTS.Close)
+
+	// Workers owned by the shard that is NOT the test's home.
+	var away []string
+	for i := 0; len(away) < 3; i++ {
+		if w := fmt.Sprintf("w%03d", i); rt.Ring().Owner(SessionKey(ringTestID, w)) != home {
+			away = append(away, w)
+		}
+	}
+	c, err := extension.NewClient(routerTS.URL, nil, extension.WithPolicy(failover.Policy{Retries: 1, Backoff: time.Millisecond}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.TestInfo(ringTestID); err != nil { // answered by the epoch-2 shard
+		t.Fatal(err)
+	}
+	if out, err := c.UploadSessionOutcome(ringTestID, sampleUpload(prep, away[0], questionnaire.ChoiceLeft)); err != nil || out != extension.UploadStored {
+		t.Errorf("upload to the epoch-1 shard after reading from the epoch-2 shard = %v, %v; want stored", out, err)
+	}
+	batch := []server.SessionUpload{
+		sampleUpload(prep, away[1], questionnaire.ChoiceLeft),
+		sampleUpload(prep, away[2], questionnaire.ChoiceLeft),
+	}
+	if rep, err := c.UploadBatch(ringTestID, batch, false); err != nil || rep.Accepted != 2 {
+		t.Errorf("batch to the epoch-1 shard = %+v, %v; want 2 accepted", rep, err)
+	}
+	if err := c.DeleteTest(ringTestID); err != nil {
+		t.Errorf("delete across shards at different epochs: %v", err)
+	}
+	if c.Epoch() != 0 {
+		t.Errorf("client observed epoch %d through the router; shard epochs must not leak", c.Epoch())
 	}
 }
 
@@ -757,37 +860,54 @@ func TestRouterBatchEdgeCases(t *testing.T) {
 	}
 }
 
-// TestRouterHonorsRetryAfter: a shed with Retry-After makes the router
-// wait (capped) and retry — and succeed when the shard recovers.
+// TestRouterHonorsRetryAfter: a shed with Retry-After, in either RFC 9110
+// form, makes the router wait (capped) and retry — and succeed when the
+// shard recovers.
 func TestRouterHonorsRetryAfter(t *testing.T) {
-	var calls int
-	flappy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		calls++
-		if calls == 1 {
-			w.Header().Set("Retry-After", "1")
-			w.WriteHeader(http.StatusTooManyRequests)
-			return
-		}
-		w.Write([]byte("recovered"))
-	}))
-	defer flappy.Close()
-	rt, err := New(Config{
-		Shards:  []Spec{{Name: "s0", Primary: flappy.URL}},
-		Retries: 2, Backoff: time.Millisecond, MaxRetryAfter: 10 * time.Millisecond, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(rt)
-	defer ts.Close()
-	start := time.Now()
-	resp, body := fetch(t, ts.URL+"/api/tests/x/task")
-	if resp.StatusCode != http.StatusOK || string(body) != "recovered" {
-		t.Fatalf("got %d %q", resp.StatusCode, body)
-	}
-	// The 1s Retry-After must have been capped to MaxRetryAfter.
-	if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
-		t.Errorf("retry waited %s; Retry-After cap not applied", elapsed)
+	const maxWait = 40 * time.Millisecond
+	for _, tc := range []struct {
+		name       string
+		retryAfter func() string
+	}{
+		{"delta-seconds", func() string { return "1" }},
+		{"HTTP-date", func() string { return time.Now().Add(3 * time.Second).UTC().Format(http.TimeFormat) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var calls int
+			flappy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+				calls++
+				if calls == 1 {
+					w.Header().Set("Retry-After", tc.retryAfter())
+					w.WriteHeader(http.StatusTooManyRequests)
+					return
+				}
+				w.Write([]byte("recovered"))
+			}))
+			defer flappy.Close()
+			rt, err := New(Config{
+				Shards: []Spec{{Name: "s0", Primary: flappy.URL}},
+				Policy: failover.Policy{Retries: 2, Backoff: time.Millisecond, MaxRetryAfter: maxWait},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(rt)
+			defer ts.Close()
+			start := time.Now()
+			resp, body := fetch(t, ts.URL+"/api/tests/x/task")
+			if resp.StatusCode != http.StatusOK || string(body) != "recovered" {
+				t.Fatalf("got %d %q", resp.StatusCode, body)
+			}
+			// The shard's delay (1s or more) must have been honored — not
+			// the router's own 1ms backoff — and capped to MaxRetryAfter.
+			elapsed := time.Since(start)
+			if elapsed < maxWait {
+				t.Errorf("retry waited %s; the shard's Retry-After was ignored", elapsed)
+			}
+			if elapsed > 500*time.Millisecond {
+				t.Errorf("retry waited %s; Retry-After cap not applied", elapsed)
+			}
+		})
 	}
 }
 
