@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 15s
 
-.PHONY: build check vet test race bench chaos fuzz-smoke cover cover-check bench-aggregator bench-server bench-batch bench-delta load-smoke overload-smoke throughput-smoke failover-smoke multinode-smoke campaign-smoke earlystop-smoke
+.PHONY: build check check-bench vet test race bench chaos fuzz-smoke cover cover-check bench-aggregator bench-server bench-batch bench-delta load-smoke overload-smoke throughput-smoke failover-smoke multinode-smoke campaign-smoke earlystop-smoke
 
 build:
 	$(GO) build ./...
@@ -17,6 +17,13 @@ race:
 
 # The gate: static analysis plus the full suite under the race detector.
 check: vet race
+
+# bench/ is a module of its own (BENCHMARK.json's harness), so ./... above
+# neither builds nor runs it, yet it compiles against store, server, shard
+# and obs: vet it and run its tests (every workload at -seconds 0.2).
+check-bench:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench ./...
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...

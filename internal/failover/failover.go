@@ -27,6 +27,7 @@ package failover
 import (
 	"context"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"strconv"
@@ -201,12 +202,33 @@ func (r *Ring) Observe(h http.Header) (stale bool) {
 	}
 }
 
-// Response is one attempt's buffered answer. Bodies are buffered, not
-// streamed, because a retried attempt must be able to discard them.
+// Response is one attempt's answer. A caller that parses answers buffers
+// them into Body. A caller that only relays them may leave the body unread
+// in Stream instead: Do hands a Done answer back with Stream still open,
+// for that caller to copy and close, and reads every other answer into Body
+// and closes Stream itself — a retried answer must be discarded, and the
+// last one may yet be what the caller gets when the budget runs out. Do
+// reads to EOF: an attempt that wants a bound puts it in the reader.
 type Response struct {
 	Status int
 	Header http.Header
 	Body   []byte
+	Stream io.ReadCloser
+}
+
+// buffer moves a streamed answer into Body and closes the stream.
+func (r *Response) buffer() error {
+	if r.Stream == nil {
+		return nil
+	}
+	body, err := io.ReadAll(r.Stream)
+	r.Stream.Close()
+	r.Stream = nil
+	if err != nil {
+		return fmt.Errorf("reading response body: %w", err)
+	}
+	r.Body = body
+	return nil
 }
 
 // Verdict is a classifier's reading of a non-stale response.
@@ -245,7 +267,9 @@ type Loop struct {
 // the ring's preferred node until classify (or staleness, or a transport
 // error) stops asking for retries or the budget is spent.
 //
-// It returns (resp, nil) on Done and (resp, *StatusError) on Definitive.
+// It returns (resp, nil) on Done — the one case in which a streamed answer
+// is still open, and the caller's to close — and (resp, *StatusError) on
+// Definitive.
 // When the budget runs out the error is a *RingExhaustedError and resp is
 // the last answer any node gave (nil if none did) — a shed to pass through
 // beats a synthetic error. When ctx ends during a wait the error wraps
@@ -277,12 +301,16 @@ func (l *Loop) Do(ctx context.Context, attempt func(node int) (*Response, error)
 			if v == Done {
 				return resp, nil
 			}
-			err = &StatusError{Status: resp.Status, Stale: stale, Body: truncate(resp.Body, 200)}
-			if v == Definitive {
-				return resp, err
+			// A refused answer whose body cannot be read is a transport
+			// error like any other: retried, and never the last answer.
+			if err = resp.buffer(); err == nil {
+				err = &StatusError{Status: resp.Status, Stale: stale, Body: truncate(resp.Body, 200)}
+				if v == Definitive {
+					return resp, err
+				}
+				last, status = resp, resp.Status
+				serverDelay, _ = ParseRetryAfter(resp.Header.Get("Retry-After"), time.Now())
 			}
-			last, status = resp, resp.Status
-			serverDelay, _ = ParseRetryAfter(resp.Header.Get("Retry-After"), time.Now())
 		}
 		lastErr = err
 		if tried == nil {

@@ -3,6 +3,7 @@ package failover
 import (
 	"context"
 	"errors"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -314,5 +315,108 @@ func TestTruncate(t *testing.T) {
 	}
 	if got := truncate([]byte("0123456789abc"), 10); got != "0123456789..." {
 		t.Errorf("truncate long = %q", got)
+	}
+}
+
+// scriptedBody is a streamed answer's body that counts its closes and can
+// fail mid-read.
+type scriptedBody struct {
+	content string
+	failAt  int // fail once this many bytes are read; < 0 never
+	read    int
+	closes  int
+}
+
+func (b *scriptedBody) Read(p []byte) (int, error) {
+	if b.failAt >= 0 && b.read >= b.failAt {
+		return 0, errors.New("connection reset mid-body")
+	}
+	if b.read == len(b.content) {
+		return 0, io.EOF
+	}
+	end := len(b.content)
+	if b.failAt >= 0 {
+		end = min(end, b.failAt)
+	}
+	n := copy(p, b.content[b.read:end])
+	b.read += n
+	return n, nil
+}
+
+func (b *scriptedBody) Close() error {
+	b.closes++
+	return nil
+}
+
+// TestStreamedBodiesAreClosedExactlyOnce: over random scripts of streamed
+// answers — accepted, retryable, definitive, stale, cut off mid-body — the
+// loop closes the body of every answer it does not hand back as Done exactly
+// once, hands a Done answer back open and unread, buffers the answer it
+// returns otherwise, and counts an unreadable refused answer as a transport
+// error (never the last answer).
+func TestStreamedBodiesAreClosedExactlyOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for i := 0; i < propertyRounds; i++ {
+		l := &Loop{
+			Ring:   NewRing("n0", "n1"),
+			Policy: Policy{Retries: rng.Intn(6), Backoff: time.Microsecond, MaxRetryAfter: time.Microsecond},
+		}
+		l.Ring.Observe(http.Header{server.EpochHeader: {"5"}})
+		var bodies []*scriptedBody
+		var lastWhole *scriptedBody // the last refused answer whose body could be read
+		got, err := l.Do(context.Background(), func(int) (*Response, error) {
+			if rng.Intn(6) == 0 {
+				return nil, errors.New("connection refused")
+			}
+			body := &scriptedBody{content: strconv.Itoa(len(bodies)) + " says no", failAt: -1}
+			if rng.Intn(4) == 0 {
+				body.failAt = rng.Intn(len(body.content))
+			}
+			bodies = append(bodies, body)
+			resp := &Response{Status: []int{200, 404, 429, 503}[rng.Intn(4)], Header: http.Header{}, Stream: body}
+			if rng.Intn(5) == 0 {
+				resp.Header.Set(server.EpochHeader, "4") // deposed
+			}
+			return resp, nil
+		}, func(r *Response) Verdict {
+			if r.Status == 200 {
+				return Done
+			}
+			return ByStatus(r.Status)
+		})
+
+		done := err == nil
+		for j, body := range bodies {
+			handedBack := done && j == len(bodies)-1
+			if handedBack {
+				if body.closes != 0 || body.read != 0 || got.Stream != body {
+					t.Fatalf("round %d: the Done answer came back with %d closes, %d bytes read", i, body.closes, body.read)
+				}
+				continue
+			}
+			if body.closes != 1 {
+				t.Fatalf("round %d: refused answer %d of %d was closed %d times", i, j, len(bodies), body.closes)
+			}
+			if body.failAt < 0 {
+				lastWhole = body
+			}
+		}
+		if done {
+			continue
+		}
+		var se *StatusError
+		if errors.As(err, &se) && !se.Stale && !Retryable(se.Status) {
+			// Definitive: the loop stopped on the answer it returns.
+			lastWhole = bodies[len(bodies)-1]
+			if lastWhole.failAt >= 0 {
+				t.Fatalf("round %d: a definitive answer with an unreadable body ended the request", i)
+			}
+		}
+		switch {
+		case lastWhole == nil && got != nil:
+			t.Fatalf("round %d: got %+v, but no refused answer had a readable body", i, got)
+		case lastWhole != nil && (got == nil || got.Stream != nil || string(got.Body) != lastWhole.content):
+			t.Fatalf("round %d: got %+v, want the buffered answer %q", i, got, lastWhole.content)
+		}
 	}
 }

@@ -58,6 +58,26 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	return n, err
 }
 
+// ReadFrom keeps io.Copy and http.ServeContent on the wrapped writer's own
+// io.ReaderFrom — for net/http's writer that is sendfile(2) when the source
+// is a file — and counts what it copied. Without it io.Copy would fall back
+// to Write through a buffer of its own, and a file would be read into user
+// space first.
+func (w *statusWriter) ReadFrom(src io.Reader) (int64, error) {
+	if w.status == 0 {
+		w.status = http.StatusOK
+	}
+	var n int64
+	var err error
+	if rf, ok := w.ResponseWriter.(io.ReaderFrom); ok {
+		n, err = rf.ReadFrom(src)
+	} else {
+		n, err = io.Copy(struct{ io.Writer }{w.ResponseWriter}, src)
+	}
+	w.bytes += n
+	return n, err
+}
+
 // Flush forwards to the underlying writer when it supports streaming.
 func (w *statusWriter) Flush() {
 	if f, ok := w.ResponseWriter.(http.Flusher); ok {

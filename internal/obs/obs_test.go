@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -133,5 +134,48 @@ func TestMetricsHandler(t *testing.T) {
 	}
 	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
 		t.Errorf("content type = %q", ct)
+	}
+}
+
+// readerFromRecorder is a ResponseWriter with an io.ReaderFrom of its own,
+// as net/http's is.
+type readerFromRecorder struct {
+	*httptest.ResponseRecorder
+	readFroms int
+}
+
+func (r *readerFromRecorder) ReadFrom(src io.Reader) (int64, error) {
+	r.readFroms++
+	return io.Copy(r.ResponseRecorder, src)
+}
+
+// TestMiddlewareCountsCopiedBodies: io.Copy into the middleware's writer
+// reaches the wrapped writer's ReadFrom when it has one (and plain Write when
+// it has not), and the bytes are counted either way.
+func TestMiddlewareCountsCopiedBodies(t *testing.T) {
+	body := strings.Repeat("streamed ", 10000)
+	inner := http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		// As http.ServeContent copies: the source has no WriteTo of its own.
+		if _, err := io.Copy(w, io.LimitReader(strings.NewReader(body), int64(len(body)))); err != nil {
+			t.Error(err)
+		}
+	})
+	for _, hasReadFrom := range []bool{false, true} {
+		reg := NewRegistry()
+		rf := &readerFromRecorder{ResponseRecorder: httptest.NewRecorder()}
+		var w http.ResponseWriter = rf.ResponseRecorder
+		if hasReadFrom {
+			w = rf
+		}
+		Middleware(inner, nil, reg, nil).ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/page", nil))
+		if rf.Code != http.StatusOK || rf.Body.String() != body {
+			t.Errorf("ReadFrom=%v: status %d, %d bytes; want 200 and %d", hasReadFrom, rf.Code, rf.Body.Len(), len(body))
+		}
+		if got := reg.Counter(MetricResponseBytes, "route", "GET").Value(); got != int64(len(body)) {
+			t.Errorf("ReadFrom=%v: %s = %d, want %d", hasReadFrom, MetricResponseBytes, got, len(body))
+		}
+		if (rf.readFroms == 1) != hasReadFrom {
+			t.Errorf("ReadFrom=%v: the wrapped writer's ReadFrom ran %d times", hasReadFrom, rf.readFroms)
+		}
 	}
 }

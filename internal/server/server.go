@@ -26,6 +26,7 @@ import (
 	"net/http"
 	"strings"
 	"sync/atomic"
+	"time"
 
 	"kaleidoscope/internal/aggregator"
 	"kaleidoscope/internal/crowd"
@@ -414,11 +415,18 @@ func (s *Server) handleTask(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, task)
 }
 
+// handlePageFile serves one file of an integrated page straight from the
+// blob store's own bytes. The payload is immutable once prepared and its
+// SHA-256 is the ETag, so http.ServeContent answers a matching
+// If-None-Match with 304, and HEAD and Range for free.
 func (s *Server) handlePageFile(w http.ResponseWriter, r *http.Request) {
-	testID := r.PathValue("id")
-	pageID := r.PathValue("page")
 	file := r.PathValue("file")
-	data, err := s.blobs.Get(testID + "/" + pageID + "/" + file)
+	// .main is PutSite's marker for GetSite, not a file of the page.
+	if file == ".main" {
+		writeError(w, http.StatusNotFound, "resource not found")
+		return
+	}
+	view, err := s.blobs.Open(r.PathValue("id") + "/" + r.PathValue("page") + "/" + file)
 	if err != nil {
 		if errors.Is(err, store.ErrNotFound) || errors.Is(err, store.ErrInvalidKey) {
 			writeError(w, http.StatusNotFound, "resource not found")
@@ -427,19 +435,25 @@ func (s *Server) handlePageFile(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "reading resource: %v", err)
 		return
 	}
+	defer view.Close()
+	h := w.Header()
 	switch {
 	case strings.HasSuffix(file, ".html"):
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
+		h.Set("Content-Type", "text/html; charset=utf-8")
 	case strings.HasSuffix(file, ".css"):
-		w.Header().Set("Content-Type", "text/css")
+		h.Set("Content-Type", "text/css")
 	case strings.HasSuffix(file, ".js"):
-		w.Header().Set("Content-Type", "text/javascript")
+		h.Set("Content-Type", "text/javascript")
 	default:
-		w.Header().Set("Content-Type", "application/octet-stream")
+		h.Set("Content-Type", "application/octet-stream")
 	}
-	w.WriteHeader(http.StatusOK)
-	// Best effort: the client observes short writes as transport errors.
-	_, _ = w.Write(data)
+	// Revalidate on every use, never "immutable": the URL names the test,
+	// not the content, and a test id can be deleted and prepared again.
+	h.Set("Cache-Control", "no-cache")
+	if view.ETag != "" {
+		h.Set("ETag", view.ETag)
+	}
+	http.ServeContent(w, r, "", time.Time{}, view.Content)
 }
 
 // SessionUpload is what the extension posts when a participant finishes.

@@ -61,10 +61,11 @@ type Config struct {
 
 const (
 	defaultTimeout = 10 * time.Second
-	// maxProxyBody bounds any single buffered request or response body.
-	// Bodies are buffered, not streamed, because a retried attempt must
-	// replay the bytes; the server's own budgets (1MiB sessions, 32MiB
-	// batches) sit far below this backstop.
+	// maxProxyBody bounds any single request or response body. Request
+	// bodies are buffered because a retried attempt must replay the bytes,
+	// response bodies wherever the router parses them or may yet discard
+	// them; the server's own budgets (1MiB sessions, 32MiB batches) sit far
+	// below this backstop.
 	maxProxyBody = 64 << 20
 	// routerMaxBatchSessions mirrors the server's per-batch element cap so
 	// a split batch cannot smuggle more elements past it than a
@@ -156,12 +157,20 @@ func relay(up *failover.Response) failover.Verdict {
 }
 
 // doShard performs one logical request against a shard through its
-// failover loop. It returns the last response seen when the budget runs
-// out — a shed to pass through beats a synthetic error — and an error
-// (matching failover.ErrRingExhausted) only when no node ever answered.
+// failover loop and buffers the answer, for the callers that parse it. It
+// returns the last response seen when the budget runs out — a shed to pass
+// through beats a synthetic error — and an error (matching
+// failover.ErrRingExhausted) only when no node ever answered.
 func (rt *Router) doShard(ctx context.Context, seg *segment, method, path string, hdr http.Header, body []byte) (*failover.Response, error) {
+	return rt.loopShard(ctx, seg, method, path, hdr, body, false)
+}
+
+// loopShard is doShard with the choice of leaving an accepted answer's body
+// unread in Response.Stream (writeUpstream relays and closes it). Answers
+// the loop refuses come back buffered either way.
+func (rt *Router) loopShard(ctx context.Context, seg *segment, method, path string, hdr http.Header, body []byte, stream bool) (*failover.Response, error) {
 	up, err := seg.loop.Do(ctx, func(node int) (*failover.Response, error) {
-		return rt.try(ctx, seg.httpc[node], seg.loop.Ring.Node(node), method, path, hdr, body)
+		return rt.try(ctx, seg.httpc[node], seg.loop.Ring.Node(node), method, path, hdr, body, stream)
 	}, relay)
 	if up != nil {
 		return up, nil
@@ -172,9 +181,27 @@ func (rt *Router) doShard(ctx context.Context, seg *segment, method, path string
 	return nil, fmt.Errorf("shard %s: %w", seg.name, err)
 }
 
-func (rt *Router) try(ctx context.Context, httpc *http.Client, base, method, path string, hdr http.Header, body []byte) (*failover.Response, error) {
+// attemptBody is the unread body of a streamed attempt. rt.timeout bounds
+// the attempt to the last byte, not just to the headers, so the timeout's
+// cancel waits for Close.
+type attemptBody struct {
+	io.ReadCloser
+	cancel context.CancelFunc
+}
+
+func (b attemptBody) Close() error {
+	err := b.ReadCloser.Close()
+	b.cancel()
+	return err
+}
+
+func (rt *Router) try(ctx context.Context, httpc *http.Client, base, method, path string, hdr http.Header, body []byte, stream bool) (up *failover.Response, err error) {
 	actx, cancel := context.WithTimeout(ctx, rt.timeout)
-	defer cancel()
+	defer func() {
+		if up == nil || up.Stream == nil { // else attemptBody.Close cancels
+			cancel()
+		}
+	}()
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -191,15 +218,50 @@ func (rt *Router) try(ctx context.Context, httpc *http.Client, base, method, pat
 	if err != nil {
 		return nil, err
 	}
+	up = &failover.Response{Status: resp.StatusCode, Header: resp.Header.Clone()}
+	if stream {
+		// Past the backstop the read fails, whoever is reading: the loop
+		// buffering an answer it refused, or the relay (which aborts).
+		up.Stream = attemptBody{http.MaxBytesReader(nil, resp.Body, maxProxyBody), cancel}
+		return up, nil
+	}
 	defer resp.Body.Close()
-	b, err := io.ReadAll(io.LimitReader(resp.Body, maxProxyBody+1))
-	if err != nil {
-		return nil, err
+	if up.Body, err = readBounded(resp.Body, resp.ContentLength, maxProxyBody); err != nil {
+		return nil, fmt.Errorf("shard: response from %s: %w", base, err)
 	}
-	if len(b) > maxProxyBody {
-		return nil, fmt.Errorf("shard: response from %s exceeds %d bytes", base, maxProxyBody)
+	return up, nil
+}
+
+// readBounded buffers a body of at most limit bytes. It is io.ReadAll with
+// the buffer sized once from the declared length n (-1: not declared), plus
+// the byte of room in which the reader reports EOF; a body that outruns its
+// declaration still grows, up to the limit.
+func readBounded(body io.Reader, n, limit int64) ([]byte, error) {
+	if n > limit {
+		return nil, fmt.Errorf("body exceeds %d bytes", limit)
 	}
-	return &failover.Response{Status: resp.StatusCode, Header: resp.Header.Clone(), Body: b}, nil
+	if n < 0 {
+		n = 511 // io.ReadAll's start
+	}
+	b := make([]byte, 0, n+1)
+	r := io.LimitReader(body, limit+1)
+	for {
+		m, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+m]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
+	if int64(len(b)) > limit {
+		return nil, fmt.Errorf("body exceeds %d bytes", limit)
+	}
+	return b, nil
 }
 
 // hopByHop lists the connection-scoped headers a proxy must not forward
@@ -231,6 +293,11 @@ func copyProxyHeader(dst, src http.Header) {
 // are per shard and the router has already fenced this segment, so a
 // caller with one ring for the whole deployment would otherwise refuse a
 // healthy shard's ack because some other shard has been promoted further.
+//
+// A streamed answer is copied through with its declared length and closed.
+// Should the upstream die mid-body the status line has already gone out,
+// so the client connection is aborted: the client sees a transport error,
+// never a short 200.
 func (rt *Router) writeUpstream(w http.ResponseWriter, up *failover.Response) {
 	h := w.Header()
 	copyProxyHeader(h, up.Header)
@@ -240,8 +307,19 @@ func (rt *Router) writeUpstream(w http.ResponseWriter, up *failover.Response) {
 		h.Get("Retry-After") == "" {
 		h.Set("Retry-After", "1")
 	}
+	if up.Stream == nil {
+		w.WriteHeader(up.Status)
+		w.Write(up.Body)
+		return
+	}
+	defer up.Stream.Close()
+	if n := up.Header["Content-Length"]; n != nil {
+		h["Content-Length"] = n
+	}
 	w.WriteHeader(up.Status)
-	w.Write(up.Body)
+	if _, err := io.Copy(w, up.Stream); err != nil {
+		panic(http.ErrAbortHandler)
+	}
 }
 
 // writeUnreachable is the router-minted 503 for a ring segment whose
@@ -269,14 +347,7 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 // concern; the proxy must replay bodies across retries, so it buffers).
 func readBody(r *http.Request, limit int64) ([]byte, error) {
 	defer r.Body.Close()
-	b, err := io.ReadAll(io.LimitReader(r.Body, limit+1))
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(b)) > limit {
-		return nil, fmt.Errorf("body exceeds %d bytes", limit)
-	}
-	return b, nil
+	return readBounded(r.Body, r.ContentLength, limit)
 }
 
 // ServeHTTP routes one request: single-shard paths are proxied to the
@@ -336,7 +407,7 @@ func (rt *Router) handleTest(w http.ResponseWriter, r *http.Request, rest string
 }
 
 // proxyKey forwards the request to the shard owning key, buffering the
-// body for retry replay.
+// request body for retry replay and streaming the accepted answer through.
 func (rt *Router) proxyKey(w http.ResponseWriter, r *http.Request, key string) {
 	body, err := readBody(r, maxProxyBody)
 	if err != nil {
@@ -347,7 +418,7 @@ func (rt *Router) proxyKey(w http.ResponseWriter, r *http.Request, key string) {
 		body = nil
 	}
 	seg := rt.shards[rt.ring.Owner(key)]
-	up, err := rt.doShard(r.Context(), seg, r.Method, r.URL.RequestURI(), r.Header, body)
+	up, err := rt.loopShard(r.Context(), seg, r.Method, r.URL.RequestURI(), r.Header, body, true)
 	if err != nil {
 		rt.writeUnreachable(w, r.Method+" "+r.URL.Path, err)
 		return

@@ -1,16 +1,19 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
 	"syscall"
+	"time"
 
 	"kaleidoscope/internal/webgen"
 )
@@ -46,6 +49,13 @@ type BlobStats struct {
 // stored once, and logical keys reference them — in memory by sharing the
 // backing slice, on disk by hard-linking the logical path to
 // .cas/<sha256>. Get and List are oblivious to which API stored a key.
+//
+// Invariant: a stored payload is never written again. Put and PutCAS copy
+// the caller's bytes into a fresh slice (memory) or a fresh file (directory:
+// an existing path is unlinked, never truncated in place), and overwrite and
+// delete only drop references. Open's copy-free view rests on it: a reader
+// over the shared slice or the open file sees the complete payload it
+// opened whatever happens to the key meanwhile.
 type BlobStore struct {
 	mu    sync.RWMutex
 	dir   string // "" = memory-only
@@ -53,6 +63,13 @@ type BlobStore struct {
 	refs  map[string]string    // logical key -> content hash (CAS-stored keys)
 	cas   map[string]*casEntry // content hash -> live payload bookkeeping
 	stats BlobStats
+
+	// validators remembers, on the directory backend, the hash Open computed
+	// for a key and the file it was computed from. refs cannot serve here:
+	// it is per-process, and the directory may be prepared by one process
+	// and served (or re-prepared) by another.
+	vmu        sync.Mutex
+	validators map[string]validator
 }
 
 // casEntry tracks one distinct content-addressed payload.
@@ -80,10 +97,11 @@ func OpenBlobStore(dir string) (*BlobStore, error) {
 		return nil, fmt.Errorf("store: creating blob dir: %w", err)
 	}
 	return &BlobStore{
-		dir:  dir,
-		mem:  make(map[string][]byte),
-		refs: make(map[string]string),
-		cas:  make(map[string]*casEntry),
+		dir:        dir,
+		mem:        make(map[string][]byte),
+		refs:       make(map[string]string),
+		cas:        make(map[string]*casEntry),
+		validators: make(map[string]validator),
 	}, nil
 }
 
@@ -127,11 +145,12 @@ func (b *BlobStore) Put(key string, data []byte) error {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			return fmt.Errorf("store: creating blob parent: %w", err)
 		}
-		// If the path is a hard link into the CAS area, truncating it in
-		// place would corrupt the shared payload — break the link first.
-		if _, linked := b.refs[clean]; linked {
-			_ = os.Remove(path)
-		}
+		// Never write through an existing path. It may be a hard link into
+		// the CAS area — this process's, or one an earlier process made
+		// that b.refs knows nothing about — and truncating it in place
+		// would corrupt the shared payload and tear the bytes under a
+		// reader that has the file open.
+		_ = os.Remove(path)
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			return fmt.Errorf("store: writing blob %s: %w", clean, err)
 		}
@@ -212,9 +231,16 @@ func (b *BlobStore) PutCAS(key string, data []byte) error {
 	return nil
 }
 
-// releaseLocked drops key's reference into the CAS layer, if any. Callers
-// hold b.mu.
+// releaseLocked drops key's reference into the CAS layer, if any, and the
+// validator remembered for it. Callers hold b.mu.
 func (b *BlobStore) releaseLocked(clean string) {
+	if b.dir != "" {
+		// The stat comparison in Open would catch the rewrite anyway;
+		// forgetting here keeps the bookkeeping to live keys.
+		b.vmu.Lock()
+		delete(b.validators, clean)
+		b.vmu.Unlock()
+	}
 	hash, ok := b.refs[clean]
 	if !ok {
 		return
@@ -350,6 +376,138 @@ func (b *BlobStore) Get(key string) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, clean)
 	}
 	return append([]byte(nil), data...), nil
+}
+
+// BlobView is a read-only open of one stored payload, for serving it
+// without copying it. Close it when done.
+type BlobView struct {
+	// Content reads the payload from its start: the store's own slice on
+	// the memory backend, the open file on the directory backend.
+	Content io.ReadSeeker
+	Size    int64
+	// ETag is a strong validator, the payload's SHA-256 in hex between
+	// quotes, or "" when the store holds no hash for the key (a memory key
+	// stored with plain Put).
+	ETag string
+
+	mem  bytes.Reader
+	file *os.File
+}
+
+// Close releases the open file, if the view holds one.
+func (v *BlobView) Close() error {
+	if v.file == nil {
+		return nil
+	}
+	return v.file.Close()
+}
+
+// validator is the hash of a directory-backend payload together with the
+// identity of the file it was read from. It is believed only while the key
+// still names a file with that inode, size and modification time.
+type validator struct {
+	ino   uint64
+	size  int64
+	mtime time.Time
+	etag  string
+}
+
+// racyWindow is how long after its modification time a file must have been
+// hashed for the hash to be remembered: the granularity of that timestamp.
+// A file hashed sooner could be rewritten after the hash — same size,
+// recycled inode — and still show the same mtime, so its hash serves the
+// one answer and is computed again next time (the rule git applies to its
+// index). A stamp with sub-millisecond digits comes from a file system that
+// keeps nanoseconds, where only the kernel's tick is coarse (10 ms at
+// HZ=100); anything rounder may be whole seconds, or FAT's two.
+func racyWindow(mtime time.Time) time.Duration {
+	if mtime.Nanosecond()%int(time.Millisecond) != 0 {
+		return 20 * time.Millisecond
+	}
+	return 2 * time.Second
+}
+
+// Open returns a read-only view of the blob stored under key: its size, its
+// validator and a reader over the stored bytes themselves. It is the
+// serving path's read; Get is for callers that want a copy they own.
+func (b *BlobStore) Open(key string) (*BlobView, error) {
+	clean, err := cleanKey(key)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %q", err, key)
+	}
+	// Held to the end, as Get holds it across ReadFile: a DeletePrefix
+	// then runs wholly before this open (not found) or wholly after it
+	// (and forgets the validator remembered here).
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	if b.dir == "" {
+		data, ok := b.mem[clean]
+		if !ok {
+			return nil, fmt.Errorf("%w: %s", ErrNotFound, clean)
+		}
+		v := &BlobView{Size: int64(len(data))}
+		if hash, ok := b.refs[clean]; ok {
+			v.ETag = `"` + hash + `"`
+		}
+		v.mem.Reset(data)
+		v.Content = &v.mem
+		return v, nil
+	}
+	f, err := os.Open(filepath.Join(b.dir, filepath.FromSlash(clean)))
+	if err != nil {
+		if os.IsNotExist(err) {
+			return nil, fmt.Errorf("%w: %s", ErrNotFound, clean)
+		}
+		return nil, fmt.Errorf("store: opening blob %s: %w", clean, err)
+	}
+	// Stat the descriptor, not the path: the validator must describe the
+	// bytes this view will read.
+	info, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("store: opening blob %s: %w", clean, err)
+	}
+	if !info.Mode().IsRegular() {
+		// A key that names a directory ("t/page") is not a blob.
+		f.Close()
+		return nil, fmt.Errorf("%w: %s", ErrNotFound, clean)
+	}
+	etag, err := b.fileETag(clean, f, info)
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("store: hashing blob %s: %w", clean, err)
+	}
+	return &BlobView{Content: f, Size: info.Size(), ETag: etag, file: f}, nil
+}
+
+// fileETag returns the validator of the open blob file f: the remembered
+// one while f is the file it was computed from, otherwise a fresh hash of
+// f's bytes (leaving f at its start).
+func (b *BlobStore) fileETag(clean string, f *os.File, info os.FileInfo) (string, error) {
+	st, identified := info.Sys().(*syscall.Stat_t)
+	if identified {
+		b.vmu.Lock()
+		v, ok := b.validators[clean]
+		b.vmu.Unlock()
+		if ok && v.ino == st.Ino && v.size == info.Size() && v.mtime.Equal(info.ModTime()) {
+			return v.etag, nil
+		}
+	}
+	hashedAt := time.Now()
+	h := sha256.New()
+	if _, err := io.Copy(h, f); err != nil {
+		return "", err
+	}
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		return "", err
+	}
+	etag := `"` + hex.EncodeToString(h.Sum(nil)) + `"`
+	if identified && hashedAt.Sub(info.ModTime()) >= racyWindow(info.ModTime()) {
+		b.vmu.Lock()
+		b.validators[clean] = validator{ino: st.Ino, size: info.Size(), mtime: info.ModTime(), etag: etag}
+		b.vmu.Unlock()
+	}
+	return etag, nil
 }
 
 // List returns the sorted keys under the given prefix. Content-addressed
