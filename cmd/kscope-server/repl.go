@@ -124,5 +124,12 @@ func buildStandby(storeDir string, quiet bool, gcfg *guard.Config) (http.Handler
 		}
 		fmt.Printf("kscope-server: promoted to primary at epoch %d\n", epoch)
 	}()
-	return node, func() { signal.Stop(promote) }, nil
+	return node, func() {
+		signal.Stop(promote)
+		// Graceful stop: save the position so the primary streams on after
+		// the restart instead of sending a snapshot.
+		if err := follower.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, "kscope-server: saving replication position:", err)
+		}
+	}, nil
 }

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"sync"
 
@@ -27,15 +26,18 @@ const (
 	maxSnapshotBody = 1 << 30
 )
 
-// followerMeta is what survives a follower restart. Seq may lag the data
-// on disk (a crash between apply and meta write) — that only makes the
-// primary resend frames the idempotent replay absorbs. Epoch must never
-// lag: it is persisted before any apply that depends on it.
+// followerMeta is what survives a follower restart, and it is written only
+// where that matters: when an epoch is adopted (before any apply that
+// depends on it — Epoch must never lag), after a snapshot, at promotion and
+// by Close. It is not written per frames request. A follower that stops
+// without Close therefore restarts with a Seq at or behind the data on its
+// disk, never ahead of it: every frame it acknowledged was fsynced before
+// the position moved in memory. A lagging Seq costs the primary a resend
+// or a snapshot, which the idempotent replay absorbs.
 type followerMeta struct {
-	Epoch       uint64   `json:"epoch"`
-	Seq         uint64   `json:"seq"`
-	Promoted    bool     `json:"promoted,omitempty"`
-	Collections []string `json:"collections,omitempty"`
+	Epoch    uint64 `json:"epoch"`
+	Seq      uint64 `json:"seq"`
+	Promoted bool   `json:"promoted,omitempty"`
 }
 
 // FollowerConfig configures NewFollower.
@@ -61,8 +63,8 @@ type Follower struct {
 	epoch    uint64
 	lastSeq  uint64
 	promoted bool
+	closed   bool
 	wals     map[string]store.WALFile
-	known    map[string]bool // collections with a WAL file on disk
 
 	framesApplied *obs.Counter
 	bytesApplied  *obs.Counter
@@ -86,10 +88,9 @@ func NewFollower(cfg FollowerConfig) (*Follower, error) {
 		return nil, fmt.Errorf("replica: creating %s: %w", cfg.Dir, err)
 	}
 	f := &Follower{
-		dir:   cfg.Dir,
-		fs:    fs,
-		wals:  make(map[string]store.WALFile),
-		known: make(map[string]bool),
+		dir:  cfg.Dir,
+		fs:   fs,
+		wals: make(map[string]store.WALFile),
 	}
 	if data, err := fs.ReadFile(f.metaPath()); err == nil {
 		var meta followerMeta
@@ -97,9 +98,6 @@ func NewFollower(cfg FollowerConfig) (*Follower, error) {
 			return nil, fmt.Errorf("replica: corrupt %s: %w", f.metaPath(), err)
 		}
 		f.epoch, f.lastSeq, f.promoted = meta.Epoch, meta.Seq, meta.Promoted
-		for _, c := range meta.Collections {
-			f.known[c] = true
-		}
 	} else if !os.IsNotExist(err) {
 		return nil, fmt.Errorf("replica: reading %s: %w", f.metaPath(), err)
 	}
@@ -133,8 +131,9 @@ func (f *Follower) Epoch() uint64 {
 	return f.epoch
 }
 
-// AckedSeq returns the highest replicated sequence the follower has
-// durably applied.
+// AckedSeq returns the follower's position: the highest replicated sequence
+// number it knows it has durably applied (after a restart without Close,
+// possibly less than it has).
 func (f *Follower) AckedSeq() uint64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -144,14 +143,7 @@ func (f *Follower) AckedSeq() uint64 {
 // saveMetaLocked durably persists the follower position (temp file, atomic
 // rename, directory fsync). Called with f.mu held.
 func (f *Follower) saveMetaLocked() error {
-	names := make([]string, 0, len(f.known))
-	for c := range f.known {
-		names = append(names, c)
-	}
-	sort.Strings(names)
-	data, err := json.Marshal(followerMeta{
-		Epoch: f.epoch, Seq: f.lastSeq, Promoted: f.promoted, Collections: names,
-	})
+	data, err := json.Marshal(followerMeta{Epoch: f.epoch, Seq: f.lastSeq, Promoted: f.promoted})
 	if err != nil {
 		return fmt.Errorf("replica: encoding meta: %w", err)
 	}
@@ -203,6 +195,10 @@ func (f *Follower) checkEpochLocked(w http.ResponseWriter, r *http.Request) (uin
 	reqEpoch, err := strconv.ParseUint(r.Header.Get(HeaderEpoch), 10, 64)
 	if err != nil {
 		http.Error(w, "replica: missing or bad "+HeaderEpoch, http.StatusBadRequest)
+		return 0, false
+	}
+	if f.closed {
+		http.Error(w, "replica: follower closed", http.StatusServiceUnavailable)
 		return 0, false
 	}
 	if f.promoted || reqEpoch < f.epoch {
@@ -264,19 +260,25 @@ func (f *Follower) handleFrames(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	// Meta lagging the data is safe (duplicates are idempotent), so a
-	// failed position save does not fail the request.
-	_ = f.saveMetaLocked()
 	f.replyLocked(w, http.StatusOK)
 }
 
 // applyLocked appends every frame newer than the follower's position to
 // the owning collection's WAL — one buffered Write and one fsync per
-// touched collection — then advances the position. A failure leaves the
-// position unmoved: the primary resends, duplicates replay idempotently,
-// and a torn trailing line heals through the store's normal recovery at
-// promotion. Called with f.mu held.
-func (f *Follower) applyLocked(frames []frame) error {
+// touched collection — then advances the position in memory. A failure
+// leaves the position unmoved and drops every append handle: the primary
+// resends, duplicates replay idempotently, and the reopened handles sync
+// the directory again.
+//
+// A handle's first write starts with a newline. Whatever ended the last
+// handle's life — this process's failed append, or the death of an earlier
+// process mid-write — may have left a torn line at the end of the file, and
+// a frame appended straight after it would become part of that line and be
+// thrown away with it by the store's recovery although it was acknowledged.
+// On its own line the fragment is quarantined or truncated at promotion
+// like any torn record; a blank line is skipped by every reader.
+// Called with f.mu held.
+func (f *Follower) applyLocked(frames []frame) (err error) {
 	var (
 		order   []string
 		pending = make(map[string]*bytes.Buffer)
@@ -293,6 +295,9 @@ func (f *Follower) applyLocked(frames []frame) error {
 			buf = &bytes.Buffer{}
 			pending[fr.collection] = buf
 			order = append(order, fr.collection)
+			if _, open := f.wals[fr.collection]; !open {
+				buf.WriteByte('\n') // a fresh handle starts on a new line
+			}
 		}
 		buf.Write(fr.inner)
 		buf.WriteByte('\n')
@@ -302,17 +307,27 @@ func (f *Follower) applyLocked(frames []frame) error {
 			maxSeq = fr.seq
 		}
 	}
-	created := false
-	for _, name := range order {
-		wf, err := f.walLocked(name, &created)
+	defer func() {
 		if err != nil {
-			return err
+			f.closeWALsLocked()
+		}
+	}()
+	opened := false
+	for _, name := range order {
+		wf, ok := f.wals[name]
+		if !ok {
+			if wf, err = f.fs.OpenAppend(store.WALPath(f.dir, name)); err != nil {
+				return err
+			}
+			f.wals[name] = wf
+			opened = true
 		}
 		if _, err := wf.Write(pending[name].Bytes()); err != nil {
 			return fmt.Errorf("replica: appending %s: %w", name, err)
 		}
 	}
-	if created {
+	if opened {
+		// The file may be new: its name must be as durable as its bytes.
 		if err := f.fs.SyncDir(f.dir); err != nil {
 			return err
 		}
@@ -328,23 +343,6 @@ func (f *Follower) applyLocked(frames []frame) error {
 		f.bytesApplied.Add(nbytes)
 	}
 	return nil
-}
-
-// walLocked returns (opening if needed) the collection's append handle.
-func (f *Follower) walLocked(name string, created *bool) (store.WALFile, error) {
-	if wf, ok := f.wals[name]; ok {
-		return wf, nil
-	}
-	wf, err := f.fs.OpenAppend(store.WALPath(f.dir, name))
-	if err != nil {
-		return nil, err
-	}
-	if !f.known[name] {
-		f.known[name] = true
-		*created = true
-	}
-	f.wals[name] = wf
-	return wf, nil
 }
 
 func (f *Follower) handleSnapshot(w http.ResponseWriter, r *http.Request) {
@@ -382,7 +380,6 @@ func (f *Follower) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, fmt.Sprintf("replica: writing snapshot %s: %v", name, err), http.StatusInternalServerError)
 			return
 		}
-		f.known[name] = true
 	}
 	if err := f.fs.SyncDir(f.dir); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -390,10 +387,10 @@ func (f *Follower) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	f.lastSeq = watermark
 	if err := f.saveMetaLocked(); err != nil {
-		// Unlike frames, the watermark jump must stick: losing it would
-		// leave lastSeq behind files that already contain newer records —
-		// harmless for data (idempotent) but it would re-trigger endless
-		// snapshots. Still safe, but report the failure.
+		// The watermark jump must stick: a follower that forgot it would
+		// restart behind files that already hold the snapshot and ask for
+		// it again. Safe for the data (idempotent), but report the failure
+		// so the primary does not count the snapshot as taken.
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
@@ -416,6 +413,26 @@ func (f *Follower) closeWALsLocked() {
 		_ = wf.Close()
 		delete(f.wals, name)
 	}
+}
+
+// Close is the standby's graceful shutdown: it syncs and closes the WAL
+// handles and persists the position, so the next NewFollower over the same
+// directory resumes exactly where this one stopped and the primary streams
+// on without a snapshot. Replication requests that arrive afterwards are
+// refused. A follower that is never closed loses nothing it acknowledged
+// (see followerMeta).
+func (f *Follower) Close() error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.closed {
+		return nil
+	}
+	f.closed = true
+	f.closeWALsLocked()
+	if f.promoted {
+		return nil // the promoted store owns the directory; promotion saved
+	}
+	return f.saveMetaLocked()
 }
 
 // Promote turns the standby into a live store: the follower durably bumps

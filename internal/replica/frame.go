@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 	"strconv"
 
 	"kaleidoscope/internal/store"
@@ -37,22 +38,38 @@ type frame struct {
 	inner      []byte // the framed WAL line, no trailing newline
 }
 
-// appendFrame renders one outer line (with trailing newline) onto dst.
-func appendFrame(dst *bytes.Buffer, epoch, seq uint64, collection string, inner []byte) {
-	// Body first, so the checksum can cover it.
-	body := fmt.Sprintf("%08x %016x %s ", epoch, seq, collection)
-	dst.WriteString(frameMagic)
-	dst.WriteByte(' ')
-	fmt.Fprintf(dst, "%08x", crc32Update(crc32.ChecksumIEEE([]byte(body)), inner))
-	dst.WriteByte(' ')
-	dst.WriteString(body)
-	dst.Write(inner)
-	dst.WriteByte('\n')
+// frameOverhead is what framing adds to an inner line, collection name
+// apart: magic, checksum, epoch and sequence fields with their separators
+// (epochs past 32 bits print wider; append grows the buffer then).
+const frameOverhead = len(frameMagic) + 1 + 8 + 1 + 8 + 1 + 16 + 1 + 1
+
+// appendFrame renders one outer line (with trailing newline) onto dst and
+// returns the extended slice.
+func appendFrame(dst []byte, epoch, seq uint64, collection string, inner []byte) []byte {
+	dst = append(dst, frameMagic...)
+	dst = append(dst, ' ')
+	// The checksum covers everything after its own field, so leave a gap
+	// and fill it once the rest of the line is in place.
+	crcAt := len(dst)
+	dst = append(dst, "00000000 "...)
+	body := len(dst)
+	dst = appendHex(dst, epoch, 8)
+	dst = append(dst, ' ')
+	dst = appendHex(dst, seq, 16)
+	dst = append(dst, ' ')
+	dst = append(dst, collection...)
+	dst = append(dst, ' ')
+	dst = append(dst, inner...)
+	appendHex(dst[crcAt:crcAt], uint64(crc32.ChecksumIEEE(dst[body:])), 8)
+	return append(dst, '\n')
 }
 
-// crc32Update extends an IEEE checksum over more bytes.
-func crc32Update(crc uint32, p []byte) uint32 {
-	return crc32.Update(crc, crc32.IEEETable, p)
+// appendHex appends v in lower-case hex, zero-padded to width digits (%0*x).
+func appendHex(dst []byte, v uint64, width int) []byte {
+	for digits := (bits.Len64(v|1) + 3) / 4; digits < width; digits++ {
+		dst = append(dst, '0')
+	}
+	return strconv.AppendUint(dst, v, 16)
 }
 
 // parseFrame decodes one outer line (no trailing newline).

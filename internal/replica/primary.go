@@ -46,11 +46,14 @@ func (s primaryState) String() string {
 	}
 }
 
-// pendingFrame is one rendered outer line awaiting follower ack.
-type pendingFrame struct {
-	seq  uint64
-	line []byte // full #r1 line, newline included
+// pendingBatch is the rendered outer lines of one Ship call awaiting
+// follower ack: one buffer, POSTed as it is.
+type pendingBatch struct {
+	first, last uint64 // sequence numbers of its first and last frame
+	lines       []byte // full #r1 lines, newlines included
 }
+
+func (b pendingBatch) frames() int { return int(b.last - b.first + 1) }
 
 // PrimaryConfig configures NewPrimary.
 type PrimaryConfig struct {
@@ -79,9 +82,15 @@ type PrimaryConfig struct {
 }
 
 // Primary is the shipping half of the replicated backend: it implements
-// store.Shipper, assigns each locally durable WAL frame a global sequence
-// number, and delivers the stream to the follower — tail frames when the
-// follower is close, snapshot + tail when it is not.
+// store.Shipper, assigns each WAL frame the store hands it a global
+// sequence number, and delivers the stream to the follower — tail frames
+// when the follower is close, snapshot + tail when it is not.
+//
+// Sequence numbers belong to one Primary value — one process incarnation:
+// Bind starts them over. A position a follower reports is therefore only
+// believed once this incarnation has put the follower on its own numbering
+// with a snapshot (onStream), and never when it lies beyond the last
+// number assigned here.
 type Primary struct {
 	cfg   PrimaryConfig
 	httpc *http.Client
@@ -92,8 +101,10 @@ type Primary struct {
 	stateCh  chan struct{} // closed+replaced on every state or ack change
 	seq      uint64        // last assigned sequence number
 	floor    uint64        // highest seq NOT in the buffer (dropped or pre-bind)
-	acked    uint64        // highest follower-acked sequence number
-	buffer   []pendingFrame
+	acked    uint64        // highest follower-acked sequence number; <= seq
+	onStream bool          // the follower took a snapshot minted by this incarnation
+	buffer   []pendingBatch
+	bufCount int // frames in buffer
 	bufBytes int64
 	lastErr  error
 
@@ -162,9 +173,10 @@ func NewPrimary(cfg PrimaryConfig) (*Primary, error) {
 }
 
 // Bind attaches the opened database (the snapshot source) and starts the
-// background replication loop. A database that already holds data is
-// represented as sequence 1, so a fresh follower (acked 0) is always sent
-// a snapshot rather than a tail that could not contain the history.
+// background replication loop, whose first contact with the follower is
+// always a snapshot transfer (see reconnect). A database that already holds
+// data is represented as sequence 1, so Lag reads nonzero until that
+// history has reached the follower.
 func (p *Primary) Bind(db *store.DB) {
 	p.mu.Lock()
 	p.db = db
@@ -200,12 +212,15 @@ func (p *Primary) State() string {
 	return p.state.String()
 }
 
-// Lag reports how far the follower trails: unacked frames and their
-// buffered bytes.
+// Lag reports how far the follower trails: unacked frames and the bytes
+// buffered for it.
 func (p *Primary) Lag() (frames uint64, bytes int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.seq - p.acked, p.bufBytes
+	if p.acked < p.seq {
+		frames = p.seq - p.acked
+	}
+	return frames, p.bufBytes
 }
 
 // Close stops the background loop. It does not fence the primary.
@@ -214,15 +229,21 @@ func (p *Primary) Close() {
 }
 
 // Ship implements store.Shipper. It is called with the owning collection's
-// lock held, after the frames are locally durable: it stamps each framed
-// line with the epoch and the next sequence numbers, buffers the rendered
-// outer lines, and — under AckFollower — synchronously drives them to the
-// follower, failing the write if the follower cannot be reached in time.
+// lock held, once the frames are in the local WAL file and while the store
+// fsyncs them (the store joins the two before it acknowledges): it stamps
+// each framed line with the epoch and the next sequence numbers, buffers
+// the rendered outer lines, and — under AckFollower — synchronously drives
+// them to the follower, failing the write if the follower cannot be reached
+// in time.
 func (p *Primary) Ship(collection string, frames []byte, records int) error {
 	p.mu.Lock()
 	if p.state == stateFenced {
 		p.mu.Unlock()
 		return ErrFenced
+	}
+	batch := pendingBatch{
+		first: p.seq + 1,
+		lines: make([]byte, 0, len(frames)+records*(frameOverhead+len(collection))),
 	}
 	for rest := frames; len(rest) > 0; {
 		var line []byte
@@ -235,12 +256,15 @@ func (p *Primary) Ship(collection string, frames []byte, records int) error {
 			continue
 		}
 		p.seq++
-		var out bytes.Buffer
-		appendFrame(&out, p.cfg.Epoch, p.seq, collection, line)
-		p.buffer = append(p.buffer, pendingFrame{seq: p.seq, line: out.Bytes()})
-		p.bufBytes += int64(out.Len())
+		batch.lines = appendFrame(batch.lines, p.cfg.Epoch, p.seq, collection, line)
 	}
 	last := p.seq
+	if last >= batch.first {
+		batch.last = last
+		p.buffer = append(p.buffer, batch)
+		p.bufCount += batch.frames()
+		p.bufBytes += int64(len(batch.lines))
+	}
 	p.trimOverflowLocked()
 	mode := p.cfg.Mode
 	p.mu.Unlock()
@@ -325,20 +349,23 @@ func (p *Primary) drain() error {
 	p.sendMu.Lock()
 	defer p.sendMu.Unlock()
 	p.mu.Lock()
-	if p.state != stateSteady || p.acked >= p.seq {
+	if p.state != stateSteady || p.acked >= p.seq || len(p.buffer) == 0 {
 		p.mu.Unlock()
 		return nil
 	}
-	var body bytes.Buffer
-	n := 0
-	for _, fr := range p.buffer {
-		if fr.seq > p.acked {
-			body.Write(fr.line)
-			n++
+	// Acked batches are trimmed as the watermark rises, so what is buffered
+	// is what is owed (a batch a snapshot watermark split is re-sent whole;
+	// the follower skips the frames it has). The usual case — one writer,
+	// one batch — is POSTed from the buffer Ship rendered it into.
+	body, n := p.buffer[0].lines, p.bufCount
+	if len(p.buffer) > 1 {
+		body = make([]byte, 0, p.bufBytes)
+		for _, b := range p.buffer {
+			body = append(body, b.lines...)
 		}
 	}
 	p.mu.Unlock()
-	reply, status, err := p.post(PathFrames, body.Bytes(), nil)
+	reply, status, err := p.post(PathFrames, body, nil)
 	if err != nil {
 		p.streamDown(err)
 		return fmt.Errorf("replica: shipping frames: %w", err)
@@ -351,10 +378,12 @@ func (p *Primary) drain() error {
 		p.streamDown(err)
 		return err
 	}
-	p.advanceAcked(reply.Acked)
+	if err := p.advanceAcked(reply.Acked); err != nil {
+		return err
+	}
 	if p.framesShipped != nil {
 		p.framesShipped.Add(int64(n))
-		p.bytesShipped.Add(int64(body.Len()))
+		p.bytesShipped.Add(int64(len(body)))
 	}
 	return nil
 }
@@ -412,32 +441,64 @@ func (p *Primary) streamDown(err error) {
 	p.kick()
 }
 
-// advanceAcked raises the ack watermark and trims acked frames.
-func (p *Primary) advanceAcked(acked uint64) {
+// advanceAcked raises the ack watermark to a position the follower
+// reported and trims the batches it covers. A position beyond every
+// sequence number assigned here cannot be about this incarnation's stream
+// (the follower is still on a predecessor's numbering): it is not believed,
+// the stream drops, and the next contact resets the follower by snapshot.
+func (p *Primary) advanceAcked(acked uint64) error {
 	p.mu.Lock()
-	if acked > p.acked {
-		p.acked = acked
-		if p.acked > p.floor {
-			p.floor = p.acked
-		}
-		i := 0
-		for i < len(p.buffer) && p.buffer[i].seq <= p.acked {
-			p.bufBytes -= int64(len(p.buffer[i].line))
-			i++
-		}
-		p.buffer = p.buffer[i:]
-		p.broadcastLocked()
-	}
+	err := p.advanceAckedLocked(acked)
+	p.broadcastLocked()
 	p.mu.Unlock()
+	if err != nil {
+		p.streamDown(err)
+	}
+	return err
+}
+
+// advanceAckedLocked is advanceAcked with p.mu held; waking the waiters and
+// dropping the stream on an error are the caller's.
+func (p *Primary) advanceAckedLocked(acked uint64) error {
+	if acked > p.seq {
+		p.onStream = false
+		return fmt.Errorf("replica: follower position %d is beyond sequence %d: not this primary's stream", acked, p.seq)
+	}
+	if acked <= p.acked {
+		return nil
+	}
+	p.acked = acked
+	if p.acked > p.floor {
+		p.floor = p.acked
+	}
+	for len(p.buffer) > 0 && p.buffer[0].last <= p.acked {
+		p.dropOldestLocked()
+	}
+	return nil
+}
+
+// dropOldestLocked forgets the oldest buffered batch.
+func (p *Primary) dropOldestLocked() {
+	b := p.buffer[0]
+	p.buffer = p.buffer[1:]
+	p.bufCount -= b.frames()
+	p.bufBytes -= int64(len(b.lines))
 }
 
 // trimOverflowLocked enforces the buffer cap by dropping the oldest
-// frames; the follower then needs snapshot catch-up to pass the gap.
+// batches. The follower cannot be streamed past that gap, so a steady
+// stream drops to connecting: reconnect compares the follower's position
+// with the floor and closes the gap by snapshot.
 func (p *Primary) trimOverflowLocked() {
-	for len(p.buffer) > p.cfg.MaxBuffer {
-		p.bufBytes -= int64(len(p.buffer[0].line))
-		p.floor = p.buffer[0].seq
-		p.buffer = p.buffer[1:]
+	dropped := false
+	for p.bufCount > p.cfg.MaxBuffer {
+		p.floor = p.buffer[0].last
+		p.dropOldestLocked()
+		dropped = true
+	}
+	if dropped && p.state == stateSteady {
+		p.state = stateConnecting
+		p.broadcastLocked()
 	}
 }
 
@@ -487,8 +548,9 @@ func (p *Primary) run() {
 }
 
 // reconnect probes the follower and restores the stream: straight to
-// steady when the follower's ack is inside the buffered tail, through a
-// snapshot transfer when it is not.
+// steady when the follower is on this incarnation's numbering and its
+// position is inside the buffered tail, through a snapshot transfer
+// otherwise — which is always the case on an incarnation's first contact.
 func (p *Primary) reconnect() {
 	req, err := http.NewRequest(http.MethodGet, p.cfg.FollowerURL+PathStatus, nil)
 	if err != nil {
@@ -518,18 +580,22 @@ func (p *Primary) reconnect() {
 		p.mu.Unlock()
 		return
 	}
-	// The follower's acked watermark only means something inside our own
-	// (epoch, sequence) stream: a follower still on another primary's
-	// epoch reports positions from that stream, and treating them as ours
-	// would mark frames shipped that never left this machine. Epoch
-	// mismatch therefore always goes through snapshot catch-up, which
-	// adopts our epoch and jumps the follower onto our numbering.
-	if reply.Epoch == p.cfg.Epoch && reply.Acked >= p.floor {
+	// The follower's position only means something inside our own stream:
+	// a follower on another primary's epoch, or on the numbering of an
+	// earlier incarnation at this epoch (a primary restarted with the same
+	// -epoch starts counting again), reports positions from that stream,
+	// and treating them as ours would mark frames shipped that never left
+	// this machine. Both go through snapshot catch-up, which adopts our
+	// epoch and jumps the follower onto our numbering. No exception is made
+	// for a pair that looks empty: a follower's position may lag its data,
+	// so its reply cannot show that it holds nothing, and the snapshot of
+	// an empty primary is an empty POST.
+	if p.onStream && reply.Epoch == p.cfg.Epoch && reply.Acked >= p.floor && reply.Acked <= p.seq {
 		// The buffered tail covers the follower; stream directly.
 		p.state = stateSteady
+		_ = p.advanceAckedLocked(reply.Acked) // within seq: checked above
 		p.broadcastLocked()
 		p.mu.Unlock()
-		p.advanceAcked(reply.Acked)
 		p.kick() // drain whatever queued while down
 		return
 	}
@@ -583,9 +649,10 @@ func (p *Primary) sendSnapshot() {
 	if p.snapshotsSent != nil {
 		p.snapshotsSent.Inc()
 	}
-	p.advanceAcked(reply.Acked)
 	p.mu.Lock()
-	if p.state == stateCatchup {
+	p.onStream = true
+	err = p.advanceAckedLocked(reply.Acked)
+	if err == nil && p.state == stateCatchup {
 		if p.acked >= p.floor {
 			p.state = stateSteady
 		} else {
@@ -593,9 +660,13 @@ func (p *Primary) sendSnapshot() {
 			// flight; go around once more.
 			p.state = stateConnecting
 		}
-		p.broadcastLocked()
 	}
+	p.broadcastLocked()
 	p.mu.Unlock()
+	if err != nil {
+		p.streamDown(err)
+		return
+	}
 	p.kick()
 }
 

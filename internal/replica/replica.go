@@ -1,5 +1,5 @@
 // Package replica turns the store's single-machine WAL into a replicated
-// log: a primary ships every locally durable WAL frame to a warm-standby
+// log: a primary ships every WAL frame the store appends to a warm-standby
 // follower, the follower appends the identical bytes to its own collection
 // logs (replaying them through the store's normal Open/repair path at
 // promotion time), and an epoch number fences a deposed primary the moment
@@ -14,15 +14,36 @@
 // mid-apply on the standby is indistinguishable from a torn local append
 // and heals identically.
 //
+// One write, in order: the store appends the frames to the primary's WAL
+// file; then, at the same time, it fsyncs them (as its sync policy demands)
+// and hands them to Primary.Ship, which numbers them, buffers them and —
+// under AckFollower — POSTs them; the follower verifies each frame twice,
+// appends, fsyncs once per touched collection and replies with its
+// position; the store acknowledges once both the local fsync and Ship have
+// returned nil. A frame therefore leaves the machine written but not yet
+// fsynced — as it always has under the store's default SyncInterval policy.
+// A frame the follower holds and a power-failed primary lost was never
+// acknowledged: a promoted follower may keep it (at-least-once), and a
+// restarted primary resets the follower to its own files by snapshot.
+//
 // Topology and failure model: one primary, one follower, an unreliable
 // link (the tests drive it through netsim.ChaosTransport). The primary
 // buffers unacked frames; a follower that falls behind the buffer — or
-// joins empty — is caught up with a snapshot (the raw on-disk WAL files at
-// a sequence watermark) followed by the buffered tail. Acknowledgement
-// policy is configurable: AckLocal acknowledges an upload once it is
-// locally fsynced and queued for shipping; AckFollower withholds the ack
-// until the follower has the frames too, making an acked upload survive
-// the loss of either machine.
+// meets this primary process for the first time — is caught up with a
+// snapshot (the raw on-disk WAL files at a sequence watermark) followed by
+// the buffered tail. Acknowledgement policy is configurable: AckLocal
+// acknowledges an upload once it is locally fsynced and queued for
+// shipping; AckFollower withholds the ack until the follower has fsynced
+// the frames too, making an acked upload survive the loss of either
+// machine.
+//
+// What each side persists: the primary, nothing beyond its store — sequence
+// numbers live in memory and start over with each Primary, which is why a
+// follower's position is only believed by the process that assigned it.
+// The follower, its WAL files per request and its position file (epoch,
+// sequence, promoted) only when an epoch is adopted, a snapshot lands, it
+// is promoted, or it is Closed; a follower that stops without Close comes
+// back at or behind its data and is healed by resend or snapshot.
 //
 // Fencing: every frame and every replication request carries the primary's
 // epoch. A follower rejects anything minted in an epoch lower than its own

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"kaleidoscope/internal/obs"
 	"kaleidoscope/internal/store"
 )
 
@@ -250,29 +253,350 @@ func TestFollowerAdoptsHigherEpoch(t *testing.T) {
 	}
 }
 
+// replyLoser is a replication link that can lose one reply: the next
+// non-empty frames POST reaches the follower and is handled, then lost(),
+// then the primary gets a transport error instead of the answer.
+type replyLoser struct {
+	armed atomic.Bool
+	lost  func()
+}
+
+func (l *replyLoser) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err != nil || req.URL.Path != PathFrames || req.ContentLength == 0 || !l.armed.CompareAndSwap(true, false) {
+		return resp, err
+	}
+	resp.Body.Close()
+	l.lost()
+	return nil, errors.New("test: reply lost")
+}
+
+// TestFollowerMetaSurvivesRestart: what a restarted follower remembers.
+// The position file is not written per request, so only a graceful Close
+// resumes exactly; a follower that just stops resumes at its adopted epoch
+// and at or behind its data, and the primary closes the distance — by
+// resending what it still buffers, or by snapshot.
 func TestFollowerMetaSurvivesRestart(t *testing.T) {
-	fdir := t.TempDir()
-	f, ts := newFollower(t, fdir)
-	db, _ := openPrimary(t, t.TempDir(), ts.URL, PrimaryConfig{Epoch: 7, Mode: AckFollower})
-	if _, err := db.Collection("sessions").Insert(store.Document{"_id": "a"}); err != nil {
+	type pair struct {
+		fdir string
+		gate *followerGate
+		link *replyLoser
+		reg  *obs.Registry
+		db   *store.DB
+	}
+	setup := func(t *testing.T, maxBuffer int) *pair {
+		p := &pair{fdir: t.TempDir(), gate: &followerGate{}, link: &replyLoser{}, reg: obs.NewRegistry()}
+		f, err := NewFollower(FollowerConfig{Dir: p.fdir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.gate.f = f
+		ts := httptest.NewServer(p.gate)
+		t.Cleanup(ts.Close)
+		p.db, _ = openPrimary(t, t.TempDir(), ts.URL, PrimaryConfig{
+			Epoch: 7, Mode: AckFollower, Transport: p.link, MaxBuffer: maxBuffer, Registry: p.reg,
+		})
+		return p
+	}
+	insert := func(t *testing.T, p *pair, ids ...string) {
+		t.Helper()
+		for _, id := range ids {
+			if _, err := p.db.Collection("sessions").Insert(store.Document{"_id": id}); err != nil {
+				t.Fatalf("insert %s: %v", id, err)
+			}
+		}
+	}
+	reopen := func(t *testing.T, p *pair) *Follower {
+		t.Helper()
+		f, err := NewFollower(FollowerConfig{Dir: p.fdir})
+		if err != nil {
+			t.Fatalf("NewFollower (restart): %v", err)
+		}
+		return f
+	}
+	snapshots := func(p *pair) int64 { return p.reg.Counter("kscope_repl_snapshots_sent").Value() }
+	promotedIDs := func(t *testing.T, p *pair) []string {
+		t.Helper()
+		promoted, _, err := p.gate.f.Promote()
+		if err != nil {
+			t.Fatalf("Promote: %v", err)
+		}
+		defer promoted.Close()
+		var ids []string
+		for _, d := range promoted.Collection("sessions").Find(nil) {
+			ids = append(ids, d.ID())
+		}
+		return ids
+	}
+
+	t.Run("graceful close resumes exactly", func(t *testing.T) {
+		p := setup(t, 0)
+		insert(t, p, "a", "b", "c")
+		old := p.gate.f
+		epoch, pos, before := old.Epoch(), old.AckedSeq(), snapshots(p)
+		p.gate.mu.Lock()
+		if err := old.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		reborn := reopen(t, p)
+		p.gate.f = reborn
+		p.gate.mu.Unlock()
+		if reborn.Epoch() != epoch || epoch != 7 || reborn.AckedSeq() != pos {
+			t.Fatalf("closed follower reopened at %d/%d, want 7/%d", reborn.Epoch(), reborn.AckedSeq(), pos)
+		}
+		insert(t, p, "d")
+		if got := snapshots(p); got != before {
+			t.Errorf("streaming on after a graceful restart took %d snapshots, want 0", got-before)
+		}
+		if got, want := promotedIDs(t, p), []string{"a", "b", "c", "d"}; !reflect.DeepEqual(got, want) {
+			t.Errorf("promoted sessions = %v, want %v", got, want)
+		}
+	})
+
+	// The follower applies and fsyncs one more frame, its reply is lost, and
+	// it stops there without Close: its file says less than its disk holds.
+	abandonAfterLostReply := func(t *testing.T, p *pair) (applied uint64) {
+		p.link.lost = func() {
+			p.gate.mu.Lock()
+			defer p.gate.mu.Unlock()
+			applied = p.gate.f.AckedSeq()
+			reborn, err := NewFollower(FollowerConfig{Dir: p.fdir})
+			if err != nil {
+				t.Errorf("NewFollower (abandoned): %v", err)
+				return
+			}
+			if reborn.Epoch() != 7 {
+				t.Errorf("abandoned follower reopened at epoch %d, want 7", reborn.Epoch())
+			}
+			if reborn.AckedSeq() >= applied {
+				t.Errorf("abandoned follower reopened at position %d; it had applied %d and saved nothing since", reborn.AckedSeq(), applied)
+			}
+			p.gate.f = reborn
+		}
+		p.link.armed.Store(true)
+		return
+	}
+
+	t.Run("abandoned follower healed by buffered resend", func(t *testing.T) {
+		p := setup(t, 0)
+		insert(t, p, "a", "b")
+		// A graceful restart first, so the file is one frame behind — inside
+		// what the primary still buffers — when the follower is abandoned.
+		p.gate.mu.Lock()
+		if err := p.gate.f.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		p.gate.f = reopen(t, p)
+		p.gate.mu.Unlock()
+		before := snapshots(p)
+		abandonAfterLostReply(t, p)
+		insert(t, p, "c") // applied, reply lost, follower abandoned, frame resent
+		insert(t, p, "d")
+		if p.link.armed.Load() {
+			t.Fatal("the reply was never lost; test is vacuous")
+		}
+		if got := snapshots(p); got != before {
+			t.Errorf("healing took %d snapshots, want a resend from the buffer", got-before)
+		}
+		if got, want := promotedIDs(t, p), []string{"a", "b", "c", "d"}; !reflect.DeepEqual(got, want) {
+			t.Errorf("promoted sessions = %v, want %v", got, want)
+		}
+	})
+
+	t.Run("abandoned follower healed by snapshot", func(t *testing.T) {
+		p := setup(t, 2)
+		insert(t, p, "a", "b", "c", "d", "e")
+		before := snapshots(p)
+		abandonAfterLostReply(t, p)
+		insert(t, p, "f") // applied, reply lost, follower abandoned far behind the buffer
+		insert(t, p, "g")
+		if p.link.armed.Load() {
+			t.Fatal("the reply was never lost; test is vacuous")
+		}
+		if got := snapshots(p); got == before {
+			t.Error("a follower behind the buffered tail was not reset by snapshot")
+		}
+		if got, want := promotedIDs(t, p), []string{"a", "b", "c", "d", "e", "f", "g"}; !reflect.DeepEqual(got, want) {
+			t.Errorf("promoted sessions = %v, want %v", got, want)
+		}
+	})
+}
+
+// TestFollowerCloseRefusesTraffic: a closed follower takes no more frames
+// (its position file would go stale again), and Close is idempotent.
+func TestFollowerCloseRefusesTraffic(t *testing.T) {
+	f, ts := newFollower(t, t.TempDir())
+	if got := postFrames(t, ts.URL, "1", nil); got != http.StatusOK {
+		t.Fatalf("probe before Close got HTTP %d", got)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	if got := postFrames(t, ts.URL, "1", nil); got != http.StatusServiceUnavailable {
+		t.Fatalf("frames after Close got HTTP %d, want 503", got)
+	}
+}
+
+// TestFollowerSaveFailures: the three position saves that are load-bearing
+// fail their request when the disk refuses them — an adopted epoch, a
+// snapshot watermark and a promotion must not be forgotten by a crash.
+func TestFollowerSaveFailures(t *testing.T) {
+	ffs := store.NewFaultFS()
+	f, err := NewFollower(FollowerConfig{Dir: t.TempDir(), FS: ffs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(f)
+	defer ts.Close()
+	postSnapshot := func(epoch string) int {
+		t.Helper()
+		var body bytes.Buffer
+		appendSnapshotSection(&body, "sessions", append(frameWAL(t), '\n'))
+		req, _ := http.NewRequest(http.MethodPost, ts.URL+PathSnapshot, &body)
+		req.Header.Set(HeaderEpoch, epoch)
+		req.Header.Set(HeaderSeq, "9")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	ffs.FailDirSync(nil)
+	if got := postFrames(t, ts.URL, "3", nil); got != http.StatusInternalServerError {
+		t.Errorf("adopting epoch 3 with a failing save got HTTP %d, want 500", got)
+	}
+	if f.Epoch() != 0 {
+		t.Errorf("follower serves epoch %d after a refused adoption", f.Epoch())
+	}
+	ffs.Reset()
+	if got := postFrames(t, ts.URL, "3", nil); got != http.StatusOK || f.Epoch() != 3 {
+		t.Fatalf("adopting epoch 3 on a healthy disk: HTTP %d, epoch %d", got, f.Epoch())
+	}
+
+	ffs.FailDirSync(nil)
+	if got := postSnapshot("3"); got != http.StatusInternalServerError {
+		t.Errorf("snapshot with a failing save got HTTP %d, want 500", got)
+	}
+	ffs.Reset()
+	if got := postSnapshot("3"); got != http.StatusOK || f.AckedSeq() != 9 {
+		t.Fatalf("snapshot on a healthy disk: HTTP %d, position %d", got, f.AckedSeq())
+	}
+
+	ffs.FailDirSync(nil)
+	if _, _, err := f.Promote(); err == nil {
+		t.Error("promotion with a failing save succeeded")
+	}
+	if f.Epoch() != 3 {
+		t.Errorf("follower serves epoch %d after a refused promotion, want 3", f.Epoch())
+	}
+	if got := postFrames(t, ts.URL, "3", nil); got != http.StatusOK {
+		t.Errorf("a follower whose promotion was refused must keep following; probe got HTTP %d", got)
+	}
+	ffs.Reset()
+	promoted, epoch, err := f.Promote()
+	if err != nil || epoch != 4 {
+		t.Fatalf("Promote on a healthy disk: epoch %d, %v", epoch, err)
+	}
+	promoted.Close()
+	reborn, err := NewFollower(FollowerConfig{Dir: f.dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reborn.Epoch() != 4 || !reborn.promoted || reborn.AckedSeq() != 9 {
+		t.Errorf("after promotion the file reads epoch %d promoted=%v position %d, want 4/true/9", reborn.Epoch(), reborn.promoted, reborn.AckedSeq())
+	}
+}
+
+// TestPrimaryRestartSameEpoch: a primary restarted with the epoch it had
+// (-epoch defaults to 1) starts numbering again, and must not take the
+// follower's position — a count in the old numbering — for an ack of frames
+// it has yet to ship.
+func TestPrimaryRestartSameEpoch(t *testing.T) {
+	pdir := t.TempDir()
+	f, ts := newFollower(t, t.TempDir())
+	open := func() (*store.DB, *Primary) {
+		p, err := NewPrimary(PrimaryConfig{FollowerURL: ts.URL, Epoch: 1, Mode: AckFollower, RetryInterval: 10 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		db, err := store.OpenBackend(store.Replicated(pdir, p), store.WithSyncPolicy(store.SyncAlways))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Bind(db)
+		return db, p
+	}
+	insert := func(db *store.DB, from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			if _, err := db.Collection("sessions").Insert(store.Document{"_id": fmt.Sprintf("s-%02d", i)}); err != nil {
+				t.Fatalf("insert %d: %v", i, err)
+			}
+		}
+	}
+	db, p := open()
+	insert(db, 0, 20)
+	p.Close()
+	db.Close()
+
+	db, p = open()
+	defer func() { p.Close(); db.Close() }()
+	insert(db, 20, 25)
+	if lag, _ := p.Lag(); lag != 0 {
+		t.Errorf("Lag() = %d frames after 5 acknowledged writes, want 0", lag)
+	}
+	promoted, _, err := f.Promote()
+	if err != nil {
+		t.Fatalf("Promote: %v", err)
+	}
+	defer promoted.Close()
+	if got := promoted.Collection("sessions").Count(); got != 25 {
+		t.Fatalf("promoted follower holds %d sessions, want all 25 acknowledged", got)
+	}
+}
+
+// TestBufferOverflowWhileSteady: one Ship larger than the buffer drops
+// frames out of a healthy stream; the rest must not be streamed past the
+// gap (the follower would acknowledge their highest number).
+func TestBufferOverflowWhileSteady(t *testing.T) {
+	f, ts := newFollower(t, t.TempDir())
+	db, _ := openPrimary(t, t.TempDir(), ts.URL, PrimaryConfig{Epoch: 1, Mode: AckFollower, MaxBuffer: 4})
+	// One acknowledged write first: the stream is steady when the batch lands.
+	if _, err := db.Collection("tests").Insert(store.Document{"_id": "t"}); err != nil {
 		t.Fatalf("insert: %v", err)
 	}
-	wantSeq := f.AckedSeq()
-	ts.Close()
-
-	reborn, err := NewFollower(FollowerConfig{Dir: fdir})
-	if err != nil {
-		t.Fatalf("NewFollower (restart): %v", err)
+	docs := make([]store.Document, 10)
+	for i := range docs {
+		docs[i] = store.Document{"_id": fmt.Sprintf("s-%d", i)}
 	}
-	if reborn.Epoch() != 7 || reborn.AckedSeq() != wantSeq {
-		t.Fatalf("restarted follower at epoch %d seq %d, want 7/%d", reborn.Epoch(), reborn.AckedSeq(), wantSeq)
+	if _, errs := db.Collection("sessions").InsertUniqueBatch(docs); errs[0] != nil {
+		t.Fatalf("batch: %v", errs[0])
+	}
+	promoted, _, err := f.Promote()
+	if err != nil {
+		t.Fatalf("Promote: %v", err)
+	}
+	defer promoted.Close()
+	if got := promoted.Collection("sessions").Count(); got != len(docs) {
+		t.Fatalf("promoted follower holds %d of %d acknowledged sessions", got, len(docs))
 	}
 }
 
 func TestFrameRoundtrip(t *testing.T) {
 	inner := frameWAL(t)
-	var buf bytes.Buffer
-	appendFrame(&buf, 5, 42, "sessions", inner)
+	line := appendFrame(nil, 5, 42, "sessions", inner)
+	// The wire format is fixed: what the fmt verbs it was specified with
+	// print, byte for byte.
+	body := fmt.Sprintf("%08x %016x %s %s", 5, 42, "sessions", inner)
+	if want := fmt.Sprintf("#r1 %08x %s\n", crc32.ChecksumIEEE([]byte(body)), body); string(line) != want {
+		t.Fatalf("rendered frame\n got %q\nwant %q", line, want)
+	}
+	buf := bytes.NewBuffer(line)
 	frames, err := parseFrames(buf.Bytes())
 	if err != nil {
 		t.Fatalf("parseFrames: %v", err)
@@ -342,15 +666,11 @@ func postFrames(t *testing.T, url string, epoch string, body []byte) int {
 func TestFollowerRejectsForgedFrames(t *testing.T) {
 	f, ts := newFollower(t, t.TempDir())
 	inner := []byte("#w1 deadbeef {\"op\":\"put\",\"id\":\"x\"}") // bad inner CRC
-	var buf bytes.Buffer
-	appendFrame(&buf, 1, 1, "sessions", inner)
-	if got := postFrames(t, ts.URL, "1", buf.Bytes()); got != http.StatusBadRequest {
+	if got := postFrames(t, ts.URL, "1", appendFrame(nil, 1, 1, "sessions", inner)); got != http.StatusBadRequest {
 		t.Fatalf("forged inner frame got HTTP %d, want 400", got)
 	}
 	// Path traversal in the collection name must never reach the disk.
-	var buf2 bytes.Buffer
-	appendFrame(&buf2, 1, 1, "../evil", frameWAL(t))
-	if got := postFrames(t, ts.URL, "1", buf2.Bytes()); got != http.StatusBadRequest {
+	if got := postFrames(t, ts.URL, "1", appendFrame(nil, 1, 1, "../evil", frameWAL(t))); got != http.StatusBadRequest {
 		t.Fatalf("path-traversal collection got HTTP %d, want 400", got)
 	}
 	if f.AckedSeq() != 0 {

@@ -17,13 +17,19 @@ const (
 	BackendReplicated = "replicated"
 )
 
-// Shipper receives locally durable WAL bytes for replication. Ship is
-// called with the owning collection's lock held, immediately after frames
-// have been appended to the local WAL (and fsynced per the sync policy):
-// frames is one or more complete framed lines exactly as written to disk,
-// records their count. Returning a non-nil error fails the write that
-// produced the frames — the record may remain in the local WAL (a phantom
-// the idempotent replay tolerates) but the caller is never acknowledged.
+// Shipper receives the WAL bytes of a write for replication. Ship is called
+// with the owning collection's lock held, once frames have been written to
+// the local WAL file and while the fsync the sync policy demands for them
+// (if any) is running: frames is one or more complete framed lines exactly
+// as written, records their count. The write is acknowledged only after
+// both Ship and that fsync have returned nil, so what Ship is handed is
+// written, not yet durable, and never acknowledged — a follower may come to
+// hold a record its primary then loses to a power failure, which is safe
+// because nobody was told the record exists. (Under SyncInterval and
+// SyncNever there is no fsync to wait for and frames have always shipped
+// ahead of it.) Returning a non-nil error fails the write that produced the
+// frames — the record may remain in the local WAL (a phantom the idempotent
+// replay tolerates) but the caller is never acknowledged.
 //
 // Because Ship runs under the collection lock it must not call back into
 // the collection; it may block (a synchronous follower ack) but every
@@ -48,10 +54,10 @@ func Memory() Backend { return Backend{kind: BackendMemory} }
 // under path and is replayed (and repaired) on open.
 func Dir(path string) Backend { return Backend{kind: BackendDir, dir: path} }
 
-// Replicated is the dir backend plus log shipping: locally durable WAL
-// frames are handed to s for delivery to a follower before the write is
-// acknowledged (whether the ack waits for the follower is the shipper's
-// policy, not the store's).
+// Replicated is the dir backend plus log shipping: every WAL append is
+// handed to s for delivery to a follower, alongside its local fsync, before
+// the write is acknowledged (whether the ack waits for the follower is the
+// shipper's policy, not the store's).
 func Replicated(path string, s Shipper) Backend {
 	return Backend{kind: BackendReplicated, dir: path, shipper: s}
 }

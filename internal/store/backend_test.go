@@ -6,7 +6,9 @@ import (
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 )
 
 // recordingShipper captures every Ship call for inspection.
@@ -57,8 +59,8 @@ func TestOpenBackendValidation(t *testing.T) {
 }
 
 // TestShipperReceivesDurableFrames: every Ship call must deliver exactly
-// the framed WAL lines that were just made locally durable, in order, with
-// a truthful record count — they are about to cross a network.
+// the framed WAL lines that were just written to the local log, in order,
+// with a truthful record count — they are about to cross a network.
 func TestShipperReceivesDurableFrames(t *testing.T) {
 	sh := &recordingShipper{}
 	db, err := OpenBackend(Replicated(t.TempDir(), sh), WithSyncPolicy(SyncAlways))
@@ -110,10 +112,10 @@ func TestShipperReceivesDurableFrames(t *testing.T) {
 
 // TestShipFailureFailsWrite: when the shipper rejects, the write must fail
 // and must not be visible in memory — the caller was told it did not
-// happen. The record is, however, already in the local WAL (it was made
-// durable before shipping); a reopen replays it. That phantom is the
-// documented price of local-durability-first ordering, and it is safe
-// because replication delivery is idempotent.
+// happen. The record is, however, already in the local WAL (it is written
+// before it ships, and fsynced meanwhile); a reopen replays it. That phantom
+// is the documented price of writing locally first, and it is safe because
+// replication delivery is idempotent.
 func TestShipFailureFailsWrite(t *testing.T) {
 	dir := t.TempDir()
 	sh := &recordingShipper{}
@@ -141,6 +143,136 @@ func TestShipFailureFailsWrite(t *testing.T) {
 	defer db2.Close()
 	if _, err := db2.Collection("uploads").Get("phantom"); err != nil {
 		t.Errorf("locally durable record must survive reopen: %v", err)
+	}
+}
+
+// syncProbeFS observes WAL fsyncs: how many ran, whether Ship had been
+// entered by the time one ran, and — when syncErr is set — fails them.
+type syncProbeFS struct {
+	FileSystem
+	shipping chan struct{} // closed by the shipper on entry
+	syncErr  error
+
+	mu         sync.Mutex
+	syncs      int
+	overlapped int // fsyncs that saw Ship entered before they returned
+}
+
+func (fs *syncProbeFS) OpenAppend(path string) (WALFile, error) {
+	f, err := fs.FileSystem.OpenAppend(path)
+	if err != nil {
+		return nil, err
+	}
+	return syncProbeWAL{f, fs}, nil
+}
+
+type syncProbeWAL struct {
+	WALFile
+	fs *syncProbeFS
+}
+
+func (w syncProbeWAL) Sync() error {
+	overlapped := false
+	select {
+	case <-w.fs.shipping:
+		overlapped = true
+	case <-time.After(2 * time.Second):
+	}
+	w.fs.mu.Lock()
+	w.fs.syncs++
+	if overlapped {
+		w.fs.overlapped++
+	}
+	w.fs.mu.Unlock()
+	if w.fs.syncErr != nil {
+		return w.fs.syncErr
+	}
+	return w.WALFile.Sync()
+}
+
+// enteringShipper announces that Ship has been entered, then fails or not.
+type enteringShipper struct {
+	entered chan struct{}
+	once    sync.Once
+	fail    error
+}
+
+func (s *enteringShipper) Ship(string, []byte, int) error {
+	s.once.Do(func() { close(s.entered) })
+	return s.fail
+}
+
+// TestShipOverlapsLocalSync: on a replicated backend the local fsync and
+// the shipping of one write run at the same time and the write waits for
+// both — the fsync in this test does not return until Ship has been entered,
+// which a sync-then-ship sequence could only do by timing out.
+func TestShipOverlapsLocalSync(t *testing.T) {
+	entered := make(chan struct{})
+	fs := &syncProbeFS{FileSystem: OSFileSystem{}, shipping: entered}
+	db, err := OpenBackend(Replicated(t.TempDir(), &enteringShipper{entered: entered}),
+		WithSyncPolicy(SyncAlways), WithFileSystem(fs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	start := time.Now()
+	if _, err := db.Collection("uploads").Insert(Document{IDField: "a"}); err != nil {
+		t.Fatal(err)
+	}
+	if fs.syncs != 1 || fs.overlapped != 1 {
+		t.Fatalf("fsyncs = %d, of which %d ran beside Ship; want 1 and 1 (insert took %v)", fs.syncs, fs.overlapped, time.Since(start))
+	}
+	if got := db.DurabilityStats().Fsyncs; got != 1 {
+		t.Errorf("DurabilityStats.Fsyncs = %d, want 1", got)
+	}
+}
+
+// TestReplicatedWriteNeedsBothSyncAndShip: either half failing fails the
+// write and keeps it out of memory; when both fail the local error is the
+// one reported; and a policy that owes no fsync still ships.
+func TestReplicatedWriteNeedsBothSyncAndShip(t *testing.T) {
+	syncErr, shipErr := errors.New("disk says no"), errors.New("follower says no")
+	for _, tc := range []struct {
+		name     string
+		syncErr  error
+		shipErr  error
+		want     error
+		policy   SyncPolicy
+		wantSync int
+	}{
+		{"both succeed", nil, nil, nil, SyncAlways, 1},
+		{"sync fails", syncErr, nil, syncErr, SyncAlways, 1},
+		{"ship fails", nil, shipErr, shipErr, SyncAlways, 1},
+		{"both fail: local error wins", syncErr, shipErr, syncErr, SyncAlways, 1},
+		{"no fsync owed, ship fails", nil, shipErr, shipErr, SyncNever, 0},
+		{"no fsync owed, ship succeeds", nil, nil, nil, SyncNever, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			entered := make(chan struct{})
+			fs := &syncProbeFS{FileSystem: OSFileSystem{}, shipping: entered, syncErr: tc.syncErr}
+			db, err := OpenBackend(Replicated(t.TempDir(), &enteringShipper{entered: entered, fail: tc.shipErr}),
+				WithSyncPolicy(tc.policy), WithFileSystem(fs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			c := db.Collection("uploads")
+			_, err = c.Insert(Document{IDField: "a"})
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("insert error = %v, want %v", err, tc.want)
+			}
+			select {
+			case <-entered:
+			default:
+				t.Error("frames written to the log were never handed to the shipper")
+			}
+			if fs.syncs != tc.wantSync {
+				t.Errorf("fsyncs = %d, want %d", fs.syncs, tc.wantSync)
+			}
+			if _, getErr := c.Get("a"); (getErr == nil) != (tc.want == nil) {
+				t.Errorf("document visible = %v after insert error %v", getErr == nil, err)
+			}
+		})
 	}
 }
 

@@ -358,11 +358,17 @@ func (c *Collection) appendWAL(rec walRecord) error {
 
 // appendFrames is the one write path to a collection's log: it lazily opens
 // the WAL handle (syncing the directory so the new file's name is as
-// durable as its contents), appends n pre-framed records in one Write, runs
-// the sync policy, and — on a replicated backend — ships the exact bytes
-// that hit the disk. A shipper failure fails the write: the record may sit
-// in the local WAL unreplicated, which the idempotent replay tolerates, but
-// the caller is never acknowledged. Called with c.mu held.
+// durable as its contents), appends n pre-framed records in one Write, and
+// then does what an acknowledgement needs: the fsync the sync policy
+// demands and — on a replicated backend — the shipping of the exact bytes
+// that went into the file. Neither depends on the other, so on a
+// replicated backend they run at the same time and the write waits for
+// both: it costs the slower of the local fsync and the follower's round,
+// not their sum. Either failing fails the write, the local error first:
+// the record may then sit unacknowledged in the local WAL, on the follower,
+// or both, which the idempotent replay tolerates, but the caller is never
+// told it happened. Called with c.mu held — that is what keeps the log,
+// the shipping order and the in-memory apply one sequence.
 func (c *Collection) appendFrames(frames []byte, n int) error {
 	if c.db.dir == "" {
 		return nil
@@ -378,14 +384,34 @@ func (c *Collection) appendFrames(frames []byte, n int) error {
 		}
 		c.wal = &walFile{file: f, db: c.db, lastSync: time.Now()}
 	}
-	if err := c.wal.appendGroup(frames, n); err != nil {
+	w := c.wal
+	if err := w.write(frames, n); err != nil {
 		return err
 	}
 	c.appends += n
-	if s := c.db.shipper; s != nil {
-		if err := s.Ship(c.name, frames, n); err != nil {
-			return fmt.Errorf("store: replicating WAL append: %w", err)
+	due := w.syncDue()
+	s := c.db.shipper
+	if s == nil {
+		if due {
+			return w.sync()
 		}
+		return nil
+	}
+	var synced chan error
+	if due {
+		// Nothing else touches w until this write returns: the caller
+		// holds c.mu and joins below.
+		synced = make(chan error, 1)
+		go func() { synced <- w.sync() }()
+	}
+	shipErr := s.Ship(c.name, frames, n)
+	if due {
+		if err := <-synced; err != nil {
+			return err
+		}
+	}
+	if shipErr != nil {
+		return fmt.Errorf("store: replicating WAL append: %w", shipErr)
 	}
 	return nil
 }

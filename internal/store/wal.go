@@ -207,12 +207,12 @@ type walFile struct {
 	closed   bool
 }
 
-// appendGroup writes n pre-framed records in one Write and runs the sync
-// policy once for the whole group — the group-commit primitive behind every
-// append (singles are a group of one) and Collection.InsertUniqueBatch.
-// Under SyncAlways a batch still costs a single fsync; under SyncInterval
-// the group counts as one append against the interval clock.
-func (w *walFile) appendGroup(frames []byte, n int) error {
+// write appends n pre-framed records in one Write — the group-commit
+// primitive behind every append (singles are a group of one) and
+// Collection.InsertUniqueBatch. Making them durable is a separate step
+// (syncDue, sync) so that a replicated collection can run it while the
+// frames are on their way to the follower.
+func (w *walFile) write(frames []byte, n int) error {
 	if w.closed {
 		return ErrClosed
 	}
@@ -220,17 +220,23 @@ func (w *walFile) appendGroup(frames []byte, n int) error {
 		return fmt.Errorf("store: appending WAL batch: %w", err)
 	}
 	w.db.walAppends.Add(int64(n))
+	return nil
+}
+
+// syncDue reports whether the sync policy demands an fsync for the group
+// just written: always under SyncAlways (a batch of N still costs one
+// fsync), never under SyncNever, and under SyncInterval once the interval
+// has passed since the last one (the group counts as one append against
+// the interval clock).
+func (w *walFile) syncDue() bool {
 	switch w.db.opts.policy {
 	case SyncAlways:
-		return w.sync()
+		return true
 	case SyncNever:
-		return nil
+		return false
 	default:
-		if time.Since(w.lastSync) >= w.db.opts.interval {
-			return w.sync()
-		}
+		return time.Since(w.lastSync) >= w.db.opts.interval
 	}
-	return nil
 }
 
 func (w *walFile) sync() error {
