@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 15s
 
-.PHONY: build check check-bench vet test race bench chaos fuzz-smoke cover cover-check bench-aggregator bench-server bench-batch bench-delta load-smoke overload-smoke throughput-smoke failover-smoke multinode-smoke campaign-smoke earlystop-smoke
+.PHONY: build check check-bench vet test race bench chaos fuzz-smoke cover cover-check bench-aggregator bench-server bench-batch bench-delta
 
 build:
 	$(GO) build ./...
@@ -58,10 +58,10 @@ cover:
 	$(GO) tool cover -func=coverage.out | tail -1
 
 # Coverage floors on the preparation pipeline's load-bearing packages, the
-# overload guard, the sequential early-stopping engine, the router and the
-# shared failover policy.
+# overload guard, the sequential early-stopping engine, the router, the
+# shared failover policy, the deployment assembly and the scenario testbed.
 cover-check: cover
-	./scripts/cover_floor.sh internal/aggregator 85 internal/store 80 internal/guard 80 internal/earlystop 90 internal/shard 80 internal/failover 90
+	./scripts/cover_floor.sh internal/aggregator 85 internal/store 80 internal/guard 80 internal/earlystop 90 internal/shard 80 internal/failover 90 internal/deploy 85 internal/testbed 85
 
 # The PR-3 acceptance benchmark pair; record results in
 # BENCH_aggregator.json (on >=4 cores the parallel pipeline should show
@@ -94,66 +94,43 @@ bench-batch:
 bench-delta:
 	./scripts/bench_delta.sh
 
-# Deterministic crowd soak through the real HTTP stack with chaos on: fails
-# on any worker loss, any server status outside 200/201/409, or divergence
-# between the incremental results engine and the from-scratch oracle.
-load-smoke:
-	$(GO) run ./cmd/kscope-load -workers 12 -seed 7 -drop 0.1 -fault 0.1 -retries 15 -results-every 3
+# The smoke table: one row per kscope-load scenario, the arguments CI runs
+# it with. Every run exits non-zero unless the testbed's standard audit
+# holds — no worker lost, every acked session on its owning shard's current
+# store, read-your-acks on every mid-run poll, the status matrix with
+# Retry-After on every shed, a fencing proof for every deposed primary,
+# served results == from-scratch oracle — and then the scenario's own gates:
+#   soak        none beyond the audit (chaos on, one memory node)
+#   overload    a saturated stampede sheds 429 entirely; a mid-run disk
+#               outage trips the breaker into degraded serving; the breaker
+#               closes again; p99 stays bounded
+#   throughput  the batch endpoint carried the run, at >= -min-rate
+#   failover    the pair's primary is killed mid-soak, the zombie left up
+#   multinode   the same behind the router, on 3 pairs and 2 tenants, the
+#               victim a tenant's home shard chosen by the seed
+#   campaign    8 tenants create -> Prepare -> serve -> oracle -> delete under
+#               a churning crowd: p99 < 1s during neighbor Prepares, real
+#               churn, no blob/document leak, cross-tenant dedup floor
+#   earlystop   effect tenants conclude early with the right winner and a
+#               certified p-bound, the null tenant never, cost < fixed-n
+#               within the shared budget
+SCENARIOS := soak overload throughput failover multinode campaign earlystop
+smoke.soak       := -workers 12 -seed 7 -drop 0.1 -fault 0.1 -retries 15 -results-every 3
+smoke.overload   := -workers 15 -seed 7 -drop 0.05 -fault 0.05
+smoke.throughput := -workers 40 -seed 7 -batch 10 -min-rate 25
+smoke.failover   := -workers 25 -seed 7 -drop 0.15 -fault 0.1
+smoke.multinode  := -workers 18 -seed 7 -drop 0.1 -fault 0.1
+smoke.campaign   := -tests 8 -per-test 4 -workers 20 -seed 11 -drop 0.05 -fault 0.05
+smoke.earlystop  := -workers 16 -seed 1 -budget 60 -alpha 0.05
+# The scenarios that run under the race detector.
+smoke.race := failover multinode campaign earlystop
 
-# Overload-resilience acceptance: saturated admission must shed 429 +
-# Retry-After, a mid-run disk outage must trip the store breaker into
-# degraded serving (X-Kscope-Degraded on cached reads), and the run must
-# still end with zero lost workers and oracle-equal results.
-overload-smoke:
-	$(GO) run ./cmd/kscope-load -scenario overload -workers 15 -seed 7 -drop 0.05 -fault 0.05
+SMOKES := $(SCENARIOS:%=%-smoke)
+.PHONY: smoke load-smoke $(SMOKES)
+$(SMOKES): %-smoke:
+	$(GO) run $(if $(filter $*,$(smoke.race)),-race) ./cmd/kscope-load -scenario $* $(smoke.$*)
 
-# Warm-standby failover acceptance, under the race detector: a replicated
-# primary (AckFollower, chaos on both the fleet links and the replication
-# link) is killed mid-soak, the follower is promoted, and the fleet fails
-# over to it. Fails on any acked-but-lost session, any status outside the
-# documented matrix (200/201/409/429/503 with Retry-After), a missing
-# stale-epoch rejection of the zombie primary, or incremental-vs-oracle
-# divergence on the promoted node.
-failover-smoke:
-	$(GO) run -race ./cmd/kscope-load -scenario failover -workers 25 -seed 7 -drop 0.15 -fault 0.1
+# load-smoke is soak-smoke's older name.
+load-smoke: soak-smoke
 
-# Sharded-fleet acceptance, under the race detector: three replicated
-# shard pairs behind the consistent-hash router, two tenant crowds, chaos
-# on every link (workers -> router, router -> every shard node, each
-# shard's replication stream). Mid-soak one shard's primary is killed and
-# its standby promoted, with the zombie left listening. Fails on any
-# acked-but-lost session, any router-face status outside 200/201/409/429/
-# 503 (or a shed without Retry-After), a missing stale-epoch fencing proof,
-# or the merged /results (raw tally merge and quality-controlled gather)
-# diverging from a single-node oracle holding the union of all sessions.
-multinode-smoke:
-	$(GO) run -race ./cmd/kscope-load -scenario multinode -workers 18 -seed 7 -drop 0.1 -fault 0.1
-
-# Multi-tenant campaign churn acceptance, under the race detector: 8 tenant
-# tests walk create -> Prepare (overlapping a neighbor's serving) -> serve
-# under a shared churning crowd (vanish, partial sessions, re-recruitment)
-# -> per-tenant differential oracle -> delete, with chaos on every
-# participant link. Fails on oracle divergence, acked-upload loss, a
-# serving-endpoint p99 over 1s during a neighbor's Prepare, missing churn,
-# a blob/document leak after full teardown, or cross-tenant CAS dedup
-# saving under the floor.
-campaign-smoke:
-	$(GO) run -race ./cmd/kscope-load -scenario campaign -tests 8 -per-test 4 -workers 20 -seed 11 -drop 0.05 -fault 0.05
-
-# Adaptive sequential early-stopping acceptance, under the race detector:
-# two strong-effect tenants and one evidence-free tenant run against an
-# early-stopping server with a shared session budget below the combined
-# fixed-n cost. Fails unless both effect tenants conclude early with the
-# correct winner and a certified p-value bound, the null tenant runs to its
-# full fixed target undecided, campaign-wide realized cost lands strictly
-# below fixed-n within the budget, and the standing oracle/acked-loss/status
-# audits hold.
-earlystop-smoke:
-	$(GO) run -race ./cmd/kscope-load -scenario earlystop -workers 16 -seed 1 -budget 60 -alpha 0.05
-
-# Batched-upload throughput acceptance: the fleet ships gzip batches through
-# POST /tests/{id}/sessions:batch, the run fails if the batched endpoint
-# goes unused, if throughput lands under -min-rate, or if incremental
-# results diverge from the from-scratch oracle.
-throughput-smoke:
-	$(GO) run ./cmd/kscope-load -scenario throughput -workers 40 -seed 7 -batch 10 -min-rate 25
+smoke: $(SMOKES)

@@ -3,27 +3,17 @@ package main
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
-	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"kaleidoscope/internal/aggregator"
-	"kaleidoscope/internal/crowd"
-	"kaleidoscope/internal/extension"
 	"kaleidoscope/internal/failover"
 	"kaleidoscope/internal/guard"
-	"kaleidoscope/internal/netsim"
-	"kaleidoscope/internal/obs"
-	"kaleidoscope/internal/params"
 	"kaleidoscope/internal/server"
 	"kaleidoscope/internal/store"
-	"kaleidoscope/internal/webgen"
+	"kaleidoscope/internal/testbed"
 )
 
 // Overload-scenario tuning: a deliberately tiny admission base K (so the
@@ -40,22 +30,16 @@ const (
 	p99Bound          = 5.0 // seconds, per route — "bounded", not "fast"
 )
 
-// overload is the guard acceptance scenario: the fleet runs at 4x the
-// admission base K, mid-run the store's filesystem starts failing every WAL
-// append until the circuit breaker opens, a monitor then proves degraded
-// mode (cached reads with X-Kscope-Degraded: 1, guard metrics exported),
-// heals the disk, and the run must still end with zero lost workers, only
-// {200,201,409,429,503} at the listener, Retry-After on every shed,
-// bounded p99, and incremental results equal to the from-scratch oracle.
-func overload(cfg config, out io.Writer) error {
+func overloadK(cfg config) int { return max(cfg.concurrency/4, 1) }
+
+// overloadTopology is one node on a fault-injectable disk behind a guard
+// the crowd is sized to saturate.
+func overloadTopology(cfg config) (testbed.Topology, error) {
 	if cfg.workers < 12 {
-		return fmt.Errorf("overload scenario needs at least 12 workers (got %d)", cfg.workers)
+		return testbed.Topology{}, fmt.Errorf("overload scenario needs at least 12 workers (got %d)", cfg.workers)
 	}
-	k := cfg.concurrency / 4
-	if k < 1 {
-		k = 1
-	}
-	g := guard.New(guard.Config{
+	k := overloadK(cfg)
+	return testbed.Topology{Store: testbed.FaultDir, Guard: &guard.Config{
 		MaxInflight: k,
 		// Pin the read class to K too (instead of the serving default 4K)
 		// and give it no queue: the page-fetch stream is the high-volume
@@ -68,33 +52,25 @@ func overload(cfg config, out io.Writer) error {
 		BreakerCooldown:  overloadCooldown,
 		BreakerProbes:    overloadProbes,
 		RetryAfter:       time.Second,
-	})
-	srv, reg, ffs, cleanup, err := buildOverloadServer(g)
-	if err != nil {
-		return err
-	}
-	defer cleanup()
+	}}, nil
+}
 
-	var statuses statusTable
-	ts := httptest.NewServer(statuses.wrap(obs.Middleware(srv, nil, reg, server.RouteLabel)))
-	defer ts.Close()
+// overloadDrive is the guard acceptance: the fleet runs at 4x the
+// admission base K, mid-run the store's filesystem starts failing every WAL
+// append until the circuit breaker opens, a monitor then proves degraded
+// mode (cached reads with X-Kscope-Degraded: 1, guard metrics exported) and
+// heals the disk. Its own gates: the stampede shed and recovered, the
+// breaker tripped and closed again, p99 stayed bounded.
+func overloadDrive(cfg config, bed *testbed.Bed, out io.Writer) (func() error, error) {
+	k, url := overloadK(cfg), bed.URLs[0]
+	g := bed.Node(0).Serving().Guard
 
 	// Prime the results caches so degraded mode has a last-known-good
 	// conclusion even if the outage lands before any mid-run poll.
 	for _, q := range []string{"", "?quality=1"} {
-		if err := expectGet(ts.URL+"/api/tests/"+testID+"/results"+q, http.StatusOK, ""); err != nil {
-			return fmt.Errorf("priming results cache: %w", err)
+		if err := expectGet(url+"/api/tests/"+testID+"/results"+q, http.StatusOK, ""); err != nil {
+			return nil, fmt.Errorf("priming results cache: %w", err)
 		}
-	}
-
-	rng := rand.New(rand.NewSource(cfg.seed))
-	popFn := crowd.OpenCrowd
-	if cfg.trusted {
-		popFn = crowd.TrustedCrowd
-	}
-	pop, err := popFn(cfg.workers, rng)
-	if err != nil {
-		return err
 	}
 
 	// The stampede: the moment a test is posted, the whole crowd fetches it
@@ -103,12 +79,12 @@ func overload(cfg config, out io.Writer) error {
 	// on their own), a volley of 16K concurrent reads must shed entirely
 	// with 429 + Retry-After, and reads must flow again once the slow
 	// readers finish.
-	infoURL := ts.URL + "/api/tests/" + testID
-	held := make([]func(), 0, k)
+	infoURL := url + "/api/tests/" + testID
+	var held []func()
 	for i := 0; i < k; i++ {
 		release, admitted := g.Admit(nil, guard.ClassRead)
 		if !admitted {
-			return fmt.Errorf("could not occupy read slot %d/%d", i+1, k)
+			return nil, fmt.Errorf("could not occupy read slot %d/%d", i+1, k)
 		}
 		held = append(held, release)
 	}
@@ -117,58 +93,32 @@ func overload(cfg config, out io.Writer) error {
 		release()
 	}
 	if served != 0 || shed != int64(16*k) {
-		return fmt.Errorf("stampede of %d reads against a saturated K=%d: %d served, %d shed — admission control did not engage",
+		return nil, fmt.Errorf("stampede of %d reads against a saturated K=%d: %d served, %d shed — admission control did not engage",
 			16*k, k, served, shed)
 	}
 	if err := expectGet(infoURL, http.StatusOK, ""); err != nil {
-		return fmt.Errorf("read after saturation cleared: %w", err)
+		return nil, fmt.Errorf("read after saturation cleared: %w", err)
 	}
 
-	retries := cfg.retries
-	if retries < overloadMinRetry {
-		// The outage window spans many client retries; the budget must
-		// outlast breaker cooldown plus recovery probing.
-		retries = overloadMinRetry
-	}
-	armAt := cfg.workers / 3
-	var armOnce sync.Once
+	fmt.Fprintf(out, "crowd: %d workers, fleet concurrency %d vs admission K=%d\n", cfg.workers, 4*k, k)
 	monitorDone := make(chan error, 1)
-
-	fleet := &extension.Fleet{
-		BaseURL: ts.URL,
-		Answer:  extension.AnswerFontSize(),
-		Seed:    cfg.seed,
+	_, err := bed.Drive([]testbed.Crowd{{
+		Test: testID, Workers: cfg.workers, Trusted: cfg.trusted,
 		// 4K workers in flight against an upload class admitting K: the
 		// admission limiter, not goroutine supply, is the bottleneck.
 		Concurrency: 4 * k,
-		Policy:      failover.Policy{Retries: retries, Backoff: 2 * time.Millisecond, MaxRetryAfter: maxWorkerWait},
-		Registry:    reg,
-		Transport: func(i int) http.RoundTripper {
-			t, err := netsim.NewChaosTransport(http.DefaultTransport,
-				netsim.ChaosConfig{DropRate: cfg.drop, FaultRate: cfg.fault},
-				rand.New(rand.NewSource(cfg.seed+int64(i)+7919)))
-			if err != nil {
-				panic(err) // only reachable with a nil rng
-			}
-			return t
-		},
-		OnResult: func(done int, _ extension.WorkerResult) {
-			if done < armAt {
-				return
-			}
-			armOnce.Do(func() {
-				// The disk "fills up": every WAL append fails from here on.
-				ffs.FailAppendsAfter(0, nil, false)
-				go func() { monitorDone <- degradedMonitor(ts.URL, g, ffs) }()
-			})
-		},
-	}
-
-	report, err := fleet.Run(testID, pop)
+		// The outage window spans many client retries; the budget must
+		// outlast breaker cooldown plus recovery probing.
+		Policy: failover.Policy{Retries: max(cfg.retries, overloadMinRetry), MaxRetryAfter: maxWorkerWait},
+	}}, cfg.workers/3, func() {
+		// The disk "fills up": every WAL append fails from here on.
+		bed.Disk.FailAppendsAfter(0, nil, false)
+		bed.NoteFault("disk outage: every WAL append fails until the breaker has opened and degraded mode is proven")
+		go func() { monitorDone <- degradedMonitor(url, g, bed.Disk) }()
+	})
 	if err != nil {
-		return err
+		return nil, err
 	}
-
 	var monErr error
 	select {
 	case monErr = <-monitorDone:
@@ -176,41 +126,39 @@ func overload(cfg config, out io.Writer) error {
 		monErr = fmt.Errorf("degraded-mode monitor never finished")
 	}
 
-	fmt.Fprintf(out, "kscope-load overload: %d workers, fleet concurrency %d vs admission K=%d (seed %d)\n",
-		cfg.workers, 4*k, k, cfg.seed)
-	fmt.Fprintf(out, "sessions: %d completed, %d failed, %d client retries\n",
-		report.Completed, report.Failed, report.Retries)
-	fmt.Fprintf(out, "guard: %d breaker trips, breaker now %v, %d degraded serves, sheds by class:",
-		g.Breaker().Trips(), g.Breaker().State(), g.DegradedServes())
-	for c := guard.Class(0); c < guard.NumClasses; c++ {
-		fmt.Fprintf(out, " %s=%d", c, g.Shed(c))
-	}
-	fmt.Fprintln(out)
-	printLatencies(out, reg)
-	statuses.print(out)
+	return func() error {
+		fmt.Fprintf(out, "guard: %d breaker trips, breaker now %v, %d degraded serves, sheds by class:",
+			g.Breaker().Trips(), g.Breaker().State(), g.DegradedServes())
+		for c := guard.Class(0); c < guard.NumClasses; c++ {
+			fmt.Fprintf(out, " %s=%d", c, g.Shed(c))
+		}
+		fmt.Fprintln(out)
+		if monErr != nil {
+			return fmt.Errorf("degraded-mode check: %w", monErr)
+		}
+		if g.Breaker().Trips() < 1 {
+			return fmt.Errorf("the injected store faults never tripped the breaker")
+		}
+		if st := g.Breaker().State(); st != guard.StateClosed {
+			return fmt.Errorf("breaker did not recover by end of run (state %v)", st)
+		}
+		// "Bounded latency": even under overload, admission control must
+		// keep served requests fast — queues are bounded, so p99 cannot
+		// grow into the tens of seconds an unprotected server shows.
+		return checkP99(bed, p99Bound*1000, "under overload",
+			"GET /api/tests/{id}", "POST /api/tests/{id}/sessions", "GET /api/tests/{id}/results")
+	}, nil
+}
 
-	if monErr != nil {
-		return fmt.Errorf("degraded-mode check: %w", monErr)
+// checkP99 fails when a front-door route's p99 exceeds boundMillis.
+func checkP99(bed *testbed.Bed, boundMillis float64, when string, routes ...string) error {
+	for _, route := range routes {
+		h := testbed.RouteLatency(bed.Front().Registry, route)
+		if p99 := h.Quantile(0.99) * 1000; h.Count() > 0 && p99 > boundMillis {
+			return fmt.Errorf("p99 gate: %s p99 %.1fms > %.1fms %s", route, p99, boundMillis, when)
+		}
 	}
-	if report.Failed > 0 {
-		return fmt.Errorf("%d of %d workers lost under overload: %v", report.Failed, cfg.workers, report.Errs)
-	}
-	if bad := statuses.unexpected(http.StatusTooManyRequests, http.StatusServiceUnavailable); len(bad) > 0 {
-		return fmt.Errorf("server produced statuses outside the overload contract: %v", bad)
-	}
-	if n := statuses.retryAfterViolations(); n > 0 {
-		return fmt.Errorf("%d shed responses (429/503) lacked Retry-After", n)
-	}
-	if g.Breaker().Trips() < 1 {
-		return fmt.Errorf("the injected store faults never tripped the breaker")
-	}
-	if st := g.Breaker().State(); st != guard.StateClosed {
-		return fmt.Errorf("breaker did not recover by end of run (state %v)", st)
-	}
-	if err := checkP99(reg); err != nil {
-		return err
-	}
-	return verifyOracle(out, ts.URL, srv)
+	return nil
 }
 
 // stampede fires n concurrent GETs released by a single barrier and counts
@@ -269,12 +217,17 @@ func degradedMonitor(baseURL string, g *guard.Guard, ffs *store.FaultFS) error {
 		return fmt.Errorf("healthz while open: %w", err)
 	}
 	// The guard's state is visible on the metrics surface.
-	body, err := getBody(baseURL + "/metrics")
+	resp, err := http.Get(baseURL + "/metrics")
+	if err != nil {
+		return err
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
 	if err != nil {
 		return err
 	}
 	for _, want := range []string{"kscope_guard_breaker_state 2", "kscope_guard_shed_total"} {
-		if !strings.Contains(body, want) {
+		if !strings.Contains(string(body), want) {
 			return fmt.Errorf("metrics missing %q while breaker open", want)
 		}
 	}
@@ -299,91 +252,4 @@ func expectGet(url string, wantStatus int, degraded string) error {
 			url, server.DegradedHeader, resp.Header.Get(server.DegradedHeader), degraded)
 	}
 	return nil
-}
-
-func getBody(url string) (string, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	return string(b), err
-}
-
-// checkP99 enforces the "bounded latency" clause: even under overload,
-// admission control must keep served requests fast — queues are bounded, so
-// p99 cannot grow into the tens of seconds an unprotected server shows.
-func checkP99(reg *obs.Registry) error {
-	for _, route := range []string{
-		"GET /api/tests/{id}",
-		"POST /api/tests/{id}/sessions",
-		"GET /api/tests/{id}/results",
-	} {
-		h := reg.Histogram(obs.MetricRequestDuration, obs.DefLatencyBuckets, "route", route)
-		if h.Count() == 0 {
-			continue
-		}
-		if p99 := h.Quantile(0.99); p99 > p99Bound {
-			return fmt.Errorf("route %s p99 = %.2fs exceeds the %gs overload bound", route, p99, p99Bound)
-		}
-	}
-	return nil
-}
-
-// buildOverloadServer is buildServer's fault-injectable variant: the same
-// two-version font-size study, but the document store lives on a real
-// directory behind a FaultFS (so the scenario can fail WAL appends), and
-// the supplied guard is wired in with its metrics registered.
-func buildOverloadServer(g *guard.Guard) (*server.Server, *obs.Registry, *store.FaultFS, func(), error) {
-	dir, err := os.MkdirTemp("", "kscope-overload-*")
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	fail := func(err error) (*server.Server, *obs.Registry, *store.FaultFS, func(), error) {
-		os.RemoveAll(dir)
-		return nil, nil, nil, nil, err
-	}
-	ffs := store.NewFaultFS()
-	db, err := store.Open(filepath.Join(dir, "db"), store.WithFileSystem(ffs))
-	if err != nil {
-		return fail(err)
-	}
-	blobs := store.NewBlobStore()
-	agg, err := aggregator.New(db, blobs)
-	if err != nil {
-		db.Close()
-		return fail(err)
-	}
-	test := &params.Test{
-		TestID:          testID,
-		WebpageNum:      2,
-		TestDescription: "kscope-load overload study",
-		ParticipantNum:  10,
-		Questions:       []string{"Which webpage's font size is more suitable (easier) for reading?"},
-		Webpages: []params.Webpage{
-			{WebPath: "wiki-12", WebPageLoad: params.PageLoadSpec{UniformMillis: 1000}, WebMainFile: "index.html"},
-			{WebPath: "wiki-22", WebPageLoad: params.PageLoadSpec{UniformMillis: 1000}, WebMainFile: "index.html"},
-		},
-	}
-	sites := map[string]*webgen.Site{
-		"wiki-12": webgen.WikiArticle(webgen.WikiConfig{Seed: 5, FontSizePt: 12}),
-		"wiki-22": webgen.WikiArticle(webgen.WikiConfig{Seed: 5, FontSizePt: 22}),
-	}
-	if _, err := agg.Prepare(test, sites, nil); err != nil {
-		db.Close()
-		return fail(err)
-	}
-	reg := obs.NewRegistry()
-	g.RegisterMetrics(reg)
-	srv, err := server.New(db, blobs, server.WithObservability(reg), server.WithGuard(g))
-	if err != nil {
-		db.Close()
-		return fail(err)
-	}
-	cleanup := func() {
-		db.Close()
-		os.RemoveAll(dir)
-	}
-	return srv, reg, ffs, cleanup, nil
 }

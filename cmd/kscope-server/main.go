@@ -16,6 +16,19 @@
 // an acknowledged session upload is never dropped by a restart.
 //
 // Prepare storage first with: kscope prepare -params ... -sites ... -store DIR
+//
+// Three more modes share the binary (internal/deploy assembles all four
+// and rejects contradictory flag sets); the router's -shards list is
+// described at parseShards:
+//
+//	primary:  kscope-server -store DIR -replicate-to http://standby:8781
+//	standby:  kscope-server -store DIR2 -replica-of http://primary:8780
+//	router:   kscope-server -shards "http://s0:8780|http://s0b:8781,http://s1:8780"
+//
+// The primary streams every WAL append to the standby and (in the default
+// "follower" ack mode) acknowledges an upload only once the standby has
+// durably applied it. The standby serves only the /repl/* replication
+// surface and answers everything else 503 until SIGUSR1 promotes it.
 package main
 
 import (
@@ -28,21 +41,12 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
+	"kaleidoscope/internal/deploy"
 	"kaleidoscope/internal/guard"
-	"kaleidoscope/internal/obs"
-	"kaleidoscope/internal/server"
-	"kaleidoscope/internal/store"
 )
-
-// earlyStopAlpha is the -earlystop-alpha flag: it lives at package level
-// because every build path — plain, replicated primary, and a standby
-// promoting itself mid-run — assembles its serving stack through
-// assembleHandler and must come up with the same sequential engine.
-var earlyStopAlpha float64
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -64,60 +68,43 @@ func run(args []string) error {
 	rate := fs.Float64("rate", 0, "per-worker request rate limit in req/s (0 disables rate limiting)")
 	burst := fs.Float64("burst", 0, "per-worker rate-limit burst (default 2x rate)")
 	shards := fs.String("shards", "", "run as the sharded deployment's routing tier over this comma-separated shard list (primary[|standby] URLs); mutually exclusive with -store and the replication flags")
-	rc := replConfig{}
-	fs.StringVar(&rc.replicateTo, "replicate-to", "", "warm-standby URL to stream the WAL to (makes this node the primary)")
-	fs.StringVar(&rc.replicaOf, "replica-of", "", "primary URL this node stands by for (runs the /repl/* surface only; SIGUSR1 promotes)")
-	fs.Uint64Var(&rc.epoch, "epoch", 1, "replication epoch this primary serves in (a promoted standby starts past its predecessor)")
-	fs.StringVar(&rc.ackMode, "repl-ack", "follower", "replication ack mode: follower (acknowledge uploads only after the standby applied them) or local")
-	fs.Uint64Var(&rc.maxLag, "repl-max-lag", 0, "report not-ready on /readyz when the standby trails more than this many frames (0 disables)")
-	fs.Float64Var(&earlyStopAlpha, "earlystop-alpha", 0, "adaptive sequential early stopping: family-wise false-stop probability to certify; decided tests stop accepting sessions (0 disables)")
+	var cfg deploy.Config
+	fs.StringVar(&cfg.ReplicateTo, "replicate-to", "", "warm-standby URL to stream the WAL to (makes this node the primary)")
+	fs.StringVar(&cfg.ReplicaOf, "replica-of", "", "primary URL this node stands by for (runs the /repl/* surface only; SIGUSR1 promotes)")
+	fs.Uint64Var(&cfg.Epoch, "epoch", 1, "replication epoch this primary serves in (a promoted standby starts past its predecessor)")
+	fs.StringVar(&cfg.AckMode, "repl-ack", "follower", "replication ack mode: follower (acknowledge uploads only after the standby applied them) or local")
+	fs.Uint64Var(&cfg.MaxLag, "repl-max-lag", 0, "report not-ready on /readyz when the standby trails more than this many frames (0 disables)")
+	fs.Float64Var(&cfg.EarlyStopAlpha, "earlystop-alpha", 0, "adaptive sequential early stopping: family-wise false-stop probability to certify; decided tests stop accepting sessions (0 disables)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if earlyStopAlpha != 0 && !(earlyStopAlpha > 0 && earlyStopAlpha < 1) {
-		return fmt.Errorf("-earlystop-alpha %v: need 0 < alpha < 1", earlyStopAlpha)
-	}
-	if err := rc.validate(); err != nil {
-		return err
+	cfg.Store = *storeDir
+	cfg.Guard = guardConfig(*maxInflight, *rate, *burst)
+	if !*quiet {
+		cfg.Logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
 	}
 	if *shards != "" {
-		// The routing tier owns no store and runs no engine of its own;
-		// storage-node flags on a router are an operator mistake, not
-		// something to silently ignore.
-		switch {
-		case *storeDir != "":
-			return fmt.Errorf("-shards and -store are mutually exclusive: the router owns no storage (point -shards at storage-backed nodes)")
-		case rc.replicateTo != "" || rc.replicaOf != "":
-			return fmt.Errorf("-shards and -replicate-to/-replica-of are mutually exclusive: replication is per shard, not on the router")
-		case earlyStopAlpha != 0:
-			return fmt.Errorf("-shards and -earlystop-alpha are mutually exclusive: the sequential engine needs a full session stream and runs on storage nodes")
+		var err error
+		if cfg.Shards, err = parseShards(*shards); err != nil {
+			return err
 		}
 	}
-	gcfg := guardConfig(*maxInflight, *rate, *burst)
-	var handler http.Handler
-	var cleanup func()
-	var err error
-	switch {
-	case *shards != "":
-		handler, cleanup, err = buildRouter(*shards, *quiet)
-	case rc.replicaOf != "":
-		handler, cleanup, err = buildStandby(*storeDir, *quiet, gcfg)
-	case rc.replicateTo != "":
-		handler, cleanup, err = buildPrimary(*storeDir, *quiet, gcfg, rc)
-	default:
-		handler, cleanup, err = buildHandler(*storeDir, *quiet, gcfg)
-	}
+	d, err := deploy.Open(cfg)
 	if err != nil {
 		return err
 	}
 	// Runs after the drain: flushes the WAL and closes the store.
-	defer cleanup()
+	defer func() {
+		if err := d.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, "kscope-server:", err)
+		}
+	}()
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
 	}
 	httpServer := &http.Server{
-		Handler:           handler,
+		Handler:           d,
 		ReadHeaderTimeout: 10 * time.Second,
 		ReadTimeout:       *readTimeout,
 		WriteTimeout:      *writeTimeout,
@@ -125,6 +112,14 @@ func run(args []string) error {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	if cfg.ReplicaOf != "" {
+		// Registered before the listener answers: an unhandled SIGUSR1
+		// would kill the process the controller meant to promote.
+		promote := make(chan os.Signal, 1)
+		signal.Notify(promote, syscall.SIGUSR1)
+		defer signal.Stop(promote)
+		go promoteOnSignal(ctx, promote, d)
+	}
 	if *shards != "" {
 		fmt.Printf("kscope-server routing tier listening on http://%s (shards: %s)\n", ln.Addr(), *shards)
 	} else {
@@ -175,57 +170,21 @@ func guardConfig(maxInflight int, rate, burst float64) *guard.Config {
 	return cfg
 }
 
-// buildHandler wires the core server (with metrics, request logging, and —
-// unless disabled — the overload guard) over a prepared storage directory
-// and returns a cleanup closing the database.
-func buildHandler(storeDir string, quiet bool, gcfg *guard.Config) (http.Handler, func(), error) {
-	if storeDir == "" {
-		return nil, nil, fmt.Errorf("-store is required")
+// promoteOnSignal waits for SIGUSR1 — the failover controller's promote
+// signal — and turns the standby into the primary in place, on the same
+// listener. From that moment the old primary is fenced: every replication
+// frame it sends carries its stale epoch and is rejected, and its own API
+// answers writes with 503 + X-Kscope-Fenced so clients fail over.
+func promoteOnSignal(ctx context.Context, promote <-chan os.Signal, d *deploy.Deployment) {
+	select {
+	case <-promote:
+	case <-ctx.Done():
+		return
 	}
-	db, err := store.Open(filepath.Join(storeDir, "db"))
+	epoch, err := d.Promote()
 	if err != nil {
-		return nil, nil, err
+		fmt.Fprintln(os.Stderr, "kscope-server: promotion failed:", err)
+		return
 	}
-	handler, cleanup, err := assembleHandler(db, storeDir, quiet, gcfg, obs.NewRegistry())
-	if err != nil {
-		db.Close()
-		return nil, nil, err
-	}
-	return handler, cleanup, nil
-}
-
-// assembleHandler builds the serving stack — blob store, guard, core
-// server, logging middleware — around an already-open database. The
-// replication paths reuse it with their extra server options (epoch
-// advertisement, fencing, lag-aware readiness). The returned cleanup
-// closes the database.
-func assembleHandler(db *store.DB, storeDir string, quiet bool, gcfg *guard.Config,
-	reg *obs.Registry, extra ...server.Option) (http.Handler, func(), error) {
-	blobs, err := store.OpenBlobStore(filepath.Join(storeDir, "blobs"))
-	if err != nil {
-		return nil, nil, err
-	}
-	opts := []server.Option{server.WithObservability(reg)}
-	if gcfg != nil {
-		g := guard.New(*gcfg)
-		g.RegisterMetrics(reg)
-		opts = append(opts, server.WithGuard(g))
-	}
-	if earlyStopAlpha > 0 {
-		opts = append(opts, server.WithEarlyStop(server.EarlyStopConfig{Alpha: earlyStopAlpha}))
-	}
-	opts = append(opts, extra...)
-	srv, err := server.New(db, blobs, opts...)
-	if err != nil {
-		return nil, nil, err
-	}
-	return obs.Middleware(srv, buildLogger(quiet), reg, server.RouteLabel), db.Close, nil
-}
-
-// buildLogger returns the per-request logger, or nil under -quiet.
-func buildLogger(quiet bool) *slog.Logger {
-	if quiet {
-		return nil
-	}
-	return slog.New(slog.NewTextHandler(os.Stderr, nil))
+	fmt.Printf("kscope-server: promoted to primary at epoch %d\n", epoch)
 }

@@ -14,14 +14,15 @@ import (
 	"time"
 
 	"kaleidoscope/internal/aggregator"
+	"kaleidoscope/internal/deploy"
 	"kaleidoscope/internal/params"
 	"kaleidoscope/internal/store"
 	"kaleidoscope/internal/webgen"
 )
 
 func TestBuildHandlerValidation(t *testing.T) {
-	if _, _, err := buildHandler("", true, nil); err == nil {
-		t.Error("empty store dir should fail")
+	if err := run(nil); err == nil || !strings.Contains(err.Error(), "-store is required") {
+		t.Errorf("run without -store = %v, want the -store is required error", err)
 	}
 }
 
@@ -76,11 +77,11 @@ func prepareStore(t *testing.T) string {
 
 func TestBuildServerServesPreparedStore(t *testing.T) {
 	dir := prepareStore(t)
-	srv, cleanup, err := buildHandler(dir, true, guardConfig(64, 0, 0))
+	srv, err := deploy.Open(deploy.Config{Store: dir, Guard: guardConfig(64, 0, 0)})
 	if err != nil {
-		t.Fatalf("buildHandler: %v", err)
+		t.Fatalf("deploy.Open: %v", err)
 	}
-	defer cleanup()
+	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	resp, err := ts.Client().Get(ts.URL + "/api/tests/served")
@@ -145,7 +146,7 @@ func TestBuildServerServesPreparedStore(t *testing.T) {
 // on disk after the store closes.
 func TestServeDrainsInFlightUploads(t *testing.T) {
 	dir := prepareStore(t)
-	handler, cleanup, err := buildHandler(dir, true, guardConfig(64, 0, 0))
+	handler, err := deploy.Open(deploy.Config{Store: dir, Guard: guardConfig(64, 0, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +206,7 @@ func TestServeDrainsInFlightUploads(t *testing.T) {
 	if err := <-uploadDone; err != nil {
 		t.Fatalf("in-flight upload dropped during shutdown: %v", err)
 	}
-	cleanup() // flush + close the store, as run()'s defer does
+	handler.Close() // flush + close the store, as run()'s defer does
 
 	db, err := store.Open(filepath.Join(dir, "db"))
 	if err != nil {

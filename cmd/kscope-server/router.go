@@ -1,34 +1,27 @@
-// Router mode: -shards turns kscope-server into the stateless consistent-
-// hash routing tier of a sharded deployment instead of a storage-backed
-// node.
-//
-//	router:  kscope-server -shards "http://s0:8780|http://s0b:8781,http://s1:8780|http://s1b:8781"
-//	shard 0: kscope-server -store DIR0 -replicate-to http://s0b:8781
-//	...
-//
-// The flag lists shards comma-separated; each shard is its primary's base
-// URL, optionally followed by "|" and its warm standby's. Shard identity
-// on the ring is the primary URL, so the same flag value always routes
-// the same keys — keep the list stable across router restarts.
-//
-// The router owns no data: it proxies each request to the shard owning
-// its key (test id for content, test id + worker id for sessions), fails
-// over to a shard's standby when the primary stops answering, and serves
-// /results as a scatter/gather merge. See internal/shard.
 package main
 
 import (
 	"fmt"
-	"net/http"
 	"net/url"
 	"strings"
 
-	"kaleidoscope/internal/obs"
-	"kaleidoscope/internal/server"
 	"kaleidoscope/internal/shard"
 )
 
-// parseShards parses the -shards flag value into shard specs.
+// parseShards parses the -shards flag value, which turns kscope-server
+// into the stateless consistent-hash routing tier of a sharded deployment:
+//
+//	router:  kscope-server -shards "http://s0:8780|http://s0b:8781,http://s1:8780|http://s1b:8781"
+//	shard 0: kscope-server -store DIR0 -replicate-to http://s0b:8781
+//
+// Shards are comma-separated; each is its primary's base URL, optionally
+// followed by "|" and its warm standby's. Shard identity on the ring is
+// the primary URL, so the same flag value always routes the same keys —
+// keep the list stable across router restarts. The router owns no data: it
+// proxies each request to the shard owning its key (test id for content,
+// test id + worker id for sessions), fails over to a shard's standby when
+// the primary stops answering, and serves /results as a scatter/gather
+// merge. See internal/shard.
 func parseShards(v string) ([]shard.Spec, error) {
 	var specs []shard.Spec
 	for _, part := range strings.Split(v, ",") {
@@ -52,25 +45,4 @@ func parseShards(v string) ([]shard.Spec, error) {
 		specs = append(specs, shard.Spec{Name: primary, Primary: primary, Standby: standby})
 	}
 	return specs, nil
-}
-
-// buildRouter wires the routing tier: the consistent-hash router behind
-// the same metrics/logging middleware every serving node uses. There is
-// no store to close; the cleanup is a no-op kept for symmetry with the
-// other build paths.
-func buildRouter(shardsFlag string, quiet bool) (http.Handler, func(), error) {
-	specs, err := parseShards(shardsFlag)
-	if err != nil {
-		return nil, nil, err
-	}
-	reg := obs.NewRegistry()
-	rt, err := shard.New(shard.Config{Shards: specs, Registry: reg})
-	if err != nil {
-		return nil, nil, err
-	}
-	return loggedHandler(rt, quiet, reg), func() {}, nil
-}
-
-func loggedHandler(h http.Handler, quiet bool, reg *obs.Registry) http.Handler {
-	return obs.Middleware(h, buildLogger(quiet), reg, server.RouteLabel)
 }

@@ -4,6 +4,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"kaleidoscope/internal/deploy"
 )
 
 func TestParseShards(t *testing.T) {
@@ -40,11 +42,15 @@ func TestBuildRouterServes(t *testing.T) {
 	// A router over an unreachable shard still builds and serves its own
 	// health surface — the shard being down is a runtime condition, not a
 	// wiring error.
-	handler, cleanup, err := buildRouter("http://127.0.0.1:1|http://127.0.0.1:2", true)
+	specs, err := parseShards("http://127.0.0.1:1|http://127.0.0.1:2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cleanup()
+	handler, err := deploy.Open(deploy.Config{Shards: specs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer handler.Close()
 	ts := httptest.NewServer(handler)
 	defer ts.Close()
 	resp, err := ts.Client().Get(ts.URL + "/healthz")
@@ -56,18 +62,17 @@ func TestBuildRouterServes(t *testing.T) {
 		t.Errorf("healthz = %d", resp.StatusCode)
 	}
 
-	if _, _, err := buildRouter("garbage", true); err == nil {
+	if err := run([]string{"-shards", "garbage"}); err == nil {
 		t.Error("invalid shard list should fail")
 	}
 }
 
 // TestRouterFlagExclusivity: -shards turns the process into the stateless
 // routing tier; storage-node flags alongside it are operator mistakes
-// rejected before anything opens or listens.
+// rejected before anything opens or listens. The rule itself, with every
+// other mode exclusion, is internal/deploy's TestValidate; this proves each
+// flag reaches it.
 func TestRouterFlagExclusivity(t *testing.T) {
-	// run() binds -earlystop-alpha to a package-level var; don't leak the
-	// setting into tests that assemble handlers after this one.
-	t.Cleanup(func() { earlyStopAlpha = 0 })
 	cases := []struct {
 		name string
 		args []string
@@ -85,23 +90,5 @@ func TestRouterFlagExclusivity(t *testing.T) {
 				t.Errorf("run(%v) = %v, want error containing %q", tc.args, err, tc.want)
 			}
 		})
-	}
-}
-
-// TestReplConfigValidate: a node cannot be primary and standby at once,
-// and a primary's ack mode must parse.
-func TestReplConfigValidate(t *testing.T) {
-	rc := replConfig{replicateTo: "http://b:2", replicaOf: "http://a:1", ackMode: "follower"}
-	if err := rc.validate(); err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
-		t.Errorf("primary+standby validate = %v", err)
-	}
-	if err := (replConfig{replicateTo: "http://b:2", ackMode: "bogus"}).validate(); err == nil {
-		t.Error("bogus ack mode accepted")
-	}
-	if err := (replConfig{replicateTo: "http://b:2", ackMode: "follower"}).validate(); err != nil {
-		t.Errorf("valid primary config rejected: %v", err)
-	}
-	if err := (replConfig{ackMode: "bogus"}).validate(); err != nil {
-		t.Errorf("ack mode must only matter on a primary: %v", err)
 	}
 }

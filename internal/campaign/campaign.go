@@ -190,6 +190,10 @@ type Campaign struct {
 	// neighbors still serving get to spend. Exhausting the budget fails
 	// the run: the campaign promised more sessions than it could pay for.
 	Budget int
+	// OnAck, when set, is called for every session the deployment
+	// acknowledged as stored, from the slot's goroutine, while the tenant
+	// is still serving — the hook a harness's mid-run audits hang on.
+	OnAck func(testID, workerID string)
 	// Logf, when set, receives progress lines.
 	Logf func(format string, args ...any)
 
@@ -495,6 +499,9 @@ func (c *Campaign) serveTenant(spec Spec, prep *aggregator.Prepared, sem chan st
 					return
 				case err == nil:
 					c.pool.release(w)
+					if c.OnAck != nil {
+						c.OnAck(spec.Test.TestID, w.ID)
+					}
 					mu.Lock()
 					rep.Acked = append(rep.Acked, w.ID)
 					if len(session.Behaviors) < len(prep.Pages) {

@@ -74,6 +74,11 @@ type WorkerResult struct {
 	// Concluded marks a session the server acknowledged without storing
 	// because the sequential engine had already decided the test.
 	Concluded bool
+	// Epoch is the highest replication epoch the uploading client had seen
+	// when the session was acknowledged (0 when no node advertised one): the
+	// token a reader needs to refuse a deposed primary's stale answer about
+	// this very session.
+	Epoch uint64
 }
 
 // FleetReport aggregates a fleet run.
@@ -281,6 +286,7 @@ func (b *sessionBatcher) upload(batch []WorkerResult) {
 			batch[i].Err = fmt.Errorf("extension: batch element %s rejected: status %d: %s",
 				batch[i].WorkerID, reportObj.Results[i].Status, reportObj.Results[i].Error)
 		}
+		batch[i].Epoch = b.client.Epoch()
 		b.record(batch[i])
 	}
 }
@@ -311,6 +317,7 @@ func (f *Fleet) runWorker(testID string, index int, worker *crowd.Worker, buildO
 		res.Concluded = err == nil && outcome == UploadConcluded
 	}
 	res.Retries = client.RetryAttempts()
+	res.Epoch = client.Epoch()
 	res.Elapsed = time.Since(start)
 	if err != nil {
 		res.Err = fmt.Errorf("extension: worker %s (index %d): %w", worker.ID, index, err)

@@ -1,67 +1,53 @@
-package server
+package server_test
 
 import (
 	"bytes"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"kaleidoscope/internal/aggregator"
-	"kaleidoscope/internal/params"
-	"kaleidoscope/internal/replica"
+	"kaleidoscope/internal/deploy"
+	"kaleidoscope/internal/server"
 	"kaleidoscope/internal/store"
-	"kaleidoscope/internal/webgen"
 )
 
-// benchPrepareInto prepares the standard srv-test fixture into an
-// already-open database (prepTest always opens its own memory store; the
-// replication benchmarks need dir-backed and replicated ones).
-func benchPrepareInto(b *testing.B, db *store.DB) (*Server, *aggregator.Prepared) {
+// benchNode prepares the srv-test fixture into a fresh storage directory,
+// the state `kscope prepare` leaves behind, and opens the node cfg
+// describes over it the way kscope-server does — through internal/deploy —
+// with a store that fsyncs every append before it acknowledges.
+func benchNode(b *testing.B, cfg deploy.Config) (*deploy.Deployment, *aggregator.Prepared) {
 	b.Helper()
-	blobs := store.NewBlobStore()
-	agg, err := aggregator.New(db, blobs)
+	cfg.Store, cfg.Blobs = b.TempDir(), store.NewBlobStore()
+	db, err := store.Open(filepath.Join(cfg.Store, "db"))
 	if err != nil {
 		b.Fatal(err)
 	}
-	test := &params.Test{
-		TestID:          "srv-test",
-		WebpageNum:      2,
-		TestDescription: "replication bench",
-		ParticipantNum:  10,
-		Questions:       []string{"Which webpage's font size is more suitable (easier) for reading?"},
-		Webpages: []params.Webpage{
-			{WebPath: "a", WebPageLoad: params.PageLoadSpec{UniformMillis: 1000}, WebMainFile: "index.html"},
-			{WebPath: "b", WebPageLoad: params.PageLoadSpec{UniformMillis: 1000}, WebMainFile: "index.html"},
-		},
-	}
-	sites := map[string]*webgen.Site{
-		"a": webgen.WikiArticle(webgen.WikiConfig{Seed: 1, FontSizePt: 12}),
-		"b": webgen.WikiArticle(webgen.WikiConfig{Seed: 1, FontSizePt: 22}),
-	}
-	prep, err := agg.Prepare(test, sites, nil)
+	prep := server.PrepareOn(b, db, cfg.Blobs, "srv-test")
+	db.Close()
+	cfg.StoreOptions = []store.Option{store.WithSyncPolicy(store.SyncAlways)}
+	node, err := deploy.Open(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv, err := New(db, blobs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return srv, prep
+	b.Cleanup(func() { node.Close() })
+	return node, prep
 }
 
-// uploadLoop drives b.N single-session POSTs through srv.
-func uploadLoop(b *testing.B, srv *Server, prep *aggregator.Prepared) {
+// uploadLoop drives b.N single-session POSTs through node.
+func uploadLoop(b *testing.B, node http.Handler, prep *aggregator.Prepared) {
 	b.Helper()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		payload := benchSessionPayload(b, prep, i)
+		payload := server.BenchSessionPayload(b, prep, i)
 		req := httptest.NewRequest(http.MethodPost, "/api/tests/srv-test/sessions", bytes.NewReader(payload))
 		rec := httptest.NewRecorder()
 		b.StartTimer()
-		srv.ServeHTTP(rec, req)
+		node.ServeHTTP(rec, req)
 		if rec.Code != http.StatusCreated {
 			b.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
 		}
@@ -74,48 +60,37 @@ func uploadLoop(b *testing.B, srv *Server, prep *aggregator.Prepared) {
 // memory-backed BenchmarkSessionUploadHTTP — the overhead budget should
 // price the follower round-trip, not the fsync.
 func BenchmarkSessionUploadDurable(b *testing.B) {
-	db, err := store.Open(b.TempDir(), store.WithSyncPolicy(store.SyncAlways))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer db.Close()
-	srv, prep := benchPrepareInto(b, db)
-	uploadLoop(b, srv, prep)
+	node, prep := benchNode(b, deploy.Config{})
+	uploadLoop(b, node, prep)
 }
 
 // BenchmarkSessionUploadReplicated is the full warm-standby write path: a
-// dir-backed SyncAlways store whose every WAL append is framed, shipped to
-// a loopback HTTP follower, applied and fsynced there, and only then
+// dir-backed SyncAlways primary whose every WAL append is framed, shipped to
+// a standby on a loopback listener, applied and fsynced there, and only then
 // acknowledged (AckFollower). The final lag-frames metric must be zero —
 // an acked upload with nonzero lag would mean the ack mode lies.
 func BenchmarkSessionUploadReplicated(b *testing.B) {
-	follower, err := replica.NewFollower(replica.FollowerConfig{Dir: b.TempDir()})
+	standby, err := deploy.Open(deploy.Config{Store: b.TempDir(), ReplicaOf: "the benchmark's primary"})
 	if err != nil {
 		b.Fatal(err)
 	}
-	fts := httptest.NewServer(follower)
+	defer standby.Close()
+	fts := httptest.NewServer(standby)
 	defer fts.Close()
-	prim, err := replica.NewPrimary(replica.PrimaryConfig{
-		FollowerURL:   fts.URL,
-		Epoch:         1,
-		Mode:          replica.AckFollower,
-		RetryInterval: time.Millisecond,
-	})
-	if err != nil {
-		b.Fatal(err)
+	node, prep := benchNode(b, deploy.Config{ReplicateTo: fts.URL, Epoch: 1, AckMode: "follower", RetryInterval: time.Millisecond})
+	// The prepared documents reach the standby as a snapshot on first
+	// contact; the clock starts on a steady stream.
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+		if frames, _ := node.Primary.Lag(); node.Primary.State() == "steady" && frames == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			b.Fatalf("replication stream not steady after 30s: state %s, last error %v", node.Primary.State(), node.Primary.LastErr())
+		}
 	}
-	defer prim.Close()
-	db, err := store.OpenBackend(store.Replicated(b.TempDir(), prim),
-		store.WithSyncPolicy(store.SyncAlways))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer db.Close()
-	prim.Bind(db)
-	srv, prep := benchPrepareInto(b, db)
-	uploadLoop(b, srv, prep)
+	uploadLoop(b, node, prep)
 	b.StopTimer()
-	lagFrames, _ := prim.Lag()
+	lagFrames, _ := node.Primary.Lag()
 	b.ReportMetric(float64(lagFrames), "lag-frames")
 	if lagFrames != 0 {
 		b.Fatalf("replication lag after acked uploads = %d frames, want 0", lagFrames)

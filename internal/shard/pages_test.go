@@ -270,6 +270,11 @@ func TestPageResponseBytesCounted(t *testing.T) {
 		d.prepare(t, 12, 22)
 		bytesServed := d.nodeReg.Counter(obs.MetricResponseBytes, "route", "GET /api/tests/{id}/pages")
 		resp, body := d.get(t, http.MethodGet, "pair-0-1", "left.html", "")
+		// The middleware counts once the handler has returned, and the
+		// tester can have the whole body before that.
+		for deadline := time.Now().Add(5 * time.Second); bytesServed.Value() == 0 && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
 		if got := bytesServed.Value(); got != int64(len(body)) || len(body) < 50000 {
 			t.Fatalf("after one %d-byte page the counter reads %d", len(body), got)
 		}

@@ -1,0 +1,485 @@
+// Package testbed starts a whole Kaleidoscope deployment on loopback
+// listeners — the same internal/deploy assembly kscope-server runs, once
+// per process of the topology — drives seeded crowds through its one front
+// door, injects the faults a run schedules, and applies one standard Audit
+// to whatever is left standing. cmd/kscope-load's scenarios are a
+// Topology, a crowd, a fault trigger and their own gates on top of it.
+//
+// Everything random derives from Run.Seed: crowd populations, worker RNG
+// streams, every link's chaos transport (link) and the victim of a kill
+// (HomeVictim). Report prints the fault schedule, so a failed run replays
+// from its seed and its output.
+package testbed
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"sort"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"kaleidoscope/internal/aggregator"
+	"kaleidoscope/internal/crowd"
+	"kaleidoscope/internal/deploy"
+	"kaleidoscope/internal/extension"
+	"kaleidoscope/internal/failover"
+	"kaleidoscope/internal/guard"
+	"kaleidoscope/internal/netsim"
+	"kaleidoscope/internal/params"
+	"kaleidoscope/internal/shard"
+	"kaleidoscope/internal/store"
+	"kaleidoscope/internal/webgen"
+)
+
+// StoreKind is where every storage node of a topology keeps its documents.
+type StoreKind int
+
+const (
+	Memory   StoreKind = iota // store.OpenMemory
+	Dir                       // a temp directory in `kscope prepare`'s layout
+	FaultDir                  // Dir behind Bed.Disk, a fault-injecting filesystem
+)
+
+// Topology is the shape of a deployment.
+type Topology struct {
+	// Shards is the number of shards behind a consistent-hash router; 0
+	// runs one node (or pair) with no router in front.
+	Shards int
+	// Replicated gives every node a warm standby it ships its WAL to,
+	// acknowledging a write only once the standby applied it. Needs Dir.
+	Replicated     bool
+	Store          StoreKind
+	EarlyStopAlpha float64       // 0: no sequential engine
+	Guard          *guard.Config // nil: no admission control
+}
+
+// Run is what makes one run of a topology reproducible.
+type Run struct {
+	Seed int64
+	// Chaos rides every link — worker to front door, router to node,
+	// primary to standby. The zero value is a clean network.
+	Chaos netsim.ChaosConfig
+	// Retries is the budget of every tier that retries: workers, the
+	// router, the bed's own experimenter.
+	Retries int
+	// PollEvery makes every PollEvery-th acknowledgement of the run fetch
+	// its test's /results, for the read-your-acks check (0: never).
+	PollEvery int
+}
+
+// Fixture is a test provisioned on every shard before the front door
+// opens; Audit covers these. Tests a scenario creates and deletes itself
+// (a campaign's tenants) are audited by their owner, with Bed.Oracle.
+type Fixture struct {
+	Test  *params.Test
+	Sites map[string]*webgen.Site
+}
+
+// member is one process of the topology on its listener.
+type member struct {
+	*deploy.Deployment
+	ts *httptest.Server
+}
+
+// pair is one shard: the node that started as primary (or the only node)
+// and, when replicated, its standby. After KillAndPromote the zombie keeps
+// listening and the standby is what Node returns.
+type pair struct {
+	primary, standby *member
+	epoch            uint64 // 0 until promoted
+}
+
+// Bed is a running topology.
+type Bed struct {
+	Top Topology
+	Run Run
+	// URLs is the front door as a client's failover ring sees it: the
+	// router, or the node followed by its standby.
+	URLs []string
+	// Blobs holds the prepared page files, shared by every node (prepared
+	// content is provisioned fleet-wide; replication covers the WAL).
+	Blobs *store.BlobStore
+	// Disk is the filesystem under every FaultDir store.
+	Disk *store.FaultFS
+	// Fixtures are the tests Start provisioned; Audit covers them.
+	Fixtures []Fixture
+
+	shards   []*pair
+	router   *member
+	dirs     []string
+	statuses statusTable
+	reader   failover.Loop // the bed's experimenter: polls and audits read through it
+
+	mu          sync.Mutex
+	links       []*netsim.ChaosTransport
+	routerLinks int
+	acks        map[string][]string // test id -> acknowledged worker ids
+	ackCount    int
+	faults      []string // the fault schedule, as it happened
+	crowds      []crowdRun
+	polls       int
+	checked     int // polls that could be held to read-your-acks
+	pollErrs    []error
+}
+
+// Start provisions the fixtures and brings the topology up, standbys
+// first. The caller Closes the bed.
+func Start(top Topology, run Run, fixtures ...Fixture) (*Bed, error) {
+	if top.Replicated && top.Store == Memory {
+		return nil, errors.New("testbed: a replicated topology needs a directory store: the WAL it ships is a file")
+	}
+	b := &Bed{Top: top, Run: run, Blobs: store.NewBlobStore(), Fixtures: fixtures, acks: make(map[string][]string)}
+	if top.Store == FaultDir {
+		b.Disk = store.NewFaultFS()
+	}
+	if err := b.start(); err != nil {
+		b.Close()
+		return nil, err
+	}
+	b.reader = failover.Loop{Ring: failover.NewRing(b.URLs...), Policy: b.policy(50 * time.Millisecond)}
+	return b, nil
+}
+
+func (b *Bed) start() error {
+	specs := make([]shard.Spec, max(b.Top.Shards, 1))
+	for i := range specs {
+		p, err := b.startShard(i)
+		if err != nil {
+			return fmt.Errorf("testbed: shard %d: %w", i, err)
+		}
+		specs[i] = shard.Spec{Name: fmt.Sprintf("shard-%d", i), Primary: p.primary.ts.URL}
+		if p.standby != nil {
+			specs[i].Standby = p.standby.ts.URL
+		}
+	}
+	if b.Top.Shards == 0 {
+		b.URLs = []string{specs[0].Primary}
+		if specs[0].Standby != "" {
+			b.URLs = append(b.URLs, specs[0].Standby)
+		}
+		return nil
+	}
+	// Workers talk only to the router, so the statuses it answers are the
+	// deployment's status matrix.
+	var err error
+	b.router, err = b.listen(deploy.Config{Shards: specs, RouterPolicy: b.policy(50 * time.Millisecond),
+		Link: func(string) http.RoundTripper { return b.link(routerLink, 0, 0) }}, true)
+	if err != nil {
+		return err
+	}
+	b.URLs = []string{b.router.ts.URL}
+	return nil
+}
+
+// policy is the retry policy of every tier of a run; the cap keeps a
+// shedding node's Retry-After: 1 from stretching a smoke run by seconds.
+func (b *Bed) policy(maxRetryAfter time.Duration) failover.Policy {
+	return failover.Policy{Retries: b.Run.Retries, Backoff: 2 * time.Millisecond, MaxRetryAfter: maxRetryAfter}
+}
+
+// WorkerPolicy is what a participant's client retries with.
+func (b *Bed) WorkerPolicy() failover.Policy { return b.policy(100 * time.Millisecond) }
+
+// listen opens one process and serves it on a fresh loopback port; a
+// front-door listener counts the statuses it answers.
+func (b *Bed) listen(cfg deploy.Config, front bool) (*member, error) {
+	d, err := deploy.Open(cfg)
+	if err != nil {
+		return nil, err
+	}
+	var h http.Handler = d
+	if front {
+		h = b.statuses.wrap(h)
+	}
+	return &member{d, httptest.NewServer(h)}, nil
+}
+
+// startShard provisions one shard's store and starts its node — and, in a
+// replicated topology, the standby before it. Without a router the shard's
+// own listeners are the front door.
+func (b *Bed) startShard(i int) (*pair, error) {
+	p := &pair{}
+	b.shards = append(b.shards, p)
+	cfg := deploy.Config{Blobs: b.Blobs, Guard: b.Top.Guard, EarlyStopAlpha: b.Top.EarlyStopAlpha}
+	if b.Top.Store == Memory {
+		cfg.DB = store.OpenMemory()
+		if err := b.provision(cfg.DB); err != nil {
+			return nil, err
+		}
+	} else {
+		// Prepared through a plain directory store, the state `kscope
+		// prepare` leaves behind, so the node's own open — replicated,
+		// fault-injected — goes through the real recovery path.
+		var err error
+		if cfg.Store, err = b.tempDir(); err != nil {
+			return nil, err
+		}
+		db, err := store.Open(filepath.Join(cfg.Store, "db"))
+		if err != nil {
+			return nil, err
+		}
+		err = b.provision(db)
+		db.Close()
+		if err != nil {
+			return nil, err
+		}
+		if b.Disk != nil {
+			cfg.StoreOptions = []store.Option{store.WithFileSystem(b.Disk)}
+		}
+	}
+	front := b.Top.Shards == 0
+	if b.Top.Replicated {
+		scfg := cfg
+		var err error
+		if scfg.Store, err = b.tempDir(); err != nil {
+			return nil, err
+		}
+		scfg.ReplicaOf = "the shard's primary"
+		if p.standby, err = b.listen(scfg, front); err != nil {
+			return nil, err
+		}
+		// The store already holds the prepared documents, so the stream's
+		// first contact is a snapshot catch-up before any tail frame.
+		cfg.ReplicateTo, cfg.Epoch, cfg.AckMode = p.standby.ts.URL, 1, "follower"
+		cfg.ShipTimeout, cfg.RetryInterval = 30*time.Second, 5*time.Millisecond
+		cfg.Link = func(string) http.RoundTripper { return b.link(replLink, i, 0) }
+	}
+	var err error
+	p.primary, err = b.listen(cfg, front)
+	return p, err
+}
+
+func (b *Bed) tempDir() (string, error) {
+	dir, err := os.MkdirTemp("", "kscope-testbed-*")
+	if err == nil {
+		b.dirs = append(b.dirs, dir)
+	}
+	return dir, err
+}
+
+func (b *Bed) provision(db *store.DB) error {
+	agg, err := aggregator.New(db, b.Blobs)
+	if err != nil {
+		return err
+	}
+	for _, f := range b.Fixtures {
+		if _, err := agg.Prepare(f.Test, f.Sites, nil); err != nil {
+			return fmt.Errorf("preparing %s: %w", f.Test.TestID, err)
+		}
+	}
+	return nil
+}
+
+// Close stops every listener, front tier first, then closes every process
+// and removes the store directories. Safe on a half-started bed.
+func (b *Bed) Close() {
+	members := []*member{b.router}
+	for _, p := range b.shards {
+		members = append(members, p.primary, p.standby)
+	}
+	for _, m := range members {
+		if m != nil {
+			m.ts.Close()
+		}
+	}
+	for _, m := range members {
+		if m != nil {
+			m.Close() // a standby's position save can fail only with its directory, which goes next
+		}
+	}
+	for _, dir := range b.dirs {
+		os.RemoveAll(dir)
+	}
+}
+
+// Node is the deployment serving shard i now (shard 0 without a router):
+// its promoted standby, or the node it started with. Front is the one
+// behind the front door, whose registry holds the deployment-face request
+// histograms.
+func (b *Bed) Node(i int) *deploy.Deployment {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if p := b.shards[i]; p.epoch > 0 {
+		return p.standby.Deployment
+	}
+	return b.shards[i].primary.Deployment
+}
+
+func (b *Bed) Front() *deploy.Deployment {
+	if b.router != nil {
+		return b.router.Deployment
+	}
+	return b.Node(0)
+}
+
+type linkKind int
+
+const (
+	workerLink linkKind = iota // crowd a's worker (or session) n
+	replLink                   // shard a's replication stream
+	routerLink                 // the router's n-th hop, in shard.New's wiring order (shard, then primary before standby)
+)
+
+// link is the one place a chaos transport is made: every link of a run
+// gets its own stream, derived from the run seed and the link's place in
+// the topology, and is counted into the run's chaos totals. A clean
+// network gets nil, which every dialer reads as http.DefaultTransport.
+func (b *Bed) link(kind linkKind, a, n int) http.RoundTripper {
+	c := b.Run.Chaos
+	if c.DropRate == 0 && c.FaultRate == 0 && c.Delay == nil {
+		return nil
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	seed := b.Run.Seed
+	switch kind {
+	case workerLink:
+		seed += int64(a)*100_003 + int64(n) + 7919
+	case replLink:
+		seed += int64(a)*7907 + 104729
+	case routerLink:
+		b.routerLinks++
+		seed += int64(b.routerLinks)*6037 + 4099
+	}
+	t, err := netsim.NewChaosTransport(http.DefaultTransport, c, rand.New(rand.NewSource(seed)))
+	if err != nil {
+		panic(err) // only reachable with a nil rng
+	}
+	b.links = append(b.links, t)
+	return t
+}
+
+// WorkerLink is the transport of crowd c's n-th worker or session, for a
+// driver that runs its own clients (internal/campaign).
+func (b *Bed) WorkerLink(c, n int) http.RoundTripper { return b.link(workerLink, c, n) }
+
+// HomeVictim picks the shard a kill should hit: by seed, among the shards
+// some test is homed on (the owner of its content key), because a shard no
+// test calls home serves no test info or page and so hides whatever a
+// promotion breaks on the read path. It also returns the tests homed there.
+func (b *Bed) HomeVictim(tests ...string) (victim int, homed []string) {
+	if b.router == nil {
+		return 0, tests
+	}
+	ring := b.router.Router.Ring()
+	home := make(map[int][]string)
+	for _, t := range tests {
+		owner := ring.Owner(shard.TestKey(t))
+		home[owner] = append(home[owner], t)
+	}
+	candidates := make([]int, 0, len(home))
+	for s := range home {
+		candidates = append(candidates, s)
+	}
+	sort.Ints(candidates)
+	victim = candidates[rand.New(rand.NewSource(b.Run.Seed+15485863)).Intn(len(candidates))]
+	return victim, home[victim]
+}
+
+// KillAndPromote kills shard i's primary the hard way — every client
+// connection severed mid-request — and promotes its standby. The deposed
+// primary is left listening as a zombie, so it is the protocol that has to
+// fence it, not a tidy shutdown; Audit then demands the proof.
+func (b *Bed) KillAndPromote(i int) error {
+	p := b.shards[i]
+	if p.standby == nil {
+		return fmt.Errorf("testbed: shard %d has no standby to promote", i)
+	}
+	p.primary.ts.CloseClientConnections()
+	epoch, err := p.standby.Promote()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if err != nil {
+		b.faults = append(b.faults, fmt.Sprintf("kill shard %d: promotion FAILED: %v", i, err))
+		return err
+	}
+	p.epoch = epoch
+	b.faults = append(b.faults, fmt.Sprintf("kill shard %d's primary, promote its standby to epoch %d", i, epoch))
+	return nil
+}
+
+// NoteFault adds a scenario's own fault (a disk outage, a heal) to the
+// printed schedule.
+func (b *Bed) NoteFault(format string, args ...any) {
+	b.mu.Lock()
+	b.faults = append(b.faults, fmt.Sprintf(format, args...))
+	b.mu.Unlock()
+}
+
+// Crowd is one test's simulated participants, run through the full
+// extension flow against the front door.
+type Crowd struct {
+	Test        string
+	Workers     int
+	Trusted     bool // the trusted crowd mix instead of the open one
+	Concurrency int
+	Batch       int             // >0: ship gzip batches of this size
+	Policy      failover.Policy // zero fields keep the run's worker policy
+}
+
+type crowdRun struct {
+	Crowd
+	report *extension.FleetReport
+}
+
+// Drive runs the crowds concurrently and waits for all of them. fault,
+// when set, fires once, as soon as `at` workers of all crowds together
+// have finished — mid-run, from a worker's goroutine, with traffic still
+// in flight. Every acknowledged session is recorded for the Audit. The
+// reports come back in the crowds' order.
+func (b *Bed) Drive(crowds []Crowd, at int, fault func()) ([]*extension.FleetReport, error) {
+	var done atomic.Int64
+	var once sync.Once
+	runs := make([]crowdRun, len(crowds))
+	errs := make([]error, len(crowds))
+	var wg sync.WaitGroup
+	for ci, c := range crowds {
+		popFn := crowd.OpenCrowd
+		if c.Trusted {
+			popFn = crowd.TrustedCrowd
+		}
+		pop, err := popFn(c.Workers, rand.New(rand.NewSource(b.Run.Seed+int64(ci))))
+		if err != nil {
+			return nil, err
+		}
+		fleet := &extension.Fleet{
+			BaseURL:      b.URLs[0],
+			FailoverURLs: b.URLs[1:],
+			Answer:       extension.AnswerFontSize(),
+			Seed:         b.Run.Seed + int64(ci)*59_999,
+			Concurrency:  c.Concurrency,
+			Policy:       c.Policy.Or(b.WorkerPolicy()),
+			BatchSize:    c.Batch,
+			Transport:    func(n int) http.RoundTripper { return b.link(workerLink, ci, n) },
+			OnResult: func(_ int, res extension.WorkerResult) {
+				if res.Err == nil && !res.Concluded {
+					b.Acked(c.Test, res.WorkerID, res.Epoch)
+				}
+				if fault != nil && done.Add(1) >= int64(max(at, 1)) {
+					once.Do(fault)
+				}
+			},
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			runs[ci] = crowdRun{Crowd: c}
+			runs[ci].report, errs[ci] = fleet.Run(c.Test, pop)
+		}()
+	}
+	wg.Wait()
+	b.mu.Lock()
+	b.crowds = append(b.crowds, runs...)
+	b.mu.Unlock()
+	reports := make([]*extension.FleetReport, len(runs))
+	for i, r := range runs {
+		reports[i] = r.report
+	}
+	return reports, errors.Join(errs...)
+}
