@@ -51,6 +51,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLogBetaMixtureE$$' -fuzztime $(FUZZTIME) ./internal/earlystop/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseFrames$$' -fuzztime $(FUZZTIME) ./internal/replica/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSnapshot$$' -fuzztime $(FUZZTIME) ./internal/replica/
+	$(GO) test -run '^$$' -fuzz '^FuzzFoldStateDecode$$' -fuzztime $(FUZZTIME) ./internal/shard/
 
 # Full-repo coverage profile (published as a CI artifact).
 cover:
@@ -74,10 +75,12 @@ bench-aggregator:
 # BENCH_server.json (the incremental results engine must stay >=10x over
 # the from-scratch oracle at 10k stored sessions, the batched upload under
 # its per-session allocation budget, and the replicated AckFollower upload
-# within 5x of the durable no-follower baseline — see that file's notes).
+# within 5x of the durable no-follower baseline — see that file's notes),
+# plus the router's quality-controlled results poll over in-process shards.
 bench-server:
 	$(GO) test -run '^$$' -bench 'BenchmarkConclude(Scratch|Incremental)|BenchmarkSession(UploadHTTP|UploadFolded|BatchUploadHTTP|BatchUploadFolded|UploadDurable|UploadReplicated)$$|BenchmarkSessionUploadFsync' \
 		-benchmem -benchtime 10x ./internal/server/
+	$(GO) test -run '^$$' -bench 'BenchmarkRouterResultsQC$$' -benchmem -benchtime 10x ./internal/shard/
 
 # Just the upload hot-path pair: single endpoint vs the batched streaming
 # decoder (divide the batch allocs/op by 100 for the per-session figure).
@@ -90,7 +93,7 @@ bench-batch:
 # batch upload's 40 allocs/session budget, the >=10x incremental speedup,
 # (with >=4 cores) the >=2.2x parallel Prepare speedup, and the replicated
 # upload's 5x overhead budget (recorded 2.5x) with zero post-ack replication
-# lag.
+# lag, and the bytes a router QC poll reads from its shards.
 bench-delta:
 	./scripts/bench_delta.sh
 

@@ -8,7 +8,10 @@
 package quality
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
+	"sort"
 
 	"kaleidoscope/internal/questionnaire"
 	"kaleidoscope/internal/stats"
@@ -23,11 +26,13 @@ type QuestionRef struct {
 
 // ResponseKey is the QC-relevant projection of one answer: where it was
 // given and what it was. Comments, durations, and worker ids are dropped —
-// nothing else in the battery reads them per response.
+// nothing else in the battery reads them per response. The JSON form is what
+// a shard ships per answer of a worker only the crowd can still judge, hence
+// the one-letter keys.
 type ResponseKey struct {
-	PageID     string
-	QuestionID string
-	Choice     questionnaire.Choice
+	PageID     string               `json:"p"`
+	QuestionID string               `json:"q"`
+	Choice     questionnaire.Choice `json:"c"`
 }
 
 // Ref returns the question instance this answer belongs to.
@@ -110,6 +115,71 @@ func (v *Votes) Add(responses []ResponseKey) {
 	}
 }
 
+// Merge adds another accumulator's counts: workers are disjoint across
+// shards, so the crowd's votes are the sum of the partitions' votes.
+func (v *Votes) Merge(o *Votes) {
+	for k, m := range o.counts {
+		dst := v.counts[k]
+		if dst == nil {
+			dst = make(map[questionnaire.Choice]int, len(m))
+			v.counts[k] = dst
+		}
+		for choice, n := range m {
+			dst[choice] += n
+		}
+	}
+}
+
+// voteRow is one question's counts on the wire.
+type voteRow struct {
+	PageID     string                       `json:"page_id"`
+	QuestionID string                       `json:"question_id"`
+	Counts     map[questionnaire.Choice]int `json:"counts"`
+}
+
+func (r voteRow) before(o voteRow) bool {
+	if r.PageID != o.PageID {
+		return r.PageID < o.PageID
+	}
+	return r.QuestionID < o.QuestionID
+}
+
+// MarshalJSON writes the counts as rows sorted by question, so equal
+// accumulators encode to equal bytes.
+func (v *Votes) MarshalJSON() ([]byte, error) {
+	rows := make([]voteRow, 0, len(v.counts))
+	for k, m := range v.counts {
+		rows = append(rows, voteRow{PageID: k.PageID, QuestionID: k.QuestionID, Counts: m})
+	}
+	sort.Slice(rows, func(a, b int) bool { return rows[a].before(rows[b]) })
+	return json.Marshal(rows)
+}
+
+// UnmarshalJSON reads what MarshalJSON wrote and nothing looser: a repeated
+// or out-of-order question, or a negative count, is refused.
+func (v *Votes) UnmarshalJSON(data []byte) error {
+	var rows []voteRow
+	if err := json.Unmarshal(data, &rows); err != nil {
+		return err
+	}
+	v.counts = make(map[QuestionRef]map[questionnaire.Choice]int, len(rows))
+	for i, r := range rows {
+		if i > 0 && !rows[i-1].before(r) {
+			return errors.New("quality: vote rows repeated or out of order")
+		}
+		for _, n := range r.Counts {
+			if n < 0 {
+				return errors.New("quality: negative vote count")
+			}
+		}
+		if r.Counts == nil {
+			r.Counts = map[questionnaire.Choice]int{}
+		}
+		v.counts[QuestionRef{PageID: r.PageID, QuestionID: r.QuestionID}] = r.Counts
+	}
+	return nil
+}
+
 // Majority computes the per-question pseudo-ground truth from the
 // accumulated counts, mirroring majorityAnswers: questions need at least
 // minPeers answers (default 5 when <= 0) and a strict majority. A strict
@@ -148,7 +218,17 @@ func (f Features) Evaluate(cfg Config, majority map[QuestionRef]questionnaire.Ch
 		v.Passed = false
 		v.Reasons = append(v.Reasons, fmt.Sprintf(format, args...))
 	}
+	f.local(cfg, fail)
+	if rate, deviates := Deviation(f.Responses, cfg, majority); deviates {
+		fail("deviates from majority on %.0f%% of answers (allowed %.0f%%)", rate*100, cfg.MajorityDeviation*100)
+	}
+	return v
+}
 
+// local runs the rules that read nothing but the worker's own session —
+// completeness, legality, engagement, controls — and reports each failure
+// to fail, in the battery's order.
+func (f Features) local(cfg Config, fail func(format string, args ...any)) {
 	// Hard rules: completeness and legality.
 	if cfg.RequiredResponses > 0 && len(f.Responses) != cfg.RequiredResponses {
 		fail("answered %d of %d questions", len(f.Responses), cfg.RequiredResponses)
@@ -174,27 +254,47 @@ func (f Features) Evaluate(cfg Config, majority map[QuestionRef]questionnaire.Ch
 	if f.ControlFailures > cfg.MaxControlFailures {
 		fail("failed %d control questions (allowed %d)", f.ControlFailures, cfg.MaxControlFailures)
 	}
+}
 
-	// Crowd wisdom.
-	if cfg.MajorityDeviation > 0 && len(majority) > 0 {
-		checked, deviated := 0, 0
-		for _, r := range f.Responses {
-			want, ok := majority[r.Ref()]
-			if !ok {
-				continue
-			}
-			checked++
-			if r.Choice != want {
-				deviated++
-			}
+// PassesLocal reports whether the worker passes every rule that reads only
+// its own session. None of them looks at the crowd, so a shard holding one
+// partition of it decides them for good.
+func (f Features) PassesLocal(cfg Config) bool {
+	ok := true
+	f.local(cfg, func(string, ...any) { ok = false })
+	return ok
+}
+
+// CrowdCanFail reports whether the crowd-wisdom check could still reject
+// the worker whatever the crowd turns out to say: it needs
+// minCheckedForMajority answers to compare, and the worker cannot have more
+// comparable answers than answers. A worker it cannot reach is settled by
+// PassesLocal alone.
+func (f Features) CrowdCanFail(cfg Config) bool {
+	return cfg.MajorityDeviation > 0 && len(f.Responses) >= minCheckedForMajority
+}
+
+// Deviation is the crowd-wisdom check: the share of a worker's answers, among
+// those on questions with a majority, that disagree with it, and whether
+// that share fails the worker.
+func Deviation(answers []ResponseKey, cfg Config, majority map[QuestionRef]questionnaire.Choice) (rate float64, fails bool) {
+	if cfg.MajorityDeviation <= 0 || len(majority) == 0 {
+		return 0, false
+	}
+	checked, deviated := 0, 0
+	for _, r := range answers {
+		want, ok := majority[r.Ref()]
+		if !ok {
+			continue
 		}
-		if checked >= minCheckedForMajority {
-			rate := float64(deviated) / float64(checked)
-			if rate > cfg.MajorityDeviation {
-				fail("deviates from majority on %.0f%% of answers (allowed %.0f%%)", rate*100, cfg.MajorityDeviation*100)
-			}
+		checked++
+		if r.Choice != want {
+			deviated++
 		}
 	}
-
-	return v
+	if checked < minCheckedForMajority {
+		return 0, false
+	}
+	rate = float64(deviated) / float64(checked)
+	return rate, rate > cfg.MajorityDeviation
 }

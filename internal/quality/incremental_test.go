@@ -1,6 +1,7 @@
 package quality
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -87,6 +88,79 @@ func TestIncrementalMatchesFilterProperty(t *testing.T) {
 		got := filterIncremental(sessions, cfg)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d (cfg %+v):\nincremental %+v\noracle      %+v", trial, cfg, got, want)
+		}
+	}
+}
+
+// TestSplitBatteryMatchesFilter: the battery the way a fleet runs it — the
+// session-local rules where the session is, the votes summed from two
+// partitions that travelled as JSON, the crowd check only on the workers it
+// can still fail — keeps exactly the workers Filter keeps.
+func TestSplitBatteryMatchesFilter(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for trial := 0; trial < 200; trial++ {
+		cfg := Config{
+			RequiredResponses:      rng.Intn(6),
+			MinMillisPerComparison: []int{0, 3000}[rng.Intn(2)],
+			MaxMillisPerComparison: []int{0, 150_000}[rng.Intn(2)],
+			MaxControlFailures:     rng.Intn(2),
+			MajorityDeviation:      []float64{0, 0.6}[rng.Intn(2)],
+			MinPeersForMajority:    []int{0, 3, 5}[rng.Intn(3)],
+		}
+		var sessions []WorkerSession
+		parts := [2]*Votes{NewVotes(), NewVotes()}
+		for i := 0; i < 1+rng.Intn(15); i++ {
+			s := randomSession(fmt.Sprintf("w%d", i), rng)
+			sessions = append(sessions, s)
+			parts[rng.Intn(2)].Add(ExtractFeatures(s).Responses)
+		}
+		whole := NewVotes()
+		for _, part := range parts {
+			wire, err := json.Marshal(part)
+			if err != nil {
+				t.Fatal(err)
+			}
+			back := NewVotes()
+			if err := json.Unmarshal(wire, back); err != nil {
+				t.Fatalf("trial %d: %v decoding %s", trial, err, wire)
+			}
+			if again, _ := json.Marshal(back); string(again) != string(wire) || !reflect.DeepEqual(back.Majority(1), part.Majority(1)) {
+				t.Fatalf("trial %d: votes changed on the wire: %s -> %s", trial, wire, again)
+			}
+			whole.Merge(back)
+		}
+		majority := whole.Majority(cfg.MinPeersForMajority)
+
+		_, _, want, err := Filter(sessions, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, s := range sessions {
+			f := ExtractFeatures(s)
+			passed := f.PassesLocal(cfg)
+			if _, fails := Deviation(f.Responses, cfg, majority); fails {
+				if !f.CrowdCanFail(cfg) {
+					t.Fatalf("trial %d: the crowd check fails %s, whom CrowdCanFail calls settled", trial, s.WorkerID)
+				}
+				passed = false
+			}
+			if passed != want[i].Passed {
+				t.Fatalf("trial %d (cfg %+v): split battery passes %s = %v, Filter says %+v", trial, cfg, s.WorkerID, passed, want[i])
+			}
+		}
+	}
+}
+
+// Votes off the wire are held to the shape MarshalJSON writes.
+func TestVotesUnmarshalRefuses(t *testing.T) {
+	for name, wire := range map[string]string{
+		"negative count": `[{"page_id":"p","question_id":"q0","counts":{"left":-1}}]`,
+		"repeated row":   `[{"page_id":"p","question_id":"q0","counts":{}},{"page_id":"p","question_id":"q0","counts":{}}]`,
+		"unsorted rows":  `[{"page_id":"p","question_id":"q1","counts":{}},{"page_id":"p","question_id":"q0","counts":{}}]`,
+		"not rows":       `{"p":1}`,
+	} {
+		if err := json.Unmarshal([]byte(wire), NewVotes()); err == nil {
+			t.Errorf("%s accepted: %s", name, wire)
 		}
 	}
 }

@@ -19,9 +19,10 @@ import (
 // A test's fold state is everything the serving path derives from its
 // stored sessions: per-worker QC features in document-id order, raw
 // per-page tallies, per-question vote counts and, with early stopping on,
-// the sequential engine and its latched decision. /results, the decision
-// attached to it, the concluded-upload check and the kscope_accum_* /
-// kscope_earlystop_* gauges are views over it.
+// the sequential engine and its latched decision. /results, the FoldState
+// document a router merges (foldstate.go), the decision attached to results,
+// the concluded-upload check and the kscope_accum_* / kscope_earlystop_*
+// gauges are views over it.
 //
 // The write path feeds it. An upload handler that finds live state for its
 // test reduces the session it just validated and scored to a foldNote and
@@ -29,7 +30,9 @@ import (
 // change hook folds the note, so a session a handler stored is never read
 // back or decoded again. Storage is replayed — rebuildLocked, the only
 // place stored sessions are decoded into the state — for a cold start,
-// after a delete, and after a put that carried no note.
+// after a delete, and after a put that carried no note. A replay that fails
+// (a corrupt stored session) is not tried again until storage moves in a
+// way that could have cured it.
 //
 // State is live or lazy (nothing retained). With early stopping on, the
 // upload handlers make it live before they insert, because the decision
@@ -83,6 +86,10 @@ type testFold struct {
 	mu   sync.Mutex
 	gone bool // purged from the table: look the test up again
 	live bool
+	// replayErr latches a failed replay of storage: the state stays lazy and
+	// every reader gets the error, without another replay, until a delete or
+	// an overwriting put (dropLocked) gives the replay a chance to differ.
+	replayErr error
 
 	// order holds the session document ids ascending — the order FindEq
 	// returns them in, which is the order the oracle sees sessions and
@@ -149,37 +156,49 @@ func (f *foldTable) feeding(testID string, entry *testEntry) bool {
 		return false
 	}
 	defer st.mu.Unlock()
-	if !st.live && f.early != nil {
+	if f.early != nil {
 		// A replay that fails (a corrupt stored session) leaves the state
 		// lazy; /results reports the fault.
-		_ = f.rebuildLocked(st, testID, entry)
+		_ = f.liveLocked(st, testID, entry)
 	}
 	return st.live
 }
 
+// liveLocked makes lazy state live by replaying storage, once: a failed
+// replay is latched and answered from the latch.
+func (f *foldTable) liveLocked(st *testFold, testID string, entry *testEntry) error {
+	if st.live {
+		return nil
+	}
+	if st.replayErr == nil {
+		st.replayErr = f.rebuildLocked(st, testID, entry)
+	}
+	return st.replayErr
+}
+
 // observe is the change-feed entry point, called on the mutating goroutine
-// after a responses-collection mutation commits. A put that carries a note
-// came through an upload handler: InsertUniqueNoted never overwrites, so it
-// is either new and folded, or — when a replay of storage got to the
-// committed document before its event did — already folded and ignored.
-// Anything else (a delete, a put without a note) means storage moved in a
-// way the state cannot follow incrementally, and drops it to lazy.
-func (f *foldTable) observe(op, docID, testID string, note *foldNote) {
+// after a responses-collection mutation commits. inserted says the put came
+// through an upload handler's InsertUniqueNoted, which never overwrites: with
+// a note it is either new and folded, or — when a replay of storage got to
+// the committed document before its event did — already folded and ignored;
+// without one (the handler saw lazy state) live state cannot follow it.
+// Anything else (a delete, a put from elsewhere) means storage moved in a
+// way the state cannot follow incrementally — and in the only way that can
+// cure a corrupt stored session — so it drops to lazy and unlatches.
+func (f *foldTable) observe(op, docID, testID string, note *foldNote, inserted bool) {
 	st := f.lock(testID, false)
 	if st == nil {
 		return
 	}
 	defer st.mu.Unlock()
-	if !st.live {
-		return
-	}
-	if op != store.OpPut || note == nil {
+	switch {
+	case op != store.OpPut || !inserted, st.live && note == nil:
 		f.dropLocked(st)
-		return
-	}
-	if _, replay := st.workers[docID]; !replay {
-		f.foldLocked(st, docID, note.entry, note.feats)
-		f.applied.Add(1)
+	case st.live:
+		if _, replay := st.workers[docID]; !replay {
+			f.foldLocked(st, docID, note.entry, note.feats)
+			f.applied.Add(1)
+		}
 	}
 }
 
@@ -286,8 +305,10 @@ func (st *testFold) clear() {
 	st.order, st.workers, st.tallies, st.votes, st.engine = nil, nil, nil, nil, nil
 }
 
-// dropLocked sends live state back to lazy.
+// dropLocked sends live state back to lazy and forgets a latched replay
+// error: whatever the caller saw may have changed what a replay reads.
 func (f *foldTable) dropLocked(st *testFold) {
+	st.replayErr = nil
 	if !st.live {
 		return
 	}
@@ -343,42 +364,79 @@ func (f *foldTable) decision(testID string) *earlystop.Decision {
 // It must produce exactly what the oracle (ConcludeScratch) produces: same
 // worker counts, same kept-worker order (session-document-id order), same
 // tallies, same page order, and the same Filtered quirk (false when
-// quality control is requested but no sessions exist).
+// quality control is requested but no sessions exist). The filtered
+// conclusion is the test's FoldState evaluated — the one kernel a router
+// runs over the merged states of a fleet.
 func (f *foldTable) results(testID string, entry *testEntry, useQC bool) (*Results, error) {
 	st := f.lock(testID, true)
 	defer st.mu.Unlock()
-	if !st.live {
-		if err := f.rebuildLocked(st, testID, entry); err != nil {
-			return nil, err
-		}
+	if err := f.liveLocked(st, testID, entry); err != nil {
+		return nil, err
 	}
+	if useQC {
+		return st.stateLocked(testID, entry).Conclude(), nil
+	}
+	return &Results{TestID: testID, Workers: len(st.order), Pages: pageSpine(entry.info, st.tallies)}, nil
+}
 
-	res := &Results{TestID: testID, Workers: len(st.order)}
-	tallies := st.tallies
-	if useQC && len(st.order) > 0 {
-		cfg := *defaultQC(entry)
-		majority := st.votes.Majority(cfg.MinPeersForMajority)
-		tallies = make(map[string]*questionnaire.Tally)
-		for _, docID := range st.order {
-			feats := st.workers[docID]
-			if !feats.Evaluate(cfg, majority).Passed {
-				continue
-			}
-			res.KeptWorkers = append(res.KeptWorkers, feats.WorkerID)
-			addTallies(tallies, feats.Responses)
+// state returns the test's FoldState without changing what the node
+// retains: live state is read as it is; a lazy one stays lazy, and with
+// replay set storage is folded for this one answer and nothing of it kept
+// (a router's read must not decide a shard's memory — that takes /results
+// or the sequential engine, as for any node). Without replay — the
+// degraded-mode read, which must not touch storage — a lazy state yields
+// nil.
+func (f *foldTable) state(testID string, entry *testEntry, replay bool) (*FoldState, error) {
+	if st := f.lock(testID, false); st != nil {
+		var fs *FoldState
+		if st.live {
+			fs = st.stateLocked(testID, entry)
+			// The caller encodes after the lock is gone; the votes keep moving.
+			fs.Votes = quality.NewVotes()
+			fs.Votes.Merge(st.votes)
 		}
-		res.Filtered = true
-		res.Workers = len(res.KeptWorkers)
-		res.DroppedWorkers = len(st.order) - res.Workers
+		err := st.replayErr
+		st.mu.Unlock()
+		if fs != nil || err != nil {
+			return fs, err
+		}
 	}
-	for _, p := range entry.info.Pages {
+	if !replay {
+		return nil, nil
+	}
+	b := newFoldStateBuilder(testID, entry, quality.NewVotes(), 0)
+	err := eachStoredSession(f.responses, testID, func(_ string, u *SessionUpload) {
+		feats := quality.ExtractFeatures(u.workerSession())
+		b.fs.Votes.Add(feats.Responses)
+		b.add(feats)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return b.done(entry.info), nil
+}
+
+// stateLocked reduces live state to the test's FoldState. Votes is the live
+// accumulator, not a copy.
+func (st *testFold) stateLocked(testID string, entry *testEntry) *FoldState {
+	b := newFoldStateBuilder(testID, entry, st.votes, len(st.order))
+	for _, docID := range st.order {
+		b.add(st.workers[docID])
+	}
+	return b.done(entry.info)
+}
+
+// pageSpine lists a test's pages in stored order, each with its tally.
+func pageSpine(info *TestInfo, tallies map[string]*questionnaire.Tally) []PageResult {
+	var pages []PageResult
+	for _, p := range info.Pages {
 		pr := PageResult{PageID: p.ID, LeftName: p.LeftName, RightName: p.RightName, Kind: p.Kind}
 		if t, ok := tallies[p.ID]; ok {
 			pr.Tally = *t
 		}
-		res.Pages = append(res.Pages, pr)
+		pages = append(pages, pr)
 	}
-	return res, nil
+	return pages
 }
 
 // registerGauges exports the fold state's statistics; the early-stopping

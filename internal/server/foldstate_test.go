@@ -1,0 +1,190 @@
+package server
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"testing"
+	"time"
+
+	"kaleidoscope/internal/aggregator"
+	"kaleidoscope/internal/guard"
+	"kaleidoscope/internal/questionnaire"
+	"kaleidoscope/internal/store"
+)
+
+// foldDoc fetches the node's fold document and holds it to the decoder a
+// router runs on it.
+func foldDoc(t *testing.T, srv *Server) ([]byte, *FoldState) {
+	t.Helper()
+	rec := doJSON(t, srv, http.MethodGet, "/api/tests/srv-test/fold", nil, nil)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET fold = %d: %s", rec.Code, rec.Body.String())
+	}
+	fs, err := DecodeFoldState(rec.Body.Bytes())
+	if err != nil {
+		t.Fatalf("a node's own fold document is refused: %v\n%s", err, rec.Body.String())
+	}
+	return rec.Body.Bytes(), fs
+}
+
+// The fold read serves the same document from a lazy state (storage folded
+// for the one answer) and from a live one, the document concludes to the
+// from-scratch oracle, and reading it does not make the node retain
+// anything: that takes /results or the sequential engine.
+func TestFoldReadDoesNotPromote(t *testing.T) {
+	srv, prep := prepTest(t)
+	for i := 0; i < 12; i++ {
+		if rec := postUpload(t, srv, prep, fmt.Sprintf("w%02d", i)); rec.Code != http.StatusCreated {
+			t.Fatalf("upload %d = %d", i, rec.Code)
+		}
+	}
+	fast := sampleUpload(prep, "w99-fast", questionnaire.ChoiceRight)
+	for i := range fast.Behaviors {
+		fast.Behaviors[i].TimeOnTaskMillis = 700
+	}
+	payload, _ := json.Marshal(fast)
+	if rec := doJSON(t, srv, http.MethodPost, "/api/tests/srv-test/sessions", payload, nil); rec.Code != http.StatusCreated {
+		t.Fatalf("unengaged upload = %d", rec.Code)
+	}
+
+	lazy, fs := foldDoc(t, srv)
+	if _, ok := srv.folds.tests.Load("srv-test"); ok {
+		t.Error("the fold read created fold state")
+	}
+	if fs.Sessions != 13 || len(fs.Workers) != 12 {
+		t.Errorf("document holds %d sessions, %d passing workers; want 13 and 12", fs.Sessions, len(fs.Workers))
+	}
+	want, err := srv.ConcludeScratch("srv-test", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, wantJSON := mustMarshal(t, fs.Conclude()), mustMarshal(t, want)
+	if !bytes.Equal(got, wantJSON) {
+		t.Errorf("document concludes to\n%s\noracle\n%s", got, wantJSON)
+	}
+
+	assertServedEqualsOracle(t, srv, "srv-test") // /results makes the state live
+	if live, _ := foldDoc(t, srv); !bytes.Equal(live, lazy) {
+		t.Errorf("live state serves\n%s\nstorage folded in passing served\n%s", live, lazy)
+	}
+	if r := srv.folds.rebuilds.Load(); r != 1 {
+		t.Errorf("kscope_accum_rebuilds_total = %d, want 1 (the /results replay only)", r)
+	}
+}
+
+func mustMarshal(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// With the store breaker open the fold read answers from live state, marked
+// degraded, and has nothing to serve for a lazy one: it must not touch
+// storage.
+func TestFoldReadDegraded(t *testing.T) {
+	for _, live := range []bool{true, false} {
+		g := guard.New(guard.Config{MaxInflight: 8, BreakerThreshold: 2, BreakerCooldown: time.Minute})
+		srv, prep, ffs, _ := prepGuardedTest(t, g)
+		for _, w := range []string{"w1", "w2", "w3"} {
+			if rec := postUpload(t, srv, prep, w); rec.Code != http.StatusCreated {
+				t.Fatalf("upload: %d", rec.Code)
+			}
+		}
+		if live {
+			assertServedEqualsOracle(t, srv, "srv-test")
+		} else if rec := doJSON(t, srv, http.MethodGet, "/api/tests/srv-test", nil, nil); rec.Code != http.StatusOK {
+			t.Fatalf("test info: %d", rec.Code) // the entry is cached either way
+		}
+		healthy, _ := foldDoc(t, srv)
+		tripBreaker(t, srv, prep, ffs, g)
+		scans := srv.responses.Stats()
+
+		rec := doJSON(t, srv, http.MethodGet, "/api/tests/srv-test/fold", nil, nil)
+		if live {
+			if rec.Code != http.StatusOK || rec.Header().Get(DegradedHeader) != "1" {
+				t.Errorf("live state, breaker open: status %d degraded=%q: %s", rec.Code, rec.Header().Get(DegradedHeader), rec.Body.String())
+			}
+			if !bytes.Equal(rec.Body.Bytes(), healthy) {
+				t.Errorf("degraded document\n%s\nhealthy document\n%s", rec.Body.Bytes(), healthy)
+			}
+		} else if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" {
+			t.Errorf("lazy state, breaker open: status %d retry-after=%q", rec.Code, rec.Header().Get("Retry-After"))
+		}
+		if after := srv.responses.Stats(); after != scans {
+			t.Errorf("the degraded fold read touched storage: %+v -> %+v", scans, after)
+		}
+	}
+}
+
+// One corrupt stored session used to cost a replay of storage on every
+// upload of its test with early stopping on. The failure is latched: one
+// replay, every reader answered from the latch, until storage moves in a way
+// that could have cured it.
+func TestCorruptSessionReplaysOnce(t *testing.T) {
+	db, blobs := store.OpenMemory(), store.NewBlobStore()
+	srv, prep := prepTestOn(t, db, blobs, "srv-test", WithEarlyStop(EarlyStopConfig{Alpha: 0.05}))
+	if _, err := srv.responses.Insert(store.Document{
+		store.IDField: "srv-test/evil", "test_id": "srv-test", "worker_id": "evil", "session": "{not json",
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// A replay is the only FindEq on the upload and results paths.
+	replays := func() int64 { return srv.responses.Stats().IndexHits }
+	upload := func(worker string, choice questionnaire.Choice) {
+		t.Helper()
+		payload, _ := json.Marshal(sampleUpload(prep, worker, choice))
+		if rec := doJSON(t, srv, http.MethodPost, "/api/tests/srv-test/sessions", payload, nil); rec.Code != http.StatusCreated {
+			t.Fatalf("upload %s = %d: %s", worker, rec.Code, rec.Body.String())
+		}
+	}
+
+	before := replays()
+	for i := 0; i < 6; i++ {
+		upload(fmt.Sprintf("a%d", i), []questionnaire.Choice{questionnaire.ChoiceLeft, questionnaire.ChoiceRight}[i%2])
+	}
+	for _, path := range []string{"/results", "/results?quality=1", "/fold", "/results"} {
+		if rec := doJSON(t, srv, http.MethodGet, "/api/tests/srv-test"+path, nil, nil); rec.Code != http.StatusInternalServerError {
+			t.Errorf("GET %s with a corrupt session = %d, want 500", path, rec.Code)
+		}
+	}
+	if got := replays() - before; got != 1 {
+		t.Errorf("6 uploads and 4 reads replayed storage %d times, want once", got)
+	}
+
+	// Deleting the corrupt document is the kind of change that can cure the
+	// replay: the next upload tries again, succeeds, and feeds live state.
+	if err := srv.responses.Delete("srv-test/evil"); err != nil {
+		t.Fatal(err)
+	}
+	before = replays()
+	upload("b0", questionnaire.ChoiceLeft)
+	upload("b1", questionnaire.ChoiceRight)
+	if got := replays() - before; got != 1 {
+		t.Errorf("after the cure 2 uploads replayed storage %d times, want once", got)
+	}
+	assertServedEqualsOracle(t, srv, "srv-test")
+
+	// DELETE and re-create: the new test owes the old one's fault nothing.
+	if _, err := srv.responses.Insert(store.Document{
+		store.IDField: "srv-test/evil", "test_id": "srv-test", "worker_id": "evil", "session": "{not json",
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if rec := doJSON(t, srv, http.MethodGet, "/api/tests/srv-test/results", nil, nil); rec.Code != http.StatusInternalServerError {
+		t.Fatalf("results over a corrupt session = %d, want 500", rec.Code)
+	}
+	if rec := doJSON(t, srv, http.MethodDelete, "/api/tests/srv-test", nil, nil); rec.Code != http.StatusOK {
+		t.Fatalf("DELETE = %d: %s", rec.Code, rec.Body.String())
+	}
+	prep = prepareOn(t, db, blobs, "srv-test")
+	upload("c0", questionnaire.ChoiceLeft)
+	assertServedEqualsOracle(t, srv, "srv-test")
+	if n := db.Collection(aggregator.ResponsesCollection).CountEq("test_id", "srv-test"); n != 1 {
+		t.Errorf("re-created test holds %d sessions, want 1", n)
+	}
+}

@@ -244,6 +244,7 @@ func TestRouteLabel(t *testing.T) {
 		{"GET", "/api/tests/t1/task", "GET /api/tests/{id}/task"},
 		{"POST", "/api/tests/t1/sessions", "POST /api/tests/{id}/sessions"},
 		{"GET", "/api/tests/t1/results", "GET /api/tests/{id}/results"},
+		{"GET", "/api/tests/t1/fold", "GET /api/tests/{id}/fold"},
 		{"GET", "/api/tests/t1/pages/pair-0-1/index.html", "GET /api/tests/{id}/pages"},
 		{"GET", "/dashboard/t1", "GET /dashboard/{id}"},
 		{"GET", "/metrics", "GET /metrics"},

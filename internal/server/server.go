@@ -96,6 +96,7 @@ func New(db *store.DB, blobs *store.BlobStore, opts ...Option) (*Server, error) 
 	s.mux.HandleFunc("POST /api/tests/{id}/sessions", s.handleSessionUpload)
 	s.mux.HandleFunc("POST /api/tests/{id}/sessions:batch", s.handleSessionBatch)
 	s.mux.HandleFunc("GET /api/tests/{id}/results", s.handleResults)
+	s.mux.HandleFunc("GET /api/tests/{id}/fold", s.handleFold)
 	s.mux.HandleFunc("DELETE /api/tests/{id}", s.handleTestDelete)
 	s.mux.HandleFunc("GET /builder", s.handleBuilderPage)
 	s.mux.HandleFunc("GET /dashboard/{id}", s.handleDashboard)
@@ -129,8 +130,10 @@ func New(db *store.DB, blobs *store.BlobStore, opts ...Option) (*Server, error) 
 		// the generation and then reads the fold state sees state at least
 		// as new as the snapshot, so results cached under that generation
 		// are never older than the generation they claim.
-		n, _ := note.(*foldNote)
-		s.folds.observe(op, id, testID, n)
+		// An upload handler's insert always carries a *foldNote, nil when it
+		// had no live state to feed; every other writer carries nothing.
+		n, inserted := note.(*foldNote)
+		s.folds.observe(op, id, testID, n, inserted)
 		s.cache.invalidateSessions(testID)
 	})
 
@@ -231,7 +234,7 @@ func RouteLabel(r *http.Request) string {
 			return m + " /api/tests/{id}"
 		}
 		switch tail := rest[i:]; {
-		case tail == "/task", tail == "/sessions", tail == "/sessions:batch", tail == "/results":
+		case tail == "/task", tail == "/sessions", tail == "/sessions:batch", tail == "/results", tail == "/fold":
 			return m + " /api/tests/{id}" + tail
 		case strings.HasPrefix(tail, "/pages/"):
 			return m + " /api/tests/{id}/pages"
@@ -783,9 +786,8 @@ func (s *Server) Sessions(testID string) ([]SessionUpload, error) {
 }
 
 // handleSessionList returns every stored session of a test verbatim, in
-// document-id (worker) order — the gather half of the shard router's
-// scatter/gather merge, and a deployment-face way to export a test's raw
-// sessions.
+// document-id (worker) order: a deployment-face way to export a test's raw
+// sessions, which a shard router merges across the fleet.
 func (s *Server) handleSessionList(w http.ResponseWriter, r *http.Request) {
 	testID := r.PathValue("id")
 	_, degraded, err := s.loadServing(testID)
@@ -825,8 +827,8 @@ func defaultQC(entry *testEntry) *quality.Config {
 
 // defaultQCInfo is defaultQC computed from the extension-facing TestInfo
 // alone — the page views carry their kind, so the real-page count needs
-// no Prepared. This is what lets the shard router (which holds only
-// TestInfo) apply the exact battery a single node applies.
+// no Prepared. This is what lets ConcludeUploads, given only the TestInfo a
+// deployment serves, apply the exact battery a single node applies.
 func defaultQCInfo(info *TestInfo) *quality.Config {
 	cfg := quality.DefaultConfig(info.realQuestions())
 	return &cfg
@@ -844,13 +846,10 @@ func (info *TestInfo) realQuestions() int {
 	return real * len(info.Questions)
 }
 
-// ConcludeUploads tallies a conclusion for an explicit session set
-// against a test's page spine. It is the merge kernel of the shard
-// router's ?quality=1 scatter/gather: the quality battery's majority vote
-// spans the whole crowd, so per-shard filtered results cannot be added —
-// the router gathers every shard's raw sessions (already in document-id
-// order per shard, merged by worker id) and concludes here, producing
-// bytes identical to a single node storing the same session set.
+// ConcludeUploads tallies a conclusion for an explicit session set against
+// a test's page spine, from scratch: the oracle a fleet's served results
+// are held to — FoldState.Conclude over the shards' merged states must
+// produce these bytes for the union of their sessions in worker-id order.
 func ConcludeUploads(info *TestInfo, uploads []SessionUpload, useQC bool) (*Results, error) {
 	var qc *quality.Config
 	if useQC {
@@ -1023,6 +1022,34 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	}
 	res = s.withDecision(testID, res)
 	writeJSON(w, http.StatusOK, res)
+}
+
+// handleFold serves GET /api/tests/{id}/fold, the node-internal read a shard
+// router merges ?quality=1 results from: this node's FoldState of the test.
+// With the store breaker open it answers from live fold state, which touches
+// no storage, and has nothing to offer for a lazy one.
+func (s *Server) handleFold(w http.ResponseWriter, r *http.Request) {
+	testID := r.PathValue("id")
+	entry, degraded, err := s.loadServing(testID)
+	if err != nil {
+		if errors.Is(err, guard.ErrUnavailable) {
+			s.writeUnavailable(w, "fold state")
+			return
+		}
+		writeLoadError(w, err)
+		return
+	}
+	fs, err := s.folds.state(testID, entry, !degraded)
+	switch {
+	case err != nil:
+		writeError(w, http.StatusInternalServerError, "folding: %v", err)
+	case fs == nil:
+		s.writeUnavailable(w, "fold state")
+	case degraded:
+		s.serveDegraded(w, fs)
+	default:
+		writeJSON(w, http.StatusOK, fs)
+	}
 }
 
 // withDecision attaches the sequential engine's verdict to a results

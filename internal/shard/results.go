@@ -40,25 +40,24 @@ func (rt *Router) fanOut(ctx context.Context, method, path string, hdr http.Head
 	return out
 }
 
-// handleResults is the scatter/gather conclusion merge.
+// handleResults is the scatter/gather conclusion merge. Either way every
+// shard answers from its fold state and the router merges statistics, never
+// sessions, into a payload byte-identical to a single node holding all of
+// them.
 //
-// Raw results merge shard-locally concluded tallies: every shard answers
-// /results from its incremental accumulator, and the router adds the
-// per-page questionnaire tallies field-wise — the accumulator's own merge
-// algebra, so the merged payload is byte-identical to a single node
-// holding all sessions.
+// Raw results merge shard-locally concluded tallies: the router adds the
+// per-page questionnaire tallies field-wise.
 //
-// ?quality=1 cannot merge that way: the quality battery's majority vote
-// is computed across the whole crowd, so per-shard filtered results would
-// each vote inside their own partition. The router instead gathers the
-// raw stored sessions from every shard (each list already in document-id
-// order, i.e. sorted by worker id) and runs the single-node conclusion
-// over the merged set via server.ConcludeUploads.
+// ?quality=1 merges server.FoldState documents. The battery's majority vote
+// spans the whole crowd, so per-shard filtered results cannot be added; but
+// the vote is a function of per-question counts that can, each shard has
+// already applied the rules that read one session, and FoldState.Conclude —
+// the kernel a node runs over its own state — judges the rest once the
+// counts are whole.
 //
-// Either way, a shard whose primary and standby are both gone does not
-// fail the query: the router serves what the surviving shards hold and
-// marks the response X-Kscope-Partial: 1. Only the whole fleet being
-// unreachable yields a 503.
+// A shard whose primary and standby are both gone does not fail the query:
+// the router serves what the surviving shards hold and marks the response
+// X-Kscope-Partial: 1. Only the whole fleet being unreachable yields a 503.
 func (rt *Router) handleResults(w http.ResponseWriter, r *http.Request, testID string) {
 	if r.URL.Query().Get("quality") == "1" {
 		rt.resultsQuality(w, r, testID)
@@ -136,29 +135,78 @@ func (rt *Router) resultsRaw(w http.ResponseWriter, r *http.Request, testID stri
 }
 
 func (rt *Router) resultsQuality(w http.ResponseWriter, r *http.Request, testID string) {
-	info, up, err := rt.testInfo(r.Context(), testID, r.Header)
-	if err != nil {
-		rt.writeUnreachable(w, "results", err)
-		return
+	var merged *server.FoldState
+	g := rt.gather(r, "/api/tests/"+testID+"/fold", func(body []byte) error {
+		fs, err := server.DecodeFoldState(body)
+		if err != nil {
+			return err
+		}
+		if merged == nil {
+			merged = fs
+			return nil
+		}
+		return merged.Merge(fs)
+	})
+	switch {
+	case g.merged > 0:
+		rt.finishGather(w, merged.Conclude(), g.partial, g.degraded)
+	case g.notFound != nil:
+		// Every shard that answered says the test is gone.
+		rt.writeUpstream(w, g.notFound)
+	case g.refused != nil:
+		rt.writeUpstream(w, g.refused)
+	default:
+		rt.writeUnreachable(w, "results", g.err)
 	}
-	if info == nil {
-		rt.writeUpstream(w, up) // definitive non-200 (404, shed...)
-		return
-	}
-	uploads, partial, degraded, err := rt.gatherSessions(r.Context(), testID, r.Header)
-	if err != nil {
-		rt.writeUnreachable(w, "results", err)
-		return
-	}
-	res, err := server.ConcludeUploads(info, uploads, true)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "concluding: %v", err)
-		return
-	}
-	rt.finishGather(w, res, partial, degraded)
 }
 
-func (rt *Router) finishGather(w http.ResponseWriter, res *server.Results, partial, degraded bool) {
+// gathered is the outcome of one fleet-wide read.
+type gathered struct {
+	merged   int  // shards whose answer went into the merge
+	partial  bool // a shard was unreachable, refused, or sent what would not merge
+	degraded bool // a merged answer was served in degraded mode
+	// The last 404 and the last other non-200 answer, for a caller with
+	// nothing merged to relay; err is the last failure of any kind.
+	notFound, refused *failover.Response
+	err               error
+}
+
+// gather issues a GET with the caller's headers to every shard and hands
+// each 200 body to merge. A 404 contributes nothing — the test is deleted
+// on that shard, or was never prepared there — and is no fault. A shard
+// that cannot be reached, answers anything else (a degraded 503 with
+// nothing cached, a mid-delete 500), or whose body merge refuses is missing:
+// the answer is partial, not failed.
+func (rt *Router) gather(r *http.Request, path string, merge func(body []byte) error) gathered {
+	var g gathered
+	for _, f := range rt.fanOut(r.Context(), http.MethodGet, path, r.Header, nil) {
+		switch {
+		case f.err != nil:
+			g.partial, g.err = true, f.err
+		case f.up.Status == http.StatusNotFound:
+			g.notFound = f.up
+		case f.up.Status != http.StatusOK:
+			g.partial, g.err = true, fmt.Errorf("shard answered status %d", f.up.Status)
+			g.refused = f.up
+		default:
+			if err := merge(f.up.Body); err != nil {
+				g.partial, g.err = true, fmt.Errorf("corrupt shard answer: %w", err)
+				continue
+			}
+			g.merged++
+			if f.up.Header.Get(server.DegradedHeader) == "1" {
+				g.degraded = true
+			}
+		}
+	}
+	return g
+}
+
+// finishGather writes a merged answer with its markers. Every gathering
+// surface ends here, so an answer missing a shard's contribution is marked
+// on the response and counted in kscope_shard_partial_results_total, both
+// or neither.
+func (rt *Router) finishGather(w http.ResponseWriter, v any, partial, degraded bool) {
 	if partial {
 		w.Header().Set(PartialHeader, "1")
 		if rt.partials != nil {
@@ -168,152 +216,88 @@ func (rt *Router) finishGather(w http.ResponseWriter, res *server.Results, parti
 	if degraded {
 		w.Header().Set(server.DegradedHeader, "1")
 	}
-	writeJSON(w, http.StatusOK, res)
+	writeJSON(w, http.StatusOK, v)
 }
 
-// testInfo fetches a test's metadata, walking the ring from the home
+// testInfo asks for a test's metadata, walking the ring from the home
 // shard so a fully-lost segment does not hide a test every other shard
-// also holds (prepared content is provisioned fleet-wide). A definitive
-// non-200 answer is returned as the upstream to pass through; only every
+// also holds (prepared content is provisioned fleet-wide), and returns the
+// first answer — a 200, or a definitive refusal to pass through. Only every
 // shard being unreachable is an error.
-func (rt *Router) testInfo(ctx context.Context, testID string, hdr http.Header) (*server.TestInfo, *failover.Response, error) {
-	path := "/api/tests/" + testID
+func (rt *Router) testInfo(ctx context.Context, testID string, hdr http.Header) (*failover.Response, error) {
 	home := rt.ring.Owner(TestKey(testID))
 	var lastErr error
-	for i := 0; i < len(rt.shards); i++ {
+	for i := range rt.shards {
 		seg := rt.shards[(home+i)%len(rt.shards)]
-		up, err := rt.doShard(ctx, seg, http.MethodGet, path, hdr, nil)
-		if err != nil {
-			lastErr = err
-			continue
+		up, err := rt.doShard(ctx, seg, http.MethodGet, "/api/tests/"+testID, hdr, nil)
+		if err == nil {
+			return up, nil
 		}
-		if up.Status != http.StatusOK {
-			return nil, up, nil
-		}
-		var info server.TestInfo
-		if err := json.Unmarshal(up.Body, &info); err != nil {
-			lastErr = fmt.Errorf("corrupt test info from shard %s: %w", seg.name, err)
-			continue
-		}
-		return &info, up, nil
+		lastErr = err
 	}
-	return nil, nil, lastErr
+	return nil, lastErr
 }
 
-// gatherSessions collects every shard's stored sessions for a test and
-// merges them into global document-id order (each shard's list is already
-// sorted by worker id; session keys partition workers across shards, so a
-// sort by worker id reproduces the order a single node would store).
-func (rt *Router) gatherSessions(ctx context.Context, testID string, hdr http.Header) (uploads []server.SessionUpload, partial, degraded bool, err error) {
-	path := "/api/tests/" + testID + "/sessions"
-	fans := rt.fanOut(ctx, http.MethodGet, path, hdr, nil)
-	var down, ok int
-	var lastErr error
-	for _, f := range fans {
-		switch {
-		case f.err != nil:
-			down++
-			lastErr = f.err
-		case f.up.Status == http.StatusNotFound:
-			// Deleted on this shard (or never prepared): zero contribution.
-			ok++
-		case f.up.Status != http.StatusOK:
-			down++
-			lastErr = fmt.Errorf("shard answered status %d", f.up.Status)
-		default:
-			var part []server.SessionUpload
-			if err := json.Unmarshal(f.up.Body, &part); err != nil {
-				down++
-				lastErr = fmt.Errorf("corrupt session list: %w", err)
-				continue
-			}
-			ok++
-			if f.up.Header.Get(server.DegradedHeader) == "1" {
-				degraded = true
-			}
-			uploads = append(uploads, part...)
-		}
+// handleSessionList serves the deployment-face session list, so a router
+// client sees the same export a single node offers: every shard's stored
+// sessions in global document-id order. Each shard's list is already sorted
+// by worker id and session keys partition workers across shards, so a sort
+// by worker id reproduces the order a single node would store. The test
+// info comes first because a shard's 404 contributes an empty list: only
+// the info can tell "no test" from "no sessions".
+func (rt *Router) handleSessionList(w http.ResponseWriter, r *http.Request, testID string) {
+	up, err := rt.testInfo(r.Context(), testID, r.Header)
+	if err != nil {
+		rt.writeUnreachable(w, "session list", err)
+		return
 	}
-	if ok == 0 {
-		return nil, false, false, lastErr
+	if up.Status != http.StatusOK {
+		rt.writeUpstream(w, up)
+		return
+	}
+	uploads := []server.SessionUpload{}
+	g := rt.gather(r, "/api/tests/"+testID+"/sessions", func(body []byte) error {
+		var part []server.SessionUpload
+		if err := json.Unmarshal(body, &part); err != nil {
+			return err
+		}
+		uploads = append(uploads, part...)
+		return nil
+	})
+	if g.merged == 0 && g.notFound == nil {
+		rt.writeUnreachable(w, "session list", g.err)
+		return
 	}
 	sort.Slice(uploads, func(a, b int) bool {
 		return uploads[a].WorkerID < uploads[b].WorkerID
 	})
-	return uploads, down > 0, degraded, nil
-}
-
-// handleSessionList serves the deployment-face session list: the same
-// gather the quality merge uses, exposed so a router client sees the same
-// surface a single node offers.
-func (rt *Router) handleSessionList(w http.ResponseWriter, r *http.Request, testID string) {
-	info, up, err := rt.testInfo(r.Context(), testID, r.Header)
-	if err != nil {
-		rt.writeUnreachable(w, "session list", err)
-		return
-	}
-	if info == nil {
-		rt.writeUpstream(w, up)
-		return
-	}
-	uploads, partial, degraded, err := rt.gatherSessions(r.Context(), testID, r.Header)
-	if err != nil {
-		rt.writeUnreachable(w, "session list", err)
-		return
-	}
-	if partial {
-		w.Header().Set(PartialHeader, "1")
-		if rt.partials != nil {
-			rt.partials.Inc()
-		}
-	}
-	if degraded {
-		w.Header().Set(server.DegradedHeader, "1")
-	}
-	if uploads == nil {
-		uploads = []server.SessionUpload{}
-	}
-	writeJSON(w, http.StatusOK, uploads)
+	rt.finishGather(w, uploads, g.partial, g.degraded)
 }
 
 // handleListTests merges every shard's test listing; session counts sum
 // across shards, the static fields (description, participants, pages)
 // come from whichever shard answered first.
 func (rt *Router) handleListTests(w http.ResponseWriter, r *http.Request) {
-	fans := rt.fanOut(r.Context(), http.MethodGet, "/api/tests", r.Header, nil)
 	byID := map[string]*server.TestSummary{}
 	var order []string
-	var down, ok int
-	var lastErr error
-	for _, f := range fans {
-		switch {
-		case f.err != nil:
-			down++
-			lastErr = f.err
-		case f.up.Status != http.StatusOK:
-			down++
-			lastErr = fmt.Errorf("shard answered status %d", f.up.Status)
-		default:
-			var part []server.TestSummary
-			if err := json.Unmarshal(f.up.Body, &part); err != nil {
-				down++
-				lastErr = fmt.Errorf("corrupt test listing: %w", err)
-				continue
-			}
-			ok++
-			for i := range part {
-				s := part[i]
-				if have, seen := byID[s.TestID]; seen {
-					have.Sessions += s.Sessions
-				} else {
-					byID[s.TestID] = &s
-					order = append(order, s.TestID)
-				}
+	g := rt.gather(r, "/api/tests", func(body []byte) error {
+		var part []server.TestSummary
+		if err := json.Unmarshal(body, &part); err != nil {
+			return err
+		}
+		for i := range part {
+			s := part[i]
+			if have, seen := byID[s.TestID]; seen {
+				have.Sessions += s.Sessions
+			} else {
+				byID[s.TestID] = &s
+				order = append(order, s.TestID)
 			}
 		}
-	}
-	if ok == 0 {
-		rt.writeUnreachable(w, "test listing", lastErr)
+		return nil
+	})
+	if g.merged == 0 {
+		rt.writeUnreachable(w, "test listing", g.err)
 		return
 	}
 	sort.Strings(order)
@@ -321,10 +305,7 @@ func (rt *Router) handleListTests(w http.ResponseWriter, r *http.Request) {
 	for _, id := range order {
 		out = append(out, *byID[id])
 	}
-	if down > 0 {
-		w.Header().Set(PartialHeader, "1")
-	}
-	writeJSON(w, http.StatusOK, out)
+	rt.finishGather(w, out, g.partial, g.degraded)
 }
 
 // handleDelete fans a test deletion to every shard (sessions live

@@ -398,6 +398,11 @@ func (rt *Router) handleTest(w http.ResponseWriter, r *http.Request, rest string
 		rt.handleUpload(w, r, testID)
 	case r.Method == http.MethodPost && tail == "sessions:batch":
 		rt.handleBatch(w, r, testID)
+	case tail == "fold":
+		// A node's fold state is one partition of the crowd: relayed from the
+		// home shard it would read as the fleet's. The deployment face does
+		// not have the route.
+		writeError(w, http.StatusNotFound, "no such route")
 	default:
 		// Test info, task payloads, page files: owned by the test's home
 		// shard (every shard holds the provisioned content, but pinning

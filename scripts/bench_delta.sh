@@ -3,8 +3,9 @@
 # floor regresses. Raw ns/op is machine-dependent, so the gates are the
 # numbers that travel: allocation counts against the figures recorded in
 # BENCH_*.json, the batched upload's per-session allocation budget, the
-# incremental-results speedup over the from-scratch oracle, and (on >=4
-# cores) the parallel Prepare speedup over the sequential reference.
+# incremental-results speedup over the from-scratch oracle, (on >=4 cores)
+# the parallel Prepare speedup over the sequential reference, and the bytes
+# the router reads from its shards for one quality-controlled results poll.
 #
 #   ALLOC_SLACK       multiplier over recorded allocs/op (default 1.25)
 #   BATCH_ALLOC_BUDGET  max allocs per session through the batch endpoint
@@ -45,40 +46,47 @@ echo "bench_delta: running server benchmarks..."
 go test -run '^$' \
     -bench 'BenchmarkConclude(Scratch|Incremental)|BenchmarkSession(UploadHTTP|UploadFolded|BatchUploadHTTP|BatchUploadFolded|UploadDurable|UploadReplicated)$' \
     -benchmem -benchtime 10x ./internal/server/ >"$tmp/server.txt"
+echo "bench_delta: running router benchmarks..."
+go test -run '^$' -bench 'BenchmarkRouterResultsQC$' \
+    -benchmem -benchtime 10x ./internal/shard/ >>"$tmp/server.txt"
 echo "bench_delta: running aggregator benchmarks..."
 go test -run '^$' -bench 'BenchmarkPrepare(Sequential|Parallel)$' \
     -benchmem -benchtime 3x ./internal/aggregator/ >"$tmp/aggregator.txt"
 
-# parse_bench: "<name> <ns/op> <allocs/op> <lag-frames>" per benchmark line,
-# with the -GOMAXPROCS suffix stripped from the name. lag-frames is "-" for
-# benchmarks that do not report the replication metric.
+# parse_bench: "<name> <ns/op> <allocs/op> <lag-frames> <upstream-B/op>" per
+# benchmark line, with the -GOMAXPROCS suffix stripped from the name. The
+# last two are "-" for benchmarks that do not report that metric.
 parse_bench() {
     awk '
         /^Benchmark/ {
-            ns = ""; allocs = ""; lag = "-"
+            ns = ""; allocs = ""; lag = "-"; up = "-"
             for (i = 2; i <= NF; i++) {
                 if ($i == "ns/op") ns = $(i - 1)
                 if ($i == "allocs/op") allocs = $(i - 1)
                 if ($i == "lag-frames") lag = $(i - 1)
+                if ($i == "upstream-B/op") up = $(i - 1)
             }
             sub(/-[0-9]+$/, "", $1)
-            print $1, ns, allocs, lag
+            print $1, ns, allocs, lag, up
         }
     ' "$1"
 }
 parse_bench "$tmp/server.txt" >"$tmp/server.tsv"
 parse_bench "$tmp/aggregator.txt" >"$tmp/aggregator.tsv"
 
-# live FILE NAME FIELD -> the measured value (ns=2, allocs=3, lag-frames=4).
+# live FILE NAME FIELD -> the measured value (ns=2, allocs=3, lag-frames=4,
+# upstream-B=5).
 live() {
     awk -v name="$2" -v f="$3" '$1 == name { print $f; exit }' "$1"
 }
 
-# recorded JSONFILE NAME -> the allocs_per_op recorded for that benchmark.
+# recorded JSONFILE NAME [KEY] -> the KEY (default allocs_per_op) recorded for
+# that benchmark.
 recorded() {
-    awk -v name="$2" '
+    awk -v name="$2" -v key="\"${3:-allocs_per_op}\"" '
         index($0, "\"name\": \"" name "\"") { found = 1 }
-        found && /"allocs_per_op"/ { gsub(/[^0-9]/, ""); print; exit }
+        found && index($0, key) { gsub(/[^0-9]/, ""); print; exit }
+        found && /}/ { exit }
     ' "$1"
 }
 
@@ -89,7 +97,7 @@ ok() { echo "bench_delta: ok   $*"; }
 # Gate 1: allocation counts must stay within ALLOC_SLACK of the recorded
 # figures — allocs/op is deterministic enough to compare across machines.
 for f in server aggregator; do
-    while read -r name ns allocs lag; do
+    while read -r name ns allocs lag up; do
         [ -n "$allocs" ] || continue
         rec=$(recorded "BENCH_$f.json" "$name")
         [ -n "$rec" ] || continue
@@ -178,6 +186,23 @@ if [ -n "$dur_ns" ] && [ -n "$repl_ns" ]; then
     fi
 else
     fail "replication benchmarks did not run"
+fi
+
+# Gate 6: one ?quality=1 poll through the router reads three fold documents.
+# Their size is a count, not a timing — the benchmark's crowd is fixed — so
+# it is held to the record itself: a fold document that grows (a field, a
+# per-worker object where an id did) shows here before BENCHMARK.json's
+# shard.upstream_bytes_per_req.results_qc does.
+qc_bytes=$(live "$tmp/server.tsv" BenchmarkRouterResultsQC 5)
+qc_rec=$(recorded BENCH_server.json BenchmarkRouterResultsQC upstream_bytes_per_op)
+if [ -n "$qc_bytes" ] && [ "$qc_bytes" != "-" ] && [ -n "$qc_rec" ]; then
+    if awk -v b="$qc_bytes" -v r="$qc_rec" 'BEGIN { exit !(b <= r) }'; then
+        ok "router QC poll reads $qc_bytes upstream bytes (recorded $qc_rec)"
+    else
+        fail "router QC poll reads $qc_bytes upstream bytes, recorded $qc_rec"
+    fi
+else
+    fail "router QC benchmark did not run or has no record"
 fi
 
 exit $status
