@@ -52,6 +52,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseFrames$$' -fuzztime $(FUZZTIME) ./internal/replica/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSnapshot$$' -fuzztime $(FUZZTIME) ./internal/replica/
 	$(GO) test -run '^$$' -fuzz '^FuzzFoldStateDecode$$' -fuzztime $(FUZZTIME) ./internal/shard/
+	$(GO) test -run '^$$' -fuzz '^FuzzBatchSplit$$' -fuzztime $(FUZZTIME) ./internal/shard/
 
 # Full-repo coverage profile (published as a CI artifact).
 cover:
@@ -76,11 +77,12 @@ bench-aggregator:
 # the from-scratch oracle at 10k stored sessions, the batched upload under
 # its per-session allocation budget, and the replicated AckFollower upload
 # within 5x of the durable no-follower baseline — see that file's notes),
-# plus the router's quality-controlled results poll over in-process shards.
+# plus the router's quality-controlled results poll over in-process shards
+# and its split of one gzip batch of 100 over three stub shards.
 bench-server:
 	$(GO) test -run '^$$' -bench 'BenchmarkConclude(Scratch|Incremental)|BenchmarkSession(UploadHTTP|UploadFolded|BatchUploadHTTP|BatchUploadFolded|UploadDurable|UploadReplicated)$$|BenchmarkSessionUploadFsync' \
 		-benchmem -benchtime 10x ./internal/server/
-	$(GO) test -run '^$$' -bench 'BenchmarkRouterResultsQC$$' -benchmem -benchtime 10x ./internal/shard/
+	$(GO) test -run '^$$' -bench 'BenchmarkRouter(ResultsQC|BatchSplit)$$' -benchmem -benchtime 10x ./internal/shard/
 
 # Just the upload hot-path pair: single endpoint vs the batched streaming
 # decoder (divide the batch allocs/op by 100 for the per-session figure).
@@ -93,7 +95,8 @@ bench-batch:
 # batch upload's 40 allocs/session budget, the >=10x incremental speedup,
 # (with >=4 cores) the >=2.2x parallel Prepare speedup, and the replicated
 # upload's 5x overhead budget (recorded 2.5x) with zero post-ack replication
-# lag, and the bytes a router QC poll reads from its shards.
+# lag, the bytes a router QC poll reads from its shards, and the allocations
+# of a router batch split.
 bench-delta:
 	./scripts/bench_delta.sh
 

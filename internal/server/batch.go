@@ -14,14 +14,21 @@ import (
 	"kaleidoscope/internal/store"
 )
 
-// Batch-upload budgets. Variables, not constants, so the error-matrix tests
-// can shrink them; production code treats them as fixed.
+// The batch endpoint's budgets, exported for the router: it splits a batch
+// into sub-batches that each fit, so it must refuse what a node would.
+const (
+	// MaxBatchBytes caps a whole batch's JSON payload, on the wire and again
+	// after any gzip decompression (a compressed bomb cannot buy more).
+	MaxBatchBytes = 32 << 20
+	// MaxBatchSessions caps the element count of one batch.
+	MaxBatchSessions = 10_000
+)
+
+// The budgets as the handler reads them. Variables, not constants, so the
+// error-matrix tests can shrink them; production code treats them as fixed.
 var (
-	// maxBatchBytes caps a whole batch's JSON payload, measured after any
-	// gzip decompression (a compressed bomb cannot buy more than this).
-	maxBatchBytes int64 = 32 << 20
-	// maxBatchSessions caps the element count of one batch.
-	maxBatchSessions = 10_000
+	maxBatchBytes    int64 = MaxBatchBytes
+	maxBatchSessions       = MaxBatchSessions
 	// batchChunkSize is how many validated sessions are committed per WAL
 	// group commit while the stream is still being decoded.
 	batchChunkSize = 256

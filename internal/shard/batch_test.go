@@ -1,0 +1,475 @@
+package shard
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"kaleidoscope/internal/aggregator"
+	"kaleidoscope/internal/failover"
+	"kaleidoscope/internal/guard"
+	"kaleidoscope/internal/questionnaire"
+	"kaleidoscope/internal/server"
+)
+
+const batchPath = "/api/tests/" + ringTestID + "/sessions:batch"
+
+// postTo hands a handler one POST directly — no client, so a refusal that
+// does not read the body cannot turn into a transport error.
+func postTo(h http.Handler, path string, body []byte, hdr ...string) *httptest.ResponseRecorder {
+	req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+	req.Header.Set("Content-Type", "application/json")
+	for i := 0; i+1 < len(hdr); i += 2 {
+		req.Header.Set(hdr[i], hdr[i+1])
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	return rec
+}
+
+// fixtureBatch is n valid sessions of the fixture study, worker ids under
+// prefix, as a JSON array.
+func fixtureBatch(t testing.TB, prep *aggregator.Prepared, prefix string, n int) ([]server.SessionUpload, []byte) {
+	t.Helper()
+	batch := make([]server.SessionUpload, n)
+	for i := range batch {
+		batch[i] = sampleUpload(prep, fmt.Sprintf("%s-w%02d", prefix, i), questionnaire.ChoiceLeft)
+	}
+	payload, err := json.Marshal(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return batch, payload
+}
+
+func elementStatuses(t *testing.T, body []byte) []int {
+	t.Helper()
+	var rep server.BatchReport
+	if err := json.Unmarshal(body, &rep); err != nil {
+		t.Fatalf("batch report: %v: %s", err, body)
+	}
+	out := make([]int, len(rep.Results))
+	for i, er := range rep.Results {
+		if er.Index != i {
+			t.Errorf("result %d carries index %d", i, er.Index)
+		}
+		out[i] = er.Status
+	}
+	return out
+}
+
+// TestRouterBatchMatchesNode: whatever a batch request looks like, a router
+// over three nodes answers it with the status — and, when that is 200, the
+// per-element statuses — of a single node. The first rows are the drifts
+// this table was written to close.
+func TestRouterBatchMatchesNode(t *testing.T) {
+	f := newFixture(t, 3)
+	single, _, _ := prepNode(t)
+	valid := func(prefix string, n int) []byte {
+		_, payload := fixtureBatch(t, f.prep, prefix, n)
+		return payload
+	}
+	gz := func(payload []byte) []byte { return gzipped(t, payload) }
+	// bulk is a well-formed batch of more than n bytes, in 64 elements that
+	// each fit a session's budget. (Padding with whitespace would do, did a
+	// node not take 12 s over 32 MiB of it gzipped: ROADMAP item 5.)
+	bulk := func(n int) []byte {
+		elem := `{"comment":"` + strings.Repeat("x", n/64) + `"}`
+		return []byte("[" + strings.Repeat(elem+",", 63) + elem + "]")
+	}
+	dup := valid("dup", 3)
+
+	for _, tc := range []struct {
+		name string
+		body []byte
+		hdr  []string
+		want int
+	}{
+		// (a) The old split decoded one value and ignored what followed.
+		{"bytes after the array", append(valid("trail", 4), " x"...), nil, http.StatusBadRequest},
+		{"a second array", append(valid("twice", 2), "[]"...), nil, http.StatusBadRequest},
+		// (b) The router compared Content-Encoding with ==.
+		{"Content-Encoding: GZIP", gz(valid("upper", 5)), []string{"Content-Encoding", "GZIP"}, http.StatusOK},
+		// (c) The router inflated up to its own 64 MiB backstop.
+		{"gzip inflating past the node's budget", gz(bulk(server.MaxBatchBytes)), []string{"Content-Encoding", "gzip"}, http.StatusRequestEntityTooLarge},
+		{"plain body past the node's budget", bulk(server.MaxBatchBytes), nil, http.StatusRequestEntityTooLarge},
+		// Found on the way: any inflate error used to answer 413.
+		{"gzip stream cut short", gz(valid("cut", 6))[:40], []string{"Content-Encoding", "gzip"}, http.StatusBadRequest},
+
+		{"plain", valid("plain", 9), nil, http.StatusOK},
+		{"gzip", gz(valid("gzip", 9)), []string{"Content-Encoding", "gzip"}, http.StatusOK},
+		{"replayed", dup, nil, http.StatusOK},
+		{"replayed again", dup, nil, http.StatusOK},
+		{"one bad element among good ones", []byte(strings.Replace(string(valid("bad", 4)), `"bad-w02"`, `""`, 1)), nil, http.StatusOK},
+		{"elements that are not sessions", []byte(`[{},{"worker_id":"x"}]`), nil, http.StatusOK},
+		{"empty array", []byte(`[]`), nil, http.StatusOK},
+		{"null", []byte(`null`), nil, http.StatusBadRequest},
+		{"an object", []byte(`{}`), nil, http.StatusBadRequest},
+		{"malformed", []byte(`[{"worker_id":`), nil, http.StatusBadRequest},
+		{"empty body", nil, nil, http.StatusBadRequest},
+		{"not gzip at all", []byte("junk"), []string{"Content-Encoding", "gzip"}, http.StatusBadRequest},
+		{"gzip of something malformed", gz([]byte(`[{]`)), []string{"Content-Encoding", "gzip"}, http.StatusBadRequest},
+		{"an encoding nobody decodes", valid("br", 2), []string{"Content-Encoding", "br"}, http.StatusOK},
+		{"over the element cap", []byte("[" + strings.Repeat("{},", server.MaxBatchSessions) + "{}]"), nil, http.StatusRequestEntityTooLarge},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			node := postTo(single, batchPath, tc.body, tc.hdr...)
+			routed := postTo(f.router, batchPath, tc.body, tc.hdr...)
+			if node.Code != tc.want {
+				t.Errorf("a single node answers %d, the table says %d: %s", node.Code, tc.want, node.Body)
+			}
+			if routed.Code != node.Code {
+				t.Fatalf("the router answers %d, a single node %d\nrouter: %.300s\nnode: %.300s", routed.Code, node.Code, routed.Body, node.Body)
+			}
+			if node.Code != http.StatusOK {
+				return
+			}
+			got, want := elementStatuses(t, routed.Body.Bytes()), elementStatuses(t, node.Body.Bytes())
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("element statuses through the router %v, on a single node %v", got, want)
+			}
+		})
+	}
+}
+
+// TestRouterUploadRouting: with the worker header the router routes by it
+// and never reads the body; without it, by the id in the body, to the shard
+// the batch path picks for the same session — so a worker's duplicate is a
+// 409 whichever endpoint carried the first copy, however the id is spelled.
+func TestRouterUploadRouting(t *testing.T) {
+	f := newFixture(t, 3)
+	sessionsURL := f.routerTS.URL + "/api/tests/" + ringTestID + "/sessions"
+	holders := func(worker string) (held []int) {
+		for i, db := range f.dbs {
+			if db.Collection(aggregator.ResponsesCollection).CountEq("worker_id", worker) > 0 {
+				held = append(held, i)
+			}
+		}
+		return held
+	}
+
+	// Two ids on different shards: the body names one, the header the other.
+	inBody, inHeader := "routing-body", ""
+	for i := 0; inHeader == ""; i++ {
+		if id := fmt.Sprintf("routing-hdr-%d", i); f.router.Ring().Owner(SessionKey(ringTestID, id)) != f.router.Ring().Owner(SessionKey(ringTestID, inBody)) {
+			inHeader = id
+		}
+	}
+	resp := postJSON(t, sessionsURL, sampleUpload(f.prep, inBody, questionnaire.ChoiceLeft), http.Header{guard.WorkerIDHeader: {inHeader}})
+	resp.Body.Close()
+	if want := []int{f.router.Ring().Owner(SessionKey(ringTestID, inHeader))}; resp.StatusCode != http.StatusCreated || fmt.Sprint(holders(inBody)) != fmt.Sprint(want) {
+		t.Errorf("upload with the header = %d, stored on shards %v, want the header's owner %v", resp.StatusCode, holders(inBody), want)
+	}
+
+	for i, respell := range []func(string) string{
+		func(s string) string { return s },
+		func(s string) string { return strings.Replace(s, `"worker_id":`, `"worker\u005fid":`, 1) },
+		func(s string) string { return strings.Replace(s, `"worker_id":`, `"WORKER_ID" : `, 1) },
+		func(s string) string { return strings.Replace(s, `{`, `{"worker_id":"overridden",`, 1) },
+	} {
+		single, batch := fmt.Sprintf("single-first-%d", i), fmt.Sprintf("batch-first-%d", i)
+		body := func(worker string) []byte {
+			payload, err := json.Marshal(sampleUpload(f.prep, worker, questionnaire.ChoiceRight))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return []byte(respell(string(payload)))
+		}
+		post := func(worker string, asBatch bool) int {
+			if !asBatch {
+				resp := postJSONBytes(t, sessionsURL, body(worker))
+				resp.Body.Close()
+				return resp.StatusCode
+			}
+			rec := postTo(f.router, batchPath, append(append([]byte{'['}, body(worker)...), ']'))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("batch of one = %d: %s", rec.Code, rec.Body)
+			}
+			return elementStatuses(t, rec.Body.Bytes())[0]
+		}
+		if first, second := post(single, false), post(single, true); first != http.StatusCreated || second != http.StatusConflict {
+			t.Errorf("spelling %d: headerless upload then batch = %d, %d; want 201, 409", i, first, second)
+		}
+		if first, second := post(batch, true), post(batch, false); first != http.StatusCreated || second != http.StatusConflict {
+			t.Errorf("spelling %d: batch then headerless upload = %d, %d; want 201, 409", i, first, second)
+		}
+		for _, worker := range []string{single, batch} {
+			if held := holders(worker); len(held) != 1 {
+				t.Errorf("spelling %d: worker %s is stored on shards %v", i, worker, held)
+			}
+		}
+	}
+}
+
+// stubFleet is a router over three stub shards; handler serves all of them
+// and is told which it is.
+func stubFleet(t *testing.T, handler func(shard int, w http.ResponseWriter, r *http.Request)) *Router {
+	t.Helper()
+	specs := make([]Spec, 3)
+	for i := range specs {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { handler(i, w, r) }))
+		t.Cleanup(ts.Close)
+		specs[i] = Spec{Name: fmt.Sprintf("shard-%d", i), Primary: ts.URL}
+	}
+	rt, err := New(Config{Shards: specs, Policy: failover.Policy{Retries: 1, Backoff: time.Millisecond}, Timeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rt
+}
+
+// acceptSubBatch answers a sub-batch the way a node that stores every
+// element would.
+func acceptSubBatch(w http.ResponseWriter, r *http.Request) {
+	var elems []json.RawMessage
+	if err := json.NewDecoder(r.Body).Decode(&elems); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	rep := server.BatchReport{TestID: ringTestID, Accepted: len(elems)}
+	for i, raw := range elems {
+		rep.Results = append(rep.Results, server.BatchElementResult{Index: i, WorkerID: sniffWorkerID(raw), Status: http.StatusCreated})
+	}
+	w.Header().Set("Content-Type", "application/json")
+	json.NewEncoder(w).Encode(rep)
+}
+
+// spreadBatch is a script-shaped batch with elements for every shard of rt.
+func spreadBatch(t *testing.T, rt *Router) []byte {
+	t.Helper()
+	body := scriptBatch(t, ringTestID, 24)
+	subs, err := new(batchSplit).split(rt.Ring(), ringTestID, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s, sub := range subs {
+		if sub.n == 0 {
+			t.Fatalf("shard %d owns none of the batch; pick other worker ids", s)
+		}
+	}
+	return body
+}
+
+// TestRouterBatchDispatchIsConcurrent: every shard holds its answer until
+// all three sub-batches have arrived, which a router sending them one after
+// another can never satisfy.
+func TestRouterBatchDispatchIsConcurrent(t *testing.T) {
+	var arrived atomic.Int32
+	all := make(chan struct{})
+	rt := stubFleet(t, func(_ int, w http.ResponseWriter, r *http.Request) {
+		if arrived.Add(1) == 3 {
+			close(all)
+		}
+		select {
+		case <-all:
+			acceptSubBatch(w, r)
+		case <-time.After(5 * time.Second):
+			http.Error(w, "the other sub-batches never arrived", http.StatusGatewayTimeout)
+		}
+	})
+	rec := postTo(rt, batchPath, spreadBatch(t, rt))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("batch = %d: %s", rec.Code, rec.Body)
+	}
+	for i, status := range elementStatuses(t, rec.Body.Bytes()) {
+		if status != http.StatusCreated {
+			t.Errorf("element %d = %d", i, status)
+		}
+	}
+}
+
+// TestRouterBatchRelaysShardRefusal: one shard's stream-level refusal of its
+// sub-batch is the batch's answer, body and headers.
+func TestRouterBatchRelaysShardRefusal(t *testing.T) {
+	rt := stubFleet(t, func(shard int, w http.ResponseWriter, r *http.Request) {
+		if shard != 1 {
+			acceptSubBatch(w, r)
+			return
+		}
+		w.Header().Set("X-Refused-By", "shard-1")
+		http.Error(w, `{"error":"this shard will not take it"}`, http.StatusUnprocessableEntity)
+	})
+	rec := postTo(rt, batchPath, spreadBatch(t, rt))
+	if rec.Code != http.StatusUnprocessableEntity || rec.Header().Get("X-Refused-By") != "shard-1" || !strings.Contains(rec.Body.String(), "will not take it") {
+		t.Errorf("batch = %d, X-Refused-By=%q: %s", rec.Code, rec.Header().Get("X-Refused-By"), rec.Body)
+	}
+}
+
+// TestRouterBatchCancelReleasesSubBatches: a client that gives up releases
+// every sub-batch still in flight, and the router's handler returns.
+func TestRouterBatchCancelReleasesSubBatches(t *testing.T) {
+	entered, released := make(chan int, 3), make(chan int, 3)
+	rt := stubFleet(t, func(shard int, _ http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body) // a server watches for the peer's hang-up only once the body is read
+		entered <- shard
+		<-r.Context().Done()
+		released <- shard
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req := httptest.NewRequest(http.MethodPost, batchPath, bytes.NewReader(spreadBatch(t, rt))).WithContext(ctx)
+	returned := make(chan int, 1)
+	go func() {
+		rec := httptest.NewRecorder()
+		rt.ServeHTTP(rec, req)
+		returned <- rec.Code
+	}()
+	wait := func(what string, ch <-chan int, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			select {
+			case <-ch:
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%s: %d of %d after 5s", what, i, n)
+			}
+		}
+	}
+	wait("sub-batches in flight", entered, 3)
+	cancel()
+	wait("sub-batches released by the cancel", released, 3)
+	wait("router handler returned", returned, 1)
+}
+
+// downLink fails every round trip while down is set.
+type downLink struct{ down *atomic.Bool }
+
+func (l downLink) RoundTrip(req *http.Request) (*http.Response, error) {
+	if l.down.Load() {
+		return nil, errors.New("link down")
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// TestRouterBatchShardDown: with one shard unreachable the whole batch is a
+// 503 the client retries, though the other shards have committed their
+// share; the retry answers 409 for those and 201 for the rest, merged in the
+// caller's order.
+func TestRouterBatchShardDown(t *testing.T) {
+	const victim = 1
+	var down atomic.Bool
+	specs := make([]Spec, 3)
+	var prep *aggregator.Prepared
+	for i := range specs {
+		var srv *server.Server
+		srv, _, prep = prepNode(t)
+		ts := httptest.NewServer(srv)
+		t.Cleanup(ts.Close)
+		specs[i] = Spec{Name: fmt.Sprintf("shard-%d", i), Primary: ts.URL}
+	}
+	rt, err := New(Config{
+		Shards: specs, Policy: failover.Policy{Retries: 1, Backoff: time.Millisecond}, Timeout: 5 * time.Second,
+		Transport: func(name, _ string) http.RoundTripper {
+			if name == specs[victim].Name {
+				return downLink{&down}
+			}
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, payload := fixtureBatch(t, prep, "down", 24)
+
+	down.Store(true)
+	rec := postTo(rt, batchPath, payload)
+	if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" {
+		t.Fatalf("batch with shard %d down = %d, Retry-After=%q: %s", victim, rec.Code, rec.Header().Get("Retry-After"), rec.Body)
+	}
+	down.Store(false)
+	rec = postTo(rt, batchPath, payload)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("retry = %d: %s", rec.Code, rec.Body)
+	}
+	var rep server.BatchReport
+	if err := json.Unmarshal(rec.Body.Bytes(), &rep); err != nil || len(rep.Results) != len(batch) {
+		t.Fatalf("retry report: %v: %s", err, rec.Body)
+	}
+	stored := 0
+	for i, er := range rep.Results {
+		want := http.StatusConflict
+		if rt.Ring().Owner(SessionKey(ringTestID, batch[i].WorkerID)) == victim {
+			want = http.StatusCreated
+			stored++
+		}
+		if er.Index != i || er.WorkerID != batch[i].WorkerID || er.Status != want {
+			t.Errorf("retry element %d = %+v, want worker %s status %d", i, er, batch[i].WorkerID, want)
+		}
+	}
+	if stored == 0 || stored == len(batch) || rep.Accepted != stored || rep.Rejected != len(batch)-stored {
+		t.Errorf("retry accepted %d, rejected %d; the victim owns %d of %d", rep.Accepted, rep.Rejected, stored, len(batch))
+	}
+}
+
+// cannedShards answers every sub-batch of one known batch with the report a
+// storing node would send, rendered ahead of time: the benchmark then counts
+// the router's work and none of a shard's.
+type cannedShards map[string][]byte // by URL host
+
+func (c cannedShards) RoundTrip(req *http.Request) (*http.Response, error) {
+	io.Copy(io.Discard, req.Body)
+	req.Body.Close()
+	report := c[req.URL.Host]
+	return &http.Response{
+		StatusCode: http.StatusOK, Header: http.Header{"Content-Type": {"application/json"}},
+		Body: io.NopCloser(bytes.NewReader(report)), ContentLength: int64(len(report)), Request: req,
+	}, nil
+}
+
+// BenchmarkRouterBatchSplit is one gzip batch of 100 sessions of the
+// end-to-end script's shape through a router over three stub shards: read,
+// inflate, validate, split, dispatch, merge the three reports, encode the
+// answer. No sockets and no shard work, so allocs/op repeats;
+// scripts/bench_delta.sh holds it to BENCH_server.json.
+func BenchmarkRouterBatchSplit(b *testing.B) {
+	const testID = "bench-test"
+	canned := cannedShards{}
+	specs := make([]Spec, 3)
+	for i := range specs {
+		host := fmt.Sprintf("shard-%d", i)
+		specs[i] = Spec{Name: host, Primary: "http://" + host}
+	}
+	rt, err := New(Config{Shards: specs, Transport: func(string, string) http.RoundTripper { return canned }})
+	if err != nil {
+		b.Fatal(err)
+	}
+	plain := scriptBatch(b, testID, 100)
+	_, owners, ids, err := splitByDecoding(rt.Ring(), testID, plain)
+	if err != nil {
+		b.Fatal(err)
+	}
+	reports := make([]server.BatchReport, len(specs))
+	for i, owner := range owners {
+		rep := &reports[owner]
+		rep.TestID = testID
+		rep.Results = append(rep.Results, server.BatchElementResult{Index: rep.Accepted, WorkerID: ids[i], Status: http.StatusCreated})
+		rep.Accepted++
+	}
+	for i, rep := range reports {
+		if canned[fmt.Sprintf("shard-%d", i)], err = json.Marshal(rep); err != nil {
+			b.Fatal(err)
+		}
+	}
+	body := gzipped(b, plain)
+	path := "/api/tests/" + testID + "/sessions:batch"
+	post := func() *httptest.ResponseRecorder { return postTo(rt, path, body, "Content-Encoding", "gzip") }
+	var rep server.BatchReport
+	if rec := post(); json.Unmarshal(rec.Body.Bytes(), &rep) != nil || rep.Accepted != 100 || len(rep.Results) != 100 {
+		b.Fatalf("batch = %d: %s", rec.Code, rec.Body)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if rec := post(); rec.Code != http.StatusOK {
+			b.Fatalf("batch = %d", rec.Code)
+		}
+	}
+}

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"bytes"
-	"compress/gzip"
 	"context"
 	"encoding/json"
 	"errors"
@@ -26,9 +25,19 @@ type fanResult struct {
 // fanOut issues the same request to every shard concurrently, each with
 // the full per-shard failover/retry budget.
 func (rt *Router) fanOut(ctx context.Context, method, path string, hdr http.Header, body []byte) []fanResult {
+	return rt.scatter(ctx, method, path, hdr, func(int) ([]byte, bool) { return body, true })
+}
+
+// scatter is fanOut with a body per shard: bodyFor says what shard i is
+// sent, or that it is sent nothing, which leaves its fanResult zero.
+func (rt *Router) scatter(ctx context.Context, method, path string, hdr http.Header, bodyFor func(i int) (body []byte, send bool)) []fanResult {
 	out := make([]fanResult, len(rt.shards))
 	var wg sync.WaitGroup
 	for i, seg := range rt.shards {
+		body, send := bodyFor(i)
+		if !send {
+			continue
+		}
 		wg.Add(1)
 		go func(i int, seg *segment) {
 			defer wg.Done()
@@ -426,85 +435,48 @@ func (rt *Router) handleReady(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, map[string]any{"status": label, "shards": rows})
 }
 
-// handleBatch splits a batched upload by session key and forwards each
-// sub-batch to its owning shard, reassembling per-element statuses in the
-// caller's element order. Split semantics stay idempotent: if any shard's
-// sub-batch fails outright the router answers 503 and the client retries
-// the whole batch — elements that committed answer 409 on the retry,
-// which the batch client already treats as success.
+// handleBatch splits a batched upload by session key, sends every owning
+// shard its sub-batch at once, and reassembles the per-element statuses in
+// the caller's element order. Whatever a single node refuses outright — a
+// body over its wire or decompressed budget, a corrupt gzip stream, a
+// document that is not one JSON array, more elements than its cap — the
+// router refuses with the same status before any shard sees it. Split
+// semantics stay idempotent: if any shard's sub-batch fails outright the
+// router answers 503 and the client retries the whole batch — elements that
+// committed answer 409 on the retry, which the batch client already treats
+// as success.
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request, testID string) {
-	body, err := readBody(r, maxProxyBody)
+	sp := splitPool.Get().(*batchSplit)
+	defer sp.release()
+	body, err := sp.read(r)
 	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, "reading batch: %v", err)
+		refuseBatch(w, err)
 		return
 	}
-	if r.Header.Get("Content-Encoding") == "gzip" {
-		zr, zerr := gzip.NewReader(bytes.NewReader(body))
-		if zerr != nil {
-			writeError(w, http.StatusBadRequest, "batch gzip stream: %v", zerr)
-			return
-		}
-		body, err = io.ReadAll(io.LimitReader(zr, maxProxyBody+1))
-		if err != nil || int64(len(body)) > maxProxyBody {
-			writeError(w, http.StatusRequestEntityTooLarge, "batch too large after decompression")
-			return
-		}
-	}
-	var elems []json.RawMessage
-	dec := json.NewDecoder(bytes.NewReader(body))
-	if err := dec.Decode(&elems); err != nil {
-		writeError(w, http.StatusBadRequest, "malformed batch: %v", err)
+	subs, err := sp.split(rt.ring, testID, body)
+	if err != nil {
+		refuseBatch(w, err)
 		return
 	}
-	if len(elems) > routerMaxBatchSessions {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			"batch of %d sessions exceeds the %d-session limit", len(elems), routerMaxBatchSessions)
-		return
-	}
+	elems := sp.elems
 	if len(elems) == 0 {
 		// Nothing to split: let the home shard apply the single-node
-		// empty-batch semantics.
-		rt.forwardBatch(w, r, testID, body)
+		// empty-batch semantics. body is pooled scratch and a transport may
+		// read a request body past the round trip's return, hence the copy.
+		rt.forwardBatch(w, r, testID, bytes.Clone(body))
 		return
 	}
-
-	// Group element indices by owning shard, preserving order within each
-	// group so a shard's report maps back positionally.
-	groups := make(map[int][]int)
-	for i, raw := range elems {
-		workerID := sniffWorkerID(raw)
-		shardIdx := rt.ring.Owner(SessionKey(testID, workerID))
-		groups[shardIdx] = append(groups[shardIdx], i)
-	}
-
-	type subResult struct {
-		indices []int
-		up      *failover.Response
-		err     error
-	}
-	results := make([]subResult, 0, len(groups))
-	for shardIdx, indices := range groups {
-		results = append(results, subResult{indices: indices})
-		sub := &results[len(results)-1]
-		var buf bytes.Buffer
-		buf.WriteByte('[')
-		for j, i := range indices {
-			if j > 0 {
-				buf.WriteByte(',')
-			}
-			buf.Write(elems[i])
-		}
-		buf.WriteByte(']')
-		sub.up, sub.err = rt.doShard(r.Context(), rt.shards[shardIdx],
-			http.MethodPost, r.URL.RequestURI(), batchHeader(r.Header), buf.Bytes())
-	}
+	fans := rt.scatter(r.Context(), http.MethodPost, r.URL.RequestURI(), batchHeader(r.Header),
+		func(i int) ([]byte, bool) { return subs[i].body, subs[i].n > 0 })
 
 	merged := server.BatchReport{
 		TestID:  testID,
 		Results: make([]server.BatchElementResult, len(elems)),
 	}
-	for _, sub := range results {
+	for shardIdx, sub := range fans {
 		switch {
+		case subs[shardIdx].n == 0:
+			continue
 		case sub.err != nil:
 			rt.writeUnreachable(w, "batch upload", sub.err)
 			return
@@ -515,26 +487,42 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request, testID str
 			rt.writeUpstream(w, sub.up)
 			return
 		case sub.up.Status != http.StatusOK:
-			// A stream-level sub-batch failure. The router built this
-			// sub-batch from decoded JSON, so 400/413 here means the shard
-			// is refusing work; relay 5xx/429 (with Retry-After) and pass
-			// definitive 4xx through so the client sees the shard's answer.
+			// A stream-level sub-batch failure. The router cut this
+			// sub-batch out of validated JSON, so 400/413 here means the
+			// shard is refusing work; relay 5xx/429 (with Retry-After) and
+			// pass definitive 4xx through so the client sees the shard's
+			// answer.
 			rt.writeUpstream(w, sub.up)
 			return
 		}
 		var rep server.BatchReport
-		if err := json.Unmarshal(sub.up.Body, &rep); err != nil || len(rep.Results) != len(sub.indices) {
+		if err := json.Unmarshal(sub.up.Body, &rep); err != nil || len(rep.Results) != subs[shardIdx].n {
 			rt.writeUnreachable(w, "batch upload", errors.New("corrupt sub-batch report"))
 			return
 		}
 		merged.Accepted += rep.Accepted
 		merged.Rejected += rep.Rejected
-		for j, er := range rep.Results {
-			er.Index = sub.indices[j]
-			merged.Results[er.Index] = er
+		// A shard reports positionally, and its sub-batch kept the caller's
+		// order: its j-th result is the j-th element it owns.
+		j := 0
+		for i, e := range elems {
+			if e.shard == shardIdx {
+				merged.Results[i] = rep.Results[j]
+				merged.Results[i].Index = i
+				j++
+			}
 		}
 	}
 	writeJSON(w, http.StatusOK, merged)
+}
+
+// refuseBatch answers for a batch the router will not split.
+func refuseBatch(w http.ResponseWriter, err error) {
+	status := http.StatusBadRequest
+	if errors.Is(err, errTooLarge) || errors.Is(err, errBatchTooLong) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, status, "batch upload: %v", err)
 }
 
 // forwardBatch relays an (already decompressed) batch body to the test's
@@ -549,8 +537,8 @@ func (rt *Router) forwardBatch(w http.ResponseWriter, r *http.Request, testID st
 	rt.writeUpstream(w, up)
 }
 
-// batchHeader strips the original Content-Encoding: sub-batches are
-// re-encoded as plain JSON.
+// batchHeader strips the original Content-Encoding: sub-batches go out as
+// plain JSON.
 func batchHeader(src http.Header) http.Header {
 	h := src.Clone()
 	h.Del("Content-Encoding")

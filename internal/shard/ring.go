@@ -94,11 +94,20 @@ const (
 )
 
 func hashKey(key string) uint64 {
-	h := fnvOffset64
+	return fmix64(fnv1a(fnvOffset64, key))
+}
+
+// fnv1a folds key into the running FNV-1a state h, so a key can be hashed in
+// pieces without being concatenated first.
+func fnv1a[T string | []byte](h uint64, key T) uint64 {
 	for i := 0; i < len(key); i++ {
 		h ^= uint64(key[i])
 		h *= fnvPrime64
 	}
+	return h
+}
+
+func fmix64(h uint64) uint64 {
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33
@@ -110,7 +119,16 @@ func hashKey(key string) uint64 {
 // Owner returns the index (into the constructor's shard list) of the
 // shard owning key.
 func (r *Ring) Owner(key string) int {
-	h := hashKey(key)
+	return r.ownerOf(hashKey(key))
+}
+
+// sessionOwner is Owner(SessionKey(testID, workerID)) for a worker id that
+// is still bytes in a request buffer: no key string is built.
+func (r *Ring) sessionOwner(testID string, workerID []byte) int {
+	return r.ownerOf(fmix64(fnv1a(fnv1a(fnv1a(fnvOffset64, testID), "/"), workerID)))
+}
+
+func (r *Ring) ownerOf(h uint64) int {
 	i := sort.Search(len(r.points), func(j int) bool { return r.points[j].hash >= h })
 	if i == len(r.points) {
 		i = 0 // wrap: the first point owns the arc past the last hash

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -64,13 +65,10 @@ const (
 	// maxProxyBody bounds any single request or response body. Request
 	// bodies are buffered because a retried attempt must replay the bytes,
 	// response bodies wherever the router parses them or may yet discard
-	// them; the server's own budgets (1MiB sessions, 32MiB batches) sit far
-	// below this backstop.
+	// them; the server's own budget for a session (1MiB) sits far below this
+	// backstop. A batch, which the router takes apart into requests that
+	// each fit, is held to the server's own budgets instead (split.go).
 	maxProxyBody = 64 << 20
-	// routerMaxBatchSessions mirrors the server's per-batch element cap so
-	// a split batch cannot smuggle more elements past it than a
-	// single-node deployment would accept.
-	routerMaxBatchSessions = 10_000
 )
 
 // segment is the router's per-shard view: the failover loop over the
@@ -232,18 +230,30 @@ func (rt *Router) try(ctx context.Context, httpc *http.Client, base, method, pat
 	return up, nil
 }
 
+// errTooLarge is a body past its byte limit, as opposed to one that could
+// not be read.
+var errTooLarge = errors.New("body too large")
+
 // readBounded buffers a body of at most limit bytes. It is io.ReadAll with
 // the buffer sized once from the declared length n (-1: not declared), plus
 // the byte of room in which the reader reports EOF; a body that outruns its
 // declaration still grows, up to the limit.
 func readBounded(body io.Reader, n, limit int64) ([]byte, error) {
+	return appendBounded(nil, body, n, limit)
+}
+
+// appendBounded is readBounded into the spare capacity of b[:0], growing it
+// only when n or the body asks for more.
+func appendBounded(b []byte, body io.Reader, n, limit int64) ([]byte, error) {
 	if n > limit {
-		return nil, fmt.Errorf("body exceeds %d bytes", limit)
+		return nil, fmt.Errorf("%w: exceeds %d bytes", errTooLarge, limit)
 	}
 	if n < 0 {
 		n = 511 // io.ReadAll's start
 	}
-	b := make([]byte, 0, n+1)
+	if b = b[:0]; int64(cap(b)) <= n {
+		b = make([]byte, 0, n+1)
+	}
 	r := io.LimitReader(body, limit+1)
 	for {
 		m, err := r.Read(b[len(b):cap(b)])
@@ -259,7 +269,7 @@ func readBounded(body io.Reader, n, limit int64) ([]byte, error) {
 		}
 	}
 	if int64(len(b)) > limit {
-		return nil, fmt.Errorf("body exceeds %d bytes", limit)
+		return nil, fmt.Errorf("%w: exceeds %d bytes", errTooLarge, limit)
 	}
 	return b, nil
 }
@@ -433,31 +443,24 @@ func (rt *Router) proxyKey(w http.ResponseWriter, r *http.Request, key string) {
 
 // handleUpload routes a single session upload by its session key. The
 // worker id comes from the X-Kscope-Worker header every extension client
-// sends; a headerless upload falls back to sniffing the body so the same
-// worker still routes consistently.
+// sends, and then the body is never parsed; a headerless upload is routed by
+// the id in its body, read the way the batch split reads an element's, so
+// the same worker lands on the same shard by either endpoint.
 func (rt *Router) handleUpload(w http.ResponseWriter, r *http.Request, testID string) {
 	body, err := readBody(r, maxProxyBody)
 	if err != nil {
 		writeError(w, http.StatusRequestEntityTooLarge, "reading session: %v", err)
 		return
 	}
-	workerID := r.Header.Get(guard.WorkerIDHeader)
-	if workerID == "" {
-		workerID = sniffWorkerID(body)
+	workerID := []byte(r.Header.Get(guard.WorkerIDHeader))
+	if len(workerID) == 0 {
+		workerID = sessionWorkerID(body)
 	}
-	seg := rt.shards[rt.ring.Owner(SessionKey(testID, workerID))]
+	seg := rt.shards[rt.ring.sessionOwner(testID, workerID)]
 	up, err := rt.doShard(r.Context(), seg, http.MethodPost, r.URL.RequestURI(), r.Header, body)
 	if err != nil {
 		rt.writeUnreachable(w, "session upload", err)
 		return
 	}
 	rt.writeUpstream(w, up)
-}
-
-func sniffWorkerID(body []byte) string {
-	var probe struct {
-		WorkerID string `json:"worker_id"`
-	}
-	_ = json.Unmarshal(body, &probe)
-	return probe.WorkerID
 }

@@ -1,0 +1,371 @@
+package shard
+
+import (
+	"bytes"
+	"compress/gzip"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"io"
+	"math/rand"
+	"reflect"
+	"strings"
+	"testing"
+
+	"kaleidoscope/internal/crowd"
+	"kaleidoscope/internal/quality"
+	"kaleidoscope/internal/questionnaire"
+	"kaleidoscope/internal/server"
+)
+
+// sniffWorkerID is the oracle for every worker id the router reads out of a
+// body: encoding/json's own decoding of the field, the way the owning shard
+// decodes it into a server.SessionUpload.
+func sniffWorkerID(body []byte) string {
+	var probe struct {
+		WorkerID string `json:"worker_id"`
+	}
+	_ = json.Unmarshal(body, &probe)
+	return probe.WorkerID
+}
+
+// splitByDecoding is the batch split the router shipped until the one-pass
+// scan replaced it, kept as the differential oracle: decode the array into
+// raw elements, decode every element again for its worker id, and copy the
+// elements into per-shard buffers. It differs from what shipped in one
+// line — the check for bytes after the array, whose absence was a bug (a
+// node refuses them). ids and owners are per element, subs per shard.
+func splitByDecoding(ring *Ring, testID string, body []byte) (subs [][]byte, owners []int, ids []string, err error) {
+	var elems []json.RawMessage
+	dec := json.NewDecoder(bytes.NewReader(body))
+	if err := dec.Decode(&elems); err != nil {
+		return nil, nil, nil, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, nil, nil, fmt.Errorf("trailing data after the batch: %v", err)
+	}
+	if len(elems) > server.MaxBatchSessions {
+		return nil, nil, nil, fmt.Errorf("batch of %d sessions", len(elems))
+	}
+	groups := make([][]int, len(ring.Shards())) // a map when it shipped; a slice keeps the fuzzer's coverage repeatable
+	for i, raw := range elems {
+		id := sniffWorkerID(raw)
+		owner := ring.Owner(SessionKey(testID, id))
+		ids, owners = append(ids, id), append(owners, owner)
+		groups[owner] = append(groups[owner], i)
+	}
+	subs = make([][]byte, len(groups))
+	for owner, indices := range groups {
+		if indices == nil {
+			continue
+		}
+		var buf bytes.Buffer
+		buf.WriteByte('[')
+		for j, i := range indices {
+			if j > 0 {
+				buf.WriteByte(',')
+			}
+			buf.Write(elems[i])
+		}
+		buf.WriteByte(']')
+		subs[owner] = buf.Bytes()
+	}
+	return subs, owners, ids, nil
+}
+
+// scriptSession is a session of the end-to-end script's shape (bench/script.go):
+// one real page, one question, one control, two behaviours.
+func scriptSession(testID, worker string, i int) server.SessionUpload {
+	return server.SessionUpload{
+		TestID: testID, WorkerID: worker,
+		Demographics: crowd.Demographics{Gender: "female", AgeBand: "25-34", Country: "DE", TechAbility: 1 + i%5},
+		Responses: []questionnaire.Response{{
+			TestID: testID, WorkerID: worker, PageID: "pair-0-1", QuestionID: "q0",
+			Choice:  []questionnaire.Choice{questionnaire.ChoiceLeft, questionnaire.ChoiceRight, questionnaire.ChoiceSame}[i%3],
+			Comment: "the left one felt quicker to read", DurationMillis: 4000 + 137*i,
+		}},
+		Behaviors: []crowd.Behavior{
+			{TimeOnTaskMillis: 4000 + 137*i, CreatedTabs: 1 + i%2, ActiveTabSwitches: 2 + i%4},
+			{TimeOnTaskMillis: 9000 + 61*i, CreatedTabs: 1, ActiveTabSwitches: 2 + i%3},
+		},
+		Controls: []quality.ControlOutcome{{PageID: "control-same", Got: questionnaire.ChoiceSame}},
+	}
+}
+
+// scriptBatch is n script-shaped sessions as one JSON array.
+func scriptBatch(tb testing.TB, testID string, n int) []byte {
+	tb.Helper()
+	batch := make([]server.SessionUpload, n)
+	for i := range batch {
+		batch[i] = scriptSession(testID, fmt.Sprintf("w%03d-%06x", i, i*7919), i)
+	}
+	payload, err := json.Marshal(batch)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return payload
+}
+
+func gzipped(tb testing.TB, payload []byte) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
+	if _, err := zw.Write(payload); err != nil {
+		tb.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// splitCorpus is FuzzBatchSplit's seed corpus, which makes it the split's
+// table test on every plain `go test`: one body for each way an element's
+// worker id can part from the bytes spelling it, and for each shape of
+// document that is not a batch.
+var splitCorpus = []string{
+	`[]`, `null`, ` [ ] `, "\n null \t", `[null]`, `{}`, `"str"`, `0`, `[`, `[{]`, ``, ` `,
+	`[{"worker_id":"a"},{"worker_id":"b"},{"worker_id":"c"},{"worker_id":"d"}]`,
+	// Trailing bytes: the old split read one value and stopped.
+	`[{"worker_id":"a"}] x`, `[][]`, `[{"worker_id":"a"}],`, `null null`,
+	// Whitespace everywhere.
+	" [ { \"test_id\" : \"t\" , \"worker_id\"\t:\r\n\"w 1\" , \"responses\" : [ { \"worker_id\" : \"nested\" } ] } , { } ] ",
+	// Escapes, in the key and in the value.
+	`[{"worker\u005fid":"escaped-key"},{"worker_id":"esc\u0061ped"},{"worker_id":"q\"uote"},{"worker_id":"back\\slash"},{"\u0077orker_id":"a","worker_id":"b"}]`,
+	// Repeated and case-variant keys: encoding/json decodes each in turn.
+	`[{"worker_id":"first","worker_id":"last"},{"WORKER_ID":"upper"},{"Worker_Id":"mixed","worker_id":"exact"},{"worker_id":"exact","wORKER_id":"mixed"}]`,
+	`[{"worker_id":"kept","worker_id":7},{"worker_id":"kept","worker_id":null},{"worker_id":null,"worker_id":"set"}]`,
+	// Unicode folds onto ASCII: U+212A KELVIN SIGN is a 'k' to encoding/json.
+	"[{\"wor\u212aer_id\":\"kelvin\"},{\"wor\\u212aer_id\":\"kelvin-escaped\"},{\"worker_id\":\"a\",\"wor\u212aer_id\":\"b\"}]",
+	// Bytes >= 0x80: valid UTF-8 is kept, invalid becomes U+FFFD.
+	"[{\"worker_id\":\"caf\u00e9\"},{\"worker_id\":\"bad\xffutf8\"},{\"worker_id\":\"\xc3\"}]",
+	// Not a string, not an object, not at the top level.
+	`[{"worker_id":42},{"worker_id":null},{"worker_id":["a"]},{"worker_id":{"worker_id":"deep"}},{"worker_id":true}]`,
+	`[1,"worker_id",null,true,false,-1.5e3,[1,[2,"]"]],["worker_id","x"],{}]`,
+	`[{"session":{"worker_id":"inner"},"worker_id":"outer"},{"session":{"worker_id":"inner"}},{"a":[{"worker_id":"x"}],"b":"}"}]`,
+	// Look-alikes and the plain-ASCII edge.
+	`[{"worker_id ":"space"},{"worker_i":"short"},{"worker_idx":"long"},{"worker_id":""},{"worker_id":"~\u007f "}]`,
+	"[{\"worker_id\":\"del\x7f\"},{\"worker_id\":\"{[,]}:\"},{\"k\":\"\\\\\",\"worker_id\":\"after-backslash\"}]",
+	// Valid JSON that does not decode as a session still routes somewhere.
+	`[{"worker_id":"typed","responses":7},{"responses":"x","worker_id":"late"}]`,
+}
+
+// FuzzBatchSplit is the gate on the router's one-pass batch split: for any
+// body, the split and the decode/re-encode implementation it replaced both
+// refuse or both accept; when they accept, every shard is sent the same
+// bytes — the same elements, byte for byte, in the caller's order — the
+// element index names each element's owner, and every element is routed by
+// the worker id encoding/json decodes from it (sniffWorkerID). The scan
+// does not guard its indexing, so reading outside the body is a panic. The same holds for a body read as one headerless session.
+func FuzzBatchSplit(f *testing.F) {
+	for _, seed := range splitCorpus {
+		f.Add([]byte(seed))
+	}
+	f.Add(scriptBatch(f, "fuzz-test", 12))
+	ring, err := NewRing([]string{"shard-0", "shard-1", "shard-2"}, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		checkSplit(t, ring, "fuzz-test", body)
+	})
+}
+
+func checkSplit(t *testing.T, ring *Ring, testID string, body []byte) {
+	t.Helper()
+	if got, want := string(sessionWorkerID(body)), sniffWorkerID(body); got != want {
+		t.Errorf("as one session: routed by worker id %q, encoding/json decodes %q", got, want)
+	}
+
+	sp := new(batchSplit)
+	subs, err := sp.split(ring, testID, body)
+	wantSubs, wantOwners, wantIDs, wantErr := splitByDecoding(ring, testID, body)
+	if (err != nil) != (wantErr != nil) {
+		t.Fatalf("split: %v; the decoding split: %v", err, wantErr)
+	}
+	if err != nil {
+		return
+	}
+	if len(sp.elems) != len(wantIDs) {
+		t.Fatalf("split found %d elements, the decoding split %d", len(sp.elems), len(wantIDs))
+	}
+	counts := make([]int, len(subs))
+	for i, e := range sp.elems {
+		if _, id := scanElement(body, e.start); string(id) != wantIDs[i] {
+			t.Errorf("element %d %s: routed by worker id %q, encoding/json decodes %q", i, body[e.start:e.end], id, wantIDs[i])
+		}
+		if e.shard != wantOwners[i] {
+			t.Errorf("element %d: owner %d, want %d", i, e.shard, wantOwners[i])
+		}
+		counts[e.shard]++
+	}
+	for s, sub := range subs {
+		if !bytes.Equal(sub.body, wantSubs[s]) {
+			t.Errorf("shard %d is sent %q, want %q", s, sub.body, wantSubs[s])
+		}
+		if sub.n != counts[s] {
+			t.Errorf("shard %d: %d elements counted, %d indexed", s, sub.n, counts[s])
+		}
+	}
+}
+
+// randomBatch writes a JSON array whose elements are mostly objects built
+// from the keys and strings that make a worker id hard to read, nested a few
+// levels, with whitespace wherever JSON allows it. Byte-level fuzzing rarely
+// keeps a document well-formed for long; this generator always does.
+func randomBatch(rng *rand.Rand) []byte {
+	keys := []string{`"worker_id"`, `"worker_id"`, `"WORKER_ID"`, `"Worker_id"`, `"worker\u005fid"`, "\"wor\u212aer_id\"", `"wor\u212aer_id"`,
+		`"worker_id "`, `"worker_i"`, `"test_id"`, `"responses"`, `"k\\"`, `"é"`, `""`}
+	strs := []string{`"a"`, `"w-1"`, `"w 2"`, `""`, `"é"`, "\"\xff\"", `"esc\u0061ped"`, `"q\"uote"`, `"back\\"`, `"}"`, `"]"`, `","`, `"\u007f"`, `"worker_id"`}
+	var b []byte
+	space := func() {
+		for rng.Intn(4) == 0 {
+			b = append(b, " \n\t\r"[rng.Intn(4)])
+		}
+	}
+	var value func(depth int, object bool)
+	value = func(depth int, object bool) {
+		space()
+		defer space()
+		kind := rng.Intn(7)
+		if object {
+			kind = 6
+		} else if depth > 3 {
+			kind %= 5
+		}
+		switch kind {
+		case 0, 1:
+			b = append(b, strs[rng.Intn(len(strs))]...)
+		case 2:
+			b = append(b, []string{"0", "-12.5e+3", "7"}[rng.Intn(3)]...)
+		case 3:
+			b = append(b, []string{"null", "true", "false"}[rng.Intn(3)]...)
+		case 4, 5:
+			b = append(b, '[')
+			space()
+			for i, n := 0, rng.Intn(3); i < n; i++ {
+				if i > 0 {
+					b = append(b, ',')
+				}
+				value(depth+1, false)
+			}
+			b = append(b, ']')
+		case 6:
+			b = append(b, '{')
+			space()
+			for i, n := 0, rng.Intn(5); i < n; i++ {
+				if i > 0 {
+					b = append(b, ',')
+				}
+				space()
+				b = append(b, keys[rng.Intn(len(keys))]...)
+				space()
+				b = append(b, ':')
+				value(depth+1, false)
+			}
+			b = append(b, '}')
+		}
+	}
+	space()
+	b = append(b, '[')
+	space()
+	for i, n := 0, rng.Intn(7); i < n; i++ {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		value(0, rng.Intn(5) > 0)
+	}
+	b = append(b, ']')
+	space()
+	return b
+}
+
+var splitSeed = flag.Int64("split.seed", 0, "replay one seed of TestSplitRandomBatches")
+
+// TestSplitRandomBatches holds the split to FuzzBatchSplit's properties over
+// well-formed documents dense in the hard cases.
+func TestSplitRandomBatches(t *testing.T) {
+	ring, err := NewRing([]string{"shard-0", "shard-1", "shard-2"}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds := []int64{*splitSeed}
+	if *splitSeed == 0 {
+		seeds = seeds[:0]
+		for s := int64(1); s <= 3000; s++ {
+			seeds = append(seeds, s)
+		}
+	}
+	for _, seed := range seeds {
+		body := randomBatch(rand.New(rand.NewSource(seed)))
+		if !json.Valid(body) {
+			t.Fatalf("seed %d: the generator wrote malformed JSON: %s", seed, body)
+		}
+		checkSplit(t, ring, "random-test", body)
+		if t.Failed() {
+			t.Fatalf("seed %d (replay: go test ./internal/shard -run TestSplitRandomBatches -split.seed=%d): %s", seed, seed, body)
+		}
+	}
+}
+
+// TestSplitScriptBatch: on the traffic the router actually carries, no
+// element needs encoding/json — the split allocates the sub-batch bodies and
+// their bookkeeping, nothing per session — and a reused scratch gives the
+// same answer as a fresh one.
+func TestSplitScriptBatch(t *testing.T) {
+	ring, err := NewRing([]string{"shard-0", "shard-1", "shard-2"}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := scriptBatch(t, "script-test", 100)
+	checkSplit(t, ring, "script-test", body)
+
+	sp := new(batchSplit)
+	first, err := sp.split(ring, "script-test", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sp.split(ring, "script-test", []byte(`[{"worker_id":"other"}]`)); err != nil {
+		t.Fatal(err)
+	}
+	again, err := sp.split(ring, "script-test", body)
+	if err != nil || !reflect.DeepEqual(first, again) {
+		t.Errorf("a reused scratch split the same batch differently (%v)", err)
+	}
+	// Five without the race detector: three sub-batch bodies and two
+	// bookkeeping slices.
+	if allocs := testing.AllocsPerRun(20, func() { sp.split(ring, "script-test", body) }); allocs > 8 {
+		t.Errorf("splitting 100 script-shaped sessions allocates %.0f times: something is allocated per session", allocs)
+	}
+}
+
+// TestSplitRefusals pins the statuses of the documents the split refuses.
+func TestSplitRefusals(t *testing.T) {
+	ring, err := NewRing([]string{"shard-0", "shard-1"}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	over := "[" + strings.Repeat("{},", server.MaxBatchSessions) + "{}]"
+	atCap := "[" + strings.Repeat("{},", server.MaxBatchSessions-1) + "{}]"
+	for _, tc := range []struct {
+		name, body string
+		want       error // nil with syntax set: any error naming the syntax
+		syntax     bool
+	}{
+		{"at the cap", atCap, nil, false},
+		{"over the cap", over, errBatchTooLong, false},
+		{"an object", `{"worker_id":"a"}`, errNotBatch, false},
+		{"a string", `"[]"`, errNotBatch, false},
+		{"malformed", `[{"worker_id":}]`, nil, true},
+		{"trailing bytes", `[] []`, nil, true},
+	} {
+		_, err := new(batchSplit).split(ring, "t", []byte(tc.body))
+		if tc.syntax {
+			if err == nil || !strings.Contains(err.Error(), "malformed batch: invalid character") {
+				t.Errorf("%s: %v, want a syntax error", tc.name, err)
+			}
+		} else if err != tc.want {
+			t.Errorf("%s: %v, want %v", tc.name, err, tc.want)
+		}
+	}
+}

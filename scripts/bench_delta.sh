@@ -47,7 +47,7 @@ go test -run '^$' \
     -bench 'BenchmarkConclude(Scratch|Incremental)|BenchmarkSession(UploadHTTP|UploadFolded|BatchUploadHTTP|BatchUploadFolded|UploadDurable|UploadReplicated)$' \
     -benchmem -benchtime 10x ./internal/server/ >"$tmp/server.txt"
 echo "bench_delta: running router benchmarks..."
-go test -run '^$' -bench 'BenchmarkRouterResultsQC$' \
+go test -run '^$' -bench 'BenchmarkRouter(ResultsQC|BatchSplit)$' \
     -benchmem -benchtime 10x ./internal/shard/ >>"$tmp/server.txt"
 echo "bench_delta: running aggregator benchmarks..."
 go test -run '^$' -bench 'BenchmarkPrepare(Sequential|Parallel)$' \
