@@ -53,6 +53,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSnapshot$$' -fuzztime $(FUZZTIME) ./internal/replica/
 	$(GO) test -run '^$$' -fuzz '^FuzzFoldStateDecode$$' -fuzztime $(FUZZTIME) ./internal/shard/
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchSplit$$' -fuzztime $(FUZZTIME) ./internal/shard/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSession$$' -fuzztime $(FUZZTIME) ./internal/server/
+	$(GO) test -run '^$$' -fuzz '^FuzzBatchStream$$' -fuzztime $(FUZZTIME) ./internal/server/
 
 # Full-repo coverage profile (published as a CI artifact).
 cover:
@@ -78,10 +80,13 @@ bench-aggregator:
 # its per-session allocation budget, and the replicated AckFollower upload
 # within 5x of the durable no-follower baseline — see that file's notes),
 # plus the router's quality-controlled results poll over in-process shards
-# and its split of one gzip batch of 100 over three stub shards.
+# and its split of one gzip batch of 100 over three stub shards, and the
+# session codec beside encoding/json on one session (microseconds, so at
+# the default benchtime).
 bench-server:
 	$(GO) test -run '^$$' -bench 'BenchmarkConclude(Scratch|Incremental)|BenchmarkSession(UploadHTTP|UploadFolded|BatchUploadHTTP|BatchUploadFolded|UploadDurable|UploadReplicated)$$|BenchmarkSessionUploadFsync' \
 		-benchmem -benchtime 10x ./internal/server/
+	$(GO) test -run '^$$' -bench 'Benchmark(DecodeSession|AppendSession)$$' -benchmem ./internal/server/
 	$(GO) test -run '^$$' -bench 'BenchmarkRouter(ResultsQC|BatchSplit)$$' -benchmem -benchtime 10x ./internal/shard/
 
 # Just the upload hot-path pair: single endpoint vs the batched streaming
@@ -92,7 +97,7 @@ bench-batch:
 
 # Benchmark regression gate: re-runs the acceptance benchmarks and fails on
 # any recorded-floor regression — allocation counts vs BENCH_*.json, the
-# batch upload's 40 allocs/session budget, the >=10x incremental speedup,
+# batch upload's 27 allocs/session budget, the >=10x incremental speedup,
 # (with >=4 cores) the >=2.2x parallel Prepare speedup, and the replicated
 # upload's 5x overhead budget (recorded 2.5x) with zero post-ack replication
 # lag, the bytes a router QC poll reads from its shards, and the allocations

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -81,10 +80,10 @@ type batchState struct {
 }
 
 // handleSessionBatch is the batched upload endpoint: a JSON array of
-// session uploads — optionally gzip-compressed — streamed through a
-// token-loop decoder that never materializes the whole payload, validated
-// and scored element by element with pooled decode state, and committed in
-// chunks through the store's WAL group commit.
+// session uploads — optionally gzip-compressed — read through a sliding
+// window that never holds the whole payload, decoded, validated and scored
+// element by element where they lie in it, and committed in chunks through
+// the store's WAL group commit.
 func (s *Server) handleSessionBatch(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	testID := r.PathValue("id")
@@ -148,52 +147,85 @@ func (s *Server) handleSessionBatch(w http.ResponseWriter, r *http.Request) {
 		defer releaseGzip(gz)
 		body = gz
 	}
-	body = newBudgetReader(body, maxBatchBytes)
+	sr := acquireSessionReader(newBudgetReader(body, maxBatchBytes))
+	defer s.releaseSessionReader(sr)
 
 	st := &batchState{report: BatchReport{TestID: testID, Results: []BatchElementResult{}}}
-	dec := json.NewDecoder(body)
-
-	tok, err := dec.Token()
-	if err != nil {
-		s.finishBatch(w, st, report, s.batchStreamStatus(err), "decoding batch: %v", err)
-		return
-	}
-	if delim, ok := tok.(json.Delim); !ok || delim != '[' {
-		s.finishBatch(w, st, report, http.StatusBadRequest, "batch body must be a JSON array of sessions, got %v", tok)
-		return
+	// fail ends the request on a stream-level failure.
+	fail := func(status int, format string, args ...any) {
+		s.finishBatch(w, st, report, status, format, args...)
 	}
 
-	upload := uploadPool.Get().(*SessionUpload)
-	defer uploadPool.Put(upload)
+	switch c, err := sr.peek(); {
+	case err != nil:
+		fail(s.batchStreamStatus(err), "decoding batch: %v", err)
+		return
+	case c != '[':
+		// A scalar is read to its end before it is refused, as it always
+		// was: a budget can run out under it.
+		status := http.StatusBadRequest
+		if c != '{' {
+			if _, err := sr.decode(); err != nil {
+				status = s.batchStreamStatus(err)
+			}
+		}
+		fail(status, "batch body must be a JSON array of sessions")
+		return
+	}
+	sr.pos++
 
-	for dec.More() {
+	upload := &sr.upload
+	for {
+		c, err := sr.peek()
+		if err != nil {
+			fail(s.batchStreamStatus(err), "decoding batch: %v", err)
+			return
+		}
+		if c == ']' {
+			sr.pos++
+			break
+		}
+		if c == '}' {
+			fail(http.StatusBadRequest, "decoding batch: invalid character '}' in the array")
+			return
+		}
 		if len(st.report.Results) >= maxBatchSessions {
-			s.finishBatch(w, st, report, http.StatusRequestEntityTooLarge,
-				"batch exceeds %d sessions", maxBatchSessions)
+			fail(http.StatusRequestEntityTooLarge, "batch exceeds %d sessions", maxBatchSessions)
 			return
 		}
 		// A dead client mid-stream: stop decoding, drop the uncommitted
 		// chunk (the client will re-send; committed elements answer 409).
 		if err := ctx.Err(); err != nil {
 			st.pending, st.pendIdx = nil, nil
-			s.finishBatch(w, st, report, http.StatusRequestTimeout, "client canceled request: %v", err)
+			fail(http.StatusRequestTimeout, "client canceled request: %v", err)
 			return
 		}
-		start := dec.InputOffset()
-		upload.resetForReuse()
-		if err := dec.Decode(upload); err != nil {
-			s.finishBatch(w, st, report, s.batchStreamStatus(err),
-				"decoding batch element %d: %v", len(st.report.Results), err)
+		if len(st.report.Results) > 0 {
+			if c != ',' {
+				fail(http.StatusBadRequest, "decoding batch: invalid character %q after element %d", c, len(st.report.Results)-1)
+				return
+			}
+			sr.pos++
+			if _, err = sr.peek(); err != nil {
+				fail(s.batchStreamStatus(err), "decoding batch: %v", err)
+				return
+			}
+		}
+		// An element's size is its own bytes: not the separator before it,
+		// not the whitespace around it.
+		size, err := sr.decode()
+		if err != nil {
+			fail(s.batchStreamStatus(err), "decoding batch element %d: %v", len(st.report.Results), err)
 			return
 		}
 		elem := BatchElementResult{Index: len(st.report.Results), WorkerID: upload.WorkerID}
-		if size := dec.InputOffset() - start; size > maxSessionBytes {
+		if size > maxSessionBytes {
 			elem.Status = http.StatusRequestEntityTooLarge
 			elem.Error = fmt.Sprintf("session exceeds %d bytes", maxSessionBytes)
 			st.report.Results = append(st.report.Results, elem)
 			continue
 		}
-		doc, err := s.buildSessionDoc(testID, entry, upload)
+		doc, err := s.buildSessionDoc(testID, entry, sr)
 		if err != nil {
 			elem.Status = http.StatusBadRequest
 			elem.Error = err.Error()
@@ -219,19 +251,15 @@ func (s *Server) handleSessionBatch(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	// Closing ']' and strict EOF: trailing garbage after the array is as
-	// malformed as garbage inside it.
-	if _, err := dec.Token(); err != nil {
-		s.finishBatch(w, st, report, s.batchStreamStatus(err), "decoding batch: %v", err)
-		return
-	}
-	if err := requireEOF(dec); err != nil {
-		s.finishBatch(w, st, report, http.StatusBadRequest, "batch body: %v", err)
+	// Strict EOF: trailing garbage after the array is as malformed as
+	// garbage inside it.
+	if err := sr.requireEOF(); err != nil {
+		fail(http.StatusBadRequest, "batch body: %v", err)
 		return
 	}
 	if err := ctx.Err(); err != nil {
 		st.pending, st.pendIdx = nil, nil
-		s.finishBatch(w, st, report, http.StatusRequestTimeout, "client canceled request: %v", err)
+		fail(http.StatusRequestTimeout, "client canceled request: %v", err)
 		return
 	}
 	if !s.flushBatch(w, st, report) {
@@ -240,6 +268,15 @@ func (s *Server) handleSessionBatch(w http.ResponseWriter, r *http.Request) {
 	report(guard.Success)
 	s.noteBatchMetrics(st)
 	writeJSON(w, http.StatusOK, &st.report)
+}
+
+// releaseSessionReader pools sr again and counts the elements it could not
+// decode on the fast path.
+func (s *Server) releaseSessionReader(sr *sessionReader) {
+	if s.reg != nil && sr.fallbacks > 0 {
+		s.reg.Counter("kscope_session_decode_fallback_total").Add(sr.fallbacks)
+	}
+	sr.release()
 }
 
 // batchStreamStatus classifies a stream-level decode error: body over the
@@ -253,11 +290,12 @@ func (s *Server) batchStreamStatus(err error) int {
 	return http.StatusBadRequest
 }
 
-// buildSessionDoc validates and scores one decoded upload exactly like the
-// single-session endpoint does and renders its storage document. The
-// returned document embeds the one string copy of the re-marshaled session;
-// nothing in it aliases the pooled upload struct.
-func (s *Server) buildSessionDoc(testID string, entry *testEntry, upload *SessionUpload) (store.Document, error) {
+// buildSessionDoc validates and scores the upload sr has decoded, for both
+// upload endpoints, and renders its storage document. The returned document
+// embeds the one string copy of the re-encoded session; nothing in it
+// aliases the pooled reader.
+func (s *Server) buildSessionDoc(testID string, entry *testEntry, sr *sessionReader) (store.Document, error) {
+	upload := &sr.upload
 	if upload.TestID == "" {
 		upload.TestID = testID
 	} else if upload.TestID != testID {
@@ -273,15 +311,12 @@ func (s *Server) buildSessionDoc(testID string, entry *testEntry, upload *Sessio
 		}
 		upload.Controls[i].Expected = exp
 	}
-	raw, err := marshalSession(upload)
-	if err != nil {
-		return nil, fmt.Errorf("encoding session: %w", err)
-	}
+	sr.enc = appendSession(sr.enc[:0], upload)
 	return store.Document{
 		store.IDField: testID + "/" + upload.WorkerID,
 		"test_id":     testID,
 		"worker_id":   upload.WorkerID,
-		"session":     raw,
+		"session":     string(sr.enc),
 	}, nil
 }
 

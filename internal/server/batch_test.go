@@ -25,15 +25,7 @@ import (
 func postBatch(t *testing.T, srv *Server, body []byte, gzipped bool) (*httptest.ResponseRecorder, BatchReport) {
 	t.Helper()
 	if gzipped {
-		var buf bytes.Buffer
-		zw := gzip.NewWriter(&buf)
-		if _, err := zw.Write(body); err != nil {
-			t.Fatal(err)
-		}
-		if err := zw.Close(); err != nil {
-			t.Fatal(err)
-		}
-		body = buf.Bytes()
+		body = gzipBytes(t, body)
 	}
 	req := httptest.NewRequest(http.MethodPost, "/api/tests/srv-test/sessions:batch", bytes.NewReader(body))
 	if gzipped {

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"compress/gzip"
 	"encoding/json"
 	"errors"
@@ -37,49 +36,131 @@ func requireEOF(dec *json.Decoder) error {
 	return nil
 }
 
-// uploadPool recycles SessionUpload structs (and the slice capacity inside
-// them) across batch elements: the batch hot path decodes tens of
-// thousands of sessions per request, and a fresh struct + three fresh
-// slices per element is pure allocator churn.
-var uploadPool = sync.Pool{New: func() any { return new(SessionUpload) }}
+// sessionWindow is the size a sessionReader's window starts at (a variable
+// so the tests can make every element straddle a refill). It grows to hold
+// the largest element met, as json.Decoder's buffer did.
+var sessionWindow = 64 << 10
 
-// resetForReuse zeroes the upload while keeping its slices' capacity. The
-// element zeroing (clear) matters for correctness, not just hygiene:
-// encoding/json decodes array elements into the existing backing array
-// without clearing them first, so a field absent from the wire would
-// otherwise inherit a value from a previous batch element.
-func (u *SessionUpload) resetForReuse() {
-	responses := u.Responses[:cap(u.Responses)]
-	clear(responses)
-	behaviors := u.Behaviors[:cap(u.Behaviors)]
-	clear(behaviors)
-	controls := u.Controls[:cap(u.Controls)]
-	clear(controls)
-	*u = SessionUpload{
-		Responses: responses[:0],
-		Behaviors: behaviors[:0],
-		Controls:  controls[:0],
+// maxPooledSession bounds the render buffer a pooled sessionReader keeps, and
+// a window that grew is not kept at all: one huge element must not pin its
+// size for as long as traffic keeps the pool warm.
+const maxPooledSession = 64 << 10
+
+// sessionReader takes session uploads off a request body: a sliding window
+// over the stream in which elements are decoded where they lie, the decoded
+// upload (its slices' capacity serves element after element) and the buffer
+// its stored form is rendered in. Pooled, so nothing that outlives the
+// request may point into it — decodeSession and the string conversion of
+// the rendered form both copy.
+type sessionReader struct {
+	src io.Reader
+	err error  // src's error, held back until the window is spent
+	buf []byte // the window; buf[pos:] is unread
+	pos int
+
+	upload    SessionUpload
+	enc       []byte
+	fallbacks int64 // elements the decoder's fast path handed to encoding/json
+}
+
+var sessionReaderPool = sync.Pool{New: func() any { return new(sessionReader) }}
+
+func acquireSessionReader(src io.Reader) *sessionReader {
+	r := sessionReaderPool.Get().(*sessionReader)
+	if cap(r.buf) != sessionWindow {
+		r.buf = make([]byte, 0, sessionWindow)
+	}
+	r.src, r.err, r.buf, r.pos, r.fallbacks = src, nil, r.buf[:0], 0, 0
+	return r
+}
+
+func (r *sessionReader) release() {
+	r.src = nil
+	if cap(r.buf) > sessionWindow {
+		r.buf = nil
+	}
+	if cap(r.enc) > maxPooledSession {
+		r.enc = nil
+	}
+	sessionReaderPool.Put(r)
+}
+
+// fill moves the unread bytes to the front of the window, doubles a window
+// they fill, and reads until the window is full or src fails. Reading to
+// the brim is what keeps re-decoding a cut element linear: each retry sees
+// at least a window more, or twice as much, than the one before.
+func (r *sessionReader) fill() {
+	r.buf = r.buf[:copy(r.buf, r.buf[r.pos:])]
+	r.pos = 0
+	if len(r.buf) == cap(r.buf) {
+		r.buf = append(make([]byte, 0, 2*cap(r.buf)), r.buf...)
+	}
+	for len(r.buf) < cap(r.buf) && r.err == nil {
+		var n int
+		n, r.err = r.src.Read(r.buf[len(r.buf):cap(r.buf)])
+		r.buf = r.buf[:len(r.buf)+n]
 	}
 }
 
-// encodePool recycles the buffers sessions are re-marshaled into before
-// they are persisted.
-var encodePool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// marshalSession renders the persisted form of a session — byte-identical
-// to json.Marshal on the same value — through a pooled buffer, returning
-// the one string copy that outlives the request (it is what lands in the
-// stored document).
-func marshalSession(u *SessionUpload) (string, error) {
-	buf := encodePool.Get().(*bytes.Buffer)
-	defer encodePool.Put(buf)
-	buf.Reset()
-	enc := json.NewEncoder(buf)
-	if err := enc.Encode(u); err != nil {
-		return "", err
+// peek skips whitespace and returns the byte after it, unconsumed; src's
+// error (io.EOF at a clean end) once there is none. A run of whitespace of
+// any length costs one look at each byte.
+func (r *sessionReader) peek() (byte, error) {
+	for {
+		if r.pos = skipSpace(r.buf, r.pos); r.pos < len(r.buf) {
+			return r.buf[r.pos], nil
+		}
+		if r.err != nil {
+			return 0, r.err
+		}
+		r.fill()
 	}
-	// Encoder appends a newline json.Marshal does not produce.
-	return string(bytes.TrimSuffix(buf.Bytes(), []byte("\n"))), nil
+}
+
+// decode decodes the value the window stands on — call peek first — into
+// r.upload and steps past it, reading on while the value may run past the
+// window. It returns the size of the value, its own bytes only.
+func (r *sessionReader) decode() (int, error) {
+	for {
+		rest := r.buf[r.pos:]
+		n, ok := scanSession(rest, &r.upload)
+		var err error
+		if !ok {
+			n, err = unmarshalSession(rest, &r.upload)
+		}
+		// Only the byte after it ends a number, and json.Decoder asked for
+		// that byte after a string or a literal too; an object or an array
+		// closes itself.
+		if err == errCutShort || n == len(rest) && rest[n-1] != '}' && rest[n-1] != ']' {
+			if r.err == nil {
+				r.fill()
+				continue
+			}
+			if r.err != io.EOF {
+				return 0, r.err
+			}
+			if err == errCutShort {
+				return 0, io.ErrUnexpectedEOF
+			}
+		}
+		if !ok {
+			r.fallbacks++
+		}
+		r.pos += n
+		return n, err
+	}
+}
+
+// requireEOF asserts nothing but whitespace is left of the stream.
+func (r *sessionReader) requireEOF() error {
+	switch _, err := r.peek(); err {
+	case io.EOF:
+		return nil
+	case nil:
+		return errTrailingData
+	default:
+		return fmt.Errorf("%w: %v", errTrailingData, err)
+	}
 }
 
 // gzipPool recycles gzip inflaters across batch requests.
@@ -109,7 +190,7 @@ type budgetReader struct {
 	r io.Reader
 	// remaining is budget+1: like http.MaxBytesReader, one slack byte lets
 	// a stream of exactly budget bytes reach its real EOF while anything
-	// longer errors on the read after the budget is spent.
+	// longer errors on the read that brings that byte.
 	remaining int64
 }
 
@@ -127,6 +208,10 @@ func (b *budgetReader) Read(p []byte) (int, error) {
 		p = p[:b.remaining]
 	}
 	n, err := b.r.Read(p)
-	b.remaining -= int64(n)
+	// The slack byte arriving is the overrun, also when r ends with it: a
+	// reader that is handed EOF does not come back to be told.
+	if b.remaining -= int64(n); b.remaining <= 0 {
+		err = errBatchBudget
+	}
 	return n, err
 }

@@ -132,46 +132,46 @@ func TestDecodeStrict(t *testing.T) {
 	}
 }
 
-// resetForReuse must leave no trace of the previous decode: a field absent
+// A reused upload must keep no trace of the previous decode: a field absent
 // from the wire must come back zero, not inherited — including inside slice
-// elements decoded into a recycled backing array.
+// elements decoded into a recycled backing array, and an array absent from
+// the wire must come back nil, not empty — on the decoder's fast path and
+// on its encoding/json one (the upper-case key).
 func TestUploadPoolReset(t *testing.T) {
-	var up SessionUpload
 	first := `{"test_id":"t","worker_id":"w1","responses":[` +
-		`{"test_id":"t","worker_id":"w1","page_id":"p1","question_id":"q0","choice":"left","comment":"sticky","duration_millis":5}]}`
-	if err := json.Unmarshal([]byte(first), &up); err != nil {
-		t.Fatal(err)
-	}
-	up.resetForReuse()
-	if up.TestID != "" || up.WorkerID != "" || len(up.Responses) != 0 {
-		t.Fatalf("reset left state: %+v", up)
-	}
-	second := `{"test_id":"t","worker_id":"w2","responses":[` +
-		`{"test_id":"t","worker_id":"w2","page_id":"p1","question_id":"q0","choice":"right","duration_millis":7}]}`
-	if err := json.Unmarshal([]byte(second), &up); err != nil {
-		t.Fatal(err)
-	}
-	if up.Responses[0].Comment != "" {
-		t.Errorf("comment leaked across reuse: %q", up.Responses[0].Comment)
-	}
+		`{"test_id":"t","worker_id":"w1","page_id":"p1","question_id":"q0","choice":"left","comment":"sticky","duration_millis":5}],` +
+		`"behaviors":[{"TimeOnTaskMillis":9}],"controls":[{"page_id":"c","got":"same"}]}`
+	for _, second := range []string{
+		`{"test_id":"t","worker_id":"w2","responses":[` +
+			`{"test_id":"t","worker_id":"w2","page_id":"p1","question_id":"q0","choice":"right","duration_millis":7}]}`,
+		`{"TEST_ID":"t","worker_id":"w2","responses":[` +
+			`{"test_id":"t","worker_id":"w2","page_id":"p1","question_id":"q0","choice":"right","duration_millis":7}],"behaviors":[{}]}`,
+	} {
+		var up SessionUpload
+		if _, err := decodeSession([]byte(first), &up); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := decodeSession([]byte(second), &up); err != nil {
+			t.Fatal(err)
+		}
+		if up.Responses[0].Comment != "" {
+			t.Errorf("comment leaked across reuse: %q", up.Responses[0].Comment)
+		}
 
-	// And the persisted form after reuse is byte-identical to a fresh decode.
-	var fresh SessionUpload
-	if err := json.Unmarshal([]byte(second), &fresh); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(up, fresh) {
-		t.Errorf("reused = %+v, fresh = %+v", up, fresh)
-	}
-	got, err := marshalSession(&up)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := json.Marshal(&fresh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != string(want) {
-		t.Errorf("marshalSession = %s, want %s", got, want)
+		// And the persisted form after reuse is byte-identical to a fresh decode.
+		var fresh SessionUpload
+		if err := json.Unmarshal([]byte(second), &fresh); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(up, fresh) {
+			t.Errorf("reused = %+v, fresh = %+v", up, fresh)
+		}
+		want, err := json.Marshal(&fresh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendSession(nil, &up); string(got) != string(want) {
+			t.Errorf("appendSession = %s, want %s", got, want)
+		}
 	}
 }

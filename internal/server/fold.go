@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"sync"
@@ -285,7 +284,12 @@ func eachStoredSession(coll *store.Collection, testID string, fn func(docID stri
 	for _, doc := range coll.FindEq("test_id", testID) {
 		raw, _ := doc["session"].(string)
 		var upload SessionUpload
-		if err := json.Unmarshal([]byte(raw), &upload); err != nil {
+		b := []byte(raw)
+		n, err := decodeSession(b, &upload)
+		if err == nil && skipSpace(b, n) < len(b) {
+			err = errTrailingData
+		}
+		if err != nil {
 			return fmt.Errorf("server: corrupt session %s: %w", doc.ID(), err)
 		}
 		fn(doc.ID(), &upload)

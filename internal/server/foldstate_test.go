@@ -74,7 +74,7 @@ func TestFoldReadDoesNotPromote(t *testing.T) {
 	}
 }
 
-func mustMarshal(t *testing.T, v any) []byte {
+func mustMarshal(t testing.TB, v any) []byte {
 	t.Helper()
 	b, err := json.Marshal(v)
 	if err != nil {

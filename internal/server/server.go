@@ -159,6 +159,7 @@ func (s *Server) invalidateByPrefixedID(id string, invalidate func(string)) {
 // registerGauges exports cache and store read-path statistics.
 func (s *Server) registerGauges() {
 	s.folds.registerGauges(s)
+	s.reg.Counter("kscope_session_decode_fallback_total") // listed from the start, at zero
 	reg, cache := s.reg, s.cache
 	for _, g := range []struct {
 		name         string
@@ -563,8 +564,17 @@ func (s *Server) handleSessionUpload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, maxSessionBytes)
-	var upload SessionUpload
-	if err := decodeStrict(r.Body, &upload); err != nil {
+	sr := acquireSessionReader(r.Body)
+	defer s.releaseSessionReader(sr)
+	upload := &sr.upload
+	_, err = sr.peek()
+	if err == nil {
+		_, err = sr.decode()
+	}
+	if err == nil {
+		err = sr.requireEOF()
+	}
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeError(w, http.StatusRequestEntityTooLarge,
@@ -582,7 +592,7 @@ func (s *Server) handleSessionUpload(w http.ResponseWriter, r *http.Request) {
 	}
 	// Validate + score through the shared batch path so the two endpoints
 	// cannot drift: one implementation decides what a storable session is.
-	doc, err := s.buildSessionDoc(testID, entry, &upload)
+	doc, err := s.buildSessionDoc(testID, entry, sr)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -597,7 +607,7 @@ func (s *Server) handleSessionUpload(w http.ResponseWriter, r *http.Request) {
 	// and the session's reduction rides along for the fold state.
 	var note *foldNote
 	if s.folds.feeding(testID, entry) {
-		note = &foldNote{entry: entry, feats: entry.reduce(&upload)}
+		note = &foldNote{entry: entry, feats: entry.reduce(upload)}
 	}
 	_, errs := s.responses.InsertUniqueNoted([]store.Document{doc}, []any{note})
 	if err := errs[0]; err != nil {

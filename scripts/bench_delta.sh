@@ -9,9 +9,10 @@
 #
 #   ALLOC_SLACK       multiplier over recorded allocs/op (default 1.25)
 #   BATCH_ALLOC_BUDGET  max allocs per session through the batch endpoint
-#                       with no fold state to feed (default 40; recorded ~22)
+#                       with no fold state to feed (default 27: the recorded
+#                       21.6 x ALLOC_SLACK's 1.25)
 #   FOLDED_ALLOC_BUDGET max allocs per session through the batch endpoint
-#                       feeding live fold state (default 50; recorded ~28)
+#                       feeding live fold state (default 35; recorded 27.7)
 #   INCR_FLOOR        min incremental-over-scratch speedup at 10k (default 10)
 #   PAR_FLOOR         min parallel-over-sequential Prepare speedup when
 #                     NumCPU >= 4 (default 2.2; the 4-vCPU CI record in
@@ -31,8 +32,8 @@ set -eu
 cd "$(dirname "$0")/.."
 
 ALLOC_SLACK=${ALLOC_SLACK:-1.25}
-BATCH_ALLOC_BUDGET=${BATCH_ALLOC_BUDGET:-40}
-FOLDED_ALLOC_BUDGET=${FOLDED_ALLOC_BUDGET:-50}
+BATCH_ALLOC_BUDGET=${BATCH_ALLOC_BUDGET:-27}
+FOLDED_ALLOC_BUDGET=${FOLDED_ALLOC_BUDGET:-35}
 INCR_FLOOR=${INCR_FLOOR:-10}
 PAR_FLOOR=${PAR_FLOOR:-2.2}
 REPL_OVERHEAD=${REPL_OVERHEAD:-5}
