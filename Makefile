@@ -49,6 +49,9 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzInjectSpec$$' -fuzztime $(FUZZTIME) ./internal/pageload/
 	$(GO) test -run '^$$' -fuzz '^FuzzSequentialFold$$' -fuzztime $(FUZZTIME) ./internal/earlystop/
 	$(GO) test -run '^$$' -fuzz '^FuzzLogBetaMixtureE$$' -fuzztime $(FUZZTIME) ./internal/earlystop/
+	$(GO) test -run '^$$' -fuzz '^FuzzVerifyWALLine$$' -fuzztime $(FUZZTIME) ./internal/store/
+	$(GO) test -run '^$$' -fuzz '^FuzzScanWAL$$' -fuzztime $(FUZZTIME) ./internal/store/
+	$(GO) test -run '^$$' -fuzz '^FuzzAppendRecord$$' -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseFrames$$' -fuzztime $(FUZZTIME) ./internal/replica/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSnapshot$$' -fuzztime $(FUZZTIME) ./internal/replica/
 	$(GO) test -run '^$$' -fuzz '^FuzzFoldStateDecode$$' -fuzztime $(FUZZTIME) ./internal/shard/
@@ -81,12 +84,13 @@ bench-aggregator:
 # within 5x of the durable no-follower baseline — see that file's notes),
 # plus the router's quality-controlled results poll over in-process shards
 # and its split of one gzip batch of 100 over three stub shards, and the
-# session codec beside encoding/json on one session (microseconds, so at
-# the default benchtime).
+# session codec and the WAL record codec beside encoding/json on one
+# session (microseconds, so at the default benchtime).
 bench-server:
 	$(GO) test -run '^$$' -bench 'BenchmarkConclude(Scratch|Incremental)|BenchmarkSession(UploadHTTP|UploadFolded|BatchUploadHTTP|BatchUploadFolded|UploadDurable|UploadReplicated)$$|BenchmarkSessionUploadFsync' \
 		-benchmem -benchtime 10x ./internal/server/
 	$(GO) test -run '^$$' -bench 'Benchmark(DecodeSession|AppendSession)$$' -benchmem ./internal/server/
+	$(GO) test -run '^$$' -bench 'Benchmark(WALRecord|VerifyWALLine)$$' -benchmem ./internal/store/
 	$(GO) test -run '^$$' -bench 'BenchmarkRouter(ResultsQC|BatchSplit)$$' -benchmem -benchtime 10x ./internal/shard/
 
 # Just the upload hot-path pair: single endpoint vs the batched streaming
@@ -100,8 +104,8 @@ bench-batch:
 # batch upload's 27 allocs/session budget, the >=10x incremental speedup,
 # (with >=4 cores) the >=2.2x parallel Prepare speedup, and the replicated
 # upload's 5x overhead budget (recorded 2.5x) with zero post-ack replication
-# lag, the bytes a router QC poll reads from its shards, and the allocations
-# of a router batch split.
+# lag, the bytes a router QC poll reads from its shards, the allocations of a
+# router batch split, and zero allocations in the WAL record codec.
 bench-delta:
 	./scripts/bench_delta.sh
 

@@ -72,8 +72,10 @@ func appendHex(dst []byte, v uint64, width int) []byte {
 	return strconv.AppendUint(dst, v, 16)
 }
 
-// parseFrame decodes one outer line (no trailing newline).
-func parseFrame(line []byte) (frame, error) {
+// parseFrame decodes one outer line (no trailing newline), cutting its fields
+// where they lie. prev is the collection of the frame before: a request's
+// frames nearly all name one collection, and share its string.
+func parseFrame(line []byte, prev string) (frame, error) {
 	var f frame
 	rest, ok := bytes.CutPrefix(line, []byte(frameMagic+" "))
 	if !ok {
@@ -88,32 +90,55 @@ func parseFrame(line []byte) (frame, error) {
 		return f, fmt.Errorf("replica: malformed frame header")
 	}
 	body = body[1:]
-	want, err := strconv.ParseUint(string(crcField), 16, 32)
-	if err != nil {
+	want, ok := parseHex(crcField)
+	if !ok {
 		return f, fmt.Errorf("replica: bad frame checksum field")
 	}
-	if crc32.ChecksumIEEE(body) != uint32(want) {
+	if uint64(crc32.ChecksumIEEE(body)) != want {
 		return f, fmt.Errorf("replica: frame checksum mismatch")
 	}
-	fields := bytes.SplitN(body, []byte(" "), 4)
-	if len(fields) != 4 {
+	epoch, body, ok1 := bytes.Cut(body, []byte(" "))
+	seq, body, ok2 := bytes.Cut(body, []byte(" "))
+	name, inner, ok3 := bytes.Cut(body, []byte(" "))
+	if !ok1 || !ok2 || !ok3 {
 		return f, fmt.Errorf("replica: malformed frame body")
 	}
-	if f.epoch, err = strconv.ParseUint(string(fields[0]), 16, 64); err != nil {
+	if f.epoch, ok = parseHex(epoch); !ok {
 		return f, fmt.Errorf("replica: bad frame epoch")
 	}
-	if f.seq, err = strconv.ParseUint(string(fields[1]), 16, 64); err != nil {
+	if f.seq, ok = parseHex(seq); !ok {
 		return f, fmt.Errorf("replica: bad frame seq")
 	}
-	f.collection = string(fields[2])
+	f.collection = prev
+	if string(name) != prev {
+		f.collection = string(name)
+	}
 	if !store.ValidCollectionName(f.collection) {
 		return f, fmt.Errorf("replica: invalid collection name %q", f.collection)
 	}
-	f.inner = fields[3]
+	f.inner = inner
 	if err := store.VerifyWALLine(f.inner); err != nil {
 		return f, fmt.Errorf("replica: frame payload: %w", err)
 	}
 	return f, nil
+}
+
+// parseHex reads what strconv.ParseUint(s, 16, 64) accepts: one or more hex
+// digits of either case whose value fits.
+func parseHex(b []byte) (v uint64, ok bool) {
+	for _, c := range b {
+		switch {
+		case v>>60 != 0:
+			return 0, false
+		case '0' <= c && c <= '9':
+			v = v<<4 | uint64(c-'0')
+		case 'a' <= c|0x20 && c|0x20 <= 'f':
+			v = v<<4 | uint64(c|0x20-'a'+10)
+		default:
+			return 0, false
+		}
+	}
+	return v, len(b) > 0
 }
 
 // parseFrames decodes a whole request body: one frame per line, blank lines
@@ -121,6 +146,7 @@ func parseFrame(line []byte) (frame, error) {
 // atomically or not at all.
 func parseFrames(body []byte) ([]frame, error) {
 	var out []frame
+	prev := ""
 	for len(body) > 0 {
 		var line []byte
 		if nl := bytes.IndexByte(body, '\n'); nl >= 0 {
@@ -131,11 +157,11 @@ func parseFrames(body []byte) ([]frame, error) {
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
-		f, err := parseFrame(line)
+		f, err := parseFrame(line, prev)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, f)
+		out, prev = append(out, f), f.collection
 	}
 	return out, nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"strconv"
 	"testing"
 )
 
@@ -37,6 +38,8 @@ func FuzzParseFrames(f *testing.F) {
 	f.Add(append(append([]byte{}, valid...), valid...), uint64(1<<33), uint64(0), []byte{}, uint16(40), byte(0xff))
 	f.Add([]byte("#r1 00000000 00000001 0000000000000001 sessions #w1 00000000 {}\n"), uint64(0), uint64(0), []byte{0xff, 0xfe}, uint16(4), byte(0x80))
 	f.Add([]byte("\n\n  \n#r1 \n#r1 zzzzzzzz \n"), uint64(2), uint64(3), []byte("a b"), uint16(12), byte(3))
+	f.Add(valid, uint64(2), uint64(3), []byte("00000000000000000fFfFfFfFfFfFfFfF"), uint16(12), byte(0))
+	f.Add(valid, uint64(2), uint64(3), []byte("10000000000000000"), uint16(12), byte(0))
 	f.Fuzz(func(t *testing.T, body []byte, epoch, seq uint64, value []byte, flipAt uint16, flipTo byte) {
 		// Arbitrary bytes: no panic; accepted frames re-render to lines that
 		// parse to themselves.
@@ -47,6 +50,12 @@ func FuzzParseFrames(f *testing.F) {
 					t.Fatalf("accepted frame %+v does not survive a re-render: %+v, %v", fr, again, err)
 				}
 			}
+		}
+
+		// A header field reads as strconv read it.
+		std, stdErr := strconv.ParseUint(string(value), 16, 64)
+		if hex, ok := parseHex(value); ok != (stdErr == nil) || ok && hex != std {
+			t.Fatalf("parseHex(%q) = %x, %v; strconv: %x, %v", value, hex, ok, std, stdErr)
 		}
 
 		// A genuine frame round-trips.

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -675,6 +676,69 @@ func TestFollowerRejectsForgedFrames(t *testing.T) {
 	}
 	if f.AckedSeq() != 0 {
 		t.Fatalf("forged frames advanced the follower position")
+	}
+}
+
+// TestFollowerRefusals pins the frames request's acceptance set across the
+// in-place field cutting and the store's scan: each of these bodies is
+// refused whole, with nothing appended and the position unmoved, and the
+// same follower then takes a genuine request.
+func TestFollowerRefusals(t *testing.T) {
+	inner := frameWAL(t)
+	// outer renders a frame around arbitrary fields, outer checksum correct.
+	outer := func(body string) []byte {
+		return []byte(fmt.Sprintf("#r1 %08x %s\n", crc32.ChecksumIEEE([]byte(body)), body))
+	}
+	walOf := func(payload string) string {
+		return fmt.Sprintf("#w1 %08x %s", crc32.ChecksumIEEE([]byte(payload)), payload)
+	}
+	good := appendFrame(nil, 1, 1, "sessions", inner)
+	flipped := append([]byte(nil), good...)
+	flipped[len(flipped)-3] ^= 1
+	refused := []struct {
+		name string
+		body []byte
+	}{
+		{"bad outer crc", flipped},
+		{"bad inner crc", appendFrame(nil, 1, 1, "sessions", []byte(`#w1 deadbeef {"op":"put","id":"x","doc":{"_id":"x"}}`))},
+		{"inner cut short", appendFrame(nil, 1, 1, "sessions", inner[:len(inner)-1])},
+		{"wrong epoch", appendFrame(nil, 2, 1, "sessions", inner)},
+		{"invalid collection", appendFrame(nil, 1, 1, "../evil", inner)},
+		{"empty collection", outer("00000001 0000000000000001  " + string(inner))},
+		{"inner with a newline", appendFrame(nil, 1, 1, "sessions", append(append(append([]byte(nil), inner...), '\n'), inner...))},
+		{"inner unframed", appendFrame(nil, 1, 1, "sessions", []byte(`{"op":"put","id":"x","doc":{"_id":"x"}}`))},
+		{"inner unknown op", appendFrame(nil, 1, 1, "sessions", []byte(walOf(`{"op":"explode","id":"x"}`)))},
+		{"inner put without doc", appendFrame(nil, 1, 1, "sessions", []byte(walOf(`{"op":"put","id":"x"}`)))},
+		{"inner number out of range", appendFrame(nil, 1, 1, "sessions", []byte(walOf(`{"op":"put","id":"x","doc":{"v":1e999}}`)))},
+		{"inner not json", appendFrame(nil, 1, 1, "sessions", []byte(walOf(`{"op":"put","id":"x","doc":{"v":}}`)))},
+		{"epoch not hex", outer("0000000g 0000000000000001 sessions " + string(inner))},
+		{"epoch signed", outer("+0000001 0000000000000001 sessions " + string(inner))},
+		{"seq empty", outer("00000001  sessions " + string(inner))},
+		{"seq past 64 bits", outer("00000001 10000000000000000 sessions " + string(inner))},
+		{"three fields", outer("00000001 0000000000000001 sessions")},
+		{"truncated", []byte("#r1 0000")},
+		{"no magic", inner},
+		{"one bad line after a good one", append(append([]byte(nil), good...), appendFrame(nil, 1, 2, "sessions", []byte(`#w1 deadbeef {}`))...)},
+	}
+	dir := t.TempDir()
+	f, ts := newFollower(t, dir)
+	for _, c := range refused {
+		if got := postFrames(t, ts.URL, "1", c.body); got != http.StatusBadRequest {
+			t.Errorf("%s: HTTP %d, want 400", c.name, got)
+		}
+		if wals, _ := filepath.Glob(filepath.Join(dir, "*.jsonl")); len(wals) != 0 || f.AckedSeq() != 0 {
+			t.Fatalf("%s: appended %v, position %d", c.name, wals, f.AckedSeq())
+		}
+	}
+	// What strconv.ParseUint took in a header field is still taken: either
+	// case, and leading zeros past the printed width.
+	spelled := outer("0000000000000001 00000000000000000000A sessions " + string(inner))
+	if got := postFrames(t, ts.URL, "1", spelled); got != http.StatusOK || f.AckedSeq() != 10 {
+		t.Fatalf("a genuine frame after the refusals: HTTP %d, position %d", got, f.AckedSeq())
+	}
+	data, err := store.OSFileSystem{}.ReadFile(store.WALPath(dir, "sessions"))
+	if err != nil || !bytes.Equal(bytes.TrimSpace(data), inner) {
+		t.Fatalf("follower WAL = %q, %v: want the one shipped line", data, err)
 	}
 }
 

@@ -99,8 +99,17 @@ func DecodeFoldState(data []byte) (*FoldState, error) {
 	if fs.Votes == nil {
 		fs.Votes = quality.NewVotes()
 	}
+	// An empty list is held the one way a node writes it, however the
+	// document spelled it: Merge keeps whichever side's it was handed, and
+	// two empty partitions must merge to the same bytes in either order.
 	if len(fs.Awaiting) == 0 {
-		fs.Awaiting = nil // "awaiting": [] is how nobody is spelled
+		fs.Awaiting = nil
+	}
+	if len(fs.Pages) == 0 {
+		fs.Pages = nil
+	}
+	if fs.Workers == nil {
+		fs.Workers = []string{}
 	}
 	if fs.Sessions < 0 || len(fs.Workers) > fs.Sessions {
 		return nil, fmt.Errorf("server: fold state: %d workers pass of %d sessions", len(fs.Workers), fs.Sessions)

@@ -188,3 +188,29 @@ func TestCorruptSessionReplaysOnce(t *testing.T) {
 		t.Errorf("re-created test holds %d sessions, want 1", n)
 	}
 }
+
+// TestMergeEmptyPartitionsEitherOrder: partitions that hold nobody merge to
+// the same document whichever is merged into which, however each spelled its
+// empty worker list.
+func TestMergeEmptyPartitionsEitherOrder(t *testing.T) {
+	spellings := []string{`{}`, `{"workers":null}`, `{"workers":[]}`, `{"workers":[],"awaiting":[]}`, `{"pages":[]}`, `{"pages":null,"awaiting":null}`}
+	for _, a := range spellings {
+		for _, b := range spellings {
+			var merged [2][]byte
+			for i, order := range [][2]string{{a, b}, {b, a}} {
+				x, errX := DecodeFoldState([]byte(order[0]))
+				y, errY := DecodeFoldState([]byte(order[1]))
+				if errX != nil || errY != nil {
+					t.Fatalf("decode %s / %s: %v, %v", order[0], order[1], errX, errY)
+				}
+				if err := x.Merge(y); err != nil {
+					t.Fatalf("merge %s into %s: %v", order[1], order[0], err)
+				}
+				merged[i], _ = json.Marshal(x)
+			}
+			if !bytes.Equal(merged[0], merged[1]) {
+				t.Errorf("%s and %s merge to\n%s\nor\n%s\nby the order", a, b, merged[0], merged[1])
+			}
+		}
+	}
+}

@@ -29,6 +29,10 @@ func FuzzFoldStateDecode(f *testing.F) {
 	f.Add([]byte(`{"sessions":-1}`), []byte(`{"sessions":2,"workers":["b","a"]}`))
 	f.Add([]byte(`{"sessions":2,"workers":["a","b"],"awaiting":[{"id":"b"},{"id":"a"}]}`), []byte(`{"sessions":1,"workers":["a"],"awaiting":[{"id":"c"}]}`))
 	f.Add([]byte(`{"votes":[{"page_id":"p","question_id":"q","counts":{"left":-1}}]}`), []byte(`{"pages":[{"tally":{"Left":-1}}]}`))
+	// Found by this target: two empty partitions that spell an empty list
+	// differently merged to null or [] by the order.
+	f.Add([]byte(`{"aaaa":0}`), []byte(`{"workers":[]}`))
+	f.Add([]byte(`{}`), []byte(`{"00000000":0,"pAges":[]}`))
 
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		x, errX := server.DecodeFoldState(a)

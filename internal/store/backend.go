@@ -21,7 +21,8 @@ const (
 // with the owning collection's lock held, once frames have been written to
 // the local WAL file and while the fsync the sync policy demands for them
 // (if any) is running: frames is one or more complete framed lines exactly
-// as written, records their count. The write is acknowledged only after
+// as written, records their count, in a buffer the next write reuses (keep a
+// copy, not the slice). The write is acknowledged only after
 // both Ship and that fsync have returned nil, so what Ship is handed is
 // written, not yet durable, and never acknowledged — a follower may come to
 // hold a record its primary then loses to a power failure, which is safe

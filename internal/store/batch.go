@@ -1,8 +1,6 @@
 package store
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"strconv"
 )
@@ -59,7 +57,7 @@ func (c *Collection) InsertUniqueNoted(docs []Document, notes []any) (ids []stri
 	pending := make(map[string]bool, len(docs))
 
 	c.mu.Lock()
-	var frames bytes.Buffer
+	frames := c.frames[:0]
 	for i, doc := range docs {
 		if doc == nil {
 			errs[i] = fmt.Errorf("store: nil document in batch (index %d)", i)
@@ -77,12 +75,11 @@ func (c *Collection) InsertUniqueNoted(docs []Document, notes []any) (ids []stri
 			continue
 		}
 		if c.db.dir != "" {
-			payload, err := json.Marshal(walRecord{Op: "put", ID: id, Doc: doc})
-			if err != nil {
+			var err error
+			if frames, err = appendRecord(frames, "put", id, doc); err != nil {
 				errs[i] = fmt.Errorf("store: encoding WAL record: %w", err)
 				continue
 			}
-			frames.Write(frameRecord(payload))
 		}
 		pending[id] = true
 		batch = append(batch, accepted{pos: i, id: id, doc: doc})
@@ -91,7 +88,7 @@ func (c *Collection) InsertUniqueNoted(docs []Document, notes []any) (ids []stri
 		c.mu.Unlock()
 		return ids, errs
 	}
-	if err := c.appendWALBatch(frames.Bytes(), len(batch)); err != nil {
+	if err := c.appendFrames(frames, len(batch)); err != nil {
 		for _, a := range batch {
 			errs[a.pos] = err
 		}
@@ -114,11 +111,4 @@ func (c *Collection) InsertUniqueNoted(docs []Document, notes []any) (ids []stri
 		c.notify(fns, OpPut, a.id, note)
 	}
 	return ids, errs
-}
-
-// appendWALBatch writes n pre-framed records in one Write and applies the
-// sync policy once for the whole group. Called with c.mu held. frames is
-// empty (and the call a no-op beyond accounting) on a memory-only database.
-func (c *Collection) appendWALBatch(frames []byte, n int) error {
-	return c.appendFrames(frames, n)
 }

@@ -2,6 +2,7 @@ package store
 
 import (
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -85,5 +86,61 @@ func BenchmarkPersistentInsert(b *testing.B) {
 		if _, err := c.Insert(Document{"n": i}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkWALRecord frames the benchmark's session document once: the
+// codec into a reused buffer, and the encoder it replaced.
+func BenchmarkWALRecord(b *testing.B) {
+	doc := sessionDoc(7)
+	b.Run("append", func(b *testing.B) {
+		var buf []byte
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var err error
+			if buf, err = appendRecord(buf[:0], "put", doc.ID(), doc); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.SetBytes(int64(len(buf)))
+	})
+	b.Run("encoding_json", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := marshalRecord("put", doc.ID(), doc); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkVerifyWALLine is the follower's check of that record: vouched for
+// by the scan, sent to parseWALLine by one space the scan will not read past,
+// and the check it replaced.
+func BenchmarkVerifyWALLine(b *testing.B) {
+	doc := sessionDoc(7)
+	line, err := appendRecord(nil, "put", doc.ID(), doc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	spaced := framed(strings.Replace(string(payloadOf(line)), `{"op":`, `{"op": `, 1))
+	for _, bench := range []struct {
+		name   string
+		line   []byte
+		verify func([]byte) error
+	}{
+		{"scan", line, VerifyWALLine},
+		{"fallback", spaced, VerifyWALLine},
+		{"encoding_json", line, verifyWALLineJSON},
+	} {
+		b.Run(bench.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(bench.line)))
+			for i := 0; i < b.N; i++ {
+				if err := bench.verify(bench.line); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

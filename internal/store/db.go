@@ -324,6 +324,10 @@ func parseSeqID(id string) (int64, bool) {
 	return n, true
 }
 
+// maxKeptFrames caps the framing buffer a collection keeps between writes:
+// ten batches of 100 sessions' worth.
+const maxKeptFrames = 1 << 20
+
 // Collection is a named set of documents.
 type Collection struct {
 	mu       sync.RWMutex
@@ -335,9 +339,13 @@ type Collection struct {
 	onChange []func(op, id string, note any)
 
 	// wal is the persistent append handle (opened lazily); appends counts
-	// records since the last compaction. Both are guarded by mu.
+	// records since the last compaction; frames is the buffer a write's
+	// records are framed into, reused from write to write (the file and the
+	// shipper appendFrames hands it to both copy what they keep). All
+	// guarded by mu.
 	wal     *walFile
 	appends int
+	frames  []byte
 
 	indexHits atomic.Int64
 	scans     atomic.Int64
@@ -345,15 +353,15 @@ type Collection struct {
 
 // appendWAL writes one record to the collection's log when the database is
 // persistent. Called with c.mu held.
-func (c *Collection) appendWAL(rec walRecord) error {
+func (c *Collection) appendWAL(op, id string, doc Document) error {
 	if c.db.dir == "" {
 		return nil
 	}
-	data, err := json.Marshal(rec)
+	frames, err := appendRecord(c.frames[:0], op, id, doc)
 	if err != nil {
 		return fmt.Errorf("store: encoding WAL record: %w", err)
 	}
-	return c.appendFrames(frameRecord(data), 1)
+	return c.appendFrames(frames, 1)
 }
 
 // appendFrames is the one write path to a collection's log: it lazily opens
@@ -368,10 +376,16 @@ func (c *Collection) appendWAL(rec walRecord) error {
 // the record may then sit unacknowledged in the local WAL, on the follower,
 // or both, which the idempotent replay tolerates, but the caller is never
 // told it happened. Called with c.mu held — that is what keeps the log,
-// the shipping order and the in-memory apply one sequence.
+// the shipping order and the in-memory apply one sequence. frames is built
+// on c.frames and becomes it again, unless one outsized write grew it past
+// what is worth keeping for the next.
 func (c *Collection) appendFrames(frames []byte, n int) error {
 	if c.db.dir == "" {
 		return nil
+	}
+	c.frames = frames[:0]
+	if cap(frames) > maxKeptFrames {
+		c.frames = nil
 	}
 	if c.wal == nil {
 		f, err := c.db.opts.fs.OpenAppend(c.db.collectionPath(c.name))
@@ -461,7 +475,7 @@ func (c *Collection) insert(doc Document, unique bool) (string, error) {
 		c.mu.Unlock()
 		return "", fmt.Errorf("%w: %s/%s", ErrDuplicateID, c.name, id)
 	}
-	if err := c.appendWAL(walRecord{Op: "put", ID: id, Doc: cp}); err != nil {
+	if err := c.appendWAL("put", id, cp); err != nil {
 		c.mu.Unlock()
 		return "", err
 	}
@@ -636,7 +650,7 @@ func (c *Collection) Update(id string, mutate func(Document) Document) error {
 	}
 	updated[IDField] = id
 	normalizeDoc(updated)
-	if err := c.appendWAL(walRecord{Op: "put", ID: id, Doc: updated}); err != nil {
+	if err := c.appendWAL("put", id, updated); err != nil {
 		c.mu.Unlock()
 		return err
 	}
@@ -661,7 +675,7 @@ func (c *Collection) Delete(id string) error {
 		c.mu.Unlock()
 		return nil
 	}
-	if err := c.appendWAL(walRecord{Op: "del", ID: id}); err != nil {
+	if err := c.appendWAL("del", id, nil); err != nil {
 		c.mu.Unlock()
 		return err
 	}

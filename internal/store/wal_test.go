@@ -384,6 +384,75 @@ func TestENOSPCRecoversInPlace(t *testing.T) {
 	}
 }
 
+// TestENOSPCTornThenRecoversInPlace is the same disk filling mid-record: the
+// failed append leaves ten bytes of a line behind, the disk recovers, and the
+// next append on the same handle is acknowledged. That record must start its
+// own line — glued to the fragment it would be thrown away with it on reopen.
+func TestENOSPCTornThenRecoversInPlace(t *testing.T) {
+	writers := map[string]func(*Collection, string) error{
+		"Insert": func(c *Collection, id string) error {
+			_, err := c.Insert(Document{IDField: id})
+			return err
+		},
+		"InsertUniqueBatch": func(c *Collection, id string) error {
+			_, errs := c.InsertUniqueBatch([]Document{{IDField: id}, {IDField: id + "-2"}})
+			return errors.Join(errs...)
+		},
+	}
+	for name, write := range writers {
+		for _, policy := range []SyncPolicy{SyncAlways, SyncNever} {
+			t.Run(fmt.Sprintf("%s/policy=%d", name, policy), func(t *testing.T) {
+				dir := t.TempDir()
+				ffs := NewFaultFS()
+				db, err := Open(dir, WithFileSystem(ffs), WithSyncPolicy(policy))
+				if err != nil {
+					t.Fatal(err)
+				}
+				c := db.Collection("c")
+				if err := write(c, "a"); err != nil {
+					t.Fatal(err)
+				}
+				ffs.FailAppendsAfter(10, nil, true)
+				if err := write(c, "b"); !errors.Is(err, ErrNoSpace) {
+					t.Fatalf("err = %v, want ENOSPC", err)
+				}
+				ffs.Reset()
+				if err := write(c, "c"); err != nil {
+					t.Fatalf("write after disk recovery: %v", err)
+				}
+				acked := c.Count()
+				db.Close()
+
+				db2, err := Open(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer db2.Close()
+				c2 := db2.Collection("c")
+				for _, id := range []string{"a", "c"} {
+					if _, err := c2.Get(id); err != nil {
+						t.Errorf("acknowledged doc %s: %v", id, err)
+					}
+				}
+				if _, err := c2.Get("b"); !errors.Is(err, ErrNotFound) {
+					t.Errorf("the failed write was applied: %v", err)
+				}
+				if c2.Count() != acked {
+					t.Errorf("count = %d after reopen, %d were acknowledged", c2.Count(), acked)
+				}
+				stats := db2.DurabilityStats()
+				if stats.QuarantinedRecords != 1 || stats.RecoveredTails != 0 {
+					t.Errorf("quarantined %d, truncated %d: want the fragment quarantined alone", stats.QuarantinedRecords, stats.RecoveredTails)
+				}
+				side, err := os.ReadFile(filepath.Join(dir, "c.jsonl"+corruptSuffix))
+				if err != nil || len(side) != 11 || !bytes.HasPrefix(side, []byte(frameMagic+" ")) {
+					t.Errorf("quarantine sidecar = %q, %v: want the ten torn bytes", side, err)
+				}
+			})
+		}
+	}
+}
+
 func TestCompact(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(dir)

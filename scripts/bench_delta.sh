@@ -4,8 +4,9 @@
 # numbers that travel: allocation counts against the figures recorded in
 # BENCH_*.json, the batched upload's per-session allocation budget, the
 # incremental-results speedup over the from-scratch oracle, (on >=4 cores)
-# the parallel Prepare speedup over the sequential reference, and the bytes
-# the router reads from its shards for one quality-controlled results poll.
+# the parallel Prepare speedup over the sequential reference, the bytes the
+# router reads from its shards for one quality-controlled results poll, and
+# the WAL record codec's allocation-free paths.
 #
 #   ALLOC_SLACK       multiplier over recorded allocs/op (default 1.25)
 #   BATCH_ALLOC_BUDGET  max allocs per session through the batch endpoint
@@ -50,6 +51,9 @@ go test -run '^$' \
 echo "bench_delta: running router benchmarks..."
 go test -run '^$' -bench 'BenchmarkRouter(ResultsQC|BatchSplit)$' \
     -benchmem -benchtime 10x ./internal/shard/ >>"$tmp/server.txt"
+echo "bench_delta: running store benchmarks..."
+go test -run '^$' -bench 'Benchmark(WALRecord|VerifyWALLine)$' \
+    -benchmem -benchtime 1000x ./internal/store/ >>"$tmp/server.txt"
 echo "bench_delta: running aggregator benchmarks..."
 go test -run '^$' -bench 'BenchmarkPrepare(Sequential|Parallel)$' \
     -benchmem -benchtime 3x ./internal/aggregator/ >"$tmp/aggregator.txt"
@@ -205,5 +209,17 @@ if [ -n "$qc_bytes" ] && [ "$qc_bytes" != "-" ] && [ -n "$qc_rec" ]; then
 else
     fail "router QC benchmark did not run or has no record"
 fi
+
+# Gate 7: the WAL record codec's own paths allocate nothing — framing a record
+# into the collection's buffer, and the follower's scan of a shipped one. The
+# slack gate 1 allows a small record would let eight allocations in.
+for name in BenchmarkWALRecord/append BenchmarkVerifyWALLine/scan; do
+    allocs=$(live "$tmp/server.tsv" "$name" 3)
+    if [ "$allocs" = "0" ]; then
+        ok "$name allocates nothing"
+    else
+        fail "$name allocs/op ${allocs:-missing}, want 0"
+    fi
+done
 
 exit $status
