@@ -40,24 +40,18 @@ chaos:
 		./internal/store/ ./internal/netsim/ ./internal/failover/ ./internal/extension/ ./cmd/kscope-server/
 	$(GO) test -count=1 -run '^TestModel' ./internal/replica/ -model.runs=$(MODEL_RUNS) -model.steps=140
 
-# Short fuzz passes over every fuzz target — the CI smoke stage. Crashing
-# inputs land in testdata/fuzz/ as permanent regression seeds.
+# A short fuzz pass over every fuzz target in the module — the CI smoke
+# stage. Targets are discovered, not listed: a Fuzz function is smoke-fuzzed
+# from the day it is written. One anchored -fuzz pattern per run (go test
+# fuzzes one target at a time). Crashing inputs land in testdata/fuzz/ as
+# permanent regression seeds.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/htmlx/
-	$(GO) test -run '^$$' -fuzz '^FuzzParseSelector$$' -fuzztime $(FUZZTIME) ./internal/cssx/
-	$(GO) test -run '^$$' -fuzz '^FuzzParseStylesheet$$' -fuzztime $(FUZZTIME) ./internal/cssx/
-	$(GO) test -run '^$$' -fuzz '^FuzzInjectSpec$$' -fuzztime $(FUZZTIME) ./internal/pageload/
-	$(GO) test -run '^$$' -fuzz '^FuzzSequentialFold$$' -fuzztime $(FUZZTIME) ./internal/earlystop/
-	$(GO) test -run '^$$' -fuzz '^FuzzLogBetaMixtureE$$' -fuzztime $(FUZZTIME) ./internal/earlystop/
-	$(GO) test -run '^$$' -fuzz '^FuzzVerifyWALLine$$' -fuzztime $(FUZZTIME) ./internal/store/
-	$(GO) test -run '^$$' -fuzz '^FuzzScanWAL$$' -fuzztime $(FUZZTIME) ./internal/store/
-	$(GO) test -run '^$$' -fuzz '^FuzzAppendRecord$$' -fuzztime $(FUZZTIME) ./internal/store/
-	$(GO) test -run '^$$' -fuzz '^FuzzParseFrames$$' -fuzztime $(FUZZTIME) ./internal/replica/
-	$(GO) test -run '^$$' -fuzz '^FuzzParseSnapshot$$' -fuzztime $(FUZZTIME) ./internal/replica/
-	$(GO) test -run '^$$' -fuzz '^FuzzFoldStateDecode$$' -fuzztime $(FUZZTIME) ./internal/shard/
-	$(GO) test -run '^$$' -fuzz '^FuzzBatchSplit$$' -fuzztime $(FUZZTIME) ./internal/shard/
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSession$$' -fuzztime $(FUZZTIME) ./internal/server/
-	$(GO) test -run '^$$' -fuzz '^FuzzBatchStream$$' -fuzztime $(FUZZTIME) ./internal/server/
+	@set -e; for pkg in $$($(GO) list ./...); do \
+		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz' || true); do \
+			echo "fuzz-smoke: $$pkg $$target"; \
+			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) $$pkg; \
+		done; \
+	done
 
 # Full-repo coverage profile (published as a CI artifact).
 cover:
@@ -105,7 +99,8 @@ bench-batch:
 # (with >=4 cores) the >=2.2x parallel Prepare speedup, and the replicated
 # upload's 5x overhead budget (recorded 2.5x) with zero post-ack replication
 # lag, the bytes a router QC poll reads from its shards, the allocations of a
-# router batch split, and zero allocations in the WAL record codec.
+# router batch split, and zero allocations in the WAL record codec and the
+# session encoder.
 bench-delta:
 	./scripts/bench_delta.sh
 

@@ -44,11 +44,9 @@ func Parse(src string) *Node {
 			top().AppendChild(&Node{Type: CommentNode, Data: tok.data})
 		case tokenDoctype:
 			top().AppendChild(&Node{Type: DoctypeNode, Data: tok.data})
-		case tokenSelfClosingTag:
-			el := &Node{Type: ElementNode, Tag: tok.tag, Attrs: tok.attrs}
-			top().AppendChild(el)
-		case tokenStartTag:
-			// Apply implied end-tag rules (e.g. <li> closes an open <li>).
+		case tokenSelfClosingTag, tokenStartTag:
+			// Apply implied end-tag rules (e.g. <li> closes an open <li>),
+			// to <li/> too: it is rendered <li></li> and must parse back so.
 			if closes, ok := impliedEndTags[tok.tag]; ok {
 				if len(stack) > 1 && closes[top().Tag] {
 					stack = stack[:len(stack)-1]
@@ -56,7 +54,7 @@ func Parse(src string) *Node {
 			}
 			el := &Node{Type: ElementNode, Tag: tok.tag, Attrs: tok.attrs}
 			top().AppendChild(el)
-			if IsVoid(tok.tag) {
+			if tok.typ == tokenSelfClosingTag || IsVoid(tok.tag) {
 				continue
 			}
 			if rawTextElements[tok.tag] {

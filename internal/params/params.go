@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -110,7 +111,9 @@ func (s *PageLoadSpec) UnmarshalJSON(data []byte) error {
 		if err := json.Unmarshal(data, &raw); err != nil {
 			return fmt.Errorf("params: decoding page-load array: %w", err)
 		}
-		sched := make([]SelectorTime, 0, len(raw))
+		// An empty array is the zero spec, as it is encoded (the scalar 0): a
+		// non-nil empty Schedule would not survive a round trip.
+		var sched []SelectorTime
 		for i, entry := range raw {
 			if len(entry) != 1 {
 				return fmt.Errorf("params: page-load array entry %d must have exactly one selector, got %d", i, len(entry))
@@ -130,8 +133,8 @@ func (s *PageLoadSpec) UnmarshalJSON(data []byte) error {
 		for sel := range raw {
 			selectors = append(selectors, sel)
 		}
-		sortStrings(selectors)
-		sched := make([]SelectorTime, 0, len(raw))
+		slices.Sort(selectors)
+		var sched []SelectorTime // nil for {}, as for []
 		for _, sel := range selectors {
 			sched = append(sched, SelectorTime{Selector: sel, Millis: raw[sel]})
 		}
@@ -158,17 +161,6 @@ func (s PageLoadSpec) MarshalJSON() ([]byte, error) {
 		parts = append(parts, map[string]int{st.Selector: st.Millis})
 	}
 	return json.Marshal(parts)
-}
-
-// sortStrings is a tiny insertion sort so the package stays free of a sort
-// import cycle concern; n is small (page-load schedules have a handful of
-// selectors).
-func sortStrings(xs []string) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }
 
 // Validate checks the structural invariants of a test-parameter document.

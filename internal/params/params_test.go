@@ -1,8 +1,10 @@
 package params
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -273,4 +275,40 @@ func TestPageLoadSpecRoundTripProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzParseParams: Parse is the network-facing decoder of the parameter
+// builder and the CLI. It never panics, and a document it accepts survives
+// Encode and Parse again as the same Test.
+func FuzzParseParams(f *testing.F) {
+	valid, err := validTest().Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	// `[]` is the crasher this target was written on: it decoded to an empty
+	// non-nil Schedule, was encoded as 0 and came back nil.
+	for _, load := range []string{`[]`, `{}`, `null`, `[{"#main":1000},{"#content p":1500}]`, `{"b":2,"a":1}`, `[{"a":1,"b":2}]`, `-1`, `1e3`, `"3000"`, `[{"":0}]`} {
+		f.Add(bytes.Replace(valid, []byte(`"web_page_load": 3000`), []byte(`"web_page_load": `+load), 1))
+	}
+	for _, seed := range []string{``, `{}`, `null`, `[]`, `{"test_id":"t","webpage_num":2,"webpages":[{},{}]}`, `{"webpages":null,"question":[""]}`} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		first, err := Parse(data)
+		if err != nil {
+			return
+		}
+		encoded, err := first.Encode()
+		if err != nil {
+			t.Fatalf("Encode of a parsed document: %v", err)
+		}
+		again, err := Parse(encoded)
+		if err != nil {
+			t.Fatalf("Parse of Encode's output: %v\n%s", err, encoded)
+		}
+		if !reflect.DeepEqual(first, again) {
+			t.Fatalf("round trip changed the document:\nfirst %#v\nagain %#v\nvia %s", first, again, encoded)
+		}
+	})
 }

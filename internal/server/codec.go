@@ -8,6 +8,7 @@ import (
 	"strconv"
 
 	"kaleidoscope/internal/crowd"
+	"kaleidoscope/internal/jsonscan"
 	"kaleidoscope/internal/quality"
 	"kaleidoscope/internal/questionnaire"
 )
@@ -136,13 +137,10 @@ type sessionScanner struct {
 	i int
 }
 
-// space skips whitespace and returns the byte it stops on, 0 at the end of
-// b (no JSON token starts with 0).
-func (s *sessionScanner) space() byte {
-	if s.i = skipSpace(s.b, s.i); s.i < len(s.b) {
-		return s.b[s.i]
-	}
-	return 0
+// space skips whitespace and returns the byte it stops on, 0 at the end of b.
+func (s *sessionScanner) space() (c byte) {
+	s.i, c = jsonscan.Next(s.b, s.i)
+	return c
 }
 
 func (s *sessionScanner) fail() int {
@@ -199,39 +197,26 @@ func (s *sessionScanner) field(names []string, seen *uint) int {
 	return s.fail()
 }
 
-// str reads a string value. One with a backslash or a byte >= 0x80 in it —
-// a comment with a quote or an emoji — goes to json.Unmarshal alone (escapes,
-// surrogates, invalid UTF-8 → U+FFFD are its rules) and the scan carries on.
+// str reads a string value: jsonscan finds its end, and one with a backslash
+// or a byte >= 0x80 in it — a comment with a quote or an emoji — goes to
+// json.Unmarshal alone (escapes, surrogates, invalid UTF-8 → U+FFFD are its
+// rules) while the scan carries on.
 func (s *sessionScanner) str() string {
-	if s.space() == '"' {
-		start := s.i + 1
-		for j := start; j < len(s.b) && s.b[j] >= 0x20; j++ {
-			switch c := s.b[j]; {
-			case c == '"':
-				s.i = j + 1
-				return string(s.b[start:j])
-			case c == '\\' || c >= 0x80:
-				return s.unquote(start-1, j)
-			}
-		}
-	}
-	s.fail()
-	return ""
-}
-
-// unquote is encoding/json's reading of the string whose opening quote is
-// b[open] and whose first backslash or byte >= 0x80 is b[j].
-func (s *sessionScanner) unquote(open, j int) (v string) {
-	for ; j < len(s.b) && s.b[j] != '"'; j++ {
-		if s.b[j] == '\\' {
-			j++ // whatever is escaped, it does not close the string
-		}
-	}
-	if j >= len(s.b) || json.Unmarshal(s.b[open:j+1], &v) != nil {
+	s.space()
+	open := s.i
+	end, plain := jsonscan.String(s.b, open)
+	if end < 0 {
 		s.fail()
 		return ""
 	}
-	s.i = j + 1
+	s.i = end
+	if plain {
+		return string(s.b[open+1 : end-1])
+	}
+	var v string // escapes to json.Unmarshal: declared here, only this path pays for it
+	if json.Unmarshal(s.b[open:end], &v) != nil {
+		s.fail()
+	}
 	return v
 }
 
@@ -291,29 +276,22 @@ func grown[T any](xs *[]T) *T {
 	return &(*xs)[len(*xs)-1]
 }
 
-func skipSpace(b []byte, i int) int {
-	for i < len(b) && (b[i] == ' ' || b[i] == '\n' || b[i] == '\t' || b[i] == '\r') {
-		i++
-	}
-	return i
-}
-
 // appendSession appends u's stored form: json.Marshal(u), byte for byte.
 func appendSession(dst []byte, u *SessionUpload) []byte {
-	dst = appendString(append(dst, `{"test_id":`...), u.TestID)
-	dst = appendString(append(dst, `,"worker_id":`...), u.WorkerID)
-	dst = appendString(append(dst, `,"demographics":{"gender":`...), u.Demographics.Gender)
-	dst = appendString(append(dst, `,"age_band":`...), u.Demographics.AgeBand)
-	dst = appendString(append(dst, `,"country":`...), u.Demographics.Country)
+	dst = jsonscan.AppendString(append(dst, `{"test_id":`...), u.TestID)
+	dst = jsonscan.AppendString(append(dst, `,"worker_id":`...), u.WorkerID)
+	dst = jsonscan.AppendString(append(dst, `,"demographics":{"gender":`...), u.Demographics.Gender)
+	dst = jsonscan.AppendString(append(dst, `,"age_band":`...), u.Demographics.AgeBand)
+	dst = jsonscan.AppendString(append(dst, `,"country":`...), u.Demographics.Country)
 	dst = strconv.AppendInt(append(dst, `,"tech_ability":`...), int64(u.Demographics.TechAbility), 10)
 	dst = appendArray(append(dst, `},"responses":`...), u.Responses, func(dst []byte, r *questionnaire.Response) []byte {
-		dst = appendString(append(dst, `{"test_id":`...), r.TestID)
-		dst = appendString(append(dst, `,"worker_id":`...), r.WorkerID)
-		dst = appendString(append(dst, `,"page_id":`...), r.PageID)
-		dst = appendString(append(dst, `,"question_id":`...), r.QuestionID)
-		dst = appendString(append(dst, `,"choice":`...), string(r.Choice))
+		dst = jsonscan.AppendString(append(dst, `{"test_id":`...), r.TestID)
+		dst = jsonscan.AppendString(append(dst, `,"worker_id":`...), r.WorkerID)
+		dst = jsonscan.AppendString(append(dst, `,"page_id":`...), r.PageID)
+		dst = jsonscan.AppendString(append(dst, `,"question_id":`...), r.QuestionID)
+		dst = jsonscan.AppendString(append(dst, `,"choice":`...), string(r.Choice))
 		if r.Comment != "" {
-			dst = appendString(append(dst, `,"comment":`...), r.Comment)
+			dst = jsonscan.AppendString(append(dst, `,"comment":`...), r.Comment)
 		}
 		dst = strconv.AppendInt(append(dst, `,"duration_millis":`...), int64(r.DurationMillis), 10)
 		return append(dst, '}')
@@ -325,9 +303,9 @@ func appendSession(dst []byte, u *SessionUpload) []byte {
 		return append(dst, '}')
 	})
 	dst = appendArray(append(dst, `,"controls":`...), u.Controls, func(dst []byte, c *quality.ControlOutcome) []byte {
-		dst = appendString(append(dst, `{"page_id":`...), c.PageID)
-		dst = appendString(append(dst, `,"expected":`...), string(c.Expected))
-		dst = appendString(append(dst, `,"got":`...), string(c.Got))
+		dst = jsonscan.AppendString(append(dst, `{"page_id":`...), c.PageID)
+		dst = jsonscan.AppendString(append(dst, `,"expected":`...), string(c.Expected))
+		dst = jsonscan.AppendString(append(dst, `,"got":`...), string(c.Got))
 		return append(dst, '}')
 	})
 	return append(dst, '}')
@@ -345,17 +323,4 @@ func appendArray[T any](dst []byte, xs []T, one func([]byte, *T) []byte) []byte 
 		dst = one(dst, &xs[i])
 	}
 	return append(dst, ']')
-}
-
-// appendString appends s as json.Marshal writes it: printable ASCII that
-// needs no escape (json.Marshal escapes <, > and & too) goes out as it is,
-// any other string through json.Marshal.
-func appendString(dst []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			quoted, _ := json.Marshal(s) // a string always marshals
-			return append(dst, quoted...)
-		}
-	}
-	return append(append(append(dst, '"'), s...), '"')
 }

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"kaleidoscope/internal/crowd"
+	"kaleidoscope/internal/jsonscan"
 	"kaleidoscope/internal/obs"
 	"kaleidoscope/internal/quality"
 	"kaleidoscope/internal/questionnaire"
@@ -137,7 +138,7 @@ func checkDecodeSession(t *testing.T, b []byte) {
 	}
 	// An object cut anywhere is cut short, never malformed: the batch
 	// window reads on for the first and answers 400 for the second.
-	if start := skipSpace(b, 0); b[start] == '{' {
+	if start := jsonscan.SkipSpace(b, 0); b[start] == '{' {
 		var scratch SessionUpload
 		for k := start; k < n; k++ {
 			if _, err := decodeSession(b[:k], &scratch); err != errCutShort {
@@ -305,15 +306,23 @@ func BenchmarkDecodeSession(b *testing.B) {
 }
 
 // BenchmarkAppendSession is the encoder on the script's session beside
-// json.Marshal.
+// json.Marshal, and on one whose comment needs every kind of escape.
 func BenchmarkAppendSession(b *testing.B) {
 	u := scriptSession("w017-0208ef", 17)
-	b.Run("codec", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			benchBytes = appendSession(benchBytes[:0], &u)
-		}
-	})
+	escaped := u
+	escaped.Responses = []questionnaire.Response{u.Responses[0]}
+	escaped.Responses[0].Comment = `she said "quicker" 👍 — naïve <b>`
+	for _, bc := range []struct {
+		name string
+		up   *SessionUpload
+	}{{"codec", &u}, {"escaped_comment", &escaped}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchBytes = appendSession(benchBytes[:0], bc.up)
+			}
+		})
+	}
 	b.Run("encoding_json", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

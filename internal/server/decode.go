@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"sync"
+
+	"kaleidoscope/internal/jsonscan"
 )
 
 // errTrailingData rejects request bodies that carry bytes after the JSON
@@ -107,7 +109,7 @@ func (r *sessionReader) fill() {
 // any length costs one look at each byte.
 func (r *sessionReader) peek() (byte, error) {
 	for {
-		if r.pos = skipSpace(r.buf, r.pos); r.pos < len(r.buf) {
+		if r.pos = jsonscan.SkipSpace(r.buf, r.pos); r.pos < len(r.buf) {
 			return r.buf[r.pos], nil
 		}
 		if r.err != nil {

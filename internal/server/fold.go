@@ -8,6 +8,7 @@ import (
 
 	"kaleidoscope/internal/aggregator"
 	"kaleidoscope/internal/earlystop"
+	"kaleidoscope/internal/jsonscan"
 	"kaleidoscope/internal/quality"
 	"kaleidoscope/internal/questionnaire"
 	"kaleidoscope/internal/store"
@@ -286,7 +287,7 @@ func eachStoredSession(coll *store.Collection, testID string, fn func(docID stri
 		var upload SessionUpload
 		b := []byte(raw)
 		n, err := decodeSession(b, &upload)
-		if err == nil && skipSpace(b, n) < len(b) {
+		if err == nil && jsonscan.SkipSpace(b, n) < len(b) {
 			err = errTrailingData
 		}
 		if err != nil {

@@ -67,6 +67,21 @@ func elementStatuses(t *testing.T, body []byte) []int {
 	return out
 }
 
+// grammarEdges are sessions at the edges of the JSON grammar, which the
+// router's walk checks itself: want is a single node's status for a batch of
+// that one element.
+var grammarEdges = []struct {
+	name, elem string
+	want       int
+}{
+	{"nested 10 001 deep", `{"worker_id":"deep","x":` + strings.Repeat("[", 10000) + strings.Repeat("]", 10000) + `}`, http.StatusBadRequest},
+	{"1e999, valid JSON and no float64", `{"worker_id":"big","x":1e999}`, http.StatusOK},
+	{"cut inside a \\u escape", `{"worker_id":"\u12`, http.StatusBadRequest},
+	{"a lone surrogate in worker_id", `{"worker_id":"\ud800"}`, http.StatusOK},
+	{"a raw control byte in worker_id", "{\"worker_id\":\"a\x01b\"}", http.StatusBadRequest},
+	{"bytes after the value", `{"worker_id":"t"} x`, http.StatusBadRequest},
+}
+
 // TestRouterBatchMatchesNode: whatever a batch request looks like, a router
 // over three nodes answers it with the status — and, when that is 200, the
 // per-element statuses — of a single node. The first rows are the drifts
@@ -103,12 +118,21 @@ func TestRouterBatchMatchesNode(t *testing.T) {
 	behindSpaces := valid("spaces", 4)
 	behindSpaces = append(bytes.Repeat([]byte{' '}, server.MaxBatchBytes-len(behindSpaces)), behindSpaces...)
 
-	for _, tc := range []struct {
+	type row struct {
 		name string
 		body []byte
 		hdr  []string
 		want int
-	}{
+	}
+	filled := strings.Repeat("{},", server.MaxBatchSessions-1) + "{}" // every element the cap allows
+	rows := []row{
+		// A node's stream meets the element cap before whatever follows it;
+		// json.Valid used to read the whole body first and answer 400.
+		{"over the element cap, then a syntax error", []byte("[" + filled + ",{]"), nil, http.StatusRequestEntityTooLarge},
+		{"a syntax error inside the element cap", []byte("[" + filled[:len(filled)-1] + "]"), nil, http.StatusBadRequest},
+		{"at the element cap, then junk", []byte("[" + filled + " x"), nil, http.StatusRequestEntityTooLarge},
+		{"at the element cap, then a brace", []byte("[" + filled + "}"), nil, http.StatusBadRequest},
+		{"at the element cap, then nothing", []byte("[" + filled), nil, http.StatusBadRequest},
 		// An element's size is its own bytes: a node used to count the
 		// separator before it, so which of these it refused depended on where
 		// the split had put them.
@@ -142,8 +166,12 @@ func TestRouterBatchMatchesNode(t *testing.T) {
 		{"not gzip at all", []byte("junk"), []string{"Content-Encoding", "gzip"}, http.StatusBadRequest},
 		{"gzip of something malformed", gz([]byte(`[{]`)), []string{"Content-Encoding", "gzip"}, http.StatusBadRequest},
 		{"an encoding nobody decodes", valid("br", 2), []string{"Content-Encoding", "br"}, http.StatusOK},
-		{"over the element cap", []byte("[" + strings.Repeat("{},", server.MaxBatchSessions) + "{}]"), nil, http.StatusRequestEntityTooLarge},
-	} {
+		{"over the element cap", []byte("[" + filled + ",{}]"), nil, http.StatusRequestEntityTooLarge},
+	}
+	for _, edge := range grammarEdges {
+		rows = append(rows, row{edge.name, []byte("[" + edge.elem + "]"), nil, edge.want})
+	}
+	for _, tc := range rows {
 		t.Run(tc.name, func(t *testing.T) {
 			start := time.Now()
 			node := postTo(single, batchPath, tc.body, tc.hdr...)
@@ -166,6 +194,23 @@ func TestRouterBatchMatchesNode(t *testing.T) {
 				t.Errorf("element statuses through the router %v, on a single node %v", got, want)
 			}
 		})
+	}
+}
+
+// TestRouterUploadMatchesNode: the same edges as one headerless upload, whose
+// worker id the router reads with the batch split's walk. It routes a body it
+// cannot read somewhere all the same, and the shard's answer is a node's.
+func TestRouterUploadMatchesNode(t *testing.T) {
+	f := newFixture(t, 3)
+	single, _, _ := prepNode(t)
+	const path = "/api/tests/" + ringTestID + "/sessions"
+	for _, edge := range grammarEdges {
+		for _, body := range []string{edge.elem, "[" + edge.elem + "]", " " + edge.elem + "\n"} {
+			node, routed := postTo(single, path, []byte(body)), postTo(f.router, path, []byte(body))
+			if routed.Code != node.Code {
+				t.Errorf("%s (%.40q): the router answers %d, a single node %d\nrouter: %.300s\nnode: %.300s", edge.name, body, routed.Code, node.Code, routed.Body, node.Body)
+			}
+		}
 	}
 }
 

@@ -11,75 +11,17 @@ import (
 	"strings"
 	"sync"
 
+	"kaleidoscope/internal/jsonscan"
 	"kaleidoscope/internal/server"
 )
 
-// This file is the router's reading of a session upload: just enough JSON
-// structure to find where each element of a batch ends and whose it is,
-// without building a Go value per session. The scanning functions take a
-// document that has passed json.Valid; they trust its grammar and index
-// without checking, so they must never see one that has not.
-
-func skipSpace(b []byte, i int) int {
-	for i < len(b) && (b[i] == ' ' || b[i] == '\n' || b[i] == '\t' || b[i] == '\r') {
-		i++
-	}
-	return i
-}
-
-// skipString walks the string whose opening quote is b[i] and returns the
-// index past its closing quote. plain says the bytes between the quotes are
-// the string's value as they stand: ASCII, nothing escaped.
-func skipString(b []byte, i int) (end int, plain bool) {
-	plain = true
-	for i++; ; i++ {
-		switch c := b[i]; {
-		case c == '"':
-			return i + 1, plain
-		case c == '\\':
-			plain = false
-			i++ // whatever is escaped, it does not close the string
-		case c >= 0x80:
-			plain = false
-		}
-	}
-}
-
-// skipValue returns the index past the JSON value that starts at b[i].
-func skipValue(b []byte, i int) int {
-	switch b[i] {
-	case '"':
-		end, _ := skipString(b, i)
-		return end
-	case '{', '[':
-		for depth := 0; ; i++ {
-			switch b[i] {
-			case '"':
-				end, _ := skipString(b, i)
-				i = end - 1
-			case '{', '[':
-				depth++
-			case '}', ']':
-				if depth--; depth == 0 {
-					return i + 1
-				}
-			}
-		}
-	}
-	// A number or a literal runs to the next delimiter.
-	for ; i < len(b); i++ {
-		switch b[i] {
-		case ',', '}', ']', ' ', '\n', '\t', '\r':
-			return i
-		}
-	}
-	return i
-}
-
 const workerIDKey = "worker_id"
 
-// scanElement walks the JSON value that starts at b[i] — one session — and
-// returns the index past it and the session's worker id.
+// scanElement is the router's reading of one session: it walks the JSON
+// value that starts at b[i], inside depth containers (the batch's array, or
+// none), and returns the index past it and the session's worker id, building
+// no Go value; or -1, and no id that means anything, for bytes that are not
+// JSON. The grammar and the bounds checks are jsonscan's.
 //
 // The id has to be the one the owning shard will decode and store: a
 // session routed by any other lands a worker on two shards, which breaks the
@@ -94,48 +36,27 @@ const workerIDKey = "worker_id"
 // encoding/json needs — among repeated or case-variant ASCII keys the last
 // string simply wins, which the walk would also find — but nothing here
 // leans on it. FuzzBatchSplit holds the two readings equal.
-func scanElement(b []byte, i int) (end int, workerID []byte) {
-	start := i
-	if b[i] != '{' {
-		end = skipValue(b, i)
-		return end, probeWorkerID(b[start:end])
-	}
-	sure, seen := true, false
-	i = skipSpace(b, i+1)
-	for b[i] != '}' {
-		keyEnd, keyPlain := skipString(b, i)
-		key := b[i+1 : keyEnd-1]
-		i = skipSpace(b, skipSpace(b, keyEnd)+1) // past the ':' to the value
-		isID := false
+func scanElement(b []byte, i, depth int) (end int, workerID []byte) {
+	sure, seen := i < len(b) && b[i] == '{', false
+	end, _ = jsonscan.Members(b, i, depth, func(key, value []byte, plain bool) {
 		switch {
-		case !keyPlain:
+		case !plain:
 			sure = false
 		case len(key) == len(workerIDKey) && strings.EqualFold(string(key), workerIDKey):
 			if seen || string(key) != workerIDKey {
 				sure = false
 			}
-			seen, isID = true, true
-		}
-		if isID && b[i] == '"' {
-			valEnd, valPlain := skipString(b, i)
-			if !valPlain {
+			seen = true
+			// Anything but a plain string is encoding/json's to make an id of.
+			if _, plain := jsonscan.String(value, 0); plain {
+				workerID = value[1 : len(value)-1]
+			} else {
 				sure = false
 			}
-			workerID = b[i+1 : valEnd-1]
-			i = valEnd
-		} else {
-			if isID {
-				sure = false // not a string: encoding/json decides what is stored
-			}
-			i = skipValue(b, i)
 		}
-		if i = skipSpace(b, i); b[i] == ',' {
-			i = skipSpace(b, i+1)
-		}
-	}
-	end = i + 1
-	if !sure {
-		workerID = probeWorkerID(b[start:end])
+	})
+	if end >= 0 && !sure {
+		workerID = probeWorkerID(b[i:end])
 	}
 	return end, workerID
 }
@@ -152,12 +73,13 @@ func probeWorkerID(session []byte) []byte {
 }
 
 // sessionWorkerID is the worker id of a single-session upload body; a body
-// that is not JSON has none (its shard answers 400 wherever it lands).
+// that is not one JSON value has none (its shard answers 400 wherever it
+// lands).
 func sessionWorkerID(body []byte) []byte {
-	if !json.Valid(body) {
+	end, id := scanElement(body, jsonscan.SkipSpace(body, 0), 0)
+	if end < 0 || jsonscan.SkipSpace(body, end) < len(body) {
 		return nil
 	}
-	_, id := scanElement(body, skipSpace(body, 0))
 	return id
 }
 
@@ -232,40 +154,58 @@ var (
 	errBatchTooLong = fmt.Errorf("batch exceeds the %d-session limit", server.MaxBatchSessions)
 )
 
+// malformedBatch is the refusal of a body that is not one JSON value. The walk
+// knows only that it is not; encoding/json says where and why.
+func malformedBatch(body []byte) error {
+	return fmt.Errorf("malformed batch: %w", json.Unmarshal(body, new(json.RawMessage)))
+}
+
 // split checks that body is one well-formed JSON array and cuts it into one
 // sub-batch per owning shard, elements byte for byte and in the caller's
-// order; sp.elems keeps each element's owner, which is what maps a shard's
-// positional report back. One validation pass, one structural pass, one
-// copy into buffers allocated once: no element is decoded unless scanElement has to ask encoding/json
-// for its worker id. Like encoding/json, it reads null as the empty array.
+// order. sp.elems keeps each element's owner, which is what maps a shard's
+// positional report back. It is one pass that validates as it walks, then one
+// copy into buffers allocated once; no element is decoded unless scanElement
+// has to ask encoding/json for its worker id. Like encoding/json, it reads
+// null as the empty array. It meets the element cap where a node's stream
+// does: on whatever follows the last element allowed, unless that closes the
+// array or is a '}'.
 func (sp *batchSplit) split(ring *Ring, testID string, body []byte) ([]subBatch, error) {
 	sp.elems = sp.elems[:0]
-	if !json.Valid(body) {
-		return nil, fmt.Errorf("malformed batch: %w", json.Unmarshal(body, new(json.RawMessage)))
-	}
 	subs := make([]subBatch, len(ring.shards))
 	sizes := make([]int, len(subs))
-	i := skipSpace(body, 0)
-	switch body[i] {
-	case 'n':
-		return subs, nil
-	case '[':
-		i = skipSpace(body, i+1)
-	default:
+	i, c := jsonscan.Next(body, 0)
+	if c != '[' {
+		end, _ := jsonscan.Value(body, i, 0)
+		switch {
+		case end < 0 || jsonscan.SkipSpace(body, end) < len(body):
+			return nil, malformedBatch(body)
+		case c == 'n':
+			return subs, nil
+		}
 		return nil, errNotBatch
 	}
-	for body[i] != ']' {
-		if len(sp.elems) == server.MaxBatchSessions {
-			return nil, errBatchTooLong
+	var end int
+	for i, c = jsonscan.Next(body, i+1); c != ']'; i, c = jsonscan.Next(body, end) {
+		if n := len(sp.elems); n > 0 {
+			if n == server.MaxBatchSessions && c != 0 && c != '}' {
+				return nil, errBatchTooLong
+			}
+			if c != ',' {
+				return nil, malformedBatch(body)
+			}
+			i = jsonscan.SkipSpace(body, i+1)
 		}
-		end, workerID := scanElement(body, i)
+		var workerID []byte
+		if end, workerID = scanElement(body, i, 1); end < 0 {
+			return nil, malformedBatch(body)
+		}
 		owner := ring.sessionOwner(testID, workerID)
 		sp.elems = append(sp.elems, element{start: i, end: end, shard: owner})
 		subs[owner].n++
 		sizes[owner] += end - i + 1 // the element and the ',' or ']' after it
-		if i = skipSpace(body, end); body[i] == ',' {
-			i = skipSpace(body, i+1)
-		}
+	}
+	if jsonscan.SkipSpace(body, i+1) < len(body) {
+		return nil, malformedBatch(body)
 	}
 
 	for s, size := range sizes {

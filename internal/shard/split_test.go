@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -155,8 +157,9 @@ var splitCorpus = []string{
 // refuse or both accept; when they accept, every shard is sent the same
 // bytes — the same elements, byte for byte, in the caller's order — the
 // element index names each element's owner, and every element is routed by
-// the worker id encoding/json decodes from it (sniffWorkerID). The scan
-// does not guard its indexing, so reading outside the body is a panic. The same holds for a body read as one headerless session.
+// the worker id encoding/json decodes from it (sniffWorkerID). The same
+// holds for a body read as one headerless session. Every body runs in a slice
+// with no spare capacity, so a read outside it is a panic.
 func FuzzBatchSplit(f *testing.F) {
 	for _, seed := range splitCorpus {
 		f.Add([]byte(seed))
@@ -167,7 +170,7 @@ func FuzzBatchSplit(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		checkSplit(t, ring, "fuzz-test", body)
+		checkSplit(t, ring, "fuzz-test", slices.Clip(body))
 	})
 }
 
@@ -191,7 +194,7 @@ func checkSplit(t *testing.T, ring *Ring, testID string, body []byte) {
 	}
 	counts := make([]int, len(subs))
 	for i, e := range sp.elems {
-		if _, id := scanElement(body, e.start); string(id) != wantIDs[i] {
+		if _, id := scanElement(body, e.start, 1); string(id) != wantIDs[i] {
 			t.Errorf("element %d %s: routed by worker id %q, encoding/json decodes %q", i, body[e.start:e.end], id, wantIDs[i])
 		}
 		if e.shard != wantOwners[i] {
@@ -358,10 +361,20 @@ func TestSplitRefusals(t *testing.T) {
 		{"a string", `"[]"`, errNotBatch, false},
 		{"malformed", `[{"worker_id":}]`, nil, true},
 		{"trailing bytes", `[] []`, nil, true},
+		{"a trailing bracket", `[]]`, nil, true},
+		{"over the cap, then a syntax error", over[:len(over)-2] + "]", errBatchTooLong, false},
+		{"a syntax error at the cap", atCap[:len(atCap)-2] + "]", nil, true},
+		{"nested to encoding/json's limit", "[" + strings.Repeat("[", 9999) + strings.Repeat("]", 9999) + "]", nil, false},
+		{"nested past it", "[" + strings.Repeat("[", 10000) + strings.Repeat("]", 10000) + "]", nil, true},
+		{"1e999 is JSON", `[{"worker_id":"a","x":1e999}]`, nil, false},
+		{"a lone surrogate is JSON", `[{"worker_id":"\ud800"}]`, nil, false},
+		{"cut inside an escape", `[{"worker_id":"\u12`, nil, true},
+		{"a raw control byte", "[{\"worker_id\":\"a\x01b\"}]", nil, true},
 	} {
 		_, err := new(batchSplit).split(ring, "t", []byte(tc.body))
 		if tc.syntax {
-			if err == nil || !strings.Contains(err.Error(), "malformed batch: invalid character") {
+			var syntax *json.SyntaxError
+			if !errors.As(err, &syntax) || !strings.HasPrefix(err.Error(), "malformed batch: "+syntax.Error()) {
 				t.Errorf("%s: %v, want a syntax error", tc.name, err)
 			}
 		} else if err != tc.want {

@@ -129,7 +129,10 @@ var wireCases = []struct {
 	{"repeated doc key", framed(`{"op":"put","id":"a","doc":{"k":1,"k":2}}`), true, true},
 	{"trailing cr", append(framed(`{"op":"del","id":"a"}`), '\r'), true, true},
 	{"64 deep", framed(`{"op":"put","id":"a","doc":` + nested(64) + `}`), true, true},
-	{"65 deep", framed(`{"op":"put","id":"a","doc":` + nested(65) + `}`), true, false},
+	{"65 deep", framed(`{"op":"put","id":"a","doc":` + nested(65) + `}`), true, true},
+	{"encoding/json's depth", framed(`{"op":"put","id":"a","doc":` + nested(9999) + `}`), true, true},
+	{"a level past it", framed(`{"op":"put","id":"a","doc":` + nested(10000) + `}`), false, false},
+	{"whitespace in the doc", framed(`{"op":"put","id":"a","doc":{ "_id" : "a" , "v" : [ 1 , 2 ] }}`), true, true},
 	{"upper-case crc", upperCRC(framed(`{"op":"del","id":"a"}`)), true, false},
 	{"whitespace", framed(`{"op": "put", "id": "a", "doc": {"_id": "a"}}`), true, false},
 	{"reordered", framed(`{"id":"a","op":"del"}`), true, false},

@@ -6,7 +6,7 @@
 # incremental-results speedup over the from-scratch oracle, (on >=4 cores)
 # the parallel Prepare speedup over the sequential reference, the bytes the
 # router reads from its shards for one quality-controlled results poll, and
-# the WAL record codec's allocation-free paths.
+# the WAL record and session codecs' allocation-free paths.
 #
 #   ALLOC_SLACK       multiplier over recorded allocs/op (default 1.25)
 #   BATCH_ALLOC_BUDGET  max allocs per session through the batch endpoint
@@ -51,7 +51,9 @@ go test -run '^$' \
 echo "bench_delta: running router benchmarks..."
 go test -run '^$' -bench 'BenchmarkRouter(ResultsQC|BatchSplit)$' \
     -benchmem -benchtime 10x ./internal/shard/ >>"$tmp/server.txt"
-echo "bench_delta: running store benchmarks..."
+echo "bench_delta: running codec benchmarks..."
+go test -run '^$' -bench 'BenchmarkAppendSession$' \
+    -benchmem -benchtime 1000x ./internal/server/ >>"$tmp/server.txt"
 go test -run '^$' -bench 'Benchmark(WALRecord|VerifyWALLine)$' \
     -benchmem -benchtime 1000x ./internal/store/ >>"$tmp/server.txt"
 echo "bench_delta: running aggregator benchmarks..."
@@ -210,10 +212,12 @@ else
     fail "router QC benchmark did not run or has no record"
 fi
 
-# Gate 7: the WAL record codec's own paths allocate nothing — framing a record
-# into the collection's buffer, and the follower's scan of a shipped one. The
-# slack gate 1 allows a small record would let eight allocations in.
-for name in BenchmarkWALRecord/append BenchmarkVerifyWALLine/scan; do
+# Gate 7: the codecs' own paths allocate nothing — framing a WAL record into
+# the collection's buffer, the follower's scan of a shipped one, and rendering
+# a session's stored form, whatever its strings need escaped. The slack gate 1
+# allows a small record would let eight allocations in.
+for name in BenchmarkWALRecord/append BenchmarkVerifyWALLine/scan \
+    BenchmarkAppendSession/codec BenchmarkAppendSession/escaped_comment; do
     allocs=$(live "$tmp/server.tsv" "$name" 3)
     if [ "$allocs" = "0" ]; then
         ok "$name allocates nothing"
