@@ -79,13 +79,18 @@ bench-aggregator:
 # plus the router's quality-controlled results poll over in-process shards
 # and its split of one gzip batch of 100 over three stub shards, and the
 # session codec and the WAL record codec beside encoding/json on one
-# session (microseconds, so at the default benchtime).
+# session (microseconds, so at the default benchtime), and one 113 KB page
+# over loopback: from a node on either blob backend, through the router's
+# relay, and the request middleware alone with and without a logger.
 bench-server:
 	$(GO) test -run '^$$' -bench 'BenchmarkConclude(Scratch|Incremental)|BenchmarkSession(UploadHTTP|UploadFolded|BatchUploadHTTP|BatchUploadFolded|UploadDurable|UploadReplicated)$$|BenchmarkSessionUploadFsync' \
 		-benchmem -benchtime 10x ./internal/server/
 	$(GO) test -run '^$$' -bench 'Benchmark(DecodeSession|AppendSession)$$' -benchmem ./internal/server/
 	$(GO) test -run '^$$' -bench 'Benchmark(WALRecord|VerifyWALLine)$$' -benchmem ./internal/store/
 	$(GO) test -run '^$$' -bench 'BenchmarkRouter(ResultsQC|BatchSplit)$$' -benchmem -benchtime 10x ./internal/shard/
+	$(GO) test -run '^$$' -bench 'BenchmarkPageServe$$' -benchmem ./internal/server/
+	$(GO) test -run '^$$' -bench 'BenchmarkRouterRelayPage$$' -benchmem ./internal/shard/
+	$(GO) test -run '^$$' -bench 'BenchmarkMiddleware$$' -benchmem ./internal/obs/
 
 # Just the upload hot-path pair: single endpoint vs the batched streaming
 # decoder (divide the batch allocs/op by 100 for the per-session figure).
@@ -99,8 +104,9 @@ bench-batch:
 # (with >=4 cores) the >=2.2x parallel Prepare speedup, and the replicated
 # upload's 5x overhead budget (recorded 2.5x) with zero post-ack replication
 # lag, the bytes a router QC poll reads from its shards, the allocations of a
-# router batch split, and zero allocations in the WAL record codec and the
-# session encoder.
+# router batch split, zero allocations in the WAL record codec and the
+# session encoder, and no per-response copy buffer under a memory-backed page
+# or a relayed one.
 bench-delta:
 	./scripts/bench_delta.sh
 

@@ -209,6 +209,9 @@ func (r *Ring) Observe(h http.Header) (stale bool) {
 // and closes Stream itself — a retried answer must be discarded, and the
 // last one may yet be what the caller gets when the budget runs out. Do
 // reads to EOF: an attempt that wants a bound puts it in the reader.
+//
+// Header is the response's own map, not a copy: net/http builds a fresh one
+// for every response, and the attempt drops the http.Response that held it.
 type Response struct {
 	Status int
 	Header http.Header

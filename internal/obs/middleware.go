@@ -62,7 +62,8 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 // io.ReaderFrom — for net/http's writer that is sendfile(2) when the source
 // is a file — and counts what it copied. Without it io.Copy would fall back
 // to Write through a buffer of its own, and a file would be read into user
-// space first.
+// space first. A body already in memory does not come this way: the page
+// handler and the router's relay hand it to Write, which counts it.
 func (w *statusWriter) ReadFrom(src io.Reader) (int64, error) {
 	if w.status == 0 {
 		w.status = http.StatusOK
@@ -85,6 +86,15 @@ func (w *statusWriter) Flush() {
 	}
 }
 
+// discardHandler is Go 1.24's slog.DiscardHandler (go.mod says 1.22). Its
+// Enabled is false, so a logger over it formats nothing.
+type discardHandler struct{}
+
+func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
+func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
+func (h discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return h }
+func (h discardHandler) WithGroup(string) slog.Handler           { return h }
+
 // reqSeq numbers requests process-wide for the request id.
 var reqSeq atomic.Int64
 
@@ -93,10 +103,13 @@ var reqSeq atomic.Int64
 // request id), a request counter by route and status, a latency histogram
 // by route, and a response-size counter. A nil logger disables logging; a
 // nil registry disables metrics; a nil route function labels every request
-// by its method only.
+// by its method only. A handler that panics (the router aborts a relay with
+// http.ErrAbortHandler) is accounted with the status and bytes that went
+// out — status 0 if it panicked before its header, when net/http sends no
+// status line — aborted=true on its log line, and goes on panicking.
 func Middleware(next http.Handler, logger *slog.Logger, reg *Registry, route RouteFunc) http.Handler {
 	if logger == nil {
-		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+		logger = slog.New(discardHandler{})
 	}
 	var inflight atomic.Int64
 	if reg != nil {
@@ -112,12 +125,6 @@ func Middleware(next http.Handler, logger *slog.Logger, reg *Registry, route Rou
 		reqLogger := logger.With("request_id", id)
 		sw := &statusWriter{ResponseWriter: w}
 		sw.Header().Set("X-Request-ID", strconv.FormatInt(id, 10))
-		next.ServeHTTP(sw, r.WithContext(context.WithValue(r.Context(), loggerKey, reqLogger)))
-		if sw.status == 0 {
-			sw.status = http.StatusOK
-		}
-		elapsed := time.Since(start)
-
 		label := ""
 		if route != nil {
 			label = route(r)
@@ -125,19 +132,31 @@ func Middleware(next http.Handler, logger *slog.Logger, reg *Registry, route Rou
 		if label == "" {
 			label = r.Method
 		}
-		if reg != nil {
-			status := strconv.Itoa(sw.status)
-			reg.Counter(MetricRequests, "route", label, "status", status).Inc()
-			reg.Counter(MetricResponseBytes, "route", label).Add(sw.bytes)
-			reg.Histogram(MetricRequestDuration, DefLatencyBuckets, "route", label).Observe(elapsed.Seconds())
-		}
-		reqLogger.Info("request",
-			"method", r.Method,
-			"path", r.URL.Path,
-			"route", label,
-			"status", sw.status,
-			"duration_ms", float64(elapsed.Microseconds())/1000,
-			"bytes", sw.bytes,
-		)
+		aborted := true
+		defer func() {
+			if sw.status == 0 && !aborted {
+				sw.status = http.StatusOK
+			}
+			elapsed := time.Since(start)
+			if reg != nil {
+				status := strconv.Itoa(sw.status)
+				reg.Counter(MetricRequests, "route", label, "status", status).Inc()
+				reg.Counter(MetricResponseBytes, "route", label).Add(sw.bytes)
+				reg.Histogram(MetricRequestDuration, DefLatencyBuckets, "route", label).Observe(elapsed.Seconds())
+			}
+			if aborted {
+				reqLogger = reqLogger.With("aborted", true)
+			}
+			reqLogger.Info("request",
+				"method", r.Method,
+				"path", r.URL.Path,
+				"route", label,
+				"status", sw.status,
+				"duration_ms", float64(elapsed.Microseconds())/1000,
+				"bytes", sw.bytes,
+			)
+		}()
+		next.ServeHTTP(sw, r.WithContext(context.WithValue(r.Context(), loggerKey, reqLogger)))
+		aborted = false
 	})
 }

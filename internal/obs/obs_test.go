@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"log/slog"
 	"net/http"
@@ -177,5 +178,129 @@ func TestMiddlewareCountsCopiedBodies(t *testing.T) {
 		if (rf.readFroms == 1) != hasReadFrom {
 			t.Errorf("ReadFrom=%v: the wrapped writer's ReadFrom ran %d times", hasReadFrom, rf.readFroms)
 		}
+	}
+}
+
+// TestMiddlewareAccountsAbortedRequest: a handler that panics after part of
+// its answer has gone out — the router's relay when a shard dies mid-page —
+// is counted once with the status it wrote and the bytes it wrote, has a
+// duration sample and a log line marked aborted=true, and the panic reaches
+// net/http as the value it was. One that panics before writing is status 0.
+func TestMiddlewareAccountsAbortedRequest(t *testing.T) {
+	reg := NewRegistry()
+	var logBuf bytes.Buffer
+	inner := http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Write([]byte("half"))
+		panic(http.ErrAbortHandler)
+	})
+	h := Middleware(inner, slog.New(slog.NewTextHandler(&logBuf, nil)), reg, nil)
+	func() {
+		defer func() {
+			if got := recover(); got != http.ErrAbortHandler {
+				t.Errorf("recovered %v, want http.ErrAbortHandler itself", got)
+			}
+		}()
+		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/page", nil))
+	}()
+	if got := reg.Counter(MetricRequests, "route", "GET", "status", "200").Value(); got != 1 {
+		t.Errorf("%s = %d, want the aborted request counted once", MetricRequests, got)
+	}
+	if got := reg.Counter(MetricResponseBytes, "route", "GET").Value(); got != 4 {
+		t.Errorf("%s = %d, want the 4 bytes that went out", MetricResponseBytes, got)
+	}
+	if got := reg.Histogram(MetricRequestDuration, DefLatencyBuckets, "route", "GET").Count(); got != 1 {
+		t.Errorf("duration samples = %d, want 1", got)
+	}
+	var metrics bytes.Buffer
+	reg.WriteMetrics(&metrics)
+	if !strings.Contains(metrics.String(), MetricInflight+" 0") {
+		t.Errorf("inflight did not return to 0:\n%s", metrics.String())
+	}
+	for _, want := range []string{"status=200", "bytes=4", "aborted=true"} {
+		if !strings.Contains(logBuf.String(), want) {
+			t.Errorf("log line missing %q:\n%s", want, logBuf.String())
+		}
+	}
+
+	// A panic before anything was written: net/http sends no status line, so
+	// the request is not a 200 (which is what a silent return defaults to).
+	logBuf.Reset()
+	early := http.HandlerFunc(func(http.ResponseWriter, *http.Request) { panic("bug") })
+	func() {
+		defer func() {
+			if got := recover(); got != "bug" {
+				t.Errorf("recovered %v, want the handler's own value", got)
+			}
+		}()
+		Middleware(early, slog.New(slog.NewTextHandler(&logBuf, nil)), reg, nil).
+			ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/page", nil))
+	}()
+	if got := reg.Counter(MetricRequests, "route", "GET", "status", "0").Value(); got != 1 {
+		t.Errorf("%s{status=0} = %d, want the panic-before-write counted once", MetricRequests, got)
+	}
+	if got := reg.Counter(MetricRequests, "route", "GET", "status", "200").Value(); got != 1 {
+		t.Errorf("%s{status=200} = %d, want it unmoved by a request that sent nothing", MetricRequests, got)
+	}
+	if got := reg.Counter(MetricResponseBytes, "route", "GET").Value(); got != 4 {
+		t.Errorf("%s = %d, want it unmoved", MetricResponseBytes, got)
+	}
+	for _, want := range []string{"status=0", "bytes=0", "aborted=true"} {
+		if !strings.Contains(logBuf.String(), want) {
+			t.Errorf("log line missing %q:\n%s", want, logBuf.String())
+		}
+	}
+
+	// A request that ends normally says nothing about aborting.
+	logBuf.Reset()
+	Middleware(http.NotFoundHandler(), slog.New(slog.NewTextHandler(&logBuf, nil)), nil, nil).
+		ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/", nil))
+	if log := logBuf.String(); !strings.Contains(log, "status=404") || strings.Contains(log, "aborted") {
+		t.Errorf("log line of a completed request:\n%s", log)
+	}
+}
+
+// TestMiddlewareQuietLoggerIsDisabled: with no logger the middleware's own
+// line and a handler's ContextLogger lines are refused at Enabled, before a
+// record is built, and the logger a handler gets is still usable.
+func TestMiddlewareQuietLoggerIsDisabled(t *testing.T) {
+	var got *slog.Logger
+	inner := http.HandlerFunc(func(_ http.ResponseWriter, r *http.Request) {
+		got = ContextLogger(r.Context())
+		got.With("k", "v").WithGroup("g").Error("dropped", "n", 1)
+	})
+	Middleware(inner, nil, nil, nil).ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/", nil))
+	if got == nil || got == slog.Default() {
+		t.Fatalf("ContextLogger under a nil logger = %v, want the middleware's own", got)
+	}
+	for _, level := range []slog.Level{slog.LevelDebug, slog.LevelInfo, slog.LevelError} {
+		if got.Enabled(context.Background(), level) {
+			t.Errorf("the quiet logger is enabled at %v: every request would format its line", level)
+		}
+	}
+}
+
+// BenchmarkMiddleware is one request through the middleware over a 204
+// handler: quiet is how deploy and the benchmark assemble a node (-quiet),
+// logging formats the line into io.Discard.
+func BenchmarkMiddleware(b *testing.B) {
+	inner := http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.WriteHeader(http.StatusNoContent)
+	})
+	for _, bc := range []struct {
+		name   string
+		logger *slog.Logger
+	}{
+		{"quiet", nil},
+		{"logging", slog.New(slog.NewTextHandler(io.Discard, nil))},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			h := Middleware(inner, bc.logger, NewRegistry(), func(*http.Request) string { return "GET /x" })
+			req := httptest.NewRequest(http.MethodGet, "/x", nil)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h.ServeHTTP(httptest.NewRecorder(), req)
+			}
+		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -351,5 +352,48 @@ func BenchmarkLoadInfoUncached(b *testing.B) {
 		if _, err := srv.loadInfo("srv-test"); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkPageServe fetches a prepared test's integrated page (left.html)
+// from a bare server.New over a real loopback connection, the client
+// draining the body into io.Discard. B/op covers both ends of the
+// connection; the server's share is what differs between the backends: the
+// memory backend writes the store's slice, the directory backend sends the
+// file. scripts/bench_delta.sh holds memory under the 32 KB a copy buffer
+// would cost.
+func BenchmarkPageServe(b *testing.B) {
+	for _, backend := range []string{"memory", "dir"} {
+		b.Run(backend, func(b *testing.B) {
+			blobs := store.NewBlobStore()
+			if backend == "dir" {
+				var err error
+				if blobs, err = store.OpenBlobStore(b.TempDir()); err != nil {
+					b.Fatal(err)
+				}
+			}
+			srv, prep := prepTestOn(b, store.OpenMemory(), blobs, "srv-test")
+			ts := httptest.NewServer(srv)
+			defer ts.Close()
+			url := ts.URL + "/api/tests/srv-test/pages/" + prep.RealPages()[0].ID + "/left.html"
+			fetch := func() int64 {
+				resp, err := http.Get(url)
+				if err != nil {
+					b.Fatal(err)
+				}
+				n, err := io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK || n != resp.ContentLength {
+					b.Fatalf("GET = %d, %d of %d bytes, %v", resp.StatusCode, n, resp.ContentLength, err)
+				}
+				return n
+			}
+			b.SetBytes(fetch())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				fetch()
+			}
+		})
 	}
 }

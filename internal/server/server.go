@@ -19,10 +19,12 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"sync/atomic"
@@ -457,7 +459,24 @@ func (s *Server) handlePageFile(w http.ResponseWriter, r *http.Request) {
 	if view.ETag != "" {
 		h.Set("ETag", view.ETag)
 	}
-	http.ServeContent(w, r, "", time.Time{}, view.Content)
+	http.ServeContent(pageWriter{w}, r, "", time.Time{}, view.Content)
+}
+
+// pageWriter answers the one copy http.ServeContent makes of a whole or suffix
+// read of a memory view — an *io.LimitedReader reaching the end of the view's
+// *bytes.Reader — with one Write of the blob store's own slice, which is never
+// written again (DESIGN.md §6l); net/http's ReadFrom would move it through a
+// fresh 32 KB buffer, a write(2) per 32 KB. A file (sendfile(2)), a Range
+// that ends early and the multipart pipe go to the wrapped writer as before.
+type pageWriter struct{ http.ResponseWriter }
+
+func (w pageWriter) ReadFrom(src io.Reader) (int64, error) {
+	if lr, ok := src.(*io.LimitedReader); ok {
+		if mem, ok := lr.R.(*bytes.Reader); ok && lr.N >= int64(mem.Len()) {
+			return mem.WriteTo(w.ResponseWriter)
+		}
+	}
+	return io.Copy(w.ResponseWriter, src)
 }
 
 // SessionUpload is what the extension posts when a participant finishes.

@@ -6,6 +6,8 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"mime"
+	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -126,12 +128,21 @@ func pageKey(page, file string) string { return pagesTestID + "/" + page + "/" +
 // ifNoneMatch is set.
 func (d *pageDeployment) get(t *testing.T, method, page, file, ifNoneMatch string) (*http.Response, []byte) {
 	t.Helper()
+	if ifNoneMatch != "" {
+		return d.fetch(t, method, page, file, "If-None-Match", ifNoneMatch)
+	}
+	return d.fetch(t, method, page, file)
+}
+
+// fetch is get with any request headers, given as name, value pairs.
+func (d *pageDeployment) fetch(t *testing.T, method, page, file string, header ...string) (*http.Response, []byte) {
+	t.Helper()
 	req, err := http.NewRequest(method, d.front+"/api/tests/"+pagesTestID+"/pages/"+page+"/"+file, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ifNoneMatch != "" {
-		req.Header.Set("If-None-Match", ifNoneMatch)
+	for i := 0; i < len(header); i += 2 {
+		req.Header.Set(header[i], header[i+1])
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -143,6 +154,16 @@ func (d *pageDeployment) get(t *testing.T, method, page, file, ifNoneMatch strin
 		t.Fatalf("%s %s/%s: reading body: %v", method, page, file, err)
 	}
 	return resp, body
+}
+
+// awaitCounter waits for c to reach want and returns what it reads then. The
+// middleware counts as the handler returns, and the client can have the whole
+// body (or its transport error) before that.
+func awaitCounter(c *obs.Counter, want int64) int64 {
+	for deadline := time.Now().Add(5 * time.Second); c.Value() < want && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	return c.Value()
 }
 
 func quotedSHA256(data []byte) string {
@@ -194,6 +215,73 @@ func TestPageValidators(t *testing.T) {
 		if resp, body = d.get(t, http.MethodHead, real, "left.html", ""); resp.StatusCode != http.StatusOK ||
 			len(body) != 0 || resp.ContentLength != int64(len(want)) || resp.Header.Get("ETag") != etag {
 			t.Errorf("HEAD = %d, %d bytes, Content-Length %d, ETag %s", resp.StatusCode, len(body), resp.ContentLength, resp.Header.Get("ETag"))
+		}
+
+		// Ranges: one that ends early, the two that run to the payload's end
+		// (on the memory backend, the single write), with If-Range on either
+		// side of the validator. Each is that slice of the stored bytes.
+		n := len(want)
+		for _, tc := range []struct {
+			name       string
+			header     []string
+			status     int
+			start, end int // the body is want[start:end]
+		}{
+			{"prefix", []string{"Range", "bytes=0-99"}, http.StatusPartialContent, 0, 100},
+			{"from an offset", []string{"Range", "bytes=100-"}, http.StatusPartialContent, 100, n},
+			{"suffix", []string{"Range", "bytes=-100"}, http.StatusPartialContent, n - 100, n},
+			{"If-Range matches", []string{"Range", "bytes=-100", "If-Range", etag}, http.StatusPartialContent, n - 100, n},
+			{"If-Range is stale", []string{"Range", "bytes=-100", "If-Range", `"0000"`}, http.StatusOK, 0, n},
+		} {
+			resp, body := d.fetch(t, http.MethodGet, real, "left.html", tc.header...)
+			if resp.StatusCode != tc.status {
+				t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.status)
+				continue
+			}
+			wantRange := ""
+			if tc.status == http.StatusPartialContent {
+				wantRange = fmt.Sprintf("bytes %d-%d/%d", tc.start, tc.end-1, n)
+			}
+			if !bytes.Equal(body, want[tc.start:tc.end]) {
+				t.Errorf("%s: %d bytes, not the stored bytes %d:%d", tc.name, len(body), tc.start, tc.end)
+			}
+			if cr := resp.Header.Get("Content-Range"); cr != wantRange {
+				t.Errorf("%s: Content-Range = %q, want %q", tc.name, cr, wantRange)
+			}
+			if resp.ContentLength != int64(tc.end-tc.start) {
+				t.Errorf("%s: Content-Length = %d, want %d", tc.name, resp.ContentLength, tc.end-tc.start)
+			}
+			if resp.Header.Get("ETag") != etag {
+				t.Errorf("%s: ETag = %s, want %s", tc.name, resp.Header.Get("ETag"), etag)
+			}
+		}
+		// A range past the end is refused, with the length it is past.
+		resp, _ = d.fetch(t, http.MethodGet, real, "left.html", "Range", fmt.Sprintf("bytes=%d-", n+10))
+		if cr := resp.Header.Get("Content-Range"); resp.StatusCode != http.StatusRequestedRangeNotSatisfiable || cr != fmt.Sprintf("bytes */%d", n) {
+			t.Errorf("a range past the end = %d, Content-Range %q; want 416 and bytes */%d", resp.StatusCode, cr, n)
+		}
+		// Two ranges: a multipart answer through ServeContent's pipe, of a
+		// declared length, each part with its own Content-Range.
+		resp, body = d.fetch(t, http.MethodGet, real, "left.html", "Range", "bytes=0-0,-1")
+		mediaType, mparams, err := mime.ParseMediaType(resp.Header.Get("Content-Type"))
+		if resp.StatusCode != http.StatusPartialContent || err != nil || mediaType != "multipart/byteranges" ||
+			resp.ContentLength != int64(len(body)) {
+			t.Fatalf("two ranges = %d %q (%v), Content-Length %d over %d bytes",
+				resp.StatusCode, resp.Header.Get("Content-Type"), err, resp.ContentLength, len(body))
+		}
+		parts := multipart.NewReader(bytes.NewReader(body), mparams["boundary"])
+		for _, at := range []int{0, n - 1} {
+			part, err := parts.NextPart()
+			if err != nil {
+				t.Fatalf("multipart answer: %v", err)
+			}
+			got, _ := io.ReadAll(part)
+			if cr := part.Header.Get("Content-Range"); !bytes.Equal(got, want[at:at+1]) || cr != fmt.Sprintf("bytes %d-%d/%d", at, at, n) {
+				t.Errorf("part at %d = %q, Content-Range %q", at, got, cr)
+			}
+		}
+		if _, err := parts.NextPart(); err != io.EOF {
+			t.Errorf("after two parts: %v, want io.EOF", err)
 		}
 
 		// The identical-pair control stores one payload under two keys.
@@ -270,18 +358,23 @@ func TestPageResponseBytesCounted(t *testing.T) {
 		d.prepare(t, 12, 22)
 		bytesServed := d.nodeReg.Counter(obs.MetricResponseBytes, "route", "GET /api/tests/{id}/pages")
 		resp, body := d.get(t, http.MethodGet, "pair-0-1", "left.html", "")
-		// The middleware counts once the handler has returned, and the
-		// tester can have the whole body before that.
-		for deadline := time.Now().Add(5 * time.Second); bytesServed.Value() == 0 && time.Now().Before(deadline); {
-			time.Sleep(time.Millisecond)
-		}
-		if got := bytesServed.Value(); got != int64(len(body)) || len(body) < 50000 {
+		if got := awaitCounter(bytesServed, 1); got != int64(len(body)) || len(body) < 50000 {
 			t.Fatalf("after one %d-byte page the counter reads %d", len(body), got)
 		}
 		d.get(t, http.MethodGet, "pair-0-1", "left.html", resp.Header.Get("ETag"))
 		d.get(t, http.MethodHead, "pair-0-1", "left.html", "")
 		if got := bytesServed.Value(); got != int64(len(body)) {
 			t.Errorf("a 304 and a HEAD moved the byte counter from %d to %d", len(body), got)
+		}
+		// A ranged body counts for what it is, whether it ends early (copied)
+		// or runs to the payload's end (written in one piece).
+		counted := int64(len(body))
+		for _, r := range []string{"bytes=0-99", "bytes=-1000"} {
+			_, part := d.fetch(t, http.MethodGet, "pair-0-1", "left.html", "Range", r)
+			counted += int64(len(part))
+			if got := awaitCounter(bytesServed, counted); got != counted || len(part) == 0 {
+				t.Errorf("after Range %s (%d bytes) the counter reads %d, want %d", r, len(part), got, counted)
+			}
 		}
 	})
 }
@@ -377,6 +470,70 @@ func TestPageFetchDuringDelete(t *testing.T) {
 		if _, err := d.blobs.DeletePrefix(pagesTestID + "/"); err != nil {
 			t.Error(err)
 		}
+		wg.Wait()
+	})
+}
+
+// TestPageFetchDuringOverwrite: fetches racing PutCAS flipping one key between
+// two payloads get one of them whole, under the validator that is its hash —
+// the slice a response writes is never the one an overwrite fills (run under
+// -race by make check).
+func TestPageFetchDuringOverwrite(t *testing.T) {
+	eachPageDeployment(t, func(t *testing.T, d *pageDeployment) {
+		d.prepare(t, 12, 22)
+		key := pageKey("pair-0-1", "left.html")
+		first, err := d.blobs.Get(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Longer than the page and than the router's relay buffer.
+		second := bytes.Repeat([]byte("another page "), 12000)
+		etags := map[string]bool{quotedSHA256(first): true, quotedSHA256(second): true}
+
+		stop := make(chan struct{})
+		var wg, fetching sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			fetching.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; ; i++ {
+					resp, err := http.Get(d.front + "/api/tests/" + pagesTestID + "/pages/pair-0-1/left.html")
+					if i == 0 {
+						fetching.Done()
+					}
+					if err != nil {
+						t.Errorf("fetch %d: %v", i, err)
+						return
+					}
+					body, err := io.ReadAll(resp.Body)
+					resp.Body.Close()
+					etag := resp.Header.Get("ETag")
+					if err != nil || resp.StatusCode != http.StatusOK || !etags[etag] || quotedSHA256(body) != etag {
+						t.Errorf("fetch %d = %d, %v: %d bytes hashing to %s under ETag %s; want one payload, whole",
+							i, resp.StatusCode, err, len(body), quotedSHA256(body), etag)
+						return
+					}
+					select {
+					case <-stop:
+						return
+					default:
+					}
+				}
+			}()
+		}
+		fetching.Wait()
+		for i := 0; i < 40; i++ {
+			next := second
+			if i%2 == 1 {
+				next = first
+			}
+			if err := d.blobs.PutCAS(key, next); err != nil {
+				t.Error(err)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		close(stop)
 		wg.Wait()
 	})
 }

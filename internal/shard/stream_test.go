@@ -147,10 +147,59 @@ func TestRouterRelaysLastShedWhenBudgetRunsOut(t *testing.T) {
 	}
 }
 
+// TestRouterRelaysAnyLength: the relay's buffer is one size and a body is
+// any: empty, within one read, exactly one, just past it, several.
+func TestRouterRelaysAnyLength(t *testing.T) {
+	url, _ := routerOver(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		n, _ := strconv.Atoi(r.URL.Query().Get("n"))
+		w.Header().Set("Content-Length", strconv.Itoa(n))
+		w.Write(relayedBody(n))
+	}), 5*time.Second)
+	for _, n := range []int{0, 1, relayBufSize, relayBufSize + 1, 300000} {
+		resp, body := fetch(t, url+streamedPage+"?n="+strconv.Itoa(n))
+		if resp.StatusCode != http.StatusOK || resp.ContentLength != int64(n) || !bytes.Equal(body, relayedBody(n)) {
+			t.Errorf("a %d-byte body arrived as %d, Content-Length %d, %d bytes, not the ones sent",
+				n, resp.StatusCode, resp.ContentLength, len(body))
+		}
+	}
+}
+
+// relayedBody is n bytes that do not repeat with any power of two.
+func relayedBody(n int) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(i % 251)
+	}
+	return b
+}
+
+// cleanPage is the path on which truncating serves a whole, different page,
+// cleanBody: what a router must still relay intact after it has cut a relay
+// short.
+const cleanPage = "/api/tests/x/pages/pair-0-1/right.html"
+
+var cleanBody = relayedBody(150000)
+
+// fetchCleanPage fetches cleanPage through the router that has just aborted
+// a relay: the buffer it was using is back in the pool, and nothing of the
+// cut page comes with it.
+func fetchCleanPage(t *testing.T, url string) {
+	t.Helper()
+	resp, body := fetch(t, url+cleanPage)
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(body, cleanBody) {
+		t.Errorf("the fetch after the cut relay = %d, %d bytes; want 200 and the %d-byte page intact",
+			resp.StatusCode, len(body), len(cleanBody))
+	}
+}
+
 // truncating declares a full page and hangs up (stall false) or goes silent
-// (stall true) half way through it.
+// (stall true) half way through it. On cleanPage it serves a whole one.
 func truncating(page []byte, stall bool, release <-chan struct{}) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == cleanPage {
+			w.Write(cleanBody)
+			return
+		}
 		w.Header().Set("Content-Length", strconv.Itoa(len(page)))
 		w.Write(page[:len(page)/2])
 		w.(http.Flusher).Flush()
@@ -167,19 +216,30 @@ func truncating(page []byte, stall bool, release <-chan struct{}) http.Handler {
 
 // TestRouterAbortsWhenUpstreamDiesMidBody: the status line is already out
 // when the shard's connection drops, so the router breaks the client's
-// connection. The client must see a transport error, never a short 200.
+// connection. The client must see a transport error, never a short 200 —
+// and the router's own metrics must still have seen the request.
 func TestRouterAbortsWhenUpstreamDiesMidBody(t *testing.T) {
 	page := bytes.Repeat([]byte("p"), 200000)
-	url, _ := routerOver(t, truncating(page, false, nil), 5*time.Second)
+	url, reg := routerOver(t, truncating(page, false, nil), 5*time.Second)
 	resp, err := http.Get(url + streamedPage)
-	if err != nil {
-		return // the abort beat the status line: also a transport error
+	if err == nil { // else the abort beat the status line: also a transport error
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err == nil {
+			t.Fatalf("read a %d-byte body of a %d-byte page to a clean EOF (status %d)", len(got), len(page), resp.StatusCode)
+		}
 	}
-	defer resp.Body.Close()
-	got, err := io.ReadAll(resp.Body)
-	if err == nil {
-		t.Fatalf("read a %d-byte body of a %d-byte page to a clean EOF (status %d)", len(got), len(page), resp.StatusCode)
+
+	// The aborted relay is one request with the status that went out and
+	// the bytes that did.
+	const route = "GET /api/tests/{id}/pages"
+	if got := awaitCounter(reg.Counter(obs.MetricRequests, "route", route, "status", "200"), 1); got != 1 {
+		t.Errorf("%s{status=200} = %d after one aborted relay, want 1", obs.MetricRequests, got)
 	}
+	if got := reg.Counter(obs.MetricResponseBytes, "route", route).Value(); got <= 0 || got >= int64(len(page)) {
+		t.Errorf("%s = %d after a relay cut half way through %d bytes", obs.MetricResponseBytes, got, len(page))
+	}
+	fetchCleanPage(t, url)
 }
 
 // TestRouterTimeoutCoversTheCopy: rt.timeout bounds the whole attempt, the
@@ -201,6 +261,7 @@ func TestRouterTimeoutCoversTheCopy(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 3*time.Second {
 		t.Errorf("the stalled copy was cut after %v; the 100ms attempt timeout must cover it", elapsed)
 	}
+	fetchCleanPage(t, url)
 }
 
 // TestReadBounded: a declared length sizes the buffer once, an undeclared
@@ -232,5 +293,44 @@ func TestReadBounded(t *testing.T) {
 		if err == nil && tc.n == int64(len(tc.body)) && int64(cap(got)) != tc.n+1 {
 			t.Errorf("%s: buffer of %d for a declared %d: it grew", tc.name, cap(got), tc.n)
 		}
+	}
+}
+
+// BenchmarkRouterRelayPage relays a page-sized answer (113 KB, the paper's
+// integrated page as prepared) from a stub shard to a client draining it into
+// io.Discard, every hop a real loopback connection. B/op covers the client,
+// the router and the stub; scripts/bench_delta.sh holds it under the 32 KB
+// a per-response copy buffer would cost.
+func BenchmarkRouterRelayPage(b *testing.B) {
+	page := relayedBody(113 << 10)
+	up := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Length", strconv.Itoa(len(page)))
+		w.Header().Set("Content-Type", "text/html; charset=utf-8")
+		w.Write(page)
+	}))
+	defer up.Close()
+	rt, err := New(Config{Shards: []Spec{{Name: "s0", Primary: up.URL}}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	front := httptest.NewServer(obs.Middleware(rt, nil, obs.NewRegistry(), server.RouteLabel))
+	defer front.Close()
+	relayOnce := func() {
+		resp, err := http.Get(front.URL + streamedPage)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n, err := io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || n != int64(len(page)) {
+			b.Fatalf("GET = %d, %d of %d bytes, %v", resp.StatusCode, n, len(page), err)
+		}
+	}
+	relayOnce()
+	b.SetBytes(int64(len(page)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		relayOnce()
 	}
 }

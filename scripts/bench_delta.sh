@@ -5,8 +5,9 @@
 # BENCH_*.json, the batched upload's per-session allocation budget, the
 # incremental-results speedup over the from-scratch oracle, (on >=4 cores)
 # the parallel Prepare speedup over the sequential reference, the bytes the
-# router reads from its shards for one quality-controlled results poll, and
-# the WAL record and session codecs' allocation-free paths.
+# router reads from its shards for one quality-controlled results poll, the
+# WAL record and session codecs' allocation-free paths, and the bytes
+# allocated to serve or relay one page.
 #
 #   ALLOC_SLACK       multiplier over recorded allocs/op (default 1.25)
 #   BATCH_ALLOC_BUDGET  max allocs per session through the batch endpoint
@@ -51,6 +52,11 @@ go test -run '^$' \
 echo "bench_delta: running router benchmarks..."
 go test -run '^$' -bench 'BenchmarkRouter(ResultsQC|BatchSplit)$' \
     -benchmem -benchtime 10x ./internal/shard/ >>"$tmp/server.txt"
+echo "bench_delta: running page benchmarks..."
+go test -run '^$' -bench 'BenchmarkPageServe$' \
+    -benchmem -benchtime 200x ./internal/server/ >>"$tmp/server.txt"
+go test -run '^$' -bench 'BenchmarkRouterRelayPage$' \
+    -benchmem -benchtime 200x ./internal/shard/ >>"$tmp/server.txt"
 echo "bench_delta: running codec benchmarks..."
 go test -run '^$' -bench 'BenchmarkAppendSession$' \
     -benchmem -benchtime 1000x ./internal/server/ >>"$tmp/server.txt"
@@ -60,21 +66,22 @@ echo "bench_delta: running aggregator benchmarks..."
 go test -run '^$' -bench 'BenchmarkPrepare(Sequential|Parallel)$' \
     -benchmem -benchtime 3x ./internal/aggregator/ >"$tmp/aggregator.txt"
 
-# parse_bench: "<name> <ns/op> <allocs/op> <lag-frames> <upstream-B/op>" per
-# benchmark line, with the -GOMAXPROCS suffix stripped from the name. The
-# last two are "-" for benchmarks that do not report that metric.
+# parse_bench: "<name> <ns/op> <allocs/op> <lag-frames> <upstream-B/op>
+# <B/op>" per benchmark line, with the -GOMAXPROCS suffix stripped from the
+# name. The last three are "-" for benchmarks that do not report that metric.
 parse_bench() {
     awk '
         /^Benchmark/ {
-            ns = ""; allocs = ""; lag = "-"; up = "-"
+            ns = ""; allocs = ""; lag = "-"; up = "-"; bytes = "-"
             for (i = 2; i <= NF; i++) {
                 if ($i == "ns/op") ns = $(i - 1)
                 if ($i == "allocs/op") allocs = $(i - 1)
                 if ($i == "lag-frames") lag = $(i - 1)
                 if ($i == "upstream-B/op") up = $(i - 1)
+                if ($i == "B/op") bytes = $(i - 1)
             }
             sub(/-[0-9]+$/, "", $1)
-            print $1, ns, allocs, lag, up
+            print $1, ns, allocs, lag, up, bytes
         }
     ' "$1"
 }
@@ -82,7 +89,7 @@ parse_bench "$tmp/server.txt" >"$tmp/server.tsv"
 parse_bench "$tmp/aggregator.txt" >"$tmp/aggregator.tsv"
 
 # live FILE NAME FIELD -> the measured value (ns=2, allocs=3, lag-frames=4,
-# upstream-B=5).
+# upstream-B=5, B=6).
 live() {
     awk -v name="$2" -v f="$3" '$1 == name { print $f; exit }' "$1"
 }
@@ -104,7 +111,7 @@ ok() { echo "bench_delta: ok   $*"; }
 # Gate 1: allocation counts must stay within ALLOC_SLACK of the recorded
 # figures — allocs/op is deterministic enough to compare across machines.
 for f in server aggregator; do
-    while read -r name ns allocs lag up; do
+    while read -r name ns allocs lag up bytes; do
         [ -n "$allocs" ] || continue
         rec=$(recorded "BENCH_$f.json" "$name")
         [ -n "$rec" ] || continue
@@ -223,6 +230,20 @@ for name in BenchmarkWALRecord/append BenchmarkVerifyWALLine/scan \
         ok "$name allocates nothing"
     else
         fail "$name allocs/op ${allocs:-missing}, want 0"
+    fi
+done
+
+# Gate 8: a page body crosses user space without a buffer of its own. A
+# memory-backed page is one Write of the blob store's slice and a relayed one
+# goes through the router's pooled buffer; the copy loops they replaced
+# allocated 32 KB a response, so 32768 pins the mechanism, not a time, and is
+# not a knob (recorded: 6.7 KB and 14.6 KB, the client's side included).
+for name in BenchmarkPageServe/memory BenchmarkRouterRelayPage; do
+    bytes=$(live "$tmp/server.tsv" "$name" 6)
+    if [ -n "$bytes" ] && [ "$bytes" != "-" ] && [ "$bytes" -lt 32768 ]; then
+        ok "$name $bytes B/op (under 32768)"
+    else
+        fail "$name B/op ${bytes:-missing}, want under 32768"
     fi
 done
 
