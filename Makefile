@@ -120,7 +120,7 @@ bench-delta:
 #   overload    a saturated stampede sheds 429 entirely; a mid-run disk
 #               outage trips the breaker into degraded serving; the breaker
 #               closes again; p99 stays bounded
-#   throughput  the batch endpoint carried the run, at >= -min-rate
+#   throughput  the batch endpoint carried the run
 #   failover    the pair's primary is killed mid-soak, the zombie left up
 #   multinode   the same behind the router, on 3 pairs and 2 tenants, the
 #               victim a tenant's home shard chosen by the seed
@@ -133,7 +133,7 @@ bench-delta:
 SCENARIOS := soak overload throughput failover multinode campaign earlystop
 smoke.soak       := -workers 12 -seed 7 -drop 0.1 -fault 0.1 -retries 15 -results-every 3
 smoke.overload   := -workers 15 -seed 7 -drop 0.05 -fault 0.05
-smoke.throughput := -workers 40 -seed 7 -batch 10 -min-rate 25
+smoke.throughput := -workers 40 -seed 7 -batch 10
 smoke.failover   := -workers 25 -seed 7 -drop 0.15 -fault 0.1
 smoke.multinode  := -workers 18 -seed 7 -drop 0.1 -fault 0.1
 smoke.campaign   := -tests 8 -per-test 4 -workers 20 -seed 11 -drop 0.05 -fault 0.05
@@ -142,11 +142,8 @@ smoke.earlystop  := -workers 16 -seed 1 -budget 60 -alpha 0.05
 smoke.race := failover multinode campaign earlystop
 
 SMOKES := $(SCENARIOS:%=%-smoke)
-.PHONY: smoke load-smoke $(SMOKES)
+.PHONY: smoke $(SMOKES)
 $(SMOKES): %-smoke:
 	$(GO) run $(if $(filter $*,$(smoke.race)),-race) ./cmd/kscope-load -scenario $* $(smoke.$*)
-
-# load-smoke is soak-smoke's older name.
-load-smoke: soak-smoke
 
 smoke: $(SMOKES)

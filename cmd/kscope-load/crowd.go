@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"kaleidoscope/internal/testbed"
 )
@@ -26,9 +27,9 @@ func soakDrive(cfg config, bed *testbed.Bed, out io.Writer) (func() error, error
 }
 
 // throughputDrive ships the crowd's sessions as gzip batches of -batch.
-// Its gates: the batched endpoint must have carried the run — what keeps
+// Its gate: the batched endpoint must have carried the run — what keeps
 // the batch path from quietly regressing into one request and one fsync
-// per session — and, with -min-rate, fast enough.
+// per session. How fast it ran is reported, and measured by BENCHMARK.json.
 func throughputDrive(cfg config, bed *testbed.Bed, out io.Writer) (func() error, error) {
 	reports, err := bed.Drive(tenantCrowds(cfg, bed, out, cfg.batch), 0, nil)
 	if err != nil {
@@ -45,38 +46,15 @@ func throughputDrive(cfg config, bed *testbed.Bed, out io.Writer) (func() error,
 			return fmt.Errorf("batched endpoint unused: %d batch requests, %d stored elements", batches, stored)
 		}
 		rate := float64(reports[0].Completed) / reports[0].Elapsed.Seconds()
-		fmt.Fprintf(out, "throughput: %8.1f sessions/s %s\n", rate, rateBar(rate, cfg.minRate, 40))
-		if cfg.minRate > 0 && rate < cfg.minRate {
-			return fmt.Errorf("throughput %.1f sessions/s is under the -min-rate floor %.1f", rate, cfg.minRate)
-		}
+		fmt.Fprintf(out, "throughput: %8.1f sessions/s %s\n", rate, rateBar(40))
 		return nil
 	}, nil
 }
 
-// rateBar renders an ASCII throughput bar of the given width. With a
-// positive target the scale puts the target marker ('|') at half width, so
-// a passing run visibly clears it; without one the bar is simply full.
-func rateBar(rate, target float64, width int) string {
-	scale, marker := rate, -1
-	if target > 0 {
-		scale, marker = 2*target, width/2
-	}
-	fill := width
-	if scale > 0 {
-		fill = min(width, int(float64(width)*rate/scale))
-	}
-	cells := make([]byte, width)
-	for i := range cells {
-		switch {
-		case i == marker:
-			cells[i] = '|'
-		case i < fill:
-			cells[i] = '#'
-		default:
-			cells[i] = '.'
-		}
-	}
-	return "[" + string(cells) + "]"
+// rateBar renders the ASCII throughput bar of the given width. Its scale is
+// the rate itself, so it is full.
+func rateBar(width int) string {
+	return "[" + strings.Repeat("#", width) + "]"
 }
 
 // killDrive is the zero-acked-loss chaos gate of replication and of the

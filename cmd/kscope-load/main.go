@@ -57,7 +57,6 @@ type config struct {
 	resultsEvery int
 	trusted      bool
 	batch        int
-	minRate      float64
 	tests        int
 	perTest      int
 	dedupFloor   int64
@@ -131,7 +130,6 @@ func run(args []string, out io.Writer) error {
 	fs.IntVar(&cfg.resultsEvery, "results-every", 5, "poll the results endpoints every N acknowledged sessions (0 = off)")
 	fs.BoolVar(&cfg.trusted, "trusted", false, "use the trusted crowd mix instead of the open one")
 	fs.IntVar(&cfg.batch, "batch", 100, "throughput scenario: sessions per batched upload")
-	fs.Float64Var(&cfg.minRate, "min-rate", 0, "throughput scenario: fail under this sessions/sec floor (0 = report only)")
 	fs.IntVar(&cfg.tests, "tests", 8, "campaign scenario: number of tenant tests churned through their lifecycle")
 	fs.IntVar(&cfg.perTest, "per-test", 4, "campaign scenario: acked sessions each tenant must land")
 	fs.Int64Var(&cfg.dedupFloor, "dedup-floor", 4096, "campaign scenario: fail if cross-tenant CAS dedup saves fewer bytes than this (0 = report only)")

@@ -23,7 +23,7 @@ func TestRunSmoke(t *testing.T) {
 		{"overload", []string{"-workers", "15", "-seed", "42", "-concurrency", "8", "-drop", "0.05", "-fault", "0.05"},
 			[]string{"15 workers", "sessions: 15 completed, 0 failed", "fault: disk outage", "breaker trips", "breaker now closed",
 				"429×", "503×", "oracle: load-test incremental == from-scratch"}},
-		{"throughput", []string{"-workers", "12", "-seed", "3", "-batch", "5", "-min-rate", "1"},
+		{"throughput", []string{"-workers", "12", "-seed", "3", "-batch", "5"},
 			[]string{"sessions: 12 completed, 0 failed", "POST /api/tests/{id}/sessions:batch", "batches: 3 requests of up to 5", "12 stored"}},
 		{"failover", []string{"-workers", "9", "-seed", "7", "-drop", "0.1", "-fault", "0.05"},
 			[]string{"victim: shard 0 (home of [load-test]), killed once 3 workers", "fault: kill shard 0's primary, promote its standby to epoch 2",

@@ -26,7 +26,6 @@
 package guard
 
 import (
-	"errors"
 	"sync/atomic"
 	"time"
 
@@ -37,11 +36,6 @@ import (
 // request; the rate limiter keys its token buckets on it. Requests without
 // the header are keyed by remote address.
 const WorkerIDHeader = "X-Kscope-Worker"
-
-// ErrUnavailable is returned by degraded-mode serving when the breaker is
-// open and no cached copy of the requested data exists. HTTP surfaces map
-// it to 503 + Retry-After.
-var ErrUnavailable = errors.New("guard: store unavailable and no cached copy")
 
 // Class partitions requests for admission control. Each class has its own
 // concurrency limit and wait queue, sized for its cost.

@@ -87,46 +87,15 @@ type batchState struct {
 func (s *Server) handleSessionBatch(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	testID := r.PathValue("id")
-
-	// Like the single-session endpoint, a batch is an uncacheable store
-	// write: with the breaker refusing work, shed before burning decode CPU.
-	var breakerDone func(guard.Outcome)
-	if s.guard != nil {
-		var ok bool
-		breakerDone, ok = s.guard.Breaker().Allow()
-		if !ok {
-			s.writeUnavailable(w, "session storage")
-			return
-		}
-	}
-	reported := false
-	report := func(o guard.Outcome) {
-		if breakerDone != nil && !reported {
-			reported = true
-			breakerDone(o)
-		}
-	}
-	defer report(guard.Canceled)
-
-	entry, err := s.load(testID)
-	if err != nil {
-		if errors.Is(err, store.ErrNotFound) {
-			report(guard.Success)
-		} else {
-			report(guard.Failure)
-		}
-		writeLoadError(w, err)
+	g, ok := s.admitWrite(w, "session storage")
+	if !ok {
 		return
 	}
-
-	// Same concluded-test semantics as the single endpoint: once the
-	// sequential engine has decided, a whole batch is acknowledged with
-	// 200 + X-Kscope-Concluded and nothing is stored. (A decision that
-	// latches mid-batch does not abort the stream: elements already
-	// validated commit normally, and the *next* request sees the header.)
-	if d := s.folds.decision(testID); d != nil {
-		report(guard.Success)
-		s.concludedUpload(w, testID, d)
+	defer g.report(guard.Canceled)
+	// A decision that latches mid-batch does not abort the stream: elements
+	// already validated commit normally, and the next request is concluded.
+	entry := g.load(w, testID)
+	if entry == nil {
 		return
 	}
 
@@ -153,7 +122,7 @@ func (s *Server) handleSessionBatch(w http.ResponseWriter, r *http.Request) {
 	st := &batchState{report: BatchReport{TestID: testID, Results: []BatchElementResult{}}}
 	// fail ends the request on a stream-level failure.
 	fail := func(status int, format string, args ...any) {
-		s.finishBatch(w, st, report, status, format, args...)
+		s.finishBatch(w, st, &g, status, format, args...)
 	}
 
 	switch c, err := sr.peek(); {
@@ -246,7 +215,7 @@ func (s *Server) handleSessionBatch(w http.ResponseWriter, r *http.Request) {
 		st.pendIdx = append(st.pendIdx, elem.Index)
 		st.notes = append(st.notes, note)
 		if len(st.pending) >= batchChunkSize {
-			if !s.flushBatch(w, st, report) {
+			if !s.flushBatch(w, st, &g) {
 				return
 			}
 		}
@@ -262,10 +231,10 @@ func (s *Server) handleSessionBatch(w http.ResponseWriter, r *http.Request) {
 		fail(http.StatusRequestTimeout, "client canceled request: %v", err)
 		return
 	}
-	if !s.flushBatch(w, st, report) {
+	if !s.flushBatch(w, st, &g) {
 		return
 	}
-	report(guard.Success)
+	g.report(guard.Success)
 	s.noteBatchMetrics(st)
 	writeJSON(w, http.StatusOK, &st.report)
 }
@@ -320,47 +289,25 @@ func (s *Server) buildSessionDoc(testID string, entry *testEntry, sr *sessionRea
 	}, nil
 }
 
-// flushBatch commits the pending chunk through one WAL group commit and
-// fills in the per-element statuses. It returns false after writing an
-// error response (storage fault), true otherwise.
-func (s *Server) flushBatch(w http.ResponseWriter, st *batchState, report func(guard.Outcome)) bool {
+// flushBatch commits the pending chunk through the gate's commit and fills
+// in the per-element statuses. It returns false once the gate has answered
+// a storage fault.
+func (s *Server) flushBatch(w http.ResponseWriter, st *batchState, g *writeGate) bool {
 	if len(st.pending) == 0 {
 		return true
 	}
-	_, errs := s.responses.InsertUniqueNoted(st.pending, st.notes)
 	st.flushes++
-	conflicts := false
+	errs, ok := g.commit(w, "storing batch", st.pending, st.notes)
+	if !ok {
+		return false
+	}
 	for i, err := range errs {
 		elem := &st.report.Results[st.pendIdx[i]]
-		switch {
-		case err == nil:
-			elem.Status = http.StatusCreated
-		case errors.Is(err, store.ErrDuplicateID):
-			conflicts = true
+		elem.Status = http.StatusCreated
+		if err != nil {
 			elem.Status = http.StatusConflict
 			elem.Error = fmt.Sprintf("worker %q already uploaded a session for this test", elem.WorkerID)
-		default:
-			// Infrastructure failure: like the single path, tell the client
-			// to retry the batch once the store has had a chance to recover.
-			report(guard.Failure)
-			if s.replWriteRefused(w, err) {
-				return false
-			}
-			if s.guard != nil {
-				writeShed(w, http.StatusServiceUnavailable, s.guard.RetryAfter(),
-					"storing batch failed: %v; retry after the indicated delay", err)
-			} else {
-				writeError(w, http.StatusInternalServerError, "storing batch: %v", err)
-			}
-			return false
 		}
-	}
-	// A 409 element acknowledges a record stored by an earlier attempt;
-	// like the single path, that ack may only go out once replication of
-	// everything local is confirmed.
-	if conflicts && !s.replAckBarrier(w) {
-		report(guard.Failure)
-		return false
 	}
 	st.pending = st.pending[:0]
 	st.pendIdx = st.pendIdx[:0]
@@ -371,8 +318,8 @@ func (s *Server) flushBatch(w http.ResponseWriter, st *batchState, report func(g
 // finishBatch handles a stream-level failure: commit whatever validated
 // before the failure (partial accept), then answer with the failure status
 // and the report of everything that was reached.
-func (s *Server) finishBatch(w http.ResponseWriter, st *batchState, report func(guard.Outcome), status int, format string, args ...any) {
-	if !s.flushBatch(w, st, report) {
+func (s *Server) finishBatch(w http.ResponseWriter, st *batchState, g *writeGate, status int, format string, args ...any) {
+	if !s.flushBatch(w, st, g) {
 		return
 	}
 	st.report.Error = fmt.Sprintf(format, args...)

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"kaleidoscope/internal/aggregator"
-	"kaleidoscope/internal/guard"
 	"kaleidoscope/internal/questionnaire"
 	"kaleidoscope/internal/store"
 )
@@ -54,7 +53,7 @@ func (s *Server) handleSessionBatchByDecoder(w http.ResponseWriter, r *http.Requ
 
 	st := &batchState{report: BatchReport{TestID: testID, Results: []BatchElementResult{}}}
 	fail := func(status int, format string, args ...any) {
-		s.finishBatch(w, st, func(guard.Outcome) {}, status, format, args...)
+		s.finishBatch(w, st, &writeGate{s: s}, status, format, args...)
 	}
 	dec := json.NewDecoder(body)
 	tok, err := dec.Token()
@@ -106,7 +105,7 @@ func (s *Server) handleSessionBatchByDecoder(w http.ResponseWriter, r *http.Requ
 		st.pendIdx = append(st.pendIdx, elem.Index)
 		st.notes = append(st.notes, (*foldNote)(nil))
 		if len(st.pending) >= batchChunkSize {
-			if !s.flushBatch(w, st, func(guard.Outcome) {}) {
+			if !s.flushBatch(w, st, &writeGate{s: s}) {
 				return
 			}
 		}
@@ -119,7 +118,7 @@ func (s *Server) handleSessionBatchByDecoder(w http.ResponseWriter, r *http.Requ
 		fail(http.StatusBadRequest, "batch body: %v", err)
 		return
 	}
-	if !s.flushBatch(w, st, func(guard.Outcome) {}) {
+	if !s.flushBatch(w, st, &writeGate{s: s}) {
 		return
 	}
 	s.noteBatchMetrics(st)

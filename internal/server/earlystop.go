@@ -1,11 +1,5 @@
 package server
 
-import (
-	"net/http"
-
-	"kaleidoscope/internal/earlystop"
-)
-
 // ConcludedHeader marks responses for tests the sequential engine has
 // already decided: an upload for a concluded test is acknowledged with
 // 200 (not 201) plus this header set to "1", and nothing is stored — the
@@ -29,16 +23,4 @@ type EarlyStopConfig struct {
 // unless the option is given.
 func WithEarlyStop(cfg EarlyStopConfig) Option {
 	return func(s *Server) { s.folds.early = &cfg }
-}
-
-// concludedUpload answers an upload (single or batch) for a decided test:
-// 200 + X-Kscope-Concluded: 1 with the decision payload, nothing stored.
-func (s *Server) concludedUpload(w http.ResponseWriter, testID string, d *earlystop.Decision) {
-	s.folds.rejects.Add(1)
-	w.Header().Set(ConcludedHeader, "1")
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status":   "concluded",
-		"test_id":  testID,
-		"decision": d,
-	})
 }

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"time"
 
-	"kaleidoscope/internal/aggregator"
 	"kaleidoscope/internal/guard"
 	"kaleidoscope/internal/store"
 )
@@ -38,9 +37,9 @@ func classifyRequest(r *http.Request) (guard.Class, bool) {
 		return 0, false
 	}
 	switch {
-	case r.Method == http.MethodPost || r.Method == http.MethodDelete:
-		// Deletes are store writes like uploads; admitting them through the
-		// read class would let a churn-heavy campaign starve real reads.
+	case isWrite(r):
+		// Admitting deletes through the read class would let a churn-heavy
+		// campaign starve real reads.
 		return guard.ClassUpload, true
 	case strings.HasSuffix(p, "/results"):
 		return guard.ClassResults, true
@@ -122,44 +121,152 @@ func (s *Server) writeUnavailable(w http.ResponseWriter, what string) {
 		"%s unavailable: storage degraded, retry after the indicated delay", what)
 }
 
-// loadServing is the handlers' guarded test-metadata load. It returns the
-// entry plus a degraded flag: true means the breaker is open and the entry
-// (when non-nil) came from cache rather than a fresh store read. With the
-// breaker open and nothing cached it returns guard.ErrUnavailable.
-func (s *Server) loadServing(testID string) (*testEntry, bool, error) {
+// loadServing is the read handlers' guarded test-metadata load. It returns
+// the entry plus a degraded flag: true means the breaker is open and the
+// entry came from cache rather than a fresh store read. It returns nil once
+// it has answered: the load error, or 503 for what with the breaker open
+// and nothing cached.
+func (s *Server) loadServing(w http.ResponseWriter, testID, what string) (*testEntry, bool) {
 	if s.guard == nil {
 		entry, err := s.load(testID)
-		return entry, false, err
+		if err != nil {
+			writeLoadError(w, err)
+		}
+		return entry, false
 	}
 	if entry, ok := s.cache.test(testID); ok {
 		// Cache hits never touch the store; the degraded flag still marks
 		// responses produced while the breaker is open so clients and
 		// operators can see the server is coasting on cached state.
-		return entry, s.breakerOpen(), nil
+		return entry, s.breakerOpen()
 	}
 	done, ok := s.guard.Breaker().Allow()
 	if !ok {
 		if entry, ok := s.cache.staleTest(testID); ok {
-			return entry, true, nil
+			return entry, true
 		}
-		return nil, true, guard.ErrUnavailable
+		s.writeUnavailable(w, what)
+		return nil, true
 	}
-	gen := s.cache.gen(testID)
-	prep, err := aggregator.LoadPrepared(s.db, testID)
+	entry, err := s.loadStored(testID)
+	done(loadOutcome(err))
 	if err != nil {
-		// Not-found is a clean answer from a healthy store; anything else
-		// (corruption, I/O trouble) is breaker-relevant.
-		if errors.Is(err, store.ErrNotFound) {
-			done(guard.Success)
-		} else {
-			done(guard.Failure)
-		}
-		return nil, false, err
+		writeLoadError(w, err)
 	}
-	done(guard.Success)
-	entry := newTestEntry(prep)
-	s.cache.putTest(testID, gen, entry)
-	return entry, false, nil
+	return entry, false
+}
+
+// loadOutcome judges a test load for the breaker: not-found is a clean
+// answer from a healthy store; anything else (corruption, I/O trouble) is a
+// store fault.
+func loadOutcome(err error) guard.Outcome {
+	if err != nil && !errors.Is(err, store.ErrNotFound) {
+		return guard.Failure
+	}
+	return guard.Success
+}
+
+// isWrite reports whether a request is a store write — a session upload, a
+// batch, a test delete. Writes are admitted in the upload class and refused
+// outright on a fenced node.
+func isWrite(r *http.Request) bool {
+	return r.Method == http.MethodPost || r.Method == http.MethodDelete
+}
+
+// writeGate is one store write's passage through the node's write protocol
+// (DESIGN.md §6e). A handler holds it as a value and defers
+// report(guard.Canceled).
+type writeGate struct {
+	s    *Server
+	done func(guard.Outcome) // the breaker's, until reported; nil unguarded
+}
+
+// admitWrite asks the store breaker for a write. A write is uncacheable, so
+// a refusal answers 503 + Retry-After for what before any body is read; a
+// half-open breaker admits the write as its recovery probe.
+func (s *Server) admitWrite(w http.ResponseWriter, what string) (writeGate, bool) {
+	g := writeGate{s: s}
+	if s.guard == nil {
+		return g, true
+	}
+	done, ok := s.guard.Breaker().Allow()
+	if !ok {
+		s.writeUnavailable(w, what)
+	}
+	g.done = done
+	return g, ok
+}
+
+// report hands the write's outcome to the breaker, the first time only. A
+// request that bails before the store reports Canceled, which frees a probe
+// slot without judging store health.
+func (g *writeGate) report(o guard.Outcome) {
+	if g.done != nil {
+		g.done(o)
+		g.done = nil
+	}
+}
+
+// load loads the test an upload is for: 404 or 500 as the load fails, judged
+// by loadOutcome. A test the sequential engine has decided spends no more
+// crowd: 200 + X-Kscope-Concluded, nothing stored. It returns nil once it
+// has answered.
+func (g *writeGate) load(w http.ResponseWriter, testID string) *testEntry {
+	entry, err := g.s.load(testID)
+	if err != nil {
+		g.report(loadOutcome(err))
+		writeLoadError(w, err)
+		return nil
+	}
+	if d := g.s.folds.decision(testID); d != nil {
+		g.report(guard.Success)
+		g.s.folds.rejects.Add(1)
+		w.Header().Set(ConcludedHeader, "1")
+		writeJSON(w, http.StatusOK, map[string]any{"status": "concluded", "test_id": testID, "decision": d})
+		return nil
+	}
+	return entry
+}
+
+// fail answers a failed store write: Failure for the breaker, then the
+// failover answer on a fenced node, 503 + Retry-After with the guard on (an
+// outage the breaker will judge, not a terminal error), 500 without.
+func (g *writeGate) fail(w http.ResponseWriter, what string, err error) {
+	g.report(guard.Failure)
+	switch {
+	case g.s.replWriteRefused(w, err):
+	case g.s.guard != nil:
+		writeShed(w, http.StatusServiceUnavailable, g.s.guard.RetryAfter(),
+			"%s failed: %v; retry after the indicated delay", what, err)
+	default:
+		writeError(w, http.StatusInternalServerError, "%s: %v", what, err)
+	}
+}
+
+// commit is the session commit under both upload endpoints: docs and their
+// fold notes in one WAL group commit. A duplicate acknowledges a record an
+// earlier attempt stored, maybe unreplicated, so it waits on the
+// replication barrier; any other error is the gate's failure answer. It
+// returns each document's error, nil or store.ErrDuplicateID, and false once
+// it has answered.
+func (g *writeGate) commit(w http.ResponseWriter, what string, docs []store.Document, notes []any) ([]error, bool) {
+	_, errs := g.s.responses.InsertUniqueNoted(docs, notes)
+	dup := false
+	for _, err := range errs {
+		switch {
+		case err == nil:
+		case errors.Is(err, store.ErrDuplicateID):
+			dup = true
+		default:
+			g.fail(w, what, err)
+			return nil, false
+		}
+	}
+	if dup && !g.s.replAckBarrier(w) {
+		g.report(guard.Failure)
+		return nil, false
+	}
+	return errs, true
 }
 
 // handleReady serves GET /readyz: 200 while the server can do real work,

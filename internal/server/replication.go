@@ -108,7 +108,7 @@ func (s *Server) replPreamble(w http.ResponseWriter, r *http.Request) bool {
 		return true
 	}
 	w.Header().Set(EpochHeader, strconv.FormatUint(s.repl.Epoch(), 10))
-	if s.repl.Fenced() && r.Method == http.MethodPost && strings.HasPrefix(r.URL.Path, "/api/") {
+	if s.repl.Fenced() && isWrite(r) && strings.HasPrefix(r.URL.Path, "/api/") {
 		// A fenced primary must not take writes: they could never be
 		// acknowledged (the follower refuses its epoch) and accepting
 		// them would fork history against the promoted node. Reads stay

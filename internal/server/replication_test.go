@@ -6,6 +6,9 @@ import (
 	"math/rand"
 	"net/http"
 	"testing"
+	"time"
+
+	"kaleidoscope/internal/guard"
 )
 
 // fakeRepl is a scriptable ReplicationStatus.
@@ -47,25 +50,40 @@ func TestStaticEpochOption(t *testing.T) {
 	}
 }
 
+// TestFencedNodeRefusesWrites: every store write — an upload and a delete
+// alike — is refused on a fenced node before it reaches the store or the
+// breaker, and reads stay available.
 func TestFencedNodeRefusesWrites(t *testing.T) {
-	repl := &fakeRepl{epoch: 1, fenced: true, state: "fenced"}
-	srv, prep := prepTest(t, WithReplication(repl, 0))
-	up := randomUpload(prep, "w1", rand.New(rand.NewSource(1)))
-	payload, _ := json.Marshal(up)
-	rec := doJSON(t, srv, http.MethodPost, "/api/tests/srv-test/sessions", payload, nil)
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("fenced write = %d, want 503", rec.Code)
-	}
-	if rec.Header().Get(FencedHeader) != "1" {
-		t.Error("fenced rejection must carry the fenced marker")
-	}
-	if rec.Header().Get("Retry-After") == "" {
-		t.Error("fenced rejection must carry Retry-After")
-	}
-	// Reads stay available: stale but honest.
-	rec = doJSON(t, srv, http.MethodGet, "/api/tests/srv-test", nil, nil)
-	if rec.Code != http.StatusOK {
-		t.Errorf("fenced read = %d, want 200", rec.Code)
+	for _, method := range []string{http.MethodPost, http.MethodDelete} {
+		t.Run(method, func(t *testing.T) {
+			repl := &fakeRepl{epoch: 1, fenced: true, state: "fenced"}
+			g := guard.New(guard.Config{BreakerThreshold: 1, BreakerCooldown: time.Minute})
+			srv, prep := prepTest(t, WithReplication(repl, 0), WithGuard(g))
+			path, payload := "/api/tests/srv-test", []byte(nil)
+			if method == http.MethodPost {
+				up := randomUpload(prep, "w1", rand.New(rand.NewSource(1)))
+				path += "/sessions"
+				payload, _ = json.Marshal(up)
+			}
+			rec := doJSON(t, srv, method, path, payload, nil)
+			if rec.Code != http.StatusServiceUnavailable {
+				t.Fatalf("fenced write = %d, want 503: %s", rec.Code, rec.Body.String())
+			}
+			if rec.Header().Get(FencedHeader) != "1" {
+				t.Error("fenced rejection must carry the fenced marker")
+			}
+			if rec.Header().Get("Retry-After") == "" {
+				t.Error("fenced rejection must carry Retry-After")
+			}
+			if got := g.Breaker().State(); got != guard.StateClosed {
+				t.Errorf("breaker after a fenced write = %v, want closed", got)
+			}
+			// Reads stay available: stale but honest.
+			rec = doJSON(t, srv, http.MethodGet, "/api/tests/srv-test", nil, nil)
+			if rec.Code != http.StatusOK {
+				t.Errorf("fenced read = %d, want 200", rec.Code)
+			}
+		})
 	}
 }
 

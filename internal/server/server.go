@@ -312,6 +312,11 @@ func (s *Server) load(testID string) (*testEntry, error) {
 	if entry, ok := s.cache.test(testID); ok {
 		return entry, nil
 	}
+	return s.loadStored(testID)
+}
+
+// loadStored is load's miss: the entry assembled from storage and cached.
+func (s *Server) loadStored(testID string) (*testEntry, error) {
 	gen := s.cache.gen(testID)
 	prep, err := aggregator.LoadPrepared(s.db, testID)
 	if err != nil {
@@ -369,20 +374,13 @@ func docStringField(d store.Document, key string) string {
 }
 
 func (s *Server) handleTestInfo(w http.ResponseWriter, r *http.Request) {
-	entry, degraded, err := s.loadServing(r.PathValue("id"))
-	if err != nil {
-		if errors.Is(err, guard.ErrUnavailable) {
-			s.writeUnavailable(w, "test info")
-			return
-		}
-		writeLoadError(w, err)
-		return
-	}
-	if degraded {
+	switch entry, degraded := s.loadServing(w, r.PathValue("id"), "test info"); {
+	case entry == nil:
+	case degraded:
 		s.serveDegraded(w, entry.info)
-		return
+	default:
+		writeJSON(w, http.StatusOK, entry.info)
 	}
-	writeJSON(w, http.StatusOK, entry.info)
 }
 
 // Task is the posting payload for a crowdsourcing platform.
@@ -397,13 +395,8 @@ type Task struct {
 
 func (s *Server) handleTask(w http.ResponseWriter, r *http.Request) {
 	testID := r.PathValue("id")
-	entry, degraded, err := s.loadServing(testID)
-	if err != nil {
-		if errors.Is(err, guard.ErrUnavailable) {
-			s.writeUnavailable(w, "task payload")
-			return
-		}
-		writeLoadError(w, err)
+	entry, degraded := s.loadServing(w, testID, "task payload")
+	if entry == nil {
 		return
 	}
 	task := Task{
@@ -536,57 +529,26 @@ func (u *SessionUpload) validate(testID string, pages map[string]*PageView) erro
 	return nil
 }
 
+// handleSessionUpload stores one session through the write gate (DESIGN.md
+// §6e) and the batch's commit; what is its own is the 1 MiB body, the
+// one-object decode and the one element's answer, 201 or 409.
 func (s *Server) handleSessionUpload(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	testID := r.PathValue("id")
-
-	// A session upload is an uncacheable store write: with the breaker
-	// refusing work there is nothing degraded to serve, so answer 503 +
-	// Retry-After before burning any decode/validate CPU. When the breaker
-	// half-opens, the winning upload proceeds as the recovery probe.
-	var breakerDone func(guard.Outcome)
-	if s.guard != nil {
-		var ok bool
-		breakerDone, ok = s.guard.Breaker().Allow()
-		if !ok {
-			s.writeUnavailable(w, "session storage")
-			return
-		}
-	}
-	// report forwards the store outcome to the breaker exactly once;
-	// requests that bail before reaching the store report Canceled, which
-	// frees a probe slot without claiming anything about store health.
-	reported := false
-	report := func(o guard.Outcome) {
-		if breakerDone != nil && !reported {
-			reported = true
-			breakerDone(o)
-		}
-	}
-	defer report(guard.Canceled)
-
-	entry, err := s.load(testID)
-	if err != nil {
-		if errors.Is(err, store.ErrNotFound) {
-			report(guard.Success)
-		} else {
-			report(guard.Failure)
-		}
-		writeLoadError(w, err)
+	g, ok := s.admitWrite(w, "session storage")
+	if !ok {
 		return
 	}
-	// A decided test spends no more crowd: acknowledge without storing so
-	// in-flight workers finish cleanly, and tell them why.
-	if d := s.folds.decision(testID); d != nil {
-		report(guard.Success)
-		s.concludedUpload(w, testID, d)
+	defer g.report(guard.Canceled)
+	entry := g.load(w, testID)
+	if entry == nil {
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, maxSessionBytes)
 	sr := acquireSessionReader(r.Body)
 	defer s.releaseSessionReader(sr)
 	upload := &sr.upload
-	_, err = sr.peek()
+	_, err := sr.peek()
 	if err == nil {
 		_, err = sr.decode()
 	}
@@ -628,34 +590,16 @@ func (s *Server) handleSessionUpload(w http.ResponseWriter, r *http.Request) {
 	if s.folds.feeding(testID, entry) {
 		note = &foldNote{entry: entry, feats: entry.reduce(upload)}
 	}
-	_, errs := s.responses.InsertUniqueNoted([]store.Document{doc}, []any{note})
-	if err := errs[0]; err != nil {
-		if errors.Is(err, store.ErrDuplicateID) {
-			if !s.replAckBarrier(w) {
-				report(guard.Failure)
-				return
-			}
-			report(guard.Success)
-			writeError(w, http.StatusConflict,
-				"worker %q already uploaded a session for test %q", upload.WorkerID, testID)
-			return
-		}
-		report(guard.Failure)
-		if s.replWriteRefused(w, err) {
-			return
-		}
-		if s.guard != nil {
-			// With the guard on, a failed store write is a transient
-			// outage, not a terminal server error: tell the client to
-			// retry once the breaker has had a chance to recover.
-			writeShed(w, http.StatusServiceUnavailable, s.guard.RetryAfter(),
-				"storing session failed: %v; retry after the indicated delay", err)
-			return
-		}
-		writeError(w, http.StatusInternalServerError, "storing session: %v", err)
+	errs, ok := g.commit(w, "storing session", []store.Document{doc}, []any{note})
+	if !ok {
 		return
 	}
-	report(guard.Success)
+	g.report(guard.Success)
+	if errs[0] != nil {
+		writeError(w, http.StatusConflict,
+			"worker %q already uploaded a session for test %q", upload.WorkerID, testID)
+		return
+	}
 	writeJSON(w, http.StatusCreated, map[string]string{"status": "stored", "worker_id": upload.WorkerID})
 }
 
@@ -673,40 +617,14 @@ func (s *Server) handleSessionUpload(w http.ResponseWriter, r *http.Request) {
 // success.
 func (s *Server) handleTestDelete(w http.ResponseWriter, r *http.Request) {
 	testID := r.PathValue("id")
-
-	// Deletes are uncacheable store writes, exactly like uploads: with the
-	// breaker refusing work there is nothing useful to do, and a successful
-	// sweep is evidence of store health.
-	var breakerDone func(guard.Outcome)
-	if s.guard != nil {
-		var ok bool
-		breakerDone, ok = s.guard.Breaker().Allow()
-		if !ok {
-			s.writeUnavailable(w, "test deletion")
-			return
-		}
+	// A delete is a store write like an upload (DESIGN.md §6e), and a
+	// successful sweep is evidence of store health.
+	g, ok := s.admitWrite(w, "test deletion")
+	if !ok {
+		return
 	}
-	reported := false
-	report := func(o guard.Outcome) {
-		if breakerDone != nil && !reported {
-			reported = true
-			breakerDone(o)
-		}
-	}
-	defer report(guard.Canceled)
-
-	fail := func(err error) {
-		report(guard.Failure)
-		if s.replWriteRefused(w, err) {
-			return
-		}
-		if s.guard != nil {
-			writeShed(w, http.StatusServiceUnavailable, s.guard.RetryAfter(),
-				"deleting test failed: %v; retry after the indicated delay", err)
-			return
-		}
-		writeError(w, http.StatusInternalServerError, "deleting test %q: %v", testID, err)
-	}
+	defer g.report(guard.Canceled)
+	fail := func(err error) { g.fail(w, fmt.Sprintf("deleting test %q", testID), err) }
 
 	tests := s.db.Collection(aggregator.TestsCollection)
 	hadDoc := false
@@ -721,24 +639,18 @@ func (s *Server) handleTestDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	npages := 0
-	pages := s.db.Collection(aggregator.PagesCollection)
-	for _, doc := range pages.FindEq("test_id", testID) {
-		if err := pages.Delete(doc.ID()); err != nil {
-			fail(err)
-			return
+	var swept [2]int // page documents, then sessions
+	for i, name := range []string{aggregator.PagesCollection, aggregator.ResponsesCollection} {
+		coll := s.db.Collection(name)
+		for _, doc := range coll.FindEq("test_id", testID) {
+			if err := coll.Delete(doc.ID()); err != nil {
+				fail(err)
+				return
+			}
+			swept[i]++
 		}
-		npages++
 	}
-	nsessions := 0
-	responses := s.db.Collection(aggregator.ResponsesCollection)
-	for _, doc := range responses.FindEq("test_id", testID) {
-		if err := responses.Delete(doc.ID()); err != nil {
-			fail(err)
-			return
-		}
-		nsessions++
-	}
+	npages, nsessions := swept[0], swept[1]
 	nblobs, err := s.blobs.DeletePrefix(testID + "/")
 	if err != nil {
 		fail(err)
@@ -752,7 +664,7 @@ func (s *Server) handleTestDelete(w http.ResponseWriter, r *http.Request) {
 	// is created again.
 	s.cache.purgeTest(testID)
 	s.folds.purge(testID)
-	report(guard.Success)
+	g.report(guard.Success)
 
 	if !hadDoc && npages == 0 && nsessions == 0 && nblobs == 0 {
 		writeError(w, http.StatusNotFound, "no such test %q", testID)
@@ -819,13 +731,8 @@ func (s *Server) Sessions(testID string) ([]SessionUpload, error) {
 // sessions, which a shard router merges across the fleet.
 func (s *Server) handleSessionList(w http.ResponseWriter, r *http.Request) {
 	testID := r.PathValue("id")
-	_, degraded, err := s.loadServing(testID)
-	if err != nil {
-		if errors.Is(err, guard.ErrUnavailable) {
-			s.writeUnavailable(w, "session list")
-			return
-		}
-		writeLoadError(w, err)
+	entry, degraded := s.loadServing(w, testID, "session list")
+	if entry == nil {
 		return
 	}
 	if degraded {
@@ -1059,13 +966,8 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 // no storage, and has nothing to offer for a lazy one.
 func (s *Server) handleFold(w http.ResponseWriter, r *http.Request) {
 	testID := r.PathValue("id")
-	entry, degraded, err := s.loadServing(testID)
-	if err != nil {
-		if errors.Is(err, guard.ErrUnavailable) {
-			s.writeUnavailable(w, "fold state")
-			return
-		}
-		writeLoadError(w, err)
+	entry, degraded := s.loadServing(w, testID, "fold state")
+	if entry == nil {
 		return
 	}
 	fs, err := s.folds.state(testID, entry, !degraded)

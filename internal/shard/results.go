@@ -76,71 +76,31 @@ func (rt *Router) handleResults(w http.ResponseWriter, r *http.Request, testID s
 }
 
 func (rt *Router) resultsRaw(w http.ResponseWriter, r *http.Request, testID string) {
-	path := "/api/tests/" + testID + "/results"
-	fans := rt.fanOut(r.Context(), http.MethodGet, path, r.Header, nil)
-
 	var merged *server.Results
 	pageIdx := map[string]int{}
-	var down, notFound, ok int
-	degraded := false
-	var lastErr error
-	var passThrough *failover.Response
-	for _, f := range fans {
-		switch {
-		case f.err != nil:
-			down++
-			lastErr = f.err
-		case f.up.Status == http.StatusNotFound:
-			notFound++
-			passThrough = f.up
-		case f.up.Status != http.StatusOK:
-			// A shard that answered but could not conclude (degraded 503
-			// with nothing cached, mid-delete 500) counts as missing, not
-			// fatal: the surviving shards still serve a partial snapshot.
-			down++
-			lastErr = fmt.Errorf("shard answered status %d", f.up.Status)
-			passThrough = f.up
-		default:
-			var res server.Results
-			if err := json.Unmarshal(f.up.Body, &res); err != nil {
-				down++
-				lastErr = fmt.Errorf("corrupt shard results: %w", err)
-				continue
+	g := rt.gather(r, "/api/tests/"+testID+"/results", func(body []byte) error {
+		var res server.Results
+		if err := json.Unmarshal(body, &res); err != nil {
+			return err
+		}
+		if merged == nil {
+			merged = &res
+			for i, p := range res.Pages {
+				pageIdx[p.PageID] = i
 			}
-			ok++
-			if f.up.Header.Get(server.DegradedHeader) == "1" {
-				degraded = true
-			}
-			if merged == nil {
-				merged = &res
-				for i, p := range res.Pages {
-					pageIdx[p.PageID] = i
-				}
-				continue
-			}
-			merged.Workers += res.Workers
-			for _, p := range res.Pages {
-				if i, okIdx := pageIdx[p.PageID]; okIdx {
-					merged.Pages[i].Tally.Left += p.Tally.Left
-					merged.Pages[i].Tally.Right += p.Tally.Right
-					merged.Pages[i].Tally.Same += p.Tally.Same
-				}
+			return nil
+		}
+		merged.Workers += res.Workers
+		for _, p := range res.Pages {
+			if i, ok := pageIdx[p.PageID]; ok {
+				merged.Pages[i].Tally.Left += p.Tally.Left
+				merged.Pages[i].Tally.Right += p.Tally.Right
+				merged.Pages[i].Tally.Same += p.Tally.Same
 			}
 		}
-	}
-	switch {
-	case ok == 0 && notFound > 0:
-		// Every reachable shard says the test is gone.
-		rt.writeUpstream(w, passThrough)
-		return
-	case ok == 0 && passThrough != nil:
-		rt.writeUpstream(w, passThrough)
-		return
-	case ok == 0:
-		rt.writeUnreachable(w, "results", lastErr)
-		return
-	}
-	rt.finishGather(w, merged, down > 0, degraded)
+		return nil
+	})
+	rt.finishResults(w, g, func() any { return merged })
 }
 
 func (rt *Router) resultsQuality(w http.ResponseWriter, r *http.Request, testID string) {
@@ -156,11 +116,17 @@ func (rt *Router) resultsQuality(w http.ResponseWriter, r *http.Request, testID 
 		}
 		return merged.Merge(fs)
 	})
+	rt.finishResults(w, g, func() any { return merged.Conclude() })
+}
+
+// finishResults ends both results surfaces: the merged answer when a shard
+// contributed one; otherwise a 404 when a shard said the test is gone, else
+// a shard's refusal, else 503.
+func (rt *Router) finishResults(w http.ResponseWriter, g gathered, merged func() any) {
 	switch {
 	case g.merged > 0:
-		rt.finishGather(w, merged.Conclude(), g.partial, g.degraded)
+		rt.finishGather(w, merged(), g.partial, g.degraded)
 	case g.notFound != nil:
-		// Every shard that answered says the test is gone.
 		rt.writeUpstream(w, g.notFound)
 	case g.refused != nil:
 		rt.writeUpstream(w, g.refused)
