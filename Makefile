@@ -76,8 +76,9 @@ bench-aggregator:
 # the from-scratch oracle at 10k stored sessions, the batched upload under
 # its per-session allocation budget, and the replicated AckFollower upload
 # within 5x of the durable no-follower baseline — see that file's notes),
-# plus the router's quality-controlled results poll over in-process shards
-# and its split of one gzip batch of 100 over three stub shards, and the
+# plus the router's raw and quality-controlled results polls over in-process
+# shards, one shard's fold document decoded, and the router's split of one
+# gzip batch of 100 over three stub shards, and the
 # session codec and the WAL record codec beside encoding/json on one
 # session (microseconds, so at the default benchtime), and one 113 KB page
 # over loopback: from a node on either blob backend, through the router's
@@ -87,7 +88,8 @@ bench-server:
 		-benchmem -benchtime 10x ./internal/server/
 	$(GO) test -run '^$$' -bench 'Benchmark(DecodeSession|AppendSession)$$' -benchmem ./internal/server/
 	$(GO) test -run '^$$' -bench 'Benchmark(WALRecord|VerifyWALLine)$$' -benchmem ./internal/store/
-	$(GO) test -run '^$$' -bench 'BenchmarkRouter(ResultsQC|BatchSplit)$$' -benchmem -benchtime 10x ./internal/shard/
+	$(GO) test -run '^$$' -bench 'BenchmarkRouter(ResultsQC|ResultsRaw|BatchSplit)$$' -benchmem -benchtime 10x ./internal/shard/
+	$(GO) test -run '^$$' -bench 'BenchmarkDecodeFoldState$$' -benchmem ./internal/shard/
 	$(GO) test -run '^$$' -bench 'BenchmarkPageServe$$' -benchmem ./internal/server/
 	$(GO) test -run '^$$' -bench 'BenchmarkRouterRelayPage$$' -benchmem ./internal/shard/
 	$(GO) test -run '^$$' -bench 'BenchmarkMiddleware$$' -benchmem ./internal/obs/

@@ -8,10 +8,10 @@
 package quality
 
 import (
-	"encoding/json"
-	"errors"
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"kaleidoscope/internal/questionnaire"
 	"kaleidoscope/internal/stats"
@@ -130,54 +130,28 @@ func (v *Votes) Merge(o *Votes) {
 	}
 }
 
-// voteRow is one question's counts on the wire.
-type voteRow struct {
-	PageID     string                       `json:"page_id"`
-	QuestionID string                       `json:"question_id"`
-	Counts     map[questionnaire.Choice]int `json:"counts"`
+// Compare orders question instances by page, then by question id: the
+// order Rows visits them in.
+func (r QuestionRef) Compare(o QuestionRef) int {
+	return cmp.Or(strings.Compare(r.PageID, o.PageID), strings.Compare(r.QuestionID, o.QuestionID))
 }
 
-func (r voteRow) before(o voteRow) bool {
-	if r.PageID != o.PageID {
-		return r.PageID < o.PageID
+// Rows calls row for every question with counts, in Compare order, so equal
+// accumulators are visited alike. counts is the accumulator's own.
+func (v *Votes) Rows(row func(q QuestionRef, counts map[questionnaire.Choice]int)) {
+	refs := make([]QuestionRef, 0, len(v.counts))
+	for q := range v.counts {
+		refs = append(refs, q)
 	}
-	return r.QuestionID < o.QuestionID
+	slices.SortFunc(refs, QuestionRef.Compare)
+	for _, q := range refs {
+		row(q, v.counts[q])
+	}
 }
 
-// MarshalJSON writes the counts as rows sorted by question, so equal
-// accumulators encode to equal bytes.
-func (v *Votes) MarshalJSON() ([]byte, error) {
-	rows := make([]voteRow, 0, len(v.counts))
-	for k, m := range v.counts {
-		rows = append(rows, voteRow{PageID: k.PageID, QuestionID: k.QuestionID, Counts: m})
-	}
-	sort.Slice(rows, func(a, b int) bool { return rows[a].before(rows[b]) })
-	return json.Marshal(rows)
-}
-
-// UnmarshalJSON reads what MarshalJSON wrote and nothing looser: a repeated
-// or out-of-order question, or a negative count, is refused.
-func (v *Votes) UnmarshalJSON(data []byte) error {
-	var rows []voteRow
-	if err := json.Unmarshal(data, &rows); err != nil {
-		return err
-	}
-	v.counts = make(map[QuestionRef]map[questionnaire.Choice]int, len(rows))
-	for i, r := range rows {
-		if i > 0 && !rows[i-1].before(r) {
-			return errors.New("quality: vote rows repeated or out of order")
-		}
-		for _, n := range r.Counts {
-			if n < 0 {
-				return errors.New("quality: negative vote count")
-			}
-		}
-		if r.Counts == nil {
-			r.Counts = map[questionnaire.Choice]int{}
-		}
-		v.counts[QuestionRef{PageID: r.PageID, QuestionID: r.QuestionID}] = r.Counts
-	}
-	return nil
+// SetRow makes counts, which v keeps, question q's counts.
+func (v *Votes) SetRow(q QuestionRef, counts map[questionnaire.Choice]int) {
+	v.counts[q] = counts
 }
 
 // Majority computes the per-question pseudo-ground truth from the

@@ -1,8 +1,8 @@
 package quality
 
 import (
-	"encoding/json"
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -94,7 +94,7 @@ func TestIncrementalMatchesFilterProperty(t *testing.T) {
 
 // TestSplitBatteryMatchesFilter: the battery the way a fleet runs it — the
 // session-local rules where the session is, the votes summed from two
-// partitions that travelled as JSON, the crowd check only on the workers it
+// partitions that travelled as rows, the crowd check only on the workers it
 // can still fail — keeps exactly the workers Filter keeps.
 func TestSplitBatteryMatchesFilter(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
@@ -116,16 +116,18 @@ func TestSplitBatteryMatchesFilter(t *testing.T) {
 		}
 		whole := NewVotes()
 		for _, part := range parts {
-			wire, err := json.Marshal(part)
-			if err != nil {
-				t.Fatal(err)
-			}
-			back := NewVotes()
-			if err := json.Unmarshal(wire, back); err != nil {
-				t.Fatalf("trial %d: %v decoding %s", trial, err, wire)
-			}
-			if again, _ := json.Marshal(back); string(again) != string(wire) || !reflect.DeepEqual(back.Majority(1), part.Majority(1)) {
-				t.Fatalf("trial %d: votes changed on the wire: %s -> %s", trial, wire, again)
+			// The rows are what a fold document carries of the votes.
+			back, rows := NewVotes(), 0
+			var prev QuestionRef
+			part.Rows(func(q QuestionRef, counts map[questionnaire.Choice]int) {
+				if rows > 0 && prev.Compare(q) >= 0 {
+					t.Fatalf("trial %d: row %+v after %+v", trial, q, prev)
+				}
+				prev, rows = q, rows+1
+				back.SetRow(q, maps.Clone(counts))
+			})
+			if !reflect.DeepEqual(back, part) {
+				t.Fatalf("trial %d: votes changed through their rows: %+v -> %+v", trial, part, back)
 			}
 			whole.Merge(back)
 		}
@@ -147,20 +149,6 @@ func TestSplitBatteryMatchesFilter(t *testing.T) {
 			if passed != want[i].Passed {
 				t.Fatalf("trial %d (cfg %+v): split battery passes %s = %v, Filter says %+v", trial, cfg, s.WorkerID, passed, want[i])
 			}
-		}
-	}
-}
-
-// Votes off the wire are held to the shape MarshalJSON writes.
-func TestVotesUnmarshalRefuses(t *testing.T) {
-	for name, wire := range map[string]string{
-		"negative count": `[{"page_id":"p","question_id":"q0","counts":{"left":-1}}]`,
-		"repeated row":   `[{"page_id":"p","question_id":"q0","counts":{}},{"page_id":"p","question_id":"q0","counts":{}}]`,
-		"unsorted rows":  `[{"page_id":"p","question_id":"q1","counts":{}},{"page_id":"p","question_id":"q0","counts":{}}]`,
-		"not rows":       `{"p":1}`,
-	} {
-		if err := json.Unmarshal([]byte(wire), NewVotes()); err == nil {
-			t.Errorf("%s accepted: %s", name, wire)
 		}
 	}
 }

@@ -135,6 +135,9 @@ func (s *sessionScanner) object(names []string, strs []*string, ints ...*int) {
 type sessionScanner struct {
 	b []byte
 	i int
+	// src, when set, is b as a string, and a plain string read is a view of
+	// it rather than an allocation of its own.
+	src string
 }
 
 // space skips whitespace and returns the byte it stops on, 0 at the end of b.
@@ -210,6 +213,9 @@ func (s *sessionScanner) str() string {
 		return ""
 	}
 	s.i = end
+	if plain && s.src != "" {
+		return s.src[open+1 : end-1]
+	}
 	if plain {
 		return string(s.b[open+1 : end-1])
 	}

@@ -4,7 +4,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
+	"strconv"
 
+	"kaleidoscope/internal/jsonscan"
 	"kaleidoscope/internal/quality"
 	"kaleidoscope/internal/questionnaire"
 )
@@ -26,25 +29,48 @@ import (
 // Sessions hash to shards by worker, so states of one test hold disjoint
 // workers and Merge is a sum; a single node is the merge of one state.
 type FoldState struct {
-	TestID string `json:"test_id"`
+	TestID string
 	// Sessions counts every stored session, passing or not.
-	Sessions int `json:"sessions"`
+	Sessions int
 	// Pages is the test's page spine; each tally counts the answers of the
 	// settled workers only.
-	Pages []PageResult   `json:"pages"`
-	Votes *quality.Votes `json:"votes"`
+	Pages []PageResult
+	Votes *quality.Votes
 	// Workers lists the workers that pass the session-local rules,
 	// ascending by id — the order a single node stores and reports them in.
-	Workers []string `json:"workers"`
+	Workers []string
 	// Awaiting repeats, ascending by id, the ones among Workers the
 	// crowd-wisdom check can still fail, with their answers.
-	Awaiting []FoldWorker `json:"awaiting,omitempty"`
+	Awaiting []FoldWorker
 }
 
 // FoldWorker is a locally passing worker awaiting the crowd-wisdom check.
 type FoldWorker struct {
 	ID      string                `json:"id"`
 	Answers []quality.ResponseKey `json:"answers"`
+}
+
+// foldDoc is a FoldState as its document lists it, the votes as rows in
+// quality.QuestionRef order: what encoding/json reads and writes by
+// reflection, and so the fold codec's authority.
+type foldDoc struct {
+	TestID   string       `json:"test_id"`
+	Sessions int          `json:"sessions"`
+	Pages    []PageResult `json:"pages"`
+	Votes    []voteRow    `json:"votes"`
+	Workers  []string     `json:"workers"`
+	Awaiting []FoldWorker `json:"awaiting,omitempty"`
+}
+
+// voteRow is one question's counts in a fold document.
+type voteRow struct {
+	PageID     string                       `json:"page_id"`
+	QuestionID string                       `json:"question_id"`
+	Counts     map[questionnaire.Choice]int `json:"counts"`
+}
+
+func (r *voteRow) ref() quality.QuestionRef {
+	return quality.QuestionRef{PageID: r.PageID, QuestionID: r.QuestionID}
 }
 
 // foldStateBuilder reduces a test's sessions, fed one worker at a time in
@@ -89,15 +115,36 @@ var crowdRules = quality.DefaultConfig(0)
 
 // DecodeFoldState parses a fold document from another node and checks what
 // Merge and Conclude rely on: counts are not negative, no more workers pass
-// than sessions exist, worker ids ascend strictly, and the awaiting ones are
-// among the passing.
+// than sessions exist, worker ids ascend strictly, the awaiting ones are
+// among the passing, and vote rows ascend by question.
 func DecodeFoldState(data []byte) (*FoldState, error) {
-	var fs FoldState
-	if err := json.Unmarshal(data, &fs); err != nil {
-		return nil, fmt.Errorf("server: fold state: %w", err)
+	var d foldDoc
+	if !d.scan(data) {
+		d = foldDoc{}
+		if err := json.Unmarshal(data, &d); err != nil {
+			return nil, fmt.Errorf("server: fold state: %w", err)
+		}
 	}
-	if fs.Votes == nil {
-		fs.Votes = quality.NewVotes()
+	return d.state()
+}
+
+// state checks a decoded document and makes it a FoldState.
+func (d *foldDoc) state() (*FoldState, error) {
+	fs := &FoldState{TestID: d.TestID, Sessions: d.Sessions, Pages: d.Pages, Votes: quality.NewVotes(), Workers: d.Workers, Awaiting: d.Awaiting}
+	for i, r := range d.Votes {
+		q := r.ref()
+		if i > 0 && d.Votes[i-1].ref().Compare(q) >= 0 {
+			return nil, fmt.Errorf("server: fold state: vote row %+v repeated or out of order", q)
+		}
+		for _, n := range r.Counts {
+			if n < 0 {
+				return nil, fmt.Errorf("server: fold state: negative vote count on %+v", q)
+			}
+		}
+		if r.Counts == nil {
+			r.Counts = map[questionnaire.Choice]int{}
+		}
+		fs.Votes.SetRow(q, r.Counts)
 	}
 	// An empty list is held the one way a node writes it, however the
 	// document spelled it: Merge keeps whichever side's it was handed, and
@@ -135,7 +182,7 @@ func DecodeFoldState(data []byte) (*FoldState, error) {
 		}
 		passing = passing[1:]
 	}
-	return &fs, nil
+	return fs, nil
 }
 
 // mergeAscending merges two lists that ascend strictly by id, refusing an id
@@ -231,4 +278,167 @@ func (fs *FoldState) Conclude() *Results {
 	res.Workers = len(kept)
 	res.DroppedWorkers = fs.Sessions - res.Workers
 	return res
+}
+
+// The fold codec, on the session codec's scanner: doc and append write
+// json.Marshal's bytes of the foldDoc; scan reads a document only where
+// json.Unmarshal could not read it differently (as decodeSession's fast path
+// does) and hands the rest to it. A vote row's counts are a map, whose keys
+// encoding/json neither folds nor keeps the first of: any plain key is a
+// choice and a repeated one overwrites. FuzzFoldStateDecode (internal/shard)
+// holds both halves to encoding/json, TestFoldCodecCoversEveryField every
+// struct under FoldState to the codec.
+
+// doc lists fs as its document does.
+func (fs *FoldState) doc() *foldDoc {
+	d := &foldDoc{TestID: fs.TestID, Sessions: fs.Sessions, Pages: fs.Pages, Workers: fs.Workers, Awaiting: fs.Awaiting}
+	if fs.Votes != nil {
+		d.Votes = []voteRow{}
+		fs.Votes.Rows(func(q quality.QuestionRef, counts map[questionnaire.Choice]int) {
+			d.Votes = append(d.Votes, voteRow{PageID: q.PageID, QuestionID: q.QuestionID, Counts: counts})
+		})
+	}
+	return d
+}
+
+// MarshalJSON writes fs's fold document.
+func (fs *FoldState) MarshalJSON() ([]byte, error) {
+	return fs.doc().append(nil), nil
+}
+
+// append appends the document: json.Marshal(d), byte for byte.
+func (d *foldDoc) append(dst []byte) []byte {
+	dst = jsonscan.AppendString(append(dst, `{"test_id":`...), d.TestID)
+	dst = strconv.AppendInt(append(dst, `,"sessions":`...), int64(d.Sessions), 10)
+	dst = appendArray(append(dst, `,"pages":`...), d.Pages, func(dst []byte, p *PageResult) []byte {
+		dst = jsonscan.AppendString(append(dst, `{"page_id":`...), p.PageID)
+		dst = jsonscan.AppendString(append(dst, `,"left":`...), p.LeftName)
+		dst = jsonscan.AppendString(append(dst, `,"right":`...), p.RightName)
+		dst = jsonscan.AppendString(append(dst, `,"kind":`...), string(p.Kind))
+		dst = strconv.AppendInt(append(dst, `,"tally":{"Left":`...), int64(p.Tally.Left), 10)
+		dst = strconv.AppendInt(append(dst, `,"Right":`...), int64(p.Tally.Right), 10)
+		dst = strconv.AppendInt(append(dst, `,"Same":`...), int64(p.Tally.Same), 10)
+		return append(dst, "}}"...)
+	})
+	dst = appendArray(append(dst, `,"votes":`...), d.Votes, func(dst []byte, r *voteRow) []byte {
+		dst = jsonscan.AppendString(append(dst, `{"page_id":`...), r.PageID)
+		dst = jsonscan.AppendString(append(dst, `,"question_id":`...), r.QuestionID)
+		if dst = append(dst, `,"counts":`...); r.Counts == nil {
+			return append(dst, "null}"...)
+		}
+		choices := make([]questionnaire.Choice, 0, len(r.Counts))
+		for c := range r.Counts {
+			choices = append(choices, c)
+		}
+		slices.Sort(choices) // as json.Marshal sorts a map's keys
+		dst = append(dst, '{')
+		for i, c := range choices {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = strconv.AppendInt(append(jsonscan.AppendString(dst, string(c)), ':'), int64(r.Counts[c]), 10)
+		}
+		return append(dst, "}}"...)
+	})
+	dst = appendArray(append(dst, `,"workers":`...), d.Workers, func(dst []byte, id *string) []byte {
+		return jsonscan.AppendString(dst, *id)
+	})
+	if len(d.Awaiting) > 0 {
+		dst = appendArray(append(dst, `,"awaiting":`...), d.Awaiting, func(dst []byte, w *FoldWorker) []byte {
+			dst = jsonscan.AppendString(append(dst, `{"id":`...), w.ID)
+			dst = appendArray(append(dst, `,"answers":`...), w.Answers, func(dst []byte, a *quality.ResponseKey) []byte {
+				dst = jsonscan.AppendString(append(dst, `{"p":`...), a.PageID)
+				dst = jsonscan.AppendString(append(dst, `,"q":`...), a.QuestionID)
+				dst = jsonscan.AppendString(append(dst, `,"c":`...), string(a.Choice))
+				return append(dst, '}')
+			})
+			return append(dst, '}')
+		})
+	}
+	return append(dst, '}')
+}
+
+var (
+	foldKeys   = []string{"test_id", "sessions", "pages", "votes", "workers", "awaiting"}
+	pageKeys   = []string{"page_id", "left", "right", "kind", "tally"}
+	tallyKeys  = []string{"Left", "Right", "Same"}
+	voteKeys   = []string{"page_id", "question_id", "counts"}
+	workerKeys = []string{"id", "answers"}
+	answerKeys = []string{"p", "q", "c"}
+)
+
+// scan is the fast path: one pass over b that checks grammar and fills d.
+// false means it met something it will not vouch for and d holds rubbish.
+// d's strings share one copy of b.
+func (d *foldDoc) scan(b []byte) bool {
+	s := sessionScanner{b: b, src: string(b)}
+	for seen := uint(0); ; {
+		switch s.field(foldKeys, &seen) {
+		case 0:
+			d.TestID = s.str()
+		case 1:
+			d.Sessions = s.num()
+		case 2:
+			for d.Pages = []PageResult{}; s.element(len(d.Pages)); {
+				p := grown(&d.Pages)
+				s.record(pageKeys, []*string{&p.PageID, &p.LeftName, &p.RightName, (*string)(&p.Kind)}, func() {
+					s.object(tallyKeys, nil, &p.Tally.Left, &p.Tally.Right, &p.Tally.Same)
+				})
+			}
+		case 3:
+			for d.Votes = []voteRow{}; s.element(len(d.Votes)); {
+				r := grown(&d.Votes)
+				s.record(voteKeys, []*string{&r.PageID, &r.QuestionID}, func() {
+					r.Counts = map[questionnaire.Choice]int{}
+					if s.space() != '{' {
+						s.fail()
+						return
+					}
+					end, _ := jsonscan.Members(s.b, s.i, 0, func(choice, count []byte, plain bool) {
+						n := sessionScanner{b: count}
+						if r.Counts[questionnaire.Choice(choice)] = n.num(); !plain || n.b == nil || n.i < len(count) {
+							s.fail()
+						}
+					})
+					if end < 0 {
+						s.fail()
+					} else {
+						s.i = end
+					}
+				})
+			}
+		case 4:
+			// A node writes sessions first, and no more workers pass.
+			for d.Workers = make([]string, 0, min(max(d.Sessions, 0), len(b)/3)); s.element(len(d.Workers)); {
+				*grown(&d.Workers) = s.str()
+			}
+		case 5:
+			for d.Awaiting = []FoldWorker{}; s.element(len(d.Awaiting)); {
+				w := grown(&d.Awaiting)
+				s.record(workerKeys, []*string{&w.ID}, func() {
+					for w.Answers = []quality.ResponseKey{}; s.element(len(w.Answers)); {
+						a := grown(&w.Answers)
+						s.object(answerKeys, []*string{&a.PageID, &a.QuestionID, (*string)(&a.Choice)})
+					}
+				})
+			}
+		default:
+			return s.b != nil && jsonscan.SkipSpace(b, s.i) == len(b)
+		}
+	}
+}
+
+// record reads an object whose members are strs' strings but for the last
+// of names, which rest reads.
+func (s *sessionScanner) record(names []string, strs []*string, rest func()) {
+	for seen := uint(0); ; {
+		switch k := s.field(names, &seen); {
+		case k < 0:
+			return
+		case k < len(strs):
+			*strs[k] = s.str()
+		default:
+			rest()
+		}
+	}
 }

@@ -5,18 +5,20 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"reflect"
 	"testing"
 	"time"
 
 	"kaleidoscope/internal/aggregator"
 	"kaleidoscope/internal/guard"
+	"kaleidoscope/internal/quality"
 	"kaleidoscope/internal/questionnaire"
 	"kaleidoscope/internal/store"
 )
 
-// foldDoc fetches the node's fold document and holds it to the decoder a
+// fetchFold fetches the node's fold document and holds it to the decoder a
 // router runs on it.
-func foldDoc(t *testing.T, srv *Server) ([]byte, *FoldState) {
+func fetchFold(t *testing.T, srv *Server) ([]byte, *FoldState) {
 	t.Helper()
 	rec := doJSON(t, srv, http.MethodGet, "/api/tests/srv-test/fold", nil, nil)
 	if rec.Code != http.StatusOK {
@@ -49,7 +51,7 @@ func TestFoldReadDoesNotPromote(t *testing.T) {
 		t.Fatalf("unengaged upload = %d", rec.Code)
 	}
 
-	lazy, fs := foldDoc(t, srv)
+	lazy, fs := fetchFold(t, srv)
 	if _, ok := srv.folds.tests.Load("srv-test"); ok {
 		t.Error("the fold read created fold state")
 	}
@@ -66,7 +68,7 @@ func TestFoldReadDoesNotPromote(t *testing.T) {
 	}
 
 	assertServedEqualsOracle(t, srv, "srv-test") // /results makes the state live
-	if live, _ := foldDoc(t, srv); !bytes.Equal(live, lazy) {
+	if live, _ := fetchFold(t, srv); !bytes.Equal(live, lazy) {
 		t.Errorf("live state serves\n%s\nstorage folded in passing served\n%s", live, lazy)
 	}
 	if r := srv.folds.rebuilds.Load(); r != 1 {
@@ -100,7 +102,7 @@ func TestFoldReadDegraded(t *testing.T) {
 		} else if rec := doJSON(t, srv, http.MethodGet, "/api/tests/srv-test", nil, nil); rec.Code != http.StatusOK {
 			t.Fatalf("test info: %d", rec.Code) // the entry is cached either way
 		}
-		healthy, _ := foldDoc(t, srv)
+		healthy, _ := fetchFold(t, srv)
 		tripBreaker(t, srv, prep, ffs, g)
 		scans := srv.responses.Stats()
 
@@ -212,5 +214,69 @@ func TestMergeEmptyPartitionsEitherOrder(t *testing.T) {
 				t.Errorf("%s and %s merge to\n%s\nor\n%s\nby the order", a, b, merged[0], merged[1])
 			}
 		}
+	}
+}
+
+// TestDecodeFoldStateRefuses: every check DecodeFoldState makes holds on
+// both of its paths — the scan's, and json.Unmarshal's, which a member no
+// field has in front of the document sends it down.
+func TestDecodeFoldStateRefuses(t *testing.T) {
+	for name, members := range map[string]string{
+		"negative vote count":         `"votes":[{"page_id":"p","question_id":"q0","counts":{"left":-1}}]`,
+		"repeated vote row":           `"votes":[{"page_id":"p","question_id":"q0","counts":{}},{"page_id":"p","question_id":"q0","counts":{}}]`,
+		"unsorted vote rows":          `"votes":[{"page_id":"p","question_id":"q1","counts":{}},{"page_id":"p","question_id":"q0","counts":{}}]`,
+		"votes that are not rows":     `"votes":{"p":1}`,
+		"negative session count":      `"sessions":-1`,
+		"more workers than sessions":  `"sessions":1,"workers":["a","b"]`,
+		"unsorted workers":            `"sessions":2,"workers":["b","a"]`,
+		"repeated worker":             `"sessions":2,"workers":["a","a"]`,
+		"negative tally":              `"pages":[{"page_id":"p","tally":{"Left":0,"Right":-1,"Same":0}}]`,
+		"awaiting worker not passing": `"sessions":1,"workers":["a"],"awaiting":[{"id":"b","answers":[]}]`,
+		"awaiting workers unsorted":   `"sessions":2,"workers":["a","b"],"awaiting":[{"id":"b","answers":[]},{"id":"a","answers":[]}]`,
+	} {
+		for _, doc := range []string{`{` + members + `}`, `{"~":0,` + members + `}`} {
+			if fs, err := DecodeFoldState([]byte(doc)); err == nil {
+				t.Errorf("%s accepted: %s -> %+v", name, doc, fs)
+			}
+		}
+	}
+}
+
+// TestFoldCodecCoversEveryField is the guard against the structs under
+// FoldState drifting from the fold codec: a field added to FoldState,
+// PageResult, questionnaire.Tally, FoldWorker or quality.ResponseKey and not
+// to foldstate.go is an unknown key to the scan (this test fails on ok), a
+// missing one in append's bytes (it fails on the bytes) or lost on the way
+// through (it fails on the state) — here, not as a router that silently
+// reads every document through encoding/json or merges a field away.
+func TestFoldCodecCoversEveryField(t *testing.T) {
+	var fs FoldState
+	v, next := reflect.ValueOf(&fs).Elem(), new(int)
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.Type() != reflect.TypeOf(fs.Votes) {
+			fillEveryField(t, f, next)
+		}
+	}
+	// What the checks need, and the votes, which only their rows can fill.
+	fs.Sessions, fs.Workers = 2, []string{"a", "b"}
+	fs.Awaiting[0].ID, fs.Awaiting[1].ID = "a", "b"
+	fs.Votes = quality.NewVotes()
+	fs.Votes.SetRow(quality.QuestionRef{PageID: "p", QuestionID: "q1"}, map[questionnaire.Choice]int{"same": 1, "left": 2})
+	fs.Votes.SetRow(quality.QuestionRef{PageID: "p", QuestionID: "q0"}, map[questionnaire.Choice]int{})
+	wire := mustMarshal(t, fs.doc())
+
+	if got := mustMarshal(t, &fs); !bytes.Equal(got, wire) {
+		t.Errorf("the fold codec writes\n%s\njson.Marshal writes\n%s", got, wire)
+	}
+	var d foldDoc
+	if !d.scan(wire) {
+		t.Fatalf("the scan refuses a fold document with every field set: %s", wire)
+	}
+	var slow foldDoc
+	if err := json.Unmarshal(wire, &slow); err != nil || !reflect.DeepEqual(d, slow) {
+		t.Errorf("the scan reads %+v\njson.Unmarshal reads %+v (%v)", d, slow, err)
+	}
+	if back, err := d.state(); err != nil || !reflect.DeepEqual(back, &fs) {
+		t.Errorf("decoded %+v (%v)\nwant %+v", back, err, &fs)
 	}
 }

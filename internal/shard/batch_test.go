@@ -75,6 +75,7 @@ var grammarEdges = []struct {
 	want       int
 }{
 	{"nested 10 001 deep", `{"worker_id":"deep","x":` + strings.Repeat("[", 10000) + strings.Repeat("]", 10000) + `}`, http.StatusBadRequest},
+	{"nested exactly 10 000 deep", `{"worker_id":"deep","x":` + strings.Repeat("[", 9999) + strings.Repeat("]", 9999) + `}`, http.StatusOK},
 	{"1e999, valid JSON and no float64", `{"worker_id":"big","x":1e999}`, http.StatusOK},
 	{"cut inside a \\u escape", `{"worker_id":"\u12`, http.StatusBadRequest},
 	{"a lone surrogate in worker_id", `{"worker_id":"\ud800"}`, http.StatusOK},

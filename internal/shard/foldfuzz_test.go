@@ -5,8 +5,12 @@ import (
 	"encoding/json"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
+	"kaleidoscope/internal/jsonscan"
+	"kaleidoscope/internal/quality"
+	"kaleidoscope/internal/questionnaire"
 	"kaleidoscope/internal/server"
 )
 
@@ -15,8 +19,11 @@ import (
 // has no negative count and strictly ascending worker ids, survives
 // encode/decode unchanged, and merges with another accepted state to the
 // same state in either order (or is refused in both) — and whatever the
-// merge produced concludes without panicking. The seed corpus is the
-// property test's documents.
+// merge produced concludes without panicking. It also holds the fold codec
+// to encoding/json both ways: every document decodes as it does when
+// json.Unmarshal reads all of it (viaUnmarshal), and every accepted state
+// encodes to json.Marshal's bytes for its document (foldWire). The seed
+// corpus is the property test's documents.
 func FuzzFoldStateDecode(f *testing.F) {
 	for _, sh := range []*foldShape{prepShape(f, 2, 1), prepShape(f, 3, 2)} {
 		for seed := int64(1); seed <= 4; seed++ {
@@ -33,8 +40,23 @@ func FuzzFoldStateDecode(f *testing.F) {
 	// differently merged to null or [] by the order.
 	f.Add([]byte(`{"aaaa":0}`), []byte(`{"workers":[]}`))
 	f.Add([]byte(`{}`), []byte(`{"00000000":0,"pAges":[]}`))
+	// What the scan hands to json.Unmarshal: escapes, keys repeated or in
+	// capitals, null, numbers that are no small int, bytes after the value;
+	// and what it reads itself in a vote row's counts.
+	f.Add([]byte(`{"test_id":"t\u00e9<&>","sessions":2,"workers":["a\"b","café"],"votes":[{"page_id":"p","question_id":"q","counts":{"l\u0065ft":1,"same":2}}]}`), []byte(`{"SESSIONS":1,"sessions":2,"Workers":["a"]}`))
+	f.Add([]byte(`{"sessions":1e0,"workers":null,"pages":[{"page_id":"p","tally":{"Left":1.0}}]}`), []byte(`{"sessions":1} {}`))
+	f.Add([]byte(`{"votes":[{"page_id":"p","question_id":"q","counts":{"left":-1,"left":2,"":0}},{"page_id":"p","question_id":"r"}]}`), []byte(`{"votes":[{"page_id":"p","question_id":"q","counts":null},{"page_id":"p","question_id":"q","counts":{}}]}`))
 
 	f.Fuzz(func(t *testing.T, a, b []byte) {
+		for _, doc := range [][]byte{a, b} {
+			if slow := viaUnmarshal(doc); slow != nil {
+				got, err := server.DecodeFoldState(doc)
+				want, wantErr := server.DecodeFoldState(slow)
+				if (err == nil) != (wantErr == nil) || !reflect.DeepEqual(got, want) {
+					t.Fatalf("the scan and json.Unmarshal disagree on %q:\n%v %+v\n%v %+v", doc, err, got, wantErr, want)
+				}
+			}
+		}
 		x, errX := server.DecodeFoldState(a)
 		y, errY := server.DecodeFoldState(b)
 		for _, fs := range []*server.FoldState{x, y} {
@@ -67,9 +89,16 @@ func FuzzFoldStateDecode(f *testing.F) {
 			if err != nil {
 				t.Fatalf("an accepted state does not encode: %v", err)
 			}
-			if bytes.Contains(enc, []byte(`":-`)) {
-				t.Fatalf("accepted a negative count: %s", enc)
+			if want, _ := json.Marshal(wireOf(fs)); !bytes.Equal(enc, want) {
+				t.Fatalf("the fold codec writes\n%s\njson.Marshal writes\n%s", enc, want)
 			}
+			fs.Votes.Rows(func(q quality.QuestionRef, counts map[questionnaire.Choice]int) {
+				for _, n := range counts {
+					if n < 0 {
+						t.Fatalf("accepted a negative vote count: %s", enc)
+					}
+				}
+			})
 			back, err := server.DecodeFoldState(enc)
 			if err != nil || !reflect.DeepEqual(back, fs) {
 				t.Fatalf("decode(encode(x)) != x (%v):\n%s\n%+v\n%+v", err, enc, back, fs)
@@ -95,4 +124,46 @@ func FuzzFoldStateDecode(f *testing.F) {
 		}
 		x.Conclude()
 	})
+}
+
+// viaUnmarshal spells an object so that the fold codec's scan will not vouch
+// for it and json.Unmarshal reads it as it reads b: one member in front that
+// no field has. It is nil for what is no object, which the scan refuses
+// first thing anyway.
+func viaUnmarshal(b []byte) []byte {
+	i := jsonscan.SkipSpace(b, 0)
+	if i == len(b) || b[i] != '{' {
+		return nil
+	}
+	member := `"~":0,`
+	if j := jsonscan.SkipSpace(b, i+1); j < len(b) && b[j] == '}' {
+		member = `"~":0`
+	}
+	return slices.Concat(b[:i+1], []byte(member), b[i+1:])
+}
+
+// foldWire is a fold document as encoding/json writes it by reflection,
+// spelled out from the route's contract rather than taken from the encoder:
+// the oracle FoldState.MarshalJSON is held to.
+type foldWire struct {
+	TestID   string              `json:"test_id"`
+	Sessions int                 `json:"sessions"`
+	Pages    []server.PageResult `json:"pages"`
+	Votes    []voteWire          `json:"votes"`
+	Workers  []string            `json:"workers"`
+	Awaiting []server.FoldWorker `json:"awaiting,omitempty"`
+}
+
+type voteWire struct {
+	PageID     string                       `json:"page_id"`
+	QuestionID string                       `json:"question_id"`
+	Counts     map[questionnaire.Choice]int `json:"counts"`
+}
+
+func wireOf(fs *server.FoldState) foldWire {
+	w := foldWire{TestID: fs.TestID, Sessions: fs.Sessions, Pages: fs.Pages, Votes: []voteWire{}, Workers: fs.Workers, Awaiting: fs.Awaiting}
+	fs.Votes.Rows(func(q quality.QuestionRef, counts map[questionnaire.Choice]int) {
+		w.Votes = append(w.Votes, voteWire{PageID: q.PageID, QuestionID: q.QuestionID, Counts: counts})
+	})
+	return w
 }

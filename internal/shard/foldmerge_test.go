@@ -668,14 +668,13 @@ func (p inProcess) RoundTrip(req *http.Request) (*http.Response, error) {
 	return rec.Result(), nil
 }
 
-// BenchmarkRouterResultsQC is one quality-controlled results poll through
-// the router over 3 in-process shards holding 200 sessions of the
-// end-to-end script's shape (one real page, one question, one worker in
-// eight unengaged), fold state live as after the raw poll that precedes it
-// there. It has no sockets, so allocs/op and upstream-B/op — the bytes of
-// the three fold documents — repeat exactly; scripts/bench_delta.sh holds
+// resultsFleet is the results polls' fixture: a router over 3 in-process
+// shards holding 200 sessions of the end-to-end script's shape (one real
+// page, one question, one worker in eight unengaged), fold state live as
+// after the raw poll that precedes a QC poll there. It has no sockets, so
+// allocs/op and upstream-B/op repeat exactly; scripts/bench_delta.sh holds
 // both to BENCH_server.json.
-func BenchmarkRouterResultsQC(b *testing.B) {
+func resultsFleet(b *testing.B) (*Router, inProcess) {
 	sh := prepShape(b, 2, 1)
 	link := inProcess{shards: map[string]http.Handler{}, upstream: new(atomic.Int64)}
 	specs := make([]Spec, 3)
@@ -715,13 +714,53 @@ func BenchmarkRouterResultsQC(b *testing.B) {
 	if rec := serve(rt, "/api/tests/"+foldTestID+"/results?quality=1"); json.Unmarshal(rec.Body.Bytes(), &res) != nil || res.Workers != 175 || res.DroppedWorkers != 25 {
 		b.Fatalf("quality results = %d: %s", rec.Code, rec.Body.String())
 	}
+	return rt, link
+}
+
+// pollResults times one results poll through the router on resultsFleet.
+func pollResults(b *testing.B, path string) {
+	rt, link := resultsFleet(b)
 	link.upstream.Store(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if rec := serve(rt, "/api/tests/"+foldTestID+"/results?quality=1"); rec.Code != http.StatusOK {
-			b.Fatalf("quality results = %d", rec.Code)
+		if rec := serve(rt, path); rec.Code != http.StatusOK {
+			b.Fatalf("GET %s = %d", path, rec.Code)
 		}
 	}
 	b.ReportMetric(float64(link.upstream.Load())/float64(b.N), "upstream-B/op")
+}
+
+// BenchmarkRouterResultsQC is one quality-controlled results poll: three fold
+// documents decoded, merged and concluded.
+func BenchmarkRouterResultsQC(b *testing.B) {
+	pollResults(b, "/api/tests/"+foldTestID+"/results?quality=1")
+}
+
+// BenchmarkRouterResultsRaw is one raw results poll on the same fleet: three
+// server.Results bodies decoded and their tallies added.
+func BenchmarkRouterResultsRaw(b *testing.B) {
+	pollResults(b, "/api/tests/"+foldTestID+"/results")
+}
+
+// BenchmarkDecodeFoldState decodes one shard's fold document of
+// resultsFleet: as a node writes it, and with one member the scan will not
+// vouch for in front, which sends the whole document to json.Unmarshal.
+func BenchmarkDecodeFoldState(b *testing.B) {
+	_, link := resultsFleet(b)
+	doc := serve(link.shards["shard-0"], "/api/tests/"+foldTestID+"/fold").Body.Bytes()
+	for _, bc := range []struct {
+		name string
+		doc  []byte
+	}{{"codec", doc}, {"fallback", append([]byte(`{"~":0,`), doc[1:]...)}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(bc.doc)))
+			for i := 0; i < b.N; i++ {
+				if _, err := server.DecodeFoldState(bc.doc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -196,7 +196,9 @@ func (sp *batchSplit) split(ring *Ring, testID string, body []byte) ([]subBatch,
 			i = jsonscan.SkipSpace(body, i+1)
 		}
 		var workerID []byte
-		if end, workerID = scanElement(body, i, 1); end < 0 {
+		// A node decodes each element on its own, so the array is no level
+		// of an element's depth.
+		if end, workerID = scanElement(body, i, 0); end < 0 {
 			return nil, malformedBatch(body)
 		}
 		owner := ring.sessionOwner(testID, workerID)

@@ -34,14 +34,32 @@ func sniffWorkerID(body []byte) string {
 // splitByDecoding is the batch split the router shipped until the one-pass
 // scan replaced it, kept as the differential oracle: decode the array into
 // raw elements, decode every element again for its worker id, and copy the
-// elements into per-shard buffers. It differs from what shipped in one
-// line — the check for bytes after the array, whose absence was a bug (a
-// node refuses them). ids and owners are per element, subs per shard.
+// elements into per-shard buffers. It differs from what shipped in two
+// places, both bugs (a node disagreed): it refuses bytes after the array,
+// and it reads the elements one at a time, as a node does, so that an
+// element may nest as deep as a node lets a session nest. ids and owners are
+// per element, subs per shard.
 func splitByDecoding(ring *Ring, testID string, body []byte) (subs [][]byte, owners []int, ids []string, err error) {
 	var elems []json.RawMessage
 	dec := json.NewDecoder(bytes.NewReader(body))
-	if err := dec.Decode(&elems); err != nil {
+	tok, err := dec.Token()
+	if err != nil {
 		return nil, nil, nil, err
+	}
+	if tok != nil { // null reads as the empty array
+		if tok != json.Delim('[') {
+			return nil, nil, nil, fmt.Errorf("not an array: %v", tok)
+		}
+		for dec.More() {
+			var raw json.RawMessage
+			if err := dec.Decode(&raw); err != nil {
+				return nil, nil, nil, err
+			}
+			elems = append(elems, raw)
+		}
+		if _, err := dec.Token(); err != nil {
+			return nil, nil, nil, err
+		}
 	}
 	if _, err := dec.Token(); err != io.EOF {
 		return nil, nil, nil, fmt.Errorf("trailing data after the batch: %v", err)
@@ -150,6 +168,8 @@ var splitCorpus = []string{
 	"[{\"worker_id\":\"del\x7f\"},{\"worker_id\":\"{[,]}:\"},{\"k\":\"\\\\\",\"worker_id\":\"after-backslash\"}]",
 	// Valid JSON that does not decode as a session still routes somewhere.
 	`[{"worker_id":"typed","responses":7},{"responses":"x","worker_id":"late"}]`,
+	// An element as deep as a node decodes one, and one level more.
+	"[" + strings.Repeat("[", 10000) + strings.Repeat("]", 10000) + "]", "[" + strings.Repeat("[", 10001) + strings.Repeat("]", 10001) + "]",
 }
 
 // FuzzBatchSplit is the gate on the router's one-pass batch split: for any
@@ -194,7 +214,7 @@ func checkSplit(t *testing.T, ring *Ring, testID string, body []byte) {
 	}
 	counts := make([]int, len(subs))
 	for i, e := range sp.elems {
-		if _, id := scanElement(body, e.start, 1); string(id) != wantIDs[i] {
+		if _, id := scanElement(body, e.start, 0); string(id) != wantIDs[i] {
 			t.Errorf("element %d %s: routed by worker id %q, encoding/json decodes %q", i, body[e.start:e.end], id, wantIDs[i])
 		}
 		if e.shard != wantOwners[i] {
@@ -364,8 +384,9 @@ func TestSplitRefusals(t *testing.T) {
 		{"a trailing bracket", `[]]`, nil, true},
 		{"over the cap, then a syntax error", over[:len(over)-2] + "]", errBatchTooLong, false},
 		{"a syntax error at the cap", atCap[:len(atCap)-2] + "]", nil, true},
-		{"nested to encoding/json's limit", "[" + strings.Repeat("[", 9999) + strings.Repeat("]", 9999) + "]", nil, false},
-		{"nested past it", "[" + strings.Repeat("[", 10000) + strings.Repeat("]", 10000) + "]", nil, true},
+		// An element's depth is its own: a node decodes it alone.
+		{"an element nested to encoding/json's limit", "[" + strings.Repeat("[", 10000) + strings.Repeat("]", 10000) + "]", nil, false},
+		{"an element nested past it", "[" + strings.Repeat("[", 10001) + strings.Repeat("]", 10001) + "]", nil, true},
 		{"1e999 is JSON", `[{"worker_id":"a","x":1e999}]`, nil, false},
 		{"a lone surrogate is JSON", `[{"worker_id":"\ud800"}]`, nil, false},
 		{"cut inside an escape", `[{"worker_id":"\u12`, nil, true},
