@@ -17,7 +17,7 @@ const (
 	// whether the store has recovered.
 	StateHalfOpen State = 1
 	// StateOpen: consecutive store faults tripped the breaker; operations
-	// are refused and the server serves degraded mode.
+	// are refused and the server's reads are marked degraded.
 	StateOpen State = 2
 )
 
@@ -38,8 +38,7 @@ func (s State) String() string {
 type Outcome int
 
 const (
-	// Success: the store op completed (including "clean" application errors
-	// like not-found, which prove the store is answering).
+	// Success: the store op completed.
 	Success Outcome = iota
 	// Failure: the store op hit an infrastructure fault (ENOSPC, I/O
 	// error, corruption) — the signal that trips the breaker.
@@ -53,8 +52,8 @@ const (
 // threshold consecutive failures, open → half-open after a cooldown,
 // half-open → closed after `probes` consecutive successful probe
 // operations (or back to open on the first probe failure). While open it
-// refuses operations so a faulting disk is not hammered and the serving
-// path can fall back to cached data instead of queueing on a dead store.
+// refuses operations so a faulting disk is not hammered and writes answer
+// at once instead of queueing on a dead store.
 type Breaker struct {
 	mu          sync.Mutex
 	state       State
@@ -106,7 +105,7 @@ func (b *Breaker) setStateLocked(to State) {
 // Allow reports whether a protected store operation may proceed. When it
 // returns ok, the caller must invoke done exactly once with the operation's
 // outcome. When it returns !ok the breaker is open (or a probe is already
-// in flight) and the caller should serve degraded mode instead.
+// in flight) and the caller should refuse the operation.
 func (b *Breaker) Allow() (done func(Outcome), ok bool) {
 	b.mu.Lock()
 	switch b.state {

@@ -14,11 +14,11 @@
 //     (falling back to the remote address) so one hot or buggy client
 //     cannot starve the rest of the crowd.
 //
-//   - a circuit breaker around store reads/writes: consecutive storage
-//     faults (ENOSPC, torn writes) trip it open; while open the server
-//     serves degraded mode — cached test info and results with an
-//     X-Kscope-Degraded header, 503 + Retry-After for uncacheable writes —
-//     and half-opens with probe requests until the store recovers.
+//   - a circuit breaker around store writes: consecutive storage faults
+//     (ENOSPC, torn writes) trip it open; while open the server answers
+//     writes 503 + Retry-After and marks its reads, served from memory as
+//     ever, with an X-Kscope-Degraded header — and half-opens with probe
+//     writes until the store recovers.
 //
 // Everything is observable: RegisterMetrics exports kscope_guard_* series
 // (shed and queue counts, breaker state, degraded serves) into an
@@ -222,19 +222,18 @@ func (g *Guard) AllowWorker(key string) (time.Duration, bool) {
 	return wait, ok
 }
 
-// NoteDegraded counts one response served from cache while the breaker was
-// open.
+// NoteDegraded counts one read answered while the breaker was open.
 func (g *Guard) NoteDegraded() { g.degraded.Add(1) }
 
 // NoteUnavailable counts one 503 sent because the breaker was open and the
-// request was uncacheable.
+// request was a write.
 func (g *Guard) NoteUnavailable() { g.unavailable.Add(1) }
 
 // Shed reports how many requests of the class were shed so far.
 func (g *Guard) Shed(class Class) int64 { return g.shed[class].Load() }
 
-// DegradedServes reports how many responses were served from cache while
-// the breaker was open.
+// DegradedServes reports how many reads were answered while the breaker
+// was open.
 func (g *Guard) DegradedServes() int64 { return g.degraded.Load() }
 
 // RegisterMetrics exports the guard's state as kscope_guard_* gauges.

@@ -67,7 +67,7 @@ func BenchmarkListTests10kResponses(b *testing.B) {
 	}
 }
 
-// BenchmarkConclude measures a fresh conclusion (session cache invalidated
+// BenchmarkConclude measures a fresh conclusion (results cache invalidated
 // every iteration, as a new upload would) with 10k foreign response
 // documents. The indexed FindEq keeps this proportional to srv-test's own
 // five sessions.

@@ -79,41 +79,27 @@ type resultsKey struct {
 }
 
 // servingCache keeps the serving path off the parse-and-scan floor: test
-// metadata (params_json re-parse), decoded sessions, and concluded results
-// are all cached per test id and invalidated through store change hooks.
+// metadata (params_json re-parse) and concluded results are cached per test
+// id and invalidated through store change hooks.
 //
 // A per-test generation counter closes the fill/invalidate race: a fill
 // computed from pre-invalidation state carries the generation it started
 // from and is discarded when an invalidation has happened in between.
 type servingCache struct {
-	mu       sync.RWMutex
-	gens     map[string]uint64
-	tests    map[string]*testEntry
-	sessions map[string][]SessionUpload
-	results  map[resultsKey]*Results
+	mu      sync.RWMutex
+	gens    map[string]uint64
+	tests   map[string]*testEntry
+	results map[resultsKey]*Results
 
-	// staleTests and staleResults are last-known-good snapshots for
-	// degraded-mode serving: every accepted (and even generation-raced —
-	// the data itself is valid) fill lands here too, and invalidation never
-	// clears them. While the store circuit breaker is open, reads that miss
-	// the live cache fall back to these instead of touching the faulting
-	// store.
-	staleTests   map[string]*testEntry
-	staleResults map[resultsKey]*Results
-
-	testHits, testMisses       atomic.Int64
-	sessionHits, sessionMisses atomic.Int64
-	resultHits, resultMisses   atomic.Int64
+	testHits, testMisses     atomic.Int64
+	resultHits, resultMisses atomic.Int64
 }
 
 func newServingCache() *servingCache {
 	return &servingCache{
-		gens:         make(map[string]uint64),
-		tests:        make(map[string]*testEntry),
-		sessions:     make(map[string][]SessionUpload),
-		results:      make(map[resultsKey]*Results),
-		staleTests:   make(map[string]*testEntry),
-		staleResults: make(map[resultsKey]*Results),
+		gens:    make(map[string]uint64),
+		tests:   make(map[string]*testEntry),
+		results: make(map[resultsKey]*Results),
 	}
 }
 
@@ -139,40 +125,10 @@ func (c *servingCache) test(testID string) (*testEntry, bool) {
 func (c *servingCache) putTest(testID string, gen uint64, e *testEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.staleTests[testID] = e
 	if c.gens[testID] != gen {
 		return
 	}
 	c.tests[testID] = e
-}
-
-// staleTest returns the last-known-good entry for degraded-mode serving.
-func (c *servingCache) staleTest(testID string) (*testEntry, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	e, ok := c.staleTests[testID]
-	return e, ok
-}
-
-func (c *servingCache) sessionsFor(testID string) ([]SessionUpload, bool) {
-	c.mu.RLock()
-	s, ok := c.sessions[testID]
-	c.mu.RUnlock()
-	if ok {
-		c.sessionHits.Add(1)
-	} else {
-		c.sessionMisses.Add(1)
-	}
-	return s, ok
-}
-
-func (c *servingCache) putSessions(testID string, gen uint64, s []SessionUpload) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.gens[testID] != gen {
-		return
-	}
-	c.sessions[testID] = s
 }
 
 func (c *servingCache) resultsFor(key resultsKey) (*Results, bool) {
@@ -193,21 +149,11 @@ func (c *servingCache) resultsFor(key resultsKey) (*Results, bool) {
 func (c *servingCache) putResults(key resultsKey, gen uint64, r *Results) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.staleResults[key] = r
 	if c.gens[key.testID] != gen {
 		return false
 	}
 	c.results[key] = r
 	return true
-}
-
-// staleResults returns the last-known-good conclusion for degraded-mode
-// serving.
-func (c *servingCache) staleResultsFor(key resultsKey) (*Results, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	r, ok := c.staleResults[key]
-	return r, ok
 }
 
 // invalidateTest drops everything derived from a test's stored documents.
@@ -219,9 +165,8 @@ func (c *servingCache) invalidateTest(testID string) {
 	c.dropDerived(testID)
 }
 
-// invalidateSessions drops session-derived state (decoded sessions and
-// concluded results) after a new session insert; the test metadata itself
-// stays cached.
+// invalidateSessions drops session-derived state (concluded results) after
+// a new session insert; the test metadata itself stays cached.
 func (c *servingCache) invalidateSessions(testID string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -230,27 +175,8 @@ func (c *servingCache) invalidateSessions(testID string) {
 }
 
 func (c *servingCache) dropDerived(testID string) {
-	delete(c.sessions, testID)
 	delete(c.results, resultsKey{testID, false})
 	delete(c.results, resultsKey{testID, true})
-}
-
-// purgeTest erases every trace of a deleted test, including the
-// last-known-good degraded-mode snapshots that ordinary invalidation
-// deliberately preserves: after deletion there is no "good" state left to
-// serve. The generation entry is kept (bumped), not deleted — a results
-// fill that raced the deletion still has to find a generation newer than
-// its snapshot, or it would re-populate the live cache for a test that no
-// longer exists.
-func (c *servingCache) purgeTest(testID string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.gens[testID]++
-	delete(c.tests, testID)
-	c.dropDerived(testID)
-	delete(c.staleTests, testID)
-	delete(c.staleResults, resultsKey{testID, false})
-	delete(c.staleResults, resultsKey{testID, true})
 }
 
 // invalidateAll resets the cache (used when a change event's test id cannot
@@ -266,6 +192,5 @@ func (c *servingCache) invalidateAll() {
 		c.gens[id]++
 	}
 	c.tests = make(map[string]*testEntry)
-	c.sessions = make(map[string][]SessionUpload)
 	c.results = make(map[resultsKey]*Results)
 }

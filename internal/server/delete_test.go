@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"net/http"
 	"testing"
+	"time"
 
 	"kaleidoscope/internal/aggregator"
+	"kaleidoscope/internal/guard"
 	"kaleidoscope/internal/params"
 	"kaleidoscope/internal/questionnaire"
 	"kaleidoscope/internal/store"
@@ -14,7 +16,7 @@ import (
 
 // prepDeleteFixture is prepTest with the storage handles exposed, so delete
 // tests can audit blob refcounts and raw collections.
-func prepDeleteFixture(t testing.TB) (*Server, *aggregator.Aggregator, *store.DB, *store.BlobStore, *aggregator.Prepared) {
+func prepDeleteFixture(t testing.TB, opts ...Option) (*Server, *aggregator.Aggregator, *store.DB, *store.BlobStore, *aggregator.Prepared) {
 	t.Helper()
 	db := store.OpenMemory()
 	blobs := store.NewBlobStore()
@@ -26,7 +28,7 @@ func prepDeleteFixture(t testing.TB) (*Server, *aggregator.Aggregator, *store.DB
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(db, blobs)
+	srv, err := New(db, blobs, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,15 +58,16 @@ func deleteFixtureSites() map[string]*webgen.Site {
 
 // TestDeleteReleasesEverything is the lifecycle leak check:
 // create → serve → delete must return the blob store to its baseline, empty
-// the test's documents, and leave no servable state behind — the stale
-// (degraded-mode) snapshots included.
+// the test's documents, and leave no servable state behind — with the store
+// breaker closed or open.
 func TestDeleteReleasesEverything(t *testing.T) {
-	srv, _, db, blobs, prep := prepDeleteFixture(t)
+	g := guard.New(guard.Config{BreakerThreshold: 1, BreakerCooldown: time.Minute})
+	srv, _, db, blobs, prep := prepDeleteFixture(t, WithGuard(g))
 	if blobs.Stats().UniqueBlobs == 0 {
 		t.Fatal("fixture should have stored blobs")
 	}
 
-	// Serve: a few sessions land, results are warm (live + stale caches).
+	// Serve: a few sessions land, results are warm.
 	for _, w := range []string{"w1", "w2", "w3"} {
 		payload, _ := json.Marshal(sampleUpload(prep, w, questionnaire.ChoiceLeft))
 		if rec := doJSON(t, srv, http.MethodPost, "/api/tests/srv-test/sessions", payload, nil); rec.Code != http.StatusCreated {
@@ -115,13 +118,6 @@ func TestDeleteReleasesEverything(t *testing.T) {
 			t.Errorf("GET %s after delete = %d, want 404", path, rec.Code)
 		}
 	}
-	// The stale degraded-mode snapshots are purged too.
-	if _, ok := srv.cache.staleTest("srv-test"); ok {
-		t.Error("stale test snapshot survived deletion")
-	}
-	if _, ok := srv.cache.staleResultsFor(resultsKey{"srv-test", false}); ok {
-		t.Error("stale results snapshot survived deletion")
-	}
 
 	// Deleting again: nothing left, so 404.
 	if rec := doJSON(t, srv, http.MethodDelete, "/api/tests/srv-test", nil, nil); rec.Code != http.StatusNotFound {
@@ -129,6 +125,16 @@ func TestDeleteReleasesEverything(t *testing.T) {
 	}
 	if rec := doJSON(t, srv, http.MethodDelete, "/api/tests/ghost", nil, nil); rec.Code != http.StatusNotFound {
 		t.Errorf("delete of never-created test = %d, want 404", rec.Code)
+	}
+
+	// An open breaker serves nothing of it either: degraded reads are the
+	// same live state.
+	done, _ := g.Breaker().Allow()
+	done(guard.Failure)
+	for _, path := range []string{"/api/tests/srv-test/results", "/api/tests/srv-test/results?quality=1"} {
+		if rec := doJSON(t, srv, http.MethodGet, path, nil, nil); rec.Code != http.StatusNotFound {
+			t.Errorf("GET %s after delete, breaker %v = %d, want 404", path, g.Breaker().State(), rec.Code)
+		}
 	}
 }
 

@@ -279,8 +279,8 @@ func (f *foldTable) rebuildLocked(st *testFold, testID string, entry *testEntry)
 }
 
 // eachStoredSession decodes every stored session of a test, in document-id
-// order — the one loop behind the fold state's replay, the session cache
-// and the from-scratch oracle.
+// order — the one loop behind the fold state's replay, the fold read of a
+// lazy state and Sessions.
 func eachStoredSession(coll *store.Collection, testID string, fn func(docID string, u *SessionUpload)) error {
 	for _, doc := range coll.FindEq("test_id", testID) {
 		raw, _ := doc["session"].(string)
@@ -296,12 +296,6 @@ func eachStoredSession(coll *store.Collection, testID string, fn func(docID stri
 		fn(doc.ID(), &upload)
 	}
 	return nil
-}
-
-func storedSessions(coll *store.Collection, testID string) ([]SessionUpload, error) {
-	out := []SessionUpload{}
-	err := eachStoredSession(coll, testID, func(_ string, u *SessionUpload) { out = append(out, *u) })
-	return out, err
 }
 
 // clear releases everything but the latched decision.
@@ -385,13 +379,11 @@ func (f *foldTable) results(testID string, entry *testEntry, useQC bool) (*Resul
 }
 
 // state returns the test's FoldState without changing what the node
-// retains: live state is read as it is; a lazy one stays lazy, and with
-// replay set storage is folded for this one answer and nothing of it kept
-// (a router's read must not decide a shard's memory — that takes /results
-// or the sequential engine, as for any node). Without replay — the
-// degraded-mode read, which must not touch storage — a lazy state yields
-// nil.
-func (f *foldTable) state(testID string, entry *testEntry, replay bool) (*FoldState, error) {
+// retains: live state is read as it is; a lazy one stays lazy, and storage
+// is folded for this one answer and nothing of it kept (a router's read must
+// not decide a shard's memory — that takes /results or the sequential
+// engine, as for any node).
+func (f *foldTable) state(testID string, entry *testEntry) (*FoldState, error) {
 	if st := f.lock(testID, false); st != nil {
 		var fs *FoldState
 		if st.live {
@@ -405,9 +397,6 @@ func (f *foldTable) state(testID string, entry *testEntry, replay bool) (*FoldSt
 		if fs != nil || err != nil {
 			return fs, err
 		}
-	}
-	if !replay {
-		return nil, nil
 	}
 	b := newFoldStateBuilder(testID, entry, quality.NewVotes(), 0)
 	err := eachStoredSession(f.responses, testID, func(_ string, u *SessionUpload) {

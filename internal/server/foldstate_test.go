@@ -85,9 +85,9 @@ func mustMarshal(t testing.TB, v any) []byte {
 	return b
 }
 
-// With the store breaker open the fold read answers from live state, marked
-// degraded, and has nothing to serve for a lazy one: it must not touch
-// storage.
+// With the store breaker open the fold read answers what it answers with the
+// breaker closed, marked degraded: live state read without touching the
+// collection, a lazy one folded for the one answer and kept lazy.
 func TestFoldReadDegraded(t *testing.T) {
 	for _, live := range []bool{true, false} {
 		g := guard.New(guard.Config{MaxInflight: 8, BreakerThreshold: 2, BreakerCooldown: time.Minute})
@@ -104,21 +104,20 @@ func TestFoldReadDegraded(t *testing.T) {
 		}
 		healthy, _ := fetchFold(t, srv)
 		tripBreaker(t, srv, prep, ffs, g)
-		scans := srv.responses.Stats()
+		scans, liveTests := srv.responses.Stats(), srv.folds.liveTests.Load()
 
 		rec := doJSON(t, srv, http.MethodGet, "/api/tests/srv-test/fold", nil, nil)
-		if live {
-			if rec.Code != http.StatusOK || rec.Header().Get(DegradedHeader) != "1" {
-				t.Errorf("live state, breaker open: status %d degraded=%q: %s", rec.Code, rec.Header().Get(DegradedHeader), rec.Body.String())
-			}
-			if !bytes.Equal(rec.Body.Bytes(), healthy) {
-				t.Errorf("degraded document\n%s\nhealthy document\n%s", rec.Body.Bytes(), healthy)
-			}
-		} else if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" {
-			t.Errorf("lazy state, breaker open: status %d retry-after=%q", rec.Code, rec.Header().Get("Retry-After"))
+		if rec.Code != http.StatusOK || rec.Header().Get(DegradedHeader) != "1" {
+			t.Errorf("live=%v, breaker open: status %d degraded=%q: %s", live, rec.Code, rec.Header().Get(DegradedHeader), rec.Body.String())
 		}
-		if after := srv.responses.Stats(); after != scans {
-			t.Errorf("the degraded fold read touched storage: %+v -> %+v", scans, after)
+		if !bytes.Equal(rec.Body.Bytes(), healthy) {
+			t.Errorf("live=%v: degraded document\n%s\nhealthy document\n%s", live, rec.Body.Bytes(), healthy)
+		}
+		if got := srv.folds.liveTests.Load(); got != liveTests {
+			t.Errorf("live=%v: kscope_accum_tests %d -> %d across the degraded fold read", live, liveTests, got)
+		}
+		if after := srv.responses.Stats(); live && after != scans {
+			t.Errorf("the degraded fold read of live state touched the collection: %+v -> %+v", scans, after)
 		}
 	}
 }

@@ -13,16 +13,16 @@ import (
 	"kaleidoscope/internal/store"
 )
 
-// DegradedHeader marks a response served from cached data while the store
-// circuit breaker was open. Clients may keep working from it; operators
-// alert on it.
+// DegradedHeader marks a read answered while the store circuit breaker was
+// open: the node is refusing writes. The answer itself is as current as a
+// healthy node's. Clients may keep working from it; operators alert on it.
 const DegradedHeader = "X-Kscope-Degraded"
 
 // WithGuard wires an overload-protection layer into the server: admission
 // control and per-worker rate limiting around every API request, and the
-// store circuit breaker (with degraded-mode serving) around the store
-// paths. /healthz, /readyz, and /metrics are exempt from admission so the
-// server stays observable under overload.
+// store circuit breaker around the store writes. /healthz, /readyz, and
+// /metrics are exempt from admission so the server stays observable under
+// overload.
 func WithGuard(g *guard.Guard) Option {
 	return func(s *Server) { s.guard = g }
 }
@@ -100,70 +100,34 @@ func (s *Server) serveGuarded(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// breakerOpen reports whether the guard's store breaker currently refuses
-// work (degraded mode).
-func (s *Server) breakerOpen() bool {
-	return s.guard != nil && s.guard.Breaker().State() == guard.StateOpen
+// markDegraded marks a read's answer while the store breaker is open: the
+// node refuses writes. What it serves is its live memory all the same —
+// every document read is — so a read never asks the breaker.
+func (s *Server) markDegraded(w http.ResponseWriter) {
+	if s.guard != nil && s.guard.Breaker().State() == guard.StateOpen {
+		w.Header().Set(DegradedHeader, "1")
+		s.guard.NoteDegraded()
+	}
 }
 
-// serveDegraded writes a 200 from cached data with the degraded marker.
-func (s *Server) serveDegraded(w http.ResponseWriter, v any) {
-	w.Header().Set(DegradedHeader, "1")
-	s.guard.NoteDegraded()
-	writeJSON(w, http.StatusOK, v)
-}
-
-// writeUnavailable is the degraded-mode answer when nothing cached exists:
-// 503 + Retry-After, the honest "come back when the store recovers".
+// writeUnavailable answers a write the open breaker refuses: 503 +
+// Retry-After, the honest "come back when the store recovers".
 func (s *Server) writeUnavailable(w http.ResponseWriter, what string) {
 	s.guard.NoteUnavailable()
 	writeShed(w, http.StatusServiceUnavailable, s.guard.RetryAfter(),
 		"%s unavailable: storage degraded, retry after the indicated delay", what)
 }
 
-// loadServing is the read handlers' guarded test-metadata load. It returns
-// the entry plus a degraded flag: true means the breaker is open and the
-// entry came from cache rather than a fresh store read. It returns nil once
-// it has answered: the load error, or 503 for what with the breaker open
-// and nothing cached.
-func (s *Server) loadServing(w http.ResponseWriter, testID, what string) (*testEntry, bool) {
-	if s.guard == nil {
-		entry, err := s.load(testID)
-		if err != nil {
-			writeLoadError(w, err)
-		}
-		return entry, false
-	}
-	if entry, ok := s.cache.test(testID); ok {
-		// Cache hits never touch the store; the degraded flag still marks
-		// responses produced while the breaker is open so clients and
-		// operators can see the server is coasting on cached state.
-		return entry, s.breakerOpen()
-	}
-	done, ok := s.guard.Breaker().Allow()
-	if !ok {
-		if entry, ok := s.cache.staleTest(testID); ok {
-			return entry, true
-		}
-		s.writeUnavailable(w, what)
-		return nil, true
-	}
-	entry, err := s.loadStored(testID)
-	done(loadOutcome(err))
+// loadServing is the read handlers' test load: load, with the degraded
+// marker set. It returns nil once it has answered the load error.
+func (s *Server) loadServing(w http.ResponseWriter, testID string) *testEntry {
+	entry, err := s.load(testID)
 	if err != nil {
 		writeLoadError(w, err)
+		return nil
 	}
-	return entry, false
-}
-
-// loadOutcome judges a test load for the breaker: not-found is a clean
-// answer from a healthy store; anything else (corruption, I/O trouble) is a
-// store fault.
-func loadOutcome(err error) guard.Outcome {
-	if err != nil && !errors.Is(err, store.ErrNotFound) {
-		return guard.Failure
-	}
-	return guard.Success
+	s.markDegraded(w)
+	return entry
 }
 
 // isWrite reports whether a request is a store write — a session upload, a
@@ -207,19 +171,22 @@ func (g *writeGate) report(o guard.Outcome) {
 	}
 }
 
-// load loads the test an upload is for: 404 or 500 as the load fails, judged
-// by loadOutcome. A test the sequential engine has decided spends no more
-// crowd: 200 + X-Kscope-Concluded, nothing stored. It returns nil once it
-// has answered.
+// load loads the test an upload is for: 404 or 500 as the load fails, and
+// only the 500 (corruption, I/O trouble) is a store Failure. A test the
+// sequential engine has decided spends no more crowd: 200 +
+// X-Kscope-Concluded, nothing stored. Neither a 404 nor that ack reached the
+// WAL, so both leave the deferred Canceled. It returns nil once it has
+// answered.
 func (g *writeGate) load(w http.ResponseWriter, testID string) *testEntry {
 	entry, err := g.s.load(testID)
 	if err != nil {
-		g.report(loadOutcome(err))
+		if !errors.Is(err, store.ErrNotFound) {
+			g.report(guard.Failure)
+		}
 		writeLoadError(w, err)
 		return nil
 	}
 	if d := g.s.folds.decision(testID); d != nil {
-		g.report(guard.Success)
 		g.s.folds.rejects.Add(1)
 		w.Header().Set(ConcludedHeader, "1")
 		writeJSON(w, http.StatusOK, map[string]any{"status": "concluded", "test_id": testID, "decision": d})

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -91,7 +92,7 @@ func tripBreaker(t *testing.T, srv *Server, prep *aggregator.Prepared, ffs *stor
 }
 
 // TestDegradedModeE2E is the acceptance flow: FaultFS forces the breaker
-// open; test info and results still answer from cache with
+// open; test info and results still answer, marked
 // X-Kscope-Degraded: 1; uploads get 503 + Retry-After; /readyz reports
 // degraded; the guard metrics are visible in /metrics; and after the disk
 // recovers, a probe upload closes the breaker and fresh results match the
@@ -120,7 +121,7 @@ func TestDegradedModeE2E(t *testing.T) {
 
 	tripBreaker(t, srv, prep, ffs, g)
 
-	// Degraded reads: cached data with the degraded marker.
+	// Degraded reads: live state with the degraded marker.
 	var info TestInfo
 	rec := doJSON(t, srv, http.MethodGet, "/api/tests/srv-test", nil, &info)
 	if rec.Code != http.StatusOK || rec.Header().Get(DegradedHeader) != "1" {
@@ -203,10 +204,11 @@ func TestDegradedModeE2E(t *testing.T) {
 	}
 }
 
-// TestDegradedResultsFromStaleSnapshot: even when the live results cache
-// was invalidated (a session landed between the last conclusion and the
-// outage), the last-known-good snapshot still answers degraded reads.
-func TestDegradedResultsFromStaleSnapshot(t *testing.T) {
+// TestDegradedReadsAreLive: with the breaker open, reads serve the node's
+// live memory, marked degraded — a session acknowledged after the last
+// /results is counted, and a conclusion or session list never asked for
+// before the outage answers all the same.
+func TestDegradedReadsAreLive(t *testing.T) {
 	g := guard.New(guard.Config{
 		MaxInflight:      8,
 		BreakerThreshold: 2,
@@ -217,31 +219,78 @@ func TestDegradedResultsFromStaleSnapshot(t *testing.T) {
 	if rec := postUpload(t, srv, prep, "w1"); rec.Code != http.StatusCreated {
 		t.Fatalf("upload: %d", rec.Code)
 	}
-	var cached Results
-	if rec := doJSON(t, srv, http.MethodGet, "/api/tests/srv-test/results", nil, &cached); rec.Code != http.StatusOK {
+	if rec := doJSON(t, srv, http.MethodGet, "/api/tests/srv-test/results", nil, nil); rec.Code != http.StatusOK {
 		t.Fatalf("results: %d", rec.Code)
 	}
-	// Another accepted session invalidates the live results cache — the
-	// stale snapshot is now the only cached conclusion.
 	if rec := postUpload(t, srv, prep, "w2"); rec.Code != http.StatusCreated {
 		t.Fatalf("upload 2: %d", rec.Code)
 	}
 	tripBreaker(t, srv, prep, ffs, g)
 
-	var got Results
-	rec := doJSON(t, srv, http.MethodGet, "/api/tests/srv-test/results", nil, &got)
+	for _, useQC := range []bool{false, true} {
+		path := "/api/tests/srv-test/results"
+		if useQC {
+			path += "?quality=1"
+		}
+		var got Results
+		rec := doJSON(t, srv, http.MethodGet, path, nil, &got)
+		if rec.Code != http.StatusOK || rec.Header().Get(DegradedHeader) != "1" {
+			t.Fatalf("GET %s, breaker open: status=%d degraded=%q: %s",
+				path, rec.Code, rec.Header().Get(DegradedHeader), rec.Body.String())
+		}
+		want, err := srv.ConcludeScratch("srv-test", useQC)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Workers != 2 || !reflect.DeepEqual(&got, want) {
+			t.Errorf("GET %s, breaker open:\ngot    %+v\noracle %+v (want 2 workers)", path, &got, want)
+		}
+	}
+	var sessions []SessionUpload
+	rec := doJSON(t, srv, http.MethodGet, "/api/tests/srv-test/sessions", nil, &sessions)
 	if rec.Code != http.StatusOK || rec.Header().Get(DegradedHeader) != "1" {
-		t.Fatalf("stale degraded results: status=%d degraded=%q: %s",
-			rec.Code, rec.Header().Get(DegradedHeader), rec.Body.String())
+		t.Fatalf("session list, breaker open: status=%d degraded=%q", rec.Code, rec.Header().Get(DegradedHeader))
 	}
-	if !reflect.DeepEqual(cached, got) {
-		t.Errorf("stale snapshot mismatch:\ncached %+v\ngot    %+v", cached, got)
+	if len(sessions) != 2 || sessions[0].WorkerID != "w1" || sessions[1].WorkerID != "w2" {
+		t.Errorf("session list, breaker open: %d sessions %+v, want w1 and w2", len(sessions), sessions)
 	}
-	// A conclusion never cached before the outage has nothing to serve.
-	rec = doJSON(t, srv, http.MethodGet, "/api/tests/srv-test/results?quality=1", nil, nil)
-	if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" {
-		t.Errorf("uncached degraded results: status=%d retry-after=%q",
-			rec.Code, rec.Header().Get("Retry-After"))
+}
+
+// TestReadIsNeverTheBreakerProbe: after the cooldown, a read of a missing
+// test answers 404 and leaves the breaker open; only a write probes it.
+func TestReadIsNeverTheBreakerProbe(t *testing.T) {
+	g := guard.New(guard.Config{MaxInflight: 8, BreakerThreshold: 2, BreakerCooldown: 20 * time.Millisecond})
+	srv, prep, ffs, _ := prepGuardedTest(t, g)
+	tripBreaker(t, srv, prep, ffs, g)
+	time.Sleep(30 * time.Millisecond)
+
+	if rec := doJSON(t, srv, http.MethodGet, "/api/tests/ghost", nil, nil); rec.Code != http.StatusNotFound {
+		t.Fatalf("GET a missing test = %d, want 404", rec.Code)
+	}
+	if got := g.Breaker().State(); got != guard.StateOpen {
+		t.Errorf("breaker after a read past the cooldown = %v, want open", got)
+	}
+	if rec := doJSON(t, srv, http.MethodGet, "/readyz", nil, nil); rec.Code != http.StatusServiceUnavailable {
+		t.Errorf("readyz after a read past the cooldown = %d, want 503", rec.Code)
+	}
+}
+
+// TestReadsDoNotResetBreakerFailures: failing uploads interleaved with reads
+// still trip the breaker — a read is no evidence of store health.
+func TestReadsDoNotResetBreakerFailures(t *testing.T) {
+	g := guard.New(guard.Config{MaxInflight: 8, BreakerThreshold: 2, BreakerCooldown: 20 * time.Millisecond})
+	srv, prep, ffs, _ := prepGuardedTest(t, g)
+	ffs.FailAppendsAfter(0, nil, false)
+	for i := 0; i < 10; i++ {
+		if rec := postUpload(t, srv, prep, fmt.Sprintf("w%d", i)); rec.Code != http.StatusServiceUnavailable {
+			t.Fatalf("upload %d on a failing disk = %d, want 503", i, rec.Code)
+		}
+		if rec := doJSON(t, srv, http.MethodGet, "/api/tests/ghost", nil, nil); rec.Code != http.StatusNotFound {
+			t.Fatalf("GET a missing test = %d, want 404", rec.Code)
+		}
+	}
+	if trips, state := g.Breaker().Trips(), g.Breaker().State(); trips < 1 || state != guard.StateOpen {
+		t.Errorf("10 failing uploads between reads: %d trips, breaker %v; want tripped and open", trips, state)
 	}
 }
 

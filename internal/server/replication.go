@@ -112,7 +112,7 @@ func (s *Server) replPreamble(w http.ResponseWriter, r *http.Request) bool {
 		// A fenced primary must not take writes: they could never be
 		// acknowledged (the follower refuses its epoch) and accepting
 		// them would fork history against the promoted node. Reads stay
-		// available — stale but honest, like degraded mode.
+		// available — stale but honest.
 		w.Header().Set(FencedHeader, "1")
 		writeShed(w, http.StatusServiceUnavailable, time.Second,
 			"fenced: a newer primary holds epoch %d leadership; write refused", s.repl.Epoch())

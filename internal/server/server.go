@@ -168,7 +168,6 @@ func (s *Server) registerGauges() {
 		hits, misses *atomic.Int64
 	}{
 		{"tests", &cache.testHits, &cache.testMisses},
-		{"sessions", &cache.sessionHits, &cache.sessionMisses},
 		{"results", &cache.resultHits, &cache.resultMisses},
 	} {
 		hits, misses := g.hits, g.misses
@@ -312,11 +311,6 @@ func (s *Server) load(testID string) (*testEntry, error) {
 	if entry, ok := s.cache.test(testID); ok {
 		return entry, nil
 	}
-	return s.loadStored(testID)
-}
-
-// loadStored is load's miss: the entry assembled from storage and cached.
-func (s *Server) loadStored(testID string) (*testEntry, error) {
 	gen := s.cache.gen(testID)
 	prep, err := aggregator.LoadPrepared(s.db, testID)
 	if err != nil {
@@ -374,11 +368,7 @@ func docStringField(d store.Document, key string) string {
 }
 
 func (s *Server) handleTestInfo(w http.ResponseWriter, r *http.Request) {
-	switch entry, degraded := s.loadServing(w, r.PathValue("id"), "test info"); {
-	case entry == nil:
-	case degraded:
-		s.serveDegraded(w, entry.info)
-	default:
+	if entry := s.loadServing(w, r.PathValue("id")); entry != nil {
 		writeJSON(w, http.StatusOK, entry.info)
 	}
 }
@@ -395,23 +385,18 @@ type Task struct {
 
 func (s *Server) handleTask(w http.ResponseWriter, r *http.Request) {
 	testID := r.PathValue("id")
-	entry, degraded := s.loadServing(w, testID, "task payload")
+	entry := s.loadServing(w, testID)
 	if entry == nil {
 		return
 	}
-	task := Task{
+	writeJSON(w, http.StatusOK, Task{
 		TestID:          testID,
 		Title:           "Kaleidoscope web comparison test " + testID,
 		Instructions:    entry.prep.Test.TestDescription,
 		RequiredWorkers: entry.prep.Test.ParticipantNum,
 		PaymentUSD:      0.10,
 		PageCount:       len(entry.prep.Pages),
-	}
-	if degraded {
-		s.serveDegraded(w, task)
-		return
-	}
-	writeJSON(w, http.StatusOK, task)
+	})
 }
 
 // handlePageFile serves one file of an integrated page straight from the
@@ -608,8 +593,7 @@ func (s *Server) handleSessionUpload(w http.ResponseWriter, r *http.Request) {
 // immediately), then sweeps the test's page documents, stored sessions, and
 // blob prefix (releasing CAS refcounts, so content shared with other
 // tenants survives while this test's references are dropped), and finally
-// purges the serving cache — including the degraded-mode snapshots that
-// ordinary invalidation keeps — and the test's fold state.
+// drops the test's serving-cache entries and fold state.
 //
 // The sweep is idempotent: a retry after a partially failed delete (or
 // after a lost response) cleans up whatever remains, and 404 only means
@@ -617,8 +601,8 @@ func (s *Server) handleSessionUpload(w http.ResponseWriter, r *http.Request) {
 // success.
 func (s *Server) handleTestDelete(w http.ResponseWriter, r *http.Request) {
 	testID := r.PathValue("id")
-	// A delete is a store write like an upload (DESIGN.md §6e), and a
-	// successful sweep is evidence of store health.
+	// A delete is a store write like an upload (DESIGN.md §6e), and a sweep
+	// that deleted something is evidence of store health.
 	g, ok := s.admitWrite(w, "test deletion")
 	if !ok {
 		return
@@ -657,19 +641,17 @@ func (s *Server) handleTestDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The OnChange hooks already invalidated the live cache per deleted
-	// document; the explicit purge additionally drops the last-known-good
-	// snapshots and the fold state (latched decision included), so a
-	// deleted test can never be served — degraded mode included — until it
-	// is created again.
-	s.cache.purgeTest(testID)
+	// The OnChange hooks already invalidated the cache per deleted document;
+	// this drops it again, with the fold state (latched decision included),
+	// so a deleted test can never be served until it is created again.
+	s.cache.invalidateTest(testID)
 	s.folds.purge(testID)
-	g.report(guard.Success)
 
 	if !hadDoc && npages == 0 && nsessions == 0 && nblobs == 0 {
 		writeError(w, http.StatusNotFound, "no such test %q", testID)
 		return
 	}
+	g.report(guard.Success)
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":   "deleted",
 		"test_id":  testID,
@@ -709,21 +691,12 @@ type Results struct {
 	Decision  *earlystop.Decision `json:"decision,omitempty"`
 }
 
-// Sessions loads every stored session of a test through the serving cache;
-// decoded sessions stay cached until a new upload for the test arrives.
-// The returned slice is the caller's; the session structs' nested slices
-// are shared with the cache and must be treated as read-only.
+// Sessions decodes every stored session of a test, in document-id (worker)
+// order, into a slice that is the caller's.
 func (s *Server) Sessions(testID string) ([]SessionUpload, error) {
-	if cached, ok := s.cache.sessionsFor(testID); ok {
-		return append([]SessionUpload(nil), cached...), nil
-	}
-	gen := s.cache.gen(testID)
-	out, err := storedSessions(s.responses, testID)
-	if err != nil {
-		return nil, err
-	}
-	s.cache.putSessions(testID, gen, out)
-	return append([]SessionUpload(nil), out...), nil
+	out := []SessionUpload{}
+	err := eachStoredSession(s.responses, testID, func(_ string, u *SessionUpload) { out = append(out, *u) })
+	return out, err
 }
 
 // handleSessionList returns every stored session of a test verbatim, in
@@ -731,26 +704,13 @@ func (s *Server) Sessions(testID string) ([]SessionUpload, error) {
 // sessions, which a shard router merges across the fleet.
 func (s *Server) handleSessionList(w http.ResponseWriter, r *http.Request) {
 	testID := r.PathValue("id")
-	entry, degraded := s.loadServing(w, testID, "session list")
-	if entry == nil {
-		return
-	}
-	if degraded {
-		// Breaker open: the decoded-session cache is the only safe source.
-		if cached, ok := s.cache.sessionsFor(testID); ok {
-			s.serveDegraded(w, cached)
-			return
-		}
-		s.writeUnavailable(w, "session list")
+	if s.loadServing(w, testID) == nil {
 		return
 	}
 	uploads, err := s.Sessions(testID)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "loading sessions: %v", err)
 		return
-	}
-	if uploads == nil {
-		uploads = []SessionUpload{}
 	}
 	writeJSON(w, http.StatusOK, uploads)
 }
@@ -794,11 +754,11 @@ func ConcludeUploads(info *TestInfo, uploads []SessionUpload, useQC bool) (*Resu
 	return concludeUploads(info, uploads, qc)
 }
 
-// Conclude computes results for a test from its stored sessions,
-// optionally applying quality control with the given config (nil = raw
-// results). This is the from-scratch reference the incremental engine is
-// differentially tested against; custom quality configs always take this
-// path.
+// Conclude computes results for a test from its stored sessions, decoded
+// from storage past the results cache and the fold state, optionally
+// applying quality control with the given config (nil = raw results). This
+// is the from-scratch reference the incremental engine is differentially
+// tested against; custom quality configs always take this path.
 func (s *Server) Conclude(testID string, qc *quality.Config) (*Results, error) {
 	entry, err := s.load(testID)
 	if err != nil {
@@ -808,35 +768,23 @@ func (s *Server) Conclude(testID string, qc *quality.Config) (*Results, error) {
 	if err != nil {
 		return nil, err
 	}
-	return concludeFrom(testID, entry, uploads, qc)
+	return concludeUploads(entry.info, uploads, qc)
 }
 
-// ConcludeScratch recomputes results directly from storage, bypassing both
-// the serving cache and the fold state — the differential oracle the tests,
-// the load harness and the benchmarks compare the serving path against.
-// useQC selects the same default battery the HTTP results surface applies
-// for ?quality=1.
+// ConcludeScratch is Conclude with, when useQC is set, the default battery
+// the HTTP results surface applies for ?quality=1 — the differential oracle
+// the tests, the load harness and the benchmarks compare the serving path
+// against.
 func (s *Server) ConcludeScratch(testID string, useQC bool) (*Results, error) {
-	entry, err := s.load(testID)
-	if err != nil {
-		return nil, err
-	}
-	uploads, err := storedSessions(s.responses, testID)
-	if err != nil {
-		return nil, err
-	}
 	var qc *quality.Config
 	if useQC {
+		entry, err := s.load(testID)
+		if err != nil {
+			return nil, err
+		}
 		qc = defaultQC(entry)
 	}
-	return concludeFrom(testID, entry, uploads, qc)
-}
-
-// concludeFrom tallies a conclusion from decoded sessions.
-func concludeFrom(testID string, entry *testEntry, uploads []SessionUpload, qc *quality.Config) (*Results, error) {
-	// testID and entry.info.TestID are always the same string here (the
-	// entry was loaded by that id); concludeUploads keys off the info.
-	return concludeUploads(entry.info, uploads, qc)
+	return s.Conclude(testID, qc)
 }
 
 func concludeUploads(info *TestInfo, uploads []SessionUpload, qc *quality.Config) (*Results, error) {
@@ -871,13 +819,7 @@ func concludeUploads(info *TestInfo, uploads []SessionUpload, qc *quality.Config
 			t.Add(r.Choice)
 		}
 	}
-	for _, p := range info.Pages {
-		pr := PageResult{PageID: p.ID, LeftName: p.LeftName, RightName: p.RightName, Kind: p.Kind}
-		if t, ok := tallies[p.ID]; ok {
-			pr.Tally = *t
-		}
-		res.Pages = append(res.Pages, pr)
-	}
+	res.Pages = pageSpine(info, tallies)
 	return res, nil
 }
 
@@ -925,23 +867,6 @@ func (s *Server) concludeCached(ctx context.Context, testID string, useQC bool) 
 func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	testID := r.PathValue("id")
 	useQC := r.URL.Query().Get("quality") == "1"
-	// Degraded mode: with the store breaker open, answer from the freshest
-	// cached conclusion (live cache first, last-known-good snapshot
-	// otherwise) instead of touching storage. Only a test never concluded
-	// before the outage gets a 503.
-	if s.breakerOpen() {
-		key := resultsKey{testID: testID, quality: useQC}
-		if res, ok := s.cache.resultsFor(key); ok {
-			s.serveDegraded(w, s.withDecision(testID, res))
-			return
-		}
-		if res, ok := s.cache.staleResultsFor(key); ok {
-			s.serveDegraded(w, s.withDecision(testID, res))
-			return
-		}
-		s.writeUnavailable(w, "results")
-		return
-	}
 	res, err := s.concludeCached(r.Context(), testID, useQC)
 	if err != nil {
 		if errors.Is(err, store.ErrNotFound) {
@@ -956,33 +881,26 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "concluding: %v", err)
 		return
 	}
-	res = s.withDecision(testID, res)
-	writeJSON(w, http.StatusOK, res)
+	s.markDegraded(w)
+	writeJSON(w, http.StatusOK, s.withDecision(testID, res))
 }
 
 // handleFold serves GET /api/tests/{id}/fold, the node-internal read a shard
 // router merges ?quality=1 results from: this node's FoldState of the test.
-// With the store breaker open it answers from live fold state, which touches
-// no storage, and has nothing to offer for a lazy one.
 func (s *Server) handleFold(w http.ResponseWriter, r *http.Request) {
 	testID := r.PathValue("id")
-	entry, degraded := s.loadServing(w, testID, "fold state")
+	entry := s.loadServing(w, testID)
 	if entry == nil {
 		return
 	}
-	fs, err := s.folds.state(testID, entry, !degraded)
-	switch {
-	case err != nil:
+	fs, err := s.folds.state(testID, entry)
+	if err != nil {
 		writeError(w, http.StatusInternalServerError, "folding: %v", err)
-	case fs == nil:
-		s.writeUnavailable(w, "fold state")
-	case degraded:
-		s.serveDegraded(w, fs)
-	default:
-		// writeJSON's bytes, without encoding/json's pass over MarshalJSON's.
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(append(fs.doc().append(make([]byte, 0, 1024)), '\n'))
+		return
 	}
+	// writeJSON's bytes, without encoding/json's pass over MarshalJSON's.
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(append(fs.doc().append(make([]byte, 0, 1024)), '\n'))
 }
 
 // withDecision attaches the sequential engine's verdict to a results

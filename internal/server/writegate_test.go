@@ -32,11 +32,24 @@ func (b *trackedBody) Read(p []byte) (int, error) {
 // writeRig is one cell of the fault matrix: the standard test in a
 // dir-backed, fault-injectable store, served with the row's options.
 type writeRig struct {
-	srv  *Server
-	prep *aggregator.Prepared
-	ffs  *store.FaultFS
-	g    *guard.Guard // nil on an unguarded row
-	repl *fakeRepl    // nil on an unreplicated row
+	srv   *Server
+	prep  *aggregator.Prepared
+	ffs   *store.FaultFS
+	g     *guard.Guard // nil on an unguarded row
+	repl  *fakeRepl    // nil on an unreplicated row
+	clock time.Time    // the guard's
+}
+
+// halfOpen trips the rig's breaker, lets its cooldown pass and leaves the
+// disk failing: the next write is the breaker's probe.
+func (rig *writeRig) halfOpen(t *testing.T) {
+	done, ok := rig.g.Breaker().Allow()
+	if !ok {
+		t.Fatal("breaker refused before the fault")
+	}
+	done(guard.Failure)
+	rig.clock = rig.clock.Add(time.Minute)
+	rig.ffs.FailAppendsAfter(0, nil, false)
 }
 
 // TestWriteFaultMatrix sends the same faults through the node's three store
@@ -44,9 +57,12 @@ type writeRig struct {
 // a delete — and holds each to one answer: status, Retry-After, the fenced
 // and concluded markers, what is stored afterwards, and the breaker's state.
 // At BreakerThreshold 1 one Failure shows as open; a Success or a Canceled
-// leaves the breaker closed. FaultFS injects write faults only, so the load
-// fault is a stored test that has lost a page document: LoadPrepared's
-// non-not-found error, as a corrupt store gives.
+// leaves the breaker closed. A probe row's write is the half-open breaker's
+// probe and reaches no WAL, so the breaker stays half-open — not closed by a
+// disk that is still failing — until a write that does reach it, once the
+// disk heals. FaultFS injects write faults only, so the load fault is a
+// stored test that has lost a page document: LoadPrepared's non-not-found
+// error, as a corrupt store gives.
 func TestWriteFaultMatrix(t *testing.T) {
 	const worker = "w-matrix"
 	surfaces := []struct {
@@ -71,6 +87,7 @@ func TestWriteFaultMatrix(t *testing.T) {
 		fenced    bool
 		concluded bool
 		open      bool // breaker open afterwards
+		probe     bool // the request is the half-open breaker's probe
 		unread    bool // the body is never read
 		stored    int  // srv-test sessions afterwards
 	}{
@@ -109,6 +126,23 @@ func TestWriteFaultMatrix(t *testing.T) {
 				}
 			},
 			code: http.StatusOK, concluded: true, stored: 8,
+		},
+		{
+			name: "half-open-test-missing", threshold: 1, testID: "ghost", delete: true,
+			arrange: func(t *testing.T, rig *writeRig) { rig.halfOpen(t) },
+			code:    http.StatusNotFound, probe: true,
+		},
+		{
+			name: "half-open-decided", threshold: 1, early: true,
+			arrange: func(t *testing.T, rig *writeRig) {
+				for i := 0; i < 8; i++ {
+					if r := uploadOne(t, rig.srv, rig.prep, workerName(i), questionnaire.ChoiceLeft); r.code != http.StatusCreated {
+						t.Fatalf("deciding upload %d = %d: %s", i, r.code, r.body)
+					}
+				}
+				rig.halfOpen(t)
+			},
+			code: http.StatusOK, concluded: true, probe: true, stored: 8,
 		},
 		{
 			name: "duplicate-barrier-fails", threshold: 1, repl: &fakeRepl{epoch: 1, state: "steady"},
@@ -164,6 +198,7 @@ func TestWriteFaultMatrix(t *testing.T) {
 						BreakerThreshold: row.threshold,
 						BreakerCooldown:  time.Minute,
 						RetryAfter:       time.Second,
+						Now:              func() time.Time { return rig.clock },
 					})
 					opts = append(opts, WithGuard(rig.g))
 				}
@@ -219,8 +254,11 @@ func TestWriteFaultMatrix(t *testing.T) {
 				}
 				if rig.g != nil {
 					want := guard.StateClosed
-					if row.open {
+					switch {
+					case row.open:
 						want = guard.StateOpen
+					case row.probe:
+						want = guard.StateHalfOpen
 					}
 					if got := rig.g.Breaker().State(); got != want {
 						t.Errorf("breaker = %v, want %v", got, want)
@@ -231,6 +269,15 @@ func TestWriteFaultMatrix(t *testing.T) {
 				}
 				if _, err := rig.srv.db.Collection(aggregator.TestsCollection).Get("srv-test"); err != nil {
 					t.Errorf("the test did not survive the refused write: %v", err)
+				}
+				if row.probe {
+					rig.ffs.Reset()
+					if rec := doJSON(t, rig.srv, http.MethodDelete, "/api/tests/srv-test", nil, nil); rec.Code != http.StatusOK {
+						t.Fatalf("DELETE once the disk healed = %d: %s", rec.Code, rec.Body.String())
+					}
+					if got := rig.g.Breaker().State(); got != guard.StateClosed {
+						t.Errorf("breaker after a real write on a healed disk = %v, want closed", got)
+					}
 				}
 			})
 		}

@@ -149,8 +149,8 @@ type gathered struct {
 // gather issues a GET with the caller's headers to every shard and hands
 // each 200 body to merge. A 404 contributes nothing — the test is deleted
 // on that shard, or was never prepared there — and is no fault. A shard
-// that cannot be reached, answers anything else (a degraded 503 with
-// nothing cached, a mid-delete 500), or whose body merge refuses is missing:
+// that cannot be reached, answers anything else (an overloaded 429, a
+// mid-delete 500), or whose body merge refuses is missing:
 // the answer is partial, not failed.
 func (rt *Router) gather(r *http.Request, path string, merge func(body []byte) error) gathered {
 	var g gathered

@@ -68,40 +68,41 @@ func (b *Bed) get(path string) (*failover.Response, error) {
 }
 
 // results fetches a test's served results, and reports whether the answer
-// is marked partial (a shard's share missing) or degraded (a cached copy).
-func (b *Bed) results(testID string, useQC bool) (res *server.Results, marked bool, err error) {
+// is marked partial (a shard's share missing) and whether it is marked
+// degraded (a node refusing writes).
+func (b *Bed) results(testID string, useQC bool) (res *server.Results, partial, degraded bool, err error) {
 	path := "/api/tests/" + testID + "/results"
 	if useQC {
 		path += "?quality=1"
 	}
 	resp, err := b.get(path)
 	if err != nil {
-		return nil, false, fmt.Errorf("results of %s (quality=%v): %w", testID, useQC, err)
+		return nil, false, false, fmt.Errorf("results of %s (quality=%v): %w", testID, useQC, err)
 	}
 	res = new(server.Results)
 	if err := json.Unmarshal(resp.Body, res); err != nil {
-		return nil, false, fmt.Errorf("decoding results of %s: %w", testID, err)
+		return nil, false, false, fmt.Errorf("decoding results of %s: %w", testID, err)
 	}
-	return res, resp.Header.Get(shard.PartialHeader) != "" || resp.Header.Get(server.DegradedHeader) != "", nil
+	return res, resp.Header.Get(shard.PartialHeader) != "", resp.Header.Get(server.DegradedHeader) != "", nil
 }
 
-// poll is the mid-run experimenter. Read-your-acks: a full answer (200,
-// neither partial nor degraded) to a request that began after k sessions
-// of the test were acknowledged counts at least k workers, raw. The
-// quality-controlled view is fetched too, for the load and for the status
-// matrix; what it drops is the oracle's business.
+// poll is the mid-run experimenter. Read-your-acks: a full answer (200, not
+// partial; a degraded one is as current) to a request that began after k
+// sessions of the test were acknowledged counts at least k workers, raw.
+// The quality-controlled view is fetched too, for the load and for the
+// status matrix; what it drops is the oracle's business.
 func (b *Bed) poll(testID string) {
 	for _, useQC := range []bool{false, true} {
 		b.mu.Lock()
 		k := len(b.acks[testID])
 		b.polls++
 		b.mu.Unlock()
-		res, marked, err := b.results(testID, useQC)
+		res, partial, _, err := b.results(testID, useQC)
 		b.mu.Lock()
 		switch {
 		case err != nil:
 			b.pollErrs = append(b.pollErrs, fmt.Errorf("mid-run poll: %w", err))
-		case useQC || marked:
+		case useQC || partial:
 		case res.Workers < k:
 			b.pollErrs = append(b.pollErrs, fmt.Errorf("READ-YOUR-ACKS: %d sessions of %s were acknowledged before a /results request began, its full answer counts %d workers",
 				k, testID, res.Workers))
@@ -242,11 +243,11 @@ func (b *Bed) Audit(out io.Writer, extraStatuses ...int) error {
 	for _, f := range b.Fixtures {
 		testID := f.Test.TestID
 		for _, useQC := range []bool{false, true} {
-			got, marked, err := b.results(testID, useQC)
+			got, partial, degraded, err := b.results(testID, useQC)
 			if err != nil {
 				return err
 			}
-			if marked {
+			if partial || degraded {
 				return fmt.Errorf("results of %s (quality=%v) still marked partial or degraded after full recovery", testID, useQC)
 			}
 			// The oracle knows nothing of the sequential engine; a decided
