@@ -29,7 +29,8 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
 # Fault-injection suite: crash-recovery under injected filesystem faults,
-# chaos-transport end-to-end flows, and graceful-drain shutdown. Run
+# chaos-transport end-to-end flows, graceful-drain shutdown, and every
+# testbed topology's audit (socketless, so each row repeats per seed). Run
 # repeatedly — these tests mix randomized fault schedules with fixed
 # seeds, and flakes here mean a real durability bug. The last line is the
 # model-based test of store + replica on MODEL_RUNS fresh seeds; a failure
@@ -38,6 +39,7 @@ MODEL_RUNS ?= 40
 chaos:
 	$(GO) test -count=3 -run 'Chaos|Crash|Fault|Torn|Quarantin|Recover|ENOSPC|Drain|Retr|Compact|SyncPolic' \
 		./internal/store/ ./internal/netsim/ ./internal/failover/ ./internal/extension/ ./cmd/kscope-server/
+	$(GO) test -count=3 -run 'TestEveryTopologyPassesItsAudit|TestAuditCatches' ./internal/testbed/
 	$(GO) test -count=1 -run '^TestModel' ./internal/replica/ -model.runs=$(MODEL_RUNS) -model.steps=140
 
 # A short fuzz pass over every fuzz target in the module — the CI smoke

@@ -43,6 +43,7 @@ func newCampaign(cfg config, bed *testbed.Bed, specs []campaign.Spec) (*campaign
 		Concurrency: cfg.concurrency,
 		Policy:      bed.WorkerPolicy(),
 		Transport:   func(session int) http.RoundTripper { return bed.WorkerLink(0, session) },
+		Client:      bed.Client,
 		Oracle:      bed.Oracle,
 		OnAck:       func(testID, workerID string) { bed.Acked(testID, workerID, 0) },
 	}, nil

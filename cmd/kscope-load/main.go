@@ -1,9 +1,9 @@
 // Command kscope-load is Kaleidoscope's acceptance harness: seeded,
 // deterministic crowds pushed through the real HTTP stack — test-info
 // download, integrated-page fetches, local replay, answering, session
-// upload — against a whole deployment on loopback listeners, with fault
-// injection (dropped connections, injected 5xx, profile delays) on every
-// link of it.
+// upload — against a whole deployment on one socketless netsim.Link, with
+// fault injection (dropped connections, injected 5xx, profile delays) on
+// every link of it.
 //
 // Each -scenario is a row of the scenarios table: a topology
 // (internal/testbed starts it from the same assembly kscope-server runs), a

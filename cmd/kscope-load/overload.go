@@ -80,7 +80,7 @@ func overloadDrive(cfg config, bed *testbed.Bed, out io.Writer) (func() error, e
 		}
 		held = append(held, release)
 	}
-	served, shed := stampede(infoURL, 16*k)
+	served, shed := stampede(bed.Client, infoURL, 16*k)
 	for _, release := range held {
 		release()
 	}
@@ -88,7 +88,7 @@ func overloadDrive(cfg config, bed *testbed.Bed, out io.Writer) (func() error, e
 		return nil, fmt.Errorf("stampede of %d reads against a saturated K=%d: %d served, %d shed — admission control did not engage",
 			16*k, k, served, shed)
 	}
-	if err := expectGet(infoURL, http.StatusOK, ""); err != nil {
+	if err := expectGet(bed.Client, infoURL, http.StatusOK, ""); err != nil {
 		return nil, fmt.Errorf("read after saturation cleared: %w", err)
 	}
 
@@ -106,7 +106,7 @@ func overloadDrive(cfg config, bed *testbed.Bed, out io.Writer) (func() error, e
 		// The disk "fills up": every WAL append fails from here on.
 		bed.Disk.FailAppendsAfter(0, nil, false)
 		bed.NoteFault("disk outage: every WAL append fails until the breaker has opened and degraded mode is proven")
-		go func() { monitorDone <- degradedMonitor(url, g, bed.Disk) }()
+		go func() { monitorDone <- degradedMonitor(bed.Client, url, g, bed.Disk) }()
 	})
 	if err != nil {
 		return nil, err
@@ -156,7 +156,7 @@ func checkP99(bed *testbed.Bed, boundMillis float64, when string, routes ...stri
 // stampede fires n concurrent GETs released by a single barrier and counts
 // 200s vs 429 sheds. Any other status counts as neither, failing the
 // caller's both-sides check.
-func stampede(url string, n int) (ok, shed int64) {
+func stampede(c *http.Client, url string, n int) (ok, shed int64) {
 	var okN, shedN atomic.Int64
 	start := make(chan struct{})
 	var wg sync.WaitGroup
@@ -165,7 +165,7 @@ func stampede(url string, n int) (ok, shed int64) {
 		go func() {
 			defer wg.Done()
 			<-start
-			resp, err := http.Get(url)
+			resp, err := c.Get(url)
 			if err != nil {
 				return
 			}
@@ -186,7 +186,7 @@ func stampede(url string, n int) (ok, shed int64) {
 
 // degradedMonitor waits for the breaker to open, proves degraded serving
 // end to end, then heals the filesystem so the run can recover.
-func degradedMonitor(baseURL string, g *guard.Guard, ffs *store.FaultFS) error {
+func degradedMonitor(c *http.Client, baseURL string, g *guard.Guard, ffs *store.FaultFS) error {
 	deadline := time.Now().Add(monitorTimeout / 2)
 	for g.Breaker().State() != guard.StateOpen {
 		if time.Now().After(deadline) {
@@ -196,19 +196,19 @@ func degradedMonitor(baseURL string, g *guard.Guard, ffs *store.FaultFS) error {
 	}
 	// Reads answer from live memory, marked degraded.
 	for _, path := range []string{"", "/results", "/results?quality=1", "/sessions"} {
-		if err := expectGet(baseURL+"/api/tests/"+testID+path, http.StatusOK, "1"); err != nil {
+		if err := expectGet(c, baseURL+"/api/tests/"+testID+path, http.StatusOK, "1"); err != nil {
 			return fmt.Errorf("degraded read: %w", err)
 		}
 	}
 	// Readiness flips, liveness does not.
-	if err := expectGet(baseURL+"/readyz", http.StatusServiceUnavailable, ""); err != nil {
+	if err := expectGet(c, baseURL+"/readyz", http.StatusServiceUnavailable, ""); err != nil {
 		return fmt.Errorf("readyz while open: %w", err)
 	}
-	if err := expectGet(baseURL+"/healthz", http.StatusOK, ""); err != nil {
+	if err := expectGet(c, baseURL+"/healthz", http.StatusOK, ""); err != nil {
 		return fmt.Errorf("healthz while open: %w", err)
 	}
 	// The guard's state is visible on the metrics surface.
-	resp, err := http.Get(baseURL + "/metrics")
+	resp, err := c.Get(baseURL + "/metrics")
 	if err != nil {
 		return err
 	}
@@ -228,8 +228,8 @@ func degradedMonitor(baseURL string, g *guard.Guard, ffs *store.FaultFS) error {
 
 // expectGet fetches url and checks the status plus (when degraded is
 // non-empty) the X-Kscope-Degraded header value.
-func expectGet(url string, wantStatus int, degraded string) error {
-	resp, err := http.Get(url)
+func expectGet(c *http.Client, url string, wantStatus int, degraded string) error {
+	resp, err := c.Get(url)
 	if err != nil {
 		return err
 	}

@@ -158,10 +158,11 @@ type Campaign struct {
 	// Concurrency bounds simultaneously running sessions campaign-wide
 	// (default 4).
 	Concurrency int
-	// Policy and Timeout configure every session's client, like
-	// extension.Fleet.
-	Policy  failover.Policy
-	Timeout time.Duration
+	// Policy configures every session's client, like extension.Fleet.
+	Policy failover.Policy
+	// Client is the experimenter's own clean client: deletes and the
+	// results the oracle checks (nil: a plain client with a 30 s timeout).
+	Client *http.Client
 	// Transport, when set, supplies a per-session http.RoundTripper
 	// (typically a seeded netsim.ChaosTransport); the sequence number is
 	// unique across the campaign.
@@ -219,13 +220,14 @@ type workerPool struct {
 }
 
 // checkout hands out an idle worker not yet used by the requesting tenant;
-// when none qualifies it recruits a fresh one, as a platform does when a
-// task's assignment outstrips the available crowd.
-func (p *workerPool) checkout(used map[string]bool) (*crowd.Worker, bool, error) {
+// when none qualifies, or when fresh asks for a replacement of a vanished
+// worker, it recruits one, as a platform does when a task's assignment
+// outstrips the available crowd.
+func (p *workerPool) checkout(used map[string]bool, fresh bool) (*crowd.Worker, bool, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for i, w := range p.idle {
-		if !used[w.ID] {
+		if !used[w.ID] && !fresh {
 			p.idle = append(p.idle[:i], p.idle[i+1:]...)
 			return w, false, nil
 		}
@@ -273,6 +275,9 @@ func (c *Campaign) Run() (*Report, error) {
 		}
 	}
 
+	if c.Client == nil {
+		c.Client = &http.Client{Timeout: 30 * time.Second}
+	}
 	c.budgetLeft = c.Budget
 	c.pool = &workerPool{
 		idle:    append([]*crowd.Worker(nil), c.Pop.Workers...),
@@ -445,7 +450,7 @@ func (c *Campaign) serveTenant(spec Spec, prep *aggregator.Prepared, sem chan st
 					usedView[id] = true
 				}
 				mu.Unlock()
-				w, minted, err := c.pool.checkout(usedView)
+				w, minted, err := c.pool.checkout(usedView, false)
 				if err != nil {
 					mu.Lock()
 					if firstErr == nil {
@@ -511,12 +516,19 @@ func (c *Campaign) serveTenant(spec Spec, prep *aggregator.Prepared, sem chan st
 					return
 				case errors.Is(err, extension.ErrAbandoned):
 					// The worker walked away with nothing uploaded: lost to
-					// the platform (not returned to the pool); the next
-					// attempt recruits someone else. Nothing was stored, so
-					// nothing was paid.
+					// the platform (not returned to the pool) and replaced in
+					// it by a fresh recruit. Nothing was stored, so nothing
+					// was paid.
 					c.refundBudget()
+					fresh, _, err := c.pool.checkout(nil, true)
 					mu.Lock()
 					rep.Vanished++
+					if err == nil {
+						c.pool.release(fresh)
+						rep.Recruited++
+					} else if firstErr == nil {
+						firstErr = fmt.Errorf("slot %d: recruiting: %w", slot, err)
+					}
 					mu.Unlock()
 				default:
 					// Infrastructure failure after the client's own retry
@@ -574,11 +586,7 @@ func (c *Campaign) refundBudget() {
 // because the test had already been decided.
 func (c *Campaign) runSession(spec Spec, w *crowd.Worker) (*server.SessionUpload, extension.UploadOutcome, error) {
 	seq := c.session.Add(1)
-	timeout := c.Timeout
-	if timeout == 0 {
-		timeout = 30 * time.Second
-	}
-	httpc := &http.Client{Timeout: timeout}
+	httpc := &http.Client{Timeout: 30 * time.Second}
 	if c.Transport != nil {
 		httpc.Transport = c.Transport(int(seq))
 	}
@@ -675,8 +683,7 @@ func auditDecision(d *earlystop.Decision) error {
 // deleteTenant removes the test over HTTP and verifies the deployment
 // genuinely forgot it: metadata and results must 404 afterwards.
 func (c *Campaign) deleteTenant(rep *TenantReport) error {
-	httpc := &http.Client{Timeout: 30 * time.Second}
-	client, err := extension.NewClient(c.BaseURL, httpc, extension.WithPolicy(c.Policy))
+	client, err := extension.NewClient(c.BaseURL, c.Client, extension.WithPolicy(c.Policy))
 	if err != nil {
 		return err
 	}
@@ -712,7 +719,7 @@ func (c *Campaign) fetchJSON(testID, suffix string) ([]byte, int, error) {
 }
 
 func (c *Campaign) httpGet(path string) ([]byte, int, error) {
-	resp, err := http.Get(c.BaseURL + path)
+	resp, err := c.Client.Get(c.BaseURL + path)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -17,13 +17,13 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"sync"
 	"time"
 
 	"kaleidoscope/internal/aggregator"
 	"kaleidoscope/internal/crowd"
 	"kaleidoscope/internal/extension"
+	"kaleidoscope/internal/netsim"
 	"kaleidoscope/internal/obs"
 	"kaleidoscope/internal/params"
 	"kaleidoscope/internal/quality"
@@ -134,43 +134,11 @@ func NewEngine() (*Engine, error) {
 	return &Engine{DB: db, Blobs: blobs, Server: srv}, nil
 }
 
-// NewPersistentEngine builds an engine persisted under dir.
-func NewPersistentEngine(dir string) (*Engine, error) {
-	db, err := store.Open(dir + "/db")
-	if err != nil {
-		return nil, err
-	}
-	blobs, err := store.OpenBlobStore(dir + "/blobs")
-	if err != nil {
-		return nil, err
-	}
-	srv, err := server.New(db, blobs)
-	if err != nil {
-		return nil, err
-	}
-	return &Engine{DB: db, Blobs: blobs, Server: srv}, nil
-}
-
-// inprocTransport routes HTTP requests straight into a handler without a
-// network socket, so studies and benchmarks run hermetically.
-type inprocTransport struct {
-	handler http.Handler
-}
-
-var _ http.RoundTripper = (*inprocTransport)(nil)
-
-// RoundTrip serves the request through the handler.
-func (t *inprocTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	rec := httptest.NewRecorder()
-	t.handler.ServeHTTP(rec, req)
-	return rec.Result(), nil
-}
-
-// Client returns an extension client wired in-process to the engine's
-// server.
+// Client returns an extension client wired to the engine's server over a
+// netsim.Link, so studies run hermetically, with no socket.
 func (e *Engine) Client() (*extension.Client, error) {
-	httpc := &http.Client{Transport: &inprocTransport{handler: e.Server}}
-	return extension.NewClient("http://kaleidoscope.internal", httpc)
+	link := &netsim.Link{}
+	return extension.NewClient(link.Serve("kaleidoscope.internal", e.Server), &http.Client{Transport: link})
 }
 
 // RunStudy executes the full pipeline and returns the outcome.

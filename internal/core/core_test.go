@@ -3,16 +3,19 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"kaleidoscope/internal/aggregator"
 	"kaleidoscope/internal/crowd"
+	"kaleidoscope/internal/deploy"
 	"kaleidoscope/internal/extension"
 	"kaleidoscope/internal/params"
 	"kaleidoscope/internal/questionnaire"
 	"kaleidoscope/internal/rank"
 	"kaleidoscope/internal/server"
+	"kaleidoscope/internal/store"
 	"kaleidoscope/internal/webgen"
 )
 
@@ -277,23 +280,34 @@ func TestBehaviorSamples(t *testing.T) {
 	}
 }
 
+// TestPersistentEngine: a study run over a directory store concludes again
+// in a process reopened over it, as kscope-server opens one.
 func TestPersistentEngine(t *testing.T) {
 	dir := t.TempDir()
-	engine, err := NewPersistentEngine(dir)
-	if err != nil {
-		t.Fatalf("NewPersistentEngine: %v", err)
-	}
-	rng := rand.New(rand.NewSource(5))
-	study := fontStudy(t, 3, rng)
-	if _, err := engine.RunStudy(study, rng); err != nil {
-		t.Fatalf("RunStudy persistent: %v", err)
-	}
-	// A fresh engine over the same dir can still conclude the test.
-	engine2, err := NewPersistentEngine(dir)
+	db, err := store.Open(filepath.Join(dir, "db"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := engine2.Server.Conclude(study.Params.TestID, nil)
+	blobs, err := store.OpenBlobStore(filepath.Join(dir, "blobs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := server.New(db, blobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	study := fontStudy(t, 3, rng)
+	if _, err := (&Engine{DB: db, Blobs: blobs, Server: srv}).RunStudy(study, rng); err != nil {
+		t.Fatalf("RunStudy persistent: %v", err)
+	}
+	db.Close()
+	d, err := deploy.Open(deploy.Config{Store: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	res, err := d.Serving().Server.Conclude(study.Params.TestID, nil)
 	if err != nil {
 		t.Fatalf("Conclude after reopen: %v", err)
 	}

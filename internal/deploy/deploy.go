@@ -3,7 +3,8 @@
 // sequential engine, replication stream, request middleware and shard
 // router a mode needs, in what order they are built, and in what order
 // they close. cmd/kscope-server maps its flags onto a Config and serves
-// the result; internal/testbed starts several on loopback listeners.
+// the result; internal/testbed starts several as hosts on one socketless
+// netsim.Link.
 //
 // A Config selects one of four modes:
 //

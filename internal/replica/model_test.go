@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"reflect"
 	"strings"
@@ -104,11 +103,13 @@ type refEntry struct {
 	maybe []refValue
 }
 
-// modelLink is the replication link of one primary incarnation.
+// modelLink is the replication link of one primary incarnation, over the
+// world's netsim.Link to the standby.
 type modelLink struct {
 	mu       sync.Mutex
 	mode     int // linkUp, linkDown, linkLossy
 	rng      *rand.Rand
+	net      *netsim.Link
 	chaos    *netsim.ChaosTransport
 	inflight sync.WaitGroup
 }
@@ -119,12 +120,12 @@ const (
 	linkLossy // requests dropped or answered 5xx before they arrive, replies lost after
 )
 
-func newModelLink(seed int64) *modelLink {
-	chaos, err := netsim.NewChaosTransport(nil, netsim.ChaosConfig{DropRate: 0.2, FaultRate: 0.15}, rand.New(rand.NewSource(seed)))
+func newModelLink(seed int64, net *netsim.Link) *modelLink {
+	chaos, err := netsim.NewChaosTransport(net, netsim.ChaosConfig{DropRate: 0.2, FaultRate: 0.15}, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		panic(err)
 	}
-	return &modelLink{rng: rand.New(rand.NewSource(seed ^ 0x5eed)), chaos: chaos}
+	return &modelLink{rng: rand.New(rand.NewSource(seed ^ 0x5eed)), net: net, chaos: chaos}
 }
 
 func (l *modelLink) set(mode int) {
@@ -163,11 +164,11 @@ func (l *modelLink) RoundTrip(req *http.Request) (*http.Response, error) {
 		}
 		return resp, err
 	}
-	return http.DefaultTransport.RoundTrip(req)
+	return l.net.RoundTrip(req)
 }
 
-// followerGate is the standby's listener: the follower behind it can be
-// swapped between requests, as a restarted process would be.
+// followerGate is the standby's host on the link: the follower behind it
+// can be swapped between requests, as a restarted process would be.
 type followerGate struct {
 	mu sync.RWMutex
 	f  *Follower
@@ -216,7 +217,8 @@ type modelWorld struct {
 
 	pdir, fdir string
 	gate       *followerGate
-	ts         *httptest.Server
+	net        *netsim.Link
+	standbyURL string
 	ffs        *store.FaultFS
 	link       *modelLink
 	db         *store.DB
@@ -259,9 +261,9 @@ func (w *modelWorld) openFollower() *Follower {
 
 // openPrimary starts a primary incarnation over pdir, always at epoch 1.
 func (w *modelWorld) openPrimary() {
-	w.link = newModelLink(w.seed + int64(w.step))
+	w.link = newModelLink(w.seed+int64(w.step), w.net)
 	p, err := NewPrimary(PrimaryConfig{
-		FollowerURL:   w.ts.URL,
+		FollowerURL:   w.standbyURL,
 		Epoch:         1,
 		Mode:          AckFollower,
 		Transport:     w.link,
@@ -308,8 +310,9 @@ func runModel(t *testing.T, seed int64, steps int) {
 	}
 	w.gate = &followerGate{}
 	w.gate.f = w.openFollower()
-	w.ts = httptest.NewServer(w.gate)
-	defer w.ts.Close()
+	w.net = &netsim.Link{}
+	w.standbyURL = w.net.Serve("standby", w.gate)
+	defer w.net.Close()
 	w.openPrimary()
 	defer func() { w.closePrimary() }()
 

@@ -314,8 +314,8 @@ func TestBatchClientCancel(t *testing.T) {
 // Gzip happy path: a compressed batch decodes and commits like a plain one,
 // and batch metrics are exported.
 func TestBatchGzip(t *testing.T) {
-	g := guard.New(guard.Config{RetryAfter: time.Second})
-	srv, prep, _, reg := prepGuardedTest(t, g)
+	srv, prep, _, _ := prepGuardedTest(t, guard.Config{RetryAfter: time.Second})
+	reg := srv.reg
 	uploads := variedUploads(t, prep, 5)
 	rec, report := postBatch(t, srv, marshalBatch(t, uploads), true)
 	if rec.Code != http.StatusOK || report.Accepted != 5 {
@@ -367,13 +367,13 @@ func TestBatchGzipBomb(t *testing.T) {
 // With the store breaker open the batch endpoint sheds up front: 503 +
 // Retry-After before any decoding.
 func TestBatchShedWhileBreakerOpen(t *testing.T) {
-	g := guard.New(guard.Config{
+	srv, prep, ffs, _ := prepGuardedTest(t, guard.Config{
 		BreakerThreshold: 2,
 		BreakerCooldown:  time.Minute,
 		BreakerProbes:    1,
 		RetryAfter:       time.Second,
 	})
-	srv, prep, ffs, _ := prepGuardedTest(t, g)
+	g := srv.guard
 	tripBreaker(t, srv, prep, ffs, g)
 	rec, _ := postBatch(t, srv, marshalBatch(t, variedUploads(t, prep, 2)), false)
 	if rec.Code != http.StatusServiceUnavailable {
@@ -387,12 +387,11 @@ func TestBatchShedWhileBreakerOpen(t *testing.T) {
 // A storage fault mid-flush fails the batch with 503 + Retry-After (guard
 // wired) and counts against the breaker.
 func TestBatchStorageFault(t *testing.T) {
-	g := guard.New(guard.Config{
+	srv, prep, ffs, _ := prepGuardedTest(t, guard.Config{
 		BreakerThreshold: 100, // keep it closed; we only check the response
 		BreakerCooldown:  time.Minute,
 		RetryAfter:       time.Second,
 	})
-	srv, prep, ffs, _ := prepGuardedTest(t, g)
 	ffs.FailAppendsAfter(0, store.ErrNoSpace, false)
 	rec, _ := postBatch(t, srv, marshalBatch(t, variedUploads(t, prep, 2)), false)
 	if rec.Code != http.StatusServiceUnavailable {

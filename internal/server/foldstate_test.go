@@ -90,8 +90,8 @@ func mustMarshal(t testing.TB, v any) []byte {
 // collection, a lazy one folded for the one answer and kept lazy.
 func TestFoldReadDegraded(t *testing.T) {
 	for _, live := range []bool{true, false} {
-		g := guard.New(guard.Config{MaxInflight: 8, BreakerThreshold: 2, BreakerCooldown: time.Minute})
-		srv, prep, ffs, _ := prepGuardedTest(t, g)
+		srv, prep, ffs, _ := prepGuardedTest(t, guard.Config{MaxInflight: 8, BreakerThreshold: 2, BreakerCooldown: time.Minute})
+		g := srv.guard
 		for _, w := range []string{"w1", "w2", "w3"} {
 			if rec := postUpload(t, srv, prep, w); rec.Code != http.StatusCreated {
 				t.Fatalf("upload: %d", rec.Code)

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,9 +22,17 @@ import (
 	"kaleidoscope/internal/webgen"
 )
 
+// guardClock is the guard's clock in these tests: it stands still until
+// advance moves it.
+type guardClock struct{ ns atomic.Int64 }
+
+func (c *guardClock) now() time.Time          { return time.Unix(0, c.ns.Load()) }
+func (c *guardClock) advance(d time.Duration) { c.ns.Add(int64(d)) }
+
 // prepGuardedTest prepares the standard 2-version test in a dir-backed,
-// fault-injectable store and wires the server with the given guard.
-func prepGuardedTest(t testing.TB, g *guard.Guard) (*Server, *aggregator.Prepared, *store.FaultFS, *obs.Registry) {
+// fault-injectable store and wires the server with a guard built from cfg
+// (srv.guard, its metrics in srv.reg) on the returned clock.
+func prepGuardedTest(t testing.TB, cfg guard.Config) (*Server, *aggregator.Prepared, *store.FaultFS, *guardClock) {
 	t.Helper()
 	ffs := store.NewFaultFS()
 	db, err := store.Open(filepath.Join(t.TempDir(), "db"), store.WithFileSystem(ffs))
@@ -55,13 +64,16 @@ func prepGuardedTest(t testing.TB, g *guard.Guard) (*Server, *aggregator.Prepare
 	if err != nil {
 		t.Fatal(err)
 	}
+	clock := &guardClock{}
+	cfg.Now = clock.now
+	g := guard.New(cfg)
 	reg := obs.NewRegistry()
 	g.RegisterMetrics(reg)
 	srv, err := New(db, blobs, WithGuard(g), WithObservability(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return srv, prep, ffs, reg
+	return srv, prep, ffs, clock
 }
 
 func postUpload(t *testing.T, srv *Server, prep *aggregator.Prepared, workerID string) *httptest.ResponseRecorder {
@@ -98,14 +110,14 @@ func tripBreaker(t *testing.T, srv *Server, prep *aggregator.Prepared, ffs *stor
 // recovers, a probe upload closes the breaker and fresh results match the
 // from-scratch oracle.
 func TestDegradedModeE2E(t *testing.T) {
-	g := guard.New(guard.Config{
+	srv, prep, ffs, clock := prepGuardedTest(t, guard.Config{
 		MaxInflight:      8,
 		BreakerThreshold: 2,
 		BreakerCooldown:  20 * time.Millisecond,
 		BreakerProbes:    1,
 		RetryAfter:       time.Second,
 	})
-	srv, prep, ffs, reg := prepGuardedTest(t, g)
+	g, reg := srv.guard, srv.reg
 
 	// Healthy phase: one stored session, results cached.
 	if rec := postUpload(t, srv, prep, "w-healthy"); rec.Code != http.StatusCreated {
@@ -175,7 +187,7 @@ func TestDegradedModeE2E(t *testing.T) {
 	// Recovery: the disk heals, the cooldown elapses, and the next upload
 	// is the half-open probe that closes the breaker.
 	ffs.Reset()
-	time.Sleep(30 * time.Millisecond)
+	clock.advance(30 * time.Millisecond)
 	if rec := postUpload(t, srv, prep, "w-recovered"); rec.Code != http.StatusCreated {
 		t.Fatalf("probe upload after recovery: %d: %s", rec.Code, rec.Body.String())
 	}
@@ -209,12 +221,12 @@ func TestDegradedModeE2E(t *testing.T) {
 // /results is counted, and a conclusion or session list never asked for
 // before the outage answers all the same.
 func TestDegradedReadsAreLive(t *testing.T) {
-	g := guard.New(guard.Config{
+	srv, prep, ffs, _ := prepGuardedTest(t, guard.Config{
 		MaxInflight:      8,
 		BreakerThreshold: 2,
 		BreakerCooldown:  time.Minute, // stays open for the whole test
 	})
-	srv, prep, ffs, _ := prepGuardedTest(t, g)
+	g := srv.guard
 
 	if rec := postUpload(t, srv, prep, "w1"); rec.Code != http.StatusCreated {
 		t.Fatalf("upload: %d", rec.Code)
@@ -259,10 +271,10 @@ func TestDegradedReadsAreLive(t *testing.T) {
 // TestReadIsNeverTheBreakerProbe: after the cooldown, a read of a missing
 // test answers 404 and leaves the breaker open; only a write probes it.
 func TestReadIsNeverTheBreakerProbe(t *testing.T) {
-	g := guard.New(guard.Config{MaxInflight: 8, BreakerThreshold: 2, BreakerCooldown: 20 * time.Millisecond})
-	srv, prep, ffs, _ := prepGuardedTest(t, g)
+	srv, prep, ffs, clock := prepGuardedTest(t, guard.Config{MaxInflight: 8, BreakerThreshold: 2, BreakerCooldown: 20 * time.Millisecond})
+	g := srv.guard
 	tripBreaker(t, srv, prep, ffs, g)
-	time.Sleep(30 * time.Millisecond)
+	clock.advance(30 * time.Millisecond)
 
 	if rec := doJSON(t, srv, http.MethodGet, "/api/tests/ghost", nil, nil); rec.Code != http.StatusNotFound {
 		t.Fatalf("GET a missing test = %d, want 404", rec.Code)
@@ -278,8 +290,8 @@ func TestReadIsNeverTheBreakerProbe(t *testing.T) {
 // TestReadsDoNotResetBreakerFailures: failing uploads interleaved with reads
 // still trip the breaker — a read is no evidence of store health.
 func TestReadsDoNotResetBreakerFailures(t *testing.T) {
-	g := guard.New(guard.Config{MaxInflight: 8, BreakerThreshold: 2, BreakerCooldown: 20 * time.Millisecond})
-	srv, prep, ffs, _ := prepGuardedTest(t, g)
+	srv, prep, ffs, _ := prepGuardedTest(t, guard.Config{MaxInflight: 8, BreakerThreshold: 2, BreakerCooldown: 20 * time.Millisecond})
+	g := srv.guard
 	ffs.FailAppendsAfter(0, nil, false)
 	for i := 0; i < 10; i++ {
 		if rec := postUpload(t, srv, prep, fmt.Sprintf("w%d", i)); rec.Code != http.StatusServiceUnavailable {
@@ -297,13 +309,13 @@ func TestReadsDoNotResetBreakerFailures(t *testing.T) {
 // TestAdmissionShedSetsRetryAfter: a saturated class sheds with 429 and the
 // header every time.
 func TestAdmissionShedSetsRetryAfter(t *testing.T) {
-	g := guard.New(guard.Config{
+	srv, _, _, _ := prepGuardedTest(t, guard.Config{
 		MaxInflight: 1,
 		Inflight:    map[guard.Class]int{guard.ClassRead: 1},
 		Queue:       map[guard.Class]int{guard.ClassRead: 0},
 		QueueWait:   5 * time.Millisecond,
 	})
-	srv, _, _, _ := prepGuardedTest(t, g)
+	g := srv.guard
 
 	// Occupy the single read slot out-of-band, as a slow in-flight request
 	// would.
@@ -336,12 +348,11 @@ func TestAdmissionShedSetsRetryAfter(t *testing.T) {
 // TestWorkerRateLimit: one hot worker is throttled with 429 + Retry-After;
 // an independent worker is not.
 func TestWorkerRateLimit(t *testing.T) {
-	g := guard.New(guard.Config{
+	srv, _, _, _ := prepGuardedTest(t, guard.Config{
 		MaxInflight: 8,
 		Rate:        1,
 		Burst:       2,
 	})
-	srv, _, _, _ := prepGuardedTest(t, g)
 
 	get := func(worker string) *httptest.ResponseRecorder {
 		req := httptest.NewRequest(http.MethodGet, "/api/tests/srv-test", nil)

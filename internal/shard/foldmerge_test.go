@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -19,6 +20,7 @@ import (
 	"kaleidoscope/internal/aggregator"
 	"kaleidoscope/internal/crowd"
 	"kaleidoscope/internal/failover"
+	"kaleidoscope/internal/netsim"
 	"kaleidoscope/internal/obs"
 	"kaleidoscope/internal/params"
 	"kaleidoscope/internal/quality"
@@ -654,18 +656,19 @@ func TestPartialMarksHeaderAndCounter(t *testing.T) {
 	}
 }
 
-// inProcess is a Config.Transport that calls the shards' handlers directly
-// and counts the response bytes the router reads from them.
-type inProcess struct {
-	shards   map[string]http.Handler // by URL host
+// counting is resultsFleet's link to its shards; it counts the response
+// bytes the shards send the router.
+type counting struct {
+	*netsim.Link
 	upstream *atomic.Int64
 }
 
-func (p inProcess) RoundTrip(req *http.Request) (*http.Response, error) {
-	rec := httptest.NewRecorder()
-	p.shards[req.URL.Host].ServeHTTP(rec, req)
-	p.upstream.Add(int64(rec.Body.Len()))
-	return rec.Result(), nil
+func (c counting) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := c.Link.RoundTrip(req)
+	if err == nil {
+		c.upstream.Add(resp.ContentLength)
+	}
+	return resp, err
 }
 
 // resultsFleet is the results polls' fixture: a router over 3 in-process
@@ -674,15 +677,16 @@ func (p inProcess) RoundTrip(req *http.Request) (*http.Response, error) {
 // after the raw poll that precedes a QC poll there. It has no sockets, so
 // allocs/op and upstream-B/op repeat exactly; scripts/bench_delta.sh holds
 // both to BENCH_server.json.
-func resultsFleet(b *testing.B) (*Router, inProcess) {
+func resultsFleet(b *testing.B) (*Router, counting) {
 	sh := prepShape(b, 2, 1)
-	link := inProcess{shards: map[string]http.Handler{}, upstream: new(atomic.Int64)}
+	link := counting{&netsim.Link{}, new(atomic.Int64)}
 	specs := make([]Spec, 3)
 	dbs := make([]*store.DB, len(specs))
 	for i := range specs {
 		host := fmt.Sprintf("shard-%d", i)
-		link.shards[host], dbs[i] = sh.node(b)
-		specs[i] = Spec{Name: host, Primary: "http://" + host}
+		var node http.Handler
+		node, dbs[i] = sh.node(b)
+		specs[i] = Spec{Name: host, Primary: link.Serve(host, node)}
 	}
 	rt, err := New(Config{Shards: specs, Transport: func(string, string) http.RoundTripper { return link }})
 	if err != nil {
@@ -748,7 +752,11 @@ func BenchmarkRouterResultsRaw(b *testing.B) {
 // vouch for in front, which sends the whole document to json.Unmarshal.
 func BenchmarkDecodeFoldState(b *testing.B) {
 	_, link := resultsFleet(b)
-	doc := serve(link.shards["shard-0"], "/api/tests/"+foldTestID+"/fold").Body.Bytes()
+	resp, err := (&http.Client{Transport: link}).Get("http://shard-0/api/tests/" + foldTestID + "/fold")
+	if err != nil {
+		b.Fatal(err)
+	}
+	doc, _ := io.ReadAll(resp.Body) // a link's body is already in memory
 	for _, bc := range []struct {
 		name string
 		doc  []byte

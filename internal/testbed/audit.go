@@ -45,11 +45,11 @@ func (b *Bed) Acked(testID, workerID string, epoch uint64) {
 }
 
 // get reads path through the front door the way an experimenter's client
-// does: over a clean link (it probes the deployment, not the chaos), with
+// does: over the clean Client (it probes the deployment, not the chaos), with
 // the shared retry, rotation and stale-epoch rules.
 func (b *Bed) get(path string) (*failover.Response, error) {
 	return b.reader.Do(context.Background(), func(node int) (*failover.Response, error) {
-		resp, err := http.Get(b.URLs[node] + path)
+		resp, err := b.Client.Get(b.URLs[node] + path)
 		if err != nil {
 			return nil, err
 		}

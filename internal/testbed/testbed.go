@@ -1,9 +1,10 @@
-// Package testbed starts a whole Kaleidoscope deployment on loopback
-// listeners — the same internal/deploy assembly kscope-server runs, once
-// per process of the topology — drives seeded crowds through its one front
-// door, injects the faults a run schedules, and applies one standard Audit
-// to whatever is left standing. cmd/kscope-load's scenarios are a
-// Topology, a crowd, a fault trigger and their own gates on top of it.
+// Package testbed starts a whole Kaleidoscope deployment with no sockets —
+// the same internal/deploy assembly kscope-server runs, once per process of
+// the topology, each a host on one netsim.Link — drives seeded crowds
+// through its one front door, injects the faults a run schedules, and
+// applies one standard Audit to whatever is left standing.
+// cmd/kscope-load's scenarios are a Topology, a crowd, a fault trigger and
+// their own gates on top of it.
 //
 // Everything random derives from Run.Seed: crowd populations, worker RNG
 // streams, every link's chaos transport (link) and the victim of a kill
@@ -16,7 +17,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sort"
@@ -81,17 +81,12 @@ type Fixture struct {
 	Sites map[string]*webgen.Site
 }
 
-// member is one process of the topology on its listener.
-type member struct {
-	*deploy.Deployment
-	ts *httptest.Server
-}
-
 // pair is one shard: the node that started as primary (or the only node)
-// and, when replicated, its standby. After KillAndPromote the zombie keeps
-// listening and the standby is what Node returns.
+// and, when replicated, its standby. After KillAndPromote the zombie is
+// still served and the standby is what Node returns.
 type pair struct {
-	primary, standby *member
+	primary, standby *deploy.Deployment
+	host             string // the primary's, on the bed's link
 	epoch            uint64 // 0 until promoted
 }
 
@@ -109,9 +104,13 @@ type Bed struct {
 	Disk *store.FaultFS
 	// Fixtures are the tests Start provisioned; Audit covers them.
 	Fixtures []Fixture
+	// Client reaches every process over a clean link: the experimenter's
+	// own reads and probes, which test the deployment, not the chaos.
+	Client *http.Client
 
+	net      netsim.Link // every process of the topology is a host on it
 	shards   []*pair
-	router   *member
+	router   *deploy.Deployment
 	dirs     []string
 	statuses statusTable
 	reader   failover.Loop // the bed's experimenter: polls and audits read through it
@@ -135,6 +134,7 @@ func Start(top Topology, run Run, fixtures ...Fixture) (*Bed, error) {
 		return nil, errors.New("testbed: a replicated topology needs a directory store: the WAL it ships is a file")
 	}
 	b := &Bed{Top: top, Run: run, Blobs: store.NewBlobStore(), Fixtures: fixtures, acks: make(map[string][]string)}
+	b.Client = &http.Client{Transport: &b.net, Timeout: 30 * time.Second}
 	if top.Store == FaultDir {
 		b.Disk = store.NewFaultFS()
 	}
@@ -149,13 +149,9 @@ func Start(top Topology, run Run, fixtures ...Fixture) (*Bed, error) {
 func (b *Bed) start() error {
 	specs := make([]shard.Spec, max(b.Top.Shards, 1))
 	for i := range specs {
-		p, err := b.startShard(i)
-		if err != nil {
+		specs[i].Name = fmt.Sprintf("shard-%d", i)
+		if err := b.startShard(i, &specs[i]); err != nil {
 			return fmt.Errorf("testbed: shard %d: %w", i, err)
-		}
-		specs[i] = shard.Spec{Name: fmt.Sprintf("shard-%d", i), Primary: p.primary.ts.URL}
-		if p.standby != nil {
-			specs[i].Standby = p.standby.ts.URL
 		}
 	}
 	if b.Top.Shards == 0 {
@@ -168,13 +164,11 @@ func (b *Bed) start() error {
 	// Workers talk only to the router, so the statuses it answers are the
 	// deployment's status matrix.
 	var err error
-	b.router, err = b.listen(deploy.Config{Shards: specs, RouterPolicy: b.policy(50 * time.Millisecond),
+	var url string
+	b.router, url, err = b.serve("router", deploy.Config{Shards: specs, RouterPolicy: b.policy(50 * time.Millisecond),
 		Link: func(string) http.RoundTripper { return b.link(routerLink, 0, 0) }}, true)
-	if err != nil {
-		return err
-	}
-	b.URLs = []string{b.router.ts.URL}
-	return nil
+	b.URLs = []string{url}
+	return err
 }
 
 // policy is the retry policy of every tier of a run; the cap keeps a
@@ -186,31 +180,31 @@ func (b *Bed) policy(maxRetryAfter time.Duration) failover.Policy {
 // WorkerPolicy is what a participant's client retries with.
 func (b *Bed) WorkerPolicy() failover.Policy { return b.policy(100 * time.Millisecond) }
 
-// listen opens one process and serves it on a fresh loopback port; a
-// front-door listener counts the statuses it answers.
-func (b *Bed) listen(cfg deploy.Config, front bool) (*member, error) {
+// serve opens one process and serves it as host on the bed's link,
+// returning its URL; a front-door process counts the statuses it answers.
+func (b *Bed) serve(host string, cfg deploy.Config, front bool) (*deploy.Deployment, string, error) {
 	d, err := deploy.Open(cfg)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	var h http.Handler = d
 	if front {
 		h = b.statuses.wrap(h)
 	}
-	return &member{d, httptest.NewServer(h)}, nil
+	return d, b.net.Serve(host, h), nil
 }
 
 // startShard provisions one shard's store and starts its node — and, in a
-// replicated topology, the standby before it. Without a router the shard's
-// own listeners are the front door.
-func (b *Bed) startShard(i int) (*pair, error) {
-	p := &pair{}
+// replicated topology, the standby before it — filling in spec's URLs.
+// Without a router the shard's own processes are the front door.
+func (b *Bed) startShard(i int, spec *shard.Spec) error {
+	p := &pair{host: spec.Name + "-primary"}
 	b.shards = append(b.shards, p)
 	cfg := deploy.Config{Blobs: b.Blobs, Guard: b.Top.Guard, EarlyStopAlpha: b.Top.EarlyStopAlpha}
 	if b.Top.Store == Memory {
 		cfg.DB = store.OpenMemory()
 		if err := b.provision(cfg.DB); err != nil {
-			return nil, err
+			return err
 		}
 	} else {
 		// Prepared through a plain directory store, the state `kscope
@@ -218,16 +212,16 @@ func (b *Bed) startShard(i int) (*pair, error) {
 		// fault-injected — goes through the real recovery path.
 		var err error
 		if cfg.Store, err = b.tempDir(); err != nil {
-			return nil, err
+			return err
 		}
 		db, err := store.Open(filepath.Join(cfg.Store, "db"))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		err = b.provision(db)
 		db.Close()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if b.Disk != nil {
 			cfg.StoreOptions = []store.Option{store.WithFileSystem(b.Disk)}
@@ -238,21 +232,21 @@ func (b *Bed) startShard(i int) (*pair, error) {
 		scfg := cfg
 		var err error
 		if scfg.Store, err = b.tempDir(); err != nil {
-			return nil, err
+			return err
 		}
 		scfg.ReplicaOf = "the shard's primary"
-		if p.standby, err = b.listen(scfg, front); err != nil {
-			return nil, err
+		if p.standby, spec.Standby, err = b.serve(spec.Name+"-standby", scfg, front); err != nil {
+			return err
 		}
 		// The store already holds the prepared documents, so the stream's
 		// first contact is a snapshot catch-up before any tail frame.
-		cfg.ReplicateTo, cfg.Epoch, cfg.AckMode = p.standby.ts.URL, 1, "follower"
+		cfg.ReplicateTo, cfg.Epoch, cfg.AckMode = spec.Standby, 1, "follower"
 		cfg.ShipTimeout, cfg.RetryInterval = 30*time.Second, 5*time.Millisecond
 		cfg.Link = func(string) http.RoundTripper { return b.link(replLink, i, 0) }
 	}
 	var err error
-	p.primary, err = b.listen(cfg, front)
-	return p, err
+	p.primary, spec.Primary, err = b.serve(p.host, cfg, front)
+	return err
 }
 
 func (b *Bed) tempDir() (string, error) {
@@ -276,21 +270,18 @@ func (b *Bed) provision(db *store.DB) error {
 	return nil
 }
 
-// Close stops every listener, front tier first, then closes every process
-// and removes the store directories. Safe on a half-started bed.
+// Close refuses new requests and waits for the running ones, then closes
+// every process and removes the store directories. Safe on a half-started
+// bed.
 func (b *Bed) Close() {
-	members := []*member{b.router}
+	b.net.Close()
+	procs := []*deploy.Deployment{b.router}
 	for _, p := range b.shards {
-		members = append(members, p.primary, p.standby)
+		procs = append(procs, p.primary, p.standby)
 	}
-	for _, m := range members {
-		if m != nil {
-			m.ts.Close()
-		}
-	}
-	for _, m := range members {
-		if m != nil {
-			m.Close() // a standby's position save can fail only with its directory, which goes next
+	for _, d := range procs {
+		if d != nil {
+			d.Close() // a standby's position save can fail only with its directory, which goes next
 		}
 	}
 	for _, dir := range b.dirs {
@@ -306,14 +297,14 @@ func (b *Bed) Node(i int) *deploy.Deployment {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if p := b.shards[i]; p.epoch > 0 {
-		return p.standby.Deployment
+		return p.standby
 	}
-	return b.shards[i].primary.Deployment
+	return b.shards[i].primary
 }
 
 func (b *Bed) Front() *deploy.Deployment {
 	if b.router != nil {
-		return b.router.Deployment
+		return b.router
 	}
 	return b.Node(0)
 }
@@ -327,13 +318,13 @@ const (
 )
 
 // link is the one place a chaos transport is made: every link of a run
-// gets its own stream, derived from the run seed and the link's place in
-// the topology, and is counted into the run's chaos totals. A clean
-// network gets nil, which every dialer reads as http.DefaultTransport.
+// gets its own stream over the bed's link, derived from the run seed and
+// the link's place in the topology, and is counted into the run's chaos
+// totals. A clean network gets the bed's link itself.
 func (b *Bed) link(kind linkKind, a, n int) http.RoundTripper {
 	c := b.Run.Chaos
 	if c.DropRate == 0 && c.FaultRate == 0 && c.Delay == nil {
-		return nil
+		return &b.net
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -347,7 +338,7 @@ func (b *Bed) link(kind linkKind, a, n int) http.RoundTripper {
 		b.routerLinks++
 		seed += int64(b.routerLinks)*6037 + 4099
 	}
-	t, err := netsim.NewChaosTransport(http.DefaultTransport, c, rand.New(rand.NewSource(seed)))
+	t, err := netsim.NewChaosTransport(&b.net, c, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		panic(err) // only reachable with a nil rng
 	}
@@ -382,16 +373,16 @@ func (b *Bed) HomeVictim(tests ...string) (victim int, homed []string) {
 	return victim, home[victim]
 }
 
-// KillAndPromote kills shard i's primary the hard way — every client
-// connection severed mid-request — and promotes its standby. The deposed
-// primary is left listening as a zombie, so it is the protocol that has to
-// fence it, not a tidy shutdown; Audit then demands the proof.
+// KillAndPromote kills shard i's primary the hard way — every request in
+// flight to it severed — and promotes its standby. The deposed primary is
+// left serving as a zombie, so it is the protocol that has to fence it,
+// not a tidy shutdown; Audit then demands the proof.
 func (b *Bed) KillAndPromote(i int) error {
 	p := b.shards[i]
 	if p.standby == nil {
 		return fmt.Errorf("testbed: shard %d has no standby to promote", i)
 	}
-	p.primary.ts.CloseClientConnections()
+	b.net.Sever(p.host)
 	epoch, err := p.standby.Promote()
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -143,7 +143,7 @@ func TestAuditCatches(t *testing.T) {
 	})
 	t.Run("a status outside the matrix", func(t *testing.T) {
 		bed := drive(t, Topology{})
-		resp, err := http.Get(bed.URLs[0] + "/api/tests/no-such-test")
+		resp, err := bed.Client.Get(bed.URLs[0] + "/api/tests/no-such-test")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +206,7 @@ func TestStartAndKillRejectWhatCannotWork(t *testing.T) {
 	if err := bed.KillAndPromote(0); err == nil {
 		t.Error("a node without a standby was promoted")
 	}
-	if bed.link(workerLink, 0, 0) != nil || bed.WorkerLink(0, 1) != nil {
+	if bed.link(workerLink, 0, 0) != &bed.net || bed.WorkerLink(0, 1) != &bed.net {
 		t.Error("a clean network handed out a chaos transport")
 	}
 }
