@@ -32,15 +32,17 @@ bench:
 # chaos-transport end-to-end flows, graceful-drain shutdown, and every
 # testbed topology's audit (socketless, so each row repeats per seed). Run
 # repeatedly — these tests mix randomized fault schedules with fixed
-# seeds, and flakes here mean a real durability bug. The last line is the
-# model-based test of store + replica on MODEL_RUNS fresh seeds; a failure
-# prints the seed and the command that replays it.
+# seeds, and flakes here mean a real durability bug. The last two lines are
+# the model-based test of store + replica and the fold state's write-fed vs
+# replay walk, each on MODEL_RUNS fresh seeds; a failure prints the seed and
+# the command that replays it.
 MODEL_RUNS ?= 40
 chaos:
 	$(GO) test -count=3 -run 'Chaos|Crash|Fault|Torn|Quarantin|Recover|ENOSPC|Drain|Retr|Compact|SyncPolic' \
 		./internal/store/ ./internal/netsim/ ./internal/failover/ ./internal/extension/ ./cmd/kscope-server/
 	$(GO) test -count=3 -run 'TestEveryTopologyPassesItsAudit|TestAuditCatches' ./internal/testbed/
 	$(GO) test -count=1 -run '^TestModel' ./internal/replica/ -model.runs=$(MODEL_RUNS) -model.steps=140
+	$(GO) test -count=1 -run '^TestWriteFedStateEqualsReplay$$' ./internal/server/ -fold.runs=$(MODEL_RUNS)
 
 # A short fuzz pass over every fuzz target in the module — the CI smoke
 # stage. Targets are discovered, not listed: a Fuzz function is smoke-fuzzed

@@ -271,6 +271,9 @@ func (s *State) PBound() float64 {
 	return best
 }
 
+// Config returns the engine's configuration, defaults filled in.
+func (s *State) Config() Config { return s.cfg }
+
 // Sessions returns the number of sessions folded so far.
 func (s *State) Sessions() int { return s.sessions }
 

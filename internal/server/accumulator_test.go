@@ -31,16 +31,18 @@ func randomUpload(prep *aggregator.Prepared, workerID string, rng *rand.Rand) Se
 	testID := prep.Test.TestID
 	up := SessionUpload{TestID: testID, WorkerID: workerID}
 	for _, p := range prep.RealPages() {
-		n := 1
-		if rng.Intn(10) == 0 {
-			n = 2 // duplicate answer for this page
-		}
-		for i := 0; i < n; i++ {
-			up.Responses = append(up.Responses, questionnaire.Response{
-				TestID: testID, WorkerID: workerID, PageID: p.ID,
-				QuestionID: "q0", Choice: choices[rng.Intn(3)],
-				DurationMillis: 1000 + rng.Intn(40_000),
-			})
+		for q := range prep.Test.Questions {
+			n := 1
+			if rng.Intn(10) == 0 {
+				n = 2 // duplicate answer for this question
+			}
+			for i := 0; i < n; i++ {
+				up.Responses = append(up.Responses, questionnaire.Response{
+					TestID: testID, WorkerID: workerID, PageID: p.ID,
+					QuestionID: fmt.Sprintf("q%d", q), Choice: choices[rng.Intn(3)],
+					DurationMillis: 1000 + rng.Intn(40_000),
+				})
+			}
 		}
 		up.Behaviors = append(up.Behaviors, crowd.Behavior{
 			TimeOnTaskMillis: 1000 + rng.Intn(40_000), CreatedTabs: 1,

@@ -209,7 +209,7 @@ func (s *Server) handleSessionBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		var note *foldNote
 		if st.feed {
-			note = &foldNote{entry: entry, feats: entry.reduce(upload)}
+			note = entry.reduce(upload)
 		}
 		st.pending = append(st.pending, doc)
 		st.pendIdx = append(st.pendIdx, elem.Index)

@@ -17,10 +17,10 @@ import (
 type testEntry struct {
 	prep *aggregator.Prepared
 	info *TestInfo
-	// pages indexes info.Pages by id: the upload validator's known-page
-	// check, the real-vs-control split, and the canonical id strings the
-	// fold state retains instead of each upload's own copies.
-	pages map[string]*PageView
+	// pages gives each page id's place in info.Pages and every page spine:
+	// the upload validator's known-page check, the real-vs-control split, and
+	// the canonical id strings the fold state keeps instead of an upload's.
+	pages map[string]int
 	// questions holds the ids the extension gives the test's questions
 	// ("q0", "q1", ...), for the same interning.
 	questions map[string]string
@@ -63,10 +63,10 @@ func newTestEntry(prep *aggregator.Prepared) *testEntry {
 }
 
 // pageIndex indexes page views by id.
-func pageIndex(pages []PageView) map[string]*PageView {
-	idx := make(map[string]*PageView, len(pages))
+func pageIndex(pages []PageView) map[string]int {
+	idx := make(map[string]int, len(pages))
 	for i := range pages {
-		idx[pages[i].ID] = &pages[i]
+		idx[pages[i].ID] = i
 	}
 	return idx
 }
@@ -82,14 +82,16 @@ type resultsKey struct {
 // metadata (params_json re-parse) and concluded results are cached per test
 // id and invalidated through store change hooks.
 //
-// A per-test generation counter closes the fill/invalidate race: a fill
+// Per-test generation counters close the fill/invalidate race: a fill
 // computed from pre-invalidation state carries the generation it started
-// from and is discarded when an invalidation has happened in between.
+// from and is discarded when an invalidation has happened in between. Every
+// change to a test moves gens, which results fills check; only a metadata
+// change moves testGens, which test entry fills check.
 type servingCache struct {
-	mu      sync.RWMutex
-	gens    map[string]uint64
-	tests   map[string]*testEntry
-	results map[resultsKey]*Results
+	mu             sync.RWMutex
+	gens, testGens map[string]uint64
+	tests          map[string]*testEntry
+	results        map[resultsKey]*Results
 
 	testHits, testMisses     atomic.Int64
 	resultHits, resultMisses atomic.Int64
@@ -97,9 +99,10 @@ type servingCache struct {
 
 func newServingCache() *servingCache {
 	return &servingCache{
-		gens:    make(map[string]uint64),
-		tests:   make(map[string]*testEntry),
-		results: make(map[resultsKey]*Results),
+		gens:     make(map[string]uint64),
+		testGens: make(map[string]uint64),
+		tests:    make(map[string]*testEntry),
+		results:  make(map[resultsKey]*Results),
 	}
 }
 
@@ -108,6 +111,13 @@ func (c *servingCache) gen(testID string) uint64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return c.gens[testID]
+}
+
+// testGen returns the current generation of a test id's metadata.
+func (c *servingCache) testGen(testID string) uint64 {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.testGens[testID]
 }
 
 func (c *servingCache) test(testID string) (*testEntry, bool) {
@@ -125,7 +135,7 @@ func (c *servingCache) test(testID string) (*testEntry, bool) {
 func (c *servingCache) putTest(testID string, gen uint64, e *testEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.gens[testID] != gen {
+	if c.testGens[testID] != gen {
 		return
 	}
 	c.tests[testID] = e
@@ -161,6 +171,7 @@ func (c *servingCache) invalidateTest(testID string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.gens[testID]++
+	c.testGens[testID]++
 	delete(c.tests, testID)
 	c.dropDerived(testID)
 }
@@ -187,9 +198,13 @@ func (c *servingCache) invalidateAll() {
 	for id := range c.gens {
 		c.gens[id]++
 	}
+	for id := range c.testGens {
+		c.testGens[id]++
+	}
 	// Entries for ids never seen under gens still need a bump marker.
 	for id := range c.tests {
 		c.gens[id]++
+		c.testGens[id]++
 	}
 	c.tests = make(map[string]*testEntry)
 	c.results = make(map[resultsKey]*Results)

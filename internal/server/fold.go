@@ -2,7 +2,8 @@ package server
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -14,25 +15,30 @@ import (
 	"kaleidoscope/internal/store"
 )
 
-// The fold pipeline: every stored session is decoded once and folded once.
+// The fold pipeline: every stored session is decoded once, judged once and
+// folded once.
 //
-// A test's fold state is everything the serving path derives from its
-// stored sessions: per-worker QC features in document-id order, raw
-// per-page tallies, per-question vote counts and, with early stopping on,
-// the sequential engine and its latched decision. /results, the FoldState
-// document a router merges (foldstate.go), the decision attached to results,
-// the concluded-upload check and the kscope_accum_* / kscope_earlystop_*
-// gauges are views over it.
+// A test's live state is its FoldState (foldstate.go) itself: each session
+// is judged by the battery's session-local rules as it is folded, so the
+// state keeps the passing worker ids, the answers of those the crowd check
+// can still fail, the settled page tallies and the votes — beside the
+// node-local sorted session ids, raw page tallies and, with early stopping
+// on, the sequential engine and its latched decision. /results, the fold
+// document, the decision, the concluded-upload check and the
+// kscope_accum_* / kscope_earlystop_* gauges are views over it; readers copy
+// what they keep under the test's lock. The state remembers the entry it was
+// judged under and drops to lazy when a re-prepare in place changes what a
+// judgment reads; an equal entry rebuilt is adopted.
 //
 // The write path feeds it. An upload handler that finds live state for its
 // test reduces the session it just validated and scored to a foldNote and
 // attaches that to the insert (store.InsertUniqueNoted); the responses
 // change hook folds the note, so a session a handler stored is never read
-// back or decoded again. Storage is replayed — rebuildLocked, the only
-// place stored sessions are decoded into the state — for a cold start,
-// after a delete, and after a put that carried no note. A replay that fails
-// (a corrupt stored session) is not tried again until storage moves in a
-// way that could have cured it.
+// back or decoded again. Storage goes through the same fold routine for a
+// cold start, after a delete, after a put that carried no note, and for a
+// lazy test's fold read, which keeps nothing. A replay that fails (a
+// corrupt stored session) is not tried again until storage moves in a way
+// that could have cured it.
 //
 // State is live or lazy (nothing retained). With early stopping on, the
 // upload handlers make it live before they insert, because the decision
@@ -46,23 +52,19 @@ import (
 // state sees every session that generation claims, and an acknowledged
 // session is folded (or the state is lazy) before its 201 is written.
 
-// foldNote is one validated, scored session reduced to what the fold state
-// keeps, plus the entry it was validated against (which says which of its
-// answers are evidence for the sequential engine).
-type foldNote struct {
-	entry *testEntry
-	feats quality.Features
-}
+// foldNote is one validated, scored session reduced to the battery's
+// features, which the fold judges and then mostly drops.
+type foldNote = quality.Features
 
 // reduce extracts a session's battery features, with page, question and
 // choice strings swapped for the entry's (or the package's) own copies so
-// the retained features do not pin one small string per answer.
-func (e *testEntry) reduce(u *SessionUpload) quality.Features {
+// the answers the state keeps do not pin one small string per answer.
+func (e *testEntry) reduce(u *SessionUpload) *foldNote {
 	feats := quality.ExtractFeatures(u.workerSession())
 	for i := range feats.Responses {
 		r := &feats.Responses[i]
 		if p, ok := e.pages[r.PageID]; ok {
-			r.PageID = p.ID
+			r.PageID = e.info.Pages[p].ID
 		}
 		if q, ok := e.questions[r.QuestionID]; ok {
 			r.QuestionID = q
@@ -76,7 +78,13 @@ func (e *testEntry) reduce(u *SessionUpload) quality.Features {
 			r.Choice = questionnaire.ChoiceSame
 		}
 	}
-	return feats
+	return &feats
+}
+
+// judgesLike reports whether sessions are judged alike under both entries:
+// the same page spine (ids, names, real or control) and question count.
+func (e *testEntry) judgesLike(o *testEntry) bool {
+	return e == o || len(e.info.Questions) == len(o.info.Questions) && slices.Equal(e.info.Pages, o.info.Pages)
 }
 
 // testFold is one test's fold state. Everything but the decision is
@@ -91,19 +99,86 @@ type testFold struct {
 	// an overwriting put (dropLocked) gives the replay a chance to differ.
 	replayErr error
 
-	// order holds the session document ids ascending — the order FindEq
-	// returns them in, which is the order the oracle sees sessions and
-	// emits KeptWorkers.
-	order   []string
-	workers map[string]quality.Features
-	// tallies are the raw (unfiltered) per-page counts over all sessions.
-	tallies map[string]*questionnaire.Tally
-	// votes feed the majority (crowd-wisdom) check without revisiting
-	// sessions.
-	votes *quality.Votes
+	// fs is the test's FoldState, judged under entry's metadata.
+	fs    FoldState
+	entry *testEntry
+	// order holds the session document ids ascending, to know a replayed
+	// change event from a new session.
+	order []string
+	// raw is the page spine tallying every session: the unfiltered results.
+	raw []PageResult
 
 	engine   *earlystop.State // nil when early stopping is off or decided
 	decision *earlystop.Decision
+}
+
+// judge starts an empty state that judges sessions under entry.
+func (st *testFold) judge(testID string, entry *testEntry) {
+	st.fs = FoldState{TestID: testID, Pages: pageSpine(entry.info, nil), Votes: quality.NewVotes(), Workers: []string{}}
+	st.entry, st.raw = entry, pageSpine(entry.info, nil)
+}
+
+// fold judges one session and folds it in: the session-local rules decide
+// whether the worker passes, and a passing worker the crowd cannot reach is
+// settled into the page tallies at once. It reports whether the session fed
+// the sequential engine.
+func (st *testFold) fold(docID string, feats *foldNote) (fed bool) {
+	i, _ := slices.BinarySearch(st.order, docID)
+	st.order = slices.Insert(st.order, i, docID)
+	st.fs.Sessions++
+	st.fs.Votes.Add(feats.Responses)
+	cfg := *defaultQC(st.entry)
+	passes := feats.PassesLocal(cfg)
+	awaits := passes && feats.CrowdCanFail(cfg)
+	for _, r := range feats.Responses {
+		if p, ok := st.entry.pages[r.PageID]; ok {
+			st.raw[p].Tally.Add(r.Choice)
+			if passes && !awaits {
+				st.fs.Pages[p].Tally.Add(r.Choice)
+			}
+		}
+	}
+	if passes {
+		// The document id's copy of the worker id: no string of the state's.
+		id := feats.WorkerID
+		if _, stored, _ := strings.Cut(docID, "/"); stored == id {
+			id = stored
+		}
+		i, _ = slices.BinarySearch(st.fs.Workers, id)
+		st.fs.Workers = slices.Insert(st.fs.Workers, i, id)
+		if awaits {
+			i, _ = slices.BinarySearchFunc(st.fs.Awaiting, id, func(w FoldWorker, id string) int { return strings.Compare(w.ID, id) })
+			st.fs.Awaiting = slices.Insert(st.fs.Awaiting, i, FoldWorker{ID: id, Answers: feats.Responses})
+		}
+	}
+
+	if st.engine == nil {
+		return false
+	}
+	// The engine's evidence is one vote per answer on a real page;
+	// control-page answers are quality bait, not preference evidence.
+	var buf [8]earlystop.Vote
+	votes := buf[:0]
+	for _, r := range feats.Responses {
+		if p, ok := st.entry.pages[r.PageID]; ok && st.entry.info.Pages[p].Kind == aggregator.KindReal {
+			votes = append(votes, earlystop.Vote{PageID: r.PageID, QuestionID: r.QuestionID, Choice: r.Choice})
+		}
+	}
+	if d := st.engine.Fold(votes); d != nil {
+		// Decided: evidence accounting is over. Stored stragglers (uploads
+		// that raced the decision) still count in results, not here.
+		st.decision, st.engine = d, nil
+	}
+	return true
+}
+
+// snapshot copies the live FoldState: no later fold writes what it holds.
+func (st *testFold) snapshot() *FoldState {
+	fs := st.fs
+	fs.Pages, fs.Workers, fs.Awaiting = slices.Clone(fs.Pages), slices.Clone(fs.Workers), slices.Clone(fs.Awaiting)
+	fs.Votes = quality.NewVotes()
+	fs.Votes.Merge(st.fs.Votes)
+	return &fs
 }
 
 // foldTable holds every test's fold state. Each state has its own lock;
@@ -125,8 +200,9 @@ type foldTable struct {
 }
 
 // lock returns the test's state with its mutex held, creating it (lazy)
-// when create is set; nil when there is none.
-func (f *foldTable) lock(testID string, create bool) *testFold {
+// when create is set; nil when there is none. Live state judged under
+// metadata that entry contradicts drops to lazy here.
+func (f *foldTable) lock(testID string, entry *testEntry, create bool) *testFold {
 	for {
 		v, ok := f.tests.Load(testID)
 		if !ok {
@@ -139,10 +215,17 @@ func (f *foldTable) lock(testID string, create bool) *testFold {
 		}
 		st := v.(*testFold)
 		st.mu.Lock()
-		if !st.gone {
-			return st
+		if st.gone {
+			st.mu.Unlock()
+			continue
 		}
-		st.mu.Unlock()
+		switch live := st.live && entry != nil; {
+		case live && st.entry.judgesLike(entry):
+			st.entry = entry
+		case live:
+			f.dropLocked(st)
+		}
+		return st
 	}
 }
 
@@ -151,7 +234,7 @@ func (f *foldTable) lock(testID string, create bool) *testFold {
 // stopping on it first makes the state live, so the engine sees every
 // session from the first one on and a fresh test never pays a replay.
 func (f *foldTable) feeding(testID string, entry *testEntry) bool {
-	st := f.lock(testID, f.early != nil)
+	st := f.lock(testID, entry, f.early != nil)
 	if st == nil {
 		return false
 	}
@@ -186,7 +269,7 @@ func (f *foldTable) liveLocked(st *testFold, testID string, entry *testEntry) er
 // way the state cannot follow incrementally — and in the only way that can
 // cure a corrupt stored session — so it drops to lazy and unlatches.
 func (f *foldTable) observe(op, docID, testID string, note *foldNote, inserted bool) {
-	st := f.lock(testID, false)
+	st := f.lock(testID, nil, false)
 	if st == nil {
 		return
 	}
@@ -195,53 +278,21 @@ func (f *foldTable) observe(op, docID, testID string, note *foldNote, inserted b
 	case op != store.OpPut || !inserted, st.live && note == nil:
 		f.dropLocked(st)
 	case st.live:
-		if _, replay := st.workers[docID]; !replay {
-			f.foldLocked(st, docID, note.entry, note.feats)
+		if _, replay := slices.BinarySearch(st.order, docID); !replay {
+			f.foldLocked(st, docID, note)
 			f.applied.Add(1)
 		}
 	}
 }
 
 // foldLocked folds one session into live state.
-func (f *foldTable) foldLocked(st *testFold, docID string, entry *testEntry, feats quality.Features) {
-	i := sort.SearchStrings(st.order, docID)
-	st.order = append(st.order, "")
-	copy(st.order[i+1:], st.order[i:])
-	st.order[i] = docID
-	st.workers[docID] = feats
-	addTallies(st.tallies, feats.Responses)
-	st.votes.Add(feats.Responses)
+func (f *foldTable) foldLocked(st *testFold, docID string, feats *foldNote) {
 	f.sessions.Add(1)
-
-	if st.engine == nil {
-		return
-	}
-	// The engine's evidence is one vote per answer on a real page;
-	// control-page answers are quality bait, not preference evidence.
-	var buf [8]earlystop.Vote
-	votes := buf[:0]
-	for _, r := range feats.Responses {
-		if p, ok := entry.pages[r.PageID]; ok && p.Kind == aggregator.KindReal {
-			votes = append(votes, earlystop.Vote{PageID: r.PageID, QuestionID: r.QuestionID, Choice: r.Choice})
+	if st.fold(docID, feats) {
+		f.folds.Add(1)
+		if st.engine == nil {
+			f.decided.Add(1)
 		}
-	}
-	f.folds.Add(1)
-	if d := st.engine.Fold(votes); d != nil {
-		// Decided: evidence accounting is over. Stored stragglers (uploads
-		// that raced the decision) still count in results, not here.
-		st.decision, st.engine = d, nil
-		f.decided.Add(1)
-	}
-}
-
-func addTallies(tallies map[string]*questionnaire.Tally, responses []quality.ResponseKey) {
-	for _, r := range responses {
-		t, ok := tallies[r.PageID]
-		if !ok {
-			t = &questionnaire.Tally{}
-			tallies[r.PageID] = t
-		}
-		t.Add(r.Choice)
 	}
 }
 
@@ -252,9 +303,7 @@ func addTallies(tallies map[string]*questionnaire.Tally, responses []quality.Res
 // is also what re-derives the decision from the stored evidence (decisions
 // are not separately persisted).
 func (f *foldTable) rebuildLocked(st *testFold, testID string, entry *testEntry) error {
-	st.workers = make(map[string]quality.Features)
-	st.tallies = make(map[string]*questionnaire.Tally)
-	st.votes = quality.NewVotes()
+	st.judge(testID, entry)
 	if f.early != nil && st.decision == nil {
 		// One evidence stream per real page per question. A misconfigured
 		// alpha leaves the engine off.
@@ -263,7 +312,7 @@ func (f *foldTable) rebuildLocked(st *testFold, testID string, entry *testEntry)
 		})
 	}
 	err := eachStoredSession(f.responses, testID, func(docID string, u *SessionUpload) {
-		f.foldLocked(st, docID, entry, entry.reduce(u))
+		f.foldLocked(st, docID, entry.reduce(u))
 	})
 	if err != nil {
 		f.sessions.Add(-int64(len(st.order)))
@@ -301,7 +350,7 @@ func eachStoredSession(coll *store.Collection, testID string, fn func(docID stri
 // clear releases everything but the latched decision.
 func (st *testFold) clear() {
 	st.live = false
-	st.order, st.workers, st.tallies, st.votes, st.engine = nil, nil, nil, nil, nil
+	st.fs, st.entry, st.order, st.raw, st.engine = FoldState{}, nil, nil, nil, nil
 }
 
 // dropLocked sends live state back to lazy and forgets a latched replay
@@ -319,7 +368,7 @@ func (f *foldTable) dropLocked(st *testFold) {
 
 // drop sends one test's state back to lazy, keeping any latched decision.
 func (f *foldTable) drop(testID string) {
-	if st := f.lock(testID, false); st != nil {
+	if st := f.lock(testID, nil, false); st != nil {
 		f.dropLocked(st)
 		st.mu.Unlock()
 	}
@@ -336,7 +385,7 @@ func (f *foldTable) dropAll() {
 // purge forgets a test, latched decision included — the test-deletion
 // path, after which a recreated test starts undecided.
 func (f *foldTable) purge(testID string) {
-	if st := f.lock(testID, false); st != nil {
+	if st := f.lock(testID, nil, false); st != nil {
 		f.dropLocked(st)
 		st.gone = true
 		f.tests.Delete(testID)
@@ -347,7 +396,7 @@ func (f *foldTable) purge(testID string) {
 
 // decision returns a copy of the test's latched decision, or nil.
 func (f *foldTable) decision(testID string) *earlystop.Decision {
-	st := f.lock(testID, false)
+	st := f.lock(testID, nil, false)
 	if st == nil {
 		return nil
 	}
@@ -367,30 +416,32 @@ func (f *foldTable) decision(testID string) *earlystop.Decision {
 // conclusion is the test's FoldState evaluated — the one kernel a router
 // runs over the merged states of a fleet.
 func (f *foldTable) results(testID string, entry *testEntry, useQC bool) (*Results, error) {
-	st := f.lock(testID, true)
+	st := f.lock(testID, entry, true)
 	defer st.mu.Unlock()
 	if err := f.liveLocked(st, testID, entry); err != nil {
 		return nil, err
 	}
-	if useQC {
-		return st.stateLocked(testID, entry).Conclude(), nil
+	if !useQC {
+		return &Results{TestID: testID, Workers: len(st.order), Pages: slices.Clone(st.raw)}, nil
 	}
-	return &Results{TestID: testID, Workers: len(st.order), Pages: pageSpine(entry.info, st.tallies)}, nil
+	res := st.fs.Conclude()
+	if len(st.fs.Awaiting) == 0 {
+		// Conclude handed out the live worker list; the cache keeps res.
+		res.KeptWorkers = slices.Clone(res.KeptWorkers)
+	}
+	return res, nil
 }
 
 // state returns the test's FoldState without changing what the node
-// retains: live state is read as it is; a lazy one stays lazy, and storage
+// retains: live state is copied as it is; a lazy one stays lazy, and storage
 // is folded for this one answer and nothing of it kept (a router's read must
 // not decide a shard's memory — that takes /results or the sequential
 // engine, as for any node).
 func (f *foldTable) state(testID string, entry *testEntry) (*FoldState, error) {
-	if st := f.lock(testID, false); st != nil {
+	if st := f.lock(testID, entry, false); st != nil {
 		var fs *FoldState
 		if st.live {
-			fs = st.stateLocked(testID, entry)
-			// The caller encodes after the lock is gone; the votes keep moving.
-			fs.Votes = quality.NewVotes()
-			fs.Votes.Merge(st.votes)
+			fs = st.snapshot()
 		}
 		err := st.replayErr
 		st.mu.Unlock()
@@ -398,26 +449,15 @@ func (f *foldTable) state(testID string, entry *testEntry) (*FoldState, error) {
 			return fs, err
 		}
 	}
-	b := newFoldStateBuilder(testID, entry, quality.NewVotes(), 0)
-	err := eachStoredSession(f.responses, testID, func(_ string, u *SessionUpload) {
-		feats := quality.ExtractFeatures(u.workerSession())
-		b.fs.Votes.Add(feats.Responses)
-		b.add(feats)
+	var once testFold
+	once.judge(testID, entry)
+	err := eachStoredSession(f.responses, testID, func(docID string, u *SessionUpload) {
+		once.fold(docID, entry.reduce(u))
 	})
 	if err != nil {
 		return nil, err
 	}
-	return b.done(entry.info), nil
-}
-
-// stateLocked reduces live state to the test's FoldState. Votes is the live
-// accumulator, not a copy.
-func (st *testFold) stateLocked(testID string, entry *testEntry) *FoldState {
-	b := newFoldStateBuilder(testID, entry, st.votes, len(st.order))
-	for _, docID := range st.order {
-		b.add(st.workers[docID])
-	}
-	return b.done(entry.info)
+	return &once.fs, nil
 }
 
 // pageSpine lists a test's pages in stored order, each with its tally.

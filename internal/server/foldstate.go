@@ -73,41 +73,6 @@ func (r *voteRow) ref() quality.QuestionRef {
 	return quality.QuestionRef{PageID: r.PageID, QuestionID: r.QuestionID}
 }
 
-// foldStateBuilder reduces a test's sessions, fed one worker at a time in
-// document-id order, to its FoldState: the default battery's session-local
-// rules applied, the settled workers' answers summed into the page spine.
-type foldStateBuilder struct {
-	cfg     quality.Config
-	fs      *FoldState
-	settled map[string]*questionnaire.Tally
-}
-
-func newFoldStateBuilder(testID string, entry *testEntry, votes *quality.Votes, sessions int) *foldStateBuilder {
-	return &foldStateBuilder{
-		cfg:     *defaultQC(entry),
-		fs:      &FoldState{TestID: testID, Votes: votes, Workers: make([]string, 0, sessions)},
-		settled: make(map[string]*questionnaire.Tally),
-	}
-}
-
-func (b *foldStateBuilder) add(feats quality.Features) {
-	b.fs.Sessions++
-	if !feats.PassesLocal(b.cfg) {
-		return
-	}
-	b.fs.Workers = append(b.fs.Workers, feats.WorkerID)
-	if feats.CrowdCanFail(b.cfg) {
-		b.fs.Awaiting = append(b.fs.Awaiting, FoldWorker{ID: feats.WorkerID, Answers: feats.Responses})
-	} else {
-		addTallies(b.settled, feats.Responses)
-	}
-}
-
-func (b *foldStateBuilder) done(info *TestInfo) *FoldState {
-	b.fs.Pages = pageSpine(info, b.settled)
-	return b.fs
-}
-
 // crowdRules is the half of the default battery Conclude still has to
 // apply. The required-answer count, the only per-test knob, belongs to the
 // session-local half.

@@ -311,7 +311,7 @@ func (s *Server) load(testID string) (*testEntry, error) {
 	if entry, ok := s.cache.test(testID); ok {
 		return entry, nil
 	}
-	gen := s.cache.gen(testID)
+	gen := s.cache.testGen(testID)
 	prep, err := aggregator.LoadPrepared(s.db, testID)
 	if err != nil {
 		return nil, err
@@ -486,7 +486,7 @@ func (u *SessionUpload) Validate(info *TestInfo) error {
 }
 
 // validate is Validate against a page index built once (testEntry.pages).
-func (u *SessionUpload) validate(testID string, pages map[string]*PageView) error {
+func (u *SessionUpload) validate(testID string, pages map[string]int) error {
 	if u.WorkerID == "" {
 		return errors.New("missing worker_id")
 	}
@@ -573,7 +573,7 @@ func (s *Server) handleSessionUpload(w http.ResponseWriter, r *http.Request) {
 	// and the session's reduction rides along for the fold state.
 	var note *foldNote
 	if s.folds.feeding(testID, entry) {
-		note = &foldNote{entry: entry, feats: entry.reduce(upload)}
+		note = entry.reduce(upload)
 	}
 	errs, ok := g.commit(w, "storing session", []store.Document{doc}, []any{note})
 	if !ok {
