@@ -84,14 +84,15 @@ bench-aggregator:
 # shards, one shard's fold document decoded, and the router's split of one
 # gzip batch of 100 over three stub shards, and the
 # session codec and the WAL record codec beside encoding/json on one
-# session (microseconds, so at the default benchtime), and one 113 KB page
+# session (microseconds, so at the default benchtime), the document store's
+# insert and its indexed FindEq and CountEq over 10k documents, and one 113 KB page
 # over loopback: from a node on either blob backend, through the router's
 # relay, and the request middleware alone with and without a logger.
 bench-server:
 	$(GO) test -run '^$$' -bench 'BenchmarkConclude(Scratch|Incremental)|BenchmarkSession(UploadHTTP|UploadFolded|BatchUploadHTTP|BatchUploadFolded|UploadDurable|UploadReplicated)$$|BenchmarkSessionUploadFsync' \
 		-benchmem -benchtime 10x ./internal/server/
 	$(GO) test -run '^$$' -bench 'Benchmark(DecodeSession|AppendSession)$$' -benchmem ./internal/server/
-	$(GO) test -run '^$$' -bench 'Benchmark(WALRecord|VerifyWALLine)$$' -benchmem ./internal/store/
+	$(GO) test -run '^$$' -bench 'Benchmark(WALRecord|VerifyWALLine|Insert|FindEqIndexed|CountEqIndexed)$$' -benchmem ./internal/store/
 	$(GO) test -run '^$$' -bench 'BenchmarkRouter(ResultsQC|ResultsRaw|BatchSplit)$$' -benchmem -benchtime 10x ./internal/shard/
 	$(GO) test -run '^$$' -bench 'BenchmarkDecodeFoldState$$' -benchmem ./internal/shard/
 	$(GO) test -run '^$$' -bench 'BenchmarkPageServe$$' -benchmem ./internal/server/

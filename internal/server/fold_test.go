@@ -613,20 +613,12 @@ func TestEntryFillSurvivesSessionInserts(t *testing.T) {
 	}
 }
 
-// TestLiveFoldBytesPerSession holds what live fold state costs a session:
-// 20 tests x 200 sessions of the benchmark's shape (two versions, one
-// question, a control page), fed through the batch endpoint with the engine
-// on, then every test dropped to lazy. What the drop releases is the fold
-// state; the stored documents, and the ids the state shares with them, stay.
-// It was 203 B a session while the state kept every session's battery
-// features.
-func TestLiveFoldBytesPerSession(t *testing.T) {
-	const tests, perTest = 20, 200
-	db, blobs := store.OpenMemory(), store.NewBlobStore()
-	srv, err := New(db, blobs, WithEarlyStop(EarlyStopConfig{Alpha: 1e-9}))
-	if err != nil {
-		t.Fatal(err)
-	}
+// benchShapedBatches prepares tests on db and renders, for each, one batch of
+// perTest sessions of the benchmark's shape (two versions, one question, a
+// control page), keyed by test id.
+func benchShapedBatches(t *testing.T, db *store.DB, blobs *store.BlobStore, tests, perTest int) map[string][]byte {
+	t.Helper()
+	batches := make(map[string][]byte, tests)
 	for i := 0; i < tests; i++ {
 		testID := fmt.Sprintf("mem-%02d", i)
 		prep := prepareOn(t, db, blobs, testID)
@@ -639,27 +631,85 @@ func TestLiveFoldBytesPerSession(t *testing.T) {
 			}
 			uploads[j] = up
 		}
-		rec := doJSON(t, srv, http.MethodPost, "/api/tests/"+testID+"/sessions:batch", marshalBatch(t, uploads), nil)
+		batches[testID] = marshalBatch(t, uploads)
+	}
+	return batches
+}
+
+// postBatches posts every batch through the batch endpoint.
+func postBatches(t *testing.T, srv *Server, batches map[string][]byte) {
+	t.Helper()
+	for testID, body := range batches {
+		rec := doJSON(t, srv, http.MethodPost, "/api/tests/"+testID+"/sessions:batch", body, nil)
 		if rec.Code != http.StatusOK {
 			t.Fatalf("batch = %d: %s", rec.Code, rec.Body.String())
 		}
 	}
+}
+
+// liveHeap is the heap in use once garbage is collected.
+func liveHeap() int64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC() // a pooled object survives one collection
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// TestLiveFoldBytesPerSession holds what live fold state costs a session:
+// 20 tests x 200 sessions of the benchmark's shape, fed through the batch
+// endpoint with the engine on, then every test dropped to lazy. What the
+// drop releases is the fold state; the stored documents, and the ids the
+// state shares with them, stay. It was 203 B a session while the state kept
+// every session's battery features.
+func TestLiveFoldBytesPerSession(t *testing.T) {
+	const tests, perTest = 20, 200
+	db, blobs := store.OpenMemory(), store.NewBlobStore()
+	srv, err := New(db, blobs, WithEarlyStop(EarlyStopConfig{Alpha: 1e-9}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	postBatches(t, srv, benchShapedBatches(t, db, blobs, tests, perTest))
 	if n, live := srv.folds.sessions.Load(), srv.folds.liveTests.Load(); n != tests*perTest || live != tests {
 		t.Fatalf("live state holds %d sessions over %d tests, want %d over %d", n, live, tests*perTest, tests)
 	}
-	heap := func() int64 {
-		var ms runtime.MemStats
-		runtime.GC()
-		runtime.GC() // a pooled object survives one collection
-		runtime.ReadMemStats(&ms)
-		return int64(ms.HeapAlloc)
-	}
-	before := heap()
+	before := liveHeap()
 	srv.folds.dropAll()
-	released := float64(before-heap()) / (tests * perTest)
+	released := float64(before-liveHeap()) / (tests * perTest)
 	t.Logf("live fold state: %.0f B per session", released)
 	if released > 64 {
 		t.Errorf("live fold state holds %.0f B per session, want at most 64", released)
 	}
 	runtime.KeepAlive(srv)
+}
+
+// TestStoredBytesPerSession holds what the store keeps for an acknowledged
+// session: 20 tests x 200 sessions of the benchmark's shape through the
+// batch endpoint of a memory node with no fold state, the heap measured
+// around the inserts. The session's own JSON text is 490 B of it. It was
+// 1051 B while each document was kept as its map.
+func TestStoredBytesPerSession(t *testing.T) {
+	const tests, perTest = 20, 200
+	db, blobs := store.OpenMemory(), store.NewBlobStore()
+	srv, err := New(db, blobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := benchShapedBatches(t, db, blobs, tests, perTest)
+	before := liveHeap()
+	postBatches(t, srv, batches)
+	held := float64(liveHeap()-before) / (tests * perTest)
+	responses := db.Collection(aggregator.ResponsesCollection)
+	if n := responses.Count(); n != tests*perTest {
+		t.Fatalf("%d sessions stored, want %d", n, tests*perTest)
+	}
+	t.Logf("stored session: %.0f B", held)
+	if held > 820 {
+		t.Errorf("a stored session holds %.0f B, want at most 820", held)
+	}
+	if n := responses.Stats().Shapes; n != 1 {
+		t.Errorf("the responses collection holds %d key shapes, want 1", n)
+	}
+	runtime.KeepAlive(srv)
+	runtime.KeepAlive(batches)
 }

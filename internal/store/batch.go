@@ -96,8 +96,9 @@ func (c *Collection) InsertUniqueNoted(docs []Document, notes []any) (ids []stri
 		return ids, errs
 	}
 	for _, a := range batch {
-		c.docs[a.id] = a.doc
-		c.addToIndexes(a.id, a.doc)
+		s := c.freeze(a.doc)
+		c.docs[a.id] = s
+		c.addToIndexes(a.id, s)
 		ids[a.pos] = a.id
 	}
 	c.maybeCompactLocked()

@@ -11,8 +11,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -39,8 +41,8 @@ func (d Document) ID() string {
 // round-trip of it would decode to. JSON-shaped values — nested
 // map[string]any and []any, strings, bools, nil, and numbers (normalized to
 // float64, as decoding would) — are copied structurally; a document holding
-// anything else (a float32, a json.Number, a struct, a string that is not
-// valid UTF-8) takes the round-trip itself.
+// anything else (a json.Number, a struct, a string that is not valid UTF-8)
+// takes the round-trip itself.
 func (d Document) Clone() Document {
 	if d == nil {
 		return nil
@@ -89,9 +91,8 @@ func cloneValue(v any) (c any, ok bool) {
 			}
 		}
 		return cp, true
-	case float32, json.Number:
-		// Their decimal text decodes to a float64 the value itself does
-		// not convert to.
+	case json.Number:
+		// Its text may be no JSON number at all.
 		return nil, false
 	default:
 		n := normalizeValue(v)
@@ -102,24 +103,13 @@ func cloneValue(v any) (c any, ok bool) {
 
 // cloneJSON is the JSON round-trip Clone falls back to.
 func (d Document) cloneJSON() Document {
-	data, err := json.Marshal(d)
-	if err != nil {
-		// Non-encodable values violate the Document contract; fall back to
-		// a shallow copy rather than corrupting the store.
-		cp := make(Document, len(d))
-		for k, v := range d {
-			cp[k] = v
-		}
+	var cp Document
+	if data, err := json.Marshal(d); err == nil && json.Unmarshal(data, &cp) == nil {
 		return cp
 	}
-	var cp Document
-	if err := json.Unmarshal(data, &cp); err != nil {
-		cp = make(Document, len(d))
-		for k, v := range d {
-			cp[k] = v
-		}
-	}
-	return cp
+	// Non-encodable values violate the Document contract; fall back to a
+	// shallow copy rather than corrupting the store.
+	return maps.Clone(d)
 }
 
 // Common errors.
@@ -216,7 +206,7 @@ func (db *DB) Collection(name string) *Collection {
 	c := &Collection{
 		name: name,
 		db:   db,
-		docs: make(map[string]Document),
+		docs: make(map[string]stored),
 	}
 	db.collections[name] = c
 	return c
@@ -269,7 +259,7 @@ type walRecord struct {
 
 // loadCollection replays (and, when damaged, repairs) a collection's WAL.
 func (db *DB) loadCollection(name string) (*Collection, error) {
-	c := &Collection{name: name, db: db, docs: make(map[string]Document)}
+	c := &Collection{name: name, db: db, docs: make(map[string]stored)}
 	path := db.collectionPath(name)
 	data, err := db.opts.fs.ReadFile(path)
 	if err != nil {
@@ -295,7 +285,7 @@ func (db *DB) loadCollection(name string) (*Collection, error) {
 	for _, rec := range rep.records {
 		switch rec.Op {
 		case "put":
-			c.docs[rec.ID] = rec.Doc
+			c.docs[rec.ID] = c.freeze(rec.Doc)
 		case "del":
 			delete(c.docs, rec.ID)
 		}
@@ -333,7 +323,8 @@ type Collection struct {
 	mu       sync.RWMutex
 	name     string
 	db       *DB
-	docs     map[string]Document
+	docs     map[string]stored
+	shapes   []*shape
 	seq      int64
 	indexes  map[string]*fieldIndex
 	onChange []func(op, id string, note any)
@@ -352,12 +343,12 @@ type Collection struct {
 }
 
 // appendWAL writes one record to the collection's log when the database is
-// persistent. Called with c.mu held.
-func (c *Collection) appendWAL(op, id string, doc Document) error {
+// persistent; a "del" passes the zero stored. Called with c.mu held.
+func (c *Collection) appendWAL(op, id string, s stored) error {
 	if c.db.dir == "" {
 		return nil
 	}
-	frames, err := appendRecord(c.frames[:0], op, id, doc)
+	frames, err := appendRecord(c.frames[:0], op, id, s.view(id))
 	if err != nil {
 		return fmt.Errorf("store: encoding WAL record: %w", err)
 	}
@@ -462,28 +453,25 @@ func (c *Collection) insert(doc Document, unique bool) (string, error) {
 		return "", ErrClosed
 	}
 	c.mu.Lock()
-	cp := doc.Clone()
-	normalizeDoc(cp)
-	id := cp.ID()
+	s, id := c.freezeCopy(doc)
 	if id == "" {
 		c.seq++
 		id = "doc-" + strconv.FormatInt(c.seq, 10)
-		cp[IDField] = id
 	}
 	old, exists := c.docs[id]
 	if exists && unique {
 		c.mu.Unlock()
 		return "", fmt.Errorf("%w: %s/%s", ErrDuplicateID, c.name, id)
 	}
-	if err := c.appendWAL("put", id, cp); err != nil {
+	if err := c.appendWAL("put", id, s); err != nil {
 		c.mu.Unlock()
 		return "", err
 	}
 	if exists {
 		c.removeFromIndexes(id, old)
 	}
-	c.docs[id] = cp
-	c.addToIndexes(id, cp)
+	c.docs[id] = s
+	c.addToIndexes(id, s)
 	c.maybeCompactLocked()
 	fns := c.onChange
 	c.mu.Unlock()
@@ -498,39 +486,56 @@ func (c *Collection) Get(id string) (Document, error) {
 	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	doc, ok := c.docs[id]
+	s, ok := c.docs[id]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s/%s", ErrNotFound, c.name, id)
 	}
-	return doc.Clone(), nil
+	return s.thaw(id), nil
 }
 
 // Find returns copies of all documents matching the predicate, sorted by
-// id for determinism. A nil predicate matches everything. Find always scans
-// the whole collection; equality lookups should use FindEq, which consults
-// the declared indexes. On a closed database Find returns nil.
+// id for determinism. A nil predicate matches everything. The predicate is
+// handed each document's fresh copy — the copy Find returns when it
+// matches — so writing to it changes nothing stored. Find always scans the
+// whole collection; equality lookups should use FindEq, which consults the
+// declared indexes. On a closed database Find returns nil.
 func (c *Collection) Find(pred func(Document) bool) []Document {
 	if c.db.isClosed() {
 		return nil
 	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.scanLocked(pred)
+	out := c.scanLocked(nil)
+	if pred != nil {
+		out = slices.DeleteFunc(out, func(d Document) bool { return !pred(d) })
+	}
+	return out
 }
 
-// scanLocked performs (and counts) one full-collection scan; callers hold
-// at least the read lock. The scan is counted here — exactly once per
-// logical operation — so FindEq/CountEq fallbacks and Find agree on
-// accounting.
-func (c *Collection) scanLocked(pred func(Document) bool) []Document {
+// scanLocked performs (and counts) one full-collection scan, returning
+// copies of the documents match accepts (every one for a nil match) sorted
+// by id; callers hold at least the read lock. The scan is counted here —
+// exactly once per logical operation — so FindEq/CountEq fallbacks and Find
+// agree on accounting.
+func (c *Collection) scanLocked(match func(id string, s stored) bool) []Document {
 	c.scans.Add(1)
-	var out []Document
-	for _, doc := range c.docs {
-		if pred == nil || pred(doc) {
-			out = append(out, doc.Clone())
+	ids := make([]string, 0, len(c.docs))
+	for id, s := range c.docs {
+		if match == nil || match(id, s) {
+			ids = append(ids, id)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID() < out[j].ID() })
+	return c.thawSorted(ids)
+}
+
+// thawSorted sorts ids and returns copies of their documents in that order;
+// callers hold at least the read lock.
+func (c *Collection) thawSorted(ids []string) []Document {
+	slices.Sort(ids)
+	out := make([]Document, len(ids))
+	for i, id := range ids {
+		out[i] = c.docs[id].thaw(id)
+	}
 	return out
 }
 
@@ -544,25 +549,22 @@ func (c *Collection) FindEq(field string, value any) []Document {
 		return nil
 	}
 	c.mu.RLock()
+	defer c.mu.RUnlock()
 	if ix, ok := c.indexes[field]; ok {
 		if key, comparable := indexKey(value); comparable {
-			ids := ix.ids[key]
-			out := make([]Document, 0, len(ids))
-			for id := range ids {
-				out = append(out, c.docs[id].Clone())
+			set := ix.lookup(key)
+			ids := make([]string, 0, len(set))
+			for id := range set {
+				ids = append(ids, id)
 			}
-			c.mu.RUnlock()
 			c.indexHits.Add(1)
-			sort.Slice(out, func(i, j int) bool { return out[i].ID() < out[j].ID() })
-			return out
+			return c.thawSorted(ids)
 		}
 	}
 	norm := normalizeValue(value)
-	out := c.scanLocked(func(d Document) bool {
-		return normalizeValue(d[field]) == norm
+	return c.scanLocked(func(id string, s stored) bool {
+		return normalizeValue(s.get(id, field)) == norm
 	})
-	c.mu.RUnlock()
-	return out
 }
 
 // CountEq reports how many documents have field equal to value. On an
@@ -576,7 +578,7 @@ func (c *Collection) CountEq(field string, value any) int {
 	c.mu.RLock()
 	if ix, ok := c.indexes[field]; ok {
 		if key, comparable := indexKey(value); comparable {
-			n := len(ix.ids[key])
+			n := len(ix.lookup(key))
 			c.mu.RUnlock()
 			c.indexHits.Add(1)
 			return n
@@ -585,8 +587,8 @@ func (c *Collection) CountEq(field string, value any) int {
 	c.scans.Add(1)
 	norm := normalizeValue(value)
 	n := 0
-	for _, doc := range c.docs {
-		if normalizeValue(doc[field]) == norm {
+	for id, s := range c.docs {
+		if normalizeValue(s.get(id, field)) == norm {
 			n++
 		}
 	}
@@ -619,7 +621,10 @@ func normalizeValue(v any) any {
 	case uint64:
 		return float64(n)
 	case float32:
-		return float64(n)
+		// The float64 its JSON text decodes to, not its exact value:
+		// float32(0.1) is written 0.1.
+		f, _ := strconv.ParseFloat(strconv.FormatFloat(float64(n), 'g', -1, 32), 64)
+		return f
 	case json.Number:
 		if f, err := n.Float64(); err == nil {
 			return f
@@ -632,31 +637,30 @@ func normalizeValue(v any) any {
 
 // Update applies mutate to the document with the given id and persists the
 // result. The callback receives a copy; returning nil aborts with no change.
-// Like Insert, the stored result is numerically normalized.
+// Like Insert, it stores a normalized deep copy, under id whatever its _id.
 func (c *Collection) Update(id string, mutate func(Document) Document) error {
 	if c.db.isClosed() {
 		return ErrClosed
 	}
 	c.mu.Lock()
-	doc, ok := c.docs[id]
+	old, ok := c.docs[id]
 	if !ok {
 		c.mu.Unlock()
 		return fmt.Errorf("%w: %s/%s", ErrNotFound, c.name, id)
 	}
-	updated := mutate(doc.Clone())
+	updated := mutate(old.thaw(id))
 	if updated == nil {
 		c.mu.Unlock()
 		return nil
 	}
-	updated[IDField] = id
-	normalizeDoc(updated)
-	if err := c.appendWAL("put", id, updated); err != nil {
+	s, _ := c.freezeCopy(updated)
+	if err := c.appendWAL("put", id, s); err != nil {
 		c.mu.Unlock()
 		return err
 	}
-	c.removeFromIndexes(id, doc)
-	c.docs[id] = updated
-	c.addToIndexes(id, updated)
+	c.removeFromIndexes(id, old)
+	c.docs[id] = s
+	c.addToIndexes(id, s)
 	c.maybeCompactLocked()
 	fns := c.onChange
 	c.mu.Unlock()
@@ -670,16 +674,16 @@ func (c *Collection) Delete(id string) error {
 		return ErrClosed
 	}
 	c.mu.Lock()
-	doc, ok := c.docs[id]
+	s, ok := c.docs[id]
 	if !ok {
 		c.mu.Unlock()
 		return nil
 	}
-	if err := c.appendWAL("del", id, nil); err != nil {
+	if err := c.appendWAL("del", id, stored{}); err != nil {
 		c.mu.Unlock()
 		return err
 	}
-	c.removeFromIndexes(id, doc)
+	c.removeFromIndexes(id, s)
 	delete(c.docs, id)
 	c.maybeCompactLocked()
 	fns := c.onChange

@@ -1,6 +1,6 @@
 package store
 
-import "encoding/json"
+import "slices"
 
 // This file implements the collection-level serving-path machinery: secondary
 // indexes (FindEq/CountEq on a declared field become map lookups instead of
@@ -11,7 +11,14 @@ import "encoding/json"
 // fieldIndex is one secondary index: normalized field value -> id set.
 type fieldIndex struct {
 	field string
-	ids   map[any]map[string]struct{}
+	ids   map[any]*idSet
+}
+
+// idSet is the ids of the documents whose field normalizes to key, which
+// they all store as that field's value: a test's sessions share one test_id.
+type idSet struct {
+	key any
+	ids map[string]struct{}
 }
 
 // indexKey normalizes v into a comparable map key. Values that are not
@@ -26,30 +33,42 @@ func indexKey(v any) (any, bool) {
 	}
 }
 
-func (ix *fieldIndex) add(id string, doc Document) {
-	key, ok := indexKey(doc[ix.field])
-	if !ok {
-		return
+// lookup returns the ids indexed under key (nil when none).
+func (ix *fieldIndex) lookup(key any) map[string]struct{} {
+	if set := ix.ids[key]; set != nil {
+		return set.ids
 	}
-	set, ok := ix.ids[key]
-	if !ok {
-		set = make(map[string]struct{})
-		ix.ids[key] = set
-	}
-	set[id] = struct{}{}
+	return nil
 }
 
-func (ix *fieldIndex) remove(id string, doc Document) {
-	key, ok := indexKey(doc[ix.field])
+func (ix *fieldIndex) add(id string, s stored) {
+	v := s.get(id, ix.field)
+	key, ok := indexKey(v)
 	if !ok {
 		return
 	}
-	set, ok := ix.ids[key]
+	set := ix.ids[key]
+	if set == nil {
+		set = &idSet{key: key, ids: make(map[string]struct{})}
+		ix.ids[key] = set
+	}
+	set.ids[id] = struct{}{}
+	if i, found := slices.BinarySearch(s.shape.keys, ix.field); found && v == key {
+		s.vals[i] = set.key
+	}
+}
+
+func (ix *fieldIndex) remove(id string, s stored) {
+	key, ok := indexKey(s.get(id, ix.field))
 	if !ok {
 		return
 	}
-	delete(set, id)
-	if len(set) == 0 {
+	set := ix.ids[key]
+	if set == nil {
+		return
+	}
+	delete(set.ids, id)
+	if len(set.ids) == 0 {
 		delete(ix.ids, key)
 	}
 }
@@ -68,9 +87,9 @@ func (c *Collection) EnsureIndex(field string) {
 	if _, ok := c.indexes[field]; ok {
 		return
 	}
-	ix := &fieldIndex{field: field, ids: make(map[any]map[string]struct{})}
-	for id, doc := range c.docs {
-		ix.add(id, doc)
+	ix := &fieldIndex{field: field, ids: make(map[any]*idSet)}
+	for id, s := range c.docs {
+		ix.add(id, s)
 	}
 	c.indexes[field] = ix
 }
@@ -88,15 +107,15 @@ func (c *Collection) Indexes() []string {
 
 // addToIndexes/removeFromIndexes maintain every declared index; callers hold
 // the collection lock.
-func (c *Collection) addToIndexes(id string, doc Document) {
+func (c *Collection) addToIndexes(id string, s stored) {
 	for _, ix := range c.indexes {
-		ix.add(id, doc)
+		ix.add(id, s)
 	}
 }
 
-func (c *Collection) removeFromIndexes(id string, doc Document) {
+func (c *Collection) removeFromIndexes(id string, s stored) {
 	for _, ix := range c.indexes {
-		ix.remove(id, doc)
+		ix.remove(id, s)
 	}
 }
 
@@ -111,6 +130,9 @@ type CollectionStats struct {
 	// Scans counts full-collection scans (Find, and FindEq/CountEq on
 	// unindexed or unindexable values).
 	Scans int64
+	// Shapes is the number of distinct key sets the collection's documents
+	// have had, each stored once and shared by every document with it.
+	Shapes int
 }
 
 // Stats returns the collection's read-path statistics.
@@ -122,6 +144,7 @@ func (c *Collection) Stats() CollectionStats {
 		Indexes:   len(c.indexes),
 		IndexHits: c.indexHits.Load(),
 		Scans:     c.scans.Load(),
+		Shapes:    len(c.shapes),
 	}
 }
 
@@ -158,43 +181,11 @@ func (c *Collection) notify(fns []func(op, id string, note any), op, id string, 
 // Int reads a numeric field as an int, tolerating every representation a
 // document can pick up along its lifecycle (typed ints at insert time,
 // float64 after a JSON round-trip or WAL replay, json.Number from custom
-// decoders). The second return is false when the field is absent or not a
-// number.
+// decoders), read through float64 as a round-trip would. The second return
+// is false when the field is absent or not a number.
 func (d Document) Int(key string) (int, bool) {
-	switch n := d[key].(type) {
-	case float64:
-		return int(n), true
-	case float32:
-		return int(n), true
-	case int:
-		return n, true
-	case int8:
-		return int(n), true
-	case int16:
-		return int(n), true
-	case int32:
-		return int(n), true
-	case int64:
-		return int(n), true
-	case uint:
-		return int(n), true
-	case uint8:
-		return int(n), true
-	case uint16:
-		return int(n), true
-	case uint32:
-		return int(n), true
-	case uint64:
-		return int(n), true
-	case json.Number:
-		f, err := n.Float64()
-		if err != nil {
-			return 0, false
-		}
-		return int(f), true
-	default:
-		return 0, false
-	}
+	f, ok := normalizeValue(d[key]).(float64)
+	return int(f), ok
 }
 
 // normalizeDoc rewrites every numeric value in the document (recursively)

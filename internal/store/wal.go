@@ -294,7 +294,7 @@ func (c *Collection) compactLocked() error {
 	var buf []byte
 	for _, id := range ids {
 		var err error
-		if buf, err = appendRecord(buf, "put", id, c.docs[id]); err != nil {
+		if buf, err = appendRecord(buf, "put", id, c.docs[id].view(id)); err != nil {
 			return fmt.Errorf("store: encoding snapshot record %s: %w", id, err)
 		}
 	}
