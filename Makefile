@@ -68,11 +68,12 @@ cover:
 cover-check: cover
 	./scripts/cover_floor.sh internal/aggregator 85 internal/store 80 internal/guard 80 internal/earlystop 90 internal/shard 80 internal/failover 90 internal/deploy 85 internal/testbed 85
 
-# The PR-3 acceptance benchmark pair; record results in
-# BENCH_aggregator.json (on >=4 cores the parallel pipeline should show
-# >=2.2x over the sequential reference — see that file's notes).
+# The Prepare benchmarks; record results in BENCH_aggregator.json (on >=4
+# cores the parallel pipeline should show >=2.2x over the sequential
+# reference — see that file's notes). BenchShape is Prepare as the
+# end-to-end benchmark runs it: many 2-version tests through one Aggregator.
 bench-aggregator:
-	$(GO) test -run '^$$' -bench 'BenchmarkPrepare(Sequential|Parallel)$$' -benchmem -count=3 \
+	$(GO) test -run '^$$' -bench 'BenchmarkPrepare(Sequential|Parallel|BenchShape)$$' -benchmem -count=3 \
 		./internal/aggregator/
 
 # The PR-4/PR-6/PR-7 acceptance benchmarks; record results in

@@ -14,12 +14,12 @@
 // Preparation is C(N,2)-shaped work and runs as a staged concurrent
 // pipeline by default: a bounded worker pool compresses all versions and
 // control sides, a barrier, then the integrated-page builds fan out over
-// the same pool. Identical inputs are compressed once and identical
-// compressed payloads are stored once (the blob store's content-addressed
-// layer). Output is deterministic — page order, IDs, stored bytes, and
-// first-error behavior are independent of scheduling and match the
-// straight-line reference path (WithSequential), which the differential
-// determinism tests enforce.
+// the same pool. Identical inputs are compressed once, each compressed
+// payload is hashed once, in the compress stage, and identical payloads are
+// stored once (the blob store's content-addressed layer). Output is
+// deterministic — page order, IDs, stored bytes, and first-error behavior
+// are independent of scheduling and match the straight-line reference path
+// (WithSequential), which the differential determinism tests enforce.
 package aggregator
 
 import (
@@ -208,16 +208,16 @@ func (a *Aggregator) Prepare(test *params.Test, sites map[string]*webgen.Site, e
 }
 
 // compressJob is one unit of the pipeline's first stage: inline a version
-// (or control side) into a single file and inject its replay spec.
-// Identical (site, spec) inputs share one job, so duplicated control sides
-// are compressed once.
+// (or control side) into a single file, inject its replay spec and digest
+// the rendered page. Identical (site, spec) inputs share one job, so
+// duplicated control sides are compressed once.
 type compressJob struct {
 	site *webgen.Site
 	spec params.PageLoadSpec
 	// wrap decorates a failure with the position-specific message the
 	// sequential path produces for this job's first occurrence.
 	wrap func(error) error
-	out  *webgen.Site
+	out  store.Payload
 }
 
 // buildJob is one unit of the pipeline's second stage: assemble and store
@@ -309,7 +309,7 @@ func (a *Aggregator) preparePipeline(test *params.Test, sites map[string]*webgen
 	if err := a.runJobs(len(jobs), func(i int) error {
 		j := jobs[i]
 		start := time.Now()
-		out, err := a.compressVersion(j.site, j.spec)
+		out, err := compressVersion(j.site, j.spec)
 		if a.reg != nil {
 			a.reg.Histogram("aggregator_inline_seconds", obs.DefLatencyBuckets).
 				Observe(time.Since(start).Seconds())
@@ -384,14 +384,14 @@ func (a *Aggregator) runJobs(n int, fn func(int) error) error {
 // pipeline is differentially tested against.
 func (a *Aggregator) prepareSequential(test *params.Test, sites map[string]*webgen.Site, extraControls []ControlPair) (*Prepared, error) {
 	// Compress + inject every version.
-	singles := make([]*webgen.Site, len(test.Webpages))
+	singles := make([]store.Payload, len(test.Webpages))
 	names := make([]string, len(test.Webpages))
 	for i, wp := range test.Webpages {
 		site, ok := sites[wp.WebPath]
 		if !ok {
 			return nil, fmt.Errorf("aggregator: no site provided for web_path %q", wp.WebPath)
 		}
-		single, err := a.compressVersion(site, wp.WebPageLoad)
+		single, err := compressVersion(site, wp.WebPageLoad)
 		if err != nil {
 			return nil, fmt.Errorf("aggregator: version %q: %w", wp.WebPath, err)
 		}
@@ -432,11 +432,11 @@ func (a *Aggregator) prepareSequential(test *params.Test, sites map[string]*webg
 		if !ctl.Expected.Valid() {
 			return nil, fmt.Errorf("aggregator: control %d has invalid expected answer %q", k, ctl.Expected)
 		}
-		left, err := a.compressVersion(ctl.Left, params.PageLoadSpec{})
+		left, err := compressVersion(ctl.Left, params.PageLoadSpec{})
 		if err != nil {
 			return nil, fmt.Errorf("aggregator: control %d left: %w", k, err)
 		}
-		right, err := a.compressVersion(ctl.Right, params.PageLoadSpec{})
+		right, err := compressVersion(ctl.Right, params.PageLoadSpec{})
 		if err != nil {
 			return nil, fmt.Errorf("aggregator: control %d right: %w", k, err)
 		}
@@ -473,47 +473,54 @@ func (a *Aggregator) cleanupTest(testID string) {
 	}
 }
 
-// compressVersion inlines a version into one file and injects the replay
-// spec.
-func (a *Aggregator) compressVersion(site *webgen.Site, spec params.PageLoadSpec) (*webgen.Site, error) {
+// compressVersion inlines a version into one document, injects the replay
+// spec into that same tree, renders it once and digests the result.
+func compressVersion(site *webgen.Site, spec params.PageLoadSpec) (store.Payload, error) {
 	if site == nil {
-		return nil, errors.New("nil site")
+		return store.Payload{}, errors.New("nil site")
 	}
-	single, _, err := inline.SingleFileSite(site, inline.Options{DropExternal: true})
+	doc, _, err := inline.Tree(site, inline.Options{DropExternal: true})
 	if err != nil {
-		return nil, err
+		return store.Payload{}, err
 	}
-	doc := htmlx.Parse(string(single.HTML()))
 	if err := pageload.InjectSpec(doc, spec); err != nil {
-		return nil, err
+		return store.Payload{}, err
 	}
-	single.Put(single.MainFile, []byte(htmlx.Render(doc)))
-	return single, nil
+	return store.NewPayload([]byte(htmlx.Render(doc))), nil
 }
 
-// integratedCSS lays the two iframes side by side (Fig. 1).
-const integratedCSS = `html, body { margin: 0; height: 100%; }
+// integratedShell is every integrated page's index.html: the two versions'
+// iframes side by side (Fig. 1). Its bytes never change, so it is digested
+// once per process.
+var integratedShell = store.NewPayload([]byte(`<!DOCTYPE html>
+<html>
+<head>
+<meta charset="utf-8">
+<title>Kaleidoscope side-by-side test</title>
+<style>html, body { margin: 0; height: 100%; }
 .kscope-wrap { display: flex; width: 100%; height: 100%; }
 .kscope-pane { flex: 1 1 50%; height: 100%; border: none; }
 .kscope-divider { width: 2px; background: #444; }
-`
+</style>
+</head>
+<body>
+<div class="kscope-wrap">
+<iframe id="kscope-left" class="kscope-pane" src="left.html"></iframe>
+<div class="kscope-divider"></div>
+<iframe id="kscope-right" class="kscope-pane" src="right.html"></iframe>
+</div>
+</body>
+</html>
+`))
 
-// storeIntegrated builds the two-iframe integrated page and stores its
-// folder (index.html + left.html + right.html) in the blob store.
-func (a *Aggregator) storeIntegrated(testID, pageID string, left, right *webgen.Site) error {
-	integrated := webgen.NewSite("index.html")
-	var b []byte
-	b = append(b, "<!DOCTYPE html>\n<html>\n<head>\n<meta charset=\"utf-8\">\n<title>Kaleidoscope side-by-side test</title>\n<style>"...)
-	b = append(b, integratedCSS...)
-	b = append(b, "</style>\n</head>\n<body>\n<div class=\"kscope-wrap\">\n"...)
-	b = append(b, `<iframe id="kscope-left" class="kscope-pane" src="left.html"></iframe>`+"\n"...)
-	b = append(b, `<div class="kscope-divider"></div>`+"\n"...)
-	b = append(b, `<iframe id="kscope-right" class="kscope-pane" src="right.html"></iframe>`+"\n"...)
-	b = append(b, "</div>\n</body>\n</html>\n"...)
-	integrated.Put("index.html", b)
-	integrated.Put("left.html", left.HTML())
-	integrated.Put("right.html", right.HTML())
-	return a.blobs.PutSite(testID, pageID, integrated)
+// storeIntegrated stores one integrated page's folder (index.html +
+// left.html + right.html) in the blob store.
+func (a *Aggregator) storeIntegrated(testID, pageID string, left, right store.Payload) error {
+	return a.blobs.PutSite(testID, pageID, "index.html", map[string]store.Payload{
+		"index.html": integratedShell,
+		"left.html":  left,
+		"right.html": right,
+	})
 }
 
 // persist writes the test and page documents to the database.

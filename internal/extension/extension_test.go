@@ -181,11 +181,10 @@ func TestRunnerValidation(t *testing.T) {
 func TestMainFontSizePt(t *testing.T) {
 	for _, pt := range []int{10, 14, 22} {
 		site := webgen.WikiArticle(webgen.WikiConfig{Seed: 3, FontSizePt: pt})
-		single, _, err := inline.SingleFileSite(site, inline.Options{})
+		doc, _, err := inline.Tree(site, inline.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		doc := htmlx.Parse(string(single.HTML()))
 		got, ok := MainFontSizePt(doc)
 		if !ok {
 			t.Fatalf("pt=%d: extraction failed", pt)
@@ -202,16 +201,16 @@ func TestMainFontSizePt(t *testing.T) {
 
 func TestButtonSalience(t *testing.T) {
 	a, b := webgen.GroupPageVersions(webgen.GroupConfig{Seed: 4})
-	singleA, _, err := inline.SingleFileSite(a, inline.Options{})
+	docA, _, err := inline.Tree(a, inline.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	singleB, _, err := inline.SingleFileSite(b, inline.Options{})
+	docB, _, err := inline.Tree(b, inline.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	salA, okA := ButtonSalience(htmlx.Parse(string(singleA.HTML())))
-	salB, okB := ButtonSalience(htmlx.Parse(string(singleB.HTML())))
+	salA, okA := ButtonSalience(docA)
+	salB, okB := ButtonSalience(docB)
 	if !okA || !okB {
 		t.Fatal("salience extraction failed")
 	}
@@ -262,11 +261,10 @@ func TestAnswerByQuestionRouting(t *testing.T) {
 // text at contentMs and the nav bar at navMs.
 func buildReplaySide(t *testing.T, site *webgen.Site, contentMs, navMs int) (*htmlx.Node, *pageload.Replay) {
 	t.Helper()
-	single, _, err := inline.SingleFileSite(site, inline.Options{})
+	doc, _, err := inline.Tree(site, inline.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc := htmlx.Parse(string(single.HTML()))
 	spec := params.PageLoadSpec{Schedule: []params.SelectorTime{
 		{Selector: "#content", Millis: contentMs},
 		{Selector: "#navbar", Millis: navMs},
@@ -351,17 +349,17 @@ func TestClientRetriesTransientFailures(t *testing.T) {
 
 func TestSalienceAnswerFamily(t *testing.T) {
 	a, b := webgen.GroupPageVersions(webgen.GroupConfig{Seed: 6})
-	singleA, _, err := inline.SingleFileSite(a, inline.Options{})
+	left, _, err := inline.Tree(a, inline.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	singleB, _, err := inline.SingleFileSite(b, inline.Options{})
+	right, _, err := inline.Tree(b, inline.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := &PageContext{
-		Left:  htmlx.Parse(string(singleA.HTML())),
-		Right: htmlx.Parse(string(singleB.HTML())),
+		Left:  left,
+		Right: right,
 	}
 	rng := rand.New(rand.NewSource(40))
 	w := diligentWorker(rng)

@@ -56,8 +56,21 @@ func (e *MissingResourceError) Error() string {
 // Inline renders the site's main document with every resolvable resource
 // embedded, returning the self-contained HTML.
 func Inline(site *webgen.Site, opts Options) (string, *Report, error) {
+	doc, rpt, err := Tree(site, opts)
+	if err != nil {
+		return "", rpt, err
+	}
+	out := htmlx.Render(doc)
+	rpt.OutputBytes = len(out)
+	return out, rpt, nil
+}
+
+// Tree is Inline without the final render: it returns the self-contained
+// document as a tree, for callers that edit it further before rendering it
+// once. Its Report leaves OutputBytes zero.
+func Tree(site *webgen.Site, opts Options) (*htmlx.Node, *Report, error) {
 	if err := site.Validate(); err != nil {
-		return "", nil, fmt.Errorf("inline: %w", err)
+		return nil, nil, fmt.Errorf("inline: %w", err)
 	}
 	rpt := &Report{}
 	doc := htmlx.Parse(string(site.HTML()))
@@ -109,6 +122,7 @@ func Inline(site *webgen.Site, opts Options) (string, *Report, error) {
 			continue
 		}
 		css := inlineCSSURLs(string(data), path.Dir(path.Join(baseDir, href)), site, rpt, record)
+		css = escapeEndTag(css, "style")
 		style := htmlx.NewElement("style")
 		style.AppendChild(htmlx.NewText(css))
 		replaceNode(link, style)
@@ -131,7 +145,7 @@ func Inline(site *webgen.Site, opts Options) (string, *Report, error) {
 		}
 		script.RemoveAttr("src")
 		script.Children = nil
-		script.AppendChild(htmlx.NewText(string(data)))
+		script.AppendChild(htmlx.NewText(escapeEndTag(string(data), "script")))
 		rpt.InlinedJS++
 	}
 
@@ -164,11 +178,38 @@ func Inline(site *webgen.Site, opts Options) (string, *Report, error) {
 	}
 
 	if failure != nil {
-		return "", rpt, failure
+		return nil, rpt, failure
 	}
-	out := htmlx.Render(doc)
-	rpt.OutputBytes = len(out)
-	return out, rpt, nil
+	return doc, rpt, nil
+}
+
+// escapeEndTag writes every "</tag" in text, ASCII case-insensitively, as
+// "<\/tag", so a resource inlined into a <tag> element cannot end it early:
+// the rendered page parses back to the tree it was rendered from. The
+// backslash escapes nothing in a JavaScript string or regular expression,
+// nor in CSS.
+func escapeEndTag(text, tag string) string {
+	var b strings.Builder
+	last := 0
+	for i := 0; ; {
+		j := strings.Index(text[i:], "</")
+		if j < 0 {
+			break
+		}
+		i += j + 2
+		// Equal byte lengths admit only ASCII folds: the non-ASCII runes
+		// that fold to a letter are multi-byte.
+		if len(text)-i >= len(tag) && strings.EqualFold(text[i:i+len(tag)], tag) {
+			b.WriteString(text[last : i-1])
+			b.WriteByte('\\')
+			last = i - 1
+		}
+	}
+	if b.Len() == 0 {
+		return text
+	}
+	b.WriteString(text[last:])
+	return b.String()
 }
 
 // inlineCSSURLs rewrites url(...) references in CSS to data: URIs resolved
@@ -276,17 +317,4 @@ func dropNode(n *htmlx.Node) {
 	if n.Parent != nil {
 		n.Parent.RemoveChild(n)
 	}
-}
-
-// SingleFileSite wraps Inline and returns the result as a one-file Site —
-// the exact artifact the aggregator stores for the browser extension to
-// download.
-func SingleFileSite(site *webgen.Site, opts Options) (*webgen.Site, *Report, error) {
-	html, rpt, err := Inline(site, opts)
-	if err != nil {
-		return nil, rpt, err
-	}
-	out := webgen.NewSite(site.MainFile)
-	out.Put(site.MainFile, []byte(html))
-	return out, rpt, nil
 }

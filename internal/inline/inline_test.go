@@ -215,34 +215,6 @@ func TestInlineInvalidSite(t *testing.T) {
 	}
 }
 
-func TestSingleFileSite(t *testing.T) {
-	one, rpt, err := SingleFileSite(sampleSite(), Options{})
-	if err != nil {
-		t.Fatalf("SingleFileSite: %v", err)
-	}
-	if len(one.Files) != 1 {
-		t.Fatalf("files = %d, want 1", len(one.Files))
-	}
-	if one.MainFile != "index.html" {
-		t.Errorf("main file = %q", one.MainFile)
-	}
-	if rpt.InlinedImages != 1 {
-		t.Errorf("report = %+v", rpt)
-	}
-	// The single file must itself be a valid site.
-	if err := one.Validate(); err != nil {
-		t.Errorf("Validate: %v", err)
-	}
-}
-
-func TestSingleFileSiteError(t *testing.T) {
-	s := sampleSite()
-	delete(s.Files, "css/style.css")
-	if _, _, err := SingleFileSite(s, Options{Strict: true}); err == nil {
-		t.Error("strict missing resource should fail")
-	}
-}
-
 // TestInlineWikiArticle runs the inliner over the real generator output —
 // the paper's actual pipeline step.
 func TestInlineWikiArticle(t *testing.T) {
@@ -276,6 +248,55 @@ func TestMimeFor(t *testing.T) {
 	for ref, want := range tests {
 		if got := mimeFor(ref); got != want {
 			t.Errorf("mimeFor(%q) = %q, want %q", ref, got, want)
+		}
+	}
+}
+
+// TestInlineEscapesResourceEndTags: a script or stylesheet whose text spells
+// its own element's end tag is inlined with that end tag escaped, so the
+// page parses back to one script and one style holding their whole text,
+// and the markup after the end tag stays inside the resource.
+func TestInlineEscapesResourceEndTags(t *testing.T) {
+	s := webgen.NewSite("index.html")
+	s.Put("index.html", []byte(`<html><head><link rel="stylesheet" href="a.css"><script src="a.js"></script></head><body></body></html>`))
+	s.Put("a.js", []byte(`var s = "</script><p id='evil'>";`))
+	s.Put("a.css", []byte(`p::after { content: "</STYLE ><p id='evil'>"; }`))
+	html, _, err := Inline(s, Options{Strict: true})
+	if err != nil {
+		t.Fatalf("Inline: %v", err)
+	}
+	doc := htmlx.Parse(html)
+	if doc.ByID("evil") != nil {
+		t.Errorf("resource text escaped into the page as an element:\n%s", html)
+	}
+	for tag, want := range map[string]string{
+		"script": `var s = "<\/script><p id='evil'>";`,
+		"style":  `p::after { content: "<\/STYLE ><p id='evil'>"; }`,
+	} {
+		els := doc.ByTag(tag)
+		if len(els) != 1 || len(els[0].Children) != 1 || els[0].Children[0].Data != want {
+			t.Errorf("%s elements = %d, want one holding %q:\n%s", tag, len(els), want, html)
+		}
+	}
+	if again := htmlx.Render(doc); again != html {
+		t.Errorf("inlined page is not a parse/render fixed point:\n1: %q\n2: %q", html, again)
+	}
+}
+
+func TestEscapeEndTag(t *testing.T) {
+	for _, c := range []struct{ in, want string }{
+		{"", ""},
+		{"no end tags", "no end tags"},
+		{"</script>", `<\/script>`},
+		{"a</SCRIPT b</Script/c", `a<\/SCRIPT b<\/Script/c`},
+		{"</scripts>", `<\/scripts>`},
+		{"</scrip", "</scrip"},
+		{"</style></div></script", `</style></div><\/script`},
+		{"<</script", `<<\/script`},
+		{"</ſcript", "</ſcript"}, // long s folds to s, but not in the parser's ASCII match
+	} {
+		if got := escapeEndTag(c.in, "script"); got != c.want {
+			t.Errorf("escapeEndTag(%q) = %q, want %q", c.in, got, c.want)
 		}
 	}
 }

@@ -397,7 +397,8 @@ func TestPageRewrittenByAnotherProcess(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, rewrite := range []func(string, []byte) error{other.PutCAS, other.Put} {
+		putCAS := func(key string, data []byte) error { return other.PutCAS(key, store.NewPayload(data)) }
+		for i, rewrite := range []func(string, []byte) error{putCAS, other.Put} {
 			// Same length as the page it replaces.
 			next := bytes.Repeat([]byte{byte('a' + i)}, len(before))
 			if err := rewrite(pageKey("control-same", "left.html"), next); err != nil {
@@ -528,7 +529,7 @@ func TestPageFetchDuringOverwrite(t *testing.T) {
 			if i%2 == 1 {
 				next = first
 			}
-			if err := d.blobs.PutCAS(key, next); err != nil {
+			if err := d.blobs.PutCAS(key, store.NewPayload(next)); err != nil {
 				t.Error(err)
 			}
 			time.Sleep(time.Millisecond)

@@ -50,12 +50,13 @@ type BlobStats struct {
 // backing slice, on disk by hard-linking the logical path to
 // .cas/<sha256>. Get and List are oblivious to which API stored a key.
 //
-// Invariant: a stored payload is never written again. Put and PutCAS copy
-// the caller's bytes into a fresh slice (memory) or a fresh file (directory:
-// an existing path is unlinked, never truncated in place), and overwrite and
-// delete only drop references. Open's copy-free view rests on it: a reader
-// over the shared slice or the open file sees the complete payload it
-// opened whatever happens to the key meanwhile.
+// Invariant: a stored payload is never written again. Put copies the
+// caller's bytes into a fresh slice and PutCAS keeps the slice its Payload
+// owns (memory), or either writes a fresh file (directory: an existing path
+// is unlinked, never truncated in place), and overwrite and delete only drop
+// references. Open's copy-free view rests on it: a reader over the shared
+// slice or the open file sees the complete payload it opened whatever
+// happens to the key meanwhile.
 type BlobStore struct {
 	mu    sync.RWMutex
 	dir   string // "" = memory-only
@@ -162,17 +163,36 @@ func (b *BlobStore) Put(key string, data []byte) error {
 	return nil
 }
 
-// PutCAS stores data under key through the content-addressed layer: if a
+// Payload is a blob's bytes together with their SHA-256, the address the
+// content-addressed layer stores them under. Only NewPayload computes the
+// digest, so the store never trusts one it did not compute, and a payload
+// is hashed once however many keys store it. The zero Payload is the empty
+// blob.
+type Payload struct {
+	data []byte
+	hash string // hex SHA-256 of data; "" only in the zero Payload
+}
+
+// NewPayload digests data and takes ownership of it: the caller must not
+// change data afterwards, since the memory backend stores this very slice.
+func NewPayload(data []byte) Payload {
+	sum := sha256.Sum256(data)
+	return Payload{data: data, hash: hex.EncodeToString(sum[:])}
+}
+
+// PutCAS stores p under key through the content-addressed layer: if a
 // payload with the same SHA-256 is already stored, the key references the
 // existing copy instead of writing the bytes again. Concurrency-safe, like
 // every BlobStore method.
-func (b *BlobStore) PutCAS(key string, data []byte) error {
+func (b *BlobStore) PutCAS(key string, p Payload) error {
 	clean, err := cleanKey(key)
 	if err != nil {
 		return fmt.Errorf("%w: %q", err, key)
 	}
-	sum := sha256.Sum256(data) // hashing stays outside the lock
-	hash := hex.EncodeToString(sum[:])
+	if p.hash == "" {
+		p = NewPayload(nil)
+	}
+	data, hash := p.data, p.hash
 
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -220,7 +240,7 @@ func (b *BlobStore) PutCAS(key string, data []byte) error {
 	}
 
 	if !exists {
-		entry = &casEntry{data: append([]byte(nil), data...), size: len(data)}
+		entry = &casEntry{data: data, size: len(data)}
 		b.cas[hash] = entry
 		b.stats.UniqueBlobs++
 	}
@@ -568,20 +588,24 @@ func siteKey(testID, pageName, rel string) string {
 	return testID + "/" + pageName + "/" + rel
 }
 
-// PutSite stores every file of a site under testID/pageName/, plus a
-// marker recording the main file name so GetSite can reconstruct it. File
-// payloads go through the content-addressed layer, so sites sharing bytes
-// (the identical-pair control, repeated versions) are stored once.
-func (b *BlobStore) PutSite(testID, pageName string, site *webgen.Site) error {
-	if err := site.Validate(); err != nil {
-		return fmt.Errorf("store: %w", err)
+// PutSite stores one page's files under testID/pageName/, in name order,
+// plus a marker naming its main file so GetSite can reconstruct it. Files go
+// through the content-addressed layer, so pages sharing bytes (the
+// identical-pair control, repeated versions, a common shell) store them once.
+func (b *BlobStore) PutSite(testID, pageName, mainFile string, files map[string]Payload) error {
+	if main, ok := files[mainFile]; !ok || len(main.data) == 0 {
+		return fmt.Errorf("store: main file %q missing or empty in %s/%s", mainFile, testID, pageName)
 	}
-	if err := b.PutCAS(siteKey(testID, pageName, ".main"), []byte(site.MainFile)); err != nil {
+	if err := b.PutCAS(siteKey(testID, pageName, ".main"), NewPayload([]byte(mainFile))); err != nil {
 		return err
 	}
-	for _, rel := range site.Paths() {
-		data, _ := site.Get(rel)
-		if err := b.PutCAS(siteKey(testID, pageName, rel), data); err != nil {
+	names := make([]string, 0, len(files))
+	for name := range files {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		if err := b.PutCAS(siteKey(testID, pageName, name), files[name]); err != nil {
 			return err
 		}
 	}

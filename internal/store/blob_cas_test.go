@@ -10,6 +10,11 @@ import (
 	"testing"
 )
 
+// putCAS is b.PutCAS over raw bytes, for tables that also hold b.Put.
+func putCAS(b *BlobStore) func(string, []byte) error {
+	return func(key string, data []byte) error { return b.PutCAS(key, NewPayload(data)) }
+}
+
 // eachBackend runs fn against a fresh memory-backed and dir-backed store.
 func eachBackend(t *testing.T, fn func(t *testing.T, b *BlobStore)) {
 	t.Helper()
@@ -28,7 +33,7 @@ func TestPutCASDedup(t *testing.T) {
 		payload := bytes.Repeat([]byte("kaleidoscope"), 100)
 		keys := []string{"t/p1/left.html", "t/p1/right.html", "t/p2/left.html"}
 		for _, key := range keys {
-			if err := b.PutCAS(key, payload); err != nil {
+			if err := b.PutCAS(key, NewPayload(payload)); err != nil {
 				t.Fatalf("PutCAS(%s): %v", key, err)
 			}
 		}
@@ -62,7 +67,7 @@ func TestPutCASDedup(t *testing.T) {
 func TestPutCASDistinctPayloads(t *testing.T) {
 	eachBackend(t, func(t *testing.T, b *BlobStore) {
 		for i := 0; i < 4; i++ {
-			if err := b.PutCAS(fmt.Sprintf("k%d", i), []byte{byte(i)}); err != nil {
+			if err := b.PutCAS(fmt.Sprintf("k%d", i), NewPayload([]byte{byte(i)})); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -73,16 +78,42 @@ func TestPutCASDistinctPayloads(t *testing.T) {
 	})
 }
 
+// TestPayloadStoredOnce: one payload stored under several keys is one
+// stored copy, served under its digest from every key, and the zero Payload
+// is the empty blob.
+func TestPayloadStoredOnce(t *testing.T) {
+	eachBackend(t, func(t *testing.T, b *BlobStore) {
+		p := NewPayload([]byte("page bytes"))
+		for _, key := range []string{"t/a/left.html", "t/b/right.html"} {
+			if err := b.PutCAS(key, p); err != nil {
+				t.Fatal(err)
+			}
+			if etag, got := readView(t, b, key); string(got) != "page bytes" || etag != etagOf(got) {
+				t.Errorf("%s = %q under %s, want the payload under its digest", key, got, etag)
+			}
+		}
+		if stats := b.Stats(); stats.UniqueBlobs != 1 || stats.DedupHits != 1 {
+			t.Errorf("stats = %+v, want 1 unique payload and 1 dedup hit", stats)
+		}
+		if err := b.PutCAS("t/empty", Payload{}); err != nil {
+			t.Fatal(err)
+		}
+		if etag, got := readView(t, b, "t/empty"); len(got) != 0 || etag != etagOf(nil) {
+			t.Errorf("zero Payload stored as %q under %s, want the empty blob", got, etag)
+		}
+	})
+}
+
 // TestPutOverCASLinkPreservesSharedPayload guards the hard-link hazard: a
 // plain Put over a key that shares a CAS payload must not mutate the bytes
 // other keys read.
 func TestPutOverCASLinkPreservesSharedPayload(t *testing.T) {
 	eachBackend(t, func(t *testing.T, b *BlobStore) {
 		original := []byte("shared original payload")
-		if err := b.PutCAS("a", original); err != nil {
+		if err := b.PutCAS("a", NewPayload(original)); err != nil {
 			t.Fatal(err)
 		}
-		if err := b.PutCAS("b", original); err != nil {
+		if err := b.PutCAS("b", NewPayload(original)); err != nil {
 			t.Fatal(err)
 		}
 		if err := b.Put("a", []byte("overwritten!")); err != nil {
@@ -105,10 +136,10 @@ func TestPutCASOverwrite(t *testing.T) {
 		if err := b.Put("k", []byte("plain")); err != nil {
 			t.Fatal(err)
 		}
-		if err := b.PutCAS("k", []byte("v1")); err != nil {
+		if err := b.PutCAS("k", NewPayload([]byte("v1"))); err != nil {
 			t.Fatal(err)
 		}
-		if err := b.PutCAS("k", []byte("v2")); err != nil {
+		if err := b.PutCAS("k", NewPayload([]byte("v2"))); err != nil {
 			t.Fatal(err)
 		}
 		got, err := b.Get("k")
@@ -128,10 +159,10 @@ func TestPutCASOverwrite(t *testing.T) {
 func TestDeleteReleasesCAS(t *testing.T) {
 	eachBackend(t, func(t *testing.T, b *BlobStore) {
 		payload := []byte("payload")
-		if err := b.PutCAS("x/a", payload); err != nil {
+		if err := b.PutCAS("x/a", NewPayload(payload)); err != nil {
 			t.Fatal(err)
 		}
-		if err := b.PutCAS("x/b", payload); err != nil {
+		if err := b.PutCAS("x/b", NewPayload(payload)); err != nil {
 			t.Fatal(err)
 		}
 		if err := b.Delete("x/a"); err != nil {
@@ -164,7 +195,7 @@ func TestDeleteReleasesCASPrunesDiskPayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.PutCAS("only", []byte("data")); err != nil {
+	if err := b.PutCAS("only", NewPayload([]byte("data"))); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.Delete("only"); err != nil {
@@ -179,7 +210,7 @@ func TestDeleteReleasesCASPrunesDiskPayload(t *testing.T) {
 func TestDeletePrefix(t *testing.T) {
 	eachBackend(t, func(t *testing.T, b *BlobStore) {
 		for _, key := range []string{"t1/p/a", "t1/p/b", "t2/p/a"} {
-			if err := b.PutCAS(key, []byte(key)); err != nil {
+			if err := b.PutCAS(key, NewPayload([]byte(key))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -215,11 +246,11 @@ func TestDeletePrefixSweepsCrossProcessOrphans(t *testing.T) {
 	// t1 and t2 share a payload; t3 has its own.
 	shared, own := []byte("shared payload"), []byte("private payload")
 	for _, k := range []string{"t1/p/index.html", "t2/p/index.html"} {
-		if err := writer.PutCAS(k, shared); err != nil {
+		if err := writer.PutCAS(k, NewPayload(shared)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := writer.PutCAS("t3/p/index.html", own); err != nil {
+	if err := writer.PutCAS("t3/p/index.html", NewPayload(own)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -277,7 +308,7 @@ func TestBlobStoreConcurrentHammer(t *testing.T) {
 						t.Errorf("Put: %v", err)
 						return
 					}
-					if err := b.PutCAS(cas, payload); err != nil {
+					if err := b.PutCAS(cas, NewPayload(payload)); err != nil {
 						t.Errorf("PutCAS: %v", err)
 						return
 					}

@@ -60,7 +60,7 @@ func TestOpenMatchesGet(t *testing.T) {
 	eachBackend(t, func(t *testing.T, b *BlobStore) {
 		left, other := bytes.Repeat([]byte("left"), 5000), []byte("something else")
 		for key, data := range map[string][]byte{"t/p/left.html": left, "t/p/right.html": left, "t/p/index.html": other} {
-			if err := b.PutCAS(key, data); err != nil {
+			if err := b.PutCAS(key, NewPayload(data)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -75,7 +75,7 @@ func TestOpenMatchesGet(t *testing.T) {
 			}
 		}
 
-		if err := b.PutCAS("t/p/left.html", other); err != nil {
+		if err := b.PutCAS("t/p/left.html", NewPayload(other)); err != nil {
 			t.Fatal(err)
 		}
 		if etag, got := readView(t, b, "t/p/left.html"); etag != etagOf(other) || !bytes.Equal(got, other) {
@@ -135,7 +135,7 @@ func TestOpenViewSurvivesOverwriteAndDelete(t *testing.T) {
 		for _, put := range []struct {
 			name string
 			fn   func(string, []byte) error
-		}{{"PutCAS", b.PutCAS}, {"Put", b.Put}} {
+		}{{"PutCAS", putCAS(b)}, {"Put", b.Put}} {
 			if err := put.fn("t/p/left.html", old); err != nil {
 				t.Fatal(err)
 			}
@@ -168,7 +168,7 @@ func TestDirValidatorRemembered(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := []byte("page bytes")
-	if err := b.PutCAS("t/p/left.html", data); err != nil {
+	if err := b.PutCAS("t/p/left.html", NewPayload(data)); err != nil {
 		t.Fatal(err)
 	}
 	remembered := func() bool {
@@ -238,7 +238,7 @@ func TestDirValidatorFollowsAnotherProcess(t *testing.T) {
 	}
 	first := bytes.Repeat([]byte("1"), 9000)
 	for _, key := range []string{"t/p/left.html", "t/p/right.html"} {
-		if err := serving.PutCAS(key, first); err != nil {
+		if err := serving.PutCAS(key, NewPayload(first)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -252,7 +252,7 @@ func TestDirValidatorFollowsAnotherProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Same length every time: size alone must not be what saves us.
-	for i, rewrite := range []func(string, []byte) error{other.PutCAS, other.Put, other.PutCAS} {
+	for i, rewrite := range []func(string, []byte) error{putCAS(other), other.Put, putCAS(other)} {
 		next := bytes.Repeat([]byte{byte('2' + i)}, len(first))
 		if err := rewrite("t/p/left.html", next); err != nil {
 			t.Fatal(err)
@@ -275,7 +275,7 @@ func TestOpenDuringDeletePrefix(t *testing.T) {
 		data := bytes.Repeat([]byte("x"), 100000)
 		keys := []string{"t/p/index.html", "t/p/left.html", "t/p/right.html"}
 		for _, key := range keys {
-			if err := b.PutCAS(key, data); err != nil {
+			if err := b.PutCAS(key, NewPayload(data)); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -342,13 +342,22 @@ func TestBlobStoreDisk(t *testing.T) {
 	}
 }
 
+// sitePayloads digests every file of site.
+func sitePayloads(site *webgen.Site) map[string]Payload {
+	files := make(map[string]Payload, len(site.Files))
+	for name, data := range site.Files {
+		files[name] = NewPayload(data)
+	}
+	return files
+}
+
 func TestPutGetSite(t *testing.T) {
 	for name, blob := range map[string]*BlobStore{
 		"memory": NewBlobStore(),
 	} {
 		t.Run(name, func(t *testing.T) {
 			site := webgen.WikiArticle(webgen.WikiConfig{Seed: 2})
-			if err := blob.PutSite("test-1", "wiki-12pt", site); err != nil {
+			if err := blob.PutSite("test-1", "wiki-12pt", site.MainFile, sitePayloads(site)); err != nil {
 				t.Fatalf("PutSite: %v", err)
 			}
 			got, err := blob.GetSite("test-1", "wiki-12pt")
@@ -374,7 +383,7 @@ func TestPutSiteDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	site := webgen.GroupPage(webgen.GroupConfig{Seed: 4})
-	if err := blob.PutSite("t", "group-a", site); err != nil {
+	if err := blob.PutSite("t", "group-a", site.MainFile, sitePayloads(site)); err != nil {
 		t.Fatal(err)
 	}
 	got, err := blob.GetSite("t", "group-a")
@@ -395,8 +404,14 @@ func TestGetSiteMissing(t *testing.T) {
 
 func TestPutSiteInvalid(t *testing.T) {
 	b := NewBlobStore()
-	if err := b.PutSite("t", "p", webgen.NewSite("index.html")); err == nil {
-		t.Error("invalid site should fail")
+	for _, files := range []map[string]Payload{
+		nil,
+		{"other.html": NewPayload([]byte("x"))},
+		{"index.html": NewPayload(nil)},
+	} {
+		if err := b.PutSite("t", "p", "index.html", files); err == nil {
+			t.Errorf("PutSite(%v) without a non-empty main file should fail", files)
+		}
 	}
 }
 

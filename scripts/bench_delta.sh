@@ -17,9 +17,10 @@
 #                       feeding live fold state (default 35; recorded 27.7)
 #   INCR_FLOOR        min incremental-over-scratch speedup at 10k (default 10)
 #   PAR_FLOOR         min parallel-over-sequential Prepare speedup when
-#                     NumCPU >= 4 (default 2.2; the 4-vCPU CI record in
-#                     BENCH_aggregator.json measures 2.62x and Amdahl caps
-#                     the 86%-parallel pipeline near 2.8x at 4 cores)
+#                     NumCPU >= 4 (default 2.2; BENCH_aggregator.json
+#                     projects 2.6x at 4 cores: the compress stage is 94%
+#                     of the pipeline and its 6 jobs split 4+2 over 4
+#                     workers)
 #   REQUIRE_MULTICORE set to 1 to make the parallel-Prepare gate mandatory:
 #                     under 4 cores the script FAILS instead of skipping the
 #                     floor. CI sets this so a degraded runner (or a
@@ -65,6 +66,8 @@ go test -run '^$' -bench 'Benchmark(WALRecord|VerifyWALLine)$' \
 echo "bench_delta: running aggregator benchmarks..."
 go test -run '^$' -bench 'BenchmarkPrepare(Sequential|Parallel)$' \
     -benchmem -benchtime 3x ./internal/aggregator/ >"$tmp/aggregator.txt"
+go test -run '^$' -bench 'BenchmarkPrepareBenchShape$' \
+    -benchmem -benchtime 50x ./internal/aggregator/ >>"$tmp/aggregator.txt"
 
 # parse_bench: "<name> <ns/op> <allocs/op> <lag-frames> <upstream-B/op>
 # <B/op>" per benchmark line, with the -GOMAXPROCS suffix stripped from the
