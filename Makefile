@@ -76,7 +76,7 @@ bench-aggregator:
 	$(GO) test -run '^$$' -bench 'BenchmarkPrepare(Sequential|Parallel|BenchShape)$$' -benchmem -count=3 \
 		./internal/aggregator/
 
-# The PR-4/PR-6/PR-7 acceptance benchmarks; record results in
+# The serving path's acceptance benchmarks; record results in
 # BENCH_server.json (the incremental results engine must stay >=10x over
 # the from-scratch oracle at 10k stored sessions, the batched upload under
 # its per-session allocation budget, and the replicated AckFollower upload

@@ -11,7 +11,7 @@ import (
 // sequential engine. Formula trust is not enough — these tests *measure*
 // the realized false-stop rate on thousands of simulated null campaigns
 // and the realized power and cost on effect campaigns, and fail if either
-// drifts outside the guarantees DESIGN §6i advertises. They run under
+// drifts outside the guarantees DESIGN §6.1 advertises. They run under
 // -race in CI as part of `make check`.
 
 const (

@@ -409,10 +409,7 @@ func (w *modelWorld) update(coll string, pick int) {
 		return
 	}
 	v := fmt.Sprintf("%d/%d/%s/u", w.seed, w.step, id)
-	err := w.db.Collection(coll).Update(id, func(d store.Document) store.Document {
-		d["v"] = v
-		return d
-	})
+	_, err := w.db.Collection(coll).Insert(store.Document{"_id": id, "v": v})
 	w.logf("update %s/%s: %v", coll, id, err)
 	w.write(coll, id, refValue{true, v}, err)
 }

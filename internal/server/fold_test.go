@@ -46,7 +46,7 @@ func TestBatchEventsAfterReplayAreIgnored(t *testing.T) {
 	db, blobs := store.OpenMemory(), store.NewBlobStore()
 	var srv *Server
 	first := true
-	db.Collection(aggregator.ResponsesCollection).OnChange(func(_, id string) {
+	db.Collection(aggregator.ResponsesCollection).OnChange(func(_, id string, _ any) {
 		if !first {
 			return
 		}

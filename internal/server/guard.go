@@ -138,7 +138,7 @@ func isWrite(r *http.Request) bool {
 }
 
 // writeGate is one store write's passage through the node's write protocol
-// (DESIGN.md §6e). A handler holds it as a value and defers
+// (DESIGN.md §6.1). A handler holds it as a value and defers
 // report(guard.Canceled).
 type writeGate struct {
 	s    *Server

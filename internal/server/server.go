@@ -115,13 +115,13 @@ func New(db *store.DB, blobs *store.BlobStore, opts ...Option) (*Server, error) 
 	// Cache invalidation rides the store's change feed. Tests and pages
 	// invalidate the test's metadata (and everything derived from it); a
 	// new session only invalidates session-derived state.
-	db.Collection(aggregator.TestsCollection).OnChange(func(_, id string) {
+	db.Collection(aggregator.TestsCollection).OnChange(func(_, id string, _ any) {
 		s.cache.invalidateTest(id)
 	})
-	db.Collection(aggregator.PagesCollection).OnChange(func(_, id string) {
+	db.Collection(aggregator.PagesCollection).OnChange(func(_, id string, _ any) {
 		s.invalidateByPrefixedID(id, s.cache.invalidateTest)
 	})
-	responses.OnChangeNoted(func(op, id string, note any) {
+	responses.OnChange(func(op, id string, note any) {
 		testID, _, ok := strings.Cut(id, "/")
 		if !ok {
 			s.folds.dropAll()
@@ -443,7 +443,7 @@ func (s *Server) handlePageFile(w http.ResponseWriter, r *http.Request) {
 // pageWriter answers the one copy http.ServeContent makes of a whole or suffix
 // read of a memory view — an *io.LimitedReader reaching the end of the view's
 // *bytes.Reader — with one Write of the blob store's own slice, which is never
-// written again (DESIGN.md §6l); net/http's ReadFrom would move it through a
+// written again (DESIGN.md §6.2); net/http's ReadFrom would move it through a
 // fresh 32 KB buffer, a write(2) per 32 KB. A file (sendfile(2)), a Range
 // that ends early and the multipart pipe go to the wrapped writer as before.
 type pageWriter struct{ http.ResponseWriter }
@@ -515,7 +515,7 @@ func (u *SessionUpload) validate(testID string, pages map[string]int) error {
 }
 
 // handleSessionUpload stores one session through the write gate (DESIGN.md
-// §6e) and the batch's commit; what is its own is the 1 MiB body, the
+// §6.1) and the batch's commit; what is its own is the 1 MiB body, the
 // one-object decode and the one element's answer, 201 or 409.
 func (s *Server) handleSessionUpload(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
@@ -601,7 +601,7 @@ func (s *Server) handleSessionUpload(w http.ResponseWriter, r *http.Request) {
 // success.
 func (s *Server) handleTestDelete(w http.ResponseWriter, r *http.Request) {
 	testID := r.PathValue("id")
-	// A delete is a store write like an upload (DESIGN.md §6e), and a sweep
+	// A delete is a store write like an upload (DESIGN.md §6.1), and a sweep
 	// that deleted something is evidence of store health.
 	g, ok := s.admitWrite(w, "test deletion")
 	if !ok {

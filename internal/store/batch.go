@@ -31,7 +31,7 @@ func (c *Collection) InsertUniqueBatch(docs []Document) (ids []string, errs []er
 
 // InsertUniqueNoted is InsertUniqueBatch for a writer that also subscribes
 // to the collection: notes[i] (notes may be nil, or shorter than docs) rides
-// along with docs[i]'s change event to OnChangeNoted subscribers, so the
+// along with docs[i]'s change event to OnChange subscribers, so the
 // writer recognises its own write and can hand itself whatever it already
 // derived from the document instead of reading it back. The store never
 // looks at, persists or replicates a note.

@@ -197,7 +197,7 @@ func TestInsertUniqueBatchNotifyAndIndexes(t *testing.T) {
 	coll := db.Collection("responses")
 	coll.EnsureIndex("test_id")
 	var events []string
-	coll.OnChange(func(op, id string) { events = append(events, op+":"+id) })
+	coll.OnChange(func(op, id string, _ any) { events = append(events, op+":"+id) })
 	_, errs := coll.InsertUniqueBatch(batchDocs(3))
 	for _, err := range errs {
 		if err != nil {

@@ -136,8 +136,11 @@ func WithFileSystem(fs FileSystem) Option {
 	return func(o *options) { o.fs = fs }
 }
 
-// WithSyncPolicy selects when WAL appends are fsynced (default
-// SyncInterval: group-commit at most once per interval).
+// WithSyncPolicy selects when WAL appends are fsynced. The default,
+// SyncInterval, fsyncs at most once per interval and only on an append, so
+// a power cut can lose the writes acknowledged since the last fsync, with no
+// time bound once writes pause; SyncAlways makes every acknowledged write
+// durable. SyncPolicy states each promise.
 func WithSyncPolicy(p SyncPolicy) Option {
 	return func(o *options) { o.policy = p }
 }
@@ -633,39 +636,6 @@ func normalizeValue(v any) any {
 	default:
 		return v
 	}
-}
-
-// Update applies mutate to the document with the given id and persists the
-// result. The callback receives a copy; returning nil aborts with no change.
-// Like Insert, it stores a normalized deep copy, under id whatever its _id.
-func (c *Collection) Update(id string, mutate func(Document) Document) error {
-	if c.db.isClosed() {
-		return ErrClosed
-	}
-	c.mu.Lock()
-	old, ok := c.docs[id]
-	if !ok {
-		c.mu.Unlock()
-		return fmt.Errorf("%w: %s/%s", ErrNotFound, c.name, id)
-	}
-	updated := mutate(old.thaw(id))
-	if updated == nil {
-		c.mu.Unlock()
-		return nil
-	}
-	s, _ := c.freezeCopy(updated)
-	if err := c.appendWAL("put", id, s); err != nil {
-		c.mu.Unlock()
-		return err
-	}
-	c.removeFromIndexes(id, old)
-	c.docs[id] = s
-	c.addToIndexes(id, s)
-	c.maybeCompactLocked()
-	fns := c.onChange
-	c.mu.Unlock()
-	c.notify(fns, OpPut, id, nil)
-	return nil
 }
 
 // Delete removes the document with the given id (no error if absent).

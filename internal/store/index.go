@@ -76,8 +76,8 @@ func (ix *fieldIndex) remove(id string, s stored) {
 // EnsureIndex declares a secondary index on field, building it from the
 // current documents (which covers WAL-replayed collections: open the
 // database, then declare the indexes). Declaring the same index twice is a
-// no-op. Once declared, the index is maintained on every Insert, Update,
-// and Delete.
+// no-op. Once declared, the index is maintained on every insert and
+// delete.
 func (c *Collection) EnsureIndex(field string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -156,16 +156,11 @@ const (
 
 // OnChange subscribes fn to this collection's mutations. fn runs after the
 // mutation has committed, outside the collection lock (so it may call back
-// into the collection), on the mutating goroutine. WAL replay during Open
-// predates any subscription and is not reported.
-func (c *Collection) OnChange(fn func(op, id string)) {
-	c.OnChangeNoted(func(op, id string, _ any) { fn(op, id) })
-}
-
-// OnChangeNoted is OnChange that also receives the note the writer attached
-// to the document through InsertUniqueNoted; note is nil for every other
-// mutation.
-func (c *Collection) OnChangeNoted(fn func(op, id string, note any)) {
+// into the collection), on the mutating goroutine. note is what the writer
+// attached to the document through InsertUniqueNoted, nil for every other
+// mutation. WAL replay during Open predates any subscription and is not
+// reported.
+func (c *Collection) OnChange(fn func(op, id string, note any)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.onChange = append(c.onChange, fn)

@@ -548,11 +548,12 @@ func TestWALBytesEqualOracle(t *testing.T) {
 					record("put", bid)
 				}
 			case k < 8 && live[id] != nil:
-				if err := c.Update(id, func(d Document) Document { d["n"] = step; return d }); err != nil {
+				doc := live[id].Clone()
+				doc["n"] = step
+				if _, err := c.Insert(doc); err != nil {
 					t.Fatal(err)
 				}
-				live[id] = live[id].Clone()
-				live[id]["n"] = step
+				live[id] = doc.Clone()
 				record("put", id)
 			case k == 8 && live[id] != nil:
 				if err := c.Delete(id); err != nil {

@@ -125,40 +125,6 @@ func TestFindAndFindEq(t *testing.T) {
 	}
 }
 
-func TestUpdate(t *testing.T) {
-	db := OpenMemory()
-	c := db.Collection("c")
-	id, err := c.Insert(Document{"status": "open"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = c.Update(id, func(d Document) Document {
-		d["status"] = "done"
-		return d
-	})
-	if err != nil {
-		t.Fatalf("Update: %v", err)
-	}
-	doc, err := c.Get(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if doc["status"] != "done" {
-		t.Errorf("status = %v", doc["status"])
-	}
-	// Nil return aborts.
-	if err := c.Update(id, func(d Document) Document { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	doc, _ = c.Get(id)
-	if doc["status"] != "done" {
-		t.Error("nil-returning update should not change the doc")
-	}
-	if err := c.Update("missing", func(d Document) Document { return d }); !errors.Is(err, ErrNotFound) {
-		t.Errorf("err = %v", err)
-	}
-}
-
 func TestDelete(t *testing.T) {
 	db := OpenMemory()
 	c := db.Collection("c")
@@ -202,7 +168,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Update(id1, func(d Document) Document { d["name"] = "first-updated"; return d }); err != nil {
+	if _, err := c.Insert(Document{IDField: id1, "name": "first-updated"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Delete(id2); err != nil {
@@ -502,8 +468,8 @@ func TestConcurrentMixedOperations(t *testing.T) {
 				t.Errorf("insert: %v", err)
 				return
 			}
-			if err := c.Update(id, func(d Document) Document { d["u"] = true; return d }); err != nil {
-				t.Errorf("update: %v", err)
+			if _, err := c.Insert(Document{IDField: id, "i": i, "u": true}); err != nil {
+				t.Errorf("upsert: %v", err)
 			}
 			_ = c.Find(func(d Document) bool { return true })
 			if i%2 == 0 {

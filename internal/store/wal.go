@@ -172,17 +172,30 @@ func recoverWAL(fs FileSystem, path string, rep walReplay) error {
 	return nil
 }
 
-// SyncPolicy selects when WAL appends reach stable storage.
+// SyncPolicy selects when WAL appends reach stable storage, and so what a
+// nil error from a write promises. Under every policy the record has been
+// written to the file before the caller sees nil, so a crash of the process
+// alone loses nothing; the policies differ in what a power cut or a kernel
+// crash may take. On a Replicated store the Shipper has a say as well:
+// replica.Primary in its AckFollower mode returns only once the follower
+// has fsynced the frames, so an acknowledged write is durable on the
+// follower whatever the local policy.
 type SyncPolicy int
 
 const (
-	// SyncInterval group-commits: appends are written immediately but
-	// fsynced at most once per interval (plus once on Close). The default.
+	// SyncInterval group-commits, and is the default. An append is fsynced
+	// only when it comes at least the interval (WithSyncInterval, 100ms)
+	// after the previous fsync, or after the log file was opened; no timer
+	// flushes afterwards, and Close fsyncs. A power cut can therefore lose
+	// every write acknowledged since the last fsync, and once writes pause
+	// that window has no time bound: it stays open until the next append
+	// past the interval, or Close.
 	SyncInterval SyncPolicy = iota
-	// SyncAlways fsyncs after every append: an acknowledged write is on
-	// stable storage before the caller sees nil.
+	// SyncAlways fsyncs after every append (a batch is one append): an
+	// acknowledged write is on stable storage before the caller sees nil.
 	SyncAlways
-	// SyncNever leaves flushing entirely to the OS.
+	// SyncNever leaves flushing to the OS and Close: a power cut can lose
+	// any write the kernel had not yet written back.
 	SyncNever
 )
 
@@ -269,7 +282,7 @@ func (w *walFile) close() error {
 
 // Compact rewrites the collection's WAL as a snapshot of the live
 // documents: one framed put per document, written to a temp file, synced,
-// and atomically renamed over the log. Update-heavy collections otherwise
+// and atomically renamed over the log. Overwrite- and delete-heavy collections otherwise
 // grow without bound; a days-long campaign compacts periodically (or
 // automatically via WithAutoCompact).
 func (c *Collection) Compact() error {

@@ -51,7 +51,7 @@ func TestFramedReplayEqualsLive(t *testing.T) {
 	}
 	for i, id := range ids {
 		if i%3 == 0 {
-			if err := c.Update(id, func(d Document) Document { d["updated"] = true; return d }); err != nil {
+			if _, err := c.Insert(Document{IDField: id, "i": i, "nested": map[string]any{"n": i * 2}, "updated": true}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -468,7 +468,7 @@ func TestCompact(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		id := fmt.Sprintf("d%02d", i)
 		for j := 0; j < 3; j++ {
-			if err := c.Update(id, func(d Document) Document { d["v"] = j + 1; return d }); err != nil {
+			if _, err := c.Insert(Document{IDField: id, "v": j + 1}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -526,7 +526,7 @@ func TestAutoCompact(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 100; i++ {
-		if err := c.Update(id, func(d Document) Document { d["n"] = i; return d }); err != nil {
+		if _, err := c.Insert(Document{IDField: id, "n": i}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -626,9 +626,6 @@ func TestErrClosed(t *testing.T) {
 	}
 	if _, err := c.InsertUnique(Document{IDField: "x"}); !errors.Is(err, ErrClosed) {
 		t.Errorf("InsertUnique err = %v, want ErrClosed", err)
-	}
-	if err := c.Update(id, func(d Document) Document { return d }); !errors.Is(err, ErrClosed) {
-		t.Errorf("Update err = %v, want ErrClosed", err)
 	}
 	if err := c.Delete(id); !errors.Is(err, ErrClosed) {
 		t.Errorf("Delete err = %v, want ErrClosed", err)
