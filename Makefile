@@ -30,9 +30,10 @@ bench:
 
 # Fault-injection suite: crash-recovery under injected filesystem faults,
 # chaos-transport end-to-end flows, graceful-drain shutdown, and every
-# testbed topology's audit (socketless, so each row repeats per seed). Run
-# repeatedly — these tests mix randomized fault schedules with fixed
-# seeds, and flakes here mean a real durability bug. The last two lines are
+# testbed topology's audit and the campaign's node, pair and fleet rows
+# (socketless, so each row repeats per seed). Run repeatedly — these tests
+# mix randomized fault schedules with fixed seeds, and flakes here mean a
+# real durability bug. The last two lines are
 # the model-based test of store + replica and the fold state's write-fed vs
 # replay walk, each on MODEL_RUNS fresh seeds; a failure prints the seed and
 # the command that replays it.
@@ -41,6 +42,7 @@ chaos:
 	$(GO) test -count=3 -run 'Chaos|Crash|Fault|Torn|Quarantin|Recover|ENOSPC|Drain|Retr|Compact|SyncPolic' \
 		./internal/store/ ./internal/netsim/ ./internal/failover/ ./internal/extension/ ./cmd/kscope-server/
 	$(GO) test -count=3 -run 'TestEveryTopologyPassesItsAudit|TestAuditCatches' ./internal/testbed/
+	$(GO) test -count=3 -run '^TestCampaignLifecycle$$' ./internal/campaign/
 	$(GO) test -count=1 -run '^TestModel' ./internal/replica/ -model.runs=$(MODEL_RUNS) -model.steps=140
 	$(GO) test -count=1 -run '^TestWriteFedStateEqualsReplay$$' ./internal/server/ -fold.runs=$(MODEL_RUNS)
 
@@ -132,10 +134,14 @@ bench-delta:
 #   failover    the pair's primary is killed mid-soak, the zombie left up
 #   multinode   the same behind the router, on 3 pairs and 2 tenants, the
 #               victim a tenant's home shard chosen by the seed
-#   campaign    8 tenants create -> Prepare -> serve -> oracle -> delete under
-#               a churning crowd: p99 < 1s during neighbor Prepares, real
-#               churn, no blob/document leak, cross-tenant dedup floor
-#   earlystop   effect tenants conclude early with the right winner and a
+#   campaign    8 tenants create -> Prepare -> serve -> audit -> delete under
+#               a churning crowd, each prepared and audited by the testbed
+#               (its acked-loss and oracle gates, per tenant): p99 < 1s
+#               during neighbor Prepares, real churn, no blob or document
+#               leak on any shard's store, cross-tenant dedup floor; one
+#               memory node here, `make chaos` runs the pair and the fleet
+#   earlystop   the same campaign against the node's sequential engine:
+#               effect tenants conclude early with the right winner and a
 #               certified p-bound, the null tenant never, cost < fixed-n
 #               within the shared budget
 SCENARIOS := soak overload throughput failover multinode campaign earlystop

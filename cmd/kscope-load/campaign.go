@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"net/http"
 	"time"
 
 	"kaleidoscope/internal/aggregator"
@@ -15,38 +14,16 @@ import (
 	"kaleidoscope/internal/testbed"
 )
 
-// newCampaign wires a campaign onto the bed's node: the orchestrator is
-// colocated with the storage (it calls the aggregator directly for Prepare
-// and reads the store for its audits), all participant traffic goes through
-// the front door with a seeded chaos link per session, and each tenant is
-// held to the bed's oracle before it is deleted.
+// newCampaign wires a campaign onto the bed: the bed prepares each tenant,
+// carries all participant traffic through the front door with a seeded
+// chaos link per session, and audits each tenant before it is deleted.
 func newCampaign(cfg config, bed *testbed.Bed, specs []campaign.Spec) (*campaign.Campaign, error) {
-	db := bed.Node(0).Serving().DB
-	agg, err := aggregator.New(db, bed.Blobs)
-	if err != nil {
-		return nil, err
-	}
 	pop, err := crowd.NewPopulation(cfg.workers, crowd.CampaignCrowdMix, cfg.trusted, rand.New(rand.NewSource(cfg.seed)))
 	if err != nil {
 		return nil, err
 	}
-	return &campaign.Campaign{
-		BaseURL:     bed.URLs[0],
-		DB:          db,
-		Blobs:       bed.Blobs,
-		Agg:         agg,
-		Specs:       specs,
-		Pop:         pop,
-		Mix:         crowd.CampaignCrowdMix,
-		Trusted:     cfg.trusted,
-		Seed:        cfg.seed,
-		Concurrency: cfg.concurrency,
-		Policy:      bed.WorkerPolicy(),
-		Transport:   func(session int) http.RoundTripper { return bed.WorkerLink(0, session) },
-		Client:      bed.Client,
-		Oracle:      bed.Oracle,
-		OnAck:       func(testID, workerID string) { bed.Acked(testID, workerID, 0) },
-	}, nil
+	return &campaign.Campaign{Bed: bed, Specs: specs, Pop: pop, Mix: crowd.CampaignCrowdMix,
+		Trusted: cfg.trusted, Concurrency: cfg.concurrency}, nil
 }
 
 // tenantSpec builds tenant i's two-version font-size study over the
@@ -160,9 +137,11 @@ func campaignDrive(cfg config, bed *testbed.Bed, out io.Writer) (func() error, e
 			return fmt.Errorf("leak gate: blob store has %d unique blobs after full churn, had %d before",
 				rep.UniqueBlobsAfter, rep.UniqueBlobsBefore)
 		}
-		for _, coll := range []string{aggregator.TestsCollection, aggregator.PagesCollection, aggregator.ResponsesCollection} {
-			if n := camp.DB.Collection(coll).Count(); n != 0 {
-				return fmt.Errorf("leak gate: %d %s documents survive the campaign", n, coll)
+		for i, db := range bed.Stores() {
+			for _, coll := range []string{aggregator.TestsCollection, aggregator.PagesCollection, aggregator.ResponsesCollection} {
+				if n := db.Collection(coll).Count(); n != 0 {
+					return fmt.Errorf("leak gate: %d %s documents survive the campaign on shard %d", n, coll, i)
+				}
 			}
 		}
 
@@ -224,7 +203,7 @@ func earlystopDrive(cfg config, bed *testbed.Bed, out io.Writer) (func() error, 
 	if err != nil {
 		return nil, err
 	}
-	camp.StopOnDecision, camp.Budget = true, cfg.budget
+	camp.Budget = cfg.budget
 	rep, err := camp.Run()
 	if err != nil {
 		return nil, err

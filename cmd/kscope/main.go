@@ -24,7 +24,6 @@ import (
 	"kaleidoscope/internal/crowd"
 	"kaleidoscope/internal/extension"
 	"kaleidoscope/internal/params"
-	"kaleidoscope/internal/quality"
 	"kaleidoscope/internal/questionnaire"
 	"kaleidoscope/internal/server"
 	"kaleidoscope/internal/store"
@@ -342,16 +341,7 @@ func cmdResults(args []string) error {
 	if err != nil {
 		return err
 	}
-	var cfg *quality.Config
-	if *qc {
-		prep, err := aggregator.LoadPrepared(db, *testID)
-		if err != nil {
-			return err
-		}
-		c := quality.DefaultConfig(len(prep.RealPages()) * len(prep.Test.Questions))
-		cfg = &c
-	}
-	res, err := srv.Conclude(*testID, cfg)
+	res, err := srv.ConcludeScratch(*testID, *qc)
 	if err != nil {
 		return err
 	}

@@ -1,5 +1,5 @@
 // Package campaign orchestrates multi-tenant test churn: M tests driven
-// concurrently through their full lifecycle — create → aggregator Prepare
+// concurrently through their full lifecycle — create → Prepare
 // (overlapping other tenants' serving traffic) → serve under one shared
 // crowd with mid-session worker abandonment and re-recruitment → conclude
 // against a differential oracle → delete. Single-test soaks exercise
@@ -7,21 +7,18 @@
 // deployments actually experience: many experimenters creating, running,
 // and tearing down tests at once, with worker churn in the middle.
 //
-// The orchestrator is colocated with the deployment's storage (like the
-// experimenter-side controller): it calls the aggregator directly for
-// Prepare and reads the store for its audits, while all participant
-// traffic — page downloads, session uploads — flows through the real HTTP
-// surface, per-session chaos transports included.
+// A campaign drives its tenants through a testbed.Bed, on any topology the
+// bed can take: the bed prepares each tenant on every shard, reads its
+// results and audits it, while all participant traffic — page downloads,
+// session uploads — and the deletes flow through the bed's front door,
+// per-session chaos links included.
 package campaign
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
-	"reflect"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,11 +28,10 @@ import (
 	"kaleidoscope/internal/earlystop"
 	"kaleidoscope/internal/extension"
 	"kaleidoscope/internal/failover"
-	"kaleidoscope/internal/obs"
 	"kaleidoscope/internal/params"
 	"kaleidoscope/internal/questionnaire"
 	"kaleidoscope/internal/server"
-	"kaleidoscope/internal/store"
+	"kaleidoscope/internal/testbed"
 	"kaleidoscope/internal/webgen"
 )
 
@@ -60,8 +56,9 @@ type TenantReport struct {
 	TestID string
 	Pages  int
 	// Acked lists worker ids whose uploads the server acknowledged (201,
-	// or 409 = stored by an earlier attempt). The conclude audit checks
-	// every one of them against the store: acked work is never lost.
+	// or 409 = stored by an earlier attempt). Each is also acknowledged to
+	// the bed, whose per-test audit finds every one on its owning shard's
+	// store: acked work is never lost.
 	Acked []string
 	// Partials counts acked sessions that were abandoned mid-session after
 	// at least one completed page (quality control drops them; raw results
@@ -135,15 +132,18 @@ type Report struct {
 }
 
 // Campaign drives a set of tenant specs through their full lifecycle.
+//
+// A tenant honors the bed's sequential early stopping when its topology
+// runs the engine: a concluded upload (200 + X-Kscope-Concluded) ends the
+// tenant's serve phase, its remaining workers go back to the shared pool,
+// and its unspent budget stays available to undecided neighbors. Without
+// the engine a concluded upload is reported as an error.
 type Campaign struct {
-	// BaseURL is the live core server all participant traffic targets.
-	BaseURL string
-	// DB and Blobs are the deployment's storage, used for Prepare, the
-	// acked-upload audit, and dedup/leak accounting.
-	DB    *store.DB
-	Blobs *store.BlobStore
-	// Agg prepares each tenant's test against DB/Blobs.
-	Agg   *aggregator.Aggregator
+	// Bed is the running deployment: it prepares every tenant, carries its
+	// traffic, and audits it before it is deleted. Its run seed makes
+	// per-session RNG streams and recruitment deterministic up to
+	// scheduling.
+	Bed   *testbed.Bed
 	Specs []Spec
 	// Pop is the shared worker pool every tenant recruits from. Workers
 	// who finish a session return to the pool; workers who vanish do not.
@@ -152,38 +152,9 @@ type Campaign struct {
 	// vanishes mid-campaign.
 	Mix     crowd.Mix
 	Trusted bool
-	// Seed makes per-session RNG streams and recruitment deterministic up
-	// to scheduling.
-	Seed int64
 	// Concurrency bounds simultaneously running sessions campaign-wide
 	// (default 4).
 	Concurrency int
-	// Policy configures every session's client, like extension.Fleet.
-	Policy failover.Policy
-	// Client is the experimenter's own clean client: deletes and the
-	// results the oracle checks (nil: a plain client with a 30 s timeout).
-	Client *http.Client
-	// Transport, when set, supplies a per-session http.RoundTripper
-	// (typically a seeded netsim.ChaosTransport); the sequence number is
-	// unique across the campaign.
-	Transport func(session int) http.RoundTripper
-	// Registry, when set, receives client retry metrics.
-	Registry *obs.Registry
-	// Oracle recomputes a tenant's results from scratch (raw or
-	// quality-controlled); conclude fails the tenant when the HTTP surface
-	// diverges from it — the no-cross-tenant-interference gate.
-	Oracle func(testID string, useQC bool) (*server.Results, error)
-	// MaxSlotAttempts bounds vanish-and-replace loops per required session
-	// (default 8).
-	MaxSlotAttempts int
-	// StopOnDecision makes tenants honor the server's sequential early
-	// stopping: a concluded upload (200 + X-Kscope-Concluded) ends the
-	// tenant's serve phase instead of counting as a failed slot, its
-	// remaining workers go back to the shared pool, and its unspent budget
-	// stays available to undecided neighbors. Without it a concluded
-	// upload is reported as an error, because the fixed-n oracle audit
-	// assumes every acked session was stored.
-	StopOnDecision bool
 	// Budget, when positive, caps campaign-wide paid sessions: each slot
 	// draws one unit before running and only stored sessions keep it —
 	// concluded, abandoned, and failed attempts refund theirs. Decided
@@ -191,10 +162,6 @@ type Campaign struct {
 	// neighbors still serving get to spend. Exhausting the budget fails
 	// the run: the campaign promised more sessions than it could pay for.
 	Budget int
-	// OnAck, when set, is called for every session the deployment
-	// acknowledged as stored, from the slot's goroutine, while the tenant
-	// is still serving — the hook a harness's mid-run audits hang on.
-	OnAck func(testID, workerID string)
 	// Logf, when set, receives progress lines.
 	Logf func(format string, args ...any)
 
@@ -204,6 +171,10 @@ type Campaign struct {
 	budgetMu   sync.Mutex
 	budgetLeft int
 }
+
+// maxSlotAttempts bounds the vanish-and-replace loop of one required
+// session.
+const maxSlotAttempts = 8
 
 // workerPool is the shared crowd: idle workers check out for one session
 // and return on completion; vanished workers are replaced by freshly
@@ -257,8 +228,8 @@ func (p *workerPool) release(w *crowd.Worker) {
 // setup succeeds; per-tenant failures are collected into both the report
 // and the joined error.
 func (c *Campaign) Run() (*Report, error) {
-	if c.BaseURL == "" || c.DB == nil || c.Blobs == nil || c.Agg == nil {
-		return nil, errors.New("campaign: needs BaseURL, DB, Blobs, and Agg")
+	if c.Bed == nil {
+		return nil, errors.New("campaign: needs a bed")
 	}
 	if len(c.Specs) == 0 {
 		return nil, errors.New("campaign: no tenant specs")
@@ -266,34 +237,28 @@ func (c *Campaign) Run() (*Report, error) {
 	if c.Pop == nil || len(c.Pop.Workers) == 0 {
 		return nil, errors.New("campaign: needs a worker population")
 	}
-	if c.Oracle == nil {
-		return nil, errors.New("campaign: needs a differential oracle")
-	}
 	for i, spec := range c.Specs {
 		if spec.Test == nil || spec.Answer == nil || spec.Sessions <= 0 {
 			return nil, fmt.Errorf("campaign: spec %d needs a test, an answer function, and a positive session target", i)
 		}
 	}
 
-	if c.Client == nil {
-		c.Client = &http.Client{Timeout: 30 * time.Second}
-	}
 	c.budgetLeft = c.Budget
 	c.pool = &workerPool{
 		idle:    append([]*crowd.Worker(nil), c.Pop.Workers...),
 		nextID:  len(c.Pop.Workers),
-		rng:     rand.New(rand.NewSource(c.Seed ^ 0x5ca1ab1e)),
+		rng:     rand.New(rand.NewSource(c.Bed.Run.Seed ^ 0x5ca1ab1e)),
 		mix:     c.Mix,
 		trusted: c.Trusted,
 		counts:  make(map[crowd.Archetype]int),
 	}
 
+	statsBefore := c.Bed.Blobs.Stats()
 	report := &Report{
 		Tenants:           make([]TenantReport, len(c.Specs)),
-		UniqueBlobsBefore: c.Blobs.Stats().UniqueBlobs,
+		UniqueBlobsBefore: statsBefore.UniqueBlobs,
 		ArchetypeCounts:   c.Pop.CountByArchetype(),
 	}
-	statsBefore := c.Blobs.Stats()
 
 	concurrency := c.Concurrency
 	if concurrency <= 0 {
@@ -324,7 +289,7 @@ func (c *Campaign) Run() (*Report, error) {
 	}
 	wg.Wait()
 
-	statsAfter := c.Blobs.Stats()
+	statsAfter := c.Bed.Blobs.Stats()
 	report.DedupBytesSaved = statsAfter.BytesSaved - statsBefore.BytesSaved
 	report.UniqueBlobsAfter = statsAfter.UniqueBlobs
 	report.Elapsed = time.Since(start)
@@ -368,11 +333,11 @@ func (c *Campaign) runTenant(i int, sem chan struct{}, openNext func(), rep *Ten
 
 	// Prepare (create): runs while earlier tenants serve.
 	rep.PreparedDuringServe = c.serving.Load() > 0
-	blobsBefore := c.Blobs.Stats().BytesSaved
+	blobsBefore := c.Bed.Blobs.Stats().BytesSaved
 	prepStart := time.Now()
-	prep, err := c.Agg.Prepare(spec.Test, spec.Sites, spec.Controls)
+	prep, err := c.Bed.Prepare(spec.Test, spec.Sites, spec.Controls)
 	rep.PrepareElapsed = time.Since(prepStart)
-	rep.DedupBytes = c.Blobs.Stats().BytesSaved - blobsBefore
+	rep.DedupBytes = c.Bed.Blobs.Stats().BytesSaved - blobsBefore
 	if err != nil {
 		rep.Err = fmt.Errorf("prepare: %w", err)
 		return
@@ -399,9 +364,9 @@ func (c *Campaign) runTenant(i int, sem chan struct{}, openNext func(), rep *Ten
 	c.logf("tenant %s: served %d acked sessions in %v (partial %d, vanished %d, concluded=%v saved=%d)",
 		rep.TestID, len(rep.Acked), rep.ServeElapsed.Round(time.Millisecond), rep.Partials, rep.Vanished, rep.Concluded, rep.SessionsSaved)
 
-	// Conclude: the HTTP surface must agree with the from-scratch oracle
-	// (no cross-tenant interference), and every acked upload must be in
-	// the store (no acked loss).
+	// Conclude: the bed's per-test audit — every acked upload is in its
+	// owning shard's store (no acked loss), and the served results equal
+	// the from-scratch oracle (no cross-tenant interference).
 	if err := c.concludeTenant(rep); err != nil {
 		rep.Err = err
 		return
@@ -419,16 +384,13 @@ func (c *Campaign) runTenant(i int, sem chan struct{}, openNext func(), rep *Ten
 }
 
 // serveTenant lands spec.Sessions acked uploads, one goroutine per required
-// slot, all throttled by the campaign-wide semaphore. With StopOnDecision,
+// slot, all throttled by the campaign-wide semaphore. With early stopping,
 // a slot that observes the test concluded — its own upload answered 200 +
 // X-Kscope-Concluded, or a sibling's before it started — retires without
 // spending: the worker returns to the shared pool and the slot's budget
 // unit (if any) is refunded for undecided neighbors.
 func (c *Campaign) serveTenant(spec Spec, prep *aggregator.Prepared, sem chan struct{}, rep *TenantReport) error {
-	maxAttempts := c.MaxSlotAttempts
-	if maxAttempts <= 0 {
-		maxAttempts = 8
-	}
+	stopOnDecision := c.Bed.Top.EarlyStopAlpha > 0
 	var mu sync.Mutex
 	used := make(map[string]bool)
 	concluded := false
@@ -438,7 +400,7 @@ func (c *Campaign) serveTenant(spec Spec, prep *aggregator.Prepared, sem chan st
 		wg.Add(1)
 		go func(slot int) {
 			defer wg.Done()
-			for attempt := 0; attempt < maxAttempts; attempt++ {
+			for attempt := 0; attempt < maxSlotAttempts; attempt++ {
 				mu.Lock()
 				if concluded {
 					rep.SessionsSaved++
@@ -483,7 +445,7 @@ func (c *Campaign) serveTenant(spec Spec, prep *aggregator.Prepared, sem chan st
 					mu.Unlock()
 					return
 				}
-				session, outcome, err := c.runSession(spec, w)
+				session, outcome, epoch, err := c.runSession(spec, w)
 				<-sem
 
 				switch {
@@ -493,20 +455,18 @@ func (c *Campaign) serveTenant(spec Spec, prep *aggregator.Prepared, sem chan st
 					c.refundBudget()
 					c.pool.release(w)
 					mu.Lock()
-					if c.StopOnDecision {
+					if stopOnDecision {
 						concluded = true
 						rep.Concluded = true
 						rep.SessionsSaved++
 					} else if firstErr == nil {
-						firstErr = fmt.Errorf("slot %d: test concluded early but StopOnDecision is off", slot)
+						firstErr = fmt.Errorf("slot %d: test concluded early on a bed without early stopping", slot)
 					}
 					mu.Unlock()
 					return
 				case err == nil:
 					c.pool.release(w)
-					if c.OnAck != nil {
-						c.OnAck(spec.Test.TestID, w.ID)
-					}
+					c.Bed.Acked(spec.Test.TestID, w.ID, epoch)
 					mu.Lock()
 					rep.Acked = append(rep.Acked, w.ID)
 					if len(session.Behaviors) < len(prep.Pages) {
@@ -536,7 +496,7 @@ func (c *Campaign) serveTenant(spec Spec, prep *aggregator.Prepared, sem chan st
 					c.refundBudget()
 					c.pool.release(w)
 					mu.Lock()
-					if firstErr == nil && attempt == maxAttempts-1 {
+					if firstErr == nil && attempt == maxSlotAttempts-1 {
 						firstErr = fmt.Errorf("slot %d: %w", slot, err)
 					}
 					mu.Unlock()
@@ -544,7 +504,7 @@ func (c *Campaign) serveTenant(spec Spec, prep *aggregator.Prepared, sem chan st
 			}
 			mu.Lock()
 			if firstErr == nil {
-				firstErr = fmt.Errorf("slot %d: no acked session after %d attempts", slot, maxAttempts)
+				firstErr = fmt.Errorf("slot %d: no acked session after %d attempts", slot, maxSlotAttempts)
 			}
 			mu.Unlock()
 		}(slot)
@@ -581,82 +541,54 @@ func (c *Campaign) refundBudget() {
 }
 
 // runSession runs one participant's full extension flow (download, replay,
-// answer, upload) with a per-session deterministic RNG and chaos transport.
-// The outcome distinguishes a stored upload from one acknowledged unstored
-// because the test had already been decided.
-func (c *Campaign) runSession(spec Spec, w *crowd.Worker) (*server.SessionUpload, extension.UploadOutcome, error) {
+// answer, upload) with a per-session deterministic RNG and chaos link,
+// over the bed's failover ring. The outcome distinguishes a stored upload
+// from one acknowledged unstored because the test had already been
+// decided; epoch is the highest replication epoch the client saw.
+func (c *Campaign) runSession(spec Spec, w *crowd.Worker) (*server.SessionUpload, extension.UploadOutcome, uint64, error) {
 	seq := c.session.Add(1)
-	httpc := &http.Client{Timeout: 30 * time.Second}
-	if c.Transport != nil {
-		httpc.Transport = c.Transport(int(seq))
-	}
-	client, err := extension.NewClient(c.BaseURL, httpc,
-		extension.WithWorkerID(w.ID), extension.WithPolicy(c.Policy), extension.WithMetrics(c.Registry))
+	httpc := &http.Client{Timeout: 30 * time.Second, Transport: c.Bed.WorkerLink(0, int(seq))}
+	client, err := c.client(httpc, extension.WithWorkerID(w.ID))
 	if err != nil {
-		return nil, extension.UploadStored, err
+		return nil, extension.UploadStored, 0, err
 	}
 	runner := &extension.Runner{
 		Client: client,
 		Worker: w,
 		Answer: spec.Answer,
-		RNG:    rand.New(rand.NewSource(c.Seed + seq*1_000_003)),
+		RNG:    rand.New(rand.NewSource(c.Bed.Run.Seed + seq*1_000_003)),
 	}
-	return runner.RunOutcome(spec.Test.TestID)
+	session, outcome, err := runner.RunOutcome(spec.Test.TestID)
+	return session, outcome, client.Epoch(), err
 }
 
-// concludeTenant checks the tenant's terminal state: HTTP results (raw and
-// quality-controlled) must deep-equal the from-scratch oracle, and every
-// acked worker's session must exist in the store. The oracle recomputes
-// tallies from storage and knows nothing of the sequential engine, so a
-// decided tenant's decision metadata is validated separately and stripped
-// before the comparison — the underlying tallies must still agree exactly.
+// client is a client of the bed's front door, failover ring and worker
+// retry policy included.
+func (c *Campaign) client(httpc *http.Client, opts ...extension.ClientOption) (*extension.Client, error) {
+	urls := c.Bed.URLs
+	return extension.NewClient(urls[0], httpc, append(opts,
+		extension.WithFailover(urls[1:]...), extension.WithPolicy(c.Bed.WorkerPolicy()))...)
+}
+
+// concludeTenant holds the tenant to the bed's per-test audit and then
+// checks the sequential engine's decision the served results carry, which
+// the oracle knows nothing of.
 func (c *Campaign) concludeTenant(rep *TenantReport) error {
-	servedConcluded := rep.Concluded
-	for _, mode := range []struct {
-		q     string
-		useQC bool
-	}{{"", false}, {"?quality=1", true}} {
-		got, status, err := c.fetchResults(rep.TestID, mode.q)
-		if err != nil {
-			return fmt.Errorf("conclude (quality=%v): %w", mode.useQC, err)
-		}
-		if status != http.StatusOK {
-			return fmt.Errorf("conclude (quality=%v): status %d", mode.useQC, status)
-		}
-		if got.Concluded != (got.Decision != nil) {
-			return fmt.Errorf("conclude (quality=%v): inconsistent decision metadata (concluded=%v, decision=%+v)",
-				mode.useQC, got.Concluded, got.Decision)
-		}
-		if servedConcluded && got.Decision == nil {
-			return fmt.Errorf("conclude (quality=%v): serve phase observed a concluded upload but results carry no decision", mode.useQC)
-		}
-		if d := got.Decision; d != nil {
-			if err := auditDecision(d); err != nil {
-				return fmt.Errorf("conclude (quality=%v): %w", mode.useQC, err)
-			}
-			if !mode.useQC {
-				rep.Concluded = true
-				rep.Decision = d
-			}
-			stripped := *got
-			stripped.Concluded = false
-			stripped.Decision = nil
-			got = &stripped
-		}
-		want, err := c.Oracle(rep.TestID, mode.useQC)
-		if err != nil {
-			return fmt.Errorf("oracle (quality=%v): %w", mode.useQC, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			return fmt.Errorf("ORACLE DIVERGENCE (quality=%v): cross-tenant interference?\nserved %+v\noracle %+v",
-				mode.useQC, got, want)
-		}
+	res, err := c.Bed.AuditTest(rep.TestID)
+	if err != nil {
+		return fmt.Errorf("conclude: %w", err)
 	}
-	responses := c.DB.Collection(aggregator.ResponsesCollection)
-	for _, workerID := range rep.Acked {
-		if _, err := responses.Get(rep.TestID + "/" + workerID); err != nil {
-			return fmt.Errorf("ACKED LOSS: worker %s was acknowledged but has no stored session: %w", workerID, err)
+	if res.Concluded != (res.Decision != nil) {
+		return fmt.Errorf("conclude: inconsistent decision metadata (concluded=%v, decision=%+v)", res.Concluded, res.Decision)
+	}
+	if rep.Concluded && res.Decision == nil {
+		return errors.New("conclude: serve phase observed a concluded upload but results carry no decision")
+	}
+	if d := res.Decision; d != nil {
+		if err := auditDecision(d); err != nil {
+			return fmt.Errorf("conclude: %w", err)
 		}
+		rep.Concluded, rep.Decision = true, d
 	}
 	return nil
 }
@@ -680,55 +612,26 @@ func auditDecision(d *earlystop.Decision) error {
 	return nil
 }
 
-// deleteTenant removes the test over HTTP and verifies the deployment
-// genuinely forgot it: metadata and results must 404 afterwards.
+// deleteTenant removes the test through the front door and verifies the
+// deployment genuinely forgot it: its info and its results must 404
+// afterwards.
 func (c *Campaign) deleteTenant(rep *TenantReport) error {
-	client, err := extension.NewClient(c.BaseURL, c.Client, extension.WithPolicy(c.Policy))
+	client, err := c.client(c.Bed.Client)
 	if err != nil {
 		return err
 	}
 	if err := client.DeleteTest(rep.TestID); err != nil {
 		return fmt.Errorf("delete: %w", err)
 	}
-	for _, path := range []string{"", "/results"} {
-		if _, status, err := c.fetchJSON(rep.TestID, path); err != nil {
-			return fmt.Errorf("post-delete probe %q: %w", path, err)
-		} else if status != http.StatusNotFound {
-			return fmt.Errorf("post-delete GET %q: status %d, want 404 — deleted test still servable", path, status)
+	_, infoErr := client.TestInfo(rep.TestID)
+	_, resultsErr := client.Results(rep.TestID, false)
+	for i, err := range []error{infoErr, resultsErr} {
+		var status *failover.StatusError
+		if !errors.As(err, &status) || status.Status != http.StatusNotFound {
+			return fmt.Errorf("post-delete %s probe: %v, want 404 — deleted test still servable", []string{"info", "results"}[i], err)
 		}
 	}
 	return nil
-}
-
-// fetchResults GETs a tenant's results over the clean (chaos-free) path.
-func (c *Campaign) fetchResults(testID, query string) (*server.Results, int, error) {
-	body, status, err := c.httpGet("/api/tests/" + testID + "/results" + query)
-	if err != nil || status != http.StatusOK {
-		return nil, status, err
-	}
-	var res server.Results
-	if err := json.Unmarshal(body, &res); err != nil {
-		return nil, status, fmt.Errorf("decoding results: %w", err)
-	}
-	return &res, status, nil
-}
-
-// fetchJSON GETs a tenant path and returns only the status.
-func (c *Campaign) fetchJSON(testID, suffix string) ([]byte, int, error) {
-	return c.httpGet("/api/tests/" + testID + suffix)
-}
-
-func (c *Campaign) httpGet(path string) ([]byte, int, error) {
-	resp, err := c.Client.Get(c.BaseURL + path)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, resp.StatusCode, err
-	}
-	return body, resp.StatusCode, nil
 }
 
 func (c *Campaign) logf(format string, args ...any) {

@@ -3,16 +3,13 @@ package campaign
 import (
 	"fmt"
 	"math/rand"
-	"net/http/httptest"
 	"testing"
 
 	"kaleidoscope/internal/aggregator"
 	"kaleidoscope/internal/crowd"
 	"kaleidoscope/internal/extension"
-	"kaleidoscope/internal/failover"
 	"kaleidoscope/internal/params"
-	"kaleidoscope/internal/server"
-	"kaleidoscope/internal/store"
+	"kaleidoscope/internal/testbed"
 	"kaleidoscope/internal/webgen"
 )
 
@@ -44,22 +41,35 @@ func tenantSpec(i int, contentSeed int64, sessions int) Spec {
 	}
 }
 
-func TestCampaignLifecycle(t *testing.T) {
-	db := store.OpenMemory()
-	blobs := store.NewBlobStore()
-	agg, err := aggregator.New(db, blobs)
+// startBed starts a topology for a campaign and closes it with the test.
+func startBed(t *testing.T, top testbed.Topology, seed int64) *testbed.Bed {
+	t.Helper()
+	bed, err := testbed.Start(top, testbed.Run{Seed: seed, Retries: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := server.New(db, blobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
+	t.Cleanup(bed.Close)
+	return bed
+}
 
-	rng := rand.New(rand.NewSource(11))
-	pop, err := crowd.NewPopulation(8, crowd.CampaignCrowdMix, false, rng)
+// TestCampaignLifecycle runs one campaign on each shape a tenant can be
+// served from: one memory node, a replicated pair, and three shards behind
+// the router.
+func TestCampaignLifecycle(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		top  testbed.Topology
+	}{
+		{"node", testbed.Topology{}},
+		{"pair", testbed.Topology{Replicated: true, Store: testbed.Dir}},
+		{"fleet", testbed.Topology{Shards: 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testCampaignLifecycle(t, startBed(t, tc.top, 11)) })
+	}
+}
+
+func testCampaignLifecycle(t *testing.T, bed *testbed.Bed) {
+	pop, err := crowd.NewPopulation(8, crowd.CampaignCrowdMix, false, rand.New(rand.NewSource(11)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,17 +77,11 @@ func TestCampaignLifecycle(t *testing.T) {
 	// Tenant 2 shares tenant 0's page content: cross-tenant dedup.
 	specs := []Spec{tenantSpec(0, 100, 3), tenantSpec(1, 200, 3), tenantSpec(2, 100, 3)}
 	camp := &Campaign{
-		BaseURL:     ts.URL,
-		DB:          db,
-		Blobs:       blobs,
-		Agg:         agg,
+		Bed:         bed,
 		Specs:       specs,
 		Pop:         pop,
 		Mix:         crowd.CampaignCrowdMix,
-		Seed:        11,
 		Concurrency: 4,
-		Policy:      failover.Policy{Retries: 3},
-		Oracle:      srv.ConcludeScratch,
 		Logf:        t.Logf,
 	}
 	rep, err := camp.Run()
@@ -106,7 +110,8 @@ func TestCampaignLifecycle(t *testing.T) {
 	}
 	// Tenant 2 re-stored tenant 0's content: its Prepare must have saved
 	// bytes through the CAS layer (tenant 0 was still live — the wave
-	// keeps lifecycles overlapping).
+	// keeps lifecycles overlapping). One Prepare per tenant, whatever the
+	// shard count, so tenant 1 saves no more than on one node.
 	if rep.Tenants[2].DedupBytes <= rep.Tenants[1].DedupBytes {
 		t.Errorf("content-sharing tenant saved %d bytes, non-sharing %d — expected more",
 			rep.Tenants[2].DedupBytes, rep.Tenants[1].DedupBytes)
@@ -114,15 +119,20 @@ func TestCampaignLifecycle(t *testing.T) {
 	if rep.DedupBytesSaved <= 0 {
 		t.Error("campaign saved no dedup bytes")
 	}
-	// Churn leak check: every tenant deleted, blob store back to baseline.
+	// Churn leak check: every tenant deleted, blob store back to baseline,
+	// no document of any tenant left on any shard.
 	if rep.UniqueBlobsAfter != rep.UniqueBlobsBefore {
 		t.Errorf("UniqueBlobs %d -> %d: campaign leaked blobs", rep.UniqueBlobsBefore, rep.UniqueBlobsAfter)
 	}
-	if n := db.Collection(aggregator.TestsCollection).Count(); n != 0 {
-		t.Errorf("%d test docs survive the campaign", n)
+	if n := bed.Blobs.Stats().UniqueBlobs; n != 0 {
+		t.Errorf("%d blobs survive the campaign", n)
 	}
-	if n := db.Collection(aggregator.ResponsesCollection).Count(); n != 0 {
-		t.Errorf("%d sessions survive the campaign", n)
+	for i, db := range bed.Stores() {
+		for _, coll := range []string{aggregator.TestsCollection, aggregator.PagesCollection, aggregator.ResponsesCollection} {
+			if n := db.Collection(coll).Count(); n != 0 {
+				t.Errorf("shard %d: %d %s documents survive the campaign", i, n, coll)
+			}
+		}
 	}
 }
 
@@ -131,10 +141,7 @@ func TestCampaignValidation(t *testing.T) {
 	if _, err := c.Run(); err == nil {
 		t.Error("empty campaign should fail")
 	}
-	db := store.OpenMemory()
-	blobs := store.NewBlobStore()
-	agg, _ := aggregator.New(db, blobs)
-	c = &Campaign{BaseURL: "http://x", DB: db, Blobs: blobs, Agg: agg}
+	c = &Campaign{Bed: &testbed.Bed{}}
 	if _, err := c.Run(); err == nil {
 		t.Error("campaign without specs should fail")
 	}

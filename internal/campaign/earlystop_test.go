@@ -2,16 +2,12 @@ package campaign
 
 import (
 	"math/rand"
-	"net/http/httptest"
 	"testing"
 
-	"kaleidoscope/internal/aggregator"
 	"kaleidoscope/internal/crowd"
 	"kaleidoscope/internal/extension"
-	"kaleidoscope/internal/failover"
 	"kaleidoscope/internal/questionnaire"
-	"kaleidoscope/internal/server"
-	"kaleidoscope/internal/store"
+	"kaleidoscope/internal/testbed"
 )
 
 // answerAlwaysSame abstains on every comparison: an evidence-free tenant
@@ -22,7 +18,7 @@ func answerAlwaysSame() extension.AnswerFunc {
 	}
 }
 
-// A campaign against an early-stopping server: the strong-effect tenant
+// A campaign against an early-stopping node: the strong-effect tenant
 // (12pt vs 22pt body text, a crowd that overwhelmingly prefers ~12pt) must
 // conclude well short of its fixed session target, spending strictly less
 // than the fixed-n design, while the evidence-free tenant runs to its full
@@ -30,21 +26,8 @@ func answerAlwaysSame() extension.AnswerFunc {
 // shared budget is sized below the combined fixed cost, so the run only
 // succeeds because the decided tenant's unspent units stay available.
 func TestCampaignEarlyStopping(t *testing.T) {
-	db := store.OpenMemory()
-	blobs := store.NewBlobStore()
-	agg, err := aggregator.New(db, blobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := server.New(db, blobs, server.WithEarlyStop(server.EarlyStopConfig{Alpha: 0.05}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	rng := rand.New(rand.NewSource(7))
-	pop, err := crowd.NewPopulation(8, crowd.CampaignCrowdMix, false, rng)
+	bed := startBed(t, testbed.Topology{EarlyStopAlpha: 0.05}, 7)
+	pop, err := crowd.NewPopulation(8, crowd.CampaignCrowdMix, false, rand.New(rand.NewSource(7)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,20 +37,13 @@ func TestCampaignEarlyStopping(t *testing.T) {
 	nullSpec.Answer = answerAlwaysSame()
 	specs := []Spec{tenantSpec(0, 100, strongTarget), nullSpec}
 	camp := &Campaign{
-		BaseURL:        ts.URL,
-		DB:             db,
-		Blobs:          blobs,
-		Agg:            agg,
-		Specs:          specs,
-		Pop:            pop,
-		Mix:            crowd.CampaignCrowdMix,
-		Seed:           7,
-		Concurrency:    4,
-		Policy:         failover.Policy{Retries: 3},
-		Oracle:         srv.ConcludeScratch,
-		StopOnDecision: true,
-		Budget:         budget,
-		Logf:           t.Logf,
+		Bed:         bed,
+		Specs:       specs,
+		Pop:         pop,
+		Mix:         crowd.CampaignCrowdMix,
+		Concurrency: 4,
+		Budget:      budget,
+		Logf:        t.Logf,
 	}
 	rep, err := camp.Run()
 	if err != nil {

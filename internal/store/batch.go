@@ -101,7 +101,6 @@ func (c *Collection) InsertUniqueNoted(docs []Document, notes []any) (ids []stri
 		c.addToIndexes(a.id, s)
 		ids[a.pos] = a.id
 	}
-	c.maybeCompactLocked()
 	fns := c.onChange
 	c.mu.Unlock()
 	for _, a := range batch {

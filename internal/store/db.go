@@ -121,10 +121,9 @@ var (
 
 // options collects Open-time configuration.
 type options struct {
-	fs          FileSystem
-	policy      SyncPolicy
-	interval    time.Duration
-	autoCompact int
+	fs       FileSystem
+	policy   SyncPolicy
+	interval time.Duration
 }
 
 // Option configures Open.
@@ -149,13 +148,6 @@ func WithSyncPolicy(p SyncPolicy) Option {
 // 100ms). Non-positive durations fsync on every append.
 func WithSyncInterval(d time.Duration) Option {
 	return func(o *options) { o.interval = d }
-}
-
-// WithAutoCompact snapshots a collection's WAL after threshold appends
-// (when the log has grown past the live document count). Zero disables
-// auto-compaction; Compact remains available either way.
-func WithAutoCompact(threshold int) Option {
-	return func(o *options) { o.autoCompact = threshold }
 }
 
 func defaultOptions() options {
@@ -332,14 +324,12 @@ type Collection struct {
 	indexes  map[string]*fieldIndex
 	onChange []func(op, id string, note any)
 
-	// wal is the persistent append handle (opened lazily); appends counts
-	// records since the last compaction; frames is the buffer a write's
-	// records are framed into, reused from write to write (the file and the
-	// shipper appendFrames hands it to both copy what they keep). All
-	// guarded by mu.
-	wal     *walFile
-	appends int
-	frames  []byte
+	// wal is the persistent append handle (opened lazily); frames is the
+	// buffer a write's records are framed into, reused from write to write
+	// (the file and the shipper appendFrames hands it to both copy what they
+	// keep). Both guarded by mu.
+	wal    *walFile
+	frames []byte
 
 	indexHits atomic.Int64
 	scans     atomic.Int64
@@ -396,7 +386,6 @@ func (c *Collection) appendFrames(frames []byte, n int) error {
 	if err := w.write(frames, n); err != nil {
 		return err
 	}
-	c.appends += n
 	due := w.syncDue()
 	s := c.db.shipper
 	if s == nil {
@@ -475,7 +464,6 @@ func (c *Collection) insert(doc Document, unique bool) (string, error) {
 	}
 	c.docs[id] = s
 	c.addToIndexes(id, s)
-	c.maybeCompactLocked()
 	fns := c.onChange
 	c.mu.Unlock()
 	c.notify(fns, OpPut, id, nil)
@@ -655,7 +643,6 @@ func (c *Collection) Delete(id string) error {
 	}
 	c.removeFromIndexes(id, s)
 	delete(c.docs, id)
-	c.maybeCompactLocked()
 	fns := c.onChange
 	c.mu.Unlock()
 	c.notify(fns, OpDelete, id, nil)

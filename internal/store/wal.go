@@ -282,20 +282,15 @@ func (w *walFile) close() error {
 
 // Compact rewrites the collection's WAL as a snapshot of the live
 // documents: one framed put per document, written to a temp file, synced,
-// and atomically renamed over the log. Overwrite- and delete-heavy collections otherwise
-// grow without bound; a days-long campaign compacts periodically (or
-// automatically via WithAutoCompact).
+// and atomically renamed over the log. Overwrite- and delete-heavy
+// collections otherwise grow without bound; a days-long deployment compacts
+// them periodically.
 func (c *Collection) Compact() error {
 	if c.db.isClosed() {
 		return ErrClosed
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.compactLocked()
-}
-
-// compactLocked is Compact with c.mu already held.
-func (c *Collection) compactLocked() error {
 	if c.db.dir == "" {
 		return nil
 	}
@@ -331,22 +326,8 @@ func (c *Collection) compactLocked() error {
 	if err := c.db.syncDir(); err != nil {
 		return err
 	}
-	c.appends = 0
 	c.db.compactions.Add(1)
 	return nil
-}
-
-// maybeCompactLocked auto-compacts after the configured number of appends,
-// provided compaction would actually shrink the log. Called with c.mu held,
-// after the mutation has been applied to the in-memory state (so the
-// snapshot includes it). Best-effort: a failed auto-compaction leaves the
-// intact WAL in place and retries after the next append.
-func (c *Collection) maybeCompactLocked() {
-	t := c.db.opts.autoCompact
-	if t <= 0 || c.appends < t || c.appends <= len(c.docs) {
-		return
-	}
-	_ = c.compactLocked()
 }
 
 // DurabilityStats is a snapshot of the store's crash-safety counters,
@@ -357,7 +338,7 @@ type DurabilityStats struct {
 	// QuarantinedRecords counts corrupt or invalid records moved to
 	// .corrupt sidecars during Open.
 	QuarantinedRecords int64
-	// Compactions counts snapshot rewrites (manual and automatic).
+	// Compactions counts snapshot rewrites.
 	Compactions int64
 	// WALAppends counts records appended to collection logs.
 	WALAppends int64

@@ -514,43 +514,6 @@ func TestCompactMemoryNoop(t *testing.T) {
 	}
 }
 
-func TestAutoCompact(t *testing.T) {
-	dir := t.TempDir()
-	db, err := Open(dir, WithAutoCompact(20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := db.Collection("c")
-	id, err := c.Insert(Document{"n": 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 100; i++ {
-		if _, err := c.Insert(Document{IDField: id, "n": i}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if s := db.DurabilityStats(); s.Compactions == 0 {
-		t.Error("auto-compaction never triggered")
-	}
-	if got := walLineCount(t, dir, "c"); got >= 101 {
-		t.Errorf("WAL grew without bound: %d lines", got)
-	}
-	db.Close()
-	db2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	doc, err := db2.Collection("c").Get(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, _ := doc.Int("n"); n != 100 {
-		t.Errorf("n = %d, want 100", n)
-	}
-}
-
 func TestSyncPolicies(t *testing.T) {
 	t.Run("always", func(t *testing.T) {
 		db, err := Open(t.TempDir(), WithSyncPolicy(SyncAlways))

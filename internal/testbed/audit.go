@@ -113,10 +113,10 @@ func (b *Bed) poll(testID string) {
 	}
 }
 
-// Oracle recomputes a test's results from scratch on a fresh single node
+// oracle recomputes a test's results from scratch on a fresh single node
 // holding the union of every shard's stored sessions of it, read from each
 // shard's current store.
-func (b *Bed) Oracle(testID string, useQC bool) (*server.Results, error) {
+func (b *Bed) oracle(testID string, useQC bool) (*server.Results, error) {
 	union := store.OpenMemory()
 	defer union.Close()
 	copyInto := func(name string, docs ...store.Document) error {
@@ -127,8 +127,7 @@ func (b *Bed) Oracle(testID string, useQC bool) (*server.Results, error) {
 		}
 		return nil
 	}
-	for i := range b.shards {
-		db := b.Node(i).Serving().DB
+	for i, db := range b.Stores() {
 		if i == 0 { // prepared documents are the same on every shard
 			test, err := db.Collection(aggregator.TestsCollection).Get(testID)
 			if err == nil {
@@ -188,24 +187,15 @@ func (b *Bed) Audit(out io.Writer, extraStatuses ...int) error {
 		return fmt.Errorf("%d shed responses (429/503) lacked Retry-After", bare)
 	}
 
-	// Zero acked loss: every acknowledged session is in the CURRENT store
-	// of the shard the ring routes it to — after a promotion that is the
-	// standby's store, not the zombie's.
+	// The per-test gates, on every fixture.
+	served := make([]*server.Results, len(b.Fixtures))
 	acked := 0
-	for _, f := range b.Fixtures {
-		testID := f.Test.TestID
-		for _, workerID := range b.ackedWorkers(testID) {
-			owner := 0
-			if b.router != nil {
-				owner = b.router.Router.Ring().Owner(shard.SessionKey(testID, workerID))
-			}
-			responses := b.Node(owner).Serving().DB.Collection(aggregator.ResponsesCollection)
-			if _, err := responses.Get(testID + "/" + workerID); err != nil {
-				return fmt.Errorf("ACKED LOSS: %s worker %s was acknowledged but is absent from owning shard %d: %w",
-					testID, workerID, owner, err)
-			}
-			acked++
+	for i, f := range b.Fixtures {
+		var err error
+		if served[i], err = b.AuditTest(f.Test.TestID); err != nil {
+			return err
 		}
+		acked += len(b.ackedWorkers(f.Test.TestID))
 	}
 	if len(b.Fixtures) > 0 {
 		fmt.Fprintf(out, "acked-loss audit: all %d acknowledged sessions present on their owning shard's current store\n", acked)
@@ -237,36 +227,56 @@ func (b *Bed) Audit(out io.Writer, extraStatuses ...int) error {
 		fmt.Fprintf(out, "fencing: shard %d zombie (epoch %d) rejected with ErrStaleEpoch by epoch %d and fenced\n", i, zombie.Epoch(), p.epoch)
 	}
 
-	// What the front door serves — a node's incremental fold, a router's
-	// merge — equals the from-scratch oracle, raw and quality-controlled,
-	// in full: nothing partial or degraded once the run has recovered.
-	for _, f := range b.Fixtures {
-		testID := f.Test.TestID
-		for _, useQC := range []bool{false, true} {
-			got, partial, degraded, err := b.results(testID, useQC)
-			if err != nil {
-				return err
-			}
-			if partial || degraded {
-				return fmt.Errorf("results of %s (quality=%v) still marked partial or degraded after full recovery", testID, useQC)
-			}
-			// The oracle knows nothing of the sequential engine; a decided
-			// test's tallies must still agree exactly.
-			got.Concluded, got.Decision = false, nil
-			want, err := b.Oracle(testID, useQC)
-			if err != nil {
-				return err
-			}
-			if !reflect.DeepEqual(got, want) {
-				return fmt.Errorf("ORACLE DIVERGENCE %s (quality=%v):\nserved %+v\noracle %+v", testID, useQC, got, want)
-			}
-			if useQC {
-				fmt.Fprintf(out, "oracle: %s incremental == from-scratch (raw + quality) over %d store(s); %d kept / %d dropped\n",
-					testID, len(b.shards), got.Workers, got.DroppedWorkers)
-			}
-		}
+	for i, f := range b.Fixtures {
+		fmt.Fprintf(out, "oracle: %s incremental == from-scratch (raw + quality) over %d store(s); %d kept / %d dropped\n",
+			f.Test.TestID, len(b.shards), served[i].Workers, served[i].DroppedWorkers)
 	}
 	return nil
+}
+
+// AuditTest holds one test to the audit's per-test gates. Zero acked loss:
+// every session of it acknowledged to the bed is in the CURRENT store of
+// the shard the ring routes it to — after a promotion that is the
+// standby's store, not the zombie's. And what the front door serves — a
+// node's incremental fold, a router's merge — equals the from-scratch
+// oracle, raw and quality-controlled, in full: nothing partial or degraded
+// once the run has recovered. It returns the served quality-controlled
+// results, the sequential engine's decision included.
+func (b *Bed) AuditTest(testID string) (*server.Results, error) {
+	stores := b.Stores()
+	for _, workerID := range b.ackedWorkers(testID) {
+		owner := 0
+		if b.router != nil {
+			owner = b.router.Router.Ring().Owner(shard.SessionKey(testID, workerID))
+		}
+		if _, err := stores[owner].Collection(aggregator.ResponsesCollection).Get(testID + "/" + workerID); err != nil {
+			return nil, fmt.Errorf("ACKED LOSS: %s worker %s was acknowledged but is absent from owning shard %d: %w",
+				testID, workerID, owner, err)
+		}
+	}
+	var served *server.Results
+	for _, useQC := range []bool{false, true} {
+		got, partial, degraded, err := b.results(testID, useQC)
+		if err != nil {
+			return nil, err
+		}
+		if partial || degraded {
+			return nil, fmt.Errorf("results of %s (quality=%v) still marked partial or degraded after full recovery", testID, useQC)
+		}
+		served = got
+		// The oracle knows nothing of the sequential engine; a decided
+		// test's tallies must still agree exactly.
+		tallies := *got
+		tallies.Concluded, tallies.Decision = false, nil
+		want, err := b.oracle(testID, useQC)
+		if err != nil {
+			return nil, err
+		}
+		if !reflect.DeepEqual(&tallies, want) {
+			return nil, fmt.Errorf("ORACLE DIVERGENCE %s (quality=%v):\nserved %+v\noracle %+v", testID, useQC, &tallies, want)
+		}
+	}
+	return served, nil
 }
 
 func (b *Bed) ackedWorkers(testID string) []string {

@@ -74,8 +74,9 @@ type Run struct {
 }
 
 // Fixture is a test provisioned on every shard before the front door
-// opens; Audit covers these. Tests a scenario creates and deletes itself
-// (a campaign's tenants) are audited by their owner, with Bed.Oracle.
+// opens; Audit covers these. Tests a scenario adds with Prepare and
+// deletes itself (a campaign's tenants) are audited by their owner, with
+// AuditTest.
 type Fixture struct {
 	Test  *params.Test
 	Sites map[string]*webgen.Site
@@ -147,10 +148,14 @@ func Start(top Topology, run Run, fixtures ...Fixture) (*Bed, error) {
 }
 
 func (b *Bed) start() error {
-	specs := make([]shard.Spec, max(b.Top.Shards, 1))
+	cfgs := make([]deploy.Config, max(b.Top.Shards, 1))
+	if err := b.provision(cfgs); err != nil {
+		return err
+	}
+	specs := make([]shard.Spec, len(cfgs))
 	for i := range specs {
 		specs[i].Name = fmt.Sprintf("shard-%d", i)
-		if err := b.startShard(i, &specs[i]); err != nil {
+		if err := b.startShard(i, cfgs[i], &specs[i]); err != nil {
 			return fmt.Errorf("testbed: shard %d: %w", i, err)
 		}
 	}
@@ -194,39 +199,87 @@ func (b *Bed) serve(host string, cfg deploy.Config, front bool) (*deploy.Deploym
 	return d, b.net.Serve(host, h), nil
 }
 
-// startShard provisions one shard's store and starts its node — and, in a
-// replicated topology, the standby before it — filling in spec's URLs.
-// Without a router the shard's own processes are the front door.
-func (b *Bed) startShard(i int, spec *shard.Spec) error {
-	p := &pair{host: spec.Name + "-primary"}
-	b.shards = append(b.shards, p)
-	cfg := deploy.Config{Blobs: b.Blobs, Guard: b.Top.Guard, EarlyStopAlpha: b.Top.EarlyStopAlpha}
-	if b.Top.Store == Memory {
-		cfg.DB = store.OpenMemory()
-		if err := b.provision(cfg.DB); err != nil {
-			return err
+// provision gives every shard its store, holding the fixtures: a memory
+// store its node keeps, or a directory in the layout `kscope prepare`
+// leaves, written through a plain directory store and closed again so the
+// node's own open — replicated, fault-injected — goes through the real
+// recovery path.
+func (b *Bed) provision(cfgs []deploy.Config) error {
+	dbs := make([]*store.DB, len(cfgs))
+	for i := range cfgs {
+		cfgs[i] = deploy.Config{Blobs: b.Blobs, Guard: b.Top.Guard, EarlyStopAlpha: b.Top.EarlyStopAlpha}
+		if b.Top.Store == Memory {
+			cfgs[i].DB = store.OpenMemory()
+			dbs[i] = cfgs[i].DB
+			continue
 		}
-	} else {
-		// Prepared through a plain directory store, the state `kscope
-		// prepare` leaves behind, so the node's own open — replicated,
-		// fault-injected — goes through the real recovery path.
-		var err error
-		if cfg.Store, err = b.tempDir(); err != nil {
-			return err
-		}
-		db, err := store.Open(filepath.Join(cfg.Store, "db"))
+		dir, err := b.tempDir()
 		if err != nil {
 			return err
 		}
-		err = b.provision(db)
-		db.Close()
-		if err != nil {
+		cfgs[i].Store = dir
+		if dbs[i], err = store.Open(filepath.Join(dir, "db")); err != nil {
 			return err
 		}
+		defer dbs[i].Close() // before the node reopens it
 		if b.Disk != nil {
-			cfg.StoreOptions = []store.Option{store.WithFileSystem(b.Disk)}
+			cfgs[i].StoreOptions = []store.Option{store.WithFileSystem(b.Disk)}
 		}
 	}
+	for _, f := range b.Fixtures {
+		if _, err := b.prepare(dbs, f.Test, f.Sites, nil); err != nil {
+			return fmt.Errorf("testbed: preparing %s: %w", f.Test.TestID, err)
+		}
+	}
+	return nil
+}
+
+// Prepare adds a test to the running deployment, as an experimenter's
+// Prepare does: once, into the shared blob store, with its test and page
+// documents written to every shard's current store.
+func (b *Bed) Prepare(test *params.Test, sites map[string]*webgen.Site, controls []aggregator.ControlPair) (*aggregator.Prepared, error) {
+	return b.prepare(b.Stores(), test, sites, controls)
+}
+
+// prepare runs the aggregator once, on a scratch store, and copies the
+// documents it wrote into every db — pages before the test document, so no
+// shard shows the test before all of it.
+func (b *Bed) prepare(dbs []*store.DB, test *params.Test, sites map[string]*webgen.Site, controls []aggregator.ControlPair) (*aggregator.Prepared, error) {
+	scratch := store.OpenMemory()
+	defer scratch.Close()
+	agg, err := aggregator.New(scratch, b.Blobs)
+	if err != nil {
+		return nil, err
+	}
+	prep, err := agg.Prepare(test, sites, controls)
+	if err != nil {
+		return nil, err
+	}
+	docs := scratch.Collection(aggregator.PagesCollection).FindEq("test_id", test.TestID)
+	testDoc, err := scratch.Collection(aggregator.TestsCollection).Get(test.TestID)
+	if err != nil {
+		return nil, err
+	}
+	for _, db := range dbs {
+		pages := db.Collection(aggregator.PagesCollection)
+		for _, doc := range docs {
+			if _, err := pages.Insert(doc); err != nil {
+				return nil, err
+			}
+		}
+		if _, err := db.Collection(aggregator.TestsCollection).Insert(testDoc); err != nil {
+			return nil, err
+		}
+	}
+	return prep, nil
+}
+
+// startShard starts shard i's node over its provisioned store — and, in a
+// replicated topology, the standby before it — filling in spec's URLs.
+// Without a router the shard's own processes are the front door.
+func (b *Bed) startShard(i int, cfg deploy.Config, spec *shard.Spec) error {
+	p := &pair{host: spec.Name + "-primary"}
+	b.shards = append(b.shards, p)
 	front := b.Top.Shards == 0
 	if b.Top.Replicated {
 		scfg := cfg
@@ -255,19 +308,6 @@ func (b *Bed) tempDir() (string, error) {
 		b.dirs = append(b.dirs, dir)
 	}
 	return dir, err
-}
-
-func (b *Bed) provision(db *store.DB) error {
-	agg, err := aggregator.New(db, b.Blobs)
-	if err != nil {
-		return err
-	}
-	for _, f := range b.Fixtures {
-		if _, err := agg.Prepare(f.Test, f.Sites, nil); err != nil {
-			return fmt.Errorf("preparing %s: %w", f.Test.TestID, err)
-		}
-	}
-	return nil
 }
 
 // Close refuses new requests and waits for the running ones, then closes
@@ -307,6 +347,15 @@ func (b *Bed) Front() *deploy.Deployment {
 		return b.router
 	}
 	return b.Node(0)
+}
+
+// Stores is every shard's current store, in shard order.
+func (b *Bed) Stores() []*store.DB {
+	dbs := make([]*store.DB, len(b.shards))
+	for i := range dbs {
+		dbs[i] = b.Node(i).Serving().DB
+	}
+	return dbs
 }
 
 type linkKind int

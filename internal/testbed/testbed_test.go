@@ -3,6 +3,7 @@ package testbed
 import (
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"kaleidoscope/internal/netsim"
 	"kaleidoscope/internal/params"
 	"kaleidoscope/internal/shard"
+	"kaleidoscope/internal/store"
 	"kaleidoscope/internal/webgen"
 )
 
@@ -164,9 +166,65 @@ func TestAuditCatches(t *testing.T) {
 		bed.Acked("t", "acked-but-never-stored", 0)
 		expect(t, bed, "READ-YOUR-ACKS: 5 sessions of t")
 	})
+	// A tenant a scenario adds mid-run with Prepare, as a campaign does,
+	// is held to the same per-test gates by AuditTest.
+	tenant := func(t *testing.T) *Bed {
+		bed := drive(t, Topology{Shards: 2})
+		f := fixture("m")
+		if _, err := bed.Prepare(f.Test, f.Sites, nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := bed.Drive([]Crowd{{Test: "m", Workers: 4, Trusted: true}}, 0, nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := bed.AuditTest("m"); err != nil {
+			t.Fatalf("the unbroken tenant fails its audit: %v", err)
+		}
+		return bed
+	}
+	// stored finds one of the tenant's acknowledged sessions: its worker,
+	// first by name, and the owning shard's responses.
+	stored := func(bed *Bed) (string, *store.Collection) {
+		workers := bed.ackedWorkers("m")
+		slices.Sort(workers)
+		owner := bed.router.Router.Ring().Owner(shard.SessionKey("m", workers[0]))
+		return workers[0], bed.Stores()[owner].Collection(aggregator.ResponsesCollection)
+	}
+	expectTest := func(t *testing.T, bed *Bed, want string) {
+		t.Helper()
+		if _, err := bed.AuditTest("m"); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("AuditTest = %v, want an error containing %q", err, want)
+		}
+	}
+	t.Run("a mid-run tenant's acknowledged session missing", func(t *testing.T) {
+		bed := tenant(t)
+		worker, responses := stored(bed)
+		if err := responses.Delete("m/" + worker); err != nil {
+			t.Fatal(err)
+		}
+		expectTest(t, bed, "ACKED LOSS: m worker "+worker)
+	})
+	t.Run("a mid-run tenant's stored session rewritten", func(t *testing.T) {
+		// The session's body now names a worker its document id does not —
+		// no upload can store that. The served fold keeps its workers in
+		// name order, the oracle in document order, so the
+		// quality-controlled answers part.
+		bed := tenant(t)
+		worker, responses := stored(bed)
+		doc, err := responses.Get("m/" + worker)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := doc["session"].(string)
+		doc["session"] = strings.ReplaceAll(body, `"worker_id":"`+worker+`"`, `"worker_id":"zz-`+worker+`"`)
+		if _, err := responses.Insert(doc); err != nil {
+			t.Fatal(err)
+		}
+		expectTest(t, bed, "ORACLE DIVERGENCE m (quality=true)")
+	})
 	t.Run("a test the oracle cannot find", func(t *testing.T) {
 		bed := drive(t, Topology{})
-		if _, err := bed.Oracle("never-prepared", false); err == nil {
+		if _, err := bed.oracle("never-prepared", false); err == nil {
 			t.Error("the oracle concluded a test no shard holds")
 		}
 	})
