@@ -29,9 +29,10 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
 # Fault-injection suite: crash-recovery under injected filesystem faults,
-# chaos-transport end-to-end flows, graceful-drain shutdown, and every
-# testbed topology's audit and the campaign's node, pair and fleet rows
-# (socketless, so each row repeats per seed). Run repeatedly — these tests
+# chaos-transport end-to-end flows, graceful-drain shutdown, every
+# testbed topology's audit, the campaign's node, pair and fleet rows, and
+# the paper's plain and sorted study on a node, a pair and a chaotic fleet
+# with a mid-study kill (socketless, so each row repeats per seed). Run repeatedly — these tests
 # mix randomized fault schedules with fixed seeds, and flakes here mean a
 # real durability bug. The last two lines are
 # the model-based test of store + replica and the fold state's write-fed vs
@@ -43,6 +44,7 @@ chaos:
 		./internal/store/ ./internal/netsim/ ./internal/failover/ ./internal/extension/ ./cmd/kscope-server/
 	$(GO) test -count=3 -run 'TestEveryTopologyPassesItsAudit|TestAuditCatches' ./internal/testbed/
 	$(GO) test -count=3 -run '^TestCampaignLifecycle$$' ./internal/campaign/
+	$(GO) test -count=3 -run '^TestStudyOnEveryTopology$$' ./internal/core/
 	$(GO) test -count=1 -run '^TestModel' ./internal/replica/ -model.runs=$(MODEL_RUNS) -model.steps=140
 	$(GO) test -count=1 -run '^TestWriteFedStateEqualsReplay$$' ./internal/server/ -fold.runs=$(MODEL_RUNS)
 

@@ -27,6 +27,7 @@ import (
 	"kaleidoscope/internal/questionnaire"
 	"kaleidoscope/internal/server"
 	"kaleidoscope/internal/store"
+	"kaleidoscope/internal/testbed"
 	"kaleidoscope/internal/webgen"
 )
 
@@ -72,7 +73,7 @@ subcommands:
   params-example  print an example Table-I parameter document
   validate        validate a parameter document
   prepare         aggregate a test into persistent storage
-  simulate        run a fully simulated study end-to-end
+  simulate        run a fully simulated study end-to-end on an in-process node
   results         conclude results for a test from stored sessions
 `)
 }
@@ -236,9 +237,7 @@ func cmdSimulate(args []string) error {
 	seed := fs.Int64("seed", 1, "simulation seed")
 	trusted := fs.Bool("trusted", true, "recruit only historically-trustworthy workers")
 	question := fs.String("question", "font", "perception model: font, visibility, readiness")
-	sorted := fs.Bool("sorted", false, "use the sorted flow (fewer comparisons; requires one question)")
 	concurrency := fs.Int("concurrency", 1, "parallel participant sessions")
-	prepWorkers := fs.Int("prepare-workers", 0, "preparation pool size (0 = GOMAXPROCS)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -270,19 +269,18 @@ func cmdSimulate(args []string) error {
 	if err != nil {
 		return err
 	}
-	engine, err := core.NewEngine()
+	bed, err := testbed.Start(testbed.Topology{}, testbed.Run{})
 	if err != nil {
 		return err
 	}
-	outcome, err := engine.RunStudy(&core.Study{
-		Params:         test,
-		Sites:          sites,
-		Answer:         answer,
-		Pool:           pool,
-		TrustedOnly:    *trusted,
-		Sorted:         *sorted,
-		Concurrency:    *concurrency,
-		PrepareWorkers: *prepWorkers,
+	defer bed.Close()
+	outcome, err := core.RunStudy(bed, &core.Study{
+		Params:      test,
+		Sites:       sites,
+		Answer:      answer,
+		Pool:        pool,
+		TrustedOnly: *trusted,
+		Concurrency: *concurrency,
 	}, rng)
 	if err != nil {
 		return err

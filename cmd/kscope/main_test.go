@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -162,10 +163,23 @@ func TestCmdResults(t *testing.T) {
 	}
 }
 
+// TestCmdSimulateSortedConcurrent: the sorted flow is the test's own
+// "sorted" parameter, not a flag of the simulation.
 func TestCmdSimulateSortedConcurrent(t *testing.T) {
 	dir := t.TempDir()
 	paramsPath, sitesDir := writeStudyFixture(t, dir)
-	if err := run([]string{"simulate", "-params", paramsPath, "-sites", sitesDir, "-sorted", "-concurrency", "4"}); err != nil {
+	doc, err := os.ReadFile(paramsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sorted := strings.Replace(string(doc), `"participant_num": 5,`, `"participant_num": 5, "sorted": true,`, 1)
+	if err := os.WriteFile(paramsPath, []byte(sorted), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"simulate", "-params", paramsPath, "-sites", sitesDir, "-concurrency", "4"}); err != nil {
 		t.Fatalf("simulate sorted concurrent: %v", err)
+	}
+	if err := run([]string{"simulate", "-params", paramsPath, "-sites", sitesDir, "-sorted"}); err == nil {
+		t.Error("simulate accepted the removed -sorted flag")
 	}
 }

@@ -3,7 +3,8 @@
 // Two versions of a text-heavy article — 12pt vs 18pt main text — are
 // aggregated into a side-by-side integrated webpage, 20 simulated
 // crowd workers run the browser-extension flow against the core server's
-// HTTP API, and the raw and quality-controlled tallies are printed.
+// HTTP API — one in-process node, the assembly kscope-server runs — and the
+// raw and quality-controlled tallies it serves are printed.
 //
 //	go run ./examples/quickstart
 package main
@@ -18,6 +19,7 @@ import (
 	"kaleidoscope/internal/crowd"
 	"kaleidoscope/internal/extension"
 	"kaleidoscope/internal/params"
+	"kaleidoscope/internal/testbed"
 	"kaleidoscope/internal/webgen"
 )
 
@@ -55,13 +57,14 @@ func run() error {
 		return err
 	}
 
-	// 3. Run the whole pipeline: aggregate, post, recruit, extension
-	// flows over HTTP, conclude.
-	engine, err := core.NewEngine()
+	// 3. Run the whole pipeline on one node: aggregate, post, recruit,
+	// extension flows over HTTP, read the served results.
+	bed, err := testbed.Start(testbed.Topology{}, testbed.Run{})
 	if err != nil {
 		return err
 	}
-	outcome, err := engine.RunStudy(&core.Study{
+	defer bed.Close()
+	outcome, err := core.RunStudy(bed, &core.Study{
 		Params:      test,
 		Sites:       sites,
 		Answer:      extension.AnswerFontSize(),

@@ -10,6 +10,7 @@ import (
 	"kaleidoscope/internal/extension"
 	"kaleidoscope/internal/params"
 	"kaleidoscope/internal/store"
+	"kaleidoscope/internal/testbed"
 	"kaleidoscope/internal/webgen"
 )
 
@@ -58,23 +59,20 @@ func BenchmarkFig1IntegratedPage(b *testing.B) {
 // API, replay both sides, answer, upload.
 func BenchmarkFig3ExtensionFlow(b *testing.B) {
 	test, sites := benchTwoVersionTest()
-	engine, err := core.NewEngine()
+	bed, err := testbed.Start(testbed.Topology{}, testbed.Run{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	agg, err := aggregator.New(engine.DB, engine.Blobs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := agg.Prepare(test, sites, nil); err != nil {
-		b.Fatal(err)
-	}
-	client, err := engine.Client()
-	if err != nil {
+	defer bed.Close()
+	if _, err := bed.Prepare(test, sites, nil); err != nil {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(benchSeed))
 	pool, err := crowd.TrustedCrowd(1, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	client, err := bed.WorkerClient(0, pool.Workers[0].ID)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -105,17 +103,19 @@ func BenchmarkEndToEndStudy(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		engine, err := core.NewEngine()
+		bed, err := testbed.Start(testbed.Topology{}, testbed.Run{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := engine.RunStudy(&core.Study{
+		_, err = core.RunStudy(bed, &core.Study{
 			Params:      test,
 			Sites:       sites,
 			Answer:      extension.AnswerFontSize(),
 			Pool:        pool,
 			TrustedOnly: true,
-		}, rng); err != nil {
+		}, rng)
+		bed.Close()
+		if err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -547,8 +547,7 @@ func (c *Campaign) refundBudget() {
 // decided; epoch is the highest replication epoch the client saw.
 func (c *Campaign) runSession(spec Spec, w *crowd.Worker) (*server.SessionUpload, extension.UploadOutcome, uint64, error) {
 	seq := c.session.Add(1)
-	httpc := &http.Client{Timeout: 30 * time.Second, Transport: c.Bed.WorkerLink(0, int(seq))}
-	client, err := c.client(httpc, extension.WithWorkerID(w.ID))
+	client, err := c.Bed.WorkerClient(int(seq), w.ID)
 	if err != nil {
 		return nil, extension.UploadStored, 0, err
 	}
@@ -562,19 +561,11 @@ func (c *Campaign) runSession(spec Spec, w *crowd.Worker) (*server.SessionUpload
 	return session, outcome, client.Epoch(), err
 }
 
-// client is a client of the bed's front door, failover ring and worker
-// retry policy included.
-func (c *Campaign) client(httpc *http.Client, opts ...extension.ClientOption) (*extension.Client, error) {
-	urls := c.Bed.URLs
-	return extension.NewClient(urls[0], httpc, append(opts,
-		extension.WithFailover(urls[1:]...), extension.WithPolicy(c.Bed.WorkerPolicy()))...)
-}
-
 // concludeTenant holds the tenant to the bed's per-test audit and then
 // checks the sequential engine's decision the served results carry, which
 // the oracle knows nothing of.
 func (c *Campaign) concludeTenant(rep *TenantReport) error {
-	res, err := c.Bed.AuditTest(rep.TestID)
+	_, res, err := c.Bed.AuditTest(rep.TestID)
 	if err != nil {
 		return fmt.Errorf("conclude: %w", err)
 	}
@@ -612,11 +603,12 @@ func auditDecision(d *earlystop.Decision) error {
 	return nil
 }
 
-// deleteTenant removes the test through the front door and verifies the
-// deployment genuinely forgot it: its info and its results must 404
-// afterwards.
+// deleteTenant removes the test through the front door, over the
+// experimenter's clean link, and verifies the deployment genuinely forgot
+// it: its info and its results must 404 afterwards.
 func (c *Campaign) deleteTenant(rep *TenantReport) error {
-	client, err := c.client(c.Bed.Client)
+	client, err := extension.NewClient(c.Bed.URLs[0], c.Bed.Client,
+		extension.WithFailover(c.Bed.URLs[1:]...), extension.WithPolicy(c.Bed.WorkerPolicy()))
 	if err != nil {
 		return err
 	}

@@ -3,21 +3,37 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"path/filepath"
+	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"kaleidoscope/internal/aggregator"
 	"kaleidoscope/internal/crowd"
-	"kaleidoscope/internal/deploy"
 	"kaleidoscope/internal/extension"
+	"kaleidoscope/internal/netsim"
 	"kaleidoscope/internal/params"
+	"kaleidoscope/internal/quality"
 	"kaleidoscope/internal/questionnaire"
 	"kaleidoscope/internal/rank"
 	"kaleidoscope/internal/server"
-	"kaleidoscope/internal/store"
+	"kaleidoscope/internal/testbed"
 	"kaleidoscope/internal/webgen"
 )
+
+// startBed starts a topology for a study and closes it with the test.
+func startBed(t *testing.T, top testbed.Topology, run testbed.Run) *testbed.Bed {
+	t.Helper()
+	bed, err := testbed.Start(top, run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(bed.Close)
+	return bed
+}
+
+// node is one memory node, the deployment every figure runs on.
+func node(t *testing.T) *testbed.Bed { return startBed(t, testbed.Topology{}, testbed.Run{}) }
 
 // fontStudy builds the paper's §IV-A font-size study at a reduced scale.
 func fontStudy(t *testing.T, workers int, rng *rand.Rand) *Study {
@@ -88,12 +104,8 @@ func TestStudyValidate(t *testing.T) {
 
 func TestRunStudyEndToEnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	engine, err := NewEngine()
-	if err != nil {
-		t.Fatal(err)
-	}
 	study := fontStudy(t, 12, rng)
-	outcome, err := engine.RunStudy(study, rng)
+	outcome, err := RunStudy(node(t), study, rng)
 	if err != nil {
 		t.Fatalf("RunStudy: %v", err)
 	}
@@ -134,27 +146,26 @@ func TestRunStudyEndToEnd(t *testing.T) {
 
 func TestRunStudyErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	engine, err := NewEngine()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := engine.RunStudy(&Study{}, rng); err == nil {
+	bed := node(t)
+	if _, err := RunStudy(bed, &Study{}, rng); err == nil {
 		t.Error("invalid study should fail")
 	}
 	study := fontStudy(t, 5, rng)
-	if _, err := engine.RunStudy(study, nil); err == nil {
+	if _, err := RunStudy(bed, study, nil); err == nil {
 		t.Error("nil rng should fail")
+	}
+	if _, err := RunStudy(nil, study, rng); err == nil {
+		t.Error("nil bed should fail")
+	}
+	if _, err := RunStudy(startBed(t, testbed.Topology{EarlyStopAlpha: 0.05}, testbed.Run{}), study, rng); err == nil {
+		t.Error("a bed that may decide a test early should fail")
 	}
 }
 
 func TestWorkerRankings(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	engine, err := NewEngine()
-	if err != nil {
-		t.Fatal(err)
-	}
 	study := fontStudy(t, 30, rng)
-	outcome, err := engine.RunStudy(study, rng)
+	outcome, err := RunStudy(node(t), study, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,39 +291,25 @@ func TestBehaviorSamples(t *testing.T) {
 	}
 }
 
-// TestPersistentEngine: a study run over a directory store concludes again
-// in a process reopened over it, as kscope-server opens one.
+// TestPersistentEngine: a study run over a directory store serves the same
+// results again from a process reopened over it, as kscope-server opens one.
 func TestPersistentEngine(t *testing.T) {
-	dir := t.TempDir()
-	db, err := store.Open(filepath.Join(dir, "db"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	blobs, err := store.OpenBlobStore(filepath.Join(dir, "blobs"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := server.New(db, blobs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bed := startBed(t, testbed.Topology{Store: testbed.Dir}, testbed.Run{})
 	rng := rand.New(rand.NewSource(5))
 	study := fontStudy(t, 3, rng)
-	if _, err := (&Engine{DB: db, Blobs: blobs, Server: srv}).RunStudy(study, rng); err != nil {
+	outcome, err := RunStudy(bed, study, rng)
+	if err != nil {
 		t.Fatalf("RunStudy persistent: %v", err)
 	}
-	db.Close()
-	d, err := deploy.Open(deploy.Config{Store: dir})
-	if err != nil {
+	if err := bed.Restart(0); err != nil {
 		t.Fatal(err)
 	}
-	defer d.Close()
-	res, err := d.Serving().Server.Conclude(study.Params.TestID, nil)
+	raw, filtered, err := bed.AuditTest(study.Params.TestID)
 	if err != nil {
-		t.Fatalf("Conclude after reopen: %v", err)
+		t.Fatalf("results after reopen: %v", err)
 	}
-	if res.Workers != 3 {
-		t.Errorf("reopened workers = %d", res.Workers)
+	if raw.Workers != 3 || !reflect.DeepEqual(raw, outcome.Raw) || !reflect.DeepEqual(filtered, outcome.Filtered) {
+		t.Errorf("reopened results differ:\nraw %+v\nwas %+v\nfiltered %+v\nwas %+v", raw, outcome.Raw, filtered, outcome.Filtered)
 	}
 }
 
@@ -327,13 +324,10 @@ func TestKeptSessionsNil(t *testing.T) {
 
 func TestRunSortedStudy(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	engine, err := NewEngine()
-	if err != nil {
-		t.Fatal(err)
-	}
 	study := fontStudy(t, 8, rng)
-	study.Sorted = true
-	outcome, err := engine.RunStudy(study, rng)
+	study.Params.Sorted = true
+	bed := node(t)
+	outcome, err := RunStudy(bed, study, rng)
 	if err != nil {
 		t.Fatalf("RunStudy sorted: %v", err)
 	}
@@ -349,16 +343,26 @@ func TestRunSortedStudy(t *testing.T) {
 			t.Errorf("responses = %d, exceeds full round-robin", len(sr.Session.Responses))
 		}
 	}
-	// Sorted QC must not reject for incompleteness.
-	if outcome.Filtered.DroppedWorkers == 8 {
-		t.Error("QC dropped everyone; completeness rule leaked into sorted mode")
+	// A sorted participant answers only the pairs the sort visits, so the
+	// served ?quality=1 keeps exactly the workers the paper's battery
+	// without its completeness rule keeps; requiring every pair would drop
+	// the whole crowd.
+	battery := quality.DefaultConfig(0)
+	want, err := bed.Node(0).Serving().Server.Conclude(study.Params.TestID, &battery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := outcome.Filtered
+	if got.Workers != 7 || got.DroppedWorkers != 1 || !reflect.DeepEqual(got.KeptWorkers, want.KeptWorkers) {
+		t.Errorf("served ?quality=1 kept %v (%d dropped), the battery keeps %v (%d dropped); want 7 kept",
+			got.KeptWorkers, got.DroppedWorkers, want.KeptWorkers, want.DroppedWorkers)
 	}
 }
 
 func TestSortedStudyRequiresOneQuestion(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	study := fontStudy(t, 5, rng)
-	study.Sorted = true
+	study.Params.Sorted = true
 	study.Params.Questions = append(study.Params.Questions, "another question?")
 	if err := study.Validate(); err == nil {
 		t.Error("multi-question sorted study should fail validation")
@@ -367,13 +371,9 @@ func TestSortedStudyRequiresOneQuestion(t *testing.T) {
 
 func TestRunStudyConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	engine, err := NewEngine()
-	if err != nil {
-		t.Fatal(err)
-	}
 	study := fontStudy(t, 16, rng)
 	study.Concurrency = 8
-	outcome, err := engine.RunStudy(study, rng)
+	outcome, err := RunStudy(node(t), study, rng)
 	if err != nil {
 		t.Fatalf("RunStudy concurrent: %v", err)
 	}
@@ -404,14 +404,10 @@ func TestRunStudyConcurrent(t *testing.T) {
 
 func TestRunStudyConcurrentSorted(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	engine, err := NewEngine()
-	if err != nil {
-		t.Fatal(err)
-	}
 	study := fontStudy(t, 8, rng)
-	study.Sorted = true
+	study.Params.Sorted = true
 	study.Concurrency = 4
-	outcome, err := engine.RunStudy(study, rng)
+	outcome, err := RunStudy(node(t), study, rng)
 	if err != nil {
 		t.Fatalf("RunStudy sorted concurrent: %v", err)
 	}
@@ -422,5 +418,64 @@ func TestRunStudyConcurrentSorted(t *testing.T) {
 		if sr == nil || len(sr.Ranking.Order) != 3 {
 			t.Errorf("slot %d incomplete: %+v", i, sr)
 		}
+	}
+}
+
+// TestStudyOnEveryTopology runs one plain and one sorted study on a memory
+// node, a replicated pair, and three replicated shards behind the router
+// with chaos on every link and the test's home shard killed mid-study. The
+// deployment must not change what the paper measures: every Outcome equals
+// the node's.
+func TestStudyOnEveryTopology(t *testing.T) {
+	chaos := testbed.Run{Seed: 3, Chaos: netsim.ChaosConfig{DropRate: 0.05, FaultRate: 0.05}, Retries: 12}
+	for _, sorted := range []bool{false, true} {
+		run := func(t *testing.T, top testbed.Topology, r testbed.Run, kill bool) *Outcome {
+			rng := rand.New(rand.NewSource(21))
+			study := fontStudy(t, 8, rng)
+			study.Params.Sorted = sorted
+			bed := startBed(t, top, r)
+			var killed atomic.Bool
+			if kill {
+				// The kill fires from inside a participant's flow, on its
+				// twelfth answer: between that worker's page fetches and
+				// its upload, with earlier sessions already stored.
+				victim, _ := bed.HomeVictim(study.Params.TestID)
+				var answers atomic.Int64
+				answer := study.Answer
+				study.Answer = func(w *crowd.Worker, ctx *extension.PageContext, q string, rng *rand.Rand) (questionnaire.Choice, string) {
+					if answers.Add(1) == 12 {
+						if err := bed.KillAndPromote(victim); err != nil {
+							t.Error(err)
+						}
+						killed.Store(true)
+					}
+					return answer(w, ctx, q, rng)
+				}
+			}
+			outcome, err := RunStudy(bed, study, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if kill != killed.Load() {
+				t.Fatal("the kill never fired")
+			}
+			return outcome
+		}
+		t.Run(fmt.Sprintf("sorted=%v", sorted), func(t *testing.T) {
+			want := run(t, testbed.Topology{}, testbed.Run{}, false)
+			for _, tc := range []struct {
+				name string
+				top  testbed.Topology
+				run  testbed.Run
+				kill bool
+			}{
+				{"pair", testbed.Topology{Replicated: true, Store: testbed.Dir}, testbed.Run{}, false},
+				{"fleet", testbed.Topology{Shards: 3, Replicated: true, Store: testbed.Dir}, chaos, true},
+			} {
+				if got := run(t, tc.top, tc.run, tc.kill); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: the outcome differs from the node's", tc.name)
+				}
+			}
+		})
 	}
 }

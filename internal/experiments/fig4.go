@@ -1,9 +1,10 @@
 // Package experiments packages the paper's evaluation section as runnable,
 // parameterized experiments. Each Run* function drives the full
 // Kaleidoscope pipeline (aggregate -> recruit -> extension flows ->
-// conclude) through the core engine and returns the figure's data in the
-// paper's shape, plus Format* helpers that print the rows/series a reader
-// can compare against the paper:
+// conclude) with core.RunStudy on one memory node — the deployment
+// kscope-server runs, its served /results the figures' source — and
+// returns the figure's data in the paper's shape, plus Format* helpers
+// that print the rows/series a reader can compare against the paper:
 //
 //	Fig. 4  — font-size ranking distributions (raw / QC / in-lab)
 //	Fig. 5  — tester-behaviour CDFs (active tabs / created tabs / time)
@@ -28,6 +29,7 @@ import (
 	"kaleidoscope/internal/rank"
 	"kaleidoscope/internal/server"
 	"kaleidoscope/internal/stats"
+	"kaleidoscope/internal/testbed"
 	"kaleidoscope/internal/webgen"
 )
 
@@ -76,6 +78,16 @@ type Fig4Result struct {
 	// Outcomes expose the underlying runs for follow-on analysis (Fig. 5).
 	CrowdOutcome *core.Outcome
 	InLabOutcome *core.Outcome
+}
+
+// runStudy runs a study on a fresh memory node, as the product serves one.
+func runStudy(study *core.Study, rng *rand.Rand) (*core.Outcome, error) {
+	bed, err := testbed.Start(testbed.Topology{}, testbed.Run{})
+	if err != nil {
+		return nil, err
+	}
+	defer bed.Close()
+	return core.RunStudy(bed, study, rng)
 }
 
 // fontQuestion is the paper's comparison question.
@@ -137,15 +149,11 @@ func RunFig4(cfg Fig4Config, rng *rand.Rand) (*Fig4Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	crowdEngine, err := core.NewEngine()
-	if err != nil {
-		return nil, err
-	}
 	crowdStudy, err := buildFontStudy(cfg, "fig4-crowd", crowdPool, cfg.CrowdWorkers, true)
 	if err != nil {
 		return nil, err
 	}
-	crowdOutcome, err := crowdEngine.RunStudy(crowdStudy, rng)
+	crowdOutcome, err := runStudy(crowdStudy, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -178,15 +186,11 @@ func RunFig4(cfg Fig4Config, rng *rand.Rand) (*Fig4Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	labEngine, err := core.NewEngine()
-	if err != nil {
-		return nil, err
-	}
 	labStudy, err := buildFontStudy(cfg, "fig4-inlab", labPool, cfg.InLabWorkers, true)
 	if err != nil {
 		return nil, err
 	}
-	labOutcome, err := labEngine.RunStudy(labStudy, rng)
+	labOutcome, err := runStudy(labStudy, rng)
 	if err != nil {
 		return nil, err
 	}

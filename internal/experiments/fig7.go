@@ -122,11 +122,7 @@ func RunExpandButton(cfg ExpandButtonConfig, rng *rand.Rand) (*ExpandButtonResul
 		PaymentUSD:  0.10,
 		TrustedOnly: true,
 	}
-	engine, err := core.NewEngine()
-	if err != nil {
-		return nil, err
-	}
-	outcome, err := engine.RunStudy(study, rng)
+	outcome, err := runStudy(study, rng)
 	if err != nil {
 		return nil, err
 	}

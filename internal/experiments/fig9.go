@@ -109,11 +109,7 @@ func RunFig9(cfg Fig9Config, rng *rand.Rand) (*Fig9Result, error) {
 		PaymentUSD:  0.10,
 		TrustedOnly: true,
 	}
-	engine, err := core.NewEngine()
-	if err != nil {
-		return nil, err
-	}
-	outcome, err := engine.RunStudy(study, rng)
+	outcome, err := runStudy(study, rng)
 	if err != nil {
 		return nil, err
 	}

@@ -88,11 +88,7 @@ func RunProtocolStudy(profile netsim.Profile, workers int, rng *rand.Rand) (*Pro
 	if err != nil {
 		return nil, err
 	}
-	engine, err := core.NewEngine()
-	if err != nil {
-		return nil, err
-	}
-	outcome, err := engine.RunStudy(&core.Study{
+	outcome, err := runStudy(&core.Study{
 		Params: test,
 		Sites: map[string]*webgen.Site{
 			"article-h1": site,

@@ -50,12 +50,8 @@ func RunSortedStudy(workers int, rng *rand.Rand) (*SortedStudyResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		study.Sorted = sorted
-		engine, err := core.NewEngine()
-		if err != nil {
-			return nil, err
-		}
-		return engine.RunStudy(study, rng)
+		study.Params.Sorted = sorted
+		return runStudy(study, rng)
 	}
 
 	full, err := runOne("sorted-study-full", false)

@@ -21,6 +21,7 @@ var (
 	ErrMissingWebPath     = errors.New("params: web_path is required for every webpage")
 	ErrMissingWebMainFile = errors.New("params: web_main_file is required for every webpage")
 	ErrNegativeLoadTime   = errors.New("params: page-load times must be non-negative")
+	ErrSortedQuestions    = errors.New("params: a sorted test asks exactly one question")
 )
 
 // Test is the top-level test-parameter document (Table I).
@@ -39,6 +40,12 @@ type Test struct {
 	Questions []string `json:"question"`
 	// Webpages holds the per-version information.
 	Webpages []Webpage `json:"webpages"`
+	// Sorted runs the paper's §III-D flow: each participant runs a
+	// comparison sort over the versions instead of the full C(N,2)
+	// round-robin, answering only the pairs the sort visits, so quality
+	// control does not require every pair answered. Needs exactly one
+	// question.
+	Sorted bool `json:"sorted,omitempty"`
 }
 
 // Webpage describes one version of the page under test (the "webpages"
@@ -174,6 +181,9 @@ func (t *Test) Validate() error {
 	}
 	if len(t.Questions) == 0 {
 		return ErrNoQuestions
+	}
+	if t.Sorted && len(t.Questions) != 1 {
+		return ErrSortedQuestions
 	}
 	for i, q := range t.Questions {
 		if strings.TrimSpace(q) == "" {

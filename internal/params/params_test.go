@@ -40,6 +40,7 @@ func TestValidateErrors(t *testing.T) {
 		{"webpage count mismatch", func(tt *Test) { tt.WebpageNum = 3 }, ErrWebpageCount},
 		{"too few webpages", func(tt *Test) { tt.WebpageNum = 1; tt.Webpages = tt.Webpages[:1] }, ErrWebpageCount},
 		{"no questions", func(tt *Test) { tt.Questions = nil }, ErrNoQuestions},
+		{"sorted, two questions", func(tt *Test) { tt.Sorted = true; tt.Questions = append(tt.Questions, "Which reads faster?") }, ErrSortedQuestions},
 		{"no participants", func(tt *Test) { tt.ParticipantNum = 0 }, ErrNoParticipants},
 		{"missing path", func(tt *Test) { tt.Webpages[0].WebPath = "" }, ErrMissingWebPath},
 		{"missing main file", func(tt *Test) { tt.Webpages[1].WebMainFile = "" }, ErrMissingWebMainFile},

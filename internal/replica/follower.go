@@ -107,7 +107,7 @@ func NewFollower(cfg FollowerConfig) (*Follower, error) {
 		f.staleRejects = r.Counter("kscope_repl_stale_rejects")
 		f.snapshots = r.Counter("kscope_repl_snapshots_received")
 		f.applyErrors = r.Counter("kscope_repl_apply_errors")
-		f.promotions = r.Counter("kscope_repl_failovers")
+		f.promotions = r.Counter("kscope_repl_failovers_total")
 		r.RegisterGauge("kscope_repl_follower_epoch", func() float64 {
 			f.mu.Lock()
 			defer f.mu.Unlock()

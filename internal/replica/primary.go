@@ -152,7 +152,7 @@ func NewPrimary(cfg PrimaryConfig) (*Primary, error) {
 		p.framesShipped = r.Counter("kscope_repl_frames_shipped")
 		p.bytesShipped = r.Counter("kscope_repl_bytes_shipped")
 		p.snapshotsSent = r.Counter("kscope_repl_snapshots_sent")
-		p.sendErrors = r.Counter("kscope_repl_send_errors")
+		p.sendErrors = r.Counter("kscope_repl_send_errors_total")
 		r.RegisterGauge("kscope_repl_epoch", func() float64 { return float64(cfg.Epoch) })
 		r.RegisterGauge("kscope_repl_lag_frames", func() float64 {
 			lagF, _ := p.Lag()

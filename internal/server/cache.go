@@ -55,6 +55,7 @@ func newTestEntry(prep *aggregator.Prepared) *testEntry {
 			Description: prep.Test.TestDescription,
 			Questions:   prep.Test.Questions,
 			Pages:       views,
+			Sorted:      prep.Test.Sorted,
 		},
 		pages:     pageIndex(views),
 		questions: questions,

@@ -302,6 +302,7 @@ type TestInfo struct {
 	Description string     `json:"description"`
 	Questions   []string   `json:"questions"`
 	Pages       []PageView `json:"pages"`
+	Sorted      bool       `json:"sorted,omitempty"` // params.Test.Sorted
 }
 
 // load returns the cached serving entry for a test, assembling (and
@@ -716,7 +717,9 @@ func (s *Server) handleSessionList(w http.ResponseWriter, r *http.Request) {
 }
 
 // defaultQC derives the paper's default battery for a test: every real
-// page×question answered, engagement bounds, zero control failures.
+// page×question answered (not for a sorted test, whose participants answer
+// only the pairs their sort visits), engagement bounds, zero control
+// failures.
 func defaultQC(entry *testEntry) *quality.Config {
 	return defaultQCInfo(entry.info)
 }
@@ -726,7 +729,11 @@ func defaultQC(entry *testEntry) *quality.Config {
 // no Prepared. This is what lets ConcludeUploads, given only the TestInfo a
 // deployment serves, apply the exact battery a single node applies.
 func defaultQCInfo(info *TestInfo) *quality.Config {
-	cfg := quality.DefaultConfig(info.realQuestions())
+	required := info.realQuestions()
+	if info.Sorted {
+		required = 0
+	}
+	cfg := quality.DefaultConfig(required)
 	return &cfg
 }
 

@@ -192,7 +192,7 @@ func (b *Bed) Audit(out io.Writer, extraStatuses ...int) error {
 	acked := 0
 	for i, f := range b.Fixtures {
 		var err error
-		if served[i], err = b.AuditTest(f.Test.TestID); err != nil {
+		if _, served[i], err = b.AuditTest(f.Test.TestID); err != nil {
 			return err
 		}
 		acked += len(b.ackedWorkers(f.Test.TestID))
@@ -240,9 +240,9 @@ func (b *Bed) Audit(out io.Writer, extraStatuses ...int) error {
 // standby's store, not the zombie's. And what the front door serves — a
 // node's incremental fold, a router's merge — equals the from-scratch
 // oracle, raw and quality-controlled, in full: nothing partial or degraded
-// once the run has recovered. It returns the served quality-controlled
-// results, the sequential engine's decision included.
-func (b *Bed) AuditTest(testID string) (*server.Results, error) {
+// once the run has recovered. It returns the served results it checked,
+// raw and quality-controlled, the sequential engine's decision included.
+func (b *Bed) AuditTest(testID string) (raw, qc *server.Results, err error) {
 	stores := b.Stores()
 	for _, workerID := range b.ackedWorkers(testID) {
 		owner := 0
@@ -250,33 +250,33 @@ func (b *Bed) AuditTest(testID string) (*server.Results, error) {
 			owner = b.router.Router.Ring().Owner(shard.SessionKey(testID, workerID))
 		}
 		if _, err := stores[owner].Collection(aggregator.ResponsesCollection).Get(testID + "/" + workerID); err != nil {
-			return nil, fmt.Errorf("ACKED LOSS: %s worker %s was acknowledged but is absent from owning shard %d: %w",
+			return nil, nil, fmt.Errorf("ACKED LOSS: %s worker %s was acknowledged but is absent from owning shard %d: %w",
 				testID, workerID, owner, err)
 		}
 	}
-	var served *server.Results
-	for _, useQC := range []bool{false, true} {
+	var served [2]*server.Results
+	for i, useQC := range []bool{false, true} {
 		got, partial, degraded, err := b.results(testID, useQC)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if partial || degraded {
-			return nil, fmt.Errorf("results of %s (quality=%v) still marked partial or degraded after full recovery", testID, useQC)
+			return nil, nil, fmt.Errorf("results of %s (quality=%v) still marked partial or degraded after full recovery", testID, useQC)
 		}
-		served = got
+		served[i] = got
 		// The oracle knows nothing of the sequential engine; a decided
 		// test's tallies must still agree exactly.
 		tallies := *got
 		tallies.Concluded, tallies.Decision = false, nil
 		want, err := b.oracle(testID, useQC)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if !reflect.DeepEqual(&tallies, want) {
-			return nil, fmt.Errorf("ORACLE DIVERGENCE %s (quality=%v):\nserved %+v\noracle %+v", testID, useQC, &tallies, want)
+			return nil, nil, fmt.Errorf("ORACLE DIVERGENCE %s (quality=%v):\nserved %+v\noracle %+v", testID, useQC, &tallies, want)
 		}
 	}
-	return served, nil
+	return served[0], served[1], nil
 }
 
 func (b *Bed) ackedWorkers(testID string) []string {
@@ -322,8 +322,8 @@ func (b *Bed) Report(out io.Writer) {
 		preg, sreg := p.primary.Registry, p.standby.Registry
 		fmt.Fprintf(out, "replication shard %d: %d frames shipped, %d snapshots, %d send errors; standby applied %d frames, %d stale rejects, %d failovers\n", i,
 			preg.Counter("kscope_repl_frames_shipped").Value(), preg.Counter("kscope_repl_snapshots_sent").Value(),
-			preg.Counter("kscope_repl_send_errors").Value(), sreg.Counter("kscope_repl_frames_applied").Value(),
-			sreg.Counter("kscope_repl_stale_rejects").Value(), sreg.Counter("kscope_repl_failovers").Value())
+			preg.Counter("kscope_repl_send_errors_total").Value(), sreg.Counter("kscope_repl_frames_applied").Value(),
+			sreg.Counter("kscope_repl_stale_rejects").Value(), sreg.Counter("kscope_repl_failovers_total").Value())
 	}
 	reg := b.Front().Registry
 	if b.router != nil {

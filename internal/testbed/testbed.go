@@ -87,8 +87,9 @@ type Fixture struct {
 // still served and the standby is what Node returns.
 type pair struct {
 	primary, standby *deploy.Deployment
-	host             string // the primary's, on the bed's link
-	epoch            uint64 // 0 until promoted
+	cfg              deploy.Config // the primary's, for Restart
+	host             string        // the primary's, on the bed's link
+	epoch            uint64        // 0 until promoted
 }
 
 // Bed is a running topology.
@@ -298,6 +299,7 @@ func (b *Bed) startShard(i int, cfg deploy.Config, spec *shard.Spec) error {
 		cfg.Link = func(string) http.RoundTripper { return b.link(replLink, i, 0) }
 	}
 	var err error
+	p.cfg = cfg
 	p.primary, spec.Primary, err = b.serve(p.host, cfg, front)
 	return err
 }
@@ -395,9 +397,15 @@ func (b *Bed) link(kind linkKind, a, n int) http.RoundTripper {
 	return t
 }
 
-// WorkerLink is the transport of crowd c's n-th worker or session, for a
-// driver that runs its own clients (internal/campaign).
-func (b *Bed) WorkerLink(c, n int) http.RoundTripper { return b.link(workerLink, c, n) }
+// WorkerClient is the client of participant n of a driver that runs its
+// own sessions (internal/core, internal/campaign): the n-th worker link of
+// crowd 0, the front door's failover ring and the worker retry policy,
+// identified to the rate limiter as workerID.
+func (b *Bed) WorkerClient(n int, workerID string) (*extension.Client, error) {
+	httpc := &http.Client{Timeout: 30 * time.Second, Transport: b.link(workerLink, 0, n)}
+	return extension.NewClient(b.URLs[0], httpc, extension.WithWorkerID(workerID),
+		extension.WithFailover(b.URLs[1:]...), extension.WithPolicy(b.WorkerPolicy()))
+}
 
 // HomeVictim picks the shard a kill should hit: by seed, among the shards
 // some test is homed on (the owner of its content key), because a shard no
@@ -441,6 +449,28 @@ func (b *Bed) KillAndPromote(i int) error {
 	}
 	p.epoch = epoch
 	b.faults = append(b.faults, fmt.Sprintf("kill shard %d's primary, promote its standby to epoch %d", i, epoch))
+	return nil
+}
+
+// Restart stops shard i's node and opens it again over the same store
+// directory, as kscope-server restarted on its -store does: the WAL replay
+// and index rebuild path. Requests in flight to it are severed. Only an
+// unreplicated directory node restarts.
+func (b *Bed) Restart(i int) error {
+	p := b.shards[i]
+	if b.Top.Store == Memory || p.standby != nil {
+		return fmt.Errorf("testbed: shard %d is not an unreplicated directory node", i)
+	}
+	b.net.Sever(p.host)
+	p.primary.Close()
+	d, _, err := b.serve(p.host, p.cfg, b.router == nil)
+	if err != nil {
+		return err
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	p.primary = d
+	b.faults = append(b.faults, fmt.Sprintf("restart shard %d over its store", i))
 	return nil
 }
 

@@ -177,7 +177,7 @@ func TestAuditCatches(t *testing.T) {
 		if _, err := bed.Drive([]Crowd{{Test: "m", Workers: 4, Trusted: true}}, 0, nil); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := bed.AuditTest("m"); err != nil {
+		if _, _, err := bed.AuditTest("m"); err != nil {
 			t.Fatalf("the unbroken tenant fails its audit: %v", err)
 		}
 		return bed
@@ -192,7 +192,7 @@ func TestAuditCatches(t *testing.T) {
 	}
 	expectTest := func(t *testing.T, bed *Bed, want string) {
 		t.Helper()
-		if _, err := bed.AuditTest("m"); err == nil || !strings.Contains(err.Error(), want) {
+		if _, _, err := bed.AuditTest("m"); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("AuditTest = %v, want an error containing %q", err, want)
 		}
 	}
@@ -264,7 +264,10 @@ func TestStartAndKillRejectWhatCannotWork(t *testing.T) {
 	if err := bed.KillAndPromote(0); err == nil {
 		t.Error("a node without a standby was promoted")
 	}
-	if bed.link(workerLink, 0, 0) != &bed.net || bed.WorkerLink(0, 1) != &bed.net {
+	if err := bed.Restart(0); err == nil {
+		t.Error("a memory node was restarted")
+	}
+	if bed.link(workerLink, 0, 0) != &bed.net || bed.link(replLink, 0, 0) != &bed.net {
 		t.Error("a clean network handed out a chaos transport")
 	}
 }
