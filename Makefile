@@ -30,7 +30,7 @@ bench:
 
 # Fault-injection suite: crash-recovery under injected filesystem faults,
 # chaos-transport end-to-end flows, graceful-drain shutdown, every
-# testbed topology's audit, the campaign's node, pair and fleet rows, and
+# testbed topology's audit, a crowd retrying through chaos, the campaign's node, pair and fleet rows, and
 # the paper's plain and sorted study on a node, a pair and a chaotic fleet
 # with a mid-study kill (socketless, so each row repeats per seed). Run repeatedly — these tests
 # mix randomized fault schedules with fixed seeds, and flakes here mean a
@@ -42,7 +42,7 @@ MODEL_RUNS ?= 40
 chaos:
 	$(GO) test -count=3 -run 'Chaos|Crash|Fault|Torn|Quarantin|Recover|ENOSPC|Drain|Retr|Compact|SyncPolic' \
 		./internal/store/ ./internal/netsim/ ./internal/failover/ ./internal/extension/ ./cmd/kscope-server/
-	$(GO) test -count=3 -run 'TestEveryTopologyPassesItsAudit|TestAuditCatches' ./internal/testbed/
+	$(GO) test -count=3 -run 'TestEveryTopologyPassesItsAudit|TestAuditCatches|TestCrowdRetriesThroughChaos' ./internal/testbed/
 	$(GO) test -count=3 -run '^TestCampaignLifecycle$$' ./internal/campaign/
 	$(GO) test -count=3 -run '^TestStudyOnEveryTopology$$' ./internal/core/
 	$(GO) test -count=1 -run '^TestModel' ./internal/replica/ -model.runs=$(MODEL_RUNS) -model.steps=140

@@ -72,7 +72,7 @@ func BenchmarkFig3ExtensionFlow(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	client, err := bed.WorkerClient(0, pool.Workers[0].ID)
+	client, err := extension.NewClient(bed.URLs[0], bed.Client)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func BenchmarkFig3ExtensionFlow(b *testing.B) {
 			Answer: extension.AnswerFontSize(),
 			RNG:    rng,
 		}
-		if _, err := runner.Run(test.TestID); err != nil {
+		if _, _, err := runner.Run(test.TestID); err != nil {
 			b.Fatal(err)
 		}
 	}

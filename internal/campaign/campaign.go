@@ -30,7 +30,6 @@ import (
 	"kaleidoscope/internal/failover"
 	"kaleidoscope/internal/params"
 	"kaleidoscope/internal/questionnaire"
-	"kaleidoscope/internal/server"
 	"kaleidoscope/internal/testbed"
 	"kaleidoscope/internal/webgen"
 )
@@ -445,11 +444,12 @@ func (c *Campaign) serveTenant(spec Spec, prep *aggregator.Prepared, sem chan st
 					mu.Unlock()
 					return
 				}
-				session, outcome, epoch, err := c.runSession(spec, w)
+				// Session k of the campaign is participant k of crowd 0.
+				a := c.Bed.Participate(spec.Test.TestID, 0, int(c.session.Add(1)), w, spec.Answer, failover.Policy{}, nil)
 				<-sem
 
 				switch {
-				case err == nil && outcome == extension.UploadConcluded:
+				case a.Err == nil && a.Outcome == extension.UploadConcluded:
 					// The sequential engine decided the test before this
 					// session landed: acknowledged, unstored, unpaid.
 					c.refundBudget()
@@ -464,17 +464,16 @@ func (c *Campaign) serveTenant(spec Spec, prep *aggregator.Prepared, sem chan st
 					}
 					mu.Unlock()
 					return
-				case err == nil:
+				case a.Err == nil:
 					c.pool.release(w)
-					c.Bed.Acked(spec.Test.TestID, w.ID, epoch)
 					mu.Lock()
 					rep.Acked = append(rep.Acked, w.ID)
-					if len(session.Behaviors) < len(prep.Pages) {
+					if len(a.Session.Behaviors) < len(prep.Pages) {
 						rep.Partials++
 					}
 					mu.Unlock()
 					return
-				case errors.Is(err, extension.ErrAbandoned):
+				case errors.Is(a.Err, extension.ErrAbandoned):
 					// The worker walked away with nothing uploaded: lost to
 					// the platform (not returned to the pool) and replaced in
 					// it by a fresh recruit. Nothing was stored, so nothing
@@ -497,7 +496,7 @@ func (c *Campaign) serveTenant(spec Spec, prep *aggregator.Prepared, sem chan st
 					c.pool.release(w)
 					mu.Lock()
 					if firstErr == nil && attempt == maxSlotAttempts-1 {
-						firstErr = fmt.Errorf("slot %d: %w", slot, err)
+						firstErr = fmt.Errorf("slot %d: %w", slot, a.Err)
 					}
 					mu.Unlock()
 				}
@@ -538,27 +537,6 @@ func (c *Campaign) refundBudget() {
 	c.budgetMu.Lock()
 	c.budgetLeft++
 	c.budgetMu.Unlock()
-}
-
-// runSession runs one participant's full extension flow (download, replay,
-// answer, upload) with a per-session deterministic RNG and chaos link,
-// over the bed's failover ring. The outcome distinguishes a stored upload
-// from one acknowledged unstored because the test had already been
-// decided; epoch is the highest replication epoch the client saw.
-func (c *Campaign) runSession(spec Spec, w *crowd.Worker) (*server.SessionUpload, extension.UploadOutcome, uint64, error) {
-	seq := c.session.Add(1)
-	client, err := c.Bed.WorkerClient(int(seq), w.ID)
-	if err != nil {
-		return nil, extension.UploadStored, 0, err
-	}
-	runner := &extension.Runner{
-		Client: client,
-		Worker: w,
-		Answer: spec.Answer,
-		RNG:    rand.New(rand.NewSource(c.Bed.Run.Seed + seq*1_000_003)),
-	}
-	session, outcome, err := runner.RunOutcome(spec.Test.TestID)
-	return session, outcome, client.Epoch(), err
 }
 
 // concludeTenant holds the tenant to the bed's per-test audit and then

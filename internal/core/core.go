@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"kaleidoscope/internal/aggregator"
@@ -89,9 +88,6 @@ type Outcome struct {
 	Prepared    *aggregator.Prepared
 	Recruitment *crowd.RecruitmentResult
 	Sessions    []server.SessionUpload
-	// SortedResults holds per-worker rankings when the study ran in
-	// sorted mode (nil otherwise).
-	SortedResults []*extension.SortedResult
 	// Raw and Filtered are the served /results and /results?quality=1.
 	Raw      *server.Results
 	Filtered *server.Results
@@ -142,23 +138,25 @@ func RunStudy(bed *testbed.Bed, study *Study, rng *rand.Rand) (*Outcome, error) 
 	}
 
 	// Stage 3: each recruited participant runs the extension flow against
-	// the deployment's front door.
-	n := len(recruitment.Recruits)
-	outcome := &Outcome{Prepared: prep, Recruitment: recruitment, Sessions: make([]server.SessionUpload, n)}
-	if study.Params.Sorted {
-		outcome.SortedResults = make([]*extension.SortedResult, n)
+	// the deployment's front door — in recruit order from the study's own
+	// stream, or concurrently, each from a seed drawn from it up front.
+	workers := make([]*crowd.Worker, len(recruitment.Recruits))
+	rngs := make([]*rand.Rand, len(workers))
+	for i, rec := range recruitment.Recruits {
+		workers[i], rngs[i] = rec.Worker, rng
 	}
 	if study.Concurrency > 1 {
-		err = runSessionsConcurrent(bed, study, recruitment, rng, outcome)
-	} else {
-		for i, rec := range recruitment.Recruits {
-			if err = runOneSession(bed, study, i, rec.Worker, rng, outcome); err != nil {
-				break
-			}
+		for i := range rngs {
+			rngs[i] = rand.New(rand.NewSource(rng.Int63()))
 		}
 	}
-	if err != nil {
-		return nil, err
+	cr := testbed.Crowd{Test: study.Params.TestID, Concurrency: max(study.Concurrency, 1)}
+	outcome := &Outcome{Prepared: prep, Recruitment: recruitment, Sessions: make([]server.SessionUpload, len(workers))}
+	for i, a := range bed.RunCrowd(0, cr, workers, rngs, study.Answer, nil).Attempts {
+		if a.Err != nil {
+			return nil, fmt.Errorf("core: %w", a.Err)
+		}
+		outcome.Sessions[i] = *a.Session
 	}
 
 	// Stage 4: read the results the deployment serves.
@@ -167,64 +165,4 @@ func RunStudy(bed *testbed.Bed, study *Study, rng *rand.Rand) (*Outcome, error) 
 		return nil, err
 	}
 	return outcome, nil
-}
-
-// runOneSession executes participant slot's flow over its own client of
-// the bed and stores the result into the outcome's slot.
-func runOneSession(bed *testbed.Bed, study *Study, slot int, worker *crowd.Worker, rng *rand.Rand, outcome *Outcome) error {
-	client, err := bed.WorkerClient(slot, worker.ID)
-	if err != nil {
-		return err
-	}
-	testID := study.Params.TestID
-	var session *server.SessionUpload
-	if study.Params.Sorted {
-		var res *extension.SortedResult
-		res, err = (&extension.SortedRunner{Client: client, Worker: worker, Answer: study.Answer, RNG: rng}).Run(testID)
-		if err == nil {
-			outcome.SortedResults[slot], session = res, res.Session
-		}
-	} else {
-		session, err = (&extension.Runner{Client: client, Worker: worker, Answer: study.Answer, RNG: rng}).Run(testID)
-	}
-	if err != nil {
-		return fmt.Errorf("core: worker %s: %w", worker.ID, err)
-	}
-	outcome.Sessions[slot] = *session
-	bed.Acked(testID, worker.ID, client.Epoch())
-	return nil
-}
-
-// runSessionsConcurrent fans participant sessions out over a bounded
-// worker pool. Per-session RNG seeds are drawn from the study RNG before
-// launch, keeping runs reproducible.
-func runSessionsConcurrent(bed *testbed.Bed, study *Study, recruitment *crowd.RecruitmentResult, rng *rand.Rand, outcome *Outcome) error {
-	seeds := make([]int64, len(recruitment.Recruits))
-	for i := range seeds {
-		seeds[i] = rng.Int63()
-	}
-	sem := make(chan struct{}, study.Concurrency)
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for i, rec := range recruitment.Recruits {
-		wg.Add(1)
-		go func(slot int, worker *crowd.Worker, seed int64) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			err := runOneSession(bed, study, slot, worker, rand.New(rand.NewSource(seed)), outcome)
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-			}
-		}(i, rec.Worker, seeds[i])
-	}
-	wg.Wait()
-	return firstErr
 }

@@ -331,16 +331,16 @@ func TestRunSortedStudy(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunStudy sorted: %v", err)
 	}
-	if len(outcome.SortedResults) != 8 {
-		t.Fatalf("sorted results = %d", len(outcome.SortedResults))
+	if len(outcome.Sessions) != 8 {
+		t.Fatalf("sessions = %d", len(outcome.Sessions))
 	}
-	for _, sr := range outcome.SortedResults {
-		if len(sr.Ranking.Order) != 3 {
-			t.Errorf("ranking = %v", sr.Ranking.Order)
+	for _, s := range outcome.Sessions {
+		if order, err := extension.SortedRanking(s.Responses, 3); err != nil || len(order) != 3 {
+			t.Errorf("ranking = %v, %v", order, err)
 		}
 		// Binary insertion over 3 versions: at most C(3,2)=3 comparisons.
-		if len(sr.Session.Responses) > 3 {
-			t.Errorf("responses = %d, exceeds full round-robin", len(sr.Session.Responses))
+		if len(s.Responses) > 3 {
+			t.Errorf("responses = %d, exceeds full round-robin", len(s.Responses))
 		}
 	}
 	// A sorted participant answers only the pairs the sort visits, so the
@@ -411,12 +411,12 @@ func TestRunStudyConcurrentSorted(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunStudy sorted concurrent: %v", err)
 	}
-	if len(outcome.SortedResults) != 8 {
-		t.Fatalf("sorted results = %d", len(outcome.SortedResults))
+	if len(outcome.Sessions) != 8 {
+		t.Fatalf("sessions = %d", len(outcome.Sessions))
 	}
-	for i, sr := range outcome.SortedResults {
-		if sr == nil || len(sr.Ranking.Order) != 3 {
-			t.Errorf("slot %d incomplete: %+v", i, sr)
+	for i, s := range outcome.Sessions {
+		if order, err := extension.SortedRanking(s.Responses, 3); err != nil || len(order) != 3 {
+			t.Errorf("slot %d incomplete: %v, %v", i, order, err)
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"kaleidoscope/internal/core"
 	"kaleidoscope/internal/crowd"
+	"kaleidoscope/internal/extension"
 	"kaleidoscope/internal/rank"
 	"kaleidoscope/internal/stats"
 )
@@ -77,11 +78,15 @@ func RunSortedStudy(workers int, rng *rand.Rand) (*SortedStudyResult, error) {
 	}
 	res.FullOrder = orderOfScores(fullScores)
 
-	// Aggregate order from the sorted flow: Borda over the runners' own
-	// rankings.
+	// Aggregate order from the sorted flow: Borda over the rankings each
+	// participant's sort derived.
 	var sortedRankings [][]int
-	for _, sr := range sorted.SortedResults {
-		sortedRankings = append(sortedRankings, sr.Ranking.Order)
+	for _, s := range sorted.Sessions {
+		order, err := extension.SortedRanking(s.Responses, n)
+		if err != nil {
+			return nil, err
+		}
+		sortedRankings = append(sortedRankings, order)
 	}
 	sortedScores, err := rank.BordaScores(sortedRankings, n)
 	if err != nil {

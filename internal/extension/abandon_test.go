@@ -1,112 +1,10 @@
 package extension
 
 import (
-	"encoding/json"
 	"errors"
-	"io"
 	"math/rand"
-	"net/http"
-	"reflect"
-	"sync"
 	"testing"
-
-	"kaleidoscope/internal/crowd"
-	"kaleidoscope/internal/server"
 )
-
-// TestAbandonmentNeverCorruptsAccumulator is the mid-session churn property
-// test: a crowd whose workers abandon at every rate — some vanishing before
-// any page, some uploading partial sessions missing pages and controls —
-// must leave the incremental accumulator exactly equal to the from-scratch
-// ConcludeScratch oracle, raw and quality-controlled, under the race
-// detector. Abandonment is a crowd behaviour, not an infrastructure
-// failure: the fleet tallies it separately and loses nothing acked.
-func TestAbandonmentNeverCorruptsAccumulator(t *testing.T) {
-	ts, srv, prep := startServer(t)
-
-	rng := rand.New(rand.NewSource(17))
-	pop, err := crowd.NewPopulation(24, crowd.CampaignCrowdMix, false, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Pin a grid of abandonment rates over the drawn archetypes so every
-	// churn shape shows up regardless of the mix: committed workers,
-	// page-one quitters, and near-certain abandoners.
-	for i, w := range pop.Workers {
-		w.AbandonRate = float64(i%4) * 0.3
-	}
-
-	var mu sync.Mutex
-	partials := 0
-	fleet := &Fleet{
-		BaseURL:     ts.URL,
-		Answer:      AnswerFontSize(),
-		Seed:        17,
-		Concurrency: 6,
-		OnResult: func(_ int, res WorkerResult) {
-			if res.Err == nil && res.Session != nil && len(res.Session.Behaviors) < len(prep.Pages) {
-				mu.Lock()
-				partials++
-				mu.Unlock()
-			}
-		},
-	}
-	report, err := fleet.Run("ext-test", pop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Failed > 0 {
-		t.Fatalf("fleet failures: %d (%v) — abandonment must not count as failure", report.Failed, report.Errs)
-	}
-	// The seed is fixed: all three churn shapes must actually occur, or
-	// the property below is vacuous.
-	if report.Abandoned == 0 {
-		t.Fatal("no worker vanished; the fixture no longer exercises abandonment")
-	}
-	if partials == 0 {
-		t.Fatal("no partial session uploaded; the fixture no longer exercises mid-session abandonment")
-	}
-	if report.Completed == 0 {
-		t.Fatal("no session completed")
-	}
-	if report.Completed+report.Abandoned != len(pop.Workers) {
-		t.Errorf("completed %d + abandoned %d != %d workers", report.Completed, report.Abandoned, len(pop.Workers))
-	}
-
-	// The property: partial and absent sessions fold into the incremental
-	// accumulator exactly like the from-scratch oracle sees them.
-	for _, mode := range []struct {
-		q     string
-		useQC bool
-	}{{"", false}, {"?quality=1", true}} {
-		resp, err := http.Get(ts.URL + "/api/tests/ext-test/results" + mode.q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusOK {
-			t.Fatalf("results%s: status %d err %v", mode.q, resp.StatusCode, err)
-		}
-		var got server.Results
-		if err := json.Unmarshal(body, &got); err != nil {
-			t.Fatal(err)
-		}
-		want, err := srv.ConcludeScratch("ext-test", mode.useQC)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(&got, want) {
-			t.Errorf("quality=%v: incremental results diverge from oracle after churn:\ngot  %+v\nwant %+v",
-				mode.useQC, &got, want)
-		}
-		if !mode.useQC && got.Workers != report.Completed {
-			// Raw results count every stored session, partials included;
-			// quality control is allowed to drop them.
-			t.Errorf("raw results count %d sessions, fleet completed %d", got.Workers, report.Completed)
-		}
-	}
-}
 
 // TestRunnerVanishUploadsNothing pins the vanish contract: a worker whose
 // abandonment fires before the first page returns ErrAbandoned and the
@@ -120,7 +18,7 @@ func TestRunnerVanishUploadsNothing(t *testing.T) {
 	w := diligentWorker(rand.New(rand.NewSource(4)))
 	w.AbandonRate = 1.0 // quits at the first opportunity, always
 	runner := &Runner{Client: client, Worker: w, Answer: AnswerFontSize(), RNG: rand.New(rand.NewSource(9))}
-	if _, err := runner.Run("ext-test"); !errors.Is(err, ErrAbandoned) {
+	if _, _, err := runner.Run("ext-test"); !errors.Is(err, ErrAbandoned) {
 		t.Fatalf("err = %v, want ErrAbandoned", err)
 	}
 	res, err := srv.ConcludeScratch("ext-test", false)

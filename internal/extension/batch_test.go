@@ -4,20 +4,29 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"kaleidoscope/internal/crowd"
 	"kaleidoscope/internal/failover"
 	"kaleidoscope/internal/server"
 )
+
+func population(t *testing.T, n int, seed int64) *crowd.Population {
+	t.Helper()
+	pop, err := crowd.TrustedCrowd(n, rand.New(rand.NewSource(seed)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pop
+}
 
 // UploadBatch round-trip: build sessions through the flow, ship one
 // compressed batch, and verify the server stored all of them.
 func TestUploadBatch(t *testing.T) {
 	ts, srv, _ := startServer(t)
-	pop := fleetPopulation(t, 4, 11)
+	pop := population(t, 4, 11)
 
 	client, err := NewClient(ts.URL, nil)
 	if err != nil {
@@ -124,7 +133,7 @@ func TestUploadBatchRetriesShed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pop := fleetPopulation(t, 2, 3)
+	pop := population(t, 2, 3)
 	var sessions []server.SessionUpload
 	for i, w := range pop.Workers {
 		runner := &Runner{Client: client, Worker: w, Answer: AnswerFontSize(),
@@ -144,58 +153,5 @@ func TestUploadBatchRetriesShed(t *testing.T) {
 	}
 	if client.RetryAttempts() == 0 {
 		t.Error("shed batch should have recorded a retry")
-	}
-}
-
-// Fleet batch mode produces exactly the sessions single mode produces —
-// same seed, same population, byte-identical payloads — and stores all of
-// them through the batched endpoint.
-func TestFleetBatchModeMatchesSingles(t *testing.T) {
-	tsA, srvA, _ := startServer(t)
-	tsB, srvB, _ := startServer(t)
-	popA := fleetPopulation(t, 10, 21)
-	popB := fleetPopulation(t, 10, 21)
-
-	single := &Fleet{BaseURL: tsA.URL, Answer: AnswerFontSize(), Seed: 9, Concurrency: 3}
-	if report, err := single.Run("ext-test", popA); err != nil || report.Failed != 0 {
-		t.Fatalf("single fleet: %v %+v", err, report)
-	}
-	var mu sync.Mutex
-	results := 0
-	batched := &Fleet{
-		BaseURL: tsB.URL, Answer: AnswerFontSize(), Seed: 9, Concurrency: 3,
-		BatchSize: 4,
-		OnResult: func(done int, res WorkerResult) {
-			mu.Lock()
-			results++
-			mu.Unlock()
-			if res.Err != nil {
-				t.Errorf("worker %d: %v", res.Index, res.Err)
-			}
-		},
-	}
-	report, err := batched.Run("ext-test", popB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Completed != 10 || report.Failed != 0 {
-		t.Fatalf("batched report = %+v", report)
-	}
-	if results != 10 {
-		t.Errorf("OnResult called %d times, want 10", results)
-	}
-
-	for _, useQC := range []bool{false, true} {
-		want, err := srvA.ConcludeScratch("ext-test", useQC)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := srvB.ConcludeScratch("ext-test", useQC)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("qc=%v batched results differ:\n got %+v\nwant %+v", useQC, got, want)
-		}
 	}
 }

@@ -11,7 +11,6 @@ import (
 
 	"kaleidoscope/internal/failover"
 	"kaleidoscope/internal/netsim"
-	"kaleidoscope/internal/obs"
 	"kaleidoscope/internal/server"
 )
 
@@ -50,14 +49,12 @@ func TestUploadSessionRetriesTransient(t *testing.T) {
 	}))
 	t.Cleanup(flaky.Close)
 
-	reg := obs.NewRegistry()
-	client, err := NewClient(flaky.URL, nil,
-		WithPolicy(failover.Policy{Retries: 4, Backoff: time.Millisecond}), WithMetrics(reg))
+	client, err := NewClient(flaky.URL, nil, WithPolicy(failover.Policy{Retries: 4, Backoff: time.Millisecond}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	upload := server.SessionUpload{TestID: "ext-test", WorkerID: "retry-worker"}
-	if err := client.UploadSession("ext-test", upload); err != nil {
+	if _, err := client.UploadSession("ext-test", upload); err != nil {
 		t.Fatalf("upload should survive transient 5xx: %v", err)
 	}
 	if posts != 3 {
@@ -65,9 +62,6 @@ func TestUploadSessionRetriesTransient(t *testing.T) {
 	}
 	if got := client.RetryAttempts(); got != 2 {
 		t.Errorf("retry attempts = %d, want 2", got)
-	}
-	if got := reg.Counter(MetricRetries).Value(); got != 2 {
-		t.Errorf("metric retries = %d, want 2", got)
 	}
 }
 
@@ -78,13 +72,13 @@ func TestUploadSessionDuplicateIsSuccess(t *testing.T) {
 		t.Fatal(err)
 	}
 	upload := server.SessionUpload{TestID: "ext-test", WorkerID: "dup-worker"}
-	if err := client.UploadSession("ext-test", upload); err != nil {
-		t.Fatalf("first upload: %v", err)
+	if out, err := client.UploadSession("ext-test", upload); err != nil || out != UploadStored {
+		t.Fatalf("first upload: %v, %v", out, err)
 	}
 	// The retransmit of a session whose 201 was lost on the wire: the
 	// server answers 409, the client treats it as success.
-	if err := client.UploadSession("ext-test", upload); err != nil {
-		t.Fatalf("duplicate upload should be success: %v", err)
+	if out, err := client.UploadSession("ext-test", upload); err != nil || out != UploadDuplicate {
+		t.Fatalf("duplicate upload should be success: %v, %v", out, err)
 	}
 	stored, err := srv.Sessions("ext-test")
 	if err != nil {
@@ -106,7 +100,7 @@ func TestUploadSessionDefinitiveRejection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := client.UploadSession("x", server.SessionUpload{WorkerID: "w"}); err == nil {
+	if _, err := client.UploadSession("x", server.SessionUpload{WorkerID: "w"}); err == nil {
 		t.Fatal("400 should fail")
 	}
 	if posts != 1 {
@@ -142,7 +136,7 @@ func TestChaosFullSessionFlow(t *testing.T) {
 		Answer: AnswerFontSize(),
 		RNG:    workerRNG,
 	}
-	session, err := runner.Run("ext-test")
+	session, _, err := runner.Run("ext-test")
 	if err != nil {
 		t.Fatalf("flow under chaos failed: %v", err)
 	}

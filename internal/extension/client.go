@@ -26,7 +26,6 @@ import (
 
 	"kaleidoscope/internal/failover"
 	"kaleidoscope/internal/guard"
-	"kaleidoscope/internal/obs"
 	"kaleidoscope/internal/server"
 )
 
@@ -47,14 +46,10 @@ type Client struct {
 	bases []string
 	loop  failover.Loop
 	httpc *http.Client
-	// ctx, when set, cancels retry waits and in-flight requests: a fleet
-	// shutting down must not sit out a capped Retry-After first.
-	ctx context.Context
 	// workerID, when set, is sent as the X-Kscope-Worker header so the
 	// server's per-worker rate limiter keys on the worker, not the NAT'd
 	// remote address.
 	workerID string
-	reg      *obs.Registry
 
 	retryAttempts atomic.Int64
 }
@@ -62,9 +57,6 @@ type Client struct {
 // defaultTimeout is the overall per-request budget of a client built
 // without its own http.Client.
 const defaultTimeout = 30 * time.Second
-
-// MetricRetries is the obs counter for client retry attempts.
-const MetricRetries = "kscope_extension_retry_attempts_total"
 
 // ClientOption configures NewClient.
 type ClientOption func(*Client)
@@ -74,11 +66,6 @@ type ClientOption func(*Client)
 // Retries: 0 means the default two, not none.
 func WithPolicy(p failover.Policy) ClientOption {
 	return func(c *Client) { c.loop.Policy = p.Or(c.loop.Policy) }
-}
-
-// WithMetrics exports retry attempts to the registry as MetricRetries.
-func WithMetrics(reg *obs.Registry) ClientOption {
-	return func(c *Client) { c.reg = reg }
 }
 
 // WithWorkerID identifies this client to the server's per-worker rate
@@ -100,16 +87,6 @@ func WithFailover(urls ...string) ClientOption {
 	}
 }
 
-// WithContext bounds every request and retry wait by ctx: cancellation
-// aborts in-flight requests and cuts backoff/Retry-After sleeps short.
-func WithContext(ctx context.Context) ClientOption {
-	return func(c *Client) {
-		if ctx != nil {
-			c.ctx = ctx
-		}
-	}
-}
-
 // NewClient returns a client for a core server at baseURL (e.g.
 // "http://127.0.0.1:8080"). A nil httpc gets a client with a sane overall
 // timeout — never http.DefaultClient, which would wait forever on a dead
@@ -124,10 +101,9 @@ func NewClient(baseURL string, httpc *http.Client, opts ...ClientOption) (*Clien
 	c := &Client{
 		bases: []string{baseURL},
 		httpc: httpc,
-		ctx:   context.Background(),
 	}
 	c.loop.Policy = failover.ClientPolicy
-	c.loop.OnRetry = c.noteRetry
+	c.loop.OnRetry = func() { c.retryAttempts.Add(1) }
 	for _, opt := range opts {
 		opt(c)
 	}
@@ -151,25 +127,18 @@ func (c *Client) BaseURL() string {
 	return c.loop.Ring.Node(node)
 }
 
-func (c *Client) noteRetry() {
-	c.retryAttempts.Add(1)
-	if c.reg != nil {
-		c.reg.Counter(MetricRetries).Inc()
-	}
-}
-
 // do performs one logical request through the failover loop: classify
 // names the answers that end it (anything it does not claim is retried or
 // definitive by status). A body is JSON, gzip-encoded when gzipped is set.
 // The response is non-nil when the loop ended on it: the answer, or
 // alongside the error a definitive refusal.
 func (c *Client) do(method, path string, body []byte, gzipped bool, classify func(*failover.Response) failover.Verdict) (*failover.Response, error) {
-	resp, err := c.loop.Do(c.ctx, func(node int) (*failover.Response, error) {
+	resp, err := c.loop.Do(context.Background(), func(node int) (*failover.Response, error) {
 		var rd io.Reader
 		if body != nil {
 			rd = bytes.NewReader(body)
 		}
-		req, err := http.NewRequestWithContext(c.ctx, method, c.loop.Ring.Node(node)+path, rd)
+		req, err := http.NewRequest(method, c.loop.Ring.Node(node)+path, rd)
 		if err != nil {
 			return nil, err
 		}
@@ -314,21 +283,14 @@ const (
 	UploadConcluded
 )
 
-// UploadSession posts a finished session to the core server. The upload is
-// idempotent by worker id: a 409 means a previous attempt (perhaps one
-// whose response was lost on the wire, or one a since-deposed primary
-// acked) already stored this session, and is treated as success — a
-// participant's finished work is never lost to a flaky connection.
-func (c *Client) UploadSession(testID string, session server.SessionUpload) error {
-	_, err := c.UploadSessionOutcome(testID, session)
-	return err
-}
-
-// UploadSessionOutcome is UploadSession with the accepted outcome
-// surfaced: callers that schedule crowd budget (the campaign orchestrator)
-// need to distinguish a stored session from a concluded-test
-// acknowledgement, which spends no budget.
-func (c *Client) UploadSessionOutcome(testID string, session server.SessionUpload) (UploadOutcome, error) {
+// UploadSession posts a finished session to the core server and says how
+// the accepted upload ended. The upload is idempotent by worker id: a 409
+// means a previous attempt (perhaps one whose response was lost on the
+// wire, or one a since-deposed primary acked) already stored this session,
+// and is UploadDuplicate, a success — a participant's finished work is
+// never lost to a flaky connection. UploadConcluded is an acknowledgement
+// without storage, which spends no crowd budget.
+func (c *Client) UploadSession(testID string, session server.SessionUpload) (UploadOutcome, error) {
 	payload, err := json.Marshal(session)
 	if err != nil {
 		return UploadStored, fmt.Errorf("extension: encoding session: %w", err)

@@ -132,9 +132,9 @@ func TestRunnerFullFlow(t *testing.T) {
 		Answer: AnswerFontSize(),
 		RNG:    rng,
 	}
-	session, err := runner.Run("ext-test")
-	if err != nil {
-		t.Fatalf("Run: %v", err)
+	session, outcome, err := runner.Run("ext-test")
+	if err != nil || outcome != UploadStored {
+		t.Fatalf("Run: %v, %v", outcome, err)
 	}
 	// One real pair + one control page = 2 behaviors; 1 response; 1 control.
 	if len(session.Responses) != len(prep.RealPages()) {
@@ -168,12 +168,12 @@ func TestRunnerValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	w := diligentWorker(rng)
 	r := &Runner{}
-	if _, err := r.Run("x"); err == nil {
+	if _, _, err := r.Run("x"); err == nil {
 		t.Error("empty runner should fail")
 	}
 	client, _ := NewClient("http://127.0.0.1:0", nil)
 	r = &Runner{Client: client, Worker: w, Answer: AnswerFontSize()}
-	if _, err := r.Run("x"); err == nil {
+	if _, _, err := r.Run("x"); err == nil {
 		t.Error("missing rng should fail")
 	}
 }
@@ -405,7 +405,7 @@ func TestUploadSessionErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Upload rejected by the server (unknown test id in the URL).
-	err = client.UploadSession("ghost", server.SessionUpload{TestID: "ghost", WorkerID: "w"})
+	_, err = client.UploadSession("ghost", server.SessionUpload{TestID: "ghost", WorkerID: "w"})
 	if err == nil {
 		t.Error("upload to unknown test should fail")
 	}
@@ -414,7 +414,7 @@ func TestUploadSessionErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dead.UploadSession("x", server.SessionUpload{}); err == nil {
+	if _, err := dead.UploadSession("x", server.SessionUpload{}); err == nil {
 		t.Error("dead server should fail")
 	}
 }

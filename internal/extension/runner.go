@@ -52,37 +52,31 @@ var surveyComments = []string{
 	"Honestly both seemed fine for short reading sessions.",
 }
 
-// Runner executes the Fig. 3 test flow for one participant.
+// Runner executes the Fig. 3 test flow for one participant: the full
+// round-robin, or the paper's §III-D sorted flow (sorted.go) when the
+// served test is sorted.
 type Runner struct {
 	Client *Client
 	Worker *crowd.Worker
 	// Answer decides each comparison; see the Answer* constructors in
 	// answers.go.
 	Answer AnswerFunc
-	// Viewport used for replay simulation; zero value picks the default.
-	Viewport render.Viewport
 	// RNG drives perception noise, behaviour, and uniform replays.
 	RNG *rand.Rand
 }
 
-// Run performs the whole flow and returns the uploaded session. Each
-// integrated page is downloaded, both sides are parsed and replayed, every
-// question is answered, telemetry is recorded, and the session is posted
-// to the core server.
-func (r *Runner) Run(testID string) (*server.SessionUpload, error) {
-	session, _, err := r.RunOutcome(testID)
-	return session, err
-}
-
-// RunOutcome is Run with the upload outcome surfaced: a session answered
-// with UploadConcluded finished the flow but was not stored, because the
-// sequential engine had already decided the test.
-func (r *Runner) RunOutcome(testID string) (*server.SessionUpload, UploadOutcome, error) {
+// Run performs the whole flow and returns the uploaded session with the
+// upload's outcome. Each page the flow visits is downloaded, both sides
+// are parsed and replayed, its questions are answered, telemetry is
+// recorded, and the session is posted to the core server. A session
+// answered UploadConcluded finished the flow but was not stored, because
+// the sequential engine had already decided the test.
+func (r *Runner) Run(testID string) (*server.SessionUpload, UploadOutcome, error) {
 	session, err := r.Build(testID)
 	if err != nil {
 		return nil, UploadStored, err
 	}
-	outcome, err := r.Client.UploadSessionOutcome(testID, *session)
+	outcome, err := r.Client.UploadSession(testID, *session)
 	if err != nil {
 		return nil, outcome, err
 	}
@@ -90,9 +84,9 @@ func (r *Runner) RunOutcome(testID string) (*server.SessionUpload, UploadOutcome
 }
 
 // Build performs the flow up to — but not including — the upload and
-// returns the finished session. Batch-mode drivers (Fleet with BatchSize,
-// the throughput load scenario) build sessions through this and ship them
-// via Client.UploadBatch instead of one POST per participant.
+// returns the finished session. Batch-mode drivers build sessions through
+// this and ship them via Client.UploadBatch instead of one POST per
+// participant.
 func (r *Runner) Build(testID string) (*server.SessionUpload, error) {
 	if r.Client == nil || r.Worker == nil || r.Answer == nil {
 		return nil, errors.New("extension: runner missing client, worker, or answer function")
@@ -100,11 +94,6 @@ func (r *Runner) Build(testID string) (*server.SessionUpload, error) {
 	if r.RNG == nil {
 		return nil, errors.New("extension: runner needs a random source")
 	}
-	vp := r.Viewport
-	if vp.Width == 0 || vp.Height == 0 {
-		vp = render.DefaultViewport()
-	}
-
 	info, err := r.Client.TestInfo(testID)
 	if err != nil {
 		return nil, err
@@ -114,20 +103,32 @@ func (r *Runner) Build(testID string) (*server.SessionUpload, error) {
 		WorkerID:     r.Worker.ID,
 		Demographics: r.Worker.Demo,
 	}
+	if info.Sorted {
+		err = r.sorted(testID, info, session)
+	} else {
+		err = r.full(testID, info, session)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return session, nil
+}
 
+// full visits every page of the test and answers every question on each.
+func (r *Runner) full(testID string, info *server.TestInfo, session *server.SessionUpload) error {
 	for _, page := range info.Pages {
 		// Churn-prone workers may walk away before opening the next page.
 		// The guard keeps the RNG stream of non-abandoning archetypes
 		// untouched, so existing seeded scenarios stay deterministic.
 		if r.Worker.AbandonRate > 0 && r.RNG.Float64() < r.Worker.AbandonRate {
 			if len(session.Behaviors) == 0 {
-				return nil, ErrAbandoned
+				return ErrAbandoned
 			}
-			break
+			return nil
 		}
-		ctx, err := r.loadPage(testID, page, vp)
+		ctx, err := r.loadPage(testID, page)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		behavior := r.Worker.BehaveOnce(r.RNG)
 		session.Behaviors = append(session.Behaviors, behavior)
@@ -167,7 +168,7 @@ func (r *Runner) Build(testID string) (*server.SessionUpload, error) {
 			})
 		}
 	}
-	return session, nil
+	return nil
 }
 
 // questionID derives the stable id for the i-th question.
@@ -175,7 +176,7 @@ func questionID(i int) string { return fmt.Sprintf("q%d", i) }
 
 // loadPage downloads an integrated page, parses both sides, and simulates
 // their replays from the injected schedules.
-func (r *Runner) loadPage(testID string, page server.PageView, vp render.Viewport) (*PageContext, error) {
+func (r *Runner) loadPage(testID string, page server.PageView) (*PageContext, error) {
 	// The integrated index page references left.html and right.html; the
 	// extension downloads all three like a browser would.
 	if _, err := r.Client.FetchPageFile(testID, page.ID, "index.html"); err != nil {
@@ -201,7 +202,7 @@ func (r *Runner) loadPage(testID string, page server.PageView, vp render.Viewpor
 			// Pages without an injected schedule display instantly.
 			spec = emptySpec()
 		}
-		replay, err := pageload.Simulate(doc, styleOf(doc), vp, spec, r.RNG)
+		replay, err := pageload.Simulate(doc, styleOf(doc), render.DefaultViewport(), spec, r.RNG)
 		if err != nil {
 			return nil, fmt.Errorf("extension: replaying %s of %s: %w", side.file, page.ID, err)
 		}

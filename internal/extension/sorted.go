@@ -3,99 +3,41 @@ package extension
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"strconv"
 	"strings"
 
 	"kaleidoscope/internal/aggregator"
-	"kaleidoscope/internal/crowd"
 	"kaleidoscope/internal/quality"
 	"kaleidoscope/internal/questionnaire"
 	"kaleidoscope/internal/rank"
-	"kaleidoscope/internal/render"
 	"kaleidoscope/internal/server"
 )
 
-// SortedRunner executes the test flow with the paper's §III-D
-// optimization: when only one comparison question is asked, the
-// participant does not need to see all C(N,2) integrated webpages — a
-// comparison sort (binary insertion here) chooses which pairs to show
-// next based on earlier answers, cutting the comparisons per participant
-// from O(N^2) to O(N log N). Control pages are still always shown.
-type SortedRunner struct {
-	Client   *Client
-	Worker   *crowd.Worker
-	Answer   AnswerFunc
-	Viewport render.Viewport
-	RNG      *rand.Rand
-}
-
-// SortedResult is a sorted session's output: the uploaded session plus the
-// participant's derived ranking.
-type SortedResult struct {
-	Session *server.SessionUpload
-	// Ranking orders version indices best-first.
-	Ranking *rank.Result
-	// VersionNames maps version indices to their web-path names.
-	VersionNames []string
-}
-
-// Run performs the adaptive flow and uploads the (partial) session.
-func (r *SortedRunner) Run(testID string) (*SortedResult, error) {
-	if r.Client == nil || r.Worker == nil || r.Answer == nil {
-		return nil, errors.New("extension: sorted runner missing client, worker, or answer function")
-	}
-	if r.RNG == nil {
-		return nil, errors.New("extension: sorted runner needs a random source")
-	}
-	vp := r.Viewport
-	if vp.Width == 0 || vp.Height == 0 {
-		vp = render.DefaultViewport()
-	}
-	info, err := r.Client.TestInfo(testID)
-	if err != nil {
-		return nil, err
-	}
+// sorted runs the paper's §III-D optimization of the flow: when only one
+// comparison question is asked, the participant does not need to see all
+// C(N,2) integrated webpages — a comparison sort (binary insertion here)
+// chooses which pairs to show next based on earlier answers, cutting the
+// comparisons per participant from O(N^2) to O(N log N). Control pages are
+// still always shown. SortedRanking recovers the participant's ranking
+// from the session.
+func (r *Runner) sorted(testID string, info *server.TestInfo, session *server.SessionUpload) error {
 	if len(info.Questions) != 1 {
-		return nil, fmt.Errorf("extension: sorted flow requires exactly one question, test has %d", len(info.Questions))
+		return fmt.Errorf("extension: sorted flow requires exactly one question, test has %d", len(info.Questions))
 	}
-
 	pairs, names, err := indexPairs(info.Pages)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	n := len(names)
-	if n < 2 {
-		return nil, errors.New("extension: sorted flow needs at least two versions")
-	}
-
-	session := &server.SessionUpload{
-		TestID:       testID,
-		WorkerID:     r.Worker.ID,
-		Demographics: r.Worker.Demo,
-	}
-
-	// The comparator visits the integrated page for (a, b) on demand and
-	// turns the side-by-side answer into a sort outcome, recording the
-	// response and telemetry as it goes.
-	var visitErr error
-	cmp := func(a, b int) rank.Outcome {
-		if visitErr != nil {
-			return rank.OutcomeTie
-		}
-		lo, hi, flipped := a, b, false
-		if lo > hi {
-			lo, hi, flipped = b, a, true
-		}
+	// Each pair the sort asks about is a visit to its integrated page,
+	// recording the response and telemetry as it goes.
+	_, err = insertionRank(len(names), func(lo, hi int) (questionnaire.Choice, error) {
 		page, ok := pairs[[2]int{lo, hi}]
 		if !ok {
-			visitErr = fmt.Errorf("extension: no integrated page for pair (%d,%d)", lo, hi)
-			return rank.OutcomeTie
+			return "", fmt.Errorf("extension: no integrated page for pair (%d,%d)", lo, hi)
 		}
-		ctx, err := r.loadPageSorted(testID, page, vp)
+		ctx, err := r.loadPage(testID, page)
 		if err != nil {
-			visitErr = err
-			return rank.OutcomeTie
+			return "", err
 		}
 		behavior := r.Worker.BehaveOnce(r.RNG)
 		session.Behaviors = append(session.Behaviors, behavior)
@@ -109,19 +51,10 @@ func (r *SortedRunner) Run(testID string) (*SortedResult, error) {
 			Comment:        comment,
 			DurationMillis: behavior.TimeOnTaskMillis,
 		})
-		outcome := choiceToOutcome(choice)
-		if flipped {
-			outcome = mirrorOutcome(outcome)
-		}
-		return outcome
-	}
-
-	ranking, err := rank.InsertionSortRank(n, cmp)
+		return choice, nil
+	})
 	if err != nil {
-		return nil, err
-	}
-	if visitErr != nil {
-		return nil, visitErr
+		return err
 	}
 
 	// Control pages are non-negotiable regardless of flow.
@@ -129,9 +62,9 @@ func (r *SortedRunner) Run(testID string) (*SortedResult, error) {
 		if page.Kind != aggregator.KindControl {
 			continue
 		}
-		ctx, err := r.loadPageSorted(testID, page, vp)
+		ctx, err := r.loadPage(testID, page)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		behavior := r.Worker.BehaveOnce(r.RNG)
 		session.Behaviors = append(session.Behaviors, behavior)
@@ -142,18 +75,57 @@ func (r *SortedRunner) Run(testID string) (*SortedResult, error) {
 			Got:    choice,
 		})
 	}
-
-	if err := r.Client.UploadSession(testID, *session); err != nil {
-		return nil, err
-	}
-	return &SortedResult{Session: session, Ranking: ranking, VersionNames: names}, nil
+	return nil
 }
 
-// loadPageSorted reuses the standard page loader through a throwaway
-// Runner, keeping one implementation of download+replay.
-func (r *SortedRunner) loadPageSorted(testID string, page server.PageView, vp render.Viewport) (*PageContext, error) {
-	base := &Runner{Client: r.Client, Worker: r.Worker, Answer: r.Answer, Viewport: vp, RNG: r.RNG}
-	return base.loadPage(testID, page, vp)
+// SortedRanking is the ranking, best first, a sorted-flow participant
+// derived over n versions: the flow's binary insertion replayed from the
+// session's responses, in the order the flow recorded them.
+func SortedRanking(responses []questionnaire.Response, n int) ([]int, error) {
+	next := 0
+	res, err := insertionRank(n, func(lo, hi int) (questionnaire.Choice, error) {
+		if next == len(responses) {
+			return "", errors.New("extension: the session ends before its sort does")
+		}
+		resp := responses[next]
+		next++
+		if i, j, ok := parsePairPageID(resp.PageID); !ok || i != lo || j != hi {
+			return "", fmt.Errorf("extension: the session answered %s where the sort visits pair (%d,%d)", resp.PageID, lo, hi)
+		}
+		return resp.Choice, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if next != len(responses) {
+		return nil, fmt.Errorf("extension: the sort visits %d pairs, the session answered %d", next, len(responses))
+	}
+	return res.Order, nil
+}
+
+// insertionRank ranks n versions by binary insertion, asking choose for the
+// answer on the integrated page of each pair it compares — lo on the left,
+// hi on the right. The first error ends the sort.
+func insertionRank(n int, choose func(lo, hi int) (questionnaire.Choice, error)) (*rank.Result, error) {
+	var chooseErr error
+	res, err := rank.InsertionSortRank(n, func(a, b int) rank.Outcome {
+		if chooseErr != nil {
+			return rank.OutcomeTie
+		}
+		choice, err := choose(min(a, b), max(a, b))
+		if err != nil {
+			chooseErr = err
+			return rank.OutcomeTie
+		}
+		if a > b {
+			return mirrorOutcome(choiceToOutcome(choice))
+		}
+		return choiceToOutcome(choice)
+	})
+	if chooseErr != nil {
+		return nil, chooseErr
+	}
+	return res, err
 }
 
 // choiceToOutcome maps a side answer to a sort outcome with the left page

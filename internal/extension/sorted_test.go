@@ -3,7 +3,9 @@ package extension
 import (
 	"fmt"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 
 	"kaleidoscope/internal/aggregator"
@@ -15,8 +17,8 @@ import (
 	"kaleidoscope/internal/webgen"
 )
 
-// startSortedServer prepares a 5-version font test.
-func startSortedServer(t *testing.T, questions []string) (*httptest.Server, *server.Server, *aggregator.Prepared, []int) {
+// startSortedServer prepares a 5-version sorted font test.
+func startSortedServer(t *testing.T) (*httptest.Server, *server.Server, *aggregator.Prepared, []int) {
 	t.Helper()
 	sizes := []int{10, 12, 14, 18, 22}
 	db := store.OpenMemory()
@@ -30,7 +32,8 @@ func startSortedServer(t *testing.T, questions []string) (*httptest.Server, *ser
 		WebpageNum:      len(sizes),
 		TestDescription: "sorted flow test",
 		ParticipantNum:  5,
-		Questions:       questions,
+		Questions:       []string{"Which webpage's font size is more suitable (easier) for reading?"},
+		Sorted:          true,
 	}
 	sites := make(map[string]*webgen.Site)
 	for _, pt := range sizes {
@@ -53,42 +56,40 @@ func startSortedServer(t *testing.T, questions []string) (*httptest.Server, *ser
 	return ts, srv, prep, sizes
 }
 
-func TestSortedRunnerFlow(t *testing.T) {
-	ts, srv, prep, sizes := startSortedServer(t, []string{"Which webpage's font size is more suitable (easier) for reading?"})
+// TestRunnerSortedFlow: on a test served as sorted, the Runner visits only
+// the pairs its binary insertion asks about, and every control page.
+func TestRunnerSortedFlow(t *testing.T) {
+	ts, srv, prep, sizes := startSortedServer(t)
 	client, err := NewClient(ts.URL, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(3))
-	w := diligentWorker(rng)
-	runner := &SortedRunner{Client: client, Worker: w, Answer: AnswerFontSize(), RNG: rng}
-	res, err := runner.Run("sorted-test")
-	if err != nil {
-		t.Fatalf("Run: %v", err)
+	runner := &Runner{Client: client, Worker: diligentWorker(rng), Answer: AnswerFontSize(), RNG: rng}
+	session, outcome, err := runner.Run("sorted-test")
+	if err != nil || outcome != UploadStored {
+		t.Fatalf("Run: %v, %v", outcome, err)
 	}
 	// Fewer comparisons than the full round-robin.
 	full := rank.PairCount(len(sizes))
-	if len(res.Session.Responses) >= full {
-		t.Errorf("sorted flow used %d comparisons, full is %d", len(res.Session.Responses), full)
+	if len(session.Responses) >= full {
+		t.Errorf("sorted flow used %d comparisons, full is %d", len(session.Responses), full)
 	}
-	if res.Ranking == nil || len(res.Ranking.Order) != len(sizes) {
-		t.Fatalf("ranking = %+v", res.Ranking)
+	order, err := SortedRanking(session.Responses, len(sizes))
+	if err != nil || len(order) != len(sizes) {
+		t.Fatalf("ranking = %v, %v", order, err)
 	}
 	// Controls still visited.
-	if len(res.Session.Controls) != len(prep.ControlPages()) {
-		t.Errorf("controls = %d, want %d", len(res.Session.Controls), len(prep.ControlPages()))
+	if len(session.Controls) != len(prep.ControlPages()) {
+		t.Errorf("controls = %d, want %d", len(session.Controls), len(prep.ControlPages()))
 	}
 	// The diligent 12pt-preferring worker ranks 12pt (index 1) top.
-	if res.Ranking.Order[0] != 1 {
-		t.Errorf("top = %dpt (%v), want 12pt", sizes[res.Ranking.Order[0]], res.Ranking.Order)
+	if order[0] != 1 {
+		t.Errorf("top = %dpt (%v), want 12pt", sizes[order[0]], order)
 	}
 	// 22pt is last.
-	if res.Ranking.Order[len(sizes)-1] != 4 {
-		t.Errorf("worst = %dpt (%v), want 22pt", sizes[res.Ranking.Order[len(sizes)-1]], res.Ranking.Order)
-	}
-	// Version names resolved.
-	if res.VersionNames[1] != "wiki-12pt" {
-		t.Errorf("names = %v", res.VersionNames)
+	if order[len(sizes)-1] != 4 {
+		t.Errorf("worst = %dpt (%v), want 22pt", sizes[order[len(sizes)-1]], order)
 	}
 	// Session uploaded.
 	stored, err := srv.Sessions("sorted-test")
@@ -99,35 +100,69 @@ func TestSortedRunnerFlow(t *testing.T) {
 		t.Errorf("stored = %d", len(stored))
 	}
 	// Behaviors cover visited pages: comparisons + controls.
-	wantBehaviors := len(res.Session.Responses) + len(res.Session.Controls)
-	if len(res.Session.Behaviors) != wantBehaviors {
-		t.Errorf("behaviors = %d, want %d", len(res.Session.Behaviors), wantBehaviors)
+	wantBehaviors := len(session.Responses) + len(session.Controls)
+	if len(session.Behaviors) != wantBehaviors {
+		t.Errorf("behaviors = %d, want %d", len(session.Behaviors), wantBehaviors)
+	}
+	// A replay holds the responses to the pairs the sort visits, in order.
+	for name, responses := range map[string][]questionnaire.Response{
+		"truncated": session.Responses[:len(session.Responses)-1],
+		"extended":  append(slices.Clone(session.Responses), session.Responses[0]),
+		"reordered": append([]questionnaire.Response{session.Responses[1], session.Responses[0]}, session.Responses[2:]...),
+	} {
+		if order, err := SortedRanking(responses, len(sizes)); err == nil {
+			t.Errorf("%s session replayed to %v", name, order)
+		}
 	}
 }
 
-func TestSortedRunnerRequiresOneQuestion(t *testing.T) {
-	ts, _, _, _ := startSortedServer(t, []string{"q one?", "q two?"})
+// TestRunnerSortedRequiresOneQuestion: the sorted flow compares on one
+// question; a sorted test asking two is refused before any page is fetched.
+func TestRunnerSortedRequiresOneQuestion(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/api/tests/sorted-test" {
+			t.Errorf("fetched %s", r.URL.Path)
+		}
+		fmt.Fprint(w, `{"test_id":"sorted-test","questions":["q one?","q two?"],"sorted":true}`)
+	}))
+	t.Cleanup(ts.Close)
 	client, err := NewClient(ts.URL, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(4))
-	runner := &SortedRunner{Client: client, Worker: diligentWorker(rng), Answer: AnswerFontSize(), RNG: rng}
-	if _, err := runner.Run("sorted-test"); err == nil {
+	runner := &Runner{Client: client, Worker: diligentWorker(rng), Answer: AnswerFontSize(), RNG: rng}
+	if _, _, err := runner.Run("sorted-test"); err == nil {
 		t.Error("multi-question sorted flow should fail")
 	}
 }
 
+// TestSortedRunnerValidation: a Runner missing a part is refused on a
+// sorted test as on any other, before its flow uploads anything.
 func TestSortedRunnerValidation(t *testing.T) {
-	r := &SortedRunner{}
-	if _, err := r.Run("x"); err == nil {
-		t.Error("empty runner should fail")
+	ts, srv, _, _ := startSortedServer(t)
+	client, err := NewClient(ts.URL, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(5))
-	client, _ := NewClient("http://127.0.0.1:0", nil)
-	r = &SortedRunner{Client: client, Worker: diligentWorker(rng), Answer: AnswerFontSize()}
-	if _, err := r.Run("x"); err == nil {
-		t.Error("missing rng should fail")
+	w := diligentWorker(rng)
+	for name, r := range map[string]*Runner{
+		"empty":          {},
+		"missing worker": {Client: client, Answer: AnswerFontSize(), RNG: rng},
+		"missing answer": {Client: client, Worker: w, RNG: rng},
+		"missing rng":    {Client: client, Worker: w, Answer: AnswerFontSize()},
+	} {
+		if _, _, err := r.Run("sorted-test"); err == nil {
+			t.Errorf("%s runner should fail", name)
+		}
+	}
+	stored, err := srv.Sessions("sorted-test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(stored) != 0 {
+		t.Errorf("refused runners stored %d sessions", len(stored))
 	}
 }
 

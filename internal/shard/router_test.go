@@ -691,7 +691,7 @@ func TestRouterHidesShardEpochs(t *testing.T) {
 	if _, err := c.TestInfo(ringTestID); err != nil { // answered by the epoch-2 shard
 		t.Fatal(err)
 	}
-	if out, err := c.UploadSessionOutcome(ringTestID, sampleUpload(prep, away[0], questionnaire.ChoiceLeft)); err != nil || out != extension.UploadStored {
+	if out, err := c.UploadSession(ringTestID, sampleUpload(prep, away[0], questionnaire.ChoiceLeft)); err != nil || out != extension.UploadStored {
 		t.Errorf("upload to the epoch-1 shard after reading from the epoch-2 shard = %v, %v; want stored", out, err)
 	}
 	batch := []server.SessionUpload{

@@ -24,13 +24,13 @@ import (
 	"kaleidoscope/internal/store"
 )
 
-// Acked records that the deployment acknowledged workerID's session of
+// acked records that the deployment acknowledged workerID's session of
 // testID as stored, to a client that had seen replication epoch `epoch`
 // (0: none advertised). The bed's experimenter learns the epoch before the
 // acknowledgement is counted — a reader who holds k acks holds their
 // epochs too — and every Run.PollEvery-th one of the run polls its test's
 // /results.
-func (b *Bed) Acked(testID, workerID string, epoch uint64) {
+func (b *Bed) acked(testID, workerID string, epoch uint64) {
 	if epoch > 0 {
 		b.reader.Ring.Observe(http.Header{server.EpochHeader: {strconv.FormatUint(epoch, 10)}})
 	}
@@ -164,7 +164,7 @@ func (b *Bed) Audit(out io.Writer, extraStatuses ...int) error {
 	for _, c := range crowds {
 		if r := c.report; r.Failed > 0 {
 			return fmt.Errorf("%s: %d of %d workers failed to complete (%d ring-exhausted): %v",
-				c.Test, r.Failed, c.Workers, r.RingExhausted, r.Errs)
+				c.Test, r.Failed, c.Workers, r.RingExhausted, r.errs())
 		}
 	}
 	if len(pollErrs) > 0 {

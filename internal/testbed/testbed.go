@@ -21,13 +21,10 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"kaleidoscope/internal/aggregator"
-	"kaleidoscope/internal/crowd"
 	"kaleidoscope/internal/deploy"
-	"kaleidoscope/internal/extension"
 	"kaleidoscope/internal/failover"
 	"kaleidoscope/internal/guard"
 	"kaleidoscope/internal/netsim"
@@ -397,16 +394,6 @@ func (b *Bed) link(kind linkKind, a, n int) http.RoundTripper {
 	return t
 }
 
-// WorkerClient is the client of participant n of a driver that runs its
-// own sessions (internal/core, internal/campaign): the n-th worker link of
-// crowd 0, the front door's failover ring and the worker retry policy,
-// identified to the rate limiter as workerID.
-func (b *Bed) WorkerClient(n int, workerID string) (*extension.Client, error) {
-	httpc := &http.Client{Timeout: 30 * time.Second, Transport: b.link(workerLink, 0, n)}
-	return extension.NewClient(b.URLs[0], httpc, extension.WithWorkerID(workerID),
-		extension.WithFailover(b.URLs[1:]...), extension.WithPolicy(b.WorkerPolicy()))
-}
-
 // HomeVictim picks the shard a kill should hit: by seed, among the shards
 // some test is homed on (the owner of its content key), because a shard no
 // test calls home serves no test info or page and so hides whatever a
@@ -480,76 +467,4 @@ func (b *Bed) NoteFault(format string, args ...any) {
 	b.mu.Lock()
 	b.faults = append(b.faults, fmt.Sprintf(format, args...))
 	b.mu.Unlock()
-}
-
-// Crowd is one test's simulated participants, run through the full
-// extension flow against the front door.
-type Crowd struct {
-	Test        string
-	Workers     int
-	Trusted     bool // the trusted crowd mix instead of the open one
-	Concurrency int
-	Batch       int             // >0: ship gzip batches of this size
-	Policy      failover.Policy // zero fields keep the run's worker policy
-}
-
-type crowdRun struct {
-	Crowd
-	report *extension.FleetReport
-}
-
-// Drive runs the crowds concurrently and waits for all of them. fault,
-// when set, fires once, as soon as `at` workers of all crowds together
-// have finished — mid-run, from a worker's goroutine, with traffic still
-// in flight. Every acknowledged session is recorded for the Audit. The
-// reports come back in the crowds' order.
-func (b *Bed) Drive(crowds []Crowd, at int, fault func()) ([]*extension.FleetReport, error) {
-	var done atomic.Int64
-	var once sync.Once
-	runs := make([]crowdRun, len(crowds))
-	errs := make([]error, len(crowds))
-	var wg sync.WaitGroup
-	for ci, c := range crowds {
-		popFn := crowd.OpenCrowd
-		if c.Trusted {
-			popFn = crowd.TrustedCrowd
-		}
-		pop, err := popFn(c.Workers, rand.New(rand.NewSource(b.Run.Seed+int64(ci))))
-		if err != nil {
-			return nil, err
-		}
-		fleet := &extension.Fleet{
-			BaseURL:      b.URLs[0],
-			FailoverURLs: b.URLs[1:],
-			Answer:       extension.AnswerFontSize(),
-			Seed:         b.Run.Seed + int64(ci)*59_999,
-			Concurrency:  c.Concurrency,
-			Policy:       c.Policy.Or(b.WorkerPolicy()),
-			BatchSize:    c.Batch,
-			Transport:    func(n int) http.RoundTripper { return b.link(workerLink, ci, n) },
-			OnResult: func(_ int, res extension.WorkerResult) {
-				if res.Err == nil && !res.Concluded {
-					b.Acked(c.Test, res.WorkerID, res.Epoch)
-				}
-				if fault != nil && done.Add(1) >= int64(max(at, 1)) {
-					once.Do(fault)
-				}
-			},
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			runs[ci] = crowdRun{Crowd: c}
-			runs[ci].report, errs[ci] = fleet.Run(c.Test, pop)
-		}()
-	}
-	wg.Wait()
-	b.mu.Lock()
-	b.crowds = append(b.crowds, runs...)
-	b.mu.Unlock()
-	reports := make([]*extension.FleetReport, len(runs))
-	for i, r := range runs {
-		reports[i] = r.report
-	}
-	return reports, errors.Join(errs...)
 }

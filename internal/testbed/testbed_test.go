@@ -163,7 +163,7 @@ func TestAuditCatches(t *testing.T) {
 	t.Run("an answer that forgot an acknowledged session", func(t *testing.T) {
 		bed := drive(t, Topology{})
 		bed.Run.PollEvery = 1
-		bed.Acked("t", "acked-but-never-stored", 0)
+		bed.acked("t", "acked-but-never-stored", 0)
 		expect(t, bed, "READ-YOUR-ACKS: 5 sessions of t")
 	})
 	// A tenant a scenario adds mid-run with Prepare, as a campaign does,
