@@ -112,13 +112,14 @@ func TestBuildServerServesPreparedStore(t *testing.T) {
 	for _, want := range []string{
 		`kscope_http_requests_total{route="GET /api/tests/{id}",status="200"} 1`,
 		"kscope_cache_hit_ratio",
-		"kscope_store_index_hits",
-		"kscope_store_recovered_tails 0",
-		"kscope_store_quarantined_records 0",
-		"kscope_store_compactions 0",
-		"kscope_store_wal_appends",
-		"kscope_store_fsyncs",
+		"kscope_store_index_hits_total",
+		"kscope_store_recovered_tails_total 0",
+		"kscope_store_quarantined_records_total 0",
+		"kscope_store_compactions_total 0",
+		"kscope_store_wal_appends_total",
+		"kscope_store_fsyncs_total",
 		"kscope_store_fsync_seconds_total",
+		"kscope_store_cold_reads_total",
 		"kscope_session_decode_fallback_total 0",
 		"kscope_http_inflight_requests 1", // the /metrics request itself
 		"kscope_guard_breaker_state 0",

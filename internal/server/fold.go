@@ -332,6 +332,9 @@ func (f *foldTable) rebuildLocked(st *testFold, testID string, entry *testEntry)
 // lazy state and Sessions.
 func eachStoredSession(coll *store.Collection, testID string, fn func(docID string, u *SessionUpload)) error {
 	for _, doc := range coll.FindEq("test_id", testID) {
+		if err, unreadable := doc["session"].(error); unreadable {
+			return fmt.Errorf("server: corrupt session %s: %w", doc.ID(), err)
+		}
 		raw, _ := doc["session"].(string)
 		var upload SessionUpload
 		b := []byte(raw)

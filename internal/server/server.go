@@ -189,33 +189,36 @@ func (s *Server) registerGauges() {
 		aggregator.TestsCollection, aggregator.PagesCollection, aggregator.ResponsesCollection,
 	} {
 		coll := s.db.Collection(name)
-		reg.RegisterGauge(fmt.Sprintf("kscope_store_index_hits{collection=%q}", name), func() float64 {
+		reg.RegisterGauge(fmt.Sprintf("kscope_store_index_hits_total{collection=%q}", name), func() float64 {
 			return float64(coll.Stats().IndexHits)
 		})
-		reg.RegisterGauge(fmt.Sprintf("kscope_store_scans{collection=%q}", name), func() float64 {
+		reg.RegisterGauge(fmt.Sprintf("kscope_store_scans_total{collection=%q}", name), func() float64 {
 			return float64(coll.Stats().Scans)
 		})
 	}
 	// Durability counters: how often the WAL recovered, compacted, and hit
 	// stable storage — the campaign operator's crash-safety dashboard.
 	db := s.db
-	reg.RegisterGauge("kscope_store_recovered_tails", func() float64 {
+	reg.RegisterGauge("kscope_store_recovered_tails_total", func() float64 {
 		return float64(db.DurabilityStats().RecoveredTails)
 	})
-	reg.RegisterGauge("kscope_store_quarantined_records", func() float64 {
+	reg.RegisterGauge("kscope_store_quarantined_records_total", func() float64 {
 		return float64(db.DurabilityStats().QuarantinedRecords)
 	})
-	reg.RegisterGauge("kscope_store_compactions", func() float64 {
+	reg.RegisterGauge("kscope_store_compactions_total", func() float64 {
 		return float64(db.DurabilityStats().Compactions)
 	})
-	reg.RegisterGauge("kscope_store_wal_appends", func() float64 {
+	reg.RegisterGauge("kscope_store_wal_appends_total", func() float64 {
 		return float64(db.DurabilityStats().WALAppends)
 	})
-	reg.RegisterGauge("kscope_store_fsyncs", func() float64 {
+	reg.RegisterGauge("kscope_store_fsyncs_total", func() float64 {
 		return float64(db.DurabilityStats().Fsyncs)
 	})
 	reg.RegisterGauge("kscope_store_fsync_seconds_total", func() float64 {
 		return float64(db.DurabilityStats().FsyncNanos) / 1e9
+	})
+	reg.RegisterGauge("kscope_store_cold_reads_total", func() float64 {
+		return float64(db.DurabilityStats().ColdReads)
 	})
 }
 
@@ -612,14 +615,8 @@ func (s *Server) handleTestDelete(w http.ResponseWriter, r *http.Request) {
 	fail := func(err error) { g.fail(w, fmt.Sprintf("deleting test %q", testID), err) }
 
 	tests := s.db.Collection(aggregator.TestsCollection)
-	hadDoc := false
-	if _, err := tests.Get(testID); err == nil {
-		hadDoc = true
-		if err := tests.Delete(testID); err != nil {
-			fail(err)
-			return
-		}
-	} else if !errors.Is(err, store.ErrNotFound) {
+	hadDoc := tests.Has(testID)
+	if err := tests.Delete(testID); err != nil {
 		fail(err)
 		return
 	}
@@ -627,8 +624,8 @@ func (s *Server) handleTestDelete(w http.ResponseWriter, r *http.Request) {
 	var swept [2]int // page documents, then sessions
 	for i, name := range []string{aggregator.PagesCollection, aggregator.ResponsesCollection} {
 		coll := s.db.Collection(name)
-		for _, doc := range coll.FindEq("test_id", testID) {
-			if err := coll.Delete(doc.ID()); err != nil {
+		for _, id := range coll.IDsEq("test_id", testID) {
+			if err := coll.Delete(id); err != nil {
 				fail(err)
 				return
 			}

@@ -49,15 +49,16 @@ func (c *Collection) InsertUniqueNoted(docs []Document, notes []any) (ids []stri
 	}
 
 	type accepted struct {
-		pos int
-		id  string
-		doc Document
+		pos  int
+		id   string
+		doc  Document
+		lits int // where its literals end in c.lits
 	}
 	batch := make([]accepted, 0, len(docs))
 	pending := make(map[string]bool, len(docs))
 
 	c.mu.Lock()
-	frames := c.frames[:0]
+	frames, lits := c.frames[:0], c.lits[:0]
 	for i, doc := range docs {
 		if doc == nil {
 			errs[i] = fmt.Errorf("store: nil document in batch (index %d)", i)
@@ -76,27 +77,35 @@ func (c *Collection) InsertUniqueNoted(docs []Document, notes []any) (ids []stri
 		}
 		if c.db.dir != "" {
 			var err error
-			if frames, err = appendRecord(frames, "put", id, doc); err != nil {
+			if frames, err = appendRecordLits(frames, "put", id, doc, &lits); err != nil {
 				errs[i] = fmt.Errorf("store: encoding WAL record: %w", err)
 				continue
 			}
 		}
 		pending[id] = true
-		batch = append(batch, accepted{pos: i, id: id, doc: doc})
+		batch = append(batch, accepted{pos: i, id: id, doc: doc, lits: len(lits)})
 	}
+	c.lits = lits
 	if len(batch) == 0 {
 		c.mu.Unlock()
 		return ids, errs
 	}
-	if err := c.appendFrames(frames, len(batch)); err != nil {
+	at, err := c.appendFrames(frames, len(batch))
+	if err != nil {
 		for _, a := range batch {
 			errs[a.pos] = err
 		}
 		c.mu.Unlock()
 		return ids, errs
 	}
+	readable := len(lits) > 0 && c.wal.readable()
+	from := 0
 	for _, a := range batch {
 		s := c.freeze(a.doc)
+		if readable {
+			c.chill(s, frames, lits[from:a.lits], at)
+		}
+		from = a.lits
 		c.docs[a.id] = s
 		c.addToIndexes(a.id, s)
 		ids[a.pos] = a.id

@@ -8,6 +8,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -172,6 +173,7 @@ type DB struct {
 	fsyncs         atomic.Int64
 	fsyncNanos     atomic.Int64
 	dirSyncs       atomic.Int64
+	coldReads      atomic.Int64
 }
 
 // OpenMemory returns a purely in-memory database.
@@ -236,7 +238,6 @@ func (db *DB) Close() {
 		c.mu.Lock()
 		if c.wal != nil {
 			_ = c.wal.close()
-			c.wal = nil
 		}
 		c.mu.Unlock()
 	}
@@ -264,7 +265,7 @@ func (db *DB) loadCollection(name string) (*Collection, error) {
 		return nil, fmt.Errorf("store: reading %s: %w", path, err)
 	}
 	rep := scanWAL(data)
-	if err := recoverWAL(db.opts.fs, path, rep); err != nil {
+	if err := recoverWAL(db.opts.fs, path, &rep); err != nil {
 		return nil, err
 	}
 	if len(rep.quarantined) > 0 {
@@ -277,10 +278,13 @@ func (db *DB) loadCollection(name string) (*Collection, error) {
 		db.recoveredTails.Add(1)
 	}
 	db.quarantined.Add(int64(len(rep.quarantined)))
-	for _, rec := range rep.records {
+	c.wal = &walFile{path: path, db: db, size: rep.size}
+	for i, rec := range rep.records {
 		switch rec.Op {
 		case "put":
-			c.docs[rec.ID] = c.freeze(rec.Doc)
+			s := c.freeze(rec.Doc)
+			c.chillReplayed(s, rec, rep.goodLines[i], rep.at[i])
+			c.docs[rec.ID] = s
 		case "del":
 			delete(c.docs, rec.ID)
 		}
@@ -290,6 +294,25 @@ func (db *DB) loadCollection(name string) (*Collection, error) {
 		}
 	}
 	return c, nil
+}
+
+// chillReplayed makes cold the values of s, a replayed put, when its line
+// (at file offset at) is the very line appendRecord writes for the record,
+// as every line the store wrote itself is: then the literals appendRecord
+// reports are where they sit in the file.
+func (c *Collection) chillReplayed(s stored, rec walRecord, line []byte, at int64) {
+	if !slices.ContainsFunc(s.vals, func(v any) bool {
+		str, ok := v.(string)
+		return ok && len(str) >= coldMin
+	}) {
+		return
+	}
+	lits := c.lits[:0]
+	frame, err := appendRecordLits(c.frames[:0], rec.Op, rec.ID, rec.Doc, &lits)
+	c.frames, c.lits = frame[:0], lits
+	if err == nil && len(lits) > 0 && bytes.Equal(frame[:len(frame)-1], line) && c.wal.readable() {
+		c.chill(s, frame, lits, at)
+	}
 }
 
 func (db *DB) collectionPath(name string) string {
@@ -324,28 +347,36 @@ type Collection struct {
 	indexes  map[string]*fieldIndex
 	onChange []func(op, id string, note any)
 
-	// wal is the persistent append handle (opened lazily); frames is the
-	// buffer a write's records are framed into, reused from write to write
-	// (the file and the shipper appendFrames hands it to both copy what they
-	// keep). Both guarded by mu.
+	// wal is the log file on a persistent database (nil until it has one);
+	// frames is the buffer a write's records are framed into, reused from
+	// write to write (the file and the shipper appendFrames hands it to both
+	// copy what they keep), and lits the literals found in them. All guarded
+	// by mu.
 	wal    *walFile
 	frames []byte
+	lits   []literal
 
 	indexHits atomic.Int64
 	scans     atomic.Int64
 }
 
 // appendWAL writes one record to the collection's log when the database is
-// persistent; a "del" passes the zero stored. Called with c.mu held.
+// persistent, and then makes the values of s that may go cold so; a "del"
+// passes the zero stored. Called with c.mu held.
 func (c *Collection) appendWAL(op, id string, s stored) error {
 	if c.db.dir == "" {
 		return nil
 	}
-	frames, err := appendRecord(c.frames[:0], op, id, s.view(id))
-	if err != nil {
+	lits := c.lits[:0]
+	frames, err := appendRecordLits(c.frames[:0], op, id, s.view(id), &lits)
+	if c.lits = lits; err != nil {
 		return fmt.Errorf("store: encoding WAL record: %w", err)
 	}
-	return c.appendFrames(frames, 1)
+	at, err := c.appendFrames(frames, 1)
+	if err == nil && len(lits) > 0 && c.wal.readable() {
+		c.chill(s, frames, lits, at)
+	}
+	return err
 }
 
 // appendFrames is the one write path to a collection's log: it lazily opens
@@ -362,37 +393,42 @@ func (c *Collection) appendWAL(op, id string, s stored) error {
 // told it happened. Called with c.mu held — that is what keeps the log,
 // the shipping order and the in-memory apply one sequence. frames is built
 // on c.frames and becomes it again, unless one outsized write grew it past
-// what is worth keeping for the next.
-func (c *Collection) appendFrames(frames []byte, n int) error {
+// what is worth keeping for the next. It returns the file offset the frames
+// were written at.
+func (c *Collection) appendFrames(frames []byte, n int) (int64, error) {
 	if c.db.dir == "" {
-		return nil
+		return 0, nil
 	}
 	c.frames = frames[:0]
 	if cap(frames) > maxKeptFrames {
 		c.frames = nil
 	}
 	if c.wal == nil {
-		f, err := c.db.opts.fs.OpenAppend(c.db.collectionPath(c.name))
+		c.wal = &walFile{path: c.db.collectionPath(c.name), db: c.db}
+	}
+	w := c.wal
+	if w.file == nil && !w.closed {
+		f, err := c.db.opts.fs.OpenAppend(w.path)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		if err := c.db.syncDir(); err != nil {
 			f.Close()
-			return err
+			return 0, err
 		}
-		c.wal = &walFile{file: f, db: c.db, lastSync: time.Now()}
+		w.file, w.lastSync = f, time.Now()
 	}
-	w := c.wal
-	if err := w.write(frames, n); err != nil {
-		return err
+	at, err := w.write(frames, n)
+	if err != nil {
+		return 0, err
 	}
 	due := w.syncDue()
 	s := c.db.shipper
 	if s == nil {
 		if due {
-			return w.sync()
+			return at, w.sync()
 		}
-		return nil
+		return at, nil
 	}
 	var synced chan error
 	if due {
@@ -404,13 +440,13 @@ func (c *Collection) appendFrames(frames []byte, n int) error {
 	shipErr := s.Ship(c.name, frames, n)
 	if due {
 		if err := <-synced; err != nil {
-			return err
+			return 0, err
 		}
 	}
 	if shipErr != nil {
-		return fmt.Errorf("store: replicating WAL append: %w", shipErr)
+		return 0, fmt.Errorf("store: replicating WAL append: %w", shipErr)
 	}
-	return nil
+	return at, nil
 }
 
 // syncDir fsyncs the store directory so file creations and renames inside
@@ -481,7 +517,11 @@ func (c *Collection) Get(id string) (Document, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s/%s", ErrNotFound, c.name, id)
 	}
-	return s.thaw(id), nil
+	doc, err := c.thaw(id, s)
+	if err != nil {
+		return nil, err
+	}
+	return doc, nil
 }
 
 // Find returns copies of all documents matching the predicate, sorted by
@@ -489,26 +529,27 @@ func (c *Collection) Get(id string) (Document, error) {
 // handed each document's fresh copy — the copy Find returns when it
 // matches — so writing to it changes nothing stored. Find always scans the
 // whole collection; equality lookups should use FindEq, which consults the
-// declared indexes. On a closed database Find returns nil.
+// declared indexes. A value that cannot be read back is its read's error in
+// the copy (see ErrColdRead). On a closed database Find returns nil.
 func (c *Collection) Find(pred func(Document) bool) []Document {
 	if c.db.isClosed() {
 		return nil
 	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	out := c.scanLocked(nil)
+	out := c.thawSorted(c.scanLocked(nil))
 	if pred != nil {
 		out = slices.DeleteFunc(out, func(d Document) bool { return !pred(d) })
 	}
 	return out
 }
 
-// scanLocked performs (and counts) one full-collection scan, returning
-// copies of the documents match accepts (every one for a nil match) sorted
-// by id; callers hold at least the read lock. The scan is counted here —
-// exactly once per logical operation — so FindEq/CountEq fallbacks and Find
-// agree on accounting.
-func (c *Collection) scanLocked(match func(id string, s stored) bool) []Document {
+// scanLocked performs (and counts) one full-collection scan, returning the
+// ids of the documents match accepts (every one for a nil match), unsorted;
+// callers hold at least the read lock. The scan is counted here — exactly
+// once per logical operation — so FindEq/CountEq fallbacks and Find agree on
+// accounting.
+func (c *Collection) scanLocked(match func(id string, s stored) bool) []string {
 	c.scans.Add(1)
 	ids := make([]string, 0, len(c.docs))
 	for id, s := range c.docs {
@@ -516,7 +557,7 @@ func (c *Collection) scanLocked(match func(id string, s stored) bool) []Document
 			ids = append(ids, id)
 		}
 	}
-	return c.thawSorted(ids)
+	return ids
 }
 
 // thawSorted sorts ids and returns copies of their documents in that order;
@@ -525,7 +566,7 @@ func (c *Collection) thawSorted(ids []string) []Document {
 	slices.Sort(ids)
 	out := make([]Document, len(ids))
 	for i, id := range ids {
-		out[i] = c.docs[id].thaw(id)
+		out[i], _ = c.thaw(id, c.docs[id])
 	}
 	return out
 }
@@ -533,14 +574,35 @@ func (c *Collection) thawSorted(ids []string) []Document {
 // FindEq returns documents whose field equals value, sorted by id. When the
 // field is indexed (EnsureIndex) this is a map lookup plus a copy of the
 // matching documents; otherwise it scans. Numeric values are compared after
-// JSON normalization (all numbers are float64). On a closed database FindEq
-// returns nil.
+// JSON normalization (all numbers are float64). A value that cannot be read
+// back is its read's error in the copy, as in Find. On a closed database
+// FindEq returns nil.
 func (c *Collection) FindEq(field string, value any) []Document {
 	if c.db.isClosed() {
 		return nil
 	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
+	return c.thawSorted(c.idsEqLocked(field, value))
+}
+
+// IDsEq returns the ids of the documents FindEq would return, in the same
+// order, without reading the documents: on an indexed field, the ids the
+// index holds. On a closed database IDsEq returns nil.
+func (c *Collection) IDsEq(field string, value any) []string {
+	if c.db.isClosed() {
+		return nil
+	}
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	ids := c.idsEqLocked(field, value)
+	slices.Sort(ids)
+	return ids
+}
+
+// idsEqLocked returns, unsorted, the ids of the documents whose field
+// equals value; callers hold at least the read lock.
+func (c *Collection) idsEqLocked(field string, value any) []string {
 	if ix, ok := c.indexes[field]; ok {
 		if key, comparable := indexKey(value); comparable {
 			set := ix.lookup(key)
@@ -549,13 +611,27 @@ func (c *Collection) FindEq(field string, value any) []Document {
 				ids = append(ids, id)
 			}
 			c.indexHits.Add(1)
-			return c.thawSorted(ids)
+			return ids
 		}
 	}
 	norm := normalizeValue(value)
 	return c.scanLocked(func(id string, s stored) bool {
-		return normalizeValue(s.get(id, field)) == norm
+		return normalizeValue(c.field(id, s, field)) == norm
 	})
+}
+
+// field returns a document's field as its thawed copy holds it; callers
+// hold at least the read lock.
+func (c *Collection) field(id string, s stored, name string) any {
+	v := s.get(id, name)
+	if ref, ok := v.(cold); ok {
+		str, err := c.readCold(ref)
+		if err != nil {
+			return err
+		}
+		return str
+	}
+	return v
 }
 
 // CountEq reports how many documents have field equal to value. On an
@@ -579,7 +655,7 @@ func (c *Collection) CountEq(field string, value any) int {
 	norm := normalizeValue(value)
 	n := 0
 	for id, s := range c.docs {
-		if normalizeValue(s.get(id, field)) == norm {
+		if normalizeValue(c.field(id, s, field)) == norm {
 			n++
 		}
 	}
@@ -647,6 +723,15 @@ func (c *Collection) Delete(id string) error {
 	c.mu.Unlock()
 	c.notify(fns, OpDelete, id, nil)
 	return nil
+}
+
+// Has reports whether a document with the given id exists, without reading
+// it.
+func (c *Collection) Has(id string) bool {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	_, ok := c.docs[id]
+	return ok
 }
 
 // Count returns the number of documents in the collection.

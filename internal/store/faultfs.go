@@ -16,8 +16,10 @@ var ErrNoSpace = syscall.ENOSPC
 // acknowledged write survives a reopen, and a torn tail never prevents the
 // store from opening.
 //
-// Reads, renames, and truncates pass through untouched — recovery itself
-// runs on a healthy disk.
+// Positioned reads (OpenRead handles, the path cold values come back by)
+// can be made to fail or to return a flipped byte; whole-file reads,
+// renames, and truncates pass through untouched — recovery itself runs on a
+// healthy disk.
 type FaultFS struct {
 	// Inner is the wrapped FileSystem (OSFileSystem when nil).
 	Inner FileSystem
@@ -31,6 +33,9 @@ type FaultFS struct {
 
 	dirSyncErr error // injected SyncDir failure (nil = pass through)
 	dirSyncs   int64
+
+	readErr error // injected ReadAt failure (nil = pass through)
+	flip    bool  // ReadAt returns its middle byte flipped
 }
 
 // NewFaultFS returns a FaultFS over the real disk with no fault armed.
@@ -73,6 +78,25 @@ func (f *FaultFS) DirSyncs() int64 {
 	return f.dirSyncs
 }
 
+// FailReads arms positioned-read failures: every ReadAt on an OpenRead
+// handle fails with err (an I/O error when nil) until Reset.
+func (f *FaultFS) FailReads(err error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if err == nil {
+		err = syscall.EIO
+	}
+	f.readErr = err
+}
+
+// FlipReads makes every ReadAt on an OpenRead handle succeed with one bit of
+// its middle byte flipped, as a bad sector would, until Reset.
+func (f *FaultFS) FlipReads() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.flip = true
+}
+
 // Reset disarms the fault (the disk "recovers").
 func (f *FaultFS) Reset() {
 	f.mu.Lock()
@@ -80,6 +104,7 @@ func (f *FaultFS) Reset() {
 	f.limit = -1
 	f.written, f.tripped = 0, false
 	f.dirSyncErr = nil
+	f.readErr, f.flip = nil, false
 }
 
 // Tripped reports whether an injected fault has fired.
@@ -118,6 +143,38 @@ func (f *FaultFS) SyncDir(dir string) error {
 		return err
 	}
 	return f.inner().SyncDir(dir)
+}
+
+func (f *FaultFS) OpenRead(path string) (ReadAtFile, error) {
+	r, err := f.inner().OpenRead(path)
+	if err != nil {
+		return nil, err
+	}
+	return &faultReader{ReadAtFile: r, fs: f}, nil
+}
+
+// faultReader applies the FaultFS read faults to one read handle.
+type faultReader struct {
+	ReadAtFile
+	fs *FaultFS
+}
+
+func (r *faultReader) ReadAt(p []byte, off int64) (int, error) {
+	f := r.fs
+	f.mu.Lock()
+	err, flip := f.readErr, f.flip
+	if err != nil || flip {
+		f.tripped = true
+	}
+	f.mu.Unlock()
+	if err != nil {
+		return 0, err
+	}
+	n, err := r.ReadAtFile.ReadAt(p, off)
+	if flip && n > 0 {
+		p[n/2] ^= 1
+	}
+	return n, err
 }
 
 func (f *FaultFS) OpenAppend(path string) (WALFile, error) {

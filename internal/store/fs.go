@@ -24,6 +24,9 @@ type FileSystem interface {
 	Truncate(path string, size int64) error
 	// OpenAppend opens path for appending, creating it if needed.
 	OpenAppend(path string) (WALFile, error)
+	// OpenRead opens path for positioned reads: the handle a collection
+	// reads its cold values back through (see stored.go).
+	OpenRead(path string) (ReadAtFile, error)
 	// SyncDir fsyncs a directory. Syncing a file's data does not persist
 	// its *name* — the directory entry lives in the parent and needs its
 	// own fsync — so WAL creation, rotation, and snapshot renames are not
@@ -36,6 +39,13 @@ type WALFile interface {
 	io.Writer
 	// Sync flushes written data to stable storage.
 	Sync() error
+	Close() error
+}
+
+// ReadAtFile is a read-only file handle. ReadAt may be called from several
+// goroutines at once.
+type ReadAtFile interface {
+	io.ReaderAt
 	Close() error
 }
 
@@ -71,6 +81,8 @@ func (OSFileSystem) OpenAppend(path string) (WALFile, error) {
 	}
 	return f, nil
 }
+
+func (OSFileSystem) OpenRead(path string) (ReadAtFile, error) { return os.Open(path) }
 
 func (OSFileSystem) SyncDir(dir string) error {
 	d, err := os.Open(dir)

@@ -89,6 +89,15 @@ func (c *Collection) EnsureIndex(field string) {
 	}
 	ix := &fieldIndex{field: field, ids: make(map[any]*idSet)}
 	for id, s := range c.docs {
+		// No value an index keys on stays cold: read it back. One that
+		// cannot be read stays cold and unindexed, as no lookup can match it.
+		if i, ok := slices.BinarySearch(s.shape.keys, field); ok {
+			if ref, isCold := s.vals[i].(cold); isCold {
+				if str, err := c.readCold(ref); err == nil {
+					s.vals[i] = str
+				}
+			}
+		}
 		ix.add(id, s)
 	}
 	c.indexes[field] = ix

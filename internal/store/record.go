@@ -9,6 +9,7 @@ import (
 	"math"
 	"slices"
 	"strconv"
+	"unicode/utf8"
 
 	"kaleidoscope/internal/jsonscan"
 )
@@ -28,18 +29,41 @@ const maxNesting = 64
 // written directly; any other value, or a number JSON cannot carry, sends the
 // record through json.Marshal, so it is the same bytes or the same error.
 func appendRecord(dst []byte, op, id string, doc Document) ([]byte, error) {
+	return appendRecordLits(dst, op, id, doc, nil)
+}
+
+// literal locates, in the buffer appendRecordLits wrote to, the JSON literal
+// of a top-level document value that may go cold: a string of at least
+// coldMin bytes whose literal decodes back to it byte for byte, so valid
+// UTF-8 (json.Marshal writes an invalid byte as U+FFFD).
+type literal struct {
+	key        string
+	start, end int
+}
+
+// appendRecordLits is appendRecord that also appends to *lits (unless lits
+// is nil) where each such value's literal sits in dst — none when
+// json.Marshal writes the record.
+func appendRecordLits(dst []byte, op, id string, doc Document, lits *[]literal) ([]byte, error) {
 	start := len(dst)
+	var found int
+	if lits != nil {
+		found = len(*lits)
+	}
 	dst = append(dst, frameMagic+" 00000000 "...)
 	body := len(dst)
 	dst = jsonscan.AppendString(append(dst, `{"op":`...), op)
 	dst = jsonscan.AppendString(append(dst, `,"id":`...), id)
 	plain := true
 	if len(doc) > 0 { // walRecord.Doc is omitempty
-		dst, plain = appendObject(append(dst, `,"doc":`...), doc, 1)
+		dst, plain = appendObject(append(dst, `,"doc":`...), doc, 1, lits)
 	}
 	if plain {
 		dst = append(dst, '}')
 	} else {
+		if lits != nil {
+			*lits = (*lits)[:found]
+		}
 		payload, err := json.Marshal(walRecord{Op: op, ID: id, Doc: doc})
 		if err != nil {
 			return dst[:start], err
@@ -72,9 +96,9 @@ func appendValue(dst []byte, v any, depth int) (_ []byte, ok bool) {
 	case string:
 		return jsonscan.AppendString(dst, x), true
 	case map[string]any:
-		return appendObject(dst, x, depth)
+		return appendObject(dst, x, depth, nil)
 	case Document:
-		return appendObject(dst, x, depth)
+		return appendObject(dst, x, depth, nil)
 	case []any:
 		if x == nil {
 			return append(dst, "null"...), true
@@ -97,8 +121,10 @@ func appendValue(dst []byte, v any, depth int) (_ []byte, ok bool) {
 	}
 }
 
-// appendObject appends m with its keys in byte order, as json.Marshal does.
-func appendObject(dst []byte, m map[string]any, depth int) (_ []byte, ok bool) {
+// appendObject appends m with its keys in byte order, as json.Marshal does,
+// and to *lits (when lits is not nil) the literal of each of its values that
+// may go cold.
+func appendObject(dst []byte, m map[string]any, depth int, lits *[]literal) (_ []byte, ok bool) {
 	if m == nil {
 		return append(dst, "null"...), true
 	}
@@ -117,6 +143,12 @@ func appendObject(dst []byte, m map[string]any, depth int) (_ []byte, ok bool) {
 			dst = append(dst, ',')
 		}
 		dst = append(jsonscan.AppendString(dst, k), ':')
+		if s, str := m[k].(string); lits != nil && str && len(s) >= coldMin && utf8.ValidString(s) {
+			at := len(dst)
+			dst = jsonscan.AppendString(dst, s)
+			*lits = append(*lits, literal{k, at, len(dst)})
+			continue
+		}
 		if dst, ok = appendValue(dst, m[k], depth+1); !ok {
 			return dst, false
 		}

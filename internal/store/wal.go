@@ -2,11 +2,13 @@ package store
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -78,8 +80,10 @@ func parseWALLine(line []byte) (walRecord, lineClass) {
 type walReplay struct {
 	records     []walRecord
 	goodLines   [][]byte // verbatim good lines, for rewrites
+	at          []int64  // the file offset of each good line
 	quarantined [][]byte // semantically bad or mid-file-corrupt lines
 	truncateAt  int64    // byte offset of a torn final record; -1 = none
+	size        int64    // the file's length
 }
 
 // scanWAL classifies every line of a WAL file. Structural damage on the
@@ -89,7 +93,7 @@ type walReplay struct {
 // torn tail is by definition unacknowledged, and quarantining only removes
 // records that could never have been applied.
 func scanWAL(data []byte) walReplay {
-	rep := walReplay{truncateAt: -1}
+	rep := walReplay{truncateAt: -1, size: int64(len(data))}
 	type rawLine struct {
 		start int64
 		text  []byte
@@ -118,6 +122,7 @@ func scanWAL(data []byte) walReplay {
 		case lineOK:
 			rep.records = append(rep.records, rec)
 			rep.goodLines = append(rep.goodLines, ln.text)
+			rep.at = append(rep.at, ln.start)
 		case lineTorn:
 			if i == len(lines)-1 {
 				// The interrupted final append: cut it off.
@@ -135,7 +140,8 @@ func scanWAL(data []byte) walReplay {
 // recoverWAL applies a replay's repairs to the on-disk file: truncate a
 // torn tail in place, or — when records were quarantined — append them to
 // the .corrupt sidecar and atomically rewrite the WAL from the good lines.
-func recoverWAL(fs FileSystem, path string, rep walReplay) error {
+// It leaves rep's offsets and size those of the repaired file.
+func recoverWAL(fs FileSystem, path string, rep *walReplay) error {
 	if len(rep.quarantined) > 0 {
 		side, err := fs.OpenAppend(path + corruptSuffix)
 		if err != nil {
@@ -151,7 +157,8 @@ func recoverWAL(fs FileSystem, path string, rep walReplay) error {
 			return err
 		}
 		var buf bytes.Buffer
-		for _, ln := range rep.goodLines {
+		for i, ln := range rep.goodLines {
+			rep.at[i] = int64(buf.Len())
 			buf.Write(ln)
 			buf.WriteByte('\n')
 		}
@@ -162,12 +169,14 @@ func recoverWAL(fs FileSystem, path string, rep walReplay) error {
 		if err := fs.Rename(tmp, path); err != nil {
 			return fmt.Errorf("store: swapping rewritten %s: %w", path, err)
 		}
+		rep.size = int64(buf.Len())
 		return nil
 	}
 	if rep.truncateAt >= 0 {
 		if err := fs.Truncate(path, rep.truncateAt); err != nil {
 			return fmt.Errorf("store: truncating torn tail of %s: %w", path, err)
 		}
+		rep.size = rep.truncateAt
 	}
 	return nil
 }
@@ -199,13 +208,21 @@ const (
 	SyncNever
 )
 
-// walFile is a collection's persistent append handle. All methods are
+// walFile is a collection's log file on a persistent database: its append
+// handle, opened by the first append, its read handle for cold values,
+// opened by the first value to go cold, and its length. All methods are
 // called with the owning collection's lock held.
 type walFile struct {
-	file     WALFile
+	path     string
 	db       *DB
+	file     WALFile
+	reader   ReadAtFile
 	lastSync time.Time
 	closed   bool
+	// size is the file's length: what replay left or Compact wrote, plus
+	// every byte a write has put in it since — a failed write's fragment and
+	// the newline after it included — so it is where the next write lands.
+	size int64
 	// failed is set by a failed Write, which may have left part of a line at
 	// the end of the file: the next write then starts on a new line, so the
 	// fragment is quarantined alone instead of taking an acknowledged record
@@ -215,25 +232,41 @@ type walFile struct {
 
 // write appends n pre-framed records in one Write — the group-commit
 // primitive behind every append (singles are a group of one) and
-// Collection.InsertUniqueBatch. Making them durable is a separate step
-// (syncDue, sync) so that a replicated collection can run it while the
-// frames are on their way to the follower.
-func (w *walFile) write(frames []byte, n int) error {
+// Collection.InsertUniqueBatch — and returns the file offset they start
+// at. Making them durable is a separate step (syncDue, sync) so that a
+// replicated collection can run it while the frames are on their way to the
+// follower.
+func (w *walFile) write(frames []byte, n int) (int64, error) {
 	if w.closed {
-		return ErrClosed
+		return 0, ErrClosed
 	}
 	if w.failed {
-		if _, err := w.file.Write([]byte{'\n'}); err != nil {
-			return fmt.Errorf("store: appending WAL batch: %w", err)
+		nl, err := w.file.Write([]byte{'\n'})
+		w.size += int64(nl)
+		if err != nil {
+			return 0, fmt.Errorf("store: appending WAL batch: %w", err)
 		}
 	}
-	if _, err := w.file.Write(frames); err != nil {
+	at := w.size
+	written, err := w.file.Write(frames)
+	w.size += int64(written)
+	if err != nil {
 		w.failed = true
-		return fmt.Errorf("store: appending WAL batch: %w", err)
+		return 0, fmt.Errorf("store: appending WAL batch: %w", err)
 	}
 	w.failed = false
 	w.db.walAppends.Add(int64(n))
-	return nil
+	return at, nil
+}
+
+// readable reports whether the read handle is open, opening it if not. A
+// handle that will not open costs no correctness: values stay hot until a
+// later write finds it open.
+func (w *walFile) readable() bool {
+	if w.reader == nil && !w.closed {
+		w.reader, _ = w.db.opts.fs.OpenRead(w.path)
+	}
+	return w.reader != nil
 }
 
 // syncDue reports whether the sync policy demands an fsync for the group
@@ -264,27 +297,40 @@ func (w *walFile) sync() error {
 	return nil
 }
 
-// close flushes (except under SyncNever) and closes the handle.
+// close flushes (except under SyncNever) and closes both handles.
 func (w *walFile) close() error {
 	if w.closed {
 		return nil
 	}
 	w.closed = true
+	if w.reader != nil {
+		w.reader.Close()
+		w.reader = nil
+	}
+	return w.closeAppend()
+}
+
+// closeAppend flushes (except under SyncNever) and closes the append
+// handle; the next write opens it again.
+func (w *walFile) closeAppend() error {
+	if w.file == nil {
+		return nil
+	}
 	var syncErr error
 	if w.db.opts.policy != SyncNever {
 		syncErr = w.sync()
 	}
-	if err := w.file.Close(); err != nil {
-		return err
-	}
-	return syncErr
+	err := w.file.Close()
+	w.file = nil
+	return cmp.Or(err, syncErr)
 }
 
 // Compact rewrites the collection's WAL as a snapshot of the live
 // documents: one framed put per document, written to a temp file, synced,
 // and atomically renamed over the log. Overwrite- and delete-heavy
 // collections otherwise grow without bound; a days-long deployment compacts
-// them periodically.
+// them periodically. Cold values are read back to be written, and point into
+// the snapshot once the rename has made it the log.
 func (c *Collection) Compact() error {
 	if c.db.isClosed() {
 		return ErrClosed
@@ -300,11 +346,21 @@ func (c *Collection) Compact() error {
 	}
 	sort.Strings(ids)
 	var buf []byte
-	for _, id := range ids {
-		var err error
-		if buf, err = appendRecord(buf, "put", id, c.docs[id].view(id)); err != nil {
+	next := make([]stored, len(ids))
+	for i, id := range ids {
+		s, err := c.hot(c.docs[id])
+		if err != nil {
+			return fmt.Errorf("store: compacting %s/%s: %w", c.name, id, err)
+		}
+		lits := c.lits[:0]
+		if buf, err = appendRecordLits(buf, "put", id, s.view(id), &lits); err != nil {
 			return fmt.Errorf("store: encoding snapshot record %s: %w", id, err)
 		}
+		if c.lits = lits; len(lits) > 0 {
+			s.vals = slices.Clone(s.vals) // the live document stays as it is until the rename
+			c.chill(s, buf, lits, 0)
+		}
+		next[i] = s
 	}
 	path := c.db.collectionPath(c.name)
 	tmp := path + ".compact.tmp"
@@ -312,16 +368,31 @@ func (c *Collection) Compact() error {
 	if err := fs.WriteFile(tmp, buf); err != nil {
 		return fmt.Errorf("store: writing snapshot %s: %w", tmp, err)
 	}
-	// Close the old handle first: after the rename it would point at the
-	// replaced inode and appends would vanish.
-	if c.wal != nil {
-		if err := c.wal.close(); err != nil {
+	// The snapshot's read handle, open before the rename makes it the log.
+	reader, err := fs.OpenRead(tmp)
+	if err != nil {
+		return fmt.Errorf("store: opening snapshot %s: %w", tmp, err)
+	}
+	// Close the old append handle first: after the rename it would point at
+	// the replaced inode and appends would vanish. Its read handle serves
+	// until the rename succeeds.
+	old := c.wal
+	if old != nil {
+		if err := old.closeAppend(); err != nil {
+			reader.Close()
 			return err
 		}
-		c.wal = nil
 	}
 	if err := fs.Rename(tmp, path); err != nil {
+		reader.Close()
 		return fmt.Errorf("store: swapping snapshot %s: %w", path, err)
+	}
+	if old != nil && old.reader != nil {
+		old.reader.Close()
+	}
+	c.wal = &walFile{path: path, db: c.db, reader: reader, size: int64(len(buf))}
+	for i, id := range ids {
+		c.docs[id] = next[i]
 	}
 	if err := c.db.syncDir(); err != nil {
 		return err
@@ -348,6 +419,8 @@ type DurabilityStats struct {
 	// DirSyncs counts directory fsyncs (WAL creation, rotation, snapshot
 	// and recovery renames).
 	DirSyncs int64
+	// ColdReads counts values read back from a WAL (see stored.go).
+	ColdReads int64
 }
 
 // DurabilityStats returns the database's durability counters.
@@ -360,6 +433,7 @@ func (db *DB) DurabilityStats() DurabilityStats {
 		Fsyncs:             db.fsyncs.Load(),
 		FsyncNanos:         db.fsyncNanos.Load(),
 		DirSyncs:           db.dirSyncs.Load(),
+		ColdReads:          db.coldReads.Load(),
 	}
 }
 
