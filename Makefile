@@ -29,7 +29,8 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
 # Fault-injection suite: crash-recovery under injected filesystem faults,
-# cold values read back under failed and corrupted reads, chaos-transport
+# cold values read back under failed and corrupted reads, a standby's
+# snapshot install cut short by a full disk, chaos-transport
 # end-to-end flows, graceful-drain shutdown, every
 # testbed topology's audit, a crowd retrying through chaos, the campaign's node, pair and fleet rows, and
 # the paper's plain and sorted study on a node, a pair and a chaotic fleet
@@ -41,8 +42,9 @@ bench:
 # the command that replays it.
 MODEL_RUNS ?= 40
 chaos:
-	$(GO) test -count=3 -run 'Chaos|Crash|Fault|Torn|Quarantin|Recover|ENOSPC|Drain|Retr|Compact|SyncPolic|Cold' \
+	$(GO) test -count=3 -run 'Chaos|Crash|Fault|Torn|Quarantin|Recover|ENOSPC|Drain|Retr|SyncPolic|Cold' \
 		./internal/store/ ./internal/netsim/ ./internal/failover/ ./internal/extension/ ./cmd/kscope-server/
+	$(GO) test -count=3 -run '^TestSnapshotFaultKeepsStandbyLog$$' ./internal/replica/
 	$(GO) test -count=3 -run 'TestEveryTopologyPassesItsAudit|TestAuditCatches|TestCrowdRetriesThroughChaos' ./internal/testbed/
 	$(GO) test -count=3 -run '^TestCampaignLifecycle$$' ./internal/campaign/
 	$(GO) test -count=3 -run '^TestStudyOnEveryTopology$$' ./internal/core/

@@ -72,7 +72,6 @@ func run(args []string) error {
 	fs.StringVar(&cfg.ReplicateTo, "replicate-to", "", "warm-standby URL to stream the WAL to (makes this node the primary)")
 	fs.StringVar(&cfg.ReplicaOf, "replica-of", "", "primary URL this node stands by for (runs the /repl/* surface only; SIGUSR1 promotes)")
 	fs.Uint64Var(&cfg.Epoch, "epoch", 1, "replication epoch this primary serves in (a promoted standby starts past its predecessor)")
-	fs.StringVar(&cfg.AckMode, "repl-ack", "follower", "replication ack mode: follower (acknowledge uploads only after the standby applied them) or local")
 	fs.Uint64Var(&cfg.MaxLag, "repl-max-lag", 0, "report not-ready on /readyz when the standby trails more than this many frames (0 disables)")
 	fs.Float64Var(&cfg.EarlyStopAlpha, "earlystop-alpha", 0, "adaptive sequential early stopping: family-wise false-stop probability to certify; decided tests stop accepting sessions (0 disables)")
 	if err := fs.Parse(args); err != nil {

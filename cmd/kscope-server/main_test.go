@@ -115,7 +115,6 @@ func TestBuildServerServesPreparedStore(t *testing.T) {
 		"kscope_store_index_hits_total",
 		"kscope_store_recovered_tails_total 0",
 		"kscope_store_quarantined_records_total 0",
-		"kscope_store_compactions_total 0",
 		"kscope_store_wal_appends_total",
 		"kscope_store_fsyncs_total",
 		"kscope_store_fsync_seconds_total",

@@ -347,15 +347,26 @@ func TestRunSortedStudy(t *testing.T) {
 	// served ?quality=1 keeps exactly the workers the paper's battery
 	// without its completeness rule keeps; requiring every pair would drop
 	// the whole crowd.
-	battery := quality.DefaultConfig(0)
-	want, err := bed.Node(0).Serving().Server.Conclude(study.Params.TestID, &battery)
+	stored, err := bed.Node(0).Serving().Server.Sessions(study.Params.TestID)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sessions := make([]quality.WorkerSession, len(stored))
+	for i, u := range stored {
+		sessions[i] = quality.WorkerSession{WorkerID: u.WorkerID, Responses: u.Responses, Behaviors: u.Behaviors, Controls: u.Controls}
+	}
+	kept, dropped, _, err := quality.Filter(sessions, quality.DefaultConfig(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, k := range kept {
+		want = append(want, k.WorkerID)
+	}
 	got := outcome.Filtered
-	if got.Workers != 7 || got.DroppedWorkers != 1 || !reflect.DeepEqual(got.KeptWorkers, want.KeptWorkers) {
+	if got.Workers != 7 || got.DroppedWorkers != 1 || !reflect.DeepEqual(got.KeptWorkers, want) {
 		t.Errorf("served ?quality=1 kept %v (%d dropped), the battery keeps %v (%d dropped); want 7 kept",
-			got.KeptWorkers, got.DroppedWorkers, want.KeptWorkers, want.DroppedWorkers)
+			got.KeptWorkers, got.DroppedWorkers, want, len(dropped))
 	}
 }
 

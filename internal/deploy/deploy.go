@@ -45,7 +45,6 @@ type Config struct {
 	ReplicateTo    string        // -replicate-to: standby URL; makes this node the primary
 	ReplicaOf      string        // -replica-of: primary URL; makes this node the warm standby
 	Epoch          uint64        // -epoch: the term a primary mints frames in
-	AckMode        string        // -repl-ack: "follower" or "local" (read on a primary only)
 	MaxLag         uint64        // -repl-max-lag: /readyz not-ready past this many unacked frames
 	Guard          *guard.Config // -max-inflight/-rate/-burst; nil serves unguarded
 	EarlyStopAlpha float64       // -earlystop-alpha; 0 runs no sequential engine
@@ -79,11 +78,6 @@ func (c Config) Validate() error {
 	}
 	if c.ReplicateTo != "" && c.ReplicaOf != "" {
 		return errors.New("-replicate-to and -replica-of are mutually exclusive: a node is either the primary or the warm standby")
-	}
-	if c.ReplicateTo != "" {
-		if _, err := replica.ParseAckMode(c.AckMode); err != nil {
-			return err
-		}
 	}
 	replicated := c.ReplicateTo != "" || c.ReplicaOf != ""
 	if len(c.Shards) > 0 {
@@ -194,15 +188,13 @@ func (d *Deployment) openNode() error {
 	var err error
 	switch {
 	case d.cfg.ReplicateTo != "":
-		mode, _ := replica.ParseAckMode(d.cfg.AckMode) // Validate parsed it
-		var link http.RoundTripper                     // nil: http.DefaultTransport
+		var link http.RoundTripper // nil: http.DefaultTransport
 		if d.cfg.Link != nil {
 			link = d.cfg.Link(d.cfg.ReplicateTo)
 		}
 		d.Primary, err = replica.NewPrimary(replica.PrimaryConfig{
 			FollowerURL:   d.cfg.ReplicateTo,
 			Epoch:         d.cfg.Epoch,
-			Mode:          mode,
 			Transport:     link,
 			ShipTimeout:   d.cfg.ShipTimeout,
 			RetryInterval: d.cfg.RetryInterval,

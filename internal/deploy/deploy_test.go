@@ -29,23 +29,20 @@ func TestValidate(t *testing.T) {
 	}{
 		{"plain node", Config{Store: "/s"}, ""},
 		{"plain node over an open store", Config{DB: store.OpenMemory()}, ""},
-		{"primary", Config{Store: "/s", ReplicateTo: "http://b:2", AckMode: "follower"}, ""},
-		{"primary, local acks", Config{Store: "/s", ReplicateTo: "http://b:2", AckMode: "local"}, ""},
+		{"primary", Config{Store: "/s", ReplicateTo: "http://b:2"}, ""},
 		{"standby", Config{Store: "/s", ReplicaOf: "http://a:1"}, ""},
 		{"router", Config{Shards: router, Guard: &guard.Config{MaxInflight: 64}}, ""},
 		{"engine on a node", Config{Store: "/s", EarlyStopAlpha: 0.05}, ""},
-		{"ack mode only matters on a primary", Config{Store: "/s", AckMode: "bogus"}, ""},
 
 		{"no store", Config{}, "-store is required"},
 		{"standby without a store", Config{ReplicaOf: "http://a:1"}, "-store is required"},
-		{"primary and standby at once", Config{Store: "/s", ReplicateTo: "http://b:2", ReplicaOf: "http://a:1", AckMode: "follower"}, "mutually exclusive"},
-		{"primary with a bogus ack mode", Config{Store: "/s", ReplicateTo: "http://b:2", AckMode: "bogus"}, "ack mode"},
+		{"primary and standby at once", Config{Store: "/s", ReplicateTo: "http://b:2", ReplicaOf: "http://a:1"}, "mutually exclusive"},
 		{"alpha above 1", Config{Store: "/s", EarlyStopAlpha: 1.5}, "need 0 < alpha < 1"},
 		{"alpha below 0", Config{Store: "/s", EarlyStopAlpha: -0.1}, "need 0 < alpha < 1"},
-		{"replicated over a handed-in store", Config{DB: store.OpenMemory(), ReplicateTo: "http://b:2", AckMode: "follower"}, "opens its own store"},
+		{"replicated over a handed-in store", Config{DB: store.OpenMemory(), ReplicateTo: "http://b:2"}, "opens its own store"},
 		{"router with a store", Config{Shards: router, Store: "/s"}, "-shards and -store"},
 		{"router with an open store", Config{Shards: router, DB: store.OpenMemory()}, "-shards and -store"},
-		{"router that replicates", Config{Shards: router, ReplicateTo: "http://b:2", AckMode: "follower"}, "-shards and -replicate-to"},
+		{"router that replicates", Config{Shards: router, ReplicateTo: "http://b:2"}, "-shards and -replicate-to"},
 		{"router that stands by", Config{Shards: router, ReplicaOf: "http://b:2"}, "-shards and -replicate-to"},
 		{"router with an engine", Config{Shards: router, EarlyStopAlpha: 0.05}, "-shards and -earlystop-alpha"},
 	}
@@ -126,7 +123,7 @@ func startPair(t *testing.T) (primary, standby *Deployment, standbyDir string) {
 	}
 	ts := httptest.NewServer(standby)
 	t.Cleanup(ts.Close)
-	primary, err = Open(Config{Store: prepared(t), ReplicateTo: ts.URL, Epoch: 1, AckMode: "follower",
+	primary, err = Open(Config{Store: prepared(t), ReplicateTo: ts.URL, Epoch: 1,
 		RetryInterval: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)

@@ -378,10 +378,19 @@ func (f *Follower) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Replace our logs with the primary's files wholesale. Open handles
-	// would keep appending to replaced inodes; drop them first.
+	// would keep appending to replaced inodes; drop them first. Each
+	// section goes to a temp file renamed over the log, so a write that
+	// fails part-way leaves the log it would have replaced as it was; the
+	// temp name does not end in .jsonl, so Open ignores a leftover one.
 	f.closeWALsLocked()
 	for name, wal := range sections {
-		if err := f.fs.WriteFile(store.WALPath(f.dir, name), wal); err != nil {
+		path := store.WALPath(f.dir, name)
+		tmp := path + ".snap.tmp"
+		err := f.fs.WriteFile(tmp, wal)
+		if err == nil {
+			err = f.fs.Rename(tmp, path)
+		}
+		if err != nil {
 			if f.applyErrors != nil {
 				f.applyErrors.Inc()
 			}

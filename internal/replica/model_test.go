@@ -265,7 +265,6 @@ func (w *modelWorld) openPrimary() {
 	p, err := NewPrimary(PrimaryConfig{
 		FollowerURL:   w.standbyURL,
 		Epoch:         1,
-		Mode:          AckFollower,
 		Transport:     w.link,
 		ShipTimeout:   40 * time.Millisecond,
 		RetryInterval: time.Millisecond,

@@ -62,13 +62,15 @@ type PrimaryConfig struct {
 	FollowerURL string
 	// Epoch is the term this primary mints frames in.
 	Epoch uint64
-	// Mode selects the acknowledgement policy (AckLocal default).
+	// Mode is ignored: every write waits for the follower.
+	//
+	// Deprecated: leave it unset.
 	Mode AckMode
 	// Transport lets tests route the replication link through
 	// netsim.ChaosTransport (http.DefaultTransport when nil).
 	Transport http.RoundTripper
-	// ShipTimeout bounds an AckFollower write's wait for a healthy stream
-	// plus the send itself (DefaultShipTimeout when zero).
+	// ShipTimeout bounds a write's wait for a healthy stream plus the send
+	// itself (DefaultShipTimeout when zero).
 	ShipTimeout time.Duration
 	// MaxBuffer caps buffered unacked frames; overflow drops the oldest
 	// and forces the follower through snapshot catch-up
@@ -109,8 +111,8 @@ type Primary struct {
 	lastErr  error
 
 	// sendMu serializes frame POSTs, which is also what turns concurrent
-	// AckFollower writers into a natural group commit: the first sender
-	// ships everything pending, the rest find their seq already acked.
+	// writers into a natural group commit: the first sender ships
+	// everything pending, the rest find their seq already acked.
 	sendMu sync.Mutex
 
 	kickCh   chan struct{}
@@ -194,9 +196,6 @@ func (p *Primary) Bind(db *store.DB) {
 // Epoch returns the term this primary mints frames in.
 func (p *Primary) Epoch() uint64 { return p.cfg.Epoch }
 
-// Mode returns the acknowledgement policy.
-func (p *Primary) Mode() AckMode { return p.cfg.Mode }
-
 // Fenced reports whether the follower has deposed this primary.
 func (p *Primary) Fenced() bool {
 	p.mu.Lock()
@@ -232,9 +231,8 @@ func (p *Primary) Close() {
 // lock held, once the frames are in the local WAL file and while the store
 // fsyncs them (the store joins the two before it acknowledges): it stamps
 // each framed line with the epoch and the next sequence numbers, buffers
-// the rendered outer lines, and — under AckFollower — synchronously drives
-// them to the follower, failing the write if the follower cannot be reached
-// in time.
+// the rendered outer lines, and synchronously drives them to the follower,
+// failing the write if the follower cannot be reached in time.
 func (p *Primary) Ship(collection string, frames []byte, records int) error {
 	p.mu.Lock()
 	if p.state == stateFenced {
@@ -266,12 +264,7 @@ func (p *Primary) Ship(collection string, frames []byte, records int) error {
 		p.bufBytes += int64(len(batch.lines))
 	}
 	p.trimOverflowLocked()
-	mode := p.cfg.Mode
 	p.mu.Unlock()
-	if mode == AckLocal {
-		p.kick()
-		return nil
-	}
 	return p.shipSync(last)
 }
 
@@ -325,16 +318,12 @@ func (p *Primary) shipSync(last uint64) error {
 }
 
 // Barrier blocks until every sequence number assigned so far is
-// follower-acked (AckFollower only; AckLocal promises nothing beyond local
-// durability and returns immediately). The server uses it before answering
-// 409 to a duplicate upload: a record can sit in the local store with its
-// replication still unconfirmed — its Ship failed after the local append —
-// and acknowledging the duplicate without this barrier would mint an ack
-// the follower cannot honor after a failover.
+// follower-acked. The server uses it before answering 409 to a duplicate
+// upload: a record can sit in the local store with its replication still
+// unconfirmed — its Ship failed after the local append — and acknowledging
+// the duplicate without this barrier would mint an ack the follower cannot
+// honor after a failover.
 func (p *Primary) Barrier() error {
-	if p.cfg.Mode != AckFollower {
-		return nil
-	}
 	p.mu.Lock()
 	last := p.seq
 	p.mu.Unlock()
@@ -517,8 +506,8 @@ func (p *Primary) kick() {
 }
 
 // run is the background loop: reconnect and catch the follower up while
-// the stream is down, drain queued frames while it is steady (the
-// AckLocal sender). Exits on Close or fencing.
+// the stream is down, drain queued frames while it is steady. Exits on
+// Close or fencing.
 func (p *Primary) run() {
 	timer := time.NewTimer(0)
 	defer timer.Stop()

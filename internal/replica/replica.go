@@ -16,12 +16,12 @@
 //
 // One write, in order: the store appends the frames to the primary's WAL
 // file; then, at the same time, it fsyncs them (as its sync policy demands)
-// and hands them to Primary.Ship, which numbers them, buffers them and —
-// under AckFollower — POSTs them; the follower verifies each frame twice,
-// appends, fsyncs once per touched collection and replies with its
-// position; the store acknowledges once both the local fsync and Ship have
-// returned nil. A frame therefore leaves the machine written but not yet
-// fsynced — as it always has under the store's default SyncInterval policy.
+// and hands them to Primary.Ship, which numbers them, buffers them and
+// POSTs them; the follower verifies each frame twice, appends, fsyncs once
+// per touched collection and replies with its position; the store
+// acknowledges once both the local fsync and Ship have returned nil. A
+// frame therefore leaves the machine written but not yet fsynced — as it
+// always has under the store's default SyncInterval policy.
 // A frame the follower holds and a power-failed primary lost was never
 // acknowledged: a promoted follower may keep it (at-least-once), and a
 // restarted primary resets the follower to its own files by snapshot.
@@ -31,11 +31,9 @@
 // buffers unacked frames; a follower that falls behind the buffer — or
 // meets this primary process for the first time — is caught up with a
 // snapshot (the raw on-disk WAL files at a sequence watermark) followed by
-// the buffered tail. Acknowledgement policy is configurable: AckLocal
-// acknowledges an upload once it is locally fsynced and queued for
-// shipping; AckFollower withholds the ack until the follower has fsynced
-// the frames too, making an acked upload survive the loss of either
-// machine.
+// the buffered tail. There is one acknowledgement rule: Ship returns only
+// once the follower has fsynced the frames, so an acked upload survives the
+// loss of either machine.
 //
 // What each side persists: the primary, nothing beyond its store — sequence
 // numbers live in memory and start over with each Primary, which is why a
@@ -70,37 +68,17 @@ const (
 	HeaderSeq = "X-Kscope-Repl-Seq"
 )
 
-// AckMode selects when a shipped write is acknowledged to the caller.
+// AckMode names an acknowledgement policy.
+//
+// Deprecated: there is one policy, AckFollower; PrimaryConfig.Mode is
+// ignored.
 type AckMode int
 
-const (
-	// AckLocal acknowledges once the write is locally durable and queued
-	// for shipping; a background sender drains the queue. An upload acked
-	// moments before the primary dies may not have reached the follower.
-	AckLocal AckMode = iota
-	// AckFollower withholds the acknowledgement until the follower has
-	// accepted the frames: an acked upload survives losing either node.
-	AckFollower
-)
-
-func (m AckMode) String() string {
-	if m == AckFollower {
-		return "follower"
-	}
-	return "local"
-}
-
-// ParseAckMode maps the flag spelling ("local", "follower") to an AckMode.
-func ParseAckMode(s string) (AckMode, error) {
-	switch s {
-	case "local":
-		return AckLocal, nil
-	case "follower":
-		return AckFollower, nil
-	default:
-		return AckLocal, errors.New(`replica: ack mode must be "local" or "follower"`)
-	}
-}
+// AckFollower withholds the acknowledgement until the follower has
+// accepted the frames: an acked upload survives losing either node.
+//
+// Deprecated: it is the only policy, and the zero value.
+const AckFollower AckMode = 0
 
 // Errors surfaced by the primary's Ship path.
 var (
@@ -110,16 +88,16 @@ var (
 	// ErrStaleEpoch is the decoded form of the follower's 409: the request
 	// carried an epoch below the follower's.
 	ErrStaleEpoch = errors.New("replica: stale epoch rejected by follower")
-	// ErrLagging means an AckFollower write timed out waiting for the
-	// replication stream to become healthy (catch-up or reconnect in
-	// progress). The write is locally durable but unacknowledged.
+	// ErrLagging means a write timed out waiting for the replication
+	// stream to become healthy (catch-up or reconnect in progress). The
+	// write is locally durable but unacknowledged.
 	ErrLagging = errors.New("replica: follower unavailable or catching up")
 )
 
 // Defaults for Primary tuning knobs.
 const (
-	// DefaultShipTimeout bounds how long an AckFollower write waits for
-	// the stream to be healthy and the send to complete.
+	// DefaultShipTimeout bounds how long a write waits for the stream to
+	// be healthy and the send to complete.
 	DefaultShipTimeout = 5 * time.Second
 	// DefaultMaxBuffer is the pending-frame cap; beyond it the oldest
 	// unacked frames are dropped and the follower will need a snapshot.

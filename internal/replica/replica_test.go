@@ -9,7 +9,10 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"strings"
+	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -64,7 +67,7 @@ func docsOf(t *testing.T, db *store.DB, coll string) map[string]store.Document {
 
 func TestStreamReplicationAndPromote(t *testing.T) {
 	f, ts := newFollower(t, t.TempDir())
-	db, p := openPrimary(t, t.TempDir(), ts.URL, PrimaryConfig{Epoch: 1, Mode: AckFollower})
+	db, p := openPrimary(t, t.TempDir(), ts.URL, PrimaryConfig{Epoch: 1})
 
 	sessions := db.Collection("sessions")
 	for i := 0; i < 25; i++ {
@@ -107,24 +110,6 @@ func TestStreamReplicationAndPromote(t *testing.T) {
 	}
 }
 
-func TestAckLocalDrainsInBackground(t *testing.T) {
-	f, ts := newFollower(t, t.TempDir())
-	db, _ := openPrimary(t, t.TempDir(), ts.URL, PrimaryConfig{Epoch: 1, Mode: AckLocal})
-
-	for i := 0; i < 10; i++ {
-		if _, err := db.Collection("sessions").Insert(store.Document{"_id": fmt.Sprintf("s-%d", i)}); err != nil {
-			t.Fatalf("insert: %v", err)
-		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for f.AckedSeq() < 10 {
-		if time.Now().After(deadline) {
-			t.Fatalf("background sender never drained: acked %d", f.AckedSeq())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
 func TestSnapshotCatchupForFreshFollower(t *testing.T) {
 	pdir := t.TempDir()
 	// Data written before replication existed (plain dir backend).
@@ -140,7 +125,7 @@ func TestSnapshotCatchupForFreshFollower(t *testing.T) {
 	seed.Close()
 
 	f, ts := newFollower(t, t.TempDir())
-	db, p := openPrimary(t, pdir, ts.URL, PrimaryConfig{Epoch: 1, Mode: AckFollower})
+	db, p := openPrimary(t, pdir, ts.URL, PrimaryConfig{Epoch: 1})
 
 	// A fresh follower (acked 0) against a primary with history must be
 	// caught up by snapshot, not by a tail that cannot contain it.
@@ -164,14 +149,15 @@ func TestSnapshotCatchupForFreshFollower(t *testing.T) {
 func TestSnapshotCatchupAfterBufferOverflow(t *testing.T) {
 	fdir := t.TempDir()
 	f, ts := newFollower(t, fdir)
-	// Follower down for a while: stop the server, overflow the buffer.
+	// Follower down for a while: stop the server, overflow the buffer. No
+	// write is acknowledged, but each is in the primary's log.
 	ts.Close()
 	db, p := openPrimary(t, t.TempDir(), ts.URL, PrimaryConfig{
-		Epoch: 1, Mode: AckLocal, MaxBuffer: 8,
+		Epoch: 1, MaxBuffer: 8, ShipTimeout: 2 * time.Millisecond,
 	})
 	for i := 0; i < 50; i++ {
-		if _, err := db.Collection("sessions").Insert(store.Document{"_id": fmt.Sprintf("s-%d", i)}); err != nil {
-			t.Fatalf("insert: %v", err)
+		if _, err := db.Collection("sessions").Insert(store.Document{"_id": fmt.Sprintf("s-%d", i)}); !errors.Is(err, ErrLagging) {
+			t.Fatalf("insert %d with the follower down: %v, want ErrLagging", i, err)
 		}
 	}
 	// Bring the follower back on a fresh listener at a new URL: rebuild
@@ -179,21 +165,15 @@ func TestSnapshotCatchupAfterBufferOverflow(t *testing.T) {
 	ts2 := httptest.NewServer(f)
 	defer ts2.Close()
 	p.Close()
-	p2, err := NewPrimary(PrimaryConfig{FollowerURL: ts2.URL, Epoch: 1, Mode: AckFollower, RetryInterval: 10 * time.Millisecond})
+	p2, err := NewPrimary(PrimaryConfig{FollowerURL: ts2.URL, Epoch: 1, RetryInterval: 10 * time.Millisecond})
 	if err != nil {
 		t.Fatalf("NewPrimary: %v", err)
 	}
 	defer p2.Close()
-	// Rebind on the same (still open) DB: pre-existing data forces the
-	// snapshot path because the new primary's buffer is empty.
+	// Rebind on the same (still open) DB: a new primary's first contact is
+	// always the snapshot path.
 	p2.Bind(db)
-	deadline := time.Now().Add(5 * time.Second)
-	for p2.State() != "steady" {
-		if time.Now().After(deadline) {
-			t.Fatalf("catch-up never completed: state %s, lastErr %v", p2.State(), p2.LastErr())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitState(t, p2, stateSteady)
 	promoted, _, err := f.Promote()
 	if err != nil {
 		t.Fatalf("Promote: %v", err)
@@ -204,9 +184,112 @@ func TestSnapshotCatchupAfterBufferOverflow(t *testing.T) {
 	}
 }
 
+// TestZeroConfigWaitsForFollower: a PrimaryConfig that names only its
+// follower never acknowledges a write the follower does not hold.
+func TestZeroConfigWaitsForFollower(t *testing.T) {
+	f, ts := newFollower(t, t.TempDir())
+	ts.Close()
+	db, _ := openPrimary(t, t.TempDir(), ts.URL, PrimaryConfig{ShipTimeout: 5 * time.Millisecond})
+	if _, err := db.Collection("sessions").Insert(store.Document{"_id": "s-0"}); !errors.Is(err, ErrLagging) {
+		t.Fatalf("insert with the follower down: %v, want ErrLagging", err)
+	}
+	if got := f.AckedSeq(); got != 0 {
+		t.Fatalf("follower position %d, want 0", got)
+	}
+}
+
+// fullDiskFS is a follower filesystem whose disk fills up once armed: every
+// WriteFile but the position file's writes half its bytes and fails with
+// ENOSPC, and the first such failure closes full.
+type fullDiskFS struct {
+	store.FileSystem
+	armed atomic.Bool
+	once  sync.Once
+	full  chan struct{}
+}
+
+func (fs *fullDiskFS) WriteFile(path string, data []byte) error {
+	if !fs.armed.Load() || strings.HasPrefix(filepath.Base(path), metaFile) {
+		return fs.FileSystem.WriteFile(path, data)
+	}
+	defer fs.once.Do(func() { close(fs.full) })
+	if err := fs.FileSystem.WriteFile(path, data[:len(data)/2]); err != nil {
+		return err
+	}
+	return fmt.Errorf("writing %s: %w", path, syscall.ENOSPC)
+}
+
+// TestSnapshotFaultKeepsStandbyLog: a snapshot install that a full disk
+// cuts short must not cost the standby the frames it acknowledged before:
+// the section is written beside the log and renamed over it, so the log it
+// would have replaced stays whole, and the position does not move.
+func TestSnapshotFaultKeepsStandbyLog(t *testing.T) {
+	fs := &fullDiskFS{FileSystem: store.OSFileSystem{}, full: make(chan struct{})}
+	f, err := NewFollower(FollowerConfig{Dir: t.TempDir(), FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(f)
+	defer ts.Close()
+	pdir := t.TempDir()
+	db, p := openPrimary(t, pdir, ts.URL, PrimaryConfig{Epoch: 1})
+	for i := 0; i < 10; i++ {
+		if _, err := db.Collection("sessions").Insert(store.Document{"_id": fmt.Sprintf("s-%d", i)}); err != nil {
+			t.Fatalf("insert %d: %v", i, err)
+		}
+	}
+	acked := f.AckedSeq()
+	p.Close()
+	db.Close()
+
+	// A second primary over the same files: its first contact is a
+	// snapshot, which the full disk cuts short.
+	fs.armed.Store(true)
+	_, p2 := openPrimary(t, pdir, ts.URL, PrimaryConfig{Epoch: 1})
+	select {
+	case <-fs.full:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("the snapshot never reached the disk: state %s, lastErr %v", p2.State(), p2.LastErr())
+	}
+	p2.Close()
+	if got := f.AckedSeq(); got != acked {
+		t.Errorf("follower position %d after a failed snapshot, want %d", got, acked)
+	}
+	promoted, _, err := f.Promote()
+	if err != nil {
+		t.Fatalf("Promote: %v", err)
+	}
+	defer promoted.Close()
+	for i := 0; i < 10; i++ {
+		if _, err := promoted.Collection("sessions").Get(fmt.Sprintf("s-%d", i)); err != nil {
+			t.Errorf("acknowledged write s-%d lost to a failed snapshot: %v", i, err)
+		}
+	}
+}
+
+// waitState blocks until p's stream reaches want, woken by each state
+// change rather than by a clock.
+func waitState(t *testing.T, p *Primary, want primaryState) {
+	t.Helper()
+	timeout := time.After(5 * time.Second)
+	for {
+		p.mu.Lock()
+		st, ch := p.state, p.stateCh
+		p.mu.Unlock()
+		if st == want {
+			return
+		}
+		select {
+		case <-ch:
+		case <-timeout:
+			t.Fatalf("primary never reached %s: state %s, lastErr %v", want, st, p.LastErr())
+		}
+	}
+}
+
 func TestEpochFencing(t *testing.T) {
 	f, ts := newFollower(t, t.TempDir())
-	db, p := openPrimary(t, t.TempDir(), ts.URL, PrimaryConfig{Epoch: 3, Mode: AckFollower})
+	db, p := openPrimary(t, t.TempDir(), ts.URL, PrimaryConfig{Epoch: 3})
 
 	if _, err := db.Collection("sessions").Insert(store.Document{"_id": "s-1"}); err != nil {
 		t.Fatalf("insert: %v", err)
@@ -236,12 +319,12 @@ func TestEpochFencing(t *testing.T) {
 func TestFollowerAdoptsHigherEpoch(t *testing.T) {
 	fdir := t.TempDir()
 	f, ts := newFollower(t, fdir)
-	db1, _ := openPrimary(t, t.TempDir(), ts.URL, PrimaryConfig{Epoch: 1, Mode: AckFollower})
+	db1, _ := openPrimary(t, t.TempDir(), ts.URL, PrimaryConfig{Epoch: 1})
 	if _, err := db1.Collection("sessions").Insert(store.Document{"_id": "a"}); err != nil {
 		t.Fatalf("insert: %v", err)
 	}
 	// A new primary with a higher epoch takes over the same follower.
-	db2, _ := openPrimary(t, t.TempDir(), ts.URL, PrimaryConfig{Epoch: 2, Mode: AckFollower})
+	db2, _ := openPrimary(t, t.TempDir(), ts.URL, PrimaryConfig{Epoch: 2})
 	if _, err := db2.Collection("sessions").Insert(store.Document{"_id": "b"}); err != nil {
 		t.Fatalf("insert from higher epoch: %v", err)
 	}
@@ -295,7 +378,7 @@ func TestFollowerMetaSurvivesRestart(t *testing.T) {
 		ts := httptest.NewServer(p.gate)
 		t.Cleanup(ts.Close)
 		p.db, _ = openPrimary(t, t.TempDir(), ts.URL, PrimaryConfig{
-			Epoch: 7, Mode: AckFollower, Transport: p.link, MaxBuffer: maxBuffer, Registry: p.reg,
+			Epoch: 7, Transport: p.link, MaxBuffer: maxBuffer, Registry: p.reg,
 		})
 		return p
 	}
@@ -521,7 +604,7 @@ func TestPrimaryRestartSameEpoch(t *testing.T) {
 	pdir := t.TempDir()
 	f, ts := newFollower(t, t.TempDir())
 	open := func() (*store.DB, *Primary) {
-		p, err := NewPrimary(PrimaryConfig{FollowerURL: ts.URL, Epoch: 1, Mode: AckFollower, RetryInterval: 10 * time.Millisecond})
+		p, err := NewPrimary(PrimaryConfig{FollowerURL: ts.URL, Epoch: 1, RetryInterval: 10 * time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -566,7 +649,7 @@ func TestPrimaryRestartSameEpoch(t *testing.T) {
 // gap (the follower would acknowledge their highest number).
 func TestBufferOverflowWhileSteady(t *testing.T) {
 	f, ts := newFollower(t, t.TempDir())
-	db, _ := openPrimary(t, t.TempDir(), ts.URL, PrimaryConfig{Epoch: 1, Mode: AckFollower, MaxBuffer: 4})
+	db, _ := openPrimary(t, t.TempDir(), ts.URL, PrimaryConfig{Epoch: 1, MaxBuffer: 4})
 	// One acknowledged write first: the stream is steady when the batch lands.
 	if _, err := db.Collection("tests").Insert(store.Document{"_id": "t"}); err != nil {
 		t.Fatalf("insert: %v", err)

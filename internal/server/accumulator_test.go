@@ -102,23 +102,6 @@ func TestIncrementalMatchesOracleDifferential(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("step %d (quality=%v):\nincremental %+v\noracle      %+v", step, useQC, got, want)
 			}
-			// Conclude with the equivalent explicit config is the second,
-			// independently cached oracle.
-			var qc *quality.Config
-			if useQC {
-				entry, err := srv.load("srv-test")
-				if err != nil {
-					t.Fatal(err)
-				}
-				qc = defaultQC(entry)
-			}
-			want2, err := srv.Conclude("srv-test", qc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want2) {
-				t.Fatalf("step %d (quality=%v): incremental diverges from Conclude", step, useQC)
-			}
 		}
 	}
 

@@ -67,8 +67,8 @@ func BenchmarkSessionUploadDurable(b *testing.B) {
 // BenchmarkSessionUploadReplicated is the full warm-standby write path: a
 // dir-backed SyncAlways primary whose every WAL append is framed, shipped to
 // a standby on a loopback listener, applied and fsynced there, and only then
-// acknowledged (AckFollower). The final lag-frames metric must be zero —
-// an acked upload with nonzero lag would mean the ack mode lies.
+// acknowledged. The final lag-frames metric must be zero — an acked upload
+// with nonzero lag would mean the acknowledgement lies.
 func BenchmarkSessionUploadReplicated(b *testing.B) {
 	standby, err := deploy.Open(deploy.Config{Store: b.TempDir(), ReplicaOf: "the benchmark's primary"})
 	if err != nil {
@@ -77,7 +77,7 @@ func BenchmarkSessionUploadReplicated(b *testing.B) {
 	defer standby.Close()
 	fts := httptest.NewServer(standby)
 	defer fts.Close()
-	node, prep := benchNode(b, deploy.Config{ReplicateTo: fts.URL, Epoch: 1, AckMode: "follower", RetryInterval: time.Millisecond})
+	node, prep := benchNode(b, deploy.Config{ReplicateTo: fts.URL, Epoch: 1, RetryInterval: time.Millisecond})
 	// The prepared documents reach the standby as a snapshot on first
 	// contact; the clock starts on a steady stream.
 	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {

@@ -72,8 +72,8 @@ func pageIndex(pages []PageView) map[string]int {
 	return idx
 }
 
-// resultsKey caches concluded results per test and per default-battery mode
-// (only the deterministic default config is cached; custom configs bypass).
+// resultsKey caches concluded results per test, raw and under the default
+// battery.
 type resultsKey struct {
 	testID  string
 	quality bool

@@ -8,11 +8,9 @@ const ConcludedHeader = "X-Kscope-Concluded"
 
 // EarlyStopConfig enables adaptive sequential early stopping on the
 // serving path. Alpha is the per-test family-wise false-stop rate (see
-// earlystop.Config); MinVotes optionally floors the per-stream decisive
-// vote count before a decision may latch.
+// earlystop.Config).
 type EarlyStopConfig struct {
-	Alpha    float64
-	MinVotes int
+	Alpha float64
 }
 
 // WithEarlyStop folds every stored session into a per-test sequential

@@ -308,7 +308,7 @@ func (f *foldTable) rebuildLocked(st *testFold, testID string, entry *testEntry)
 		// One evidence stream per real page per question. A misconfigured
 		// alpha leaves the engine off.
 		st.engine, _ = earlystop.New(earlystop.Config{
-			Alpha: f.early.Alpha, Streams: max(entry.info.realQuestions(), 1), MinVotes: f.early.MinVotes,
+			Alpha: f.early.Alpha, Streams: max(entry.info.realQuestions(), 1),
 		})
 	}
 	err := eachStoredSession(f.responses, testID, func(docID string, u *SessionUpload) {

@@ -196,17 +196,14 @@ func (s *Server) registerGauges() {
 			return float64(coll.Stats().Scans)
 		})
 	}
-	// Durability counters: how often the WAL recovered, compacted, and hit
-	// stable storage — the campaign operator's crash-safety dashboard.
+	// Durability counters: how often the WAL recovered and hit stable
+	// storage — the campaign operator's crash-safety dashboard.
 	db := s.db
 	reg.RegisterGauge("kscope_store_recovered_tails_total", func() float64 {
 		return float64(db.DurabilityStats().RecoveredTails)
 	})
 	reg.RegisterGauge("kscope_store_quarantined_records_total", func() float64 {
 		return float64(db.DurabilityStats().QuarantinedRecords)
-	})
-	reg.RegisterGauge("kscope_store_compactions_total", func() float64 {
-		return float64(db.DurabilityStats().Compactions)
 	})
 	reg.RegisterGauge("kscope_store_wal_appends_total", func() float64 {
 		return float64(db.DurabilityStats().WALAppends)
@@ -758,12 +755,13 @@ func ConcludeUploads(info *TestInfo, uploads []SessionUpload, useQC bool) (*Resu
 	return concludeUploads(info, uploads, qc)
 }
 
-// Conclude computes results for a test from its stored sessions, decoded
-// from storage past the results cache and the fold state, optionally
-// applying quality control with the given config (nil = raw results). This
-// is the from-scratch reference the incremental engine is differentially
-// tested against; custom quality configs always take this path.
-func (s *Server) Conclude(testID string, qc *quality.Config) (*Results, error) {
+// ConcludeScratch computes results for a test from its stored sessions,
+// decoded from storage past the results cache and the fold state, with,
+// when useQC is set, the default battery the HTTP results surface applies
+// for ?quality=1. It is the from-scratch reference the incremental engine
+// is differentially tested against, and the oracle the load harness and
+// the benchmarks compare the serving path with.
+func (s *Server) ConcludeScratch(testID string, useQC bool) (*Results, error) {
 	entry, err := s.load(testID)
 	if err != nil {
 		return nil, err
@@ -772,23 +770,11 @@ func (s *Server) Conclude(testID string, qc *quality.Config) (*Results, error) {
 	if err != nil {
 		return nil, err
 	}
-	return concludeUploads(entry.info, uploads, qc)
-}
-
-// ConcludeScratch is Conclude with, when useQC is set, the default battery
-// the HTTP results surface applies for ?quality=1 — the differential oracle
-// the tests, the load harness and the benchmarks compare the serving path
-// against.
-func (s *Server) ConcludeScratch(testID string, useQC bool) (*Results, error) {
 	var qc *quality.Config
 	if useQC {
-		entry, err := s.load(testID)
-		if err != nil {
-			return nil, err
-		}
 		qc = defaultQC(entry)
 	}
-	return s.Conclude(testID, qc)
+	return concludeUploads(entry.info, uploads, qc)
 }
 
 func concludeUploads(info *TestInfo, uploads []SessionUpload, qc *quality.Config) (*Results, error) {
@@ -828,10 +814,8 @@ func concludeUploads(info *TestInfo, uploads []SessionUpload, qc *quality.Config
 }
 
 // concludeCached serves the HTTP results surface: raw and default-battery
-// conclusions are cached per test until a new session arrives, and cache
-// misses are computed from the test's fold state. Custom quality configs
-// (only reachable through the Conclude API) bypass the cache, which is why
-// the key is just (test, quality-on).
+// conclusions are cached per test, keyed by (test, quality-on), until a new
+// session arrives, and cache misses are computed from the test's fold state.
 //
 // Freshness invariant: the generation is snapshotted before anything is
 // read, so every read observes state at least as new as the snapshot and

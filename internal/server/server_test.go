@@ -296,7 +296,7 @@ func TestSessionsAccessor(t *testing.T) {
 
 func TestConcludeUnknownTest(t *testing.T) {
 	srv, _ := prepTest(t)
-	if _, err := srv.Conclude("ghost", nil); err == nil {
+	if _, err := srv.ConcludeScratch("ghost", false); err == nil {
 		t.Error("unknown test should fail")
 	}
 }

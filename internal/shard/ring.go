@@ -23,7 +23,7 @@ import (
 const DefaultVirtualNodes = 256
 
 // Ring is a virtual-node consistent-hash ring over a static shard list.
-// Each shard contributes VirtualNodes points hashed from its name; a key
+// Each shard contributes vnodes points hashed from its name; a key
 // belongs to the shard owning the first point at or clockwise after the
 // key's hash. Adding or removing one shard therefore remaps only the keys
 // whose owning arc moved — about 1/N of them — which is the property that

@@ -44,9 +44,6 @@ func (s Spec) nodes() []string {
 type Config struct {
 	// Shards is the static membership list (at least one entry).
 	Shards []Spec
-	// VirtualNodes is the per-shard ring point count (<= 0 selects
-	// DefaultVirtualNodes).
-	VirtualNodes int
 	// Policy is the retry budget per proxied request; attempts rotate
 	// primary -> standby -> primary... Zero fields keep
 	// failover.RouterPolicy's values.
@@ -142,7 +139,7 @@ func New(cfg Config) (*Router, error) {
 		rt.shards = append(rt.shards, seg)
 	}
 	var err error
-	if rt.ring, err = NewRing(names, cfg.VirtualNodes); err != nil {
+	if rt.ring, err = NewRing(names, DefaultVirtualNodes); err != nil {
 		return nil, err
 	}
 	return rt, nil

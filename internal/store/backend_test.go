@@ -312,42 +312,8 @@ func TestDirSyncOnWALCreation(t *testing.T) {
 	}
 }
 
-// TestDirSyncOnCompaction: the rename that swaps the compacted segment in
-// must be followed by a directory sync, and a failure there must fail the
-// compaction without corrupting the collection.
-func TestDirSyncOnCompaction(t *testing.T) {
-	ffs := NewFaultFS()
-	db, err := Open(t.TempDir(), WithFileSystem(ffs), WithSyncPolicy(SyncAlways))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	c := db.Collection("c")
-	for i := 0; i < 20; i++ {
-		id := fmt.Sprintf("doc-%d", i)
-		if _, err := c.Insert(Document{IDField: id, "i": i}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before := ffs.DirSyncs()
-	ffs.FailDirSync(nil)
-	if err := c.Compact(); err == nil {
-		t.Fatal("compaction with failing dir sync must report the failure")
-	}
-	ffs.Reset()
-	if err := c.Compact(); err != nil {
-		t.Fatalf("compaction after recovery: %v", err)
-	}
-	if ffs.DirSyncs() <= before {
-		t.Error("compaction rename did not sync the directory")
-	}
-	if c.Count() != 20 {
-		t.Errorf("count after failed+retried compaction = %d, want 20", c.Count())
-	}
-}
-
 // TestDirSyncFaultProperty: under randomized dir-sync outages interleaved
-// with writes and compactions, every acknowledged document must survive a
+// with writes, every acknowledged document must survive a
 // crash-reopen, and the store must keep serving once the fault clears.
 func TestDirSyncFaultProperty(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
@@ -370,10 +336,6 @@ func TestDirSyncFaultProperty(t *testing.T) {
 				// Spread writes over a few collections so WAL creation —
 				// the dir-sync-sensitive step — keeps recurring.
 				c := db.Collection(fmt.Sprintf("c%d", rng.Intn(4)))
-				if rng.Intn(20) == 0 {
-					c.Compact() // may fail under the fault; must not corrupt
-					continue
-				}
 				id := fmt.Sprintf("s%d-%d", seed, i)
 				if _, err := c.Insert(Document{IDField: id, "i": i}); err == nil {
 					acked[c.Name()+"/"+id] = true
@@ -396,9 +358,9 @@ func TestDirSyncFaultProperty(t *testing.T) {
 	}
 }
 
-// TestRotationTornWriteAtBoundary covers the WAL segment-rotation edge:
-// the collection compacts (the log is rewritten and atomically swapped —
-// the segment boundary), then the very next appends tear at byte offsets
+// TestRotationTornWriteAtBoundary covers the append-handle boundary: the
+// store is closed and reopened (the next append starts a fresh handle on
+// the replayed log), then the very next appends tear at byte offsets
 // straddling that boundary. Recovery must keep every acknowledged record,
 // truncate the torn tail, and replay to exactly the pre-crash live state.
 func TestRotationTornWriteAtBoundary(t *testing.T) {
@@ -419,12 +381,14 @@ func TestRotationTornWriteAtBoundary(t *testing.T) {
 				}
 				acked = append(acked, id)
 			}
-			// The rotation: the WAL is rewritten as a snapshot segment and
-			// swapped in; the old append handle is retired.
-			if err := c.Compact(); err != nil {
+			// The boundary: the append handle is closed with the store, and
+			// the reopened store's first append opens a fresh one.
+			db.Close()
+			if db, err = Open(dir, WithFileSystem(ffs), WithSyncPolicy(SyncAlways)); err != nil {
 				t.Fatal(err)
 			}
-			// Tear the stream tornAt bytes past the fresh segment's end.
+			c = db.Collection("uploads")
+			// Tear the stream tornAt bytes past the reopened log's end.
 			ffs.FailAppendsAfter(tornAt, nil, true)
 			for i := 0; i < 20; i++ {
 				id := fmt.Sprintf("post-%d", i)

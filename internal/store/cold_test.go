@@ -120,7 +120,7 @@ func replayFile(t *testing.T, path string) []Document {
 
 // TestColdValuesModel drives a dir-backed collection and a memory one with
 // the same seeded puts, overwrites, batches and deletes, and in between
-// compacts, reopens, tears the tail, plants a record to quarantine mid-file,
+// reopens, tears the tail, plants a record to quarantine mid-file,
 // tears a write at run time and fails or corrupts reads. Before a reopen the
 // dir store must answer every read as the memory store does; after one, as a
 // full decode of its WAL file does. A failed or corrupted read must fail,
@@ -203,10 +203,6 @@ func runColdModel(t *testing.T, seed int64, steps int) error {
 			} else if !ffs.Tripped() {
 				return fmt.Errorf("step %d: delete: %w", step, err)
 			}
-		case op == 11:
-			if err := c.Compact(); err != nil {
-				return fmt.Errorf("step %d: compact: %w", step, err)
-			}
 		case op == 12:
 			if err := reopen(); err != nil {
 				return fmt.Errorf("step %d: %w", step, err)
@@ -283,7 +279,6 @@ func checkFaultyReads(c *Collection, mem *Collection) error {
 	if len(got) != len(want) {
 		return fmt.Errorf("under read faults Find returned %d documents, want %d", len(got), len(want))
 	}
-	anyFailed := false
 	for i, doc := range got {
 		failed := false
 		for k, v := range want[i] {
@@ -300,10 +295,6 @@ func checkFaultyReads(c *Collection, mem *Collection) error {
 		if _, err := c.Get(doc.ID()); failed != errors.Is(err, ErrColdRead) {
 			return fmt.Errorf("Get(%s) under read faults: %v, want an ErrColdRead: %v", doc.ID(), err, failed)
 		}
-		anyFailed = anyFailed || failed
-	}
-	if err := c.Compact(); anyFailed && !errors.Is(err, ErrColdRead) || !anyFailed && err != nil {
-		return fmt.Errorf("Compact under read faults: %v (a cold value was read: %v)", err, anyFailed)
 	}
 	return nil
 }
@@ -335,63 +326,4 @@ func plantBadLine(path string, r *rand.Rand) error {
 	bad := []byte(`#w1 00000000 {"op":"put","id":"planted","doc":{"session":"` + strings.Repeat("q", 300) + `"}}` + "\n")
 	lines = slices.Insert(lines, r.Intn(last+1), bad)
 	return os.WriteFile(path, bytes.Join(lines, nil), 0o644)
-}
-
-// TestColdReadsConcurrentWithCompact reads cold values from several
-// goroutines while one goroutine inserts, deletes and compacts: every read
-// answers the document as written (run it under -race).
-func TestColdReadsConcurrentWithCompact(t *testing.T) {
-	db, err := Open(t.TempDir(), WithSyncPolicy(SyncNever))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	c := db.Collection("c")
-	c.EnsureIndex("test_id")
-	body := func(i int) string { return fmt.Sprintf("%04d", i) + strings.Repeat("é\"x", 100) }
-	for i := 0; i < 50; i++ {
-		if _, err := c.Insert(Document{IDField: fmt.Sprint(i), "test_id": "t", "session": body(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	done := make(chan struct{})
-	errs := make(chan error, 4)
-	for g := 0; g < 3; g++ {
-		go func() {
-			for {
-				select {
-				case <-done:
-					errs <- nil
-					return
-				default:
-				}
-				for _, doc := range c.FindEq("test_id", "t") {
-					var i int
-					fmt.Sscan(doc.ID(), &i)
-					if doc["session"] != body(i) {
-						errs <- fmt.Errorf("document %s reads %v", doc.ID(), doc["session"])
-						return
-					}
-				}
-			}
-		}()
-	}
-	for round := 0; round < 30; round++ {
-		i := 50 + round
-		if _, err := c.Insert(Document{IDField: fmt.Sprint(i), "test_id": "t", "session": body(i)}); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Delete(fmt.Sprint(round)); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Compact(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	close(done)
-	for g := 0; g < 3; g++ {
-		if err := <-errs; err != nil {
-			t.Error(err)
-		}
-	}
 }

@@ -168,7 +168,6 @@ type DB struct {
 	// Durability counters; see DurabilityStats.
 	recoveredTails atomic.Int64
 	quarantined    atomic.Int64
-	compactions    atomic.Int64
 	walAppends     atomic.Int64
 	fsyncs         atomic.Int64
 	fsyncNanos     atomic.Int64

@@ -15,8 +15,9 @@ type FileSystem interface {
 	// when absent is fine — callers check with os.IsNotExist / errors.Is).
 	ReadFile(path string) ([]byte, error)
 	// WriteFile replaces path with data durably: the contents are synced
-	// to stable storage before WriteFile returns. Used for WAL rewrites
-	// and compaction snapshots (always paired with Rename for atomicity).
+	// to stable storage before WriteFile returns. Used for quarantine
+	// rewrites of a WAL and for a standby's snapshot sections and position
+	// file, each to a temp file paired with Rename for atomicity.
 	WriteFile(path string, data []byte) error
 	// Rename atomically replaces newPath with oldPath.
 	Rename(oldPath, newPath string) error
@@ -29,7 +30,7 @@ type FileSystem interface {
 	OpenRead(path string) (ReadAtFile, error)
 	// SyncDir fsyncs a directory. Syncing a file's data does not persist
 	// its *name* — the directory entry lives in the parent and needs its
-	// own fsync — so WAL creation, rotation, and snapshot renames are not
+	// own fsync — so WAL creation and rewrite renames are not
 	// crash-durable until the containing directory has been synced.
 	SyncDir(dir string) error
 }

@@ -10,7 +10,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -484,8 +483,8 @@ func TestAppendRandomRecords(t *testing.T) {
 	}
 }
 
-// TestWALBytesEqualOracle: for one sequence of Insert, InsertUniqueBatch,
-// Update, Delete and Compact calls, the file the store leaves is the file the
+// TestWALBytesEqualOracle: for one sequence of Insert, InsertUniqueBatch
+// and Delete calls, the file the store leaves is the file the
 // old encoder would have left, byte for byte — so a store written on either
 // side of this codec opens on the other.
 func TestWALBytesEqualOracle(t *testing.T) {
@@ -513,14 +512,6 @@ func TestWALBytesEqualOracle(t *testing.T) {
 				doc["v"] = v
 			}
 			return doc
-		}
-		ids := func() []string {
-			out := make([]string, 0, len(live))
-			for id := range live {
-				out = append(out, id)
-			}
-			sort.Strings(out)
-			return out
 		}
 		for step := 0; step < 120; step++ {
 			id := "d" + strconv.Itoa(r.Intn(40))
@@ -561,14 +552,6 @@ func TestWALBytesEqualOracle(t *testing.T) {
 				}
 				delete(live, id)
 				record("del", id)
-			case k == 9 && step%3 == 0:
-				if err := c.Compact(); err != nil {
-					t.Fatal(err)
-				}
-				want = want[:0]
-				for _, id := range ids() {
-					record("put", id)
-				}
 			}
 		}
 		db.Close()

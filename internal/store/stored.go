@@ -21,10 +21,10 @@ import (
 // string, and a read fetches it back with one positioned read, checked
 // against the literal's CRC-32. A value goes cold when its record is written
 // or replayed, if it is at least coldMin bytes and valid UTF-8 (the encoder
-// records a literal only then) and no index keys on it (chill's check);
-// Compact moves it to the snapshot's layout. A read that fails, or whose
-// bytes fail the checksum, yields an error wrapping ErrColdRead, never other
-// data.
+// records a literal only then) and no index keys on it (chill's check). The
+// log is only appended to between open and close, so the offset stays true
+// for as long as the collection is open. A read that fails, or whose bytes
+// fail the checksum, yields an error wrapping ErrColdRead, never other data.
 
 // coldMin is the length from which a top-level string value goes cold.
 const coldMin = 256

@@ -237,7 +237,7 @@ func storedAnswers(c *Collection) string {
 	return fmt.Sprintf("%#v", out)
 }
 
-// One corpus through every write path, compaction and reopen, on both
+// One corpus through every write path and reopen, on both
 // backends: every state answers every read identically, and the first
 // answers Get with Document.Clone of what was inserted.
 func TestStoredDocumentsAgreeInEveryState(t *testing.T) {
@@ -289,10 +289,6 @@ func TestStoredDocumentsAgreeInEveryState(t *testing.T) {
 				}
 			}
 			check("rewritten")
-			if err := c.Compact(); err != nil {
-				t.Fatal(err)
-			}
-			check("compacted")
 			if backend == "dir" {
 				db.Close()
 				var err error

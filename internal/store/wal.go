@@ -8,8 +8,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
-	"slices"
-	"sort"
 	"strconv"
 	"time"
 )
@@ -186,9 +184,9 @@ func recoverWAL(fs FileSystem, path string, rep *walReplay) error {
 // written to the file before the caller sees nil, so a crash of the process
 // alone loses nothing; the policies differ in what a power cut or a kernel
 // crash may take. On a Replicated store the Shipper has a say as well:
-// replica.Primary in its AckFollower mode returns only once the follower
-// has fsynced the frames, so an acknowledged write is durable on the
-// follower whatever the local policy.
+// replica.Primary returns only once the follower has fsynced the frames, so
+// an acknowledged write is durable on the follower whatever the local
+// policy.
 type SyncPolicy int
 
 const (
@@ -210,8 +208,10 @@ const (
 
 // walFile is a collection's log file on a persistent database: its append
 // handle, opened by the first append, its read handle for cold values,
-// opened by the first value to go cold, and its length. All methods are
-// called with the owning collection's lock held.
+// opened by the first value to go cold, and its length. Between open and
+// close the file is only appended to, so an offset a cold value keeps stays
+// true and neither handle is ever swapped. All methods are called with the
+// owning collection's lock held.
 type walFile struct {
 	path     string
 	db       *DB
@@ -219,9 +219,9 @@ type walFile struct {
 	reader   ReadAtFile
 	lastSync time.Time
 	closed   bool
-	// size is the file's length: what replay left or Compact wrote, plus
-	// every byte a write has put in it since — a failed write's fragment and
-	// the newline after it included — so it is where the next write lands.
+	// size is the file's length: what replay left, plus every byte a write
+	// has put in it since — a failed write's fragment and the newline after
+	// it included — so it is where the next write lands.
 	size int64
 	// failed is set by a failed Write, which may have left part of a line at
 	// the end of the file: the next write then starts on a new line, so the
@@ -307,12 +307,6 @@ func (w *walFile) close() error {
 		w.reader.Close()
 		w.reader = nil
 	}
-	return w.closeAppend()
-}
-
-// closeAppend flushes (except under SyncNever) and closes the append
-// handle; the next write opens it again.
-func (w *walFile) closeAppend() error {
 	if w.file == nil {
 		return nil
 	}
@@ -325,82 +319,6 @@ func (w *walFile) closeAppend() error {
 	return cmp.Or(err, syncErr)
 }
 
-// Compact rewrites the collection's WAL as a snapshot of the live
-// documents: one framed put per document, written to a temp file, synced,
-// and atomically renamed over the log. Overwrite- and delete-heavy
-// collections otherwise grow without bound; a days-long deployment compacts
-// them periodically. Cold values are read back to be written, and point into
-// the snapshot once the rename has made it the log.
-func (c *Collection) Compact() error {
-	if c.db.isClosed() {
-		return ErrClosed
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.db.dir == "" {
-		return nil
-	}
-	ids := make([]string, 0, len(c.docs))
-	for id := range c.docs {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	var buf []byte
-	next := make([]stored, len(ids))
-	for i, id := range ids {
-		s, err := c.hot(c.docs[id])
-		if err != nil {
-			return fmt.Errorf("store: compacting %s/%s: %w", c.name, id, err)
-		}
-		lits := c.lits[:0]
-		if buf, err = appendRecordLits(buf, "put", id, s.view(id), &lits); err != nil {
-			return fmt.Errorf("store: encoding snapshot record %s: %w", id, err)
-		}
-		if c.lits = lits; len(lits) > 0 {
-			s.vals = slices.Clone(s.vals) // the live document stays as it is until the rename
-			c.chill(s, buf, lits, 0)
-		}
-		next[i] = s
-	}
-	path := c.db.collectionPath(c.name)
-	tmp := path + ".compact.tmp"
-	fs := c.db.opts.fs
-	if err := fs.WriteFile(tmp, buf); err != nil {
-		return fmt.Errorf("store: writing snapshot %s: %w", tmp, err)
-	}
-	// The snapshot's read handle, open before the rename makes it the log.
-	reader, err := fs.OpenRead(tmp)
-	if err != nil {
-		return fmt.Errorf("store: opening snapshot %s: %w", tmp, err)
-	}
-	// Close the old append handle first: after the rename it would point at
-	// the replaced inode and appends would vanish. Its read handle serves
-	// until the rename succeeds.
-	old := c.wal
-	if old != nil {
-		if err := old.closeAppend(); err != nil {
-			reader.Close()
-			return err
-		}
-	}
-	if err := fs.Rename(tmp, path); err != nil {
-		reader.Close()
-		return fmt.Errorf("store: swapping snapshot %s: %w", path, err)
-	}
-	if old != nil && old.reader != nil {
-		old.reader.Close()
-	}
-	c.wal = &walFile{path: path, db: c.db, reader: reader, size: int64(len(buf))}
-	for i, id := range ids {
-		c.docs[id] = next[i]
-	}
-	if err := c.db.syncDir(); err != nil {
-		return err
-	}
-	c.db.compactions.Add(1)
-	return nil
-}
-
 // DurabilityStats is a snapshot of the store's crash-safety counters,
 // exported as gauges on the serving path's /metrics.
 type DurabilityStats struct {
@@ -409,15 +327,13 @@ type DurabilityStats struct {
 	// QuarantinedRecords counts corrupt or invalid records moved to
 	// .corrupt sidecars during Open.
 	QuarantinedRecords int64
-	// Compactions counts snapshot rewrites.
-	Compactions int64
 	// WALAppends counts records appended to collection logs.
 	WALAppends int64
 	// Fsyncs counts WAL fsync calls; FsyncNanos is their total duration.
 	Fsyncs     int64
 	FsyncNanos int64
-	// DirSyncs counts directory fsyncs (WAL creation, rotation, snapshot
-	// and recovery renames).
+	// DirSyncs counts directory fsyncs (WAL creation and recovery
+	// renames).
 	DirSyncs int64
 	// ColdReads counts values read back from a WAL (see stored.go).
 	ColdReads int64
@@ -428,7 +344,6 @@ func (db *DB) DurabilityStats() DurabilityStats {
 	return DurabilityStats{
 		RecoveredTails:     db.recoveredTails.Load(),
 		QuarantinedRecords: db.quarantined.Load(),
-		Compactions:        db.compactions.Load(),
 		WALAppends:         db.walAppends.Load(),
 		Fsyncs:             db.fsyncs.Load(),
 		FsyncNanos:         db.fsyncNanos.Load(),

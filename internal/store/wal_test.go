@@ -453,67 +453,6 @@ func TestENOSPCTornThenRecoversInPlace(t *testing.T) {
 	}
 }
 
-func TestCompact(t *testing.T) {
-	dir := t.TempDir()
-	db, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := db.Collection("c")
-	for i := 0; i < 30; i++ {
-		if _, err := c.Insert(Document{IDField: fmt.Sprintf("d%02d", i), "v": 0}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 30; i++ {
-		id := fmt.Sprintf("d%02d", i)
-		for j := 0; j < 3; j++ {
-			if _, err := c.Insert(Document{IDField: id, "v": j + 1}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if got := walLineCount(t, dir, "c"); got != 120 {
-		t.Fatalf("pre-compact lines = %d, want 120", got)
-	}
-	want := liveDocs(c)
-	if err := c.Compact(); err != nil {
-		t.Fatalf("Compact: %v", err)
-	}
-	if got := walLineCount(t, dir, "c"); got != 30 {
-		t.Errorf("post-compact lines = %d, want 30", got)
-	}
-	if s := db.DurabilityStats(); s.Compactions != 1 {
-		t.Errorf("compactions = %d, want 1", s.Compactions)
-	}
-	// The snapshot log keeps accepting appends and replays identically.
-	if _, err := c.Insert(Document{IDField: "extra"}); err != nil {
-		t.Fatal(err)
-	}
-	db.Close()
-	db2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	got := liveDocs(db2.Collection("c"))
-	want = append(want, Document{IDField: "extra"})
-	if !reflect.DeepEqual(want, got) {
-		t.Error("replay after compaction differs from live state")
-	}
-}
-
-func TestCompactMemoryNoop(t *testing.T) {
-	db := OpenMemory()
-	c := db.Collection("c")
-	if _, err := c.Insert(Document{"v": 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Compact(); err != nil {
-		t.Errorf("memory compact: %v", err)
-	}
-}
-
 func TestSyncPolicies(t *testing.T) {
 	t.Run("always", func(t *testing.T) {
 		db, err := Open(t.TempDir(), WithSyncPolicy(SyncAlways))
@@ -595,9 +534,6 @@ func TestErrClosed(t *testing.T) {
 	}
 	if _, err := c.Get(id); !errors.Is(err, ErrClosed) {
 		t.Errorf("Get err = %v, want ErrClosed", err)
-	}
-	if err := c.Compact(); !errors.Is(err, ErrClosed) {
-		t.Errorf("Compact err = %v, want ErrClosed", err)
 	}
 	if got := c.Find(nil); got != nil {
 		t.Errorf("Find on closed db = %v, want nil", got)

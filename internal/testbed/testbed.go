@@ -291,7 +291,7 @@ func (b *Bed) startShard(i int, cfg deploy.Config, spec *shard.Spec) error {
 		}
 		// The store already holds the prepared documents, so the stream's
 		// first contact is a snapshot catch-up before any tail frame.
-		cfg.ReplicateTo, cfg.Epoch, cfg.AckMode = spec.Standby, 1, "follower"
+		cfg.ReplicateTo, cfg.Epoch = spec.Standby, 1
 		cfg.ShipTimeout, cfg.RetryInterval = 30*time.Second, 5*time.Millisecond
 		cfg.Link = func(string) http.RoundTripper { return b.link(replLink, i, 0) }
 	}
