@@ -30,7 +30,9 @@ bench:
 
 # Fault-injection suite: crash-recovery under injected filesystem faults,
 # cold values read back under failed and corrupted reads, a standby's
-# snapshot install cut short by a full disk, chaos-transport
+# snapshot install cut short by a full disk, the overload guard's limiter
+# and breaker (whose tests wait on events, so an ordering bug in a wait
+# fails rather than passes slowly), chaos-transport
 # end-to-end flows, graceful-drain shutdown, every
 # testbed topology's audit, a crowd retrying through chaos, the campaign's node, pair and fleet rows, and
 # the paper's plain and sorted study on a node, a pair and a chaotic fleet
@@ -45,6 +47,7 @@ chaos:
 	$(GO) test -count=3 -run 'Chaos|Crash|Fault|Torn|Quarantin|Recover|ENOSPC|Drain|Retr|SyncPolic|Cold' \
 		./internal/store/ ./internal/netsim/ ./internal/failover/ ./internal/extension/ ./cmd/kscope-server/
 	$(GO) test -count=3 -run '^TestSnapshotFaultKeepsStandbyLog$$' ./internal/replica/
+	$(GO) test -count=3 -run 'Limiter|Breaker' ./internal/guard/
 	$(GO) test -count=3 -run 'TestEveryTopologyPassesItsAudit|TestAuditCatches|TestCrowdRetriesThroughChaos' ./internal/testbed/
 	$(GO) test -count=3 -run '^TestCampaignLifecycle$$' ./internal/campaign/
 	$(GO) test -count=3 -run '^TestStudyOnEveryTopology$$' ./internal/core/

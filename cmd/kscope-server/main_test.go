@@ -169,6 +169,9 @@ func TestServeDrainsInFlightUploads(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := &http.Server{Handler: slow}
+	// Shutdown closes the listeners before it runs these hooks.
+	listenerClosed := make(chan struct{})
+	srv.RegisterOnShutdown(func() { close(listenerClosed) })
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	serveDone := make(chan error, 1)
@@ -196,9 +199,9 @@ func TestServeDrainsInFlightUploads(t *testing.T) {
 
 	<-uploadStarted
 	cancel() // the SIGTERM
-	// Give Shutdown a moment to close the listener while the upload is
-	// still blocked — the drain window is what keeps it alive.
-	time.Sleep(50 * time.Millisecond)
+	// The listener is closed while the upload is still blocked: the drain
+	// window is what keeps it alive.
+	<-listenerClosed
 	close(release)
 
 	if err := <-serveDone; err != nil {

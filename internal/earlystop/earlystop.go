@@ -63,36 +63,15 @@ type Config struct {
 	// never shrinks, so overstating Streams is safe (conservative) while
 	// understating it is not.
 	Streams int
-	// MinVotes is the minimum number of decisive votes a stream must hold
-	// before it may latch a decision. 0 means no floor; the e-value
-	// boundary alone already prevents trigger-happy small-n stops.
-	MinVotes int
-	// Mixture is the Beta(a, a) mixture parameter. 0 means the default
-	// uniform mixture (a = 1).
-	Mixture float64
-}
-
-func (c Config) withDefaults() Config {
-	if c.Mixture == 0 {
-		c.Mixture = 1
-	}
-	return c
 }
 
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
-	c = c.withDefaults()
 	if !(c.Alpha > 0 && c.Alpha < 1) {
 		return errors.New("earlystop: alpha must be in (0, 1)")
 	}
 	if c.Streams < 1 {
 		return errors.New("earlystop: streams must be >= 1")
-	}
-	if c.MinVotes < 0 {
-		return errors.New("earlystop: min votes must be >= 0")
-	}
-	if !(c.Mixture > 0) {
-		return errors.New("earlystop: mixture must be positive")
 	}
 	return nil
 }
@@ -158,7 +137,6 @@ type State struct {
 
 // New builds an engine. The config must validate.
 func New(cfg Config) (*State, error) {
-	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -220,14 +198,14 @@ func (s *State) Fold(votes []Vote) *Decision {
 	})
 	for _, key := range keys {
 		st := s.streams[key]
-		logE, err := stats.LogBetaMixtureE(st.left, st.n(), s.cfg.Mixture)
+		logE, err := stats.LogBetaMixtureE(st.left, st.n(), 1)
 		if err != nil {
 			continue // unreachable: counts are non-negative by construction
 		}
 		if logE > st.maxLogE {
 			st.maxLogE = logE
 		}
-		if s.decision == nil && st.maxLogE >= s.threshold && st.n() >= s.cfg.MinVotes {
+		if s.decision == nil && st.maxLogE >= s.threshold {
 			winner := questionnaire.ChoiceLeft
 			if st.right > st.left {
 				winner = questionnaire.ChoiceRight

@@ -29,8 +29,6 @@ func TestConfigValidate(t *testing.T) {
 		{Alpha: math.NaN(), Streams: 1},
 		{Alpha: 0.05, Streams: 0},
 		{Alpha: 0.05, Streams: -2},
-		{Alpha: 0.05, Streams: 1, MinVotes: -1},
-		{Alpha: 0.05, Streams: 1, Mixture: -1},
 	} {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("New(%+v): want error", cfg)
@@ -127,19 +125,6 @@ func TestFamilyThresholdRises(t *testing.T) {
 	want := 4 * 11.0 / 1024.0
 	if math.Abs(d.PValueBound-want) > 1e-12 {
 		t.Fatalf("p bound = %v, want %v", d.PValueBound, want)
-	}
-}
-
-func TestMinVotesFloor(t *testing.T) {
-	s := mustNew(t, Config{Alpha: 0.05, Streams: 1, MinVotes: 12})
-	var d *Decision
-	n := 0
-	for d == nil && n < 30 {
-		n++
-		d = s.Fold(vote("p1", "q0", questionnaire.ChoiceLeft))
-	}
-	if d == nil || n != 12 || d.NUsed != 12 {
-		t.Fatalf("decided at n=%d (%+v), want the MinVotes floor 12", n, d)
 	}
 }
 

@@ -103,7 +103,7 @@ func NewClient(baseURL string, httpc *http.Client, opts ...ClientOption) (*Clien
 		httpc: httpc,
 	}
 	c.loop.Policy = failover.ClientPolicy
-	c.loop.OnRetry = func() { c.retryAttempts.Add(1) }
+	c.loop.OnRetry = func(time.Duration) { c.retryAttempts.Add(1) }
 	for _, opt := range opts {
 		opt(c)
 	}

@@ -261,9 +261,11 @@ func ByStatus(status int) Verdict {
 type Loop struct {
 	Ring   *Ring
 	Policy Policy
-	// OnRetry and OnFailover, when set, are called once per retry (before
-	// its wait) and once per preference flip — the seams metrics hang on.
-	OnRetry, OnFailover func()
+	// OnRetry, when set, is called once per retry with the wait the loop
+	// chose for it, before that wait; OnFailover once per preference flip.
+	// They are the seams metrics hang on.
+	OnRetry    func(wait time.Duration)
+	OnFailover func()
 }
 
 // Do performs one logical request: attempt is called with the position of
@@ -284,10 +286,11 @@ func (l *Loop) Do(ctx context.Context, attempt func(node int) (*Response, error)
 	var serverDelay time.Duration
 	for n := 0; n <= l.Policy.Retries; n++ {
 		if n > 0 {
+			wait := l.Policy.Delay(n, serverDelay)
 			if l.OnRetry != nil {
-				l.OnRetry()
+				l.OnRetry(wait)
 			}
-			if err := Wait(ctx, l.Policy.Delay(n, serverDelay)); err != nil {
+			if err := Wait(ctx, wait); err != nil {
 				return last, fmt.Errorf("retry abandoned: %w", err)
 			}
 			serverDelay = 0

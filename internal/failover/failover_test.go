@@ -71,11 +71,12 @@ func TestPolicyOr(t *testing.T) {
 
 // TestWaitNeverOutlivesContext: whatever the delay, Wait returns by the
 // time the context ends, and a loop cut short mid-wait reports an error
-// that is still context.Canceled, alongside the last real answer.
+// that is still context.Canceled, alongside the last real answer. A wait
+// that ignored its context would sit out the hour, and go test -timeout
+// fails that.
 func TestWaitNeverOutlivesContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	start := time.Now()
 	if err := Wait(ctx, time.Hour); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Wait on a canceled context = %v", err)
 	}
@@ -103,9 +104,6 @@ func TestWaitNeverOutlivesContext(t *testing.T) {
 	if last != shed {
 		t.Errorf("last = %+v, want the shed that preceded the wait", last)
 	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Errorf("took %v; a wait outlived its context", elapsed)
-	}
 }
 
 // TestDefinitiveNeverRotatesOrRetries: for any non-retryable status the
@@ -123,7 +121,7 @@ func TestDefinitiveNeverRotatesOrRetries(t *testing.T) {
 		l := &Loop{
 			Ring:    NewRing("a", "b", "c"),
 			Policy:  Policy{Retries: 1 + rng.Intn(8), Backoff: time.Hour, MaxRetryAfter: time.Hour},
-			OnRetry: func() { retries++ },
+			OnRetry: func(time.Duration) { retries++ },
 		}
 		resp, err := l.Do(context.Background(), func(int) (*Response, error) {
 			attempts++

@@ -85,27 +85,24 @@ func shedThenServe(n int, status int, retryAfter func() string, hits *atomic.Int
 }
 
 func TestLoopHonorsRetryAfterSeconds(t *testing.T) {
-	var hits, retries atomic.Int64
+	var hits atomic.Int64
 	ts := httptest.NewServer(shedThenServe(1, http.StatusTooManyRequests,
 		func() string { return "1" }, &hits))
 	defer ts.Close()
 
-	// Cap well below the advertised 1s so the test stays fast while still
-	// proving the server hint (not the 1ms backoff) drives the wait.
+	// The server's 1s, capped to 80ms, drives the wait: not the loop's own
+	// 1ms backoff.
 	l := httpLoop(Policy{MaxRetryAfter: 80 * time.Millisecond}, ts.URL)
-	l.OnRetry = func() { retries.Add(1) }
-	start := time.Now()
+	var waits []time.Duration
+	l.OnRetry = func(wait time.Duration) { waits = append(waits, wait) }
 	if _, err := get(context.Background(), l, "/whatever"); err != nil {
 		t.Fatalf("get after shed: %v", err)
 	}
-	if elapsed := time.Since(start); elapsed < 80*time.Millisecond {
-		t.Errorf("waited %v; the capped Retry-After (80ms) should dominate the 1ms backoff", elapsed)
+	if len(waits) != 1 || waits[0] != 80*time.Millisecond {
+		t.Errorf("retry waits %v; want one, the capped Retry-After of 80ms", waits)
 	}
 	if hits.Load() != 2 {
 		t.Errorf("server hits = %d, want 2", hits.Load())
-	}
-	if retries.Load() != 1 {
-		t.Errorf("retries = %d, want 1", retries.Load())
 	}
 }
 
@@ -116,12 +113,20 @@ func TestLoopHonorsRetryAfterHTTPDate(t *testing.T) {
 		&hits))
 	defer ts.Close()
 
-	if _, err := get(context.Background(), httpLoop(Policy{}, ts.URL), "/whatever"); err != nil {
+	l := httpLoop(Policy{}, ts.URL)
+	var waits []time.Duration
+	l.OnRetry = func(wait time.Duration) { waits = append(waits, wait) }
+	if _, err := get(context.Background(), l, "/whatever"); err != nil {
 		t.Fatalf("get after 503: %v", err)
 	}
 	// HTTP-date granularity is whole seconds, so a +60ms deadline rounds
-	// down to "now" — the point is that the date form parses and the retry
-	// succeeds, not an exact wait.
+	// down to "now" and the loop falls back to its 1ms backoff, within the
+	// ±50% jitter — or, just before a second turns, up to a date the 1ms
+	// cap bounds. The point is that the date form parses and the retry
+	// succeeds.
+	if len(waits) != 1 || waits[0] < 500*time.Microsecond || waits[0] > 1500*time.Microsecond {
+		t.Errorf("retry waits %v; want one, within [0.5ms, 1.5ms]", waits)
+	}
 	if hits.Load() != 2 {
 		t.Errorf("server hits = %d, want 2", hits.Load())
 	}
@@ -133,13 +138,22 @@ func TestLoopCapsExcessiveRetryAfter(t *testing.T) {
 		func() string { return "3600" }, &hits)) // an hour, if we believed it
 	defer ts.Close()
 
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	l := httpLoop(Policy{MaxRetryAfter: 30 * time.Millisecond}, ts.URL)
-	start := time.Now()
-	if _, err := get(context.Background(), l, "/whatever"); err != nil {
-		t.Fatalf("get: %v", err)
+	var waits []time.Duration
+	l.OnRetry = func(wait time.Duration) {
+		waits = append(waits, wait)
+		if wait > 30*time.Millisecond {
+			cancel() // an uncapped wait would sit out the hour
+		}
 	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Errorf("waited %v; the cap must bound a hostile Retry-After", elapsed)
+	_, err := get(ctx, l, "/whatever")
+	if len(waits) != 1 || waits[0] != 30*time.Millisecond {
+		t.Fatalf("retry waits %v; the 30ms cap must bound a hostile Retry-After", waits)
+	}
+	if err != nil {
+		t.Fatalf("get: %v", err)
 	}
 	if hits.Load() != 2 {
 		t.Errorf("server hits = %d, want 2", hits.Load())

@@ -136,7 +136,8 @@ func TestBreakerPropertyUnderFaultFSBursts(t *testing.T) {
 			defer db.Close()
 			coll := db.Collection("breaker_prop")
 
-			b := NewBreaker(3, time.Millisecond, 2, nil)
+			clk := &fakeClock{t: time.Unix(0, 0)}
+			b := NewBreaker(3, time.Millisecond, 2, clk.now)
 			var transMu sync.Mutex
 			var transitions [][2]State
 			b.OnStateChange = func(from, to State) {
@@ -166,9 +167,9 @@ func TestBreakerPropertyUnderFaultFSBursts(t *testing.T) {
 			insertOnce := func() {
 				done, ok := b.Allow()
 				if !ok {
-					// Open (or probe in flight): back off as the serving
-					// path would, giving the cooldown a chance to elapse.
-					time.Sleep(200 * time.Microsecond)
+					// Open (or probe in flight): the cooldown elapses
+					// before this worker's next try.
+					clk.advance(time.Millisecond)
 					return
 				}
 				_, err := coll.Insert(store.Document{store.IDField: nextID(), "v": 1})
@@ -203,15 +204,14 @@ func TestBreakerPropertyUnderFaultFSBursts(t *testing.T) {
 				}
 			}
 
-			// Recovery: with the disk healthy, the breaker must close.
+			// Recovery: with the disk healthy, the breaker must close within
+			// a refusal, a cooldown and its two probes.
 			ffs.Reset()
-			deadline := time.Now().Add(5 * time.Second)
-			for b.State() != StateClosed {
-				if time.Now().After(deadline) {
-					t.Fatalf("breaker stuck %v after faults cleared", b.State())
+			for i := 0; b.State() != StateClosed; i++ {
+				if i == 3 {
+					t.Fatalf("breaker stuck %v after %d healthy tries", b.State(), i)
 				}
 				insertOnce()
-				time.Sleep(time.Millisecond)
 			}
 
 			transMu.Lock()

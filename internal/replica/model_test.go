@@ -614,16 +614,13 @@ func (w *modelWorld) quiesce() {
 	w.logf("quiesce")
 	w.ffs.Reset()
 	w.link.set(linkUp)
-	deadline := time.Now().Add(10 * time.Second)
+	// A barrier can outlast the ship timeout while the stream reconnects;
+	// it is asked again once the stream is steady.
 	for {
-		lag, _ := w.prim.Lag()
-		if w.prim.State() == "steady" && lag == 0 {
+		waitState(w.prim, stateSteady)
+		if w.prim.Barrier() == nil {
 			break
 		}
-		if time.Now().After(deadline) {
-			w.failf("stream did not drain on a healthy link and disk: state %s, lag %d, last error %v", w.prim.State(), lag, w.prim.LastErr())
-		}
-		time.Sleep(time.Millisecond)
 	}
 	w.check()
 	w.closePrimary()

@@ -79,14 +79,9 @@ func BenchmarkSessionUploadReplicated(b *testing.B) {
 	defer fts.Close()
 	node, prep := benchNode(b, deploy.Config{ReplicateTo: fts.URL, Epoch: 1, RetryInterval: time.Millisecond})
 	// The prepared documents reach the standby as a snapshot on first
-	// contact; the clock starts on a steady stream.
-	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
-		if frames, _ := node.Primary.Lag(); node.Primary.State() == "steady" && frames == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			b.Fatalf("replication stream not steady after 30s: state %s, last error %v", node.Primary.State(), node.Primary.LastErr())
-		}
+	// contact; the clock starts once the standby has acknowledged them.
+	if err := node.Primary.Barrier(); err != nil {
+		b.Fatalf("replication stream not steady: %v, last error %v", err, node.Primary.LastErr())
 	}
 	uploadLoop(b, node, prep)
 	b.StopTimer()

@@ -174,13 +174,8 @@ func TestRouterBatchMatchesNode(t *testing.T) {
 	}
 	for _, tc := range rows {
 		t.Run(tc.name, func(t *testing.T) {
-			start := time.Now()
 			node := postTo(single, batchPath, tc.body, tc.hdr...)
 			routed := postTo(f.router, batchPath, tc.body, tc.hdr...)
-			// The slowest row takes the pair 0.5 s, 2 s under the race detector.
-			if took := time.Since(start); took > 8*time.Second {
-				t.Errorf("a node and the router took %v over it", took)
-			}
 			if node.Code != tc.want {
 				t.Errorf("a single node answers %d, the table says %d: %s", node.Code, tc.want, node.Body)
 			}
@@ -335,7 +330,7 @@ func spreadBatch(t *testing.T, rt *Router) []byte {
 
 // TestRouterBatchDispatchIsConcurrent: every shard holds its answer until
 // all three sub-batches have arrived, which a router sending them one after
-// another can never satisfy.
+// another can never satisfy: it would hang.
 func TestRouterBatchDispatchIsConcurrent(t *testing.T) {
 	var arrived atomic.Int32
 	all := make(chan struct{})
@@ -343,12 +338,8 @@ func TestRouterBatchDispatchIsConcurrent(t *testing.T) {
 		if arrived.Add(1) == 3 {
 			close(all)
 		}
-		select {
-		case <-all:
-			acceptSubBatch(w, r)
-		case <-time.After(5 * time.Second):
-			http.Error(w, "the other sub-batches never arrived", http.StatusGatewayTimeout)
-		}
+		<-all
+		acceptSubBatch(w, r)
 	})
 	rec := postTo(rt, batchPath, spreadBatch(t, rt))
 	if rec.Code != http.StatusOK {
@@ -397,20 +388,15 @@ func TestRouterBatchCancelReleasesSubBatches(t *testing.T) {
 		rt.ServeHTTP(rec, req)
 		returned <- rec.Code
 	}()
-	wait := func(what string, ch <-chan int, n int) {
-		t.Helper()
+	wait := func(ch <-chan int, n int) {
 		for i := 0; i < n; i++ {
-			select {
-			case <-ch:
-			case <-time.After(5 * time.Second):
-				t.Fatalf("%s: %d of %d after 5s", what, i, n)
-			}
+			<-ch
 		}
 	}
-	wait("sub-batches in flight", entered, 3)
+	wait(entered, 3) // every sub-batch in flight
 	cancel()
-	wait("sub-batches released by the cancel", released, 3)
-	wait("router handler returned", returned, 1)
+	wait(released, 3) // each released by the cancel
+	<-returned        // and the router's handler returned
 }
 
 // downLink fails every round trip while down is set.

@@ -33,6 +33,9 @@ type pageDeployment struct {
 	blobDir string // "" on the memory backend
 	agg     *aggregator.Aggregator
 	nodeReg *obs.Registry
+	// quiet returns once the node has returned from every request it has
+	// begun, and so once its middleware has counted them.
+	quiet func()
 }
 
 const pagesTestID = "pages-test"
@@ -59,7 +62,9 @@ func eachPageDeployment(t *testing.T, fn func(t *testing.T, d *pageDeployment)) 
 				if err != nil {
 					t.Fatal(err)
 				}
-				node := httptest.NewServer(obs.Middleware(srv, nil, d.nodeReg, server.RouteLabel))
+				var h http.Handler
+				h, d.quiet = quiesce(obs.Middleware(srv, nil, d.nodeReg, server.RouteLabel))
+				node := httptest.NewServer(h)
 				t.Cleanup(node.Close)
 				d.front = node.URL
 				if via == "router" {
@@ -156,14 +161,17 @@ func (d *pageDeployment) fetch(t *testing.T, method, page, file string, header .
 	return resp, body
 }
 
-// awaitCounter waits for c to reach want and returns what it reads then. The
-// middleware counts as the handler returns, and the client can have the whole
-// body (or its transport error) before that.
-func awaitCounter(c *obs.Counter, want int64) int64 {
-	for deadline := time.Now().Add(5 * time.Second); c.Value() < want && time.Now().Before(deadline); {
-		time.Sleep(time.Millisecond)
-	}
-	return c.Value()
+// quiesce wraps h, and the func it returns blocks until every request h
+// has begun has returned from ServeHTTP. A middleware inside h counts as its
+// handler returns, and the client can have the whole body (or its transport
+// error) before that.
+func quiesce(h http.Handler) (http.Handler, func()) {
+	var serving sync.WaitGroup
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		serving.Add(1)
+		defer serving.Done()
+		h.ServeHTTP(w, r)
+	}), serving.Wait
 }
 
 func quotedSHA256(data []byte) string {
@@ -358,11 +366,13 @@ func TestPageResponseBytesCounted(t *testing.T) {
 		d.prepare(t, 12, 22)
 		bytesServed := d.nodeReg.Counter(obs.MetricResponseBytes, "route", "GET /api/tests/{id}/pages")
 		resp, body := d.get(t, http.MethodGet, "pair-0-1", "left.html", "")
-		if got := awaitCounter(bytesServed, 1); got != int64(len(body)) || len(body) < 50000 {
+		d.quiet()
+		if got := bytesServed.Value(); got != int64(len(body)) || len(body) < 50000 {
 			t.Fatalf("after one %d-byte page the counter reads %d", len(body), got)
 		}
 		d.get(t, http.MethodGet, "pair-0-1", "left.html", resp.Header.Get("ETag"))
 		d.get(t, http.MethodHead, "pair-0-1", "left.html", "")
+		d.quiet()
 		if got := bytesServed.Value(); got != int64(len(body)) {
 			t.Errorf("a 304 and a HEAD moved the byte counter from %d to %d", len(body), got)
 		}
@@ -372,7 +382,8 @@ func TestPageResponseBytesCounted(t *testing.T) {
 		for _, r := range []string{"bytes=0-99", "bytes=-1000"} {
 			_, part := d.fetch(t, http.MethodGet, "pair-0-1", "left.html", "Range", r)
 			counted += int64(len(part))
-			if got := awaitCounter(bytesServed, counted); got != counted || len(part) == 0 {
+			d.quiet()
+			if got := bytesServed.Value(); got != counted || len(part) == 0 {
 				t.Errorf("after Range %s (%d bytes) the counter reads %d, want %d", r, len(part), got, counted)
 			}
 		}
@@ -492,6 +503,7 @@ func TestPageFetchDuringOverwrite(t *testing.T) {
 		etags := map[string]bool{quotedSHA256(first): true, quotedSHA256(second): true}
 
 		stop := make(chan struct{})
+		fetched := make(chan struct{}, 1) // a fetch has completed since the last swap
 		var wg, fetching sync.WaitGroup
 		for g := 0; g < 8; g++ {
 			wg.Add(1)
@@ -516,6 +528,10 @@ func TestPageFetchDuringOverwrite(t *testing.T) {
 						return
 					}
 					select {
+					case fetched <- struct{}{}:
+					default:
+					}
+					select {
 					case <-stop:
 						return
 					default:
@@ -524,6 +540,8 @@ func TestPageFetchDuringOverwrite(t *testing.T) {
 			}()
 		}
 		fetching.Wait()
+		exited := make(chan struct{})
+		go func() { wg.Wait(); close(exited) }()
 		for i := 0; i < 40; i++ {
 			next := second
 			if i%2 == 1 {
@@ -532,9 +550,12 @@ func TestPageFetchDuringOverwrite(t *testing.T) {
 			if err := d.blobs.PutCAS(key, store.NewPayload(next)); err != nil {
 				t.Error(err)
 			}
-			time.Sleep(time.Millisecond)
+			select {
+			case <-fetched:
+			case <-exited: // every fetcher failed, and said why
+			}
 		}
 		close(stop)
-		wg.Wait()
+		<-exited
 	})
 }

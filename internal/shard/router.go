@@ -109,7 +109,8 @@ func New(cfg Config) (*Router, error) {
 	rt := &Router{timeout: cfg.Timeout, reg: cfg.Registry}
 	loop := failover.Loop{Policy: cfg.Policy.Or(failover.RouterPolicy)}
 	if rt.reg != nil {
-		loop.OnRetry = rt.reg.Counter("kscope_shard_proxy_retries_total").Inc
+		retries := rt.reg.Counter("kscope_shard_proxy_retries_total")
+		loop.OnRetry = func(time.Duration) { retries.Inc() }
 		loop.OnFailover = rt.reg.Counter("kscope_shard_failovers_total").Inc
 		rt.partials = rt.reg.Counter("kscope_shard_partial_results_total")
 		rt.exhausted = rt.reg.Counter("kscope_shard_exhausted_total")

@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"slices"
 	"strings"
@@ -402,4 +404,55 @@ func TestSplitRefusals(t *testing.T) {
 			t.Errorf("%s: %v, want %v", tc.name, err, tc.want)
 		}
 	}
+}
+
+// blanks reads as an endless run of spaces.
+type blanks struct{}
+
+func (blanks) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// TestBatchReadStopsAtTheBudget: the router reads a batch body, and
+// inflates a gzip one, only as far as it takes to see it is past a node's
+// byte budget, then refuses it. The bound is on the bytes consumed, so it
+// holds on any host.
+func TestBatchReadStopsAtTheBudget(t *testing.T) {
+	const budget = server.MaxBatchBytes
+	t.Run("plain", func(t *testing.T) {
+		body := &io.LimitedReader{R: blanks{}, N: 2 * budget}
+		req := httptest.NewRequest(http.MethodPost, batchPath, body)
+		req.ContentLength = -1 // undeclared: the read alone must stop
+		if _, err := new(batchSplit).read(req); !errors.Is(err, errTooLarge) {
+			t.Errorf("a %d-byte body: %v, want errTooLarge", 2*budget, err)
+		}
+		const readBuf = 32 << 10
+		if read := 2*budget - body.N; read > budget+1+readBuf {
+			t.Errorf("read %d bytes of the body; the budget is %d, plus one byte and one %d-byte read", read, budget, readBuf)
+		}
+	})
+	t.Run("gzip", func(t *testing.T) {
+		// Twice the budget as gzip members of 1 MiB each, which a gzip
+		// reader inflates as one stream (RFC 1952 §2.2): one compression,
+		// and the compressed offset of every 1 MiB's end is known. The
+		// member holding byte budget+1 ends the prefix that inflates past
+		// the budget; the inflater may read ahead by up to one member.
+		const block = 1 << 20
+		member := gzipped(t, bytes.Repeat([]byte{' '}, block))
+		wire := bytes.Repeat(member, 2*budget/block)
+		prefix := (budget/block + 1) * len(member)
+		req := httptest.NewRequest(http.MethodPost, batchPath, bytes.NewReader(wire))
+		req.Header.Set("Content-Encoding", "gzip")
+		sp := new(batchSplit)
+		if _, err := sp.read(req); !errors.Is(err, errTooLarge) {
+			t.Errorf("a gzip body inflating to %d bytes: %v, want errTooLarge", 2*budget, err)
+		}
+		if consumed := len(wire) - sp.src.Len(); consumed > prefix+len(member) {
+			t.Errorf("inflated %d of %d compressed bytes; %d inflate past the budget, and a member is %d",
+				consumed, len(wire), prefix, len(member))
+		}
+	})
 }

@@ -18,8 +18,9 @@ import (
 )
 
 // routerOver fronts one scripted upstream with a router behind
-// obs.Middleware, as kscope-server -shards assembles it.
-func routerOver(t *testing.T, upstream http.Handler, timeout time.Duration) (url string, reg *obs.Registry) {
+// obs.Middleware, as kscope-server -shards assembles it. quiet returns once
+// the router has returned from every request it has begun.
+func routerOver(t *testing.T, upstream http.Handler, timeout time.Duration) (url string, reg *obs.Registry, quiet func()) {
 	t.Helper()
 	up := httptest.NewServer(upstream)
 	t.Cleanup(up.Close)
@@ -33,9 +34,10 @@ func routerOver(t *testing.T, upstream http.Handler, timeout time.Duration) (url
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(obs.Middleware(rt, nil, reg, server.RouteLabel))
+	front, quiet := quiesce(obs.Middleware(rt, nil, reg, server.RouteLabel))
+	ts := httptest.NewServer(front)
 	t.Cleanup(ts.Close)
-	return ts.URL, reg
+	return ts.URL, reg, quiet
 }
 
 const streamedPage = "/api/tests/x/pages/pair-0-1/left.html"
@@ -45,7 +47,7 @@ const streamedPage = "/api/tests/x/pages/pair-0-1/left.html"
 // and the router's byte counter counts what was streamed.
 func TestRouterStreamsAcceptedAnswer(t *testing.T) {
 	page := bytes.Repeat([]byte("integrated page "), 8000) // four copy buffers' worth
-	url, reg := routerOver(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	url, reg, quiet := routerOver(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(server.EpochHeader, "3")
 		w.Header().Set(server.FencedHeader, "0")
 		w.Header().Set("ETag", `"abc"`)
@@ -97,6 +99,7 @@ func TestRouterStreamsAcceptedAnswer(t *testing.T) {
 	}
 
 	const route = "GET /api/tests/{id}/pages"
+	quiet()
 	if got := reg.Counter(obs.MetricResponseBytes, "route", route).Value(); got != int64(len(page)) {
 		t.Errorf("%s = %d over one 200, one 304 and one HEAD; want exactly the one body's %d",
 			obs.MetricResponseBytes, got, len(page))
@@ -111,7 +114,7 @@ func TestRouterStreamsAcceptedAnswer(t *testing.T) {
 // the client sees the 200 alone, once.
 func TestRouterRetriesBeforeStreaming(t *testing.T) {
 	var calls atomic.Int32
-	url, reg := routerOver(t, http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+	url, reg, _ := routerOver(t, http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		if calls.Add(1) == 1 {
 			w.Header().Set("Retry-After", "0")
 			w.Header().Set("X-Attempt", "shed")
@@ -136,7 +139,7 @@ func TestRouterRetriesBeforeStreaming(t *testing.T) {
 // TestRouterRelaysLastShedWhenBudgetRunsOut: refused answers are buffered,
 // not dropped, so the last one still passes through whole.
 func TestRouterRelaysLastShedWhenBudgetRunsOut(t *testing.T) {
-	url, _ := routerOver(t, http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+	url, _, _ := routerOver(t, http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Retry-After", "0")
 		w.WriteHeader(http.StatusTooManyRequests)
 		w.Write([]byte(`{"error":"slow down"}`))
@@ -150,7 +153,7 @@ func TestRouterRelaysLastShedWhenBudgetRunsOut(t *testing.T) {
 // TestRouterRelaysAnyLength: the relay's buffer is one size and a body is
 // any: empty, within one read, exactly one, just past it, several.
 func TestRouterRelaysAnyLength(t *testing.T) {
-	url, _ := routerOver(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	url, _, _ := routerOver(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		n, _ := strconv.Atoi(r.URL.Query().Get("n"))
 		w.Header().Set("Content-Length", strconv.Itoa(n))
 		w.Write(relayedBody(n))
@@ -220,7 +223,7 @@ func truncating(page []byte, stall bool, release <-chan struct{}) http.Handler {
 // and the router's own metrics must still have seen the request.
 func TestRouterAbortsWhenUpstreamDiesMidBody(t *testing.T) {
 	page := bytes.Repeat([]byte("p"), 200000)
-	url, reg := routerOver(t, truncating(page, false, nil), 5*time.Second)
+	url, reg, quiet := routerOver(t, truncating(page, false, nil), 5*time.Second)
 	resp, err := http.Get(url + streamedPage)
 	if err == nil { // else the abort beat the status line: also a transport error
 		got, err := io.ReadAll(resp.Body)
@@ -233,7 +236,8 @@ func TestRouterAbortsWhenUpstreamDiesMidBody(t *testing.T) {
 	// The aborted relay is one request with the status that went out and
 	// the bytes that did.
 	const route = "GET /api/tests/{id}/pages"
-	if got := awaitCounter(reg.Counter(obs.MetricRequests, "route", route, "status", "200"), 1); got != 1 {
+	quiet()
+	if got := reg.Counter(obs.MetricRequests, "route", route, "status", "200").Value(); got != 1 {
 		t.Errorf("%s{status=200} = %d after one aborted relay, want 1", obs.MetricRequests, got)
 	}
 	if got := reg.Counter(obs.MetricResponseBytes, "route", route).Value(); got <= 0 || got >= int64(len(page)) {
@@ -243,13 +247,14 @@ func TestRouterAbortsWhenUpstreamDiesMidBody(t *testing.T) {
 }
 
 // TestRouterTimeoutCoversTheCopy: rt.timeout bounds the whole attempt, the
-// body included, not just the wait for headers.
+// body included, not just the wait for headers. Only the deferred close
+// releases the stalled upstream, so the test ends only if the 100ms attempt
+// timeout cuts the copy.
 func TestRouterTimeoutCoversTheCopy(t *testing.T) {
 	page := bytes.Repeat([]byte("p"), 200000)
 	release := make(chan struct{})
 	defer close(release) // before the upstream's Close, which waits for the handler
-	url, _ := routerOver(t, truncating(page, true, release), 100*time.Millisecond)
-	start := time.Now()
+	url, _, _ := routerOver(t, truncating(page, true, release), 100*time.Millisecond)
 	resp, err := http.Get(url + streamedPage)
 	if err == nil {
 		_, err = io.ReadAll(resp.Body)
@@ -257,9 +262,6 @@ func TestRouterTimeoutCoversTheCopy(t *testing.T) {
 	}
 	if err == nil {
 		t.Fatal("a stalled upstream body read to a clean EOF")
-	}
-	if elapsed := time.Since(start); elapsed > 3*time.Second {
-		t.Errorf("the stalled copy was cut after %v; the 100ms attempt timeout must cover it", elapsed)
 	}
 	fetchCleanPage(t, url)
 }

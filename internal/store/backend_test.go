@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // recordingShipper captures every Ship call for inspection.
@@ -146,16 +145,15 @@ func TestShipFailureFailsWrite(t *testing.T) {
 	}
 }
 
-// syncProbeFS observes WAL fsyncs: how many ran, whether Ship had been
-// entered by the time one ran, and — when syncErr is set — fails them.
+// syncProbeFS observes WAL fsyncs — how many ran — and, when syncErr is
+// set, fails them. Each one waits until Ship has been entered.
 type syncProbeFS struct {
 	FileSystem
 	shipping chan struct{} // closed by the shipper on entry
 	syncErr  error
 
-	mu         sync.Mutex
-	syncs      int
-	overlapped int // fsyncs that saw Ship entered before they returned
+	mu    sync.Mutex
+	syncs int
 }
 
 func (fs *syncProbeFS) OpenAppend(path string) (WALFile, error) {
@@ -172,17 +170,9 @@ type syncProbeWAL struct {
 }
 
 func (w syncProbeWAL) Sync() error {
-	overlapped := false
-	select {
-	case <-w.fs.shipping:
-		overlapped = true
-	case <-time.After(2 * time.Second):
-	}
+	<-w.fs.shipping
 	w.fs.mu.Lock()
 	w.fs.syncs++
-	if overlapped {
-		w.fs.overlapped++
-	}
 	w.fs.mu.Unlock()
 	if w.fs.syncErr != nil {
 		return w.fs.syncErr
@@ -205,7 +195,7 @@ func (s *enteringShipper) Ship(string, []byte, int) error {
 // TestShipOverlapsLocalSync: on a replicated backend the local fsync and
 // the shipping of one write run at the same time and the write waits for
 // both — the fsync in this test does not return until Ship has been entered,
-// which a sync-then-ship sequence could only do by timing out.
+// so a sync-then-ship sequence would hang.
 func TestShipOverlapsLocalSync(t *testing.T) {
 	entered := make(chan struct{})
 	fs := &syncProbeFS{FileSystem: OSFileSystem{}, shipping: entered}
@@ -215,12 +205,11 @@ func TestShipOverlapsLocalSync(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	start := time.Now()
 	if _, err := db.Collection("uploads").Insert(Document{IDField: "a"}); err != nil {
 		t.Fatal(err)
 	}
-	if fs.syncs != 1 || fs.overlapped != 1 {
-		t.Fatalf("fsyncs = %d, of which %d ran beside Ship; want 1 and 1 (insert took %v)", fs.syncs, fs.overlapped, time.Since(start))
+	if fs.syncs != 1 {
+		t.Fatalf("fsyncs = %d, want 1", fs.syncs)
 	}
 	if got := db.DurabilityStats().Fsyncs; got != 1 {
 		t.Errorf("DurabilityStats.Fsyncs = %d, want 1", got)
