@@ -81,9 +81,12 @@ cover-check: cover
 # The Prepare benchmarks; record results in BENCH_aggregator.json (on >=4
 # cores the parallel pipeline should show >=2.2x over the sequential
 # reference — see that file's notes). BenchShape is Prepare as the
-# end-to-end benchmark runs it: many 2-version tests through one Aggregator.
+# end-to-end benchmark runs it: many 2-version tests through one Aggregator
+# over one store, warmed first, so that every version comes from the blob
+# store's memo; BenchShapeCold is the same on a fresh store every op, which
+# compresses both versions each time.
 bench-aggregator:
-	$(GO) test -run '^$$' -bench 'BenchmarkPrepare(Sequential|Parallel|BenchShape)$$' -benchmem -count=3 \
+	$(GO) test -run '^$$' -bench 'BenchmarkPrepare(Sequential|Parallel|BenchShape|BenchShapeCold)$$' -benchmem -count=3 \
 		./internal/aggregator/
 
 # The serving path's acceptance benchmarks; record results in

@@ -14,16 +14,20 @@
 // Preparation is C(N,2)-shaped work and runs as a staged concurrent
 // pipeline by default: a bounded worker pool compresses all versions and
 // control sides, a barrier, then the integrated-page builds fan out over
-// the same pool. Identical inputs are compressed once, each compressed
-// payload is hashed once, in the compress stage, and identical payloads are
-// stored once (the blob store's content-addressed layer). Output is
+// the same pool. A version is compressed once per blob store: a job whose
+// input (the site's bytes and the replay spec) the store has compressed
+// before takes the stored payload from the store's memo, and identical
+// inputs within one Prepare share one job. Each compressed payload is
+// hashed once, in the compress stage, and identical payloads are stored
+// once (the blob store's content-addressed layer). Output is
 // deterministic — page order, IDs, stored bytes, and first-error behavior
 // are independent of scheduling and match the straight-line reference path
 // (WithSequential), which the differential determinism tests enforce.
 package aggregator
 
 import (
-	"encoding/json"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
@@ -130,16 +134,17 @@ func WithWorkers(n int) Option {
 }
 
 // WithSequential selects the straight-line reference implementation of
-// Prepare — no pool, no stages. It exists for differential testing and
-// benchmarking against the pipeline; outputs are bit-identical either way.
+// Prepare — no pool, no stages, no memo: it compresses every version. It
+// exists for differential testing and benchmarking against the pipeline;
+// outputs are bit-identical either way.
 func WithSequential() Option {
 	return func(a *Aggregator) { a.sequential = true }
 }
 
 // WithObservability exports preparation metrics into reg: the
-// aggregator_inline_seconds histogram, aggregator_pages_built_total and
-// aggregator_blobs_deduped_total counters, and the
-// aggregator_prepare_inflight gauge.
+// aggregator_inline_seconds histogram, aggregator_pages_built_total,
+// aggregator_blobs_deduped_total and aggregator_versions_reused_total
+// counters, and the aggregator_prepare_inflight gauge.
 func WithObservability(reg *obs.Registry) Option {
 	return func(a *Aggregator) { a.reg = reg }
 }
@@ -177,7 +182,8 @@ func New(db *store.DB, blobs *store.BlobStore, opts ...Option) (*Aggregator, err
 // On failure Prepare returns the first error in pipeline order (the error
 // the sequential path would have hit) and removes everything it wrote for
 // the test — blobs and documents — so a failed preparation leaves no
-// partial state behind.
+// partial state behind. Preparing a test id that is already stored replaces
+// it: pages the new spine lacks go with their documents and blobs.
 func (a *Aggregator) Prepare(test *params.Test, sites map[string]*webgen.Site, extraControls []ControlPair) (*Prepared, error) {
 	if err := test.Validate(); err != nil {
 		return nil, fmt.Errorf("aggregator: %w", err)
@@ -200,24 +206,30 @@ func (a *Aggregator) Prepare(test *params.Test, sites map[string]*webgen.Site, e
 		return nil, err
 	}
 	if a.reg != nil {
+		statsAfter := a.blobs.Stats()
 		a.reg.Counter("aggregator_pages_built_total").Add(int64(len(prep.Pages)))
-		a.reg.Counter("aggregator_blobs_deduped_total").
-			Add(a.blobs.Stats().DedupHits - statsBefore.DedupHits)
+		a.reg.Counter("aggregator_blobs_deduped_total").Add(statsAfter.DedupHits - statsBefore.DedupHits)
+		a.reg.Counter("aggregator_versions_reused_total").Add(statsAfter.Reused - statsBefore.Reused)
 	}
 	return prep, nil
 }
 
 // compressJob is one unit of the pipeline's first stage: inline a version
 // (or control side) into a single file, inject its replay spec and digest
-// the rendered page. Identical (site, spec) inputs share one job, so
-// duplicated control sides are compressed once.
+// the rendered page. Inputs with equal bytes share one job, so duplicated
+// control sides are compressed once, and a job the blob store has seen
+// before is not compressed at all.
 type compressJob struct {
 	site *webgen.Site
 	spec params.PageLoadSpec
+	// input is inputDigest(site, spec): the job's identity within a
+	// Prepare and its key in the blob store's memo.
+	input string
 	// wrap decorates a failure with the position-specific message the
 	// sequential path produces for this job's first occurrence.
-	wrap func(error) error
-	out  store.Payload
+	wrap     func(error) error
+	out      store.Payload
+	recalled bool // out came from the blob store's memo
 }
 
 // buildJob is one unit of the pipeline's second stage: assemble and store
@@ -229,20 +241,14 @@ type buildJob struct {
 
 // preparePipeline is the staged concurrent implementation of Prepare.
 func (a *Aggregator) preparePipeline(test *params.Test, sites map[string]*webgen.Site, extraControls []ControlPair) (*Prepared, error) {
-	// Stage 0 (serial, cheap): validate inputs and lay out the compress
+	// Stage 0 (serial, but for the input digests, which decide no order
+	// and are taken on the pool): validate inputs and lay out the compress
 	// jobs, the page list, and the build jobs deterministically. All
 	// ordering decisions happen here, before anything runs concurrently.
-	var jobs []*compressJob
-	memo := make(map[string]*compressJob)
+	var sides []*compressJob // every version and control side, in pipeline order
 	newJob := func(site *webgen.Site, spec params.PageLoadSpec, wrap func(error) error) *compressJob {
-		specJSON, _ := json.Marshal(spec.Schedule)
-		key := fmt.Sprintf("%p|%d|%s", site, spec.UniformMillis, specJSON)
-		if j, ok := memo[key]; ok {
-			return j
-		}
 		j := &compressJob{site: site, spec: spec, wrap: wrap}
-		memo[key] = j
-		jobs = append(jobs, j)
+		sides = append(sides, j)
 		return j
 	}
 
@@ -271,6 +277,28 @@ func (a *Aggregator) preparePipeline(test *params.Test, sites map[string]*webgen
 		ctlJobs[k][1] = newJob(ctl.Right, params.PageLoadSpec{}, func(err error) error {
 			return fmt.Errorf("aggregator: control %d right: %w", k, err)
 		})
+	}
+	// Digest every side on the pool (a digest cannot fail), then let sides
+	// with equal inputs share the first one's job.
+	_ = a.runJobs(len(sides), func(i int) error {
+		sides[i].input = inputDigest(sides[i].site, sides[i].spec)
+		return nil
+	})
+	var jobs []*compressJob
+	byInput := make(map[string]*compressJob)
+	merge := func(j *compressJob) *compressJob {
+		if first, ok := byInput[j.input]; ok {
+			return first
+		}
+		byInput[j.input] = j
+		jobs = append(jobs, j)
+		return j
+	}
+	for i := range versionJobs {
+		versionJobs[i] = merge(versionJobs[i])
+	}
+	for k := range ctlJobs {
+		ctlJobs[k] = [2]*compressJob{merge(ctlJobs[k][0]), merge(ctlJobs[k][1])}
 	}
 
 	prep := &Prepared{Test: test}
@@ -305,9 +333,13 @@ func (a *Aggregator) preparePipeline(test *params.Test, sites map[string]*webgen
 		}, ctlJobs[k][0], ctlJobs[k][1])
 	}
 
-	// Stage 1 (pool): compress every distinct version and control side.
+	// Stage 1 (pool): compress every distinct version and control side the
+	// blob store cannot recall.
 	if err := a.runJobs(len(jobs), func(i int) error {
 		j := jobs[i]
+		if j.out, j.recalled = a.blobs.Recall(j.input); j.recalled {
+			return nil
+		}
 		start := time.Now()
 		out, err := compressVersion(j.site, j.spec)
 		if a.reg != nil {
@@ -329,6 +361,12 @@ func (a *Aggregator) preparePipeline(test *params.Test, sites map[string]*webgen
 		return a.storeIntegrated(test.TestID, b.pageID, b.left.out, b.right.out)
 	}); err != nil {
 		return nil, err
+	}
+	// Every payload is stored now, so the memo can name it.
+	for _, j := range jobs {
+		if !j.recalled {
+			a.blobs.Remember(j.input, j.out)
+		}
 	}
 
 	if err := a.persist(prep); err != nil {
@@ -473,6 +511,43 @@ func (a *Aggregator) cleanupTest(testID string) {
 	}
 }
 
+// inputDigest returns the raw SHA-256 of everything compressVersion reads:
+// the site's main file name, each file's path and bytes in path order, and
+// the replay spec. Every field is length-prefixed, so no two inputs share an
+// encoding, and a nil site has a digest of its own.
+func inputDigest(site *webgen.Site, spec params.PageLoadSpec) string {
+	h := sha256.New()
+	var buf []byte
+	num := func(n int) {
+		buf = binary.AppendVarint(buf[:0], int64(n))
+		h.Write(buf)
+	}
+	str := func(s string) {
+		num(len(s))
+		h.Write([]byte(s))
+	}
+	str("aggregator.compressVersion")
+	if site == nil {
+		num(-1)
+	} else {
+		paths := site.Paths()
+		num(len(paths))
+		str(site.MainFile)
+		for _, p := range paths {
+			str(p)
+			num(len(site.Files[p]))
+			h.Write(site.Files[p])
+		}
+	}
+	num(spec.UniformMillis)
+	num(len(spec.Schedule))
+	for _, st := range spec.Schedule {
+		str(st.Selector)
+		num(st.Millis)
+	}
+	return string(h.Sum(nil))
+}
+
 // compressVersion inlines a version into one document, injects the replay
 // spec into that same tree, renders it once and digests the result.
 func compressVersion(site *webgen.Site, spec params.PageLoadSpec) (store.Payload, error) {
@@ -523,7 +598,10 @@ func (a *Aggregator) storeIntegrated(testID, pageID string, left, right store.Pa
 	})
 }
 
-// persist writes the test and page documents to the database.
+// persist writes the test and page documents to the database. Over a test
+// that is already stored, it then removes the pages the new spine lacks:
+// their documents and their blob folders, whose CAS references go with
+// them.
 func (a *Aggregator) persist(prep *Prepared) error {
 	encoded, err := prep.Test.Encode()
 	if err != nil {
@@ -541,7 +619,10 @@ func (a *Aggregator) persist(prep *Prepared) error {
 		return fmt.Errorf("aggregator: storing test: %w", err)
 	}
 	pages := a.db.Collection(PagesCollection)
+	earlier := pages.FindEq("test_id", prep.Test.TestID)
+	spine := make(map[string]bool, len(prep.Pages))
 	for _, p := range prep.Pages {
+		spine[p.ID] = true
 		doc := store.Document{
 			store.IDField: p.TestID + "/" + p.ID,
 			"page_id":     p.ID,
@@ -553,6 +634,18 @@ func (a *Aggregator) persist(prep *Prepared) error {
 		}
 		if _, err := pages.Insert(doc); err != nil {
 			return fmt.Errorf("aggregator: storing page %s: %w", p.ID, err)
+		}
+	}
+	for _, doc := range earlier {
+		id := docString(doc, "page_id")
+		if spine[id] {
+			continue
+		}
+		if err := pages.Delete(doc.ID()); err != nil {
+			return fmt.Errorf("aggregator: removing stale page %s: %w", id, err)
+		}
+		if _, err := a.blobs.DeletePrefix(prep.Test.TestID + "/" + id + "/"); err != nil {
+			return fmt.Errorf("aggregator: removing stale page %s: %w", id, err)
 		}
 	}
 	return nil

@@ -103,16 +103,47 @@ func BenchmarkPrepareParallelWorkers(b *testing.B) {
 
 // BenchmarkPrepareBenchShape times Prepare as the end-to-end benchmark runs
 // it: one Aggregator over one store preparing test after test, each two
-// versions drawn from a 32-variant corpus.
+// versions drawn from a 32-variant corpus. Untimed warm-up tests store
+// every variant first, so each timed op recalls both of its versions from
+// the blob store's memo, as all but the script's first 16 tests do: this
+// is warm set-up.
 func BenchmarkPrepareBenchShape(b *testing.B) {
 	variants := shapeCorpus()
 	agg, err := New(store.OpenMemory(), store.NewBlobStore())
 	if err != nil {
 		b.Fatal(err)
 	}
+	for n := 0; n < shapeVariants/2; n++ {
+		test, sites := shapeTest(variants, n)
+		test.TestID = fmt.Sprintf("warm-up-%d", n)
+		if _, err := agg.Prepare(test, sites, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		test, sites := shapeTest(variants, i)
+		if _, err := agg.Prepare(test, sites, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPrepareBenchShapeCold is BenchmarkPrepareBenchShape over a fresh
+// store every op, built untimed, so that no version is recalled from the
+// blob store's memo and each op compresses both of its versions.
+func BenchmarkPrepareBenchShapeCold(b *testing.B) {
+	variants := shapeCorpus()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		agg, err := New(store.OpenMemory(), store.NewBlobStore())
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
 		test, sites := shapeTest(variants, i)
 		if _, err := agg.Prepare(test, sites, nil); err != nil {
 			b.Fatal(err)

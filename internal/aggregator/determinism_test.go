@@ -51,6 +51,7 @@ func diffInput() (*params.Test, map[string]*webgen.Site, []ControlPair) {
 type prepRun struct {
 	pages []IntegratedPage
 	blobs map[string][]byte         // logical key -> bytes
+	etags map[string]string         // logical key -> served validator
 	docs  map[string]store.Document // collection/id -> document
 }
 
@@ -69,12 +70,27 @@ func runPrepare(t *testing.T, opts ...Option) prepRun {
 	if err != nil {
 		t.Fatalf("Prepare: %v", err)
 	}
+	return snapshot(t, db, blobs, prep, "")
+}
+
+// snapshot captures what a store holds after prep: the page list, every
+// blob with its served validator, and every test and page document. A
+// non-empty scope narrows it to that test id's blob folder, test document
+// and page documents, for stores other tests share; runPrepare's fresh
+// store is captured whole, so a stray blob or document shows too.
+func snapshot(t *testing.T, db *store.DB, blobs *store.BlobStore, prep *Prepared, scope string) prepRun {
+	t.Helper()
 	run := prepRun{
 		pages: append([]IntegratedPage(nil), prep.Pages...),
 		blobs: make(map[string][]byte),
+		etags: make(map[string]string),
 		docs:  make(map[string]store.Document),
 	}
-	keys, err := blobs.List("")
+	prefix := ""
+	if scope != "" {
+		prefix = scope + "/"
+	}
+	keys, err := blobs.List(prefix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,10 +99,18 @@ func runPrepare(t *testing.T, opts ...Option) prepRun {
 		if err != nil {
 			t.Fatal(err)
 		}
+		view, err := blobs.Open(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		view.Close()
 		run.blobs[key] = data
+		run.etags[key] = view.ETag
 	}
 	for _, coll := range []string{TestsCollection, PagesCollection} {
-		for _, doc := range db.Collection(coll).Find(func(store.Document) bool { return true }) {
+		for _, doc := range db.Collection(coll).Find(func(doc store.Document) bool {
+			return scope == "" || doc.ID() == scope || docString(doc, "test_id") == scope
+		}) {
 			run.docs[coll+"/"+doc.ID()] = doc
 		}
 	}
@@ -113,6 +137,9 @@ func assertRunsEqual(t *testing.T, label string, want, got prepRun) {
 		if !bytes.Equal(data, other) {
 			t.Errorf("%s: blob %s differs (%d vs %d bytes)", label, key, len(data), len(other))
 		}
+	}
+	if !reflect.DeepEqual(want.etags, got.etags) {
+		t.Errorf("%s: validators diverge", label)
 	}
 	if !reflect.DeepEqual(want.docs, got.docs) {
 		t.Errorf("%s: stored documents diverge", label)

@@ -37,6 +37,9 @@ type BlobStats struct {
 	BytesSaved int64
 	// UniqueBlobs is the number of distinct live content-addressed payloads.
 	UniqueBlobs int64
+	// Reused counts Recall hits: payloads a caller took from the memo of
+	// derived payloads instead of computing them again.
+	Reused int64
 }
 
 // BlobStore holds the integrated-webpage files the core server serves to
@@ -49,6 +52,12 @@ type BlobStats struct {
 // stored once, and logical keys reference them — in memory by sharing the
 // backing slice, on disk by hard-linking the logical path to
 // .cas/<sha256>. Get and List are oblivious to which API stored a key.
+//
+// Beside the CAS layer the store keeps a memo of derived payloads: Remember
+// notes that an input (a caller's digest of whatever it computed the payload
+// from) produced a stored payload, and Recall hands that payload back. The
+// memo lives in process memory only and holds no bytes of its own: one input
+// per live payload, dropped when the payload's last key is released.
 //
 // Invariant: a stored payload is never written again. Put copies the
 // caller's bytes into a fresh slice and PutCAS keeps the slice its Payload
@@ -63,6 +72,7 @@ type BlobStore struct {
 	mem   map[string][]byte
 	refs  map[string]string    // logical key -> content hash (CAS-stored keys)
 	cas   map[string]*casEntry // content hash -> live payload bookkeeping
+	memo  map[string]string    // input digest -> content hash (Remember)
 	stats BlobStats
 
 	// validators remembers, on the directory backend, the hash Open computed
@@ -75,9 +85,10 @@ type BlobStore struct {
 
 // casEntry tracks one distinct content-addressed payload.
 type casEntry struct {
-	refs int
-	size int
-	data []byte // shared payload; nil on the directory backend
+	refs  int
+	size  int
+	data  []byte // shared payload; nil on the directory backend
+	input string // the memo key naming this payload, "" for none
 }
 
 // NewBlobStore returns a memory-backed blob store.
@@ -86,6 +97,7 @@ func NewBlobStore() *BlobStore {
 		mem:  make(map[string][]byte),
 		refs: make(map[string]string),
 		cas:  make(map[string]*casEntry),
+		memo: make(map[string]string),
 	}
 }
 
@@ -102,6 +114,7 @@ func OpenBlobStore(dir string) (*BlobStore, error) {
 		mem:        make(map[string][]byte),
 		refs:       make(map[string]string),
 		cas:        make(map[string]*casEntry),
+		memo:       make(map[string]string),
 		validators: make(map[string]validator),
 	}, nil
 }
@@ -203,19 +216,19 @@ func (b *BlobStore) PutCAS(key string, p Payload) error {
 		b.stats.DedupHits++
 		b.stats.BytesSaved += int64(len(data))
 	}
+	if exists && b.refs[clean] == hash {
+		// The key already references this payload. Releasing it first
+		// would drop the payload's last reference, and with it the CAS
+		// entry, its memo key and, on disk, the .cas file, before the
+		// key took it again.
+		return b.relinkLocked(clean, hash, data)
+	}
 
 	if b.dir != "" {
 		casPath := filepath.Join(b.dir, casDir, hash)
 		if !exists {
-			if err := os.MkdirAll(filepath.Dir(casPath), 0o755); err != nil {
-				return fmt.Errorf("store: creating cas dir: %w", err)
-			}
-			// The payload may survive from a previous process; only write
-			// it when absent.
-			if _, statErr := os.Stat(casPath); statErr != nil {
-				if err := os.WriteFile(casPath, data, 0o644); err != nil {
-					return fmt.Errorf("store: writing cas payload %s: %w", hash, err)
-				}
+			if err := writeCASFile(casPath, hash, data); err != nil {
+				return err
 			}
 			entry = &casEntry{size: len(data)}
 			b.cas[hash] = entry
@@ -251,6 +264,132 @@ func (b *BlobStore) PutCAS(key string, p Payload) error {
 	return nil
 }
 
+// relinkLocked restores the directory backend's file for clean, a key
+// already referencing the payload hash, should it have gone missing; the
+// memory backend has nothing to restore. Callers hold b.mu.
+func (b *BlobStore) relinkLocked(clean, hash string, data []byte) error {
+	if b.dir == "" {
+		return nil
+	}
+	path := filepath.Join(b.dir, filepath.FromSlash(clean))
+	if _, err := os.Stat(path); err == nil {
+		return nil
+	}
+	b.vmu.Lock()
+	delete(b.validators, clean)
+	b.vmu.Unlock()
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return fmt.Errorf("store: creating blob parent: %w", err)
+	}
+	if err := os.Link(filepath.Join(b.dir, casDir, hash), path); err != nil {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			return fmt.Errorf("store: writing blob %s: %w", clean, err)
+		}
+	}
+	return nil
+}
+
+// writeCASFile makes the file at casPath hold data, whose hex SHA-256 is
+// hash. A file already there (a previous process's) is adopted only when
+// its bytes hash to its name: a write cut short by a crash or a full disk
+// leaves a short file under the full payload's name, and adopting it would
+// serve the torn bytes under every key linked to it. Otherwise the payload
+// is written under a temporary name and renamed into place, so the name
+// never holds a partial payload.
+func writeCASFile(casPath, hash string, data []byte) error {
+	if sum, err := hashFile(casPath); err == nil && sum == hash {
+		return nil
+	}
+	dir := filepath.Dir(casPath)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("store: creating cas dir: %w", err)
+	}
+	tmp, err := os.CreateTemp(dir, hash+".tmp*")
+	if err != nil {
+		return fmt.Errorf("store: writing cas payload %s: %w", hash, err)
+	}
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Chmod(tmp.Name(), 0o644)
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), casPath)
+	}
+	if err != nil {
+		_ = os.Remove(tmp.Name())
+		return fmt.Errorf("store: writing cas payload %s: %w", hash, err)
+	}
+	return nil
+}
+
+// hashFile returns the hex SHA-256 of the file at path.
+func hashFile(path string) (string, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return "", err
+	}
+	defer f.Close()
+	h := sha256.New()
+	if _, err := io.Copy(h, f); err != nil {
+		return "", err
+	}
+	return hex.EncodeToString(h.Sum(nil)), nil
+}
+
+// Recall returns the stored payload an earlier Remember noted for input.
+// It misses when nothing was noted, when every key of that payload has been
+// released since, or when, on the directory backend, the payload's file no
+// longer reads back as its hash.
+func (b *BlobStore) Recall(input string) (Payload, bool) {
+	b.mu.Lock()
+	hash := b.memo[input]
+	entry := b.cas[hash]
+	b.mu.Unlock()
+	if entry == nil {
+		return Payload{}, false
+	}
+	p := Payload{data: entry.data, hash: hash}
+	if b.dir != "" {
+		// The directory backend holds no payload bytes in memory: read
+		// them back from the CAS file, which is never written in place.
+		data, err := os.ReadFile(filepath.Join(b.dir, casDir, hash))
+		if err != nil {
+			return Payload{}, false
+		}
+		if p = NewPayload(data); p.hash != hash {
+			return Payload{}, false
+		}
+	}
+	b.mu.Lock()
+	b.stats.Reused++
+	b.mu.Unlock()
+	return p, true
+}
+
+// Remember notes that input produced p, so that a later Recall(input)
+// returns p instead of its caller computing it again. Only a payload the CAS
+// layer holds (some key stores it) is noted; otherwise Remember does
+// nothing. A payload is named by one input at a time, the last remembered.
+func (b *BlobStore) Remember(input string, p Payload) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	entry := b.cas[p.hash]
+	if entry == nil {
+		return
+	}
+	if old := b.cas[b.memo[input]]; old != nil && old.input == input {
+		old.input = ""
+	}
+	if entry.input != "" {
+		delete(b.memo, entry.input)
+	}
+	entry.input = input
+	b.memo[input] = p.hash
+}
+
 // releaseLocked drops key's reference into the CAS layer, if any, and the
 // validator remembered for it. Callers hold b.mu.
 func (b *BlobStore) releaseLocked(clean string) {
@@ -273,6 +412,9 @@ func (b *BlobStore) releaseLocked(clean string) {
 	entry.refs--
 	if entry.refs <= 0 {
 		delete(b.cas, hash)
+		if entry.input != "" {
+			delete(b.memo, entry.input)
+		}
 		b.stats.UniqueBlobs--
 		if b.dir != "" {
 			// Unreferenced payloads are pruned from the CAS area; any

@@ -52,6 +52,17 @@ func start(t *testing.T, top Topology, run Run, tests ...string) *Bed {
 
 var lightChaos = netsim.ChaosConfig{DropRate: 0.05, FaultRate: 0.05}
 
+// TestBedCompressesEachVersionOnce: two fixtures whose sites are built
+// apart but from the same bytes share the bed's blob store, so the second
+// fixture's versions come from the store's memo and are not compressed
+// again.
+func TestBedCompressesEachVersionOnce(t *testing.T) {
+	bed := start(t, Topology{}, Run{}, "first", "second")
+	if n := bed.Blobs.Stats().Reused; n != 2 {
+		t.Errorf("%d versions reused, want 2 (the second fixture's)", n)
+	}
+}
+
 // TestEveryTopologyPassesItsAudit drives a small crowd through each shape
 // the bed can take — with a kill where there is a standby to promote — and
 // holds it to the standard audit.

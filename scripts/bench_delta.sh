@@ -18,9 +18,9 @@
 #   INCR_FLOOR        min incremental-over-scratch speedup at 10k (default 10)
 #   PAR_FLOOR         min parallel-over-sequential Prepare speedup when
 #                     NumCPU >= 4 (default 2.2; BENCH_aggregator.json
-#                     projects 2.6x at 4 cores: the compress stage is 94%
+#                     projects 2.4x at 4 cores: the compress stage is 94%
 #                     of the pipeline and its 6 jobs split 4+2 over 4
-#                     workers)
+#                     workers, after a pooled input digest of each)
 #   REQUIRE_MULTICORE set to 1 to make the parallel-Prepare gate mandatory:
 #                     under 4 cores the script FAILS instead of skipping the
 #                     floor. CI sets this so a degraded runner (or a
@@ -66,7 +66,7 @@ go test -run '^$' -bench 'Benchmark(WALRecord|VerifyWALLine)$' \
 echo "bench_delta: running aggregator benchmarks..."
 go test -run '^$' -bench 'BenchmarkPrepare(Sequential|Parallel)$' \
     -benchmem -benchtime 3x ./internal/aggregator/ >"$tmp/aggregator.txt"
-go test -run '^$' -bench 'BenchmarkPrepareBenchShape$' \
+go test -run '^$' -bench 'BenchmarkPrepareBenchShape(Cold)?$' \
     -benchmem -benchtime 50x ./internal/aggregator/ >>"$tmp/aggregator.txt"
 
 # parse_bench: "<name> <ns/op> <allocs/op> <lag-frames> <upstream-B/op>
