@@ -1,10 +1,15 @@
 GO ?= go
 FUZZTIME ?= 15s
 
-.PHONY: build check check-bench vet test race bench chaos fuzz-smoke cover cover-check bench-aggregator bench-server bench-batch bench-delta
+.PHONY: build check check-bench fmt vet test race bench chaos fuzz-smoke cover cover-check bench-aggregator bench-server bench-batch bench-delta
 
 build:
 	$(GO) build ./...
+
+# Fails when gofmt would change any Go file, bench/ included, and names
+# them.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -15,8 +20,9 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The gate: static analysis plus the full suite under the race detector.
-check: vet race
+# The gate: formatting, static analysis, and the full suite under the race
+# detector.
+check: fmt vet race
 
 # bench/ is a module of its own (BENCHMARK.json's harness), so ./... above
 # neither builds nor runs it, yet it compiles against store, server, shard

@@ -51,7 +51,6 @@ func overloadTopology(cfg config) (testbed.Topology, error) {
 		BreakerThreshold: overloadThreshold,
 		BreakerCooldown:  overloadCooldown,
 		BreakerProbes:    overloadProbes,
-		RetryAfter:       time.Second,
 	}}, nil
 }
 

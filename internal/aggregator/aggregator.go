@@ -31,13 +31,12 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"kaleidoscope/internal/htmlx"
 	"kaleidoscope/internal/inline"
-	"kaleidoscope/internal/obs"
 	"kaleidoscope/internal/pageload"
 	"kaleidoscope/internal/params"
 	"kaleidoscope/internal/questionnaire"
@@ -60,6 +59,27 @@ const (
 	KindReal    PageKind = "real"
 	KindControl PageKind = "control"
 )
+
+// PairPageID is the id of the real page that shows version i on the left
+// and version j on the right.
+func PairPageID(i, j int) string { return fmt.Sprintf("pair-%d-%d", i, j) }
+
+// ParsePairPageID is PairPageID's inverse: it returns the versions of a
+// real page's id, and false for any other id, among them one with j <= i,
+// which Prepare never builds.
+func ParsePairPageID(id string) (i, j int, ok bool) {
+	rest, found := strings.CutPrefix(id, "pair-")
+	left, right, cut := strings.Cut(rest, "-")
+	if !found || !cut {
+		return 0, 0, false
+	}
+	i, err1 := strconv.Atoi(left)
+	j, err2 := strconv.Atoi(right)
+	if err1 != nil || err2 != nil || j <= i || PairPageID(i, j) != id {
+		return 0, 0, false
+	}
+	return i, j, true
+}
 
 // IntegratedPage describes one side-by-side page.
 type IntegratedPage struct {
@@ -118,8 +138,6 @@ type Aggregator struct {
 	blobs      *store.BlobStore
 	workers    int
 	sequential bool
-	reg        *obs.Registry // nil when observability is off
-	inflight   atomic.Int64
 }
 
 // Option configures an Aggregator.
@@ -141,14 +159,6 @@ func WithSequential() Option {
 	return func(a *Aggregator) { a.sequential = true }
 }
 
-// WithObservability exports preparation metrics into reg: the
-// aggregator_inline_seconds histogram, aggregator_pages_built_total,
-// aggregator_blobs_deduped_total and aggregator_versions_reused_total
-// counters, and the aggregator_prepare_inflight gauge.
-func WithObservability(reg *obs.Registry) Option {
-	return func(a *Aggregator) { a.reg = reg }
-}
-
 // New returns an aggregator over the given storage. It declares the
 // test_id indexes the by-test lookups (LoadPrepared, the server's session
 // queries) rely on; EnsureIndex is idempotent, so this composes with other
@@ -165,11 +175,6 @@ func New(db *store.DB, blobs *store.BlobStore, opts ...Option) (*Aggregator, err
 	}
 	if a.workers <= 0 {
 		a.workers = runtime.GOMAXPROCS(0)
-	}
-	if a.reg != nil {
-		a.reg.RegisterGauge("aggregator_prepare_inflight", func() float64 {
-			return float64(a.inflight.Load())
-		})
 	}
 	return a, nil
 }
@@ -188,10 +193,6 @@ func (a *Aggregator) Prepare(test *params.Test, sites map[string]*webgen.Site, e
 	if err := test.Validate(); err != nil {
 		return nil, fmt.Errorf("aggregator: %w", err)
 	}
-	a.inflight.Add(1)
-	defer a.inflight.Add(-1)
-	statsBefore := a.blobs.Stats()
-
 	var (
 		prep *Prepared
 		err  error
@@ -204,12 +205,6 @@ func (a *Aggregator) Prepare(test *params.Test, sites map[string]*webgen.Site, e
 	if err != nil {
 		a.cleanupTest(test.TestID)
 		return nil, err
-	}
-	if a.reg != nil {
-		statsAfter := a.blobs.Stats()
-		a.reg.Counter("aggregator_pages_built_total").Add(int64(len(prep.Pages)))
-		a.reg.Counter("aggregator_blobs_deduped_total").Add(statsAfter.DedupHits - statsBefore.DedupHits)
-		a.reg.Counter("aggregator_versions_reused_total").Add(statsAfter.Reused - statsBefore.Reused)
 	}
 	return prep, nil
 }
@@ -310,7 +305,7 @@ func (a *Aggregator) preparePipeline(test *params.Test, sites map[string]*webgen
 	for i := 0; i < len(versionJobs); i++ {
 		for j := i + 1; j < len(versionJobs); j++ {
 			addPage(IntegratedPage{
-				ID: fmt.Sprintf("pair-%d-%d", i, j), TestID: test.TestID,
+				ID: PairPageID(i, j), TestID: test.TestID,
 				LeftName: names[i], RightName: names[j], Kind: KindReal,
 			}, versionJobs[i], versionJobs[j])
 		}
@@ -340,12 +335,7 @@ func (a *Aggregator) preparePipeline(test *params.Test, sites map[string]*webgen
 		if j.out, j.recalled = a.blobs.Recall(j.input); j.recalled {
 			return nil
 		}
-		start := time.Now()
 		out, err := compressVersion(j.site, j.spec)
-		if a.reg != nil {
-			a.reg.Histogram("aggregator_inline_seconds", obs.DefLatencyBuckets).
-				Observe(time.Since(start).Seconds())
-		}
 		if err != nil {
 			return j.wrap(err)
 		}
@@ -442,7 +432,7 @@ func (a *Aggregator) prepareSequential(test *params.Test, sites map[string]*webg
 	// Real pairs: C(N,2) integrated pages.
 	for i := 0; i < len(singles); i++ {
 		for j := i + 1; j < len(singles); j++ {
-			id := fmt.Sprintf("pair-%d-%d", i, j)
+			id := PairPageID(i, j)
 			page := IntegratedPage{
 				ID: id, TestID: test.TestID,
 				LeftName: names[i], RightName: names[j], Kind: KindReal,
@@ -554,7 +544,7 @@ func compressVersion(site *webgen.Site, spec params.PageLoadSpec) (store.Payload
 	if site == nil {
 		return store.Payload{}, errors.New("nil site")
 	}
-	doc, _, err := inline.Tree(site, inline.Options{DropExternal: true})
+	doc, _, err := inline.Tree(site)
 	if err != nil {
 		return store.Payload{}, err
 	}
@@ -598,10 +588,11 @@ func (a *Aggregator) storeIntegrated(testID, pageID string, left, right store.Pa
 	})
 }
 
-// persist writes the test and page documents to the database. Over a test
-// that is already stored, it then removes the pages the new spine lacks:
-// their documents and their blob folders, whose CAS references go with
-// them.
+// persist writes the page documents to the database. Over a test that is
+// already stored, it then removes the pages the new spine lacks: their
+// documents and their blob folders, whose CAS references go with them.
+// The test document goes last, so a reader that finds it finds every page
+// it counts.
 func (a *Aggregator) persist(prep *Prepared) error {
 	encoded, err := prep.Test.Encode()
 	if err != nil {
@@ -614,9 +605,6 @@ func (a *Aggregator) persist(prep *Prepared) error {
 		"questions":    prep.Test.Questions,
 		"page_count":   len(prep.Pages),
 		"params_json":  string(encoded),
-	}
-	if _, err := a.db.Collection(TestsCollection).Insert(testDoc); err != nil {
-		return fmt.Errorf("aggregator: storing test: %w", err)
 	}
 	pages := a.db.Collection(PagesCollection)
 	earlier := pages.FindEq("test_id", prep.Test.TestID)
@@ -647,6 +635,9 @@ func (a *Aggregator) persist(prep *Prepared) error {
 		if _, err := a.blobs.DeletePrefix(prep.Test.TestID + "/" + id + "/"); err != nil {
 			return fmt.Errorf("aggregator: removing stale page %s: %w", id, err)
 		}
+	}
+	if _, err := a.db.Collection(TestsCollection).Insert(testDoc); err != nil {
+		return fmt.Errorf("aggregator: storing test: %w", err)
 	}
 	return nil
 }

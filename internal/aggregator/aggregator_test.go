@@ -252,3 +252,19 @@ func TestControlPageUsesInstantLoad(t *testing.T) {
 		t.Errorf("extra control spec = %+v, want instant", spec)
 	}
 }
+
+// TestParsePairPageID: every id PairPageID writes reads back as its
+// versions, and nothing else reads as a real page's id.
+func TestParsePairPageID(t *testing.T) {
+	for _, v := range [][2]int{{0, 1}, {2, 4}, {3, 14}} {
+		id := PairPageID(v[0], v[1])
+		if i, j, ok := ParsePairPageID(id); !ok || i != v[0] || j != v[1] {
+			t.Errorf("ParsePairPageID(%q) = %d, %d, %v; want %d, %d, true", id, i, j, ok, v[0], v[1])
+		}
+	}
+	for _, id := range []string{"pair-1-0", "pair-1-1", "pair-a-b", "pair-1", "pair-", "control-same", "pair-+1-2", "pair-01-2", "pair-1-2-3"} {
+		if i, j, ok := ParsePairPageID(id); ok {
+			t.Errorf("ParsePairPageID(%q) = %d, %d, true; want false", id, i, j)
+		}
+	}
+}

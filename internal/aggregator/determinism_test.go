@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"kaleidoscope/internal/obs"
 	"kaleidoscope/internal/params"
 	"kaleidoscope/internal/questionnaire"
 	"kaleidoscope/internal/store"
@@ -303,37 +302,31 @@ func TestPrepareDedupRegression(t *testing.T) {
 }
 
 // TestPrepareCompressionDedup: extra controls that reuse already-seen
-// sites must be compressed once, observable through the inline-duration
-// histogram's sample count.
+// sites must be compressed once. A cold Prepare recalls nothing, so it
+// compresses every job; preparing the same input again recalls every job,
+// so the blob store's Reused count is the number of jobs.
 func TestPrepareCompressionDedup(t *testing.T) {
-	reg := obs.NewRegistry()
 	db := store.OpenMemory()
 	blobs := store.NewBlobStore()
-	agg, err := New(db, blobs, WithObservability(reg))
+	agg, err := New(db, blobs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	test, sites, controls := diffInput()
-	prep, err := agg.Prepare(test, sites, controls)
-	if err != nil {
+	if _, err := agg.Prepare(test, sites, controls); err != nil {
+		t.Fatal(err)
+	}
+	cold := blobs.Stats()
+	if cold.Reused != 0 || cold.DedupHits <= 0 {
+		t.Errorf("cold Prepare: %d reused, %d dedup hits; want 0 and some", cold.Reused, cold.DedupHits)
+	}
+	test.TestID = "again"
+	if _, err := agg.Prepare(test, sites, controls); err != nil {
 		t.Fatal(err)
 	}
 	// 4 versions + 2 distinct control sides; the repeated control pair
 	// adds no compress work.
-	inline := reg.Histogram("aggregator_inline_seconds", obs.DefLatencyBuckets)
-	if got := inline.Count(); got != 6 {
-		t.Errorf("inline compressions = %d, want 6 (repeated controls deduped)", got)
-	}
-	if got := reg.Counter("aggregator_pages_built_total").Value(); got != int64(len(prep.Pages)) {
-		t.Errorf("pages_built counter = %d, want %d", got, len(prep.Pages))
-	}
-	if got := reg.Counter("aggregator_blobs_deduped_total").Value(); got <= 0 {
-		t.Errorf("blobs_deduped counter = %d, want > 0", got)
-	}
-	// The inflight gauge must be back to zero once Prepare returns.
-	var buf bytes.Buffer
-	reg.WriteMetrics(&buf)
-	if !strings.Contains(buf.String(), "aggregator_prepare_inflight 0\n") {
-		t.Errorf("inflight gauge not zero after Prepare:\n%s", buf.String())
+	if got := blobs.Stats().Reused; got != 6 {
+		t.Errorf("compress jobs = %d, want 6 (repeated controls deduped)", got)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"kaleidoscope/internal/obs"
 	"kaleidoscope/internal/store"
 )
 
@@ -26,13 +25,6 @@ func eachBlobBackend(t *testing.T, fn func(t *testing.T, blobs *store.BlobStore)
 	})
 }
 
-// compressions is how many versions an aggregator built over reg has
-// compressed, and how many it took from the blob store's memo instead.
-func compressions(reg *obs.Registry) (compressed, reused int64) {
-	return int64(reg.Histogram("aggregator_inline_seconds", obs.DefLatencyBuckets).Count()),
-		reg.Counter("aggregator_versions_reused_total").Value()
-}
-
 // TestPrepareMemoMatchesColdAndSequential: a Prepare whose every version
 // the blob store recalls stores the blobs, validators and documents of a
 // Prepare on a fresh store and of the sequential reference, byte for byte.
@@ -42,9 +34,8 @@ func TestPrepareMemoMatchesColdAndSequential(t *testing.T) {
 	cold := runPrepare(t)
 	assertRunsEqual(t, "cold", ref, cold)
 	eachBlobBackend(t, func(t *testing.T, blobs *store.BlobStore) {
-		reg := obs.NewRegistry()
 		db := store.OpenMemory()
-		agg, err := New(db, blobs, WithObservability(reg))
+		agg, err := New(db, blobs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,9 +49,10 @@ func TestPrepareMemoMatchesColdAndSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// 4 versions and 2 distinct control sides, compressed once each.
-		if compressed, reused := compressions(reg); compressed != 6 || reused != 6 {
-			t.Errorf("compressed %d and reused %d versions, want 6 and 6", compressed, reused)
+		// 4 versions and 2 distinct control sides: the warm-up compressed
+		// them once each, and the test took all 6 from the memo.
+		if reused := blobs.Stats().Reused; reused != 6 {
+			t.Errorf("reused %d versions, want 6", reused)
 		}
 		assertRunsEqual(t, "warm", ref, snapshot(t, db, blobs, prep, test.TestID))
 	})
@@ -69,11 +61,12 @@ func TestPrepareMemoMatchesColdAndSequential(t *testing.T) {
 // TestPrepareMemoSeesInputChanges: the memo is keyed by content, so a
 // changed file of the very same *Site, or a changed replay spec alone,
 // compresses again, and what is stored is what a fresh store stores for
-// that input.
+// that input. Each Prepare runs 2 compress jobs, one per version (the
+// identical-pair control shares the first's); a job the memo does not
+// recall compresses.
 func TestPrepareMemoSeesInputChanges(t *testing.T) {
-	reg := obs.NewRegistry()
 	db, blobs := store.OpenMemory(), store.NewBlobStore()
-	agg, err := New(db, blobs, WithObservability(reg))
+	agg, err := New(db, blobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,10 +81,10 @@ func TestPrepareMemoSeesInputChanges(t *testing.T) {
 		}
 		return snapshot(t, db, blobs, prep, id)
 	}
-	expect := func(step string, wantCompressed, wantReused int64, got prepRun) {
+	expect := func(step string, wantReused int64, got prepRun) {
 		t.Helper()
-		if compressed, reused := compressions(reg); compressed != wantCompressed || reused != wantReused {
-			t.Errorf("%s: %d compressed and %d reused in all, want %d and %d", step, compressed, reused, wantCompressed, wantReused)
+		if reused := blobs.Stats().Reused; reused != wantReused {
+			t.Errorf("%s: %d reused in all, want %d", step, reused, wantReused)
 		}
 		fresh, err := New(store.OpenMemory(), store.NewBlobStore())
 		if err != nil {
@@ -104,8 +97,8 @@ func TestPrepareMemoSeesInputChanges(t *testing.T) {
 		assertRunsEqual(t, step, snapshot(t, fresh.db, fresh.blobs, prep, ""), got)
 	}
 
-	expect("first", 2, 0, prepare("t1"))
-	expect("same input", 2, 2, prepare("t2"))
+	expect("first", 0, prepare("t1"))
+	expect("same input", 2, prepare("t2"))
 
 	// One letter of the title, so the file keeps its length.
 	v0 := sites["v0"]
@@ -113,10 +106,10 @@ func TestPrepareMemoSeesInputChanges(t *testing.T) {
 	at := bytes.Index(html, []byte("<title>")) + len("<title>")
 	html[at] ^= 0x20 // flips the letter's case
 	v0.Put(v0.MainFile, html)
-	expect("one file changed", 3, 3, prepare("t3"))
+	expect("one file changed", 3, prepare("t3"))
 
 	test.Webpages[1].WebPageLoad = test.Webpages[0].WebPageLoad
-	expect("spec changed", 4, 4, prepare("t4"))
+	expect("spec changed", 4, prepare("t4"))
 }
 
 // TestPrepareMemoReleasedWithItsTests: a version's memo entry lives as long

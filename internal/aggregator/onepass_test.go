@@ -16,7 +16,7 @@ import (
 // straightforward form that renders the inlined page, parses it again to
 // inject the replay spec, and renders it a second time.
 func compressTwoPass(site *webgen.Site, spec params.PageLoadSpec) (string, error) {
-	html, _, err := inline.Inline(site, inline.Options{DropExternal: true})
+	html, _, err := inline.Inline(site)
 	if err != nil {
 		return "", err
 	}
@@ -55,7 +55,7 @@ func FuzzCompressOnePass(f *testing.F) {
 	// Data-URI images, inlined and already inline, and CSS url() references.
 	f.Add(`<html><head><link rel="stylesheet" href="a.css"></head><body><img src="data:image/png;base64,AAAA"><img src="b.png"></body></html>`,
 		``, `body { background: url("b.png") } i { background: url(data:image/gif;base64,R0lG) }`, 3000, "", false)
-	// External references, which DropExternal removes or replaces.
+	// External references, which inlining removes or replaces.
 	f.Add(`<html><head><link rel="stylesheet" href="https://cdn.example/x.css"><script src="//cdn.example/x.js"></script></head>`+
 		`<body><img src="http://cdn.example/i.png"><source src="HTTPS://cdn.example/v.webm"></body></html>`,
 		`x()`, `a { b: c }`, 500, "img", false)

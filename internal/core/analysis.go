@@ -3,33 +3,13 @@ package core
 import (
 	"errors"
 	"fmt"
-	"strconv"
-	"strings"
-	"time"
 
+	"kaleidoscope/internal/aggregator"
 	"kaleidoscope/internal/questionnaire"
 	"kaleidoscope/internal/rank"
 	"kaleidoscope/internal/server"
 	"kaleidoscope/internal/stats"
 )
-
-// parsePairID decodes the aggregator's "pair-i-j" page ids.
-func parsePairID(pageID string) (i, j int, ok bool) {
-	rest, found := strings.CutPrefix(pageID, "pair-")
-	if !found {
-		return 0, 0, false
-	}
-	parts := strings.SplitN(rest, "-", 2)
-	if len(parts) != 2 {
-		return 0, 0, false
-	}
-	i, err1 := strconv.Atoi(parts[0])
-	j, err2 := strconv.Atoi(parts[1])
-	if err1 != nil || err2 != nil {
-		return 0, 0, false
-	}
-	return i, j, true
-}
 
 // WorkerRankings converts each session's pairwise answers on the given
 // question into the worker's full ranking of the N versions (Copeland
@@ -52,7 +32,7 @@ func WorkerRankings(outcome *Outcome, questionID string, n int) ([][]int, error)
 			if r.QuestionID != questionID {
 				continue
 			}
-			i, j, ok := parsePairID(r.PageID)
+			i, j, ok := aggregator.ParsePairPageID(r.PageID)
 			if !ok || i >= n || j >= n {
 				continue
 			}
@@ -94,16 +74,6 @@ func WorkerRankings(outcome *Outcome, questionID string, n int) ([][]int, error)
 	return rankings, nil
 }
 
-// PageTally returns the tally for one page id from a results set.
-func PageTally(res *server.Results, pageID string) (questionnaire.Tally, bool) {
-	for _, p := range res.Pages {
-		if p.PageID == pageID {
-			return p.Tally, true
-		}
-	}
-	return questionnaire.Tally{}, false
-}
-
 // PreferenceSignificance runs the paper's Fig. 7(c) analysis on a page
 // tally: are "left preferred" and "right preferred" proportions (out of
 // all respondents) significantly different?
@@ -113,20 +83,6 @@ func PreferenceSignificance(t questionnaire.Tally) (stats.TwoProportionResult, e
 		return stats.TwoProportionResult{}, errors.New("core: empty tally")
 	}
 	return stats.TwoProportionTest(t.Left, total, t.Right, total)
-}
-
-// SpeedupVsAB compares the study's recruitment duration against an A/B
-// campaign duration and returns the ratio (>1 means Kaleidoscope was
-// faster) — the paper's headline 12x.
-func SpeedupVsAB(outcome *Outcome, abDuration time.Duration) (float64, error) {
-	if outcome == nil || outcome.Recruitment == nil {
-		return 0, errors.New("core: outcome lacks recruitment data")
-	}
-	k := outcome.Recruitment.Completed
-	if k <= 0 {
-		return 0, errors.New("core: zero recruitment duration")
-	}
-	return float64(abDuration) / float64(k), nil
 }
 
 // BehaviorSamples flattens the sessions' telemetry into the three series

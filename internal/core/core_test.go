@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"kaleidoscope/internal/aggregator"
 	"kaleidoscope/internal/crowd"
@@ -208,6 +207,8 @@ func TestWorkerRankingsErrors(t *testing.T) {
 	}
 }
 
+// TestParsePairID: the page ids core reads its pair tallies by parse
+// through aggregator.ParsePairPageID.
 func TestParsePairID(t *testing.T) {
 	tests := []struct {
 		id   string
@@ -221,24 +222,15 @@ func TestParsePairID(t *testing.T) {
 		{"pair-1", 0, 0, false},
 	}
 	for _, tt := range tests {
-		i, j, ok := parsePairID(tt.id)
+		i, j, ok := aggregator.ParsePairPageID(tt.id)
 		if ok != tt.ok || (ok && (i != tt.i || j != tt.j)) {
-			t.Errorf("parsePairID(%q) = %d,%d,%v", tt.id, i, j, ok)
+			t.Errorf("ParsePairPageID(%q) = %d,%d,%v", tt.id, i, j, ok)
 		}
 	}
 }
 
 func TestPageTallyAndSignificance(t *testing.T) {
-	res := &server.Results{Pages: []server.PageResult{
-		{PageID: "pair-0-1", Tally: questionnaire.Tally{Left: 46, Right: 14, Same: 40}},
-	}}
-	tally, ok := PageTally(res, "pair-0-1")
-	if !ok || tally.Left != 46 {
-		t.Fatalf("tally = %+v ok=%v", tally, ok)
-	}
-	if _, ok := PageTally(res, "ghost"); ok {
-		t.Error("missing page should report !ok")
-	}
+	tally := questionnaire.Tally{Left: 46, Right: 14, Same: 40}
 	sig, err := PreferenceSignificance(tally)
 	if err != nil {
 		t.Fatal(err)
@@ -249,23 +241,6 @@ func TestPageTallyAndSignificance(t *testing.T) {
 	}
 	if _, err := PreferenceSignificance(questionnaire.Tally{}); err == nil {
 		t.Error("empty tally should fail")
-	}
-}
-
-func TestSpeedupVsAB(t *testing.T) {
-	outcome := &Outcome{Recruitment: &crowd.RecruitmentResult{Completed: 12 * time.Hour}}
-	speedup, err := SpeedupVsAB(outcome, 12*24*time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if speedup < 23 || speedup > 25 {
-		t.Errorf("speedup = %v, want 24 (12 days vs 12 hours)", speedup)
-	}
-	if _, err := SpeedupVsAB(nil, time.Hour); err == nil {
-		t.Error("nil outcome should fail")
-	}
-	if _, err := SpeedupVsAB(&Outcome{Recruitment: &crowd.RecruitmentResult{}}, time.Hour); err == nil {
-		t.Error("zero duration should fail")
 	}
 }
 

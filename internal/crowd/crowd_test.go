@@ -309,12 +309,6 @@ func TestPlatformRecruitment(t *testing.T) {
 			t.Fatal("curve not sorted")
 		}
 	}
-	if res.CountAt(res.Completed) != 100 {
-		t.Error("CountAt(completed) should be 100")
-	}
-	if res.CountAt(0) != 0 {
-		t.Error("CountAt(0) should be 0")
-	}
 }
 
 func TestPlatformTrustFilter(t *testing.T) {

@@ -13,17 +13,17 @@ import (
 // passes validation must draw only defined archetypes — and draw itself must
 // never panic, even on garbage mixes.
 func FuzzMix(f *testing.F) {
-	f.Add(1.0, 0.0, 0.0, 0.0, 0.0, 0.0)                // InLabMix
-	f.Add(0.62, 0.22, 0.08, 0.08, 0.0, 0.0)            // TrustedCrowdMix
-	f.Add(0.30, 0.20, 0.08, 0.07, 0.15, 0.20)          // CampaignCrowdMix
-	f.Add(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)                // empty mix
-	f.Add(0.5, 0.0, 0.0, 0.0, 0.0, 0.0)                // under-normalized
-	f.Add(1.5, -0.5, 0.0, 0.0, 0.0, 0.0)               // negative part, sum 1
-	f.Add(-1.0, 2.0, 0.0, 0.0, 0.0, 0.0)               // negative part, sum 1
-	f.Add(math.NaN(), 0.5, 0.5, 0.0, 0.0, 0.0)         // NaN fraction
-	f.Add(math.Inf(1), 0.0, 0.0, 0.0, 0.0, 0.0)        // Inf fraction
-	f.Add(0.2, 0.2, 0.2, 0.2, 0.2, 1e-9)               // just over 1
-	f.Add(0.9995, 0.0005, 0.0, 0.0, 0.0, 0.0)          // inside tolerance
+	f.Add(1.0, 0.0, 0.0, 0.0, 0.0, 0.0)         // InLabMix
+	f.Add(0.62, 0.22, 0.08, 0.08, 0.0, 0.0)     // TrustedCrowdMix
+	f.Add(0.30, 0.20, 0.08, 0.07, 0.15, 0.20)   // CampaignCrowdMix
+	f.Add(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)         // empty mix
+	f.Add(0.5, 0.0, 0.0, 0.0, 0.0, 0.0)         // under-normalized
+	f.Add(1.5, -0.5, 0.0, 0.0, 0.0, 0.0)        // negative part, sum 1
+	f.Add(-1.0, 2.0, 0.0, 0.0, 0.0, 0.0)        // negative part, sum 1
+	f.Add(math.NaN(), 0.5, 0.5, 0.0, 0.0, 0.0)  // NaN fraction
+	f.Add(math.Inf(1), 0.0, 0.0, 0.0, 0.0, 0.0) // Inf fraction
+	f.Add(0.2, 0.2, 0.2, 0.2, 0.2, 1e-9)        // just over 1
+	f.Add(0.9995, 0.0005, 0.0, 0.0, 0.0, 0.0)   // inside tolerance
 	f.Fuzz(func(t *testing.T, d, c, h, x, s, g float64) {
 		mix := Mix{Diligent: d, Casual: c, Hasty: h, Distracted: x, Surveyor: s, TaskDriven: g}
 		rng := rand.New(rand.NewSource(42))

@@ -145,14 +145,3 @@ type ArrivalPoint struct {
 	Elapsed time.Duration
 	Count   int
 }
-
-// CountAt returns how many recruits had arrived by the given elapsed time.
-func (r *RecruitmentResult) CountAt(elapsed time.Duration) int {
-	n := 0
-	for _, rec := range r.Recruits {
-		if rec.ArrivedAfter <= elapsed {
-			n++
-		}
-	}
-	return n
-}

@@ -48,6 +48,5 @@ func FuzzParseStylesheet(f *testing.F) {
 		if sheet == nil {
 			t.Fatal("ParseStylesheet must not return nil")
 		}
-		_ = sheet.Render()
 	})
 }

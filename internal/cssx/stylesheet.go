@@ -230,23 +230,6 @@ func (s *Stylesheet) matchedStyle(n *htmlx.Node) map[string]string {
 	return out
 }
 
-// Render serializes the stylesheet back to CSS text.
-func (s *Stylesheet) Render() string {
-	var b strings.Builder
-	for _, rule := range s.Rules {
-		b.WriteString(rule.Selectors.String())
-		b.WriteString(" { ")
-		for i, d := range rule.Decls {
-			if i > 0 {
-				b.WriteString(" ")
-			}
-			fmt.Fprintf(&b, "%s: %s;", d.Property, d.Value)
-		}
-		b.WriteString(" }\n")
-	}
-	return b.String()
-}
-
 // ParsePixels parses a CSS length like "14px", "14pt", or "1.5em" (relative
 // to base) into pixels. Points are converted at the CSS ratio 96/72.
 func ParsePixels(val string, base float64) (float64, bool) {

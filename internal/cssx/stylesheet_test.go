@@ -124,16 +124,6 @@ func TestComputedStyleNonInheritedStaysLocal(t *testing.T) {
 	}
 }
 
-func TestStylesheetRender(t *testing.T) {
-	src := `p { font-size: 12px; color: red; }`
-	sheet := ParseStylesheet(src)
-	out := sheet.Render()
-	round := ParseStylesheet(out)
-	if len(round.Rules) != 1 || len(round.Rules[0].Decls) != 2 {
-		t.Errorf("render round-trip lost content: %q", out)
-	}
-}
-
 func TestParsePixels(t *testing.T) {
 	tests := []struct {
 		val  string

@@ -181,7 +181,7 @@ func TestRunnerValidation(t *testing.T) {
 func TestMainFontSizePt(t *testing.T) {
 	for _, pt := range []int{10, 14, 22} {
 		site := webgen.WikiArticle(webgen.WikiConfig{Seed: 3, FontSizePt: pt})
-		doc, _, err := inline.Tree(site, inline.Options{})
+		doc, _, err := inline.Tree(site)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,11 +201,11 @@ func TestMainFontSizePt(t *testing.T) {
 
 func TestButtonSalience(t *testing.T) {
 	a, b := webgen.GroupPageVersions(webgen.GroupConfig{Seed: 4})
-	docA, _, err := inline.Tree(a, inline.Options{})
+	docA, _, err := inline.Tree(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	docB, _, err := inline.Tree(b, inline.Options{})
+	docB, _, err := inline.Tree(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestAnswerByQuestionRouting(t *testing.T) {
 // text at contentMs and the nav bar at navMs.
 func buildReplaySide(t *testing.T, site *webgen.Site, contentMs, navMs int) (*htmlx.Node, *pageload.Replay) {
 	t.Helper()
-	doc, _, err := inline.Tree(site, inline.Options{})
+	doc, _, err := inline.Tree(site)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,11 +349,11 @@ func TestClientRetriesTransientFailures(t *testing.T) {
 
 func TestSalienceAnswerFamily(t *testing.T) {
 	a, b := webgen.GroupPageVersions(webgen.GroupConfig{Seed: 6})
-	left, _, err := inline.Tree(a, inline.Options{})
+	left, _, err := inline.Tree(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	right, _, err := inline.Tree(b, inline.Options{})
+	right, _, err := inline.Tree(b)
 	if err != nil {
 		t.Fatal(err)
 	}

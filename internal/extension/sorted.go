@@ -3,8 +3,6 @@ package extension
 import (
 	"errors"
 	"fmt"
-	"strconv"
-	"strings"
 
 	"kaleidoscope/internal/aggregator"
 	"kaleidoscope/internal/quality"
@@ -89,7 +87,7 @@ func SortedRanking(responses []questionnaire.Response, n int) ([]int, error) {
 		}
 		resp := responses[next]
 		next++
-		if i, j, ok := parsePairPageID(resp.PageID); !ok || i != lo || j != hi {
+		if i, j, ok := aggregator.ParsePairPageID(resp.PageID); !ok || i != lo || j != hi {
 			return "", fmt.Errorf("extension: the session answered %s where the sort visits pair (%d,%d)", resp.PageID, lo, hi)
 		}
 		return resp.Choice, nil
@@ -163,7 +161,7 @@ func indexPairs(pages []server.PageView) (map[[2]int]server.PageView, []string, 
 		if p.Kind != aggregator.KindReal {
 			continue
 		}
-		i, j, ok := parsePairPageID(p.ID)
+		i, j, ok := aggregator.ParsePairPageID(p.ID)
 		if !ok {
 			return nil, nil, fmt.Errorf("extension: unparsable pair page id %q", p.ID)
 		}
@@ -186,22 +184,4 @@ func indexPairs(pages []server.PageView) (map[[2]int]server.PageView, []string, 
 		out[idx] = name
 	}
 	return pairs, out, nil
-}
-
-// parsePairPageID decodes the aggregator's "pair-i-j" ids.
-func parsePairPageID(id string) (i, j int, ok bool) {
-	rest, found := strings.CutPrefix(id, "pair-")
-	if !found {
-		return 0, 0, false
-	}
-	parts := strings.SplitN(rest, "-", 2)
-	if len(parts) != 2 {
-		return 0, 0, false
-	}
-	i, err1 := strconv.Atoi(parts[0])
-	j, err2 := strconv.Atoi(parts[1])
-	if err1 != nil || err2 != nil || i < 0 || j <= i {
-		return 0, 0, false
-	}
-	return i, j, true
 }

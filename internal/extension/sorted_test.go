@@ -184,6 +184,8 @@ func TestChoiceOutcomeMapping(t *testing.T) {
 	}
 }
 
+// TestParsePairPageID: the page ids the sorted runner checks its
+// responses against parse through aggregator.ParsePairPageID.
 func TestParsePairPageID(t *testing.T) {
 	tests := []struct {
 		id   string
@@ -198,9 +200,9 @@ func TestParsePairPageID(t *testing.T) {
 		{"pair-a-b", 0, 0, false},
 	}
 	for _, tt := range tests {
-		i, j, ok := parsePairPageID(tt.id)
+		i, j, ok := aggregator.ParsePairPageID(tt.id)
 		if ok != tt.ok || (ok && (i != tt.i || j != tt.j)) {
-			t.Errorf("parsePairPageID(%q) = %d,%d,%v", tt.id, i, j, ok)
+			t.Errorf("ParsePairPageID(%q) = %d,%d,%v", tt.id, i, j, ok)
 		}
 	}
 }

@@ -66,6 +66,10 @@ func (c Class) String() string {
 	return "other"
 }
 
+// RetryAfter is the advisory delay sent with admission sheds and
+// breaker-open 503s.
+const RetryAfter = time.Second
+
 // Config tunes a Guard. The zero value of every field selects a production
 // default; tests shrink the limits and timings.
 type Config struct {
@@ -94,9 +98,6 @@ type Config struct {
 	// BreakerProbes is the number of consecutive successful probes that
 	// close a half-open breaker. Default 1.
 	BreakerProbes int
-	// RetryAfter is the advisory delay sent with admission sheds and
-	// breaker-open 503s. Default 1s.
-	RetryAfter time.Duration
 	// Now is the clock (tests inject a fake one).
 	Now func() time.Time
 }
@@ -122,9 +123,6 @@ func (cfg *Config) applyDefaults() {
 	}
 	if cfg.BreakerProbes <= 0 {
 		cfg.BreakerProbes = 1
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -188,9 +186,6 @@ func New(cfg Config) *Guard {
 
 // Breaker returns the store circuit breaker.
 func (g *Guard) Breaker() *Breaker { return g.breaker }
-
-// RetryAfter is the advisory client delay for shed responses.
-func (g *Guard) RetryAfter() time.Duration { return g.cfg.RetryAfter }
 
 // Admit reserves an admission slot for the class, waiting in the bounded
 // queue if the class is at capacity. It returns (release, true) when

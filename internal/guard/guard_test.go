@@ -177,7 +177,7 @@ func TestRateLimiterPrunesIdleBuckets(t *testing.T) {
 	}
 	clk.advance(time.Hour) // everything refills to burst
 	rl.pruneLocked(clk.now())
-	if n := rl.Keys(); n != 0 {
+	if n := len(rl.buckets); n != 0 {
 		t.Errorf("after prune with all buckets idle, %d keys remain", n)
 	}
 }
@@ -235,13 +235,13 @@ func TestGuardDisabledRateAdmitsAll(t *testing.T) {
 
 func TestGuardDerivedClassLimits(t *testing.T) {
 	g := New(Config{MaxInflight: 8})
-	if got := g.limiters[ClassRead].Cap(); got != 32 {
+	if got := cap(g.limiters[ClassRead].slots); got != 32 {
 		t.Errorf("read limit = %d, want 4x base", got)
 	}
-	if got := g.limiters[ClassUpload].Cap(); got != 8 {
+	if got := cap(g.limiters[ClassUpload].slots); got != 8 {
 		t.Errorf("upload limit = %d, want base", got)
 	}
-	if got := g.limiters[ClassResults].Cap(); got != 2 {
+	if got := cap(g.limiters[ClassResults].slots); got != 2 {
 		t.Errorf("results limit = %d, want base/4", got)
 	}
 }

@@ -87,6 +87,3 @@ func (l *Limiter) Inflight() int64 { return l.inflight.Load() }
 
 // QueueDepth reports how many requests are currently waiting.
 func (l *Limiter) QueueDepth() int64 { return l.waiting.Load() }
-
-// Cap returns the concurrency limit.
-func (l *Limiter) Cap() int { return cap(l.slots) }

@@ -76,10 +76,3 @@ func (rl *RateLimiter) pruneLocked(now time.Time) {
 		}
 	}
 }
-
-// Keys reports how many worker buckets are currently tracked.
-func (rl *RateLimiter) Keys() int {
-	rl.mu.Lock()
-	defer rl.mu.Unlock()
-	return len(rl.buckets)
-}

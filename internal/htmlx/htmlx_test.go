@@ -259,16 +259,6 @@ func TestSetRemoveAttr(t *testing.T) {
 	}
 }
 
-func TestAddClass(t *testing.T) {
-	el := NewElement("div")
-	el.AddClass("a")
-	el.AddClass("b")
-	el.AddClass("a")
-	if got := el.AttrOr("class", ""); got != "a b" {
-		t.Errorf("class = %q, want 'a b'", got)
-	}
-}
-
 func TestClone(t *testing.T) {
 	doc := Parse(`<div id="root"><p class="c">text</p></div>`)
 	root := doc.ByID("root")
@@ -339,15 +329,6 @@ func TestNodeTypeString(t *testing.T) {
 	}
 }
 
-func TestSortAttrs(t *testing.T) {
-	el := NewElement("div")
-	el.Attrs = []Attr{{"z", "1"}, {"a", "2"}, {"m", "3"}}
-	el.SortAttrs()
-	if el.Attrs[0].Key != "a" || el.Attrs[2].Key != "z" {
-		t.Errorf("SortAttrs = %+v", el.Attrs)
-	}
-}
-
 // TestParseNeverPanicsProperty throws arbitrary bytes at the parser; it must
 // never panic and must always produce a renderable tree.
 func TestParseNeverPanicsProperty(t *testing.T) {
@@ -371,18 +352,6 @@ func TestRenderParseStableProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestParseFragment(t *testing.T) {
-	nodes := ParseFragment(`<p>a</p><p>b</p>`)
-	if len(nodes) != 2 {
-		t.Fatalf("fragment nodes = %d, want 2", len(nodes))
-	}
-	for _, n := range nodes {
-		if n.Parent != nil {
-			t.Error("fragment nodes should be detached")
-		}
 	}
 }
 

@@ -7,7 +7,6 @@
 package htmlx
 
 import (
-	"sort"
 	"strings"
 )
 
@@ -177,19 +176,6 @@ func (n *Node) HasClass(c string) bool {
 	return false
 }
 
-// AddClass appends c to the class list if not already present.
-func (n *Node) AddClass(c string) {
-	if n.HasClass(c) {
-		return
-	}
-	existing := n.AttrOr("class", "")
-	if existing == "" {
-		n.SetAttr("class", c)
-		return
-	}
-	n.SetAttr("class", existing+" "+c)
-}
-
 // Walk visits n and every descendant in document (pre-)order. Returning
 // false from fn prunes the subtree below the current node.
 func (n *Node) Walk(fn func(*Node) bool) {
@@ -303,12 +289,6 @@ func (n *Node) Head() *Node {
 		return nil
 	}
 	return heads[0]
-}
-
-// SortAttrs orders the node's attributes by key, yielding a canonical
-// serialization. Useful in tests and content hashing.
-func (n *Node) SortAttrs() {
-	sort.Slice(n.Attrs, func(i, j int) bool { return n.Attrs[i].Key < n.Attrs[j].Key })
 }
 
 // voidElements never have children or end tags.

@@ -79,28 +79,12 @@ func Parse(src string) *Node {
 	return doc
 }
 
-// ParseFragment parses src and returns the resulting top-level nodes
-// (without a document wrapper), convenient for building snippets.
-func ParseFragment(src string) []*Node {
-	doc := Parse(src)
-	out := make([]*Node, len(doc.Children))
-	copy(out, doc.Children)
-	for _, n := range out {
-		n.Parent = nil
-	}
-	return out
-}
-
 // Render serializes the tree rooted at n back to HTML.
 func Render(n *Node) string {
 	var b strings.Builder
 	render(&b, n)
 	return b.String()
 }
-
-// Render serializes the subtree rooted at n back to HTML. It is the method
-// form of the package-level Render.
-func (n *Node) Render() string { return Render(n) }
 
 func render(b *strings.Builder, n *Node) {
 	switch n.Type {

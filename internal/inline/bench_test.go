@@ -11,7 +11,7 @@ func BenchmarkInlineWikiArticle(b *testing.B) {
 	b.ReportAllocs()
 	b.SetBytes(int64(site.TotalBytes()))
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Inline(site, Options{DropExternal: true}); err != nil {
+		if _, _, err := Inline(site); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -21,7 +21,7 @@ func BenchmarkInlineGroupPage(b *testing.B) {
 	site := webgen.GroupPage(webgen.GroupConfig{Seed: 1})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Inline(site, Options{}); err != nil {
+		if _, _, err := Inline(site); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -19,19 +19,6 @@ import (
 	"kaleidoscope/internal/webgen"
 )
 
-// Options controls inlining behaviour.
-type Options struct {
-	// Strict makes missing resources an error. When false (the default),
-	// references to missing resources are left untouched, mirroring
-	// SingleFile's tolerance of partially saved pages.
-	Strict bool
-	// DropExternal removes references to absolute http(s) URLs that cannot
-	// be resolved from the folder (instead of leaving them). Kaleidoscope
-	// uses this to guarantee the integrated page loads with zero network
-	// fetches.
-	DropExternal bool
-}
-
 // Report summarizes what Inline did.
 type Report struct {
 	InlinedCSS     int // stylesheets converted to <style>
@@ -43,20 +30,15 @@ type Report struct {
 	OutputBytes    int
 }
 
-// MissingResourceError reports a reference that could not be resolved in
-// Strict mode.
-type MissingResourceError struct {
-	Ref string
-}
-
-func (e *MissingResourceError) Error() string {
-	return fmt.Sprintf("inline: resource %q not found in site", e.Ref)
-}
-
 // Inline renders the site's main document with every resolvable resource
-// embedded, returning the self-contained HTML.
-func Inline(site *webgen.Site, opts Options) (string, *Report, error) {
-	doc, rpt, err := Tree(site, opts)
+// embedded, returning the self-contained HTML. A reference to a resource
+// missing from the folder is left untouched and listed in Report.Missing,
+// mirroring SingleFile's tolerance of partially saved pages; a reference to
+// an absolute http(s) URL is removed (an image's becomes a transparent
+// pixel) and listed in Report.Dropped, so the page loads with zero network
+// fetches.
+func Inline(site *webgen.Site) (string, *Report, error) {
+	doc, rpt, err := Tree(site)
 	if err != nil {
 		return "", rpt, err
 	}
@@ -68,7 +50,7 @@ func Inline(site *webgen.Site, opts Options) (string, *Report, error) {
 // Tree is Inline without the final render: it returns the self-contained
 // document as a tree, for callers that edit it further before rendering it
 // once. Its Report leaves OutputBytes zero.
-func Tree(site *webgen.Site, opts Options) (*htmlx.Node, *Report, error) {
+func Tree(site *webgen.Site) (*htmlx.Node, *Report, error) {
 	if err := site.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("inline: %w", err)
 	}
@@ -76,12 +58,8 @@ func Tree(site *webgen.Site, opts Options) (*htmlx.Node, *Report, error) {
 	doc := htmlx.Parse(string(site.HTML()))
 	baseDir := path.Dir(site.MainFile)
 
-	var failure error
 	record := func(ref string) bool {
 		rpt.Missing = append(rpt.Missing, ref)
-		if opts.Strict && failure == nil {
-			failure = &MissingResourceError{Ref: ref}
-		}
 		return false
 	}
 
@@ -115,7 +93,7 @@ func Tree(site *webgen.Site, opts Options) (*htmlx.Node, *Report, error) {
 		href := link.AttrOr("href", "")
 		data, ok := resolve(href)
 		if !ok {
-			if opts.DropExternal && isExternalURL(href) {
+			if isExternalURL(href) {
 				dropNode(link)
 				rpt.Dropped = append(rpt.Dropped, href)
 			}
@@ -137,7 +115,7 @@ func Tree(site *webgen.Site, opts Options) (*htmlx.Node, *Report, error) {
 		}
 		data, resolved := resolve(src)
 		if !resolved {
-			if opts.DropExternal && isExternalURL(src) {
+			if isExternalURL(src) {
 				dropNode(script)
 				rpt.Dropped = append(rpt.Dropped, src)
 			}
@@ -158,7 +136,7 @@ func Tree(site *webgen.Site, opts Options) (*htmlx.Node, *Report, error) {
 			}
 			data, resolved := resolve(src)
 			if !resolved {
-				if opts.DropExternal && isExternalURL(src) {
+				if isExternalURL(src) {
 					img.SetAttr("src", transparentPixel)
 					rpt.Dropped = append(rpt.Dropped, src)
 				}
@@ -177,9 +155,6 @@ func Tree(site *webgen.Site, opts Options) (*htmlx.Node, *Report, error) {
 		style.Children[0].Data = inlineCSSURLs(style.Children[0].Data, baseDir, site, rpt, record)
 	}
 
-	if failure != nil {
-		return nil, rpt, failure
-	}
 	return doc, rpt, nil
 }
 

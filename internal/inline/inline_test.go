@@ -2,7 +2,6 @@ package inline
 
 import (
 	"encoding/base64"
-	"errors"
 	"strings"
 	"testing"
 
@@ -28,7 +27,7 @@ func sampleSite() *webgen.Site {
 }
 
 func TestInlineBasic(t *testing.T) {
-	html, rpt, err := Inline(sampleSite(), Options{})
+	html, rpt, err := Inline(sampleSite())
 	if err != nil {
 		t.Fatalf("Inline: %v", err)
 	}
@@ -66,7 +65,7 @@ func TestInlineBasic(t *testing.T) {
 }
 
 func TestInlineIsSelfContained(t *testing.T) {
-	html, _, err := Inline(sampleSite(), Options{})
+	html, _, err := Inline(sampleSite())
 	if err != nil {
 		t.Fatalf("Inline: %v", err)
 	}
@@ -92,28 +91,15 @@ func TestInlineIsSelfContained(t *testing.T) {
 func TestInlineMissingLenient(t *testing.T) {
 	s := sampleSite()
 	delete(s.Files, "img/photo.png")
-	html, rpt, err := Inline(s, Options{})
+	html, rpt, err := Inline(s)
 	if err != nil {
-		t.Fatalf("lenient mode should not fail: %v", err)
+		t.Fatalf("a missing resource should not fail the page: %v", err)
 	}
 	if len(rpt.Missing) != 1 || rpt.Missing[0] != "img/photo.png" {
 		t.Errorf("missing = %v", rpt.Missing)
 	}
 	if !strings.Contains(html, `src="img/photo.png"`) {
 		t.Error("missing resource reference should be left untouched")
-	}
-}
-
-func TestInlineMissingStrict(t *testing.T) {
-	s := sampleSite()
-	delete(s.Files, "js/app.js")
-	_, _, err := Inline(s, Options{Strict: true})
-	var mre *MissingResourceError
-	if !errors.As(err, &mre) {
-		t.Fatalf("err = %v, want MissingResourceError", err)
-	}
-	if mre.Ref != "js/app.js" {
-		t.Errorf("Ref = %q", mre.Ref)
 	}
 }
 
@@ -124,22 +110,14 @@ func TestInlineExternalURLs(t *testing.T) {
 <script src="//cdn.example/app.js"></script>
 </head><body><img src="http://cdn.example/x.png"></body></html>`))
 
-	// Default: external refs left alone (and not counted missing).
-	html, rpt, err := Inline(s, Options{})
+	// Removed or replaced, so zero network fetches remain, and not
+	// counted missing.
+	html, rpt, err := Inline(s)
 	if err != nil {
 		t.Fatalf("Inline: %v", err)
 	}
 	if len(rpt.Missing) != 0 {
 		t.Errorf("external refs should not count as missing: %v", rpt.Missing)
-	}
-	if !strings.Contains(html, "cdn.example/style.css") {
-		t.Error("external link should remain by default")
-	}
-
-	// DropExternal: remove/replace them so zero network fetches remain.
-	html, rpt, err = Inline(s, Options{DropExternal: true})
-	if err != nil {
-		t.Fatalf("Inline: %v", err)
 	}
 	if len(rpt.Dropped) != 3 {
 		t.Errorf("dropped = %v, want 3", rpt.Dropped)
@@ -157,9 +135,12 @@ func TestInlineExternalURLs(t *testing.T) {
 func TestInlineSkipsDataAndFragment(t *testing.T) {
 	s := webgen.NewSite("index.html")
 	s.Put("index.html", []byte(`<html><body><img src="data:image/png;base64,AAA="><a href="#top">t</a></body></html>`))
-	html, rpt, err := Inline(s, Options{Strict: true})
+	html, rpt, err := Inline(s)
 	if err != nil {
 		t.Fatalf("Inline: %v", err)
+	}
+	if len(rpt.Missing) != 0 {
+		t.Errorf("data URI and fragment counted missing: %v", rpt.Missing)
 	}
 	if rpt.InlinedImages != 0 {
 		t.Error("existing data URI should not be re-inlined")
@@ -173,7 +154,7 @@ func TestInlineQueryStringRefs(t *testing.T) {
 	s := webgen.NewSite("index.html")
 	s.Put("index.html", []byte(`<html><body><img src="img/a.png?v=2#frag"></body></html>`))
 	s.Put("img/a.png", []byte("A"))
-	_, rpt, err := Inline(s, Options{Strict: true})
+	_, rpt, err := Inline(s)
 	if err != nil {
 		t.Fatalf("query-string ref should resolve: %v", err)
 	}
@@ -186,7 +167,7 @@ func TestInlineNestedMainFile(t *testing.T) {
 	s := webgen.NewSite("pages/index.html")
 	s.Put("pages/index.html", []byte(`<html><body><img src="../img/x.png"></body></html>`))
 	s.Put("img/x.png", []byte("X"))
-	_, rpt, err := Inline(s, Options{Strict: true})
+	_, rpt, err := Inline(s)
 	if err != nil {
 		t.Fatalf("relative ref from nested main: %v", err)
 	}
@@ -199,7 +180,7 @@ func TestInlineRootAbsoluteRef(t *testing.T) {
 	s := webgen.NewSite("index.html")
 	s.Put("index.html", []byte(`<html><body><img src="/img/x.png"></body></html>`))
 	s.Put("img/x.png", []byte("X"))
-	_, rpt, err := Inline(s, Options{Strict: true})
+	_, rpt, err := Inline(s)
 	if err != nil {
 		t.Fatalf("root-absolute ref: %v", err)
 	}
@@ -210,7 +191,7 @@ func TestInlineRootAbsoluteRef(t *testing.T) {
 
 func TestInlineInvalidSite(t *testing.T) {
 	s := webgen.NewSite("index.html")
-	if _, _, err := Inline(s, Options{}); err == nil {
+	if _, _, err := Inline(s); err == nil {
 		t.Error("site without main file should fail")
 	}
 }
@@ -219,9 +200,12 @@ func TestInlineInvalidSite(t *testing.T) {
 // the paper's actual pipeline step.
 func TestInlineWikiArticle(t *testing.T) {
 	site := webgen.WikiArticle(webgen.WikiConfig{Seed: 11})
-	html, rpt, err := Inline(site, Options{Strict: true, DropExternal: true})
+	html, rpt, err := Inline(site)
 	if err != nil {
 		t.Fatalf("Inline(wiki): %v", err)
+	}
+	if len(rpt.Missing) != 0 {
+		t.Errorf("missing = %v, want none", rpt.Missing)
 	}
 	if rpt.InlinedCSS != 1 || rpt.InlinedJS != 1 || rpt.InlinedImages != 3 {
 		t.Errorf("report = %+v, want 1 css, 1 js, 3 images", rpt)
@@ -261,9 +245,9 @@ func TestInlineEscapesResourceEndTags(t *testing.T) {
 	s.Put("index.html", []byte(`<html><head><link rel="stylesheet" href="a.css"><script src="a.js"></script></head><body></body></html>`))
 	s.Put("a.js", []byte(`var s = "</script><p id='evil'>";`))
 	s.Put("a.css", []byte(`p::after { content: "</STYLE ><p id='evil'>"; }`))
-	html, _, err := Inline(s, Options{Strict: true})
-	if err != nil {
-		t.Fatalf("Inline: %v", err)
+	html, rpt, err := Inline(s)
+	if err != nil || len(rpt.Missing) != 0 {
+		t.Fatalf("Inline: %v, missing %v", err, rpt.Missing)
 	}
 	doc := htmlx.Parse(html)
 	if doc.ByID("evil") != nil {

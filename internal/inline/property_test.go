@@ -44,7 +44,7 @@ func TestInlineSelfContainedProperty(t *testing.T) {
 			ImageBytes: 256,
 		}
 		site := webgen.WikiArticle(cfg)
-		html, rpt, err := Inline(site, Options{Strict: true, DropExternal: true})
+		html, rpt, err := Inline(site)
 		if err != nil {
 			t.Logf("inline failed for %+v: %v", cfg, err)
 			return false
@@ -67,8 +67,8 @@ func TestInlineGroupSelfContainedProperty(t *testing.T) {
 			ExpandVariant:   variant,
 			ItemsPerSection: int(items%6) + 2,
 		})
-		html, _, err := Inline(site, Options{Strict: true, DropExternal: true})
-		if err != nil {
+		html, rpt, err := Inline(site)
+		if err != nil || len(rpt.Missing) != 0 {
 			return false
 		}
 		assertSelfContained(t, html)

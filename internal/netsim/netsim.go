@@ -174,31 +174,3 @@ func SpecFromTrace(trace *LoadTrace, regions map[string][]string) (params.PageLo
 	}
 	return spec, nil
 }
-
-// OnLoadSpread runs n independent loads of the site over each profile and
-// reports the min and max observed onload times — the cross-network
-// discrepancy local replay eliminates.
-func OnLoadSpread(site *webgen.Site, profiles []Profile, n int, rng *rand.Rand) (minMs, maxMs float64, err error) {
-	if rng == nil {
-		return 0, 0, ErrNilRNG
-	}
-	if n <= 0 || len(profiles) == 0 {
-		return 0, 0, errors.New("netsim: need at least one run and one profile")
-	}
-	minMs = math.Inf(1)
-	for _, p := range profiles {
-		for i := 0; i < n; i++ {
-			trace, lerr := LoadSite(site, p, rng)
-			if lerr != nil {
-				return 0, 0, lerr
-			}
-			if trace.OnLoadMillis < minMs {
-				minMs = trace.OnLoadMillis
-			}
-			if trace.OnLoadMillis > maxMs {
-				maxMs = trace.OnLoadMillis
-			}
-		}
-	}
-	return minMs, maxMs, nil
-}

@@ -96,30 +96,6 @@ func TestParallelismHelps(t *testing.T) {
 	}
 }
 
-func TestOnLoadSpread(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	min, max, err := OnLoadSpread(testSite(), AllProfiles(), 5, rng)
-	if err != nil {
-		t.Fatalf("OnLoadSpread: %v", err)
-	}
-	if min <= 0 || max <= min {
-		t.Fatalf("spread = [%v, %v]", min, max)
-	}
-	// The paper's point: network heterogeneity yields a large spread.
-	if max/min < 3 {
-		t.Errorf("cross-profile spread %vx suspiciously small", max/min)
-	}
-	if _, _, err := OnLoadSpread(testSite(), nil, 5, rng); err == nil {
-		t.Error("no profiles should fail")
-	}
-	if _, _, err := OnLoadSpread(testSite(), AllProfiles(), 0, rng); err == nil {
-		t.Error("zero runs should fail")
-	}
-	if _, _, err := OnLoadSpread(testSite(), AllProfiles(), 5, nil); err == nil {
-		t.Error("nil rng should fail")
-	}
-}
-
 func TestSpecFromTrace(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	trace, err := LoadSite(testSite(), ProfileDSL, rng)

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"io"
 	"log/slog"
 	"net/http"
@@ -23,19 +22,6 @@ const (
 // RouteFunc maps a request onto a low-cardinality route label ("GET
 // /api/tests/{id}"). Returning "" labels the request "other".
 type RouteFunc func(*http.Request) string
-
-type ctxKey int
-
-const loggerKey ctxKey = 0
-
-// ContextLogger returns the request-scoped logger installed by Middleware,
-// or slog.Default() outside of one.
-func ContextLogger(ctx context.Context) *slog.Logger {
-	if l, ok := ctx.Value(loggerKey).(*slog.Logger); ok {
-		return l
-	}
-	return slog.Default()
-}
 
 // statusWriter captures the response status and size.
 type statusWriter struct {
@@ -86,31 +72,19 @@ func (w *statusWriter) Flush() {
 	}
 }
 
-// discardHandler is Go 1.24's slog.DiscardHandler (go.mod says 1.22). Its
-// Enabled is false, so a logger over it formats nothing.
-type discardHandler struct{}
-
-func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
-func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
-func (h discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return h }
-func (h discardHandler) WithGroup(string) slog.Handler           { return h }
-
 // reqSeq numbers requests process-wide for the request id.
 var reqSeq atomic.Int64
 
-// Middleware wraps next with request-scoped structured logging and metrics:
-// one log line per request (method, path, route, status, duration, bytes,
-// request id), a request counter by route and status, a latency histogram
-// by route, and a response-size counter. A nil logger disables logging; a
+// Middleware wraps next with structured logging and metrics: one log line
+// per request (request id, method, path, route, status, duration, bytes),
+// a request counter by route and status, a latency histogram by route, and
+// a response-size counter. A nil logger disables logging; a
 // nil registry disables metrics; a nil route function labels every request
 // by its method only. A handler that panics (the router aborts a relay with
 // http.ErrAbortHandler) is accounted with the status and bytes that went
 // out — status 0 if it panicked before its header, when net/http sends no
 // status line — aborted=true on its log line, and goes on panicking.
 func Middleware(next http.Handler, logger *slog.Logger, reg *Registry, route RouteFunc) http.Handler {
-	if logger == nil {
-		logger = slog.New(discardHandler{})
-	}
 	var inflight atomic.Int64
 	if reg != nil {
 		reg.RegisterGauge(MetricInflight, func() float64 {
@@ -122,7 +96,6 @@ func Middleware(next http.Handler, logger *slog.Logger, reg *Registry, route Rou
 		defer inflight.Add(-1)
 		start := time.Now()
 		id := reqSeq.Add(1)
-		reqLogger := logger.With("request_id", id)
 		sw := &statusWriter{ResponseWriter: w}
 		sw.Header().Set("X-Request-ID", strconv.FormatInt(id, 10))
 		label := ""
@@ -144,6 +117,10 @@ func Middleware(next http.Handler, logger *slog.Logger, reg *Registry, route Rou
 				reg.Counter(MetricResponseBytes, "route", label).Add(sw.bytes)
 				reg.Histogram(MetricRequestDuration, DefLatencyBuckets, "route", label).Observe(elapsed.Seconds())
 			}
+			if logger == nil || !logger.Enabled(r.Context(), slog.LevelInfo) {
+				return
+			}
+			reqLogger := logger.With("request_id", id)
 			if aborted {
 				reqLogger = reqLogger.With("aborted", true)
 			}
@@ -156,7 +133,7 @@ func Middleware(next http.Handler, logger *slog.Logger, reg *Registry, route Rou
 				"bytes", sw.bytes,
 			)
 		}()
-		next.ServeHTTP(sw, r.WithContext(context.WithValue(r.Context(), loggerKey, reqLogger)))
+		next.ServeHTTP(sw, r)
 		aborted = false
 	})
 }

@@ -172,15 +172,10 @@ func TestReplayMetricsSelectorForm(t *testing.T) {
 	if got := r.ATFTime(); got != 4000 {
 		t.Errorf("ATFTime = %d, want 4000", got)
 	}
-	if vc := r.CompletenessAt(0); vc != 0 {
-		t.Errorf("VC(0) = %v, want 0", vc)
-	}
-	if vc := r.CompletenessAt(4000); vc < 1-1e-9 {
-		t.Errorf("VC(4000) = %v, want 1", vc)
-	}
-	mid := r.CompletenessAt(2500)
-	if mid <= 0 || mid >= 1 {
-		t.Errorf("VC(2500) = %v, want in (0,1)", mid)
+	// Nothing is painted before the footer, and the page is only partly
+	// painted between it and the content.
+	if got := r.UPLT(1e-6); got != 1000 {
+		t.Errorf("UPLT(1e-6) = %d, want 1000", got)
 	}
 	si := r.SpeedIndex()
 	if si <= 0 || si >= 4000 {
@@ -200,28 +195,8 @@ func TestReplayInstantPage(t *testing.T) {
 	if r.ATFTime() != 0 || r.TTFP() != 0 {
 		t.Errorf("instant ATF/TTFP = %d/%d", r.ATFTime(), r.TTFP())
 	}
-	if r.CompletenessAt(0) != 1 {
-		t.Errorf("instant VC(0) = %v", r.CompletenessAt(0))
-	}
-}
-
-func TestReplayCurveMonotone(t *testing.T) {
-	doc := htmlx.Parse(replayDoc)
-	r := simulate(t, doc, params.PageLoadSpec{UniformMillis: 3000})
-	pts := r.Curve()
-	if len(pts) == 0 {
-		t.Fatal("empty curve")
-	}
-	prevY := -1.0
-	prevX := -1.0
-	for _, p := range pts {
-		if p.Y < prevY || p.X <= prevX {
-			t.Fatalf("curve not monotone: %+v", pts)
-		}
-		prevY, prevX = p.Y, p.X
-	}
-	if last := pts[len(pts)-1]; last.Y != 1 {
-		t.Errorf("curve should end at VC=1, got %v", last.Y)
+	if got := r.UPLT(1); got != 0 {
+		t.Errorf("instant UPLT(1) = %d, want 0", got)
 	}
 }
 
@@ -273,9 +248,6 @@ func TestFig9Shape(t *testing.T) {
 func TestWeightedCompletenessDefaults(t *testing.T) {
 	doc := htmlx.Parse(replayDoc)
 	r := simulate(t, doc, params.PageLoadSpec{})
-	if got := r.WeightedCompletenessAt(0, func(*htmlx.Node) float64 { return 0 }); got != 1 {
-		t.Errorf("all-zero weights should report complete, got %v", got)
-	}
 	if got := r.WeightedUPLT(0.9, func(*htmlx.Node) float64 { return 0 }); got != 0 {
 		t.Errorf("all-zero weights uPLT = %d, want 0", got)
 	}
@@ -361,31 +333,6 @@ func TestInjectWithoutHead(t *testing.T) {
 	}
 }
 
-func TestApproxEqual(t *testing.T) {
-	doc1 := htmlx.Parse(replayDoc)
-	doc2 := htmlx.Parse(replayDoc)
-	spec := selectorSpec(params.SelectorTime{Selector: "#content", Millis: 2000})
-	r1, err := Simulate(doc1, nil, render.DefaultViewport(), spec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := Simulate(doc2, nil, render.DefaultViewport(), spec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ApproxEqual(r1, r2, 1e-9) {
-		t.Error("identical replays should be approx equal")
-	}
-	r3, err := Simulate(htmlx.Parse(replayDoc), nil, render.DefaultViewport(),
-		selectorSpec(params.SelectorTime{Selector: "#content", Millis: 3000}), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ApproxEqual(r1, r3, 1e-9) {
-		t.Error("different schedules should differ")
-	}
-}
-
 // TestUniformScheduleStatisticalShape: with many nodes, uniform reveal
 // times cover the range roughly evenly (mean near T/2).
 func TestUniformScheduleStatisticalShape(t *testing.T) {
@@ -438,33 +385,10 @@ func TestScheduleTimes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	times := sched.Times()
-	want := []int{0, 2000, 4000}
-	if len(times) != len(want) {
-		t.Fatalf("times = %v", times)
-	}
-	for i := range want {
-		if times[i] != want[i] {
-			t.Errorf("times[%d] = %d, want %d", i, times[i], want[i])
+	for id, want := range map[string]int{"navbar": 2000, "content": 4000, "footer": 0} {
+		if got, ok := sched.Reveal[doc.ByID(id)]; !ok || got != want {
+			t.Errorf("#%s revealed at %d (%v), want %d", id, got, ok, want)
 		}
-	}
-}
-
-func TestRevealedAt(t *testing.T) {
-	doc := htmlx.Parse(replayDoc)
-	sched, err := BuildSchedule(doc, selectorSpec(params.SelectorTime{Selector: "#navbar", Millis: 2000}), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nav := doc.ByID("navbar")
-	if sched.RevealedAt(nav, 1999) {
-		t.Error("navbar should be hidden at 1999")
-	}
-	if !sched.RevealedAt(nav, 2000) {
-		t.Error("navbar should be visible at 2000")
-	}
-	if sched.RevealedAt(htmlx.NewElement("div"), 9999) {
-		t.Error("unknown node never revealed")
 	}
 }
 
@@ -481,17 +405,18 @@ func TestWeightedCurveAndUPLTThresholds(t *testing.T) {
 	if got := r.UPLT(1); got != 3000 {
 		t.Errorf("UPLT(1) = %d, want 3000", got)
 	}
-	// Weighted completeness is monotone in time.
-	prev := -1.0
-	for _, ms := range []int{0, 500, 1000, 2000, 3000, 4000} {
-		vc := r.WeightedCompletenessAt(ms, ContentWeight)
-		if vc < prev-1e-12 {
-			t.Fatalf("weighted completeness decreased at %d", ms)
+	// The weighted curve is monotone in time: a higher threshold is
+	// reached no earlier, and the whole of it at the last event.
+	prev := 0
+	for _, th := range []float64{0, 0.25, 0.5, 0.75, 1} {
+		got := r.WeightedUPLT(th, ContentWeight)
+		if got < prev {
+			t.Fatalf("WeightedUPLT(%v) = %d, before the lower threshold's %d", th, got, prev)
 		}
-		prev = vc
+		prev = got
 	}
-	if got := r.WeightedCompletenessAt(10_000, ContentWeight); got < 1-1e-9 {
-		t.Errorf("final weighted completeness = %v", got)
+	if prev != 3000 {
+		t.Errorf("WeightedUPLT(1) = %d, want 3000", prev)
 	}
 }
 
@@ -525,8 +450,8 @@ func TestEmptyPageReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.CompletenessAt(0) != 1 {
-		t.Error("empty page should be complete immediately")
+	if got := r.UPLT(1); got != 0 {
+		t.Errorf("empty page should be complete immediately, UPLT(1) = %d", got)
 	}
 	if r.SpeedIndex() != 0 || r.ATFTime() != 0 {
 		t.Errorf("empty page metrics: SI=%v ATF=%d", r.SpeedIndex(), r.ATFTime())

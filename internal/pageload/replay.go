@@ -1,7 +1,6 @@
 package pageload
 
 import (
-	"math"
 	"math/rand"
 	"sort"
 
@@ -9,7 +8,6 @@ import (
 	"kaleidoscope/internal/htmlx"
 	"kaleidoscope/internal/params"
 	"kaleidoscope/internal/render"
-	"kaleidoscope/internal/stats"
 )
 
 // NodeEvent is one node becoming visible during a replay.
@@ -64,42 +62,6 @@ func Simulate(doc *htmlx.Node, sheet *cssx.Stylesheet, vp render.Viewport, spec 
 	})
 	sort.SliceStable(r.Events, func(i, j int) bool { return r.Events[i].Millis < r.Events[j].Millis })
 	return r, nil
-}
-
-// CompletenessAt returns the visual completeness VC(t): the fraction of
-// above-the-fold painted area visible at time ms. Pages with no
-// above-the-fold area report 1 (nothing to wait for).
-func (r *Replay) CompletenessAt(ms int) float64 {
-	if r.TotalATFArea == 0 {
-		return 1
-	}
-	var painted float64
-	for _, ev := range r.Events {
-		if ev.Millis > ms {
-			break
-		}
-		painted += ev.ATFArea
-	}
-	return painted / r.TotalATFArea
-}
-
-// Curve returns the visual-completeness step curve as (ms, VC) points, one
-// per distinct event time.
-func (r *Replay) Curve() []stats.Point {
-	var pts []stats.Point
-	var painted float64
-	for i, ev := range r.Events {
-		painted += ev.ATFArea
-		if i+1 < len(r.Events) && r.Events[i+1].Millis == ev.Millis {
-			continue
-		}
-		vc := 1.0
-		if r.TotalATFArea > 0 {
-			vc = painted / r.TotalATFArea
-		}
-		pts = append(pts, stats.Point{X: float64(ev.Millis), Y: vc})
-	}
-	return pts
 }
 
 // TTFP returns the Time to First Paint: the earliest time any non-zero
@@ -179,26 +141,6 @@ func (r *Replay) UPLT(threshold float64) int {
 		}
 	}
 	return r.EndMillis
-}
-
-// WeightedCompletenessAt is CompletenessAt with a per-node importance
-// weight — the paper's Fig. 9 finding is that users weight main text
-// content far above auxiliary content (the navigation bar), so perceived
-// readiness tracks a weighted, not plain, completeness curve.
-func (r *Replay) WeightedCompletenessAt(ms int, weight func(*htmlx.Node) float64) float64 {
-	var total, painted float64
-	for _, ev := range r.Events {
-		w := weight(ev.Node)
-		contribution := ev.ATFArea * w
-		total += contribution
-		if ev.Millis <= ms {
-			painted += contribution
-		}
-	}
-	if total == 0 {
-		return 1
-	}
-	return painted / total
 }
 
 // WeightedUPLT returns the earliest time the weighted completeness reaches
@@ -291,19 +233,4 @@ func (r *Replay) MeanReadyTime(weight func(*htmlx.Node) float64) float64 {
 		return 0
 	}
 	return acc / total
-}
-
-// ApproxEqual reports whether two replays are visually indistinguishable:
-// same end time and completeness curves within tol at every event time.
-func ApproxEqual(a, b *Replay, tol float64) bool {
-	if a.EndMillis != b.EndMillis {
-		return false
-	}
-	times := append(a.Schedule.Times(), b.Schedule.Times()...)
-	for _, t := range times {
-		if math.Abs(a.CompletenessAt(t)-b.CompletenessAt(t)) > tol {
-			return false
-		}
-	}
-	return true
 }

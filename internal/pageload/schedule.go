@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"kaleidoscope/internal/cssx"
 	"kaleidoscope/internal/htmlx"
@@ -91,27 +90,4 @@ func BuildSchedule(doc *htmlx.Node, spec params.PageLoadSpec, rng *rand.Rand) (*
 	}
 	resolve(doc, 0)
 	return sched, nil
-}
-
-// RevealedAt reports whether node n is visible at time ms.
-func (s *Schedule) RevealedAt(n *htmlx.Node, ms int) bool {
-	t, ok := s.Reveal[n]
-	if !ok {
-		return false
-	}
-	return t <= ms
-}
-
-// Times returns the sorted distinct reveal times in the schedule.
-func (s *Schedule) Times() []int {
-	seen := make(map[int]bool)
-	for _, t := range s.Reveal {
-		seen[t] = true
-	}
-	out := make([]int, 0, len(seen))
-	for t := range seen {
-		out = append(out, t)
-	}
-	sort.Ints(out)
-	return out
 }

@@ -232,17 +232,3 @@ func evaluate(s WorkerSession, cfg Config, majority map[questionKey]questionnair
 
 	return v
 }
-
-// PassRate summarizes verdicts as the fraction of workers kept.
-func PassRate(verdicts []Verdict) float64 {
-	if len(verdicts) == 0 {
-		return 0
-	}
-	passed := 0
-	for _, v := range verdicts {
-		if v.Passed {
-			passed++
-		}
-	}
-	return float64(passed) / float64(len(verdicts))
-}

@@ -21,22 +21,8 @@ const (
 	ChoiceSame  Choice = "same"
 )
 
-// ErrBadChoice reports an unparseable answer.
+// ErrBadChoice reports an answer that is not one of the three.
 var ErrBadChoice = errors.New("questionnaire: answer must be Left, Right, or Same")
-
-// ParseChoice parses a case-insensitive answer string.
-func ParseChoice(s string) (Choice, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "left", "l":
-		return ChoiceLeft, nil
-	case "right", "r":
-		return ChoiceRight, nil
-	case "same", "s", "equal":
-		return ChoiceSame, nil
-	default:
-		return "", fmt.Errorf("%w: %q", ErrBadChoice, s)
-	}
-}
 
 // Valid reports whether c is one of the three legal answers.
 func (c Choice) Valid() bool {
@@ -161,17 +147,4 @@ func (t Tally) Winner() (Choice, bool) {
 		}
 	}
 	return best.c, unique
-}
-
-// TallyResponses tallies the answers of responses matching the given
-// question (questionID "" matches all).
-func TallyResponses(responses []Response, questionID string) Tally {
-	var t Tally
-	for _, r := range responses {
-		if questionID != "" && r.QuestionID != questionID {
-			continue
-		}
-		t.Add(r.Choice)
-	}
-	return t
 }

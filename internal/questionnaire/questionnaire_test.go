@@ -5,41 +5,6 @@ import (
 	"testing"
 )
 
-func TestParseChoice(t *testing.T) {
-	tests := []struct {
-		in      string
-		want    Choice
-		wantErr bool
-	}{
-		{"left", ChoiceLeft, false},
-		{"Left", ChoiceLeft, false},
-		{" RIGHT ", ChoiceRight, false},
-		{"r", ChoiceRight, false},
-		{"l", ChoiceLeft, false},
-		{"same", ChoiceSame, false},
-		{"Equal", ChoiceSame, false},
-		{"s", ChoiceSame, false},
-		{"both", "", true},
-		{"", "", true},
-	}
-	for _, tt := range tests {
-		got, err := ParseChoice(tt.in)
-		if (err != nil) != tt.wantErr {
-			t.Errorf("ParseChoice(%q) err = %v", tt.in, err)
-			continue
-		}
-		if err != nil {
-			if !errors.Is(err, ErrBadChoice) {
-				t.Errorf("ParseChoice(%q) err not ErrBadChoice: %v", tt.in, err)
-			}
-			continue
-		}
-		if got != tt.want {
-			t.Errorf("ParseChoice(%q) = %q, want %q", tt.in, got, tt.want)
-		}
-	}
-}
-
 func TestChoiceValidAndOpposite(t *testing.T) {
 	if !ChoiceLeft.Valid() || !ChoiceRight.Valid() || !ChoiceSame.Valid() {
 		t.Error("legal choices should be valid")
@@ -136,21 +101,5 @@ func TestTallyEmpty(t *testing.T) {
 	}
 	if _, unique := tally.Winner(); unique {
 		t.Error("empty tally winner should not be unique")
-	}
-}
-
-func TestTallyResponses(t *testing.T) {
-	responses := []Response{
-		{QuestionID: "q1", Choice: ChoiceLeft},
-		{QuestionID: "q1", Choice: ChoiceRight},
-		{QuestionID: "q2", Choice: ChoiceSame},
-	}
-	t1 := TallyResponses(responses, "q1")
-	if t1.Total() != 2 || t1.Left != 1 || t1.Right != 1 {
-		t.Errorf("q1 tally = %+v", t1)
-	}
-	all := TallyResponses(responses, "")
-	if all.Total() != 3 {
-		t.Errorf("all tally = %+v", all)
 	}
 }

@@ -39,16 +39,6 @@ type Result struct {
 	Comparisons int
 }
 
-// RankOf returns the rank position (0 = best) of version v, or -1.
-func (r *Result) RankOf(v int) int {
-	for i, idx := range r.Order {
-		if idx == v {
-			return i
-		}
-	}
-	return -1
-}
-
 // ErrTooFewVersions is returned for n < 2.
 var ErrTooFewVersions = errors.New("rank: need at least two versions")
 

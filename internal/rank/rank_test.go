@@ -36,12 +36,6 @@ func TestFullRoundRobin(t *testing.T) {
 	if res.Comparisons != 10 {
 		t.Errorf("comparisons = %d, want C(5,2)=10", res.Comparisons)
 	}
-	if res.RankOf(1) != 0 || res.RankOf(4) != 4 {
-		t.Errorf("RankOf wrong: best=%d worst=%d", res.RankOf(1), res.RankOf(4))
-	}
-	if res.RankOf(99) != -1 {
-		t.Error("RankOf(unknown) should be -1")
-	}
 }
 
 func TestFullRoundRobinErrors(t *testing.T) {

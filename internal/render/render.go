@@ -37,9 +37,6 @@ type Box struct {
 	X, Y, W, H float64
 }
 
-// Bottom returns the box's lower edge.
-func (b Box) Bottom() float64 { return b.Y + b.H }
-
 // NodeGeom is the per-element output of layout.
 type NodeGeom struct {
 	// Box is the element's full rectangle (including descendants).
@@ -341,23 +338,4 @@ func attrFloat(n *htmlx.Node, key string, def float64) float64 {
 
 func collapseSpace(s string) string {
 	return strings.Join(strings.Fields(s), " ")
-}
-
-// AboveTheFold reports whether any part of the element's box is visible in
-// the initial viewport.
-func (l *Layout) AboveTheFold(n *htmlx.Node) bool {
-	g, ok := l.Geom[n]
-	if !ok {
-		return false
-	}
-	return g.Box.Y < l.Viewport.Height && g.Box.Bottom() > 0
-}
-
-// FoldCoverage returns the fraction of total painted area that sits above
-// the fold — a sanity metric for generated pages.
-func (l *Layout) FoldCoverage() float64 {
-	if l.TotalOwnArea == 0 {
-		return 0
-	}
-	return l.TotalOwnAreaATF / l.TotalOwnArea
 }

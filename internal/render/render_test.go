@@ -23,8 +23,8 @@ func TestBlocksStackVertically(t *testing.T) {
 	if a.Box.Y >= b.Box.Y {
 		t.Errorf("a.Y=%v should be above b.Y=%v", a.Box.Y, b.Box.Y)
 	}
-	if b.Box.Y < a.Box.Bottom() {
-		t.Errorf("b starts at %v before a ends at %v", b.Box.Y, a.Box.Bottom())
+	if b.Box.Y < a.Box.Y+a.Box.H {
+		t.Errorf("b starts at %v before a ends at %v", b.Box.Y, a.Box.Y+a.Box.H)
 	}
 	if l.TotalHeight <= 0 {
 		t.Error("document should have height")
@@ -125,15 +125,14 @@ func TestAboveTheFold(t *testing.T) {
 		t.Fatalf("page should overflow viewport: %v <= %v", l.TotalHeight, l.Viewport.Height)
 	}
 	ps := doc.ByTag("p")
-	if !l.AboveTheFold(ps[0]) {
-		t.Error("first paragraph should be above the fold")
+	if l.Geom[ps[0]].OwnAreaATF <= 0 {
+		t.Error("first paragraph should paint above the fold")
 	}
-	if l.AboveTheFold(ps[len(ps)-1]) {
-		t.Error("last paragraph should be below the fold")
+	if a := l.Geom[ps[len(ps)-1]].OwnAreaATF; a != 0 {
+		t.Errorf("last paragraph should be below the fold, painted %v above it", a)
 	}
-	cov := l.FoldCoverage()
-	if cov <= 0 || cov >= 1 {
-		t.Errorf("fold coverage = %v, want in (0,1)", cov)
+	if l.TotalOwnAreaATF <= 0 || l.TotalOwnAreaATF >= l.TotalOwnArea {
+		t.Errorf("above-the-fold area = %v of %v, want a proper fraction", l.TotalOwnAreaATF, l.TotalOwnArea)
 	}
 }
 
@@ -161,10 +160,10 @@ func TestWikiLayoutShape(t *testing.T) {
 
 	nav := doc.ByID("navbar")
 	refs := doc.ByID("references")
-	if !l.AboveTheFold(nav) {
+	if l.Geom[nav].Box.Y >= l.Viewport.Height {
 		t.Error("navbar should be above the fold")
 	}
-	if l.AboveTheFold(refs) {
+	if l.Geom[refs].Box.Y < l.Viewport.Height {
 		t.Errorf("references should be below the fold (Y=%v, fold=%v)", l.Geom[refs].Box.Y, l.Viewport.Height)
 	}
 	if nav.Parent == nil || l.Geom[nav].Box.Y >= l.Geom[doc.ByID("content")].Box.Y {
@@ -200,8 +199,8 @@ func TestEmptyDocument(t *testing.T) {
 	if l.TotalHeight != 0 || l.TotalOwnArea != 0 {
 		t.Errorf("empty doc layout = %+v", l)
 	}
-	if l.FoldCoverage() != 0 {
-		t.Error("empty doc fold coverage should be 0")
+	if l.TotalOwnAreaATF != 0 {
+		t.Error("empty doc should paint nothing above the fold")
 	}
 }
 
@@ -210,13 +209,6 @@ func TestNoBodyFallsBackToDocument(t *testing.T) {
 	l := LayoutDocument(doc, nil, DefaultViewport())
 	if _, ok := l.Geom[doc.ByID("d")]; !ok {
 		t.Error("layout without <body> should still process elements")
-	}
-}
-
-func TestAboveTheFoldUnknownNode(t *testing.T) {
-	l, _ := layoutHTML(t, `<body><p>x</p></body>`, "")
-	if l.AboveTheFold(htmlx.NewElement("div")) {
-		t.Error("unknown node should not be above the fold")
 	}
 }
 
@@ -269,9 +261,9 @@ func TestSiblingBlocksDisjoint(t *testing.T) {
 			if prev != nil {
 				a := l.Geom[prev].Box
 				b := l.Geom[c].Box
-				if b.Y < a.Bottom()-1e-9 {
+				if b.Y < a.Y+a.H-1e-9 {
 					t.Fatalf("siblings overlap: %s [%v,%v] then %s at %v",
-						prev.Tag, a.Y, a.Bottom(), c.Tag, b.Y)
+						prev.Tag, a.Y, a.Y+a.H, c.Tag, b.Y)
 				}
 			}
 			prev = c

@@ -24,9 +24,6 @@ type Node struct {
 // NewNode wraps a follower for serving.
 func NewNode(f *Follower) *Node { return &Node{follower: f} }
 
-// Follower exposes the wrapped follower (status, promotion by hand).
-func (n *Node) Follower() *Follower { return n.follower }
-
 // Promoted reports whether the application handler is live.
 func (n *Node) Promoted() bool {
 	n.mu.RLock()

@@ -1,8 +1,8 @@
 // Package report renders Kaleidoscope's analysis artifacts as plain-text
-// charts: CDF step curves (Fig. 5), grouped bar charts (Figs. 4, 8, 9),
-// and cumulative arrival curves (Fig. 7a). The renderers are deterministic
-// and width-bounded, so experiment output can be diffed across runs and
-// embedded in terminal reports.
+// charts: CDF step curves (Fig. 5) and cumulative arrival curves
+// (Fig. 7a). The renderers are deterministic and width-bounded, so
+// experiment output can be diffed across runs and embedded in terminal
+// reports.
 package report
 
 import (
@@ -13,64 +13,6 @@ import (
 
 	"kaleidoscope/internal/stats"
 )
-
-// barFill is the glyph run used for horizontal bars.
-const barFill = "#"
-
-// BarChart renders labeled horizontal bars scaled to maxWidth columns.
-// Values must be non-negative; labels and values must align.
-func BarChart(labels []string, values []float64, maxWidth int) (string, error) {
-	if len(labels) != len(values) {
-		return "", errors.New("report: labels/values length mismatch")
-	}
-	if len(labels) == 0 {
-		return "", errors.New("report: empty chart")
-	}
-	if maxWidth < 8 {
-		return "", errors.New("report: width too small")
-	}
-	var max float64
-	for _, v := range values {
-		if v < 0 {
-			return "", fmt.Errorf("report: negative value %v", v)
-		}
-		if v > max {
-			max = v
-		}
-	}
-	labelWidth := 0
-	for _, l := range labels {
-		if len(l) > labelWidth {
-			labelWidth = len(l)
-		}
-	}
-	var b strings.Builder
-	for i, l := range labels {
-		bar := 0
-		if max > 0 {
-			bar = int(math.Round(values[i] / max * float64(maxWidth)))
-		}
-		fmt.Fprintf(&b, "%-*s |%s%s %.1f\n",
-			labelWidth, l,
-			strings.Repeat(barFill, bar),
-			strings.Repeat(" ", maxWidth-bar),
-			values[i])
-	}
-	return b.String(), nil
-}
-
-// PercentBars renders a distribution (values summing to ~1) as bars
-// labeled with percentages.
-func PercentBars(labels []string, shares []float64, maxWidth int) (string, error) {
-	if len(labels) != len(shares) {
-		return "", errors.New("report: labels/shares length mismatch")
-	}
-	values := make([]float64, len(shares))
-	for i, s := range shares {
-		values[i] = s * 100
-	}
-	return BarChart(labels, values, maxWidth)
-}
 
 // CDFPlot renders one or more ECDFs as an ASCII line plot of the given
 // size. Each series is drawn with its own glyph; the legend maps glyphs to

@@ -7,66 +7,6 @@ import (
 	"kaleidoscope/internal/stats"
 )
 
-func TestBarChart(t *testing.T) {
-	out, err := BarChart([]string{"alpha", "b"}, []float64{10, 5}, 20)
-	if err != nil {
-		t.Fatalf("BarChart: %v", err)
-	}
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("lines = %d", len(lines))
-	}
-	// Largest value fills the width; half value fills half.
-	if !strings.Contains(lines[0], strings.Repeat("#", 20)) {
-		t.Errorf("line 0 = %q", lines[0])
-	}
-	if !strings.Contains(lines[1], strings.Repeat("#", 10)) || strings.Contains(lines[1], strings.Repeat("#", 11)) {
-		t.Errorf("line 1 = %q", lines[1])
-	}
-	// Labels aligned.
-	if !strings.HasPrefix(lines[0], "alpha |") || !strings.HasPrefix(lines[1], "b     |") {
-		t.Errorf("label alignment: %q / %q", lines[0], lines[1])
-	}
-}
-
-func TestBarChartErrors(t *testing.T) {
-	if _, err := BarChart([]string{"a"}, []float64{1, 2}, 20); err == nil {
-		t.Error("length mismatch should fail")
-	}
-	if _, err := BarChart(nil, nil, 20); err == nil {
-		t.Error("empty should fail")
-	}
-	if _, err := BarChart([]string{"a"}, []float64{1}, 2); err == nil {
-		t.Error("tiny width should fail")
-	}
-	if _, err := BarChart([]string{"a"}, []float64{-1}, 20); err == nil {
-		t.Error("negative value should fail")
-	}
-}
-
-func TestBarChartAllZero(t *testing.T) {
-	out, err := BarChart([]string{"a", "b"}, []float64{0, 0}, 10)
-	if err != nil {
-		t.Fatalf("BarChart: %v", err)
-	}
-	if strings.Contains(out, "#") {
-		t.Error("zero values should draw no bars")
-	}
-}
-
-func TestPercentBars(t *testing.T) {
-	out, err := PercentBars([]string{"left", "same", "right"}, []float64{0.2, 0.3, 0.5}, 20)
-	if err != nil {
-		t.Fatalf("PercentBars: %v", err)
-	}
-	if !strings.Contains(out, "50.0") || !strings.Contains(out, "20.0") {
-		t.Errorf("out = %q", out)
-	}
-	if _, err := PercentBars([]string{"a"}, []float64{0.5, 0.5}, 20); err == nil {
-		t.Error("mismatch should fail")
-	}
-}
-
 func TestCDFPlot(t *testing.T) {
 	fast, err := stats.NewECDF([]float64{1, 1.2, 1.4, 2})
 	if err != nil {

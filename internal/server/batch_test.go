@@ -314,7 +314,7 @@ func TestBatchClientCancel(t *testing.T) {
 // Gzip happy path: a compressed batch decodes and commits like a plain one,
 // and batch metrics are exported.
 func TestBatchGzip(t *testing.T) {
-	srv, prep, _, _ := prepGuardedTest(t, guard.Config{RetryAfter: time.Second})
+	srv, prep, _, _ := prepGuardedTest(t, guard.Config{})
 	reg := srv.reg
 	uploads := variedUploads(t, prep, 5)
 	rec, report := postBatch(t, srv, marshalBatch(t, uploads), true)
@@ -371,7 +371,6 @@ func TestBatchShedWhileBreakerOpen(t *testing.T) {
 		BreakerThreshold: 2,
 		BreakerCooldown:  time.Minute,
 		BreakerProbes:    1,
-		RetryAfter:       time.Second,
 	})
 	g := srv.guard
 	tripBreaker(t, srv, prep, ffs, g)
@@ -390,7 +389,6 @@ func TestBatchStorageFault(t *testing.T) {
 	srv, prep, ffs, _ := prepGuardedTest(t, guard.Config{
 		BreakerThreshold: 100, // keep it closed; we only check the response
 		BreakerCooldown:  time.Minute,
-		RetryAfter:       time.Second,
 	})
 	ffs.FailAppendsAfter(0, store.ErrNoSpace, false)
 	rec, _ := postBatch(t, srv, marshalBatch(t, variedUploads(t, prep, 2)), false)

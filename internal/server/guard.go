@@ -92,7 +92,7 @@ func (s *Server) serveGuarded(w http.ResponseWriter, r *http.Request) {
 	}
 	release, ok := s.guard.Admit(r.Context().Done(), class)
 	if !ok {
-		writeShed(w, http.StatusTooManyRequests, s.guard.RetryAfter(),
+		writeShed(w, http.StatusTooManyRequests, guard.RetryAfter,
 			"server overloaded (%s class at capacity)", class)
 		return
 	}
@@ -114,7 +114,7 @@ func (s *Server) markDegraded(w http.ResponseWriter) {
 // Retry-After, the honest "come back when the store recovers".
 func (s *Server) writeUnavailable(w http.ResponseWriter, what string) {
 	s.guard.NoteUnavailable()
-	writeShed(w, http.StatusServiceUnavailable, s.guard.RetryAfter(),
+	writeShed(w, http.StatusServiceUnavailable, guard.RetryAfter,
 		"%s unavailable: storage degraded, retry after the indicated delay", what)
 }
 
@@ -203,7 +203,7 @@ func (g *writeGate) fail(w http.ResponseWriter, what string, err error) {
 	switch {
 	case g.s.replWriteRefused(w, err):
 	case g.s.guard != nil:
-		writeShed(w, http.StatusServiceUnavailable, g.s.guard.RetryAfter(),
+		writeShed(w, http.StatusServiceUnavailable, guard.RetryAfter,
 			"%s failed: %v; retry after the indicated delay", what, err)
 	default:
 		writeError(w, http.StatusInternalServerError, "%s: %v", what, err)
@@ -267,11 +267,7 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 		}
 	}
 	if status != http.StatusOK {
-		retry := time.Second
-		if s.guard != nil {
-			retry = s.guard.RetryAfter()
-		}
-		w.Header().Set("Retry-After", retryAfterSeconds(retry))
+		w.Header().Set("Retry-After", retryAfterSeconds(guard.RetryAfter))
 	}
 	writeJSON(w, status, body)
 }

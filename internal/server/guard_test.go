@@ -115,7 +115,6 @@ func TestDegradedModeE2E(t *testing.T) {
 		BreakerThreshold: 2,
 		BreakerCooldown:  20 * time.Millisecond,
 		BreakerProbes:    1,
-		RetryAfter:       time.Second,
 	})
 	g, reg := srv.guard, srv.reg
 

@@ -197,7 +197,6 @@ func TestWriteFaultMatrix(t *testing.T) {
 					rig.g = guard.New(guard.Config{
 						BreakerThreshold: row.threshold,
 						BreakerCooldown:  time.Minute,
-						RetryAfter:       time.Second,
 						Now:              func() time.Time { return rig.clock },
 					})
 					opts = append(opts, WithGuard(rig.g))

@@ -136,11 +136,6 @@ func (r *Ring) ownerOf(h uint64) int {
 	return r.points[i].shard
 }
 
-// OwnerName returns the owning shard's name.
-func (r *Ring) OwnerName(key string) string {
-	return r.shards[r.Owner(key)]
-}
-
 // Shards returns the shard names, in constructor order. The slice is the
 // ring's own; callers must not mutate it.
 func (r *Ring) Shards() []string { return r.shards }

@@ -42,7 +42,7 @@ func TestNewRingValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.OwnerName("anything"); got != "solo" {
+	if got := r.shards[r.Owner("anything")]; got != "solo" {
 		t.Errorf("single-shard ring owner = %q", got)
 	}
 }
@@ -69,9 +69,9 @@ func TestRingDeterministic(t *testing.T) {
 		if a.Owner(key) != b.Owner(key) {
 			t.Fatalf("ring not deterministic for %q", key)
 		}
-		if a.OwnerName(key) != c.OwnerName(key) {
+		if a.shards[a.Owner(key)] != c.shards[c.Owner(key)] {
 			t.Fatalf("ownership of %q depends on shard list order: %q vs %q",
-				key, a.OwnerName(key), c.OwnerName(key))
+				key, a.shards[a.Owner(key)], c.shards[c.Owner(key)])
 		}
 	}
 }
@@ -119,7 +119,7 @@ func TestRingMinimalRemapOnAdd(t *testing.T) {
 	keys := ringKeys(7, 40_000)
 	moved := 0
 	for _, key := range keys {
-		oldName, newName := before.OwnerName(key), after.OwnerName(key)
+		oldName, newName := before.shards[before.Owner(key)], after.shards[after.Owner(key)]
 		if oldName == newName {
 			continue
 		}
@@ -152,11 +152,11 @@ func TestRingMinimalRemapOnRemove(t *testing.T) {
 	keys := ringKeys(13, 40_000)
 	moved, owned := 0, 0
 	for _, key := range keys {
-		oldName := before.OwnerName(key)
+		oldName := before.shards[before.Owner(key)]
 		if oldName == removed {
 			owned++
 		}
-		newName := after.OwnerName(key)
+		newName := after.shards[after.Owner(key)]
 		if oldName == newName {
 			continue
 		}

@@ -1,10 +1,9 @@
 // Package stats provides the statistical machinery Kaleidoscope's analysis
-// pipeline relies on: empirical CDFs, summary statistics, significance tests
-// (two-proportion z-test, exact binomial, chi-square), bootstrap confidence
-// intervals, and rank-correlation measures.
+// pipeline relies on: empirical CDFs, medians and quantiles, the
+// two-proportion z-test, Wilson intervals, Kendall's tau, majority votes and
+// the e-values behind sequential early stopping.
 //
-// Everything in this package is deterministic given its inputs; functions
-// that resample take an explicit random source.
+// Everything in this package is deterministic given its inputs.
 package stats
 
 import (
@@ -17,38 +16,6 @@ import (
 // ErrEmptySample is returned by constructors and tests that need at least
 // one observation.
 var ErrEmptySample = errors.New("stats: empty sample")
-
-// Mean returns the arithmetic mean of xs. It returns 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// Variance returns the unbiased (n-1) sample variance of xs.
-// It returns 0 when fewer than two observations are given.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return ss / float64(len(xs)-1)
-}
-
-// StdDev returns the unbiased sample standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	return math.Sqrt(Variance(xs))
-}
 
 // Median returns the median of xs, interpolating between the two middle
 // values for even-length samples. It returns 0 for an empty slice.
@@ -134,23 +101,6 @@ type Point struct {
 	Y float64 `json:"y"`
 }
 
-// KSDistance returns the Kolmogorov-Smirnov statistic between two empirical
-// CDFs: the supremum of |F1(x) - F2(x)| over the pooled support.
-func KSDistance(a, b *ECDF) float64 {
-	var d float64
-	for _, x := range a.sorted {
-		if diff := math.Abs(a.At(x) - b.At(x)); diff > d {
-			d = diff
-		}
-	}
-	for _, x := range b.sorted {
-		if diff := math.Abs(a.At(x) - b.At(x)); diff > d {
-			d = diff
-		}
-	}
-	return d
-}
-
 // NormalCDF returns Phi(z), the standard normal cumulative distribution
 // function evaluated at z.
 func NormalCDF(z float64) float64 {
@@ -202,174 +152,6 @@ func TwoProportionTest(successes1, trials1, successes2, trials2 int) (TwoProport
 	res.PValueOneSided = 1 - NormalCDF(math.Abs(res.Z))
 	res.PValue = 2 * res.PValueOneSided
 	return res, nil
-}
-
-// BinomialTest returns the two-sided exact binomial p-value for observing
-// k successes in n trials when the per-trial success probability is p.
-// It uses the common "sum all outcomes at most as likely as k" definition.
-func BinomialTest(k, n int, p float64) (float64, error) {
-	if n <= 0 {
-		return 0, errors.New("stats: n must be positive")
-	}
-	if k < 0 || k > n {
-		return 0, errors.New("stats: k out of range")
-	}
-	if math.IsNaN(p) || p < 0 || p > 1 {
-		return 0, errors.New("stats: p out of range")
-	}
-	obs := binomialPMF(k, n, p)
-	var pval float64
-	const slack = 1e-7 // tolerate FP noise when comparing likelihoods
-	for i := 0; i <= n; i++ {
-		if binomialPMF(i, n, p) <= obs*(1+slack) {
-			pval += binomialPMF(i, n, p)
-		}
-	}
-	return math.Min(pval, 1), nil
-}
-
-// binomialPMF computes C(n,k) p^k (1-p)^(n-k) in log space for stability.
-func binomialPMF(k, n int, p float64) float64 {
-	if p == 0 {
-		if k == 0 {
-			return 1
-		}
-		return 0
-	}
-	if p == 1 {
-		if k == n {
-			return 1
-		}
-		return 0
-	}
-	lg, _ := math.Lgamma(float64(n + 1))
-	lk, _ := math.Lgamma(float64(k + 1))
-	lnk, _ := math.Lgamma(float64(n - k + 1))
-	logC := lg - lk - lnk
-	return math.Exp(logC + float64(k)*math.Log(p) + float64(n-k)*math.Log(1-p))
-}
-
-// ChiSquareResult reports the outcome of a chi-square goodness-of-fit or
-// independence test.
-type ChiSquareResult struct {
-	Statistic float64
-	DF        int
-	PValue    float64
-}
-
-// ChiSquareGOF performs a chi-square goodness-of-fit test of observed counts
-// against expected counts. The slices must have equal, non-zero length and
-// every expected count must be positive.
-func ChiSquareGOF(observed []int, expected []float64) (ChiSquareResult, error) {
-	if len(observed) == 0 || len(observed) != len(expected) {
-		return ChiSquareResult{}, errors.New("stats: observed/expected length mismatch")
-	}
-	var stat float64
-	for i, o := range observed {
-		if expected[i] <= 0 {
-			return ChiSquareResult{}, fmt.Errorf("stats: expected count %d not positive", i)
-		}
-		d := float64(o) - expected[i]
-		stat += d * d / expected[i]
-	}
-	df := len(observed) - 1
-	return ChiSquareResult{Statistic: stat, DF: df, PValue: chiSquareSF(stat, df)}, nil
-}
-
-// ChiSquare2x2 performs a chi-square independence test on a 2x2 contingency
-// table [[a, b], [c, d]].
-func ChiSquare2x2(a, b, c, d int) (ChiSquareResult, error) {
-	n := a + b + c + d
-	if n == 0 {
-		return ChiSquareResult{}, ErrEmptySample
-	}
-	row1 := float64(a + b)
-	row2 := float64(c + d)
-	col1 := float64(a + c)
-	col2 := float64(b + d)
-	if row1 == 0 || row2 == 0 || col1 == 0 || col2 == 0 {
-		return ChiSquareResult{Statistic: 0, DF: 1, PValue: 1}, nil
-	}
-	fn := float64(n)
-	exp := [4]float64{row1 * col1 / fn, row1 * col2 / fn, row2 * col1 / fn, row2 * col2 / fn}
-	obs := [4]float64{float64(a), float64(b), float64(c), float64(d)}
-	var stat float64
-	for i := range obs {
-		diff := obs[i] - exp[i]
-		stat += diff * diff / exp[i]
-	}
-	return ChiSquareResult{Statistic: stat, DF: 1, PValue: chiSquareSF(stat, 1)}, nil
-}
-
-// chiSquareSF returns the survival function P(X > x) of a chi-square
-// distribution with df degrees of freedom, via the regularized upper
-// incomplete gamma function.
-func chiSquareSF(x float64, df int) float64 {
-	if x <= 0 {
-		return 1
-	}
-	return upperIncompleteGammaRegularized(float64(df)/2, x/2)
-}
-
-// upperIncompleteGammaRegularized computes Q(a, x) = Gamma(a, x)/Gamma(a)
-// using a series expansion for x < a+1 and a continued fraction otherwise.
-func upperIncompleteGammaRegularized(a, x float64) float64 {
-	if x < 0 || a <= 0 {
-		return math.NaN()
-	}
-	if x == 0 {
-		return 1
-	}
-	if x < a+1 {
-		return 1 - lowerGammaSeries(a, x)
-	}
-	return upperGammaContinuedFraction(a, x)
-}
-
-// lowerGammaSeries computes P(a, x) via its power-series representation.
-func lowerGammaSeries(a, x float64) float64 {
-	lg, _ := math.Lgamma(a)
-	ap := a
-	sum := 1 / a
-	del := sum
-	for i := 0; i < 500; i++ {
-		ap++
-		del *= x / ap
-		sum += del
-		if math.Abs(del) < math.Abs(sum)*1e-15 {
-			break
-		}
-	}
-	return sum * math.Exp(-x+a*math.Log(x)-lg)
-}
-
-// upperGammaContinuedFraction computes Q(a, x) via Lentz's algorithm.
-func upperGammaContinuedFraction(a, x float64) float64 {
-	lg, _ := math.Lgamma(a)
-	const tiny = 1e-300
-	b := x + 1 - a
-	c := 1 / tiny
-	d := 1 / b
-	h := d
-	for i := 1; i < 500; i++ {
-		an := -float64(i) * (float64(i) - a)
-		b += 2
-		d = an*d + b
-		if math.Abs(d) < tiny {
-			d = tiny
-		}
-		c = b + an/c
-		if math.Abs(c) < tiny {
-			c = tiny
-		}
-		d = 1 / d
-		del := d * c
-		h *= del
-		if math.Abs(del-1) < 1e-15 {
-			break
-		}
-	}
-	return math.Exp(-x+a*math.Log(x)-lg) * h
 }
 
 // WilsonInterval returns the Wilson score confidence interval for a
@@ -431,4 +213,30 @@ func KendallTau(a, b []float64) (float64, error) {
 	}
 	pairs := n * (n - 1) / 2
 	return float64(concordant-discordant) / float64(pairs), nil
+}
+
+// MajorityVote returns the most frequent value among votes along with its
+// count. Ties are broken toward the value that appears first in the slice,
+// keeping the result deterministic. This is the "crowd wisdom" primitive the
+// quality-control layer uses as pseudo-ground truth.
+func MajorityVote[T comparable](votes []T) (winner T, count int, err error) {
+	if len(votes) == 0 {
+		return winner, 0, ErrEmptySample
+	}
+	counts := make(map[T]int, len(votes))
+	order := make([]T, 0, len(votes))
+	for _, v := range votes {
+		if counts[v] == 0 {
+			order = append(order, v)
+		}
+		counts[v]++
+	}
+	winner = order[0]
+	count = counts[winner]
+	for _, v := range order[1:] {
+		if counts[v] > count {
+			winner, count = v, counts[v]
+		}
+	}
+	return winner, count, nil
 }

@@ -56,54 +56,6 @@ func TestTwoProportionTestEdgeCases(t *testing.T) {
 	}
 }
 
-func TestBinomialTestEdgeCases(t *testing.T) {
-	cases := []struct {
-		name    string
-		k, n    int
-		p       float64
-		wantErr bool
-	}{
-		{"zero n", 0, 0, 0.5, true},
-		{"negative n", 1, -2, 0.5, true},
-		{"k over n", 6, 5, 0.5, true},
-		{"negative k", -1, 5, 0.5, true},
-		{"p below zero", 1, 5, -0.1, true},
-		{"p above one", 1, 5, 1.1, true},
-		{"p NaN", 1, 5, math.NaN(), true},
-		{"p zero all failure", 0, 5, 0, false},
-		{"p zero with success", 3, 5, 0, false},
-		{"p one all success", 5, 5, 1, false},
-		{"p one with failure", 3, 5, 1, false},
-		{"all success fair coin", 10, 10, 0.5, false},
-		{"all failure fair coin", 0, 10, 0.5, false},
-		{"single trial", 1, 1, 0.5, false},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			pv, err := BinomialTest(tc.k, tc.n, tc.p)
-			if tc.wantErr {
-				if err == nil {
-					t.Fatalf("want error, got p=%v", pv)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatalf("unexpected error: %v", err)
-			}
-			if math.IsNaN(pv) || pv < 0 || pv > 1 {
-				t.Fatalf("p-value out of range: %v", pv)
-			}
-		})
-	}
-	// Spot values: observing the impossible has p = 0.
-	if pv, err := BinomialTest(3, 5, 0); err != nil || pv != 0 {
-		t.Errorf("BinomialTest(3,5,0) = %v, %v; want 0", pv, err)
-	}
-	if pv, err := BinomialTest(0, 10, 0.5); err != nil || math.Abs(pv-2.0/1024) > 1e-12 {
-		t.Errorf("BinomialTest(0,10,0.5) = %v, %v; want 2/1024", pv, err)
-	}
-}
-
 func TestWilsonIntervalEdgeCases(t *testing.T) {
 	cases := []struct {
 		name    string

@@ -2,48 +2,12 @@ package stats
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
 func almostEqual(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol
-}
-
-func TestMean(t *testing.T) {
-	tests := []struct {
-		name string
-		xs   []float64
-		want float64
-	}{
-		{"empty", nil, 0},
-		{"single", []float64{5}, 5},
-		{"several", []float64{1, 2, 3, 4}, 2.5},
-		{"negative", []float64{-2, 2}, 0},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if got := Mean(tt.xs); got != tt.want {
-				t.Errorf("Mean(%v) = %v, want %v", tt.xs, got, tt.want)
-			}
-		})
-	}
-}
-
-func TestVarianceAndStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	// Unbiased variance of this classic sample is 32/7.
-	want := 32.0 / 7.0
-	if got := Variance(xs); !almostEqual(got, want, 1e-12) {
-		t.Errorf("Variance = %v, want %v", got, want)
-	}
-	if got := StdDev(xs); !almostEqual(got, math.Sqrt(want), 1e-12) {
-		t.Errorf("StdDev = %v, want %v", got, math.Sqrt(want))
-	}
-	if got := Variance([]float64{3}); got != 0 {
-		t.Errorf("Variance(single) = %v, want 0", got)
-	}
 }
 
 func TestQuantile(t *testing.T) {
@@ -136,18 +100,6 @@ func TestECDFMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestKSDistance(t *testing.T) {
-	a, _ := NewECDF([]float64{1, 2, 3})
-	b, _ := NewECDF([]float64{1, 2, 3})
-	if d := KSDistance(a, b); d != 0 {
-		t.Errorf("KS of identical = %v, want 0", d)
-	}
-	c, _ := NewECDF([]float64{10, 11, 12})
-	if d := KSDistance(a, c); d != 1 {
-		t.Errorf("KS of disjoint = %v, want 1", d)
-	}
-}
-
 func TestNormalCDF(t *testing.T) {
 	tests := []struct {
 		z, want, tol float64
@@ -217,109 +169,6 @@ func TestTwoProportionDegenerate(t *testing.T) {
 	}
 }
 
-func TestBinomialTest(t *testing.T) {
-	// Fair coin, balanced outcome: p-value must be 1.
-	p, err := BinomialTest(5, 10, 0.5)
-	if err != nil {
-		t.Fatalf("BinomialTest: %v", err)
-	}
-	if !almostEqual(p, 1, 1e-9) {
-		t.Errorf("balanced p = %v, want 1", p)
-	}
-	// Extreme outcome: tiny p-value. 2*(0.5)^10 for two-sided all-heads.
-	p, err = BinomialTest(10, 10, 0.5)
-	if err != nil {
-		t.Fatalf("BinomialTest: %v", err)
-	}
-	if !almostEqual(p, 2*math.Pow(0.5, 10), 1e-9) {
-		t.Errorf("all-heads p = %v, want %v", p, 2*math.Pow(0.5, 10))
-	}
-	if _, err := BinomialTest(3, 0, 0.5); err == nil {
-		t.Error("n=0 should error")
-	}
-	if _, err := BinomialTest(11, 10, 0.5); err == nil {
-		t.Error("k>n should error")
-	}
-	if _, err := BinomialTest(3, 10, 1.5); err == nil {
-		t.Error("p>1 should error")
-	}
-}
-
-func TestBinomialTestEdgeProbabilities(t *testing.T) {
-	p, err := BinomialTest(0, 5, 0)
-	if err != nil {
-		t.Fatalf("BinomialTest: %v", err)
-	}
-	if p != 1 {
-		t.Errorf("k=0 p=0 gives %v, want 1", p)
-	}
-	p, err = BinomialTest(5, 5, 1)
-	if err != nil {
-		t.Fatalf("BinomialTest: %v", err)
-	}
-	if p != 1 {
-		t.Errorf("k=n p=1 gives %v, want 1", p)
-	}
-}
-
-func TestChiSquareGOF(t *testing.T) {
-	// Perfect fit: statistic 0, p-value 1.
-	res, err := ChiSquareGOF([]int{25, 25, 25, 25}, []float64{25, 25, 25, 25})
-	if err != nil {
-		t.Fatalf("ChiSquareGOF: %v", err)
-	}
-	if res.Statistic != 0 || !almostEqual(res.PValue, 1, 1e-9) {
-		t.Errorf("perfect fit: stat=%v p=%v, want 0 and 1", res.Statistic, res.PValue)
-	}
-	// A canonical example: observed [44,56], expected [50,50]: X^2 = 1.44,
-	// p ~ 0.23.
-	res, err = ChiSquareGOF([]int{44, 56}, []float64{50, 50})
-	if err != nil {
-		t.Fatalf("ChiSquareGOF: %v", err)
-	}
-	if !almostEqual(res.Statistic, 1.44, 1e-9) {
-		t.Errorf("stat = %v, want 1.44", res.Statistic)
-	}
-	if !almostEqual(res.PValue, 0.2301, 1e-3) {
-		t.Errorf("p = %v, want ~0.2301", res.PValue)
-	}
-	if _, err := ChiSquareGOF(nil, nil); err == nil {
-		t.Error("empty should error")
-	}
-	if _, err := ChiSquareGOF([]int{1}, []float64{0}); err == nil {
-		t.Error("zero expected should error")
-	}
-}
-
-func TestChiSquare2x2(t *testing.T) {
-	res, err := ChiSquare2x2(3, 48, 6, 43)
-	if err != nil {
-		t.Fatalf("ChiSquare2x2: %v", err)
-	}
-	if res.DF != 1 {
-		t.Errorf("df = %d, want 1", res.DF)
-	}
-	// chi-square(1) equals z^2 from the two-proportion test; p-values match.
-	z, _ := TwoProportionTest(3, 51, 6, 49)
-	if !almostEqual(res.Statistic, z.Z*z.Z, 1e-9) {
-		t.Errorf("chi2 stat %v != z^2 %v", res.Statistic, z.Z*z.Z)
-	}
-	if !almostEqual(res.PValue, z.PValue, 1e-6) {
-		t.Errorf("chi2 p %v != two-prop p %v", res.PValue, z.PValue)
-	}
-	if _, err := ChiSquare2x2(0, 0, 0, 0); err == nil {
-		t.Error("all-zero table should error")
-	}
-	// Degenerate margin: independent by construction.
-	res, err = ChiSquare2x2(0, 0, 5, 5)
-	if err != nil {
-		t.Fatalf("ChiSquare2x2 degenerate: %v", err)
-	}
-	if res.PValue != 1 {
-		t.Errorf("degenerate margin p = %v, want 1", res.PValue)
-	}
-}
-
 func TestKendallTau(t *testing.T) {
 	a := []float64{1, 2, 3, 4, 5}
 	tau, err := KendallTau(a, a)
@@ -366,63 +215,6 @@ func TestMajorityVote(t *testing.T) {
 	}
 }
 
-func TestBootstrapCI(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	xs := make([]float64, 200)
-	for i := range xs {
-		xs[i] = rng.NormFloat64()*2 + 10
-	}
-	lo, hi, err := BootstrapCI(xs, Mean, 500, 0.95, rand.New(rand.NewSource(2)))
-	if err != nil {
-		t.Fatalf("BootstrapCI: %v", err)
-	}
-	if lo >= hi {
-		t.Fatalf("lo %v >= hi %v", lo, hi)
-	}
-	if lo > 10 || hi < 10 {
-		t.Errorf("CI [%v, %v] should contain the true mean 10", lo, hi)
-	}
-	if _, _, err := BootstrapCI(nil, Mean, 10, 0.95, rng); err == nil {
-		t.Error("empty sample should error")
-	}
-	if _, _, err := BootstrapCI(xs, Mean, 0, 0.95, rng); err == nil {
-		t.Error("zero iters should error")
-	}
-	if _, _, err := BootstrapCI(xs, Mean, 10, 1.5, rng); err == nil {
-		t.Error("bad level should error")
-	}
-	if _, _, err := BootstrapCI(xs, Mean, 10, 0.95, nil); err == nil {
-		t.Error("nil rng should error")
-	}
-}
-
-func TestHistogramAndProportions(t *testing.T) {
-	counts, err := Histogram([]float64{0.5, 1.5, 1.6, 2.5, -1, 99}, 0, 3, 3)
-	if err != nil {
-		t.Fatalf("Histogram: %v", err)
-	}
-	want := []int{2, 2, 2} // -1 clamps into bin 0, 99 into bin 2
-	for i := range want {
-		if counts[i] != want[i] {
-			t.Errorf("bin %d = %d, want %d", i, counts[i], want[i])
-		}
-	}
-	if _, err := Histogram(nil, 0, 1, 0); err == nil {
-		t.Error("zero bins should error")
-	}
-	if _, err := Histogram(nil, 1, 1, 3); err == nil {
-		t.Error("max<=min should error")
-	}
-	props := Proportions([]int{1, 3})
-	if !almostEqual(props[0], 0.25, 1e-12) || !almostEqual(props[1], 0.75, 1e-12) {
-		t.Errorf("Proportions = %v, want [0.25 0.75]", props)
-	}
-	zero := Proportions([]int{0, 0})
-	if zero[0] != 0 || zero[1] != 0 {
-		t.Errorf("Proportions(zeros) = %v, want zeros", zero)
-	}
-}
-
 func TestQuantilePropertyWithinRange(t *testing.T) {
 	f := func(raw []float64, q float64) bool {
 		xs := make([]float64, 0, len(raw))
@@ -446,23 +238,6 @@ func TestQuantilePropertyWithinRange(t *testing.T) {
 			}
 		}
 		return v >= min && v <= max
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestBinomialSymmetryProperty(t *testing.T) {
-	// For a fair coin, p-value(k) == p-value(n-k).
-	f := func(k, n uint8) bool {
-		nn := int(n%50) + 2
-		kk := int(k) % (nn + 1)
-		p1, err1 := BinomialTest(kk, nn, 0.5)
-		p2, err2 := BinomialTest(nn-kk, nn, 0.5)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		return almostEqual(p1, p2, 1e-9)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -47,10 +47,6 @@ type Backend struct {
 	shipper Shipper
 }
 
-// Memory is a purely in-memory backend: no WAL, nothing survives the
-// process.
-func Memory() Backend { return Backend{kind: BackendMemory} }
-
 // Dir is the single-node persistent backend: every collection's WAL lives
 // under path and is replayed (and repaired) on open.
 func Dir(path string) Backend { return Backend{kind: BackendDir, dir: path} }
@@ -69,9 +65,6 @@ func (b Backend) Kind() string { return b.kind }
 
 // Dir returns the storage directory ("" for memory).
 func (b Backend) Dir() string { return b.dir }
-
-// Shipper returns the replication hook (nil unless replicated).
-func (b Backend) Shipper() Shipper { return b.shipper }
 
 // OpenBackend opens a database on the given backend. Persistent backends
 // replay every collection WAL under the directory, repairing crash damage

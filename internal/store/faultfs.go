@@ -32,7 +32,6 @@ type FaultFS struct {
 	tripped bool
 
 	dirSyncErr error // injected SyncDir failure (nil = pass through)
-	dirSyncs   int64
 
 	readErr error // injected ReadAt failure (nil = pass through)
 	flip    bool  // ReadAt returns its middle byte flipped
@@ -68,14 +67,6 @@ func (f *FaultFS) FailDirSync(err error) {
 		err = ErrNoSpace
 	}
 	f.dirSyncErr = err
-}
-
-// DirSyncs reports how many directory fsyncs reached the filesystem
-// (injected failures count — the caller attempted the sync).
-func (f *FaultFS) DirSyncs() int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.dirSyncs
 }
 
 // FailReads arms positioned-read failures: every ReadAt on an OpenRead
@@ -133,7 +124,6 @@ func (f *FaultFS) Truncate(path string, size int64) error { return f.inner().Tru
 
 func (f *FaultFS) SyncDir(dir string) error {
 	f.mu.Lock()
-	f.dirSyncs++
 	err := f.dirSyncErr
 	if err != nil {
 		f.tripped = true

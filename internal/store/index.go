@@ -103,17 +103,6 @@ func (c *Collection) EnsureIndex(field string) {
 	c.indexes[field] = ix
 }
 
-// Indexes returns the indexed field names (unordered).
-func (c *Collection) Indexes() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]string, 0, len(c.indexes))
-	for f := range c.indexes {
-		out = append(out, f)
-	}
-	return out
-}
-
 // addToIndexes/removeFromIndexes maintain every declared index; callers hold
 // the collection lock.
 func (c *Collection) addToIndexes(id string, s stored) {

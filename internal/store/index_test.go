@@ -41,7 +41,7 @@ func TestEnsureIndexFindEq(t *testing.T) {
 	}
 	// Declaring twice is a no-op.
 	c.EnsureIndex("test_id")
-	if got := len(c.Indexes()); got != 1 {
+	if got := c.Stats().Indexes; got != 1 {
 		t.Errorf("indexes = %d, want 1", got)
 	}
 }

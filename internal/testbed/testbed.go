@@ -239,33 +239,20 @@ func (b *Bed) Prepare(test *params.Test, sites map[string]*webgen.Site, controls
 	return b.prepare(b.Stores(), test, sites, controls)
 }
 
-// prepare runs the aggregator once, on a scratch store, and copies the
-// documents it wrote into every db — pages before the test document, so no
-// shard shows the test before all of it.
+// prepare runs the aggregator over each db in turn and the shared blob
+// store. Prepare writes a test's document after its pages, so no shard
+// shows the test before all of it; a test prepared again in place loses
+// the pages its new spine lacks on every shard; and every version is
+// compressed once, the first time, each later db's Prepare recalling it
+// from the blob store's memo.
 func (b *Bed) prepare(dbs []*store.DB, test *params.Test, sites map[string]*webgen.Site, controls []aggregator.ControlPair) (*aggregator.Prepared, error) {
-	scratch := store.OpenMemory()
-	defer scratch.Close()
-	agg, err := aggregator.New(scratch, b.Blobs)
-	if err != nil {
-		return nil, err
-	}
-	prep, err := agg.Prepare(test, sites, controls)
-	if err != nil {
-		return nil, err
-	}
-	docs := scratch.Collection(aggregator.PagesCollection).FindEq("test_id", test.TestID)
-	testDoc, err := scratch.Collection(aggregator.TestsCollection).Get(test.TestID)
-	if err != nil {
-		return nil, err
-	}
+	var prep *aggregator.Prepared
 	for _, db := range dbs {
-		pages := db.Collection(aggregator.PagesCollection)
-		for _, doc := range docs {
-			if _, err := pages.Insert(doc); err != nil {
-				return nil, err
-			}
+		agg, err := aggregator.New(db, b.Blobs)
+		if err != nil {
+			return nil, err
 		}
-		if _, err := db.Collection(aggregator.TestsCollection).Insert(testDoc); err != nil {
+		if prep, err = agg.Prepare(test, sites, controls); err != nil {
 			return nil, err
 		}
 	}

@@ -63,6 +63,50 @@ func TestBedCompressesEachVersionOnce(t *testing.T) {
 	}
 }
 
+// TestBedRePreparesInPlace: preparing a test id again with fewer versions
+// leaves every shard with the new spine's pages alone, and the blob store
+// with the new spine's folders alone.
+func TestBedRePreparesInPlace(t *testing.T) {
+	bed := start(t, Topology{Shards: 2}, Run{})
+	f := fixture("again")
+	f.Test.Webpages = append(f.Test.Webpages, params.Webpage{WebPath: "c", WebPageLoad: params.PageLoadSpec{UniformMillis: 100}, WebMainFile: "index.html"})
+	f.Test.WebpageNum = 3
+	f.Sites["c"] = webgen.WikiArticle(webgen.WikiConfig{Seed: 1, Sections: 1, ParagraphsPerSection: 1, FontSizePt: 16})
+	if _, err := bed.Prepare(f.Test, f.Sites, nil); err != nil {
+		t.Fatal(err)
+	}
+	f.Test.Webpages, f.Test.WebpageNum = f.Test.Webpages[:2], 2
+	prep, err := bed.Prepare(f.Test, f.Sites, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	folders := map[string]bool{}
+	for _, p := range prep.Pages {
+		folders[p.ID] = true
+	}
+	for i, db := range bed.Stores() {
+		loaded, err := aggregator.LoadPrepared(db, "again")
+		if err != nil {
+			t.Fatalf("shard %d: %v", i, err)
+		}
+		if len(loaded.Pages) != len(prep.Pages) {
+			t.Errorf("shard %d holds %d pages, want %d", i, len(loaded.Pages), len(prep.Pages))
+		}
+	}
+	keys, err := bed.Blobs.List("again/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range keys {
+		if page := strings.Split(key, "/")[1]; !folders[page] {
+			t.Errorf("blob %s belongs to no page of the new spine", key)
+		}
+	}
+	if len(keys) != 4*len(prep.Pages) {
+		t.Errorf("%d blobs under again/, want %d: %v", len(keys), 4*len(prep.Pages), keys)
+	}
+}
+
 // TestEveryTopologyPassesItsAudit drives a small crowd through each shape
 // the bed can take — with a kill where there is a standby to promote — and
 // holds it to the standard audit.

@@ -80,9 +80,9 @@ func TestWikiFontSizeInCSS(t *testing.T) {
 }
 
 func TestWikiFontSizeVersionsHoldTextConstant(t *testing.T) {
-	versions := WikiFontSizeVersions(WikiConfig{Seed: 9}, []int{10, 12, 14, 18, 22})
-	if len(versions) != 5 {
-		t.Fatalf("versions = %d, want 5", len(versions))
+	var versions []*Site
+	for _, pt := range []int{10, 12, 14, 18, 22} {
+		versions = append(versions, WikiArticle(WikiConfig{Seed: 9, FontSizePt: pt}))
 	}
 	baseText := htmlx.Parse(string(versions[0].HTML())).ByID("content").Text()
 	for i, v := range versions[1:] {

@@ -188,16 +188,3 @@ const wikiJS = `(function () {
   else { document.addEventListener("DOMContentLoaded", ready); }
 })();
 `
-
-// WikiFontSizeVersions generates one article version per requested font
-// size, holding everything else (including the prose seed, hence the text)
-// constant — exactly the paper's §IV-A experiment input.
-func WikiFontSizeVersions(base WikiConfig, fontSizesPt []int) []*Site {
-	out := make([]*Site, len(fontSizesPt))
-	for i, pt := range fontSizesPt {
-		cfg := base
-		cfg.FontSizePt = pt
-		out[i] = WikiArticle(cfg)
-	}
-	return out
-}

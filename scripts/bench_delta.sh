@@ -58,6 +58,9 @@ go test -run '^$' -bench 'BenchmarkPageServe$' \
     -benchmem -benchtime 200x ./internal/server/ >>"$tmp/server.txt"
 go test -run '^$' -bench 'BenchmarkRouterRelayPage$' \
     -benchmem -benchtime 200x ./internal/shard/ >>"$tmp/server.txt"
+echo "bench_delta: running middleware benchmarks..."
+go test -run '^$' -bench 'BenchmarkMiddleware$' \
+    -benchmem -benchtime 1000x ./internal/obs/ >>"$tmp/server.txt"
 echo "bench_delta: running codec benchmarks..."
 go test -run '^$' -bench 'BenchmarkAppendSession$' \
     -benchmem -benchtime 1000x ./internal/server/ >>"$tmp/server.txt"
