@@ -90,9 +90,10 @@ cover-check: cover
 # end-to-end benchmark runs it: many 2-version tests through one Aggregator
 # over one store, warmed first, so that every version comes from the blob
 # store's memo; BenchShapeCold is the same on a fresh store every op, which
-# compresses both versions each time.
+# compresses both versions each time; BenchShapeDir is BenchShape over a
+# directory-backed database and blob store.
 bench-aggregator:
-	$(GO) test -run '^$$' -bench 'BenchmarkPrepare(Sequential|Parallel|BenchShape|BenchShapeCold)$$' -benchmem -count=3 \
+	$(GO) test -run '^$$' -bench 'BenchmarkPrepare(Sequential|Parallel|BenchShape|BenchShapeCold|BenchShapeDir)$$' -benchmem -count=3 \
 		./internal/aggregator/
 
 # The serving path's acceptance benchmarks; record results in

@@ -579,13 +579,18 @@ var integratedShell = store.NewPayload([]byte(`<!DOCTYPE html>
 `))
 
 // storeIntegrated stores one integrated page's folder (index.html +
-// left.html + right.html) in the blob store.
+// left.html + right.html) in the blob store, under testID/pageID/.
 func (a *Aggregator) storeIntegrated(testID, pageID string, left, right store.Payload) error {
-	return a.blobs.PutSite(testID, pageID, "index.html", map[string]store.Payload{
-		"index.html": integratedShell,
-		"left.html":  left,
-		"right.html": right,
-	})
+	folder := testID + "/" + pageID + "/"
+	for _, f := range []struct {
+		name string
+		p    store.Payload
+	}{{"index.html", integratedShell}, {"left.html", left}, {"right.html", right}} {
+		if err := a.blobs.PutCAS(folder+f.name, f.p); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // persist writes the page documents to the database. Over a test that is

@@ -81,18 +81,24 @@ func TestPrepareBasic(t *testing.T) {
 	if db.Collection(PagesCollection).Count() != 4 {
 		t.Errorf("page docs = %d", db.Collection(PagesCollection).Count())
 	}
-	// Blob state: each page folder reconstructs as a site.
+	// Blob state: each page folder holds the page's three files.
 	for _, p := range prep.Pages {
-		site, err := blobs.GetSite(test.TestID, p.ID)
-		if err != nil {
-			t.Fatalf("GetSite(%s): %v", p.ID, err)
-		}
 		for _, f := range []string{"index.html", "left.html", "right.html"} {
-			if _, ok := site.Get(f); !ok {
-				t.Errorf("page %s missing %s", p.ID, f)
+			if _, err := blobs.Get(test.TestID + "/" + p.ID + "/" + f); err != nil {
+				t.Errorf("page %s missing %s: %v", p.ID, f, err)
 			}
 		}
 	}
+}
+
+// pageFile reads one file of a stored integrated page.
+func pageFile(t *testing.T, blobs *store.BlobStore, testID, pageID, file string) []byte {
+	t.Helper()
+	data, err := blobs.Get(testID + "/" + pageID + "/" + file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 func TestIntegratedPageShape(t *testing.T) {
@@ -102,11 +108,7 @@ func TestIntegratedPageShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	site, err := blobs.GetSite(test.TestID, prep.Pages[0].ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc := htmlx.Parse(string(site.HTML()))
+	doc := htmlx.Parse(string(pageFile(t, blobs, test.TestID, prep.Pages[0].ID, "index.html")))
 	iframes := doc.ByTag("iframe")
 	if len(iframes) != 2 {
 		t.Fatalf("iframes = %d, want 2 (side by side)", len(iframes))
@@ -116,8 +118,7 @@ func TestIntegratedPageShape(t *testing.T) {
 	}
 
 	// Each side is a self-contained single file with the injected spec.
-	leftHTML, _ := site.Get("left.html")
-	leftDoc := htmlx.Parse(string(leftHTML))
+	leftDoc := htmlx.Parse(string(pageFile(t, blobs, test.TestID, prep.Pages[0].ID, "left.html")))
 	spec, err := pageload.ExtractSpec(leftDoc)
 	if err != nil {
 		t.Fatalf("left page lacks injected spec: %v", err)
@@ -239,11 +240,7 @@ func TestControlPageUsesInstantLoad(t *testing.T) {
 			extraID = p.ID
 		}
 	}
-	site, err := blobs.GetSite(test.TestID, extraID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	leftHTML, _ := site.Get("left.html")
+	leftHTML := pageFile(t, blobs, test.TestID, extraID, "left.html")
 	spec, err := pageload.ExtractSpec(htmlx.Parse(string(leftHTML)))
 	if err != nil {
 		t.Fatal(err)

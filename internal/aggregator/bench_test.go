@@ -2,6 +2,7 @@ package aggregator
 
 import (
 	"fmt"
+	"path/filepath"
 	"testing"
 
 	"kaleidoscope/internal/params"
@@ -108,8 +109,32 @@ func BenchmarkPrepareParallelWorkers(b *testing.B) {
 // the blob store's memo, as all but the script's first 16 tests do: this
 // is warm set-up.
 func BenchmarkPrepareBenchShape(b *testing.B) {
+	benchShapeWarm(b, store.OpenMemory(), store.NewBlobStore())
+}
+
+// BenchmarkPrepareBenchShapeDir is BenchmarkPrepareBenchShape over a
+// directory-backed document store and blob store, opened as `kscope
+// prepare` opens them: the warm set-up of the end-to-end benchmark's
+// durable workloads. A recalled version is read back from its .cas file.
+func BenchmarkPrepareBenchShapeDir(b *testing.B) {
+	dir := b.TempDir()
+	db, err := store.Open(filepath.Join(dir, "db"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	blobs, err := store.OpenBlobStore(filepath.Join(dir, "blobs"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchShapeWarm(b, db, blobs)
+}
+
+// benchShapeWarm stores every corpus variant with untimed warm-up tests,
+// then times bench-shaped Prepares over db and blobs.
+func benchShapeWarm(b *testing.B, db *store.DB, blobs *store.BlobStore) {
 	variants := shapeCorpus()
-	agg, err := New(store.OpenMemory(), store.NewBlobStore())
+	agg, err := New(db, blobs)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -255,9 +255,9 @@ func TestPrepareFirstErrorDeterminism(t *testing.T) {
 
 // TestPrepareDedupRegression pins the fix for the identical-pair control's
 // double store and the repeated-control double compression: with 3
-// versions and no extra controls, the 4 integrated pages write 16 logical
-// blobs backed by exactly 5 distinct payloads (1 shared page shell, 3
-// compressed versions, 1 .main marker).
+// versions and no extra controls, the 4 integrated pages write 12 logical
+// blobs backed by exactly 4 distinct payloads (1 shared page shell, 3
+// compressed versions).
 func TestPrepareDedupRegression(t *testing.T) {
 	db := store.OpenMemory()
 	blobs := store.NewBlobStore()
@@ -277,15 +277,15 @@ func TestPrepareDedupRegression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(keys) != 16 { // 4 pages x (index + left + right + .main)
-		t.Fatalf("logical blobs = %d, want 16", len(keys))
+	if len(keys) != 12 { // 4 pages x (index + left + right)
+		t.Fatalf("logical blobs = %d, want 12", len(keys))
 	}
 	stats := blobs.Stats()
-	if stats.UniqueBlobs != 5 {
-		t.Errorf("unique payloads = %d, want 5 (shell, 3 versions, marker)", stats.UniqueBlobs)
+	if stats.UniqueBlobs != 4 {
+		t.Errorf("unique payloads = %d, want 4 (shell, 3 versions)", stats.UniqueBlobs)
 	}
-	if stats.DedupHits != 11 {
-		t.Errorf("dedup hits = %d, want 11", stats.DedupHits)
+	if stats.DedupHits != 8 {
+		t.Errorf("dedup hits = %d, want 8", stats.DedupHits)
 	}
 	// The identical-pair control's two sides are one stored payload.
 	left, err := blobs.Get(test.TestID + "/control-same/left.html")

@@ -62,8 +62,8 @@ func TestPreparedBytesGolden(t *testing.T) {
 		sites map[string]*webgen.Site
 		want  string
 	}{
-		{"bench-shape", shape, shapeSites, "03483e3a71384854d3019e8f9518f9d09f9280daa9f87f66d88b1e0c70ec33a0"},
-		{"six-versions", wide, wideSites, "8d6e6860f8fe9c2f9f0dbe18785bf5e6cac60b4a6610927fb429f861c408d1ad"},
+		{"bench-shape", shape, shapeSites, "1a8fb82b5cb648adbe467828092f776f09940f77fe3ae62cf320569890e23cc4"},
+		{"six-versions", wide, wideSites, "48e7528675b77be206a14d77e08e48bd07ec61f5cc350548fb1a90dbeb7e8c86"},
 	} {
 		if got := preparedDigest(t, c.test, c.sites); got != c.want {
 			t.Errorf("%s: stored digest %s, want %s", c.name, got, c.want)

@@ -244,12 +244,12 @@ func TestRePrepareWithFewerVersions(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if len(keys) != 8 { // 2 pages x (index + left + right + .main)
-						t.Errorf("%s: %d blobs under the test, want 8: %v", step, len(keys), keys)
+					if len(keys) != 6 { // 2 pages x (index + left + right)
+						t.Errorf("%s: %d blobs under the test, want 6: %v", step, len(keys), keys)
 					}
-					// Shell, 2 versions, marker.
-					if n := blobs.Stats().UniqueBlobs; n != 4 {
-						t.Errorf("%s: %d payloads live, want 4", step, n)
+					// Shell, 2 versions.
+					if n := blobs.Stats().UniqueBlobs; n != 3 {
+						t.Errorf("%s: %d payloads live, want 3", step, n)
 					}
 					if _, ok := blobs.Recall(inputDigest(sites[dropped.WebPath], dropped.WebPageLoad)); ok {
 						t.Errorf("%s: a dropped version is still recalled", step)

@@ -50,20 +50,12 @@ func TestEveryPreparedPageReconstructs(t *testing.T) {
 				t.Fatalf("real pages = %d, want %d", len(prep.RealPages()), wantReal)
 			}
 			for _, page := range prep.Pages {
-				site, err := blobs.GetSite(test.TestID, page.ID)
-				if err != nil {
-					t.Fatalf("page %s: %v", page.ID, err)
-				}
-				index := htmlx.Parse(string(site.HTML()))
+				index := htmlx.Parse(string(pageFile(t, blobs, test.TestID, page.ID, "index.html")))
 				if got := len(index.ByTag("iframe")); got != 2 {
 					t.Fatalf("page %s iframes = %d", page.ID, got)
 				}
 				for _, side := range []string{"left.html", "right.html"} {
-					raw, ok := site.Get(side)
-					if !ok {
-						t.Fatalf("page %s missing %s", page.ID, side)
-					}
-					doc := htmlx.Parse(string(raw))
+					doc := htmlx.Parse(string(pageFile(t, blobs, test.TestID, page.ID, side)))
 					if _, err := pageload.ExtractSpec(doc); err != nil {
 						t.Fatalf("page %s %s: %v", page.ID, side, err)
 					}

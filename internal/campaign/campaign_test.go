@@ -54,8 +54,11 @@ func startBed(t *testing.T, top testbed.Topology, seed int64) *testbed.Bed {
 
 // TestCampaignLifecycle runs one campaign on each shape a tenant can be
 // served from: one memory node, a replicated pair, and three shards behind
-// the router.
+// the router. The first tenant shares pages with no other, so what its
+// Prepare saves is its own pages' sharing, the same on every shape however
+// many shards the bed prepares it on.
 func TestCampaignLifecycle(t *testing.T) {
+	firstDedup := map[string]int64{}
 	for _, tc := range []struct {
 		name string
 		top  testbed.Topology
@@ -64,11 +67,20 @@ func TestCampaignLifecycle(t *testing.T) {
 		{"pair", testbed.Topology{Replicated: true, Store: testbed.Dir}},
 		{"fleet", testbed.Topology{Shards: 3}},
 	} {
-		t.Run(tc.name, func(t *testing.T) { testCampaignLifecycle(t, startBed(t, tc.top, 11)) })
+		t.Run(tc.name, func(t *testing.T) {
+			firstDedup[tc.name] = testCampaignLifecycle(t, startBed(t, tc.top, 11)).Tenants[0].DedupBytes
+		})
+	}
+	if node, ok := firstDedup["node"]; ok {
+		for name, got := range firstDedup {
+			if got != node {
+				t.Errorf("%s: the first tenant saved %d dedup bytes, %d on one node", name, got, node)
+			}
+		}
 	}
 }
 
-func testCampaignLifecycle(t *testing.T, bed *testbed.Bed) {
+func testCampaignLifecycle(t *testing.T, bed *testbed.Bed) *Report {
 	pop, err := crowd.NewPopulation(8, crowd.CampaignCrowdMix, false, rand.New(rand.NewSource(11)))
 	if err != nil {
 		t.Fatal(err)
@@ -134,6 +146,7 @@ func testCampaignLifecycle(t *testing.T, bed *testbed.Bed) {
 			}
 		}
 	}
+	return rep
 }
 
 func TestCampaignValidation(t *testing.T) {

@@ -406,11 +406,6 @@ func (s *Server) handleTask(w http.ResponseWriter, r *http.Request) {
 // If-None-Match with 304, and HEAD and Range for free.
 func (s *Server) handlePageFile(w http.ResponseWriter, r *http.Request) {
 	file := r.PathValue("file")
-	// .main is PutSite's marker for GetSite, not a file of the page.
-	if file == ".main" {
-		writeError(w, http.StatusNotFound, "resource not found")
-		return
-	}
 	view, err := s.blobs.Open(r.PathValue("id") + "/" + r.PathValue("page") + "/" + file)
 	if err != nil {
 		if errors.Is(err, store.ErrNotFound) || errors.Is(err, store.ErrInvalidKey) {
@@ -435,9 +430,7 @@ func (s *Server) handlePageFile(w http.ResponseWriter, r *http.Request) {
 	// Revalidate on every use, never "immutable": the URL names the test,
 	// not the content, and a test id can be deleted and prepared again.
 	h.Set("Cache-Control", "no-cache")
-	if view.ETag != "" {
-		h.Set("ETag", view.ETag)
-	}
+	h.Set("ETag", view.ETag)
 	http.ServeContent(pageWriter{w}, r, "", time.Time{}, view.Content)
 }
 

@@ -303,22 +303,15 @@ func TestPageValidators(t *testing.T) {
 			t.Error("the pair's two versions share a validator")
 		}
 
-		// PutSite's marker is not a file of the page.
-		if resp, _ = d.get(t, http.MethodGet, real, ".main", ""); resp.StatusCode != http.StatusNotFound {
-			t.Errorf("GET .main = %d, want 404", resp.StatusCode)
+		// A file stored with plain Put is served with its payload's
+		// validator too, and a stale one buys nothing.
+		if err := d.blobs.Put(pageKey(real, "extra.css"), []byte("body{}")); err != nil {
+			t.Fatal(err)
 		}
-
-		// A key without a known hash is served without a validator, never
-		// with a guessed one. (Only the memory backend has such keys.)
-		if d.blobDir == "" {
-			if err := d.blobs.Put(pageKey(real, "extra.css"), []byte("body{}")); err != nil {
-				t.Fatal(err)
-			}
-			resp, body = d.get(t, http.MethodGet, real, "extra.css", `"anything"`)
-			if resp.StatusCode != http.StatusOK || string(body) != "body{}" || resp.Header.Get("ETag") != "" {
-				t.Errorf("hashless key = %d %q, ETag %q; want 200, the bytes, no validator",
-					resp.StatusCode, body, resp.Header.Get("ETag"))
-			}
+		resp, body = d.get(t, http.MethodGet, real, "extra.css", `"anything"`)
+		if want := quotedSHA256([]byte("body{}")); resp.StatusCode != http.StatusOK || string(body) != "body{}" || resp.Header.Get("ETag") != want {
+			t.Errorf("Put key = %d %q, ETag %q; want 200, the bytes, ETag %s",
+				resp.StatusCode, body, resp.Header.Get("ETag"), want)
 		}
 
 		// On the node, a 304 is counted as a request and as zero bytes.

@@ -14,8 +14,6 @@ import (
 	"sync"
 	"syscall"
 	"time"
-
-	"kaleidoscope/internal/webgen"
 )
 
 // casDir is the reserved prefix holding content-addressed payloads on the
@@ -27,11 +25,8 @@ const casDir = ".cas"
 // zero even over a populated directory) but exact for a single run, which
 // is what the dedup regression tests and obs gauges consume.
 type BlobStats struct {
-	// Puts counts logical blob writes (Put and PutCAS).
-	Puts int64
-	// CASPuts counts writes routed through PutCAS.
-	CASPuts int64
-	// DedupHits counts PutCAS writes satisfied by an already-stored payload.
+	// DedupHits counts PutCAS writes that gave a key an already-stored
+	// payload it did not reference yet.
 	DedupHits int64
 	// BytesSaved totals payload bytes not rewritten thanks to dedup.
 	BytesSaved int64
@@ -44,33 +39,31 @@ type BlobStats struct {
 
 // BlobStore holds the integrated-webpage files the core server serves to
 // participants. The paper stores them under a folder named after the test
-// id; this store mirrors that layout (testID/pageName/path) and supports
-// both in-memory and directory-backed operation.
+// id; keys are slash-separated paths, so the caller's testID/pageName/file
+// layout is a folder per test on the directory backend.
 //
-// On top of the plain key/value API the store offers a content-addressed
-// layer (PutCAS): payloads are identified by the SHA-256 of their bytes,
-// stored once, and logical keys reference them — in memory by sharing the
-// backing slice, on disk by hard-linking the logical path to
-// .cas/<sha256>. Get and List are oblivious to which API stored a key.
+// The store is one content-addressed map: every key references a payload
+// identified by the SHA-256 of its bytes, and a payload is stored once
+// however many keys reference it — in memory by sharing the backing slice,
+// on disk by hard-linking the logical path to .cas/<sha256>. That digest is
+// the validator Open serves.
 //
-// Beside the CAS layer the store keeps a memo of derived payloads: Remember
-// notes that an input (a caller's digest of whatever it computed the payload
-// from) produced a stored payload, and Recall hands that payload back. The
-// memo lives in process memory only and holds no bytes of its own: one input
-// per live payload, dropped when the payload's last key is released.
+// Beside it the store keeps a memo of derived payloads: Remember notes that
+// an input (a caller's digest of whatever it computed the payload from)
+// produced a stored payload, and Recall hands that payload back. The memo
+// lives in process memory only and holds no bytes of its own: one input per
+// live payload, dropped when the payload's last key is released.
 //
-// Invariant: a stored payload is never written again. Put copies the
-// caller's bytes into a fresh slice and PutCAS keeps the slice its Payload
-// owns (memory), or either writes a fresh file (directory: an existing path
-// is unlinked, never truncated in place), and overwrite and delete only drop
-// references. Open's copy-free view rests on it: a reader over the shared
-// slice or the open file sees the complete payload it opened whatever
-// happens to the key meanwhile.
+// Invariant: a stored payload is never written again. The memory backend
+// keeps the slice its Payload owns, the directory backend writes a fresh
+// file (an existing path is unlinked, never truncated in place), and
+// overwrite and delete only drop references. Open's copy-free view rests on
+// it: a reader over the shared slice or the open file sees the complete
+// payload it opened whatever happens to the key meanwhile.
 type BlobStore struct {
 	mu    sync.RWMutex
-	dir   string // "" = memory-only
-	mem   map[string][]byte
-	refs  map[string]string    // logical key -> content hash (CAS-stored keys)
+	dir   string               // "" = memory-only
+	refs  map[string]string    // logical key -> content hash (on disk: this process's keys)
 	cas   map[string]*casEntry // content hash -> live payload bookkeeping
 	memo  map[string]string    // input digest -> content hash (Remember)
 	stats BlobStats
@@ -86,15 +79,32 @@ type BlobStore struct {
 // casEntry tracks one distinct content-addressed payload.
 type casEntry struct {
 	refs  int
-	size  int
 	data  []byte // shared payload; nil on the directory backend
+	file  fileID // the .cas file as this process wrote or adopted it (directory backend)
 	input string // the memo key naming this payload, "" for none
+}
+
+// fileID is a file's identity as a stat reports it. A file that still shows
+// the same inode, size and modification time is taken to hold the bytes it
+// held when the identity was taken.
+type fileID struct {
+	ino   uint64
+	size  int64
+	mtime int64 // UnixNano
+}
+
+// idOf returns info's identity, or false where the platform reports no inode.
+func idOf(info os.FileInfo) (fileID, bool) {
+	st, ok := info.Sys().(*syscall.Stat_t)
+	if !ok {
+		return fileID{}, false
+	}
+	return fileID{ino: st.Ino, size: info.Size(), mtime: info.ModTime().UnixNano()}, true
 }
 
 // NewBlobStore returns a memory-backed blob store.
 func NewBlobStore() *BlobStore {
 	return &BlobStore{
-		mem:  make(map[string][]byte),
 		refs: make(map[string]string),
 		cas:  make(map[string]*casEntry),
 		memo: make(map[string]string),
@@ -109,14 +119,9 @@ func OpenBlobStore(dir string) (*BlobStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating blob dir: %w", err)
 	}
-	return &BlobStore{
-		dir:        dir,
-		mem:        make(map[string][]byte),
-		refs:       make(map[string]string),
-		cas:        make(map[string]*casEntry),
-		memo:       make(map[string]string),
-		validators: make(map[string]validator),
-	}, nil
+	b := NewBlobStore()
+	b.dir, b.validators = dir, make(map[string]validator)
+	return b, nil
 }
 
 // ErrInvalidKey reports a blob key that would escape the store root.
@@ -145,35 +150,9 @@ func (b *BlobStore) Stats() BlobStats {
 	return b.stats
 }
 
-// Put stores data under key.
+// Put stores a private copy of data under key (PutCAS of the copy).
 func (b *BlobStore) Put(key string, data []byte) error {
-	clean, err := cleanKey(key)
-	if err != nil {
-		return fmt.Errorf("%w: %q", err, key)
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.stats.Puts++
-	if b.dir != "" {
-		path := filepath.Join(b.dir, filepath.FromSlash(clean))
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			return fmt.Errorf("store: creating blob parent: %w", err)
-		}
-		// Never write through an existing path. It may be a hard link into
-		// the CAS area — this process's, or one an earlier process made
-		// that b.refs knows nothing about — and truncating it in place
-		// would corrupt the shared payload and tear the bytes under a
-		// reader that has the file open.
-		_ = os.Remove(path)
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			return fmt.Errorf("store: writing blob %s: %w", clean, err)
-		}
-		b.releaseLocked(clean)
-		return nil
-	}
-	b.releaseLocked(clean)
-	b.mem[clean] = append([]byte(nil), data...)
-	return nil
+	return b.PutCAS(key, NewPayload(bytes.Clone(data)))
 }
 
 // Payload is a blob's bytes together with their SHA-256, the address the
@@ -193,10 +172,9 @@ func NewPayload(data []byte) Payload {
 	return Payload{data: data, hash: hex.EncodeToString(sum[:])}
 }
 
-// PutCAS stores p under key through the content-addressed layer: if a
-// payload with the same SHA-256 is already stored, the key references the
-// existing copy instead of writing the bytes again. Concurrency-safe, like
-// every BlobStore method.
+// PutCAS stores p under key: if a payload with the same SHA-256 is already
+// stored, the key references the existing copy instead of writing the bytes
+// again. Concurrency-safe, like every BlobStore method.
 func (b *BlobStore) PutCAS(key string, p Payload) error {
 	clean, err := cleanKey(key)
 	if err != nil {
@@ -205,110 +183,132 @@ func (b *BlobStore) PutCAS(key string, p Payload) error {
 	if p.hash == "" {
 		p = NewPayload(nil)
 	}
-	data, hash := p.data, p.hash
 
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.stats.Puts++
-	b.stats.CASPuts++
-	entry, exists := b.cas[hash]
-	if exists {
+	entry := b.cas[p.hash]
+	// A key that already references the payload shares nothing new, so it
+	// counts no dedup hit, and it keeps its reference: releasing it first
+	// would drop the payload's last one, and with it the CAS entry, its memo
+	// key and, on disk, the .cas file, before the key took it again.
+	held := entry != nil && b.refs[clean] == p.hash
+	if entry != nil && !held {
 		b.stats.DedupHits++
-		b.stats.BytesSaved += int64(len(data))
-	}
-	if exists && b.refs[clean] == hash {
-		// The key already references this payload. Releasing it first
-		// would drop the payload's last reference, and with it the CAS
-		// entry, its memo key and, on disk, the .cas file, before the
-		// key took it again.
-		return b.relinkLocked(clean, hash, data)
+		b.stats.BytesSaved += int64(len(p.data))
 	}
 
-	if b.dir != "" {
-		casPath := filepath.Join(b.dir, casDir, hash)
-		if !exists {
-			if err := writeCASFile(casPath, hash, data); err != nil {
-				return err
-			}
-			entry = &casEntry{size: len(data)}
-			b.cas[hash] = entry
-			b.stats.UniqueBlobs++
+	if b.dir == "" {
+		if entry == nil {
+			entry = b.addLocked(p.hash, p.data)
 		}
-		path := filepath.Join(b.dir, filepath.FromSlash(clean))
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			return fmt.Errorf("store: creating blob parent: %w", err)
+		if !held {
+			b.referLocked(clean, p.hash, entry)
 		}
-		_ = os.Remove(path) // links fail on existing targets
-		b.releaseLocked(clean)
-		if err := os.Link(casPath, path); err != nil {
-			// Filesystems without hard links fall back to a plain copy;
-			// dedup bookkeeping still applies.
-			if err := os.WriteFile(path, data, 0o644); err != nil {
-				return fmt.Errorf("store: writing blob %s: %w", clean, err)
-			}
-		}
-		entry.refs++
-		b.refs[clean] = hash
 		return nil
 	}
 
-	if !exists {
-		entry = &casEntry{data: data, size: len(data)}
-		b.cas[hash] = entry
-		b.stats.UniqueBlobs++
+	casPath := filepath.Join(b.dir, casDir, p.hash)
+	path := filepath.Join(b.dir, filepath.FromSlash(clean))
+	intact := entry != nil && isFile(casPath, entry.file)
+	if !intact {
+		file, err := writeCASFile(casPath, p.hash, p.data)
+		if err != nil {
+			return err
+		}
+		if entry == nil {
+			entry = b.addLocked(p.hash, nil)
+		}
+		entry.file = file
 	}
+	if held && intact {
+		if _, err := os.Stat(path); err == nil {
+			return nil
+		}
+	}
+	if held {
+		// The key's file is gone, or links the file just replaced.
+		b.forgetValidator(clean)
+	} else {
+		b.referLocked(clean, p.hash, entry)
+	}
+	if err := linkFile(casPath, path, p.data); err != nil {
+		b.releaseLocked(clean)
+		return fmt.Errorf("store: writing blob %s: %w", clean, err)
+	}
+	return nil
+}
+
+// addLocked starts the bookkeeping of a payload no key references yet.
+// Callers hold b.mu and take the first reference.
+func (b *BlobStore) addLocked(hash string, data []byte) *casEntry {
+	entry := &casEntry{data: data}
+	b.cas[hash] = entry
+	b.stats.UniqueBlobs++
+	return entry
+}
+
+// referLocked points clean at the payload hash, whose bookkeeping is entry,
+// releasing what clean referenced before. Callers hold b.mu.
+func (b *BlobStore) referLocked(clean, hash string, entry *casEntry) {
 	b.releaseLocked(clean)
 	entry.refs++
 	b.refs[clean] = hash
-	b.mem[clean] = entry.data
-	return nil
 }
 
-// relinkLocked restores the directory backend's file for clean, a key
-// already referencing the payload hash, should it have gone missing; the
-// memory backend has nothing to restore. Callers hold b.mu.
-func (b *BlobStore) relinkLocked(clean, hash string, data []byte) error {
-	if b.dir == "" {
-		return nil
+// isFile reports, with one stat, whether path is still the file that had
+// identity id. Writers replace a .cas file only by renaming a complete one
+// over it, so what this misses there is a rewrite in place that keeps the
+// inode, the size and the modification time, which only another program
+// could make.
+func isFile(path string, id fileID) bool {
+	info, err := os.Stat(path)
+	if err != nil {
+		return false
 	}
-	path := filepath.Join(b.dir, filepath.FromSlash(clean))
-	if _, err := os.Stat(path); err == nil {
-		return nil
-	}
-	b.vmu.Lock()
-	delete(b.validators, clean)
-	b.vmu.Unlock()
+	got, ok := idOf(info)
+	return ok && got == id
+}
+
+// linkFile makes path name the payload at casPath: a hard link, or a copy of
+// data on file systems without them. An existing path is unlinked first,
+// never written through: it may be a hard link into the CAS area, and
+// truncating it in place would corrupt the shared payload and tear the bytes
+// under a reader that has the file open.
+func linkFile(casPath, path string, data []byte) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("store: creating blob parent: %w", err)
+		return err
 	}
-	if err := os.Link(filepath.Join(b.dir, casDir, hash), path); err != nil {
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			return fmt.Errorf("store: writing blob %s: %w", clean, err)
-		}
+	_ = os.Remove(path)
+	if os.Link(casPath, path) == nil {
+		return nil
 	}
-	return nil
+	return os.WriteFile(path, data, 0o644)
 }
 
 // writeCASFile makes the file at casPath hold data, whose hex SHA-256 is
-// hash. A file already there (a previous process's) is adopted only when
-// its bytes hash to its name: a write cut short by a crash or a full disk
-// leaves a short file under the full payload's name, and adopting it would
-// serve the torn bytes under every key linked to it. Otherwise the payload
-// is written under a temporary name and renamed into place, so the name
-// never holds a partial payload.
-func writeCASFile(casPath, hash string, data []byte) error {
-	if sum, err := hashFile(casPath); err == nil && sum == hash {
-		return nil
+// hash, and returns that file's identity. A file already there (a previous
+// process's) is adopted only when its bytes hash to its name: a write cut
+// short by a crash or a full disk leaves a short file under the full
+// payload's name, and adopting it would serve the torn bytes under every key
+// linked to it. Otherwise the payload is written under a temporary name and
+// renamed into place, so the name never holds a partial payload.
+func writeCASFile(casPath, hash string, data []byte) (fileID, error) {
+	if file, ok := adoptCASFile(casPath, hash); ok {
+		return file, nil
 	}
 	dir := filepath.Dir(casPath)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("store: creating cas dir: %w", err)
+		return fileID{}, fmt.Errorf("store: creating cas dir: %w", err)
 	}
 	tmp, err := os.CreateTemp(dir, hash+".tmp*")
 	if err != nil {
-		return fmt.Errorf("store: writing cas payload %s: %w", hash, err)
+		return fileID{}, fmt.Errorf("store: writing cas payload %s: %w", hash, err)
 	}
+	var info os.FileInfo
 	_, err = tmp.Write(data)
+	if err == nil {
+		info, err = tmp.Stat()
+	}
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
 	}
@@ -320,20 +320,34 @@ func writeCASFile(casPath, hash string, data []byte) error {
 	}
 	if err != nil {
 		_ = os.Remove(tmp.Name())
-		return fmt.Errorf("store: writing cas payload %s: %w", hash, err)
+		return fileID{}, fmt.Errorf("store: writing cas payload %s: %w", hash, err)
 	}
-	return nil
+	file, _ := idOf(info)
+	return file, nil
 }
 
-// hashFile returns the hex SHA-256 of the file at path.
-func hashFile(path string) (string, error) {
-	f, err := os.Open(path)
+// adoptCASFile returns the identity of the file at casPath when its bytes
+// hash to hash.
+func adoptCASFile(casPath, hash string) (fileID, bool) {
+	f, err := os.Open(casPath)
 	if err != nil {
-		return "", err
+		return fileID{}, false
 	}
 	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return fileID{}, false
+	}
+	if sum, err := hashReader(f); err != nil || sum != hash {
+		return fileID{}, false
+	}
+	return idOf(info)
+}
+
+// hashReader returns the hex SHA-256 of what r reads.
+func hashReader(r io.Reader) (string, error) {
 	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
+	if _, err := io.Copy(h, r); err != nil {
 		return "", err
 	}
 	return hex.EncodeToString(h.Sum(nil)), nil
@@ -341,27 +355,34 @@ func hashFile(path string) (string, error) {
 
 // Recall returns the stored payload an earlier Remember noted for input.
 // It misses when nothing was noted, when every key of that payload has been
-// released since, or when, on the directory backend, the payload's file no
-// longer reads back as its hash.
+// released since, or when, on the directory backend, the payload's file is
+// no longer the one this process wrote or adopted.
 func (b *BlobStore) Recall(input string) (Payload, bool) {
 	b.mu.Lock()
 	hash := b.memo[input]
 	entry := b.cas[hash]
+	var file fileID
+	if entry != nil {
+		file = entry.file
+	}
 	b.mu.Unlock()
 	if entry == nil {
 		return Payload{}, false
 	}
 	p := Payload{data: entry.data, hash: hash}
 	if b.dir != "" {
-		// The directory backend holds no payload bytes in memory: read
-		// them back from the CAS file, which is never written in place.
-		data, err := os.ReadFile(filepath.Join(b.dir, casDir, hash))
+		// The directory backend holds no payload bytes in memory: read them
+		// back from the CAS file, so that the caller holds them even if the
+		// file goes before it stores the payload again.
+		casPath := filepath.Join(b.dir, casDir, hash)
+		if !isFile(casPath, file) {
+			return Payload{}, false
+		}
+		data, err := os.ReadFile(casPath)
 		if err != nil {
 			return Payload{}, false
 		}
-		if p = NewPayload(data); p.hash != hash {
-			return Payload{}, false
-		}
+		p.data = data
 	}
 	b.mu.Lock()
 	b.stats.Reused++
@@ -390,16 +411,22 @@ func (b *BlobStore) Remember(input string, p Payload) {
 	b.memo[input] = p.hash
 }
 
+// forgetValidator drops the validator Open remembered for clean. The stat
+// comparison in Open would catch a rewrite anyway; forgetting keeps the
+// bookkeeping to live keys.
+func (b *BlobStore) forgetValidator(clean string) {
+	if b.dir == "" {
+		return
+	}
+	b.vmu.Lock()
+	delete(b.validators, clean)
+	b.vmu.Unlock()
+}
+
 // releaseLocked drops key's reference into the CAS layer, if any, and the
 // validator remembered for it. Callers hold b.mu.
 func (b *BlobStore) releaseLocked(clean string) {
-	if b.dir != "" {
-		// The stat comparison in Open would catch the rewrite anyway;
-		// forgetting here keeps the bookkeeping to live keys.
-		b.vmu.Lock()
-		delete(b.validators, clean)
-		b.vmu.Unlock()
-	}
+	b.forgetValidator(clean)
 	hash, ok := b.refs[clean]
 	if !ok {
 		return
@@ -424,39 +451,6 @@ func (b *BlobStore) releaseLocked(clean string) {
 	}
 }
 
-// Delete removes the blob stored under key. Deleting a missing key is an
-// error (ErrNotFound), matching Get.
-func (b *BlobStore) Delete(key string) error {
-	clean, err := cleanKey(key)
-	if err != nil {
-		return fmt.Errorf("%w: %q", err, key)
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.deleteLocked(clean)
-}
-
-// deleteLocked removes one normalized key. Callers hold b.mu.
-func (b *BlobStore) deleteLocked(clean string) error {
-	if b.dir != "" {
-		path := filepath.Join(b.dir, filepath.FromSlash(clean))
-		if err := os.Remove(path); err != nil {
-			if os.IsNotExist(err) {
-				return fmt.Errorf("%w: %s", ErrNotFound, clean)
-			}
-			return fmt.Errorf("store: deleting blob %s: %w", clean, err)
-		}
-		b.releaseLocked(clean)
-		return nil
-	}
-	if _, ok := b.mem[clean]; !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, clean)
-	}
-	delete(b.mem, clean)
-	b.releaseLocked(clean)
-	return nil
-}
-
 // DeletePrefix removes every blob whose key starts with prefix and returns
 // how many were removed. Removing zero keys is not an error — the main
 // caller is failure cleanup, which must be idempotent. On the directory
@@ -472,9 +466,12 @@ func (b *BlobStore) DeletePrefix(prefix string) (int, error) {
 		return 0, err
 	}
 	for _, key := range keys {
-		if err := b.deleteLocked(key); err != nil {
-			return 0, err
+		if b.dir != "" {
+			if err := os.Remove(filepath.Join(b.dir, filepath.FromSlash(key))); err != nil && !os.IsNotExist(err) {
+				return 0, fmt.Errorf("store: deleting blob %s: %w", key, err)
+			}
 		}
+		b.releaseLocked(key)
 	}
 	if b.dir != "" {
 		// Every key under the prefix is gone; drop the now-empty directory
@@ -533,11 +530,11 @@ func (b *BlobStore) Get(key string) ([]byte, error) {
 		}
 		return data, nil
 	}
-	data, ok := b.mem[clean]
+	hash, ok := b.refs[clean]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, clean)
 	}
-	return append([]byte(nil), data...), nil
+	return bytes.Clone(b.cas[hash].data), nil
 }
 
 // BlobView is a read-only open of one stored payload, for serving it
@@ -548,8 +545,7 @@ type BlobView struct {
 	Content io.ReadSeeker
 	Size    int64
 	// ETag is a strong validator, the payload's SHA-256 in hex between
-	// quotes, or "" when the store holds no hash for the key (a memory key
-	// stored with plain Put).
+	// quotes.
 	ETag string
 
 	mem  bytes.Reader
@@ -566,12 +562,10 @@ func (v *BlobView) Close() error {
 
 // validator is the hash of a directory-backend payload together with the
 // identity of the file it was read from. It is believed only while the key
-// still names a file with that inode, size and modification time.
+// still names a file with that identity.
 type validator struct {
-	ino   uint64
-	size  int64
-	mtime time.Time
-	etag  string
+	file fileID
+	etag string
 }
 
 // racyWindow is how long after its modification time a file must have been
@@ -603,14 +597,12 @@ func (b *BlobStore) Open(key string) (*BlobView, error) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	if b.dir == "" {
-		data, ok := b.mem[clean]
+		hash, ok := b.refs[clean]
 		if !ok {
 			return nil, fmt.Errorf("%w: %s", ErrNotFound, clean)
 		}
-		v := &BlobView{Size: int64(len(data))}
-		if hash, ok := b.refs[clean]; ok {
-			v.ETag = `"` + hash + `"`
-		}
+		data := b.cas[hash].data
+		v := &BlobView{Size: int64(len(data)), ETag: `"` + hash + `"`}
 		v.mem.Reset(data)
 		v.Content = &v.mem
 		return v, nil
@@ -646,27 +638,27 @@ func (b *BlobStore) Open(key string) (*BlobView, error) {
 // one while f is the file it was computed from, otherwise a fresh hash of
 // f's bytes (leaving f at its start).
 func (b *BlobStore) fileETag(clean string, f *os.File, info os.FileInfo) (string, error) {
-	st, identified := info.Sys().(*syscall.Stat_t)
+	file, identified := idOf(info)
 	if identified {
 		b.vmu.Lock()
 		v, ok := b.validators[clean]
 		b.vmu.Unlock()
-		if ok && v.ino == st.Ino && v.size == info.Size() && v.mtime.Equal(info.ModTime()) {
+		if ok && v.file == file {
 			return v.etag, nil
 		}
 	}
 	hashedAt := time.Now()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
+	sum, err := hashReader(f)
+	if err != nil {
 		return "", err
 	}
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return "", err
 	}
-	etag := `"` + hex.EncodeToString(h.Sum(nil)) + `"`
+	etag := `"` + sum + `"`
 	if identified && hashedAt.Sub(info.ModTime()) >= racyWindow(info.ModTime()) {
 		b.vmu.Lock()
-		b.validators[clean] = validator{ino: st.Ino, size: info.Size(), mtime: info.ModTime(), etag: etag}
+		b.validators[clean] = validator{file: file, etag: etag}
 		b.vmu.Unlock()
 	}
 	return etag, nil
@@ -717,68 +709,10 @@ func (b *BlobStore) listLocked(prefix string) ([]string, error) {
 		}
 		return keys, nil
 	}
-	for key := range b.mem {
+	for key := range b.refs {
 		if strings.HasPrefix(key, prefix) {
 			keys = append(keys, key)
 		}
 	}
 	return keys, nil
-}
-
-// siteKey builds the blob key for one file of a stored site.
-func siteKey(testID, pageName, rel string) string {
-	return testID + "/" + pageName + "/" + rel
-}
-
-// PutSite stores one page's files under testID/pageName/, in name order,
-// plus a marker naming its main file so GetSite can reconstruct it. Files go
-// through the content-addressed layer, so pages sharing bytes (the
-// identical-pair control, repeated versions, a common shell) store them once.
-func (b *BlobStore) PutSite(testID, pageName, mainFile string, files map[string]Payload) error {
-	if main, ok := files[mainFile]; !ok || len(main.data) == 0 {
-		return fmt.Errorf("store: main file %q missing or empty in %s/%s", mainFile, testID, pageName)
-	}
-	if err := b.PutCAS(siteKey(testID, pageName, ".main"), NewPayload([]byte(mainFile))); err != nil {
-		return err
-	}
-	names := make([]string, 0, len(files))
-	for name := range files {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if err := b.PutCAS(siteKey(testID, pageName, name), files[name]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// GetSite reconstructs a site stored with PutSite.
-func (b *BlobStore) GetSite(testID, pageName string) (*webgen.Site, error) {
-	main, err := b.Get(siteKey(testID, pageName, ".main"))
-	if err != nil {
-		return nil, err
-	}
-	site := webgen.NewSite(string(main))
-	prefix := testID + "/" + pageName + "/"
-	keys, err := b.List(prefix)
-	if err != nil {
-		return nil, err
-	}
-	for _, key := range keys {
-		rel := strings.TrimPrefix(key, prefix)
-		if rel == ".main" {
-			continue
-		}
-		data, err := b.Get(key)
-		if err != nil {
-			return nil, err
-		}
-		site.Put(rel, data)
-	}
-	if err := site.Validate(); err != nil {
-		return nil, fmt.Errorf("store: reconstructing %s/%s: %w", testID, pageName, err)
-	}
-	return site, nil
 }

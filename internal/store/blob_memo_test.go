@@ -128,6 +128,37 @@ func TestRecallRefusesADamagedFile(t *testing.T) {
 	}
 }
 
+// TestDamagedCASFileIsRewrittenBeforeLinking: a remembered payload whose
+// .cas file was damaged in place is written again before a new key links
+// it, so the new key reads the payload under its own validator, never the
+// damage, and the memo recalls the rewritten file.
+func TestDamagedCASFileIsRewrittenBeforeLinking(t *testing.T) {
+	b, err := OpenBlobStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewPayload([]byte("<html>version</html>"))
+	if err := b.PutCAS("t/a/left.html", p); err != nil {
+		t.Fatal(err)
+	}
+	b.Remember("in", p)
+	if err := os.WriteFile(filepath.Join(b.dir, casDir, p.hash), []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := b.Recall("in"); ok {
+		t.Fatal("Recall hit a damaged file")
+	}
+	if err := b.PutCAS("u/a/left.html", p); err != nil {
+		t.Fatal(err)
+	}
+	if etag, got := readView(t, b, "u/a/left.html"); !bytes.Equal(got, p.data) || etag != etagOf(p.data) {
+		t.Errorf("the new key reads %q under %s, want %q under %s", got, etag, p.data, etagOf(p.data))
+	}
+	if got, ok := b.Recall("in"); !ok || !bytes.Equal(got.data, p.data) {
+		t.Errorf("Recall after the rewrite = %v, %q; want the payload", ok, got.data)
+	}
+}
+
 // TestMemoNeverOutgrowsTheCAS: under concurrent PutCAS, Remember, Recall
 // and deletes the memo holds at most one entry per live payload, and every
 // hit is the payload its input was remembered with.
@@ -155,7 +186,7 @@ func TestMemoNeverOutgrowsTheCAS(t *testing.T) {
 					}
 					b.Remember(input, p)
 					if i%7 == 0 {
-						_ = b.Delete(key)
+						_, _ = b.DeletePrefix(key)
 					}
 				}
 			}(w)
@@ -203,8 +234,8 @@ func TestPutCASAgainUnderItsOwnKey(t *testing.T) {
 		if got, err := b.Get(key); err != nil || !bytes.Equal(got, p.data) {
 			t.Errorf("Get(%s) = %d bytes, %v; want the payload", key, len(got), err)
 		}
-		if err := b.Delete(key); err != nil {
-			t.Fatal(err)
+		if n, err := b.DeletePrefix(key); err != nil || n != 1 {
+			t.Fatalf("DeletePrefix(%s) = %d, %v", key, n, err)
 		}
 		if n := b.Stats().UniqueBlobs; n != 0 || len(b.cas) != 0 || len(b.memo) != 0 {
 			t.Errorf("after the delete: UniqueBlobs %d, %d CAS entries, %d memo entries; want none", n, len(b.cas), len(b.memo))

@@ -94,8 +94,8 @@ func TestOpenMatchesGet(t *testing.T) {
 		if _, err := b.Open("../escape"); !errors.Is(err, ErrInvalidKey) {
 			t.Errorf("Open of an escaping key: %v, want ErrInvalidKey", err)
 		}
-		if err := b.Delete("t/p/index.html"); err != nil {
-			t.Fatal(err)
+		if n, err := b.DeletePrefix("t/p/index.html"); err != nil || n != 1 {
+			t.Fatalf("DeletePrefix(t/p/index.html) = %d, %v", n, err)
 		}
 		if _, err := b.Open("t/p/index.html"); !errors.Is(err, ErrNotFound) {
 			t.Errorf("Open of a deleted key: %v, want ErrNotFound", err)
@@ -103,17 +103,21 @@ func TestOpenMatchesGet(t *testing.T) {
 	})
 }
 
-// TestOpenPlainPut: a memory key stored without a hash is served without a
-// validator; the directory backend hashes whatever file the key names.
+// TestOpenPlainPut: a key stored with Put is served with its payload's
+// validator on both backends, and Put keeps no reference to the caller's
+// slice.
 func TestOpenPlainPut(t *testing.T) {
 	data := []byte("stored with plain Put")
 	mem := NewBlobStore()
 	if err := mem.Put("t/p/a.css", data); err != nil {
 		t.Fatal(err)
 	}
-	if etag, got := readView(t, mem, "t/p/a.css"); etag != "" || !bytes.Equal(got, data) {
-		t.Errorf("memory: ETag %q over %q, want no validator", etag, got)
+	want := etagOf(data)
+	data[0] = 'S'
+	if etag, got := readView(t, mem, "t/p/a.css"); etag != want || string(got) != "stored with plain Put" {
+		t.Errorf("memory: ETag %s over %q, want %s over the bytes as Put", etag, got, want)
 	}
+	data[0] = 's'
 	dir, err := OpenBlobStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +164,7 @@ func TestOpenViewSurvivesOverwriteAndDelete(t *testing.T) {
 }
 
 // TestDirValidatorRemembered: the directory backend hashes a settled file
-// once, a file still inside the racy window every time, and Delete forgets.
+// once, a file still inside the racy window every time, and a delete forgets.
 func TestDirValidatorRemembered(t *testing.T) {
 	dir := t.TempDir()
 	b, err := OpenBlobStore(dir)
@@ -217,11 +221,11 @@ func TestDirValidatorRemembered(t *testing.T) {
 	if etag, _ := readView(t, b, "t/p/left.html"); etag != `"remembered"` {
 		t.Errorf("second open of an unchanged file hashed again: ETag %s", etag)
 	}
-	if err := b.Delete("t/p/left.html"); err != nil {
-		t.Fatal(err)
+	if n, err := b.DeletePrefix("t/p/left.html"); err != nil || n != 1 {
+		t.Fatalf("DeletePrefix(t/p/left.html) = %d, %v", n, err)
 	}
 	if remembered() {
-		t.Error("Delete left the key's validator behind")
+		t.Error("DeletePrefix left the key's validator behind")
 	}
 }
 

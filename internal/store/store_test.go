@@ -1,14 +1,14 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
-
-	"kaleidoscope/internal/webgen"
 )
 
 func TestInsertAndGet(t *testing.T) {
@@ -308,77 +308,38 @@ func TestBlobStoreDisk(t *testing.T) {
 	}
 }
 
-// sitePayloads digests every file of site.
-func sitePayloads(site *webgen.Site) map[string]Payload {
-	files := make(map[string]Payload, len(site.Files))
-	for name, data := range site.Files {
-		files[name] = NewPayload(data)
-	}
-	return files
-}
-
-func TestPutGetSite(t *testing.T) {
-	for name, blob := range map[string]*BlobStore{
-		"memory": NewBlobStore(),
-	} {
-		t.Run(name, func(t *testing.T) {
-			site := webgen.WikiArticle(webgen.WikiConfig{Seed: 2})
-			if err := blob.PutSite("test-1", "wiki-12pt", site.MainFile, sitePayloads(site)); err != nil {
-				t.Fatalf("PutSite: %v", err)
-			}
-			got, err := blob.GetSite("test-1", "wiki-12pt")
-			if err != nil {
-				t.Fatalf("GetSite: %v", err)
-			}
-			if got.MainFile != site.MainFile {
-				t.Errorf("main file = %q", got.MainFile)
-			}
-			if len(got.Files) != len(site.Files) {
-				t.Errorf("files = %d, want %d", len(got.Files), len(site.Files))
-			}
-			if string(got.HTML()) != string(site.HTML()) {
-				t.Error("HTML mismatch")
-			}
-		})
-	}
-}
-
-func TestPutSiteDisk(t *testing.T) {
-	blob, err := OpenBlobStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	site := webgen.GroupPage(webgen.GroupConfig{Seed: 4})
-	if err := blob.PutSite("t", "group-a", site.MainFile, sitePayloads(site)); err != nil {
-		t.Fatal(err)
-	}
-	got, err := blob.GetSite("t", "group-a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Files) != len(site.Files) {
-		t.Errorf("files = %d, want %d", len(got.Files), len(site.Files))
-	}
-}
-
-func TestGetSiteMissing(t *testing.T) {
-	b := NewBlobStore()
-	if _, err := b.GetSite("no", "page"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("err = %v", err)
-	}
-}
-
-func TestPutSiteInvalid(t *testing.T) {
-	b := NewBlobStore()
-	for _, files := range []map[string]Payload{
-		nil,
-		{"other.html": NewPayload([]byte("x"))},
-		{"index.html": NewPayload(nil)},
-	} {
-		if err := b.PutSite("t", "p", "index.html", files); err == nil {
-			t.Errorf("PutSite(%v) without a non-empty main file should fail", files)
+// TestPageFolderRoundTrip: a page's files stored under testID/pageName/
+// list and read back whole under that folder, a neighbouring page's files
+// apart.
+func TestPageFolderRoundTrip(t *testing.T) {
+	eachBackend(t, func(t *testing.T, b *BlobStore) {
+		files := map[string][]byte{
+			"index.html":     []byte("<html><link rel=stylesheet href=css/site.css></html>"),
+			"css/site.css":   []byte("body { font-size: 12pt }"),
+			"img/figure.png": bytes.Repeat([]byte{0x89, 'P'}, 300),
 		}
-	}
+		for name, data := range files {
+			if err := b.PutCAS("test-1/wiki-12pt/"+name, NewPayload(data)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := b.PutCAS("test-1/wiki-14pt/index.html", NewPayload([]byte("<html></html>"))); err != nil {
+			t.Fatal(err)
+		}
+		keys, err := b.List("test-1/wiki-12pt/")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(keys) != len(files) {
+			t.Fatalf("List = %v, want the page's %d files", keys, len(files))
+		}
+		for _, key := range keys {
+			got, err := b.Get(key)
+			if want := files[strings.TrimPrefix(key, "test-1/wiki-12pt/")]; err != nil || !bytes.Equal(got, want) {
+				t.Errorf("Get(%s) = %q, %v; want %q", key, got, err, want)
+			}
+		}
+	})
 }
 
 func TestLoadCorruptWAL(t *testing.T) {

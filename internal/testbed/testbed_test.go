@@ -102,8 +102,8 @@ func TestBedRePreparesInPlace(t *testing.T) {
 			t.Errorf("blob %s belongs to no page of the new spine", key)
 		}
 	}
-	if len(keys) != 4*len(prep.Pages) {
-		t.Errorf("%d blobs under again/, want %d: %v", len(keys), 4*len(prep.Pages), keys)
+	if len(keys) != 3*len(prep.Pages) { // index + left + right
+		t.Errorf("%d blobs under again/, want %d: %v", len(keys), 3*len(prep.Pages), keys)
 	}
 }
 

@@ -9,7 +9,8 @@
 # WAL record and session codecs' allocation-free paths, and the bytes
 # allocated to serve or relay one page.
 #
-#   ALLOC_SLACK       multiplier over recorded allocs/op (default 1.25)
+#   ALLOC_SLACK       multiplier over recorded allocs/op (default 1.25); a
+#                     record of under eight may also be exceeded by two
 #   BATCH_ALLOC_BUDGET  max allocs per session through the batch endpoint
 #                       with no fold state to feed (default 27: the recorded
 #                       21.6 x ALLOC_SLACK's 1.25)
@@ -69,7 +70,7 @@ go test -run '^$' -bench 'Benchmark(WALRecord|VerifyWALLine)$' \
 echo "bench_delta: running aggregator benchmarks..."
 go test -run '^$' -bench 'BenchmarkPrepare(Sequential|Parallel)$' \
     -benchmem -benchtime 3x ./internal/aggregator/ >"$tmp/aggregator.txt"
-go test -run '^$' -bench 'BenchmarkPrepareBenchShape(Cold)?$' \
+go test -run '^$' -bench 'BenchmarkPrepareBenchShape(Cold|Dir)?$' \
     -benchmem -benchtime 50x ./internal/aggregator/ >>"$tmp/aggregator.txt"
 
 # parse_bench: "<name> <ns/op> <allocs/op> <lag-frames> <upstream-B/op>
@@ -115,7 +116,9 @@ fail() { echo "bench_delta: FAIL $*" >&2; status=1; }
 ok() { echo "bench_delta: ok   $*"; }
 
 # Gate 1: allocation counts must stay within ALLOC_SLACK of the recorded
-# figures — allocs/op is deterministic enough to compare across machines.
+# figures — allocs/op is deterministic enough to compare across machines. A
+# small record gets two allocations of room instead, so its ceiling scales
+# with it: 18 admits 22, not the 26 a fixed eight would.
 # The router's two results polls are among them: a fold document decoded
 # through encoding/json again would put the QC poll at twice its record.
 for f in server aggregator; do
@@ -124,10 +127,10 @@ for f in server aggregator; do
         rec=$(recorded "BENCH_$f.json" "$name")
         [ -n "$rec" ] || continue
         if awk -v a="$allocs" -v r="$rec" -v s="$ALLOC_SLACK" \
-            'BEGIN { exit !(a <= r * s || a <= r + 8) }'; then
+            'BEGIN { exit !(a <= r * s || a <= r + 2) }'; then
             ok "$name allocs/op $allocs (recorded $rec, slack x$ALLOC_SLACK)"
         else
-            fail "$name allocs/op $allocs exceeds recorded $rec x$ALLOC_SLACK"
+            fail "$name allocs/op $allocs exceeds recorded $rec x$ALLOC_SLACK and $rec + 2"
         fi
     done <"$tmp/$f.tsv"
 done
@@ -230,7 +233,7 @@ fi
 # Gate 7: the codecs' own paths allocate nothing — framing a WAL record into
 # the collection's buffer, the follower's scan of a shipped one, and rendering
 # a session's stored form, whatever its strings need escaped. The slack gate 1
-# allows a small record would let eight allocations in.
+# allows a small record would let two allocations in.
 for name in BenchmarkWALRecord/append BenchmarkVerifyWALLine/scan \
     BenchmarkAppendSession/codec BenchmarkAppendSession/escaped_comment; do
     allocs=$(live "$tmp/server.tsv" "$name" 3)
