@@ -18,10 +18,11 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -count=1 ./...
 
 # The gate: formatting, static analysis, and the full suite under the race
-# detector.
+# detector, run afresh every time (-count=1): a replayed test cache would let
+# a second run pass without running a test.
 check: fmt vet race
 
 # bench/ is a module of its own (BENCHMARK.json's harness), so ./... above

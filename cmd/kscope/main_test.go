@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"kaleidoscope/internal/store"
 )
 
 func TestRunNoArgs(t *testing.T) {
@@ -110,8 +112,11 @@ func TestCmdPrepare(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(storeDir, "db", "tests.jsonl")); err != nil {
 		t.Errorf("db not materialized: %v", err)
 	}
-	entries, err := os.ReadDir(filepath.Join(storeDir, "blobs", "cli-study"))
-	if err != nil || len(entries) == 0 {
+	blobs, err := store.OpenBlobStore(filepath.Join(storeDir, "blobs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if keys, err := blobs.List("cli-study/"); err != nil || len(keys) == 0 {
 		t.Errorf("blobs not materialized: %v", err)
 	}
 	// Missing flags fail.

@@ -1,6 +1,8 @@
 package aggregator
 
 import (
+	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -263,5 +265,37 @@ func TestParsePairPageID(t *testing.T) {
 		if i, j, ok := ParsePairPageID(id); ok {
 			t.Errorf("ParsePairPageID(%q) = %d, %d, true; want false", id, i, j)
 		}
+	}
+}
+
+// TestLongestTestIDFitsTheDirStore: a test id as long as params.Validate
+// allows prepares on a directory blob store, where each file is named by its
+// whole key, and so does the longest page id any test can have; one byte
+// more is refused before anything is stored.
+func TestLongestTestIDFitsTheDirStore(t *testing.T) {
+	blobs, err := store.OpenBlobStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg, err := New(store.OpenMemory(), blobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	test, sites := fontTestInput(t)
+	test.TestID = strings.Repeat("x", params.MaxTestIDBytes-3) + "%"
+	if _, err := agg.Prepare(test, sites, nil); err != nil {
+		t.Fatalf("Prepare with a %d-byte test id: %v", params.MaxTestIDBytes, err)
+	}
+	longest := test.TestID + "/" + PairPageID(math.MaxInt, math.MaxInt) + "/index.html"
+	if err := blobs.Put(longest, []byte("page")); err != nil {
+		t.Fatalf("the longest key a test can have: %v", err)
+	}
+
+	test.TestID = "y" + test.TestID
+	if _, err := agg.Prepare(test, sites, nil); !errors.Is(err, params.ErrTestIDTooLong) {
+		t.Fatalf("Prepare with a test id one byte too long: %v, want ErrTestIDTooLong", err)
+	}
+	if keys, err := blobs.List("y"); err != nil || len(keys) != 0 {
+		t.Errorf("the refused Prepare stored %v (%v)", keys, err)
 	}
 }

@@ -22,7 +22,21 @@ var (
 	ErrMissingWebMainFile = errors.New("params: web_main_file is required for every webpage")
 	ErrNegativeLoadTime   = errors.New("params: page-load times must be non-negative")
 	ErrSortedQuestions    = errors.New("params: a sorted test asks exactly one question")
+	ErrTestIDTooLong      = fmt.Errorf("params: test_id is longer than %d bytes, each '%%' or '/' counted as three", MaxTestIDBytes)
 )
+
+// MaxTestIDBytes bounds a test id's length, each '%' or '/' in it counted as
+// three bytes. A directory blob store keeps each prepared file as one file
+// named by its key, testID/pageID/file with '%' and '/' written in three
+// bytes each, and a file name holds at most 255 bytes. The rest of the key,
+// "/<page id>/index.html" with a page id of at most 44 bytes ("pair-" and two
+// int64 indices), takes at most 60 of them.
+const MaxTestIDBytes = 192
+
+// testIDBytes is the length of id as MaxTestIDBytes counts it.
+func testIDBytes(id string) int {
+	return len(id) + 2*(strings.Count(id, "%")+strings.Count(id, "/"))
+}
 
 // Test is the top-level test-parameter document (Table I).
 type Test struct {
@@ -175,6 +189,9 @@ func (s PageLoadSpec) MarshalJSON() ([]byte, error) {
 func (t *Test) Validate() error {
 	if strings.TrimSpace(t.TestID) == "" {
 		return ErrMissingTestID
+	}
+	if testIDBytes(t.TestID) > MaxTestIDBytes {
+		return ErrTestIDTooLong
 	}
 	if t.WebpageNum < 2 || t.WebpageNum != len(t.Webpages) {
 		return ErrWebpageCount

@@ -313,3 +313,24 @@ func FuzzParseParams(f *testing.F) {
 		}
 	})
 }
+
+// TestTestIDLengthLimit: a test id is held to MaxTestIDBytes with each '%'
+// and '/' counted as the three bytes a directory blob store names it with.
+func TestTestIDLengthLimit(t *testing.T) {
+	for _, tc := range []struct {
+		id   string
+		want error
+	}{
+		{strings.Repeat("a", MaxTestIDBytes), nil},
+		{strings.Repeat("a", MaxTestIDBytes+1), ErrTestIDTooLong},
+		{strings.Repeat("a", MaxTestIDBytes-3) + "%", nil},
+		{strings.Repeat("a", MaxTestIDBytes-2) + "%", ErrTestIDTooLong},
+		{strings.Repeat("a", MaxTestIDBytes-2) + "/", ErrTestIDTooLong},
+	} {
+		tt := validTest()
+		tt.TestID = tc.id
+		if err := tt.Validate(); !errors.Is(err, tc.want) {
+			t.Errorf("a %d-byte id ending %q: %v, want %v", len(tc.id), tc.id[len(tc.id)-1:], err, tc.want)
+		}
+	}
+}

@@ -7,6 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"sort"
@@ -39,8 +41,9 @@ type BlobStats struct {
 
 // BlobStore holds the integrated-webpage files the core server serves to
 // participants. The paper stores them under a folder named after the test
-// id; keys are slash-separated paths, so the caller's testID/pageName/file
-// layout is a folder per test on the directory backend.
+// id; keys are slash-separated paths (testID/pageName/file), and the
+// directory backend keeps every key as one file in its root, named by
+// keyPath, so that storing a key never makes a directory.
 //
 // The store is one content-addressed map: every key references a payload
 // identified by the SHA-256 of its bytes, and a payload is stored once
@@ -56,7 +59,7 @@ type BlobStats struct {
 //
 // Invariant: a stored payload is never written again. The memory backend
 // keeps the slice its Payload owns, the directory backend writes a fresh
-// file (an existing path is unlinked, never truncated in place), and
+// file (renamed over an existing key's file, never written through it), and
 // overwrite and delete only drop references. Open's copy-free view rests on
 // it: a reader over the shared slice or the open file sees the complete
 // payload it opened whatever happens to the key meanwhile.
@@ -121,7 +124,98 @@ func OpenBlobStore(dir string) (*BlobStore, error) {
 	}
 	b := NewBlobStore()
 	b.dir, b.validators = dir, make(map[string]validator)
+	if err := b.flatten(); err != nil {
+		return nil, err
+	}
 	return b, nil
+}
+
+// keyUnescaper maps the name of a key's file back to the key (escapeKey).
+var keyUnescaper = strings.NewReplacer("%2F", "/", "%25", "%")
+
+// escapeKey appends to dst the name of key's file in the directory
+// backend's root: key with "%" written "%25" and "/" written "%2F".
+func escapeKey(dst []byte, key string) []byte {
+	for i := 0; i < len(key); i++ {
+		switch c := key[i]; c {
+		case '%':
+			dst = append(dst, "%25"...)
+		case '/':
+			dst = append(dst, "%2F"...)
+		default:
+			dst = append(dst, c)
+		}
+	}
+	return dst
+}
+
+// keyPath returns the file that holds the cleaned key clean. It is on the
+// serving path, so it builds the path on the stack and allocates only the
+// string it returns.
+func (b *BlobStore) keyPath(clean string) string {
+	var buf [256]byte
+	path := append(append(buf[:0], b.dir...), filepath.Separator)
+	return string(escapeKey(path, clean))
+}
+
+// keyOf returns the key whose file in the root is named name, and false for
+// a name keyPath gives no key.
+func keyOf(name string) (string, bool) {
+	key := keyUnescaper.Replace(name)
+	clean, err := cleanKey(key)
+	return key, err == nil && clean == key && string(escapeKey(nil, key)) == name
+}
+
+// flatten moves every file below a subdirectory of the root other than .cas
+// to the name keyPath gives its key, then removes the emptied directories.
+// It upgrades a store written with a directory per key segment; a rename
+// keeps the inode, and with it the hard link to the key's .cas payload, and
+// an upgrade cut short is finished by the next open. A file another open
+// moved first is skipped. A key whose name is too long for one file stays
+// where it is, and the store no longer reaches it: Get and Open answer
+// ErrNotFound and List omits it. params.Validate refuses a test id that
+// long, so only a test prepared before that limit can hold such a key.
+func (b *BlobStore) flatten() error {
+	entries, err := os.ReadDir(b.dir)
+	if err != nil {
+		return fmt.Errorf("store: reading blob dir: %w", err)
+	}
+	for _, e := range entries {
+		if !e.IsDir() || e.Name() == casDir {
+			continue
+		}
+		var dirs []string
+		err := filepath.WalkDir(filepath.Join(b.dir, e.Name()), func(path string, d fs.DirEntry, err error) error {
+			if errors.Is(err, fs.ErrNotExist) {
+				return nil
+			}
+			if err != nil {
+				return err
+			}
+			if d.IsDir() {
+				dirs = append(dirs, path)
+				return nil
+			}
+			rel, err := filepath.Rel(b.dir, path)
+			if err != nil {
+				return err
+			}
+			key := filepath.ToSlash(rel)
+			err = os.Rename(path, b.keyPath(key))
+			if err == nil || errors.Is(err, fs.ErrNotExist) || errors.Is(err, syscall.ENAMETOOLONG) {
+				return nil
+			}
+			return fmt.Errorf("store: moving blob %s into the blob dir's root: %w", key, err)
+		})
+		if err != nil {
+			return err
+		}
+		// Deepest first; a directory that still holds something stays.
+		for i := len(dirs) - 1; i >= 0; i-- {
+			_ = os.Remove(dirs[i])
+		}
+	}
+	return nil
 }
 
 // ErrInvalidKey reports a blob key that would escape the store root.
@@ -208,7 +302,7 @@ func (b *BlobStore) PutCAS(key string, p Payload) error {
 	}
 
 	casPath := filepath.Join(b.dir, casDir, p.hash)
-	path := filepath.Join(b.dir, filepath.FromSlash(clean))
+	path := b.keyPath(clean)
 	intact := entry != nil && isFile(casPath, entry.file)
 	if !intact {
 		file, err := writeCASFile(casPath, p.hash, p.data)
@@ -270,19 +364,28 @@ func isFile(path string, id fileID) bool {
 }
 
 // linkFile makes path name the payload at casPath: a hard link, or a copy of
-// data on file systems without them. An existing path is unlinked first,
-// never written through: it may be a hard link into the CAS area, and
-// truncating it in place would corrupt the shared payload and tear the bytes
-// under a reader that has the file open.
+// data where the file system makes none. A path that names no file yet is
+// linked in place. Otherwise the new file is made under a temporary name in
+// the CAS area and renamed over path: a reader of path opens the old file or
+// the new one, never none, and the old file is never written through (it
+// may be a hard link into the CAS area, and truncating it would corrupt the
+// shared payload and tear the bytes under a reader that has it open).
 func linkFile(casPath, path string, data []byte) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	_ = os.Remove(path)
 	if os.Link(casPath, path) == nil {
 		return nil
 	}
-	return os.WriteFile(path, data, 0o644)
+	tmp := fmt.Sprintf("%s.link%016x", casPath, rand.Uint64())
+	if os.Link(casPath, tmp) != nil {
+		var err error
+		if tmp, _, err = writeTemp(filepath.Dir(casPath), filepath.Base(casPath)+".copy", data); err != nil {
+			return err
+		}
+	}
+	err := os.Rename(tmp, path)
+	// A rename of one link of a file over another link of it does nothing
+	// and succeeds, leaving tmp behind; after any other rename tmp is gone.
+	_ = os.Remove(tmp)
+	return err
 }
 
 // writeCASFile makes the file at casPath hold data, whose hex SHA-256 is
@@ -300,9 +403,26 @@ func writeCASFile(casPath, hash string, data []byte) (fileID, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fileID{}, fmt.Errorf("store: creating cas dir: %w", err)
 	}
-	tmp, err := os.CreateTemp(dir, hash+".tmp*")
+	tmp, info, err := writeTemp(dir, hash+".tmp", data)
+	if err == nil {
+		if err = os.Rename(tmp, casPath); err != nil {
+			_ = os.Remove(tmp)
+		}
+	}
 	if err != nil {
 		return fileID{}, fmt.Errorf("store: writing cas payload %s: %w", hash, err)
+	}
+	file, _ := idOf(info)
+	return file, nil
+}
+
+// writeTemp writes data to a new file in dir whose name starts with prefix,
+// and returns its path and what a stat of it showed. It removes the file if
+// the write fails.
+func writeTemp(dir, prefix string, data []byte) (string, os.FileInfo, error) {
+	tmp, err := os.CreateTemp(dir, prefix+"*")
+	if err != nil {
+		return "", nil, err
 	}
 	var info os.FileInfo
 	_, err = tmp.Write(data)
@@ -315,15 +435,11 @@ func writeCASFile(casPath, hash string, data []byte) (fileID, error) {
 	if err == nil {
 		err = os.Chmod(tmp.Name(), 0o644)
 	}
-	if err == nil {
-		err = os.Rename(tmp.Name(), casPath)
-	}
 	if err != nil {
 		_ = os.Remove(tmp.Name())
-		return fileID{}, fmt.Errorf("store: writing cas payload %s: %w", hash, err)
+		return "", nil, err
 	}
-	file, _ := idOf(info)
-	return file, nil
+	return tmp.Name(), info, nil
 }
 
 // adoptCASFile returns the identity of the file at casPath when its bytes
@@ -454,10 +570,10 @@ func (b *BlobStore) releaseLocked(clean string) {
 // DeletePrefix removes every blob whose key starts with prefix and returns
 // how many were removed. Removing zero keys is not an error — the main
 // caller is failure cleanup, which must be idempotent. On the directory
-// backend it also prunes the emptied prefix directory and sweeps CAS
-// payloads no logical path links to anymore: refcounts are per-process, so
-// blobs stored by an earlier process (the prepare CLI) are invisible to
-// this process's maps and only the on-disk link count knows they died.
+// backend it also sweeps CAS payloads no key's file links to anymore:
+// refcounts are per-process, so blobs stored by an earlier process (the
+// prepare CLI) are invisible to this process's maps and only the on-disk
+// link count knows they died.
 func (b *BlobStore) DeletePrefix(prefix string) (int, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -467,22 +583,14 @@ func (b *BlobStore) DeletePrefix(prefix string) (int, error) {
 	}
 	for _, key := range keys {
 		if b.dir != "" {
-			if err := os.Remove(filepath.Join(b.dir, filepath.FromSlash(key))); err != nil && !os.IsNotExist(err) {
+			if err := os.Remove(b.keyPath(key)); err != nil && !os.IsNotExist(err) {
 				return 0, fmt.Errorf("store: deleting blob %s: %w", key, err)
 			}
 		}
 		b.releaseLocked(key)
 	}
-	if b.dir != "" {
-		// Every key under the prefix is gone; drop the now-empty directory
-		// tree. Only when the prefix names a directory unambiguously — a
-		// trailing slash — so "t-1/" cannot take "t-10" with it.
-		if dirKey, err := cleanKey(prefix); err == nil && strings.HasSuffix(prefix, "/") {
-			_ = os.RemoveAll(filepath.Join(b.dir, filepath.FromSlash(dirKey)))
-		}
-		if len(keys) > 0 {
-			b.sweepOrphanedCASLocked()
-		}
+	if b.dir != "" && len(keys) > 0 {
+		b.sweepOrphanedCASLocked()
 	}
 	return len(keys), nil
 }
@@ -491,25 +599,65 @@ func (b *BlobStore) DeletePrefix(prefix string) (int, error) {
 // count shows no logical path references them. Payloads this process
 // tracks as live are skipped regardless of link count (the hard-link
 // fallback stores logical copies, leaving the payload at one link while
-// referenced). Callers hold b.mu.
+// referenced). Any other name in .cas is a temporary file a put makes and
+// renames away; one is removed only once it is older than staleTemp, so
+// that a put another process is making is never cut short, while one a
+// crash left behind (a ".link" name keeps its payload's link count up) goes
+// in time. Callers hold b.mu.
 func (b *BlobStore) sweepOrphanedCASLocked() {
 	entries, err := os.ReadDir(filepath.Join(b.dir, casDir))
 	if err != nil {
 		return
 	}
+	now := time.Now()
 	for _, e := range entries {
-		hash := e.Name()
-		if b.cas[hash] != nil {
+		name := e.Name()
+		if b.cas[name] != nil {
 			continue
 		}
 		info, err := e.Info()
 		if err != nil {
 			continue
 		}
-		if st, ok := info.Sys().(*syscall.Stat_t); ok && st.Nlink <= 1 {
-			_ = os.Remove(filepath.Join(b.dir, casDir, hash))
+		st, ok := info.Sys().(*syscall.Stat_t)
+		if !ok {
+			continue
+		}
+		orphaned := st.Nlink <= 1
+		if !isDigest(name) {
+			orphaned = isStaleTemp(st, now)
+		}
+		if orphaned {
+			_ = os.Remove(filepath.Join(b.dir, casDir, name))
 		}
 	}
+}
+
+// staleTemp is the age past which a temporary file in .cas is taken for one
+// a crashed put left behind. A put renames its file away within one write of
+// the payload.
+const staleTemp = time.Hour
+
+// isStaleTemp reports whether the file st describes had its inode last
+// changed more than staleTemp before now. The change time, not the
+// modification time: a ".link" name is a fresh link to an old file, and
+// making the link sets the change time.
+func isStaleTemp(st *syscall.Stat_t, now time.Time) bool {
+	return now.Sub(time.Unix(st.Ctim.Unix())) > staleTemp
+}
+
+// isDigest reports whether name is a SHA-256 in lower-case hex, the name of
+// a payload in .cas.
+func isDigest(name string) bool {
+	if len(name) != sha256.Size*2 {
+		return false
+	}
+	for _, c := range name {
+		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
 }
 
 // Get returns the blob stored under key.
@@ -521,9 +669,9 @@ func (b *BlobStore) Get(key string) ([]byte, error) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	if b.dir != "" {
-		data, err := os.ReadFile(filepath.Join(b.dir, filepath.FromSlash(clean)))
+		data, err := os.ReadFile(b.keyPath(clean))
 		if err != nil {
-			if os.IsNotExist(err) {
+			if unstored(err) {
 				return nil, fmt.Errorf("%w: %s", ErrNotFound, clean)
 			}
 			return nil, fmt.Errorf("store: reading blob %s: %w", clean, err)
@@ -535,6 +683,13 @@ func (b *BlobStore) Get(key string) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, clean)
 	}
 	return bytes.Clone(b.cas[hash].data), nil
+}
+
+// unstored reports whether err, from opening a key's file, means that the
+// key is not stored: its file does not exist, or its name is too long for
+// any file, which PutCAS refuses to store.
+func unstored(err error) bool {
+	return os.IsNotExist(err) || errors.Is(err, syscall.ENAMETOOLONG)
 }
 
 // BlobView is a read-only open of one stored payload, for serving it
@@ -607,9 +762,9 @@ func (b *BlobStore) Open(key string) (*BlobView, error) {
 		v.Content = &v.mem
 		return v, nil
 	}
-	f, err := os.Open(filepath.Join(b.dir, filepath.FromSlash(clean)))
+	f, err := os.Open(b.keyPath(clean))
 	if err != nil {
-		if os.IsNotExist(err) {
+		if unstored(err) {
 			return nil, fmt.Errorf("%w: %s", ErrNotFound, clean)
 		}
 		return nil, fmt.Errorf("store: opening blob %s: %w", clean, err)
@@ -620,11 +775,6 @@ func (b *BlobStore) Open(key string) (*BlobView, error) {
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("store: opening blob %s: %w", clean, err)
-	}
-	if !info.Mode().IsRegular() {
-		// A key that names a directory ("t/page") is not a blob.
-		f.Close()
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, clean)
 	}
 	etag, err := b.fileETag(clean, f, info)
 	if err != nil {
@@ -683,29 +833,14 @@ func (b *BlobStore) listLocked(prefix string) ([]string, error) {
 	prefix = strings.TrimPrefix(prefix, "/")
 	var keys []string
 	if b.dir != "" {
-		root := b.dir
-		err := filepath.Walk(root, func(path string, info os.FileInfo, err error) error {
-			if err != nil {
-				return err
-			}
-			if info.IsDir() {
-				if rel, relErr := filepath.Rel(root, path); relErr == nil && filepath.ToSlash(rel) == casDir {
-					return filepath.SkipDir
-				}
-				return nil
-			}
-			rel, err := filepath.Rel(root, path)
-			if err != nil {
-				return err
-			}
-			key := filepath.ToSlash(rel)
-			if strings.HasPrefix(key, prefix) {
-				keys = append(keys, key)
-			}
-			return nil
-		})
+		entries, err := os.ReadDir(b.dir)
 		if err != nil {
 			return nil, fmt.Errorf("store: listing blobs: %w", err)
+		}
+		for _, e := range entries {
+			if key, ok := keyOf(e.Name()); ok && !e.IsDir() && strings.HasPrefix(key, prefix) {
+				keys = append(keys, key)
+			}
 		}
 		return keys, nil
 	}

@@ -266,8 +266,8 @@ func TestDeletePrefixSweepsCrossProcessOrphans(t *testing.T) {
 	if got, err := server.Get("t2/p/index.html"); err != nil || string(got) != string(shared) {
 		t.Fatalf("shared payload lost with a survivor attached: %q, %v", got, err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "t1")); !os.IsNotExist(err) {
-		t.Errorf("t1 directory survived its deletion: %v", err)
+	if keys, err := server.List("t1/"); err != nil || len(keys) != 0 {
+		t.Errorf("t1's keys survived its deletion: %v, %v", keys, err)
 	}
 	if n, err := server.DeletePrefix("t2/"); err != nil || n != 1 {
 		t.Fatalf("DeletePrefix t2 = %d, %v", n, err)

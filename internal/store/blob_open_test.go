@@ -183,7 +183,7 @@ func TestDirValidatorRemembered(t *testing.T) {
 	}
 	// Too young to remember, by the stamp's own granularity: nanosecond
 	// stamps within the kernel's tick, whole-second stamps within two seconds.
-	now, path := time.Now(), filepath.Join(dir, "t/p/left.html")
+	now, path := time.Now(), b.keyPath("t/p/left.html")
 	for _, young := range []time.Time{
 		now.Add(time.Hour),        // the clock stepped back
 		now.Truncate(time.Second), // under a second old, on a file system of whole seconds
@@ -261,7 +261,7 @@ func TestDirValidatorFollowsAnotherProcess(t *testing.T) {
 		if err := rewrite("t/p/left.html", next); err != nil {
 			t.Fatal(err)
 		}
-		age(t, filepath.Join(dir, "t")) // and let the serving store remember this one too
+		age(t, serving.keyPath("t/p/left.html")) // and let the serving store remember this one too
 		etag, got := readView(t, serving, "t/p/left.html")
 		if etag != etagOf(next) || !bytes.Equal(got, next) {
 			t.Fatalf("rewrite %d: ETag %s over %q..., want %s", i, etag, got[:4], etagOf(next))
