@@ -25,9 +25,9 @@
 //	standby:  kscope-server -store DIR2 -replica-of http://primary:8780
 //	router:   kscope-server -shards "http://s0:8780|http://s0b:8781,http://s1:8780"
 //
-// The primary streams every WAL append to the standby and (in the default
-// "follower" ack mode) acknowledges an upload only once the standby has
-// durably applied it. The standby serves only the /repl/* replication
+// The primary streams every WAL append to the standby and acknowledges an
+// upload only once the standby has durably applied it. The standby serves
+// only the /repl/* replication
 // surface and answers everything else 503 until SIGUSR1 promotes it.
 package main
 

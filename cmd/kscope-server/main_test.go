@@ -119,7 +119,6 @@ func TestBuildServerServesPreparedStore(t *testing.T) {
 		"kscope_store_fsyncs_total",
 		"kscope_store_fsync_seconds_total",
 		"kscope_store_cold_reads_total",
-		"kscope_session_decode_fallback_total 0",
 		"kscope_http_inflight_requests 1", // the /metrics request itself
 		"kscope_guard_breaker_state 0",
 		"kscope_guard_shed_total",

@@ -1,16 +1,37 @@
 // Package jsonscan is the JSON grammar, held once for the hand-written codecs
-// (the router's batch split, the session codec, the WAL record codec): where a
-// value ends and whether it is well formed, without building it. encoding/json
-// is the authority: Value accepts what json.Valid accepts, AppendString writes
-// json.Marshal's bytes, and this package's fuzz targets hold both to it. Every
-// function checks an index before it reads there, so -1 is "not JSON, or not
-// all here", never a panic. Nothing here keeps state or allocates.
+// (the router's batch split, the session codec, the fold document codec, the
+// WAL record codec): where a value ends and whether it is well formed, without
+// building it. encoding/json is the authority: Value accepts what json.Valid
+// accepts, AppendString writes json.Marshal's bytes, Unquote reads a string as
+// json.Unmarshal does, and this package's fuzz targets hold them to it. Every
+// function checks an index before it reads there, so a negative index is "not
+// JSON" (Malformed) or "not all here" (Short), never a panic. Nothing here
+// keeps state, and only Unquote allocates.
 package jsonscan
 
-import "unicode/utf8"
+import (
+	"encoding/json"
+	"unicode/utf8"
+)
 
 // MaxDepth is how many containers encoding/json lets a document nest.
 const MaxDepth = 10000
+
+// The two ends of what is no JSON value: Malformed when a byte says so, Short
+// when the bytes run out first and what is there is well formed as far as it
+// goes, so that more of them could make a value.
+const (
+	Malformed = -1
+	Short     = -2
+)
+
+// fail is the end for bytes that went wrong at b[i]: Short past the end of b.
+func fail(b []byte, i int) int {
+	if i >= len(b) {
+		return Short
+	}
+	return Malformed
+}
 
 // SkipSpace returns the index of the first byte at or after b[i] that is not
 // JSON whitespace, len(b) when there is none.
@@ -22,13 +43,14 @@ func SkipSpace(b []byte, i int) int {
 }
 
 // String returns the index just past the JSON string whose opening quote is
-// b[i], or -1: no quote there, a control byte, an escape JSON does not have,
-// a \u short of four hex digits, or b ending first. Invalid UTF-8 passes, as
-// it does through encoding/json (which decodes it to U+FFFD). plain says the
-// bytes between the quotes are the string's value: ASCII, nothing escaped.
+// b[i]; Malformed for no quote there, a control byte, an escape JSON does not
+// have or a \u short of four hex digits, Short for b ending first. Invalid
+// UTF-8 passes, as it does through encoding/json (which decodes it to
+// U+FFFD). plain says the bytes between the quotes are the string's value:
+// ASCII, nothing escaped.
 func String(b []byte, i int) (end int, plain bool) {
 	if i >= len(b) || b[i] != '"' {
-		return -1, false
+		return fail(b, i), false
 	}
 	// Nearly every string ends in this loop, which asks one thing of a byte.
 	for i++; i < len(b) && ' ' <= b[i] && b[i] < utf8.RuneSelf && b[i] != '\\'; i++ {
@@ -41,24 +63,35 @@ func String(b []byte, i int) (end int, plain bool) {
 		case c == '"':
 			return i + 1, false
 		case c < ' ':
-			return -1, false
+			return Malformed, false
 		case c == '\\':
 			if i++; i >= len(b) {
-				return -1, false
+				return Short, false
 			}
 			switch b[i] {
 			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
 			case 'u':
-				if i+4 >= len(b) || !isHex(b[i+1]) || !isHex(b[i+2]) || !isHex(b[i+3]) || !isHex(b[i+4]) {
-					return -1, false
+				for n := 0; n < 4; n++ {
+					if i++; i >= len(b) || !isHex(b[i]) {
+						return fail(b, i), false
+					}
 				}
-				i += 4
 			default:
-				return -1, false
+				return Malformed, false
 			}
 		}
 	}
-	return -1, false
+	return Short, false
+}
+
+// Unquote is the value of the JSON string b, quotes included, that String
+// vouched for: escapes and surrogate pairs decoded, and invalid UTF-8 and a
+// lone surrogate each made U+FFFD, as encoding/json decodes them. Only a
+// string that is not plain needs it.
+func Unquote(b []byte) string {
+	var v string
+	_ = json.Unmarshal(b, &v)
+	return v
 }
 
 func isHex(c byte) bool {
@@ -74,8 +107,9 @@ func Next(b []byte, i int) (int, byte) {
 	return i, 0
 }
 
-// Value returns the index just past the JSON value that starts at b[i], or -1
-// when json.Valid would refuse those bytes: whitespace is allowed inside the
+// Value returns the index just past the JSON value that starts at b[i], or
+// Malformed or Short where json.Valid would refuse those bytes (Short where
+// its error is "unexpected end of JSON input"): whitespace is allowed inside the
 // value, none is skipped around it. depth is how many containers already
 // enclose it, MaxDepth the most a document may nest. big reports a number in
 // the value with an exponent or more than 300 characters — the only ones that
@@ -90,7 +124,7 @@ func Value(b []byte, i, depth int) (end int, big bool) {
 // before the rest of the object has been checked.
 func Members(b []byte, i, depth int, visit func(key, value []byte, plain bool)) (end int, big bool) {
 	if i >= len(b) {
-		return -1, false
+		return Short, false
 	}
 	switch c := b[i]; c {
 	case '"':
@@ -98,7 +132,7 @@ func Members(b []byte, i, depth int, visit func(key, value []byte, plain bool)) 
 		return end, false
 	case '{', '[':
 		if depth++; depth > MaxDepth {
-			return -1, false
+			return Malformed, false
 		}
 		closer := c + 2 // '}' and ']' are their openers + 2
 		i, next := Next(b, i+1)
@@ -110,17 +144,17 @@ func Members(b []byte, i, depth int, visit func(key, value []byte, plain bool)) 
 			var plain bool
 			if c == '{' {
 				if end, plain = String(b, i); end < 0 {
-					return -1, false
+					return end, false
 				}
 				key = b[i+1 : end-1]
 				if i, next = Next(b, end); next != ':' {
-					return -1, false
+					return fail(b, i), false
 				}
 				i = SkipSpace(b, i+1)
 			}
 			valEnd, inner := Value(b, i, depth)
 			if valEnd < 0 {
-				return -1, false
+				return valEnd, false
 			}
 			if big = big || inner; visit != nil && c == '{' {
 				visit(key, b[i:valEnd], plain)
@@ -131,24 +165,30 @@ func Members(b []byte, i, depth int, visit func(key, value []byte, plain bool)) 
 			case closer:
 				return i + 1, big
 			default:
-				return -1, false
+				return fail(b, i), false
 			}
 		}
 	case 't', 'f', 'n':
-		for _, lit := range [...]string{"true", "false", "null"} {
-			if len(b)-i >= len(lit) && string(b[i:i+len(lit)]) == lit {
-				return i + len(lit), false
+		lit := "null"
+		if c == 't' {
+			lit = "true"
+		} else if c == 'f' {
+			lit = "false"
+		}
+		for n := 1; n < len(lit); n++ {
+			if i+n >= len(b) || b[i+n] != lit[n] {
+				return fail(b, i+n), false
 			}
 		}
-		return -1, false
+		return i + len(lit), false
 	default:
 		return Number(b, i)
 	}
 }
 
 // Number returns the index just past the JSON number that starts at b[i], or
-// -1: grammar only, no range, and what follows is the caller's to judge. big
-// is as Value reports it.
+// Malformed or Short: grammar only, no range, and what follows is the
+// caller's to judge. big is as Value reports it.
 func Number(b []byte, i int) (end int, big bool) {
 	start := i
 	if i < len(b) && b[i] == '-' {
@@ -157,11 +197,11 @@ func Number(b []byte, i int) (end int, big bool) {
 	if i < len(b) && b[i] == '0' {
 		i++ // a leading 0 is the whole integer part
 	} else if i = digits(b, i); i < 0 {
-		return -1, false
+		return i, false
 	}
 	if i < len(b) && b[i] == '.' {
 		if i = digits(b, i+1); i < 0 {
-			return -1, false
+			return i, false
 		}
 	}
 	// Without an exponent, 300 characters stay below 1e300.
@@ -171,21 +211,21 @@ func Number(b []byte, i int) (end int, big bool) {
 			i++
 		}
 		if i, big = digits(b, i), true; i < 0 {
-			return -1, false
+			return i, false
 		}
 	}
 	return i, big
 }
 
-// digits returns the index past the run of decimal digits at b[i], -1 when
-// there is none.
+// digits returns the index past the run of decimal digits at b[i], Malformed
+// or Short when there is none.
 func digits(b []byte, i int) int {
 	start := i
 	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
 		i++
 	}
 	if i == start {
-		return -1
+		return fail(b, i)
 	}
 	return i
 }

@@ -3,6 +3,7 @@ package jsonscan
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"slices"
 	"strings"
 	"testing"
@@ -73,7 +74,7 @@ var corpus = []string{
 	// Arrays: null, empty, absent, of the wrong thing.
 	`{"responses":null,"behaviors":[],"controls":[{}]}`, `{"responses":[null]}`, `{"responses":{}}`, `{"responses":[[]]}`, `{"responses":[{}],}`, `{"responses":[{},]}`, `{"responses":[,{}]}`, `{"responses":[{} {}]}`,
 	`{"behaviors":[]}`, `{"responses":[],"controls":[ ]}`, `{"controls":[{"page_id":"c","expected":"left","got":"same"}]}`, `{"demographics":null}`, `{"demographics":[]}`,
-	// Integers: the fast path's edge, an int's edge, and what is not one.
+	// Integers: 18 and 19 digits, an int's edge, and what is not one.
 	`{"demographics":{"tech_ability":-0}}`, `{"demographics":{"tech_ability":01}}`, `{"demographics":{"tech_ability":-01}}`, `{"demographics":{"tech_ability":00}}`, `{"demographics":{"tech_ability":7.}}`, `{"demographics":{"tech_ability":7x}}`, `{"demographics":{"tech_ability":-7}}`, `{"demographics":{"tech_ability":1.0}}`, `{"demographics":{"tech_ability":1e2}}`, `{"demographics":{"tech_ability":1E2}}`,
 	`{"demographics":{"tech_ability":999999999999999999}}`, `{"demographics":{"tech_ability":1000000000000000000}}`,
 	`{"demographics":{"tech_ability":9223372036854775807}}`, `{"demographics":{"tech_ability":9223372036854775808}}`, `{"demographics":{"tech_ability":-9223372036854775808}}`,
@@ -120,7 +121,8 @@ var corpus = []string{
 
 // checkValue holds Value, on the value that starts b after any whitespace, to
 // encoding/json: accepted exactly when json.Decoder reads a value there, ending
-// where it ends; the span is json.Valid; the whole of b is one value exactly
+// where it ends, and Short exactly when json.Decoder runs out of input first;
+// the span is json.Valid; the whole of b is one value exactly
 // when json.Valid(b); and a value with no big number decodes, so a refusal to
 // decode valid JSON can only be a number out of range.
 func checkValue(t *testing.T, b []byte) {
@@ -131,7 +133,7 @@ func checkValue(t *testing.T, b []byte) {
 	dec := json.NewDecoder(bytes.NewReader(b))
 	var raw json.RawMessage
 	err := dec.Decode(&raw)
-	if (end >= 0) != (err == nil) {
+	if (end >= 0) != (err == nil) || (end == Short) != (err == io.EOF || err == io.ErrUnexpectedEOF) {
 		t.Fatalf("Value(%q) = %d; json.Decoder: %v", b, end, err)
 	}
 	if whole := end >= 0 && SkipSpace(b, end) == len(b); whole != json.Valid(b) {
@@ -183,8 +185,9 @@ func TestValueDepth(t *testing.T) {
 }
 
 // checkString holds String at s[0] to encoding/json: accepted exactly when s
-// starts with a string json.Decoder reads, ending where it ends, and a plain
-// one is its own value.
+// starts with a string json.Decoder reads, ending where it ends, Short exactly
+// when json.Decoder runs out of input in it; a plain one is its own value, and
+// Unquote reads any one as json.Decoder does.
 func checkString(t *testing.T, s []byte) {
 	t.Helper()
 	s = slices.Clip(s)
@@ -193,6 +196,9 @@ func checkString(t *testing.T, s []byte) {
 	var want string
 	err := dec.Decode(&want)
 	if accepted := len(s) > 0 && s[0] == '"' && err == nil; accepted != (end >= 0) {
+		t.Fatalf("String(%q) = %d; json.Decoder: %v", s, end, err)
+	}
+	if short := err == io.EOF || err == io.ErrUnexpectedEOF; (len(s) == 0 || s[0] == '"') && short != (end == Short) {
 		t.Fatalf("String(%q) = %d; json.Decoder: %v", s, end, err)
 	}
 	if end < 0 {
@@ -208,6 +214,9 @@ func checkString(t *testing.T, s []byte) {
 	isPlain := !bytes.ContainsRune(raw, '\\') && bytes.IndexFunc(raw, func(r rune) bool { return r >= utf8.RuneSelf }) < 0
 	if plain != isPlain || (plain && string(raw) != want) {
 		t.Errorf("String(%q): plain = %v, the bytes are %q and the value %q", s, plain, raw, want)
+	}
+	if got := Unquote(s[:end]); got != want {
+		t.Errorf("Unquote(%q) = %q, json.Decoder reads %q", s[:end], got, want)
 	}
 }
 

@@ -117,7 +117,7 @@ func (s *Server) handleSessionBatch(w http.ResponseWriter, r *http.Request) {
 		body = gz
 	}
 	sr := acquireSessionReader(newBudgetReader(body, maxBatchBytes))
-	defer s.releaseSessionReader(sr)
+	defer sr.release()
 
 	st := &batchState{report: BatchReport{TestID: testID, Results: []BatchElementResult{}}}
 	// fail ends the request on a stream-level failure.
@@ -181,16 +181,27 @@ func (s *Server) handleSessionBatch(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		// An element's size is its own bytes: not the separator before it,
-		// not the whitespace around it.
+		// not the whitespace around it. One the codec refuses by a rule is
+		// JSON that ends where the decode says, and the stream reads on.
 		size, err := sr.decode()
-		if err != nil {
+		refused, _ := err.(*refusal)
+		if err != nil && refused == nil {
 			fail(s.batchStreamStatus(err), "decoding batch element %d: %v", len(st.report.Results), err)
 			return
 		}
-		elem := BatchElementResult{Index: len(st.report.Results), WorkerID: upload.WorkerID}
+		elem := BatchElementResult{Index: len(st.report.Results)}
+		if refused == nil {
+			elem.WorkerID = upload.WorkerID
+		}
 		if size > maxSessionBytes {
 			elem.Status = http.StatusRequestEntityTooLarge
 			elem.Error = fmt.Sprintf("session exceeds %d bytes", maxSessionBytes)
+			st.report.Results = append(st.report.Results, elem)
+			continue
+		}
+		if refused != nil {
+			elem.Status = http.StatusBadRequest
+			elem.Error = "decoding session: " + err.Error()
 			st.report.Results = append(st.report.Results, elem)
 			continue
 		}
@@ -237,15 +248,6 @@ func (s *Server) handleSessionBatch(w http.ResponseWriter, r *http.Request) {
 	g.report(guard.Success)
 	s.noteBatchMetrics(st)
 	writeJSON(w, http.StatusOK, &st.report)
-}
-
-// releaseSessionReader pools sr again and counts the elements it could not
-// decode on the fast path.
-func (s *Server) releaseSessionReader(sr *sessionReader) {
-	if s.reg != nil && sr.fallbacks > 0 {
-		s.reg.Counter("kscope_session_decode_fallback_total").Add(sr.fallbacks)
-	}
-	sr.release()
 }
 
 // batchStreamStatus classifies a stream-level decode error: body over the

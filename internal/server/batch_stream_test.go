@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -23,7 +24,10 @@ import (
 // handleSessionBatchByDecoder is the batch loop the endpoint shipped with
 // until the session codec replaced it — json.Decoder's token loop, one
 // reflective Decode per element, json.Marshal for the stored form — kept as
-// the differential oracle. It differs from what shipped in one way: every
+// the differential oracle of the framing. It differs from what shipped in
+// two ways. An element encoding/json reads that the session codec refuses by
+// one of its four rules (checkDecodeSession holds that verdict to the bytes)
+// is answered 400 with no worker id, and the stream reads on. And every
 // element is decoded into a fresh upload, the single endpoint's reading. The
 // pooled one it used came back from resetForReuse with empty, not nil,
 // slices once it had held an element, so a session with no "controls" key
@@ -77,14 +81,29 @@ func (s *Server) handleSessionBatchByDecoder(w http.ResponseWriter, r *http.Requ
 		}
 		start := dec.InputOffset()
 		sr := new(sessionReader)
-		if err := dec.Decode(&sr.upload); err != nil {
+		var raw json.RawMessage
+		err := dec.Decode(&raw)
+		if err == nil {
+			err = json.Unmarshal(raw, &sr.upload)
+		}
+		if err != nil {
 			fail(s.batchStreamStatus(err), "decoding batch element %d: %v", len(st.report.Results), err)
 			return
 		}
+		var refused *refusal
+		_, err = decodeSession(raw, new(SessionUpload))
 		elem := BatchElementResult{Index: len(st.report.Results), WorkerID: sr.upload.WorkerID}
+		if errors.As(err, &refused) {
+			elem.WorkerID = ""
+		}
 		if size := dec.InputOffset() - start; size > maxSessionBytes {
 			elem.Status = http.StatusRequestEntityTooLarge
 			elem.Error = fmt.Sprintf("session exceeds %d bytes", maxSessionBytes)
+			st.report.Results = append(st.report.Results, elem)
+			continue
+		}
+		if refused != nil {
+			elem.Status = http.StatusBadRequest
 			st.report.Results = append(st.report.Results, elem)
 			continue
 		}

@@ -3,6 +3,8 @@ package server
 import (
 	"encoding/json"
 	"net/http"
+	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -97,6 +99,50 @@ func TestBuilderEndpoint(t *testing.T) {
 	rec = doJSON(t, srv, http.MethodPost, "/api/params/build", []byte(`{"test_id":"x"}`), nil)
 	if rec.Code != http.StatusBadRequest {
 		t.Errorf("invalid request status = %d", rec.Code)
+	}
+	// A misspelt key, at the top and in a webpage: a 400 naming it, not a
+	// document built with that field at zero.
+	for misspelt, key := range map[string]string{"participants": "participant_num", "uniform_load_millis": "load_millis"} {
+		body := strings.Replace(string(payload), `"`+misspelt+`"`, `"`+key+`"`, 1)
+		rec = doJSON(t, srv, http.MethodPost, "/api/params/build", []byte(body), nil)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), `unknown field \"`+key+`\"`) {
+			t.Errorf("%q for %q: %d %s, want 400 naming it", key, misspelt, rec.Code, rec.Body)
+		}
+	}
+}
+
+// TestBuilderFormSendsItsRequest: the builder page's form sends only keys
+// BuilderRequest and BuilderWebpage name, which the endpoint, refusing any
+// other, would answer 400.
+func TestBuilderFormSendsItsRequest(t *testing.T) {
+	tags := map[string]bool{}
+	for _, typ := range []reflect.Type{reflect.TypeOf(BuilderRequest{}), reflect.TypeOf(BuilderWebpage{})} {
+		for i := 0; i < typ.NumField(); i++ {
+			name, _, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ",")
+			tags[name] = true
+		}
+	}
+	// The two object literals the form's script builds the request from: a
+	// webpage's, and the request's.
+	member := regexp.MustCompile(`(?m)(?:^|[{,])\s*([a-z_]+):\s`)
+	var sent []string
+	for _, literal := range []string{"return {", "const req = {"} {
+		_, body, ok := strings.Cut(builderPageHTML, literal)
+		if !ok {
+			t.Fatalf("the form's script has no %q", literal)
+		}
+		body, _, _ = strings.Cut(body, "}")
+		for _, m := range member.FindAllStringSubmatch(body, -1) {
+			sent = append(sent, m[1])
+		}
+	}
+	if len(sent) != 7 {
+		t.Errorf("the form sends %v, seven keys expected", sent)
+	}
+	for _, key := range sent {
+		if !tags[key] {
+			t.Errorf("the form sends %q, which BuilderRequest does not name", key)
+		}
 	}
 }
 

@@ -2,10 +2,12 @@ package server
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
-	"io"
+	"fmt"
+	"math"
+	"slices"
 	"strconv"
+	"strings"
 
 	"kaleidoscope/internal/crowd"
 	"kaleidoscope/internal/jsonscan"
@@ -16,55 +18,67 @@ import (
 // The session codec: the one decoder and the one encoder of SessionUpload
 // and the four structs under it (strings and ints only), written out by hand
 // because encoding/json's two passes over every element — one to find its
-// end, one reflective — were half of a batch's handling time. encoding/json
-// stays the authority. The decoder's fast path takes an element only when
-// json.Unmarshal could not read it differently — every key spelled exactly
-// as its tag, plain and at most once, every value of the field's type, no
-// null — and hands everything else, malformed JSON included, to
-// json.Decoder; the encoder writes json.Marshal's bytes. FuzzDecodeSession
-// holds both to encoding/json, and TestSessionCodecCoversEveryField fails
-// when a field is added to one of the five structs and not here.
+// end, one reflective — were half of a batch's handling time. The encoder
+// writes json.Marshal's bytes, which is what every client sends; the decoder
+// reads those in any key order and spacing, any string escaped as JSON allows
+// (decoded as encoding/json decodes it), null for the three arrays (as nil)
+// and any int, and refuses everything else. Where encoding/json would read a
+// document, the decoder refuses it for one of four things only, which a
+// refusal names with the key and the byte: an unknown key, a key spelled
+// unlike its tag (in another case, Unicode folds included, or escaped), a
+// repeated key, and null anywhere but the three arrays. encoding/json would
+// drop, fold, decode again or skip each of those, and so turn a client's
+// misspelling into a session silently short of a field. FuzzDecodeSession
+// holds the decoder to encoding/json and to the encoder, and
+// TestSessionCodecCoversEveryField fails when a field is added to one of the
+// five structs and not here.
 
 // errCutShort reports a JSON value that runs past the end of the buffer; what
 // is there is well-formed as far as it goes.
 var errCutShort = errors.New("unexpected end of JSON input")
 
+// errMalformed reports bytes that are no JSON value.
+var errMalformed = errors.New("malformed JSON")
+
+// The four rules a refusal names, null in two phrasings.
+const (
+	ruleUnknown     = "unknown key"
+	ruleSpelling    = "case or escape in key"
+	ruleRepeated    = "repeated key"
+	ruleNull        = "null for"
+	ruleNullElement = "null element of"
+)
+
+// refusal is a document encoding/json would read that the codec does not:
+// the rule, the key it concerns as the document spells it (the array's, for
+// a null element; none, for a null session), and the offset from the
+// value's first byte of that key's opening quote or of the null.
+type refusal struct {
+	rule, key string
+	at        int
+}
+
+func (e *refusal) Error() string {
+	if e.rule == ruleNull && e.key == "" {
+		return fmt.Sprintf("null session at byte %d", e.at)
+	}
+	return fmt.Sprintf("%s %q at byte %d", e.rule, e.key, e.at)
+}
+
 var sessionKeys = []string{"test_id", "worker_id", "demographics", "responses", "behaviors", "controls"}
 
 // decodeSession decodes the JSON value that starts b (after any whitespace)
-// into u exactly as json.Unmarshal would into a zero SessionUpload, reusing
-// only the capacity of u's slices, and returns the index past the value.
-// Bytes after it are the caller's business. Every string in u is its own
-// allocation, never a view of b. n is the value's end whenever the value is
-// well-formed JSON, also when err says it is not a session; errCutShort
-// means b ends inside the value.
+// into u, reusing only the capacity of u's slices, and returns the index past
+// the value. Bytes after it are the caller's business. Every string in u is
+// its own allocation, never a view of b. On an error u holds rubbish; n is
+// the value's end whenever the value is well-formed JSON, also when err (a
+// *refusal, or no session at all) says it is not one; errCutShort means b
+// ends inside the value.
 func decodeSession(b []byte, u *SessionUpload) (n int, err error) {
-	if n, ok := scanSession(b, u); ok {
-		return n, nil
-	}
-	return unmarshalSession(b, u)
-}
-
-// unmarshalSession is encoding/json's reading of the value that starts b:
-// json.Decoder, which finds where the value ends and takes the end of b for
-// the end of a number or a literal, as the batch endpoint always has.
-func unmarshalSession(b []byte, u *SessionUpload) (int, error) {
-	*u = SessionUpload{}
-	dec := json.NewDecoder(bytes.NewReader(b))
-	err := dec.Decode(u)
-	if err == io.EOF || err == io.ErrUnexpectedEOF {
-		err = errCutShort
-	}
-	return int(dec.InputOffset()), err
-}
-
-// scanSession is the fast path: one pass that checks grammar and fills u.
-// ok false means it met something it will not vouch for and u holds rubbish.
-func scanSession(b []byte, u *SessionUpload) (n int, ok bool) {
 	s := sessionScanner{b: b}
 	responses, behaviors, controls := u.Responses, u.Behaviors, u.Controls
 	*u = SessionUpload{}
-	for seen := uint(0); ; {
+	for seen := uint64(0); ; {
 		switch s.field(sessionKeys, &seen) {
 		case 0:
 			u.TestID = s.str()
@@ -73,21 +87,43 @@ func scanSession(b []byte, u *SessionUpload) (n int, ok bool) {
 		case 2:
 			s.demographics(&u.Demographics)
 		case 3:
-			for u.Responses = emptied(responses); s.element(len(u.Responses)); {
-				s.response(grown(&u.Responses))
-			}
+			u.Responses = list(&s, responses, s.response)
 		case 4:
-			for u.Behaviors = emptied(behaviors); s.element(len(u.Behaviors)); {
-				s.behavior(grown(&u.Behaviors))
-			}
+			u.Behaviors = list(&s, behaviors, s.behavior)
 		case 5:
-			for u.Controls = emptied(controls); s.element(len(u.Controls)); {
-				s.control(grown(&u.Controls))
-			}
+			u.Controls = list(&s, controls, s.control)
 		default:
-			return s.i, s.b != nil
+			return s.verdict()
 		}
 	}
+}
+
+// DecodeSessionList reads a session list as GET /api/tests/{id}/sessions
+// serves it: a JSON array of sessions, each read by the session codec.
+func DecodeSessionList(b []byte) ([]SessionUpload, error) {
+	out := []SessionUpload{}
+	i, c := jsonscan.Next(b, 0)
+	if c != '[' {
+		return nil, errors.New("server: a session list is a JSON array")
+	}
+	for i, c = jsonscan.Next(b, i+1); c != ']'; i, c = jsonscan.Next(b, i) {
+		if len(out) > 0 {
+			if c != ',' {
+				return nil, fmt.Errorf("server: session list: %w", errMalformed)
+			}
+			i++
+		}
+		var u SessionUpload
+		n, err := decodeSession(b[i:], &u)
+		if err != nil {
+			return nil, fmt.Errorf("server: session list element %d: %w", len(out), err)
+		}
+		out, i = append(out, u), i+n
+	}
+	if jsonscan.SkipSpace(b, i+1) < len(b) {
+		return nil, fmt.Errorf("server: session list: %w", errTrailingData)
+	}
+	return out, nil
 }
 
 // The four leaf structs: names lists a struct's string fields, then its int
@@ -116,7 +152,7 @@ func (s *sessionScanner) control(c *quality.ControlOutcome) {
 }
 
 func (s *sessionScanner) object(names []string, strs []*string, ints ...*int) {
-	for seen := uint(0); ; {
+	for seen := uint64(0); ; {
 		switch k := s.field(names, &seen); {
 		case k < 0:
 			return
@@ -128,16 +164,26 @@ func (s *sessionScanner) object(names []string, strs []*string, ints ...*int) {
 	}
 }
 
-// sessionScanner walks b from i. The first thing the fast path will not
-// vouch for — b running out included — takes b away: space then returns 0
-// for ever, which every method refuses, so the walk unwinds without a check
-// at each step, and a nil b at the end says the scan failed.
+// sessionScanner walks b from i. The first thing it cannot read — b running
+// out included — is noted in err and sends i to the end of b: space then
+// returns 0 for ever, which every method refuses, so the walk unwinds
+// without a check at each step. A document encoding/json would read
+// differently is noted in refused, and the walk reads on as encoding/json
+// does — a respelled key as its tag, a repeated one again, an unknown one's
+// value skipped, a null as no value at all — so that a value of the wrong
+// type anywhere in it is still found, which encoding/json would refuse.
 type sessionScanner struct {
 	b []byte
 	i int
 	// src, when set, is b as a string, and a plain string read is a view of
 	// it rather than an allocation of its own.
 	src string
+	// keyAt is where the opening quote of the key whose value is being read
+	// stands: an int, which costs no write barrier per member. No key's
+	// quote stands at 0.
+	keyAt   int
+	err     error
+	refused *refusal
 }
 
 // space skips whitespace and returns the byte it stops on, 0 at the end of b.
@@ -146,134 +192,283 @@ func (s *sessionScanner) space() (c byte) {
 	return c
 }
 
-func (s *sessionScanner) fail() int {
-	s.b = nil
+// fail stops the walk at the first thing it cannot read: a value that is
+// not the want its field has, unless the grammar says otherwise.
+func (s *sessionScanner) fail(want string) int {
+	if s.err == nil {
+		s.err = fmt.Errorf("want %s at byte %d", want, s.i)
+	}
+	s.i = len(s.b)
 	return -1
 }
 
-// field steps to the next member of the object being read — seen is zero
-// on the first call — and returns the index in names of its key, with the
-// scanner on the member's value; -1 when the object has closed or the scan
-// has failed. An unknown, repeated, escaped or differently-cased key fails
-// the scan: encoding/json matches keys case-folded and decodes a repeated
-// one again into what the first left.
-func (s *sessionScanner) field(names []string, seen *uint) int {
-	c := s.space()
-	if *seen == 0 {
-		if c != '{' {
-			return s.fail()
-		}
-		s.i++
-		c = s.space()
+// refuse notes the first of the four rules the document breaks.
+func (s *sessionScanner) refuse(r *refusal) {
+	if s.refused == nil {
+		s.refused = r
 	}
-	if c == '}' {
-		s.i++
-		return -1
-	}
-	if *seen != 0 {
-		if c != ',' {
-			return s.fail()
-		}
-		s.i++
-		c = s.space()
-	}
-	if c != '"' {
-		return s.fail()
-	}
-	// A key that is not plain cannot equal a name, which are.
-	start := s.i + 1
-	end := start + max(bytes.IndexByte(s.b[start:], '"'), 0)
-	s.i = end + 1
-	if s.space() != ':' {
-		return s.fail()
-	}
-	s.i++
-	for k, name := range names {
-		if string(s.b[start:end]) == name {
-			if *seen&(1<<k) != 0 {
-				return s.fail()
-			}
-			*seen |= 1 << k
-			return k
-		}
-	}
-	return s.fail()
 }
 
-// str reads a string value: jsonscan finds its end, and one with a backslash
-// or a byte >= 0x80 in it — a comment with a quote or an emoji — goes to
-// json.Unmarshal alone (escapes, surrogates, invalid UTF-8 → U+FFFD are its
-// rules) while the scan carries on.
+// verdict is the walk's answer once it is over. encoding/json checks a whole
+// value's grammar before it reads any of it, and so does this: bytes that
+// are not JSON, or are not all here, are refused as such whatever the walk
+// met first; then a value of the wrong type; then one of the four rules.
+func (s *sessionScanner) verdict() (int, error) {
+	if s.err == nil && s.refused == nil {
+		return s.i, nil
+	}
+	switch end, _ := jsonscan.Value(s.b, jsonscan.SkipSpace(s.b, 0), 0); {
+	case end == jsonscan.Short:
+		return len(s.b), errCutShort
+	case end < 0:
+		return 0, errMalformed
+	case s.err != nil:
+		return end, s.err
+	default:
+		return end, s.refused
+	}
+}
+
+// keyOf is the key, as written, whose opening quote stands at b[at]; "" for
+// none.
+func (s *sessionScanner) keyOf(at int) string {
+	if end, _ := jsonscan.String(s.b, at); end > 0 {
+		return string(s.b[at+1 : end-1])
+	}
+	return ""
+}
+
+// mismatch answers a value at i, whose first byte is c, that is not the
+// want its field has: a null is refused and stepped over, and anything else
+// stops the walk.
+func (s *sessionScanner) mismatch(c byte, want string) {
+	if c != 'n' {
+		s.fail(want)
+		return
+	}
+	s.refuse(&refusal{rule: ruleNull, key: s.keyOf(s.keyAt), at: s.i})
+	s.null()
+}
+
+// Bits of field's seen beyond the names': the object has opened, and a
+// member has been read.
+const (
+	opened uint64 = 1 << 63
+	member uint64 = 1 << 62
+)
+
+// field steps to the next member of the object being read — seen is zero
+// on the first call — and returns the index in names of its key, with the
+// scanner on the member's value; -1 when the object has closed or the walk
+// has stopped. A key that is none of names as written, or is one already
+// read, is refused; an unknown one's value is skipped.
+func (s *sessionScanner) field(names []string, seen *uint64) int {
+	for {
+		c := s.space()
+		if *seen == 0 {
+			if c != '{' {
+				s.mismatch(c, "an object")
+				return -1
+			}
+			s.i++
+			*seen = opened
+			c = s.space()
+		}
+		if c == '}' {
+			s.i++
+			return -1
+		}
+		if *seen&member != 0 {
+			if c != ',' {
+				return s.fail("',' or '}'")
+			}
+			s.i++
+			c = s.space()
+		}
+		if c != '"' {
+			return s.fail("a key")
+		}
+		*seen |= member
+		// Every name is plain, so a key with a backslash in it is none of
+		// them and ending it at the first quote is safe.
+		at := s.i
+		end := at + 1 + max(bytes.IndexByte(s.b[at+1:], '"'), 0)
+		k := -1
+		for j, name := range names {
+			if string(s.b[at+1:end]) == name {
+				k = j
+				break
+			}
+		}
+		switch {
+		case k < 0:
+			var r *refusal
+			if k, end, r = misnamed(s.b, at, names); r == nil {
+				return s.fail("a key")
+			}
+			s.refuse(r)
+		case *seen&(1<<k) != 0:
+			s.refuse(&refusal{rule: ruleRepeated, key: names[k], at: at})
+			end++
+		default:
+			end++
+		}
+		if s.i = end; s.space() != ':' {
+			return s.fail("':'")
+		}
+		s.i++
+		if k >= 0 {
+			*seen |= 1 << k
+			s.keyAt = at
+			return k
+		}
+		// An unknown key's value may be any JSON, which encoding/json skips.
+		end, _ = jsonscan.Value(s.b, jsonscan.SkipSpace(s.b, s.i), 0)
+		if end < 0 {
+			return s.fail("a value")
+		}
+		s.i = end
+	}
+}
+
+// misnamed reads the key whose opening quote is b[at] and which is none of
+// names as written: the index in names of the one encoding/json would take
+// it for — in another case, Unicode folds included, or escaped — or -1, the
+// index past its closing quote, and its refusal; nil for no JSON string.
+func misnamed(b []byte, at int, names []string) (k, end int, r *refusal) {
+	end, plain := jsonscan.String(b, at)
+	if end < 0 {
+		return -1, end, nil
+	}
+	raw := string(b[at+1 : end-1])
+	key := raw
+	if !plain {
+		key = jsonscan.Unquote(b[at:end])
+	}
+	k = slices.IndexFunc(names, func(name string) bool { return strings.EqualFold(key, name) })
+	if k < 0 {
+		return k, end, &refusal{rule: ruleUnknown, key: raw, at: at}
+	}
+	return k, end, &refusal{rule: ruleSpelling, key: raw, at: at}
+}
+
+// str reads a string value. One with a backslash or a byte >= 0x80 in it — a
+// comment with a quote or an emoji — is decoded by jsonscan.Unquote, whose
+// rules (escapes, surrogates, invalid UTF-8 → U+FFFD) are encoding/json's.
 func (s *sessionScanner) str() string {
-	s.space()
+	if c := s.space(); c != '"' {
+		s.mismatch(c, "a string")
+		return ""
+	}
 	open := s.i
 	end, plain := jsonscan.String(s.b, open)
 	if end < 0 {
-		s.fail()
+		s.fail("a string")
 		return ""
 	}
 	s.i = end
-	if plain && s.src != "" {
+	switch {
+	case !plain:
+		return jsonscan.Unquote(s.b[open:end])
+	case s.src != "":
 		return s.src[open+1 : end-1]
 	}
-	if plain {
-		return string(s.b[open+1 : end-1])
-	}
-	var v string // escapes to json.Unmarshal: declared here, only this path pays for it
-	if json.Unmarshal(s.b[open:end], &v) != nil {
-		s.fail()
-	}
-	return v
+	return string(s.b[open+1 : end-1])
 }
 
-// num reads an integer of at most 18 digits, so it cannot overflow. What
-// follows it is the next step's to refuse — a fraction or an exponent is
-// no ',' or '}' — and anything longer encoding/json's to accept or refuse.
+// num reads an integer, any an int holds: at most 19 digits, so the sum
+// cannot overflow a uint64, and then checked against the int's range. A
+// fraction or an exponent makes it no integer, as it does to encoding/json.
 func (s *sessionScanner) num() int {
-	c, j := s.space(), s.i
+	c := s.space()
+	if c != '-' && (c < '0' || c > '9') {
+		s.mismatch(c, "an integer")
+		return 0
+	}
+	j := s.i
 	if c == '-' {
 		j++
 	}
-	start, v := j, int64(0)
+	start, v := j, uint64(0)
 	for ; j < len(s.b) && '0' <= s.b[j] && s.b[j] <= '9'; j++ {
-		v = v*10 + int64(s.b[j]-'0')
+		v = v*10 + uint64(s.b[j]-'0')
 	}
+	limit := uint64(math.MaxInt)
 	if c == '-' {
-		v = -v
+		limit++
 	}
-	if digits := j - start; digits == 0 || digits > 18 || (digits > 1 && s.b[start] == '0') || int64(int(v)) != v {
-		s.fail()
+	digits := j - start
+	if digits == 0 || digits > 19 || (digits > 1 && s.b[start] == '0') || v > limit ||
+		j < len(s.b) && (s.b[j] == '.' || s.b[j]|0x20 == 'e') {
+		s.fail("an integer")
 		return 0
 	}
 	s.i = j
+	if c == '-' {
+		return -int(v)
+	}
 	return int(v)
 }
 
 // element steps to the next element of the array being read, of which n
-// have been; false when the array has closed or the scan has failed.
-func (s *sessionScanner) element(n int) bool {
-	switch c := s.space(); {
-	case n == 0 && c == '[':
-		if s.i++; s.space() != ']' {
+// have been; false when the array has closed or the walk has stopped. A null
+// element is refused and stepped over.
+func (s *sessionScanner) element(n int, keyAt int) bool {
+	for ; ; n++ {
+		switch c := s.space(); {
+		case n == 0 && c == '[', n > 0 && c == ',':
+			s.i++
+		case n > 0 && c == ']':
+			s.i++
+			return false
+		case n == 0:
+			s.mismatch(c, "an array")
+			return false
+		default:
+			s.fail("',' or ']'")
+			return false
+		}
+		switch c := s.space(); {
+		case n == 0 && c == ']':
+			s.i++
+			return false
+		case c != 'n':
 			return true
 		}
-	case n > 0 && c == ',':
-		s.i++
-		return true
-	case n == 0 || c != ']':
-		s.fail()
+		s.refuse(&refusal{rule: ruleNullElement, key: s.keyOf(keyAt), at: s.i})
+		if !s.null() {
+			return false
+		}
 	}
-	s.i++
-	return false
 }
 
-// emptied is xs with no elements, its capacity kept, and never nil: an
-// empty array is stored as [], an absent one as null.
-func emptied[T any](xs []T) []T {
-	if xs == nil {
-		return []T{}
+// null steps over a null, which the encoders write for a nil slice or map.
+func (s *sessionScanner) null() bool {
+	if s.space() != 'n' {
+		return false
 	}
-	return xs[:0]
+	if !bytes.HasPrefix(s.b[s.i:], []byte("null")) {
+		s.fail("null")
+		return false
+	}
+	s.i += len("null")
+	return true
+}
+
+// list reads an array whose elements one reads into the elements of xs,
+// emptied but for its capacity, and never nil; null reads as nil.
+func list[T any](s *sessionScanner, xs []T, one func(*T)) []T {
+	if s.null() {
+		return nil
+	}
+	keyAt := s.keyAt
+	if xs == nil {
+		xs = []T{}
+	}
+	for xs = xs[:0]; s.element(len(xs), keyAt); {
+		one(grown(&xs))
+	}
+	return xs
 }
 
 // grown appends a zero T to *xs and returns it.

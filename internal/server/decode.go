@@ -17,10 +17,11 @@ import (
 // builder, batch) now requires EOF after the value and answers 400.
 var errTrailingData = errors.New("trailing data after JSON value")
 
-// decodeStrict decodes exactly one JSON value from r into v and requires
-// EOF (modulo whitespace) after it.
+// decodeStrict decodes exactly one JSON value from r into v, refusing a key
+// no field of v has, and requires EOF (modulo whitespace) after it.
 func decodeStrict(r io.Reader, v any) error {
 	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return err
 	}
@@ -60,9 +61,8 @@ type sessionReader struct {
 	buf []byte // the window; buf[pos:] is unread
 	pos int
 
-	upload    SessionUpload
-	enc       []byte
-	fallbacks int64 // elements the decoder's fast path handed to encoding/json
+	upload SessionUpload
+	enc    []byte
 }
 
 var sessionReaderPool = sync.Pool{New: func() any { return new(sessionReader) }}
@@ -72,7 +72,7 @@ func acquireSessionReader(src io.Reader) *sessionReader {
 	if cap(r.buf) != sessionWindow {
 		r.buf = make([]byte, 0, sessionWindow)
 	}
-	r.src, r.err, r.buf, r.pos, r.fallbacks = src, nil, r.buf[:0], 0, 0
+	r.src, r.err, r.buf, r.pos = src, nil, r.buf[:0], 0
 	return r
 }
 
@@ -121,15 +121,12 @@ func (r *sessionReader) peek() (byte, error) {
 
 // decode decodes the value the window stands on — call peek first — into
 // r.upload and steps past it, reading on while the value may run past the
-// window. It returns the size of the value, its own bytes only.
+// window. It returns the size of the value, its own bytes only; also with a
+// *refusal, which leaves the stream readable after the value.
 func (r *sessionReader) decode() (int, error) {
 	for {
 		rest := r.buf[r.pos:]
-		n, ok := scanSession(rest, &r.upload)
-		var err error
-		if !ok {
-			n, err = unmarshalSession(rest, &r.upload)
-		}
+		n, err := decodeSession(rest, &r.upload)
 		// Only the byte after it ends a number, and json.Decoder asked for
 		// that byte after a string or a literal too; an object or an array
 		// closes itself.
@@ -144,9 +141,6 @@ func (r *sessionReader) decode() (int, error) {
 			if err == errCutShort {
 				return 0, io.ErrUnexpectedEOF
 			}
-		}
-		if !ok {
-			r.fallbacks++
 		}
 		r.pos += n
 		return n, err

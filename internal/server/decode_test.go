@@ -3,12 +3,15 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"reflect"
 	"strings"
 	"testing"
 
+	"kaleidoscope/internal/aggregator"
 	"kaleidoscope/internal/questionnaire"
+	"kaleidoscope/internal/store"
 )
 
 // Regression: the single-upload decoder used to stop at the end of the
@@ -135,8 +138,8 @@ func TestDecodeStrict(t *testing.T) {
 // A reused upload must keep no trace of the previous decode: a field absent
 // from the wire must come back zero, not inherited — including inside slice
 // elements decoded into a recycled backing array, and an array absent from
-// the wire must come back nil, not empty — on the decoder's fast path and
-// on its encoding/json one (the upper-case key).
+// the wire, or null, must come back nil, not empty — in the encoder's key
+// order and in another.
 func TestUploadPoolReset(t *testing.T) {
 	first := `{"test_id":"t","worker_id":"w1","responses":[` +
 		`{"test_id":"t","worker_id":"w1","page_id":"p1","question_id":"q0","choice":"left","comment":"sticky","duration_millis":5}],` +
@@ -144,8 +147,8 @@ func TestUploadPoolReset(t *testing.T) {
 	for _, second := range []string{
 		`{"test_id":"t","worker_id":"w2","responses":[` +
 			`{"test_id":"t","worker_id":"w2","page_id":"p1","question_id":"q0","choice":"right","duration_millis":7}]}`,
-		`{"TEST_ID":"t","worker_id":"w2","responses":[` +
-			`{"test_id":"t","worker_id":"w2","page_id":"p1","question_id":"q0","choice":"right","duration_millis":7}],"behaviors":[{}]}`,
+		`{"worker_id":"w2","test_id":"t","controls":null,"responses":[` +
+			`{"duration_millis":7,"test_id":"t","worker_id":"w2","page_id":"p1","question_id":"q0","choice":"right"}],"behaviors":[{}]}`,
 	} {
 		var up SessionUpload
 		if _, err := decodeSession([]byte(first), &up); err != nil {
@@ -173,5 +176,52 @@ func TestUploadPoolReset(t *testing.T) {
 		if got := appendSession(nil, &up); string(got) != string(want) {
 			t.Errorf("appendSession = %s, want %s", got, want)
 		}
+	}
+}
+
+// TestReplayReadsEveryStoredForm: stored sessions at the edges of what the
+// encoder writes — null for each of the three arrays, and integers of 19
+// digits, at either end of an int — replay from a reopened WAL as they were
+// stored: the session list serves them byte for byte, and the raw results
+// and the fold document count them. encoding/json read these at replay until
+// the codec did.
+func TestReplayReadsEveryStoredForm(t *testing.T) {
+	dir, blobs := t.TempDir(), store.NewBlobStore()
+	db, err := store.Open(dir, store.WithSyncPolicy(store.SyncNever))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep := prepareOn(t, db, blobs, "srv-test")
+	nulls := sampleUpload(prep, "w-nulls", questionnaire.ChoiceLeft)
+	nulls.Responses, nulls.Behaviors, nulls.Controls = nil, nil, nil
+	nulls.Demographics.TechAbility = math.MaxInt64
+	wide := sampleUpload(prep, "w-wide", questionnaire.ChoiceRight)
+	wide.Responses[0].DurationMillis = math.MinInt64
+	wide.Behaviors[0].TimeOnTaskMillis = 1_000_000_000_000_000_000
+	coll := db.Collection(aggregator.ResponsesCollection)
+	for _, u := range []SessionUpload{nulls, wide} {
+		if _, err := coll.Insert(store.Document{
+			store.IDField: "srv-test/" + u.WorkerID, "test_id": "srv-test", "worker_id": u.WorkerID, "session": string(appendSession(nil, &u)),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.Close()
+
+	db = openDir(t, dir)
+	srv, err := New(db, blobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append(mustMarshal(t, []SessionUpload{nulls, wide}), '\n')
+	if got := getOK(t, srv, "/api/tests/srv-test/sessions"); !bytes.Equal(got, want) {
+		t.Errorf("session list after replay:\n%s\nwant\n%s", got, want)
+	}
+	var results Results
+	if err := json.Unmarshal(getOK(t, srv, "/api/tests/srv-test/results"), &results); err != nil || results.Workers != 2 {
+		t.Errorf("results after replay: %+v (%v), want 2 workers", results, err)
+	}
+	if fs, err := DecodeFoldState(getOK(t, srv, "/api/tests/srv-test/fold")); err != nil || fs.Sessions != 2 {
+		t.Errorf("fold document after replay: %+v (%v), want 2 sessions", fs, err)
 	}
 }

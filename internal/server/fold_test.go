@@ -434,14 +434,28 @@ func (w *foldWalk) step() error {
 }
 
 // check compares the walk's server with storage: results against the
-// oracle, and — once the state is live — the state against a replay.
+// oracle, and — once the state is live — the state against a replay. The
+// fold codec reads back what it writes of the state, and of the fold
+// document served before, which a lazy state serves too.
 func (w *foldWalk) check() error {
+	rec := httptest.NewRecorder()
+	w.srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/tests/"+w.testID+"/fold", nil))
+	served, err := DecodeFoldState(rec.Body.Bytes())
+	if rec.Code != http.StatusOK || err != nil {
+		return fmt.Errorf("fold read = %d (%v): %s", rec.Code, err, rec.Body)
+	}
+	if err := foldRoundTrip(served); err != nil {
+		return err
+	}
 	if err := servedEqualsOracle(w.srv, w.testID); err != nil {
 		return err
 	}
 	got := w.srv.folds.snapshot(w.testID)
 	if got == nil {
 		return fmt.Errorf("state is lazy right after serving results")
+	}
+	if err := foldRoundTrip(got.State); err != nil {
+		return err
 	}
 	replay := &foldTable{early: w.srv.folds.early, responses: w.srv.responses}
 	entry, err := w.srv.load(w.testID)
@@ -456,6 +470,21 @@ func (w *foldWalk) check() error {
 	}
 	if streams := max(entry.info.realQuestions(), 1); got.Engine && got.Family != streams {
 		return fmt.Errorf("the engine tests %d streams, the test has %d", got.Family, streams)
+	}
+	return nil
+}
+
+// foldRoundTrip: scan reads what append writes of fs's document as that
+// document, but for an empty awaiting list, which append leaves out.
+func foldRoundTrip(fs *FoldState) error {
+	want := *fs.doc()
+	wire := want.append(nil)
+	if len(want.Awaiting) == 0 {
+		want.Awaiting = nil
+	}
+	var got foldDoc
+	if err := got.scan(wire); err != nil || !reflect.DeepEqual(got, want) {
+		return fmt.Errorf("the fold codec reads back %s as %+v (%v), want %+v", wire, got, err, want)
 	}
 	return nil
 }

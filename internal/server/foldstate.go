@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"slices"
@@ -84,11 +83,8 @@ var crowdRules = quality.DefaultConfig(0)
 // among the passing, and vote rows ascend by question.
 func DecodeFoldState(data []byte) (*FoldState, error) {
 	var d foldDoc
-	if !d.scan(data) {
-		d = foldDoc{}
-		if err := json.Unmarshal(data, &d); err != nil {
-			return nil, fmt.Errorf("server: fold state: %w", err)
-		}
+	if err := d.scan(data); err != nil {
+		return nil, fmt.Errorf("server: fold state: %w", err)
 	}
 	return d.state()
 }
@@ -246,13 +242,14 @@ func (fs *FoldState) Conclude() *Results {
 }
 
 // The fold codec, on the session codec's scanner: doc and append write
-// json.Marshal's bytes of the foldDoc; scan reads a document only where
-// json.Unmarshal could not read it differently (as decodeSession's fast path
-// does) and hands the rest to it. A vote row's counts are a map, whose keys
-// encoding/json neither folds nor keeps the first of: any plain key is a
-// choice and a repeated one overwrites. FuzzFoldStateDecode (internal/shard)
-// holds both halves to encoding/json, TestFoldCodecCoversEveryField every
-// struct under FoldState to the codec.
+// json.Marshal's bytes of the foldDoc, and scan reads what append writes, by
+// the session codec's rules: any key order, spacing and string escape; null
+// for the five lists and maps append writes it for (pages, votes, workers,
+// counts, answers); no unknown, respelled or repeated key. A vote row's
+// counts are a map whose keys are choices, each at most once.
+// FuzzFoldStateDecode (internal/shard) holds scan to json.Unmarshal and
+// append to json.Marshal, TestFoldCodecCoversEveryField every struct under
+// FoldState to the codec.
 
 // doc lists fs as its document does.
 func (fs *FoldState) doc() *foldDoc {
@@ -332,63 +329,50 @@ var (
 	answerKeys = []string{"p", "q", "c"}
 )
 
-// scan is the fast path: one pass over b that checks grammar and fills d.
-// false means it met something it will not vouch for and d holds rubbish.
-// d's strings share one copy of b.
-func (d *foldDoc) scan(b []byte) bool {
+// scan reads a fold document, the whole of b, into d. d's strings share one
+// copy of b.
+func (d *foldDoc) scan(b []byte) error {
 	s := sessionScanner{b: b, src: string(b)}
-	for seen := uint(0); ; {
+	for seen := uint64(0); ; {
 		switch s.field(foldKeys, &seen) {
 		case 0:
 			d.TestID = s.str()
 		case 1:
 			d.Sessions = s.num()
 		case 2:
-			for d.Pages = []PageResult{}; s.element(len(d.Pages)); {
-				p := grown(&d.Pages)
+			d.Pages = list(&s, []PageResult{}, func(p *PageResult) {
 				s.record(pageKeys, []*string{&p.PageID, &p.LeftName, &p.RightName, (*string)(&p.Kind)}, func() {
 					s.object(tallyKeys, nil, &p.Tally.Left, &p.Tally.Right, &p.Tally.Same)
 				})
-			}
+			})
 		case 3:
-			for d.Votes = []voteRow{}; s.element(len(d.Votes)); {
-				r := grown(&d.Votes)
-				s.record(voteKeys, []*string{&r.PageID, &r.QuestionID}, func() {
-					r.Counts = map[questionnaire.Choice]int{}
-					if s.space() != '{' {
-						s.fail()
-						return
-					}
-					end, _ := jsonscan.Members(s.b, s.i, 0, func(choice, count []byte, plain bool) {
-						n := sessionScanner{b: count}
-						if r.Counts[questionnaire.Choice(choice)] = n.num(); !plain || n.b == nil || n.i < len(count) {
-							s.fail()
-						}
-					})
-					if end < 0 {
-						s.fail()
-					} else {
-						s.i = end
-					}
-				})
-			}
+			d.Votes = list(&s, []voteRow{}, func(r *voteRow) {
+				s.record(voteKeys, []*string{&r.PageID, &r.QuestionID}, func() { r.Counts = s.counts() })
+			})
 		case 4:
 			// A node writes sessions first, and no more workers pass.
-			for d.Workers = make([]string, 0, min(max(d.Sessions, 0), len(b)/3)); s.element(len(d.Workers)); {
-				*grown(&d.Workers) = s.str()
-			}
+			d.Workers = list(&s, make([]string, 0, min(max(d.Sessions, 0), len(b)/3)), func(id *string) { *id = s.str() })
 		case 5:
-			for d.Awaiting = []FoldWorker{}; s.element(len(d.Awaiting)); {
-				w := grown(&d.Awaiting)
-				s.record(workerKeys, []*string{&w.ID}, func() {
-					for w.Answers = []quality.ResponseKey{}; s.element(len(w.Answers)); {
-						a := grown(&w.Answers)
-						s.object(answerKeys, []*string{&a.PageID, &a.QuestionID, (*string)(&a.Choice)})
-					}
+			// append leaves an empty list out rather than write null.
+			if c := s.space(); c != '[' {
+				s.mismatch(c, "an array")
+			} else {
+				d.Awaiting = list(&s, []FoldWorker{}, func(w *FoldWorker) {
+					s.record(workerKeys, []*string{&w.ID}, func() {
+						w.Answers = list(&s, []quality.ResponseKey{}, func(a *quality.ResponseKey) {
+							s.object(answerKeys, []*string{&a.PageID, &a.QuestionID, (*string)(&a.Choice)})
+						})
+					})
 				})
 			}
 		default:
-			return s.b != nil && jsonscan.SkipSpace(b, s.i) == len(b)
+			if _, err := s.verdict(); err != nil {
+				return err
+			}
+			if jsonscan.SkipSpace(b, s.i) < len(b) {
+				return errTrailingData
+			}
+			return nil
 		}
 	}
 }
@@ -396,7 +380,7 @@ func (d *foldDoc) scan(b []byte) bool {
 // record reads an object whose members are strs' strings but for the last
 // of names, which rest reads.
 func (s *sessionScanner) record(names []string, strs []*string, rest func()) {
-	for seen := uint(0); ; {
+	for seen := uint64(0); ; {
 		switch k := s.field(names, &seen); {
 		case k < 0:
 			return
@@ -406,4 +390,42 @@ func (s *sessionScanner) record(names []string, strs []*string, rest func()) {
 			rest()
 		}
 	}
+}
+
+// counts reads a vote row's counts: an object whose keys are choices, or
+// null for none.
+func (s *sessionScanner) counts() map[questionnaire.Choice]int {
+	if s.null() {
+		return nil
+	}
+	counts := map[questionnaire.Choice]int{}
+	if c := s.space(); c != '{' {
+		s.mismatch(c, "an object")
+		return counts
+	}
+	s.i++
+	for c := s.space(); c != '}'; c = s.space() {
+		if len(counts) > 0 {
+			if c != ',' {
+				s.fail("',' or '}'")
+				return counts
+			}
+			s.i++
+			s.space()
+		}
+		at := s.i
+		choice := questionnaire.Choice(s.str())
+		if _, repeated := counts[choice]; repeated {
+			s.refuse(&refusal{rule: ruleRepeated, key: string(choice), at: at})
+		}
+		if s.space() != ':' {
+			s.fail("':'")
+			return counts
+		}
+		s.i++
+		s.keyAt = at
+		counts[choice] = s.num()
+	}
+	s.i++
+	return counts
 }

@@ -194,7 +194,7 @@ func TestCorruptSessionReplaysOnce(t *testing.T) {
 // the same document whichever is merged into which, however each spelled its
 // empty worker list.
 func TestMergeEmptyPartitionsEitherOrder(t *testing.T) {
-	spellings := []string{`{}`, `{"workers":null}`, `{"workers":[]}`, `{"workers":[],"awaiting":[]}`, `{"pages":[]}`, `{"pages":null,"awaiting":null}`}
+	spellings := []string{`{}`, `{"workers":null}`, `{"workers":[]}`, `{"workers":[],"awaiting":[]}`, `{"pages":[]}`, `{"pages":null,"votes":null}`}
 	for _, a := range spellings {
 		for _, b := range spellings {
 			var merged [2][]byte
@@ -216,9 +216,9 @@ func TestMergeEmptyPartitionsEitherOrder(t *testing.T) {
 	}
 }
 
-// TestDecodeFoldStateRefuses: every check DecodeFoldState makes holds on
-// both of its paths — the scan's, and json.Unmarshal's, which a member no
-// field has in front of the document sends it down.
+// TestDecodeFoldStateRefuses: every check DecodeFoldState makes holds, and
+// the codec refuses what its encoder never writes — a key unknown, respelled
+// or repeated, a null where it writes none — the rule and the key named.
 func TestDecodeFoldStateRefuses(t *testing.T) {
 	for name, members := range map[string]string{
 		"negative vote count":         `"votes":[{"page_id":"p","question_id":"q0","counts":{"left":-1}}]`,
@@ -233,18 +233,56 @@ func TestDecodeFoldStateRefuses(t *testing.T) {
 		"awaiting worker not passing": `"sessions":1,"workers":["a"],"awaiting":[{"id":"b","answers":[]}]`,
 		"awaiting workers unsorted":   `"sessions":2,"workers":["a","b"],"awaiting":[{"id":"b","answers":[]},{"id":"a","answers":[]}]`,
 	} {
-		for _, doc := range []string{`{` + members + `}`, `{"~":0,` + members + `}`} {
-			if fs, err := DecodeFoldState([]byte(doc)); err == nil {
-				t.Errorf("%s accepted: %s -> %+v", name, doc, fs)
-			}
+		if fs, err := DecodeFoldState([]byte(`{` + members + `}`)); err == nil {
+			t.Errorf("%s accepted: %s -> %+v", name, members, fs)
 		}
+	}
+	for doc, want := range map[string]string{
+		`{"~":0}`:                                    `unknown key "~" at byte 1`,
+		`{"Sessions":1}`:                             `case or escape in key "Sessions" at byte 1`,
+		`{"sessions":1,"sessions":1}`:                `repeated key "sessions" at byte 14`,
+		`{"sessions":null}`:                          `null for "sessions" at byte 12`,
+		`{"awaiting":null}`:                          `null for "awaiting" at byte 12`,
+		`{"workers":["a",null]}`:                     `null element of "workers" at byte 16`,
+		`{"pages":[{"tally":null}]}`:                 `null for "tally" at byte 19`,
+		`{"votes":[{"counts":{"left":1,"left":2}}]}`: `repeated key "left" at byte 30`,
+		`{"sessions":1} {}`:                          `trailing data after JSON value`,
+		`{"sessions":1.5}`:                           `want an integer at byte 12`,
+		`{"sessions":1`:                              `unexpected end of JSON input`,
+	} {
+		if _, err := DecodeFoldState([]byte(doc)); err == nil || err.Error() != "server: fold state: "+want {
+			t.Errorf("%s: %v, want %q", doc, err, want)
+		}
+	}
+}
+
+// TestFoldCodecReadsTheNullsItWrites: append writes null for a nil list or
+// map — pages, votes, workers, a vote row's counts, a worker's answers — and
+// scan reads each back as nil.
+func TestFoldCodecReadsTheNullsItWrites(t *testing.T) {
+	fs := &FoldState{TestID: "t", Sessions: 1, Workers: []string{"a"}, Awaiting: []FoldWorker{{ID: "a"}}, Votes: quality.NewVotes()}
+	fs.Votes.SetRow(quality.QuestionRef{PageID: "p", QuestionID: "q0"}, nil)
+	d := fs.doc()
+	d.Pages, d.Workers = nil, nil
+	wire := d.append(nil)
+	const want = `{"test_id":"t","sessions":1,"pages":null,"votes":[{"page_id":"p","question_id":"q0","counts":null}],"workers":null,"awaiting":[{"id":"a","answers":null}]}`
+	if string(wire) != want {
+		t.Fatalf("append wrote %s, want %s", wire, want)
+	}
+	var got foldDoc
+	if err := got.scan(wire); err != nil || !reflect.DeepEqual(got, *d) {
+		t.Errorf("scan read %+v (%v), want %+v", got, err, *d)
+	}
+	d.Votes = nil
+	if err := got.scan(d.append(nil)); err != nil || got.Votes != nil {
+		t.Errorf("scan of null votes: %+v (%v)", got.Votes, err)
 	}
 }
 
 // TestFoldCodecCoversEveryField is the guard against the structs under
 // FoldState drifting from the fold codec: a field added to FoldState,
 // PageResult, questionnaire.Tally, FoldWorker or quality.ResponseKey and not
-// to foldstate.go is an unknown key to the scan (this test fails on ok), a
+// to foldstate.go is an unknown key to the scan (this test fails on it), a
 // missing one in append's bytes (it fails on the bytes) or lost on the way
 // through (it fails on the state) — here, not as a router that silently
 // reads every document through encoding/json or merges a field away.
@@ -268,8 +306,8 @@ func TestFoldCodecCoversEveryField(t *testing.T) {
 		t.Errorf("the fold codec writes\n%s\njson.Marshal writes\n%s", got, wire)
 	}
 	var d foldDoc
-	if !d.scan(wire) {
-		t.Fatalf("the scan refuses a fold document with every field set: %s", wire)
+	if err := d.scan(wire); err != nil {
+		t.Fatalf("the scan refuses a fold document with every field set: %v\n%s", err, wire)
 	}
 	var slow foldDoc
 	if err := json.Unmarshal(wire, &slow); err != nil || !reflect.DeepEqual(d, slow) {

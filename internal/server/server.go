@@ -161,7 +161,6 @@ func (s *Server) invalidateByPrefixedID(id string, invalidate func(string)) {
 // registerGauges exports cache and store read-path statistics.
 func (s *Server) registerGauges() {
 	s.folds.registerGauges(s)
-	s.reg.Counter("kscope_session_decode_fallback_total") // listed from the start, at zero
 	reg, cache := s.reg, s.cache
 	for _, g := range []struct {
 		name         string
@@ -525,7 +524,7 @@ func (s *Server) handleSessionUpload(w http.ResponseWriter, r *http.Request) {
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, maxSessionBytes)
 	sr := acquireSessionReader(r.Body)
-	defer s.releaseSessionReader(sr)
+	defer sr.release()
 	upload := &sr.upload
 	_, err := sr.peek()
 	if err == nil {

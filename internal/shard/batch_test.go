@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -213,7 +214,9 @@ func TestRouterUploadMatchesNode(t *testing.T) {
 // TestRouterUploadRouting: with the worker header the router routes by it
 // and never reads the body; without it, by the id in the body, to the shard
 // the batch path picks for the same session — so a worker's duplicate is a
-// 409 whichever endpoint carried the first copy, however the id is spelled.
+// 409 whichever endpoint carried the first copy. A session whose id key is
+// escaped, in capitals or repeated is refused on either endpoint, wherever
+// it lands, and stored nowhere.
 func TestRouterUploadRouting(t *testing.T) {
 	f := newFixture(t, 3)
 	sessionsURL := f.routerTS.URL + "/api/tests/" + ringTestID + "/sessions"
@@ -265,17 +268,89 @@ func TestRouterUploadRouting(t *testing.T) {
 			}
 			return elementStatuses(t, rec.Body.Bytes())[0]
 		}
-		if first, second := post(single, false), post(single, true); first != http.StatusCreated || second != http.StatusConflict {
-			t.Errorf("spelling %d: headerless upload then batch = %d, %d; want 201, 409", i, first, second)
+		want, stored := [2]int{http.StatusCreated, http.StatusConflict}, 1
+		if i > 0 {
+			want, stored = [2]int{http.StatusBadRequest, http.StatusBadRequest}, 0
 		}
-		if first, second := post(batch, true), post(batch, false); first != http.StatusCreated || second != http.StatusConflict {
-			t.Errorf("spelling %d: batch then headerless upload = %d, %d; want 201, 409", i, first, second)
+		if first, second := post(single, false), post(single, true); [2]int{first, second} != want {
+			t.Errorf("spelling %d: headerless upload then batch = %d, %d; want %v", i, first, second, want)
+		}
+		if first, second := post(batch, true), post(batch, false); [2]int{first, second} != want {
+			t.Errorf("spelling %d: batch then headerless upload = %d, %d; want %v", i, first, second, want)
 		}
 		for _, worker := range []string{single, batch} {
-			if held := holders(worker); len(held) != 1 {
+			if held := holders(worker); len(held) != stored {
 				t.Errorf("spelling %d: worker %s is stored on shards %v", i, worker, held)
 			}
 		}
+	}
+}
+
+// TestMisspeltSessionsAreRefused: the four misspellings clients have sent —
+// a control's answer under "choice" rather than "got", a behaviour's keys in
+// snake_case, a key no struct has, and worker_id in capitals — each of which
+// encoding/json would store as a session short of a field. Each is a 400
+// naming the rule, the key and its byte on both endpoints, on a node and
+// through a router, and nothing of it is stored: the session list is empty
+// and every fold document counts no session.
+func TestMisspeltSessionsAreRefused(t *testing.T) {
+	f := newFixture(t, 3)
+	single, _, _ := prepNode(t)
+	node := httptest.NewServer(single)
+	t.Cleanup(node.Close)
+	const sessions = "/api/tests/" + ringTestID + "/sessions"
+	for _, tc := range []struct {
+		name, old, new string
+		last           bool // respell the key's last occurrence, not its first
+		rule           string
+	}{
+		{"choice for got", `"got":`, `"choice":`, true, "unknown key"},
+		{"snake_case behaviour keys", `"TimeOnTaskMillis":`, `"time_on_task_millis":`, false, "unknown key"},
+		{"a key no struct has", `{"test_id":`, `{"extra":1,"test_id":`, false, "unknown key"},
+		{"worker_id in capitals", `"worker_id":`, `"WORKER_ID":`, false, "case or escape in key"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			payload, err := json.Marshal(sampleUpload(f.prep, "misspelt", questionnaire.ChoiceLeft))
+			if err != nil {
+				t.Fatal(err)
+			}
+			at := bytes.Index(payload, []byte(tc.old))
+			if tc.last {
+				at = bytes.LastIndex(payload, []byte(tc.old))
+			}
+			body := slices.Concat(payload[:at], []byte(tc.new), payload[at+len(tc.old):])
+			key, _, _ := strings.Cut(strings.TrimPrefix(tc.new, "{"), ":")
+			at = bytes.Index(body[at:], []byte(key)) + at
+			want := fmt.Sprintf("decoding session: %s %s at byte %d", tc.rule, key, at)
+			for _, h := range []struct {
+				name    string
+				handler http.Handler
+				url     string
+			}{{"node", single, node.URL}, {"router", f.router, f.routerTS.URL}} {
+				var answer struct{ Error string }
+				rec := postTo(h.handler, sessions, body)
+				if err := json.Unmarshal(rec.Body.Bytes(), &answer); err != nil || rec.Code != http.StatusBadRequest || answer.Error != want {
+					t.Errorf("%s: POST /sessions = %d %s, want 400 %q", h.name, rec.Code, rec.Body, want)
+				}
+				rec = postTo(h.handler, batchPath, slices.Concat([]byte("["), body, []byte("]")))
+				var report server.BatchReport
+				if err := json.Unmarshal(rec.Body.Bytes(), &report); err != nil || rec.Code != http.StatusOK || len(report.Results) != 1 {
+					t.Fatalf("%s: batch of one = %d %s", h.name, rec.Code, rec.Body)
+				}
+				if res := report.Results[0]; res.Status != http.StatusBadRequest || res.Error != want || res.WorkerID != "" {
+					t.Errorf("%s: batch element %+v, want 400 %q and no worker id", h.name, res, want)
+				}
+				if resp, list := fetch(t, h.url+sessions); resp.StatusCode != http.StatusOK || strings.TrimSpace(string(list)) != "[]" {
+					t.Errorf("%s: session list = %d %s, want []", h.name, resp.StatusCode, list)
+				}
+			}
+			for _, ts := range append([]*httptest.Server{node}, f.nodeTS...) {
+				_, doc := fetch(t, ts.URL+"/api/tests/"+ringTestID+"/fold")
+				if fs, err := server.DecodeFoldState(doc); err != nil || fs.Sessions != 0 {
+					t.Errorf("fold document %s (%v), want 0 sessions", doc, err)
+				}
+			}
+		})
 	}
 }
 
@@ -306,7 +381,8 @@ func acceptSubBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	rep := server.BatchReport{TestID: ringTestID, Accepted: len(elems)}
 	for i, raw := range elems {
-		rep.Results = append(rep.Results, server.BatchElementResult{Index: i, WorkerID: sniffWorkerID(raw), Status: http.StatusCreated})
+		id, _ := codecWorkerID(raw)
+		rep.Results = append(rep.Results, server.BatchElementResult{Index: i, WorkerID: id, Status: http.StatusCreated})
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(rep)
@@ -502,15 +578,15 @@ func BenchmarkRouterBatchSplit(b *testing.B) {
 		b.Fatal(err)
 	}
 	plain := scriptBatch(b, testID, 100)
-	_, owners, ids, err := splitByDecoding(rt.Ring(), testID, plain)
+	sessions, err := server.DecodeSessionList(plain)
 	if err != nil {
 		b.Fatal(err)
 	}
 	reports := make([]server.BatchReport, len(specs))
-	for i, owner := range owners {
-		rep := &reports[owner]
+	for _, u := range sessions {
+		rep := &reports[rt.Ring().Owner(SessionKey(testID, u.WorkerID))]
 		rep.TestID = testID
-		rep.Results = append(rep.Results, server.BatchElementResult{Index: rep.Accepted, WorkerID: ids[i], Status: http.StatusCreated})
+		rep.Results = append(rep.Results, server.BatchElementResult{Index: rep.Accepted, WorkerID: u.WorkerID, Status: http.StatusCreated})
 		rep.Accepted++
 	}
 	for i, rep := range reports {

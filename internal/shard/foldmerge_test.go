@@ -748,8 +748,7 @@ func BenchmarkRouterResultsRaw(b *testing.B) {
 }
 
 // BenchmarkDecodeFoldState decodes one shard's fold document of
-// resultsFleet: as a node writes it, and with one member the scan will not
-// vouch for in front, which sends the whole document to json.Unmarshal.
+// resultsFleet as a node writes it.
 func BenchmarkDecodeFoldState(b *testing.B) {
 	_, link := resultsFleet(b)
 	resp, err := (&http.Client{Transport: link}).Get("http://shard-0/api/tests/" + foldTestID + "/fold")
@@ -757,18 +756,13 @@ func BenchmarkDecodeFoldState(b *testing.B) {
 		b.Fatal(err)
 	}
 	doc, _ := io.ReadAll(resp.Body) // a link's body is already in memory
-	for _, bc := range []struct {
-		name string
-		doc  []byte
-	}{{"codec", doc}, {"fallback", append([]byte(`{"~":0,`), doc[1:]...)}} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(len(bc.doc)))
-			for i := 0; i < b.N; i++ {
-				if _, err := server.DecodeFoldState(bc.doc); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("codec", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(doc)))
+		for i := 0; i < b.N; i++ {
+			if _, err := server.DecodeFoldState(doc); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }

@@ -232,8 +232,8 @@ func (rt *Router) handleSessionList(w http.ResponseWriter, r *http.Request, test
 	}
 	uploads := []server.SessionUpload{}
 	g := rt.gather(r, "/api/tests/"+testID+"/sessions", func(body []byte) error {
-		var part []server.SessionUpload
-		if err := json.Unmarshal(body, &part); err != nil {
+		part, err := server.DecodeSessionList(body)
+		if err != nil {
 			return err
 		}
 		uploads = append(uploads, part...)

@@ -20,56 +20,31 @@ const workerIDKey = "worker_id"
 // scanElement is the router's reading of one session: it walks the JSON
 // value that starts at b[i], inside depth containers (the batch's array, or
 // none), and returns the index past it and the session's worker id, building
-// no Go value; or -1, and no id that means anything, for bytes that are not
-// JSON. The grammar and the bounds checks are jsonscan's.
+// no Go value; or a negative end, and no id that means anything, for bytes
+// that are not JSON. The grammar and the bounds checks are jsonscan's.
 //
-// The id has to be the one the owning shard will decode and store: a
-// session routed by any other lands a worker on two shards, which breaks the
-// duplicate 409 and the session-list order. The shard decodes with
-// encoding/json, whose struct-field matching is looser than it looks (keys
-// match case-folded, Unicode folds included; a repeated key is decoded
-// again; escapes and invalid UTF-8 are rewritten). So the walk takes the id
-// itself only where none of that can apply — the value is an object, every
-// top-level key is plain ASCII, exactly one of them folds to worker_id and
-// is spelled so, and its value is a plain ASCII string — and hands every
-// other element to encoding/json (probeWorkerID). That is wider than today's
-// encoding/json needs — among repeated or case-variant ASCII keys the last
-// string simply wins, which the walk would also find — but nothing here
-// leans on it. FuzzBatchSplit holds the two readings equal.
+// The id has to be the one the owning shard will store: a session routed by
+// any other lands a worker on two shards, which breaks the duplicate 409 and
+// the session-list order. The shard's session codec takes the id from one
+// top-level key spelled exactly "worker_id" whose value is a string, read as
+// its str() reads one (jsonscan.Unquote when it is not plain), and refuses an
+// element whose key is spelled otherwise or repeated. So that key is the
+// one the walk reads; an element it does not find one in routes by the empty
+// id, and is refused by whichever shard it lands on. FuzzBatchSplit holds
+// the walk to the codec.
 func scanElement(b []byte, i, depth int) (end int, workerID []byte) {
-	sure, seen := i < len(b) && b[i] == '{', false
 	end, _ = jsonscan.Members(b, i, depth, func(key, value []byte, plain bool) {
-		switch {
-		case !plain:
-			sure = false
-		case len(key) == len(workerIDKey) && strings.EqualFold(string(key), workerIDKey):
-			if seen || string(key) != workerIDKey {
-				sure = false
-			}
-			seen = true
-			// Anything but a plain string is encoding/json's to make an id of.
-			if _, plain := jsonscan.String(value, 0); plain {
-				workerID = value[1 : len(value)-1]
-			} else {
-				sure = false
-			}
+		if !plain || string(key) != workerIDKey {
+			return
+		}
+		switch end, plain := jsonscan.String(value, 0); {
+		case plain:
+			workerID = value[1 : len(value)-1]
+		case end > 0:
+			workerID = []byte(jsonscan.Unquote(value))
 		}
 	})
-	if end >= 0 && !sure {
-		workerID = probeWorkerID(b[i:end])
-	}
 	return end, workerID
-}
-
-// probeWorkerID is encoding/json's reading of a session's worker id. A
-// session it cannot decode routes by whatever the field held when decoding
-// stopped; the owning shard rejects that element either way.
-func probeWorkerID(session []byte) []byte {
-	var probe struct {
-		WorkerID string `json:"worker_id"`
-	}
-	_ = json.Unmarshal(session, &probe)
-	return []byte(probe.WorkerID)
 }
 
 // sessionWorkerID is the worker id of a single-session upload body; a body
@@ -164,11 +139,10 @@ func malformedBatch(body []byte) error {
 // sub-batch per owning shard, elements byte for byte and in the caller's
 // order. sp.elems keeps each element's owner, which is what maps a shard's
 // positional report back. It is one pass that validates as it walks, then one
-// copy into buffers allocated once; no element is decoded unless scanElement
-// has to ask encoding/json for its worker id. Like encoding/json, it reads
-// null as the empty array. It meets the element cap where a node's stream
-// does: on whatever follows the last element allowed, unless that closes the
-// array or is a '}'.
+// copy into buffers allocated once; no element is decoded. Like
+// encoding/json, it reads null as the empty array. It meets the element cap
+// where a node's stream does: on whatever follows the last element allowed,
+// unless that closes the array or is a '}'.
 func (sp *batchSplit) split(ring *Ring, testID string, body []byte) ([]subBatch, error) {
 	sp.elems = sp.elems[:0]
 	subs := make([]subBatch, len(ring.shards))

@@ -22,77 +22,51 @@ import (
 	"kaleidoscope/internal/server"
 )
 
-// sniffWorkerID is the oracle for every worker id the router reads out of a
-// body: encoding/json's own decoding of the field, the way the owning shard
-// decodes it into a server.SessionUpload.
-func sniffWorkerID(body []byte) string {
-	var probe struct {
-		WorkerID string `json:"worker_id"`
+// codecWorkerID is the worker id the owning shard stores for a session: the
+// session codec's reading of it, as a node serves its session list; ok false
+// when the codec refuses the session, which every shard does.
+func codecWorkerID(session []byte) (id string, ok bool) {
+	list, err := server.DecodeSessionList(slices.Concat([]byte("["), session, []byte("]")))
+	if err != nil || len(list) != 1 {
+		return "", false
 	}
-	_ = json.Unmarshal(body, &probe)
-	return probe.WorkerID
+	return list[0].WorkerID, true
 }
 
-// splitByDecoding is the batch split the router shipped until the one-pass
-// scan replaced it, kept as the differential oracle: decode the array into
-// raw elements, decode every element again for its worker id, and copy the
-// elements into per-shard buffers. It differs from what shipped in two
-// places, both bugs (a node disagreed): it refuses bytes after the array,
-// and it reads the elements one at a time, as a node does, so that an
-// element may nest as deep as a node lets a session nest. ids and owners are
-// per element, subs per shard.
-func splitByDecoding(ring *Ring, testID string, body []byte) (subs [][]byte, owners []int, ids []string, err error) {
-	var elems []json.RawMessage
+// frameByDecoding is the framing of the batch split the router shipped until
+// the one-pass scan replaced it, kept as the differential oracle: the
+// array's elements as json.Decoder reads them. It differs from what shipped
+// in two places, both bugs (a node disagreed): it refuses bytes after the
+// array, and it reads the elements one at a time, as a node does, so that an
+// element may nest as deep as a node lets a session nest.
+func frameByDecoding(body []byte) (elems []json.RawMessage, err error) {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	tok, err := dec.Token()
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	if tok != nil { // null reads as the empty array
 		if tok != json.Delim('[') {
-			return nil, nil, nil, fmt.Errorf("not an array: %v", tok)
+			return nil, fmt.Errorf("not an array: %v", tok)
 		}
 		for dec.More() {
 			var raw json.RawMessage
 			if err := dec.Decode(&raw); err != nil {
-				return nil, nil, nil, err
+				return nil, err
 			}
 			elems = append(elems, raw)
 		}
 		if _, err := dec.Token(); err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 	}
 	if _, err := dec.Token(); err != io.EOF {
-		return nil, nil, nil, fmt.Errorf("trailing data after the batch: %v", err)
+		return nil, fmt.Errorf("trailing data after the batch: %v", err)
 	}
 	if len(elems) > server.MaxBatchSessions {
-		return nil, nil, nil, fmt.Errorf("batch of %d sessions", len(elems))
+		return nil, fmt.Errorf("batch of %d sessions", len(elems))
 	}
-	groups := make([][]int, len(ring.Shards())) // a map when it shipped; a slice keeps the fuzzer's coverage repeatable
-	for i, raw := range elems {
-		id := sniffWorkerID(raw)
-		owner := ring.Owner(SessionKey(testID, id))
-		ids, owners = append(ids, id), append(owners, owner)
-		groups[owner] = append(groups[owner], i)
-	}
-	subs = make([][]byte, len(groups))
-	for owner, indices := range groups {
-		if indices == nil {
-			continue
-		}
-		var buf bytes.Buffer
-		buf.WriteByte('[')
-		for j, i := range indices {
-			if j > 0 {
-				buf.WriteByte(',')
-			}
-			buf.Write(elems[i])
-		}
-		buf.WriteByte(']')
-		subs[owner] = buf.Bytes()
-	}
-	return subs, owners, ids, nil
+	return elems, nil
 }
 
 // scriptSession is a session of the end-to-end script's shape (bench/script.go):
@@ -143,8 +117,8 @@ func gzipped(tb testing.TB, payload []byte) []byte {
 
 // splitCorpus is FuzzBatchSplit's seed corpus, which makes it the split's
 // table test on every plain `go test`: one body for each way an element's
-// worker id can part from the bytes spelling it, and for each shape of
-// document that is not a batch.
+// worker id can part from the bytes spelling it (most of them sessions the
+// codec refuses), and for each shape of document that is not a batch.
 var splitCorpus = []string{
 	`[]`, `null`, ` [ ] `, "\n null \t", `[null]`, `{}`, `"str"`, `0`, `[`, `[{]`, ``, ` `,
 	`[{"worker_id":"a"},{"worker_id":"b"},{"worker_id":"c"},{"worker_id":"d"}]`,
@@ -175,13 +149,13 @@ var splitCorpus = []string{
 }
 
 // FuzzBatchSplit is the gate on the router's one-pass batch split: for any
-// body, the split and the decode/re-encode implementation it replaced both
-// refuse or both accept; when they accept, every shard is sent the same
-// bytes — the same elements, byte for byte, in the caller's order — the
-// element index names each element's owner, and every element is routed by
-// the worker id encoding/json decodes from it (sniffWorkerID). The same
-// holds for a body read as one headerless session. Every body runs in a slice
-// with no spare capacity, so a read outside it is a panic.
+// body, the split and json.Decoder's framing (frameByDecoding) both refuse or
+// both accept; when they accept, the split finds the same elements, byte for
+// byte, sends every shard its elements in the caller's order, and routes
+// every element the session codec accepts by the worker id the codec
+// decodes from it. The same holds for a body read as one headerless session.
+// Every body runs in a slice with no spare capacity, so a read outside it is
+// a panic.
 func FuzzBatchSplit(f *testing.F) {
 	for _, seed := range splitCorpus {
 		f.Add([]byte(seed))
@@ -198,38 +172,48 @@ func FuzzBatchSplit(f *testing.F) {
 
 func checkSplit(t *testing.T, ring *Ring, testID string, body []byte) {
 	t.Helper()
-	if got, want := string(sessionWorkerID(body)), sniffWorkerID(body); got != want {
-		t.Errorf("as one session: routed by worker id %q, encoding/json decodes %q", got, want)
+	if want, ok := codecWorkerID(body); ok && string(sessionWorkerID(body)) != want {
+		t.Errorf("as one session: routed by worker id %q, the session codec decodes %q", sessionWorkerID(body), want)
 	}
 
 	sp := new(batchSplit)
 	subs, err := sp.split(ring, testID, body)
-	wantSubs, wantOwners, wantIDs, wantErr := splitByDecoding(ring, testID, body)
+	elems, wantErr := frameByDecoding(body)
 	if (err != nil) != (wantErr != nil) {
-		t.Fatalf("split: %v; the decoding split: %v", err, wantErr)
+		t.Fatalf("split: %v; json.Decoder: %v", err, wantErr)
 	}
 	if err != nil {
 		return
 	}
-	if len(sp.elems) != len(wantIDs) {
-		t.Fatalf("split found %d elements, the decoding split %d", len(sp.elems), len(wantIDs))
+	if len(sp.elems) != len(elems) {
+		t.Fatalf("split found %d elements, json.Decoder %d", len(sp.elems), len(elems))
 	}
-	counts := make([]int, len(subs))
+	wantSubs := make([][][]byte, len(subs))
 	for i, e := range sp.elems {
-		if _, id := scanElement(body, e.start, 0); string(id) != wantIDs[i] {
-			t.Errorf("element %d %s: routed by worker id %q, encoding/json decodes %q", i, body[e.start:e.end], id, wantIDs[i])
+		elem := body[e.start:e.end]
+		if !bytes.Equal(elem, elems[i]) {
+			t.Errorf("element %d is %q, json.Decoder reads %q", i, elem, elems[i])
 		}
-		if e.shard != wantOwners[i] {
-			t.Errorf("element %d: owner %d, want %d", i, e.shard, wantOwners[i])
+		if want, ok := codecWorkerID(elem); ok {
+			if _, id := scanElement(body, e.start, 0); string(id) != want {
+				t.Errorf("element %d %s: routed by worker id %q, the session codec decodes %q", i, elem, id, want)
+			}
+			if owner := ring.Owner(SessionKey(testID, want)); e.shard != owner {
+				t.Errorf("element %d: owner %d, want %d", i, e.shard, owner)
+			}
 		}
-		counts[e.shard]++
+		wantSubs[e.shard] = append(wantSubs[e.shard], elem)
 	}
 	for s, sub := range subs {
-		if !bytes.Equal(sub.body, wantSubs[s]) {
-			t.Errorf("shard %d is sent %q, want %q", s, sub.body, wantSubs[s])
+		var want []byte
+		if len(wantSubs[s]) > 0 {
+			want = slices.Concat([]byte("["), bytes.Join(wantSubs[s], []byte(",")), []byte("]"))
 		}
-		if sub.n != counts[s] {
-			t.Errorf("shard %d: %d elements counted, %d indexed", s, sub.n, counts[s])
+		if !bytes.Equal(sub.body, want) {
+			t.Errorf("shard %d is sent %q, want %q", s, sub.body, want)
+		}
+		if sub.n != len(wantSubs[s]) {
+			t.Errorf("shard %d: %d elements counted, %d indexed", s, sub.n, len(wantSubs[s]))
 		}
 	}
 }
@@ -278,15 +262,28 @@ func randomBatch(rng *rand.Rand) []byte {
 		case 6:
 			b = append(b, '{')
 			space()
-			for i, n := 0, rng.Intn(5); i < n; i++ {
+			// Half the elements are sessions the codec reads: the two id
+			// keys, each at most once, with string values.
+			session, first := object && rng.Intn(2) == 0, rng.Intn(2)
+			for i, n := 0, rng.Intn(5); i < n && !(session && i == 2); i++ {
 				if i > 0 {
 					b = append(b, ',')
 				}
 				space()
-				b = append(b, keys[rng.Intn(len(keys))]...)
+				if session {
+					b = append(b, []string{`"worker_id"`, `"test_id"`}[(first+i)%2]...)
+				} else {
+					b = append(b, keys[rng.Intn(len(keys))]...)
+				}
 				space()
 				b = append(b, ':')
-				value(depth+1, false)
+				if session {
+					space()
+					b = append(b, strs[rng.Intn(len(strs))]...)
+					space()
+				} else {
+					value(depth+1, false)
+				}
 			}
 			b = append(b, '}')
 		}
@@ -308,7 +305,9 @@ func randomBatch(rng *rand.Rand) []byte {
 var splitSeed = flag.Int64("split.seed", 0, "replay one seed of TestSplitRandomBatches")
 
 // TestSplitRandomBatches holds the split to FuzzBatchSplit's properties over
-// well-formed documents dense in the hard cases.
+// well-formed documents dense in the hard cases, and checks the generator is
+// doing its job: a fair share of the elements are sessions the codec reads
+// with a worker id in them.
 func TestSplitRandomBatches(t *testing.T) {
 	ring, err := NewRing([]string{"shard-0", "shard-1", "shard-2"}, 0)
 	if err != nil {
@@ -321,6 +320,7 @@ func TestSplitRandomBatches(t *testing.T) {
 			seeds = append(seeds, s)
 		}
 	}
+	var elems, identified int
 	for _, seed := range seeds {
 		body := randomBatch(rand.New(rand.NewSource(seed)))
 		if !json.Valid(body) {
@@ -330,13 +330,22 @@ func TestSplitRandomBatches(t *testing.T) {
 		if t.Failed() {
 			t.Fatalf("seed %d (replay: go test ./internal/shard -run TestSplitRandomBatches -split.seed=%d): %s", seed, seed, body)
 		}
+		framed, _ := frameByDecoding(body)
+		for _, elem := range framed {
+			elems++
+			if id, ok := codecWorkerID(elem); ok && id != "" {
+				identified++
+			}
+		}
+	}
+	if *splitSeed == 0 && identified < elems/10 {
+		t.Errorf("of %d elements %d are sessions the codec reads with a worker id: the generator has drifted", elems, identified)
 	}
 }
 
-// TestSplitScriptBatch: on the traffic the router actually carries, no
-// element needs encoding/json — the split allocates the sub-batch bodies and
-// their bookkeeping, nothing per session — and a reused scratch gives the
-// same answer as a fresh one.
+// TestSplitScriptBatch: on the traffic the router actually carries, the
+// split allocates the sub-batch bodies and their bookkeeping, nothing per
+// session, and a reused scratch gives the same answer as a fresh one.
 func TestSplitScriptBatch(t *testing.T) {
 	ring, err := NewRing([]string{"shard-0", "shard-1", "shard-2"}, 0)
 	if err != nil {

@@ -49,7 +49,7 @@ trap 'rm -rf "$tmp"' EXIT
 
 echo "bench_delta: running server benchmarks..."
 go test -run '^$' \
-    -bench 'BenchmarkConclude(Scratch|Incremental)|BenchmarkSession(UploadHTTP|UploadFolded|BatchUploadHTTP|BatchUploadFolded|UploadDurable|UploadReplicated)$' \
+    -bench 'BenchmarkConclude(Scratch|Incremental)|BenchmarkSession(UploadHTTP|UploadFolded|BatchUploadHTTP|BatchUploadFolded|UploadDurable|UploadReplicated|UploadFsync)$' \
     -benchmem -benchtime 10x ./internal/server/ >"$tmp/server.txt"
 echo "bench_delta: running router benchmarks..."
 go test -run '^$' -bench 'BenchmarkRouter(ResultsQC|ResultsRaw|BatchSplit)$|BenchmarkDecodeFoldState$' \
@@ -63,7 +63,7 @@ echo "bench_delta: running middleware benchmarks..."
 go test -run '^$' -bench 'BenchmarkMiddleware$' \
     -benchmem -benchtime 1000x ./internal/obs/ >>"$tmp/server.txt"
 echo "bench_delta: running codec benchmarks..."
-go test -run '^$' -bench 'BenchmarkAppendSession$' \
+go test -run '^$' -bench 'Benchmark(AppendSession|DecodeSession)$' \
     -benchmem -benchtime 1000x ./internal/server/ >>"$tmp/server.txt"
 go test -run '^$' -bench 'Benchmark(WALRecord|VerifyWALLine)$' \
     -benchmem -benchtime 1000x ./internal/store/ >>"$tmp/server.txt"
