@@ -45,7 +45,11 @@ bench:
 # the paper's plain and sorted study on a node, a pair and a chaotic fleet
 # with a mid-study kill (socketless, so each row repeats per seed). Run repeatedly — these tests
 # mix randomized fault schedules with fixed seeds, and flakes here mean a
-# real durability bug. The last two lines are
+# real durability bug. The server's concurrency tests — results fresh under
+# uploads, loads and results across a re-prepare in place — run under the
+# race detector: with one lock per test record and no generation counters,
+# they are what guards the order between a load's read of storage and a
+# metadata change. The last two lines are
 # the model-based test of store + replica and the fold state's write-fed vs
 # replay walk, each on MODEL_RUNS fresh seeds; a failure prints the seed and
 # the command that replays it.
@@ -58,6 +62,7 @@ chaos:
 	$(GO) test -count=3 -run 'TestEveryTopologyPassesItsAudit|TestAuditCatches|TestCrowdRetriesThroughChaos' ./internal/testbed/
 	$(GO) test -count=3 -run '^TestCampaignLifecycle$$' ./internal/campaign/
 	$(GO) test -count=3 -run '^TestStudyOnEveryTopology$$' ./internal/core/
+	$(GO) test -race -count=3 -run '^(TestResultsFreshnessAfterUpload|TestConcurrentResultsNeverStale|TestEntryFillSurvivesSessionInserts|TestMetadataChangeRacesLoads)$$' ./internal/server/
 	$(GO) test -count=1 -run '^TestModel' ./internal/replica/ -model.runs=$(MODEL_RUNS) -model.steps=140
 	$(GO) test -count=1 -run '^TestWriteFedStateEqualsReplay$$' ./internal/server/ -fold.runs=$(MODEL_RUNS)
 

@@ -55,8 +55,9 @@ type Features struct {
 	MedianMillis float64
 	// MaxMillis is the longest single comparison.
 	MaxMillis int
-	// ControlFailures counts control questions answered wrong.
-	ControlFailures int
+	// Controls counts the control outcomes the session carries, and
+	// ControlFailures those answered wrong.
+	Controls, ControlFailures int
 }
 
 // ExtractFeatures reduces a session to its battery features. The reduction
@@ -81,6 +82,7 @@ func ExtractFeatures(s WorkerSession) Features {
 		}
 		f.MedianMillis = stats.Median(times)
 	}
+	f.Controls = len(s.Controls)
 	for _, c := range s.Controls {
 		if !c.Passed() {
 			f.ControlFailures++
@@ -224,9 +226,9 @@ func (f Features) local(cfg Config, fail func(format string, args ...any)) {
 		}
 	}
 
-	// Control questions.
-	if f.ControlFailures > cfg.MaxControlFailures {
-		fail("failed %d control questions (allowed %d)", f.ControlFailures, cfg.MaxControlFailures)
+	// Control questions: a control left unanswered is a control failed.
+	if failures := f.ControlFailures + max(cfg.RequiredControls-f.Controls, 0); failures > cfg.MaxControlFailures {
+		fail("failed %d control questions (allowed %d)", failures, cfg.MaxControlFailures)
 	}
 }
 

@@ -71,6 +71,7 @@ func TestIncrementalMatchesFilterProperty(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		cfg := Config{
 			RequiredResponses:      rng.Intn(6),
+			RequiredControls:       rng.Intn(3),
 			MinMillisPerComparison: []int{0, 3000}[rng.Intn(2)],
 			MaxMillisPerComparison: []int{0, 150_000}[rng.Intn(2)],
 			MaxControlFailures:     rng.Intn(2),
@@ -101,6 +102,7 @@ func TestSplitBatteryMatchesFilter(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		cfg := Config{
 			RequiredResponses:      rng.Intn(6),
+			RequiredControls:       rng.Intn(3),
 			MinMillisPerComparison: []int{0, 3000}[rng.Intn(2)],
 			MaxMillisPerComparison: []int{0, 150_000}[rng.Intn(2)],
 			MaxControlFailures:     rng.Intn(2),

@@ -55,6 +55,10 @@ type Config struct {
 	// RequiredResponses is the exact number of real answers a complete
 	// session must contain (hard rule).
 	RequiredResponses int
+	// RequiredControls is the number of control outcomes a complete session
+	// carries, one per control page; each one missing counts as a failed
+	// control.
+	RequiredControls int
 	// MinMillisPerComparison flags unengaged workers (median per-comparison
 	// time below this).
 	MinMillisPerComparison int
@@ -198,8 +202,8 @@ func evaluate(s WorkerSession, cfg Config, majority map[questionKey]questionnair
 		}
 	}
 
-	// Control questions.
-	failures := 0
+	// Control questions: a control left unanswered is a control failed.
+	failures := max(cfg.RequiredControls-len(s.Controls), 0)
 	for _, c := range s.Controls {
 		if !c.Passed() {
 			failures++

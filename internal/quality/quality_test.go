@@ -3,6 +3,7 @@ package quality
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -152,6 +153,41 @@ func TestControlFailure(t *testing.T) {
 	}
 	if len(kept) != 1 {
 		t.Error("one tolerated control failure should keep the worker")
+	}
+}
+
+// A control the session carries no outcome for counts as failed, in the
+// oracle and in the incremental battery alike.
+func TestMissingControlFails(t *testing.T) {
+	cfg := DefaultConfig(4)
+	cfg.RequiredControls = 2
+	for _, tc := range []struct {
+		controls int
+		reason   string // "" when the worker is kept
+	}{
+		{0, "failed 2 control questions (allowed 0)"},
+		{1, "failed 1 control questions (allowed 0)"},
+		{2, ""},
+	} {
+		s := goodSession("w0", choices("LLLL"))
+		s.Controls = nil
+		for i := 0; i < tc.controls; i++ {
+			s.Controls = append(s.Controls, ControlOutcome{PageID: fmt.Sprintf("ctl%d", i), Expected: questionnaire.ChoiceSame, Got: questionnaire.ChoiceSame})
+		}
+		_, _, verdicts, err := Filter([]WorkerSession{s}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := Verdict{WorkerID: "w0", Passed: tc.reason == ""}
+		if tc.reason != "" {
+			want.Reasons = []string{tc.reason}
+		}
+		if !reflect.DeepEqual(verdicts[0], want) {
+			t.Errorf("%d of 2 controls: oracle %+v, want %+v", tc.controls, verdicts[0], want)
+		}
+		if got := ExtractFeatures(s).Evaluate(cfg, nil); !reflect.DeepEqual(got, want) {
+			t.Errorf("%d of 2 controls: incremental %+v, want %+v", tc.controls, got, want)
+		}
 	}
 }
 

@@ -214,10 +214,9 @@ func TestIncrementalUnderChaos(t *testing.T) {
 	}
 }
 
-// TestResultsFreshnessAfterUpload is the satellite regression for the
-// concludeCached generation handling: an acknowledged upload must be
-// visible in the very next results response — the cache may never serve
-// results older than the state it claims.
+// TestResultsFreshnessAfterUpload: an acknowledged upload must be visible in
+// the very next results response — the record may never serve results older
+// than the state it holds.
 func TestResultsFreshnessAfterUpload(t *testing.T) {
 	srv, prep := prepTest(t)
 	for i := 0; i < 30; i++ {
@@ -233,30 +232,12 @@ func TestResultsFreshnessAfterUpload(t *testing.T) {
 			t.Fatalf("quality flag not honored at step %d", i)
 		}
 	}
-	// The fill after the last upload must have been accepted by the cache:
-	// quiescent reads are hits, not recomputes.
-	before := srv.cache.resultHits.Load()
+	// The results computed after the last upload are kept: quiescent reads
+	// are hits, not recomputes.
+	before := srv.folds.resultHits.Load()
 	getResults(t, srv, false)
-	if srv.cache.resultHits.Load() != before+1 {
+	if srv.folds.resultHits.Load() != before+1 {
 		t.Error("quiescent results read should be a cache hit")
-	}
-}
-
-// putResults must reject fills whose generation was superseded and accept
-// current ones — the primitive behind the freshness invariant.
-func TestPutResultsGenerationCheck(t *testing.T) {
-	c := newServingCache()
-	key := resultsKey{testID: "t", quality: false}
-	gen := c.gen("t")
-	if !c.putResults(key, gen, &Results{TestID: "t"}) {
-		t.Fatal("current-generation fill rejected")
-	}
-	c.invalidateSessions("t")
-	if c.putResults(key, gen, &Results{TestID: "t"}) {
-		t.Fatal("superseded fill accepted")
-	}
-	if _, ok := c.resultsFor(key); ok {
-		t.Fatal("invalidated results still served")
 	}
 }
 

@@ -216,7 +216,7 @@ func (s *Server) handleSessionBatch(w http.ResponseWriter, r *http.Request) {
 		// request on a storage fault).
 		st.report.Results = append(st.report.Results, elem)
 		if len(st.pending) == 0 {
-			st.feed = s.folds.feeding(testID, entry)
+			st.feed = s.folds.feeding(testID)
 		}
 		var note *foldNote
 		if st.feed {

@@ -38,7 +38,7 @@ import (
 func (s *Server) handleSessionBatchByDecoder(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	testID := r.PathValue("id")
-	entry, err := s.load(testID)
+	entry, err := s.folds.load(testID)
 	if err != nil {
 		writeLoadError(w, err)
 		return

@@ -67,16 +67,16 @@ func BenchmarkListTests10kResponses(b *testing.B) {
 	}
 }
 
-// BenchmarkConclude measures a fresh conclusion (results cache invalidated
-// every iteration, as a new upload would) with 10k foreign response
+// BenchmarkConclude measures a fresh conclusion (the record's served results
+// dropped every iteration, as a new upload would) with 10k foreign response
 // documents. The indexed FindEq keeps this proportional to srv-test's own
 // five sessions.
 func BenchmarkConclude10kResponses(b *testing.B) {
 	srv := benchFixture(b, 10_000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		srv.cache.invalidateSessions("srv-test")
-		res, err := srv.concludeCached(context.Background(), "srv-test", true)
+		srv.folds.dropServed("srv-test")
+		res, err := srv.folds.results(context.Background(), "srv-test", true)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -131,9 +131,9 @@ func BenchmarkConcludeScratch(b *testing.B) {
 // BenchmarkConcludeIncremental measures the same quality-controlled results
 // served from the live accumulator: the streaming state was folded in at
 // upload time, so each conclusion re-evaluates cheap per-worker features
-// instead of decoding n session payloads. The cache is generation-bumped
-// every iteration (as a fresh upload would), so this times the accumulator
-// path, not a memoized map read.
+// instead of decoding n session payloads. The record's served results are
+// dropped every iteration (as a fresh upload would), so this times the
+// accumulator path, not a memoized read.
 func BenchmarkConcludeIncremental(b *testing.B) {
 	for _, n := range []int{100, 1_000, 10_000} {
 		b.Run(fmt.Sprintf("sessions=%d", n), func(b *testing.B) {
@@ -141,13 +141,13 @@ func BenchmarkConcludeIncremental(b *testing.B) {
 			seedSessions(b, srv, prep, n)
 			// Warm the accumulator: first conclusion does the one-time
 			// rebuild from storage.
-			if _, err := srv.concludeCached(context.Background(), "srv-test", true); err != nil {
+			if _, err := srv.folds.results(context.Background(), "srv-test", true); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				srv.cache.invalidateSessions("srv-test")
-				res, err := srv.concludeCached(context.Background(), "srv-test", true)
+				srv.folds.dropServed("srv-test")
+				res, err := srv.folds.results(context.Background(), "srv-test", true)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -348,7 +348,7 @@ func BenchmarkLoadInfoUncached(b *testing.B) {
 	srv := benchFixture(b, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		srv.cache.invalidateTest("srv-test")
+		srv.folds.invalidate("srv-test")
 		if _, err := srv.loadInfo("srv-test"); err != nil {
 			b.Fatal(err)
 		}

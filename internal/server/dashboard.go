@@ -22,7 +22,7 @@ func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
 		writeLoadError(w, err)
 		return
 	}
-	res, err := s.concludeCached(r.Context(), testID, r.URL.Query().Get("quality") == "1")
+	res, err := s.folds.results(r.Context(), testID, r.URL.Query().Get("quality") == "1")
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "concluding: %v", err)
 		return

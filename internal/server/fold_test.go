@@ -2,6 +2,8 @@ package server
 
 import (
 	"bytes"
+	"cmp"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -12,13 +14,16 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"kaleidoscope/internal/aggregator"
 	"kaleidoscope/internal/earlystop"
+	"kaleidoscope/internal/params"
 	"kaleidoscope/internal/questionnaire"
 	"kaleidoscope/internal/store"
+	"kaleidoscope/internal/webgen"
 )
 
 // balancedBatch renders n sessions whose answers alternate left/right, so
@@ -52,11 +57,7 @@ func TestBatchEventsAfterReplayAreIgnored(t *testing.T) {
 		}
 		first = false
 		srv.folds.drop("srv-test")
-		entry, err := srv.load("srv-test")
-		if err == nil {
-			_, err = srv.folds.results("srv-test", entry, false)
-		}
-		if err != nil {
+		if _, err := srv.folds.results(context.Background(), "srv-test", false); err != nil {
 			t.Errorf("replay inside the change feed: %v", err)
 		}
 	})
@@ -94,14 +95,15 @@ func TestBatchEventsAfterReplayAreIgnored(t *testing.T) {
 }
 
 // A node that was never asked for a test's results and runs no engine has
-// no fold state for it: uploads extract nothing and retain nothing.
+// no fold state for it: uploads extract nothing and retain nothing, though
+// the test's record holds its entry.
 func TestNoStateUntilResultsAreAsked(t *testing.T) {
 	srv, prep := prepTest(t)
 	if rec, report := postBatch(t, srv, balancedBatch(t, prep, "w", 10), false); rec.Code != http.StatusOK || report.Accepted != 10 {
 		t.Fatalf("batch: status %d, report %+v", rec.Code, report)
 	}
-	if _, ok := srv.folds.tests.Load("srv-test"); ok {
-		t.Fatal("uploads alone created fold state on a server without early stopping")
+	if live, n := srv.folds.liveTests.Load(), srv.folds.sessions.Load(); live != 0 || n != 0 {
+		t.Fatalf("uploads alone made fold state live (%d tests, %d sessions) on a server without early stopping", live, n)
 	}
 	assertServedEqualsOracle(t, srv, "srv-test")
 	if rec, report := postBatch(t, srv, balancedBatch(t, prep, "x", 10), false); rec.Code != http.StatusOK || report.Accepted != 10 {
@@ -216,7 +218,7 @@ type foldSnapshot struct {
 
 // snapshot captures a test's state, or nil while it is lazy.
 func (f *foldTable) snapshot(testID string) *foldSnapshot {
-	st := f.lock(testID, nil, false)
+	st := f.lock(testID, false)
 	if st == nil {
 		return nil
 	}
@@ -422,7 +424,7 @@ func (w *foldWalk) step() error {
 		}
 		w.prep = prep
 	case op < 96: // the entry rebuilt, its content unchanged
-		w.srv.cache.invalidateTest(w.testID)
+		w.srv.folds.invalidate(w.testID)
 	default: // a fresh Server over the same store takes over this walk
 		srv, err := New(w.db, w.blobs, w.opts...)
 		if err != nil {
@@ -457,12 +459,12 @@ func (w *foldWalk) check() error {
 	if err := foldRoundTrip(got.State); err != nil {
 		return err
 	}
-	replay := &foldTable{early: w.srv.folds.early, responses: w.srv.responses}
-	entry, err := w.srv.load(w.testID)
+	replay := &foldTable{early: w.srv.folds.early, db: w.db, responses: w.srv.responses}
+	entry, err := w.srv.folds.load(w.testID)
 	if err != nil {
 		return err
 	}
-	if _, err := replay.results(w.testID, entry, false); err != nil {
+	if _, err := replay.results(context.Background(), w.testID, false); err != nil {
 		return err
 	}
 	if want := replay.snapshot(w.testID); !reflect.DeepEqual(got, want) {
@@ -513,8 +515,8 @@ func TestRejudgeOnlyOnMetadataChange(t *testing.T) {
 	}
 	assertServedEqualsOracle(t, srv, "srv-test")
 	rebuilds := srv.folds.rebuilds.Load()
-	srv.cache.invalidateTest("srv-test")
-	srv.cache.invalidateAll()
+	srv.folds.invalidate("srv-test")
+	srv.folds.each(srv.folds.invalidate)
 	assertServedEqualsOracle(t, srv, "srv-test")
 	if got := srv.folds.rebuilds.Load(); got != rebuilds {
 		t.Errorf("kscope_accum_rebuilds_total %d -> %d across an entry rebuilt unchanged", rebuilds, got)
@@ -537,7 +539,7 @@ func TestRejudgeOnlyOnMetadataChange(t *testing.T) {
 	}
 }
 
-// Readers copy what they keep: a QC Results the cache holds and a fold
+// Readers copy what they keep: a QC Results the record holds and a fold
 // document stay what they were while later sessions insert before and among
 // the workers they list — under -race, with the encoders running beside the
 // folds.
@@ -559,11 +561,12 @@ func TestSnapshotsNeverAliasLiveState(t *testing.T) {
 		if _, err := servedResults(srv, "srv-test", true); err != nil {
 			t.Fatal(err)
 		}
-		res, ok := srv.cache.resultsFor(resultsKey{"srv-test", true})
-		if !ok || len(res.KeptWorkers) == 0 {
-			t.Fatalf("%d questions: no cached QC results with kept workers (%v)", questions, ok)
+		hits := srv.folds.resultHits.Load()
+		res, err := srv.folds.results(context.Background(), "srv-test", true)
+		if err != nil || srv.folds.resultHits.Load() != hits+1 || len(res.KeptWorkers) == 0 {
+			t.Fatalf("%d questions: no served QC results with kept workers (%v)", questions, err)
 		}
-		entry, err := srv.load("srv-test")
+		entry, err := srv.folds.load("srv-test")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -603,42 +606,192 @@ func TestSnapshotsNeverAliasLiveState(t *testing.T) {
 	}
 }
 
-// A cold load that sessions are stored under keeps the entry it assembled:
-// a stored session moves the test's results generation, not its metadata's,
-// so the next load is a kscope_cache_hits{cache="tests"} hit and parses
-// nothing. A metadata change in the same window still wins.
+// dropServed drops the results the test's record last served, as a stored
+// session does, and nothing else.
+func (f *foldTable) dropServed(testID string) {
+	if st := f.lock(testID, false); st != nil {
+		st.served = [2]*Results{}
+		st.mu.Unlock()
+	}
+}
+
+// A load that sessions are stored under keeps the entry it installs: a
+// stored session clears the test's served results, not its entry, so the
+// next load is a kscope_cache_hits{cache="tests"} hit and parses nothing. A
+// metadata change in the same window still wins. The window is held open:
+// the test holds the record's lock as a load does while it reads storage,
+// and installs once the change has committed and its hook waits.
 func TestEntryFillSurvivesSessionInserts(t *testing.T) {
-	srv, prep := prepTest(t)
-	for i := 0; i < 5; i++ {
-		srv.cache.invalidateTest("srv-test")
-		// load's three steps, an insert between the snapshot and the put.
-		gen := srv.cache.testGen("srv-test")
-		raw, _ := json.Marshal(sampleUpload(prep, fmt.Sprintf("w%d", i), questionnaire.ChoiceLeft))
-		if _, err := srv.responses.InsertUnique(store.Document{
-			store.IDField: fmt.Sprintf("srv-test/w%d", i), "test_id": "srv-test", "worker_id": fmt.Sprintf("w%d", i), "session": string(raw),
-		}); err != nil {
+	db, blobs := store.OpenMemory(), store.NewBlobStore()
+	prep := prepareOn(t, db, blobs, "srv-test")
+	var armed atomic.Bool
+	committed := make(chan struct{})
+	for _, name := range []string{aggregator.TestsCollection, aggregator.ResponsesCollection} {
+		// Subscribed before New: this hook runs ahead of the server's.
+		db.Collection(name).OnChange(func(string, string, any) {
+			if armed.CompareAndSwap(true, false) {
+				committed <- struct{}{}
+			}
+		})
+	}
+	srv, err := New(db, blobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	window := func(change func() error) {
+		t.Helper()
+		srv.folds.invalidate("srv-test")
+		st := srv.folds.lock("srv-test", true)
+		armed.Store(true)
+		changed := make(chan error)
+		go func() { changed <- change() }()
+		<-committed
+		_, err := srv.folds.entryLocked(st, "srv-test")
+		st.mu.Unlock()
+		if err := cmp.Or(<-changed, err); err != nil {
 			t.Fatal(err)
 		}
-		loaded, err := aggregator.LoadPrepared(srv.db, "srv-test")
+	}
+	for i := 0; i < 5; i++ {
+		window(func() error {
+			raw, _ := json.Marshal(sampleUpload(prep, fmt.Sprintf("w%d", i), questionnaire.ChoiceLeft))
+			_, err := srv.responses.InsertUnique(store.Document{
+				store.IDField: fmt.Sprintf("srv-test/w%d", i), "test_id": "srv-test", "worker_id": fmt.Sprintf("w%d", i), "session": string(raw),
+			})
+			return err
+		})
+		hits, misses := srv.folds.testHits.Load(), srv.folds.testMisses.Load()
+		if _, err := srv.folds.load("srv-test"); err != nil {
+			t.Fatal(err)
+		}
+		if h, m := srv.folds.testHits.Load(), srv.folds.testMisses.Load(); h != hits+1 || m != misses {
+			t.Fatalf("load after an install that sessions raced: %d hits, %d misses, want %d and %d", h, m, hits+1, misses)
+		}
+	}
+	window(func() error {
+		tests := db.Collection(aggregator.TestsCollection)
+		doc, err := tests.Get("srv-test")
+		if err == nil {
+			_, err = tests.Insert(doc)
+		}
+		return err
+	})
+	misses := srv.folds.testMisses.Load()
+	if _, err := srv.folds.load("srv-test"); err != nil {
+		t.Fatal(err)
+	}
+	if srv.folds.testMisses.Load() != misses+1 {
+		t.Error("an entry installed from before a metadata change was kept")
+	}
+}
+
+// prepareVersions prepares the delete fixture's test with the given number
+// of versions (2 or 3): another count is another page spine.
+func prepareVersions(db *store.DB, blobs *store.BlobStore, testID string, versions int) (*aggregator.Prepared, error) {
+	agg, err := aggregator.New(db, blobs)
+	if err != nil {
+		return nil, err
+	}
+	test := deleteFixtureTest()
+	test.TestID = testID
+	sites := deleteFixtureSites()
+	if versions == 3 {
+		test.WebpageNum = 3
+		test.Webpages = append(test.Webpages, params.Webpage{WebPath: "c", WebPageLoad: params.PageLoadSpec{UniformMillis: 1000}, WebMainFile: "index.html"})
+		sites["c"] = webgen.WikiArticle(webgen.WikiConfig{Seed: 1, FontSizePt: 16})
+	}
+	return agg.Prepare(test, sites, nil)
+}
+
+// While loads, page fetches and results reads run concurrently, a re-prepare
+// in place that changes the page spine is followed by loads and results that
+// reflect only the new entry: once Prepare returns, every load serves the
+// new spine and served results equal ConcludeScratch, round after round.
+// With the record's lock the only ordering between a load's read of storage
+// and a metadata hook, this and the freshness tests beside it are what
+// guard that rule; run them under -race.
+func TestMetadataChangeRacesLoads(t *testing.T) {
+	db, blobs := store.OpenMemory(), store.NewBlobStore()
+	srv, prep := prepTestOn(t, db, blobs, "srv-test", WithEarlyStop(EarlyStopConfig{Alpha: 1e-9}))
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				// Answers during a re-prepare may be anything a half-written
+				// test reads as; only what follows it is checked.
+				switch g {
+				case 0:
+					_, _ = srv.folds.load("srv-test")
+				case 1:
+					doJSON(t, srv, http.MethodGet, "/api/tests/srv-test/pages/pair-0-1/left.html", nil, nil)
+				default:
+					_, _ = servedResults(srv, "srv-test", g == 3)
+				}
+			}
+		}()
+	}
+	defer func() { close(stop); wg.Wait() }()
+
+	rng := rand.New(rand.NewSource(5))
+	for round := 0; round < 8; round++ {
+		for i := 0; i < 3; i++ {
+			postSessions(t, srv, randomUpload(prep, fmt.Sprintf("r%d-%d", round, i), rng))
+		}
+		var err error
+		if prep, err = prepareVersions(db, blobs, "srv-test", 2+(round+1)%2); err != nil {
+			t.Fatal(err)
+		}
+		entry, err := srv.folds.load("srv-test")
+		if err != nil {
+			t.Fatalf("round %d: load after the re-prepare: %v", round, err)
+		}
+		stored, err := aggregator.LoadPrepared(db, "srv-test")
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv.cache.putTest("srv-test", gen, newTestEntry(loaded))
-
-		hits, misses := srv.cache.testHits.Load(), srv.cache.testMisses.Load()
-		if _, err := srv.load("srv-test"); err != nil {
-			t.Fatal(err)
+		if want := newTestEntry(stored); !entry.judgesLike(want) || len(want.info.Pages) != len(prep.Pages) {
+			t.Fatalf("round %d: load serves the spine %+v, the re-prepare stored %+v", round, entry.info.Pages, want.info.Pages)
 		}
-		if h, m := srv.cache.testHits.Load(), srv.cache.testMisses.Load(); h != hits+1 || m != misses {
-			t.Fatalf("load after a fill that sessions raced: %d hits, %d misses, want %d and %d", h, m, hits+1, misses)
+		if err := servedEqualsOracle(srv, "srv-test"); err != nil {
+			t.Fatalf("round %d: %v", round, err)
 		}
 	}
-	gen := srv.cache.testGen("srv-test")
-	entry, _ := srv.cache.test("srv-test")
-	srv.cache.invalidateTest("srv-test")
-	srv.cache.putTest("srv-test", gen, entry)
-	if _, ok := srv.cache.test("srv-test"); ok {
-		t.Error("an entry filled from before a metadata change was cached")
+}
+
+// A load, a results read, a fold read or an upload for an id storage does
+// not hold answers 404 and leaves no record behind.
+func TestUnknownTestLeavesNoRecord(t *testing.T) {
+	srv, prep := prepTest(t, WithEarlyStop(EarlyStopConfig{Alpha: 0.05}))
+	payload, _ := json.Marshal(sampleUpload(prep, "w1", questionnaire.ChoiceLeft))
+	for _, req := range []struct {
+		method, path string
+		body         []byte
+	}{
+		{http.MethodGet, "/api/tests/nope", nil},
+		{http.MethodGet, "/api/tests/nope/results", nil},
+		{http.MethodGet, "/api/tests/nope/results?quality=1", nil},
+		{http.MethodGet, "/api/tests/nope/fold", nil},
+		{http.MethodGet, "/api/tests/nope/pages/pair-0-1/left.html", nil},
+		{http.MethodPost, "/api/tests/nope/sessions", payload},
+		{http.MethodPost, "/api/tests/nope/sessions:batch", []byte("[" + string(payload) + "]")},
+	} {
+		if rec := doJSON(t, srv, req.method, req.path, req.body, nil); rec.Code != http.StatusNotFound {
+			t.Errorf("%s %s = %d, want 404", req.method, req.path, rec.Code)
+		}
+	}
+	if _, ok := srv.folds.tests.Load("nope"); ok {
+		t.Error("a request for an unknown test left a record")
+	}
+	if n := srv.folds.tracked.Load(); n != 0 {
+		t.Errorf("%d records after requests for an unknown test only, want 0", n)
 	}
 }
 

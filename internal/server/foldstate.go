@@ -73,8 +73,8 @@ func (r *voteRow) ref() quality.QuestionRef {
 }
 
 // crowdRules is the half of the default battery Conclude still has to
-// apply. The required-answer count, the only per-test knob, belongs to the
-// session-local half.
+// apply. The required answer and control counts, the only per-test knobs,
+// belong to the session-local half.
 var crowdRules = quality.DefaultConfig(0)
 
 // DecodeFoldState parses a fold document from another node and checks what

@@ -52,8 +52,8 @@ func TestFoldReadDoesNotPromote(t *testing.T) {
 	}
 
 	lazy, fs := fetchFold(t, srv)
-	if _, ok := srv.folds.tests.Load("srv-test"); ok {
-		t.Error("the fold read created fold state")
+	if live, n := srv.folds.liveTests.Load(), srv.folds.sessions.Load(); live != 0 || n != 0 {
+		t.Errorf("the fold read made fold state live (%d tests, %d sessions)", live, n)
 	}
 	if fs.Sessions != 13 || len(fs.Workers) != 12 {
 		t.Errorf("document holds %d sessions, %d passing workers; want 13 and 12", fs.Sessions, len(fs.Workers))

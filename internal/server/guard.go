@@ -121,7 +121,7 @@ func (s *Server) writeUnavailable(w http.ResponseWriter, what string) {
 // loadServing is the read handlers' test load: load, with the degraded
 // marker set. It returns nil once it has answered the load error.
 func (s *Server) loadServing(w http.ResponseWriter, testID string) *testEntry {
-	entry, err := s.load(testID)
+	entry, err := s.folds.load(testID)
 	if err != nil {
 		writeLoadError(w, err)
 		return nil
@@ -178,7 +178,7 @@ func (g *writeGate) report(o guard.Outcome) {
 // WAL, so both leave the deferred Canceled. It returns nil once it has
 // answered.
 func (g *writeGate) load(w http.ResponseWriter, testID string) *testEntry {
-	entry, err := g.s.load(testID)
+	entry, err := g.s.folds.load(testID)
 	if err != nil {
 		if !errors.Is(err, store.ErrNotFound) {
 			g.report(guard.Failure)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -36,7 +37,7 @@ func TestNoControlAnswerLeakage(t *testing.T) {
 		}
 	}
 	// The answers must still be available internally for scoring.
-	entry, err := srv.load("srv-test")
+	entry, err := srv.folds.load("srv-test")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,9 +154,9 @@ func TestCacheInvalidationOnUpload(t *testing.T) {
 		t.Fatalf("workers = %d", res.Workers)
 	}
 	// Second read is a cache hit.
-	before := srv.cache.resultHits.Load()
+	before := srv.folds.resultHits.Load()
 	doJSON(t, srv, http.MethodGet, "/api/tests/srv-test/results", nil, &res)
-	if srv.cache.resultHits.Load() != before+1 {
+	if srv.folds.resultHits.Load() != before+1 {
 		t.Error("second results read should hit the cache")
 	}
 
@@ -169,11 +170,11 @@ func TestCacheInvalidationOnUpload(t *testing.T) {
 	}
 
 	// Test metadata stayed cached across the upload.
-	misses := srv.cache.testMisses.Load()
-	if _, err := srv.load("srv-test"); err != nil {
+	misses := srv.folds.testMisses.Load()
+	if _, err := srv.folds.load("srv-test"); err != nil {
 		t.Fatal(err)
 	}
-	if srv.cache.testMisses.Load() != misses {
+	if srv.folds.testMisses.Load() != misses {
 		t.Error("upload should not evict test metadata")
 	}
 }
@@ -256,4 +257,33 @@ func TestRouteLabel(t *testing.T) {
 			t.Errorf("RouteLabel(%s %s) = %q, want %q", tt.method, tt.path, got, tt.want)
 		}
 	}
+}
+
+// A worker who reports no outcome for a control page fails the control
+// rule: a session with "controls":null and one with no controls key are
+// both dropped under ?quality=1 — by the fold read of a lazy state, by live
+// state and by the oracle alike.
+func TestUnansweredControlsAreDropped(t *testing.T) {
+	srv, prep := prepTest(t)
+	postSessions(t, srv, sampleUpload(prep, "w-good", questionnaire.ChoiceLeft))
+	nullControls := sampleUpload(prep, "w-null", questionnaire.ChoiceLeft)
+	nullControls.Controls = nil
+	postSessions(t, srv, nullControls)
+	var noKey map[string]any
+	if err := json.Unmarshal(mustMarshal(t, sampleUpload(prep, "w-nokey", questionnaire.ChoiceLeft)), &noKey); err != nil {
+		t.Fatal(err)
+	}
+	delete(noKey, "controls")
+	if rec := doJSON(t, srv, http.MethodPost, "/api/tests/srv-test/sessions", mustMarshal(t, noKey), nil); rec.Code != http.StatusCreated {
+		t.Fatalf("upload without a controls key = %d: %s", rec.Code, rec.Body.String())
+	}
+
+	if _, fs := fetchFold(t, srv); fs.Sessions != 3 || !slices.Equal(fs.Workers, []string{"w-good"}) {
+		t.Errorf("the fold read passes %v of %d sessions, want [w-good] of 3", fs.Workers, fs.Sessions)
+	}
+	res := getResults(t, srv, true)
+	if !slices.Equal(res.KeptWorkers, []string{"w-good"}) || res.DroppedWorkers != 2 {
+		t.Errorf("?quality=1 keeps %v and drops %d, want [w-good] and 2", res.KeptWorkers, res.DroppedWorkers)
+	}
+	assertServedEqualsOracle(t, srv, "srv-test")
 }

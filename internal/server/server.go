@@ -11,11 +11,12 @@
 //     (GET /api/tests/{id}/results).
 //
 // The serving path is index-backed and cached: session lookups go through a
-// secondary index on test_id, test metadata is parsed once and cached until
-// the underlying documents change, and concluded results are cached until a
-// new session arrives. Control-question answers never leave the server —
-// extension-facing payloads carry PageView, which omits the expected
-// answer, and uploaded control outcomes are re-scored against storage.
+// secondary index on test_id, and each test's record (fold.go) keeps its
+// metadata parsed until the underlying documents change and its concluded
+// results until a new session arrives. Control-question answers never leave
+// the server — extension-facing payloads carry PageView, which omits the
+// expected answer, and uploaded control outcomes are re-scored against
+// storage.
 package server
 
 import (
@@ -27,7 +28,6 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"kaleidoscope/internal/aggregator"
@@ -48,8 +48,7 @@ type Server struct {
 	db    *store.DB
 	blobs *store.BlobStore
 	mux   *http.ServeMux
-	cache *servingCache
-	folds *foldTable    // per-test fold state, see fold.go
+	folds *foldTable    // per-test records, see fold.go
 	reg   *obs.Registry // nil when observability is off
 	guard *guard.Guard  // nil when overload protection is off
 
@@ -76,16 +75,16 @@ func WithObservability(reg *obs.Registry) Option {
 }
 
 // New wires a server over prepared storage. It declares the secondary
-// indexes the serving path relies on and subscribes to store changes for
-// cache invalidation.
+// indexes the serving path relies on and subscribes the per-test records to
+// store changes.
 func New(db *store.DB, blobs *store.BlobStore, opts ...Option) (*Server, error) {
 	if db == nil || blobs == nil {
 		return nil, errors.New("server: nil storage")
 	}
 	responses := db.Collection(aggregator.ResponsesCollection)
 	s := &Server{
-		db: db, blobs: blobs, mux: http.NewServeMux(), cache: newServingCache(),
-		folds: &foldTable{responses: responses}, responses: responses,
+		db: db, blobs: blobs, mux: http.NewServeMux(),
+		folds: &foldTable{db: db, responses: responses}, responses: responses,
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -112,31 +111,30 @@ func New(db *store.DB, blobs *store.BlobStore, opts ...Option) (*Server, error) 
 	responses.EnsureIndex("test_id")
 	db.Collection(aggregator.PagesCollection).EnsureIndex("test_id")
 
-	// Cache invalidation rides the store's change feed. Tests and pages
-	// invalidate the test's metadata (and everything derived from it); a
-	// new session only invalidates session-derived state.
+	// The records follow the store's change feed. A test or page change
+	// clears the test's entry and served results; a session folds into its
+	// test's state. A page or session id with no test id in it changes what
+	// every test may read.
 	db.Collection(aggregator.TestsCollection).OnChange(func(_, id string, _ any) {
-		s.cache.invalidateTest(id)
+		s.folds.invalidate(id)
 	})
 	db.Collection(aggregator.PagesCollection).OnChange(func(_, id string, _ any) {
-		s.invalidateByPrefixedID(id, s.cache.invalidateTest)
+		if testID, _, ok := strings.Cut(id, "/"); ok {
+			s.folds.invalidate(testID)
+		} else {
+			s.folds.each(s.folds.invalidate)
+		}
 	})
 	responses.OnChange(func(op, id string, note any) {
 		testID, _, ok := strings.Cut(id, "/")
 		if !ok {
 			s.folds.dropAll()
-			s.cache.invalidateAll()
 			return
 		}
-		// Fold before bumping the cache generation: a reader that snapshots
-		// the generation and then reads the fold state sees state at least
-		// as new as the snapshot, so results cached under that generation
-		// are never older than the generation they claim.
 		// An upload handler's insert always carries a *foldNote, nil when it
 		// had no live state to feed; every other writer carries nothing.
 		n, inserted := note.(*foldNote)
 		s.folds.observe(op, id, testID, n, inserted)
-		s.cache.invalidateSessions(testID)
 	})
 
 	if s.reg != nil {
@@ -146,44 +144,11 @@ func New(db *store.DB, blobs *store.BlobStore, opts ...Option) (*Server, error) 
 	return s, nil
 }
 
-// invalidateByPrefixedID extracts the test id from a "testID/suffix"
-// document id; unattributable ids flush the whole cache rather than risk
-// staleness.
-func (s *Server) invalidateByPrefixedID(id string, invalidate func(string)) {
-	testID, _, ok := strings.Cut(id, "/")
-	if !ok {
-		s.cache.invalidateAll()
-		return
-	}
-	invalidate(testID)
-}
-
-// registerGauges exports cache and store read-path statistics.
+// registerGauges exports the records' and the store's read-path
+// statistics.
 func (s *Server) registerGauges() {
-	s.folds.registerGauges(s)
-	reg, cache := s.reg, s.cache
-	for _, g := range []struct {
-		name         string
-		hits, misses *atomic.Int64
-	}{
-		{"tests", &cache.testHits, &cache.testMisses},
-		{"results", &cache.resultHits, &cache.resultMisses},
-	} {
-		hits, misses := g.hits, g.misses
-		reg.RegisterGauge(fmt.Sprintf("kscope_cache_hits{cache=%q}", g.name), func() float64 {
-			return float64(hits.Load())
-		})
-		reg.RegisterGauge(fmt.Sprintf("kscope_cache_misses{cache=%q}", g.name), func() float64 {
-			return float64(misses.Load())
-		})
-		reg.RegisterGauge(fmt.Sprintf("kscope_cache_hit_ratio{cache=%q}", g.name), func() float64 {
-			h, m := float64(hits.Load()), float64(misses.Load())
-			if h+m == 0 {
-				return 0
-			}
-			return h / (h + m)
-		})
-	}
+	reg := s.reg
+	s.folds.registerGauges(reg)
 	for _, name := range []string{
 		aggregator.TestsCollection, aggregator.PagesCollection, aggregator.ResponsesCollection,
 	} {
@@ -304,26 +269,9 @@ type TestInfo struct {
 	Sorted      bool       `json:"sorted,omitempty"` // params.Test.Sorted
 }
 
-// load returns the cached serving entry for a test, assembling (and
-// caching) it from storage on a miss. Concurrent misses may both assemble;
-// the generation check in putTest keeps a racing invalidation authoritative.
-func (s *Server) load(testID string) (*testEntry, error) {
-	if entry, ok := s.cache.test(testID); ok {
-		return entry, nil
-	}
-	gen := s.cache.testGen(testID)
-	prep, err := aggregator.LoadPrepared(s.db, testID)
-	if err != nil {
-		return nil, err
-	}
-	entry := newTestEntry(prep)
-	s.cache.putTest(testID, gen, entry)
-	return entry, nil
-}
-
 // loadInfo assembles the extension-facing TestInfo.
 func (s *Server) loadInfo(testID string) (*TestInfo, error) {
-	entry, err := s.load(testID)
+	entry, err := s.folds.load(testID)
 	if err != nil {
 		return nil, err
 	}
@@ -565,7 +513,7 @@ func (s *Server) handleSessionUpload(w http.ResponseWriter, r *http.Request) {
 	// The handler built the document and hands it over: no defensive clone,
 	// and the session's reduction rides along for the fold state.
 	var note *foldNote
-	if s.folds.feeding(testID, entry) {
+	if s.folds.feeding(testID) {
 		note = entry.reduce(upload)
 	}
 	errs, ok := g.commit(w, "storing session", []store.Document{doc}, []any{note})
@@ -586,7 +534,7 @@ func (s *Server) handleSessionUpload(w http.ResponseWriter, r *http.Request) {
 // immediately), then sweeps the test's page documents, stored sessions, and
 // blob prefix (releasing CAS refcounts, so content shared with other
 // tenants survives while this test's references are dropped), and finally
-// drops the test's serving-cache entries and fold state.
+// purges the test's record.
 //
 // The sweep is idempotent: a retry after a partially failed delete (or
 // after a lost response) cleans up whatever remains, and 404 only means
@@ -628,10 +576,9 @@ func (s *Server) handleTestDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The OnChange hooks already invalidated the cache per deleted document;
-	// this drops it again, with the fold state (latched decision included),
-	// so a deleted test can never be served until it is created again.
-	s.cache.invalidateTest(testID)
+	// The OnChange hooks already cleared the record per deleted document;
+	// this removes it, latched decision included, so a deleted test can
+	// never be served until it is created again.
 	s.folds.purge(testID)
 
 	if !hadDoc && npages == 0 && nsessions == 0 && nblobs == 0 {
@@ -702,24 +649,24 @@ func (s *Server) handleSessionList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, uploads)
 }
 
-// defaultQC derives the paper's default battery for a test: every real
+// defaultQCInfo derives the paper's default battery for a test: every real
 // page×question answered (not for a sorted test, whose participants answer
-// only the pairs their sort visits), engagement bounds, zero control
-// failures.
-func defaultQC(entry *testEntry) *quality.Config {
-	return defaultQCInfo(entry.info)
-}
-
-// defaultQCInfo is defaultQC computed from the extension-facing TestInfo
-// alone — the page views carry their kind, so the real-page count needs
-// no Prepared. This is what lets ConcludeUploads, given only the TestInfo a
-// deployment serves, apply the exact battery a single node applies.
+// only the pairs their sort visits), engagement bounds, every control page
+// answered and none failed. It reads the extension-facing TestInfo alone —
+// the page views carry their kind, so the counts need no Prepared. This is
+// what lets ConcludeUploads, given only the TestInfo a deployment serves,
+// apply the exact battery a single node applies.
 func defaultQCInfo(info *TestInfo) *quality.Config {
 	required := info.realQuestions()
 	if info.Sorted {
 		required = 0
 	}
 	cfg := quality.DefaultConfig(required)
+	for _, p := range info.Pages {
+		if p.Kind == aggregator.KindControl {
+			cfg.RequiredControls++
+		}
+	}
 	return &cfg
 }
 
@@ -748,13 +695,13 @@ func ConcludeUploads(info *TestInfo, uploads []SessionUpload, useQC bool) (*Resu
 }
 
 // ConcludeScratch computes results for a test from its stored sessions,
-// decoded from storage past the results cache and the fold state, with,
+// decoded from storage past the test's record, with,
 // when useQC is set, the default battery the HTTP results surface applies
 // for ?quality=1. It is the from-scratch reference the incremental engine
 // is differentially tested against, and the oracle the load harness and
 // the benchmarks compare the serving path with.
 func (s *Server) ConcludeScratch(testID string, useQC bool) (*Results, error) {
-	entry, err := s.load(testID)
+	entry, err := s.folds.load(testID)
 	if err != nil {
 		return nil, err
 	}
@@ -764,7 +711,7 @@ func (s *Server) ConcludeScratch(testID string, useQC bool) (*Results, error) {
 	}
 	var qc *quality.Config
 	if useQC {
-		qc = defaultQC(entry)
+		qc = &entry.qc
 	}
 	return concludeUploads(entry.info, uploads, qc)
 }
@@ -805,49 +752,10 @@ func concludeUploads(info *TestInfo, uploads []SessionUpload, qc *quality.Config
 	return res, nil
 }
 
-// concludeCached serves the HTTP results surface: raw and default-battery
-// conclusions are cached per test, keyed by (test, quality-on), until a new
-// session arrives, and cache misses are computed from the test's fold state.
-//
-// Freshness invariant: the generation is snapshotted before anything is
-// read, so every read observes state at least as new as the snapshot and
-// putResults can never pin results older than the generation they are
-// cached under. When an upload races the fill, putResults rejects the
-// (still perfectly valid) result; one bounded recompute re-attempts the
-// fill from the newer state so interleaved upload/results traffic does not
-// degrade into a permanently cold results cache.
-func (s *Server) concludeCached(ctx context.Context, testID string, useQC bool) (*Results, error) {
-	key := resultsKey{testID: testID, quality: useQC}
-	if res, ok := s.cache.resultsFor(key); ok {
-		return res, nil
-	}
-	var res *Results
-	for attempt := 0; attempt < 2; attempt++ {
-		// A disconnected client gets no tally: concluding can mean folding
-		// thousands of stored sessions, and nobody is listening anymore.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		gen := s.cache.gen(testID)
-		entry, err := s.load(testID)
-		if err != nil {
-			return nil, err
-		}
-		res, err = s.folds.results(testID, entry, useQC)
-		if err != nil {
-			return nil, err
-		}
-		if s.cache.putResults(key, gen, res) {
-			break
-		}
-	}
-	return res, nil
-}
-
 func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	testID := r.PathValue("id")
 	useQC := r.URL.Query().Get("quality") == "1"
-	res, err := s.concludeCached(r.Context(), testID, useQC)
+	res, err := s.folds.results(r.Context(), testID, useQC)
 	if err != nil {
 		if errors.Is(err, store.ErrNotFound) {
 			writeError(w, http.StatusNotFound, "test not found: %v", err)
@@ -862,7 +770,7 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.markDegraded(w)
-	writeJSON(w, http.StatusOK, s.withDecision(testID, res))
+	writeJSON(w, http.StatusOK, res)
 }
 
 // handleFold serves GET /api/tests/{id}/fold, the node-internal read a shard
@@ -881,20 +789,4 @@ func (s *Server) handleFold(w http.ResponseWriter, r *http.Request) {
 	// writeJSON's bytes, without encoding/json's pass over MarshalJSON's.
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(append(fs.doc().append(make([]byte, 0, 1024)), '\n'))
-}
-
-// withDecision attaches the sequential engine's verdict to a results
-// payload. The cached Results object is never mutated — decision metadata
-// rides a shallow copy, so the cache keeps serving the engine-free shape
-// and undecided tests stay byte-identical to a server without early
-// stopping.
-func (s *Server) withDecision(testID string, res *Results) *Results {
-	d := s.folds.decision(testID)
-	if d == nil {
-		return res
-	}
-	cp := *res
-	cp.Concluded = true
-	cp.Decision = d
-	return &cp
 }

@@ -358,12 +358,15 @@ func RouteLatency(reg *obs.Registry, route string) *obs.Histogram {
 
 // statusTable counts responses by status code at a front-door listener,
 // behind any chaos injection — these are statuses the deployment itself
-// produced. It also audits the shed contract: every 429/503 must carry
-// Retry-After.
+// produced. An answer written after the request's context ended reached
+// nobody (the client hung up, or a severed link gave up on it: a killed
+// primary's in-flight upload answers 408 into the void); it is counted
+// apart and held to no matrix. It also audits the shed contract: every
+// delivered 429/503 must carry Retry-After.
 type statusTable struct {
-	mu            sync.Mutex
-	counts        map[int]int64
-	noRetryAfters int64
+	mu                  sync.Mutex
+	counts, undelivered map[int]int64
+	noRetryAfters       int64
 }
 
 func (s *statusTable) wrap(next http.Handler) http.Handler {
@@ -371,20 +374,29 @@ func (s *statusTable) wrap(next http.Handler) http.Handler {
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		next.ServeHTTP(rec, r)
 		s.mu.Lock()
-		if s.counts == nil {
-			s.counts = make(map[int]int64)
+		defer s.mu.Unlock()
+		if r.Context().Err() != nil {
+			s.undelivered = addCode(s.undelivered, rec.status)
+			return
 		}
-		s.counts[rec.status]++
+		s.counts = addCode(s.counts, rec.status)
 		if (rec.status == http.StatusTooManyRequests || rec.status == http.StatusServiceUnavailable) &&
 			rec.Header().Get("Retry-After") == "" {
 			s.noRetryAfters++
 		}
-		s.mu.Unlock()
 	})
 }
 
-func (s *statusTable) sorted() (codes []int) {
-	for c := range s.counts {
+func addCode(counts map[int]int64, code int) map[int]int64 {
+	if counts == nil {
+		counts = make(map[int]int64)
+	}
+	counts[code]++
+	return counts
+}
+
+func sortedCodes(counts map[int]int64) (codes []int) {
+	for c := range counts {
 		codes = append(codes, c)
 	}
 	sort.Ints(codes)
@@ -395,18 +407,25 @@ func (s *statusTable) print(out io.Writer) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	fmt.Fprintf(out, "server statuses:")
-	for _, c := range s.sorted() {
+	for _, c := range sortedCodes(s.counts) {
 		fmt.Fprintf(out, " %d×%d", c, s.counts[c])
 	}
 	fmt.Fprintln(out)
+	if len(s.undelivered) > 0 {
+		fmt.Fprintf(out, "undelivered statuses:")
+		for _, c := range sortedCodes(s.undelivered) {
+			fmt.Fprintf(out, " %d×%d", c, s.undelivered[c])
+		}
+		fmt.Fprintln(out)
+	}
 }
 
-// outside lists the counted statuses not in allowed, as "code×count", and
-// counts the sheds that carried no Retry-After.
+// outside lists the delivered statuses not in allowed, as "code×count",
+// and counts the delivered sheds that carried no Retry-After.
 func (s *statusTable) outside(allowed []int) (bad []string, bareSheds int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, code := range s.sorted() {
+	for _, code := range sortedCodes(s.counts) {
 		if !slices.Contains(allowed, code) {
 			bad = append(bad, fmt.Sprintf("%d×%d", code, s.counts[code]))
 		}

@@ -210,6 +210,51 @@ func TestAuditCatches(t *testing.T) {
 			t.Errorf("a scenario that allows 404 still fails: %v", err)
 		}
 	})
+	t.Run("an answer nobody received", func(t *testing.T) {
+		// An upload in flight when its node is killed: the link gives up on
+		// it, which ends the handler's context, and the handler goes on to
+		// answer 408 into the void. No one got that answer, so the matrix
+		// does not judge it; an answer that is delivered still is.
+		bed := drive(t, Topology{})
+		body, rest := io.Pipe()
+		closed := make(chan struct{})
+		req, err := http.NewRequest(http.MethodPost, bed.URLs[0]+"/api/tests/t/sessions", &closeSignal{body, closed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		severed := make(chan error)
+		go func() {
+			resp, err := bed.net.RoundTrip(req)
+			if err == nil {
+				resp.Body.Close()
+			}
+			severed <- err
+		}()
+		if _, err := rest.Write([]byte(`{"test_id":"t",`)); err != nil { // read by the handler: it is in flight
+			t.Fatal(err)
+		}
+		bed.net.Sever(strings.TrimPrefix(bed.URLs[0], "http://"))
+		if err := <-severed; err == nil {
+			t.Fatal("the severed upload got an answer")
+		}
+		rest.Write([]byte(`"worker_id":"severed"}`))
+		rest.Close()
+		<-closed // the handler has answered
+		var out strings.Builder
+		bed.statuses.print(&out)
+		if !strings.Contains(out.String(), "undelivered statuses: 408×1\n") {
+			t.Errorf("status table:\n%s\nwant the handler's 408 apart, undelivered", out.String())
+		}
+		if err := bed.Audit(io.Discard); err != nil {
+			t.Errorf("an answer nobody received fails the audit: %v", err)
+		}
+		resp, err := bed.Client.Get(bed.URLs[0] + "/api/tests/no-such-test")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		expect(t, bed, "404×1")
+	})
 	t.Run("a lost worker", func(t *testing.T) {
 		bed := drive(t, Topology{})
 		bed.crowds[0].report.Failed = 1
@@ -325,4 +370,16 @@ func TestStartAndKillRejectWhatCannotWork(t *testing.T) {
 	if bed.link(workerLink, 0, 0) != &bed.net || bed.link(replLink, 0, 0) != &bed.net {
 		t.Error("a clean network handed out a chaos transport")
 	}
+}
+
+// closeSignal is a request body that closes closed when its reader is
+// closed: a netsim handler's body is closed once the handler has returned.
+type closeSignal struct {
+	io.ReadCloser
+	closed chan struct{}
+}
+
+func (c *closeSignal) Close() error {
+	close(c.closed)
+	return c.ReadCloser.Close()
 }
