@@ -263,6 +263,58 @@ func TestSnapshotFaultKeepsStandbyLog(t *testing.T) {
 	}
 }
 
+// TestFollowerRestartOverZeroTail: a follower stopped without Close leaves
+// its log running ahead of its last frame in synced zeros. The follower
+// started over it appends its next frames right after that frame, into the
+// zeros and with no NUL between, and promotion recovers every acknowledged
+// frame and quarantines nothing.
+func TestFollowerRestartOverZeroTail(t *testing.T) {
+	dir := t.TempDir()
+	line := func(seq uint64) []byte {
+		payload := fmt.Sprintf(`{"op":"put","id":"s-%d","doc":{"_id":"s-%d"}}`, seq, seq)
+		return []byte(fmt.Sprintf("#w1 %08x %s", crc32.ChecksumIEEE([]byte(payload)), payload))
+	}
+	post := func(url string, from, to uint64) []byte {
+		var body, lines []byte
+		for seq := from; seq <= to; seq++ {
+			body = appendFrame(body, 1, seq, "sessions", line(seq))
+			lines = append(append(lines, line(seq)...), '\n')
+		}
+		if got := postFrames(t, url, "1", body); got != http.StatusOK {
+			t.Fatalf("frames %d-%d: HTTP %d", from, to, got)
+		}
+		return lines
+	}
+	_, ts := newFollower(t, dir)
+	want := append([]byte("\n"), post(ts.URL, 1, 5)...)
+	want = append(want, post(ts.URL, 6, 10)...)
+
+	// Stopped without Close: its handles stay open, and the next follower
+	// over the directory starts from the position it saved, 0.
+	reborn, ts2 := newFollower(t, dir)
+	want = append(append(want, '\n'), post(ts2.URL, 11, 15)...)
+	data, err := store.OSFileSystem{}.ReadFile(store.WALPath(dir, "sessions"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if log := store.TrimZeroTail(data); !bytes.Equal(log, want) || len(log) == len(data) {
+		t.Fatalf("follower log after the restart = %q and %d zero bytes, want %q inside zeros", log, len(data)-len(log), want)
+	}
+	db, _, err := reborn.Promote()
+	if err != nil {
+		t.Fatalf("Promote: %v", err)
+	}
+	defer db.Close()
+	if st := db.DurabilityStats(); st.RecoveredTails != 0 || st.QuarantinedRecords != 0 {
+		t.Errorf("promotion recovered %d tails and quarantined %d records, want none", st.RecoveredTails, st.QuarantinedRecords)
+	}
+	for seq := 1; seq <= 15; seq++ {
+		if _, err := db.Collection("sessions").Get(fmt.Sprintf("s-%d", seq)); err != nil {
+			t.Errorf("acknowledged frame %d lost: %v", seq, err)
+		}
+	}
+}
+
 // waitState blocks until p's stream reaches want, woken by each state
 // change rather than by a clock.
 func waitState(p *Primary, want primaryState) {
@@ -810,7 +862,7 @@ func TestFollowerRefusals(t *testing.T) {
 		t.Fatalf("a genuine frame after the refusals: HTTP %d, position %d", got, f.AckedSeq())
 	}
 	data, err := store.OSFileSystem{}.ReadFile(store.WALPath(dir, "sessions"))
-	if err != nil || !bytes.Equal(bytes.TrimSpace(data), inner) {
+	if data = store.TrimZeroTail(data); err != nil || !bytes.Equal(bytes.TrimSpace(data), inner) {
 		t.Fatalf("follower WAL = %q, %v: want the one shipped line", data, err)
 	}
 }

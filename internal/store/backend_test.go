@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"reflect"
 	"strings"
 	"sync"
@@ -407,10 +408,12 @@ func TestRotationTornWriteAtBoundary(t *testing.T) {
 }
 
 // TestSnapshotWAL: the replication snapshot source must return the raw
-// on-disk segment bytes (every line verifiable), nil for a collection with
-// no segment yet, and an error on a memory store.
+// on-disk segment bytes (every line verifiable) without the zeros an open,
+// extended handle keeps ahead of them, nil for a collection with no segment
+// yet, and an error on a memory store.
 func TestSnapshotWAL(t *testing.T) {
-	db, err := Open(t.TempDir(), WithSyncPolicy(SyncAlways))
+	dir := t.TempDir()
+	db, err := Open(dir, WithSyncPolicy(SyncAlways))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,9 +424,13 @@ func TestSnapshotWAL(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	settledHandle(t, c)
 	data, err := db.SnapshotWAL("c")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if raw, err := os.ReadFile(WALPath(dir, "c")); err != nil || len(raw) <= len(data) {
+		t.Fatalf("the open log is %d bytes (%v), want it extended past the %d-byte snapshot", len(raw), err, len(data))
 	}
 	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
 	if len(lines) != 5 {

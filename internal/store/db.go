@@ -273,7 +273,7 @@ func (db *DB) loadCollection(name string) (*Collection, error) {
 			return nil, err
 		}
 	}
-	if rep.truncateAt >= 0 {
+	if rep.torn {
 		db.recoveredTails.Add(1)
 	}
 	db.quarantined.Add(int64(len(rep.quarantined)))

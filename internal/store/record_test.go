@@ -245,15 +245,17 @@ func FuzzVerifyWALLine(f *testing.F) {
 }
 
 // checkScanWAL holds one file's replay to scanWAL's contract: every
-// non-blank line is a good line, a quarantined line or the one torn tail, and
-// every record returned is one parseWALLine (and, framed, the follower's
-// check) accepts again.
+// non-blank line before the file's trailing zeros is a good line, a
+// quarantined line or the one torn tail, the file is cut at the torn tail or
+// else where its zeros start, and every record returned is one parseWALLine
+// (and, framed, the follower's check) accepts again.
 func checkScanWAL(t *testing.T, data []byte) {
 	t.Helper()
 	rep := scanWAL(data)
+	logical := TrimZeroTail(data)
 	var lines [][]byte
 	lastStart := int64(-1)
-	for off, rest := int64(0), data; len(rest) > 0; {
+	for off, rest := int64(0), logical; len(rest) > 0; {
 		line := rest
 		if nl := bytes.IndexByte(rest, '\n'); nl >= 0 {
 			line = rest[:nl]
@@ -266,11 +268,18 @@ func checkScanWAL(t *testing.T, data []byte) {
 		rest = rest[min(len(line)+1, len(rest)):]
 	}
 	torn := 0
-	if rep.truncateAt >= 0 {
+	switch {
+	case rep.torn:
 		torn = 1
 		if rep.truncateAt != lastStart {
 			t.Fatalf("torn tail at %d, the last line starts at %d: %q", rep.truncateAt, lastStart, data)
 		}
+	case len(logical) < len(data):
+		if rep.truncateAt != int64(len(logical)) {
+			t.Fatalf("zero tail cut at %d, the zeros start at %d: %q", rep.truncateAt, len(logical), data)
+		}
+	case rep.truncateAt >= 0:
+		t.Fatalf("cut at %d with neither a torn tail nor zeros: %q", rep.truncateAt, data)
 	}
 	if len(rep.goodLines)+len(rep.quarantined)+torn != len(lines) || len(rep.records) != len(rep.goodLines) {
 		t.Fatalf("%d lines became %d good (%d records), %d quarantined, %d torn: %q",
@@ -292,6 +301,7 @@ func FuzzScanWAL(f *testing.F) {
 		f.Add(append(c.line, '\n'), []byte(`{"op":"del","id":"a"}`), uint16(7))
 	}
 	f.Add([]byte("\n\n#w1 \n{\n"), []byte(`{"op":"put","id":"b","doc":{"_id":"b"}}`), uint16(20))
+	f.Add([]byte("\x00\x00\x00"), []byte(`{"op":"del","id":"a"}`), uint16(9))
 	f.Fuzz(func(t *testing.T, data, payload []byte, cut uint16) {
 		checkScanWAL(t, data)
 		// The same bytes between two framed records, the second cut short.

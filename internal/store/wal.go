@@ -80,8 +80,9 @@ type walReplay struct {
 	goodLines   [][]byte // verbatim good lines, for rewrites
 	at          []int64  // the file offset of each good line
 	quarantined [][]byte // semantically bad or mid-file-corrupt lines
-	truncateAt  int64    // byte offset of a torn final record; -1 = none
-	size        int64    // the file's length
+	truncateAt  int64    // where to cut the file: a torn final record or a zero tail; -1 = none
+	torn        bool     // the cut removes a torn final record
+	size        int64    // the file's length; the repaired log's after recoverWAL
 }
 
 // scanWAL classifies every line of a WAL file. Structural damage on the
@@ -89,9 +90,15 @@ type walReplay struct {
 // damage earlier, and any semantically invalid record anywhere, is
 // quarantined. Acknowledged records are never dropped by either path: a
 // torn tail is by definition unacknowledged, and quarantining only removes
-// records that could never have been applied.
+// records that could never have been applied. The zeros an append handle
+// keeps ahead of the log's end (see OSFileSystem.OpenAppend) are no line:
+// they are cut as a torn tail is, and a record torn inside them is the
+// torn tail.
 func scanWAL(data []byte) walReplay {
 	rep := walReplay{truncateAt: -1, size: int64(len(data))}
+	if data = TrimZeroTail(data); int64(len(data)) < rep.size {
+		rep.truncateAt = int64(len(data))
+	}
 	type rawLine struct {
 		start int64
 		text  []byte
@@ -124,7 +131,7 @@ func scanWAL(data []byte) walReplay {
 		case lineTorn:
 			if i == len(lines)-1 {
 				// The interrupted final append: cut it off.
-				rep.truncateAt = ln.start
+				rep.truncateAt, rep.torn = ln.start, true
 			} else {
 				rep.quarantined = append(rep.quarantined, ln.text)
 			}
@@ -172,7 +179,7 @@ func recoverWAL(fs FileSystem, path string, rep *walReplay) error {
 	}
 	if rep.truncateAt >= 0 {
 		if err := fs.Truncate(path, rep.truncateAt); err != nil {
-			return fmt.Errorf("store: truncating torn tail of %s: %w", path, err)
+			return fmt.Errorf("store: cutting the tail of %s: %w", path, err)
 		}
 		rep.size = rep.truncateAt
 	}
@@ -208,10 +215,11 @@ const (
 
 // walFile is a collection's log file on a persistent database: its append
 // handle, opened by the first append, its read handle for cold values,
-// opened by the first value to go cold, and its length. Between open and
-// close the file is only appended to, so an offset a cold value keeps stays
-// true and neither handle is ever swapped. All methods are called with the
-// owning collection's lock held.
+// opened by the first value to go cold, and the log's length. Between open
+// and close the log is only appended to (its handle writes at the log's end,
+// whatever zeros the file holds past it), so an offset a cold value keeps
+// stays true and neither handle is ever swapped. All methods are called with
+// the owning collection's lock held.
 type walFile struct {
 	path     string
 	db       *DB
@@ -219,7 +227,7 @@ type walFile struct {
 	reader   ReadAtFile
 	lastSync time.Time
 	closed   bool
-	// size is the file's length: what replay left, plus every byte a write
+	// size is the log's length: what replay left, plus every byte a write
 	// has put in it since — a failed write's fragment and the newline after
 	// it included — so it is where the next write lands.
 	size int64
@@ -383,8 +391,9 @@ func VerifyWALLine(line []byte) error {
 	}
 }
 
-// SnapshotWAL returns the raw on-disk WAL bytes of a collection (nil when
-// the collection has no log yet). It reads the file without taking any
+// SnapshotWAL returns the raw on-disk WAL bytes of a collection, without the
+// zeros its append handle keeps ahead of them (nil when the collection has
+// no log yet). It reads the file without taking any
 // collection lock, so a writer may be appending concurrently: the result
 // can end in a torn final line, and may include records newer than any
 // sequence number the caller observed before the read. Both are safe for
@@ -401,5 +410,5 @@ func (db *DB) SnapshotWAL(collection string) ([]byte, error) {
 		}
 		return nil, fmt.Errorf("store: snapshotting WAL %s: %w", collection, err)
 	}
-	return data, nil
+	return TrimZeroTail(data), nil
 }
