@@ -37,8 +37,9 @@ bench:
 
 # Fault-injection suite: crash-recovery under injected filesystem faults,
 # cold values read back under failed and corrupted reads, a standby's
-# snapshot install cut short by a full disk, a standby restarted over a log
-# it had extended in zeros, the overload guard's limiter
+# snapshot install cut short by a full disk, a snapshot install replacing the
+# standby's whole log set, a standby restarted over a log it had extended in
+# zeros, the overload guard's limiter
 # and breaker (whose tests wait on events, so an ordering bug in a wait
 # fails rather than passes slowly), chaos-transport
 # end-to-end flows, graceful-drain shutdown, every
@@ -58,7 +59,7 @@ MODEL_RUNS ?= 40
 chaos:
 	$(GO) test -count=3 -run 'Chaos|Crash|Fault|Torn|Quarantin|Recover|ENOSPC|Drain|Retr|SyncPolic|Cold' \
 		./internal/store/ ./internal/netsim/ ./internal/failover/ ./internal/extension/ ./cmd/kscope-server/
-	$(GO) test -count=3 -run '^(TestSnapshotFaultKeepsStandbyLog|TestFollowerRestartOverZeroTail)$$' ./internal/replica/
+	$(GO) test -count=3 -run '^(TestSnapshotFaultKeepsStandbyLog|TestSnapshotReplacesWholeLogSet|TestFollowerRestartOverZeroTail)$$' ./internal/replica/
 	$(GO) test -count=3 -run 'Limiter|Breaker' ./internal/guard/
 	$(GO) test -count=3 -run 'TestEveryTopologyPassesItsAudit|TestAuditCatches|TestCrowdRetriesThroughChaos' ./internal/testbed/
 	$(GO) test -count=3 -run '^TestCampaignLifecycle$$' ./internal/campaign/

@@ -16,7 +16,7 @@ import (
 )
 
 // metaFile is the follower's durable replication position, next to the
-// collection WALs it describes.
+// collection logs it describes.
 const metaFile = "repl.json"
 
 // Request body bounds: a frames request is a handful of WAL records, a
@@ -44,7 +44,7 @@ type followerMeta struct {
 type FollowerConfig struct {
 	// Dir is the standby store directory (created if needed).
 	Dir string
-	// FS is the filesystem WAL appends and meta writes go through
+	// FS is the filesystem every log append and file install goes through
 	// (OSFileSystem when nil; tests inject FaultFS).
 	FS store.FileSystem
 	// Registry receives kscope_repl_* follower metrics (optional).
@@ -52,9 +52,10 @@ type FollowerConfig struct {
 }
 
 // Follower is the warm standby: it accepts replication frames and
-// snapshots over HTTP, appends the primary's WAL bytes verbatim to its own
-// collection logs, and can be promoted into a live store. All request
-// handling is serialized — there is one primary, and ordering is the point.
+// snapshots over HTTP, keeps the epoch and position, has a store.LogSet
+// write the primary's WAL bytes verbatim to its collection logs, and can be
+// promoted into a live store. All request handling is serialized — there is
+// one primary, and ordering is the point.
 type Follower struct {
 	dir string
 	fs  store.FileSystem
@@ -64,7 +65,7 @@ type Follower struct {
 	lastSeq  uint64
 	promoted bool
 	closed   bool
-	wals     map[string]store.WALFile
+	logs     *store.LogSet
 
 	framesApplied *obs.Counter
 	bytesApplied  *obs.Counter
@@ -87,42 +88,39 @@ func NewFollower(cfg FollowerConfig) (*Follower, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("replica: creating %s: %w", cfg.Dir, err)
 	}
-	f := &Follower{
-		dir:  cfg.Dir,
-		fs:   fs,
-		wals: make(map[string]store.WALFile),
-	}
-	if data, err := fs.ReadFile(f.metaPath()); err == nil {
+	f := &Follower{dir: cfg.Dir, fs: fs, logs: store.NewLogSet(cfg.Dir, fs)}
+	path := filepath.Join(cfg.Dir, metaFile)
+	if data, err := fs.ReadFile(path); err == nil {
 		var meta followerMeta
 		if err := json.Unmarshal(data, &meta); err != nil {
-			return nil, fmt.Errorf("replica: corrupt %s: %w", f.metaPath(), err)
+			return nil, fmt.Errorf("replica: corrupt %s: %w", path, err)
 		}
 		f.epoch, f.lastSeq, f.promoted = meta.Epoch, meta.Seq, meta.Promoted
 	} else if !os.IsNotExist(err) {
-		return nil, fmt.Errorf("replica: reading %s: %w", f.metaPath(), err)
+		return nil, fmt.Errorf("replica: reading %s: %w", path, err)
 	}
-	if r := cfg.Registry; r != nil {
-		f.framesApplied = r.Counter("kscope_repl_frames_applied")
-		f.bytesApplied = r.Counter("kscope_repl_bytes_applied")
-		f.staleRejects = r.Counter("kscope_repl_stale_rejects")
-		f.snapshots = r.Counter("kscope_repl_snapshots_received")
-		f.applyErrors = r.Counter("kscope_repl_apply_errors")
-		f.promotions = r.Counter("kscope_repl_failovers_total")
-		r.RegisterGauge("kscope_repl_follower_epoch", func() float64 {
-			f.mu.Lock()
-			defer f.mu.Unlock()
-			return float64(f.epoch)
-		})
-		r.RegisterGauge("kscope_repl_follower_acked_seq", func() float64 {
-			f.mu.Lock()
-			defer f.mu.Unlock()
-			return float64(f.lastSeq)
-		})
+	r := cfg.Registry
+	if r == nil {
+		r = obs.NewRegistry() // counted, never exported
 	}
+	f.framesApplied = r.Counter("kscope_repl_frames_applied")
+	f.bytesApplied = r.Counter("kscope_repl_bytes_applied")
+	f.staleRejects = r.Counter("kscope_repl_stale_rejects")
+	f.snapshots = r.Counter("kscope_repl_snapshots_received")
+	f.applyErrors = r.Counter("kscope_repl_apply_errors")
+	f.promotions = r.Counter("kscope_repl_failovers_total")
+	r.RegisterGauge("kscope_repl_follower_epoch", func() float64 {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		return float64(f.epoch)
+	})
+	r.RegisterGauge("kscope_repl_follower_acked_seq", func() float64 {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		return float64(f.lastSeq)
+	})
 	return f, nil
 }
-
-func (f *Follower) metaPath() string { return filepath.Join(f.dir, metaFile) }
 
 // Epoch returns the follower's current epoch.
 func (f *Follower) Epoch() uint64 {
@@ -140,21 +138,14 @@ func (f *Follower) AckedSeq() uint64 {
 	return f.lastSeq
 }
 
-// saveMetaLocked durably persists the follower position (temp file, atomic
-// rename, directory fsync). Called with f.mu held.
+// saveMetaLocked durably persists the follower position. Called with f.mu
+// held.
 func (f *Follower) saveMetaLocked() error {
 	data, err := json.Marshal(followerMeta{Epoch: f.epoch, Seq: f.lastSeq, Promoted: f.promoted})
 	if err != nil {
 		return fmt.Errorf("replica: encoding meta: %w", err)
 	}
-	tmp := f.metaPath() + ".tmp"
-	if err := f.fs.WriteFile(tmp, data); err != nil {
-		return fmt.Errorf("replica: writing meta: %w", err)
-	}
-	if err := f.fs.Rename(tmp, f.metaPath()); err != nil {
-		return fmt.Errorf("replica: swapping meta: %w", err)
-	}
-	return f.fs.SyncDir(f.dir)
+	return f.logs.SaveFile(metaFile, data)
 }
 
 // ServeHTTP exposes the replication surface: POST PathFrames, POST
@@ -204,9 +195,7 @@ func (f *Follower) checkEpochLocked(w http.ResponseWriter, r *http.Request) (uin
 	if f.promoted || reqEpoch < f.epoch {
 		// A deposed primary: it must stop acking writes. 409 + our epoch
 		// is the fence.
-		if f.staleRejects != nil {
-			f.staleRejects.Inc()
-		}
+		f.staleRejects.Inc()
 		f.replyLocked(w, http.StatusConflict)
 		return 0, false
 	}
@@ -246,110 +235,44 @@ func (f *Follower) handleFrames(w http.ResponseWriter, r *http.Request) {
 	}
 	frames, err := parseFrames(body)
 	if err != nil {
-		if f.applyErrors != nil {
-			f.applyErrors.Inc()
-		}
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		f.refuse(w, http.StatusBadRequest, err)
 		return
 	}
 	for _, fr := range frames {
 		if fr.epoch != reqEpoch {
-			if f.applyErrors != nil {
-				f.applyErrors.Inc()
-			}
-			http.Error(w, fmt.Sprintf("replica: frame epoch %d != request epoch %d", fr.epoch, reqEpoch), http.StatusBadRequest)
+			f.refuse(w, http.StatusBadRequest, fmt.Errorf("replica: frame epoch %d != request epoch %d", fr.epoch, reqEpoch))
 			return
 		}
 	}
 	if err := f.applyLocked(frames); err != nil {
-		if f.applyErrors != nil {
-			f.applyErrors.Inc()
-		}
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		f.refuse(w, http.StatusInternalServerError, err)
 		return
 	}
 	f.replyLocked(w, http.StatusOK)
 }
 
 // applyLocked appends every frame newer than the follower's position to
-// the owning collection's WAL — one buffered Write and one fsync per
-// touched collection — then advances the position in memory. A failure
-// leaves the position unmoved and drops every append handle: the primary
-// resends, duplicates replay idempotently, and the reopened handles sync
-// the directory again.
-//
-// A handle's first write starts with a newline. Whatever ended the last
-// handle's life — this process's failed append, or the death of an earlier
-// process mid-write — may have left a torn line at the end of the file, and
-// a frame appended straight after it would become part of that line and be
-// thrown away with it by the store's recovery although it was acknowledged.
-// On its own line the fragment is quarantined or truncated at promotion
-// like any torn record; a blank line is skipped by every reader.
-// Called with f.mu held.
-func (f *Follower) applyLocked(frames []frame) (err error) {
-	var (
-		order   []string
-		pending = make(map[string]*bytes.Buffer)
-		maxSeq  = f.lastSeq
-		applied int64
-		nbytes  int64
-	)
+// its collection's log (store.LogSet.Append), then advances the position in
+// memory. A failure leaves the position unmoved: the primary resends, and
+// duplicates replay idempotently. Called with f.mu held.
+func (f *Follower) applyLocked(frames []frame) error {
+	lines := make([]store.LogLine, 0, len(frames))
+	maxSeq := f.lastSeq
+	var nbytes int64
 	for _, fr := range frames {
 		if fr.seq <= f.lastSeq {
 			continue // duplicate delivery
 		}
-		buf, ok := pending[fr.collection]
-		if !ok {
-			buf = &bytes.Buffer{}
-			pending[fr.collection] = buf
-			order = append(order, fr.collection)
-			if _, open := f.wals[fr.collection]; !open {
-				buf.WriteByte('\n') // a fresh handle starts on a new line
-			}
-		}
-		buf.Write(fr.inner)
-		buf.WriteByte('\n')
-		applied++
+		lines = append(lines, store.LogLine{Collection: fr.collection, Line: fr.inner})
 		nbytes += int64(len(fr.inner)) + 1
-		if fr.seq > maxSeq {
-			maxSeq = fr.seq
-		}
+		maxSeq = max(maxSeq, fr.seq)
 	}
-	defer func() {
-		if err != nil {
-			f.closeWALsLocked()
-		}
-	}()
-	opened := false
-	for _, name := range order {
-		wf, ok := f.wals[name]
-		if !ok {
-			if wf, err = f.fs.OpenAppend(store.WALPath(f.dir, name)); err != nil {
-				return err
-			}
-			f.wals[name] = wf
-			opened = true
-		}
-		if _, err := wf.Write(pending[name].Bytes()); err != nil {
-			return fmt.Errorf("replica: appending %s: %w", name, err)
-		}
-	}
-	if opened {
-		// The file may be new: its name must be as durable as its bytes.
-		if err := f.fs.SyncDir(f.dir); err != nil {
-			return err
-		}
-	}
-	for _, name := range order {
-		if err := f.wals[name].Sync(); err != nil {
-			return fmt.Errorf("replica: fsync %s: %w", name, err)
-		}
+	if err := f.logs.Append(lines); err != nil {
+		return fmt.Errorf("replica: %w", err)
 	}
 	f.lastSeq = maxSeq
-	if f.framesApplied != nil {
-		f.framesApplied.Add(applied)
-		f.bytesApplied.Add(nbytes)
-	}
+	f.framesApplied.Add(int64(len(lines)))
+	f.bytesApplied.Add(nbytes)
 	return nil
 }
 
@@ -371,35 +294,13 @@ func (f *Follower) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	sections, err := parseSnapshot(body)
 	if err != nil {
-		if f.applyErrors != nil {
-			f.applyErrors.Inc()
-		}
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		f.refuse(w, http.StatusBadRequest, err)
 		return
 	}
-	// Replace our logs with the primary's files wholesale. Open handles
-	// would keep appending to replaced inodes; drop them first. Each
-	// section goes to a temp file renamed over the log, so a write that
-	// fails part-way leaves the log it would have replaced as it was; the
-	// temp name does not end in .jsonl, so Open ignores a leftover one.
-	f.closeWALsLocked()
-	for name, wal := range sections {
-		path := store.WALPath(f.dir, name)
-		tmp := path + ".snap.tmp"
-		err := f.fs.WriteFile(tmp, wal)
-		if err == nil {
-			err = f.fs.Rename(tmp, path)
-		}
-		if err != nil {
-			if f.applyErrors != nil {
-				f.applyErrors.Inc()
-			}
-			http.Error(w, fmt.Sprintf("replica: writing snapshot %s: %v", name, err), http.StatusInternalServerError)
-			return
-		}
-	}
-	if err := f.fs.SyncDir(f.dir); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+	// The primary's files replace our whole log set; a failed write leaves
+	// every log as it was.
+	if err := f.logs.Install(sections); err != nil {
+		f.refuse(w, http.StatusInternalServerError, fmt.Errorf("replica: installing snapshot: %w", err))
 		return
 	}
 	f.lastSeq = watermark
@@ -411,10 +312,14 @@ func (f *Follower) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	if f.snapshots != nil {
-		f.snapshots.Inc()
-	}
+	f.snapshots.Inc()
 	f.replyLocked(w, http.StatusOK)
+}
+
+// refuse answers a request whose frames or snapshot were not applied.
+func (f *Follower) refuse(w http.ResponseWriter, status int, err error) {
+	f.applyErrors.Inc()
+	http.Error(w, err.Error(), status)
 }
 
 func (f *Follower) handleStatus(w http.ResponseWriter) {
@@ -423,16 +328,7 @@ func (f *Follower) handleStatus(w http.ResponseWriter) {
 	f.replyLocked(w, http.StatusOK)
 }
 
-// closeWALsLocked flushes and drops every open append handle.
-func (f *Follower) closeWALsLocked() {
-	for name, wf := range f.wals {
-		_ = wf.Sync()
-		_ = wf.Close()
-		delete(f.wals, name)
-	}
-}
-
-// Close is the standby's graceful shutdown: it syncs and closes the WAL
+// Close is the standby's graceful shutdown: it syncs and closes the log
 // handles and persists the position, so the next NewFollower over the same
 // directory resumes exactly where this one stopped and the primary streams
 // on without a snapshot. Replication requests that arrive afterwards are
@@ -445,7 +341,7 @@ func (f *Follower) Close() error {
 		return nil
 	}
 	f.closed = true
-	f.closeWALsLocked()
+	f.logs.Close()
 	if f.promoted {
 		return nil // the promoted store owns the directory; promotion saved
 	}
@@ -464,7 +360,7 @@ func (f *Follower) Promote(opts ...store.Option) (*store.DB, uint64, error) {
 	if f.promoted {
 		return nil, f.epoch, fmt.Errorf("replica: already promoted")
 	}
-	f.closeWALsLocked()
+	f.logs.Close()
 	prevEpoch, prevPromoted := f.epoch, f.promoted
 	f.epoch++
 	f.promoted = true
@@ -477,8 +373,6 @@ func (f *Follower) Promote(opts ...store.Option) (*store.DB, uint64, error) {
 	if err != nil {
 		return nil, f.epoch, fmt.Errorf("replica: opening promoted store: %w", err)
 	}
-	if f.promotions != nil {
-		f.promotions.Inc()
-	}
+	f.promotions.Inc()
 	return db, f.epoch, nil
 }

@@ -439,15 +439,14 @@ func (w *modelWorld) batch(coll string, n int) {
 }
 
 // abandonFollower is the standby process dying between two requests: no
-// Close, no position save; the descriptors go with the process.
+// Close, no position save; the descriptors go with the process (their
+// fsync changes nothing a process death keeps).
 func (w *modelWorld) abandonFollower() {
 	w.gate.mu.Lock()
 	defer w.gate.mu.Unlock()
 	old := w.gate.f
 	old.mu.Lock()
-	for _, wf := range old.wals {
-		wf.Close()
-	}
+	old.logs.Close()
 	old.mu.Unlock()
 	reborn := w.openFollower()
 	w.logf("follower abandoned at epoch %d position %d, reopened at %d/%d", old.Epoch(), old.AckedSeq(), reborn.Epoch(), reborn.AckedSeq())

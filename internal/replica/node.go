@@ -24,13 +24,6 @@ type Node struct {
 // NewNode wraps a follower for serving.
 func NewNode(f *Follower) *Node { return &Node{follower: f} }
 
-// Promoted reports whether the application handler is live.
-func (n *Node) Promoted() bool {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.app != nil
-}
-
 // ServeHTTP routes /repl/* to the follower and everything else to the
 // application handler once promoted.
 func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {

@@ -150,27 +150,29 @@ func NewPrimary(cfg PrimaryConfig) (*Primary, error) {
 		kickCh:  make(chan struct{}, 1),
 		done:    make(chan struct{}),
 	}
-	if r := cfg.Registry; r != nil {
-		p.framesShipped = r.Counter("kscope_repl_frames_shipped")
-		p.bytesShipped = r.Counter("kscope_repl_bytes_shipped")
-		p.snapshotsSent = r.Counter("kscope_repl_snapshots_sent")
-		p.sendErrors = r.Counter("kscope_repl_send_errors_total")
-		r.RegisterGauge("kscope_repl_epoch", func() float64 { return float64(cfg.Epoch) })
-		r.RegisterGauge("kscope_repl_lag_frames", func() float64 {
-			lagF, _ := p.Lag()
-			return float64(lagF)
-		})
-		r.RegisterGauge("kscope_repl_lag_bytes", func() float64 {
-			_, lagB := p.Lag()
-			return float64(lagB)
-		})
-		r.RegisterGauge("kscope_repl_fenced", func() float64 {
-			if p.Fenced() {
-				return 1
-			}
-			return 0
-		})
+	r := cfg.Registry
+	if r == nil {
+		r = obs.NewRegistry() // counted, never exported
 	}
+	p.framesShipped = r.Counter("kscope_repl_frames_shipped")
+	p.bytesShipped = r.Counter("kscope_repl_bytes_shipped")
+	p.snapshotsSent = r.Counter("kscope_repl_snapshots_sent")
+	p.sendErrors = r.Counter("kscope_repl_send_errors_total")
+	r.RegisterGauge("kscope_repl_epoch", func() float64 { return float64(cfg.Epoch) })
+	r.RegisterGauge("kscope_repl_lag_frames", func() float64 {
+		lagF, _ := p.Lag()
+		return float64(lagF)
+	})
+	r.RegisterGauge("kscope_repl_lag_bytes", func() float64 {
+		_, lagB := p.Lag()
+		return float64(lagB)
+	})
+	r.RegisterGauge("kscope_repl_fenced", func() float64 {
+		if p.Fenced() {
+			return 1
+		}
+		return 0
+	})
 	return p, nil
 }
 
@@ -370,10 +372,8 @@ func (p *Primary) drain() error {
 	if err := p.advanceAcked(reply.Acked); err != nil {
 		return err
 	}
-	if p.framesShipped != nil {
-		p.framesShipped.Add(int64(n))
-		p.bytesShipped.Add(int64(len(body)))
-	}
+	p.framesShipped.Add(int64(n))
+	p.bytesShipped.Add(int64(len(body)))
 	return nil
 }
 
@@ -417,9 +417,7 @@ func (p *Primary) checkReply(reply statusReply, status int) error {
 
 // streamDown records a send failure and drops back to connecting.
 func (p *Primary) streamDown(err error) {
-	if p.sendErrors != nil {
-		p.sendErrors.Inc()
-	}
+	p.sendErrors.Inc()
 	p.mu.Lock()
 	if p.state == stateSteady || p.state == stateCatchup {
 		p.state = stateConnecting
@@ -635,9 +633,7 @@ func (p *Primary) sendSnapshot() {
 		p.streamDown(fmt.Errorf("replica: follower rejected snapshot: HTTP %d", status))
 		return
 	}
-	if p.snapshotsSent != nil {
-		p.snapshotsSent.Inc()
-	}
+	p.snapshotsSent.Inc()
 	p.mu.Lock()
 	p.onStream = true
 	err = p.advanceAckedLocked(reply.Acked)

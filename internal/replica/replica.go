@@ -38,10 +38,10 @@
 // What each side persists: the primary, nothing beyond its store — sequence
 // numbers live in memory and start over with each Primary, which is why a
 // follower's position is only believed by the process that assigned it.
-// The follower, its WAL files per request and its position file (epoch,
-// sequence, promoted) only when an epoch is adopted, a snapshot lands, it
-// is promoted, or it is Closed; a follower that stops without Close comes
-// back at or behind its data and is healed by resend or snapshot.
+// The follower, its collection logs per request (through a store.LogSet)
+// and its position file only when an epoch is adopted, a snapshot lands, it
+// is promoted, or it is Closed; one stopped without Close comes back at or
+// behind its data, healed by resend or snapshot.
 //
 // Fencing: every frame and every replication request carries the primary's
 // epoch. A follower rejects anything minted in an epoch lower than its own

@@ -263,6 +263,42 @@ func TestSnapshotFaultKeepsStandbyLog(t *testing.T) {
 	}
 }
 
+// TestSnapshotReplacesWholeLogSet: a snapshot install replaces the
+// standby's whole log set. A log the snapshot has no section for — here a
+// responses log from an older history, while the fresh primary names
+// responses but has written none — is removed by the install, so the
+// promoted standby holds nothing the primary never had.
+func TestSnapshotReplacesWholeLogSet(t *testing.T) {
+	fdir := t.TempDir()
+	older, err := store.Open(fdir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := older.Collection("responses").Insert(store.Document{"_id": "stale"}); err != nil {
+		t.Fatal(err)
+	}
+	older.Close()
+
+	f, ts := newFollower(t, fdir)
+	db, p := openPrimary(t, t.TempDir(), ts.URL, PrimaryConfig{Epoch: 1})
+	db.Collection("responses") // named, never written: no log, no section
+	if _, err := db.Collection("tests").Insert(store.Document{"_id": "t"}); err != nil {
+		t.Fatal(err)
+	}
+	waitState(p, stateSteady)
+	promoted, _, err := f.Promote()
+	if err != nil {
+		t.Fatalf("Promote: %v", err)
+	}
+	defer promoted.Close()
+	if n := promoted.Collection("responses").Count(); n != 0 {
+		t.Errorf("promoted standby holds %d responses the primary never had", n)
+	}
+	if _, err := promoted.Collection("tests").Get("t"); err != nil {
+		t.Errorf("acknowledged test lost: %v", err)
+	}
+}
+
 // TestFollowerRestartOverZeroTail: a follower stopped without Close leaves
 // its log running ahead of its last frame in synced zeros. The follower
 // started over it appends its next frames right after that frame, into the
@@ -768,7 +804,7 @@ func frameWAL(t *testing.T) []byte {
 	if err != nil {
 		t.Fatalf("read wal: %v", err)
 	}
-	return bytes.TrimSuffix(data, []byte("\n"))
+	return bytes.TrimSpace(data) // the one line, without the blank one before it
 }
 
 // postFrames sends a raw frames request with the given epoch header.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 )
 
 // Backend kinds. Memory, dir, and replicated stores are peers behind one
@@ -91,30 +90,24 @@ func OpenBackend(b Backend, opts ...Option) (*DB, error) {
 		return nil, fmt.Errorf("store: creating %s: %w", b.dir, err)
 	}
 	db := &DB{dir: b.dir, opts: o, shipper: b.shipper, collections: make(map[string]*Collection)}
-	entries, err := os.ReadDir(b.dir)
+	names, err := db.logDir().logNames()
 	if err != nil {
-		return nil, fmt.Errorf("store: reading %s: %w", b.dir, err)
+		return nil, err
 	}
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".jsonl") {
-			continue
-		}
-		collName := strings.TrimSuffix(name, ".jsonl")
-		coll, err := db.loadCollection(collName)
+	for _, name := range names {
+		coll, err := db.loadCollection(name)
 		if err != nil {
 			return nil, err
 		}
-		db.collections[collName] = coll
+		db.collections[name] = coll
 	}
 	return db, nil
 }
 
 // WALPath returns the on-disk WAL file for a collection inside a store
-// directory — the one layout fact replication followers need before the
-// store is opened as a DB.
+// directory.
 func WALPath(dir, collection string) string {
-	return filepath.Join(dir, collection+".jsonl")
+	return filepath.Join(dir, collection+logSuffix)
 }
 
 // ValidCollectionName reports whether name is safe to use as a collection

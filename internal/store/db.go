@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"maps"
 	"os"
-	"path/filepath"
 	"slices"
 	"sort"
 	"strconv"
@@ -264,20 +263,14 @@ func (db *DB) loadCollection(name string) (*Collection, error) {
 		return nil, fmt.Errorf("store: reading %s: %w", path, err)
 	}
 	rep := scanWAL(data)
-	if err := recoverWAL(db.opts.fs, path, &rep); err != nil {
+	if err := recoverWAL(db.logDir(), name, &rep); err != nil {
 		return nil, err
-	}
-	if len(rep.quarantined) > 0 {
-		// The rewrite swapped a new file into place; make the rename stick.
-		if err := db.syncDir(); err != nil {
-			return nil, err
-		}
 	}
 	if rep.torn {
 		db.recoveredTails.Add(1)
 	}
 	db.quarantined.Add(int64(len(rep.quarantined)))
-	c.wal = &walFile{path: path, db: db, size: rep.size}
+	c.wal = db.newWAL(name, rep.size)
 	for i, rec := range rep.records {
 		switch rec.Op {
 		case "put":
@@ -314,9 +307,7 @@ func (c *Collection) chillReplayed(s stored, rec walRecord, line []byte, at int6
 	}
 }
 
-func (db *DB) collectionPath(name string) string {
-	return filepath.Join(db.dir, name+".jsonl")
-}
+func (db *DB) collectionPath(name string) string { return WALPath(db.dir, name) }
 
 // parseSeqID recognizes generated ids of the form "doc-<n>".
 func parseSeqID(id string) (int64, bool) {
@@ -378,10 +369,9 @@ func (c *Collection) appendWAL(op, id string, s stored) error {
 	return err
 }
 
-// appendFrames is the one write path to a collection's log: it lazily opens
-// the WAL handle (syncing the directory so the new file's name is as
-// durable as its contents), appends n pre-framed records in one Write, and
-// then does what an acknowledgement needs: the fsync the sync policy
+// appendFrames is the one write path to a collection's log: it appends n
+// pre-framed records in one Write (walFile.write), then does what an
+// acknowledgement needs: the fsync the sync policy
 // demands and — on a replicated backend — the shipping of the exact bytes
 // that went into the file. Neither depends on the other, so on a
 // replicated backend they run at the same time and the write waits for
@@ -403,20 +393,9 @@ func (c *Collection) appendFrames(frames []byte, n int) (int64, error) {
 		c.frames = nil
 	}
 	if c.wal == nil {
-		c.wal = &walFile{path: c.db.collectionPath(c.name), db: c.db}
+		c.wal = c.db.newWAL(c.name, 0)
 	}
 	w := c.wal
-	if w.file == nil && !w.closed {
-		f, err := c.db.opts.fs.OpenAppend(w.path)
-		if err != nil {
-			return 0, err
-		}
-		if err := c.db.syncDir(); err != nil {
-			f.Close()
-			return 0, err
-		}
-		w.file, w.lastSync = f, time.Now()
-	}
 	at, err := w.write(frames, n)
 	if err != nil {
 		return 0, err
@@ -446,16 +425,6 @@ func (c *Collection) appendFrames(frames []byte, n int) (int64, error) {
 		return 0, fmt.Errorf("store: replicating WAL append: %w", shipErr)
 	}
 	return at, nil
-}
-
-// syncDir fsyncs the store directory so file creations and renames inside
-// it are crash-durable. No-op on a memory database.
-func (db *DB) syncDir() error {
-	if db.dir == "" {
-		return nil
-	}
-	db.dirSyncs.Add(1)
-	return db.opts.fs.SyncDir(db.dir)
 }
 
 // Insert stores a new document and returns its id. When the document lacks

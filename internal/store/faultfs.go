@@ -21,8 +21,7 @@ var ErrNoSpace = syscall.ENOSPC
 // renames, and truncates pass through untouched — recovery itself runs on a
 // healthy disk.
 type FaultFS struct {
-	// Inner is the wrapped FileSystem (OSFileSystem when nil).
-	Inner FileSystem
+	FileSystem // the wrapped one, which every call not named here reaches
 
 	mu      sync.Mutex
 	limit   int64 // appended-byte budget; <0 = unlimited
@@ -39,7 +38,7 @@ type FaultFS struct {
 
 // NewFaultFS returns a FaultFS over the real disk with no fault armed.
 func NewFaultFS() *FaultFS {
-	return &FaultFS{Inner: OSFileSystem{}, limit: -1}
+	return &FaultFS{FileSystem: OSFileSystem{}, limit: -1}
 }
 
 // FailAppendsAfter arms the fault: once n bytes have been appended across
@@ -105,23 +104,6 @@ func (f *FaultFS) Tripped() bool {
 	return f.tripped
 }
 
-func (f *FaultFS) inner() FileSystem {
-	if f.Inner == nil {
-		return OSFileSystem{}
-	}
-	return f.Inner
-}
-
-func (f *FaultFS) ReadFile(path string) ([]byte, error) { return f.inner().ReadFile(path) }
-
-func (f *FaultFS) WriteFile(path string, data []byte) error {
-	return f.inner().WriteFile(path, data)
-}
-
-func (f *FaultFS) Rename(oldPath, newPath string) error { return f.inner().Rename(oldPath, newPath) }
-
-func (f *FaultFS) Truncate(path string, size int64) error { return f.inner().Truncate(path, size) }
-
 func (f *FaultFS) SyncDir(dir string) error {
 	f.mu.Lock()
 	err := f.dirSyncErr
@@ -132,11 +114,11 @@ func (f *FaultFS) SyncDir(dir string) error {
 	if err != nil {
 		return err
 	}
-	return f.inner().SyncDir(dir)
+	return f.FileSystem.SyncDir(dir)
 }
 
 func (f *FaultFS) OpenRead(path string) (ReadAtFile, error) {
-	r, err := f.inner().OpenRead(path)
+	r, err := f.FileSystem.OpenRead(path)
 	if err != nil {
 		return nil, err
 	}
@@ -168,17 +150,17 @@ func (r *faultReader) ReadAt(p []byte, off int64) (int, error) {
 }
 
 func (f *FaultFS) OpenAppend(path string) (WALFile, error) {
-	w, err := f.inner().OpenAppend(path)
+	w, err := f.FileSystem.OpenAppend(path)
 	if err != nil {
 		return nil, err
 	}
-	return &faultFile{fs: f, inner: w}, nil
+	return &faultFile{WALFile: w, fs: f}, nil
 }
 
 // faultFile applies the FaultFS byte budget to one WAL handle.
 type faultFile struct {
-	fs    *FaultFS
-	inner WALFile
+	WALFile // the wrapped handle, which Sync and Close reach
+	fs      *FaultFS
 }
 
 func (w *faultFile) Write(p []byte) (int, error) {
@@ -195,18 +177,14 @@ func (w *faultFile) Write(p []byte) (int, error) {
 		f.mu.Unlock()
 		if keep > 0 {
 			// A torn write: part of the record reaches the disk.
-			if _, werr := w.inner.Write(p[:keep]); werr != nil {
+			if _, werr := w.WALFile.Write(p[:keep]); werr != nil {
 				return 0, werr
 			}
-			_ = w.inner.Sync()
+			_ = w.WALFile.Sync()
 		}
 		return keep, err
 	}
 	f.written += int64(len(p))
 	f.mu.Unlock()
-	return w.inner.Write(p)
+	return w.WALFile.Write(p)
 }
-
-func (w *faultFile) Sync() error { return w.inner.Sync() }
-
-func (w *faultFile) Close() error { return w.inner.Close() }

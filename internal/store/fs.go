@@ -18,9 +18,8 @@ type FileSystem interface {
 	// when absent is fine — callers check with os.IsNotExist / errors.Is).
 	ReadFile(path string) ([]byte, error)
 	// WriteFile replaces path with data durably: the contents are synced
-	// to stable storage before WriteFile returns. Used for quarantine
-	// rewrites of a WAL and for a standby's snapshot sections and position
-	// file, each to a temp file paired with Rename for atomicity.
+	// to stable storage before WriteFile returns. logDir.replace writes a
+	// temporary file with it and renames that into place.
 	WriteFile(path string, data []byte) error
 	// Rename atomically replaces newPath with oldPath.
 	Rename(oldPath, newPath string) error
@@ -77,15 +76,10 @@ func (OSFileSystem) WriteFile(path string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
+	if _, err = f.Write(data); err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return cmp.Or(err, f.Close())
 }
 
 func (OSFileSystem) Rename(oldPath, newPath string) error { return os.Rename(oldPath, newPath) }
@@ -136,12 +130,8 @@ func (OSFileSystem) SyncDir(dir string) error {
 	if err != nil {
 		return fmt.Errorf("store: opening dir %s for sync: %w", dir, err)
 	}
-	syncErr := d.Sync()
-	if err := d.Close(); err != nil && syncErr == nil {
-		syncErr = err
-	}
-	if syncErr != nil {
-		return fmt.Errorf("store: fsync dir %s: %w", dir, syncErr)
+	if err := cmp.Or(d.Sync(), d.Close()); err != nil {
+		return fmt.Errorf("store: fsync dir %s: %w", dir, err)
 	}
 	return nil
 }

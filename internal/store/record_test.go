@@ -507,7 +507,7 @@ func TestWALBytesEqualOracle(t *testing.T) {
 		}
 		c := db.Collection("c")
 		live := map[string]Document{}
-		var want []byte
+		want := []byte("\n") // the new line an opened handle's first write starts on
 		record := func(op, id string) {
 			line, err := marshalRecord(op, id, live[id])
 			if err != nil {

@@ -99,86 +99,65 @@ func scanWAL(data []byte) walReplay {
 	if data = TrimZeroTail(data); int64(len(data)) < rep.size {
 		rep.truncateAt = int64(len(data))
 	}
-	type rawLine struct {
-		start int64
-		text  []byte
-	}
-	var lines []rawLine
-	var off int64
-	for len(data) > 0 {
-		nl := bytes.IndexByte(data, '\n')
-		var line []byte
-		var next int64
-		if nl < 0 {
-			line, next = data, off+int64(len(data))
-			data = nil
-		} else {
-			line, next = data[:nl], off+int64(nl)+1
-			data = data[nl+1:]
+	var torn []byte // the last line so far, when structurally damaged
+	var tornAt int64
+	for off := int64(0); len(data) > 0; {
+		line, rest, _ := bytes.Cut(data, []byte{'\n'})
+		start := off
+		off, data = off+int64(len(data)-len(rest)), rest
+		if len(bytes.TrimSpace(line)) == 0 {
+			continue
 		}
-		if len(bytes.TrimSpace(line)) > 0 {
-			lines = append(lines, rawLine{start: off, text: line})
+		if torn != nil { // a line follows it: no torn tail
+			rep.quarantined, torn = append(rep.quarantined, torn), nil
 		}
-		off = next
-	}
-	for i, ln := range lines {
-		rec, class := parseWALLine(bytes.TrimSpace(ln.text))
-		switch class {
+		switch rec, class := parseWALLine(bytes.TrimSpace(line)); class {
 		case lineOK:
 			rep.records = append(rep.records, rec)
-			rep.goodLines = append(rep.goodLines, ln.text)
-			rep.at = append(rep.at, ln.start)
+			rep.goodLines = append(rep.goodLines, line)
+			rep.at = append(rep.at, start)
 		case lineTorn:
-			if i == len(lines)-1 {
-				// The interrupted final append: cut it off.
-				rep.truncateAt, rep.torn = ln.start, true
-			} else {
-				rep.quarantined = append(rep.quarantined, ln.text)
-			}
+			torn, tornAt = line, start
 		case lineBad:
-			rep.quarantined = append(rep.quarantined, ln.text)
+			rep.quarantined = append(rep.quarantined, line)
 		}
+	}
+	if torn != nil { // the interrupted final append: cut it off
+		rep.truncateAt, rep.torn = tornAt, true
 	}
 	return rep
 }
 
-// recoverWAL applies a replay's repairs to the on-disk file: truncate a
-// torn tail in place, or — when records were quarantined — append them to
-// the .corrupt sidecar and atomically rewrite the WAL from the good lines.
-// It leaves rep's offsets and size those of the repaired file.
-func recoverWAL(fs FileSystem, path string, rep *walReplay) error {
+// recoverWAL applies a replay's repairs to the on-disk log: truncate a torn
+// tail in place, or — when records were quarantined — append them to the
+// .corrupt sidecar, fsync it, and replace the log with its good lines
+// (logDir.replace). The sidecar is synced before the replacement lands, so
+// a power cut never leaves the quarantined lines out of both files. It
+// leaves rep's offsets and size those of the repaired file.
+func recoverWAL(dir logDir, name string, rep *walReplay) error {
+	path := WALPath(dir.path, name)
 	if len(rep.quarantined) > 0 {
-		side, err := fs.OpenAppend(path + corruptSuffix)
+		side, err := dir.fs.OpenAppend(path + corruptSuffix)
+		if err == nil {
+			_, err = side.Write(append(bytes.Join(rep.quarantined, []byte{'\n'}), '\n'))
+			err = cmp.Or(err, side.Sync(), side.Close())
+		}
 		if err != nil {
-			return fmt.Errorf("store: opening quarantine %s: %w", path+corruptSuffix, err)
+			return fmt.Errorf("store: quarantining to %s: %w", path+corruptSuffix, err)
 		}
-		for _, ln := range rep.quarantined {
-			if _, err := side.Write(append(ln, '\n')); err != nil {
-				side.Close()
-				return fmt.Errorf("store: quarantining to %s: %w", path+corruptSuffix, err)
-			}
-		}
-		if err := side.Close(); err != nil {
-			return err
-		}
-		var buf bytes.Buffer
+		var log []byte
 		for i, ln := range rep.goodLines {
-			rep.at[i] = int64(buf.Len())
-			buf.Write(ln)
-			buf.WriteByte('\n')
+			rep.at[i] = int64(len(log))
+			log = append(append(log, ln...), '\n')
 		}
-		tmp := path + ".rewrite.tmp"
-		if err := fs.WriteFile(tmp, buf.Bytes()); err != nil {
+		if err := dir.replace(map[string][]byte{name + logSuffix: log}, nil); err != nil {
 			return fmt.Errorf("store: rewriting %s: %w", path, err)
 		}
-		if err := fs.Rename(tmp, path); err != nil {
-			return fmt.Errorf("store: swapping rewritten %s: %w", path, err)
-		}
-		rep.size = int64(buf.Len())
+		rep.size = int64(len(log))
 		return nil
 	}
 	if rep.truncateAt >= 0 {
-		if err := fs.Truncate(path, rep.truncateAt); err != nil {
+		if err := dir.fs.Truncate(path, rep.truncateAt); err != nil {
 			return fmt.Errorf("store: cutting the tail of %s: %w", path, err)
 		}
 		rep.size = rep.truncateAt
@@ -213,30 +192,28 @@ const (
 	SyncNever
 )
 
-// walFile is a collection's log file on a persistent database: its append
-// handle, opened by the first append, its read handle for cold values,
-// opened by the first value to go cold, and the log's length. Between open
-// and close the log is only appended to (its handle writes at the log's end,
-// whatever zeros the file holds past it), so an offset a cold value keeps
-// stays true and neither handle is ever swapped. All methods are called with
-// the owning collection's lock held.
+// walFile is a collection's log file on a persistent database: its
+// appender, its read handle for cold values (opened by the first value to
+// go cold) and the time of its last fsync. Between open and close the log
+// is only appended to, at its end whatever zeros lie past it, and neither
+// handle is swapped, not even after a failed write: an offset a cold value
+// keeps stays true. All methods are called with the collection's lock held.
 type walFile struct {
-	path     string
+	log      appender
 	db       *DB
-	file     WALFile
 	reader   ReadAtFile
 	lastSync time.Time
 	closed   bool
-	// size is the log's length: what replay left, plus every byte a write
-	// has put in it since — a failed write's fragment and the newline after
-	// it included — so it is where the next write lands.
-	size int64
-	// failed is set by a failed Write, which may have left part of a line at
-	// the end of the file: the next write then starts on a new line, so the
-	// fragment is quarantined alone instead of taking an acknowledged record
-	// with it. Every reader skips the blank line a clean failure leaves.
-	failed bool
 }
+
+// newWAL returns the walFile of collection name, its log size bytes long.
+func (db *DB) newWAL(name string, size int64) *walFile {
+	return &walFile{log: appender{dir: db.logDir(), path: db.collectionPath(name), size: size}, db: db}
+}
+
+// logDir is the database's directory of collection logs, counting its
+// fsyncs in DirSyncs.
+func (db *DB) logDir() logDir { return logDir{fs: db.opts.fs, path: db.dir, syncs: &db.dirSyncs} }
 
 // write appends n pre-framed records in one Write — the group-commit
 // primitive behind every append (singles are a group of one) and
@@ -248,21 +225,13 @@ func (w *walFile) write(frames []byte, n int) (int64, error) {
 	if w.closed {
 		return 0, ErrClosed
 	}
-	if w.failed {
-		nl, err := w.file.Write([]byte{'\n'})
-		w.size += int64(nl)
-		if err != nil {
-			return 0, fmt.Errorf("store: appending WAL batch: %w", err)
-		}
+	if w.log.file == nil {
+		w.lastSync = time.Now() // the sync interval runs from the open
 	}
-	at := w.size
-	written, err := w.file.Write(frames)
-	w.size += int64(written)
+	at, err := w.log.write(frames)
 	if err != nil {
-		w.failed = true
 		return 0, fmt.Errorf("store: appending WAL batch: %w", err)
 	}
-	w.failed = false
 	w.db.walAppends.Add(int64(n))
 	return at, nil
 }
@@ -272,7 +241,7 @@ func (w *walFile) write(frames []byte, n int) (int64, error) {
 // later write finds it open.
 func (w *walFile) readable() bool {
 	if w.reader == nil && !w.closed {
-		w.reader, _ = w.db.opts.fs.OpenRead(w.path)
+		w.reader, _ = w.db.opts.fs.OpenRead(w.log.path)
 	}
 	return w.reader != nil
 }
@@ -295,7 +264,7 @@ func (w *walFile) syncDue() bool {
 
 func (w *walFile) sync() error {
 	start := time.Now()
-	err := w.file.Sync()
+	err := w.log.sync()
 	w.db.fsyncs.Add(1)
 	w.db.fsyncNanos.Add(time.Since(start).Nanoseconds())
 	w.lastSync = time.Now()
@@ -315,16 +284,14 @@ func (w *walFile) close() error {
 		w.reader.Close()
 		w.reader = nil
 	}
-	if w.file == nil {
+	if w.log.file == nil {
 		return nil
 	}
 	var syncErr error
 	if w.db.opts.policy != SyncNever {
 		syncErr = w.sync()
 	}
-	err := w.file.Close()
-	w.file = nil
-	return cmp.Or(err, syncErr)
+	return cmp.Or(w.log.close(), syncErr)
 }
 
 // DurabilityStats is a snapshot of the store's crash-safety counters,

@@ -12,10 +12,10 @@ import (
 func settledHandle(t *testing.T, c *Collection) *osWAL {
 	t.Helper()
 	c.mu.Lock()
-	f := c.wal.file
+	f := c.wal.log.file
 	c.mu.Unlock()
 	if ff, ok := f.(*faultFile); ok {
-		f = ff.inner
+		f = ff.WALFile
 	}
 	a, ok := f.(*osWAL)
 	if !ok {
@@ -63,7 +63,8 @@ func checkRecovered(t *testing.T, db *DB, c *Collection, acked []string, tails i
 // TestCrashImageWithZeroTailRecovers: a byte copy of a live log is what a
 // killed process leaves, page cache intact and the synced zeros ahead of the
 // log's end included. It reopens with every acknowledged record and no
-// recovered tail, and the next append lands right after the last record.
+// recovered tail, and the next append lands right after the last record, on
+// a line of its own.
 func TestCrashImageWithZeroTailRecovers(t *testing.T) {
 	dir, crash := t.TempDir(), t.TempDir()
 	db, err := Open(dir, WithSyncPolicy(SyncAlways))
@@ -101,7 +102,8 @@ func TestCrashImageWithZeroTailRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	next, ok := bytes.CutPrefix(got, logical)
+	// The reopened handle's first write starts on a new line.
+	next, ok := bytes.CutPrefix(got, append(logical, '\n'))
 	if !ok || bytes.Count(next, []byte("\n")) != 1 || !bytes.HasSuffix(next, []byte("\n")) {
 		t.Fatalf("after the recovered records the log holds %q, want one line", next)
 	}
@@ -205,7 +207,7 @@ func TestAppendsInsideZeroTailKeepTheFileSize(t *testing.T) {
 	}
 
 	c.mu.Lock()
-	want := c.wal.size
+	want := c.wal.log.size
 	c.mu.Unlock()
 	db.Close()
 	data, err := os.ReadFile(path)
