@@ -7,8 +7,10 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 
 	"kaleidoscope/internal/guard"
+	"kaleidoscope/internal/jsonscan"
 	"kaleidoscope/internal/obs"
 	"kaleidoscope/internal/store"
 )
@@ -247,7 +249,7 @@ func (s *Server) handleSessionBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	g.report(guard.Success)
 	s.noteBatchMetrics(st)
-	writeJSON(w, http.StatusOK, &st.report)
+	WriteBatchReport(w, http.StatusOK, &st.report)
 }
 
 // batchStreamStatus classifies a stream-level decode error: body over the
@@ -326,12 +328,15 @@ func (s *Server) finishBatch(w http.ResponseWriter, st *batchState, g *writeGate
 	}
 	st.report.Error = fmt.Sprintf(format, args...)
 	s.noteBatchMetrics(st)
-	writeJSON(w, status, &st.report)
+	WriteBatchReport(w, status, &st.report)
 }
 
 // noteBatchMetrics finalizes the report's counts and exports the batch
-// metrics.
+// metrics: one counter add per status the batch holds, not one lookup per
+// element, since a lookup builds its label key under the registry's lock.
 func (s *Server) noteBatchMetrics(st *batchState) {
+	type tally struct{ status, n int }
+	tallies := make([]tally, 0, 4) // 201, 400, 409, 413
 	for _, res := range st.report.Results {
 		switch res.Status {
 		case http.StatusCreated:
@@ -339,13 +344,113 @@ func (s *Server) noteBatchMetrics(st *batchState) {
 		default:
 			st.report.Rejected++
 		}
+		i := 0
+		for i < len(tallies) && tallies[i].status != res.Status {
+			i++
+		}
+		if i == len(tallies) {
+			tallies = append(tallies, tally{status: res.Status})
+		}
+		tallies[i].n++
 	}
 	if s.reg == nil {
 		return
 	}
-	for _, res := range st.report.Results {
-		s.reg.Counter("kscope_batch_sessions_total", "status", strconv.Itoa(res.Status)).Inc()
+	for _, t := range tallies {
+		s.reg.Counter("kscope_batch_sessions_total", "status", strconv.Itoa(t.status)).Add(int64(t.n))
 	}
 	s.reg.Counter("kscope_batch_flushes_total").Add(int64(st.flushes))
 	s.reg.Histogram("kscope_batch_size", obs.DefSizeBuckets).Observe(float64(len(st.report.Results)))
+}
+
+// The batch report's codec, on the session codec's scanner and its rules.
+// AppendBatchReport writes what json.NewEncoder(w).Encode writes of a
+// BatchReport, and DecodeBatchReport, the router's reader of a node's
+// report, reads it in any key order, spacing and string escape, with null
+// only for results; no unknown, respelled or repeated key.
+// FuzzBatchReport holds both to encoding/json.
+
+var (
+	reportKeys = []string{"test_id", "accepted", "rejected", "results", "error", "concluded"}
+	// An element's string fields, then its ints, as object fills them.
+	reportElementKeys = []string{"worker_id", "error", "index", "status"}
+)
+
+// reportPool holds WriteBatchReport's buffers between answers.
+var reportPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledReport is the largest buffer reportPool keeps. A report of 100
+// elements is about 6 KB; one of 10 000 refusals, up to 1 MB, is not kept.
+const maxPooledReport = 64 << 10
+
+// WriteBatchReport answers r with status, in one Write.
+func WriteBatchReport(w http.ResponseWriter, status int, r *BatchReport) {
+	buf := reportPool.Get().(*[]byte)
+	*buf = AppendBatchReport((*buf)[:0], r)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_, _ = w.Write(*buf)
+	if cap(*buf) <= maxPooledReport {
+		reportPool.Put(buf)
+	}
+}
+
+// AppendBatchReport appends r as json.NewEncoder(w).Encode(r) writes it,
+// byte for byte, the newline included.
+func AppendBatchReport(dst []byte, r *BatchReport) []byte {
+	dst = jsonscan.AppendString(append(dst, `{"test_id":`...), r.TestID)
+	dst = strconv.AppendInt(append(dst, `,"accepted":`...), int64(r.Accepted), 10)
+	dst = strconv.AppendInt(append(dst, `,"rejected":`...), int64(r.Rejected), 10)
+	dst = appendArray(append(dst, `,"results":`...), r.Results, func(dst []byte, e *BatchElementResult) []byte {
+		dst = strconv.AppendInt(append(dst, `{"index":`...), int64(e.Index), 10)
+		if e.WorkerID != "" {
+			dst = jsonscan.AppendString(append(dst, `,"worker_id":`...), e.WorkerID)
+		}
+		dst = strconv.AppendInt(append(dst, `,"status":`...), int64(e.Status), 10)
+		if e.Error != "" {
+			dst = jsonscan.AppendString(append(dst, `,"error":`...), e.Error)
+		}
+		return append(dst, '}')
+	})
+	if r.Error != "" {
+		dst = jsonscan.AppendString(append(dst, `,"error":`...), r.Error)
+	}
+	if r.Concluded {
+		dst = append(dst, `,"concluded":true`...)
+	}
+	return append(dst, "}\n"...)
+}
+
+// DecodeBatchReport reads a batch report, the whole of b, into r, reusing
+// only the capacity of r.Results. r's strings share one copy of b.
+func DecodeBatchReport(b []byte, r *BatchReport) error {
+	s := sessionScanner{b: b, src: string(b)}
+	results := r.Results
+	*r = BatchReport{}
+	for seen := uint64(0); ; {
+		switch s.field(reportKeys, &seen) {
+		case 0:
+			r.TestID = s.str()
+		case 1:
+			r.Accepted = s.num()
+		case 2:
+			r.Rejected = s.num()
+		case 3:
+			r.Results = list(&s, results, func(e *BatchElementResult) {
+				s.object(reportElementKeys, []*string{&e.WorkerID, &e.Error}, &e.Index, &e.Status)
+			})
+		case 4:
+			r.Error = s.str()
+		case 5:
+			r.Concluded = s.boolean()
+		default:
+			if _, err := s.verdict(); err != nil {
+				return fmt.Errorf("server: batch report: %w", err)
+			}
+			if jsonscan.SkipSpace(b, s.i) < len(b) {
+				return fmt.Errorf("server: batch report: %w", errTrailingData)
+			}
+			return nil
+		}
+	}
 }

@@ -312,12 +312,13 @@ func TestBatchClientCancel(t *testing.T) {
 }
 
 // Gzip happy path: a compressed batch decodes and commits like a plain one,
-// and batch metrics are exported.
+// and batch metrics are exported; then a batch that mixes every element
+// status moves each status's counter by its own count.
 func TestBatchGzip(t *testing.T) {
 	srv, prep, _, _ := prepGuardedTest(t, guard.Config{})
 	reg := srv.reg
-	uploads := variedUploads(t, prep, 5)
-	rec, report := postBatch(t, srv, marshalBatch(t, uploads), true)
+	uploads := variedUploads(t, prep, 7)
+	rec, report := postBatch(t, srv, marshalBatch(t, uploads[:5]), true)
 	if rec.Code != http.StatusOK || report.Accepted != 5 {
 		t.Fatalf("status=%d report=%+v", rec.Code, report)
 	}
@@ -326,6 +327,21 @@ func TestBatchGzip(t *testing.T) {
 	}
 	if got := reg.Counter("kscope_batch_sessions_total", "status", "201").Value(); got != 5 {
 		t.Errorf("batch sessions 201 counter = %d, want 5", got)
+	}
+
+	mixed := bytes.Join([][]byte{
+		mustMarshal(t, uploads[5]), []byte(`{}`), mustMarshal(t, uploads[0]),
+		exactSession(t, prep, "too-big", maxSessionBytes+1), []byte(`{"worker_id":""}`),
+		mustMarshal(t, uploads[6]), mustMarshal(t, uploads[1]),
+	}, []byte(","))
+	rec, report = postBatch(t, srv, append(append([]byte("["), mixed...), ']'), true)
+	if rec.Code != http.StatusOK || report.Accepted != 2 || report.Rejected != 5 {
+		t.Fatalf("mixed batch: status=%d accepted=%d rejected=%d", rec.Code, report.Accepted, report.Rejected)
+	}
+	for status, want := range map[string]int64{"201": 7, "400": 2, "409": 2, "413": 1} {
+		if got := reg.Counter("kscope_batch_sessions_total", "status", status).Value(); got != want {
+			t.Errorf("batch sessions %s counter = %d, want %d", status, got, want)
+		}
 	}
 }
 

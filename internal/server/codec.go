@@ -455,6 +455,19 @@ func (s *sessionScanner) null() bool {
 	return true
 }
 
+// boolean reads true or false.
+func (s *sessionScanner) boolean() bool {
+	c := s.space()
+	for _, lit := range [...]string{"true", "false"} {
+		if bytes.HasPrefix(s.b[s.i:], []byte(lit)) {
+			s.i += len(lit)
+			return lit == "true"
+		}
+	}
+	s.mismatch(c, "a boolean")
+	return false
+}
+
 // list reads an array whose elements one reads into the elements of xs,
 // emptied but for its capacity, and never nil; null reads as nil.
 func list[T any](s *sessionScanner, xs []T, one func(*T)) []T {

@@ -86,8 +86,8 @@ var grammarEdges = []struct {
 
 // TestRouterBatchMatchesNode: whatever a batch request looks like, a router
 // over three nodes answers it with the status — and, when that is 200, the
-// per-element statuses — of a single node. The first rows are the drifts
-// this table was written to close.
+// per-element statuses and every byte of the report — of a single node. The
+// first rows are the drifts this table was written to close.
 func TestRouterBatchMatchesNode(t *testing.T) {
 	f := newFixture(t, 3)
 	single, _, _ := prepNode(t)
@@ -189,6 +189,9 @@ func TestRouterBatchMatchesNode(t *testing.T) {
 			got, want := elementStatuses(t, routed.Body.Bytes()), elementStatuses(t, node.Body.Bytes())
 			if fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Errorf("element statuses through the router %v, on a single node %v", got, want)
+			}
+			if !bytes.Equal(routed.Body.Bytes(), node.Body.Bytes()) {
+				t.Errorf("the router's report differs from a single node's\nrouter: %.300s\nnode: %.300s", routed.Body, node.Body)
 			}
 		})
 	}
@@ -560,6 +563,77 @@ func (c cannedShards) RoundTrip(req *http.Request) (*http.Response, error) {
 	}, nil
 }
 
+// cannedRouter is a router over three shards, shard-0 to shard-2, that
+// answer as canned says.
+func cannedRouter(tb testing.TB, canned cannedShards) *Router {
+	specs := make([]Spec, 3)
+	for i := range specs {
+		host := fmt.Sprintf("shard-%d", i)
+		specs[i] = Spec{Name: host, Primary: "http://" + host}
+	}
+	rt, err := New(Config{Shards: specs, Transport: func(string, string) http.RoundTripper { return canned }})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return rt
+}
+
+// TestRouterReadsReportsAsBefore: a one-element batch whose shard answers
+// 200 with the row's report. A report the codec reads merges into the answer
+// encoding/json's reader and encoder made of it; any other gets the 503 the
+// router has always answered for a report encoding/json could not read. The
+// codec refuses some reports encoding/json reads, none of which a node
+// writes.
+func TestRouterReadsReportsAsBefore(t *testing.T) {
+	const corrupt = `{"error":"batch upload unavailable: corrupt sub-batch report"}` + "\n"
+	rows := []struct {
+		name, report string
+		want         int
+	}{
+		{"a node's report", `{"test_id":"t","accepted":1,"rejected":0,"results":[{"index":0,"worker_id":"w","status":201}]}` + "\n", http.StatusOK},
+		{"a refused element", `{"test_id":"t","accepted":0,"rejected":1,"results":[{"index":0,"status":400,"error":"decoding session: unknown key \"x\" at byte 1 <&>"}]}`, http.StatusOK},
+		{"spaced, reordered, escaped, another index", ` {"results": [ {"status":409, "error":"w\u00e9 \"dup\"", "worker_id":"\u0077", "index":7} ], "rejected":1 } `, http.StatusOK},
+		{"no results", `{"test_id":"t","accepted":0,"rejected":0,"results":[]}`, http.StatusServiceUnavailable},
+		{"results null", `{"test_id":"t","results":null}`, http.StatusServiceUnavailable},
+		{"two results for one element", `{"results":[{"index":0,"status":201},{"index":1,"status":201}]}`, http.StatusServiceUnavailable},
+		{"cut short", `{"test_id":"t","results":[{"index":0,"status":201}`, http.StatusServiceUnavailable},
+		{"not JSON", `<html>bad gateway</html>`, http.StatusServiceUnavailable},
+		{"bytes after the report", `{"results":[{"index":0,"status":201}]} {}`, http.StatusServiceUnavailable},
+		{"a float status", `{"results":[{"index":0,"status":201.5}]}`, http.StatusServiceUnavailable},
+		{"an unknown key", `{"results":[{"index":0,"status":201,"shard":2}]}`, http.StatusServiceUnavailable},
+		{"a key in capitals", `{"results":[{"index":0,"STATUS":201}]}`, http.StatusServiceUnavailable},
+		{"a repeated key", `{"results":[{"index":0,"status":409,"status":201}]}`, http.StatusServiceUnavailable},
+		{"a null element", `{"results":[null]}`, http.StatusServiceUnavailable},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			canned := cannedShards{"shard-0": []byte(row.report), "shard-1": []byte(row.report), "shard-2": []byte(row.report)}
+			rec := postTo(cannedRouter(t, canned), "/api/tests/t/sessions:batch", []byte(`[{"worker_id":"w"}]`))
+			if rec.Code != row.want {
+				t.Fatalf("the router answers %d, want %d: %s", rec.Code, row.want, rec.Body)
+			}
+			want := corrupt
+			if row.want == http.StatusOK {
+				var rep server.BatchReport
+				if err := json.Unmarshal([]byte(row.report), &rep); err != nil {
+					t.Fatal(err)
+				}
+				rep.Results[0].Index = 0
+				merged, err := json.Marshal(server.BatchReport{TestID: "t", Accepted: rep.Accepted, Rejected: rep.Rejected, Results: rep.Results})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = string(merged) + "\n"
+			} else if got := rec.Header().Get("Retry-After"); got != "1" {
+				t.Errorf("Retry-After %q, want 1", got)
+			}
+			if rec.Body.String() != want {
+				t.Errorf("the router answers\n%s\nwant\n%s", rec.Body, want)
+			}
+		})
+	}
+}
+
 // BenchmarkRouterBatchSplit is one gzip batch of 100 sessions of the
 // end-to-end script's shape through a router over three stub shards: read,
 // inflate, validate, split, dispatch, merge the three reports, encode the
@@ -568,21 +642,13 @@ func (c cannedShards) RoundTrip(req *http.Request) (*http.Response, error) {
 func BenchmarkRouterBatchSplit(b *testing.B) {
 	const testID = "bench-test"
 	canned := cannedShards{}
-	specs := make([]Spec, 3)
-	for i := range specs {
-		host := fmt.Sprintf("shard-%d", i)
-		specs[i] = Spec{Name: host, Primary: "http://" + host}
-	}
-	rt, err := New(Config{Shards: specs, Transport: func(string, string) http.RoundTripper { return canned }})
-	if err != nil {
-		b.Fatal(err)
-	}
+	rt := cannedRouter(b, canned)
 	plain := scriptBatch(b, testID, 100)
 	sessions, err := server.DecodeSessionList(plain)
 	if err != nil {
 		b.Fatal(err)
 	}
-	reports := make([]server.BatchReport, len(specs))
+	reports := make([]server.BatchReport, 3)
 	for _, u := range sessions {
 		rep := &reports[rt.Ring().Owner(SessionKey(testID, u.WorkerID))]
 		rep.TestID = testID

@@ -439,6 +439,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request, testID str
 		TestID:  testID,
 		Results: make([]server.BatchElementResult, len(elems)),
 	}
+	var rep server.BatchReport // one shard's, its results reused for the next
 	for shardIdx, sub := range fans {
 		switch {
 		case subs[shardIdx].n == 0:
@@ -461,8 +462,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request, testID str
 			rt.writeUpstream(w, sub.up)
 			return
 		}
-		var rep server.BatchReport
-		if err := json.Unmarshal(sub.up.Body, &rep); err != nil || len(rep.Results) != subs[shardIdx].n {
+		if err := server.DecodeBatchReport(sub.up.Body, &rep); err != nil || len(rep.Results) != subs[shardIdx].n {
 			rt.writeUnreachable(w, "batch upload", errors.New("corrupt sub-batch report"))
 			return
 		}
@@ -479,7 +479,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request, testID str
 			}
 		}
 	}
-	writeJSON(w, http.StatusOK, merged)
+	server.WriteBatchReport(w, http.StatusOK, &merged)
 }
 
 // refuseBatch answers for a batch the router will not split.

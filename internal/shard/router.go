@@ -14,6 +14,7 @@ import (
 
 	"kaleidoscope/internal/failover"
 	"kaleidoscope/internal/guard"
+	"kaleidoscope/internal/jsonscan"
 	"kaleidoscope/internal/obs"
 	"kaleidoscope/internal/server"
 )
@@ -349,18 +350,18 @@ func (rt *Router) writeUnreachable(w http.ResponseWriter, what string, err error
 	writeError(w, http.StatusServiceUnavailable, "%s unavailable: %v", what, err)
 }
 
-type apiError struct {
-	Error string `json:"error"`
-}
-
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// writeError answers {"error": the message} as a node's writeError does,
+// its encoder's bytes written by hand.
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, apiError{Error: fmt.Sprintf(format, args...)})
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_, _ = w.Write(append(jsonscan.AppendString([]byte(`{"error":`), fmt.Sprintf(format, args...)), "}\n"...))
 }
 
 // readBody buffers a request body up to limit bytes (413 is the caller's
